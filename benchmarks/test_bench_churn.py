@@ -23,6 +23,7 @@ from typing import Tuple
 import pytest
 
 from repro.dht import ReplicationManager
+from repro.dht.messages import MessageKind
 from repro.evaluation import relative_to_centralized
 from repro.evaluation.experiments import build_trained_sprite
 from repro.exceptions import NodeFailedError
@@ -75,6 +76,23 @@ def measure_after_failures(
     return rel.precision_ratio, availability
 
 
+def replication_cost(paper_env) -> Tuple[float, float, float]:
+    """REPLICATE bytes per peer for three rounds at factor 3: the first
+    (every slot ships), a second with no write in between (digests
+    only), and one after 5% of the documents were withdrawn."""
+    system = build_trained_sprite(paper_env)
+    manager = ReplicationManager(system.ring, replication_factor=3)
+    stats = system.ring.stats
+    per_round = []
+    for withdraw in (0, 0, len(paper_env.corpus) // 20):
+        system.bulk_unshare(list(paper_env.corpus.doc_ids)[:withdraw])
+        before = stats.kind(MessageKind.REPLICATE).bytes
+        manager.replicate_round()
+        shipped = stats.kind(MessageKind.REPLICATE).bytes - before
+        per_round.append(shipped / system.ring.num_live)
+    return tuple(per_round)
+
+
 @pytest.fixture(scope="module")
 def churn_table(paper_env, record_result):
     rows = {}
@@ -93,6 +111,12 @@ def churn_table(paper_env, record_result):
             f"{100 * fraction:>5.0f}%    {p_rep:>9.3f}    {a_rep:>5.3f}"
             f"    {p_no:>9.3f}    {a_no:>5.3f}"
         )
+    first, quiet, churned = replication_cost(paper_env)
+    lines.append("")
+    lines.append("REPLICATE bytes per peer per round (factor 3):")
+    lines.append(f"  first round (every slot ships)     {first:>8.0f}")
+    lines.append(f"  quiet round (stamp digests only)   {quiet:>8.0f}")
+    lines.append(f"  after withdrawing 5% of documents  {churned:>8.0f}")
     record_result("churn", "\n".join(lines))
     return rows
 

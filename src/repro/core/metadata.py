@@ -18,6 +18,8 @@ Owner-peer state, per term of a shared document:
 
 from __future__ import annotations
 
+import copy
+import itertools
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -63,6 +65,13 @@ class CachedQuery:
     sequence: int
 
 
+# Process-global stamp sequence for query caches, the counterpart of the
+# posting-version sequence in repro.ir.postings: a cache draws a stamp
+# when it is created and on every arrival, so two caches report the same
+# stamp only if one is an unmodified copy of the other.
+_CACHE_STAMPS = itertools.count(1)
+
+
 class QueryCache:
     """Bounded most-recent-queries cache (Section 3: "to reduce the
     storage, each indexing peer maintains only the most recently issued
@@ -81,6 +90,7 @@ class QueryCache:
         self.capacity = capacity
         self._entries: deque = deque()
         self._next_sequence = 0
+        self._stamp = next(_CACHE_STAMPS)
 
     @classmethod
     def from_state(
@@ -111,6 +121,7 @@ class QueryCache:
             terms=terms, query_hash=query_hash, sequence=self._next_sequence
         )
         self._next_sequence += 1
+        self._stamp = next(_CACHE_STAMPS)
         self._entries.append(entry)
         while len(self._entries) > self.capacity:
             self._entries.popleft()
@@ -126,11 +137,30 @@ class QueryCache:
         """The highest sequence number handed out so far (-1 if none)."""
         return self._next_sequence - 1
 
+    @property
+    def content_stamp(self) -> int:
+        """Globally-unique stamp of the cache's content.  Sequence
+        numbers cannot serve: they restart per cache lineage, so two
+        copies of one cache that each took a *different* query agree on
+        ``latest_sequence`` and disagree on content."""
+        return self._stamp
+
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[CachedQuery]:
         return iter(self._entries)
+
+    def __deepcopy__(self, memo) -> "QueryCache":
+        """Structural clone: the entries are frozen, so a new deque over
+        the same :class:`CachedQuery` objects shares nothing mutable.
+        Keeps the stamp — the content is identical."""
+        clone = object.__new__(type(self))
+        clone.capacity = self.capacity
+        clone._entries = deque(self._entries)
+        clone._next_sequence = self._next_sequence
+        clone._stamp = self._stamp
+        return clone
 
 
 class TermSlot:
@@ -176,6 +206,16 @@ class TermSlot:
         self._impact_view: List[ImpactRow] = []
 
     # -- aggregates ---------------------------------------------------------
+
+    @property
+    def replica_stamp(self) -> Tuple[int, int]:
+        """``(postings version, query-cache stamp)`` — equal between a
+        slot and a copy of it only while neither has changed: both
+        halves come from process-global sequences, every
+        publish/unpublish draws a version and every cached query a
+        stamp.  The replication round ships a slot only where this
+        differs."""
+        return (self._store.version, self.cache.content_stamp)
 
     @property
     def indexed_document_frequency(self) -> int:
@@ -294,6 +334,24 @@ class TermSlot:
         ]
         self._inverted_view = {e.doc_id: e for e in self._entries_view}
         self._view_version = version
+
+    # -- replication support ------------------------------------------------
+
+    def __deepcopy__(self, memo) -> "TermSlot":
+        """Structural clone for replication: the cache and the posting
+        store copy themselves (each backend knows its own layout); the
+        derived views are left empty and rebuild lazily on first read,
+        so a replica nobody queries never pays for them."""
+        clone = object.__new__(type(self))
+        clone.term = self.term
+        clone.cache = copy.deepcopy(self.cache, memo)
+        clone._store = copy.deepcopy(self._store, memo)
+        clone._view_version = -1
+        clone._entries_view = []
+        clone._inverted_view = {}
+        clone._impact_version = -1
+        clone._impact_view = []
+        return clone
 
 
 @dataclass

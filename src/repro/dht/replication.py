@@ -12,6 +12,14 @@ application placed in ``node.store`` — for SPRITE, per-term inverted
 lists plus query caches.  Because SPRITE indexes only a small number of
 terms per document, the replicated volume is small ("SPRITE has the
 additional advantage that only a small number of terms are replicated").
+
+A round ships *what changed*.  A payload may expose a ``replica_stamp``
+— any value that is equal between two copies only when their content is
+equal (SPRITE's term slots build it from process-global mutation
+counters).  The primary offers every key's stamp and copies only the
+entries whose stamp the successor does not already hold; payloads
+without a stamp (plain strings, dicts) always ship.  This module never
+looks inside a payload beyond that one attribute.
 """
 
 from __future__ import annotations
@@ -19,8 +27,17 @@ from __future__ import annotations
 import copy
 from typing import Dict
 
-from .messages import Message, MessageKind, POSTING_BYTES, TERM_BYTES
+from ..exceptions import NodeFailedError
+from .messages import Message, MessageKind, POSTING_BYTES, TERM_BYTES, VERSION_BYTES
 from .ring import ChordRing
+
+
+def _holds_current_copy(primary: object, replica: object) -> bool:
+    """Whether *replica* is provably a copy of *primary*'s present
+    content: both carry the same ``replica_stamp``.  Unstamped payloads
+    and missing replicas are never current."""
+    stamp = getattr(primary, "replica_stamp", None)
+    return stamp is not None and stamp == getattr(replica, "replica_stamp", None)
 
 
 class ReplicationManager:
@@ -33,17 +50,16 @@ class ReplicationManager:
     replication_factor:
         Number of successors that receive copies (bounded by the ring's
         successor-list size).
-    deep_copy:
-        When ``True`` (default) replicas are deep copies, so divergence
-        between primary and replica between replication rounds is
-        modelled faithfully (a stale replica really is stale).
+
+    Replicas are always deep copies, so divergence between primary and
+    replica between replication rounds is modelled faithfully (a stale
+    replica really is stale).
     """
 
     def __init__(
         self,
         ring: ChordRing,
         replication_factor: int | None = None,
-        deep_copy: bool = True,
     ) -> None:
         self.ring = ring
         limit = ring.config.successor_list_size
@@ -51,16 +67,25 @@ class ReplicationManager:
         if factor < 1:
             raise ValueError("replication_factor must be >= 1")
         self.replication_factor = min(factor, limit)
-        self.deep_copy = deep_copy
+        #: Pushes of the most recent round that never arrived (dropped
+        #: by the transport, or the successor died mid-round).
+        self.undelivered = 0
 
     def replicate_round(self) -> int:
-        """One periodic replication round: every live node pushes its
-        primary store to its first *r* live successors.
+        """One periodic replication round: every live node offers its
+        primary store to its first *r* live successors and ships the
+        entries each one does not hold a current copy of.
 
-        Returns the number of replica entries shipped (for cost
-        accounting; each also records a REPLICATE message).
+        Exactly one REPLICATE message per (primary, live successor)
+        pair, sized as one stamp-digest entry per key offered plus a
+        full entry per key shipped.  A push the transport fails to
+        deliver installs nothing and is tallied in :attr:`undelivered`;
+        the round carries on (the next one re-offers the same keys).
+
+        Returns the number of replica entries shipped.
         """
         shipped = 0
+        self.undelivered = 0
         for node_id in self.ring.live_ids:
             node = self.ring.node(node_id)
             if not node.store:
@@ -71,20 +96,28 @@ class ReplicationManager:
                 if s != node_id and self.ring.is_live(s)
             ]
             for target_id in targets:
-                target = self.ring.node(target_id)
-                payload = (
-                    copy.deepcopy(node.store) if self.deep_copy else dict(node.store)
-                )
-                target.replicas.update(payload)
-                shipped += len(payload)
-                self.ring.send(
-                    Message(
-                        kind=MessageKind.REPLICATE,
-                        src=node_id,
-                        dst=target_id,
-                        size_bytes=len(payload) * (TERM_BYTES + POSTING_BYTES),
+                replicas = self.ring.node(target_id).replicas
+                changed = [
+                    key
+                    for key, value in node.store.items()
+                    if not _holds_current_copy(value, replicas.get(key))
+                ]
+                try:
+                    self.ring.send(
+                        Message(
+                            kind=MessageKind.REPLICATE,
+                            src=node_id,
+                            dst=target_id,
+                            size_bytes=len(node.store) * (TERM_BYTES + VERSION_BYTES)
+                            + len(changed) * (TERM_BYTES + POSTING_BYTES),
+                        )
                     )
-                )
+                except NodeFailedError:
+                    self.undelivered += 1
+                    continue
+                for key in changed:
+                    replicas[key] = copy.deepcopy(node.store[key])
+                shipped += len(changed)
         self.prune_stale_replicas()
         return shipped
 

@@ -79,8 +79,8 @@ class DocTable:
     posting columns store 8-byte ints instead of string references.  The
     table is append-only and therefore safe to *share* rather than copy:
     ``__deepcopy__`` returns ``self`` so replicating a slot (the
-    replication manager deep-copies node stores) does not duplicate the
-    registry per replica.
+    replication manager deep-copies the slots it ships) does not
+    duplicate the registry per replica.
     """
 
     def __init__(self) -> None:
@@ -125,9 +125,10 @@ class KernelScratch:
     * ``array`` refuses to **resize** while any view exports its buffer
       (``BufferError``), so the store drops the scratch at the top of
       every mutation — before the column resize — releasing the export;
-    * replication deep-copies node stores, and a copied view would
-      alias the *original* buffers, so ``__deepcopy__`` yields a fresh
-      empty scratch instead of copying anything.
+    * replication deep-copies slots, and a copied view would alias the
+      *original* buffers, so ``__deepcopy__`` — here and in
+      :meth:`ColumnarPostings.__deepcopy__` — yields a fresh empty
+      scratch instead of copying anything.
     """
 
     __slots__ = ("version", "views")
@@ -281,6 +282,29 @@ class ColumnarPostings:
         ]
         rows.sort(key=lambda r: (-r[3], r[0]))
         return rows
+
+    # -- replication support ------------------------------------------------
+
+    def __deepcopy__(self, memo) -> "ColumnarPostings":
+        """Structural clone: every column is flat (numbers, or interned
+        strings in ``_pos``), so a slice per column is a full copy.
+        The append-only :class:`DocTable` is shared, the kernel scratch
+        starts empty, and ``_version`` is kept — the content is
+        identical, which is what a version asserts."""
+        clone = object.__new__(type(self))
+        clone._docs = self._docs
+        clone._doc_index = self._doc_index[:]
+        clone._raw_tf = self._raw_tf[:]
+        clone._length = self._length[:]
+        clone._ntf = self._ntf[:]
+        clone._impact = self._impact[:]
+        clone._owner = self._owner[:]
+        clone._pos = self._pos.copy()
+        clone._max_impact = self._max_impact
+        clone._max_dirty = self._max_dirty
+        clone._version = self._version
+        clone.kernel_scratch = KernelScratch()
+        return clone
 
 
 class LegacyPostings:

@@ -32,7 +32,7 @@ Extras the RAM backends do not have:
   point lookups: a negative means *definitely absent*, skipping the SQL
   round trip for first-time inserts and missing-doc probes.
 * ``__deepcopy__`` clones the rows under a fresh slot id on the same
-  connection — replication deep-copies node stores, and a SQLite
+  connection — replication deep-copies the slots it ships, and a SQLite
   connection itself cannot be deep-copied.
 """
 
@@ -366,7 +366,9 @@ class SqlitePostings:
 
         Keeps ``_version``: the clone's content is identical, and the
         in-RAM backends' deepcopy preserves the version too (that is
-        what makes version equality a sound replica-freshness check).
+        what makes version equality a sound replica-freshness check —
+        the one :attr:`~repro.core.metadata.TermSlot.replica_stamp`
+        rests on).
         """
         clone = object.__new__(type(self))
         clone._conn = self._conn

@@ -6,7 +6,8 @@ import pytest
 
 from repro.config import ChordConfig
 from repro.dht import ChordRing, ReplicationManager
-from repro.dht.messages import MessageKind
+from repro.dht.messages import MessageKind, POSTING_BYTES, TERM_BYTES, VERSION_BYTES
+from repro.net import FaultInjector, LossyTransport
 
 
 def ring_with_data(num_peers: int = 12, seed: int = 21) -> ChordRing:
@@ -55,6 +56,126 @@ class TestReplicationRound:
         ReplicationManager(ring, replication_factor=1).replicate_round()
         ring.node(100).get(50)["mutable"] = 2
         assert ring.node(200).replicas[50] == {"mutable": 1}
+
+
+class Stamped:
+    """A payload with a replica stamp, as opaque to ``repro.dht`` as a
+    string: content and stamp move together."""
+
+    def __init__(self, content: str, stamp: int) -> None:
+        self.content = content
+        self.replica_stamp = stamp
+
+
+def three_node_ring(transport=None) -> ChordRing:
+    """Nodes 10, 100, 200 with one key each (5, 50, 150); at factor 1
+    a round is the three pushes 10→100, 100→200, 200→10, in that order."""
+    ring = ChordRing(
+        ChordConfig(num_peers=3, id_bits=8, successor_list_size=2),
+        node_ids=[10, 100, 200],
+        transport=transport,
+    )
+    for key in (5, 50, 150):
+        ring.place(key, Stamped(f"v-{key}", stamp=key))
+    return ring
+
+
+def replicate_bytes(ring: ChordRing) -> int:
+    return ring.stats.kind(MessageKind.REPLICATE).bytes
+
+
+class TestDeltaRound:
+    DIGEST = TERM_BYTES + VERSION_BYTES
+    ENTRY = TERM_BYTES + POSTING_BYTES
+
+    def test_unchanged_stamped_entries_ship_once(self) -> None:
+        ring = three_node_ring()
+        manager = ReplicationManager(ring, replication_factor=1)
+        assert manager.replicate_round() == 3
+        held = {n: dict(ring.node(n).replicas) for n in ring.live_ids}
+        assert manager.replicate_round() == 0
+        for node_id, replicas in held.items():
+            # nothing was re-copied: the very same objects are still held
+            assert all(
+                ring.node(node_id).replicas[key] is value
+                for key, value in replicas.items()
+            )
+
+    def test_one_message_per_pair_priced_as_digest_plus_shipped(self) -> None:
+        ring = three_node_ring()
+        manager = ReplicationManager(ring, replication_factor=1)
+        manager.replicate_round()
+        assert ring.stats.kind(MessageKind.REPLICATE).messages == 3
+        assert replicate_bytes(ring) == 3 * (self.DIGEST + self.ENTRY)
+        manager.replicate_round()
+        # a quiet round still sends every pair its digest, and only that
+        assert ring.stats.kind(MessageKind.REPLICATE).messages == 6
+        assert replicate_bytes(ring) == 3 * (self.DIGEST + self.ENTRY) + 3 * self.DIGEST
+
+    def test_only_the_changed_entry_is_reshipped(self) -> None:
+        ring = three_node_ring()
+        ring.place(60, Stamped("v-60", stamp=60))  # second key at node 100
+        manager = ReplicationManager(ring, replication_factor=1)
+        manager.replicate_round()
+        untouched = ring.node(200).replicas[60]
+        ring.node(100).store[50] = Stamped("v-50b", stamp=51)
+        assert manager.replicate_round() == 1
+        assert ring.node(200).replicas[50].content == "v-50b"
+        assert ring.node(200).replicas[60] is untouched
+
+    def test_a_diverged_replica_is_refreshed(self) -> None:
+        """The gate compares against what the successor holds *now*: a
+        replica that changed on its own is stale even if the primary
+        did not move."""
+        ring = three_node_ring()
+        manager = ReplicationManager(ring, replication_factor=1)
+        manager.replicate_round()
+        ring.node(200).replicas[50].replica_stamp = -1
+        assert manager.replicate_round() == 1
+        assert ring.node(200).replicas[50].replica_stamp == 50
+
+    def test_unstamped_payloads_always_ship(self) -> None:
+        ring = ring_with_data()
+        manager = ReplicationManager(ring, replication_factor=2)
+        first = manager.replicate_round()
+        assert first > 0
+        assert manager.replicate_round() == first
+
+
+class DropPair(FaultInjector):
+    """Loses every attempt of one src→dst pair and nothing else."""
+
+    def __init__(self, src: int, dst: int) -> None:
+        super().__init__()
+        self.pair = (src, dst)
+
+    def should_drop_for(self, src, dst, rng) -> bool:
+        return (src, dst) == self.pair
+
+
+class TestUndeliveredPush:
+    def test_dropped_push_installs_nothing_and_round_continues(self) -> None:
+        """Regression: the copy used to be installed *before* the send,
+        so a dropped REPLICATE updated the successor anyway, and the
+        exception aborted the round before later primaries (and the
+        prune) ran."""
+        faults = DropPair(10, 100)
+        ring = three_node_ring(LossyTransport(faults=faults))
+        ring.node(200).replicas[5] = "left behind"  # 200 is outside 10's window
+        manager = ReplicationManager(ring, replication_factor=1)
+
+        assert manager.replicate_round() == 2
+        assert manager.undelivered == 1
+        assert 5 not in ring.node(100).replicas
+        assert ring.node(200).replicas[50].content == "v-50"
+        assert ring.node(10).replicas[150].content == "v-150"
+        assert 5 not in ring.node(200).replicas  # the prune still ran
+        assert ring.stats.kind(MessageKind.REPLICATE).messages == 2
+
+        faults.pair = None
+        assert manager.replicate_round() == 1
+        assert manager.undelivered == 0
+        assert ring.node(100).replicas[5].content == "v-5"
 
 
 class TestRecovery:
