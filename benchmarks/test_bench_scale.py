@@ -1,18 +1,19 @@
 """Tracked scale-out benchmark (DESIGN.md §13).
 
 Runs the :mod:`repro.perf.scale` sharded harness over a peers × docs ×
-workers grid, asserts the determinism and kernel bit-identity
-invariants (merged checksum independent of worker count; numpy and
-python kernels rank identically), and records throughput *and memory*
-into ``benchmarks/BENCH_SCALE.json`` so subsequent PRs have a scale
-trajectory to compare against.
+workers grid, asserts the determinism invariant (merged checksum
+independent of worker count), and records throughput *and memory* into
+``benchmarks/BENCH_SCALE.json`` so subsequent PRs have a scale
+trajectory to compare against.  Row labels keep their ``-python``
+suffix from when a second scoring kernel shared the grid, so the
+committed trajectory stays addressable.
 
 Scales (``BENCH_SCALE_SCALE``):
 
 * ``smoke`` (default) — 400 peers / 4 shards, seconds; what CI's
-  benchmark smoke job runs (workers 1 vs 2, both kernels).
+  benchmark smoke job runs (workers 1 vs 2).
 * ``paper`` — the tracked grid: the 20k-peer / 25k-doc mid row and the
-  100k-peer / 125k-doc / ~1M-posting headline row, both kernels.
+  100k-peer / 125k-doc / ~1M-posting headline row.
 
 Regression guard: with ``BENCH_SCALE_ENFORCE=1`` the run fails if the
 gate row's per-core queries/sec drops more than 30% below the committed
@@ -28,7 +29,6 @@ from typing import Dict, List
 
 import pytest
 
-from repro.perf.compat import have_numpy
 from repro.perf.scale import (
     ScaleWorkloadConfig,
     run_scale_workload,
@@ -49,37 +49,20 @@ GATE_ROW = {"smoke": "smoke-w2-python", "paper": "mid-w2-python"}
 
 
 def _grid(scale: str) -> List[Dict[str, object]]:
-    """The (label, config) grid for one scale, kernels included."""
-    kernels = ["python"] + (["numpy"] if have_numpy() else [])
+    """The (label, config) grid for one scale."""
     if scale == "paper":
         mid = ScaleWorkloadConfig()  # 20k peers / 25k docs / 8 shards
         headline = scale_paper_config()  # 100k peers / 125k docs / 16 shards
-        grid = [{"label": "mid-w1-python", "cfg": mid.replaced(workers=1)}]
-        for kernel in kernels:
-            grid.append(
-                {
-                    "label": f"mid-w2-{kernel}",
-                    "cfg": mid.replaced(workers=2, kernel=kernel),
-                }
-            )
-        for kernel in kernels:
-            grid.append(
-                {
-                    "label": f"headline-w2-{kernel}",
-                    "cfg": headline.replaced(workers=2, kernel=kernel),
-                }
-            )
-        return grid
+        return [
+            {"label": "mid-w1-python", "cfg": mid.replaced(workers=1)},
+            {"label": "mid-w2-python", "cfg": mid.replaced(workers=2)},
+            {"label": "headline-w2-python", "cfg": headline.replaced(workers=2)},
+        ]
     smoke = scale_smoke_config()
-    grid = [{"label": "smoke-w1-python", "cfg": smoke.replaced(workers=1)}]
-    for kernel in kernels:
-        grid.append(
-            {
-                "label": f"smoke-w2-{kernel}",
-                "cfg": smoke.replaced(workers=2, kernel=kernel),
-            }
-        )
-    return grid
+    return [
+        {"label": "smoke-w1-python", "cfg": smoke.replaced(workers=1)},
+        {"label": "smoke-w2-python", "cfg": smoke.replaced(workers=2)},
+    ]
 
 
 def _row_record(cfg: ScaleWorkloadConfig, result) -> Dict[str, object]:
@@ -89,7 +72,6 @@ def _row_record(cfg: ScaleWorkloadConfig, result) -> Dict[str, object]:
         "num_queries": result.num_queries,
         "num_shards": result.num_shards,
         "workers": result.workers,
-        "kernel": result.kernel,
         "seed": cfg.seed,
         "build_s": result.build_s,
         "publish_s": result.publish_s,
@@ -109,13 +91,13 @@ def _row_record(cfg: ScaleWorkloadConfig, result) -> Dict[str, object]:
 def _format_table(rows: Dict[str, Dict[str, object]]) -> str:
     lines = [
         f"scale-out workload [{SCALE}]",
-        f"{'row':<20} {'peers':>8} {'docs':>8} {'wk':>3} {'kernel':>7} "
+        f"{'row':<20} {'peers':>8} {'docs':>8} {'wk':>3} "
         f"{'q/s·core':>10} {'posts/s':>10} {'wall_s':>8} {'rss_mb':>8}",
     ]
     for label, row in rows.items():
         lines.append(
             f"{label:<20} {row['num_peers']:>8} {row['num_documents']:>8} "
-            f"{row['workers']:>3} {row['kernel']:>7} "
+            f"{row['workers']:>3} "
             f"{row['queries_per_s']:>10.1f} {row['postings_per_s']:>10.1f} "
             f"{row['wall_s']:>8.2f} {row['peak_rss_kb'] / 1024:>8.1f}"
         )
@@ -162,21 +144,6 @@ class TestEquivalence:
         )
         assert one["ranking_checksum"] == two["ranking_checksum"]
         assert one["postings_published"] == two["postings_published"]
-
-    def test_kernels_rank_identically(self, measurements) -> None:
-        """numpy and python rows of the same shape: bit-identical."""
-        rows = measurements["rows"]
-        compared = 0
-        for label, row in rows.items():
-            if not label.endswith("-numpy"):
-                continue
-            twin = rows[label.replace("-numpy", "-python")]
-            assert row["ranking_checksum"] == twin["ranking_checksum"], label
-            compared += 1
-        if have_numpy():
-            assert compared > 0
-        else:
-            pytest.skip("numpy not installed: single-kernel grid")
 
     def test_grid_includes_the_headline_scale(self, measurements) -> None:
         rows = measurements["rows"]

@@ -22,7 +22,9 @@ check       Run the verification harness (repro.sim): execute a scenario
             named entry of the adversarial workload catalogue
             (``--catalogue flash_crowd``, ``--catalogue all``) —
             checking the invariant catalogue between events, then run
-            the differential oracle against centralized TF-IDF.
+            the differential oracle: every row of its comparison table
+            (a result-neutral switch on vs off), the concurrent-runtime
+            check, and the centralized TF-IDF baseline.
 
 All commands accept ``--small`` (test-sized corpus, seconds) and
 ``--seed`` (reproducibility), plus the network-model flags
@@ -52,7 +54,6 @@ from .config import (
     ExperimentConfig,
     LATENCY_MODELS,
     RING_KINDS,
-    SCORING_KERNELS,
     STORE_BACKENDS,
     TRANSPORT_KINDS,
     paper_experiment_config,
@@ -476,7 +477,6 @@ def cmd_perf(args: argparse.Namespace, out) -> int:
     cfg = cfg.replaced(
         optimized=not args.baseline,
         seed=args.seed,
-        kernel=args.kernel,
         ring=kind,
         ring_arity=arity,
     )
@@ -539,11 +539,11 @@ def _cmd_perf_scale(args: argparse.Namespace, out) -> int:
     )
 
     cfg = scale_smoke_config() if args.small else scale_paper_config()
-    cfg = cfg.replaced(seed=args.seed, workers=args.workers, kernel=args.kernel)
+    cfg = cfg.replaced(seed=args.seed, workers=args.workers)
     if args.shards:
         cfg = cfg.replaced(num_shards=args.shards)
     out.write(
-        f"scale workload [{cfg.kernel} kernel]: {cfg.num_peers} peers, "
+        f"scale workload: {cfg.num_peers} peers, "
         f"{cfg.num_documents} docs, {cfg.num_queries} queries over "
         f"{cfg.num_shards} shards × {cfg.workers} workers\n"
     )
@@ -1099,14 +1099,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="shard count override for --mode scale (0 = config default)",
-    )
-    scale.add_argument(
-        "--kernel",
-        choices=SCORING_KERNELS,
-        default="python",
-        help="phase-B scoring kernel: python (scalar, default) or numpy "
-        "(vectorized slot kernels; needs the perf extra). Rankings are "
-        "bit-identical either way.",
     )
     concurrency = p.add_argument_group("concurrent runtime (DESIGN.md §15)")
     concurrency.add_argument(

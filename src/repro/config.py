@@ -31,11 +31,6 @@ def _require(condition: bool, message: str) -> None:
 #: Posting-store backends :class:`SpriteConfig` may name.
 STORE_BACKENDS: Tuple[str, ...] = ("memory", "sqlite")
 
-#: Phase-B scoring kernels :class:`SpriteConfig` may name.  ``"numpy"``
-#: needs the optional ``perf`` extra; validation happens where the
-#: query processor is built, not here, so configs stay plain data.
-SCORING_KERNELS: Tuple[str, ...] = ("python", "numpy")
-
 #: Overlay ring kinds :class:`SpriteConfig` may name (DESIGN.md §16):
 #: ``"chord"`` is the paper's Stoica-et-al. ring, ``"record"`` the
 #: ReCord-style recursive ring whose ``ring_arity`` trades finger-table
@@ -136,10 +131,6 @@ class SpriteConfig:
     query_cache_size: int = 2000           # recent queries kept per indexing peer
     assumed_corpus_size: int = 1_000_000   # the "sufficiently large N"
     top_k_answers: int = 20                # answers returned per query
-    #: Columnar posting storage at indexing peers (False = the retained
-    #: dict-backed legacy slots).  Both backends enumerate postings in
-    #: the same order, so rankings are identical either way.
-    columnar_postings: bool = True
     #: Exact max-score early termination for bounded-top-k queries.
     #: Returned documents, scores, and order are identical to the
     #: exhaustive path — this only skips provably hopeless scoring work.
@@ -153,16 +144,15 @@ class SpriteConfig:
     #: and learning polls group terms by responsible indexing peer, pay
     #: one lookup per *distinct* peer, and ship PUBLISH_BATCH /
     #: UNPUBLISH_BATCH / POLL_BATCH messages.  False keeps the seed
-    #: per-term path in-tree as the differential oracle (same pattern as
-    #: ``columnar_postings``); resulting index state and rankings are
-    #: identical either way.
+    #: per-term PUBLISH_TERM protocol the paper's §1 cost experiment
+    #: measures; resulting index state and rankings are identical
+    #: either way.
     batched_writes: bool = True
     #: Posting persistence backend (DESIGN.md §12).  ``"memory"`` (the
     #: default) keeps the in-RAM stores above; ``"sqlite"`` moves every
     #: indexing peer's postings into a shared WAL-mode SQLite database
     #: behind the same slot interface.  Rankings, slot versions, and
-    #: write-state fingerprints are bit-identical across backends (the
-    #: same off-switch discipline as ``columnar_postings``).
+    #: write-state fingerprints are bit-identical across backends.
     store_backend: str = "memory"
     #: Directory for the SQLite database and (by default) snapshots.
     #: Empty string means a self-cleaning temporary directory.
@@ -175,17 +165,11 @@ class SpriteConfig:
     #: Bloom-filter existence check in front of SQLite point lookups
     #: (reuses :mod:`repro.dht.bloom`); irrelevant to the memory backend.
     store_bloom: bool = True
-    #: Phase-B scoring kernel (DESIGN.md §13): ``"python"`` is the
-    #: scalar accumulation loop, ``"numpy"`` the vectorized slot kernels
-    #: of :mod:`repro.ir.kernels` (optional ``perf`` extra).  Rankings
-    #: are bit-identical either way — the sixth oracle comparison and
-    #: the kernel property tests hold the two paths to exact equality.
-    scoring_kernel: str = "python"
     #: Overlay routing structure (DESIGN.md §16): ``"chord"`` keeps the
     #: paper's ring; ``"record"`` swaps in the ReCord-style recursive
     #: ring.  Routing changes where lookup messages travel, never what
     #: queries return — rankings and write-state fingerprints are
-    #: bit-identical across ring kinds (the eighth oracle comparison).
+    #: bit-identical across ring kinds (the oracle's ``ring-paths`` row).
     ring: str = "chord"
     #: ReCord branching factor ``b``; only meaningful with
     #: ``ring="record"`` (2 degenerates to Chord's schedule exactly).
@@ -210,10 +194,6 @@ class SpriteConfig:
             f"store_backend must be one of {STORE_BACKENDS}",
         )
         _require(self.snapshot_interval >= 0, "snapshot_interval must be >= 0")
-        _require(
-            self.scoring_kernel in SCORING_KERNELS,
-            f"scoring_kernel must be one of {SCORING_KERNELS}",
-        )
         _require(
             self.ring in RING_KINDS,
             f"ring must be one of {RING_KINDS}",

@@ -93,12 +93,6 @@ class SlotView:
             self._slot.scoring_lookup(doc_id) if self._slot is not None else None
         )
 
-    def columnar_store(self):
-        """The slot's backing columnar store (``None`` for unindexed
-        terms and non-columnar backends) — see
-        :meth:`repro.core.metadata.TermSlot.columnar_store`."""
-        return self._slot.columnar_store() if self._slot is not None else None
-
 
 class IndexingProtocol:
     """Network-level operations on the distributed term index.
@@ -110,29 +104,25 @@ class IndexingProtocol:
     query_cache_size:
         Capacity of each term slot's recent-query cache (Section 3:
         indexing peers keep only the most recent queries).
-    columnar_postings:
-        Backend for newly created term slots: the columnar store
-        (default) or the retained legacy dict store.
     result_cache_size:
         Capacity of each indexing peer's query-result cache; 0 disables
         result caching entirely (no probe/store traffic).
     store_runtime:
         Optional :class:`~repro.store.runtime.StoreRuntime`; when given,
-        newly created term slots persist their postings through it (the
-        SQLite backend) instead of the in-RAM stores.
+        newly created term slots take their posting store from its
+        ``new_postings(node_id)`` (the SQLite backend) instead of the
+        in-RAM columnar store.
     """
 
     def __init__(
         self,
         ring: ChordRing,
         query_cache_size: int = 2000,
-        columnar_postings: bool = True,
         result_cache_size: int = 0,
         store_runtime=None,
     ) -> None:
         self.ring = ring
         self.query_cache_size = query_cache_size
-        self.columnar_postings = columnar_postings
         self.result_cache_size = result_cache_size
         self.store_runtime = store_runtime
         self._result_caches: Dict[int, QueryResultCache] = {}
@@ -174,7 +164,6 @@ class IndexingProtocol:
             slot = TermSlot(
                 term=term,
                 cache=QueryCache(self.query_cache_size),
-                columnar=self.columnar_postings,
                 store=store,
             )
             node.put(key, slot)

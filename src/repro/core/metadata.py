@@ -24,7 +24,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from ..ir.postings import ColumnarPostings, ImpactRow, LegacyPostings
+from ..ir.postings import ColumnarPostings, ImpactRow
 from ..ir.ranking import RankedList
 
 
@@ -168,14 +168,14 @@ class TermSlot:
     plus the query cache.  Stored under the term's ring hash in the DHT,
     so replication and key migration move it as a unit.
 
-    Postings live in a pluggable column store (:mod:`repro.ir.postings`):
-    the columnar backend by default, the retained dict-backed legacy
-    backend when ``columnar=False``.  Both enumerate postings in
-    identical (insertion) order and maintain the slot aggregates the
-    optimized query path consumes — indexed document frequency, the
-    max-impact upper bound, and a globally-unique content *version*
-    bumped on every publish/unpublish (the query-result cache's
-    invalidation signal).
+    Postings live in a pluggable store: the columnar store of
+    :mod:`repro.ir.postings` unless *store* supplies another object
+    honouring the same contract (``repro.store``'s SQLite backend, a
+    test's reference model).  Every store enumerates postings in
+    insertion order and maintains the slot aggregates the query path
+    consumes — indexed document frequency, the max-impact upper bound,
+    and a globally-unique content *version* bumped on every
+    publish/unpublish (the query-result cache's invalidation signal).
 
     Mutation must go through :meth:`add_posting`/:meth:`remove_posting`;
     :attr:`inverted` is a read-only materialized view kept for
@@ -186,19 +186,12 @@ class TermSlot:
         self,
         term: str,
         cache: Optional[QueryCache] = None,
-        columnar: bool = True,
         doc_table=None,
         store=None,
     ) -> None:
         self.term = term
         self.cache = cache if cache is not None else QueryCache(capacity=2000)
-        # An explicit store (e.g. repro.store's SQLite backend) overrides
-        # the columnar/legacy switch; any object honouring the posting
-        # -store contract of repro.ir.postings works.
-        if store is not None:
-            self._store = store
-        else:
-            self._store = ColumnarPostings(doc_table) if columnar else LegacyPostings()
+        self._store = store if store is not None else ColumnarPostings(doc_table)
         self._view_version = -1
         self._entries_view: List[PostingEntry] = []
         self._inverted_view: Dict[str, PostingEntry] = {}
@@ -232,19 +225,6 @@ class TermSlot:
     def max_impact(self) -> float:
         """Upper bound on any posting's ``ntf / sqrt(len)`` impact."""
         return self._store.max_impact
-
-    @property
-    def columnar(self) -> bool:
-        """Whether the columnar backend is in use."""
-        return isinstance(self._store, ColumnarPostings)
-
-    def columnar_store(self) -> Optional[ColumnarPostings]:
-        """The backing columnar store, or ``None`` for other backends —
-        the hook the vectorized kernels (:mod:`repro.ir.kernels`) use to
-        reach the raw columns; non-columnar slots make the whole query
-        fall back to the scalar path."""
-        store = self._store
-        return store if isinstance(store, ColumnarPostings) else None
 
     # -- mutation -----------------------------------------------------------
 

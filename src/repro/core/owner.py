@@ -144,7 +144,7 @@ class OwnerPeer:
             self.shared[document.doc_id] = state
             plans.append((state, terms))
 
-        if not self._batched_writes:
+        if not self.config.batched_writes:
             for state, terms in plans:
                 self._publish_terms(state, terms)
             return [state for state, __ in plans]
@@ -173,7 +173,7 @@ class OwnerPeer:
         if len(set(doc_ids)) != len(doc_ids):
             raise LearningError("duplicate document id in bulk unshare")
         states = [self._state(doc_id) for doc_id in doc_ids]
-        if not self._batched_writes:
+        if not self.config.batched_writes:
             for doc_id in doc_ids:
                 self.unshare(doc_id)
             return
@@ -199,12 +199,8 @@ class OwnerPeer:
             doc_length=document.length,
         )
 
-    @property
-    def _batched_writes(self) -> bool:
-        return getattr(self.config, "batched_writes", True)
-
     def _publish_terms(self, state: SharedDocument, terms: Sequence[str]) -> None:
-        if self._batched_writes:
+        if self.config.batched_writes:
             fresh = [
                 t for t in dict.fromkeys(terms) if t not in state.index_terms
             ]
@@ -256,7 +252,7 @@ class OwnerPeer:
         return True
 
     def _unpublish_terms(self, state: SharedDocument, terms: Sequence[str]) -> None:
-        if self._batched_writes:
+        if self.config.batched_writes:
             present = [
                 t for t in dict.fromkeys(terms) if t in state.index_terms
             ]
@@ -291,7 +287,7 @@ class OwnerPeer:
         state = self._state(doc_id)
         hashes = {t: self.protocol.term_hash(t) for t in state.index_terms}
         collected: List[Tuple[str, ...]] = []
-        if self._batched_writes:
+        if self.config.batched_writes:
             pairs = [
                 (term, state.poll_cursors.get(term, -1))
                 for term in state.index_terms

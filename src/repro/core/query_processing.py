@@ -42,14 +42,12 @@ _THRESHOLD_DEFLATE = 1.0 - 1e-9
 #: impact order alone decides them in O(k)).
 _PHASE_A_MIN_RATIO = 4
 
-from ..config import SCORING_KERNELS
 from ..corpus.relevance import Query
-from ..exceptions import ConfigurationError, NodeFailedError
+from ..exceptions import NodeFailedError
 from ..ir.ranking import RankedList
 from ..ir.similarity import lee_similarity
 from ..ir.weighting import TfIdfWeighting
 from ..perf import PROFILE
-from ..perf.compat import require_numpy
 from .indexer import IndexingProtocol
 
 
@@ -85,7 +83,6 @@ class QueryProcessor:
         batch_fetch: bool = True,
         early_termination: bool = True,
         result_cache: bool = False,
-        kernel: str = "python",
     ) -> None:
         """``document_frequency_override`` substitutes *true* document
         frequencies for the indexed document frequencies in the weight
@@ -93,47 +90,34 @@ class QueryProcessor:
         indexed frequency n'_k is an adequate (or better) surrogate.
         Production use leaves it ``None``.
 
-        ``batch_fetch`` selects the optimized execution path: term
-        fetches merged per indexing peer and single-pass flat-dict
-        scoring.  ``False`` selects the original per-term fetch with
-        nested-dict scoring, retained verbatim as the reference
-        implementation — equivalence tests and the perf benchmark's
-        "before" mode run it.  Both paths produce identical rankings
-        (bit-identical scores: the optimized path performs the same
-        floating-point operations in the same order).
+        ``batch_fetch`` selects the optimized executor: term fetches
+        merged per indexing peer and single-pass flat-dict scoring over
+        the fetched slot views.  ``False`` selects the original per-term
+        fetch with nested-dict scoring, retained verbatim as the
+        reference implementation — equivalence tests and the perf
+        benchmark's "before" mode run it.  Both produce identical
+        rankings (bit-identical scores: the optimized executor performs
+        the same floating-point operations in the same order).
 
-        ``early_termination`` enables the exact max-score top-k path for
-        bounded-``top_k`` queries: terms are scored in descending
+        ``early_termination`` adds the exact max-score selection pass
+        for bounded-``top_k`` queries: terms are scored in descending
         max-impact order with provably conservative pruning, then the
         surviving candidates are rescored in the legacy operation order,
         so the returned documents, scores, and tie-broken order are
-        *identical* to the exhaustive paths — only the work of scoring
+        *identical* to exhaustive scoring — only the work of scoring
         documents that cannot reach the top k is skipped.
 
         ``result_cache`` consults/feeds the indexing peers' query-result
-        caches (when the protocol has them enabled): a repeated query
-        whose term slots are unchanged is answered from the cached
-        ranked list without fetching or scoring any postings.
-
-        ``kernel`` selects the phase-B scoring implementation for
-        bounded-``top_k`` queries: ``"python"`` (default) is the scalar
-        accumulation loop; ``"numpy"`` scores whole slots through the
-        vectorized kernels of :mod:`repro.ir.kernels` — bit-identical
-        results, requires the ``perf`` extra, and silently falls back
-        to the scalar loop for queries touching non-columnar slots."""
-        if kernel not in SCORING_KERNELS:
-            raise ConfigurationError(
-                f"kernel must be one of {SCORING_KERNELS}, got {kernel!r}"
-            )
-        if kernel == "numpy":
-            require_numpy("QueryProcessor(kernel='numpy')")
+        caches (when the protocol has them enabled) for bounded-``top_k``
+        queries: a repeated query whose term slots are unchanged is
+        answered from the cached ranked list without fetching or scoring
+        any postings."""
         self.protocol = protocol
         self.weighting = TfIdfWeighting(corpus_size=assumed_corpus_size)
         self.document_frequency_override = document_frequency_override
         self.batch_fetch = batch_fetch
         self.early_termination = early_termination
         self.result_cache = result_cache
-        self.kernel = kernel
 
     def execute(
         self,
@@ -150,37 +134,34 @@ class QueryProcessor:
         real system where the search request itself populates the cache.
         """
         if self.batch_fetch:
-            # The numpy kernel rides the slot-view path (it needs the
-            # raw columns), which is exhaustive-equivalent when early
-            # termination is off — identical wire traffic and scores.
-            if top_k is not None and (
-                self.early_termination
-                or self.result_cache
-                or self.kernel != "python"
-            ):
-                return self._execute_topk(issuer_id, query, top_k, cache)
-            return self._execute_batched(issuer_id, query, top_k, cache)
+            return self._execute_optimized(issuer_id, query, top_k, cache)
         return self._execute_legacy(issuer_id, query, top_k, cache)
 
-    def _execute_topk(
+    def _execute_optimized(
         self,
         issuer_id: int,
         query: Query,
-        top_k: int,
+        top_k: int | None,
         cache: bool,
     ) -> Tuple[RankedList, QueryExecution]:
-        """Bounded-``top_k`` execution: result-cache consultation, then
-        exact max-score early termination over the fetched slot views.
+        """The optimized executor: one batched fetch round-trip per
+        indexing peer, then a single accumulation pass over the fetched
+        slot views — per-document running dot products in a flat dict,
+        normalized at the end (Lee et al. second method, identical
+        operation order to the legacy nested-dict path).
 
-        Message flow matches :meth:`_execute_batched` exactly when the
-        result cache is disabled (the fetch shares the same batching
-        core); with it enabled, the probe/store exchange with the
-        query's result-home peer rides on top.  The returned documents,
-        scores, and tie-broken order are identical to the exhaustive
-        paths in every case (see :meth:`_topk_survivors` for the
-        argument); ``candidate_documents`` counts only the documents the
-        scorer actually tracked, which is fewer than the exhaustive
-        paths report whenever pruning engaged.
+        A bounded ``top_k`` adds two optional stages around that core:
+        the result-cache probe/store exchange with the query's
+        result-home peer (``result_cache``), and phase A, the exact
+        max-score survivor selection (``early_termination``).
+        ``top_k=None`` or a stage switched off simply means "rank
+        everything": no probe, no phase A, and the wire traffic of the
+        fetch is the same either way.  The returned documents, scores,
+        and tie-broken order are identical in every mode (see
+        :meth:`_topk_survivors` for the argument);
+        ``candidate_documents`` counts only the documents the scorer
+        actually tracked, which is fewer than exhaustive scoring reports
+        whenever pruning engaged.
         """
         execution = QueryExecution(query_id=query.query_id)
         clock = self.protocol.ring.transport.clock
@@ -191,7 +172,8 @@ class QueryProcessor:
 
         # -- result-cache consultation (layer 3) --------------------------
         use_rcache = (
-            self.result_cache
+            top_k is not None
+            and self.result_cache
             and protocol.result_cache_size > 0
             and self.document_frequency_override is None
         )
@@ -224,7 +206,7 @@ class QueryProcessor:
                     PROFILE.count("query.executed")
                 return served, execution
 
-        # -- fetch (identical wire traffic to the batched path) -----------
+        # -- fetch ----------------------------------------------------------
         fetched, failed = protocol.fetch_slot_views(issuer_id, query.terms)
         failed_set = set(failed)
         if profiling:
@@ -265,7 +247,7 @@ class QueryProcessor:
         # -- phase A: conservative survivor selection (layer 2) -----------
         survivors = (
             self._topk_survivors(term_infos, top_k)
-            if self.early_termination
+            if top_k is not None and self.early_termination
             else None
         )
 
@@ -275,35 +257,6 @@ class QueryProcessor:
         # the same floats in the same order — bit-identical scores.  The
         # per-survivor lookup shape costs |terms|·|survivors| instead of
         # Σ df; fall back to the scan when survivors dominate.
-        scores: Optional[Dict[str, float]] = None
-        if self.kernel == "numpy":
-            from ..ir import kernels
-
-            scores = kernels.rescore(term_infos, weighting, survivors)
-            if profiling:
-                PROFILE.count(
-                    "kernel.numpy" if scores is not None else "kernel.fallback"
-                )
-        if scores is not None:
-            execution.candidate_documents = len(scores)
-            execution.latency_ms = clock.now - started_ms
-            ranked = RankedList.top_k(scores, top_k)
-            if profiling:
-                PROFILE.add_time("query.score", perf_counter() - t1)
-                PROFILE.count("query.executed")
-            if use_rcache and frozenset(execution.dropped_terms) == frozenset(
-                reg_failed
-            ):
-                protocol.store_result(
-                    issuer_id,
-                    tuple(query.terms),
-                    top_k,
-                    reg_versions,
-                    frozenset(reg_failed),
-                    ranked,
-                )
-            return ranked, execution
-
         dot_products: Dict[str, float] = {}
         doc_lengths: Dict[str, int] = {}
         total_postings = sum(info[1].indexed_df for info in term_infos)
@@ -345,7 +298,9 @@ class QueryProcessor:
             scores[doc_id] = dot / sqrt(length) if length > 0 else 0.0
         execution.candidate_documents = len(scores)
         execution.latency_ms = clock.now - started_ms
-        ranked = RankedList.top_k(scores, top_k)
+        ranked = (
+            RankedList.top_k(scores, top_k) if top_k is not None else RankedList(scores)
+        )
         if profiling:
             PROFILE.add_time("query.score", perf_counter() - t1)
             PROFILE.count("query.executed")
@@ -478,84 +433,6 @@ class QueryProcessor:
             return None
         return set(partial)
 
-    def _execute_batched(
-        self,
-        issuer_id: int,
-        query: Query,
-        top_k: int | None,
-        cache: bool,
-    ) -> Tuple[RankedList, QueryExecution]:
-        """Optimized execution: one batched fetch round-trip per
-        indexing peer, then a single accumulation pass over the
-        postings — per-document running dot products in a flat dict,
-        normalized at the end (Lee et al. second method, identical
-        operation order to the legacy nested-dict path)."""
-        execution = QueryExecution(query_id=query.query_id)
-        clock = self.protocol.ring.transport.clock
-        started_ms = clock.now
-        profiling = PROFILE.enabled
-        t0 = perf_counter() if profiling else 0.0
-        if cache:
-            self.protocol.register_query(issuer_id, query.terms)
-
-        fetched, failed = self.protocol.fetch_postings_batch(issuer_id, query.terms)
-        failed_set = set(failed)
-        if profiling:
-            t1 = perf_counter()
-            PROFILE.add_time("query.fetch", t1 - t0)
-        else:
-            t1 = 0.0
-
-        dot_products: Dict[str, float] = {}
-        doc_lengths: Dict[str, int] = {}
-        scored_terms: Set[str] = set()
-        weighting = self.weighting
-        override = self.document_frequency_override
-
-        for term in query.terms:
-            if term in failed_set:
-                execution.terms_failed += 1
-                execution.dropped_terms.append(term)
-                continue
-            postings, indexed_df = fetched[term]
-            execution.terms_visited += 1
-            if not postings or indexed_df <= 0:
-                continue
-            execution.postings_retrieved += len(postings)
-            if term in scored_terms:
-                # A repeated keyword: the legacy path overwrites the
-                # same per-term weight, so it must score exactly once.
-                continue
-            scored_terms.add(term)
-            df = indexed_df
-            if override is not None:
-                df = max(1, override.get(term, indexed_df))
-            qw = weighting.query_weight(df)
-            for posting in postings:
-                doc_id = posting.doc_id
-                contribution = qw * weighting.document_weight(
-                    posting.normalized_tf, df
-                )
-                acc = dot_products.get(doc_id)
-                dot_products[doc_id] = (
-                    contribution if acc is None else acc + contribution
-                )
-                doc_lengths[doc_id] = posting.doc_length
-
-        scores: Dict[str, float] = {}
-        for doc_id, dot in dot_products.items():
-            length = doc_lengths[doc_id]
-            scores[doc_id] = dot / sqrt(length) if length > 0 else 0.0
-        execution.candidate_documents = len(scores)
-        execution.latency_ms = clock.now - started_ms
-        ranked = (
-            RankedList.top_k(scores, top_k) if top_k is not None else RankedList(scores)
-        )
-        if profiling:
-            PROFILE.add_time("query.score", perf_counter() - t1)
-            PROFILE.count("query.executed")
-        return ranked, execution
-
     def _execute_legacy(
         self,
         issuer_id: int,
@@ -565,7 +442,7 @@ class QueryProcessor:
     ) -> Tuple[RankedList, QueryExecution]:
         """The original per-term-fetch, nested-dict execution path,
         retained as the reference implementation: equivalence tests
-        compare :meth:`_execute_batched` against it, and the perf
+        compare :meth:`_execute_optimized` against it, and the perf
         benchmark uses it as the "before" measurement."""
         execution = QueryExecution(query_id=query.query_id)
         clock = self.protocol.ring.transport.clock

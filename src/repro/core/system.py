@@ -67,9 +67,9 @@ class DistributedSystem:
             ring
             if ring is not None
             else build_ring(
-                getattr(self.config, "ring", "chord"),
+                self.config.ring,
                 chord_config,
-                arity=getattr(self.config, "ring_arity", 2),
+                arity=self.config.ring_arity,
                 transport=transport,
             )
         )
@@ -79,16 +79,14 @@ class DistributedSystem:
         self.protocol = IndexingProtocol(
             self.ring,
             query_cache_size=self.config.query_cache_size,
-            columnar_postings=getattr(self.config, "columnar_postings", True),
-            result_cache_size=getattr(self.config, "result_cache_size", 0),
+            result_cache_size=self.config.result_cache_size,
             store_runtime=self.store_runtime,
         )
         self.processor = QueryProcessor(
             self.protocol,
             assumed_corpus_size=self.config.assumed_corpus_size,
-            early_termination=getattr(self.config, "early_termination", True),
-            result_cache=getattr(self.config, "result_cache_size", 0) > 0,
-            kernel=getattr(self.config, "scoring_kernel", "python"),
+            early_termination=self.config.early_termination,
+            result_cache=self.config.result_cache_size > 0,
         )
         self.owners: Dict[int, OwnerPeer] = {}
         self._doc_owner: Dict[str, int] = {}

@@ -6,7 +6,6 @@ from .inverted_index import InvertedIndex, Posting
 from .postings import (
     ColumnarPostings,
     DocTable,
-    LegacyPostings,
     posting_impact,
 )
 from .ranking import RankedList, ScoredDoc
@@ -24,7 +23,6 @@ __all__ = [
     "ColumnarPostings",
     "DocTable",
     "InvertedIndex",
-    "LegacyPostings",
     "Posting",
     "posting_impact",
     "RankedList",

@@ -30,12 +30,13 @@ aggregates the query processor's early-termination path needs:
   validity check.
 
 Column order mirrors dict semantics exactly — insertion order, in-place
-overwrite keeps a posting's position, removal shifts the tail — so a
-columnar slot and a legacy dict slot enumerate postings identically and
-the two backends produce bit-identical score accumulation order.
+overwrite keeps a posting's position, removal shifts the tail — so the
+order scores accumulate in is the publish order, whatever the store.
 
-:class:`LegacyPostings` is the retained reference backend with the same
-interface; differential tests run both.  This module must not import
+This is *the* in-RAM store; :mod:`repro.store` puts SQLite behind the
+same interface, and the seed's dict-of-rows store survives only as the
+reference model the tests compare both against
+(``tests/ir/legacy_postings.py``).  This module must not import
 :mod:`repro.core` (the slot layer converts rows to ``PostingEntry``).
 """
 
@@ -115,38 +116,6 @@ class DocTable:
 GLOBAL_DOC_TABLE = DocTable()
 
 
-class KernelScratch:
-    """Per-store scratch slot for :mod:`repro.ir.kernels` column views.
-
-    The vectorized kernels build zero-copy ``np.frombuffer`` views over
-    a store's columns and cache them here, keyed by the slot version.
-    Two hard constraints shape this object:
-
-    * ``array`` refuses to **resize** while any view exports its buffer
-      (``BufferError``), so the store drops the scratch at the top of
-      every mutation — before the column resize — releasing the export;
-    * replication deep-copies slots, and a copied view would alias the
-      *original* buffers, so ``__deepcopy__`` — here and in
-      :meth:`ColumnarPostings.__deepcopy__` — yields a fresh empty
-      scratch instead of copying anything.
-    """
-
-    __slots__ = ("version", "views")
-
-    def __init__(self) -> None:
-        self.version = -1
-        self.views: Optional[tuple] = None
-
-    def drop(self) -> None:
-        """Release the cached views (and their buffer exports)."""
-        if self.views is not None:
-            self.views = None
-            self.version = -1
-
-    def __deepcopy__(self, memo) -> "KernelScratch":
-        return KernelScratch()
-
-
 class ColumnarPostings:
     """Parallel-array posting store with incremental slot aggregates."""
 
@@ -164,7 +133,6 @@ class ColumnarPostings:
         self._max_impact = 0.0
         self._max_dirty = False
         self._version = next_version()
-        self.kernel_scratch = KernelScratch()
 
     # -- aggregates ---------------------------------------------------------
 
@@ -192,7 +160,6 @@ class ColumnarPostings:
     def add(self, doc_id: str, owner_peer: int, raw_tf: int, doc_length: int) -> None:
         """Insert or overwrite the posting for *doc_id* (dict semantics:
         an overwrite keeps the posting's enumeration position)."""
-        self.kernel_scratch.drop()
         length = doc_length if doc_length > 0 else 0
         ntf = raw_tf / doc_length if doc_length > 0 else 0.0
         impact = posting_impact(raw_tf, doc_length)
@@ -224,7 +191,6 @@ class ColumnarPostings:
         unpublish during learning replacement — so enumeration order
         stays identical to a dict's.
         """
-        self.kernel_scratch.drop()
         row = self._pos.pop(doc_id, None)
         if row is None:
             return None
@@ -288,9 +254,9 @@ class ColumnarPostings:
     def __deepcopy__(self, memo) -> "ColumnarPostings":
         """Structural clone: every column is flat (numbers, or interned
         strings in ``_pos``), so a slice per column is a full copy.
-        The append-only :class:`DocTable` is shared, the kernel scratch
-        starts empty, and ``_version`` is kept — the content is
-        identical, which is what a version asserts."""
+        The append-only :class:`DocTable` is shared and ``_version`` is
+        kept — the content is identical, which is what a version
+        asserts."""
         clone = object.__new__(type(self))
         clone._docs = self._docs
         clone._doc_index = self._doc_index[:]
@@ -303,73 +269,4 @@ class ColumnarPostings:
         clone._max_impact = self._max_impact
         clone._max_dirty = self._max_dirty
         clone._version = self._version
-        clone.kernel_scratch = KernelScratch()
         return clone
-
-
-class LegacyPostings:
-    """The seed dict-of-rows posting store, retained as the reference
-    backend: same interface as :class:`ColumnarPostings`, with the slot
-    aggregates computed on demand instead of incrementally."""
-
-    def __init__(self) -> None:
-        self._rows: Dict[str, Tuple[int, int, int]] = {}
-        self._version = next_version()
-
-    @property
-    def version(self) -> int:
-        return self._version
-
-    @property
-    def max_impact(self) -> float:
-        return max(
-            (posting_impact(tf, length) for __, tf, length in self._rows.values()),
-            default=0.0,
-        )
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._rows
-
-    def add(self, doc_id: str, owner_peer: int, raw_tf: int, doc_length: int) -> None:
-        self._rows[doc_id] = (owner_peer, raw_tf, doc_length)
-        self._version = next_version()
-
-    def remove(self, doc_id: str) -> Optional[PostingRow]:
-        row = self._rows.pop(doc_id, None)
-        if row is None:
-            return None
-        self._version = next_version()
-        return (doc_id, row[0], row[1], row[2])
-
-    def lookup(self, doc_id: str) -> Optional[PostingRow]:
-        row = self._rows.get(doc_id)
-        if row is None:
-            return None
-        return (doc_id, row[0], row[1], row[2])
-
-    def scoring_lookup(self, doc_id: str) -> Optional[Tuple[float, int]]:
-        row = self._rows.get(doc_id)
-        if row is None:
-            return None
-        __, tf, length = row
-        return (tf / length if length > 0 else 0.0, length)
-
-    def rows(self) -> Iterator[PostingRow]:
-        for doc_id, (owner, tf, length) in self._rows.items():
-            yield (doc_id, owner, tf, length)
-
-    def impact_rows(self) -> List[ImpactRow]:
-        rows = [
-            (
-                doc_id,
-                tf / length if length > 0 else 0.0,
-                length if length > 0 else 0,
-                posting_impact(tf, length),
-            )
-            for doc_id, (__, tf, length) in self._rows.items()
-        ]
-        rows.sort(key=lambda r: (-r[3], r[0]))
-        return rows

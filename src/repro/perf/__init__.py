@@ -15,10 +15,7 @@ Three cooperating pieces:
 * :mod:`repro.perf.ingest` — the ISSUE 5 three-arm write-path
   comparison (seed per-term vs route-cached per-term vs
   destination-grouped batched) behind ``benchmarks/test_bench_ingest.py``
-  and ``perf --mode ingest``.
-
-* :mod:`repro.perf.compat` — lazy optional-dependency guards for the
-  ``perf`` extra (numpy), used by the vectorized scoring kernels;
+  and ``perf --mode ingest``;
 * :mod:`repro.perf.scale` — the DESIGN.md §13 scale-out harness:
   process-sharded build/publish/query phases over a streamed corpus,
   behind ``benchmarks/test_bench_scale.py`` and ``perf --mode scale``;
@@ -34,7 +31,6 @@ processors, and the ring itself imports this package for ``PROFILE`` /
 ``repro.perf.route``.
 """
 
-from .compat import have_numpy, numpy_or_none, require_numpy
 from .profile import PROFILE, PerfProfile, memory_usage
 from .route_cache import RouteCache
 
@@ -42,8 +38,5 @@ __all__ = [
     "PROFILE",
     "PerfProfile",
     "RouteCache",
-    "have_numpy",
     "memory_usage",
-    "numpy_or_none",
-    "require_numpy",
 ]

@@ -62,9 +62,6 @@ class PerfWorkloadConfig:
     early_termination: bool = True
     #: Per-indexing-peer query-result cache capacity (0 = off).
     result_cache_size: int = 0
-    #: Phase-B scoring kernel ("python" scalar / "numpy" vectorized,
-    #: DESIGN.md §13); identical rankings either way.
-    kernel: str = "python"
     #: Overlay routing structure ("chord" / "record", DESIGN.md §16);
     #: rankings are bit-identical across rings — only hop counts differ.
     ring: str = "chord"
@@ -159,9 +156,7 @@ def _run(cfg: PerfWorkloadConfig) -> PerfWorkloadResult:
         route_cache_size=65536 if cfg.optimized else 0,
         incremental_repair=cfg.optimized,
     )
-    ring = build_ring(
-        getattr(cfg, "ring", "chord"), chord, arity=getattr(cfg, "ring_arity", 2)
-    )
+    ring = build_ring(cfg.ring, chord, arity=cfg.ring_arity)
     protocol = IndexingProtocol(ring, result_cache_size=cfg.result_cache_size)
     processor = QueryProcessor(
         protocol,
@@ -169,7 +164,6 @@ def _run(cfg: PerfWorkloadConfig) -> PerfWorkloadResult:
         batch_fetch=cfg.optimized,
         early_termination=cfg.early_termination,
         result_cache=cfg.result_cache_size > 0,
-        kernel=getattr(cfg, "kernel", "python"),
     )
     build_s = perf_counter() - t0
     PROFILE.record_memory("build")

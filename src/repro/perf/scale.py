@@ -39,7 +39,7 @@ from hashlib import sha256
 from time import perf_counter
 from typing import Dict, List, Tuple
 
-from ..config import SCORING_KERNELS, ChordConfig
+from ..config import ChordConfig
 from ..core.indexer import IndexingProtocol
 from ..core.metadata import PostingEntry
 from ..core.query_processing import QueryProcessor
@@ -76,7 +76,6 @@ class ScaleWorkloadConfig:
     top_k: int = 20
     num_shards: int = 8
     workers: int = 1
-    kernel: str = "python"
     zipf_exponent: float = 0.8
     early_termination: bool = True
     result_cache_size: int = 0
@@ -163,7 +162,6 @@ def _run_shard(cfg: ScaleWorkloadConfig, shard_id: int) -> ShardResult:
         assumed_corpus_size=1_000_000,
         early_termination=cfg.early_termination,
         result_cache=cfg.result_cache_size > 0,
-        kernel=cfg.kernel,
     )
     build_s = perf_counter() - t0
     PROFILE.record_memory(f"shard{shard_id}.build")
@@ -258,7 +256,6 @@ class ScaleWorkloadResult:
     num_queries: int
     num_shards: int
     workers: int
-    kernel: str
     build_s: float
     publish_s: float
     query_s: float
@@ -292,10 +289,6 @@ class ShardedHarness:
             raise ConfigurationError("num_shards must be >= 1")
         if cfg.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if cfg.kernel not in SCORING_KERNELS:
-            raise ConfigurationError(
-                f"kernel must be one of {SCORING_KERNELS}, got {cfg.kernel!r}"
-            )
         self.cfg = cfg
 
     def run(self) -> ScaleWorkloadResult:
@@ -330,7 +323,6 @@ class ShardedHarness:
             num_queries=cfg.num_queries,
             num_shards=cfg.num_shards,
             workers=workers,
-            kernel=cfg.kernel,
             build_s=round(build_s, 4),
             publish_s=round(publish_s, 4),
             query_s=round(query_s, 4),

@@ -56,9 +56,11 @@ from .invariants import (
     StormObservation,
 )
 from .oracle import (
+    ORACLE_ROWS,
     DifferentialOracle,
     FullIndexSystem,
     OracleReport,
+    OracleRow,
     RankingMismatch,
     write_state_fingerprint,
 )
@@ -68,6 +70,7 @@ __all__ = [
     "CATALOGUE",
     "EVENT_KINDS",
     "HEAL_SEQUENCE",
+    "ORACLE_ROWS",
     "PEER_CLASSES",
     "BehaviorPlan",
     "CatalogueEntry",
@@ -78,6 +81,7 @@ __all__ = [
     "InvariantReport",
     "InvariantViolation",
     "OracleReport",
+    "OracleRow",
     "PeerClass",
     "QualityProbe",
     "QualityReadout",

@@ -1,57 +1,44 @@
 """The differential oracle: SPRITE checked against simpler truths.
 
-Eight comparisons, all on a churn-free ring:
+Every switch on :class:`~repro.config.SpriteConfig` /
+:class:`~repro.config.ChordConfig` that claims to change speed,
+storage or routing but *never results* owes the oracle a proof.  The
+proofs share one shape, so they are rows of one table,
+:data:`ORACLE_ROWS`, run by one routine, :meth:`DifferentialOracle.check`:
 
-* **Perf-path equivalence** — the PR-2 optimizations (route caching,
-  incremental repair, batched fetch with flat-dict scoring) are pure
-  performance work, so rankings must be *bit-identical* to the direct
-  path (no route cache, full-rebuild stabilization, per-term legacy
-  fetch).  The oracle replays the same seeded end-to-end flow through
-  two systems differing only in those switches and compares every
-  ranking exactly — score bits included, because the optimized scoring
-  loop intentionally performs the same floating-point operations in the
-  same order.
+    build two systems from the oracle's base configuration, the second
+    with the row's ``delta`` applied; replay the same seeded flow
+    through both on a churn-free ring; require what the row names under
+    ``equal`` to coincide *exactly* — score bits included, because
+    every path performs the same floating-point operations in the same
+    order.
 
-* **Top-k path equivalence** — the ISSUE 4 retrieval rebuild (columnar
-  slots, exact max-score early termination, query-result caching) must
-  be invisible in results: rankings bit-identical to the exhaustive
-  batched path, and — with the result cache disabled — the *per-kind
-  network traffic* identical too, message for message, byte for byte
-  (early termination changes local scoring work only, never the wire).
-  The cached system is additionally queried twice per test query so the
-  second round is served from the result caches, which must still be
-  bit-identical.
+A row names a **flow** —
 
-* **Ingest-path equivalence** — the ISSUE 5 batched write path
-  (destination-grouped bulk publish/unpublish, coalesced learning
-  polls) must leave the *entire write-visible state* of the system
-  bit-identical to the per-term path: every slot's postings,
-  aggregates, and query-cache cursor position, the global order in
-  which slot versions were assigned, and every owner's index terms,
-  poll cursors, and learner statistics.  The oracle replays a full
-  bulk-ingest flow — bulk share, training registration, learning,
-  then a withdraw/re-share churn cycle — through a batched and a
-  legacy system and compares :func:`write_state_fingerprint` plus
-  every test-query ranking exactly.
+``learn``
+    share → register the training queries → learn;
+``bulk-churn``
+    bulk share → register → learn → withdraw and re-share a fifth of
+    the corpus (the write-heavy flow);
 
-* **Store-path equivalence** — the ISSUE 6 durable store
-  (:mod:`repro.store`) is an off-switchable persistence backend, so a
-  sqlite-backed system must be *bit-identical* to the in-RAM default
-  across the same bulk-ingest flow: the full write-state fingerprint
-  (postings, aggregates, version rank order, owner state) and every
-  test-query ranking, score bits included.  SQLite stores only the
-  integer posting columns; every float is recomputed through the same
-  expressions the columnar store uses, so there is no tolerance to
-  hide behind.
+— then queries both systems with the test set for ``rounds`` rounds
+(``cache=False``: comparing execution, not mutating cache state) and
+compares any of
 
-* **Kernel-path equivalence** — the DESIGN.md §13 vectorized scoring
-  kernel (numpy slot views feeding phase B of top-k execution) is pure
-  data-layout work over the same floating-point expressions in the
-  same order, so a ``scoring_kernel="numpy"`` system must produce
-  rankings *bit-identical* to the scalar ``"python"`` path across the
-  full seeded flow.  When numpy is not installed the comparison
-  degenerates to an empty (vacuously consistent) report — the kernel
-  is an optional ``perf`` extra, never a correctness dependency.
+``rankings``
+    every test-query ranking, documents and score bits;
+``fingerprint``
+    :func:`write_state_fingerprint` after the flow — every slot's
+    postings, aggregates and query-cache cursor, the global order in
+    which slot versions were assigned, and every owner's index terms,
+    poll cursors and learner statistics;
+``traffic``
+    per-kind messages, bytes and hops of the query rounds.
+
+Adding a comparison is one :class:`OracleRow` entry; a tier-1 test
+fails when a result-neutral switch has no row.  Two comparisons have a
+different shape and keep their own bodies, reached through the same
+:meth:`DifferentialOracle.check_all`:
 
 * **Concurrent-runtime equivalence** — the DESIGN.md §15 event-driven
   runtime is a *timing* model layered over unchanged semantics, so the
@@ -63,14 +50,6 @@ Eight comparisons, all on a churn-free ring:
   :func:`write_state_fingerprint` of the quiescent system equal —
   query-cache registrations and all other mutations happen in the same
   order, because at concurrency 1 dispatch order *is* submission order.
-
-* **Ring-path equivalence** — the DESIGN.md §16 ReCord recursive ring
-  changes *where lookup messages travel, never what is returned*: key
-  ownership is the successor relation over the same seeded membership,
-  regardless of finger schedule.  The oracle replays the full seeded
-  flow through a ``ring="record"`` (b = 8) and a ``ring="chord"``
-  system; every test-query ranking and the full
-  :func:`write_state_fingerprint` must match bit for bit.
 
 * **Centralized baseline** — with learning taken out of the picture by
   indexing *every* term (F = ∞) and the assumed corpus size pinned to
@@ -84,8 +63,8 @@ Eight comparisons, all on a churn-free ring:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import ChordConfig, SpriteConfig
 from ..corpus.corpus import Corpus
@@ -195,8 +174,90 @@ def _pairs(ranked: RankedList) -> List[Tuple[str, float]]:
     return [(entry.doc_id, entry.score) for entry in ranked]
 
 
+#: A configuration delta: ``{"sprite" | "chord" | "processor": {field:
+#: value}}`` — ``SpriteConfig`` fields, ``ChordConfig`` fields, and
+#: attributes set on the built ``QueryProcessor``.
+Delta = Mapping[str, Mapping[str, object]]
+
+
+@dataclass(frozen=True)
+class OracleRow:
+    """One row of the comparison table (see the module docstring).
+
+    Both systems start from the oracle's base configuration plus
+    ``shared``; the *varied* one additionally gets ``delta``."""
+
+    name: str
+    #: What the switch is claimed not to change.
+    delta: Delta
+    flow: str = "learn"
+    equal: FrozenSet[str] = frozenset({"rankings"})
+    rounds: int = 1
+    shared: Delta = field(default_factory=dict)
+
+
+ORACLE_ROWS: Tuple[OracleRow, ...] = (
+    # The PR-2 optimizations off: no route cache, full-rebuild
+    # stabilization, the seed per-term fetch with nested-dict scoring.
+    OracleRow(
+        "perf-paths",
+        {
+            "chord": {"route_cache_size": 0, "incremental_repair": False},
+            "processor": {"batch_fetch": False},
+        },
+    ),
+    # Exact early termination changes local scoring work only, never
+    # the wire: traffic must match message for message, byte for byte.
+    OracleRow(
+        "topk-paths",
+        {"sprite": {"early_termination": False}},
+        equal=frozenset({"rankings", "traffic"}),
+    ),
+    # The second round is served from the result caches.
+    OracleRow("result-cache", {"sprite": {"result_cache_size": 128}}, rounds=2),
+    OracleRow(
+        "ingest-paths",
+        {"sprite": {"batched_writes": False}},
+        flow="bulk-churn",
+        equal=frozenset({"rankings", "fingerprint"}),
+    ),
+    # SQLite stores only the integer posting columns; every float is
+    # recomputed through the expressions the columnar store uses, so
+    # there is no tolerance to hide behind.
+    OracleRow(
+        "store-paths",
+        {"sprite": {"store_backend": "sqlite"}},
+        flow="bulk-churn",
+        equal=frozenset({"rankings", "fingerprint"}),
+    ),
+    OracleRow(
+        "store-bloom",
+        {"sprite": {"store_bloom": False}},
+        flow="bulk-churn",
+        equal=frozenset({"rankings", "fingerprint"}),
+        shared={"sprite": {"store_backend": "sqlite"}},
+    ),
+    # Routing selects message paths, not results: ownership is the
+    # successor relation over the same seeded membership.
+    OracleRow(
+        "ring-paths",
+        {"sprite": {"ring": "record", "ring_arity": 8}},
+        equal=frozenset({"rankings", "fingerprint"}),
+    ),
+)
+
+
+def _describe(delta: Delta) -> str:
+    return ", ".join(
+        f"{field_name}={value!r}"
+        for part in delta.values()
+        for field_name, value in part.items()
+    )
+
+
 class DifferentialOracle:
-    """Runs the two comparisons over a corpus + query workload."""
+    """Runs the comparison table, the concurrent-runtime check and the
+    centralized baseline over a corpus + query workload."""
 
     def __init__(
         self,
@@ -216,24 +277,17 @@ class DifferentialOracle:
 
     # -- construction helpers ---------------------------------------------
 
-    def _chord_config(self, optimized: bool) -> ChordConfig:
+    def _chord_config(self) -> ChordConfig:
         return ChordConfig(
             num_peers=self.num_peers,
             id_bits=32,
             successor_list_size=4,
             seed=self.seed + 7,
-            route_cache_size=65536 if optimized else 0,
-            incremental_repair=optimized,
+            route_cache_size=65536,
+            incremental_repair=True,
         )
 
-    def _sprite_config(
-        self,
-        early_termination: bool = True,
-        result_cache_size: int = 0,
-        batched_writes: bool = True,
-        store_backend: str = "memory",
-        scoring_kernel: str = "python",
-    ) -> SpriteConfig:
+    def _sprite_config(self) -> SpriteConfig:
         return SpriteConfig(
             initial_terms=3,
             terms_per_iteration=3,
@@ -242,299 +296,104 @@ class DifferentialOracle:
             query_cache_size=200,
             assumed_corpus_size=1000,
             top_k_answers=self.top_k,
-            early_termination=early_termination,
-            result_cache_size=result_cache_size,
-            batched_writes=batched_writes,
-            store_backend=store_backend,
-            scoring_kernel=scoring_kernel,
         )
 
-    def _build_sprite(self, optimized: bool) -> SpriteSystem:
-        system = SpriteSystem(
-            self.corpus,
-            sprite_config=self._sprite_config(),
-            chord_config=self._chord_config(optimized),
-        )
-        system.processor.batch_fetch = optimized
+    def build(self, *deltas: Delta) -> SpriteSystem:
+        """The base system with *deltas* applied in order."""
+        sprite, chord = self._sprite_config(), self._chord_config()
+        for delta in deltas:
+            sprite = replace(sprite, **delta.get("sprite", {}))
+            chord = replace(chord, **delta.get("chord", {}))
+        system = SpriteSystem(self.corpus, sprite_config=sprite, chord_config=chord)
+        for delta in deltas:
+            for name, value in delta.get("processor", {}).items():
+                setattr(system.processor, name, value)
         return system
 
-    # -- comparison 1: optimized vs direct execution paths -----------------
-
-    def check_perf_paths(self) -> OracleReport:
-        """Replay the full seeded flow (share → register training →
-        learn → query) through the optimized and the direct system;
-        every test-query ranking must match bit for bit."""
-        report = OracleReport(name="perf-paths")
-        optimized = self._build_sprite(optimized=True)
-        direct = self._build_sprite(optimized=False)
-        for system in (optimized, direct):
+    def _replay(self, system: SpriteSystem, flow: str) -> None:
+        bulk = flow == "bulk-churn"
+        if bulk:
+            system.bulk_share()
+        else:
             system.share_corpus()
-            system.register_queries(self.train)
-            system.run_learning()
-        for query in self.test:
-            # cache=False: comparing execution, not mutating cache state.
-            fast = _pairs(optimized.search(query, cache=False))
-            slow = _pairs(direct.search(query, cache=False))
-            report.queries_compared += 1
-            if fast != slow:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id=query.query_id,
-                        detail=f"optimized={fast[:3]}... direct={slow[:3]}...",
-                    )
-                )
+        system.register_queries(self.train)
+        system.run_learning()
+        if bulk:
+            docs = list(self.corpus)
+            churn_ids = [d.doc_id for d in docs[: max(1, math.ceil(len(docs) / 5))]]
+            system.bulk_unshare(churn_ids)
+            system.bulk_share([system.corpus.get(doc_id) for doc_id in churn_ids])
+
+    # -- the table runner ----------------------------------------------------
+
+    def check(self, row: OracleRow) -> OracleReport:
+        """Run one table row.  Every system built here is closed on the
+        way out — a durable one owns a WAL database and a temp dir."""
+        report = OracleReport(name=row.name)
+        built: List[SpriteSystem] = []
+        try:
+            built.append(self.build(row.shared))
+            built.append(self.build(row.shared, row.delta))
+            self._compare(row, *built, report)
+        finally:
+            for system in built:
+                if system.store_runtime is not None:
+                    system.store_runtime.close()
         return report
 
-    # -- comparison 2: top-k path vs exhaustive batched path -----------------
-
-    def check_topk_paths(self) -> OracleReport:
-        """Replay the seeded flow through three optimized systems that
-        differ only in the ISSUE 4 switches: exhaustive scoring, exact
-        early termination, and early termination + result caching.
-
-        Rankings must match bit for bit in every round — including the
-        second query round, which the cached system answers from its
-        result caches.  With the result cache disabled, early
-        termination must also leave the per-kind network traffic
-        (messages, bytes, hops) untouched: it changes local scoring
-        work only, never the wire.
-        """
-        report = OracleReport(name="topk-paths")
-        exhaustive = self._build_topk_sprite(
-            early_termination=False, result_cache_size=0
-        )
-        pruned = self._build_topk_sprite(
-            early_termination=True, result_cache_size=0
-        )
-        cached = self._build_topk_sprite(
-            early_termination=True, result_cache_size=128
-        )
-        for system in (exhaustive, pruned, cached):
-            system.share_corpus()
-            system.register_queries(self.train)
-            system.run_learning()
-        exhaustive_base = exhaustive.ring.stats.snapshot()
-        pruned_base = pruned.ring.stats.snapshot()
-        for round_no in range(2):
+    def _compare(
+        self,
+        row: OracleRow,
+        base: SpriteSystem,
+        varied: SpriteSystem,
+        report: OracleReport,
+    ) -> None:
+        what = _describe(row.delta)
+        for system in (base, varied):
+            self._replay(system, row.flow)
+        if "fingerprint" in row.equal:
+            _compare_fingerprints(
+                report,
+                write_state_fingerprint(base),
+                write_state_fingerprint(varied),
+                what,
+            )
+        marks = [system.ring.stats.snapshot() for system in (base, varied)]
+        for round_no in range(row.rounds):
             for query in self.test:
-                baseline = _pairs(exhaustive.search(query, cache=False))
-                early = _pairs(pruned.search(query, cache=False))
-                served = _pairs(cached.search(query, cache=False))
+                expected = _pairs(base.search(query, cache=False))
+                actual = _pairs(varied.search(query, cache=False))
                 report.queries_compared += 1
-                if early != baseline:
+                if "rankings" in row.equal and actual != expected:
                     report.mismatches.append(
                         RankingMismatch(
                             query_id=query.query_id,
                             detail=(
-                                f"round {round_no}: early-termination="
-                                f"{early[:3]}... exhaustive={baseline[:3]}..."
+                                f"round {round_no}: with {what}: "
+                                f"{actual[:3]}... without: {expected[:3]}..."
                             ),
                         )
                     )
-                if served != baseline:
-                    report.mismatches.append(
-                        RankingMismatch(
-                            query_id=query.query_id,
-                            detail=(
-                                f"round {round_no}: result-cached="
-                                f"{served[:3]}... exhaustive={baseline[:3]}..."
-                            ),
-                        )
-                    )
-        exhaustive_delta = _kind_counts(
-            exhaustive.ring.stats.delta_since(exhaustive_base)
-        )
-        pruned_delta = _kind_counts(pruned.ring.stats.delta_since(pruned_base))
-        if exhaustive_delta != pruned_delta:
-            diff_kinds = sorted(
-                k
-                for k in set(exhaustive_delta) | set(pruned_delta)
-                if exhaustive_delta.get(k) != pruned_delta.get(k)
-            )
-            report.mismatches.append(
-                RankingMismatch(
-                    query_id="<network>",
-                    detail=(
-                        "per-kind traffic diverged with the result cache "
-                        f"disabled: {', '.join(diff_kinds)}"
-                    ),
+        if "traffic" in row.equal:
+            base_traffic, varied_traffic = [
+                _kind_counts(system.ring.stats.delta_since(mark))
+                for system, mark in zip((base, varied), marks)
+            ]
+            if base_traffic != varied_traffic:
+                kinds = sorted(
+                    kind
+                    for kind in set(base_traffic) | set(varied_traffic)
+                    if base_traffic.get(kind) != varied_traffic.get(kind)
                 )
-            )
-        return report
-
-    def _build_topk_sprite(
-        self, early_termination: bool, result_cache_size: int
-    ) -> SpriteSystem:
-        return SpriteSystem(
-            self.corpus,
-            sprite_config=self._sprite_config(
-                early_termination=early_termination,
-                result_cache_size=result_cache_size,
-            ),
-            chord_config=self._chord_config(optimized=True),
-        )
-
-    # -- comparison 3: batched vs per-term write path ------------------------
-
-    def check_ingest_paths(self) -> OracleReport:
-        """Replay a bulk-ingest flow — bulk share, training
-        registration, learning, then withdrawing and re-sharing a fifth
-        of the corpus — through a batched-writes and a per-term system;
-        the full write-state fingerprint and every test-query ranking
-        must match exactly."""
-        report = OracleReport(name="ingest-paths")
-        batched = self._build_ingest_sprite(batched_writes=True)
-        legacy = self._build_ingest_sprite(batched_writes=False)
-        docs = list(self.corpus)
-        churn_ids = [
-            d.doc_id for d in docs[: max(1, math.ceil(len(docs) / 5))]
-        ]
-        for system in (batched, legacy):
-            system.bulk_share()
-            system.register_queries(self.train)
-            system.run_learning()
-            system.bulk_unshare(churn_ids)
-            system.bulk_share(
-                [system.corpus.get(doc_id) for doc_id in churn_ids]
-            )
-        fast = write_state_fingerprint(batched)
-        slow = write_state_fingerprint(legacy)
-        for part in ("slots", "version_rank", "owners"):
-            if fast[part] != slow[part]:
                 report.mismatches.append(
                     RankingMismatch(
-                        query_id="<state>",
-                        detail=(
-                            f"write-state {part} diverged between the "
-                            "batched and per-term publication paths"
-                        ),
+                        query_id="<network>",
+                        detail=f"per-kind traffic diverged with {what}: "
+                        + ", ".join(kinds),
                     )
                 )
-        for query in self.test:
-            grouped = _pairs(batched.search(query, cache=False))
-            per_term = _pairs(legacy.search(query, cache=False))
-            report.queries_compared += 1
-            if grouped != per_term:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id=query.query_id,
-                        detail=(
-                            f"batched={grouped[:3]}... "
-                            f"per-term={per_term[:3]}..."
-                        ),
-                    )
-                )
-        return report
 
-    def _build_ingest_sprite(self, batched_writes: bool) -> SpriteSystem:
-        return SpriteSystem(
-            self.corpus,
-            sprite_config=self._sprite_config(batched_writes=batched_writes),
-            chord_config=self._chord_config(optimized=True),
-        )
-
-    # -- comparison 3b: sqlite store vs in-RAM store -------------------------
-
-    def check_store_paths(self) -> OracleReport:
-        """Replay the bulk-ingest flow (bulk share, training
-        registration, learning, withdraw/re-share churn) through a
-        sqlite-backed and an in-RAM system; the full write-state
-        fingerprint and every test-query ranking must match exactly.
-        The sqlite system uses an anonymous temporary store directory,
-        released when the system is garbage collected."""
-        report = OracleReport(name="store-paths")
-        durable = self._build_store_sprite(store_backend="sqlite")
-        memory = self._build_store_sprite(store_backend="memory")
-        docs = list(self.corpus)
-        churn_ids = [
-            d.doc_id for d in docs[: max(1, math.ceil(len(docs) / 5))]
-        ]
-        for system in (durable, memory):
-            system.bulk_share()
-            system.register_queries(self.train)
-            system.run_learning()
-            system.bulk_unshare(churn_ids)
-            system.bulk_share(
-                [system.corpus.get(doc_id) for doc_id in churn_ids]
-            )
-        disk = write_state_fingerprint(durable)
-        ram = write_state_fingerprint(memory)
-        for part in ("slots", "version_rank", "owners"):
-            if disk[part] != ram[part]:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id="<state>",
-                        detail=(
-                            f"write-state {part} diverged between the "
-                            "sqlite and in-RAM store backends"
-                        ),
-                    )
-                )
-        for query in self.test:
-            on_disk = _pairs(durable.search(query, cache=False))
-            in_ram = _pairs(memory.search(query, cache=False))
-            report.queries_compared += 1
-            if on_disk != in_ram:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id=query.query_id,
-                        detail=(
-                            f"sqlite={on_disk[:3]}... "
-                            f"memory={in_ram[:3]}..."
-                        ),
-                    )
-                )
-        if durable.store_runtime is not None:
-            durable.store_runtime.close()
-        return report
-
-    def _build_store_sprite(self, store_backend: str) -> SpriteSystem:
-        return SpriteSystem(
-            self.corpus,
-            sprite_config=self._sprite_config(store_backend=store_backend),
-            chord_config=self._chord_config(optimized=True),
-        )
-
-    # -- comparison 3c: vectorized vs scalar scoring kernel ------------------
-
-    def check_kernel_paths(self) -> OracleReport:
-        """Replay the full seeded flow through a vectorized
-        (``scoring_kernel="numpy"``) and a scalar (``"python"``) system;
-        every test-query ranking must match bit for bit.  The kernel is
-        an optional extra, so without numpy the report is empty (zero
-        queries compared) and vacuously consistent."""
-        from ..perf.compat import have_numpy
-
-        report = OracleReport(name="kernel-paths")
-        if not have_numpy():
-            return report
-        vectorized = self._build_kernel_sprite(scoring_kernel="numpy")
-        scalar = self._build_kernel_sprite(scoring_kernel="python")
-        for system in (vectorized, scalar):
-            system.share_corpus()
-            system.register_queries(self.train)
-            system.run_learning()
-        for query in self.test:
-            fast = _pairs(vectorized.search(query, cache=False))
-            slow = _pairs(scalar.search(query, cache=False))
-            report.queries_compared += 1
-            if fast != slow:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id=query.query_id,
-                        detail=f"numpy={fast[:3]}... python={slow[:3]}...",
-                    )
-                )
-        return report
-
-    def _build_kernel_sprite(self, scoring_kernel: str) -> SpriteSystem:
-        return SpriteSystem(
-            self.corpus,
-            sprite_config=self._sprite_config(scoring_kernel=scoring_kernel),
-            chord_config=self._chord_config(optimized=True),
-        )
-
-    # -- comparison 3d: event-driven runtime vs call-stack execution ---------
+    # -- event-driven runtime vs call-stack execution -------------------------
 
     def check_concurrent_runtime(self) -> OracleReport:
         """Submit the test queries through the event-driven runtime at
@@ -550,12 +409,9 @@ class DifferentialOracle:
         from ..perf.concurrency import ConcurrentRuntime
 
         report = OracleReport(name="concurrent-runtime")
-        sequential = self._build_sprite(optimized=True)
-        concurrent = self._build_sprite(optimized=True)
+        sequential, concurrent = self.build(), self.build()
         for system in (sequential, concurrent):
-            system.share_corpus()
-            system.register_queries(self.train)
-            system.run_learning()
+            self._replay(system, "learn")
 
         baseline = [
             _pairs(sequential.search(query, cache=True)) for query in self.test
@@ -580,75 +436,15 @@ class DifferentialOracle:
                         ),
                     )
                 )
-        direct_state = write_state_fingerprint(sequential)
-        replay_state = write_state_fingerprint(concurrent)
-        for part in ("slots", "version_rank", "owners"):
-            if direct_state[part] != replay_state[part]:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id="<state>",
-                        detail=(
-                            f"quiescent write-state {part} diverged between "
-                            "the event-driven and call-stack executions"
-                        ),
-                    )
-                )
-        return report
-
-    # -- comparison 3e: ReCord recursive ring vs Chord ring ------------------
-
-    def check_ring_paths(self) -> OracleReport:
-        """Replay the full seeded flow through a ReCord (b = 8) and a
-        Chord system; every test-query ranking and the full write-state
-        fingerprint must match exactly.  Routing selects message paths,
-        not results: both rings hold the same seeded membership, and
-        ownership is the successor relation — independent of how many
-        hops a lookup took to find it."""
-        report = OracleReport(name="ring-paths")
-        recursive = self._build_ring_sprite(ring="record", ring_arity=8)
-        chord = self._build_ring_sprite(ring="chord", ring_arity=2)
-        for system in (recursive, chord):
-            system.share_corpus()
-            system.register_queries(self.train)
-            system.run_learning()
-        record_state = write_state_fingerprint(recursive)
-        chord_state = write_state_fingerprint(chord)
-        for part in ("slots", "version_rank", "owners"):
-            if record_state[part] != chord_state[part]:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id="<state>",
-                        detail=(
-                            f"write-state {part} diverged between the "
-                            "record and chord rings"
-                        ),
-                    )
-                )
-        for query in self.test:
-            wide = _pairs(recursive.search(query, cache=False))
-            narrow = _pairs(chord.search(query, cache=False))
-            report.queries_compared += 1
-            if wide != narrow:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id=query.query_id,
-                        detail=f"record={wide[:3]}... chord={narrow[:3]}...",
-                    )
-                )
-        return report
-
-    def _build_ring_sprite(self, ring: str, ring_arity: int) -> SpriteSystem:
-        from dataclasses import replace
-
-        return SpriteSystem(
-            self.corpus,
-            sprite_config=replace(
-                self._sprite_config(), ring=ring, ring_arity=ring_arity
-            ),
-            chord_config=self._chord_config(optimized=True),
+        _compare_fingerprints(
+            report,
+            write_state_fingerprint(sequential),
+            write_state_fingerprint(concurrent),
+            "event-driven execution",
         )
+        return report
 
-    # -- comparison 4: full-index SPRITE vs centralized TF-IDF ---------------
+    # -- full-index SPRITE vs centralized TF-IDF ------------------------------
 
     def check_centralized_baseline(self) -> OracleReport:
         """At F = ∞ with the assumed corpus size pinned to the true
@@ -664,7 +460,7 @@ class DifferentialOracle:
                 assumed_corpus_size=len(self.corpus),
                 top_k_answers=self.top_k,
             ),
-            chord_config=self._chord_config(optimized=True),
+            chord_config=self._chord_config(),
         )
         full.share_corpus()
         centralized = CentralizedSystem(self.corpus, normalization="lee")
@@ -700,17 +496,26 @@ class DifferentialOracle:
 
     def check_all(self) -> Dict[str, OracleReport]:
         """All comparisons, keyed by oracle name."""
-        reports = [
-            self.check_perf_paths(),
-            self.check_topk_paths(),
-            self.check_ingest_paths(),
-            self.check_store_paths(),
-            self.check_kernel_paths(),
-            self.check_concurrent_runtime(),
-            self.check_ring_paths(),
-            self.check_centralized_baseline(),
-        ]
+        reports = [self.check(row) for row in ORACLE_ROWS]
+        reports.append(self.check_concurrent_runtime())
+        reports.append(self.check_centralized_baseline())
         return {r.name: r for r in reports}
+
+
+def _compare_fingerprints(
+    report: OracleReport,
+    base: Dict[str, object],
+    varied: Dict[str, object],
+    what: str,
+) -> None:
+    for part in ("slots", "version_rank", "owners"):
+        if base[part] != varied[part]:
+            report.mismatches.append(
+                RankingMismatch(
+                    query_id="<state>",
+                    detail=f"write-state {part} diverged with {what}",
+                )
+            )
 
 
 def _kind_counts(

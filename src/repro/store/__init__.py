@@ -11,9 +11,10 @@ reconcile only the delta against its last checkpoint instead of
 resyncing everything.
 """
 
+from ..config import STORE_BACKENDS
 from .pool import ConnectionPool
 from .recovery import RecoveryManager, RecoveryReport
-from .runtime import STORE_BACKENDS, StoreRuntime, build_store_runtime
+from .runtime import StoreRuntime, build_store_runtime
 from .snapshot import (
     PeerSnapshot,
     SnapshotManager,

@@ -11,8 +11,7 @@ database.
 :func:`build_store_runtime` is the configuration-driven factory the
 system constructor calls: it returns ``None`` for the default
 ``store_backend="memory"`` — the whole subsystem stays out of the way
-unless explicitly switched on (the same off-switch discipline as
-``columnar_postings`` and ``batched_writes``).
+unless explicitly switched on.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import weakref
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from ..exceptions import ConfigurationError
+from ..config import SpriteConfig
 from .pool import ConnectionPool
 from .snapshot import SnapshotManager
 from .sqlite_store import SqlitePostings, init_schema
@@ -162,26 +161,12 @@ class StoreRuntime:
             self._tmp = None
 
 
-#: Backends ``build_store_runtime`` recognizes.
-STORE_BACKENDS = ("memory", "sqlite")
-
-
-def build_store_runtime(config) -> Optional[StoreRuntime]:
-    """Build the runtime a configuration asks for (``None`` = in-RAM).
-
-    Reads the store fields with ``getattr`` defaults so configurations
-    predating them (e.g. :class:`~repro.config.ESearchConfig`) keep
-    working unchanged.
-    """
-    backend = getattr(config, "store_backend", "memory") or "memory"
-    if backend == "memory":
+def build_store_runtime(config: SpriteConfig) -> Optional[StoreRuntime]:
+    """Build the runtime a configuration asks for (``None`` = in-RAM)."""
+    if config.store_backend == "memory":
         return None
-    if backend != "sqlite":
-        raise ConfigurationError(
-            f"store_backend must be one of {STORE_BACKENDS}, got {backend!r}"
-        )
     return StoreRuntime(
-        store_dir=getattr(config, "store_dir", ""),
-        bloom=getattr(config, "store_bloom", True),
-        snapshot_dir=getattr(config, "snapshot_dir", ""),
+        store_dir=config.store_dir,
+        bloom=config.store_bloom,
+        snapshot_dir=config.snapshot_dir,
     )

@@ -1,9 +1,8 @@
 """SQLite-backed posting store with the columnar-backend contract.
 
-:class:`SqlitePostings` is a third backend behind the
+:class:`SqlitePostings` is the disk backend behind the
 :class:`~repro.core.metadata.TermSlot` posting-store interface
-(:class:`~repro.ir.postings.ColumnarPostings` /
-:class:`~repro.ir.postings.LegacyPostings` are the in-RAM two).  Rows
+(:class:`~repro.ir.postings.ColumnarPostings` is the in-RAM one).  Rows
 live in one shared ``postings`` table keyed by a per-store *slot id*;
 the store object keeps only small Python-side mirrors (posting count,
 next insertion sequence, the max-impact bound, the content version).

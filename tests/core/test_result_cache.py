@@ -210,6 +210,26 @@ class TestEndToEnd:
         ):
             assert ring.stats.kind(kind).messages == 0
 
+    def test_unbounded_query_sends_no_result_messages(self) -> None:
+        """``top_k=None`` ranks everything: there is no depth a cached
+        entry could cover, so the enabled cache is neither probed nor
+        fed, and an unregistered query needs no version probe."""
+        ring, protocol, processor = build_stack()
+        for cache in (True, False, True):
+            ranked, execution = execute(
+                ring, processor, (VOCAB[0], VOCAB[1]), top_k=None, cache=cache
+            )
+            assert not execution.cache_hit and len(ranked) > 5
+        for kind in (
+            MessageKind.RESULT_PROBE,
+            MessageKind.RESULT_VALUE,
+            MessageKind.RESULT_STORE,
+            MessageKind.VERSION_PROBE,
+            MessageKind.VERSION_VALUE,
+        ):
+            assert ring.stats.kind(kind).messages == 0
+        assert protocol.result_cache_stats() == (0, 0, 0)
+
     def test_unregistered_probe_uses_version_messages(self) -> None:
         """cache=False still validates freshness — via the batched
         version probe instead of registration piggybacking."""

@@ -17,10 +17,10 @@ import sqlite3
 import pytest
 
 from repro.core.metadata import PostingEntry, QueryCache, TermSlot
-from repro.ir import kernels
-from repro.ir.postings import ColumnarPostings, DocTable, LegacyPostings
-from repro.perf.compat import have_numpy
+from repro.ir.postings import ColumnarPostings, DocTable
 from repro.store import SqlitePostings, init_schema
+
+from ..ir.legacy_postings import LegacyPostings
 
 STRUCTURAL = (TermSlot, QueryCache, ColumnarPostings)
 
@@ -28,8 +28,8 @@ STRUCTURAL = (TermSlot, QueryCache, ColumnarPostings)
 def generic_deepcopy(obj):
     """``copy.deepcopy`` as it treated these classes before they had a
     ``__deepcopy__``: a new instance whose dict is copied member by
-    member (members with a hook of their own — the doc table, the kernel
-    scratch, a SQLite store — used it then too)."""
+    member (members with a hook of their own — the doc table, a SQLite
+    store — used it then too)."""
     if type(obj) not in STRUCTURAL:
         return copy.deepcopy(obj)
     clone = object.__new__(type(obj))
@@ -58,9 +58,9 @@ def make_slot(request, conn):
             return TermSlot(
                 "term", cache, store=SqlitePostings(conn, next(slot_ids), bloom_capacity=4)
             )
-        return TermSlot(
-            "term", cache, columnar=request.param == "columnar", doc_table=DocTable()
-        )
+        if request.param == "legacy":
+            return TermSlot("term", cache, store=LegacyPostings())
+        return TermSlot("term", cache, doc_table=DocTable())
 
     return make
 
@@ -213,33 +213,11 @@ class TestCacheClone:
 
 
 class TestColumnarClone:
-    def test_scratch_is_fresh_and_doc_table_shared(self) -> None:
+    def test_doc_table_is_shared(self) -> None:
         table = DocTable()
         store = ColumnarPostings(table)
         store.add("a", 1, 3, 100)
-        store.kernel_scratch.views = ("stale",)
-        store.kernel_scratch.version = store.version
-        clone = copy.deepcopy(store)
-        assert clone._docs is table
-        assert clone.kernel_scratch is not store.kernel_scratch
-        assert (clone.kernel_scratch.views, clone.kernel_scratch.version) == (None, -1)
-        assert store.kernel_scratch.views == ("stale",)
-
-    @pytest.mark.skipif(not have_numpy(), reason="numpy kernels unavailable")
-    def test_clone_of_a_store_with_live_views_can_resize(self) -> None:
-        """Slicing reads a column while numpy exports its buffer; the
-        clone's own columns carry no export, so both sides still grow."""
-        store = ColumnarPostings(DocTable())
-        for i in range(4):
-            store.add(f"d{i}", 1, i + 1, 100)
-        views = kernels.slot_columns(store)
-        clone = copy.deepcopy(store)
-        clone.add("extra", 1, 2, 50)
-        clone.remove("d0")
-        assert views[0].size == 4
-        del views
-        store.add("extra", 1, 2, 50)
-        assert len(store) == 5 and len(clone) == 4
+        assert copy.deepcopy(store)._docs is table
 
     def test_legacy_store_takes_the_generic_path(self) -> None:
         assert not hasattr(LegacyPostings, "__deepcopy__")

@@ -1,11 +1,12 @@
-"""Exactness of the top-k execution path (ISSUE 4).
+"""Exactness of the optimized executor in every mode (ISSUE 4, 13).
 
-The early-termination path (`QueryProcessor(early_termination=True)`)
-must be *invisible in results*: identical documents, bit-identical
-scores, identical tie-broken order versus both the batched exhaustive
-path and the seed legacy path — under repeated keywords, failures,
-document-frequency overrides, degenerate ``top_k`` values, zero-length
-documents, and either posting-store backend.
+Early termination (`QueryProcessor(early_termination=True)`) and the
+result cache must be *invisible in results*: identical documents,
+bit-identical scores, identical tie-broken order versus both the same
+executor ranking everything and the seed legacy path — under repeated
+keywords, failures, document-frequency overrides, degenerate ``top_k``
+values, zero-length documents, and either posting store (the columnar
+one and the seed reference model).
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from repro.core.metadata import PostingEntry
 from repro.core.query_processing import QueryProcessor
 from repro.corpus.relevance import Query
 from repro.dht.ring import ChordRing
+from repro.ir.postings import ColumnarPostings
+
+from ..ir.legacy_postings import LegacyPostings, LegacyStoreRuntime
 
 VOCAB = [f"kw{i:03d}" for i in range(24)]
 
@@ -39,7 +43,7 @@ def build_stack(
     *,
     early_termination: bool = True,
     batch: bool = True,
-    columnar: bool = True,
+    legacy_store: bool = False,
     result_cache: int = 0,
     override=None,
     seed: int = 11,
@@ -48,7 +52,9 @@ def build_stack(
 ):
     ring = ChordRing(ChordConfig(num_peers=32, seed=seed, route_cache_size=4096))
     protocol = IndexingProtocol(
-        ring, columnar_postings=columnar, result_cache_size=result_cache
+        ring,
+        result_cache_size=result_cache,
+        store_runtime=LegacyStoreRuntime() if legacy_store else None,
     )
     processor = QueryProcessor(
         protocol,
@@ -103,14 +109,14 @@ class TestEdgeCases:
         single = Query("one", (VOCAB[3],))
         issuer_t, issuer_b = ring_t.live_ids[0], ring_b.live_ids[0]
         repeated = (VOCAB[3], VOCAB[3], VOCAB[3])
-        ranked_t, __ = proc_t._execute_topk(
+        ranked_t, __ = proc_t.execute(
             issuer_t, _RawQuery("raw", repeated), top_k=5, cache=False
         )
-        ranked_b, __ = proc_b._execute_batched(
-            issuer_b, _RawQuery("raw", repeated), top_k=5, cache=False
+        ranked_b, __ = proc_b.execute(
+            issuer_b, _RawQuery("raw", repeated), top_k=None, cache=False
         )
         base, __ = run_query(proc_b, ring_b, single, top_k=5)
-        assert pairs(ranked_t) == pairs(ranked_b) == pairs(base)
+        assert pairs(ranked_t) == pairs(ranked_b)[:5] == pairs(base)
 
     def test_all_terms_failed_returns_empty(self) -> None:
         ring, protocol, proc = build_stack(early_termination=True)
@@ -157,8 +163,10 @@ class TestEdgeCases:
 
 class TestBackendEquivalence:
     def test_columnar_and_legacy_stores_rank_identically(self) -> None:
-        ring_c, __, proc_c = build_stack(columnar=True)
-        ring_l, __, proc_l = build_stack(columnar=False)
+        ring_c, proto_c, proc_c = build_stack()
+        ring_l, proto_l, proc_l = build_stack(legacy_store=True)
+        assert isinstance(proto_l.slot_snapshot(VOCAB[0])._store, LegacyPostings)
+        assert isinstance(proto_c.slot_snapshot(VOCAB[0])._store, ColumnarPostings)
         rng = random.Random(5)
         for i in range(30):
             k = rng.randint(1, 3)
@@ -168,44 +176,73 @@ class TestBackendEquivalence:
             assert pairs(ranked_c) == pairs(ranked_l)
 
 
-@settings(max_examples=20, deadline=None)
+COUNTERS = ("terms_visited", "terms_failed", "dropped_terms", "postings_retrieved")
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    top_k=st.integers(min_value=0, max_value=40),
+    k_class=st.sampled_from(["none", "zero", "one", "below", "at-or-above"]),
     num_terms=st.integers(min_value=1, max_value=4),
+    repeat_keyword=st.booleans(),
     fail_first_term=st.booleans(),
     use_override=st.booleans(),
 )
 def test_equivalence_property(
     seed: int,
-    top_k: int,
+    k_class: str,
     num_terms: int,
+    repeat_keyword: bool,
     fail_first_term: bool,
     use_override: bool,
 ) -> None:
-    """For any seeded workload — including peer failures and document
-    frequency overrides — the three execution paths return identical
-    documents, scores, and order."""
+    """For any seeded world — a repeated keyword, a failed term and a
+    document-frequency override included — the optimized executor in
+    every mode returns the documents, score bits, tie order and
+    execution counters of the seed per-term reference, for ``top_k``
+    unbounded, zero, one, below and at-or-above the candidate count;
+    and its own modes are indistinguishable on the wire (the reference
+    differs there by design: it fetches per term)."""
     rng = random.Random(seed)
-    terms = tuple(rng.choice(VOCAB) for __ in range(num_terms))
+    terms = tuple(rng.sample(VOCAB, num_terms))
+    if repeat_keyword:
+        terms += (terms[0],)
     override = (
         {term: rng.randint(1, 50) for term in set(terms)} if use_override else None
     )
-    query = Query("prop", terms)
+    # _RawQuery: Query would collapse the repeat before execution.
+    query = _RawQuery("prop", terms)
 
-    rankings = []
-    for early, batch in ((True, True), (False, True), (False, False)):
+    def world(**switches):
         ring, protocol, processor = build_stack(
-            early_termination=early,
-            batch=batch,
-            override=override,
-            seed=seed % 17,
+            override=override, seed=seed % 17, **switches
         )
         if fail_first_term:
-            victim = ring.successor_of(protocol.term_hash(terms[0]))
-            ring.fail(victim)
-            if victim == ring.live_ids[0]:
-                return  # issuer crashed; nothing to compare
-        ranked, __ = run_query(processor, ring, query, top_k=top_k)
-        rankings.append(pairs(ranked))
-    assert rankings[0] == rankings[1] == rankings[2]
+            ring.fail(ring.successor_of(protocol.term_hash(terms[0])))
+        return ring, processor
+
+    ring, reference = world(batch=False)
+    everything, __ = run_query(reference, ring, query, top_k=None)
+    candidates = len(everything)
+    top_k = {
+        "none": None,
+        "zero": 0,
+        "one": 1,
+        "below": max(1, candidates // 2),
+        "at-or-above": candidates + rng.randint(0, 3),
+    }[k_class]
+    expected, expected_exec = run_query(reference, ring, query, top_k=top_k)
+
+    traffic = []
+    for early, k in ((True, top_k), (False, top_k), (True, None)):
+        ring, processor = world(early_termination=early)
+        mark = ring.stats.snapshot()
+        ranked, execution = run_query(processor, ring, query, top_k=k)
+        traffic.append(ring.stats.delta_since(mark))  # per-kind msgs, bytes, hops
+        assert pairs(ranked) == pairs(expected if k == top_k else everything)
+        for counter in COUNTERS:
+            assert getattr(execution, counter) == getattr(expected_exec, counter)
+        if not early or k is None:
+            # nothing pruned: every candidate was tracked
+            assert execution.candidate_documents == candidates
+    assert traffic[0] == traffic[1] == traffic[2]

@@ -9,12 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ir.postings import (
-    ColumnarPostings,
-    DocTable,
-    LegacyPostings,
-    posting_impact,
-)
+from repro.ir.postings import ColumnarPostings, DocTable, posting_impact
+
+from .legacy_postings import LegacyPostings
 
 
 @pytest.fixture()

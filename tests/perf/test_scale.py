@@ -110,8 +110,9 @@ class TestValidation:
             ShardedHarness(tiny_config(num_shards=0))
         with pytest.raises(ConfigurationError):
             ShardedHarness(tiny_config(workers=0))
-        with pytest.raises(ConfigurationError):
-            ShardedHarness(tiny_config(kernel="simd"))
+        # There is one scoring path; no kernel is selectable any more.
+        with pytest.raises(TypeError):
+            tiny_config(kernel="numpy")
 
     def test_named_configs_have_the_tracked_shapes(self) -> None:
         paper = scale_paper_config()

@@ -1,14 +1,57 @@
-"""The differential oracle: perf paths, top-k paths, ingest paths,
-store paths, kernel paths, the concurrent runtime, and the centralized
-baseline."""
+"""The differential oracle: the comparison table row by row, the
+concurrent runtime, and the centralized baseline."""
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
+from repro.config import ChordConfig, SpriteConfig
+from repro.core.system import SpriteSystem
 from repro.corpus.synthetic import SyntheticTrecCorpus
-from repro.perf.compat import have_numpy
-from repro.sim import DifferentialOracle, FullIndexSystem, write_state_fingerprint
+from repro.sim import (
+    ORACLE_ROWS,
+    DifferentialOracle,
+    FullIndexSystem,
+    write_state_fingerprint,
+)
+
+ROW_IDS = [row.name for row in ORACLE_ROWS]
+
+#: Every switch left on ``SpriteConfig`` / ``ChordConfig`` that is
+#: documented to change speed, storage or routing but never results.  A
+#: new such switch belongs here *and* in a row's delta.
+RESULT_NEUTRAL_SWITCHES = {
+    "sprite": {
+        "early_termination",
+        "result_cache_size",
+        "batched_writes",
+        "store_backend",
+        "store_bloom",
+        "ring",
+        "ring_arity",
+    },
+    "chord": {"route_cache_size", "incremental_repair"},
+}
+
+#: Fields that are workload or deployment parameters, not switches:
+#: changing them is *meant* to change results, or names a path on disk.
+PARAMETERS = {
+    "sprite": {
+        "initial_terms",
+        "terms_per_iteration",
+        "learning_iterations",
+        "max_index_terms",
+        "query_cache_size",
+        "assumed_corpus_size",
+        "top_k_answers",
+        "store_dir",
+        "snapshot_dir",
+        "snapshot_interval",
+    },
+    "chord": {"num_peers", "id_bits", "successor_list_size", "seed"},
+}
 
 
 @pytest.fixture(scope="module")
@@ -24,62 +67,102 @@ def oracle(workload):
     return DifferentialOracle(corpus, train=train, test=test, num_peers=16, seed=0)
 
 
-class TestPerfPaths:
-    def test_optimized_and_direct_rankings_bit_identical(self, oracle) -> None:
-        report = oracle.check_perf_paths()
-        assert report.queries_compared > 0
+def _differing(a, b) -> dict:
+    left, right = asdict(a), asdict(b)
+    return {k: right[k] for k in left if left[k] != right[k]}
+
+
+@pytest.mark.parametrize("row", ORACLE_ROWS, ids=ROW_IDS)
+class TestRows:
+    def test_row_is_consistent(self, oracle, row) -> None:
+        report = oracle.check(row)
+        assert report.name == row.name
+        assert report.queries_compared == row.rounds * len(oracle.test) > 0
         assert report.ok, [m.detail for m in report.mismatches]
 
-    def test_builders_differ_only_in_perf_switches(self, oracle) -> None:
-        fast = oracle._build_sprite(optimized=True)
-        slow = oracle._build_sprite(optimized=False)
-        assert fast.ring.config.route_cache_size > 0
-        assert slow.ring.config.route_cache_size == 0
-        assert fast.ring.config.incremental_repair
-        assert not slow.ring.config.incremental_repair
-        assert fast.processor.batch_fetch and not slow.processor.batch_fetch
-        # everything that affects *results* is identical
-        assert fast.config == slow.config
-        assert fast.ring.live_ids == slow.ring.live_ids
+    def test_systems_differ_in_exactly_the_delta(self, oracle, row) -> None:
+        base = oracle.build(row.shared)
+        varied = oracle.build(row.shared, row.delta)
+        try:
+            assert _differing(base.config, varied.config) == dict(
+                row.delta.get("sprite", {})
+            )
+            assert _differing(base.ring.config, varied.ring.config) == dict(
+                row.delta.get("chord", {})
+            )
+            assert base.processor.batch_fetch
+            assert varied.processor.batch_fetch == row.delta.get("processor", {}).get(
+                "batch_fetch", True
+            )
+            # what the configuration feeds into the built objects
+            assert varied.processor.early_termination == varied.config.early_termination
+            assert varied.protocol.result_cache_size == varied.config.result_cache_size
+            assert (varied.store_runtime is not None) == (
+                varied.config.store_backend == "sqlite"
+            )
+            assert base.ring.live_ids == varied.ring.live_ids
+        finally:
+            for system in (base, varied):
+                if system.store_runtime is not None:
+                    system.store_runtime.close()
 
 
-class TestTopKPaths:
-    def test_topk_and_cached_rankings_bit_identical(self, oracle) -> None:
-        report = oracle.check_topk_paths()
-        assert report.queries_compared > 0
-        assert report.ok, [m.detail for m in report.mismatches]
+class TestTable:
+    def test_every_result_neutral_switch_has_a_row(self) -> None:
+        covered = {"sprite": set(), "chord": set()}
+        for row in ORACLE_ROWS:
+            for part in covered:
+                covered[part] |= set(row.delta.get(part, {}))
+        assert covered == RESULT_NEUTRAL_SWITCHES
 
-    def test_builders_differ_only_in_topk_switches(self, oracle) -> None:
-        exhaustive = oracle._build_topk_sprite(
-            early_termination=False, result_cache_size=0
-        )
-        served = oracle._build_topk_sprite(
-            early_termination=True, result_cache_size=128
-        )
-        assert not exhaustive.processor.early_termination
-        assert served.processor.early_termination
-        assert exhaustive.protocol.result_cache_size == 0
-        assert served.protocol.result_cache_size == 128
-        assert exhaustive.ring.live_ids == served.ring.live_ids
+    def test_every_config_field_is_classified(self) -> None:
+        """A new ``SpriteConfig`` / ``ChordConfig`` field must be
+        declared a parameter or a result-neutral switch — and the
+        latter needs a row (the test above)."""
+        for part, cls in (("sprite", SpriteConfig), ("chord", ChordConfig)):
+            declared = RESULT_NEUTRAL_SWITCHES[part] | PARAMETERS[part]
+            assert set(cls.__dataclass_fields__) == declared, part
+
+    def test_row_names_are_unique(self) -> None:
+        assert len(set(ROW_IDS)) == len(ROW_IDS)
+
+    def test_flows_and_equalities_are_known(self) -> None:
+        for row in ORACLE_ROWS:
+            assert row.flow in {"learn", "bulk-churn"}, row.name
+            assert row.equal and row.equal <= {"rankings", "fingerprint", "traffic"}
+
+
+class TestRunnerClosesWhatItBuilds:
+    def test_durable_runtime_closed_when_a_comparison_raises(
+        self, oracle, monkeypatch
+    ) -> None:
+        row = next(r for r in ORACLE_ROWS if r.name == "store-paths")
+        built = []
+        build = oracle.build
+
+        def recording_build(*deltas):
+            built.append(build(*deltas))
+            return built[-1]
+
+        def exploding_search(self, query, **kwargs):
+            raise RuntimeError("mid-flow failure")
+
+        monkeypatch.setattr(oracle, "build", recording_build)
+        monkeypatch.setattr(SpriteSystem, "search", exploding_search)
+        with pytest.raises(RuntimeError, match="mid-flow"):
+            oracle.check(row)
+        runtimes = [s.store_runtime for s in built if s.store_runtime is not None]
+        assert len(runtimes) == 1
+        assert runtimes[0].pool.open_connections == 0
+        assert not runtimes[0].root.exists()
 
 
 class TestIngestPaths:
-    def test_batched_and_per_term_state_bit_identical(self, oracle) -> None:
-        report = oracle.check_ingest_paths()
-        assert report.queries_compared > 0
-        assert report.ok, [m.detail for m in report.mismatches]
-
-    def test_builders_differ_only_in_write_switch(self, oracle) -> None:
-        batched = oracle._build_ingest_sprite(batched_writes=True)
-        legacy = oracle._build_ingest_sprite(batched_writes=False)
-        assert batched.config.batched_writes
-        assert not legacy.config.batched_writes
-        assert batched.ring.live_ids == legacy.ring.live_ids
+    """The write-state fingerprint the write-side rows compare."""
 
     def test_fingerprint_sees_slot_and_owner_state(self, workload) -> None:
         corpus, __, __ = workload
-        oracle = DifferentialOracle(corpus, [], [], num_peers=16, seed=0)
-        system = oracle._build_ingest_sprite(batched_writes=True)
+        system = DifferentialOracle(corpus, [], [], num_peers=16, seed=0).build()
         system.bulk_share()
         fingerprint = write_state_fingerprint(system)
         assert fingerprint["slots"], "expected published term slots"
@@ -87,38 +170,11 @@ class TestIngestPaths:
         assert len(fingerprint["version_rank"]) == len(fingerprint["slots"])
 
 
-class TestKernelPaths:
-    def test_numpy_and_python_rankings_bit_identical(self, oracle) -> None:
-        report = oracle.check_kernel_paths()
-        if have_numpy():
-            assert report.queries_compared > 0
-        else:
-            assert report.queries_compared == 0
-        assert report.ok, [m.detail for m in report.mismatches]
-
-    def test_builders_differ_only_in_kernel_switch(self, oracle) -> None:
-        if not have_numpy():
-            pytest.skip("numpy not installed (perf extra)")
-        fast = oracle._build_kernel_sprite(scoring_kernel="numpy")
-        slow = oracle._build_kernel_sprite(scoring_kernel="python")
-        assert fast.processor.kernel == "numpy"
-        assert slow.processor.kernel == "python"
-        assert fast.ring.live_ids == slow.ring.live_ids
-
-    def test_report_empty_without_numpy(self, oracle, monkeypatch) -> None:
-        import repro.perf.compat as compat
-
-        monkeypatch.setattr(compat, "_NUMPY", False)
-        report = oracle.check_kernel_paths()
-        assert report.queries_compared == 0
-        assert report.ok
-
-
 class TestConcurrentRuntime:
     def test_event_driven_concurrency_one_bit_identical(self, oracle) -> None:
-        """The seventh comparison: the DESIGN.md §15 runtime at
-        concurrency 1 must leave rankings AND the quiescent write-state
-        fingerprint bit-identical to call-stack execution."""
+        """The DESIGN.md §15 runtime at concurrency 1 must leave
+        rankings AND the quiescent write-state fingerprint bit-identical
+        to call-stack execution."""
         report = oracle.check_concurrent_runtime()
         assert report.queries_compared > 0
         assert report.ok, [m.detail for m in report.mismatches]
@@ -144,14 +200,8 @@ class TestCentralizedBaseline:
 class TestCheckAll:
     def test_runs_all_oracles(self, oracle) -> None:
         reports = oracle.check_all()
-        assert set(reports) == {
-            "perf-paths",
-            "topk-paths",
-            "ingest-paths",
-            "store-paths",
-            "kernel-paths",
+        assert list(reports) == ROW_IDS + [
             "concurrent-runtime",
-            "ring-paths",
             "centralized-baseline",
-        }
+        ]
         assert all(r.ok for r in reports.values())

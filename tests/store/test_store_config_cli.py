@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.config import STORE_BACKENDS, ESearchConfig, SpriteConfig
+from repro.core.esearch import ESearchSystem
 from repro.exceptions import ConfigurationError
 from repro.store import StoreRuntime, build_store_runtime
 
@@ -43,10 +44,10 @@ class TestConfig:
         finally:
             runtime.close()
 
-    def test_pre_store_configs_default_to_memory(self) -> None:
-        # ESearchConfig predates the store fields; getattr defaults keep
-        # it on the in-RAM path.
-        assert build_store_runtime(ESearchConfig()) is None
+    def test_pre_store_configs_default_to_memory(self, tiny_corpus) -> None:
+        # ESearchConfig predates the store fields: the system hands the
+        # store factory the SpriteConfig it derives, which says memory.
+        assert ESearchSystem(tiny_corpus, ESearchConfig()).store_runtime is None
 
     def test_temp_store_dir_cleans_up_on_close(self) -> None:
         runtime = StoreRuntime()
