@@ -14,9 +14,9 @@ search      Interactive-ish demo: train SPRITE and run ad-hoc keyword
             searches from the command line.
 generate    Synthesize a corpus + query set and save them to a directory
             (reload with repro.corpus.io.load_collection).
-perf        Run the tracked performance workload (publish + Zipf query
-            stream + churn) with the optimization layer on or off and
-            print throughput, route-cache, and profile numbers.
+perf        Run one of the perf harnesses the benchmark does not cover
+            (``--mode scale | concurrency | route``).  The tracked
+            benchmark itself is ``python3 -m bench`` (BENCHMARK.json).
 check       Run the verification harness (repro.sim): execute a scenario
             — from a JSON file, randomly generated from a seed, or a
             named entry of the adversarial workload catalogue
@@ -29,10 +29,10 @@ check       Run the verification harness (repro.sim): execute a scenario
 All commands accept ``--small`` (test-sized corpus, seconds) and
 ``--seed`` (reproducibility), plus the network-model flags
 (``--transport lossy --drop 0.1 --latency-model lognormal ...``) that
-route every simulated message through :mod:`repro.net`.  ``perf`` and
-``check`` additionally take the durable-store flags
-(``--store-backend sqlite --store-dir ... --snapshot-dir ...
---snapshot-interval N``) selecting the :mod:`repro.store` backend.
+route every simulated message through :mod:`repro.net`.  ``check``
+additionally takes the durable-store flags (``--store-backend sqlite
+--store-dir ... --snapshot-dir ... --snapshot-interval N``) selecting
+the :mod:`repro.store` backend.
 ``net``, ``perf``, and ``check`` take the overlay-ring flags
 (``--ring record --ring-arity 8``) selecting the recursive ReCord
 routing structure (DESIGN.md §16); ``perf --mode route`` sweeps a whole
@@ -168,12 +168,7 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
 
 
 def _store_args_error(args: argparse.Namespace) -> Optional[str]:
-    """Shared validation for the durable-store flags.
-
-    ``check`` and ``perf`` take the same ``--store-*`` flags; their
-    validation drifted apart over several releases, so both route
-    through this one helper and emit byte-identical messages.
-    """
+    """Validation for ``check``'s durable-store flags."""
     if args.store_backend != "sqlite":
         for flag, attr in (
             ("--store-dir", "store_dir"),
@@ -211,8 +206,8 @@ def _ring_args_error(args: argparse.Namespace) -> Optional[str]:
     """Shared validation for the overlay-ring flags.
 
     ``net``, ``perf``, and ``check`` take the same ``--ring`` /
-    ``--ring-arity`` flags; like :func:`_store_args_error` they all
-    route through this helper so the messages cannot drift apart.
+    ``--ring-arity`` flags; they all route through this helper so the
+    messages cannot drift apart.
     """
     if args.ring_arity and args.ring_arity < 2:
         return "error: --ring-arity must be >= 2\n"
@@ -436,18 +431,16 @@ def cmd_report(args: argparse.Namespace, out) -> int:
 
 
 def cmd_perf(args: argparse.Namespace, out) -> int:
-    """Run the tracked perf workload and print the measurement."""
-    from .perf.bench import paper_scale_config, run_perf_workload, smoke_config
-
-    # Validate the shared network flags even though the workload runs on
-    # the perfect transport (it measures the in-process hot path).
+    """Run one of the perf harnesses and print the measurement."""
+    # Validate the shared network flags even though the harnesses run on
+    # the perfect transport (they measure the in-process hot path).
     network = _config_from_args(args).network
     if network.transport != "perfect":
         raise ConfigurationError(
             "the perf workload measures the in-process hot path and only "
             "supports --transport perfect"
         )
-    error = _store_args_error(args) or _ring_args_error(args)
+    error = _ring_args_error(args)
     if error:
         out.write(error)
         return 2
@@ -456,65 +449,12 @@ def cmd_perf(args: argparse.Namespace, out) -> int:
         return 2
     if args.mode == "route":
         return _cmd_perf_route(args, out)
-    if args.mode not in ("e2e", "route") and (args.ring or args.ring_arity):
-        out.write(
-            "error: --ring/--ring-arity only apply to --mode e2e "
-            "and --mode route\n"
-        )
+    if args.ring or args.ring_arity:
+        out.write("error: --ring/--ring-arity only apply to --mode route\n")
         return 2
-    if args.mode == "topk":
-        return _cmd_perf_topk(args, out)
-    if args.mode == "ingest":
-        return _cmd_perf_ingest(args, out)
-    if args.mode == "store":
-        return _cmd_perf_store(args, out)
     if args.mode == "scale":
         return _cmd_perf_scale(args, out)
-    if args.mode == "concurrency":
-        return _cmd_perf_concurrency(args, out)
-    kind, arity = _resolve_ring(args)
-    cfg = smoke_config() if args.small else paper_scale_config()
-    cfg = cfg.replaced(
-        optimized=not args.baseline,
-        seed=args.seed,
-        ring=kind,
-        ring_arity=arity,
-    )
-    mode = "baseline (optimizations off)" if args.baseline else "optimized"
-    out.write(
-        f"perf workload [{mode}]: {cfg.num_peers} peers, "
-        f"{cfg.num_queries} queries, churn every {cfg.churn_every}\n"
-    )
-    result = run_perf_workload(cfg)
-    if args.json:
-        out.write(json.dumps(result.to_dict(), indent=2) + "\n")
-        return 0
-    out.write(
-        f"  build {result.build_s:.2f}s · publish {result.publish_s:.2f}s · "
-        f"queries {result.query_s:.2f}s · churn {result.churn_s:.2f}s · "
-        f"total {result.total_s:.2f}s\n"
-    )
-    out.write(
-        f"  {result.queries_per_s:.0f} queries/s · "
-        f"{result.lookups_per_s:.0f} lookups/s · "
-        f"mean lookup hops {result.mean_lookup_hops:.2f} · "
-        f"{result.total_messages} messages\n"
-    )
-    if result.route_cache:
-        rc = result.route_cache
-        out.write(
-            f"  route cache: {rc['hits']} hits / {rc['misses']} misses "
-            f"(hit rate {rc['hit_rate']:.1%}), "
-            f"{rc['revalidations']} revalidations, {rc['evictions']} evictions\n"
-        )
-    out.write(f"  ranking checksum: {result.ranking_checksum[:16]}…\n")
-    _write_memory_line(out)
-    counters = result.profile.get("counters", {})
-    if counters:
-        out.write("  profile counters:\n")
-        for name, value in counters.items():
-            out.write(f"    {name} = {value}\n")
-    return 0
+    return _cmd_perf_concurrency(args, out)
 
 
 def _write_memory_line(out) -> None:
@@ -609,7 +549,7 @@ def _cmd_perf_concurrency(args: argparse.Namespace, out) -> int:
     result = run_concurrency_grid(cfg)
     if args.json:
         out.write(json.dumps(result.to_dict(), indent=2) + "\n")
-        return 0
+        return 0 if result.checksums_match else 1
     out.write(
         f"  capture {result.capture_s:.2f}s · sync verify {result.sync_s:.2f}s\n"
     )
@@ -687,172 +627,6 @@ def _cmd_perf_route(args: argparse.Namespace, out) -> int:
     out.write(f"  wall {result.wall_s:.2f}s\n")
     _write_memory_line(out)
     return 0 if result.checksums_match else 1
-
-
-def _cmd_perf_topk(args: argparse.Namespace, out) -> int:
-    """Run the four-mode top-k comparison (ISSUE 4) and print it."""
-    from .perf.topk import (
-        TOP_K,
-        run_topk_comparison,
-        topk_paper_config,
-        topk_smoke_config,
-    )
-
-    cfg = topk_smoke_config() if args.small else topk_paper_config()
-    cfg = cfg.replaced(seed=args.seed)
-    out.write(
-        f"top-k comparison (k={TOP_K}): {cfg.num_peers} peers, "
-        f"{cfg.num_queries} queries, churn every {cfg.churn_every}\n"
-    )
-    comparison = run_topk_comparison(cfg)
-    if args.json:
-        out.write(json.dumps(comparison.to_dict(), indent=2) + "\n")
-        return 0
-    for name in ("legacy", "batched", "topk", "cached"):
-        result = getattr(comparison, name)
-        out.write(
-            f"  {name:<8} {result.queries_per_s:>9.0f} queries/s · "
-            f"query phase {result.query_s:.2f}s · "
-            f"{result.total_messages} messages\n"
-        )
-    out.write(
-        f"  speedup vs legacy: topk ×{comparison.speedup_topk:.2f}, "
-        f"cached ×{comparison.speedup_cached:.2f}\n"
-    )
-    out.write(
-        f"  speedup vs batched: topk ×{comparison.speedup_topk_vs_batched:.2f}, "
-        f"cached ×{comparison.speedup_cached_vs_batched:.2f}\n"
-    )
-    if comparison.cached.result_cache:
-        rc = comparison.cached.result_cache
-        out.write(
-            f"  result cache: {rc['hits']} hits / {rc['misses']} misses, "
-            f"{rc['entries']} entries\n"
-        )
-    out.write(
-        "  ranking checksums "
-        + ("MATCH\n" if comparison.checksums_match else "DIVERGED\n")
-    )
-    _write_memory_line(out)
-    return 0 if comparison.checksums_match else 1
-
-
-def _cmd_perf_ingest(args: argparse.Namespace, out) -> int:
-    """Run the three-arm write-path comparison (ISSUE 5) and print it."""
-    from .perf.ingest import (
-        ingest_paper_config,
-        ingest_smoke_config,
-        run_ingest_comparison,
-    )
-
-    cfg = ingest_smoke_config() if args.small else ingest_paper_config()
-    cfg = cfg.replaced(seed=args.seed)
-    out.write(
-        f"ingest comparison: {cfg.num_peers} peers, "
-        f"{cfg.num_documents} documents from {cfg.num_ingest_peers} "
-        f"ingest peers, {cfg.churn_cycles} churn cycles\n"
-    )
-    comparison = run_ingest_comparison(cfg)
-    if args.json:
-        out.write(json.dumps(comparison.to_dict(), indent=2) + "\n")
-        return 0
-    for name in ("legacy", "per_term", "batched"):
-        result = getattr(comparison, name)
-        out.write(
-            f"  {name:<9} {result.docs_per_s_build:>9.0f} docs/s build · "
-            f"{result.docs_per_s_republish:>8.0f} docs/s re-publish · "
-            f"{result.publish_messages_per_doc:>7.3f} msgs/doc · "
-            f"{result.lookups_per_doc:>7.3f} lookups/doc\n"
-        )
-    out.write(
-        f"  build speedup vs legacy ×{comparison.speedup_build:.2f} "
-        f"(vs route-cached per-term ×{comparison.speedup_build_vs_per_term:.2f}), "
-        f"re-publish ×{comparison.speedup_republish:.2f}\n"
-    )
-    out.write(
-        f"  publish messages per document: ×{comparison.message_ratio:.2f} fewer\n"
-    )
-    sc = comparison.batched.stem_cache
-    out.write(
-        f"  stem cache: {sc['hits']} hits / {sc['misses']} misses "
-        f"({sc['currsize']} entries)\n"
-    )
-    out.write(
-        "  ranking checksums "
-        + ("MATCH\n" if comparison.checksums_match else "DIVERGED\n")
-    )
-    _write_memory_line(out)
-    return 0 if comparison.checksums_match else 1
-
-
-def _cmd_perf_store(args: argparse.Namespace, out) -> int:
-    """Run the store backend + recovery comparison (ISSUE 6) and print it."""
-    from .perf.store import (
-        run_store_comparison,
-        store_paper_config,
-        store_smoke_config,
-    )
-
-    cfg = store_smoke_config() if args.small else store_paper_config()
-    cfg = cfg.replaced(
-        seed=args.seed,
-        store_dir=args.store_dir,
-        snapshot_dir=args.snapshot_dir,
-    )
-    out.write(
-        f"store comparison: {cfg.num_peers} peers, {cfg.num_documents} "
-        f"documents, churn delta {cfg.churn_slice}\n"
-    )
-    comparison = run_store_comparison(cfg)
-    if args.json:
-        out.write(json.dumps(comparison.to_dict(), indent=2) + "\n")
-        return 0
-    for name in ("memory", "sqlite", "sqlite_bloom"):
-        result = getattr(comparison, name)
-        out.write(
-            f"  {name:<13} {result.docs_per_s_build:>9.0f} docs/s build · "
-            f"{result.queries_per_s:>8.0f} queries/s · "
-            f"snapshot {result.snapshot_s:.2f}s "
-            f"({result.snapshot_peers} peers, {result.snapshot_bytes} B)\n"
-        )
-    out.write(
-        f"  durability cost ×{comparison.sqlite_build_cost:.2f} "
-        f"(memory over sqlite+bloom) · bloom gain "
-        f"×{comparison.bloom_build_gain:.2f}\n"
-    )
-    for name in ("recovery_snapshot", "recovery_full"):
-        rec = getattr(comparison, name)
-        rep = rec.report
-        out.write(
-            f"  {rec.mode:<9} recovery: {rep['messages_sent']} messages · "
-            f"{rep['postings_shipped']} postings · {rep['bytes_shipped']} B "
-            f"({rep['slots_matched']} matched / {rep['slots_changed']} changed "
-            f"/ {rep['slots_missing']} missing of {rep['slots_transferred']})\n"
-        )
-    out.write(
-        f"  recovery savings: ×{comparison.recovery_message_ratio:.2f} "
-        f"messages, ×{comparison.recovery_posting_ratio:.2f} postings\n"
-    )
-    store = comparison.sqlite_bloom.store
-    if store:
-        out.write(
-            f"  db: {store['db_bytes']} B, {store['postings']} postings in "
-            f"{store['live_slots']} live slots "
-            f"({store['slots_created']} created, "
-            f"{store['slots_retired']} retired) · "
-            f"pool: {store['open_connections']} connections, "
-            f"{store['checkouts']} checkouts\n"
-        )
-    out.write(
-        "  ranking checksums "
-        + ("MATCH\n" if comparison.checksums_match else "DIVERGED\n")
-    )
-    _write_memory_line(out)
-    snapshot_cheaper = (
-        comparison.recovery_snapshot.report["bytes_shipped"]
-        < comparison.recovery_full.report["bytes_shipped"]
-    )
-    return 0 if comparison.checksums_match and snapshot_cheaper else 1
 
 
 def _cmd_check_catalogue(args: argparse.Namespace, out) -> int:
@@ -1060,30 +834,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser(
-        "perf", help="run the tracked performance workload (DESIGN.md §8)"
+        "perf",
+        help="run a perf harness: scale, concurrency or route "
+        "(the tracked benchmark is `python3 -m bench`)",
     )
     _add_common(p)
     p.add_argument(
-        "--baseline",
-        action="store_true",
-        help="disable the optimization layer (route cache, incremental "
-        "repair, batched fetch) to measure the legacy paths",
-    )
-    p.add_argument(
         "--mode",
-        choices=("e2e", "topk", "ingest", "store", "scale", "concurrency", "route"),
-        default="e2e",
-        help="e2e: one workload run; topk: the four-mode top-k comparison "
-        "(legacy / batched / early-termination / result-cached); ingest: "
-        "the three-arm write-path comparison (seed per-term / route-cached "
-        "per-term / destination-grouped batched); store: the posting-store "
-        "backend comparison (memory / sqlite / sqlite+bloom) plus the "
-        "snapshot-vs-full crash-recovery comparison; scale: the "
-        "process-sharded 100k-peer workload (DESIGN.md §13); concurrency: "
-        "the event-driven closed/open-loop tail-latency grid with per-peer "
-        "service queues and slow-peer stragglers (DESIGN.md §15); route: "
-        "the ring × arity × peers hop-count sweep comparing Chord against "
-        "recursive ReCord overlays (DESIGN.md §16)",
+        choices=("scale", "concurrency", "route"),
+        required=True,
+        help="scale: the process-sharded 100k-peer workload (DESIGN.md "
+        "§13); concurrency: the event-driven closed/open-loop "
+        "tail-latency grid with per-peer service queues and slow-peer "
+        "stragglers (DESIGN.md §15); route: the ring × arity × peers "
+        "hop-count sweep comparing Chord against recursive ReCord "
+        "overlays (DESIGN.md §16)",
     )
     p.add_argument("--json", action="store_true", help="print the raw JSON record")
     scale = p.add_argument_group("scale-out engine (DESIGN.md §13)")
@@ -1128,7 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="peer counts for --mode route, comma-separated "
         "(default: the config grid)",
     )
-    _add_store(p)
     p.set_defaults(handler=cmd_perf)
 
     p = sub.add_parser(

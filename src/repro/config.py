@@ -131,10 +131,6 @@ class SpriteConfig:
     query_cache_size: int = 2000           # recent queries kept per indexing peer
     assumed_corpus_size: int = 1_000_000   # the "sufficiently large N"
     top_k_answers: int = 20                # answers returned per query
-    #: Exact max-score early termination for bounded-top-k queries.
-    #: Returned documents, scores, and order are identical to the
-    #: exhaustive path — this only skips provably hopeless scoring work.
-    early_termination: bool = True
     #: Per-indexing-peer query-result cache capacity; 0 (the default)
     #: disables result caching.  Opt-in because serving a repeated query
     #: from a cached result changes the *message* profile the cost
@@ -250,12 +246,11 @@ class ChordConfig:
     MD5 digest truncated to ``id_bits``).  ``successor_list_size``
     controls the §7 replication scheme.
 
-    The two performance knobs (DESIGN.md §8) change *speed only*, never
+    The performance knob (DESIGN.md §8) changes *speed only*, never
     results: ``route_cache_size`` bounds each ring's epoch-validated
-    route cache (0 disables caching entirely) and ``incremental_repair``
-    lets single join/leave events patch routing tables in place instead
-    of rebuilding every table.  Tests assert both are observably
-    equivalent to the brute-force paths.
+    route cache (0 disables caching entirely).  The oracle's
+    ``perf-paths`` row asserts it is observably equivalent to routing
+    every lookup.
     """
 
     num_peers: int = 64
@@ -263,7 +258,6 @@ class ChordConfig:
     successor_list_size: int = 4
     seed: int = 4111
     route_cache_size: int = 65536
-    incremental_repair: bool = True
 
     def __post_init__(self) -> None:
         _require(self.num_peers >= 1, "num_peers must be >= 1")

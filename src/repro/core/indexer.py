@@ -45,6 +45,7 @@ from ..dht.messages import (
 )
 from ..dht.ring import ChordRing
 from ..exceptions import NodeFailedError
+from ..ir.postings import PostingRow
 from ..ir.ranking import RankedList
 from ..perf import PROFILE
 from .metadata import (
@@ -58,40 +59,31 @@ from .metadata import (
 
 
 class SlotView:
-    """Read view of one fetched term slot, as consumed by the
-    early-termination scorer: the postings plus the slot aggregates
-    (indexed df, max-impact bound, content version).
+    """Read view of one fetched term slot, as consumed by the query
+    executor: the postings plus the slot aggregates (indexed df,
+    content version).
 
-    ``entries()``/``impact_rows()`` delegate to the slot's per-version
-    cached views, so the impact sort of a hot term is paid once per
-    slot *mutation*, not once per query.  A ``None`` slot (unindexed
-    term) yields the same empty shape :meth:`fetch_postings` reports.
+    ``rows()`` delegates to the slot's per-version cached view of plain
+    posting rows, so materializing a hot term's postings is paid once
+    per slot *mutation*, not once per query, and builds no per-posting
+    object.  A ``None`` slot (unindexed term) yields the same empty
+    shape :meth:`fetch_postings` reports.
     """
 
-    __slots__ = ("term", "indexed_df", "max_impact", "version", "_slot")
+    __slots__ = ("term", "indexed_df", "version", "_slot")
 
     def __init__(self, term: str, slot: Optional[TermSlot]) -> None:
         self.term = term
         self._slot = slot
         if slot is None:
             self.indexed_df = 0
-            self.max_impact = 0.0
             self.version = 0
         else:
             self.indexed_df = slot.indexed_document_frequency
-            self.max_impact = slot.max_impact
             self.version = slot.version
 
-    def entries(self) -> List[PostingEntry]:
-        return self._slot.entries() if self._slot is not None else []
-
-    def impact_rows(self):
-        return self._slot.impact_rows() if self._slot is not None else []
-
-    def scoring_lookup(self, doc_id: str):
-        return (
-            self._slot.scoring_lookup(doc_id) if self._slot is not None else None
-        )
+    def rows(self) -> List[PostingRow]:
+        return self._slot.rows() if self._slot is not None else []
 
 
 class IndexingProtocol:
@@ -507,8 +499,8 @@ class IndexingProtocol:
     ) -> Tuple[Dict[str, SlotView], List[str]]:
         """Like :meth:`fetch_postings_batch`, but each reachable term
         resolves to a :class:`SlotView` carrying the slot aggregates
-        (indexed df, max-impact bound, version) beside the postings —
-        the inputs of the early-termination scorer and the result cache.
+        (indexed df, version) beside the postings — the inputs of the
+        query executor and the result cache.
 
         Sends *exactly* the same messages as :meth:`fetch_postings_batch`
         (same kinds, sizes, and hops — both share one batching core), so

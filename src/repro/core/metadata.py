@@ -24,7 +24,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from ..ir.postings import ColumnarPostings, ImpactRow
+from ..ir.postings import ColumnarPostings, PostingRow
 from ..ir.ranking import RankedList
 
 
@@ -173,9 +173,9 @@ class TermSlot:
     honouring the same contract (``repro.store``'s SQLite backend, a
     test's reference model).  Every store enumerates postings in
     insertion order and maintains the slot aggregates the query path
-    consumes — indexed document frequency, the max-impact upper bound,
-    and a globally-unique content *version* bumped on every
-    publish/unpublish (the query-result cache's invalidation signal).
+    consumes — indexed document frequency and a globally-unique content
+    *version* bumped on every publish/unpublish (the query-result
+    cache's invalidation signal).
 
     Mutation must go through :meth:`add_posting`/:meth:`remove_posting`;
     :attr:`inverted` is a read-only materialized view kept for
@@ -192,11 +192,11 @@ class TermSlot:
         self.term = term
         self.cache = cache if cache is not None else QueryCache(capacity=2000)
         self._store = store if store is not None else ColumnarPostings(doc_table)
-        self._view_version = -1
+        self._rows_version = -1
+        self._rows_view: List[PostingRow] = []
+        self._entries_version = -1
         self._entries_view: List[PostingEntry] = []
         self._inverted_view: Dict[str, PostingEntry] = {}
-        self._impact_version = -1
-        self._impact_view: List[ImpactRow] = []
 
     # -- aggregates ---------------------------------------------------------
 
@@ -220,11 +220,6 @@ class TermSlot:
     def version(self) -> int:
         """Globally-unique version of the inverted list's content."""
         return self._store.version
-
-    @property
-    def max_impact(self) -> float:
-        """Upper bound on any posting's ``ntf / sqrt(len)`` impact."""
-        return self._store.max_impact
 
     # -- mutation -----------------------------------------------------------
 
@@ -272,26 +267,26 @@ class TermSlot:
             doc_id=row[0], owner_peer=row[1], raw_tf=row[2], doc_length=row[3]
         )
 
-    def scoring_lookup(self, doc_id: str) -> Optional[Tuple[float, int]]:
-        """``(normalized_tf, doc_length)`` for one document, or ``None``
-        — exactly the values its :class:`PostingEntry` would report."""
-        return self._store.scoring_lookup(doc_id)
+    def rows(self) -> List[PostingRow]:
+        """All postings in publish order as plain ``(doc_id, owner_peer,
+        raw_tf, doc_length)`` rows — the view the query executor scores
+        from.  A cached materialized list (rebuilt only when the slot's
+        version has moved) of flat tuples: a slot that is only ever
+        queried never builds a :class:`PostingEntry`, so a first read
+        leaves nothing behind for the cyclic garbage collector to track.
+        Callers must not mutate the returned list."""
+        version = self._store.version
+        if version != self._rows_version:
+            self._rows_view = list(self._store.rows())
+            self._rows_version = version
+        return self._rows_view
 
     def entries(self) -> List[PostingEntry]:
         """All postings in publish order, as a cached materialized list
-        (rebuilt only when the slot's version has moved).  Callers must
-        not mutate the returned list."""
-        self._refresh_views()
+        of entries (rebuilt only when the slot's version has moved).
+        Callers must not mutate the returned list."""
+        self._refresh_entries()
         return self._entries_view
-
-    def impact_rows(self) -> List[ImpactRow]:
-        """Scoring rows ``(doc_id, ntf, length, impact)`` sorted by
-        descending impact with doc-id tie-break; cached per version."""
-        version = self._store.version
-        if version != self._impact_version:
-            self._impact_view = self._store.impact_rows()
-            self._impact_version = version
-        return self._impact_view
 
     @property
     def inverted(self) -> Dict[str, PostingEntry]:
@@ -301,19 +296,19 @@ class TermSlot:
         read access stays O(1); treat it as read-only — writes would
         bypass the aggregate/version maintenance.
         """
-        self._refresh_views()
+        self._refresh_entries()
         return self._inverted_view
 
-    def _refresh_views(self) -> None:
+    def _refresh_entries(self) -> None:
         version = self._store.version
-        if version == self._view_version:
+        if version == self._entries_version:
             return
         self._entries_view = [
             PostingEntry(doc_id=d, owner_peer=o, raw_tf=t, doc_length=l)
             for d, o, t, l in self._store.rows()
         ]
         self._inverted_view = {e.doc_id: e for e in self._entries_view}
-        self._view_version = version
+        self._entries_version = version
 
     # -- replication support ------------------------------------------------
 
@@ -326,11 +321,11 @@ class TermSlot:
         clone.term = self.term
         clone.cache = copy.deepcopy(self.cache, memo)
         clone._store = copy.deepcopy(self._store, memo)
-        clone._view_version = -1
+        clone._rows_version = -1
+        clone._rows_view = []
+        clone._entries_version = -1
         clone._entries_view = []
         clone._inverted_view = {}
-        clone._impact_version = -1
-        clone._impact_view = []
         return clone
 
 

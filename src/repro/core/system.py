@@ -85,7 +85,6 @@ class DistributedSystem:
         self.processor = QueryProcessor(
             self.protocol,
             assumed_corpus_size=self.config.assumed_corpus_size,
-            early_termination=self.config.early_termination,
             result_cache=self.config.result_cache_size > 0,
         )
         self.owners: Dict[int, OwnerPeer] = {}

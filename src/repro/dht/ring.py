@@ -24,15 +24,14 @@ Membership events supported:
 Two hot-path optimizations (see DESIGN.md §8) keep large rings fast
 without changing any observable routing outcome:
 
-* **Incremental repair** (``ChordConfig.incremental_repair``): a single
-  join or graceful leave updates only the routing entries the event
-  actually affects — the neighbours' successor/predecessor pointers,
+* **Incremental repair**: a single join or graceful leave updates
+  only the routing entries the event actually affects — the neighbours' successor/predecessor pointers,
   the ``O(r)`` successor lists around the membership change, and the
   ``O(log N)`` finger arcs whose targets moved — instead of rebuilding
   every table.  The full rebuild remains as :meth:`stabilize`'s
-  fallback (and the only repair after crash failures, preserving the
-  paper's Section 7 "down peer" window); tests assert the two produce
-  byte-identical routing state.
+  body — the first build, tiny rings, and the only repair after crash
+  failures (preserving the paper's Section 7 "down peer" window);
+  tests assert the two produce byte-identical routing state.
 * **Route caching** (``ChordConfig.route_cache_size``): each node
   remembers ``key → responsible node`` for lookups it resolved.  The
   ring bumps a membership *epoch* on every join/leave/fail/stabilize;
@@ -83,8 +82,7 @@ class ChordRing:
     ----------
     config:
         Ring parameters (peer count, id bits, successor-list size, plus
-        the performance knobs ``route_cache_size`` and
-        ``incremental_repair``).
+        the performance knob ``route_cache_size``).
     node_ids:
         Optional explicit node identifiers (for white-box tests);
         normally ids are derived by hashing peer names, as the Chord
@@ -280,12 +278,12 @@ class ChordRing:
         """Converge every live node's routing state to the current
         membership (the fixed point of Chord's stabilize/fix_fingers).
 
-        When incremental repair is enabled and no membership event is
-        outstanding (the tables already converged), this is a no-op —
-        periodic stabilization in a quiescent ring costs nothing, which
-        is what makes steady churn schedules cheap.
+        When no membership event is outstanding (the tables already
+        converged), this is a no-op — periodic stabilization in a
+        quiescent ring costs nothing, which is what makes steady churn
+        schedules cheap.
         """
-        if self._converged and self.config.incremental_repair:
+        if self._converged:
             if PROFILE.enabled:
                 PROFILE.count("stabilize.noop")
             return
@@ -415,13 +413,12 @@ class ChordRing:
 
     def _can_repair_incrementally(self, was_converged: bool) -> bool:
         """Whether a membership event may use incremental repair: the
-        feature is on, the previous tables were converged (no crash
-        window outstanding), and the ring is large enough that
-        successor-list lengths are stable (tiny rings full-rebuild —
-        it is both simpler and just as fast there)."""
+        previous tables were converged (no crash window outstanding)
+        and the ring is large enough that successor-list lengths are
+        stable (tiny rings full-rebuild — it is both simpler and just
+        as fast there)."""
         return (
-            self.config.incremental_repair
-            and was_converged
+            was_converged
             and len(self._live_sorted) > self.config.successor_list_size + 2
         )
 

@@ -15,19 +15,21 @@ postings as parallel columns instead:
   per-posting *impacts* (``ntf / sqrt(len)`` — a posting's score
   contribution per unit of query weight).
 
-Alongside the columns each store incrementally maintains the slot
-aggregates the query processor's early-termination path needs:
+Alongside the columns each store maintains the slot aggregates the
+query path reads:
 
 * the indexed document frequency (column length);
-* ``max_impact`` — an upper bound on any posting's impact, updated on
-  every publish and lazily recomputed after a removal that may have
-  deleted the maximum;
 * a **version** counter drawn from a process-global monotone sequence,
   bumped on every mutation.  Because the sequence is global, two slot
   states that report the same version are guaranteed to hold identical
   postings — even across deep copies (replication) and slot lineages —
   which is what makes version equality a sound query-result-cache
   validity check.
+
+``scoring_lookup()`` / ``impact_rows()`` and the impact column have no
+caller in ``src`` (the query executor scores every fetched posting from
+``rows()``); they stay, on both stores, because the benchmark's layer
+table (``bench/trace.py``) hooks them by name.
 
 Column order mirrors dict semantics exactly — insertion order, in-place
 overwrite keeps a posting's position, removal shifts the tail — so the
@@ -117,7 +119,8 @@ GLOBAL_DOC_TABLE = DocTable()
 
 
 class ColumnarPostings:
-    """Parallel-array posting store with incremental slot aggregates."""
+    """Parallel-array posting store with the slot aggregates (length,
+    version) beside the columns."""
 
     def __init__(self, doc_table: Optional[DocTable] = None) -> None:
         self._docs = doc_table if doc_table is not None else GLOBAL_DOC_TABLE
@@ -130,8 +133,6 @@ class ColumnarPostings:
         # to 128), so they live in a plain list beside the arrays.
         self._owner: List[int] = []
         self._pos: Dict[str, int] = {}
-        self._max_impact = 0.0
-        self._max_dirty = False
         self._version = next_version()
 
     # -- aggregates ---------------------------------------------------------
@@ -140,14 +141,6 @@ class ColumnarPostings:
     def version(self) -> int:
         """Globally-unique content version (bumped on every mutation)."""
         return self._version
-
-    @property
-    def max_impact(self) -> float:
-        """Upper bound on any stored posting's impact."""
-        if self._max_dirty:
-            self._max_impact = max(self._impact, default=0.0)
-            self._max_dirty = False
-        return self._max_impact
 
     def __len__(self) -> int:
         return len(self._doc_index)
@@ -173,15 +166,11 @@ class ColumnarPostings:
             self._ntf.append(ntf)
             self._impact.append(impact)
         else:
-            if self._impact[row] >= self._max_impact:
-                self._max_dirty = True
             self._owner[row] = owner_peer
             self._raw_tf[row] = raw_tf
             self._length[row] = length
             self._ntf[row] = ntf
             self._impact[row] = impact
-        if not self._max_dirty and impact > self._max_impact:
-            self._max_impact = impact
         self._version = next_version()
 
     def remove(self, doc_id: str) -> Optional[PostingRow]:
@@ -200,8 +189,6 @@ class ColumnarPostings:
             self._raw_tf[row],
             self._length[row],
         )
-        if self._impact[row] >= self._max_impact:
-            self._max_dirty = True
         del self._doc_index[row], self._raw_tf[row], self._length[row]
         del self._ntf[row], self._impact[row], self._owner[row]
         for shifted_doc, pos in self._pos.items():
@@ -239,8 +226,7 @@ class ColumnarPostings:
             )
 
     def impact_rows(self) -> List[ImpactRow]:
-        """Scoring rows sorted by descending impact, doc-id tie-break —
-        the enumeration order of the early-termination path."""
+        """Scoring rows sorted by descending impact, doc-id tie-break."""
         docs = self._docs
         rows = [
             (docs.doc_id(self._doc_index[i]), self._ntf[i], self._length[i], self._impact[i])
@@ -266,7 +252,5 @@ class ColumnarPostings:
         clone._impact = self._impact[:]
         clone._owner = self._owner[:]
         clone._pos = self._pos.copy()
-        clone._max_impact = self._max_impact
-        clone._max_dirty = self._max_dirty
         clone._version = self._version
         return clone

@@ -244,7 +244,6 @@ def _build_deployment(cfg: ConcurrencyConfig) -> Tuple[_Deployment, float]:
             num_peers=cfg.num_peers,
             seed=cfg.seed,
             route_cache_size=65536,
-            incremental_repair=True,
         )
     )
     protocol = IndexingProtocol(ring)
@@ -326,8 +325,7 @@ def _build_deployment(cfg: ConcurrencyConfig) -> Tuple[_Deployment, float]:
 
 
 def _stream_checksum(dep: _Deployment, rankings: Sequence) -> str:
-    """Digest the op stream's rankings in submission order (the same
-    construction as ``repro.perf.bench``)."""
+    """Digest the op stream's rankings in submission order."""
     digest = sha256()
     for idx, ranked in zip(dep.stream, rankings):
         digest.update(dep.pool[idx].query_id.encode())

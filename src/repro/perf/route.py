@@ -197,7 +197,6 @@ def run_route_cell(
             num_peers=num_peers,
             seed=cfg.seed,
             route_cache_size=0,  # measure genuine routing, not cache hits
-            incremental_repair=True,
         ),
         arity=arity,
     )

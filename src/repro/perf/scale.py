@@ -77,7 +77,6 @@ class ScaleWorkloadConfig:
     num_shards: int = 8
     workers: int = 1
     zipf_exponent: float = 0.8
-    early_termination: bool = True
     result_cache_size: int = 0
     seed: int = 6111
 
@@ -153,14 +152,12 @@ def _run_shard(cfg: ScaleWorkloadConfig, shard_id: int) -> ShardResult:
             num_peers=num_peers,
             seed=seed,
             route_cache_size=65536,
-            incremental_repair=True,
         )
     )
     protocol = IndexingProtocol(ring, result_cache_size=cfg.result_cache_size)
     processor = QueryProcessor(
         protocol,
         assumed_corpus_size=1_000_000,
-        early_termination=cfg.early_termination,
         result_cache=cfg.result_cache_size > 0,
     )
     build_s = perf_counter() - t0
@@ -368,8 +365,8 @@ class ShardedHarness:
 
 
 def run_scale_workload(cfg: ScaleWorkloadConfig) -> ScaleWorkloadResult:
-    """Execute one sharded run under PROFILE (same enable/reset
-    discipline as :func:`repro.perf.bench.run_perf_workload`)."""
+    """Execute one sharded run under PROFILE (enabled and reset for
+    the run, the caller's enabled state restored afterwards)."""
     prior_enabled = PROFILE.enabled
     PROFILE.reset()
     PROFILE.enable()

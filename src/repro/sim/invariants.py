@@ -429,8 +429,8 @@ class InvariantChecker:
         index — after turnover re-publishes and the heal suffix, no
         servable cached answer is stale.
 
-        The recompute mirrors the query processor's exhaustive phase-B
-        scan (same term order, same float summation order), so
+        The recompute mirrors the query processor's scoring pass
+        (same term order, same float summation order), so
         agreement is exact, not approximate.
         """
         ring = self.system.ring

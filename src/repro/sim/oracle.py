@@ -23,7 +23,7 @@ A row names a **flow** —
 
 — then queries both systems with the test set for ``rounds`` rounds
 (``cache=False``: comparing execution, not mutating cache state) and
-compares any of
+compares either or both of
 
 ``rankings``
     every test-query ranking, documents and score bits;
@@ -31,9 +31,7 @@ compares any of
     :func:`write_state_fingerprint` after the flow — every slot's
     postings, aggregates and query-cache cursor, the global order in
     which slot versions were assigned, and every owner's index terms,
-    poll cursors and learner statistics;
-``traffic``
-    per-kind messages, bytes and hops of the query rounds.
+    poll cursors and learner statistics.
 
 Adding a comparison is one :class:`OracleRow` entry; a tier-1 test
 fails when a result-neutral switch has no row.  Two comparisons have a
@@ -82,8 +80,8 @@ def write_state_fingerprint(system: DistributedSystem) -> Dict[str, object]:
 
     ``slots``
         Per (indexing peer, term): the postings in publish order, the
-        slot aggregates (indexed df, max-impact bound), and the query
-        cache's latest sequence number.
+        indexed document frequency, and the query cache's latest
+        sequence number.
     ``version_rank``
         The slot keys sorted by slot version.  Versions come from one
         process-global counter, so their *absolute* values differ
@@ -105,7 +103,6 @@ def write_state_fingerprint(system: DistributedSystem) -> Dict[str, object]:
             slots[key] = (
                 tuple(value.entries()),
                 value.indexed_document_frequency,
-                value.max_impact,
                 value.cache.latest_sequence,
             )
             versions.append((value.version, key))
@@ -174,9 +171,8 @@ def _pairs(ranked: RankedList) -> List[Tuple[str, float]]:
     return [(entry.doc_id, entry.score) for entry in ranked]
 
 
-#: A configuration delta: ``{"sprite" | "chord" | "processor": {field:
-#: value}}`` — ``SpriteConfig`` fields, ``ChordConfig`` fields, and
-#: attributes set on the built ``QueryProcessor``.
+#: A configuration delta: ``{"sprite" | "chord": {field: value}}`` —
+#: ``SpriteConfig`` fields and ``ChordConfig`` fields.
 Delta = Mapping[str, Mapping[str, object]]
 
 
@@ -197,22 +193,8 @@ class OracleRow:
 
 
 ORACLE_ROWS: Tuple[OracleRow, ...] = (
-    # The PR-2 optimizations off: no route cache, full-rebuild
-    # stabilization, the seed per-term fetch with nested-dict scoring.
-    OracleRow(
-        "perf-paths",
-        {
-            "chord": {"route_cache_size": 0, "incremental_repair": False},
-            "processor": {"batch_fetch": False},
-        },
-    ),
-    # Exact early termination changes local scoring work only, never
-    # the wire: traffic must match message for message, byte for byte.
-    OracleRow(
-        "topk-paths",
-        {"sprite": {"early_termination": False}},
-        equal=frozenset({"rankings", "traffic"}),
-    ),
+    # No route cache: every lookup routes hop by hop.
+    OracleRow("perf-paths", {"chord": {"route_cache_size": 0}}),
     # The second round is served from the result caches.
     OracleRow("result-cache", {"sprite": {"result_cache_size": 128}}, rounds=2),
     OracleRow(
@@ -284,7 +266,6 @@ class DifferentialOracle:
             successor_list_size=4,
             seed=self.seed + 7,
             route_cache_size=65536,
-            incremental_repair=True,
         )
 
     def _sprite_config(self) -> SpriteConfig:
@@ -304,11 +285,7 @@ class DifferentialOracle:
         for delta in deltas:
             sprite = replace(sprite, **delta.get("sprite", {}))
             chord = replace(chord, **delta.get("chord", {}))
-        system = SpriteSystem(self.corpus, sprite_config=sprite, chord_config=chord)
-        for delta in deltas:
-            for name, value in delta.get("processor", {}).items():
-                setattr(system.processor, name, value)
-        return system
+        return SpriteSystem(self.corpus, sprite_config=sprite, chord_config=chord)
 
     def _replay(self, system: SpriteSystem, flow: str) -> None:
         bulk = flow == "bulk-churn"
@@ -358,7 +335,6 @@ class DifferentialOracle:
                 write_state_fingerprint(varied),
                 what,
             )
-        marks = [system.ring.stats.snapshot() for system in (base, varied)]
         for round_no in range(row.rounds):
             for query in self.test:
                 expected = _pairs(base.search(query, cache=False))
@@ -374,24 +350,6 @@ class DifferentialOracle:
                             ),
                         )
                     )
-        if "traffic" in row.equal:
-            base_traffic, varied_traffic = [
-                _kind_counts(system.ring.stats.delta_since(mark))
-                for system, mark in zip((base, varied), marks)
-            ]
-            if base_traffic != varied_traffic:
-                kinds = sorted(
-                    kind
-                    for kind in set(base_traffic) | set(varied_traffic)
-                    if base_traffic.get(kind) != varied_traffic.get(kind)
-                )
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id="<network>",
-                        detail=f"per-kind traffic diverged with {what}: "
-                        + ", ".join(kinds),
-                    )
-                )
 
     # -- event-driven runtime vs call-stack execution -------------------------
 
@@ -516,14 +474,3 @@ def _compare_fingerprints(
                     detail=f"write-state {part} diverged with {what}",
                 )
             )
-
-
-def _kind_counts(
-    delta: Dict[object, object],
-) -> Dict[str, Tuple[int, int, int]]:
-    """Per-kind (messages, bytes, hops) with all-zero kinds dropped."""
-    return {
-        getattr(kind, "name", str(kind)): (s.messages, s.bytes, s.hops)
-        for kind, s in delta.items()
-        if s.messages or s.bytes or s.hops
-    }

@@ -5,7 +5,7 @@
 (:class:`~repro.ir.postings.ColumnarPostings` is the in-RAM one).  Rows
 live in one shared ``postings`` table keyed by a per-store *slot id*;
 the store object keeps only small Python-side mirrors (posting count,
-next insertion sequence, the max-impact bound, the content version).
+next insertion sequence, the content version).
 
 The contract it must honour to stay bit-identical to the in-RAM path:
 
@@ -109,8 +109,6 @@ class SqlitePostings:
         )
         self._count = 0
         self._next_seq = 0
-        self._max_impact = 0.0
-        self._max_dirty = False
         self._version = next_version()
         if runtime is not None:
             runtime.register(self)
@@ -125,23 +123,6 @@ class SqlitePostings:
     def version(self) -> int:
         """Globally-unique content version (bumped on every mutation)."""
         return self._version
-
-    @property
-    def max_impact(self) -> float:
-        """Upper bound on any stored posting's impact; recomputed lazily
-        after a removal/overwrite that may have deleted the maximum.
-        ``max`` over a set is order-independent, so scanning in table
-        order matches the columnar recompute bit-for-bit."""
-        if self._max_dirty:
-            rows = self._conn.execute(
-                "SELECT tf, len FROM postings WHERE slot = ?", (self._slot,)
-            ).fetchall()
-            self._max_impact = max(
-                (posting_impact(tf, length) for tf, length in rows),
-                default=0.0,
-            )
-            self._max_dirty = False
-        return self._max_impact
 
     def __len__(self) -> int:
         return self._count
@@ -165,14 +146,13 @@ class SqlitePostings:
         """Insert or overwrite the posting for *doc_id* (dict semantics:
         an overwrite keeps the posting's enumeration position)."""
         length = doc_length if doc_length > 0 else 0
-        impact = posting_impact(raw_tf, doc_length)
         existing = None
         if self._bloom is not None and doc_id not in self._bloom:
             # Definitely absent: skip the existence probe entirely.
             PROFILE.count("store.bloom_insert_skips")
         else:
             existing = self._conn.execute(
-                "SELECT tf, len FROM postings WHERE slot = ? AND doc = ?",
+                "SELECT 1 FROM postings WHERE slot = ? AND doc = ?",
                 (self._slot, doc_id),
             ).fetchone()
             PROFILE.count("store.point_reads")
@@ -189,16 +169,11 @@ class SqlitePostings:
             if self._bloom is not None:
                 self._bloom_add(doc_id)
         else:
-            old_tf, old_length = existing
-            if posting_impact(old_tf, old_length) >= self._max_impact:
-                self._max_dirty = True
             self._conn.execute(
                 "UPDATE postings SET owner = ?, tf = ?, len = ? "
                 "WHERE slot = ? AND doc = ?",
                 (str(owner_peer), raw_tf, length, self._slot, doc_id),
             )
-        if not self._max_dirty and impact > self._max_impact:
-            self._max_impact = impact
         self._version = next_version()
 
     def add_many(self, rows: Iterable[Tuple[str, int, int, int]]) -> int:
@@ -218,26 +193,14 @@ class SqlitePostings:
             for doc_id, owner_peer, raw_tf, doc_length in rows:
                 self.add(doc_id, owner_peer, raw_tf, doc_length)
             return len(rows)
-        saved = (
-            self._count,
-            self._next_seq,
-            self._max_impact,
-            self._max_dirty,
-            self._version,
-        )
+        saved = (self._count, self._next_seq, self._version)
         self._conn.execute("BEGIN")
         try:
             for doc_id, owner_peer, raw_tf, doc_length in rows:
                 self.add(doc_id, owner_peer, raw_tf, doc_length)
         except BaseException:
             self._conn.execute("ROLLBACK")
-            (
-                self._count,
-                self._next_seq,
-                self._max_impact,
-                self._max_dirty,
-                self._version,
-            ) = saved
+            self._count, self._next_seq, self._version = saved
             raise
         self._conn.execute("COMMIT")
         PROFILE.count("store.batches")
@@ -261,8 +224,6 @@ class SqlitePostings:
         if row is None:
             return None
         owner, raw_tf, length = row
-        if posting_impact(raw_tf, length) >= self._max_impact:
-            self._max_dirty = True
         self._conn.execute(
             "DELETE FROM postings WHERE slot = ? AND doc = ?",
             (self._slot, doc_id),
@@ -385,8 +346,6 @@ class SqlitePostings:
         clone._bloom = copy.deepcopy(self._bloom, memo)
         clone._count = self._count
         clone._next_seq = self._next_seq
-        clone._max_impact = self._max_impact
-        clone._max_dirty = self._max_dirty
         clone._version = self._version
         if self._runtime is not None:
             self._runtime.register(clone)

@@ -104,6 +104,36 @@ class TestTermSlot:
         assert slot.indexed_document_frequency == 0
         assert slot.remove_posting("d1") is None
 
+    def test_rows_are_the_entries_as_plain_tuples(self) -> None:
+        slot = TermSlot(term="chord")
+        slot.add_posting(PostingEntry("d2", 7, 3, 12))
+        slot.add_posting(PostingEntry("d1", 9, 1, 0))
+        assert slot.rows() == [("d2", 7, 3, 12), ("d1", 9, 1, 0)]
+        assert [
+            (e.doc_id, e.owner_peer, e.raw_tf, e.doc_length) for e in slot.entries()
+        ] == slot.rows()
+        assert all(type(row) is tuple for row in slot.rows())
+
+    def test_rows_cached_per_version(self) -> None:
+        slot = TermSlot(term="chord")
+        slot.add_posting(PostingEntry("d1", 1, 1, 10))
+        first = slot.rows()
+        assert slot.rows() is first
+        slot.add_posting(PostingEntry("d2", 2, 1, 10))
+        assert slot.rows() is not first
+        assert [row[0] for row in slot.rows()] == ["d1", "d2"]
+        slot.remove_posting("d1")
+        assert [row[0] for row in slot.rows()] == ["d2"]
+
+    def test_reading_rows_builds_no_posting_entries(self) -> None:
+        # The query path reads rows() only; the PostingEntry views are
+        # for the fetch API and must not be materialized as a side effect.
+        slot = TermSlot(term="chord")
+        slot.add_posting(PostingEntry("d1", 1, 1, 10))
+        slot.rows()
+        assert slot._entries_view == [] and slot._inverted_view == {}
+        assert [e.doc_id for e in slot.entries()] == ["d1"]
+
 
 class TestTermStats:
     def test_absorb_maxes_qscore(self) -> None:

@@ -2,11 +2,11 @@
 
 Two independent claims, each load-bearing for the perf layer:
 
-* **batched ≡ legacy** — ``QueryProcessor(batch_fetch=True)`` (per-peer
-  merged fetches + one-pass flat-dict scoring) returns bit-identical
-  ranked lists to the retained legacy path (per-term fetches +
-  nested-dict scoring), including under peer failures, while sending no
-  more SEARCH/POSTINGS messages;
+* **batched ≡ legacy** — ``QueryProcessor.execute`` (per-peer merged
+  fetches + one-pass flat-dict scoring) returns bit-identical ranked
+  lists to the seed executor kept in ``tests/core/legacy_executor.py``
+  (per-term fetches + nested-dict scoring), including under peer
+  failures, while sending no more SEARCH/POSTINGS messages;
 * **cache-on ≡ cache-off** (satellite) — with the route cache enabled
   vs disabled, identical rankings *and* identical per-kind
   ``NetworkStats`` message counts under the perfect transport, across a
@@ -27,17 +27,17 @@ from repro.corpus.relevance import Query
 from repro.dht.messages import MessageKind
 from repro.dht.ring import ChordRing
 
+from .legacy_executor import execute_legacy
+
 VOCAB = [f"kw{i:03d}" for i in range(40)]
 
 
-def build_stack(route_cache: int = 65536, batch: bool = True, seed: int = 7):
+def build_stack(route_cache: int = 65536, seed: int = 7):
     ring = ChordRing(
         ChordConfig(num_peers=64, seed=seed, route_cache_size=route_cache)
     )
     protocol = IndexingProtocol(ring)
-    processor = QueryProcessor(
-        protocol, assumed_corpus_size=10_000, batch_fetch=batch
-    )
+    processor = QueryProcessor(protocol, assumed_corpus_size=10_000)
     rng = random.Random(seed)
     for d in range(30):
         doc_id = f"d{d:03d}"
@@ -61,7 +61,9 @@ def query_stream(count: int = 40, seed: int = 23):
     return queries
 
 
-def run_stream(ring, processor, queries, churn: bool = False):
+def run_stream(ring, processor, queries, churn=False, execute=QueryProcessor.execute):
+    """Run *queries* through ``processor.execute`` — or, given
+    ``execute=execute_legacy``, through the seed reference executor."""
     rankings = []
     for i, query in enumerate(queries):
         if churn and i and i % 10 == 0:
@@ -69,28 +71,28 @@ def run_stream(ring, processor, queries, churn: bool = False):
             ring.leave(ring.live_ids[(i * 13) % ring.num_live])
             ring.stabilize()
         issuer = ring.live_ids[(i * 5) % ring.num_live]
-        ranked, __ = processor.execute(issuer, query, top_k=10)
+        ranked, __ = execute(processor, issuer, query, top_k=10)
         rankings.append([(e.doc_id, e.score) for e in ranked])
     return rankings
 
 
 class TestBatchedEqualsLegacy:
     def test_identical_rankings_bit_for_bit(self) -> None:
-        ring_b, __, proc_batched = build_stack(batch=True)
-        ring_l, __, proc_legacy = build_stack(batch=False)
+        ring_b, __, proc_batched = build_stack()
+        ring_l, __, proc_legacy = build_stack()
         queries = query_stream()
         batched = run_stream(ring_b, proc_batched, queries)
-        legacy = run_stream(ring_l, proc_legacy, queries)
+        legacy = run_stream(ring_l, proc_legacy, queries, execute=execute_legacy)
         # Exact equality, scores included: the one-pass scorer performs
         # the same float operations in the same order.
         assert batched == legacy
 
     def test_batching_never_sends_more_search_traffic(self) -> None:
-        ring_b, __, proc_batched = build_stack(batch=True)
-        ring_l, __, proc_legacy = build_stack(batch=False)
+        ring_b, __, proc_batched = build_stack()
+        ring_l, __, proc_legacy = build_stack()
         queries = query_stream()
         run_stream(ring_b, proc_batched, queries)
-        run_stream(ring_l, proc_legacy, queries)
+        run_stream(ring_l, proc_legacy, queries, execute=execute_legacy)
         for kind in (MessageKind.SEARCH_TERM, MessageKind.POSTINGS):
             assert (
                 ring_b.stats.kind(kind).messages
@@ -126,15 +128,15 @@ class TestBatchedEqualsLegacy:
     def test_identical_failure_degradation(self) -> None:
         """Both paths drop exactly the terms whose peer crashed
         (Section 7), in query order, and rank the remainder equally."""
-        ring_b, proto_b, proc_batched = build_stack(batch=True)
-        ring_l, proto_l, proc_legacy = build_stack(batch=False)
+        ring_b, proto_b, proc_batched = build_stack()
+        ring_l, proto_l, proc_legacy = build_stack()
         probe = Query("probe", (VOCAB[0], VOCAB[7], VOCAB[21]))
         victim = ring_b.successor_of(proto_b.term_hash(VOCAB[7]))
         ring_b.fail(victim)
         ring_l.fail(victim)
         issuer = next(n for n in ring_b.live_ids if n != victim)
         ranked_b, exec_b = proc_batched.execute(issuer, probe, cache=False)
-        ranked_l, exec_l = proc_legacy.execute(issuer, probe, cache=False)
+        ranked_l, exec_l = execute_legacy(proc_legacy, issuer, probe, cache=False)
         assert exec_b.dropped_terms == exec_l.dropped_terms
         assert exec_b.terms_failed == exec_l.terms_failed
         assert [(e.doc_id, e.score) for e in ranked_b] == [
@@ -142,7 +144,7 @@ class TestBatchedEqualsLegacy:
         ]
 
     def test_unindexed_terms_return_empty_like_legacy(self) -> None:
-        ring, __, proc = build_stack(batch=True)
+        ring, __, proc = build_stack()
         ranked, execution = proc.execute(
             ring.live_ids[0], Query("ghost", ("nosuchterm",)), cache=False
         )

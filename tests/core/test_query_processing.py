@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import ChordConfig
 from repro.core.indexer import IndexingProtocol
-from repro.core.metadata import PostingEntry
+from repro.core.metadata import PostingEntry, TermSlot
 from repro.core.query_processing import QueryProcessor
 from repro.corpus import Query
 from repro.dht import ChordRing
@@ -75,6 +75,23 @@ class TestExecution:
             publish(protocol, ring, "term", f"d{i}", tf=i + 1, length=20)
         ranked = processor.search(ring.live_ids[1], Query("q", ("term",)), top_k=3)
         assert len(ranked) == 3
+
+    def test_scoring_builds_no_posting_objects(self, processor, protocol, ring) -> None:
+        """Queries score from the slot's plain rows: a slot's first query
+        must not leave a PostingEntry list behind (per-posting objects
+        built inside a timed stream move the collector, see DESIGN §10)."""
+        for i in range(6):
+            publish(protocol, ring, "term", f"d{i}", tf=i + 1, length=20)
+        processor.search(ring.live_ids[1], Query("q", ("term",)), top_k=3)
+        processor.search(ring.live_ids[1], Query("q", ("term",)))
+        slots = [
+            slot
+            for node_id in ring.live_ids
+            for slot in ring.node(node_id).store.values()
+            if isinstance(slot, TermSlot)
+        ]
+        assert [len(slot.rows()) for slot in slots] == [6]
+        assert slots[0]._entries_view == []
 
 
 class TestQueryCachingSideChannel:

@@ -80,7 +80,6 @@ def observe_slot(slot) -> tuple:
         slot.term,
         tuple(slot._store.rows()),
         slot.version,
-        slot.max_impact,
         tuple(slot.cache),
         slot.cache.latest_sequence,
     )

@@ -34,8 +34,6 @@ def build_stack(result_cache: int = 64, seed: int = 3):
     processor = QueryProcessor(
         protocol,
         assumed_corpus_size=10_000,
-        batch_fetch=True,
-        early_termination=True,
         result_cache=result_cache > 0,
     )
     rng = random.Random(seed)
@@ -245,8 +243,6 @@ class TestEndToEnd:
             protocol,
             assumed_corpus_size=10_000,
             document_frequency_override={VOCAB[0]: 5},
-            batch_fetch=True,
-            early_termination=True,
             result_cache=True,
         )
         execute(ring, processor, (VOCAB[0],))

@@ -72,7 +72,7 @@ def entry(doc: str, tf: int, length: int = 100, owner: int = 7) -> PostingEntry:
 def populate(slot: TermSlot, dirty_max: bool) -> TermSlot:
     """Five postings, one overwrite, four cached queries (one already
     evicted).  With *dirty_max* the largest-impact posting is removed
-    last, so ``max_impact`` is pending a lazy recompute at copy time."""
+    last, so the copy is taken of columns a removal has shifted."""
     for i, tf in enumerate([3, 9, 1, 5, 2]):
         slot.add_posting(entry(f"d{i}", tf, owner=(1 << 70) + i))
     slot.add_posting(entry("d2", 4, length=200))
@@ -80,8 +80,6 @@ def populate(slot: TermSlot, dirty_max: bool) -> TermSlot:
         slot.cache.add((f"q{i}", "term"), query_hash=1000 + i)
     if dirty_max:
         slot.remove_posting("d1")
-    # LegacyPostings computes the maximum on demand and has no such flag.
-    assert getattr(slot._store, "_max_dirty", dirty_max) is dirty_max
     return slot
 
 
@@ -90,8 +88,7 @@ def observe(slot: TermSlot) -> dict:
     return {
         "term": slot.term,
         "rows": list(slot._store.rows()),
-        "impact_rows": slot.impact_rows(),
-        "max_impact": slot.max_impact,
+        "impact_rows": slot._store.impact_rows(),
         "version": slot.version,
         "stamp": slot.replica_stamp,
         "df": slot.indexed_document_frequency,
@@ -99,10 +96,11 @@ def observe(slot: TermSlot) -> dict:
         "since_2": slot.cache.since(2),
         "latest_sequence": slot.cache.latest_sequence,
         "capacity": slot.cache.capacity,
+        "rows": slot.rows(),
         "entries": slot.entries(),
         "inverted": list(slot.inverted.items()),
         "lookup": slot.get_posting("d3"),
-        "scoring": slot.scoring_lookup("d3"),
+        "scoring": slot._store.scoring_lookup("d3"),
     }
 
 
@@ -116,9 +114,10 @@ class TestCloneEqualsGenericCopy:
 
     def test_matches_when_the_original_views_were_warm(self, make_slot, dirty_max) -> None:
         slot = populate(make_slot(), dirty_max)
-        before = observe(slot)  # builds entries/inverted/impact views
+        before = observe(slot)  # builds rows/entries/inverted views
         clone = copy.deepcopy(slot)
         assert observe(clone) == before
+        assert clone.rows() is not slot.rows()
         assert clone.entries() is not slot.entries()
         assert clone.inverted is not slot.inverted
 

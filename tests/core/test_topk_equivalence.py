@@ -1,19 +1,19 @@
-"""Exactness of the optimized executor in every mode (ISSUE 4, 13).
+"""``QueryProcessor.execute`` against the seed reference executor.
 
-Early termination (`QueryProcessor(early_termination=True)`) and the
-result cache must be *invisible in results*: identical documents,
-bit-identical scores, identical tie-broken order versus both the same
-executor ranking everything and the seed legacy path — under repeated
-keywords, failures, document-frequency overrides, degenerate ``top_k``
-values, zero-length documents, and either posting store (the columnar
-one and the seed reference model).
+The executor (one batched fetch per indexing peer, one flat-dict
+accumulation pass) and the result cache must be *invisible in results*:
+identical documents, bit-identical scores, identical tie-broken order
+and identical execution counters versus the seed per-term executor kept
+in ``tests/core/legacy_executor.py`` — under repeated keywords,
+failures, document-frequency overrides, degenerate ``top_k`` values,
+zero-length documents, and either posting store (the columnar one and
+the seed reference model).
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +26,7 @@ from repro.dht.ring import ChordRing
 from repro.ir.postings import ColumnarPostings
 
 from ..ir.legacy_postings import LegacyPostings, LegacyStoreRuntime
+from .legacy_executor import execute_legacy
 
 VOCAB = [f"kw{i:03d}" for i in range(24)]
 
@@ -41,8 +42,6 @@ class _RawQuery:
 
 def build_stack(
     *,
-    early_termination: bool = True,
-    batch: bool = True,
     legacy_store: bool = False,
     result_cache: int = 0,
     override=None,
@@ -60,8 +59,6 @@ def build_stack(
         protocol,
         assumed_corpus_size=10_000,
         document_frequency_override=override,
-        batch_fetch=batch,
-        early_termination=early_termination,
         result_cache=result_cache > 0,
     )
     rng = random.Random(seed)
@@ -87,39 +84,36 @@ def run_query(processor, ring, query, top_k):
     return processor.execute(issuer, query, top_k=top_k, cache=False)
 
 
+def run_reference(processor, ring, query, top_k):
+    issuer = ring.live_ids[0]
+    return execute_legacy(processor, issuer, query, top_k=top_k, cache=False)
+
+
 class TestEdgeCases:
     def test_repeated_keywords_score_once(self) -> None:
-        ring_t, __, proc_t = build_stack(early_termination=True)
-        ring_b, __, proc_b = build_stack(early_termination=False)
+        ring, __, proc = build_stack()
         # Query normalizes keywords to a sorted set, so repeats collapse
-        # before execution; both paths must agree on the collapsed view.
+        # before execution; both executors must agree on the collapsed view.
         query = Query("rep", (VOCAB[3], VOCAB[3], VOCAB[9], VOCAB[3]))
         assert query.terms == tuple(sorted({VOCAB[3], VOCAB[9]}))
-        ranked_t, exec_t = run_query(proc_t, ring_t, query, top_k=5)
-        ranked_b, exec_b = run_query(proc_b, ring_b, query, top_k=5)
-        assert pairs(ranked_t) == pairs(ranked_b)
-        assert exec_t.terms_visited == exec_b.terms_visited == 2
-        assert exec_t.postings_retrieved == exec_b.postings_retrieved
+        ranked, execution = run_query(proc, ring, query, top_k=5)
+        ranked_ref, exec_ref = run_reference(proc, ring, query, top_k=5)
+        assert pairs(ranked) == pairs(ranked_ref)
+        assert execution.terms_visited == exec_ref.terms_visited == 2
+        assert execution.postings_retrieved == exec_ref.postings_retrieved
 
     def test_repeated_terms_fed_directly_score_once(self) -> None:
         """The processor's own dedup guard, exercised below the Query
         normalization layer: a repeated term contributes exactly once."""
-        ring_t, __, proc_t = build_stack(early_termination=True)
-        ring_b, __, proc_b = build_stack(early_termination=False)
-        single = Query("one", (VOCAB[3],))
-        issuer_t, issuer_b = ring_t.live_ids[0], ring_b.live_ids[0]
-        repeated = (VOCAB[3], VOCAB[3], VOCAB[3])
-        ranked_t, __ = proc_t.execute(
-            issuer_t, _RawQuery("raw", repeated), top_k=5, cache=False
-        )
-        ranked_b, __ = proc_b.execute(
-            issuer_b, _RawQuery("raw", repeated), top_k=None, cache=False
-        )
-        base, __ = run_query(proc_b, ring_b, single, top_k=5)
-        assert pairs(ranked_t) == pairs(ranked_b)[:5] == pairs(base)
+        ring, __, proc = build_stack()
+        repeated = _RawQuery("raw", (VOCAB[3], VOCAB[3], VOCAB[3]))
+        ranked, __ = run_query(proc, ring, repeated, top_k=5)
+        ranked_ref, __ = run_reference(proc, ring, repeated, top_k=None)
+        base, __ = run_query(proc, ring, Query("one", (VOCAB[3],)), top_k=5)
+        assert pairs(ranked) == pairs(ranked_ref)[:5] == pairs(base)
 
     def test_all_terms_failed_returns_empty(self) -> None:
-        ring, protocol, proc = build_stack(early_termination=True)
+        ring, protocol, proc = build_stack()
         query = Query("dead", (VOCAB[0], VOCAB[1]))
         for term in query.terms:
             ring.fail(ring.successor_of(protocol.term_hash(term)))
@@ -130,35 +124,38 @@ class TestEdgeCases:
         assert list(execution.dropped_terms) == list(query.terms)
 
     def test_top_k_zero_returns_empty(self) -> None:
-        ring, __, proc = build_stack(early_termination=True)
-        ranked, __ = run_query(proc, ring, Query("z", (VOCAB[2],)), top_k=0)
+        ring, __, proc = build_stack()
+        query = Query("z", (VOCAB[2],))
+        ranked, execution = run_query(proc, ring, query, top_k=0)
         assert len(ranked) == 0
+        # Truncation happens after scoring: every candidate was counted.
+        everything, __ = run_reference(proc, ring, query, top_k=None)
+        assert execution.candidate_documents == len(everything) > 0
 
     def test_top_k_beyond_candidates_returns_all(self) -> None:
-        ring_t, __, proc_t = build_stack(early_termination=True)
-        ring_b, __, proc_b = build_stack(early_termination=False)
+        ring, __, proc = build_stack()
         query = Query("wide", (VOCAB[4], VOCAB[11]))
-        ranked_t, __ = run_query(proc_t, ring_t, query, top_k=10_000)
-        ranked_b, __ = run_query(proc_b, ring_b, query, top_k=10_000)
-        assert pairs(ranked_t) == pairs(ranked_b)
-        assert len(ranked_t) > 0
+        ranked, __ = run_query(proc, ring, query, top_k=10_000)
+        ranked_ref, __ = run_reference(proc, ring, query, top_k=10_000)
+        assert pairs(ranked) == pairs(ranked_ref)
+        assert len(ranked) > 0
 
     def test_zero_length_documents_rank_last_identically(self) -> None:
-        ring_t, __, proc_t = build_stack(early_termination=True, zero_length_docs=6)
-        ring_b, __, proc_b = build_stack(early_termination=False, zero_length_docs=6)
+        ring, __, proc = build_stack(zero_length_docs=6)
         for term in VOCAB:
             query = Query(f"q-{term}", (term,))
-            ranked_t, __ = run_query(proc_t, ring_t, query, top_k=8)
-            ranked_b, __ = run_query(proc_b, ring_b, query, top_k=8)
-            assert pairs(ranked_t) == pairs(ranked_b)
+            ranked, __ = run_query(proc, ring, query, top_k=8)
+            ranked_ref, __ = run_reference(proc, ring, query, top_k=8)
+            assert pairs(ranked) == pairs(ranked_ref)
 
     def test_unbounded_top_k_skips_the_termination_path(self) -> None:
-        ring, __, proc = build_stack(early_termination=True)
-        ranked, __ = proc.execute(
+        """(The name dates from the pruning pass; what it pins now:
+        ``top_k=None`` returns every candidate document.)"""
+        ring, __, proc = build_stack()
+        ranked, execution = proc.execute(
             ring.live_ids[0], Query("all", (VOCAB[5],)), top_k=None, cache=False
         )
-        # top_k=None cannot early-terminate: full candidate set returned.
-        assert len(ranked) > 0
+        assert len(ranked) == execution.candidate_documents > 0
 
 
 class TestBackendEquivalence:
@@ -176,7 +173,13 @@ class TestBackendEquivalence:
             assert pairs(ranked_c) == pairs(ranked_l)
 
 
-COUNTERS = ("terms_visited", "terms_failed", "dropped_terms", "postings_retrieved")
+COUNTERS = (
+    "terms_visited",
+    "terms_failed",
+    "dropped_terms",
+    "postings_retrieved",
+    "candidate_documents",
+)
 
 
 @settings(max_examples=40, deadline=None)
@@ -187,6 +190,8 @@ COUNTERS = ("terms_visited", "terms_failed", "dropped_terms", "postings_retrieve
     repeat_keyword=st.booleans(),
     fail_first_term=st.booleans(),
     use_override=st.booleans(),
+    legacy_store=st.booleans(),
+    result_cache=st.booleans(),
 )
 def test_equivalence_property(
     seed: int,
@@ -195,13 +200,17 @@ def test_equivalence_property(
     repeat_keyword: bool,
     fail_first_term: bool,
     use_override: bool,
+    legacy_store: bool,
+    result_cache: bool,
 ) -> None:
     """For any seeded world — a repeated keyword, a failed term and a
-    document-frequency override included — the optimized executor in
-    every mode returns the documents, score bits, tie order and
-    execution counters of the seed per-term reference, for ``top_k``
-    unbounded, zero, one, below and at-or-above the candidate count;
-    and its own modes are indistinguishable on the wire (the reference
+    document-frequency override included, on either posting store, with
+    the result cache on or off — ``execute()`` returns the documents,
+    score bits, tie order and execution counters of the seed per-term
+    reference, for ``top_k`` unbounded, zero, one, below and at-or-above
+    the candidate count; ``candidate_documents`` is always the
+    exhaustive count; and without a result cache a bounded and an
+    unbounded query are indistinguishable on the wire (the reference
     differs there by design: it fetches per term)."""
     rng = random.Random(seed)
     terms = tuple(rng.sample(VOCAB, num_terms))
@@ -213,16 +222,19 @@ def test_equivalence_property(
     # _RawQuery: Query would collapse the repeat before execution.
     query = _RawQuery("prop", terms)
 
-    def world(**switches):
+    def world():
         ring, protocol, processor = build_stack(
-            override=override, seed=seed % 17, **switches
+            override=override,
+            seed=seed % 17,
+            legacy_store=legacy_store,
+            result_cache=64 if result_cache else 0,
         )
         if fail_first_term:
             ring.fail(ring.successor_of(protocol.term_hash(terms[0])))
         return ring, processor
 
-    ring, reference = world(batch=False)
-    everything, __ = run_query(reference, ring, query, top_k=None)
+    ring, reference = world()
+    everything, __ = run_reference(reference, ring, query, top_k=None)
     candidates = len(everything)
     top_k = {
         "none": None,
@@ -231,18 +243,21 @@ def test_equivalence_property(
         "below": max(1, candidates // 2),
         "at-or-above": candidates + rng.randint(0, 3),
     }[k_class]
-    expected, expected_exec = run_query(reference, ring, query, top_k=top_k)
+    expected, expected_exec = run_reference(reference, ring, query, top_k=top_k)
+    assert expected_exec.candidate_documents == candidates
 
     traffic = []
-    for early, k in ((True, top_k), (False, top_k), (True, None)):
-        ring, processor = world(early_termination=early)
+    for k in (top_k, None):
+        ring, processor = world()
         mark = ring.stats.snapshot()
         ranked, execution = run_query(processor, ring, query, top_k=k)
         traffic.append(ring.stats.delta_since(mark))  # per-kind msgs, bytes, hops
+        assert not execution.cache_hit
         assert pairs(ranked) == pairs(expected if k == top_k else everything)
         for counter in COUNTERS:
             assert getattr(execution, counter) == getattr(expected_exec, counter)
-        if not early or k is None:
-            # nothing pruned: every candidate was tracked
-            assert execution.candidate_documents == candidates
-    assert traffic[0] == traffic[1] == traffic[2]
+        # Asked again, a cached answer must be the same answer.
+        again, __ = run_query(processor, ring, query, top_k=k)
+        assert pairs(again) == pairs(ranked)
+    if not result_cache:
+        assert traffic[0] == traffic[1]

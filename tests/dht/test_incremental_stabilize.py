@@ -1,7 +1,9 @@
 """Incremental repair ≡ full rebuild (ISSUE 2 satellite).
 
-Two rings with identical explicit memberships — one running incremental
-repair, one forced to full rebuilds — are driven through the same random
+Two rings with identical explicit memberships — the ring as shipped,
+which repairs incrementally, and the test-side reference of
+``tests/dht/full_rebuild.py``, which rebuilds every table on every
+event — are driven through the same random
 sequence of joins, graceful leaves, crash failures, data placements, and
 explicit stabilizations.  After every event the complete routing state
 of every node (successor, predecessor, successor list, finger table,
@@ -18,24 +20,22 @@ from hypothesis import strategies as st
 from repro.config import ChordConfig
 from repro.dht.ring import ChordRing
 
+from .full_rebuild import FullRebuildChordRing
+
 BITS = 12
 SIZE = 1 << BITS
 
 
 def build_pair(ids):
-    common = dict(
+    config = ChordConfig(
         num_peers=len(ids),
         id_bits=BITS,
         successor_list_size=3,
         seed=1,
         route_cache_size=0,
     )
-    full = ChordRing(
-        ChordConfig(incremental_repair=False, **common), node_ids=list(ids)
-    )
-    inc = ChordRing(
-        ChordConfig(incremental_repair=True, **common), node_ids=list(ids)
-    )
+    full = FullRebuildChordRing(config, node_ids=list(ids))
+    inc = ChordRing(config, node_ids=list(ids))
     return full, inc
 
 
@@ -108,7 +108,7 @@ def test_single_join_repairs_incrementally_without_full_rebuild() -> None:
     finally:
         PROFILE.disable()
     assert PROFILE.counter("stabilize.incremental") == 1
-    assert PROFILE.counter("stabilize.full") == 1  # only the legacy ring
+    assert PROFILE.counter("stabilize.full") == 1  # only the reference ring
     assert ring_state(full) == ring_state(inc)
 
 

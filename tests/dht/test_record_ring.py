@@ -13,6 +13,8 @@ from repro.config import ChordConfig
 from repro.dht import ChordRing, RecordRing, build_ring, recursive_finger_steps
 from repro.exceptions import NodeFailedError
 
+from .full_rebuild import FullRebuildRecordRing
+
 BITS = 12
 SIZE = 1 << BITS
 
@@ -152,12 +154,8 @@ def test_record_incremental_repair_matches_full_rebuild(data) -> None:
         )
     )
     arity = data.draw(st.sampled_from([3, 4, 8]), label="arity")
-    full = RecordRing(
-        make_config(ids, incremental_repair=False), node_ids=list(ids), arity=arity
-    )
-    inc = RecordRing(
-        make_config(ids, incremental_repair=True), node_ids=list(ids), arity=arity
-    )
+    full = FullRebuildRecordRing(make_config(ids), node_ids=list(ids), arity=arity)
+    inc = RecordRing(make_config(ids), node_ids=list(ids), arity=arity)
     assert ring_state(full) == ring_state(inc)
 
     for step in range(data.draw(st.integers(5, 20), label="op count")):

@@ -3,8 +3,7 @@
 Two end-to-end runs with identical seeds — same corpus, same lossy
 transport seed, same churn schedule — must produce identical rankings
 *and* identical transport-trace rollups.  The check runs both with the
-PR-2 performance paths enabled (route cache, incremental repair, batched
-fetch) and with them disabled, so neither mode can quietly grow a
+route cache on and with it off, so neither mode can quietly grow a
 hidden source of nondeterminism (dict order, unseeded RNG, wall-clock).
 """
 
@@ -45,7 +44,7 @@ def workload(micro_corpus_config):
     return corpus, list(queryset)
 
 
-def _run(corpus, queries, optimized: bool, churn: bool):
+def _run(corpus, queries, route_cache: bool, churn: bool):
     """One full seeded run; returns (rankings tuple, trace rollup)."""
     transport = build_transport(NETWORK_CONFIG)
     system = SpriteSystem(
@@ -55,12 +54,10 @@ def _run(corpus, queries, optimized: bool, churn: bool):
             num_peers=16,
             successor_list_size=4,
             seed=11,
-            route_cache_size=65536 if optimized else 0,
-            incremental_repair=optimized,
+            route_cache_size=65536 if route_cache else 0,
         ),
         transport=transport,
     )
-    system.processor.batch_fetch = optimized
     system.share_corpus()
     half = len(queries) // 2
     system.register_queries(queries[:half])
@@ -83,24 +80,24 @@ def _run(corpus, queries, optimized: bool, churn: bool):
     return rankings, transport.trace.rollup()
 
 
-@pytest.mark.parametrize("optimized", [False, True], ids=["direct", "perf"])
+@pytest.mark.parametrize("route_cache", [False, True], ids=["direct", "perf"])
 @pytest.mark.parametrize("churn", [False, True], ids=["stable", "churn"])
-def test_seeded_runs_are_identical(workload, optimized, churn) -> None:
+def test_seeded_runs_are_identical(workload, route_cache, churn) -> None:
     corpus, queries = workload
-    first = _run(corpus, queries, optimized=optimized, churn=churn)
-    second = _run(corpus, queries, optimized=optimized, churn=churn)
+    first = _run(corpus, queries, route_cache=route_cache, churn=churn)
+    second = _run(corpus, queries, route_cache=route_cache, churn=churn)
     assert first[0] == second[0], "rankings diverged between identical seeded runs"
     assert first[1] == second[1], "transport trace rollups diverged"
 
 
 def test_perf_paths_do_not_change_trace_determinism(workload) -> None:
-    """The optimized and direct modes each have a stable trace rollup;
+    """The cached and direct modes each have a stable trace rollup;
     re-running either mode reproduces its own rollup exactly (the two
     modes legitimately differ from each other — the route cache elides
     hops)."""
     corpus, queries = workload
-    direct = _run(corpus, queries, optimized=False, churn=False)
-    perf = _run(corpus, queries, optimized=True, churn=False)
+    direct = _run(corpus, queries, route_cache=False, churn=False)
+    perf = _run(corpus, queries, route_cache=True, churn=False)
     # same retrieval semantics on a stable ring (the differential
     # oracle's bit-identity claim, restated at integration level)
     assert direct[0] == perf[0]

@@ -26,13 +26,6 @@ class LegacyPostings:
     def version(self) -> int:
         return self._version
 
-    @property
-    def max_impact(self) -> float:
-        return max(
-            (posting_impact(tf, length) for __, tf, length in self._rows.values()),
-            default=0.0,
-        )
-
     def __len__(self) -> int:
         return len(self._rows)
 

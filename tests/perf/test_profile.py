@@ -1,13 +1,8 @@
-"""The opt-in profiling layer and the perf workload plumbing."""
+"""The opt-in profiling layer."""
 
 from __future__ import annotations
 
 from repro.perf import PROFILE, PerfProfile, memory_usage
-from repro.perf.bench import (
-    PerfWorkloadConfig,
-    run_perf_workload,
-    smoke_config,
-)
 
 
 class TestPerfProfile:
@@ -99,54 +94,3 @@ class TestMemoryAccounting:
         summary = profile.summary()
         assert summary["gauges"]["mem.build.rss_kb"] == 1234
         assert "mem.build.rss_kb" in profile.report()
-
-
-class TestPerfWorkload:
-    def test_smoke_workload_is_deterministic_and_equivalent(self) -> None:
-        """The tracked scenario: the optimized and baseline stacks must
-        produce the same ranking checksum (speed-only changes), and the
-        same config must reproduce the same measurement inputs."""
-        cfg = smoke_config().replaced(num_queries=150, num_peers=100)
-        optimized = run_perf_workload(cfg)
-        baseline = run_perf_workload(cfg.replaced(optimized=False))
-        again = run_perf_workload(cfg)
-        assert optimized.ranking_checksum == baseline.ranking_checksum
-        assert optimized.ranking_checksum == again.ranking_checksum
-        assert optimized.lookups == baseline.lookups
-        assert optimized.route_cache is not None
-        assert optimized.route_cache["hits"] > 0
-        assert baseline.route_cache is None
-
-    def test_result_record_is_json_friendly(self) -> None:
-        import json
-
-        cfg = PerfWorkloadConfig(
-            num_peers=60,
-            num_documents=20,
-            vocabulary_size=80,
-            terms_per_document=6,
-            num_queries=40,
-            distinct_queries=15,
-            num_query_peers=8,
-            churn_every=20,
-        )
-        result = run_perf_workload(cfg)
-        payload = json.loads(json.dumps(result.to_dict()))
-        assert payload["num_queries"] == 40
-        assert payload["queries_per_s"] > 0
-        assert set(payload["profile"]) == {"timers", "counters", "gauges"}
-        assert payload["peak_rss_kb"] >= 0
-
-    def test_workload_leaves_global_profile_disabled(self) -> None:
-        cfg = PerfWorkloadConfig(
-            num_peers=60,
-            num_documents=10,
-            vocabulary_size=50,
-            terms_per_document=5,
-            num_queries=20,
-            distinct_queries=10,
-            num_query_peers=4,
-            churn_every=0,
-        )
-        run_perf_workload(cfg)
-        assert not PROFILE.enabled

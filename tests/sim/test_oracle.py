@@ -24,7 +24,6 @@ ROW_IDS = [row.name for row in ORACLE_ROWS]
 #: new such switch belongs here *and* in a row's delta.
 RESULT_NEUTRAL_SWITCHES = {
     "sprite": {
-        "early_termination",
         "result_cache_size",
         "batched_writes",
         "store_backend",
@@ -32,7 +31,7 @@ RESULT_NEUTRAL_SWITCHES = {
         "ring",
         "ring_arity",
     },
-    "chord": {"route_cache_size", "incremental_repair"},
+    "chord": {"route_cache_size"},
 }
 
 #: Fields that are workload or deployment parameters, not switches:
@@ -90,12 +89,8 @@ class TestRows:
             assert _differing(base.ring.config, varied.ring.config) == dict(
                 row.delta.get("chord", {})
             )
-            assert base.processor.batch_fetch
-            assert varied.processor.batch_fetch == row.delta.get("processor", {}).get(
-                "batch_fetch", True
-            )
             # what the configuration feeds into the built objects
-            assert varied.processor.early_termination == varied.config.early_termination
+            assert varied.processor.result_cache == (varied.config.result_cache_size > 0)
             assert varied.protocol.result_cache_size == varied.config.result_cache_size
             assert (varied.store_runtime is not None) == (
                 varied.config.store_backend == "sqlite"
@@ -129,7 +124,8 @@ class TestTable:
     def test_flows_and_equalities_are_known(self) -> None:
         for row in ORACLE_ROWS:
             assert row.flow in {"learn", "bulk-churn"}, row.name
-            assert row.equal and row.equal <= {"rankings", "fingerprint", "traffic"}
+            assert row.equal and row.equal <= {"rankings", "fingerprint"}
+            assert set(row.delta) | set(row.shared) <= {"sprite", "chord"}, row.name
 
 
 class TestRunnerClosesWhatItBuilds:

@@ -1,27 +1,108 @@
 """Crash recovery: snapshot catch-up vs full resync, and its invariant.
 
-The perf-layer recovery workload provides the controlled head-to-head
-(same seed → both modes crash byte-identical state); the sim-layer test
+The module fixture provides the controlled head-to-head (same seeded
+system → both modes crash byte-identical state); the sim-layer test
 exercises the ``crash_disk``/``recover_disk`` events inside a full
 scenario with the two-tier invariant catalogue watching.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
-from repro.perf.store import run_recovery_workload, store_smoke_config
+from repro.config import ChordConfig, SpriteConfig
+from repro.core.metadata import TermSlot
+from repro.core.system import SpriteSystem
+from repro.corpus.synthetic import SyntheticTrecCorpus
+from repro.dht.replication import ReplicationManager
 from repro.sim import InvariantChecker, Scenario, SimEvent, build_simulation
 from repro.sim.events import random_scenario
-from repro.store import RecoveryReport
+from repro.store import RecoveryManager, RecoveryReport
+
+#: Documents withdrawn, and documents first shared, after the checkpoint.
+DELTA = 10
+
+
+def _richest_non_owner(system) -> tuple:
+    """``(peer, slot count)`` of the live peer that owns no document and
+    hosts the most postings (ties to the smallest id) — data-rich enough
+    that the recovery traffic difference is measurable."""
+    best, best_slots, best_postings = None, 0, -1
+    for node_id in system.ring.live_ids:
+        if node_id in system.owners:
+            continue
+        slots = [
+            slot
+            for slot in system.ring.node(node_id).store.values()
+            if isinstance(slot, TermSlot)
+        ]
+        postings = sum(slot.indexed_document_frequency for slot in slots)
+        if postings > best_postings:
+            best, best_slots, best_postings = node_id, len(slots), postings
+    return best, best_slots
+
+
+def _crash_and_rejoin(corpus, use_snapshot: bool) -> SimpleNamespace:
+    """Crash the posting-richest indexing peer of a durable system and
+    rejoin it.
+
+    Sequence: share → replicate → checkpoint everyone → post-checkpoint
+    delta (withdraw one slice for good, share a held-back one) →
+    replicate again (so the promoted copies carry the delta while the
+    checkpoint stays stale) → crash → promote → recover.  Deterministic
+    for a given corpus, so the two modes crash byte-identical state and
+    their reports are directly comparable.
+    """
+    system = SpriteSystem(
+        corpus,
+        sprite_config=SpriteConfig(initial_terms=8, store_backend="sqlite"),
+        chord_config=ChordConfig(num_peers=100, seed=6),
+    )
+    runtime = system.store_runtime
+    try:
+        ring = system.ring
+        docs = list(corpus)
+        held_back, shared = docs[:DELTA], docs[DELTA:]
+        system.bulk_share(shared)
+        replication = ReplicationManager(ring)
+        replication.replicate_round()
+
+        runtime.flush_retired()
+        for node_id in ring.live_ids:
+            runtime.snapshots.save_peer(ring.node(node_id))
+
+        system.bulk_unshare([doc.doc_id for doc in shared[:DELTA]])
+        system.bulk_share(held_back)
+        replication.replicate_round()
+
+        victim, victim_slots = _richest_non_owner(system)
+        ring.fail(victim)
+        replication.recover_from_failures()
+
+        report = RecoveryManager(ring, runtime).recover_peer(
+            victim, use_snapshot=use_snapshot
+        )
+        return SimpleNamespace(
+            mode=report.mode,
+            victim=victim,
+            victim_slots=victim_slots,
+            report=report.to_dict(),
+        )
+    finally:
+        runtime.close()
 
 
 @pytest.fixture(scope="module")
-def recovery_pair():
-    cfg = store_smoke_config()
+def recovery_pair(micro_corpus_config):
+    # Enough documents that some peer owns none yet hosts several slots.
+    config = replace(micro_corpus_config, num_documents=150)
+    corpus, __, __ = SyntheticTrecCorpus(config).build()
     return (
-        run_recovery_workload(cfg, use_snapshot=True),
-        run_recovery_workload(cfg, use_snapshot=False),
+        _crash_and_rejoin(corpus, use_snapshot=True),
+        _crash_and_rejoin(corpus, use_snapshot=False),
     )
 
 

@@ -143,7 +143,7 @@ class TestCrashMidBatch:
         assert snapshot is not None and len(snapshot) == 1
         rebuilt = build_slot(snapshot.slots[0])
         assert list(rebuilt._store.rows()) == checkpoint_rows
-        assert rebuilt._store.max_impact == store.max_impact
+        assert rebuilt._store.impact_rows() == store.impact_rows()
         assert rebuilt.cache.latest_sequence == slot.cache.latest_sequence
         conn.close()
 

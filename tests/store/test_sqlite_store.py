@@ -30,7 +30,6 @@ def conn(tmp_path):
 
 def _assert_equivalent(disk: SqlitePostings, ram: ColumnarPostings) -> None:
     assert len(disk) == len(ram)
-    assert disk.max_impact == ram.max_impact
     assert list(disk.rows()) == list(ram.rows())
     assert disk.impact_rows() == ram.impact_rows()
 
@@ -91,7 +90,7 @@ class TestAddMany:
             looped.add(*row)
         _assert_equivalent_pair = list(batched.rows()) == list(looped.rows())
         assert _assert_equivalent_pair
-        assert batched.max_impact == looped.max_impact
+        assert batched.impact_rows() == looped.impact_rows()
 
     def test_failed_batch_rolls_back_completely(self, conn) -> None:
         store = SqlitePostings(conn, slot_id=6)
@@ -99,7 +98,7 @@ class TestAddMany:
         before = (
             len(store),
             store.version,
-            store.max_impact,
+            store.impact_rows(),
             list(store.rows()),
         )
         poisoned = [("new-a", 1, 2, 10), ("new-b", 1, 2, 10), object()]
@@ -108,7 +107,7 @@ class TestAddMany:
         assert (
             len(store),
             store.version,
-            store.max_impact,
+            store.impact_rows(),
             list(store.rows()),
         ) == before
         assert not conn.in_transaction

@@ -58,29 +58,23 @@ class TestConfig:
 
 
 class TestCliFlags:
-    def test_perf_and_check_accept_store_flags(self) -> None:
-        parser = build_parser()
-        for command in ("perf", "check"):
-            args = parser.parse_args(
-                [
-                    command,
-                    "--store-backend",
-                    "sqlite",
-                    "--store-dir",
-                    "/tmp/x",
-                    "--snapshot-dir",
-                    "/tmp/y",
-                    "--snapshot-interval",
-                    "25",
-                ]
-                + (["--random"] if command == "check" else [])
-            )
-            assert args.store_backend == "sqlite"
-            assert args.snapshot_interval == 25
-
-    def test_perf_mode_store_listed(self) -> None:
-        args = build_parser().parse_args(["perf", "--mode", "store"])
-        assert args.mode == "store"
+    def test_check_accepts_store_flags(self) -> None:
+        args = build_parser().parse_args(
+            [
+                "check",
+                "--random",
+                "--store-backend",
+                "sqlite",
+                "--store-dir",
+                "/tmp/x",
+                "--snapshot-dir",
+                "/tmp/y",
+                "--snapshot-interval",
+                "25",
+            ]
+        )
+        assert args.store_backend == "sqlite"
+        assert args.snapshot_interval == 25
 
     def test_check_runs_with_sqlite_store(self, tmp_path) -> None:
         out = io.StringIO()

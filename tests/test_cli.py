@@ -27,11 +27,12 @@ class TestParser:
     def test_all_commands_registered(self) -> None:
         parser = build_parser()
         for command in ("info", "fig4a", "fig4b", "fig4c", "cost", "hops", "search", "generate", "net", "perf", "check"):
-            args = parser.parse_args(
-                [command, "terms"] if command == "search" else (
-                    [command, "out"] if command == "generate" else [command]
-                )
-            )
+            required = {
+                "search": ["terms"],
+                "generate": ["out"],
+                "perf": ["--mode", "scale"],
+            }
+            args = parser.parse_args([command, *required.get(command, [])])
             assert callable(args.handler)
 
     def test_network_flags_parse(self) -> None:
@@ -148,66 +149,37 @@ class TestSearch:
 
 
 class TestPerf:
-    def test_perf_small_prints_throughput(self) -> None:
-        code, output = run_cli("perf", "--small")
-        assert code == 0
-        assert "queries/s" in output
-        assert "route cache" in output
-        assert "ranking checksum" in output
+    def test_perf_requires_a_mode(self, capsys) -> None:
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("perf")
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
-    def test_perf_baseline_disables_optimizations(self) -> None:
-        code, output = run_cli("perf", "--small", "--baseline")
-        assert code == 0
-        assert "baseline (optimizations off)" in output
-        assert "route cache" not in output
+    @pytest.mark.parametrize(
+        "flags",
+        (
+            ("--mode", "topk"),
+            ("--mode", "scale", "--baseline"),
+        ),
+        ids=["retired-mode", "baseline"],
+    )
+    def test_perf_rejects_retired_flags(self, flags, capsys) -> None:
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("perf", "--small", *flags)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_perf_validates_network_flags(self) -> None:
-        code, output = run_cli("perf", "--small", "--drop", "1.5")
+        code, output = run_cli("perf", "--mode", "scale", "--small", "--drop", "1.5")
         assert code == 2
         assert output.startswith("error:")
 
     def test_perf_rejects_lossy_transport(self) -> None:
-        code, output = run_cli("perf", "--small", "--transport", "lossy")
+        code, output = run_cli(
+            "perf", "--mode", "scale", "--small", "--transport", "lossy"
+        )
         assert code == 2
         assert "perfect" in output
-
-    def test_perf_json_record(self) -> None:
-        import json
-
-        code, output = run_cli("perf", "--small", "--json")
-        assert code == 0
-        payload = json.loads(output[output.index("{"):])
-        assert payload["optimized"] is True
-        assert payload["queries_per_s"] > 0
-
-    def test_perf_topk_small_prints_four_modes(self) -> None:
-        code, output = run_cli("perf", "--mode", "topk", "--small")
-        assert code == 0
-        for mode in ("legacy", "batched", "topk", "cached"):
-            assert mode in output
-        assert "ranking checksums MATCH" in output
-
-    def test_perf_ingest_small_prints_three_arms(self) -> None:
-        code, output = run_cli("perf", "--mode", "ingest", "--small")
-        assert code == 0
-        for arm in ("legacy", "per_term", "batched"):
-            assert arm in output
-        assert "docs/s build" in output
-        assert "stem cache" in output
-        assert "ranking checksums MATCH" in output
-
-    def test_perf_ingest_json_record(self) -> None:
-        import json
-
-        code, output = run_cli("perf", "--mode", "ingest", "--small", "--json")
-        assert code == 0
-        payload = json.loads(output[output.index("{"):])
-        assert payload["checksums_match"] is True
-        assert payload["speedup_build"] > 0
-        assert (
-            payload["batched"]["publish_messages_per_doc"]
-            < payload["legacy"]["publish_messages_per_doc"]
-        )
 
     def test_perf_concurrency_prints_tail_latency_grid(self) -> None:
         code, output = run_cli(
@@ -236,6 +208,27 @@ class TestPerf:
         assert payload["checksums_match"] is True
         assert any(c["mode"] == "open" for c in payload["cells"])
         assert all("latency_p99_9_ms" in c for c in payload["cells"])
+
+    @pytest.mark.parametrize("json_flag", ((), ("--json",)), ids=["table", "json"])
+    def test_perf_concurrency_exit_code_is_the_checksum_verdict(
+        self, monkeypatch, json_flag
+    ) -> None:
+        from repro.perf import concurrency
+
+        def diverged_grid(cfg):
+            return concurrency.ConcurrencyResult(
+                num_peers=cfg.num_peers,
+                num_ops=cfg.num_ops,
+                distinct_queries=cfg.distinct_queries,
+                capture_s=0.0,
+                sync_s=0.0,
+                ranking_checksum="aa",
+                sync_ranking_checksum="bb",
+            )
+
+        monkeypatch.setattr(concurrency, "run_concurrency_grid", diverged_grid)
+        code, __ = run_cli("perf", "--mode", "concurrency", "--small", *json_flag)
+        assert code == 1
 
     def test_perf_concurrency_validates_grids(self) -> None:
         for flag, value in (("--clients", "0"), ("--arrival-rate", "nope")):
@@ -300,7 +293,9 @@ class TestPerfRoute:
         assert needle in output
 
     def test_rings_flag_requires_route_mode(self) -> None:
-        code, output = run_cli("perf", "--small", "--rings", "chord")
+        code, output = run_cli(
+            "perf", "--small", "--mode", "scale", "--rings", "chord"
+        )
         assert code == 2
         assert "--rings only applies to --mode route" in output
 
@@ -309,7 +304,7 @@ class TestPerfRoute:
             "perf", "--small", "--mode", "scale", "--ring", "record"
         )
         assert code == 2
-        assert "--mode e2e" in output
+        assert "only apply to --mode route" in output
 
 
 class TestRingFlags:
@@ -320,13 +315,6 @@ class TestRingFlags:
         )
         assert code == 0
         assert "[record:8 ring]" in output
-
-    def test_perf_e2e_record_ring_runs(self) -> None:
-        code, output = run_cli(
-            "perf", "--small", "--ring", "record", "--ring-arity", "8"
-        )
-        assert code == 0
-        assert "ranking checksum" in output
 
     def test_check_record_ring_runs_clean(self) -> None:
         code, output = run_cli(
@@ -527,8 +515,10 @@ class TestCheckCatalogue:
 
 
 class TestStoreFlagParity:
-    """check and perf reject malformed store flags with identical
-    messages — the drift this helper was extracted to end."""
+    """Malformed durable-store flags are a usage error (exit 2) on both
+    commands: ``check`` — the one command that still takes them — names
+    the offending flag with these exact messages, and ``perf``, which
+    lost the flags with its store mode, refuses them in argparse."""
 
     CASES = [
         (("--store-dir", "x"),
@@ -542,8 +532,11 @@ class TestStoreFlagParity:
     ]
 
     @pytest.mark.parametrize("flags,message", CASES)
-    def test_check_and_perf_agree(self, flags, message) -> None:
+    def test_check_and_perf_agree(self, flags, message, capsys) -> None:
         check_code, check_output = run_cli("check", "--random", *flags)
-        perf_code, perf_output = run_cli("perf", "--small", *flags)
-        assert check_code == perf_code == 2
-        assert check_output == perf_output == message
+        assert check_code == 2
+        assert check_output == message
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("perf", "--mode", "scale", "--small", *flags)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
