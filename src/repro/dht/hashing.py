@@ -9,7 +9,7 @@ mapping from strings (terms, queries, peer names) to ring positions.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, List, Tuple
 
@@ -50,7 +50,11 @@ def recursive_finger_steps(bits: int, arity: int) -> Tuple[int, ...]:
     widen the table (``(b-1)·log_b 2^bits`` entries) to buy shorter
     routes.  Steps are returned sorted ascending, all distinct, all
     smaller than ``2**bits`` — the contract the ring's repair arcs and
-    :meth:`~repro.dht.node.ChordNode.closest_preceding_finger` rely on.
+    :meth:`~repro.dht.node.ChordNode.closest_preceding_finger` rely on:
+    the latter bisects this tuple for the clockwise gap to the key, and
+    together with the ring's table invariant (finger *i* is the node
+    itself or at distance ≥ ``steps[i]``) that is what lets it skip
+    every entry above the gap instead of scanning the table.
     """
     if arity < 2:
         raise ValueError("finger arity must be >= 2")
@@ -72,15 +76,17 @@ class IdSpace:
     """An m-bit circular identifier space with Chord interval arithmetic."""
 
     bits: int
+    #: Number of positions on the ring (2^bits).
+    size: int = field(init=False, repr=False, compare=False)
+    #: ``size - 1``: ``x & mask`` is ``x % size`` for any Python int, so
+    #: the routing hot path does its interval arithmetic inline on it.
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.bits <= 128:
             raise ValueError("bits must be in [1, 128]")
-
-    @property
-    def size(self) -> int:
-        """Number of positions on the ring (2^bits)."""
-        return 1 << self.bits
+        object.__setattr__(self, "size", 1 << self.bits)
+        object.__setattr__(self, "mask", (1 << self.bits) - 1)
 
     def hash_key(self, key: str) -> int:
         """Map a string key onto the ring with MD5."""

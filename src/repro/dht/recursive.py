@@ -19,10 +19,13 @@ lookups, successor lists, incremental repair arcs, route caching,
 transport accounting, key migration — is inherited unchanged, because
 none of it depends on the spacing of the finger distances: the repair
 arcs are ``(pred - s, new - s]`` for each schedule step ``s``, and
-:meth:`~repro.dht.node.ChordNode.closest_preceding_finger` only needs
-the fingers sorted by distance.  ``arity=2`` yields exactly Chord's
-``2^i`` schedule, so the degenerate ring is bit-identical to
-:class:`ChordRing` — a property the test-suite pins.
+:meth:`~repro.dht.node.ChordNode.closest_preceding_finger` bisects the
+schedule itself — it needs the steps sorted ascending and every table
+entry to be the node itself or at clockwise distance at least its step,
+which the rebuild and both repairs guarantee for any schedule, so a hop
+costs the same on this wider table as on Chord's.  ``arity=2`` yields
+exactly Chord's ``2^i`` schedule, so the degenerate ring is
+bit-identical to :class:`ChordRing` — a property the test-suite pins.
 
 Crucially, the arity changes *where lookup messages go, never what is
 returned*: key ownership is the successor relation over the same

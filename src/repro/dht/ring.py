@@ -21,7 +21,7 @@ Membership events supported:
 * :meth:`stabilize` — converge all routing tables to the current live
   membership, as Chord's periodic stabilization eventually does.
 
-Two hot-path optimizations (see DESIGN.md §8) keep large rings fast
+Three hot-path optimizations (see DESIGN.md §8) keep large rings fast
 without changing any observable routing outcome:
 
 * **Incremental repair**: a single join or graceful leave updates
@@ -39,6 +39,14 @@ without changing any observable routing outcome:
   and still responsible) before use.  A cache hit still accounts one
   lookup message — the querying peer contacts the indexing peer
   directly — so message counts are identical with caching on or off.
+* **Finger selection by distance**: a routed hop bisects the ring's
+  sorted finger schedule for the clockwise gap to the key and probes
+  the table from there (:meth:`ChordNode.closest_preceding_finger`),
+  and the interval tests of :meth:`ChordRing.lookup` are inline masked
+  arithmetic, so a hop costs the same on Chord's 32-entry table and on
+  ReCord's 189-entry one.  The finger chosen is the one the far-to-near
+  scan over the whole table chooses (``tests/dht/linear_finger_scan.py``
+  is that scan; the tests compare whole lookups against it).
 """
 
 from __future__ import annotations
@@ -179,7 +187,7 @@ class ChordRing:
     def _insert_node(self, node_id: int) -> ChordNode:
         if node_id in self.nodes:
             raise DHTError(f"duplicate node id: {node_id}")
-        node = ChordNode(node_id, self.space, num_fingers=len(self.finger_steps))
+        node = ChordNode(node_id, self.space, self.finger_steps)
         self.nodes[node_id] = node
         insort(self._live_sorted, node_id)
         self._live_view = None
@@ -295,9 +303,8 @@ class ChordRing:
         size = self.space.size
         steps = self.finger_steps
         written = 0
-        for node_id in self._live_sorted:
+        for idx, node_id in enumerate(self._live_sorted):
             node = self.nodes[node_id]
-            idx = bisect_left(self._live_sorted, node_id)
             node.successor = self._live_sorted[(idx + 1) % n]
             node.predecessor = self._live_sorted[(idx - 1) % n]
             node.successor_list = [
@@ -508,6 +515,10 @@ class ChordRing:
         path = [current.node_id]
         max_steps = 2 * self.space.bits + len(self._live_sorted)
         hop_transport = self.transport.active
+        # Interval tests below are IdSpace.in_interval written out on
+        # the mask: x ∈ (a, b] iff 0 < (x - a) & mask <= (b - a) & mask,
+        # with a == b (span 0) covering the whole ring.
+        mask = self.space.mask
 
         while True:
             if current.owns(key):
@@ -519,7 +530,8 @@ class ChordRing:
             # window (Section 7).  Intermediate routing, by contrast, may
             # freely skip dead fingers via the successor list.
             raw_successor = current.successor
-            if self.space.in_interval(key, current.node_id, raw_successor):
+            span = (raw_successor - current.node_id) & mask
+            if not span or 0 < ((key - current.node_id) & mask) <= span:
                 if not self.is_live(raw_successor):
                     raise NodeFailedError(raw_successor)
                 if hop_transport:
@@ -542,7 +554,8 @@ class ChordRing:
                 prev = current.node_id
                 owner: Optional[int] = None
                 for succ in current.successor_list:
-                    if self.space.in_interval(key, prev, succ):
+                    span = (succ - prev) & mask
+                    if not span or 0 < ((key - prev) & mask) <= span:
                         owner = succ
                         break
                     prev = succ

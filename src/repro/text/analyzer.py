@@ -10,15 +10,39 @@ distributed systems share, so every system sees an identical term space.
 from __future__ import annotations
 
 from collections import Counter
-from typing import FrozenSet, List
+from typing import Callable, FrozenSet, List, Optional
 
 from .stemmer import PorterStemmer
 from .stopwords import LUCENE_STOP_WORDS
 from .tokenizer import Tokenizer
 
 
+class _VocabularyMemo(dict):
+    """Raw token → final term (``None`` when dropped), filled on miss.
+
+    A ``dict`` subclass so a warm lookup is the C-level subscript and
+    only a word not seen before reaches Python (``__missing__``).
+    Bounded: cleared when it holds *bound* entries.
+    """
+
+    def __init__(self, resolve: Callable[[str], Optional[str]], bound: int) -> None:
+        super().__init__()
+        self._resolve = resolve
+        self._bound = bound
+
+    def __missing__(self, raw: str) -> Optional[str]:
+        if len(self) >= self._bound:
+            self.clear()
+        term = self[raw] = self._resolve(raw)
+        return term
+
+
 class Analyzer:
     """Tokenize, filter stop words, and stem.
+
+    The settings are read when a word is first seen and remembered per
+    instance (see :meth:`analyze`); configure through the constructor,
+    not by assigning attributes afterwards.
 
     Parameters
     ----------
@@ -44,6 +68,18 @@ class Analyzer:
         self.stop_words = stop_words
         self.stemmer = stemmer if stemmer is not None else PorterStemmer()
         self.enable_stemming = enable_stemming
+        self._memo = _VocabularyMemo(self._final_term, PorterStemmer.CACHE_SIZE)
+
+    def _final_term(self, raw: str) -> Optional[str]:
+        """The term one raw token contributes, or ``None``: length and
+        digit rules, stop-word filter, stem — the whole pipeline for a
+        single occurrence."""
+        token = self.tokenizer.accept(raw)
+        if token is None or token in self.stop_words:
+            return None
+        if self.enable_stemming:
+            token = self.stemmer.stem(token)
+        return token or None
 
     def analyze(self, text: str) -> List[str]:
         """Return the analyzed term sequence for *text*.
@@ -51,26 +87,21 @@ class Analyzer:
         Order and multiplicity are preserved so callers can compute term
         frequencies and positional statistics.
 
-        A single pass with a per-call token → term memo: each distinct
-        raw token pays the stop-word check and stem once per document
-        instead of once per occurrence (``None`` marks a dropped token).
+        Each raw token maps to its final term through a vocabulary memo
+        that lives as long as the analyzer (one per instance, bounded by
+        ``PorterStemmer.CACHE_SIZE`` entries, cleared when full): a word
+        pays the length/digit rules, the stop-word check and the stem
+        once per corpus rather than once per document, and a document
+        whose words are all known costs one ``findall`` and one C-level
+        ``map``/``filter``.  The memo keys on the token exactly as the
+        regex matched it, before lower-casing.
 
         >>> Analyzer().analyze("The retrieving peers are retrieving")
         ['retriev', 'peer', 'retriev']
         """
-        terms = []
-        memo: dict[str, str | None] = {}
-        for token in self.tokenizer.iter_tokens(text):
-            if token in memo:
-                final = memo[token]
-            elif token in self.stop_words:
-                final = memo[token] = None
-            else:
-                final = self.stemmer.stem(token) if self.enable_stemming else token
-                memo[token] = final if final else None
-            if final:
-                terms.append(final)
-        return terms
+        return list(
+            filter(None, map(self._memo.__getitem__, self.tokenizer.raw_tokens(text)))
+        )
 
     def term_frequencies(self, text: str) -> Counter:
         """Return a ``Counter`` of analyzed term → occurrence count."""

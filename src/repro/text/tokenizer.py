@@ -9,7 +9,7 @@ too-short tokens.  All knobs are explicit constructor arguments.
 from __future__ import annotations
 
 import re
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
@@ -44,15 +44,32 @@ class Tokenizer:
         self.max_length = max_length
         self.keep_numbers = keep_numbers
 
+    def raw_tokens(self, text: str) -> List[str]:
+        """The maximal ``[A-Za-z0-9]+`` runs of *text*, case untouched.
+
+        First half of tokenization.  The regex sees the text as given:
+        lower-casing first would invent tokens (``"\u212a".lower()`` is
+        ASCII ``k``; ``"\u0130".lower()`` grows a combining mark).
+        """
+        return _TOKEN_RE.findall(text)
+
+    def accept(self, raw: str) -> Optional[str]:
+        """The token a raw run stands for — lower-cased — or ``None``
+        when the length bounds or the digit rule drop it.  Second half
+        of tokenization, a pure function of *raw* and the settings."""
+        token = raw.lower()
+        if not self.min_length <= len(token) <= self.max_length:
+            return None
+        if not self.keep_numbers and token.isdigit():
+            return None
+        return token
+
     def iter_tokens(self, text: str) -> Iterator[str]:
-        """Yield tokens from *text* one at a time (lazy)."""
-        for match in _TOKEN_RE.finditer(text):
-            token = match.group().lower()
-            if not self.min_length <= len(token) <= self.max_length:
-                continue
-            if not self.keep_numbers and token.isdigit():
-                continue
-            yield token
+        """Yield tokens from *text* one at a time."""
+        for raw in self.raw_tokens(text):
+            token = self.accept(raw)
+            if token is not None:
+                yield token
 
     def tokenize(self, text: str) -> List[str]:
         """Return the full token list for *text*.

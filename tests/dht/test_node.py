@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.dht.hashing import IdSpace
 from repro.dht.node import ChordNode
 
@@ -32,6 +35,20 @@ class TestOwnership:
         node.predecessor = None
         assert node.owns(0)
         assert node.owns(255)
+
+    @given(
+        node_id=st.integers(0, 255),
+        predecessor=st.integers(0, 255),
+        key=st.integers(0, 255),
+    )
+    def test_owns_is_the_id_space_interval(
+        self, node_id: int, predecessor: int, key: int
+    ) -> None:
+        # owns() writes (predecessor, self] out on the mask; it must stay
+        # IdSpace.in_interval, whole-ring case (predecessor == self) included.
+        node = make_node(node_id)
+        node.predecessor = predecessor
+        assert node.owns(key) == node.space.in_interval(key, predecessor, node_id)
 
 
 class TestClosestPrecedingFinger:
