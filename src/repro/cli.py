@@ -460,7 +460,7 @@ def cmd_perf(args: argparse.Namespace, out) -> int:
 def _write_memory_line(out) -> None:
     """The shared per-mode memory summary (DESIGN.md §13): every bench
     mode reports memory, not just the scale harness."""
-    from .perf.profile import memory_usage
+    from .perf.scale import memory_usage
 
     usage = memory_usage()
     out.write(

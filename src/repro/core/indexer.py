@@ -21,9 +21,7 @@ replication move it transparently.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from typing import Callable, FrozenSet, Set
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..dht.messages import (
     Message,
@@ -47,7 +45,6 @@ from ..dht.ring import ChordRing
 from ..exceptions import NodeFailedError
 from ..ir.postings import PostingRow
 from ..ir.ranking import RankedList
-from ..perf import PROFILE
 from .metadata import (
     CachedQuery,
     CachedResult,
@@ -198,8 +195,6 @@ class IndexingProtocol:
         peer_hops: Dict[int, int] = {}
         failed: List[str] = []
         resolved_sorted: List[int] = []
-        lookups = 0
-        absorbed = 0
         for term in dict.fromkeys(terms):
             key = self.term_hash(term)
             node_id: Optional[int] = None
@@ -209,7 +204,6 @@ class IndexingProtocol:
                 node = self.ring.node(candidate)
                 if node.alive and node.predecessor is not None and node.owns(key):
                     node_id = candidate
-                    absorbed += 1
             if node_id is None:
                 try:
                     result = self.ring.lookup(start_id, key)
@@ -218,7 +212,6 @@ class IndexingProtocol:
                 except NodeFailedError:
                     failed.append(term)
                     continue
-                lookups += 1
                 node_id = result.node_id
                 peer_hops[node_id] = max(
                     peer_hops.get(node_id, 0), result.hops + 1
@@ -226,9 +219,6 @@ class IndexingProtocol:
             if node_id not in peer_terms:
                 insort(resolved_sorted, node_id)
             peer_terms.setdefault(node_id, []).append(term)
-        if PROFILE.enabled:
-            PROFILE.count("ingest.write_lookups", lookups)
-            PROFILE.count("ingest.absorbed_terms", absorbed)
         return peer_terms, peer_hops, failed
 
     # -- publication (owner → indexing peer) -----------------------------------
@@ -346,9 +336,6 @@ class IndexingProtocol:
                 slot.add_postings([posting for __, posting in postings[i:j]])
                 published.add(term)
             i = j
-        if PROFILE.enabled:
-            PROFILE.count("ingest.publish_batches", len(sendable))
-            PROFILE.count("ingest.batched_postings", sum(batch_sizes.values()))
         return published, failed_terms
 
     def unpublish_batch(
@@ -567,9 +554,6 @@ class IndexingProtocol:
                 failed.extend(batch)
                 continue
             results.update(batch_results)
-        if PROFILE.enabled:
-            PROFILE.count("fetch.batches", len(peer_terms))
-            PROFILE.count("fetch.batched_terms", len(located))
         return results, failed
 
     # -- slot-version probes (querying peer → indexing peers) -----------------
@@ -677,8 +661,6 @@ class IndexingProtocol:
                 served = entry.ranked.truncate(top_k)
             elif entry.terms == tuple(terms):
                 cache.invalidate(qhash)
-                if PROFILE.enabled:
-                    PROFILE.count("rcache.invalidated")
         if served is not None:
             cache.hits += 1
         else:
@@ -691,8 +673,6 @@ class IndexingProtocol:
             )
         except NodeFailedError:
             return None
-        if PROFILE.enabled:
-            PROFILE.count("rcache.hit" if served is not None else "rcache.miss")
         return served
 
     def store_result(
@@ -734,8 +714,6 @@ class IndexingProtocol:
                 ranked=ranked,
             ),
         )
-        if PROFILE.enabled:
-            PROFILE.count("rcache.stored")
         return True
 
     # -- learning poll (owner → indexing peer) ------------------------------------
@@ -866,9 +844,6 @@ class IndexingProtocol:
                 failed_terms.update(batch)
                 continue
             results.update(batch_results)
-        if PROFILE.enabled:
-            PROFILE.count("ingest.poll_batches", len(peer_terms))
-            PROFILE.count("ingest.batched_polls", len(results))
         return results, failed_terms
 
     # -- maintenance / inspection ------------------------------------------------

@@ -13,11 +13,9 @@ iteration fetches only the queries cached since the previous iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..config import SpriteConfig
-from ..perf import PROFILE
 from ..corpus.document import Document
 from ..exceptions import LearningError, NodeFailedError
 from .indexer import IndexingProtocol
@@ -161,8 +159,6 @@ class OwnerPeer:
                 state.index_terms.append(term)
                 if term not in state.poll_cursors:
                     state.poll_cursors[term] = -1
-        if PROFILE.enabled:
-            PROFILE.count("ingest.bulk_documents", len(plans))
         return [state for state, __ in plans]
 
     def unshare_bulk(self, doc_ids: Sequence[str]) -> None:
@@ -322,8 +318,6 @@ class OwnerPeer:
         to the cap — afterwards replacement only), and re-publishes the
         index diff.  Returns the new index-term list.
         """
-        profiling = PROFILE.enabled
-        t0 = perf_counter() if profiling else 0.0
         state = self._state(doc_id)
         new_queries = self.poll_queries(doc_id)
         state.learner.observe(new_queries)
@@ -344,9 +338,6 @@ class OwnerPeer:
         )
         self._apply_term_set(state, new_terms)
         state.learning_iterations_run += 1
-        if profiling:
-            PROFILE.add_time("learn.document", perf_counter() - t0)
-            PROFILE.count("learn.queries_observed", len(new_queries))
         return list(state.index_terms)
 
     def learn_all(self, target_size: int | None = None) -> None:

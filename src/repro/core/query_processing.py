@@ -22,13 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import sqrt
-from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..corpus.relevance import Query
 from ..ir.ranking import RankedList
 from ..ir.weighting import TfIdfWeighting
-from ..perf import PROFILE
 from .indexer import IndexingProtocol
 
 
@@ -111,8 +109,6 @@ class QueryProcessor:
         execution = QueryExecution(query_id=query.query_id)
         clock = self.protocol.ring.transport.clock
         started_ms = clock.now
-        profiling = PROFILE.enabled
-        t0 = perf_counter() if profiling else 0.0
         protocol = self.protocol
 
         # -- result-cache consultation ------------------------------------
@@ -146,19 +142,11 @@ class QueryProcessor:
             if served is not None:
                 execution.cache_hit = True
                 execution.latency_ms = clock.now - started_ms
-                if profiling:
-                    PROFILE.add_time("query.fetch", perf_counter() - t0)
-                    PROFILE.count("query.executed")
                 return served, execution
 
         # -- fetch ----------------------------------------------------------
         fetched, failed = protocol.fetch_slot_views(issuer_id, query.terms)
         failed_set = set(failed)
-        if profiling:
-            t1 = perf_counter()
-            PROFILE.add_time("query.fetch", t1 - t0)
-        else:
-            t1 = 0.0
 
         # -- score: terms in query order, postings in publish order --------
         weighting = self.weighting
@@ -203,9 +191,6 @@ class QueryProcessor:
         ranked = (
             RankedList.top_k(scores, top_k) if top_k is not None else RankedList(scores)
         )
-        if profiling:
-            PROFILE.add_time("query.score", perf_counter() - t1)
-            PROFILE.count("query.executed")
 
         if use_rcache and frozenset(execution.dropped_terms) == frozenset(reg_failed):
             protocol.store_result(

@@ -20,6 +20,7 @@ from .node import ChordNode
 from .recursive import RecordRing, build_ring
 from .replication import ReplicationManager
 from .ring import ChordRing, LookupResult
+from .route_cache import RouteCache
 from .stats import KindStats, NetworkStats
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "QUERY_HEADER_BYTES",
     "RecordRing",
     "ReplicationManager",
+    "RouteCache",
     "TERM_BYTES",
     "build_ring",
     "intersection_plan",

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
 
+from ..net.trace import category_of_kind
+
 
 class MessageKind(Enum):
     """Every message type exchanged by peers in the reproduction."""
@@ -255,55 +257,13 @@ def sync_full_message(src: int, dst: int, num_postings: int) -> Message:
 #: All kinds, for table-driven tests.
 ALL_KINDS: Tuple[MessageKind, ...] = tuple(MessageKind)
 
-#: Traffic categories: every kind belongs to exactly one (tests assert
-#: the partition is total), so per-category rollups in
-#: :class:`~repro.dht.stats.NetworkStats` and the ``net`` sweep stay in
-#: sync with the kind list automatically.
-WRITE_PATH_KINDS = frozenset(
-    {
-        MessageKind.PUBLISH_TERM,
-        MessageKind.UNPUBLISH_TERM,
-        MessageKind.PUBLISH_BATCH,
-        MessageKind.UNPUBLISH_BATCH,
-        MessageKind.POLL_QUERIES,
-        MessageKind.POLL_BATCH,
-        MessageKind.QUERY_BATCH,
-    }
-)
-QUERY_PATH_KINDS = frozenset(
-    {
-        MessageKind.SEARCH_TERM,
-        MessageKind.POSTINGS,
-        MessageKind.RESULT_PROBE,
-        MessageKind.RESULT_VALUE,
-        MessageKind.RESULT_STORE,
-        MessageKind.VERSION_PROBE,
-        MessageKind.VERSION_VALUE,
-    }
-)
-ROUTING_KINDS = frozenset({MessageKind.LOOKUP})
-MAINTENANCE_KINDS = frozenset(
-    {
-        MessageKind.REPLICATE,
-        MessageKind.HEARTBEAT,
-        MessageKind.RECONCILE,
-        MessageKind.ADVISE_HOT_TERM,
-        MessageKind.SYNC_DIGEST,
-        MessageKind.SYNC_DELTA,
-        MessageKind.SYNC_FULL,
-    }
-)
-
 
 def category_of(kind: MessageKind) -> str:
     """The traffic category of ``kind``: ``"write"``, ``"query"``,
-    ``"routing"``, or ``"maintenance"``."""
-    if kind in WRITE_PATH_KINDS:
-        return "write"
-    if kind in QUERY_PATH_KINDS:
-        return "query"
-    if kind in ROUTING_KINDS:
-        return "routing"
-    if kind in MAINTENANCE_KINDS:
-        return "maintenance"
-    raise ValueError(f"uncategorized message kind: {kind!r}")
+    ``"routing"``, or ``"maintenance"``.  The kind-name table lives in
+    :mod:`repro.net.trace` (which may not import this package); a kind
+    it does not know is an error here, not ``"other"``."""
+    category = category_of_kind(kind.value)
+    if category == "other":
+        raise ValueError(f"uncategorized message kind: {kind!r}")
+    return category

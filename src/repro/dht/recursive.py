@@ -40,7 +40,6 @@ from typing import List, Optional, Tuple
 
 from ..config import ChordConfig
 from ..net import Transport
-from ..perf import RouteCache
 from .hashing import recursive_finger_steps
 from .ring import ChordRing
 
@@ -60,15 +59,12 @@ class RecordRing(ChordRing):
         config: ChordConfig | None = None,
         node_ids: Optional[List[int]] = None,
         transport: Transport | None = None,
-        route_cache: Optional[RouteCache] = None,
         arity: int = 2,
     ) -> None:
         if arity < 2:
             raise ValueError("ring arity must be >= 2")
         self.arity = arity
-        super().__init__(
-            config, node_ids=node_ids, transport=transport, route_cache=route_cache
-        )
+        super().__init__(config, node_ids=node_ids, transport=transport)
 
     def _finger_schedule(self) -> Tuple[int, ...]:
         return recursive_finger_steps(self.space.bits, self.arity)
@@ -81,7 +77,6 @@ def build_ring(
     arity: int = 2,
     node_ids: Optional[List[int]] = None,
     transport: Transport | None = None,
-    route_cache: Optional[RouteCache] = None,
 ) -> ChordRing:
     """Construct a ring of the requested kind (``"chord"`` or
     ``"record"``) — the single selection point the system wiring, CLI,
@@ -94,15 +89,9 @@ def build_ring(
     if kind == "chord":
         if arity != 2:
             raise ValueError("ring arity only applies to ring='record'")
-        return ChordRing(
-            config, node_ids=node_ids, transport=transport, route_cache=route_cache
-        )
+        return ChordRing(config, node_ids=node_ids, transport=transport)
     if kind == "record":
         return RecordRing(
-            config,
-            node_ids=node_ids,
-            transport=transport,
-            route_cache=route_cache,
-            arity=arity,
+            config, node_ids=node_ids, transport=transport, arity=arity
         )
     raise ValueError(f"unknown ring kind: {kind!r}")

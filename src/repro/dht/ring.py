@@ -55,7 +55,6 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..config import ChordConfig
@@ -67,10 +66,10 @@ from ..exceptions import (
     NodeNotFoundError,
 )
 from ..net import DeliveryOutcome, PerfectTransport, TraceLog, Transport
-from ..perf import PROFILE, RouteCache
 from .hashing import IdSpace, md5_hash
 from .messages import ADDRESS_BYTES, Message, MessageKind, QUERY_HEADER_BYTES
 from .node import ChordNode
+from .route_cache import RouteCache
 from .stats import NetworkStats
 
 
@@ -102,13 +101,6 @@ class ChordRing:
         pre-transport simulator).  The transport owns its own seeded
         RNG, separate from the ring's membership RNG, so fault injection
         and id generation stay independently reproducible.
-    route_cache:
-        Optionally share an existing :class:`~repro.perf.RouteCache`
-        (e.g. one bounded cache across a multi-ring comparison harness).
-        The ring registers a private scope token with the cache, so
-        same-seed rings — which hold identical node ids — can never
-        serve each other's routes.  Defaults to a fresh private cache
-        sized by ``config.route_cache_size`` (0 disables caching).
     """
 
     def __init__(
@@ -116,7 +108,6 @@ class ChordRing:
         config: ChordConfig | None = None,
         node_ids: Optional[List[int]] = None,
         transport: Transport | None = None,
-        route_cache: Optional[RouteCache] = None,
     ) -> None:
         self.config = config if config is not None else ChordConfig()
         self.space = IdSpace(self.config.id_bits)
@@ -144,16 +135,12 @@ class ChordRing:
         #: reports: every written entry is state a real deployment
         #: would have to refresh over the wire.
         self.routing_entries_written = 0
-        if route_cache is not None:
-            self.route_cache: Optional[RouteCache] = route_cache
-        else:
-            self.route_cache = (
-                RouteCache(self.config.route_cache_size)
-                if self.config.route_cache_size > 0
-                else None
-            )
-        self._cache_scope = (
-            self.route_cache.register_ring() if self.route_cache is not None else 0
+        #: This ring's own route cache, never shared with another ring
+        #: (``None`` when ``config.route_cache_size`` is 0).
+        self.route_cache: Optional[RouteCache] = (
+            RouteCache(self.config.route_cache_size)
+            if self.config.route_cache_size > 0
+            else None
         )
 
         ids = node_ids if node_ids is not None else self._generate_ids(self.config.num_peers)
@@ -291,13 +278,8 @@ class ChordRing:
         quiescent ring costs nothing, which is what makes steady churn
         schedules cheap.
         """
-        if self._converged:
-            if PROFILE.enabled:
-                PROFILE.count("stabilize.noop")
+        if self._converged or not self._live_sorted:
             return
-        if not self._live_sorted:
-            return
-        t0 = perf_counter() if PROFILE.enabled else 0.0
         r = self.config.successor_list_size
         n = len(self._live_sorted)
         size = self.space.size
@@ -317,9 +299,6 @@ class ChordRing:
         self.routing_entries_written += written
         self._converged = True
         self._bump_epoch()
-        if PROFILE.enabled:
-            PROFILE.count("stabilize.full")
-            PROFILE.add_time("stabilize", perf_counter() - t0)
 
     def _refresh_neighborhood(self, idx: int) -> None:
         """Recompute successor pointer + successor list for the node at
@@ -347,7 +326,6 @@ class ChordRing:
         same arc argument covers Chord's ``2^i`` steps and ReCord's
         ``j·b^ℓ`` steps alike.
         """
-        t0 = perf_counter() if PROFILE.enabled else 0.0
         ids = self._live_sorted
         n = len(ids)
         space = self.space
@@ -381,14 +359,10 @@ class ChordRing:
                 self.routing_entries_written += 1
         self._converged = True
         self._bump_epoch()
-        if PROFILE.enabled:
-            PROFILE.count("stabilize.incremental")
-            PROFILE.add_time("stabilize", perf_counter() - t0)
 
     def _repair_leave(self, departed: int) -> None:
         """Incremental routing repair after a single graceful leave
         (called after *departed* is removed from the membership)."""
-        t0 = perf_counter() if PROFILE.enabled else 0.0
         ids = self._live_sorted
         n = len(ids)
         space = self.space
@@ -414,9 +388,6 @@ class ChordRing:
                 self.routing_entries_written += 1
         self._converged = True
         self._bump_epoch()
-        if PROFILE.enabled:
-            PROFILE.count("stabilize.incremental")
-            PROFILE.add_time("stabilize", perf_counter() - t0)
 
     def _can_repair_incrementally(self, was_converged: bool) -> bool:
         """Whether a membership event may use incremental repair: the
@@ -471,16 +442,13 @@ class ChordRing:
         """
         if not self._live_sorted:
             raise EmptyRingError("no live nodes")
-        profiling = PROFILE.enabled
-        t0 = perf_counter() if profiling else 0.0
         start = self.node(start_id)
         if not start.alive:
             raise NodeFailedError(start_id)
 
         cache = self.route_cache
-        scope = self._cache_scope
         if cache is not None:
-            entry = cache.get(start_id, key, ring=scope)
+            entry = cache.get(start_id, key)
             if entry is not None:
                 target, entry_epoch = entry
                 if entry_epoch != self.epoch:
@@ -489,9 +457,9 @@ class ChordRing:
                     # responsible, else the entry is stale.
                     tnode = self.nodes.get(target)
                     if tnode is not None and tnode.alive and tnode.owns(key):
-                        cache.refresh(start_id, key, target, self.epoch, ring=scope)
+                        cache.refresh(start_id, key, target, self.epoch)
                     else:
-                        cache.invalidate(start_id, key, ring=scope)
+                        cache.invalidate(start_id, key)
                         entry = None
                 if entry is not None:
                     cache.hits += 1
@@ -502,13 +470,8 @@ class ChordRing:
                         trace.record_hops(1)
                     if record:
                         self.stats.record_lookup(1)
-                    if profiling:
-                        PROFILE.count("route_cache.hit")
-                        PROFILE.add_time("lookup", perf_counter() - t0)
                     return LookupResult(target, 1, (start_id, target))
             cache.misses += 1
-            if profiling:
-                PROFILE.count("route_cache.miss")
 
         current = start
         hops = 0
@@ -581,14 +544,12 @@ class ChordRing:
             current = self.node(nxt)
 
         if cache is not None and result.node_id != start_id:
-            cache.store(start_id, key, result.node_id, self.epoch, ring=scope)
+            cache.store(start_id, key, result.node_id, self.epoch)
         trace = self.transport.trace
         if trace is not None:
             trace.record_hops(result.hops)
         if record:
             self.stats.record_lookup(result.hops)
-        if profiling:
-            PROFILE.add_time("lookup", perf_counter() - t0)
         return result
 
     def lookup_term(self, start_id: int, term: str, record: bool = True) -> LookupResult:

@@ -6,19 +6,13 @@ a key and contacts it directly next time (cf. the route caches in
 production Kademlia/Chord implementations).  :class:`RouteCache` models
 exactly that for the simulator:
 
-* entries are keyed by ``(ring scope, requesting node, ring key)`` —
-  each peer only benefits from routes *it* resolved, matching a real
-  deployment where caches are private per node.  The ring scope exists
-  because several rings routinely coexist in one process (the
-  differential oracle's chord-vs-record comparison, the route bench's
-  grid cells) while node ids are deterministic in the seed — two rings
-  built from the same seed hold the *same* node ids with potentially
-  different memberships.  A cache shared between such rings without the
-  scope token would happily serve ring A's resolved route to ring B
-  (same ``(node, key)`` tuple, same epoch number), silently corrupting
-  hop accounting and, after divergent churn, even the resolved owner.
-  Every ring therefore registers itself via :meth:`register_ring` and
-  passes its private token on every call;
+* entries are keyed by ``(requesting node, ring key)`` — each peer
+  only benefits from routes *it* resolved, matching a real deployment
+  where caches are private per node.  A cache belongs to exactly one
+  ring, which constructs it: node ids are deterministic in the seed, so
+  two same-seed rings hold the *same* ids with potentially different
+  memberships, and a route is only meaningful to the ring that
+  resolved it;
 * every entry carries the ring's **membership epoch** at the time it
   was stored.  The ring bumps its epoch on join/leave/fail/stabilize,
   so a cached route from an older epoch is *revalidated* before use
@@ -40,7 +34,7 @@ from typing import Dict, Optional, Tuple
 
 
 class RouteCache:
-    """A bounded ``(ring, node, key) → (target, epoch)`` map with stats."""
+    """A bounded ``(node, key) → (target, epoch)`` map with stats."""
 
     __slots__ = (
         "capacity",
@@ -49,7 +43,6 @@ class RouteCache:
         "revalidations",
         "evictions",
         "_entries",
-        "_next_ring",
     )
 
     def __init__(self, capacity: int) -> None:
@@ -61,52 +54,35 @@ class RouteCache:
         #: Entries successfully revalidated after an epoch change.
         self.revalidations = 0
         self.evictions = 0
-        self._entries: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
-        self._next_ring = 0
-
-    def register_ring(self) -> int:
-        """A fresh scope token for one ring instance.
-
-        Every ring that stores routes here must key its traffic by its
-        own token — node ids repeat across same-seed rings, so the token
-        is what keeps two rings' routes from cross-polluting when a
-        cache is shared (oracle comparisons, bench grids).
-        """
-        token = self._next_ring
-        self._next_ring += 1
-        return token
+        self._entries: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, node_id: int, key: int, ring: int = 0) -> Optional[Tuple[int, int]]:
-        """The cached ``(target, epoch)`` for this ring/requester/key.
+    def get(self, node_id: int, key: int) -> Optional[Tuple[int, int]]:
+        """The cached ``(target, epoch)`` for this requester/key.
 
         Does *not* touch the hit/miss counters — the caller decides,
         after validation, whether the entry counts as a hit.
         """
-        return self._entries.get((ring, node_id, key))
+        return self._entries.get((node_id, key))
 
-    def store(
-        self, node_id: int, key: int, target: int, epoch: int, ring: int = 0
-    ) -> None:
+    def store(self, node_id: int, key: int, target: int, epoch: int) -> None:
         """Remember a resolved route at the current epoch."""
         entries = self._entries
-        if len(entries) >= self.capacity and (ring, node_id, key) not in entries:
+        if len(entries) >= self.capacity and (node_id, key) not in entries:
             entries.pop(next(iter(entries)))
             self.evictions += 1
-        entries[(ring, node_id, key)] = (target, epoch)
+        entries[(node_id, key)] = (target, epoch)
 
-    def refresh(
-        self, node_id: int, key: int, target: int, epoch: int, ring: int = 0
-    ) -> None:
+    def refresh(self, node_id: int, key: int, target: int, epoch: int) -> None:
         """Re-stamp a revalidated entry with the current epoch."""
-        self._entries[(ring, node_id, key)] = (target, epoch)
+        self._entries[(node_id, key)] = (target, epoch)
         self.revalidations += 1
 
-    def invalidate(self, node_id: int, key: int, ring: int = 0) -> None:
+    def invalidate(self, node_id: int, key: int) -> None:
         """Drop one stale entry."""
-        self._entries.pop((ring, node_id, key), None)
+        self._entries.pop((node_id, key), None)
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""

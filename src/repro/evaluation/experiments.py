@@ -26,7 +26,6 @@ from ..corpus.relevance import Query
 from ..dht.messages import MessageKind
 from ..net import build_transport
 from ..ir.ranking import RankedList
-from ..perf import PROFILE
 from .experiment import Environment
 from .metrics import RelativeResult, relative_to_centralized
 
@@ -48,19 +47,18 @@ def build_trained_sprite(
     environment's :class:`~repro.config.NetworkConfig` describes (the
     perfect transport by default)."""
     cfg = sprite_config if sprite_config is not None else env.config.sprite
-    with PROFILE.timer("experiment.train_sprite"):
-        system = SpriteSystem(
-            env.corpus,
-            sprite_config=cfg,
-            chord_config=env.config.chord,
-            transport=build_transport(env.config.network),
-        )
-        system.share_corpus()
-        queries = (
-            training_queries if training_queries is not None else list(env.train.queries)
-        )
-        system.register_queries(queries)
-        system.run_learning()
+    system = SpriteSystem(
+        env.corpus,
+        sprite_config=cfg,
+        chord_config=env.config.chord,
+        transport=build_transport(env.config.network),
+    )
+    system.share_corpus()
+    queries = (
+        training_queries if training_queries is not None else list(env.train.queries)
+    )
+    system.register_queries(queries)
+    system.run_learning()
     return system
 
 
@@ -87,10 +85,9 @@ def build_esearch(
 def _rank_all(
     system, queries: Sequence[Query], top_k: int, cache: bool = False
 ) -> Dict[str, RankedList]:
-    with PROFILE.timer("experiment.rank_all"):
-        return {
-            q.query_id: system.search(q, top_k=top_k, cache=cache) for q in queries
-        }
+    return {
+        q.query_id: system.search(q, top_k=top_k, cache=cache) for q in queries
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,12 @@ DELIVERED = "delivered"
 DROPPED = "dropped"
 DEST_DOWN = "dest_down"
 
-#: Kind-name → traffic-category mapping, mirroring the
-#: :class:`~repro.dht.messages.MessageKind` category frozensets as plain
-#: strings (same import-independence rule as the outcome labels; a sync
-#: test asserts the two stay aligned).  Unknown kinds — e.g. the
-#: synthetic kinds transport unit tests invent — fall into ``"other"``.
+#: Kind-name → traffic-category mapping: the one place a message kind
+#: is assigned its category (plain strings, same import-independence
+#: rule as the outcome labels; :func:`repro.dht.messages.category_of`
+#: resolves a ``MessageKind`` through it, and a test asserts every kind
+#: has a category).  Unknown kinds — e.g. the synthetic kinds transport
+#: unit tests invent — fall into ``"other"``.
 WRITE_PATH_KIND_NAMES = frozenset(
     {
         "publish_term",

@@ -1,10 +1,5 @@
-"""repro.perf — the hot-path optimization layer (DESIGN.md §8) and the
-harnesses the repo's benchmark does not cover.
+"""repro.perf — the three harnesses the repo's benchmark does not cover.
 
-* :mod:`repro.perf.profile` — opt-in wall-clock timers and event
-  counters (``PROFILE``) that the simulator's hot paths report into;
-* :mod:`repro.perf.route_cache` — the epoch-validated per-node route
-  cache :class:`ChordRing` consults before multi-hop routing;
 * :mod:`repro.perf.scale` — the DESIGN.md §13 scale-out harness:
   process-sharded build/publish/query phases over a streamed corpus,
   behind ``benchmarks/test_bench_scale.py`` and ``perf --mode scale``;
@@ -19,19 +14,7 @@ harnesses the repo's benchmark does not cover.
 Query, ingest, learning, churn and durable-store performance is
 measured by ``python3 -m bench`` (``bench/``, BENCHMARK.json), not here.
 
-``scale``, ``concurrency`` and ``route`` are deliberately *not*
-imported here: they build rings and query processors, and the ring
-itself imports this package for ``PROFILE`` / ``RouteCache`` — import
-them explicitly as ``repro.perf.scale`` / ``repro.perf.concurrency`` /
-``repro.perf.route``.
+Nothing in the core imports this package: only :mod:`repro.cli`,
+:mod:`repro.sim.oracle` and the ``benchmarks/`` gates do, each naming
+the harness module it needs.
 """
-
-from .profile import PROFILE, PerfProfile, memory_usage
-from .route_cache import RouteCache
-
-__all__ = [
-    "PROFILE",
-    "PerfProfile",
-    "RouteCache",
-    "memory_usage",
-]

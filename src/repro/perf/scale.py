@@ -34,6 +34,7 @@ delta) and rolled up as the max across shard processes.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import asdict, dataclass
 from hashlib import sha256
 from time import perf_counter
@@ -48,11 +49,52 @@ from ..corpus.sampling import CategoricalSampler, zipf_weights
 from ..corpus.stream import stream_synthetic_docs
 from ..dht.ring import ChordRing
 from ..exceptions import ConfigurationError
-from .profile import PROFILE, memory_usage
 
 #: Per-shard seed stride (prime, far above any shard count) — keeps the
 #: integer seed streams of distinct (seed, shard) pairs disjoint.
 _SEED_STRIDE = 1_000_003
+
+
+def memory_usage() -> Dict[str, int]:
+    """Process memory snapshot, cheap enough for phase boundaries.
+
+    ``rss_kb``
+        Current resident set size from ``/proc/self/status`` (0 where
+        procfs is unavailable).
+    ``peak_rss_kb``
+        Lifetime peak RSS from ``getrusage`` (kilobytes; macOS reports
+        bytes and is converted).  Monotone per process.
+    ``allocated_blocks``
+        Live CPython allocation count (:func:`sys.getallocatedblocks`)
+        — a deterministic allocation gauge that, unlike RSS, moves even
+        when the allocator never returns pages to the OS.
+    """
+    peak_kb = 0
+    try:
+        import resource
+
+        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        if sys.platform == "darwin":
+            peak_kb //= 1024
+    except (ImportError, OSError):  # pragma: no cover - non-POSIX
+        peak_kb = 0
+    rss_kb = 0
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmRSS:"):
+                    rss_kb = int(line.split()[1])
+                    break
+    except (OSError, ValueError):  # pragma: no cover - no procfs
+        rss_kb = 0
+    # ru_maxrss is sampled by the kernel and can trail VmRSS by a few
+    # pages right after an allocation spike; clamp so "peak" is never
+    # reported below "current".
+    return {
+        "rss_kb": rss_kb,
+        "peak_rss_kb": max(peak_kb, rss_kb),
+        "allocated_blocks": sys.getallocatedblocks(),
+    }
 
 
 @dataclass(frozen=True)
@@ -161,7 +203,6 @@ def _run_shard(cfg: ScaleWorkloadConfig, shard_id: int) -> ShardResult:
         result_cache=cfg.result_cache_size > 0,
     )
     build_s = perf_counter() - t0
-    PROFILE.record_memory(f"shard{shard_id}.build")
 
     # -- streamed publish: generate → batch-publish → drop ----------------
     vocabulary = [f"term{i:05d}" for i in range(cfg.vocabulary_size)]
@@ -192,7 +233,6 @@ def _run_shard(cfg: ScaleWorkloadConfig, shard_id: int) -> ShardResult:
         protocol.publish_batch(owner_id, batch)
         postings_published += len(batch)
     publish_s = perf_counter() - t0
-    PROFILE.record_memory(f"shard{shard_id}.publish")
 
     # -- query stream: Zipf-popular picks from a distinct pool ------------
     term_sampler = CategoricalSampler(vocabulary, weights)
@@ -221,7 +261,7 @@ def _run_shard(cfg: ScaleWorkloadConfig, shard_id: int) -> ShardResult:
         for entry in ranked:
             checksum.update(f"{entry.doc_id}:{entry.score!r}".encode())
     query_s = perf_counter() - t0
-    memory = PROFILE.record_memory(f"shard{shard_id}.query")
+    memory = memory_usage()
 
     return ShardResult(
         shard_id=shard_id,
@@ -270,7 +310,6 @@ class ScaleWorkloadResult:
     shard_checksums: List[str]
     peak_rss_kb: int
     allocated_blocks_delta: int
-    profile: Dict[str, Dict[str, object]]
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -309,11 +348,9 @@ class ShardedHarness:
         publish_s = sum(s.publish_s for s in shards)
         query_s = sum(s.query_s for s in shards)
         postings = sum(s.postings_published for s in shards)
-        parent_memory = PROFILE.record_memory("merge")
         peak_rss_kb = max(
-            [s.peak_rss_kb for s in shards] + [parent_memory["peak_rss_kb"]]
+            [s.peak_rss_kb for s in shards] + [memory_usage()["peak_rss_kb"]]
         )
-        PROFILE.max_gauge("mem.peak_rss_kb", peak_rss_kb)
         return ScaleWorkloadResult(
             num_peers=cfg.num_peers,
             num_documents=cfg.num_documents,
@@ -343,7 +380,6 @@ class ShardedHarness:
             allocated_blocks_delta=sum(
                 s.allocated_blocks_delta for s in shards
             ),
-            profile=PROFILE.summary(),
         )
 
     def _run_pooled(self, workers: int) -> List[ShardResult]:
@@ -365,13 +401,5 @@ class ShardedHarness:
 
 
 def run_scale_workload(cfg: ScaleWorkloadConfig) -> ScaleWorkloadResult:
-    """Execute one sharded run under PROFILE (enabled and reset for
-    the run, the caller's enabled state restored afterwards)."""
-    prior_enabled = PROFILE.enabled
-    PROFILE.reset()
-    PROFILE.enable()
-    try:
-        return ShardedHarness(cfg).run()
-    finally:
-        if not prior_enabled:
-            PROFILE.disable()
+    """Execute one sharded run."""
+    return ShardedHarness(cfg).run()

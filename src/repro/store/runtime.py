@@ -131,7 +131,7 @@ class StoreRuntime:
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        """Rollup for the CLI PROFILE section and the benchmarks."""
+        """Rollup for the CLI and the benchmarks."""
         self.flush_retired()
         conn = self.pool.connection_for(0)
         postings, live_slots = conn.execute(

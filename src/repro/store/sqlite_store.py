@@ -44,7 +44,6 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..dht.bloom import BloomFilter
 from ..ir.postings import ImpactRow, PostingRow, next_version, posting_impact
-from ..perf import PROFILE
 
 _SCHEMA = (
     """
@@ -129,9 +128,7 @@ class SqlitePostings:
 
     def __contains__(self, doc_id: str) -> bool:
         if self._bloom is not None and doc_id not in self._bloom:
-            PROFILE.count("store.bloom_negative")
             return False
-        PROFILE.count("store.point_reads")
         return (
             self._conn.execute(
                 "SELECT 1 FROM postings WHERE slot = ? AND doc = ?",
@@ -147,15 +144,13 @@ class SqlitePostings:
         an overwrite keeps the posting's enumeration position)."""
         length = doc_length if doc_length > 0 else 0
         existing = None
-        if self._bloom is not None and doc_id not in self._bloom:
-            # Definitely absent: skip the existence probe entirely.
-            PROFILE.count("store.bloom_insert_skips")
-        else:
+        # A Bloom negative means definitely absent: skip the existence
+        # probe entirely.
+        if self._bloom is None or doc_id in self._bloom:
             existing = self._conn.execute(
                 "SELECT 1 FROM postings WHERE slot = ? AND doc = ?",
                 (self._slot, doc_id),
             ).fetchone()
-            PROFILE.count("store.point_reads")
         if existing is None:
             self._conn.execute(
                 "INSERT INTO postings (slot, doc, seq, owner, tf, len) "
@@ -203,8 +198,6 @@ class SqlitePostings:
             self._count, self._next_seq, self._version = saved
             raise
         self._conn.execute("COMMIT")
-        PROFILE.count("store.batches")
-        PROFILE.count("store.batched_rows", len(rows))
         return len(rows)
 
     def remove(self, doc_id: str) -> Optional[PostingRow]:
@@ -214,13 +207,11 @@ class SqlitePostings:
         filter — a future probe pays one extra point read, never a wrong
         answer."""
         if self._bloom is not None and doc_id not in self._bloom:
-            PROFILE.count("store.bloom_negative")
             return None
         row = self._conn.execute(
             "SELECT owner, tf, len FROM postings WHERE slot = ? AND doc = ?",
             (self._slot, doc_id),
         ).fetchone()
-        PROFILE.count("store.point_reads")
         if row is None:
             return None
         owner, raw_tf, length = row
@@ -237,13 +228,11 @@ class SqlitePostings:
     def lookup(self, doc_id: str) -> Optional[PostingRow]:
         """The posting row for *doc_id*, or ``None``."""
         if self._bloom is not None and doc_id not in self._bloom:
-            PROFILE.count("store.bloom_negative")
             return None
         row = self._conn.execute(
             "SELECT owner, tf, len FROM postings WHERE slot = ? AND doc = ?",
             (self._slot, doc_id),
         ).fetchone()
-        PROFILE.count("store.point_reads")
         if row is None:
             return None
         return (doc_id, int(row[0]), row[1], row[2])
@@ -253,13 +242,11 @@ class SqlitePostings:
         Recomputed from the stored integers with the same expression the
         columnar ingest path used, so the float is bit-identical."""
         if self._bloom is not None and doc_id not in self._bloom:
-            PROFILE.count("store.bloom_negative")
             return None
         row = self._conn.execute(
             "SELECT tf, len FROM postings WHERE slot = ? AND doc = ?",
             (self._slot, doc_id),
         ).fetchone()
-        PROFILE.count("store.point_reads")
         if row is None:
             return None
         raw_tf, length = row
@@ -313,7 +300,6 @@ class SqlitePostings:
         rebuilt = BloomFilter(capacity, self._bloom_error_rate)
         rebuilt.update(docs)
         self._bloom = rebuilt
-        PROFILE.count("store.bloom_rebuilds")
 
     @property
     def bloom(self) -> Optional[BloomFilter]:

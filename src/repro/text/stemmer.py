@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..perf.profile import PROFILE
-
 _VOWELS = frozenset("aeiou")
 
 
@@ -96,9 +94,7 @@ class PorterStemmer:
     The pipeline is pure, so each instance memoizes it with an
     ``lru_cache`` (the same treatment ``md5_hash`` got in the DHT
     layer): corpora repeat their vocabulary constantly, and re-running
-    all eight suffix steps per token dominated analysis time.  Cache
-    hits/misses are counted under ``stem.cache_*`` when :data:`PROFILE`
-    is enabled.
+    all eight suffix steps per token dominated analysis time.
     """
 
     #: Bound on distinct lower-cased tokens memoized per instance.
@@ -109,15 +105,7 @@ class PorterStemmer:
 
     def stem(self, word: str) -> str:
         """Return the Porter stem of *word* (lower-cased)."""
-        if not PROFILE.enabled:
-            return self._cached(word.lower())
-        before = self._cached.cache_info().hits
-        result = self._cached(word.lower())
-        if self._cached.cache_info().hits > before:
-            PROFILE.count("stem.cache_hits")
-        else:
-            PROFILE.count("stem.cache_misses")
-        return result
+        return self._cached(word.lower())
 
     def cache_info(self):
         """Hit/miss statistics of the memoized pipeline."""

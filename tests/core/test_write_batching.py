@@ -20,7 +20,6 @@ from repro.core.metadata import PostingEntry
 from repro.core.owner import OwnerPeer
 from repro.corpus import Document
 from repro.dht import ChordRing
-from repro.perf import PROFILE
 
 
 def make_ring(seed: int = 29, route_cache_size: int = 0) -> ChordRing:
@@ -158,28 +157,6 @@ class TestLocateWriteBatch:
         assert failed == set()
         assert published == set(terms)
         assert lookups == len(distinct_peers)
-
-    def test_absorption_counted_in_profile(self) -> None:
-        ring = make_ring()
-        protocol = IndexingProtocol(ring, query_cache_size=32)
-        owner_id = ring.live_ids[0]
-        terms = [f"bulk{i:03d}" for i in range(48)]
-        distinct_peers = {_responsible(ring, protocol, t) for t in terms}
-        PROFILE.reset()
-        PROFILE.enable()
-        try:
-            protocol.publish_batch(
-                owner_id,
-                [
-                    (t, PostingEntry(doc_id="d", owner_peer=owner_id, raw_tf=1, doc_length=2))
-                    for t in terms
-                ],
-            )
-            counters = PROFILE.summary()["counters"]
-        finally:
-            PROFILE.disable()
-        assert counters["ingest.write_lookups"] == len(distinct_peers)
-        assert counters["ingest.absorbed_terms"] == len(terms) - len(distinct_peers)
 
     def test_batch_failure_isolated_to_dead_peers_terms(self) -> None:
         ring = make_ring(seed=31)

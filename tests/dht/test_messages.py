@@ -115,31 +115,27 @@ class TestCategories:
             }
 
     def test_partition_is_disjoint(self) -> None:
-        from repro.dht.messages import (
-            MAINTENANCE_KINDS,
-            QUERY_PATH_KINDS,
-            ROUTING_KINDS,
-            WRITE_PATH_KINDS,
-        )
+        """The name table behind ``category_of`` lists every kind in
+        exactly one bucket, and no name that is not a kind."""
+        from repro.net import trace
 
         buckets = (
-            WRITE_PATH_KINDS,
-            QUERY_PATH_KINDS,
-            ROUTING_KINDS,
-            MAINTENANCE_KINDS,
+            trace.WRITE_PATH_KIND_NAMES,
+            trace.QUERY_PATH_KIND_NAMES,
+            trace.ROUTING_KIND_NAMES,
+            trace.MAINTENANCE_KIND_NAMES,
         )
         assert sum(len(b) for b in buckets) == len(ALL_KINDS)
-        assert frozenset().union(*buckets) == frozenset(ALL_KINDS)
+        assert frozenset().union(*buckets) == {kind.value for kind in ALL_KINDS}
 
     def test_batch_kinds_are_write_path(self) -> None:
-        from repro.dht.messages import WRITE_PATH_KINDS, category_of
+        from repro.dht.messages import category_of
 
         for kind in (
             MessageKind.PUBLISH_BATCH,
             MessageKind.UNPUBLISH_BATCH,
             MessageKind.POLL_BATCH,
         ):
-            assert kind in WRITE_PATH_KINDS
             assert category_of(kind) == "write"
 
 

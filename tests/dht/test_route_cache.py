@@ -7,10 +7,10 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ChordConfig
+from repro.dht import RouteCache
 from repro.dht.messages import MessageKind
 from repro.dht.ring import ChordRing
 from repro.exceptions import NodeFailedError
-from repro.perf import RouteCache
 
 
 def make_ring(num_peers: int = 64, cache: int = 65536, **kwargs) -> ChordRing:
@@ -73,72 +73,31 @@ class TestRouteCacheUnit:
         assert stats["hits"] == 3 and stats["capacity"] == 4
 
 
-class TestPerRingScoping:
-    """Regression (ISSUE 10 satellite): cache keys carry a ring scope.
+class TestCachePrivateToItsRing:
+    """Node ids are deterministic in the seed, so two same-seed rings
+    hold the same ids: a route is only meaningful to the ring that
+    resolved it.  Each ring therefore constructs its own cache."""
 
-    Keys used to be ``(node_id, key)`` only — correct while every ring
-    owned a private cache, but two same-seed rings share node ids, so a
-    shared cache would serve ring A's routes to ring B.  With matching
-    epochs the revalidation path cannot catch it, silently returning a
-    peer that may not even exist in the receiving ring."""
-
-    def test_register_ring_returns_distinct_scopes(self) -> None:
-        cache = RouteCache(16)
-        assert cache.register_ring() != cache.register_ring()
-
-    def test_scoped_entries_do_not_collide(self) -> None:
-        cache = RouteCache(16)
-        cache.store(1, 10, 99, 0, ring=1)
-        cache.store(1, 10, 77, 4, ring=2)
-        assert cache.get(1, 10, ring=1) == (99, 0)
-        assert cache.get(1, 10, ring=2) == (77, 4)
-        cache.invalidate(1, 10, ring=1)
-        assert cache.get(1, 10, ring=1) is None
-        assert cache.get(1, 10, ring=2) == (77, 4)
-
-    def test_shared_cache_does_not_cross_serve_rings(self) -> None:
-        """Two same-id rings share one cache and churn divergently at
-        equal epochs; each ring must still resolve its own owner."""
-        shared = RouteCache(1024)
+    def test_same_seed_rings_hold_distinct_caches(self) -> None:
+        """Two same-id rings churn divergently to equal epochs — the one
+        state revalidation could not catch across a shared cache — and
+        each still resolves its own owner and counts its own hits."""
         ids = [100, 2000, 40000]
-        ring_a = ChordRing(
-            ChordConfig(num_peers=3, route_cache_size=0),
-            node_ids=list(ids),
-            route_cache=shared,
-        )
-        ring_b = ChordRing(
-            ChordConfig(num_peers=3, route_cache_size=0),
-            node_ids=list(ids),
-            route_cache=shared,
-        )
-        key = 1500  # owned by node 2000 in both rings initially
-        # Ring B: a join takes over the key; cache the new route (epoch 1).
-        ring_b.join(node_id=1600)
-        assert ring_b.lookup(100, key).node_id == 1600
-        # Ring A: unrelated join bumps A's epoch to the same value.  An
-        # unscoped cache would now serve B's route (1600 — a node that
-        # does not even exist in A) without revalidation.
-        ring_a.join(node_id=30000)
-        assert ring_a.epoch == ring_b.epoch
-        assert ring_a.lookup(100, key).node_id == 2000
-
-    def test_both_rings_still_get_cache_hits(self) -> None:
-        shared = RouteCache(1024)
-        ids = [100, 2000, 40000]
-        rings = [
+        ring_a, ring_b = (
             ChordRing(
-                ChordConfig(num_peers=3, route_cache_size=0),
-                node_ids=list(ids),
-                route_cache=shared,
+                ChordConfig(num_peers=3, route_cache_size=64), node_ids=list(ids)
             )
             for __ in range(2)
-        ]
-        for ring in rings:
-            ring.lookup(100, 1500)
-        hits0 = shared.hits
-        for ring in rings:
-            assert ring.lookup(100, 1500).hops == 1
-        assert shared.hits == hits0 + 2
+        )
+        assert ring_a.route_cache is not ring_b.route_cache
+        key = 1500  # owned by node 2000 in both rings initially
+        ring_b.join(node_id=1600)  # takes over the key in B only
+        assert ring_b.lookup(100, key).node_id == 1600
+        ring_a.join(node_id=30000)  # unrelated; A's epoch now equals B's
+        assert ring_a.epoch == ring_b.epoch
+        assert ring_a.lookup(100, key).node_id == 2000
+        assert ring_a.lookup(100, key).hops == 1
+        assert (ring_a.route_cache.hits, ring_b.route_cache.hits) == (1, 0)
 
 
 class TestRingIntegration:

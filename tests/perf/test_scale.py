@@ -8,11 +8,11 @@ import json
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.perf import PROFILE
 from repro.perf.scale import (
     ScaleWorkloadConfig,
     ShardedHarness,
     _shard_slice,
+    memory_usage,
     run_scale_workload,
     scale_paper_config,
     scale_smoke_config,
@@ -89,19 +89,30 @@ class TestMergedRecord:
         assert payload["wall_queries_per_s"] > 0
         assert payload["postings_published"] > 0
         assert payload["peak_rss_kb"] >= 0
-        assert set(payload["profile"]) == {"timers", "counters", "gauges"}
 
-    def test_inline_run_records_per_shard_memory_gauges(self) -> None:
+    def test_merged_memory_is_max_peak_and_summed_allocations(
+        self, monkeypatch
+    ) -> None:
+        """Each inline shard snapshots memory before and after its run,
+        the merge once more: the record keeps the highest peak any of
+        them saw and the sum of the shards' allocation deltas."""
+        peaks = iter([10, 20, 30, 40, 35])  # shard 0, shard 1, merge
+
+        def fake_usage():
+            peak = next(peaks)
+            return {"rss_kb": peak, "peak_rss_kb": peak, "allocated_blocks": 7 * peak}
+
+        monkeypatch.setattr("repro.perf.scale.memory_usage", fake_usage)
         result = run_scale_workload(tiny_config(num_shards=2))
-        gauges = result.profile["gauges"]
-        for shard_id in range(2):
-            for phase in ("build", "publish", "query"):
-                assert f"mem.shard{shard_id}.{phase}.rss_kb" in gauges
-        assert gauges["mem.peak_rss_kb"] == result.peak_rss_kb
+        assert result.peak_rss_kb == 40  # >= every shard's and the parent's
+        assert result.allocated_blocks_delta == 7 * (20 - 10) + 7 * (40 - 30)
 
-    def test_workload_leaves_global_profile_disabled(self) -> None:
-        run_scale_workload(tiny_config(num_shards=1))
-        assert not PROFILE.enabled
+    def test_memory_usage_snapshot_shape(self) -> None:
+        snapshot = memory_usage()
+        assert set(snapshot) == {"rss_kb", "peak_rss_kb", "allocated_blocks"}
+        # Linux/macOS report real numbers; the fallback is all-zero.
+        assert snapshot["peak_rss_kb"] >= snapshot["rss_kb"] >= 0
+        assert snapshot["allocated_blocks"] >= 0
 
 
 class TestValidation:

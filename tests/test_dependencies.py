@@ -1,9 +1,11 @@
 """Structural guards: the package has no third-party runtime dependency
-(pyproject ``dependencies = []``), optional imports included, and every
-name the benchmark's layer budget hooks still exists."""
+(pyproject ``dependencies = []``), optional imports included, every
+name the benchmark's layer budget hooks still exists, and the core does
+not depend on the ``repro.perf`` harnesses."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -11,6 +13,10 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "repro"
+
+#: The only modules outside ``repro/perf/`` that may import the harnesses.
+PERF_IMPORTERS = {Path("cli.py"), Path("sim/oracle.py")}
 
 PROBE = """
 import sys
@@ -52,3 +58,41 @@ def test_every_benchmark_trace_hook_resolves(monkeypatch) -> None:
                 missing.append(f"{module}:{attribute}")
                 break
     assert not missing
+
+
+def _imports_perf(module: Path, node: ast.AST) -> bool:
+    """Whether *node* imports ``repro.perf`` (or anything below it),
+    absolutely or relative to *module*'s package."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        if node.level:
+            package = ("repro",) + module.parent.parts
+            anchor = package[: len(package) - (node.level - 1)]
+            base = ".".join(anchor + ((base,) if base else ()))
+        # ``from repro import perf`` / ``from . import perf`` name the
+        # package in the alias list, not in the module path.
+        names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+    else:
+        return False
+    return any(n == "repro.perf" or n.startswith("repro.perf.") for n in names)
+
+
+def test_core_never_imports_perf_or_a_global_profile() -> None:
+    """``repro.perf`` is harnesses only: counts live on the object that
+    owns them and time in the benchmark's tracer, so no core module may
+    import the package, and no process-global ``PROFILE`` may return."""
+    perf_importers = []
+    profile_sites = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE)
+        source = path.read_text(encoding="utf-8")
+        if "PROFILE" in source:
+            profile_sites.append(str(module))
+        if module.parts[0] == "perf" or module in PERF_IMPORTERS:
+            continue
+        if any(_imports_perf(module, node) for node in ast.walk(ast.parse(source))):
+            perf_importers.append(str(module))
+    assert not perf_importers
+    assert not profile_sites

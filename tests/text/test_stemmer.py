@@ -210,7 +210,7 @@ def test_plural_s_stripped(word: str) -> None:
 class TestMemoization:
     """The ingest-time fast path (ISSUE 5): the pure pipeline is
     lru_cache-memoized per stemmer instance, with hit/miss counters
-    surfacing through PROFILE when profiling is on."""
+    read from ``cache_info()``."""
 
     def test_repeat_words_hit_the_cache(self) -> None:
         stemmer = PorterStemmer()
@@ -241,28 +241,3 @@ class TestMemoization:
         a.stem("walking")
         assert a.cache_info().currsize == 1
         assert b.cache_info().currsize == 0
-
-    def test_profile_counters_when_enabled(self) -> None:
-        from repro.perf import PROFILE
-
-        PROFILE.reset()
-        PROFILE.enable()
-        try:
-            stemmer = PorterStemmer()
-            stemmer.stem("singing")
-            stemmer.stem("singing")
-            stemmer.stem("singing")
-            counters = PROFILE.summary()["counters"]
-        finally:
-            PROFILE.disable()
-        assert counters["stem.cache_misses"] == 1
-        assert counters["stem.cache_hits"] == 2
-
-    def test_no_profile_counters_when_disabled(self) -> None:
-        from repro.perf import PROFILE
-
-        PROFILE.reset()
-        stemmer = PorterStemmer()
-        stemmer.stem("singing")
-        stemmer.stem("singing")
-        assert "stem.cache_hits" not in PROFILE.summary().get("counters", {})
