@@ -43,11 +43,17 @@ LOSSY_BASE = NetworkConfig(
 
 
 def run_queries_under_loss(paper_env, system, drop: float) -> dict:
-    """Swap in a fresh seeded lossy transport and run the test queries."""
+    """Swap in a fresh seeded lossy transport and run the test queries.
+
+    Every cell starts with a cold route cache: a cell that inherits the
+    routes the previous one warmed sends fewer lookup hops through the
+    lossy network, so its quality and message count would depend on its
+    place in the sweep rather than on its drop rate."""
     config = dataclasses.replace(LOSSY_BASE, drop_probability=drop)
     original = system.ring.transport
     transport = build_transport(config)
     system.ring.transport = transport
+    system.ring.route_cache.clear()
     try:
         k = paper_env.config.sprite.top_k_answers
         queries = list(paper_env.test.queries)

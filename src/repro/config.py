@@ -136,14 +136,6 @@ class SpriteConfig:
     #: from a cached result changes the *message* profile the cost
     #: figures measure, even though the rankings stay identical.
     result_cache_size: int = 0
-    #: Destination-grouped write path (DESIGN.md §11): publish/unpublish
-    #: and learning polls group terms by responsible indexing peer, pay
-    #: one lookup per *distinct* peer, and ship PUBLISH_BATCH /
-    #: UNPUBLISH_BATCH / POLL_BATCH messages.  False keeps the seed
-    #: per-term PUBLISH_TERM protocol the paper's §1 cost experiment
-    #: measures; resulting index state and rankings are identical
-    #: either way.
-    batched_writes: bool = True
     #: Posting persistence backend (DESIGN.md §12).  ``"memory"`` (the
     #: default) keeps the in-RAM stores above; ``"sqlite"`` moves every
     #: indexing peer's postings into a shared WAL-mode SQLite database
@@ -155,9 +147,6 @@ class SpriteConfig:
     store_dir: str = ""
     #: Snapshot root override; empty string means ``<store_dir>/snapshots``.
     snapshot_dir: str = ""
-    #: Auto-checkpoint cadence in the simulator: snapshot every N applied
-    #: scenario events (0 disables periodic snapshots — on-demand only).
-    snapshot_interval: int = 0
     #: Bloom-filter existence check in front of SQLite point lookups
     #: (reuses :mod:`repro.dht.bloom`); irrelevant to the memory backend.
     store_bloom: bool = True
@@ -189,7 +178,6 @@ class SpriteConfig:
             self.store_backend in STORE_BACKENDS,
             f"store_backend must be one of {STORE_BACKENDS}",
         )
-        _require(self.snapshot_interval >= 0, "snapshot_interval must be >= 0")
         _require(
             self.ring in RING_KINDS,
             f"ring must be one of {RING_KINDS}",
@@ -227,10 +215,6 @@ class ESearchConfig:
     index_terms: int = 20
     assumed_corpus_size: int = 1_000_000
     top_k_answers: int = 20
-    #: Same write-path switch as :attr:`SpriteConfig.batched_writes`,
-    #: threaded through so cost experiments can hold the wire protocol
-    #: fixed across the compared systems.
-    batched_writes: bool = True
 
     def __post_init__(self) -> None:
         _require(self.index_terms >= 1, "index_terms must be >= 1")

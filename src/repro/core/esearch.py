@@ -48,7 +48,6 @@ class ESearchSystem(DistributedSystem):
             max_index_terms=self.esearch_config.index_terms,
             assumed_corpus_size=self.esearch_config.assumed_corpus_size,
             top_k_answers=self.esearch_config.top_k_answers,
-            batched_writes=self.esearch_config.batched_writes,
         )
         super().__init__(
             corpus,

@@ -16,11 +16,21 @@ latency, loss, and retry semantics — a dropped delivery surfaces as
 degradation paths apply unchanged).  Slot state lives in
 ``node.store[term_hash]`` so DHT key migration and successor
 replication move it transparently.
+
+Owners write through the destination-grouped ``publish_batch`` /
+``unpublish_batch`` / ``poll_batch`` only (DESIGN.md §11).  The
+one-term-per-message ``unpublish`` and ``poll_term`` are the seed
+protocol, driven by the reference owner in
+``tests/core/per_term_owner.py``; ``publish`` also serves the
+maintenance daemon's single-posting republish.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..dht.messages import (
@@ -262,7 +272,7 @@ class IndexingProtocol:
     ) -> None:
         """Propagate a deletion to the live successor replicas of the
         term's slot (the double-counting guard of :meth:`unpublish`),
-        shared by the per-term and batched removal paths."""
+        shared with :meth:`unpublish_batch`."""
         key = self.term_hash(term)
         for succ_id in self.ring.node(node_id).successor_list:
             if succ_id == node_id or not self.ring.is_live(succ_id):
@@ -282,6 +292,40 @@ class IndexingProtocol:
                 except NodeFailedError:
                     continue
 
+    def _open_write_batches(
+        self,
+        owner_id: int,
+        terms: List[str],
+        batch_message: Callable[[int, int, int, int], Message],
+    ) -> Tuple[Dict[str, int], Set[str]]:
+        """Locate → size → send, shared by :meth:`publish_batch` and
+        :meth:`unpublish_batch`: destination-group *terms* (one per item
+        of the batch, repeats included) and send each peer one
+        ``batch_message(owner, peer, its item count, hops)``.
+
+        Returns ``(term → the reachable peer to apply it at, failed
+        terms)``; a peer that cannot be located or does not take its
+        message loses only its own terms.
+        """
+        peer_terms, peer_hops, failed = self._locate_write_batch(owner_id, terms)
+        failed_terms: Set[str] = set(failed)
+        term_peer = {
+            term: node_id for node_id, batch in peer_terms.items() for term in batch
+        }
+        batch_sizes = Counter(map(term_peer.get, terms))
+        for node_id, batch in peer_terms.items():
+            try:
+                self.ring.send(
+                    batch_message(
+                        owner_id, node_id, batch_sizes[node_id], peer_hops[node_id]
+                    )
+                )
+            except NodeFailedError:
+                failed_terms.update(batch)
+                for term in batch:
+                    del term_peer[term]
+        return term_peer, failed_terms
+
     def publish_batch(
         self, owner_id: int, postings: Sequence[Tuple[str, PostingEntry]]
     ) -> Tuple[Set[str], Set[str]]:
@@ -291,94 +335,45 @@ class IndexingProtocol:
 
         Postings are applied in *input order* (consecutive same-term
         runs go through :meth:`TermSlot.add_postings`), so slot versions
-        advance in exactly the sequence the per-term path would produce
-        — the property the batched-vs-legacy fingerprint comparison
-        checks.  A peer that fails loses only its own batch.
+        advance in exactly the sequence a posting-at-a-time loop of
+        :meth:`publish` would produce — what the fingerprint comparison
+        against ``tests/core/per_term_owner.py`` checks.  A peer that
+        fails loses only its own batch.
 
         Returns ``(published terms, failed terms)``.
         """
-        peer_terms, peer_hops, failed = self._locate_write_batch(
-            owner_id, [term for term, __ in postings]
+        term_peer, failed_terms = self._open_write_batches(
+            owner_id, [term for term, __ in postings], publish_batch_message
         )
-        failed_terms: Set[str] = set(failed)
-        term_peer = {
-            term: node_id for node_id, batch in peer_terms.items() for term in batch
-        }
-        batch_sizes: Dict[int, int] = {}
-        for term, __ in postings:
+        published: Set[str] = set()
+        for term, run in groupby(postings, key=itemgetter(0)):
             node_id = term_peer.get(term)
             if node_id is not None:
-                batch_sizes[node_id] = batch_sizes.get(node_id, 0) + 1
-        sendable: Set[int] = set()
-        for node_id, batch in peer_terms.items():
-            try:
-                self.ring.send(
-                    publish_batch_message(
-                        owner_id, node_id, batch_sizes[node_id], peer_hops[node_id]
-                    )
-                )
-            except NodeFailedError:
-                failed_terms.update(batch)
-                continue
-            sendable.add(node_id)
-
-        published: Set[str] = set()
-        i, n = 0, len(postings)
-        while i < n:
-            term = postings[i][0]
-            j = i + 1
-            while j < n and postings[j][0] == term:
-                j += 1
-            node_id = term_peer.get(term)
-            if node_id is not None and node_id in sendable:
                 slot = self._slot_at(self.ring.node(node_id), term, create=True)
                 assert slot is not None
-                slot.add_postings([posting for __, posting in postings[i:j]])
+                slot.add_postings([posting for __, posting in run])
                 published.add(term)
-            i = j
         return published, failed_terms
 
     def unpublish_batch(
         self, owner_id: int, removals: Sequence[Tuple[str, str]]
     ) -> Tuple[Set[str], Set[str]]:
         """Remove many (term, doc id) postings destination-grouped, the
-        write-batched counterpart of :meth:`unpublish`: one lookup per
-        distinct peer, one UNPUBLISH_BATCH message each, applied in
-        input order with the same replica deletion-forwarding.
+        counterpart of :meth:`publish_batch`: one lookup per distinct
+        peer, one UNPUBLISH_BATCH message each, applied in input order
+        with the replica deletion-forwarding of :meth:`unpublish`.
 
         Returns ``(terms whose posting existed and was removed, failed
         terms)`` — like :meth:`unpublish`, resolving to a peer that
         lacks the slot/posting is not a failure.
         """
-        peer_terms, peer_hops, failed = self._locate_write_batch(
-            owner_id, [term for term, __ in removals]
+        term_peer, failed_terms = self._open_write_batches(
+            owner_id, [term for term, __ in removals], unpublish_batch_message
         )
-        failed_terms: Set[str] = set(failed)
-        term_peer = {
-            term: node_id for node_id, batch in peer_terms.items() for term in batch
-        }
-        batch_sizes: Dict[int, int] = {}
-        for term, __ in removals:
-            node_id = term_peer.get(term)
-            if node_id is not None:
-                batch_sizes[node_id] = batch_sizes.get(node_id, 0) + 1
-        sendable: Set[int] = set()
-        for node_id, batch in peer_terms.items():
-            try:
-                self.ring.send(
-                    unpublish_batch_message(
-                        owner_id, node_id, batch_sizes[node_id], peer_hops[node_id]
-                    )
-                )
-            except NodeFailedError:
-                failed_terms.update(batch)
-                continue
-            sendable.add(node_id)
-
         removed: Set[str] = set()
         for term, doc_id in removals:
             node_id = term_peer.get(term)
-            if node_id is None or node_id not in sendable:
+            if node_id is None:
                 continue
             slot = self._slot_at(self.ring.node(node_id), term, create=False)
             if slot is None:

@@ -8,6 +8,11 @@ Per shared document the owner keeps a :class:`SharedDocument`: the
 current global index terms, the incremental learner (Algorithm 1
 statistics), and one poll cursor per index term so each learning
 iteration fetches only the queries cached since the previous iteration.
+
+An owner speaks one wire protocol (DESIGN.md §11): whatever it
+publishes, withdraws or polls is grouped by responsible indexing peer,
+and each peer gets one lookup and one PUBLISH_BATCH / UNPUBLISH_BATCH /
+POLL_BATCH message.
 """
 
 from __future__ import annotations
@@ -39,6 +44,11 @@ class SharedDocument:
     #: term → last cache sequence seen at that term's indexing peer.
     poll_cursors: Dict[str, int] = field(default_factory=dict)
     learning_iterations_run: int = 0
+
+
+#: One document's share of a write: its state and the terms to publish
+#: or withdraw.
+Plan = Tuple[SharedDocument, Sequence[str]]
 
 
 class OwnerPeer:
@@ -75,109 +85,48 @@ class OwnerPeer:
         them into the distributed index."""
         if document.doc_id in self.shared:
             raise LearningError(f"document already shared: {document.doc_id!r}")
-        terms = (
-            list(first_terms)
-            if first_terms is not None
-            else initial_terms(document, self.config.initial_terms)
-        )
-        state = SharedDocument(
-            document=document,
-            index_terms=[],
-            learner=IncrementalLearner(document, scorer=self.scorer),
-        )
-        self.shared[document.doc_id] = state
-        self._publish_terms(state, terms)
-        return state
+        plan = self._admit(document, first_terms)
+        self._publish([plan])
+        return plan[0]
 
     def unshare(self, doc_id: str) -> None:
         """Withdraw a document: unpublish every global index term."""
         state = self._state(doc_id)
-        self._unpublish_terms(state, list(state.index_terms))
+        self._unpublish([(state, state.index_terms)])
         del self.shared[doc_id]
 
     def share_bulk(
         self,
         documents: Sequence[Document],
-        first_terms_of: Dict[str, Sequence[str]] | None = None,
+        first_terms_of: Dict[str, Sequence[str] | None] | None = None,
     ) -> List[SharedDocument]:
-        """Share many documents at once.
+        """Share many documents at once (initial terms per document from
+        *first_terms_of*; a missing or ``None`` entry means top-F).
 
-        On the batched write path the initial publications of the whole
-        batch are destination-grouped into *one*
+        The initial publications of the whole batch go out as *one*
         :meth:`~repro.core.indexer.IndexingProtocol.publish_batch` call,
         so a lookup is paid per distinct indexing peer across the entire
         corpus slice rather than per (document, term) pair — the bulk
-        ingest the ROADMAP's "millions of users" north star needs.  With
-        ``batched_writes=False`` this is exactly a loop of
-        :meth:`share`.
+        ingest the ROADMAP's "millions of users" north star needs.
         """
-        for document in documents:
-            if document.doc_id in self.shared:
-                raise LearningError(
-                    f"document already shared: {document.doc_id!r}"
-                )
-        plans: List[Tuple[SharedDocument, List[str]]] = []
         seen: Set[str] = set()
         for document in documents:
-            if document.doc_id in seen:
-                raise LearningError(
-                    f"duplicate document in bulk share: {document.doc_id!r}"
-                )
+            if document.doc_id in self.shared or document.doc_id in seen:
+                raise LearningError(f"document already shared: {document.doc_id!r}")
             seen.add(document.doc_id)
-            supplied = (
-                first_terms_of.get(document.doc_id)
-                if first_terms_of is not None
-                else None
-            )
-            terms = (
-                list(supplied)
-                if supplied is not None
-                else initial_terms(document, self.config.initial_terms)
-            )
-            state = SharedDocument(
-                document=document,
-                index_terms=[],
-                learner=IncrementalLearner(document, scorer=self.scorer),
-            )
-            self.shared[document.doc_id] = state
-            plans.append((state, terms))
-
-        if not self.config.batched_writes:
-            for state, terms in plans:
-                self._publish_terms(state, terms)
-            return [state for state, __ in plans]
-
-        postings: List[Tuple[str, PostingEntry]] = []
-        for state, terms in plans:
-            for term in dict.fromkeys(terms):
-                postings.append((term, self._posting_for(state.document, term)))
-        published, __ = self.protocol.publish_batch(self.node_id, postings)
-        for state, terms in plans:
-            for term in dict.fromkeys(terms):
-                if term not in published or term in state.index_terms:
-                    continue
-                state.index_terms.append(term)
-                if term not in state.poll_cursors:
-                    state.poll_cursors[term] = -1
+        supplied = first_terms_of or {}
+        plans = [self._admit(doc, supplied.get(doc.doc_id)) for doc in documents]
+        self._publish(plans)
         return [state for state, __ in plans]
 
     def unshare_bulk(self, doc_ids: Sequence[str]) -> None:
-        """Withdraw many documents at once, destination-grouping all
-        their removals into one
-        :meth:`~repro.core.indexer.IndexingProtocol.unpublish_batch`
-        call on the batched path."""
+        """Withdraw many documents at once: all their removals go out as
+        one :meth:`~repro.core.indexer.IndexingProtocol.unpublish_batch`
+        call."""
         if len(set(doc_ids)) != len(doc_ids):
             raise LearningError("duplicate document id in bulk unshare")
         states = [self._state(doc_id) for doc_id in doc_ids]
-        if not self.config.batched_writes:
-            for doc_id in doc_ids:
-                self.unshare(doc_id)
-            return
-        removals: List[Tuple[str, str]] = []
-        for state in states:
-            for term in state.index_terms:
-                removals.append((term, state.document.doc_id))
-        self.protocol.unpublish_batch(self.node_id, removals)
+        self._unpublish([(state, state.index_terms) for state in states])
         for doc_id in doc_ids:
             del self.shared[doc_id]
 
@@ -187,6 +136,18 @@ class OwnerPeer:
         except KeyError:
             raise LearningError(f"document not shared by this peer: {doc_id!r}") from None
 
+    def _admit(self, document: Document, first_terms: Sequence[str] | None) -> Plan:
+        """Start owning *document*; returns its state with the terms to
+        publish first (the supplied ones, else top-F frequency)."""
+        terms = (
+            list(first_terms)
+            if first_terms is not None
+            else initial_terms(document, self.config.initial_terms)
+        )
+        state = SharedDocument(document, [], IncrementalLearner(document, scorer=self.scorer))
+        self.shared[document.doc_id] = state
+        return state, terms
+
     def _posting_for(self, document: Document, term: str) -> PostingEntry:
         return PostingEntry(
             doc_id=document.doc_id,
@@ -195,36 +156,27 @@ class OwnerPeer:
             doc_length=document.length,
         )
 
-    def _publish_terms(self, state: SharedDocument, terms: Sequence[str]) -> None:
-        if self.config.batched_writes:
-            fresh = [
-                t for t in dict.fromkeys(terms) if t not in state.index_terms
-            ]
-            if not fresh:
-                return
-            published, __ = self.protocol.publish_batch(
-                self.node_id,
-                [(t, self._posting_for(state.document, t)) for t in fresh],
-            )
-            for term in fresh:
-                if term not in published:
-                    continue
-                state.index_terms.append(term)
-                if term not in state.poll_cursors:
-                    state.poll_cursors[term] = -1
+    def _publish(self, plans: Sequence[Plan]) -> None:
+        """Publish each plan's not-yet-indexed terms — every share,
+        bulk share and learning diff ends here.  One destination-grouped
+        ``publish_batch`` carries all the plans; a term counts as
+        indexed (and gets a fresh poll cursor) only if its indexing peer
+        was reachable."""
+        fresh = [
+            (state, [t for t in dict.fromkeys(terms) if t not in state.index_terms])
+            for state, terms in plans
+        ]
+        postings = [
+            (t, self._posting_for(state.document, t)) for state, terms in fresh for t in terms
+        ]
+        if not postings:
             return
-        for term in terms:
-            if term in state.index_terms:
-                continue
-            try:
-                self.protocol.publish(
-                    self.node_id, term, self._posting_for(state.document, term)
-                )
-            except NodeFailedError:
-                continue
-            state.index_terms.append(term)
-            if term not in state.poll_cursors:
-                state.poll_cursors[term] = -1
+        published, __ = self.protocol.publish_batch(self.node_id, postings)
+        for state, terms in fresh:
+            for term in terms:
+                if term in published:
+                    state.index_terms.append(term)
+                    state.poll_cursors.setdefault(term, -1)
 
     def _publish_terms_force(self, state: SharedDocument, term: str) -> bool:
         """Re-publish the posting for an *already indexed* term.
@@ -247,65 +199,45 @@ class OwnerPeer:
             return False
         return True
 
-    def _unpublish_terms(self, state: SharedDocument, terms: Sequence[str]) -> None:
-        if self.config.batched_writes:
-            present = [
-                t for t in dict.fromkeys(terms) if t in state.index_terms
-            ]
-            if not present:
-                return
-            self.protocol.unpublish_batch(
-                self.node_id,
-                [(t, state.document.doc_id) for t in present],
-            )
-            # Like the per-term path, the owner forgets the term whether
-            # or not the destination peer was reachable.
-            for term in present:
+    def _unpublish(self, plans: Sequence[Plan]) -> None:
+        """Withdraw each plan's currently indexed terms in one
+        destination-grouped ``unpublish_batch`` — the counterpart of
+        :meth:`_publish`.  The owner forgets a term whether or not its
+        indexing peer was reachable."""
+        present = [
+            (state, [t for t in dict.fromkeys(terms) if t in state.index_terms])
+            for state, terms in plans
+        ]
+        removals = [(t, state.document.doc_id) for state, terms in present for t in terms]
+        if not removals:
+            return
+        self.protocol.unpublish_batch(self.node_id, removals)
+        for state, terms in present:
+            for term in terms:
                 state.index_terms.remove(term)
                 state.poll_cursors.pop(term, None)
-            return
-        for term in terms:
-            if term not in state.index_terms:
-                continue
-            try:
-                self.protocol.unpublish(self.node_id, term, state.document.doc_id)
-            except NodeFailedError:
-                pass
-            state.index_terms.remove(term)
-            state.poll_cursors.pop(term, None)
 
     # -- learning ------------------------------------------------------------
 
     def poll_queries(self, doc_id: str) -> List[Tuple[str, ...]]:
         """Poll every index term's peer for queries cached since the
-        last poll; the closest-hash rule at the peers guarantees each
-        query comes back at most once per poll."""
+        last poll — one ``poll_batch`` round-trip per distinct peer; the
+        closest-hash rule at the peers guarantees each query comes back
+        at most once per poll."""
         state = self._state(doc_id)
         hashes = {t: self.protocol.term_hash(t) for t in state.index_terms}
+        results, __ = self.protocol.poll_batch(
+            self.node_id,
+            [(term, state.poll_cursors.get(term, -1)) for term in state.index_terms],
+            hashes,
+        )
+        # Queries are collected in index-term order, whatever order the
+        # peers answered in.
         collected: List[Tuple[str, ...]] = []
-        if self.config.batched_writes:
-            pairs = [
-                (term, state.poll_cursors.get(term, -1))
-                for term in state.index_terms
-            ]
-            results, __ = self.protocol.poll_batch(self.node_id, pairs, hashes)
-            # Reassemble in index-term order so the observed query
-            # stream is byte-identical to the per-term loop's.
-            for term in list(state.index_terms):
-                if term not in results:
-                    continue  # unreachable peer: cursor untouched
-                fresh, latest = results[term]
-                state.poll_cursors[term] = latest
-                collected.extend(c.terms for c in fresh)
-            return collected
-        for term in list(state.index_terms):
-            since = state.poll_cursors.get(term, -1)
-            try:
-                fresh, latest = self.protocol.poll_term(
-                    self.node_id, term, hashes, since
-                )
-            except NodeFailedError:
-                continue
+        for term in state.index_terms:
+            if term not in results:
+                continue  # unreachable peer: cursor untouched
+            fresh, latest = results[term]
             state.poll_cursors[term] = latest
             collected.extend(c.terms for c in fresh)
         return collected
@@ -348,8 +280,8 @@ class OwnerPeer:
     def _apply_term_set(self, state: SharedDocument, new_terms: Sequence[str]) -> None:
         current: Set[str] = set(state.index_terms)
         desired: Set[str] = set(new_terms)
-        self._unpublish_terms(state, [t for t in state.index_terms if t not in desired])
-        self._publish_terms(state, [t for t in new_terms if t not in current])
+        self._unpublish([(state, [t for t in state.index_terms if t not in desired])])
+        self._publish([(state, [t for t in new_terms if t not in current])])
 
     # -- inspection --------------------------------------------------------------
 

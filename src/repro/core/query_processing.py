@@ -59,7 +59,6 @@ class QueryProcessor:
         protocol: IndexingProtocol,
         assumed_corpus_size: int,
         document_frequency_override: Optional[Mapping[str, int]] = None,
-        result_cache: bool = False,
     ) -> None:
         """``document_frequency_override`` substitutes *true* document
         frequencies for the indexed document frequencies in the weight
@@ -67,15 +66,14 @@ class QueryProcessor:
         indexed frequency n'_k is an adequate (or better) surrogate.
         Production use leaves it ``None``.
 
-        ``result_cache`` consults/feeds the indexing peers' query-result
-        caches (when the protocol has them enabled) for bounded-``top_k``
-        queries: a repeated query whose term slots are unchanged is
-        answered from the cached ranked list without fetching or scoring
-        any postings."""
+        When the protocol has result caching on
+        (``result_cache_size > 0``), bounded-``top_k`` queries consult
+        and feed the indexing peers' query-result caches: a repeated
+        query whose term slots are unchanged is answered from the cached
+        ranked list without fetching or scoring any postings."""
         self.protocol = protocol
         self.weighting = TfIdfWeighting(corpus_size=assumed_corpus_size)
         self.document_frequency_override = document_frequency_override
-        self.result_cache = result_cache
 
     def execute(
         self,
@@ -101,10 +99,10 @@ class QueryProcessor:
         ``candidate_documents`` is the number of distinct documents in
         the fetched lists — every one of them is scored.
 
-        A bounded ``top_k`` with ``result_cache`` adds the probe/store
-        exchange with the query's result-home peer around that core;
-        ``top_k=None`` means "rank everything" and never probes.  The
-        fetch traffic is the same either way.
+        A bounded ``top_k`` on a result-caching protocol adds the
+        probe/store exchange with the query's result-home peer around
+        that core; ``top_k=None`` means "rank everything" and never
+        probes.  The fetch traffic is the same either way.
         """
         execution = QueryExecution(query_id=query.query_id)
         clock = self.protocol.ring.transport.clock
@@ -114,7 +112,6 @@ class QueryProcessor:
         # -- result-cache consultation ------------------------------------
         use_rcache = (
             top_k is not None
-            and self.result_cache
             and protocol.result_cache_size > 0
             and self.document_frequency_override is None
         )

@@ -85,7 +85,6 @@ class DistributedSystem:
         self.processor = QueryProcessor(
             self.protocol,
             assumed_corpus_size=self.config.assumed_corpus_size,
-            result_cache=self.config.result_cache_size > 0,
         )
         self.owners: Dict[int, OwnerPeer] = {}
         self._doc_owner: Dict[str, int] = {}
@@ -98,6 +97,15 @@ class DistributedSystem:
         hashing its id onto the ring (documents live where their users
         are; any stable assignment works)."""
         return self.ring.successor_of(self.ring.space.hash_key(f"owner:{doc_id}"))
+
+    def _owner_at(self, node_id: int) -> OwnerPeer:
+        """The owner peer on *node_id*, created on first use."""
+        owner = self.owners.get(node_id)
+        if owner is None:
+            owner = self.owners[node_id] = OwnerPeer(
+                node_id, self.protocol, self.config, scorer=self.scorer
+            )
+        return owner
 
     def owner_of(self, doc_id: str) -> OwnerPeer:
         """The owner peer responsible for *doc_id*."""
@@ -120,10 +128,7 @@ class DistributedSystem:
         DHT.  Returns the owner peer.  Used by :meth:`share_corpus` and
         by the scenario engine's incremental ``publish`` events."""
         node_id = self._owner_node_for(doc.doc_id)
-        owner = self.owners.get(node_id)
-        if owner is None:
-            owner = OwnerPeer(node_id, self.protocol, self.config, scorer=self.scorer)
-            self.owners[node_id] = owner
+        owner = self._owner_at(node_id)
         if first_terms is None:
             first_terms = self._first_terms(doc.doc_id)
         owner.share(doc, first_terms=first_terms)
@@ -145,9 +150,9 @@ class DistributedSystem:
         """Share many documents at once (default: every not-yet-shared
         corpus document), grouping them by their assigned owner peer and
         letting each owner ingest its slice through
-        :meth:`~repro.core.owner.OwnerPeer.share_bulk` — on the batched
-        write path one destination-grouped publish per owner covers the
-        owner's whole slice.  Returns the number of documents shared.
+        :meth:`~repro.core.owner.OwnerPeer.share_bulk` — one
+        destination-grouped publish per owner covers the owner's whole
+        slice.  Returns the number of documents shared.
         """
         if documents is None:
             documents = [
@@ -158,18 +163,9 @@ class DistributedSystem:
             by_owner.setdefault(self._owner_node_for(doc.doc_id), []).append(doc)
         total = 0
         for node_id, docs in by_owner.items():
-            owner = self.owners.get(node_id)
-            if owner is None:
-                owner = OwnerPeer(
-                    node_id, self.protocol, self.config, scorer=self.scorer
-                )
-                self.owners[node_id] = owner
-            firsts = {}
-            for doc in docs:
-                supplied = self._first_terms(doc.doc_id)
-                if supplied is not None:
-                    firsts[doc.doc_id] = supplied
-            owner.share_bulk(docs, first_terms_of=firsts or None)
+            self._owner_at(node_id).share_bulk(
+                docs, {doc.doc_id: self._first_terms(doc.doc_id) for doc in docs}
+            )
             for doc in docs:
                 self._doc_owner[doc.doc_id] = node_id
             total += len(docs)
@@ -261,9 +257,9 @@ class DistributedSystem:
         """Total (document, term) pairs currently in the distributed
         index — the index-size metric of the cost benches."""
         return sum(
-            len(owner._state(doc_id).index_terms)
+            len(state.index_terms)
             for owner in self.owners.values()
-            for doc_id in owner.shared
+            for state in owner.shared.values()
         )
 
 

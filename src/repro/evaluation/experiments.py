@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Literal, Optional, Sequence
 
-from ..config import ESearchConfig, SpriteConfig
+from ..config import SpriteConfig
 from ..core.esearch import ESearchSystem
-from ..core.system import SpriteSystem
+from ..core.system import DistributedSystem, SpriteSystem
 from ..corpus.relevance import Query
-from ..dht.messages import MessageKind
+from ..dht.messages import POSTING_BYTES, QUERY_HEADER_BYTES, TERM_BYTES, MessageKind
 from ..net import build_transport
 from ..ir.ranking import RankedList
 from .experiment import Environment
@@ -66,12 +66,9 @@ def build_esearch(
     env: Environment, index_terms: int | None = None
 ) -> ESearchSystem:
     """The static baseline at a given term budget."""
-    base = env.config.esearch
-    cfg = ESearchConfig(
-        index_terms=index_terms if index_terms is not None else base.index_terms,
-        assumed_corpus_size=base.assumed_corpus_size,
-        top_k_answers=base.top_k_answers,
-    )
+    cfg = env.config.esearch
+    if index_terms is not None:
+        cfg = replace(cfg, index_terms=index_terms)
     system = ESearchSystem(
         env.corpus,
         esearch_config=cfg,
@@ -299,67 +296,64 @@ def run_fig4c(
 
 @dataclass(frozen=True)
 class CostRow:
-    """Index-construction traffic for one indexing strategy."""
+    """One indexing strategy's construction cost: what the Section 1
+    model charges — one message per published posting — beside the
+    PUBLISH_BATCH traffic that measurably shipped those postings."""
 
     strategy: str
-    published_terms: int
-    publish_messages: int
-    publish_hops: int
-    publish_bytes: int
-    messages_per_document: float
+    published_terms: int    # (document, term) pairs indexed at the end
+    postings: int           # pairs ever published, replaced terms included
+    model_bytes: int        # postings × (term + posting)
+    postings_per_document: float
+    batch_messages: int
+    batch_hops: int
+    batch_bytes: int
+
+
+def _cost_row(strategy: str, system: DistributedSystem) -> CostRow:
+    """Read a system's publication cost off its ring statistics.  A
+    PUBLISH_BATCH is a header plus one (term, posting) record per
+    posting, so the posting count follows from the byte total exactly."""
+    batch = system.ring.stats.kind(MessageKind.PUBLISH_BATCH)
+    record = TERM_BYTES + POSTING_BYTES
+    postings = (batch.bytes - QUERY_HEADER_BYTES * batch.messages) // record
+    return CostRow(
+        strategy=strategy,
+        published_terms=system.total_published_terms(),
+        postings=postings,
+        model_bytes=postings * record,
+        postings_per_document=postings / len(system.corpus),
+        batch_messages=batch.messages,
+        batch_hops=batch.hops,
+        batch_bytes=batch.bytes,
+    )
+
+
+class _IndexEverything(ESearchSystem):
+    """The strawman: every unique term of every document."""
+
+    def _first_terms(self, doc_id: str):
+        doc = self.corpus.get(doc_id)
+        return doc.top_terms(doc.unique_terms)
 
 
 def run_cost_comparison(env: Environment) -> List[CostRow]:
-    """Measure the publication traffic of (a) SPRITE's selective index,
+    """Measure the publication cost of (a) SPRITE's selective index,
     (b) eSearch's static top-20, and (c) indexing *every* unique term —
     the infeasible strawman the introduction argues against.
 
-    All three systems run the paper's per-term publication protocol
-    (``batched_writes=False``): the figure compares term-*selection*
-    policies under the Section 1 cost model, where every published
-    (doc, term) pair is one message.  The batched write path's savings
-    are measured separately by the ingest benchmark (DESIGN.md §11).
+    The figure compares term-*selection* policies under the Section 1
+    cost model, where every published (doc, term) pair is one message;
+    that count is the number of postings the write path ships (pinned
+    against the per-term reference owner in ``tests/``).  The grouped
+    protocol's measured messages, hops and bytes are reported beside it.
     """
-    rows: List[CostRow] = []
-    n_docs = len(env.corpus)
-
-    def measure(system, label: str) -> CostRow:
-        stats = system.ring.stats
-        publish = stats.kind(MessageKind.PUBLISH_TERM)
-        return CostRow(
-            strategy=label,
-            published_terms=system.total_published_terms(),
-            publish_messages=publish.messages,
-            publish_hops=publish.hops,
-            publish_bytes=publish.bytes,
-            messages_per_document=publish.messages / n_docs,
-        )
-
-    sprite = build_trained_sprite(
-        env, sprite_config=replace(env.config.sprite, batched_writes=False)
-    )
-    rows.append(measure(sprite, "sprite"))
-
-    legacy_esearch = replace(env.config.esearch, batched_writes=False)
-    esearch = ESearchSystem(
-        env.corpus,
-        esearch_config=legacy_esearch,
-        chord_config=env.config.chord,
-        transport=build_transport(env.config.network),
-    )
-    esearch.share_corpus()
-    rows.append(measure(esearch, "esearch"))
-
-    class _IndexEverything(ESearchSystem):
-        def _first_terms(self, doc_id: str):
-            doc = self.corpus.get(doc_id)
-            return doc.top_terms(doc.unique_terms)
-
     everything = _IndexEverything(
-        env.corpus,
-        esearch_config=legacy_esearch,
-        chord_config=env.config.chord,
+        env.corpus, esearch_config=env.config.esearch, chord_config=env.config.chord
     )
     everything.share_corpus()
-    rows.append(measure(everything, "index-everything"))
-    return rows
+    return [
+        _cost_row("sprite", build_trained_sprite(env)),
+        _cost_row("esearch", build_esearch(env)),
+        _cost_row("index-everything", everything),
+    ]

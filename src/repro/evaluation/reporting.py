@@ -87,17 +87,23 @@ def format_fig4c(rows: Sequence[Fig4cRow]) -> str:
 
 
 def format_cost(rows: Sequence[CostRow]) -> str:
-    """Index-construction traffic comparison."""
+    """Index-construction cost: the Section 1 model's postings (one
+    message each) and bytes, then the PUBLISH_BATCH traffic measured."""
     return _table(
-        ["strategy", "terms", "messages", "hops", "KiB", "msgs/doc"],
+        [
+            "strategy", "terms", "postings", "model KiB", "postings/doc",
+            "batches", "hops", "KiB",
+        ],
         (
             [
                 r.strategy,
                 str(r.published_terms),
-                str(r.publish_messages),
-                str(r.publish_hops),
-                f"{r.publish_bytes / 1024:.0f}",
-                f"{r.messages_per_document:.1f}",
+                str(r.postings),
+                f"{r.model_bytes / 1024:.0f}",
+                f"{r.postings_per_document:.1f}",
+                str(r.batch_messages),
+                str(r.batch_hops),
+                f"{r.batch_bytes / 1024:.0f}",
             ]
             for r in rows
         ),

@@ -99,9 +99,9 @@ class HotTermAdvisor:
                     )
                 )
                 replacement = self._replacement_for(state, advice.term)
-                owner._unpublish_terms(state, [advice.term])
+                owner._unpublish([(state, [advice.term])])
                 if replacement is not None:
-                    owner._publish_terms(state, [replacement])
+                    owner._publish([(state, [replacement])])
                 switched += 1
         return switched
 

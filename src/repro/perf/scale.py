@@ -197,11 +197,7 @@ def _run_shard(cfg: ScaleWorkloadConfig, shard_id: int) -> ShardResult:
         )
     )
     protocol = IndexingProtocol(ring, result_cache_size=cfg.result_cache_size)
-    processor = QueryProcessor(
-        protocol,
-        assumed_corpus_size=1_000_000,
-        result_cache=cfg.result_cache_size > 0,
-    )
+    processor = QueryProcessor(protocol, assumed_corpus_size=1_000_000)
     build_s = perf_counter() - t0
 
     # -- streamed publish: generate → batch-publish → drop ----------------

@@ -572,8 +572,9 @@ def build_simulation(
     *num_peers* ring (all seeded from *seed*), replication + maintenance
     managers, and wires them into a :class:`ScenarioEngine`.  Nothing is
     shared up front — scenarios publish incrementally.  The store
-    parameters thread straight into :class:`~repro.config.SpriteConfig`;
-    with the default memory backend the durable-store events
+    parameters thread straight into :class:`~repro.config.SpriteConfig`
+    (``snapshot_interval`` is the engine's own); with the default
+    memory backend the durable-store events
     (``snapshot``/``crash_disk``/``recover_disk``) are skipped.
     ``result_cache_size`` switches on the version-invalidated query
     -result cache the hot-term-storm scenarios hammer (0, the historical
@@ -609,7 +610,6 @@ def build_simulation(
             store_backend=store_backend,
             store_dir=store_dir,
             snapshot_dir=snapshot_dir,
-            snapshot_interval=snapshot_interval,
             ring=ring,
             ring_arity=ring_arity,
         ),

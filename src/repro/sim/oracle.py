@@ -34,9 +34,11 @@ compares either or both of
     poll cursors and learner statistics.
 
 Adding a comparison is one :class:`OracleRow` entry; a tier-1 test
-fails when a result-neutral switch has no row.  Two comparisons have a
-different shape and keep their own bodies, reached through the same
-:meth:`DifferentialOracle.check_all`:
+fails when a result-neutral switch has no row.  (The write protocol is
+not a switch; ``tests/core/test_ingest_equivalence.py`` runs
+``bulk-churn`` against the per-term reference owner.)  Two comparisons
+have a different shape and keep their own bodies, reached through the
+same :meth:`DifferentialOracle.check_all`:
 
 * **Concurrent-runtime equivalence** — the DESIGN.md §15 event-driven
   runtime is a *timing* model layered over unchanged semantics, so the
@@ -85,9 +87,9 @@ def write_state_fingerprint(system: DistributedSystem) -> Dict[str, object]:
     ``version_rank``
         The slot keys sorted by slot version.  Versions come from one
         process-global counter, so their *absolute* values differ
-        between two separately built systems — but the batched path
-        applies mutations in exactly the per-term path's order, so the
-        *rank order* of final slot versions must coincide.
+        between two separately built systems — but every write path
+        applies mutations in the same order, so the *rank order* of
+        final slot versions must coincide.
     ``owners``
         Per (owner peer, shared document): index terms in selection
         order, poll cursors, iterations run, the learner's raw
@@ -197,12 +199,6 @@ ORACLE_ROWS: Tuple[OracleRow, ...] = (
     OracleRow("perf-paths", {"chord": {"route_cache_size": 0}}),
     # The second round is served from the result caches.
     OracleRow("result-cache", {"sprite": {"result_cache_size": 128}}, rounds=2),
-    OracleRow(
-        "ingest-paths",
-        {"sprite": {"batched_writes": False}},
-        flow="bulk-churn",
-        equal=frozenset({"rankings", "fingerprint"}),
-    ),
     # SQLite stores only the integer posting columns; every float is
     # recomputed through the expressions the columnar store uses, so
     # there is no tolerance to hide behind.

@@ -1,13 +1,13 @@
-"""Exactness of the batched write path (ISSUE 5).
+"""Exactness of the write protocol (ISSUE 5, ISSUE 17).
 
-The destination-grouped publish/unpublish/poll path
-(``SpriteConfig.batched_writes=True``) must be *invisible in state*:
-after any identical sequence of bulk shares, query registrations,
-learning iterations, withdrawals, re-shares, and graceful churn, the
-full write-visible state — slot postings and aggregates, the global
-order in which slot versions were assigned, owner index terms, poll
-cursors, and learner statistics — must be bit-identical to the seed
-per-term path's.
+The destination-grouped publish/unpublish/poll protocol
+:class:`~repro.core.owner.OwnerPeer` speaks must be *invisible in
+state*: after any identical sequence of bulk shares, query
+registrations, learning iterations, withdrawals, re-shares, and graceful
+churn, the full write-visible state — slot postings and aggregates, the
+global order in which slot versions were assigned, owner index terms,
+poll cursors, and learner statistics — must be bit-identical to what the
+seed's per-term protocol (``per_term_owner.PerTermOwner``) leaves.
 """
 
 from __future__ import annotations
@@ -22,8 +22,11 @@ from repro.config import ChordConfig, SpriteConfig
 from repro.core.indexer import IndexingProtocol
 from repro.core.owner import OwnerPeer
 from repro.corpus import Document
+from repro.corpus.synthetic import SyntheticTrecCorpus
 from repro.dht import ChordRing
-from repro.sim.oracle import write_state_fingerprint
+from repro.sim.oracle import DifferentialOracle, write_state_fingerprint
+
+from .per_term_owner import PerTermOwner, install_per_term_owners
 
 VOCAB = [f"kw{i:03d}" for i in range(18)]
 
@@ -50,10 +53,10 @@ class _Stack:
             max_index_terms=5,
             query_cache_size=64,
             assumed_corpus_size=1000,
-            batched_writes=batched,
         )
         self.protocol = IndexingProtocol(self.ring, query_cache_size=64)
-        self.owner = OwnerPeer(self.ring.live_ids[0], self.protocol, self.config)
+        owner_type = OwnerPeer if batched else PerTermOwner
+        self.owner = owner_type(self.ring.live_ids[0], self.protocol, self.config)
         self.owners = {self.owner.node_id: self.owner}
 
 
@@ -106,8 +109,9 @@ def test_ingest_equivalence_property(
     churn: bool,
 ) -> None:
     """For any seeded ingest workload — bulk share, training queries,
-    learning, graceful churn, withdraw and re-share — the batched and
-    per-term write paths leave bit-identical write-visible state."""
+    learning, graceful churn, withdraw and re-share — the grouped
+    protocol and the per-term reference leave bit-identical
+    write-visible state."""
     rng = random.Random(seed)
     ring_seed = rng.randint(0, 2**31)
     plan = {
@@ -168,3 +172,28 @@ def test_learning_iteration_matches_per_term_polls() -> None:
         stack.owner.learn_all()
         stack.owner.learn_all()  # second pass: cursors must prevent re-counting
     assert write_state_fingerprint(stacks[0]) == write_state_fingerprint(stacks[1])
+
+
+def test_bulk_churn_system_matches_per_term_reference(micro_corpus_config) -> None:
+    """The oracle's write-heavy flow on whole systems — bulk share,
+    training queries, learning, withdraw and re-share a fifth of the
+    corpus — against a system whose owners all speak the per-term
+    protocol: equal fingerprint, equal rankings down to the score bits
+    (the comparison the ``ingest-paths`` oracle row used to run)."""
+    corpus, originals, __ = SyntheticTrecCorpus(micro_corpus_config).build()
+    queries = list(originals)
+    oracle = DifferentialOracle(
+        corpus, train=queries[:4], test=queries[4:], num_peers=16, seed=0
+    )
+    grouped, reference = oracle.build(), install_per_term_owners(oracle.build())
+    for system in (grouped, reference):
+        oracle._replay(system, "bulk-churn")
+    assert all(type(o) is PerTermOwner for o in reference.owners.values())
+    assert write_state_fingerprint(grouped) == write_state_fingerprint(reference)
+    assert oracle.test
+    for query in oracle.test:
+        expected = reference.search(query, cache=False)
+        actual = grouped.search(query, cache=False)
+        assert [(e.doc_id, e.score) for e in actual] == [
+            (e.doc_id, e.score) for e in expected
+        ], query.query_id

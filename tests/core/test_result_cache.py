@@ -31,11 +31,7 @@ VOCAB = [f"rc{i:02d}" for i in range(12)]
 def build_stack(result_cache: int = 64, seed: int = 3):
     ring = ChordRing(ChordConfig(num_peers=24, seed=seed, route_cache_size=4096))
     protocol = IndexingProtocol(ring, result_cache_size=result_cache)
-    processor = QueryProcessor(
-        protocol,
-        assumed_corpus_size=10_000,
-        result_cache=result_cache > 0,
-    )
+    processor = QueryProcessor(protocol, assumed_corpus_size=10_000)
     rng = random.Random(seed)
     for d in range(20):
         doc_id = f"d{d:03d}"
@@ -243,7 +239,6 @@ class TestEndToEnd:
             protocol,
             assumed_corpus_size=10_000,
             document_frequency_override={VOCAB[0]: 5},
-            result_cache=True,
         )
         execute(ring, processor, (VOCAB[0],))
         __, execution = execute(ring, processor, (VOCAB[0],))

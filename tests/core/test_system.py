@@ -108,10 +108,9 @@ class TestLearningLoop:
         assert "lookup" in after or "lookup" in initial
 
     def test_stats_accumulate_traffic(self, sprite: SpriteSystem) -> None:
-        """The default (batched) write path publishes via PUBLISH_BATCH
-        messages: one per distinct destination peer, together carrying
-        every (doc, term) posting and never more batches than the
-        legacy path's one-message-per-posting."""
+        """Owners publish via PUBLISH_BATCH messages: one per distinct
+        destination peer, together carrying every (doc, term) posting
+        and never more batches than one message per posting."""
         from repro.dht.messages import MessageKind, POSTING_BYTES, TERM_BYTES
 
         sprite.share_corpus()
@@ -120,28 +119,6 @@ class TestLearningLoop:
         assert 0 < batch.messages <= 12 * 3
         assert batch.bytes >= 12 * 3 * (TERM_BYTES + POSTING_BYTES)
         assert batch.hops >= batch.messages  # ≥1 hop each
-
-    def test_stats_accumulate_traffic_legacy_path(self, corpus: Corpus) -> None:
-        """batched_writes=False keeps the seed per-term profile."""
-        from repro.dht.messages import MessageKind
-
-        sprite = SpriteSystem(
-            corpus,
-            sprite_config=SpriteConfig(
-                initial_terms=3,
-                terms_per_iteration=2,
-                learning_iterations=1,
-                max_index_terms=5,
-                query_cache_size=50,
-                assumed_corpus_size=1000,
-                batched_writes=False,
-            ),
-            chord_config=CHORD,
-        )
-        sprite.share_corpus()
-        publish = sprite.ring.stats.kind(MessageKind.PUBLISH_TERM)
-        assert publish.messages == 12 * 3
-        assert publish.hops >= publish.messages  # ≥1 hop each
 
 
 class TestDiagnostics:

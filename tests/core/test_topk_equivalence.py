@@ -59,7 +59,6 @@ def build_stack(
         protocol,
         assumed_corpus_size=10_000,
         document_frequency_override=override,
-        result_cache=result_cache > 0,
     )
     rng = random.Random(seed)
     for d in range(num_docs):

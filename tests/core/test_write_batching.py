@@ -1,7 +1,8 @@
-"""Edge cases of the batched write path (ISSUE 5).
+"""Edge cases of the write protocol (ISSUE 5).
 
 Unit-level companions to the ``test_ingest_equivalence`` property:
-owner semantics that must hold identically on both write paths
+owner semantics that must hold identically for ``OwnerPeer`` and the
+per-term reference ``PerTermOwner``
 (cursor resets, idempotent publication, partial-failure isolation) and
 the indexer batch methods' cost/failure contracts (one lookup per
 distinct peer via interval absorption, per-peer failure isolation,
@@ -20,6 +21,8 @@ from repro.core.metadata import PostingEntry
 from repro.core.owner import OwnerPeer
 from repro.corpus import Document
 from repro.dht import ChordRing
+
+from .per_term_owner import PerTermOwner
 
 
 def make_ring(seed: int = 29, route_cache_size: int = 0) -> ChordRing:
@@ -41,10 +44,10 @@ def make_owner(ring: ChordRing, batched: bool) -> OwnerPeer:
         learning_iterations=1,
         max_index_terms=4,
         query_cache_size=32,
-        batched_writes=batched,
     )
     protocol = IndexingProtocol(ring, query_cache_size=32)
-    return OwnerPeer(ring.live_ids[0], protocol, config)
+    owner_type = OwnerPeer if batched else PerTermOwner
+    return owner_type(ring.live_ids[0], protocol, config)
 
 
 DOC = Document(
@@ -87,7 +90,7 @@ class TestOwnerEdgeCases:
         }
         messages_before = ring.stats.total_messages
 
-        owner._publish_terms(state, terms_before)
+        owner._publish([(state, terms_before)])
 
         assert state.index_terms == terms_before
         assert state.poll_cursors == cursors_before

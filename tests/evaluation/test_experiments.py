@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.esearch import ESearchSystem
+from repro.core.system import SpriteSystem
+from repro.dht.messages import MessageKind
 from repro.evaluation.experiments import (
+    _IndexEverything,
     build_esearch,
     build_trained_sprite,
     run_cost_comparison,
@@ -23,6 +27,8 @@ from repro.evaluation.reporting import (
     format_fig4b,
     format_fig4c,
 )
+
+from ..core.per_term_owner import install_per_term_owners
 
 
 @pytest.fixture(scope="module")
@@ -122,20 +128,43 @@ class TestCostComparison:
 
     def test_index_everything_is_most_expensive(self, rows) -> None:
         by_name = {r.strategy: r for r in rows}
-        assert (
-            by_name["index-everything"].publish_messages
-            > by_name["esearch"].publish_messages
-        )
-        assert (
-            by_name["index-everything"].publish_messages
-            > by_name["sprite"].publish_messages
-        )
+        assert by_name["index-everything"].postings > by_name["esearch"].postings
+        assert by_name["index-everything"].postings > by_name["sprite"].postings
 
     def test_messages_match_terms(self, rows) -> None:
+        by_name = {r.strategy: r for r in rows}
         for row in rows:
-            # Every published (doc, term) pair costs at least one message
-            # (learning republications can add more for SPRITE).
-            assert row.publish_messages >= row.published_terms
+            # Every published (doc, term) pair is one model message
+            # (learning republications can add more for SPRITE); grouping
+            # never sends more batches than postings.
+            assert row.postings >= row.published_terms
+            assert 0 < row.batch_messages <= row.postings
+            assert row.batch_hops >= row.batch_messages
+        for static in ("esearch", "index-everything"):
+            assert by_name[static].postings == by_name[static].published_terms
+
+    def test_postings_equal_per_term_reference_messages(self, rows, small_env) -> None:
+        """The Section 1 count, made executable: an owner that sends one
+        PUBLISH_TERM per (document, term) pair sends exactly as many
+        messages (and bytes) as the table says postings."""
+        env = small_env
+        static = dict(esearch_config=env.config.esearch, chord_config=env.config.chord)
+        reference = {
+            "sprite": SpriteSystem(
+                env.corpus, sprite_config=env.config.sprite, chord_config=env.config.chord
+            ),
+            "esearch": ESearchSystem(env.corpus, **static),
+            "index-everything": _IndexEverything(env.corpus, **static),
+        }
+        for system in reference.values():
+            install_per_term_owners(system).share_corpus()
+        reference["sprite"].register_queries(env.train.queries)
+        reference["sprite"].run_learning()
+        for row in rows:
+            stats = reference[row.strategy].ring.stats
+            per_term = stats.kind(MessageKind.PUBLISH_TERM)
+            assert stats.kind(MessageKind.PUBLISH_BATCH).messages == 0
+            assert (row.postings, row.model_bytes) == (per_term.messages, per_term.bytes)
 
     def test_formatting(self, rows) -> None:
         assert "index-everything" in format_cost(rows)

@@ -64,12 +64,10 @@ class TestFigureFormatters:
     def test_cost_kib_and_per_doc(self) -> None:
         rows = [
             CostRow(
-                strategy="sprite", published_terms=100, publish_messages=100,
-                publish_hops=420, publish_bytes=10240,
-                messages_per_document=20.0,
+                strategy="sprite", published_terms=100, postings=101,
+                model_bytes=10240, postings_per_document=20.2,
+                batch_messages=37, batch_hops=420, batch_bytes=7168,
             )
         ]
-        table = format_cost(rows)
-        assert "sprite" in table
-        assert "10" in table     # KiB
-        assert "20.0" in table   # msgs/doc
+        row = format_cost(rows).splitlines()[-1].split()
+        assert row == ["sprite", "100", "101", "10", "20.2", "37", "420", "7"]

@@ -58,11 +58,5 @@ class TestHeadlineConclusions:
 
     def test_cost_ordering(self, small_env) -> None:
         rows = {r.strategy: r for r in run_cost_comparison(small_env)}
-        assert (
-            rows["sprite"].publish_messages
-            < rows["index-everything"].publish_messages
-        )
-        assert (
-            rows["esearch"].publish_messages
-            < rows["index-everything"].publish_messages
-        )
+        assert rows["sprite"].postings < rows["index-everything"].postings
+        assert rows["esearch"].postings < rows["index-everything"].postings

@@ -25,7 +25,6 @@ ROW_IDS = [row.name for row in ORACLE_ROWS]
 RESULT_NEUTRAL_SWITCHES = {
     "sprite": {
         "result_cache_size",
-        "batched_writes",
         "store_backend",
         "store_bloom",
         "ring",
@@ -47,7 +46,6 @@ PARAMETERS = {
         "top_k_answers",
         "store_dir",
         "snapshot_dir",
-        "snapshot_interval",
     },
     "chord": {"num_peers", "id_bits", "successor_list_size", "seed"},
 }
@@ -90,7 +88,6 @@ class TestRows:
                 row.delta.get("chord", {})
             )
             # what the configuration feeds into the built objects
-            assert varied.processor.result_cache == (varied.config.result_cache_size > 0)
             assert varied.protocol.result_cache_size == varied.config.result_cache_size
             assert (varied.store_runtime is not None) == (
                 varied.config.store_backend == "sqlite"

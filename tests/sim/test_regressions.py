@@ -142,7 +142,7 @@ class TestReconciliation:
 
         ring.fail(primary)
         state = owner.shared[doc_id]
-        owner._unpublish_terms(state, [term])  # deletion lost: peer is down
+        owner._unpublish([(state, [term])])  # deletion lost: peer is down
         assert term not in state.index_terms
         replication.recover_from_failures()
 

@@ -26,10 +26,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SpriteConfig(store_backend="postgres")
 
-    def test_negative_snapshot_interval_rejected(self) -> None:
-        with pytest.raises(ConfigurationError):
-            SpriteConfig(snapshot_interval=-1)
-
     def test_sqlite_backend_builds_runtime(self, tmp_path) -> None:
         config = SpriteConfig(
             store_backend="sqlite",
