@@ -380,6 +380,9 @@ def cmd_net(args: argparse.Namespace, out) -> int:
 
 
 def cmd_search(args: argparse.Namespace, out) -> int:
+    if args.top < 1:
+        out.write("error: --top must be >= 1\n")
+        return 2
     env = _build_env(args, out)
     out.write("training SPRITE (share + insert queries + learn)...\n")
     system = build_trained_sprite(env)

@@ -53,7 +53,6 @@ from ..dht.messages import (
 )
 from ..dht.ring import ChordRing
 from ..exceptions import NodeFailedError
-from ..ir.postings import PostingRow
 from ..ir.ranking import RankedList
 from .metadata import (
     CachedQuery,
@@ -61,6 +60,7 @@ from .metadata import (
     PostingEntry,
     QueryCache,
     QueryResultCache,
+    ScoringView,
     TermSlot,
 )
 
@@ -70,11 +70,12 @@ class SlotView:
     executor: the postings plus the slot aggregates (indexed df,
     content version).
 
-    ``rows()`` delegates to the slot's per-version cached view of plain
-    posting rows, so materializing a hot term's postings is paid once
-    per slot *mutation*, not once per query, and builds no per-posting
-    object.  A ``None`` slot (unindexed term) yields the same empty
-    shape :meth:`fetch_postings` reports.
+    ``scoring_view()`` delegates to the slot's per-version cached
+    columns (:meth:`TermSlot.scoring_view`), so a hot term's postings
+    are turned into scoring inputs once per slot *mutation*, not once
+    per query, and no per-posting object is built.  A ``None`` slot
+    (unindexed term) yields the same empty shape :meth:`fetch_postings`
+    reports.
     """
 
     __slots__ = ("term", "indexed_df", "version", "_slot")
@@ -89,8 +90,8 @@ class SlotView:
             self.indexed_df = slot.indexed_document_frequency
             self.version = slot.version
 
-    def rows(self) -> List[PostingRow]:
-        return self._slot.rows() if self._slot is not None else []
+    def scoring_view(self) -> ScoringView:
+        return self._slot.scoring_view() if self._slot is not None else [[], [], []]
 
 
 class IndexingProtocol:
@@ -392,6 +393,11 @@ class IndexingProtocol:
         terms contain at least one query term" — i.e. at the peers
         responsible for the query's own terms.  Returns the number of
         peers that cached it.
+
+        Registration on its own — inserting training queries, where
+        nothing is fetched.  A query that is *executed* registers through
+        the visit that fetches its postings
+        (:meth:`fetch_slot_views` with ``register``).
         """
         cached_at, __, __ = self.register_query_observing(issuer_id, terms)
         return cached_at
@@ -477,7 +483,7 @@ class IndexingProtocol:
         return self._fetch_batch(issuer_id, terms, extract)
 
     def fetch_slot_views(
-        self, issuer_id: int, terms: Sequence[str]
+        self, issuer_id: int, terms: Sequence[str], register: bool = False
     ) -> Tuple[Dict[str, SlotView], List[str]]:
         """Like :meth:`fetch_postings_batch`, but each reachable term
         resolves to a :class:`SlotView` carrying the slot aggregates
@@ -487,24 +493,39 @@ class IndexingProtocol:
         Sends *exactly* the same messages as :meth:`fetch_postings_batch`
         (same kinds, sizes, and hops — both share one batching core), so
         the two execution paths are indistinguishable to NetworkStats.
+
+        With *register*, the visit is also the query's registration
+        (Section 5.1: the search request itself is what leaves the query
+        in the indexing peer's cache): a peer that takes the SEARCH_TERM
+        caches the keyword tuple *terms* in every slot the request
+        addresses, creating the empty slot of a never-indexed keyword
+        exactly as :meth:`register_query` does — one lookup per term
+        instead of registration's and the fetch's one each.  What a
+        failure leaves behind: a term that cannot be located, or whose
+        SEARCH_TERM is not delivered, is dropped and nothing is cached
+        at its slot; a term whose POSTINGS reply is lost is dropped but
+        *is* cached — the peer saw the request.
         """
         def extract(term: str, slot: Optional[TermSlot]):
             view = SlotView(term, slot)
             return view, view.indexed_df
 
-        return self._fetch_batch(issuer_id, terms, extract)
+        return self._fetch_batch(issuer_id, terms, extract, register)
 
     def _fetch_batch(
         self,
         issuer_id: int,
         terms: Sequence[str],
         extract: Callable[[str, Optional[TermSlot]], Tuple[object, int]],
+        register: bool = False,
     ):
         """Shared batching core: route each distinct term, group terms by
         responsible peer, and exchange one SEARCH_TERM / POSTINGS message
         pair per peer.  ``extract(term, slot)`` produces ``(payload,
         posting count)`` per term; the count sizes the POSTINGS reply so
-        every payload shape reports identical wire cost."""
+        every payload shape reports identical wire cost.  With
+        *register*, a peer that takes the request caches the query
+        *terms* in each addressed slot before it answers."""
         located: Dict[str, Tuple[int, int]] = {}
         peer_terms: Dict[int, List[str]] = {}
         failed: List[str] = []
@@ -519,6 +540,8 @@ class IndexingProtocol:
             located[term] = (result.node_id, result.hops)
             peer_terms.setdefault(result.node_id, []).append(term)
 
+        query = tuple(terms)
+        qhash = self.query_hash(query) if register else 0
         results: Dict[str, object] = {}
         for node_id, batch in peer_terms.items():
             hops = max(located[t][1] for t in batch) + 1
@@ -539,7 +562,9 @@ class IndexingProtocol:
             total_postings = 0
             batch_results: Dict[str, object] = {}
             for term in batch:
-                slot = node.adopt(self.term_hash(term))
+                slot = self._slot_at(node, term, create=register)
+                if register:
+                    slot.cache.add(query, qhash)
                 payload, num_postings = extract(term, slot)
                 total_postings += num_postings
                 batch_results[term] = payload

@@ -22,10 +22,16 @@ import copy
 import itertools
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from math import inf, sqrt
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from ..ir.postings import ColumnarPostings, PostingRow
+from ..ir.postings import ColumnarPostings
 from ..ir.ranking import RankedList
+
+#: A slot's postings as the three parallel columns the query executor
+#: scores from, in publish order: ``[doc ids, normalized term
+#: frequencies, norms]``.  See :meth:`TermSlot.scoring_view`.
+ScoringView = List[list]
 
 
 @dataclass(frozen=True)
@@ -192,8 +198,8 @@ class TermSlot:
         self.term = term
         self.cache = cache if cache is not None else QueryCache(capacity=2000)
         self._store = store if store is not None else ColumnarPostings(doc_table)
-        self._rows_version = -1
-        self._rows_view: List[PostingRow] = []
+        self._scoring_version = -1
+        self._scoring_view: ScoringView = []
         self._entries_version = -1
         self._entries_view: List[PostingEntry] = []
         self._inverted_view: Dict[str, PostingEntry] = {}
@@ -267,19 +273,33 @@ class TermSlot:
             doc_id=row[0], owner_peer=row[1], raw_tf=row[2], doc_length=row[3]
         )
 
-    def rows(self) -> List[PostingRow]:
-        """All postings in publish order as plain ``(doc_id, owner_peer,
-        raw_tf, doc_length)`` rows — the view the query executor scores
-        from.  A cached materialized list (rebuilt only when the slot's
-        version has moved) of flat tuples: a slot that is only ever
-        queried never builds a :class:`PostingEntry`, so a first read
-        leaves nothing behind for the cyclic garbage collector to track.
-        Callers must not mutate the returned list."""
+    def scoring_view(self) -> ScoringView:
+        """All postings in publish order as three parallel columns —
+        ``[doc ids, normalized term frequencies, norms]`` — the view the
+        query executor scores from.  Everything about a posting that
+        moves only with the slot's version is computed here, once per
+        version: ``t_ik = raw_tf / length`` (:attr:`PostingEntry.
+        normalized_tf`) and the divisor of Lee's normalisation,
+        ``sqrt(length)``.  A zero-length document has ``t_ik`` 0.0 and
+        norm ``+inf``, so it scores 0.0 without a branch per candidate.
+
+        Three flat lists of strings and floats, whatever the store: a
+        slot that is only ever queried never builds a
+        :class:`PostingEntry` nor any other per-posting container, so a
+        first read leaves nothing behind for the cyclic garbage
+        collector to track.  Callers must not mutate the lists."""
         version = self._store.version
-        if version != self._rows_version:
-            self._rows_view = list(self._store.rows())
-            self._rows_version = version
-        return self._rows_view
+        if version != self._scoring_version:
+            doc_ids: List[str] = []
+            ntfs: List[float] = []
+            norms: List[float] = []
+            for doc_id, __, raw_tf, length in self._store.rows():
+                doc_ids.append(doc_id)
+                ntfs.append(raw_tf / length if length > 0 else 0.0)
+                norms.append(sqrt(length) if length > 0 else inf)
+            self._scoring_view = [doc_ids, ntfs, norms]
+            self._scoring_version = version
+        return self._scoring_view
 
     def entries(self) -> List[PostingEntry]:
         """All postings in publish order, as a cached materialized list
@@ -321,8 +341,8 @@ class TermSlot:
         clone.term = self.term
         clone.cache = copy.deepcopy(self.cache, memo)
         clone._store = copy.deepcopy(self._store, memo)
-        clone._rows_version = -1
-        clone._rows_view = []
+        clone._scoring_version = -1
+        clone._scoring_view = []
         clone._entries_version = -1
         clone._entries_view = []
         clone._inverted_view = {}

@@ -14,14 +14,13 @@ computes similarities locally:
 Terms whose indexing peer is down — or whose messages a lossy transport
 fails to deliver after retries — are dropped from the computation
 (Section 7's first failure-handling option).  Every query executed with
-``cache=True`` is also registered into the per-term query caches — the
-side channel SPRITE's learning feeds on.
+``cache=True`` is also left in the per-term query caches of the peers it
+visits — the side channel SPRITE's learning feeds on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..corpus.relevance import Query
@@ -82,27 +81,40 @@ class QueryProcessor:
         top_k: int | None = None,
         cache: bool = True,
     ) -> Tuple[RankedList, QueryExecution]:
-        """Run *query* from peer *issuer_id*: fetch → score → rank.
+        """Run *query* from peer *issuer_id*: fetch-and-register →
+        score → rank.
 
         Returns the ranked list (truncated to *top_k* when given) plus
-        per-query execution diagnostics.  With ``cache=True`` the query
-        is registered at its terms' indexing peers first, mirroring the
-        real system where the search request itself populates the cache.
+        per-query execution diagnostics.  Each indexing peer is visited
+        once: with ``cache=True`` the SEARCH_TERM that fetches a peer's
+        slots is also what leaves the query in their caches (the search
+        request itself populates the cache, Section 5.1).  A term whose
+        peer cannot be located or does not take the request is dropped
+        and cached nowhere; a term whose POSTINGS reply is lost is
+        dropped but cached — the peer saw it
+        (:meth:`IndexingProtocol.fetch_slot_views`).
 
-        One batched fetch round-trip per indexing peer, then a single
-        accumulation pass over the fetched slot views — per-document
-        running dot products in a flat dict, normalized at the end (Lee
-        et al. second method).  Contributions reach a document in query
-        term order and a repeated keyword scores once, so the scores are
-        bit-identical to the seed's per-term, nested-dict executor (kept
-        as the reference in ``tests/core/legacy_executor.py``).
-        ``candidate_documents`` is the number of distinct documents in
-        the fetched lists — every one of them is scored.
+        One batched round-trip per indexing peer, then a single
+        accumulation pass over the fetched slots' scoring views, each
+        piece of work done at the rate it changes: IDF once per term,
+        ``t_ik`` and ``sqrt(|D|)`` once per slot version (the view), one
+        multiply-add per posting into a flat dict of running dot
+        products, normalized at the end (Lee et al. second method).
+        Contributions reach a document in query term order, each as
+        ``w_Q × (t_ik × idf)``, and a repeated keyword scores once, so
+        the scores are bit-identical to the seed's per-term, nested-dict
+        executor (kept as the reference in
+        ``tests/core/legacy_executor.py``).  ``candidate_documents`` is
+        the number of distinct documents in the fetched lists — every
+        one of them is scored.
 
         A bounded ``top_k`` on a result-caching protocol adds the
         probe/store exchange with the query's result-home peer around
         that core; ``top_k=None`` means "rank everything" and never
-        probes.  The fetch traffic is the same either way.
+        probes.  The probe needs the slot versions before any posting
+        moves, so there registration stays its own round
+        (register-observing → probe → fetch); the fetch traffic is the
+        same either way.
         """
         execution = QueryExecution(query_id=query.query_id)
         clock = self.protocol.ring.transport.clock
@@ -117,18 +129,15 @@ class QueryProcessor:
         )
         reg_versions: Dict[str, int] = {}
         reg_failed: Set[str] = set()
-        if cache:
-            if use_rcache:
+        if use_rcache:
+            if cache:
                 __, reg_versions, reg_failed = protocol.register_query_observing(
                     issuer_id, query.terms
                 )
             else:
-                protocol.register_query(issuer_id, query.terms)
-        elif use_rcache:
-            reg_versions, reg_failed = protocol.probe_slot_versions(
-                issuer_id, query.terms
-            )
-        if use_rcache:
+                reg_versions, reg_failed = protocol.probe_slot_versions(
+                    issuer_id, query.terms
+                )
             served = protocol.probe_result(
                 issuer_id,
                 tuple(query.terms),
@@ -141,15 +150,18 @@ class QueryProcessor:
                 execution.latency_ms = clock.now - started_ms
                 return served, execution
 
-        # -- fetch ----------------------------------------------------------
-        fetched, failed = protocol.fetch_slot_views(issuer_id, query.terms)
+        # -- fetch (and register, unless the result-cache round did) --------
+        fetched, failed = protocol.fetch_slot_views(
+            issuer_id, query.terms, register=cache and not use_rcache
+        )
         failed_set = set(failed)
 
         # -- score: terms in query order, postings in publish order --------
         weighting = self.weighting
         override = self.document_frequency_override
         dot_products: Dict[str, float] = {}
-        doc_lengths: Dict[str, int] = {}
+        accumulated = dot_products.get
+        norms: Dict[str, float] = {}
         scored_terms: Set[str] = set()
         for term in query.terms:
             if term in failed_set:
@@ -169,20 +181,16 @@ class QueryProcessor:
             if override is not None:
                 df = max(1, override.get(term, view.indexed_df))
             qw = weighting.query_weight(df)
-            for doc_id, __, raw_tf, length in view.rows():
-                # PostingEntry.normalized_tf, on the plain row.
-                ntf = raw_tf / length if length > 0 else 0.0
-                contribution = qw * weighting.document_weight(ntf, df)
-                acc = dot_products.get(doc_id)
-                dot_products[doc_id] = (
-                    contribution if acc is None else acc + contribution
-                )
-                doc_lengths[doc_id] = length
+            # document_weight(t_ik, df) is t_ik × idf; taken at t_ik = 1
+            # it is the idf itself, so the posting loop multiplies.
+            idf = weighting.document_weight(1.0, df)
+            doc_ids, ntfs, term_norms = view.scoring_view()
+            for doc_id, ntf in zip(doc_ids, ntfs):
+                dot_products[doc_id] = accumulated(doc_id, 0.0) + qw * (ntf * idf)
+            # A document's norm is the one its last scored term reports.
+            norms.update(zip(doc_ids, term_norms))
 
-        scores: Dict[str, float] = {}
-        for doc_id, dot in dot_products.items():
-            length = doc_lengths[doc_id]
-            scores[doc_id] = dot / sqrt(length) if length > 0 else 0.0
+        scores = {doc_id: dot / norms[doc_id] for doc_id, dot in dot_products.items()}
         execution.candidate_documents = len(scores)
         execution.latency_ms = clock.now - started_ms
         ranked = (

@@ -26,10 +26,12 @@ query path reads:
   which is what makes version equality a sound query-result-cache
   validity check.
 
-``scoring_lookup()`` / ``impact_rows()`` and the impact column have no
-caller in ``src`` (the query executor scores every fetched posting from
-``rows()``); they stay, on both stores, because the benchmark's layer
-table (``bench/trace.py``) hooks them by name.
+``scoring_lookup()`` / ``impact_rows()`` and the ``_ntf`` / ``_impact``
+columns have no caller in ``src``: the query executor scores from the
+slot's per-version scoring view (``TermSlot.scoring_view()``), which the
+slot layer builds from ``rows()`` so that every store serves it alike.
+They stay, on both stores, because the benchmark's layer table
+(``bench/trace.py``) hooks them by name.
 
 Column order mirrors dict semantics exactly — insertion order, in-place
 overwrite keeps a posting's position, removal shifts the tail — so the

@@ -8,9 +8,7 @@ evaluation metrics all consume it.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 
 def _rank_key(kv: Tuple[str, float]) -> Tuple[float, str]:
@@ -19,8 +17,7 @@ def _rank_key(kv: Tuple[str, float]) -> Tuple[float, str]:
     return (-kv[1], kv[0])
 
 
-@dataclass(frozen=True)
-class ScoredDoc:
+class ScoredDoc(NamedTuple):
     """One ranked entry: a document id with its similarity score."""
 
     doc_id: str
@@ -38,7 +35,7 @@ class RankedList:
     def __init__(self, scored: Mapping[str, float] | Sequence[Tuple[str, float]]) -> None:
         items = scored.items() if isinstance(scored, Mapping) else scored
         ordered = sorted(items, key=_rank_key)
-        self._entries: List[ScoredDoc] = [ScoredDoc(d, s) for d, s in ordered]
+        self._entries: List[ScoredDoc] = list(map(ScoredDoc._make, ordered))
         self._rank_of: Dict[str, int] = {
             e.doc_id: i for i, e in enumerate(self._entries)
         }
@@ -47,7 +44,7 @@ class RankedList:
     def _from_ordered(cls, ordered: Sequence[Tuple[str, float]]) -> "RankedList":
         """Construct from pairs already in canonical order (no re-sort)."""
         ranked = cls.__new__(cls)
-        ranked._entries = [ScoredDoc(d, s) for d, s in ordered]
+        ranked._entries = list(map(ScoredDoc._make, ordered))
         ranked._rank_of = {e.doc_id: i for i, e in enumerate(ranked._entries)}
         return ranked
 
@@ -55,16 +52,31 @@ class RankedList:
     def top_k(
         cls, scored: Mapping[str, float] | Sequence[Tuple[str, float]], k: int
     ) -> "RankedList":
-        """The best *k* entries selected with a bounded heap instead of a
-        full sort — O(n log k) versus O(n log n).
+        """The best *k* entries, selected by threshold instead of a full
+        keyed sort: the k-th largest score comes from a C sort of the
+        bare floats, only entries scoring at least that *floor* are
+        sorted under the canonical ``(-score, doc_id)`` key, and the
+        list is cut at *k*.
 
-        ``heapq.nsmallest`` under the canonical ``(-score, doc_id)`` key
-        is documented to equal ``sorted(...)[:k]``, so the result —
-        including tie-broken order — is identical to
-        ``RankedList(scored).truncate(k)``.
+        Everything above the floor is kept and everything tied with it
+        survives to the keyed sort, which breaks the tie by doc id
+        before the cut — so the result, tie-broken order included, is
+        identical to ``RankedList(scored).truncate(k)``.  Raises
+        :class:`ValueError` for a negative *k*; ``k == 0`` is the empty
+        list.
         """
-        items = scored.items() if isinstance(scored, Mapping) else scored
-        return cls._from_ordered(heapq.nsmallest(k, items, key=_rank_key))
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        if k == 0:
+            return cls._from_ordered(())
+        if isinstance(scored, Mapping):
+            items, values = scored.items(), scored.values()
+        else:
+            items, values = scored, [score for __, score in scored]
+        if k < len(items):
+            floor = sorted(values, reverse=True)[k - 1]
+            items = [kv for kv in items if kv[1] >= floor]
+        return cls._from_ordered(sorted(items, key=_rank_key)[:k])
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -84,10 +96,11 @@ class RankedList:
         return [e.doc_id for e in self._entries[:k]]
 
     def truncate(self, k: int) -> "RankedList":
-        """A new ranked list containing only the best *k* entries."""
-        return RankedList._from_ordered(
-            [(e.doc_id, e.score) for e in self._entries[:k]]
-        )
+        """A new ranked list containing only the best *k* entries
+        (:class:`ValueError` for a negative *k*)."""
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        return RankedList._from_ordered(self._entries[:k])
 
     def rank_of(self, doc_id: str) -> int:
         """0-based rank of *doc_id*, or -1 if not ranked."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf, sqrt
+
 import pytest
 
 from repro.core.metadata import (
@@ -104,33 +106,36 @@ class TestTermSlot:
         assert slot.indexed_document_frequency == 0
         assert slot.remove_posting("d1") is None
 
-    def test_rows_are_the_entries_as_plain_tuples(self) -> None:
+    def test_scoring_view_columns_match_the_entries(self) -> None:
         slot = TermSlot(term="chord")
         slot.add_posting(PostingEntry("d2", 7, 3, 12))
         slot.add_posting(PostingEntry("d1", 9, 1, 0))
-        assert slot.rows() == [("d2", 7, 3, 12), ("d1", 9, 1, 0)]
-        assert [
-            (e.doc_id, e.owner_peer, e.raw_tf, e.doc_length) for e in slot.entries()
-        ] == slot.rows()
-        assert all(type(row) is tuple for row in slot.rows())
+        doc_ids, ntfs, norms = slot.scoring_view()
+        assert doc_ids == ["d2", "d1"]
+        assert ntfs == [3 / 12, 0.0]
+        assert norms == [sqrt(12), inf]  # a zero-length document: x / inf == 0.0
+        assert doc_ids == [e.doc_id for e in slot.entries()]
+        assert ntfs == [e.normalized_tf for e in slot.entries()]
+        assert all(type(column) is list for column in slot.scoring_view())
 
-    def test_rows_cached_per_version(self) -> None:
+    def test_scoring_view_cached_per_version(self) -> None:
         slot = TermSlot(term="chord")
         slot.add_posting(PostingEntry("d1", 1, 1, 10))
-        first = slot.rows()
-        assert slot.rows() is first
+        first = slot.scoring_view()
+        assert slot.scoring_view() is first
         slot.add_posting(PostingEntry("d2", 2, 1, 10))
-        assert slot.rows() is not first
-        assert [row[0] for row in slot.rows()] == ["d1", "d2"]
+        assert slot.scoring_view() is not first
+        assert slot.scoring_view()[0] == ["d1", "d2"]
         slot.remove_posting("d1")
-        assert [row[0] for row in slot.rows()] == ["d2"]
+        assert slot.scoring_view()[0] == ["d2"]
 
-    def test_reading_rows_builds_no_posting_entries(self) -> None:
-        # The query path reads rows() only; the PostingEntry views are
-        # for the fetch API and must not be materialized as a side effect.
+    def test_reading_the_scoring_view_builds_no_posting_entries(self) -> None:
+        # The query path reads scoring_view() only; the PostingEntry
+        # views are for the fetch API and must not be materialized as a
+        # side effect.
         slot = TermSlot(term="chord")
         slot.add_posting(PostingEntry("d1", 1, 1, 10))
-        slot.rows()
+        slot.scoring_view()
         assert slot._entries_view == [] and slot._inverted_view == {}
         assert [e.doc_id for e in slot.entries()] == ["d1"]
 

@@ -77,9 +77,10 @@ class TestExecution:
         assert len(ranked) == 3
 
     def test_scoring_builds_no_posting_objects(self, processor, protocol, ring) -> None:
-        """Queries score from the slot's plain rows: a slot's first query
-        must not leave a PostingEntry list behind (per-posting objects
-        built inside a timed stream move the collector, see DESIGN §10)."""
+        """Queries score from the slot's columnar view: a slot's first
+        query must leave neither a PostingEntry list nor any other
+        per-posting container behind (per-posting objects built inside a
+        timed stream move the collector, see DESIGN §10)."""
         for i in range(6):
             publish(protocol, ring, "term", f"d{i}", tf=i + 1, length=20)
         processor.search(ring.live_ids[1], Query("q", ("term",)), top_k=3)
@@ -90,8 +91,37 @@ class TestExecution:
             for slot in ring.node(node_id).store.values()
             if isinstance(slot, TermSlot)
         ]
-        assert [len(slot.rows()) for slot in slots] == [6]
+        assert len(slots) == 1
+        view = slots[0]._scoring_view
+        assert [len(column) for column in view] == [6, 6, 6]
+        assert {type(x) for column in view for x in column} == {str, float}
         assert slots[0]._entries_view == []
+
+
+    def test_weighting_is_per_term_not_per_posting(
+        self, processor, protocol, ring, monkeypatch
+    ) -> None:
+        """Structural guard: IDF is a per-term constant.  One execute
+        over a 500-posting slot may take it at most twice per scored
+        term (query side, document side) — a logarithm per posting is
+        what the read path used to spend a third of its time on."""
+        from repro.ir import weighting
+
+        for i in range(500):
+            publish(protocol, ring, "hot", f"d{i:03d}", tf=1 + i % 7, length=40 + i)
+        publish(protocol, ring, "rare", "d007", tf=2, length=47)
+        calls = []
+        idf = weighting.idf
+        monkeypatch.setattr(
+            weighting, "idf", lambda *args: calls.append(args) or idf(*args)
+        )
+        ranked, execution = processor.execute(
+            ring.live_ids[1], Query("q", ("hot", "rare", "ghost")), top_k=20
+        )
+        assert execution.postings_retrieved == 501 and len(ranked) == 20
+        scored_terms = 2  # "ghost" has no postings and is never weighted
+        assert 0 < len(calls) <= 2 * scored_terms
+        assert {df for __, df in calls} == {500, 1}
 
 
 class TestQueryCachingSideChannel:

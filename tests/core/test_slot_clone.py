@@ -12,13 +12,11 @@ through the same assertions.
 from __future__ import annotations
 
 import copy
-import sqlite3
 
 import pytest
 
 from repro.core.metadata import PostingEntry, QueryCache, TermSlot
 from repro.ir.postings import ColumnarPostings, DocTable
-from repro.store import SqlitePostings, init_schema
 
 from ..ir.legacy_postings import LegacyPostings
 
@@ -36,33 +34,6 @@ def generic_deepcopy(obj):
     for name, value in vars(obj).items():
         setattr(clone, name, generic_deepcopy(value))
     return clone
-
-
-@pytest.fixture()
-def conn(tmp_path):
-    connection = sqlite3.connect(str(tmp_path / "postings.db"), isolation_level=None)
-    init_schema(connection)
-    yield connection
-    connection.close()
-
-
-@pytest.fixture(params=["columnar", "legacy", "sqlite"])
-def make_slot(request, conn):
-    """Factory of an empty slot on the parametrised backend, with a
-    three-entry query cache so eviction is one ``add`` away."""
-    slot_ids = iter(range(1, 100))
-
-    def make() -> TermSlot:
-        cache = QueryCache(capacity=3)
-        if request.param == "sqlite":
-            return TermSlot(
-                "term", cache, store=SqlitePostings(conn, next(slot_ids), bloom_capacity=4)
-            )
-        if request.param == "legacy":
-            return TermSlot("term", cache, store=LegacyPostings())
-        return TermSlot("term", cache, doc_table=DocTable())
-
-    return make
 
 
 def entry(doc: str, tf: int, length: int = 100, owner: int = 7) -> PostingEntry:
@@ -96,7 +67,7 @@ def observe(slot: TermSlot) -> dict:
         "since_2": slot.cache.since(2),
         "latest_sequence": slot.cache.latest_sequence,
         "capacity": slot.cache.capacity,
-        "rows": slot.rows(),
+        "scoring_view": slot.scoring_view(),
         "entries": slot.entries(),
         "inverted": list(slot.inverted.items()),
         "lookup": slot.get_posting("d3"),
@@ -114,10 +85,10 @@ class TestCloneEqualsGenericCopy:
 
     def test_matches_when_the_original_views_were_warm(self, make_slot, dirty_max) -> None:
         slot = populate(make_slot(), dirty_max)
-        before = observe(slot)  # builds rows/entries/inverted views
+        before = observe(slot)  # builds scoring/entries/inverted views
         clone = copy.deepcopy(slot)
         assert observe(clone) == before
-        assert clone.rows() is not slot.rows()
+        assert clone.scoring_view() is not slot.scoring_view()
         assert clone.entries() is not slot.entries()
         assert clone.inverted is not slot.inverted
 

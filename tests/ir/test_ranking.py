@@ -79,9 +79,9 @@ class TestTruncate:
 
 
 class TestTopK:
-    """The heap-based selection must equal full-sort-then-slice,
-    including deterministic tie ordering (regression pin for the
-    ``heapq.nsmallest`` rewrite of ``truncate``/``top_k``)."""
+    """Selection by threshold must equal full-sort-then-slice, including
+    deterministic tie ordering — also where the tie straddles the k-th
+    score the threshold is taken at."""
 
     def test_top_k_equals_sort_and_slice(self) -> None:
         scores = {"a": 1.0, "b": 3.0, "c": 2.0, "d": 3.0, "e": 0.5}
@@ -112,6 +112,69 @@ class TestTopK:
         assert selected.ids() == full.ids()[:k]
         assert selected.ids() == full.truncate(k).ids()
         assert [e.score for e in selected] == [e.score for e in full][:k]
+
+
+    @given(
+        # Four score values over up to 30 documents: most draws tie
+        # several documents with the k-th one.
+        st.dictionaries(
+            st.text(alphabet="abcdxyz", min_size=1, max_size=3),
+            st.sampled_from([0.0, -0.0, 0.5, 2.0]),
+            max_size=30,
+        ),
+        st.sampled_from(["0", "1", "n - 1", "n", "n + 1"]),
+        st.booleans(),
+    )
+    def test_ties_across_the_floor(self, scores: dict, which: str, as_pairs: bool) -> None:
+        n = len(scores)
+        k = {"0": 0, "1": 1, "n - 1": max(0, n - 1), "n": n, "n + 1": n + 1}[which]
+        scored = list(scores.items()) if as_pairs else scores
+        selected = RankedList.top_k(scored, k)
+        reference = RankedList(scored).truncate(k)
+        assert list(selected) == list(reference)
+        assert [repr(e.score) for e in selected] == [repr(e.score) for e in reference]
+        assert list(selected) == sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+
+    def test_pairs_may_repeat_a_document(self) -> None:
+        # A pair sequence is not a mapping: nothing merges the repeats.
+        pairs = [("a", 1.0), ("b", 2.0), ("a", 3.0), ("c", 2.0)]
+        assert list(RankedList.top_k(pairs, 3)) == [("a", 3.0), ("b", 2.0), ("c", 2.0)]
+        assert list(RankedList.top_k(pairs, 3)) == list(RankedList(pairs).truncate(3))
+
+
+class TestDegenerateK:
+    """``top_k`` and ``truncate`` promise the same list for the same k —
+    at and below zero too, where a slice would count from the far end."""
+
+    SCORES = {"a": 1.0, "b": 3.0, "c": 2.0}
+
+    @pytest.mark.parametrize("k", [-1, -20])
+    def test_negative_k_is_an_error(self, k: int) -> None:
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            RankedList.top_k(self.SCORES, k)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            RankedList.top_k(list(self.SCORES.items()), k)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            RankedList(self.SCORES).truncate(k)
+
+    def test_zero_k_is_the_empty_list(self) -> None:
+        assert list(RankedList.top_k(self.SCORES, 0)) == []
+        assert list(RankedList(self.SCORES).truncate(0)) == []
+        assert RankedList.top_k({}, 0).ids() == RankedList.top_k({}, 5).ids() == []
+
+
+class TestScoredDoc:
+    def test_fields_equality_and_unpacking(self) -> None:
+        entry = RankedList({"d1": 0.25})[0]
+        assert isinstance(entry, ScoredDoc)
+        assert (entry.doc_id, entry.score) == ("d1", 0.25)
+        assert entry == ScoredDoc("d1", 0.25) == ScoredDoc(doc_id="d1", score=0.25)
+        assert entry != ScoredDoc("d1", 0.5) and entry != ScoredDoc("d2", 0.25)
+        assert hash(entry) == hash(ScoredDoc("d1", 0.25))
+        doc_id, score = entry
+        assert (doc_id, score) == ("d1", 0.25)
+        with pytest.raises(AttributeError):
+            entry.score = 1.0  # type: ignore[misc]
 
 
 @given(

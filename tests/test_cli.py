@@ -147,6 +147,14 @@ class TestSearch:
         assert code == 2
         assert "empty" in output
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_is_rejected_before_training(self, top: str) -> None:
+        # --top -1 used to train for a minute and then report "no
+        # results" for a term three documents are indexed under.
+        code, output = run_cli("search", "--small", "--top", top, "bagok")
+        assert code == 2
+        assert output == "error: --top must be >= 1\n"
+
 
 class TestPerf:
     def test_perf_requires_a_mode(self, capsys) -> None:
