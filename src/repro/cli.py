@@ -333,6 +333,11 @@ def cmd_net(args: argparse.Namespace, out) -> int:
     if not rates:
         out.write("error: --sweep names no drop rates\n")
         return 2
+    # Every rate is validated here, before the first row is printed.
+    networks = [
+        dataclasses.replace(config.network, transport="lossy", drop_probability=rate)
+        for rate in rates
+    ]
 
     from .perf.route import ring_label
 
@@ -347,11 +352,8 @@ def cmd_net(args: argparse.Namespace, out) -> int:
         "drop        ok    failed    retries  hops_mean  hops_p99"
         "  lkp_msgs    p50_ms    p99_ms  p99.9_ms    by category\n"
     )
-    for rate in rates:
-        net_cfg = dataclasses.replace(
-            config.network, transport="lossy", drop_probability=rate
-        )
-        transport = build_transport(net_cfg)
+    for network in networks:
+        transport = build_transport(network)
         ring = build_ring(kind, config.chord, arity=arity, transport=transport)
         rng = _random.Random(args.seed)
         ok = failed = 0
@@ -369,7 +371,7 @@ def cmd_net(args: argparse.Namespace, out) -> int:
             for category, summary in transport.trace.category_rollup().items()
         )
         out.write(
-            f"{rate:>4.2f}  {ok:>8}  {failed:>8}  {s.retries:>9}"
+            f"{network.drop_probability:>4.2f}  {ok:>8}  {failed:>8}  {s.retries:>9}"
             f"  {s.hops_mean:>9.2f}  {s.hops_p99:>8.0f}"
             f"  {s.lookup_messages:>8}"
             f"  {s.latency_p50_ms:>8.1f}  {s.latency_p99_ms:>8.1f}"
@@ -684,7 +686,13 @@ def cmd_check(args: argparse.Namespace, out) -> int:
     oracle mismatch.
     """
     from .net import build_transport
-    from .sim import DifferentialOracle, Scenario, build_simulation, random_scenario
+    from .sim import (
+        MIN_RANDOM_EVENTS,
+        DifferentialOracle,
+        Scenario,
+        build_simulation,
+        random_scenario,
+    )
 
     modes = [bool(args.scenario), bool(args.random), bool(args.catalogue)]
     if sum(modes) != 1:
@@ -692,6 +700,9 @@ def cmd_check(args: argparse.Namespace, out) -> int:
             "error: pass exactly one of --scenario FILE, --random, "
             "or --catalogue NAME\n"
         )
+        return 2
+    if args.random and args.events < MIN_RANDOM_EVENTS:
+        out.write(f"error: --events must be >= {MIN_RANDOM_EVENTS}\n")
         return 2
     error = _store_args_error(args) or _ring_args_error(args)
     if error:

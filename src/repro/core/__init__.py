@@ -3,14 +3,7 @@
 from .bloom_search import BloomExecution, BloomQueryProcessor
 from .esearch import ESearchSystem
 from .indexer import IndexingProtocol
-from .inflight import (
-    CapturedOp,
-    InFlightQuery,
-    capture_operation,
-    capture_query,
-    dispatch,
-    dispatch_query,
-)
+from .inflight import CapturedOp, capture_query
 from .maintenance import MaintenanceDaemon, MaintenanceReport
 from .learning import (
     IncrementalLearner,
@@ -42,7 +35,6 @@ __all__ = [
     "MaintenanceReport",
     "IncrementalLearner",
     "IndexingProtocol",
-    "InFlightQuery",
     "OwnerPeer",
     "PostingEntry",
     "QueryCache",
@@ -53,11 +45,8 @@ __all__ = [
     "SpriteSystem",
     "TermSlot",
     "TermStats",
-    "capture_operation",
     "capture_query",
     "combined_score",
-    "dispatch",
-    "dispatch_query",
     "initial_terms",
     "naive_rank_terms",
     "q_score",

@@ -111,7 +111,7 @@ class IndexingProtocol:
         Optional :class:`~repro.store.runtime.StoreRuntime`; when given,
         newly created term slots take their posting store from its
         ``new_postings(node_id)`` (the SQLite backend) instead of the
-        in-RAM columnar store.
+        in-RAM store.
     """
 
     def __init__(

@@ -4,7 +4,8 @@ Indexing-peer state, per term (stored as an opaque slot in the DHT):
 
 * the inverted list — for each document containing the term as a
   *global index term*: owner address, document id, term frequency, and
-  document length;
+  document length, in publish order (held by a posting store:
+  :mod:`repro.ir.postings` in RAM, :mod:`repro.store` on disk);
 * a bounded cache of the most recently issued queries mentioning the
   term (the learning fuel), each pre-hashed for the closest-hash
   deduplication rule of Section 3.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from math import inf, sqrt
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from ..ir.postings import ColumnarPostings
+from ..ir.postings import RamPostings
 from ..ir.ranking import RankedList
 
 #: A slot's postings as the three parallel columns the query executor
@@ -174,7 +175,7 @@ class TermSlot:
     plus the query cache.  Stored under the term's ring hash in the DHT,
     so replication and key migration move it as a unit.
 
-    Postings live in a pluggable store: the columnar store of
+    Postings live in a pluggable store: the in-RAM dict store of
     :mod:`repro.ir.postings` unless *store* supplies another object
     honouring the same contract (``repro.store``'s SQLite backend, a
     test's reference model).  Every store enumerates postings in
@@ -192,12 +193,11 @@ class TermSlot:
         self,
         term: str,
         cache: Optional[QueryCache] = None,
-        doc_table=None,
         store=None,
     ) -> None:
         self.term = term
         self.cache = cache if cache is not None else QueryCache(capacity=2000)
-        self._store = store if store is not None else ColumnarPostings(doc_table)
+        self._store = store if store is not None else RamPostings()
         self._scoring_version = -1
         self._scoring_view: ScoringView = []
         self._entries_version = -1

@@ -3,11 +3,7 @@
 from .bm25 import BM25System
 from .centralized import CentralizedSystem
 from .inverted_index import InvertedIndex, Posting
-from .postings import (
-    ColumnarPostings,
-    DocTable,
-    posting_impact,
-)
+from .postings import RamPostings, posting_impact
 from .ranking import RankedList, ScoredDoc
 from .similarity import (
     consolidate,
@@ -20,11 +16,10 @@ from .weighting import TfIdfWeighting, idf, tf_idf
 __all__ = [
     "BM25System",
     "CentralizedSystem",
-    "ColumnarPostings",
-    "DocTable",
     "InvertedIndex",
     "Posting",
     "posting_impact",
+    "RamPostings",
     "RankedList",
     "ScoredDoc",
     "TfIdfWeighting",

@@ -44,6 +44,7 @@ from .engine import ScenarioEngine, SimReport, build_simulation
 from .events import (
     EVENT_KINDS,
     HEAL_SEQUENCE,
+    MIN_RANDOM_EVENTS,
     Scenario,
     SimEvent,
     random_scenario,
@@ -70,6 +71,7 @@ __all__ = [
     "CATALOGUE",
     "EVENT_KINDS",
     "HEAL_SEQUENCE",
+    "MIN_RANDOM_EVENTS",
     "ORACLE_ROWS",
     "PEER_CLASSES",
     "BehaviorPlan",

@@ -55,6 +55,9 @@ EVENT_KINDS: Tuple[str, ...] = (
 #: destructive events and as a closing suffix.
 HEAL_SEQUENCE: Tuple[str, ...] = ("stabilize", "recover", "maintain")
 
+#: The shortest random schedule: one publish, then replicate and heal.
+MIN_RANDOM_EVENTS = len(HEAL_SEQUENCE) + 2
+
 
 @dataclass(frozen=True)
 class SimEvent:
@@ -184,8 +187,8 @@ def random_scenario(
     The default keeps the historical event stream byte-identical for a
     given seed.
     """
-    if num_events < len(HEAL_SEQUENCE) + 2:
-        raise ValueError(f"num_events must be >= {len(HEAL_SEQUENCE) + 2}")
+    if num_events < MIN_RANDOM_EVENTS:
+        raise ValueError(f"num_events must be >= {MIN_RANDOM_EVENTS}")
     rng = random.Random(seed)
     events: List[SimEvent] = []
 

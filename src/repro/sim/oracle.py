@@ -200,7 +200,7 @@ ORACLE_ROWS: Tuple[OracleRow, ...] = (
     # The second round is served from the result caches.
     OracleRow("result-cache", {"sprite": {"result_cache_size": 128}}, rounds=2),
     # SQLite stores only the integer posting columns; every float is
-    # recomputed through the expressions the columnar store uses, so
+    # recomputed through the expressions the in-RAM store uses, so
     # there is no tolerance to hide behind.
     OracleRow(
         "store-paths",

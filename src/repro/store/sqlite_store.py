@@ -1,8 +1,8 @@
-"""SQLite-backed posting store with the columnar-backend contract.
+"""SQLite-backed posting store with the in-RAM store's contract.
 
 :class:`SqlitePostings` is the disk backend behind the
 :class:`~repro.core.metadata.TermSlot` posting-store interface
-(:class:`~repro.ir.postings.ColumnarPostings` is the in-RAM one).  Rows
+(:class:`~repro.ir.postings.RamPostings` is the in-RAM one).  Rows
 live in one shared ``postings`` table keyed by a per-store *slot id*;
 the store object keeps only small Python-side mirrors (posting count,
 next insertion sequence, the content version).
@@ -14,9 +14,9 @@ The contract it must honour to stay bit-identical to the in-RAM path:
   sequence (a dict overwrite keeps its position) and deletions leave the
   remaining order untouched.
 * **Floats are never stored.**  Only the integer ``(tf, len)`` pair is
-  persisted; normalized tf and impact are recomputed through the exact
-  expressions the columnar store uses (integers round-trip exactly, so
-  the derived floats are bit-identical).
+  persisted; normalized tf and impact are recomputed on demand through
+  the exact expressions the in-RAM store uses (integers round-trip
+  exactly, so the derived floats are bit-identical).
 * **Versions come from the shared process-global sequence**
   (:func:`~repro.ir.postings.next_version`), one tick per mutation, so
   version *rank order* across a system matches the in-RAM build and
@@ -240,7 +240,7 @@ class SqlitePostings:
     def scoring_lookup(self, doc_id: str) -> Optional[Tuple[float, int]]:
         """``(normalized_tf, doc_length)`` for *doc_id*, or ``None``.
         Recomputed from the stored integers with the same expression the
-        columnar ingest path used, so the float is bit-identical."""
+        in-RAM store uses, so the float is bit-identical."""
         if self._bloom is not None and doc_id not in self._bloom:
             return None
         row = self._conn.execute(
@@ -264,7 +264,7 @@ class SqlitePostings:
     def impact_rows(self) -> List[ImpactRow]:
         """Scoring rows sorted by descending impact, doc-id tie-break.
         The stable sort runs over insertion order — the same base order
-        the columnar backend sorts — so ties land identically."""
+        the in-RAM store sorts — so ties land identically."""
         rows: List[ImpactRow] = [
             (
                 doc_id,

@@ -8,7 +8,6 @@ import sqlite3
 import pytest
 
 from repro.core.metadata import QueryCache, TermSlot
-from repro.ir.postings import DocTable
 from repro.store import SqlitePostings, init_schema
 
 from ..ir.legacy_postings import LegacyPostings
@@ -36,6 +35,6 @@ def make_slot(request, conn):
             )
         if request.param == "legacy":
             return TermSlot("term", cache, store=LegacyPostings())
-        return TermSlot("term", cache, doc_table=DocTable())
+        return TermSlot("term", cache)
 
     return make

@@ -12,15 +12,9 @@ import pytest
 
 from repro.config import ChordConfig, SpriteConfig
 from repro.core import SpriteSystem
-from repro.core.inflight import (
-    CapturedOp,
-    capture_operation,
-    capture_query,
-    dispatch,
-    dispatch_query,
-)
+from repro.core.inflight import CapturedOp, capture_query
 from repro.corpus import Corpus, Document, Query
-from repro.net import Scheduler
+from repro.net import Scheduler, replay_timeline
 
 CHORD = ChordConfig(num_peers=24, id_bits=32, seed=61)
 
@@ -131,15 +125,10 @@ class TestCaptureQuery:
         assert op.result[0] is ranked
         assert op.result[1] is execution
 
-    def test_capture_operation_wraps_arbitrary_callables(self, sprite) -> None:
-        op = capture_operation(
-            sprite,
-            lambda: sprite.search(q("chord ring"), cache=False),
-            label="custom",
-        )
-        assert op.label == "custom"
-        assert op.messages > 0
-        assert len(op.result) >= 0  # the RankedList came through
+
+def dispatch(sched: Scheduler, op: CapturedOp):
+    """Replay a captured timeline the way the concurrency harness does."""
+    return sched.spawn(replay_timeline(op.timeline), label=op.label)
 
 
 class TestDispatch:
@@ -151,17 +140,6 @@ class TestDispatch:
         assert future.done
         assert future.latency_ms > 0.0
         assert len(future.receipts) == op.messages
-
-    def test_dispatch_query_exposes_semantics_and_timing(self, sprite) -> None:
-        op = capture_query(sprite, q("retrieval ranking"), cache=False)
-        sched = Scheduler(service_time_ms=0.25)
-        inflight = dispatch_query(sched, op, delay_ms=2.0)
-        assert not inflight.done
-        sched.run()
-        assert inflight.done
-        assert inflight.latency_ms > 0.0
-        assert len(list(inflight.ranked)) > 0
-        assert inflight.execution is op.result[1]
 
     def test_concurrent_queries_share_peer_queues(self, sprite) -> None:
         """Two identical captured queries hammer the same peers; the

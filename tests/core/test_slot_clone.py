@@ -1,6 +1,6 @@
 """The structural slot clones against the copy they replaced.
 
-``TermSlot``, ``QueryCache`` and ``ColumnarPostings`` define their own
+``TermSlot``, ``QueryCache`` and ``RamPostings`` define their own
 ``__deepcopy__`` (replication copies slots by the thousand).  Each must
 be indistinguishable from what ``copy.deepcopy`` produced while it still
 walked their instance dicts — kept here as :func:`generic_deepcopy` — and
@@ -16,18 +16,18 @@ import copy
 import pytest
 
 from repro.core.metadata import PostingEntry, QueryCache, TermSlot
-from repro.ir.postings import ColumnarPostings, DocTable
+from repro.ir.postings import RamPostings
 
 from ..ir.legacy_postings import LegacyPostings
 
-STRUCTURAL = (TermSlot, QueryCache, ColumnarPostings)
+STRUCTURAL = (TermSlot, QueryCache, RamPostings)
 
 
 def generic_deepcopy(obj):
     """``copy.deepcopy`` as it treated these classes before they had a
     ``__deepcopy__``: a new instance whose dict is copied member by
-    member (members with a hook of their own — the doc table, a SQLite
-    store — used it then too)."""
+    member (a member with a hook of its own — a SQLite store — used it
+    then too)."""
     if type(obj) not in STRUCTURAL:
         return copy.deepcopy(obj)
     clone = object.__new__(type(obj))
@@ -183,11 +183,5 @@ class TestCacheClone:
 
 
 class TestColumnarClone:
-    def test_doc_table_is_shared(self) -> None:
-        table = DocTable()
-        store = ColumnarPostings(table)
-        store.add("a", 1, 3, 100)
-        assert copy.deepcopy(store)._docs is table
-
     def test_legacy_store_takes_the_generic_path(self) -> None:
         assert not hasattr(LegacyPostings, "__deepcopy__")

@@ -127,3 +127,38 @@ class TestDiagnostics:
         ranked, execution = sprite.execute(Query("q", ("chord",)), cache=False)
         assert execution.terms_visited == 1
         assert execution.postings_retrieved >= len(ranked.ids())
+
+
+class TestNothingOutlivesASystem:
+    def test_the_posting_module_keeps_nothing_of_a_dropped_system(
+        self, fast_sprite_config: SpriteConfig
+    ) -> None:
+        """The posting store once interned every document id published
+        by any system in the process in a module-level table, until
+        exit.  Only the version counter may outlive a system."""
+        from collections.abc import Sized
+
+        from repro.ir import postings
+
+        def module_level_sizes() -> dict:
+            return {
+                name: len(value)
+                for name, value in vars(postings).items()
+                if not name.startswith("__")
+                and isinstance(value, Sized)
+                and not isinstance(value, (str, type))
+            }
+
+        before = module_level_sizes()
+        for generation in range(2):
+            docs = [
+                Document(f"gen{generation}-doc{i}", f"chord ring lookup only{generation}x{i}")
+                for i in range(8)
+            ]
+            system = SpriteSystem(
+                Corpus(docs), sprite_config=fast_sprite_config, chord_config=CHORD
+            )
+            system.share_corpus()
+            assert len(system.search(Query("q", ("chord", "ring")), cache=False)) > 0
+            del system
+        assert module_level_sizes() == before

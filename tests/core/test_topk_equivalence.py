@@ -6,7 +6,7 @@ identical documents, bit-identical scores, identical tie-broken order
 and identical execution counters versus the seed per-term executor kept
 in ``tests/core/legacy_executor.py`` — under repeated keywords,
 failures, document-frequency overrides, degenerate ``top_k`` values,
-zero-length documents, and either posting store (the columnar one and
+zero-length documents, and either posting store (the in-RAM one and
 the seed reference model).
 """
 
@@ -23,7 +23,7 @@ from repro.core.metadata import PostingEntry
 from repro.core.query_processing import QueryProcessor
 from repro.corpus.relevance import Query
 from repro.dht.ring import ChordRing
-from repro.ir.postings import ColumnarPostings
+from repro.ir.postings import RamPostings
 
 from ..ir.legacy_postings import LegacyPostings, LegacyStoreRuntime
 from .legacy_executor import execute_legacy
@@ -162,7 +162,7 @@ class TestBackendEquivalence:
         ring_c, proto_c, proc_c = build_stack()
         ring_l, proto_l, proc_l = build_stack(legacy_store=True)
         assert isinstance(proto_l.slot_snapshot(VOCAB[0])._store, LegacyPostings)
-        assert isinstance(proto_c.slot_snapshot(VOCAB[0])._store, ColumnarPostings)
+        assert isinstance(proto_c.slot_snapshot(VOCAB[0])._store, RamPostings)
         rng = random.Random(5)
         for i in range(30):
             k = rng.randint(1, 3)

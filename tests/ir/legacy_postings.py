@@ -4,7 +4,7 @@ It honours the posting-store contract of :mod:`repro.ir.postings` with
 the slot aggregates computed on demand, so a test can back a slot with
 it (``TermSlot(store=LegacyPostings())``) or a whole system (a stub
 whose ``new_postings(node_id)`` returns one, passed as
-``store_runtime=``) and require the columnar store to agree.
+``store_runtime=``) and require the store under test to agree.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from repro.ir.postings import ImpactRow, PostingRow, next_version, posting_impac
 
 
 class LegacyPostings:
-    """Same interface as :class:`~repro.ir.postings.ColumnarPostings`;
+    """Same interface as :class:`~repro.ir.postings.RamPostings`;
     replication copies it through the generic ``copy.deepcopy``."""
 
     def __init__(self) -> None:

@@ -1,4 +1,4 @@
-"""SqlitePostings must be bit-identical to the columnar backend.
+"""SqlitePostings must be bit-identical to the in-RAM backend.
 
 The differential harness drives both stores through the same randomized
 mutation stream and compares every observable after every operation —
@@ -14,7 +14,7 @@ import sqlite3
 
 import pytest
 
-from repro.ir.postings import ColumnarPostings
+from repro.ir.postings import RamPostings
 from repro.store import SqlitePostings, init_schema
 
 
@@ -28,7 +28,7 @@ def conn(tmp_path):
     connection.close()
 
 
-def _assert_equivalent(disk: SqlitePostings, ram: ColumnarPostings) -> None:
+def _assert_equivalent(disk: SqlitePostings, ram: RamPostings) -> None:
     assert len(disk) == len(ram)
     assert list(disk.rows()) == list(ram.rows())
     assert disk.impact_rows() == ram.impact_rows()
@@ -38,7 +38,7 @@ class TestDifferential:
     def test_randomized_stream_matches_columnar(self, conn) -> None:
         rng = random.Random(17)
         disk = SqlitePostings(conn, slot_id=1)
-        ram = ColumnarPostings()
+        ram = RamPostings()
         docs = [f"doc-{i}" for i in range(30)]
         for step in range(400):
             doc = rng.choice(docs)

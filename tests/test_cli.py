@@ -119,6 +119,11 @@ class TestNet:
                 "--net-seed", "4")
         assert run_cli(*argv) == run_cli(*argv)
 
+    def test_every_rate_is_validated_before_the_table_starts(self) -> None:
+        code, output = run_cli("net", "--small", "--sweep", "0.1,1.5", "--lookups", "5")
+        assert code == 2
+        assert output == "error: drop_probability must be in [0, 1]\n"
+
 
 class TestHops:
     def test_hops_table(self) -> None:
@@ -415,6 +420,13 @@ class TestCheck:
         assert code == 0
         assert "random scenario: seed=0, 12 events" in output
         assert "all invariants held" in output
+
+    def test_too_few_random_events_is_a_usage_error_not_a_violation(self) -> None:
+        """Exit code 1 means "invariant violated"; a schedule too short
+        to hold the closing heal sequence is a bad flag value."""
+        code, output = run_cli("check", "--random", "--events", "4")
+        assert code == 2
+        assert output == "error: --events must be >= 5\n"
 
     def test_oracle_reports_included_by_default(self) -> None:
         code, output = run_cli(

@@ -1,7 +1,7 @@
 """Structural guards: the package has no third-party runtime dependency
 (pyproject ``dependencies = []``), optional imports included, every
-name the benchmark's layer budget hooks still exists, and the core does
-not depend on the ``repro.perf`` harnesses."""
+name the benchmark's layer budget hooks still exists, and no module
+imports across a layer boundary its docstring rules out."""
 
 from __future__ import annotations
 
@@ -12,11 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "repro"
-
-#: The only modules outside ``repro/perf/`` that may import the harnesses.
-PERF_IMPORTERS = {Path("cli.py"), Path("sim/oracle.py")}
 
 PROBE = """
 import sys
@@ -60,39 +59,93 @@ def test_every_benchmark_trace_hook_resolves(monkeypatch) -> None:
     assert not missing
 
 
-def _imports_perf(module: Path, node: ast.AST) -> bool:
-    """Whether *node* imports ``repro.perf`` (or anything below it),
-    absolutely or relative to *module*'s package."""
+def _imported_names(module: Path, node: ast.AST) -> list:
+    """The dotted names *node* imports (none unless it is an import
+    statement), relative imports resolved against *module*'s package."""
     if isinstance(node, ast.Import):
-        names = [alias.name for alias in node.names]
-    elif isinstance(node, ast.ImportFrom):
-        base = node.module or ""
-        if node.level:
-            package = ("repro",) + module.parent.parts
-            anchor = package[: len(package) - (node.level - 1)]
-            base = ".".join(anchor + ((base,) if base else ()))
-        # ``from repro import perf`` / ``from . import perf`` name the
-        # package in the alias list, not in the module path.
-        names = [base] + [f"{base}.{alias.name}" for alias in node.names]
-    else:
-        return False
-    return any(n == "repro.perf" or n.startswith("repro.perf.") for n in names)
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    base = node.module or ""
+    if node.level:
+        package = ("repro",) + module.parent.parts
+        anchor = package[: len(package) - (node.level - 1)]
+        base = ".".join(anchor + ((base,) if base else ()))
+    # ``from repro import perf`` / ``from . import perf`` name the
+    # package in the alias list, not in the module path.
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def _typing_only(tree: ast.AST) -> set:
+    """Every node in the body of an ``if TYPE_CHECKING:``."""
+    return {
+        inner
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING")
+        for statement in node.body
+        for inner in ast.walk(statement)
+    }
+
+
+#: ``(importers, except, must not import, unless under TYPE_CHECKING)``:
+#: importers and exceptions are path prefixes below ``src/repro``.  The
+#: first row keeps ``repro.perf`` harnesses-only.  The rest the source
+#: states and nothing else checks: a posting store is below the slot
+#: layer (``ir/postings.py``: "must not import repro.core"; the SQLite
+#: one hands the same plain rows to ``TermSlot``), and ``repro.net``
+#: "stays import-independent of repro.dht" (``net/trace.py``), naming
+#: ``Message`` and ``NetworkConfig`` for typing only to avoid a cycle.
+FORBIDDEN_EDGES = [
+    ("", ("perf/", "cli.py", "sim/oracle.py"), ("repro.perf",), False),
+    ("ir/", (), ("repro.core", "repro.dht", "repro.store", "repro.net"), False),
+    ("net/", (), ("repro.dht", "repro.config"), True),
+    ("store/sqlite_store.py", (), ("repro.core",), False),
+]
+
+
+def _violations(importers, exempt, forbidden, typing_allowed) -> list:
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE)
+        where = module.as_posix()
+        if not where.startswith(importers) or where.startswith(exempt):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        excused = _typing_only(tree) if typing_allowed else ()
+        for node in ast.walk(tree):
+            if node in excused:
+                continue
+            for name in _imported_names(module, node):
+                if any(name == f or name.startswith(f + ".") for f in forbidden):
+                    found.append(f"{where} -> {name}")
+    return found
 
 
 def test_core_never_imports_perf_or_a_global_profile() -> None:
     """``repro.perf`` is harnesses only: counts live on the object that
     owns them and time in the benchmark's tracer, so no core module may
     import the package, and no process-global ``PROFILE`` may return."""
-    perf_importers = []
-    profile_sites = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        module = path.relative_to(PACKAGE)
-        source = path.read_text(encoding="utf-8")
-        if "PROFILE" in source:
-            profile_sites.append(str(module))
-        if module.parts[0] == "perf" or module in PERF_IMPORTERS:
-            continue
-        if any(_imports_perf(module, node) for node in ast.walk(ast.parse(source))):
-            perf_importers.append(str(module))
-    assert not perf_importers
-    assert not profile_sites
+    assert not _violations(*FORBIDDEN_EDGES[0])
+    assert not [
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if "PROFILE" in path.read_text(encoding="utf-8")
+    ]
+
+
+@pytest.mark.parametrize("edge", FORBIDDEN_EDGES[1:], ids=lambda edge: edge[0])
+def test_layers_import_only_what_their_docstrings_allow(edge) -> None:
+    assert not _violations(*edge)
+
+
+def test_the_edge_check_sees_relative_guarded_and_function_level_imports() -> None:
+    """The checker itself: ``core`` does import ``repro.ir`` (relatively),
+    ``net`` names ``repro.dht`` only under ``TYPE_CHECKING``, and
+    ``core/system.py`` imports ``.inflight`` inside a method."""
+    assert "core/metadata.py -> repro.ir.postings" in _violations(
+        "core/", (), ("repro.ir",), False
+    )
+    assert _violations("net/", (), ("repro.dht",), False)
+    assert "core/system.py -> repro.core.inflight" in _violations(
+        "core/system.py", (), ("repro.core.inflight",), False
+    )
