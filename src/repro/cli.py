@@ -333,6 +333,9 @@ def cmd_net(args: argparse.Namespace, out) -> int:
     if not rates:
         out.write("error: --sweep names no drop rates\n")
         return 2
+    if args.lookups < 1:
+        out.write("error: --lookups must be >= 1\n")
+        return 2
     # Every rate is validated here, before the first row is printed.
     networks = [
         dataclasses.replace(config.network, transport="lossy", drop_probability=rate)
@@ -478,7 +481,7 @@ def _write_memory_line(out) -> None:
 def _cmd_perf_scale(args: argparse.Namespace, out) -> int:
     """Run the sharded scale workload (DESIGN.md §13) and print it."""
     from .perf.scale import (
-        run_scale_workload,
+        ShardedHarness,
         scale_paper_config,
         scale_smoke_config,
     )
@@ -487,12 +490,13 @@ def _cmd_perf_scale(args: argparse.Namespace, out) -> int:
     cfg = cfg.replaced(seed=args.seed, workers=args.workers)
     if args.shards:
         cfg = cfg.replaced(num_shards=args.shards)
+    harness = ShardedHarness(cfg)  # validates --workers / --shards first
     out.write(
         f"scale workload: {cfg.num_peers} peers, "
         f"{cfg.num_documents} docs, {cfg.num_queries} queries over "
         f"{cfg.num_shards} shards × {cfg.workers} workers\n"
     )
-    result = run_scale_workload(cfg)
+    result = harness.run()
     if args.json:
         out.write(json.dumps(result.to_dict(), indent=2) + "\n")
         return 0

@@ -3,26 +3,44 @@
 :class:`IndexingProtocol` encapsulates every interaction between peers
 and the distributed term index: publishing and unpublishing postings,
 registering issued queries into the per-term caches, fetching inverted
-lists during search, and the learning poll with the closest-hash
-deduplication rule of Section 3.
+lists during search, the learning poll with the closest-hash
+deduplication rule of Section 3, and the query-result cache.
 
-All operations route through the Chord ring (lookup + message send) and
-therefore through the ring's pluggable :class:`~repro.net.Transport`, so
-the network statistics the ring accumulates reflect the true protocol
-cost and, under a lossy transport, every operation is subject to
-latency, loss, and retry semantics — a dropped delivery surfaces as
-:class:`~repro.exceptions.MessageDroppedError` (a
-:class:`~repro.exceptions.NodeFailedError` subclass, so the Section 7
-degradation paths apply unchanged).  Slot state lives in
-``node.store[term_hash]`` so DHT key migration and successor
-replication move it transparently.
+Each of them is the same exchange — route to the responsible peer,
+deliver a request, let the peer act, deliver a reply — and each step is
+written once (DESIGN.md §11):
 
-Owners write through the destination-grouped ``publish_batch`` /
-``unpublish_batch`` / ``poll_batch`` only (DESIGN.md §11).  The
-one-term-per-message ``unpublish`` and ``poll_term`` are the seed
-protocol, driven by the reference owner in
-``tests/core/per_term_owner.py``; ``publish`` also serves the
-maintenance daemon's single-posting republish.
+``_route``
+    One DHT lookup to the live peer responsible for a key: the only
+    ``ring.lookup`` call here and the only liveness check after one.
+``_locate``
+    Destination-group a batch: distinct terms → ``peer → terms``,
+    ``peer → hops``, unreachable terms.  The owner's write and poll
+    batches absorb a term inside an already-resolved peer's ownership
+    interval without a lookup; the query side's reads pay one per term.
+``_exchange``
+    Per located peer: deliver the request, ``serve`` each of its terms
+    at the peer, deliver the reply.  The only place a failed delivery
+    becomes failed terms, so one rule holds by construction: **what a
+    message carries takes effect only once it is delivered.**  A lost
+    request leaves the peer as it was; a lost reply leaves the peer's
+    side done and the sender without an answer.
+
+A batched operation is a request builder, a per-term serve handler and
+a reply builder handed to ``_exchange`` — methods beside the public one,
+so nothing is allocated per call; the write batches and RESULT_STORE
+are request-only.  The one-term-per-message ``publish`` / ``unpublish``
+/ ``fetch_postings`` / ``poll_term`` are the seed protocol, driven by
+``tests/core/per_term_owner.py`` (``publish`` also by the maintenance
+daemon's republish): route → send → act → send, failures raised.
+
+Lookups and sends go through the ring's :class:`~repro.net.Transport`,
+so its statistics are the true protocol cost and a lossy transport
+subjects every operation to latency, loss and retries; a dropped
+delivery is a :class:`~repro.exceptions.MessageDroppedError`, a
+:class:`~repro.exceptions.NodeFailedError`, so the Section 7 degradation
+paths apply unchanged.  Slot state lives in ``node.store[term_hash]``,
+so key migration and successor replication move it transparently.
 """
 
 from __future__ import annotations
@@ -48,9 +66,11 @@ from ..dht.messages import (
     result_value_message,
     search_message,
     unpublish_batch_message,
+    unpublish_message,
     version_probe_message,
     version_value_message,
 )
+from ..dht.node import ChordNode
 from ..dht.ring import ChordRing
 from ..exceptions import NodeFailedError
 from ..ir.ranking import RankedList
@@ -64,6 +84,10 @@ from .metadata import (
     TermSlot,
 )
 
+#: ``(peer → its terms in first-seen order, peer → hops of the request
+#: routed to it, unreachable terms)``: ``_locate`` to ``_exchange``.
+Located = Tuple[Dict[int, list], Dict[int, int], list]
+
 
 class SlotView:
     """Read view of one fetched term slot, as consumed by the query
@@ -74,7 +98,7 @@ class SlotView:
     columns (:meth:`TermSlot.scoring_view`), so a hot term's postings
     are turned into scoring inputs once per slot *mutation*, not once
     per query, and no per-posting object is built.  A ``None`` slot
-    (unindexed term) yields the same empty shape :meth:`fetch_postings`
+    (unindexed term) yields the same empty shape :meth:`postings`
     reports.
     """
 
@@ -92,6 +116,12 @@ class SlotView:
 
     def scoring_view(self) -> ScoringView:
         return self._slot.scoring_view() if self._slot is not None else [[], [], []]
+
+    def postings(self) -> Tuple[List[PostingEntry], int]:
+        """``(inverted list, indexed document frequency)``; empty list
+        / 0 for an unindexed term."""
+        entries = self._slot.entries() if self._slot is not None else []
+        return entries, self.indexed_df
 
 
 class IndexingProtocol:
@@ -130,13 +160,7 @@ class IndexingProtocol:
     # -- hashing ------------------------------------------------------------
 
     def term_hash(self, term: str) -> int:
-        """Ring position of a term.
-
-        Delegates straight to the id space: :func:`repro.dht.hashing.
-        md5_hash` is already ``lru_cache``-memoized, so a second
-        per-protocol memo dict (the seed's ``_hash_cache``) would only
-        duplicate state.
-        """
+        """Ring position of a term (memoized by the id space's hash)."""
         return self.ring.space.hash_key(term)
 
     def query_hash(self, terms: Sequence[str]) -> int:
@@ -144,9 +168,119 @@ class IndexingProtocol:
         precomputable offline exactly as the paper notes."""
         return self.ring.space.hash_key("\x1f".join(sorted(terms)))
 
+    # -- the exchange: route, locate, exchange ---------------------------------
+
+    def _route(self, start_id: int, key: int) -> Tuple[ChordNode, int]:
+        """Route from *start_id* to the peer responsible for *key*:
+        ``(node, lookup hops)``, or :class:`NodeFailedError` when routing
+        fails or ends at a peer that is down (the Section 7 window)."""
+        result = self.ring.lookup(start_id, key)
+        node = self.ring.nodes[result.node_id]
+        if not node.alive:
+            raise NodeFailedError(result.node_id)
+        return node, result.hops
+
+    def _locate(
+        self, start_id: int, terms: Sequence, absorb: bool, key_of=None
+    ) -> Located:
+        """Destination-group a batch: resolve each distinct term's
+        indexing peer (the peer of ``key_of(term)``, by default of the
+        term's hash).  A peer's request reports the longest route among
+        its looked-up terms, plus the delivery hop.
+
+        With *absorb*, a lookup is paid per distinct *peer*, not per
+        term: a term whose hash falls in the ownership interval
+        (predecessor, node] of an already-resolved live peer is absorbed
+        without one — ownership is unique on a consistent ring, so
+        absorption and lookup agree whenever the ring is stabilized.  A
+        peer with an unset predecessor is never absorbed into (``owns``
+        means "everything" there).  Only the first resolved id at-or-past
+        a key can own it, so the candidate is found by bisection.
+        """
+        peer_terms: Dict[int, List[str]] = {}
+        peer_hops: Dict[int, int] = {}
+        failed: List[str] = []
+        resolved_sorted: List[int] = []  # stays empty unless absorbing
+        key_of = key_of or self.term_hash
+        for term in dict.fromkeys(terms):
+            key = key_of(term)
+            node_id: Optional[int] = None
+            if resolved_sorted:
+                idx = bisect_left(resolved_sorted, key)
+                candidate = resolved_sorted[idx % len(resolved_sorted)]
+                node = self.ring.nodes[candidate]
+                if node.alive and node.predecessor is not None and node.owns(key):
+                    node_id = candidate
+            if node_id is None:
+                try:
+                    node, hops = self._route(start_id, key)
+                except NodeFailedError:
+                    failed.append(term)
+                    continue
+                node_id = node.node_id
+                if hops >= peer_hops.get(node_id, 0):
+                    peer_hops[node_id] = hops + 1
+            if node_id in peer_terms:
+                peer_terms[node_id].append(term)
+            else:
+                peer_terms[node_id] = [term]
+                if absorb:
+                    insort(resolved_sorted, node_id)
+        return peer_terms, peer_hops, failed
+
+    def _exchange(
+        self,
+        src_id: int,
+        located: Located,
+        carried: object,
+        request: Callable[..., Message],
+        serve: Optional[Callable[..., object]] = None,
+        reply: Optional[Callable[..., Message]] = None,
+    ) -> Tuple[Dict, list]:
+        """One request and one reply per located peer.
+
+        ``request(src, peer, its terms, hops, carried)`` builds the
+        request, *carried* being what it carries; once delivered, the
+        peer acts — ``serve(node, term, carried)`` per term — and
+        ``reply(peer, src, the answers)`` builds the reply.  A term is
+        answered only if both messages of its peer's exchange arrived;
+        otherwise it joins the failed terms, and a peer that did not
+        take its request has served nothing.
+
+        Without *serve* and *reply* the exchange is request-only: a term
+        is answered with the node that took its request, where the
+        caller then applies what the request carried, in its own order.
+        Returns ``(term → answer, failed terms)``: *located*'s
+        unreachable terms, then each failed peer's batch.
+        """
+        peer_terms, peer_hops, failed = located
+        send = self.ring.send
+        answered: Dict = {}
+        for node_id, batch in peer_terms.items():
+            try:
+                send(request(src_id, node_id, batch, peer_hops[node_id], carried))
+            except NodeFailedError:
+                failed.extend(batch)
+                continue
+            node = self.ring.nodes[node_id]
+            if serve is None:
+                for term in batch:
+                    answered[term] = node
+                continue
+            answers = {}
+            for term in batch:
+                answers[term] = serve(node, term, carried)
+            try:
+                send(reply(node_id, src_id, answers.values()))
+            except NodeFailedError:
+                failed.extend(batch)
+                continue
+            answered.update(answers)
+        return answered, failed
+
     # -- slot access ----------------------------------------------------------
 
-    def _slot_at(self, node, term: str, create: bool) -> Optional[TermSlot]:
+    def _slot_at(self, node: ChordNode, term: str, create: bool) -> Optional[TermSlot]:
         """The term's slot on an already-located node.
 
         adopt(), not get_or_replica(): a responsible peer serving a
@@ -169,78 +303,15 @@ class IndexingProtocol:
             node.put(key, slot)
         return slot
 
-    def _locate_slot(
-        self, start_id: int, term: str, create: bool
-    ) -> Tuple[Optional[TermSlot], int, int]:
-        """Route to the indexing peer of *term*; return (slot, node id,
-        lookup hops).  Creates an empty slot on demand when *create*."""
-        result = self.ring.lookup(start_id, self.term_hash(term))
-        node = self.ring.node(result.node_id)
-        if not node.alive:
-            raise NodeFailedError(result.node_id)
-        slot = self._slot_at(node, term, create)
-        return slot, result.node_id, result.hops
-
-    def _locate_write_batch(
-        self, start_id: int, terms: Sequence[str]
-    ) -> Tuple[Dict[int, List[str]], Dict[int, int], List[str]]:
-        """Destination-group a write batch: resolve each distinct term's
-        responsible indexing peer, paying one DHT lookup per *distinct
-        peer* rather than per term.
-
-        A term whose hash falls in the ownership interval of an
-        already-resolved live peer is absorbed without a lookup — Chord
-        ownership (key ∈ (predecessor, node]) is unique on a consistent
-        ring, so absorption and lookup agree whenever the ring is
-        stabilized.  Peers whose predecessor pointer is unset are never
-        absorbed into (``owns`` degenerates to "everything" there).
-        Only one resolved peer can possibly own a key — the first
-        resolved id at-or-past it on the ring (no peer exists between a
-        key and its owner) — so the candidate is found by bisection, not
-        a scan.
-
-        Returns ``(peer → its terms in first-seen order, peer → routed
-        hop count, unresolvable terms)``.
-        """
-        peer_terms: Dict[int, List[str]] = {}
-        peer_hops: Dict[int, int] = {}
-        failed: List[str] = []
-        resolved_sorted: List[int] = []
-        for term in dict.fromkeys(terms):
-            key = self.term_hash(term)
-            node_id: Optional[int] = None
-            if resolved_sorted:
-                idx = bisect_left(resolved_sorted, key)
-                candidate = resolved_sorted[idx % len(resolved_sorted)]
-                node = self.ring.node(candidate)
-                if node.alive and node.predecessor is not None and node.owns(key):
-                    node_id = candidate
-            if node_id is None:
-                try:
-                    result = self.ring.lookup(start_id, key)
-                    if not self.ring.node(result.node_id).alive:
-                        raise NodeFailedError(result.node_id)
-                except NodeFailedError:
-                    failed.append(term)
-                    continue
-                node_id = result.node_id
-                peer_hops[node_id] = max(
-                    peer_hops.get(node_id, 0), result.hops + 1
-                )
-            if node_id not in peer_terms:
-                insort(resolved_sorted, node_id)
-            peer_terms.setdefault(node_id, []).append(term)
-        return peer_terms, peer_hops, failed
-
     # -- publication (owner → indexing peer) -----------------------------------
 
     def publish(self, owner_id: int, term: str, posting: PostingEntry) -> int:
         """Publish one (term, document) posting; returns the hop count
-        of the routed publication message."""
-        slot, node_id, hops = self._locate_slot(owner_id, term, create=True)
-        assert slot is not None
-        slot.add_posting(posting)
-        self.ring.send(publish_message(owner_id, node_id, hops + 1))
+        of the routed publication message.  The posting is indexed once
+        that message is delivered, not before."""
+        node, hops = self._route(owner_id, self.term_hash(term))
+        self.ring.send(publish_message(owner_id, node.node_id, hops + 1))
+        self._slot_at(node, term, create=True).add_posting(posting)
         return hops + 1
 
     def unpublish(self, owner_id: int, term: str, doc_id: str) -> bool:
@@ -252,80 +323,62 @@ class IndexingProtocol:
         posting when it is later promoted after a failure — the
         double-counting race the simulation harness surfaced.
         """
-        slot, node_id, hops = self._locate_slot(owner_id, term, create=False)
-        self.ring.send(
-            Message(
-                kind=MessageKind.UNPUBLISH_TERM,
-                src=owner_id,
-                dst=node_id,
-                size_bytes=TERM_BYTES + QUERY_HEADER_BYTES,
-                hops=hops + 1,
-            )
-        )
+        node, hops = self._route(owner_id, self.term_hash(term))
+        self.ring.send(unpublish_message(owner_id, node.node_id, hops + 1))
+        slot = self._slot_at(node, term, create=False)
         if slot is None:
             return False
         removed = slot.remove_posting(doc_id) is not None
-        self._forward_unpublish_to_replicas(node_id, term, doc_id)
+        self._forward_unpublish_to_replicas(node.node_id, term, doc_id)
         return removed
 
     def _forward_unpublish_to_replicas(
         self, node_id: int, term: str, doc_id: str
     ) -> None:
         """Propagate a deletion to the live successor replicas of the
-        term's slot (the double-counting guard of :meth:`unpublish`),
-        shared with :meth:`unpublish_batch`."""
+        term's slot (the double-counting guard of :meth:`unpublish`).
+        A replica deletes when the forward reaches it; one whose forward
+        was lost is stale until the maintenance reconcile round."""
         key = self.term_hash(term)
         for succ_id in self.ring.node(node_id).successor_list:
             if succ_id == node_id or not self.ring.is_live(succ_id):
                 continue
             replica = self.ring.node(succ_id).replicas.get(key)
             if isinstance(replica, TermSlot) and replica.has_posting(doc_id):
-                replica.remove_posting(doc_id)
                 try:
-                    self.ring.send(
-                        Message(
-                            kind=MessageKind.UNPUBLISH_TERM,
-                            src=node_id,
-                            dst=succ_id,
-                            size_bytes=TERM_BYTES + QUERY_HEADER_BYTES,
-                        )
-                    )
+                    self.ring.send(unpublish_message(node_id, succ_id))
                 except NodeFailedError:
                     continue
+                replica.remove_posting(doc_id)
 
     def _open_write_batches(
         self,
         owner_id: int,
         terms: List[str],
         batch_message: Callable[[int, int, int, int], Message],
-    ) -> Tuple[Dict[str, int], Set[str]]:
-        """Locate → size → send, shared by :meth:`publish_batch` and
-        :meth:`unpublish_batch`: destination-group *terms* (one per item
-        of the batch, repeats included) and send each peer one
-        ``batch_message(owner, peer, its item count, hops)``.
-
-        Returns ``(term → the reachable peer to apply it at, failed
-        terms)``; a peer that cannot be located or does not take its
-        message loses only its own terms.
+    ) -> Tuple[Dict[str, ChordNode], Set[str]]:
+        """The request-only exchange of :meth:`publish_batch` and
+        :meth:`unpublish_batch`: group *terms* (one per item, repeats
+        included) by destination and send each peer one
+        ``batch_message(owner, peer, its item count, hops)``.  Returns
+        ``(term → the peer that took its batch, failed terms)``; a peer
+        that cannot be located or reached loses only its own terms.
         """
-        peer_terms, peer_hops, failed = self._locate_write_batch(owner_id, terms)
-        failed_terms: Set[str] = set(failed)
-        term_peer = {
-            term: node_id for node_id, batch in peer_terms.items() for term in batch
-        }
-        batch_sizes = Counter(map(term_peer.get, terms))
-        for node_id, batch in peer_terms.items():
-            try:
-                self.ring.send(
-                    batch_message(
-                        owner_id, node_id, batch_sizes[node_id], peer_hops[node_id]
-                    )
-                )
-            except NodeFailedError:
-                failed_terms.update(batch)
-                for term in batch:
-                    del term_peer[term]
-        return term_peer, failed_terms
+        taken_at, failed = self._exchange(
+            owner_id,
+            self._locate(owner_id, terms, absorb=True),
+            (batch_message, Counter(terms)),
+            self._write_batch_request,
+        )
+        return taken_at, set(failed)
+
+    @staticmethod
+    def _write_batch_request(src, dst, batch, hops, carried) -> Message:
+        batch_message, items_of = carried
+        items = 0
+        for term in batch:
+            items += items_of[term]
+        return batch_message(src, dst, items, hops)
 
     def publish_batch(
         self, owner_id: int, postings: Sequence[Tuple[str, PostingEntry]]
@@ -339,19 +392,17 @@ class IndexingProtocol:
         advance in exactly the sequence a posting-at-a-time loop of
         :meth:`publish` would produce — what the fingerprint comparison
         against ``tests/core/per_term_owner.py`` checks.  A peer that
-        fails loses only its own batch.
-
-        Returns ``(published terms, failed terms)``.
+        fails loses only its own batch.  Returns ``(published terms,
+        failed terms)``.
         """
-        term_peer, failed_terms = self._open_write_batches(
+        taken_at, failed_terms = self._open_write_batches(
             owner_id, [term for term, __ in postings], publish_batch_message
         )
         published: Set[str] = set()
         for term, run in groupby(postings, key=itemgetter(0)):
-            node_id = term_peer.get(term)
-            if node_id is not None:
-                slot = self._slot_at(self.ring.node(node_id), term, create=True)
-                assert slot is not None
+            node = taken_at.get(term)
+            if node is not None:
+                slot = self._slot_at(node, term, create=True)
                 slot.add_postings([posting for __, posting in run])
                 published.add(term)
         return published, failed_terms
@@ -368,20 +419,18 @@ class IndexingProtocol:
         terms)`` — like :meth:`unpublish`, resolving to a peer that
         lacks the slot/posting is not a failure.
         """
-        term_peer, failed_terms = self._open_write_batches(
+        taken_at, failed_terms = self._open_write_batches(
             owner_id, [term for term, __ in removals], unpublish_batch_message
         )
         removed: Set[str] = set()
         for term, doc_id in removals:
-            node_id = term_peer.get(term)
-            if node_id is None:
-                continue
-            slot = self._slot_at(self.ring.node(node_id), term, create=False)
+            node = taken_at.get(term)
+            slot = self._slot_at(node, term, create=False) if node is not None else None
             if slot is None:
                 continue
             if slot.remove_posting(doc_id) is not None:
                 removed.add(term)
-            self._forward_unpublish_to_replicas(node_id, term, doc_id)
+            self._forward_unpublish_to_replicas(node.node_id, term, doc_id)
         return removed, failed_terms
 
     # -- query registration (querying peer → indexing peers) -----------------
@@ -396,8 +445,7 @@ class IndexingProtocol:
 
         Registration on its own — inserting training queries, where
         nothing is fetched.  A query that is *executed* registers through
-        the visit that fetches its postings
-        (:meth:`fetch_slot_views` with ``register``).
+        the visit that fetches it (:meth:`fetch_slot_views`, *register*).
         """
         cached_at, __, __ = self.register_query_observing(issuer_id, terms)
         return cached_at
@@ -421,11 +469,11 @@ class IndexingProtocol:
         failed: Set[str] = set()
         for term in terms:
             try:
-                slot, __, __ = self._locate_slot(issuer_id, term, create=True)
+                node, __ = self._route(issuer_id, self.term_hash(term))
             except NodeFailedError:
                 failed.add(term)
                 continue
-            assert slot is not None
+            slot = self._slot_at(node, term, create=True)
             slot.cache.add(terms, qhash)
             versions[term] = slot.version
             cached_at += 1
@@ -444,137 +492,84 @@ class IndexingProtocol:
         return an empty list — indistinguishable, at the protocol level,
         from a term no document chose.
         """
-        slot, node_id, hops = self._locate_slot(issuer_id, term, create=False)
-        self.ring.send(search_message(issuer_id, node_id, hops + 1))
-        if slot is None:
-            self.ring.send(postings_message(node_id, issuer_id, 0))
-            return [], 0
-        postings = slot.entries()
-        self.ring.send(postings_message(node_id, issuer_id, len(postings)))
-        return postings, slot.indexed_document_frequency
+        node, hops = self._route(issuer_id, self.term_hash(term))
+        self.ring.send(search_message(issuer_id, node.node_id, hops + 1))
+        view = self._serve_view(node, term, None)
+        self.ring.send(self._postings_reply(node.node_id, issuer_id, [view]))
+        return view.postings()
 
     def fetch_postings_batch(
         self, issuer_id: int, terms: Sequence[str]
     ) -> Tuple[Dict[str, Tuple[List[PostingEntry], int]], List[str]]:
-        """Retrieve inverted lists for several query terms, merging wire
-        traffic per responsible indexing peer.
+        """Retrieve inverted lists for several query terms: one lookup
+        per term (each key is its own ring position; the route cache
+        makes repeats cheap), but terms of one indexing peer share one
+        SEARCH_TERM request and one POSTINGS reply.
 
-        Routing cost is unchanged — each term's key is a distinct ring
-        position, so each still takes its own DHT lookup (the route
-        cache makes repeats cheap) — but terms that resolve to the same
-        indexing peer share one SEARCH_TERM request and one POSTINGS
-        reply instead of a message pair per term, the obvious real-world
-        batching a querying peer would do.
-
-        Returns ``(results, failed)``: ``results`` maps each reachable
-        term to its ``(postings, indexed document frequency)`` pair
-        (empty list / 0 for unindexed terms, exactly like
-        :meth:`fetch_postings`), and ``failed`` lists the terms dropped
-        because their peer was unreachable — per-term lookup failures,
-        or a lost batch message taking down every term of that peer
-        (Section 7 degradation either way).
+        Returns ``(results, failed)``: each reachable term's
+        ``(postings, indexed document frequency)`` pair, exactly as
+        :meth:`fetch_postings` reports it, and the terms dropped because
+        their peer could not be located or a message of its exchange was
+        lost (Section 7 degradation either way).
         """
-        def extract(term: str, slot: Optional[TermSlot]):
-            if slot is None:
-                return ([], 0), 0
-            postings = slot.entries()
-            return (postings, slot.indexed_document_frequency), len(postings)
-
-        return self._fetch_batch(issuer_id, terms, extract)
+        views, failed = self._search(issuer_id, terms, None)
+        return {term: view.postings() for term, view in views.items()}, failed
 
     def fetch_slot_views(
         self, issuer_id: int, terms: Sequence[str], register: bool = False
     ) -> Tuple[Dict[str, SlotView], List[str]]:
-        """Like :meth:`fetch_postings_batch`, but each reachable term
-        resolves to a :class:`SlotView` carrying the slot aggregates
-        (indexed df, version) beside the postings — the inputs of the
-        query executor and the result cache.
-
-        Sends *exactly* the same messages as :meth:`fetch_postings_batch`
-        (same kinds, sizes, and hops — both share one batching core), so
-        the two execution paths are indistinguishable to NetworkStats.
+        """Like :meth:`fetch_postings_batch` — the same messages, kinds,
+        sizes and hops — but each reachable term resolves to a
+        :class:`SlotView` carrying the slot aggregates (indexed df,
+        version) beside the postings: the inputs of the query executor
+        and the result cache.
 
         With *register*, the visit is also the query's registration
         (Section 5.1: the search request itself is what leaves the query
         in the indexing peer's cache): a peer that takes the SEARCH_TERM
         caches the keyword tuple *terms* in every slot the request
         addresses, creating the empty slot of a never-indexed keyword
-        exactly as :meth:`register_query` does — one lookup per term
-        instead of registration's and the fetch's one each.  What a
-        failure leaves behind: a term that cannot be located, or whose
-        SEARCH_TERM is not delivered, is dropped and nothing is cached
-        at its slot; a term whose POSTINGS reply is lost is dropped but
-        *is* cached — the peer saw the request.
+        exactly as :meth:`register_query` does.  So a term that cannot
+        be located, or whose SEARCH_TERM is lost, is dropped and cached
+        nowhere; one whose POSTINGS reply is lost is dropped but *is*
+        cached — the peer saw the request.
         """
-        def extract(term: str, slot: Optional[TermSlot]):
-            view = SlotView(term, slot)
-            return view, view.indexed_df
-
-        return self._fetch_batch(issuer_id, terms, extract, register)
-
-    def _fetch_batch(
-        self,
-        issuer_id: int,
-        terms: Sequence[str],
-        extract: Callable[[str, Optional[TermSlot]], Tuple[object, int]],
-        register: bool = False,
-    ):
-        """Shared batching core: route each distinct term, group terms by
-        responsible peer, and exchange one SEARCH_TERM / POSTINGS message
-        pair per peer.  ``extract(term, slot)`` produces ``(payload,
-        posting count)`` per term; the count sizes the POSTINGS reply so
-        every payload shape reports identical wire cost.  With
-        *register*, a peer that takes the request caches the query
-        *terms* in each addressed slot before it answers."""
-        located: Dict[str, Tuple[int, int]] = {}
-        peer_terms: Dict[int, List[str]] = {}
-        failed: List[str] = []
-        for term in dict.fromkeys(terms):
-            try:
-                result = self.ring.lookup(issuer_id, self.term_hash(term))
-                if not self.ring.node(result.node_id).alive:
-                    raise NodeFailedError(result.node_id)
-            except NodeFailedError:
-                failed.append(term)
-                continue
-            located[term] = (result.node_id, result.hops)
-            peer_terms.setdefault(result.node_id, []).append(term)
-
         query = tuple(terms)
-        qhash = self.query_hash(query) if register else 0
-        results: Dict[str, object] = {}
-        for node_id, batch in peer_terms.items():
-            hops = max(located[t][1] for t in batch) + 1
-            try:
-                self.ring.send(
-                    Message(
-                        kind=MessageKind.SEARCH_TERM,
-                        src=issuer_id,
-                        dst=node_id,
-                        size_bytes=QUERY_HEADER_BYTES + len(batch) * TERM_BYTES,
-                        hops=hops,
-                    )
-                )
-            except NodeFailedError:
-                failed.extend(batch)
-                continue
-            node = self.ring.node(node_id)
-            total_postings = 0
-            batch_results: Dict[str, object] = {}
-            for term in batch:
-                slot = self._slot_at(node, term, create=register)
-                if register:
-                    slot.cache.add(query, qhash)
-                payload, num_postings = extract(term, slot)
-                total_postings += num_postings
-                batch_results[term] = payload
-            try:
-                self.ring.send(postings_message(node_id, issuer_id, total_postings))
-            except NodeFailedError:
-                failed.extend(batch)
-                continue
-            results.update(batch_results)
-        return results, failed
+        return self._search(
+            issuer_id, terms, (query, self.query_hash(query)) if register else None
+        )
+
+    def _search(self, issuer_id, terms, registration):
+        """One SEARCH_TERM / POSTINGS pair per peer, one lookup per term;
+        *registration* is the ``(keyword tuple, query hash)`` the request
+        leaves in each addressed slot's cache, or ``None``."""
+        return self._exchange(
+            issuer_id,
+            self._locate(issuer_id, terms, absorb=False),
+            registration,
+            self._search_request,
+            self._serve_view,
+            self._postings_reply,
+        )
+
+    @staticmethod
+    def _search_request(src, dst, batch, hops, registration) -> Message:
+        return search_message(src, dst, hops, len(batch))
+
+    def _serve_view(self, node, term, registration) -> SlotView:
+        """Cache the query the request registers, if any; answer."""
+        if registration is None:
+            return SlotView(term, self._slot_at(node, term, create=False))
+        slot = self._slot_at(node, term, create=True)
+        slot.cache.add(*registration)
+        return SlotView(term, slot)
+
+    @staticmethod
+    def _postings_reply(src, dst, views) -> Message:
+        total_postings = 0
+        for view in views:
+            total_postings += view.indexed_df
+        return postings_message(src, dst, total_postings)
 
     # -- slot-version probes (querying peer → indexing peers) -----------------
 
@@ -589,42 +584,27 @@ class IndexingProtocol:
         :meth:`register_query_observing`.  Unindexed terms report
         version 0; unreachable terms land in the failed set.
         """
-        located: Dict[str, Tuple[int, int]] = {}
-        peer_terms: Dict[int, List[str]] = {}
-        failed: Set[str] = set()
-        for term in dict.fromkeys(terms):
-            try:
-                result = self.ring.lookup(issuer_id, self.term_hash(term))
-                if not self.ring.node(result.node_id).alive:
-                    raise NodeFailedError(result.node_id)
-            except NodeFailedError:
-                failed.add(term)
-                continue
-            located[term] = (result.node_id, result.hops)
-            peer_terms.setdefault(result.node_id, []).append(term)
+        versions, failed = self._exchange(
+            issuer_id,
+            self._locate(issuer_id, terms, absorb=False),
+            None,
+            self._version_probe,
+            self._serve_version,
+            self._version_value,
+        )
+        return versions, set(failed)
 
-        versions: Dict[str, int] = {}
-        for node_id, batch in peer_terms.items():
-            hops = max(located[t][1] for t in batch) + 1
-            try:
-                self.ring.send(
-                    version_probe_message(issuer_id, node_id, len(batch), hops)
-                )
-            except NodeFailedError:
-                failed.update(batch)
-                continue
-            node = self.ring.node(node_id)
-            batch_versions = {}
-            for term in batch:
-                slot = node.adopt(self.term_hash(term))
-                batch_versions[term] = slot.version if slot is not None else 0
-            try:
-                self.ring.send(version_value_message(node_id, issuer_id, len(batch)))
-            except NodeFailedError:
-                failed.update(batch)
-                continue
-            versions.update(batch_versions)
-        return versions, failed
+    @staticmethod
+    def _version_probe(src, dst, batch, hops, carried) -> Message:
+        return version_probe_message(src, dst, len(batch), hops)
+
+    def _serve_version(self, node, term, carried) -> int:
+        slot = self._slot_at(node, term, create=False)
+        return slot.version if slot is not None else 0
+
+    @staticmethod
+    def _version_value(src, dst, versions) -> Message:
+        return version_value_message(src, dst, len(versions))
 
     # -- query-result cache (querying peer ↔ result-home peer) ----------------
 
@@ -635,13 +615,13 @@ class IndexingProtocol:
         misses = sum(c.misses for c in self._result_caches.values())
         return entries, hits, misses
 
-    def _result_home(self, issuer_id: int, qhash: int) -> Tuple[int, int]:
-        """Route to the peer responsible for a query's canonical hash —
-        the deterministic home of its cached result."""
-        result = self.ring.lookup(issuer_id, qhash)
-        if not self.ring.node(result.node_id).alive:
-            raise NodeFailedError(result.node_id)
-        return result.node_id, result.hops
+    def _result_cache_at(self, node_id: int) -> QueryResultCache:
+        cache = self._result_caches.get(node_id)
+        if cache is None:
+            cache = self._result_caches[node_id] = QueryResultCache(
+                self.result_cache_size
+            )
+        return cache
 
     def probe_result(
         self,
@@ -651,49 +631,62 @@ class IndexingProtocol:
         slot_versions: Dict[str, int],
         failed_terms: FrozenSet[str],
     ) -> Optional[RankedList]:
-        """Ask the query's result-home peer for a still-valid cached
-        result; ``None`` on miss, staleness, or an unreachable home.
+        """Ask the query's result home — the peer responsible for its
+        canonical hash — for a still-valid cached result; ``None`` on
+        miss, staleness, or an unreachable home.
 
         A stale entry for the *same* keyword tuple is dropped on sight
         (slot versions are monotone, so it can never validate again);
         an entry disagreeing only on the keyword tuple — a canonical-hash
-        collision or a reordered query — is left in place.
+        collision or a reordered query — is left in place.  A probe is
+        counted, as a hit or a miss, once its RESULT_VALUE is delivered:
+        a hit is a query that was served from the cache.
         """
         if self.result_cache_size <= 0:
             return None
-        qhash = self.query_hash(terms)
-        try:
-            node_id, hops = self._result_home(issuer_id, qhash)
-            self.ring.send(result_probe_message(issuer_id, node_id, hops + 1))
-        except NodeFailedError:
+        terms = tuple(terms)
+        answered, __ = self._exchange(
+            issuer_id,
+            self._locate(issuer_id, [terms], False, self.query_hash),
+            (top_k, slot_versions, failed_terms),
+            self._result_probe,
+            self._serve_result,
+            self._result_value,
+        )
+        if terms not in answered:
             return None
-        cache = self._result_caches.get(node_id)
-        if cache is None:
-            # Allocate on first probe so every probe is accounted as a
-            # hit or a miss, even before the home stores anything.
-            cache = self._result_caches[node_id] = QueryResultCache(
-                self.result_cache_size
-            )
+        cache, served = answered[terms]
+        if served is not None:
+            cache.hits += 1
+        else:
+            cache.misses += 1
+        return served
+
+    @staticmethod
+    def _result_probe(src, dst, batch, hops, carried) -> Message:
+        return result_probe_message(src, dst, hops)
+
+    def _serve_result(
+        self, node, terms, probe
+    ) -> Tuple[QueryResultCache, Optional[RankedList]]:
+        top_k, slot_versions, failed_terms = probe
+        qhash = self.query_hash(terms)
+        # Allocated on first probe, so a home that has stored nothing
+        # yet still accounts for the probes it answers.
+        cache = self._result_cache_at(node.node_id)
         entry = cache.get(qhash)
         served: Optional[RankedList] = None
         if entry is not None:
             if entry.matches(terms, top_k, slot_versions, failed_terms):
                 served = entry.ranked.truncate(top_k)
-            elif entry.terms == tuple(terms):
+            elif entry.terms == terms:
                 cache.invalidate(qhash)
-        if served is not None:
-            cache.hits += 1
-        else:
-            cache.misses += 1
-        try:
-            self.ring.send(
-                result_value_message(
-                    node_id, issuer_id, len(served) if served is not None else 0
-                )
-            )
-        except NodeFailedError:
-            return None
-        return served
+        return cache, served
+
+    @staticmethod
+    def _result_value(src, dst, answers) -> Message:
+        (__, served), = answers
+        return result_value_message(src, dst, len(served) if served is not None else 0)
 
     def store_result(
         self,
@@ -709,32 +702,29 @@ class IndexingProtocol:
         unreachable)."""
         if self.result_cache_size <= 0:
             return False
-        qhash = self.query_hash(terms)
-        try:
-            node_id, hops = self._result_home(issuer_id, qhash)
-            self.ring.send(
-                result_store_message(
-                    issuer_id, node_id, len(ranked), len(slot_versions), hops + 1
-                )
-            )
-        except NodeFailedError:
-            return False
-        cache = self._result_caches.get(node_id)
-        if cache is None:
-            cache = self._result_caches[node_id] = QueryResultCache(
-                self.result_cache_size
-            )
-        cache.put(
-            qhash,
-            CachedResult(
-                terms=tuple(terms),
-                top_k=top_k,
-                slot_versions=dict(slot_versions),
-                failed_terms=frozenset(failed_terms),
-                ranked=ranked,
-            ),
+        terms = tuple(terms)
+        entry = CachedResult(
+            terms=terms,
+            top_k=top_k,
+            slot_versions=dict(slot_versions),
+            failed_terms=frozenset(failed_terms),
+            ranked=ranked,
         )
-        return True
+        stored_at, __ = self._exchange(
+            issuer_id,
+            self._locate(issuer_id, [terms], False, self.query_hash),
+            entry,
+            self._result_store,
+        )
+        for node in stored_at.values():
+            self._result_cache_at(node.node_id).put(self.query_hash(terms), entry)
+        return bool(stored_at)
+
+    @staticmethod
+    def _result_store(src, dst, batch, hops, entry) -> Message:
+        return result_store_message(
+            src, dst, len(entry.ranked), len(entry.slot_versions), hops
+        )
 
     # -- learning poll (owner → indexing peer) ------------------------------------
 
@@ -756,25 +746,23 @@ class IndexingProtocol:
 
         Returns (new queries, latest sequence seen at the slot).
         """
-        slot, node_id, hops = self._locate_slot(owner_id, term, create=False)
+        node, hops = self._route(owner_id, self.term_hash(term))
         self.ring.send(
             Message(
                 kind=MessageKind.POLL_QUERIES,
                 src=owner_id,
-                dst=node_id,
+                dst=node.node_id,
                 size_bytes=QUERY_HEADER_BYTES + len(index_term_hashes) * TERM_BYTES,
                 hops=hops + 1,
             )
         )
+        slot = self._slot_at(node, term, create=False)
         if slot is None:
             return [], since
-
         selected = self._select_fresh_queries(slot, term, index_term_hashes, since)
-        mean_terms = (
-            sum(len(c.terms) for c in selected) / len(selected) if selected else 0.0
-        )
-        self.ring.send(query_batch_message(node_id, owner_id, len(selected), mean_terms))
-        return selected, slot.cache.latest_sequence
+        answer = (selected, slot.cache.latest_sequence)
+        self.ring.send(self._query_batch(node.node_id, owner_id, [answer]))
+        return answer
 
     def _select_fresh_queries(
         self,
@@ -785,8 +773,7 @@ class IndexingProtocol:
     ) -> List[CachedQuery]:
         """The Section 3 selection rule for one slot: cached queries
         newer than *since* for which *term* is the hash-closest of the
-        owner's index terms present in the query.  Shared verbatim by
-        :meth:`poll_term` and :meth:`poll_batch`."""
+        owner's index terms present in the query."""
         selected: List[CachedQuery] = []
         for cached in slot.cache.since(since):
             present = {
@@ -809,62 +796,48 @@ class IndexingProtocol:
     ) -> Tuple[Dict[str, Tuple[List[CachedQuery], int]], Set[str]]:
         """Coalesced learning poll: every (term, cursor) pair an owner
         holds, grouped by responsible indexing peer — one POLL_BATCH
-        request and one QUERY_BATCH reply per *peer* instead of a
-        round-trip per term, with the per-term selection rule (and the
-        per-term cursors) preserved exactly via
-        :meth:`_select_fresh_queries`.
+        request and one QUERY_BATCH reply per *peer*, the selection rule
+        and the cursors still per term (:meth:`_select_fresh_queries`).
 
         Returns ``(term → (new queries, latest sequence seen), failed
         terms)``.  A term resolving to a peer without the slot reports
         ``([], cursor)`` just like :meth:`poll_term`.
         """
         cursor_of = dict(term_cursors)
-        peer_terms, peer_hops, failed = self._locate_write_batch(
-            owner_id, [term for term, __ in term_cursors]
+        results, failed = self._exchange(
+            owner_id,
+            self._locate(owner_id, cursor_of, absorb=True),
+            (cursor_of, index_term_hashes),
+            self._poll_request,
+            self._serve_poll,
+            self._query_batch,
         )
-        failed_terms: Set[str] = set(failed)
-        results: Dict[str, Tuple[List[CachedQuery], int]] = {}
-        for node_id, batch in peer_terms.items():
-            try:
-                self.ring.send(
-                    poll_batch_message(
-                        owner_id,
-                        node_id,
-                        len(batch),
-                        len(index_term_hashes),
-                        peer_hops[node_id],
-                    )
-                )
-            except NodeFailedError:
-                failed_terms.update(batch)
-                continue
-            node = self.ring.node(node_id)
-            batch_results: Dict[str, Tuple[List[CachedQuery], int]] = {}
-            total_selected = 0
-            total_query_terms = 0
-            for term in batch:
-                slot = self._slot_at(node, term, create=False)
-                if slot is None:
-                    batch_results[term] = ([], cursor_of[term])
-                    continue
-                selected = self._select_fresh_queries(
-                    slot, term, index_term_hashes, cursor_of[term]
-                )
-                batch_results[term] = (selected, slot.cache.latest_sequence)
-                total_selected += len(selected)
-                total_query_terms += sum(len(c.terms) for c in selected)
-            mean_terms = (
-                total_query_terms / total_selected if total_selected else 0.0
-            )
-            try:
-                self.ring.send(
-                    query_batch_message(node_id, owner_id, total_selected, mean_terms)
-                )
-            except NodeFailedError:
-                failed_terms.update(batch)
-                continue
-            results.update(batch_results)
-        return results, failed_terms
+        return results, set(failed)
+
+    @staticmethod
+    def _poll_request(src, dst, batch, hops, polled) -> Message:
+        return poll_batch_message(src, dst, len(batch), len(polled[1]), hops)
+
+    def _serve_poll(self, node, term, polled) -> Tuple[List[CachedQuery], int]:
+        """*polled*: ``(term → cursor, the owner's index-term hashes)``."""
+        cursor_of, index_term_hashes = polled
+        slot = self._slot_at(node, term, create=False)
+        if slot is None:
+            return [], cursor_of[term]
+        selected = self._select_fresh_queries(
+            slot, term, index_term_hashes, cursor_of[term]
+        )
+        return selected, slot.cache.latest_sequence
+
+    @staticmethod
+    def _query_batch(src, dst, answers) -> Message:
+        total_selected = total_query_terms = 0
+        for selected, __ in answers:
+            for cached in selected:
+                total_selected += 1
+                total_query_terms += len(cached.terms)
+        mean_terms = total_query_terms / total_selected if total_selected else 0.0
+        return query_batch_message(src, dst, total_selected, mean_terms)
 
     # -- maintenance / inspection ------------------------------------------------
 

@@ -88,13 +88,26 @@ def publish_message(src: int, dst: int, hops: int) -> Message:
     )
 
 
-def search_message(src: int, dst: int, hops: int) -> Message:
-    """A per-term search request."""
+def unpublish_message(src: int, dst: int, hops: int = 1) -> Message:
+    """One posting's deletion: routed from the owner, or forwarded
+    peer-to-replica over a known address."""
+    return Message(
+        kind=MessageKind.UNPUBLISH_TERM,
+        src=src,
+        dst=dst,
+        size_bytes=TERM_BYTES + QUERY_HEADER_BYTES,
+        hops=hops,
+    )
+
+
+def search_message(src: int, dst: int, hops: int, num_terms: int = 1) -> Message:
+    """A search request for the *num_terms* query terms one indexing
+    peer is responsible for."""
     return Message(
         kind=MessageKind.SEARCH_TERM,
         src=src,
         dst=dst,
-        size_bytes=TERM_BYTES + QUERY_HEADER_BYTES,
+        size_bytes=QUERY_HEADER_BYTES + num_terms * TERM_BYTES,
         hops=hops,
     )
 

@@ -583,8 +583,8 @@ class ChordRing:
             if prior is not None:
                 for record in log.records:
                     prior.record(record)
-                for hops in log.hop_samples:
-                    prior.record_hops(hops)
+                for hops, lookups in log.hop_histogram.items():
+                    prior.record_hops(hops, lookups)
 
     def send(self, message: Message) -> None:
         """Deliver an application message through the transport and

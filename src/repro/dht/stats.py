@@ -9,9 +9,9 @@ paper's introduction argues about.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from .messages import Message, MessageKind, category_of
 
@@ -47,7 +47,9 @@ class NetworkStats:
 
     def __init__(self) -> None:
         self._by_kind: Dict[MessageKind, KindStats] = defaultdict(KindStats)
-        self._lookup_hop_samples: List[int] = []
+        #: hops → completed lookups: bounded by the hop limit
+        #: ``2·id_bits + N``, where a sample per lookup grew with the ring's life.
+        self._lookup_hops: Counter = Counter()
 
     def record(self, msg: Message) -> None:
         """Account for one delivered message."""
@@ -55,7 +57,7 @@ class NetworkStats:
 
     def record_lookup(self, hops: int) -> None:
         """Record the hop count of one completed DHT lookup."""
-        self._lookup_hop_samples.append(hops)
+        self._lookup_hops[hops] += 1
         self._by_kind[MessageKind.LOOKUP].messages += 1
         self._by_kind[MessageKind.LOOKUP].hops += hops
 
@@ -78,16 +80,18 @@ class NetworkStats:
         return sum(s.hops for s in self._by_kind.values())
 
     @property
-    def lookup_hop_samples(self) -> List[int]:
-        """Raw per-lookup hop counts (for hop-distribution benches)."""
-        return list(self._lookup_hop_samples)
+    def lookup_hop_histogram(self) -> Counter:
+        """``hops → lookups`` so far (a copy; subtract an earlier one for
+        the hop distribution of a phase)."""
+        return Counter(self._lookup_hops)
 
     @property
     def mean_lookup_hops(self) -> float:
         """Mean hops per lookup (0.0 when no lookups happened)."""
-        if not self._lookup_hop_samples:
+        lookups = sum(self._lookup_hops.values())
+        if not lookups:
             return 0.0
-        return sum(self._lookup_hop_samples) / len(self._lookup_hop_samples)
+        return sum(hops * n for hops, n in self._lookup_hops.items()) / lookups
 
     def snapshot(self) -> Dict[MessageKind, KindStats]:
         """An immutable-enough copy of the current per-kind counters."""
@@ -115,7 +119,7 @@ class NetworkStats:
     def reset(self) -> None:
         """Zero all counters."""
         self._by_kind.clear()
-        self._lookup_hop_samples.clear()
+        self._lookup_hops.clear()
 
     def summary(self) -> Dict[str, Dict[str, int]]:
         """A plain-dict summary for printing/reporting."""

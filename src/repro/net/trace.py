@@ -16,8 +16,9 @@ transport bench asserts as its reproducibility contract.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Final outcome labels (kept as plain strings so traces serialize
 #: trivially and the net package stays import-independent of repro.dht).
@@ -159,13 +160,16 @@ class TraceLog:
 
     def __init__(self) -> None:
         self._records: List[MessageTrace] = []
-        self._hop_samples: List[int] = []
+        #: hops → completed lookups: bounded by the hop limit, where a
+        #: sample per lookup grew for as long as the log was attached.
+        self._hops: Counter = Counter()
 
     def record(self, trace: MessageTrace) -> None:
         self._records.append(trace)
 
-    def record_hops(self, hops: int) -> None:
-        """Record the hop count of one completed lookup.
+    def record_hops(self, hops: int, lookups: int = 1) -> None:
+        """Record the hop count of one completed lookup (of *lookups* of
+        them, when another log's histogram is folded in).
 
         Hop samples are per-*lookup* (the ring records one on every
         resolution, cache hits included), whereas :meth:`record` traces
@@ -174,11 +178,11 @@ class TraceLog:
         rollup report both the wire cost (lookup messages) and the
         routing quality (hops per lookup).
         """
-        self._hop_samples.append(hops)
+        self._hops[hops] += lookups
 
     def clear(self) -> None:
         self._records.clear()
-        self._hop_samples.clear()
+        self._hops.clear()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -189,9 +193,9 @@ class TraceLog:
         return list(self._records)
 
     @property
-    def hop_samples(self) -> List[int]:
-        """Per-lookup hop counts recorded so far (copy)."""
-        return list(self._hop_samples)
+    def hop_histogram(self) -> Counter:
+        """``hops → lookups`` recorded so far (copy)."""
+        return Counter(self._hops)
 
     def filtered(
         self, kind: Optional[str] = None, outcome: Optional[str] = None
@@ -215,7 +219,7 @@ class TraceLog:
         statistics (per-lookup samples) are attached to the full rollup
         and to ``kind="lookup"``, the kind they describe.
         """
-        hops = self._hop_samples if kind in (None, "lookup") else ()
+        hops = self._hops.elements() if kind in (None, "lookup") else ()
         return self._rollup_records(self.filtered(kind=kind), hops)
 
     def category_rollup(self) -> Dict[str, TraceSummary]:
@@ -228,15 +232,16 @@ class TraceLog:
             buckets.setdefault(category_of_kind(t.kind), []).append(t)
         return {
             category: self._rollup_records(
-                records, self._hop_samples if category == "routing" else ()
+                records, self._hops.elements() if category == "routing" else ()
             )
             for category, records in sorted(buckets.items())
         }
 
     @staticmethod
     def _rollup_records(
-        records: List[MessageTrace], hop_samples: Sequence[int] = ()
+        records: List[MessageTrace], hops: Iterable[int] = ()
     ) -> TraceSummary:
+        hop_samples = list(hops)  # one per lookup, for this report only
         delivered_latencies = [
             t.latency_ms for t in records if t.outcome == DELIVERED
         ]
@@ -264,7 +269,7 @@ class TraceLog:
             hops_mean=(
                 sum(hop_samples) / len(hop_samples) if hop_samples else 0.0
             ),
-            hops_p99=percentile(list(hop_samples), 99),
+            hops_p99=percentile(hop_samples, 99),
         )
 
     def summary_table(self) -> str:

@@ -248,7 +248,7 @@ def run_route_cell(
     # -- query stream with interleaved churn ------------------------------
     checksum = sha256()
     protected = set(issuers)
-    samples_before = len(ring.stats.lookup_hop_samples)
+    hops_before = ring.stats.lookup_hop_histogram
     messages_before = ring.stats.kind(MessageKind.LOOKUP).hops
     entries_before_churn = ring.routing_entries_written
     churn_events = 0
@@ -269,7 +269,7 @@ def run_route_cell(
             checksum.update(f"{entry.doc_id}:{entry.score!r}".encode())
     query_s = perf_counter() - t0
 
-    hop_samples = ring.stats.lookup_hop_samples[samples_before:]
+    hop_samples = list((ring.stats.lookup_hop_histogram - hops_before).elements())
     mean_hops = sum(hop_samples) / len(hop_samples) if hop_samples else 0.0
     return RouteCellResult(
         ring=ring_label(kind, arity),

@@ -25,6 +25,12 @@ may and may not change:
 (The global version / stamp *ranks* of the slots one query creates may
 differ between twins — creation follows peer groups now, not query term
 order.  They are only ever compared for equality, never here.)
+
+The failure contract is the search instance of a rule every batched
+exchange of the protocol obeys — what a message carries takes effect
+only once it is delivered — so ``TestLostLeg`` states it as one table
+over *exchange × lost leg*, and ``TestDeliveredBeforeApplied`` pins the
+three sites that used to act before they sent.
 """
 
 from __future__ import annotations
@@ -41,9 +47,16 @@ from repro.core.query_processing import QueryProcessor
 from repro.corpus.relevance import Query
 from repro.dht.messages import MessageKind
 from repro.dht.recursive import build_ring
+from repro.dht.replication import ReplicationManager
 from repro.exceptions import NodeFailedError
 from repro.net.faults import FaultInjector
-from repro.net.transport import DeliveryPolicy, LossyTransport
+from repro.net.transport import (
+    DeliveryOutcome,
+    DeliveryPolicy,
+    DeliveryReceipt,
+    LossyTransport,
+    PerfectTransport,
+)
 
 from .legacy_executor import execute_legacy
 
@@ -285,3 +298,238 @@ class TestFailureContract:
                 for t in query.terms
             )
         assert all(seen.values()), seen  # every case of the contract occurred
+
+
+class DropKinds(PerfectTransport):
+    """A perfect network that loses every message of the given kinds —
+    optionally only those to or from one peer.  ``kinds`` may be set
+    after the stack is built, so set-up runs on a quiet network."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.kinds: frozenset = frozenset()
+        self.peer = None
+        self.dropped = 0
+
+    def deliver(self, message, dst_alive: bool = True) -> DeliveryReceipt:
+        if message.kind in self.kinds and self.peer in (None, message.src, message.dst):
+            self.dropped += 1
+            return DeliveryReceipt(DeliveryOutcome.DROPPED, attempts=1, latency_ms=0.0)
+        return super().deliver(message, dst_alive)
+
+
+def index_state(ring):
+    """Everything the indexing peers hold, primaries and replicas: per
+    slot, the postings in publish order and the cached queries."""
+    return {
+        (node.node_id, held, slot.term): (
+            tuple(slot.entries()),
+            [(c.terms, c.query_hash, c.sequence) for c in slot.cache],
+        )
+        for node in ring.nodes.values()
+        for held, slots in (("store", node.store), ("replica", node.replicas))
+        for slot in slots.values()
+        if isinstance(slot, TermSlot)
+    }
+
+
+#: The batched exchanges: ``name → (request kind, reply kind or None for
+#: a request-only exchange, call(protocol, src, terms) → (answered,
+#: failed))``.  Every call addresses the same *terms*.
+POSTING = PostingEntry("fresh", 1, 3, 77)
+EXCHANGES = {
+    "search-views": (
+        MessageKind.SEARCH_TERM,
+        MessageKind.POSTINGS,
+        lambda p, src, terms: p.fetch_slot_views(src, terms, register=True),
+    ),
+    "search-postings": (
+        MessageKind.SEARCH_TERM,
+        MessageKind.POSTINGS,
+        lambda p, src, terms: p.fetch_postings_batch(src, terms),
+    ),
+    "version-probe": (
+        MessageKind.VERSION_PROBE,
+        MessageKind.VERSION_VALUE,
+        lambda p, src, terms: p.probe_slot_versions(src, terms),
+    ),
+    "poll-batch": (
+        MessageKind.POLL_BATCH,
+        MessageKind.QUERY_BATCH,
+        lambda p, src, terms: p.poll_batch(
+            src, [(t, -1) for t in terms], {t: p.term_hash(t) for t in terms}
+        ),
+    ),
+    "publish-batch": (
+        MessageKind.PUBLISH_BATCH,
+        None,
+        lambda p, src, terms: p.publish_batch(src, [(t, POSTING) for t in terms]),
+    ),
+    "unpublish-batch": (
+        MessageKind.UNPUBLISH_BATCH,
+        None,
+        lambda p, src, terms: p.unpublish_batch(src, [(t, "d000") for t in terms]),
+    ),
+}
+LOST_LEGS = [
+    (name, leg)
+    for name, (__, reply, __) in EXCHANGES.items()
+    for leg in ("request", "reply")
+    if leg == "request" or reply is not None
+]
+
+
+class TestLostLeg:
+    """The one rule of the exchange, per operation and per leg: what a
+    message carries takes effect only once it is delivered.  One peer's
+    messages of one kind are lost; every other peer's exchange must run
+    as if nothing had happened."""
+
+    @staticmethod
+    def build():
+        transport = DropKinds()
+        ring, protocol, __ = build_stack(transport=transport)
+        # Terms of document d000 first, so the unpublish has postings to
+        # find; a ghost keyword, so registration has a slot to create.
+        of_d000 = [
+            t
+            for t in VOCAB
+            if (slot := protocol.slot_snapshot(t)) and slot.has_posting("d000")
+        ]
+        terms = tuple(dict.fromkeys(of_d000 + VOCAB[:12] + GHOSTS[:1]))
+        src = ring.live_ids[3]
+        for i in range(3):  # something for the poll to return
+            protocol.register_query(src, (terms[i], terms[i + 1]))
+        ReplicationManager(ring, replication_factor=2).replicate_round()
+        return transport, ring, protocol, src, terms
+
+    @pytest.mark.parametrize("name,leg", LOST_LEGS)
+    def test_a_lost_leg_fails_its_peer_and_nothing_else(self, name, leg) -> None:
+        request_kind, reply_kind, call = EXCHANGES[name]
+        # The loss-free twin says what every peer would have answered.
+        __, ring_twin, proto_twin, src_twin, terms_twin = self.build()
+        transport, ring, protocol, src, terms = self.build()
+        assert (src, terms) == (src_twin, terms_twin)
+        peer_of = {t: ring.successor_of(protocol.term_hash(t)) for t in terms}
+        victim = peer_of[terms[0]]
+        lost = [t for t in terms if peer_of[t] == victim]
+        kept = [t for t in terms if peer_of[t] != victim]
+        assert lost and kept and victim != src
+
+        before = index_state(ring)
+        transport.peer = victim
+        transport.kinds = frozenset(
+            {request_kind if leg == "request" else reply_kind}
+        )
+        answered, failed = call(protocol, src, terms)
+        expected, none_failed = call(proto_twin, src, terms)
+        assert transport.dropped == 1
+        assert not none_failed
+
+        # Results: the victim's terms failed, in located order; every
+        # other term is answered exactly as on the loss-free twin.
+        assert list(failed) == lost or failed == set(lost)
+        if isinstance(answered, dict):
+            assert set(answered) == set(kept)
+            if name == "search-views":
+                answered, expected = (
+                    {t: (v.indexed_df, v.scoring_view()) for t, v in views.items()}
+                    for views in (answered, expected)
+                )
+            if name != "version-probe":  # versions are process-global
+                assert answered == {t: expected[t] for t in kept}
+        else:  # the write batches answer with the set of applied terms
+            assert answered == expected - set(lost)
+
+        # What the peers kept.  A lost request leaves the victim's slots
+        # as they were — nothing cached, no posting moved, no slot
+        # created — and their replicas too: a deletion that never
+        # arrived is never forwarded.  Everything else, the victim's
+        # side of an exchange whose reply was lost included, is what the
+        # twin's peers hold.
+        after, twin = index_state(ring), index_state(ring_twin)
+        for where in after.keys() | twin.keys() | before.keys():
+            peer, held, term = where
+            untouched = (
+                leg == "request"
+                and term in lost
+                and (peer == victim or held == "replica")
+            )
+            reference = before if untouched else twin
+            assert after.get(where) == reference.get(where), where
+        if name == "search-views" and leg == "reply":
+            # Dropped from the result, but cached: the peer saw the request.
+            for term in lost:
+                cached = protocol.slot_snapshot(term).cache.since(-1)
+                assert cached[-1].terms == terms
+
+
+class TestDeliveredBeforeApplied:
+    """Three sites that used to act first and send afterwards."""
+
+    def test_a_lost_deletion_forward_leaves_the_replica_its_posting(self) -> None:
+        transport = DropKinds()
+        ring, protocol, __ = build_stack(transport=transport)
+        owner = ring.live_ids[0]
+        terms = VOCAB[:20]
+        protocol.publish_batch(
+            owner, [(t, PostingEntry("victim", owner, 2, 90)) for t in terms]
+        )
+        ReplicationManager(ring, replication_factor=1).replicate_round()
+
+        def replica_postings() -> int:
+            return sum(
+                slot.has_posting("victim")
+                for node in ring.nodes.values()
+                for slot in node.replicas.values()
+            )
+
+        assert replica_postings() == len(terms)
+        transport.kinds = frozenset({MessageKind.UNPUBLISH_TERM})
+        removed, failed = protocol.unpublish_batch(owner, [(t, "victim") for t in terms])
+        # The primaries took their batches; every forward was lost, so
+        # every replica still has what nobody told it to delete.
+        assert (removed, failed) == (set(terms), set())
+        assert transport.dropped == len(terms)
+        assert replica_postings() == len(terms)
+        transport.kinds = frozenset()
+        protocol.publish_batch(
+            owner, [(t, PostingEntry("victim", owner, 2, 90)) for t in terms]
+        )
+        protocol.unpublish_batch(owner, [(t, "victim") for t in terms])
+        assert replica_postings() == 0
+
+    def test_a_posting_is_indexed_once_its_publish_term_is_delivered(self) -> None:
+        transport = DropKinds()
+        ring, protocol, __ = build_stack(transport=transport)
+        before = index_state(ring)
+        transport.kinds = frozenset({MessageKind.PUBLISH_TERM})
+        with pytest.raises(NodeFailedError):
+            protocol.publish(ring.live_ids[0], GHOSTS[0], PostingEntry("new", 1, 1, 10))
+        with pytest.raises(NodeFailedError):
+            protocol.publish(ring.live_ids[0], VOCAB[0], PostingEntry("new", 1, 1, 10))
+        # Reported as failed, and failed: no posting, no slot.
+        assert index_state(ring) == before
+        transport.kinds = frozenset()
+        protocol.publish(ring.live_ids[0], GHOSTS[0], PostingEntry("new", 1, 1, 10))
+        assert protocol.slot_snapshot(GHOSTS[0]).has_posting("new")
+
+    def test_a_probe_is_a_hit_once_its_result_value_is_delivered(self) -> None:
+        transport = DropKinds()
+        ring, __, __ = build_stack(transport=transport)
+        protocol = IndexingProtocol(ring, result_cache_size=8)
+        issuer, terms = ring.live_ids[0], (VOCAB[1], VOCAB[2])
+        ranked, __ = QueryProcessor(protocol, assumed_corpus_size=10_000).execute(
+            issuer, Query("q", terms), top_k=5, cache=False
+        )
+        versions, __ = protocol.probe_slot_versions(issuer, terms)
+        assert protocol.result_cache_stats() == (1, 0, 1)  # stored after one miss
+        transport.kinds = frozenset({MessageKind.RESULT_VALUE})
+        assert protocol.probe_result(issuer, terms, 5, versions, frozenset()) is None
+        # The home found the entry, the issuer never heard: no query was
+        # served from the cache, so no hit.
+        assert protocol.result_cache_stats() == (1, 0, 1)
+        transport.kinds = frozenset()
+        served = protocol.probe_result(issuer, terms, 5, versions, frozenset())
+        assert pairs(served) == pairs(ranked)
+        assert protocol.result_cache_stats() == (1, 1, 1)

@@ -183,9 +183,7 @@ class TestEndToEnd:
         victim = ring.successor_of(protocol.term_hash(VOCAB[7]))
         if victim == ring.live_ids[0]:
             pytest.skip("issuer is the indexing peer for this seed")
-        result_home = protocol._result_home(
-            ring.live_ids[0], protocol.query_hash(tuple(sorted(terms)))
-        )[0]
+        result_home = ring.successor_of(protocol.query_hash(terms))
         if victim == result_home:
             pytest.skip("result home is the indexing peer for this seed")
         ring.fail(victim)

@@ -20,7 +20,7 @@ from repro.core.indexer import IndexingProtocol
 from repro.core.metadata import PostingEntry
 from repro.core.owner import OwnerPeer
 from repro.corpus import Document
-from repro.dht import ChordRing
+from repro.dht import ChordRing, MessageKind
 
 from .per_term_owner import PerTermOwner
 
@@ -149,13 +149,13 @@ class TestLocateWriteBatch:
         distinct_peers = {_responsible(ring, protocol, t) for t in terms}
         assert len(distinct_peers) < len(terms)  # 48 terms on a 16-peer ring
 
-        lookups_before = len(ring.stats.lookup_hop_samples)
+        lookups_before = ring.stats.kind(MessageKind.LOOKUP).messages
         postings = [
             (t, PostingEntry(doc_id="d", owner_peer=owner_id, raw_tf=1, doc_length=2))
             for t in terms
         ]
         published, failed = protocol.publish_batch(owner_id, postings)
-        lookups = len(ring.stats.lookup_hop_samples) - lookups_before
+        lookups = ring.stats.kind(MessageKind.LOOKUP).messages - lookups_before
 
         assert failed == set()
         assert published == set(terms)

@@ -198,7 +198,7 @@ def drive(arity: int, lossy: bool, route_cache_size: int):
     net = None
     if lossy:
         net = (ring.transport.rng.getstate(), len(ring.transport.trace.records))
-    return log, ring.stats.summary(), ring.stats.lookup_hop_samples, net
+    return log, ring.stats.summary(), ring.stats.lookup_hop_histogram, net
 
 
 @pytest.mark.parametrize("route_cache_size", [0, 64])

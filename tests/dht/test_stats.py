@@ -37,7 +37,7 @@ class TestLookups:
         stats = NetworkStats()
         stats.record_lookup(3)
         stats.record_lookup(5)
-        assert stats.lookup_hop_samples == [3, 5]
+        assert stats.lookup_hop_histogram == {3: 1, 5: 1}
         assert stats.mean_lookup_hops == 4.0
 
     def test_mean_with_no_lookups(self) -> None:
@@ -82,7 +82,7 @@ class TestReset:
         stats.record_lookup(2)
         stats.reset()
         assert stats.total_messages == 0
-        assert stats.lookup_hop_samples == []
+        assert stats.lookup_hop_histogram == {}
 
 
 class TestSummary:

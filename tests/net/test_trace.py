@@ -156,6 +156,16 @@ class TestHopRollup:
         assert summary.hops_p99 == 6.0
         assert summary.lookup_messages == 12
 
+    def test_a_folded_in_histogram_counts_one_sample_per_lookup(self) -> None:
+        log = TraceLog()
+        for hops in (2, 4, 6):
+            log.record_hops(hops)
+        log.record_hops(1, 197)  # another log's 197 one-hop lookups
+        assert log.hop_histogram == {1: 197, 2: 1, 4: 1, 6: 1}
+        summary = log.rollup()
+        assert summary.hops_mean == (12 + 197) / 200
+        assert summary.hops_p99 == 2  # nearest rank 198 of 200
+
     def test_hop_fields_attach_to_lookup_kind_rollup_only(self) -> None:
         log = TraceLog()
         log.record_hops(3)
@@ -176,15 +186,15 @@ class TestHopRollup:
     def test_hop_samples_property_copies(self) -> None:
         log = TraceLog()
         log.record_hops(2)
-        samples = log.hop_samples
-        samples.append(99)
-        assert log.hop_samples == [2]
+        samples = log.hop_histogram
+        samples[99] += 1
+        assert log.hop_histogram == {2: 1}
 
     def test_clear_drops_hop_samples(self) -> None:
         log = TraceLog()
         log.record_hops(4)
         log.clear()
-        assert log.hop_samples == []
+        assert log.hop_histogram == {}
         assert log.rollup().hops_mean == 0.0
 
     def test_capture_messages_forwards_hop_samples(self) -> None:
@@ -202,8 +212,8 @@ class TestHopRollup:
         start = ring.live_ids[0]
         with ring.capture_messages() as inner:
             ring.lookup(start, (start + 1) % ring.space.size, record=False)
-        assert len(inner.hop_samples) == 1
-        assert transport.trace.hop_samples == inner.hop_samples
+        assert sum(inner.hop_histogram.values()) == 1
+        assert transport.trace.hop_histogram == inner.hop_histogram
 
 
 class TestSummaryTable:

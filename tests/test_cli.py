@@ -124,6 +124,12 @@ class TestNet:
         assert code == 2
         assert output == "error: drop_probability must be in [0, 1]\n"
 
+    @pytest.mark.parametrize("lookups", ["0", "-5"])
+    def test_lookups_below_one_is_rejected_before_the_header(self, lookups) -> None:
+        code, output = run_cli("net", "--small", "--lookups", lookups)
+        assert code == 2
+        assert output == "error: --lookups must be >= 1\n"
+
 
 class TestHops:
     def test_hops_table(self) -> None:
@@ -186,6 +192,19 @@ class TestPerf:
         code, output = run_cli("perf", "--mode", "scale", "--small", "--drop", "1.5")
         assert code == 2
         assert output.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flag,value,error",
+        (
+            ("--workers", "0", "error: workers must be >= 1\n"),
+            ("--shards", "-1", "error: num_shards must be >= 1\n"),
+        ),
+        ids=["workers", "shards"],
+    )
+    def test_perf_scale_validates_before_the_header(self, flag, value, error) -> None:
+        code, output = run_cli("perf", "--mode", "scale", "--small", flag, value)
+        assert code == 2
+        assert output == error
 
     def test_perf_rejects_lossy_transport(self) -> None:
         code, output = run_cli(

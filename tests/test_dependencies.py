@@ -1,7 +1,8 @@
 """Structural guards: the package has no third-party runtime dependency
 (pyproject ``dependencies = []``), optional imports included, every
-name the benchmark's layer budget hooks still exists, and no module
-imports across a layer boundary its docstring rules out."""
+name the benchmark's layer budget hooks still exists, no module imports
+across a layer boundary its docstring rules out, and the indexing
+protocol's one exchange stays one."""
 
 from __future__ import annotations
 
@@ -149,3 +150,47 @@ def test_the_edge_check_sees_relative_guarded_and_function_level_imports() -> No
     assert "core/system.py -> repro.core.inflight" in _violations(
         "core/system.py", (), ("repro.core.inflight",), False
     )
+
+
+def _functions_where(tree: ast.AST, matches) -> set:
+    """Names of the functions of *tree* with a node below them that
+    *matches*."""
+    return {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and any(matches(node) for node in ast.walk(function))
+    }
+
+
+def _calls(*names: str):
+    """Matches a call of ``<anything>.name(...)`` or of a local alias
+    ``name(...)``, for any of *names*."""
+
+    def matches(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", None) in names
+            or getattr(node.func, "id", None) in names
+        )
+
+    return matches
+
+
+def test_the_indexing_protocol_keeps_one_exchange() -> None:
+    """``core/indexer.py`` routes, groups and exchanges in one place
+    each (its module docstring): one function looks up, the liveness
+    check that follows a lookup sits in that function, and a delivery
+    failure is caught only where it becomes failed terms (the exchange)
+    or is tolerated (the replica deletion-forward).  A second copy of
+    any of them is how the delivery-order bugs of PR 20 got in."""
+    tree = ast.parse((PACKAGE / "core" / "indexer.py").read_text(encoding="utf-8"))
+    assert _functions_where(tree, _calls("lookup", "lookup_term")) == {"_route"}
+    # _locate reads it of an absorption candidate, before any lookup.
+    assert _functions_where(
+        tree, lambda node: isinstance(node, ast.Attribute) and node.attr == "alive"
+    ) == {"_route", "_locate"}
+    assert _functions_where(
+        tree,
+        lambda node: isinstance(node, ast.Try)
+        and any(_calls("send")(inner) for stmt in node.body for inner in ast.walk(stmt)),
+    ) == {"_exchange", "_forward_unpublish_to_replicas"}
