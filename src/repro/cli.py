@@ -23,8 +23,8 @@ check       Run the verification harness (repro.sim): execute a scenario
             (``--catalogue flash_crowd``, ``--catalogue all``) —
             checking the invariant catalogue between events, then run
             the differential oracle: every row of its comparison table
-            (a result-neutral switch on vs off), the concurrent-runtime
-            check, and the centralized TF-IDF baseline.
+            (a result-neutral switch on vs off), then the centralized
+            TF-IDF baseline.
 
 All commands accept ``--small`` (test-sized corpus, seconds) and
 ``--seed`` (reproducibility), plus the network-model flags

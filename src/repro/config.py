@@ -257,7 +257,7 @@ class ChordConfig:
 #: Transports :class:`NetworkConfig` may name.
 TRANSPORT_KINDS: Tuple[str, ...] = ("perfect", "lossy")
 #: Latency models :class:`NetworkConfig` may name.
-LATENCY_MODELS: Tuple[str, ...] = ("constant", "uniform", "lognormal")
+LATENCY_MODELS: Tuple[str, ...] = ("constant", "lognormal")
 
 
 @dataclass(frozen=True)
@@ -272,16 +272,13 @@ class NetworkConfig:
     milliseconds on the transport's :class:`~repro.net.clock.SimulatedClock`.
 
     ``latency_ms`` is the constant model's value and the log-normal
-    model's *median*; the uniform model uses the low/high bounds.  The
-    ``seed`` drives the transport's private RNG, so a fault-injection
-    run replays byte-identically.
+    model's *median*.  The ``seed`` drives the transport's private RNG,
+    so a fault-injection run replays byte-identically.
     """
 
     transport: str = "perfect"
     latency_model: str = "constant"
     latency_ms: float = 60.0
-    latency_low_ms: float = 20.0
-    latency_high_ms: float = 120.0
     latency_sigma: float = 0.55
     drop_probability: float = 0.0
     timeout_ms: float = 400.0
@@ -302,11 +299,6 @@ class NetworkConfig:
             _require(self.latency_ms > 0, "lognormal latency_ms (median) must be > 0")
         else:
             _require(self.latency_ms >= 0, "latency_ms must be >= 0")
-        _require(self.latency_low_ms >= 0, "latency_low_ms must be >= 0")
-        _require(
-            self.latency_high_ms >= self.latency_low_ms,
-            "latency_high_ms must be >= latency_low_ms",
-        )
         _require(self.latency_sigma >= 0, "latency_sigma must be >= 0")
         _require(
             0.0 <= self.drop_probability <= 1.0, "drop_probability must be in [0, 1]"

@@ -3,7 +3,6 @@
 from .bloom_search import BloomExecution, BloomQueryProcessor
 from .esearch import ESearchSystem
 from .indexer import IndexingProtocol
-from .inflight import CapturedOp, capture_query
 from .maintenance import MaintenanceDaemon, MaintenanceReport
 from .learning import (
     IncrementalLearner,
@@ -28,7 +27,6 @@ __all__ = [
     "BloomExecution",
     "BloomQueryProcessor",
     "CachedQuery",
-    "CapturedOp",
     "DistributedSystem",
     "ESearchSystem",
     "MaintenanceDaemon",
@@ -45,7 +43,6 @@ __all__ = [
     "SpriteSystem",
     "TermSlot",
     "TermStats",
-    "capture_query",
     "combined_score",
     "initial_terms",
     "naive_rank_terms",

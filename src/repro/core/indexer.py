@@ -155,7 +155,6 @@ class IndexingProtocol:
         self.query_cache_size = query_cache_size
         self.result_cache_size = result_cache_size
         self.store_runtime = store_runtime
-        self._result_caches: Dict[int, QueryResultCache] = {}
 
     # -- hashing ------------------------------------------------------------
 
@@ -608,19 +607,27 @@ class IndexingProtocol:
 
     # -- query-result cache (querying peer ↔ result-home peer) ----------------
 
-    def result_cache_stats(self) -> Tuple[int, int, int]:
-        """(entries, hits, misses) aggregated over all peers' caches."""
-        entries = sum(len(c) for c in self._result_caches.values())
-        hits = sum(c.hits for c in self._result_caches.values())
-        misses = sum(c.misses for c in self._result_caches.values())
-        return entries, hits, misses
+    def result_caches(self) -> List[Tuple[int, QueryResultCache]]:
+        """``(node id, cache)`` of every live peer that holds one."""
+        return [
+            (node_id, cache)
+            for node_id in self.ring.live_ids
+            if (cache := self.ring.nodes[node_id].result_cache) is not None
+        ]
 
-    def _result_cache_at(self, node_id: int) -> QueryResultCache:
-        cache = self._result_caches.get(node_id)
+    def result_cache_stats(self) -> Tuple[int, int, int]:
+        """(entries, hits, misses) aggregated over the live peers' caches."""
+        caches = [cache for __, cache in self.result_caches()]
+        return (
+            sum(len(c) for c in caches),
+            sum(c.hits for c in caches),
+            sum(c.misses for c in caches),
+        )
+
+    def _result_cache_at(self, node: ChordNode) -> QueryResultCache:
+        cache = node.result_cache
         if cache is None:
-            cache = self._result_caches[node_id] = QueryResultCache(
-                self.result_cache_size
-            )
+            cache = node.result_cache = QueryResultCache(self.result_cache_size)
         return cache
 
     def probe_result(
@@ -673,7 +680,7 @@ class IndexingProtocol:
         qhash = self.query_hash(terms)
         # Allocated on first probe, so a home that has stored nothing
         # yet still accounts for the probes it answers.
-        cache = self._result_cache_at(node.node_id)
+        cache = self._result_cache_at(node)
         entry = cache.get(qhash)
         served: Optional[RankedList] = None
         if entry is not None:
@@ -717,7 +724,7 @@ class IndexingProtocol:
             self._result_store,
         )
         for node in stored_at.values():
-            self._result_cache_at(node.node_id).put(self.query_hash(terms), entry)
+            self._result_cache_at(node).put(self.query_hash(terms), entry)
         return bool(stored_at)
 
     @staticmethod

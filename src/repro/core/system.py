@@ -228,21 +228,6 @@ class DistributedSystem:
         k = top_k if top_k is not None else self.config.top_k_answers
         return self.processor.execute(self._issuer_for(query), query, top_k=k, cache=cache)
 
-    def execute_captured(
-        self, query: Query, top_k: int | None = None, cache: bool = True
-    ):
-        """Like :meth:`execute`, additionally capturing the operation's
-        message timeline for replay through the event-driven runtime
-        (DESIGN.md §15).  Returns ``(ranked, execution, captured_op)``;
-        the query's semantics are fully decided here — replaying the
-        returned :class:`~repro.core.inflight.CapturedOp` only models
-        when it would complete under concurrent load."""
-        from .inflight import capture_query
-
-        op = capture_query(self, query, top_k=top_k, cache=cache)
-        ranked, execution = op.result
-        return ranked, execution, op
-
     # -- inspection ----------------------------------------------------------------
 
     def index_terms(self, doc_id: str) -> List[str]:

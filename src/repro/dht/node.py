@@ -28,6 +28,13 @@ class ChordNode:
     of scanning it.
     """
 
+    #: The application's RAM-only state at this peer (the indexing
+    #: protocol's query-result cache), set on first use.  A class-level
+    #: default, so a ring that never caches allocates nothing per node;
+    #: on the node, so it is gone when the node is — a crash followed by
+    #: a rejoin, or a leave, takes it along.
+    result_cache: Optional[object] = None
+
     def __init__(
         self,
         node_id: int,

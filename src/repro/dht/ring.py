@@ -562,16 +562,15 @@ class ChordRing:
         block into a private :class:`~repro.net.TraceLog`.
 
         This is the capture half of the event-driven runtime's
-        capture-at-dispatch / timeline-replay contract (DESIGN.md §15):
-        one synchronous operation runs under capture, and the recorded
+        capture-once / replay-many contract (DESIGN.md §15): one
+        synchronous operation runs under capture, and the recorded
         ``(kind, dst)`` sequence becomes the timeline the scheduler
         replays.  Attaching the log makes the transport *active*, so
         per-hop lookup deliveries are recorded too; with the perfect
         transport this observes without perturbing — every delivered hop
         targets a live node, so outcomes, statistics, and rankings are
-        unchanged.  Any previously attached trace log is restored on
-        exit and receives the captured records as well, so external
-        observers miss nothing.
+        unchanged.  A previously attached trace log is restored on exit;
+        it does not see the captured traffic.
         """
         log = TraceLog()
         prior = self.transport.trace
@@ -580,11 +579,6 @@ class ChordRing:
             yield log
         finally:
             self.transport.trace = prior
-            if prior is not None:
-                for record in log.records:
-                    prior.record(record)
-                for hops, lookups in log.hop_histogram.items():
-                    prior.record_hops(hops, lookups)
 
     def send(self, message: Message) -> None:
         """Deliver an application message through the transport and

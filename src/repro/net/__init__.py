@@ -15,7 +15,6 @@ from .latency import (
     ConstantLatency,
     LatencyModel,
     LogNormalLatency,
-    UniformLatency,
 )
 from .sched import (
     QUEUE_DROP,
@@ -80,7 +79,6 @@ __all__ = [
     "TraceLog",
     "TraceSummary",
     "Transport",
-    "UniformLatency",
     "build_latency_model",
     "build_transport",
     "percentile",

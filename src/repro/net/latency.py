@@ -1,11 +1,10 @@
 """Per-message latency models.
 
 A latency model answers one question: how many simulated milliseconds
-does one transmission attempt take?  Three models are provided:
+does one transmission attempt take?  Two models are provided:
 
 * :class:`ConstantLatency` — every attempt takes the same time (useful
   for analytic checks: end-to-end latency = messages × constant).
-* :class:`UniformLatency` — uniform over ``[low, high]``.
 * :class:`LogNormalLatency` — heavy-tailed, parameterized by *median*
   and shape ``sigma``.  Internet host-pair RTT distributions measured by
   the King dataset (Gummadi et al., IMC'02) are well approximated by a
@@ -47,23 +46,6 @@ class ConstantLatency:
 
     def sample(self, rng: random.Random) -> float:
         return self.ms
-
-
-@dataclass(frozen=True)
-class UniformLatency:
-    """Uniformly distributed latency over ``[low_ms, high_ms]``."""
-
-    low_ms: float = 20.0
-    high_ms: float = 120.0
-
-    def __post_init__(self) -> None:
-        if self.low_ms < 0:
-            raise ValueError("low_ms must be >= 0")
-        if self.high_ms < self.low_ms:
-            raise ValueError("high_ms must be >= low_ms")
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low_ms, self.high_ms)
 
 
 @dataclass(frozen=True)

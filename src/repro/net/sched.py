@@ -35,16 +35,14 @@ deployments.
 
 Determinism contract: given the same seed and the same spawn sequence,
 two runs produce identical event interleavings, receipts, and final
-statistics.  The scheduler keeps an append-only journal of every
-scheduling decision; :meth:`Scheduler.fingerprint` digests it so tests
-can assert run-to-run identity cheaply (the hypothesis property in
+statistics.  The scheduler feeds every scheduling decision to a running
+digest; :meth:`Scheduler.fingerprint` reads it so tests can assert
+run-to-run identity cheaply (the hypothesis property in
 ``tests/net/test_sched.py`` does exactly that).
 
-The synchronous call-stack path remains the semantic oracle: operations
-replayed through this runtime at concurrency 1 complete in submission
-order, so rankings and state fingerprints are bit-identical to the
-sequential execution (the sim oracle's seventh comparison enforces
-this end-to-end).
+The synchronous call-stack path remains the semantic oracle: this
+runtime only replays the ``(kind, dst)`` timeline of an operation that
+already ran, so it decides completion times, never results.
 """
 
 from __future__ import annotations
@@ -357,9 +355,6 @@ class Scheduler:
     seed:
         Seeds the scheduler's private RNG (latency samples, backoff
         jitter).  Same seed + same spawn sequence → identical runs.
-    record_journal:
-        Keep the per-event journal that :meth:`fingerprint` digests
-        (on by default; switch off only for very large grids).
     """
 
     def __init__(
@@ -370,7 +365,6 @@ class Scheduler:
         queue_depth: int = 64,
         slow_peers: Optional[Mapping[int, float]] = None,
         seed: int = 0,
-        record_journal: bool = True,
     ) -> None:
         self.loop = EventLoop()
         self.latency = latency
@@ -394,9 +388,7 @@ class Scheduler:
         self.messages_sent = 0
         self.retries = 0
         self.timeouts = 0
-        self._journal: Optional[List[Tuple[float, int, str, int]]] = (
-            [] if record_journal else None
-        )
+        self._digest = sha256()
 
     # -- servers -----------------------------------------------------------
 
@@ -413,25 +405,15 @@ class Scheduler:
             self.servers[peer_id] = server
         return server
 
-    # -- journal -----------------------------------------------------------
+    # -- fingerprint -------------------------------------------------------
 
     def _record(self, op_id: int, event: str, dst: int) -> None:
-        if self._journal is not None:
-            self._journal.append((self.loop.now, op_id, event, dst))
-
-    @property
-    def journal(self) -> List[Tuple[float, int, str, int]]:
-        """The event journal so far (copy); empty when recording is off."""
-        return list(self._journal) if self._journal is not None else []
+        self._digest.update(f"{self.loop.now!r}|{op_id}|{event}|{dst}\n".encode())
 
     def fingerprint(self) -> str:
-        """Digest of the full event interleaving — two runs with the
-        same seed and spawn sequence must produce the same value."""
-        digest = sha256()
-        if self._journal is not None:
-            for when, op_id, event, dst in self._journal:
-                digest.update(f"{when!r}|{op_id}|{event}|{dst}\n".encode())
-        return digest.hexdigest()
+        """Digest of the full event interleaving so far — two runs with
+        the same seed and spawn sequence must produce the same value."""
+        return self._digest.hexdigest()
 
     # -- spawning and stepping ---------------------------------------------
 
@@ -638,7 +620,7 @@ def replay_timeline(
     """An operation program that replays a captured message timeline.
 
     *timeline* is a sequence of ``(kind, dst)`` pairs — exactly what
-    :func:`repro.core.inflight.capture_query` records from the
+    :meth:`~repro.dht.ring.ChordRing.capture_messages` records from the
     synchronous execution of one SPRITE operation.  Messages are sent
     strictly one after another (each waits for the previous receipt),
     mirroring the nested call chain they were captured from; the

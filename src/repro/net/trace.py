@@ -167,9 +167,8 @@ class TraceLog:
     def record(self, trace: MessageTrace) -> None:
         self._records.append(trace)
 
-    def record_hops(self, hops: int, lookups: int = 1) -> None:
-        """Record the hop count of one completed lookup (of *lookups* of
-        them, when another log's histogram is folded in).
+    def record_hops(self, hops: int) -> None:
+        """Record the hop count of one completed lookup.
 
         Hop samples are per-*lookup* (the ring records one on every
         resolution, cache hits included), whereas :meth:`record` traces
@@ -178,7 +177,7 @@ class TraceLog:
         rollup report both the wire cost (lookup messages) and the
         routing quality (hops per lookup).
         """
-        self._hops[hops] += lookups
+        self._hops[hops] += 1
 
     def clear(self) -> None:
         self._records.clear()

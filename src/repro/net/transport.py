@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 from .clock import SimulatedClock
 from .faults import FaultInjector
-from .latency import ConstantLatency, LatencyModel, LogNormalLatency, UniformLatency
+from .latency import ConstantLatency, LatencyModel, LogNormalLatency
 from .trace import DELIVERED, DEST_DOWN, DROPPED, MessageTrace, TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
@@ -254,8 +254,6 @@ def build_latency_model(config: "NetworkConfig") -> LatencyModel:
     """Instantiate the latency model a :class:`NetworkConfig` names."""
     if config.latency_model == "constant":
         return ConstantLatency(ms=config.latency_ms)
-    if config.latency_model == "uniform":
-        return UniformLatency(low_ms=config.latency_low_ms, high_ms=config.latency_high_ms)
     if config.latency_model == "lognormal":
         return LogNormalLatency(median_ms=config.latency_ms, sigma=config.latency_sigma)
     raise ValueError(f"unknown latency model: {config.latency_model!r}")

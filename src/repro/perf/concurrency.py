@@ -6,8 +6,7 @@ in-flight queries contending for the same per-peer service queues, with
 timeout/retry races against slow peers — the regime where throughput
 and tail latency (p99/p99.9) actually live.
 
-The engine is the capture-at-dispatch / timeline-replay contract of
-:mod:`repro.core.inflight`:
+The engine is capture once, replay many:
 
 1. **Deployment + capture** — build a ring, publish a Zipf-skewed
    synthetic index, and capture each distinct query's message timeline
@@ -26,9 +25,11 @@ Because every cell replays the *same* captured timelines over the same
 op stream, the ranking checksum — computed in submission order — is
 identical in every cell and identical to re-executing the stream
 synchronously on the call-stack path (the run asserts both).  The grid
-changes *when* queries complete, never *what* they return; the sim
-oracle's seventh comparison enforces the same property end-to-end with
-live dispatch (:class:`ConcurrentRuntime`).
+changes *when* queries complete, never *what* they return: semantics
+come from the one synchronous capture, so the checksum proves that
+capturing perturbed no ranking and that the stream re-executes to the
+same answers — not that operations would commute if they really
+interleaved (ROADMAP item 3B).
 
 ``benchmarks/test_bench_concurrency.py`` records the grid into
 ``benchmarks/BENCH_CONCURRENCY.json``; ``repro perf --mode concurrency``
@@ -46,7 +47,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import ChordConfig
 from ..core.indexer import IndexingProtocol
-from ..core.inflight import CapturedOp
 from ..core.metadata import PostingEntry
 from ..core.query_processing import QueryProcessor
 from ..corpus.relevance import Query
@@ -91,8 +91,8 @@ class ConcurrencyConfig:
     slow_peer_fraction: float = 0.02
     slow_peer_factor: float = 20.0
     seed: int = 4777
-    #: Skip the synchronous re-execution equivalence pass (the sim
-    #: oracle still covers it; benches keep it on).
+    #: Skip the synchronous re-execution equivalence pass (benches
+    #: keep it on).
     verify_sync: bool = True
 
     def replaced(self, **kwargs) -> "ConcurrencyConfig":
@@ -220,6 +220,17 @@ def _zipf_weights(n: int, exponent: float) -> List[float]:
     return [1.0 / (rank + 1) ** exponent for rank in range(n)]
 
 
+@dataclass(frozen=True)
+class _CapturedOp:
+    """One synchronously executed query: its ranking is already final,
+    its ``(kind, dst)`` message timeline is what the scheduler replays —
+    replay only decides *when* the operation completes."""
+
+    label: str
+    timeline: Tuple[Tuple[str, int], ...]
+    result: object
+
+
 @dataclass
 class _Deployment:
     """The captured workload a grid replays: per-distinct-query
@@ -229,7 +240,7 @@ class _Deployment:
     processor: QueryProcessor
     pool: List[Query]
     issuer_of: Dict[str, int]
-    captured: Dict[str, CapturedOp]
+    captured: Dict[str, _CapturedOp]
     stream: List[int]  # op i = pool[stream[i]]
     slow_peers: Dict[int, float]
 
@@ -286,13 +297,13 @@ def _build_deployment(cfg: ConcurrencyConfig) -> Tuple[_Deployment, float]:
     # Capture each distinct query exactly once, in pool order.  The op
     # stream replays these fixed timelines, so no cell's behaviour can
     # leak into another through route caches or any other shared state.
-    captured: Dict[str, CapturedOp] = {}
+    captured: Dict[str, _CapturedOp] = {}
     for query in pool:
         with ring.capture_messages() as log:
             ranked, _execution = processor.execute(
                 issuer_of[query.query_id], query, top_k=cfg.top_k, cache=False
             )
-        captured[query.query_id] = CapturedOp(
+        captured[query.query_id] = _CapturedOp(
             label=f"query:{query.query_id}",
             timeline=tuple((t.kind, t.dst) for t in log.records),
             result=ranked,
@@ -526,51 +537,3 @@ def run_concurrency_grid(cfg: ConcurrencyConfig) -> ConcurrencyResult:
         )
     return result
 
-
-class ConcurrentRuntime:
-    """Event-driven execution front-end for a live SPRITE system.
-
-    Unlike the grid (which replays pre-captured timelines), this
-    dispatches operations against the *real* system at their scheduled
-    virtual instant: each operation executes synchronously under
-    message capture when its turn arrives — in deterministic event
-    order — and its captured timeline then replays for timing.  State
-    mutations (query-cache registrations, route caches) therefore
-    happen in dispatch order, which at concurrency 1 *is* submission
-    order: rankings and the quiescent state fingerprint are
-    bit-identical to the plain call-stack path.  The sim oracle's
-    seventh comparison runs exactly that experiment.
-    """
-
-    def __init__(self, system, scheduler: Scheduler) -> None:
-        self.system = system
-        self.scheduler = scheduler
-        #: (query, OpFuture) in submission order; each future's result
-        #: is the dispatched ``(ranked, execution)`` pair.
-        self.submitted: List[Tuple[Query, object]] = []
-
-    def submit(
-        self,
-        query: Query,
-        top_k: Optional[int] = None,
-        cache: bool = True,
-        delay_ms: float = 0.0,
-    ):
-        def program():
-            ranked, execution, op = self.system.execute_captured(
-                query, top_k=top_k, cache=cache
-            )
-            yield from replay_timeline(op.timeline)
-            return ranked, execution
-
-        future = self.scheduler.spawn(
-            program(), label=f"query:{query.query_id}", delay_ms=delay_ms
-        )
-        self.submitted.append((query, future))
-        return future
-
-    def run(self) -> List[Tuple[Query, object]]:
-        """Drain the event loop; returns ``(query, (ranked, execution))``
-        pairs in submission order."""
-        self.scheduler.run()
-        return [(query, future.result) for query, future in self.submitted]

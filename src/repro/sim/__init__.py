@@ -10,10 +10,7 @@ SPRITE's distributed rankings to simpler ground truths
 flash crowds, hot-term storms, heterogeneous peers, regional failures,
 corpus turnover — with quality-under-stress readouts
 (:mod:`repro.sim.catalogue`, :mod:`repro.sim.behaviors`,
-:mod:`repro.sim.quality`).  The event-driven runtime gets its own
-adversarial scenarios — thundering herds against bounded queues and
-slow-peer stalls — with invariant checking in
-:mod:`repro.sim.concurrency`.  Exposed on the command line as
+:mod:`repro.sim.quality`).  Exposed on the command line as
 ``repro check`` / ``repro check --catalogue``.
 """
 
@@ -33,12 +30,6 @@ from .catalogue import (
     run_catalogue,
     run_catalogue_entry,
     scenario_fingerprint,
-)
-from .concurrency import (
-    ConcurrencyScenarioReport,
-    run_runtime_scenarios,
-    slow_peer_stall,
-    thundering_herd,
 )
 from .engine import ScenarioEngine, SimReport, build_simulation
 from .events import (
@@ -76,7 +67,6 @@ __all__ = [
     "PEER_CLASSES",
     "BehaviorPlan",
     "CatalogueEntry",
-    "ConcurrencyScenarioReport",
     "DifferentialOracle",
     "FullIndexSystem",
     "InvariantChecker",
@@ -102,10 +92,7 @@ __all__ = [
     "report_record",
     "run_catalogue",
     "run_catalogue_entry",
-    "run_runtime_scenarios",
     "scenario",
     "scenario_fingerprint",
-    "slow_peer_stall",
-    "thundering_herd",
     "write_state_fingerprint",
 ]

@@ -433,11 +433,8 @@ class InvariantChecker:
         (same term order, same float summation order), so
         agreement is exact, not approximate.
         """
-        ring = self.system.ring
         weighting = self.system.processor.weighting
-        for node_id, cache in self.system.protocol._result_caches.items():
-            if not ring.is_live(node_id):
-                continue
+        for node_id, cache in self.system.protocol.result_caches():
             for __, entry in cache.entries():
                 if entry.failed_terms:
                     continue  # only served to identically degraded queries

@@ -36,28 +36,17 @@ compares either or both of
 Adding a comparison is one :class:`OracleRow` entry; a tier-1 test
 fails when a result-neutral switch has no row.  (The write protocol is
 not a switch; ``tests/core/test_ingest_equivalence.py`` runs
-``bulk-churn`` against the per-term reference owner.)  Two comparisons
-have a different shape and keep their own bodies, reached through the
-same :meth:`DifferentialOracle.check_all`:
+``bulk-churn`` against the per-term reference owner.)
 
-* **Concurrent-runtime equivalence** — the DESIGN.md §15 event-driven
-  runtime is a *timing* model layered over unchanged semantics, so the
-  same query sequence submitted through
-  :class:`~repro.perf.concurrency.ConcurrentRuntime` at concurrency 1
-  (one client, ops dispatched strictly in submission order) must leave
-  the system bit-identical to plain call-stack execution: every ranking
-  exact, score bits included, and the full
-  :func:`write_state_fingerprint` of the quiescent system equal —
-  query-cache registrations and all other mutations happen in the same
-  order, because at concurrency 1 dispatch order *is* submission order.
-
-* **Centralized baseline** — with learning taken out of the picture by
-  indexing *every* term (F = ∞) and the assumed corpus size pinned to
-  the true corpus size, SPRITE's distributed computation degenerates to
-  exactly the centralized TF-IDF of :mod:`repro.ir` (Lee et al. second
-  method).  Document order must match exactly; scores are compared with
-  ``math.isclose`` since the two implementations accumulate partial
-  sums in different orders.
+One comparison has a different shape and keeps its own body, reached
+through the same :meth:`DifferentialOracle.check_all` — the
+**centralized baseline**: with learning taken out of the picture by
+indexing *every* term (F = ∞) and the assumed corpus size pinned to the
+true corpus size, SPRITE's distributed computation degenerates to
+exactly the centralized TF-IDF of :mod:`repro.ir` (Lee et al. second
+method).  Document order must match exactly; scores are compared with
+``math.isclose`` since the two implementations accumulate partial sums
+in different orders.
 """
 
 from __future__ import annotations
@@ -234,8 +223,8 @@ def _describe(delta: Delta) -> str:
 
 
 class DifferentialOracle:
-    """Runs the comparison table, the concurrent-runtime check and the
-    centralized baseline over a corpus + query workload."""
+    """Runs the comparison table and the centralized baseline over a
+    corpus + query workload."""
 
     def __init__(
         self,
@@ -325,12 +314,16 @@ class DifferentialOracle:
         for system in (base, varied):
             self._replay(system, row.flow)
         if "fingerprint" in row.equal:
-            _compare_fingerprints(
-                report,
-                write_state_fingerprint(base),
-                write_state_fingerprint(varied),
-                what,
-            )
+            before = write_state_fingerprint(base)
+            after = write_state_fingerprint(varied)
+            for part in ("slots", "version_rank", "owners"):
+                if before[part] != after[part]:
+                    report.mismatches.append(
+                        RankingMismatch(
+                            query_id="<state>",
+                            detail=f"write-state {part} diverged with {what}",
+                        )
+                    )
         for round_no in range(row.rounds):
             for query in self.test:
                 expected = _pairs(base.search(query, cache=False))
@@ -346,57 +339,6 @@ class DifferentialOracle:
                             ),
                         )
                     )
-
-    # -- event-driven runtime vs call-stack execution -------------------------
-
-    def check_concurrent_runtime(self) -> OracleReport:
-        """Submit the test queries through the event-driven runtime at
-        concurrency 1 and through the plain call-stack path, on two
-        identically built systems; every ranking and the quiescent
-        write-state fingerprint must match exactly.
-
-        Queries run with ``cache=True`` deliberately: each one mutates
-        query-cache state, so the fingerprint comparison proves the
-        runtime preserved the *order* of mutations, not just the
-        results."""
-        from ..net.sched import Scheduler
-        from ..perf.concurrency import ConcurrentRuntime
-
-        report = OracleReport(name="concurrent-runtime")
-        sequential, concurrent = self.build(), self.build()
-        for system in (sequential, concurrent):
-            self._replay(system, "learn")
-
-        baseline = [
-            _pairs(sequential.search(query, cache=True)) for query in self.test
-        ]
-        runtime = ConcurrentRuntime(
-            concurrent, Scheduler(service_time_ms=0.25, seed=self.seed)
-        )
-        for query in self.test:
-            runtime.submit(query, cache=True)
-        completed = runtime.run()
-
-        for query, reference, (_q, result) in zip(self.test, baseline, completed):
-            replayed = _pairs(result[0])
-            report.queries_compared += 1
-            if replayed != reference:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id=query.query_id,
-                        detail=(
-                            f"event-driven={replayed[:3]}... "
-                            f"call-stack={reference[:3]}..."
-                        ),
-                    )
-                )
-        _compare_fingerprints(
-            report,
-            write_state_fingerprint(sequential),
-            write_state_fingerprint(concurrent),
-            "event-driven execution",
-        )
-        return report
 
     # -- full-index SPRITE vs centralized TF-IDF ------------------------------
 
@@ -451,22 +393,6 @@ class DifferentialOracle:
     def check_all(self) -> Dict[str, OracleReport]:
         """All comparisons, keyed by oracle name."""
         reports = [self.check(row) for row in ORACLE_ROWS]
-        reports.append(self.check_concurrent_runtime())
         reports.append(self.check_centralized_baseline())
         return {r.name: r for r in reports}
 
-
-def _compare_fingerprints(
-    report: OracleReport,
-    base: Dict[str, object],
-    varied: Dict[str, object],
-    what: str,
-) -> None:
-    for part in ("slots", "version_rank", "owners"):
-        if base[part] != varied[part]:
-            report.mismatches.append(
-                RankingMismatch(
-                    query_id="<state>",
-                    detail=f"write-state {part} diverged with {what}",
-                )
-            )

@@ -244,6 +244,70 @@ class TestEndToEnd:
         assert protocol.result_cache_stats() == (0, 0, 0)
 
 
+class TestCacheLivesOnItsPeer:
+    """A result cache is RAM at its home peer: it goes when the peer
+    does, and the protocol keeps nothing for an id that left the ring."""
+
+    @staticmethod
+    def cached_query(ring, protocol, processor):
+        """Run a query twice (miss + store, then hit) whose result home
+        is neither the issuer nor the indexing peer of one of its terms;
+        returns ``(terms, home id, first ranking)``."""
+        issuer = ring.live_ids[0]
+        for a in VOCAB:
+            for b in VOCAB:
+                terms = (a, b)
+                home = ring.successor_of(protocol.query_hash(terms))
+                holders = {ring.successor_of(protocol.term_hash(t)) for t in terms}
+                if a != b and home != issuer and home not in holders:
+                    first, __ = execute(ring, processor, terms)
+                    __, again = execute(ring, processor, terms)
+                    assert again.cache_hit
+                    return terms, home, [(e.doc_id, e.score) for e in first]
+        raise AssertionError("no query with a third-party result home")
+
+    def test_crash_and_rejoin_starts_empty(self) -> None:
+        ring, protocol, processor = build_stack(result_cache=8)
+        terms, home, first = self.cached_query(ring, protocol, processor)
+        ring.fail(home)
+        ring.stabilize()
+        ring.join(node_id=home)
+        ranked, execution = execute(ring, processor, terms)
+        assert not execution.cache_hit
+        assert [(e.doc_id, e.score) for e in ranked] == first
+        assert protocol.result_cache_stats() == (1, 0, 1)
+
+    def test_leave_drops_the_cache(self) -> None:
+        ring, protocol, processor = build_stack(result_cache=8)
+        terms, home, first = self.cached_query(ring, protocol, processor)
+        assert protocol.result_cache_stats() == (1, 1, 1)
+        ring.leave(home)
+        assert protocol.result_cache_stats() == (0, 0, 0)
+        ranked, execution = execute(ring, processor, terms)
+        assert not execution.cache_hit
+        assert [(e.doc_id, e.score) for e in ranked] == first
+
+    def test_churn_holds_no_cache_for_a_departed_peer(self) -> None:
+        """40 join → query → leave cycles, every query's result home
+        being the joiner: nothing is left when the last one has gone."""
+        ring, protocol, processor = build_stack(result_cache=8)
+        pairs = [(a, b) for a in VOCAB for b in VOCAB if a != b][:40]
+        for terms in pairs:
+            joiner = ring.join(node_id=protocol.query_hash(terms))
+            execute(ring, processor, terms)
+            __, again = execute(ring, processor, terms)
+            assert again.cache_hit
+            assert [node_id for node_id, __ in protocol.result_caches()] == [joiner]
+            ring.leave(joiner)
+        assert protocol.result_caches() == []
+        assert protocol.result_cache_stats() == (0, 0, 0)
+
+    def test_a_system_without_the_cache_allocates_none(self) -> None:
+        ring, protocol, processor = build_stack(result_cache=0)
+        execute(ring, processor, (VOCAB[0], VOCAB[1]))
+        assert all("result_cache" not in vars(node) for node in ring.nodes.values())
+
+
 class TestHashMemoization:
     def test_protocol_and_ring_agree_on_term_positions(self) -> None:
         """ISSUE 4 satellite: one memoization layer — the protocol's

@@ -10,7 +10,6 @@ from repro.net import (
     ConstantLatency,
     LatencyModel,
     LogNormalLatency,
-    UniformLatency,
 )
 
 
@@ -23,19 +22,6 @@ class TestConstant:
     def test_negative_rejected(self) -> None:
         with pytest.raises(ValueError):
             ConstantLatency(ms=-1.0)
-
-
-class TestUniform:
-    def test_within_bounds(self) -> None:
-        model = UniformLatency(low_ms=10.0, high_ms=20.0)
-        rng = random.Random(7)
-        samples = [model.sample(rng) for __ in range(200)]
-        assert all(10.0 <= s <= 20.0 for s in samples)
-        assert max(samples) > min(samples)  # actually varies
-
-    def test_inverted_bounds_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            UniformLatency(low_ms=20.0, high_ms=10.0)
 
 
 class TestLogNormal:
@@ -65,7 +51,7 @@ class TestLogNormal:
 
 class TestProtocol:
     def test_all_models_satisfy_protocol(self) -> None:
-        for model in (ConstantLatency(), UniformLatency(), LogNormalLatency()):
+        for model in (ConstantLatency(), LogNormalLatency()):
             assert isinstance(model, LatencyModel)
 
 

@@ -351,20 +351,32 @@ class TestDeterminism:
         a = self.build_and_run(seed, plan)
         b = self.build_and_run(seed, plan)
         assert a.fingerprint() == b.fingerprint()
-        assert a.journal == b.journal
         assert a.latencies() == b.latencies()
         assert a.stats() == b.stats()
         for op_a, op_b in zip(a.ops, b.ops):
             assert op_a.receipts == op_b.receipts
             assert op_a.result == op_b.result
 
-    def test_journal_off_yields_empty_fingerprint_base(self) -> None:
-        sched = Scheduler(record_journal=False)
+    def test_fingerprint_of_a_fixed_plan_is_pinned(self) -> None:
+        """The literal pins the bytes the digest is fed per decision
+        (``now!r|op|event|dst``): every ``schedule_fingerprint``
+        committed in ``BENCH_CONCURRENCY.json`` depends on them.  The
+        plan overflows peer 0's queue, so every event kind (spawn, send,
+        drop, serve, timeout, resume, complete) is in it."""
+        plan = [(0.0, [0, 1]), (0.5, [0]), (2.0, [3, 0, 5])] + [(0.0, [0])] * 5
+        sched = self.build_and_run(7, plan)
+        assert sched.stats()["queue_drops"] == 19
+        assert sched.fingerprint() == (
+            "0f8337b5a5286c5135cfd26818178b0bab410646665a0d8b057a87adc9874e8b"
+        )
+
+    def test_fingerprint_can_be_read_mid_run(self) -> None:
+        sched = Scheduler()
+        empty = sched.fingerprint()
         sched.spawn(op_sending([1]))
+        spawned = sched.fingerprint()
         sched.run()
-        assert sched.journal == []
-        # Still a stable digest (of the empty journal).
-        assert sched.fingerprint() == Scheduler(record_journal=False).fingerprint()
+        assert len({empty, spawned, sched.fingerprint()}) == 3
 
     def test_fingerprint_distinguishes_different_plans(self) -> None:
         a = self.build_and_run(0, [(0.0, [1])])

@@ -156,16 +156,6 @@ class TestHopRollup:
         assert summary.hops_p99 == 6.0
         assert summary.lookup_messages == 12
 
-    def test_a_folded_in_histogram_counts_one_sample_per_lookup(self) -> None:
-        log = TraceLog()
-        for hops in (2, 4, 6):
-            log.record_hops(hops)
-        log.record_hops(1, 197)  # another log's 197 one-hop lookups
-        assert log.hop_histogram == {1: 197, 2: 1, 4: 1, 6: 1}
-        summary = log.rollup()
-        assert summary.hops_mean == (12 + 197) / 200
-        assert summary.hops_p99 == 2  # nearest rank 198 of 200
-
     def test_hop_fields_attach_to_lookup_kind_rollup_only(self) -> None:
         log = TraceLog()
         log.record_hops(3)
@@ -196,24 +186,6 @@ class TestHopRollup:
         log.clear()
         assert log.hop_histogram == {}
         assert log.rollup().hops_mean == 0.0
-
-    def test_capture_messages_forwards_hop_samples(self) -> None:
-        """Nested capture must not lose hop samples recorded while the
-        outer trace was detached (mirrors the message-record contract)."""
-        from repro.config import ChordConfig
-        from repro.dht.ring import ChordRing
-        from repro.net import build_transport
-        from repro.config import NetworkConfig
-
-        transport = build_transport(NetworkConfig(transport="lossy", drop_probability=0.0))
-        ring = ChordRing(
-            ChordConfig(num_peers=16, route_cache_size=0), transport=transport
-        )
-        start = ring.live_ids[0]
-        with ring.capture_messages() as inner:
-            ring.lookup(start, (start + 1) % ring.space.size, record=False)
-        assert sum(inner.hop_histogram.values()) == 1
-        assert transport.trace.hop_histogram == inner.hop_histogram
 
 
 class TestSummaryTable:

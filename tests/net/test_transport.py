@@ -18,7 +18,6 @@ from repro.net import (
     PerfectTransport,
     TraceLog,
     Transport,
-    UniformLatency,
     build_latency_model,
     build_transport,
 )
@@ -226,10 +225,6 @@ class TestFactory:
             ConstantLatency,
         )
         assert isinstance(
-            build_latency_model(NetworkConfig(latency_model="uniform")),
-            UniformLatency,
-        )
-        assert isinstance(
             build_latency_model(NetworkConfig(latency_model="lognormal")),
             LogNormalLatency,
         )
@@ -266,7 +261,7 @@ class TestFlakyIntegration:
             if flaky:
                 faults.mark_flaky(99, 0.5)  # node never touched below
             transport = LossyTransport(
-                latency=UniformLatency(low_ms=1.0, high_ms=9.0),
+                latency=LogNormalLatency(median_ms=5.0, sigma=0.5),
                 faults=faults,
                 seed=11,
             )

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net import Scheduler
 from repro.perf.concurrency import (
     ConcurrencyConfig,
-    ConcurrentRuntime,
     _build_deployment,
     paper_scale_config,
     run_closed_cell,
@@ -161,38 +159,3 @@ class TestResultShape:
         assert paper.clients_grid == smoke.clients_grid == (1, 16, 64)
         assert smoke.replaced(num_ops=7).num_ops == 7
 
-
-class TestConcurrentRuntime:
-    def test_dispatch_order_equals_submission_order_at_concurrency_one(
-        self, tiny_corpus, tiny_queries, fast_sprite_config
-    ) -> None:
-        """The live-dispatch front-end at concurrency 1: results equal
-        the plain call-stack path, query by query."""
-        from repro.config import ChordConfig
-        from repro.core import SpriteSystem
-
-        def build():
-            system = SpriteSystem(
-                tiny_corpus,
-                sprite_config=fast_sprite_config,
-                chord_config=ChordConfig(num_peers=12, id_bits=16, seed=7),
-            )
-            system.share_corpus()
-            return system
-
-        baseline = build()
-        expected = [
-            [(e.doc_id, e.score) for e in baseline.search(q)]
-            for q in tiny_queries
-        ]
-
-        system = build()
-        runtime = ConcurrentRuntime(system, Scheduler(service_time_ms=0.25))
-        for q in tiny_queries:
-            runtime.submit(q)
-        completed = runtime.run()
-        actual = [
-            [(e.doc_id, e.score) for e in ranked]
-            for _q, (ranked, _execution) in completed
-        ]
-        assert actual == expected

@@ -17,9 +17,12 @@ against an invariant list the way the engine checks its catalogue:
   that do absorb the extra service time (and possibly timeout/retry
   races), and nothing deadlocks.
 
-Both scenarios run their schedule twice and require identical journals
-— the determinism contract is itself an invariant here, not just a
-test-suite property.
+Both scenarios run their schedule twice and require identical
+fingerprints — the determinism contract is itself an invariant here,
+not just a test-suite property.
+
+A test helper, not part of ``repro``: no CLI, benchmark or example
+runs these scenarios — only ``test_concurrency.py`` beside this file.
 """
 
 from __future__ import annotations
@@ -27,13 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..net.sched import (
+from repro.net.sched import (
     QUEUE_DROP,
     SERVED,
     Scheduler,
     replay_timeline,
 )
-from ..net.transport import DeliveryPolicy
+from repro.net.transport import DeliveryPolicy
 
 
 @dataclass
@@ -181,7 +184,7 @@ def thundering_herd(
     # Determinism is an invariant, not just a test: replay the schedule.
     if run().fingerprint() != report.fingerprint:
         report.violations.append(
-            "determinism: two same-seed runs produced different journals"
+            "determinism: two same-seed runs produced different fingerprints"
         )
     return report
 
@@ -269,7 +272,7 @@ def slow_peer_stall(
             )
     if run().fingerprint() != report.fingerprint:
         report.violations.append(
-            "determinism: two same-seed runs produced different journals"
+            "determinism: two same-seed runs produced different fingerprints"
         )
     return report
 
@@ -277,7 +280,6 @@ def slow_peer_stall(
 def run_runtime_scenarios(
     seed: int = 0,
 ) -> Dict[str, ConcurrencyScenarioReport]:
-    """Both runtime stress scenarios, keyed by name (the shape
-    ``repro check`` consumes)."""
+    """Both runtime stress scenarios, keyed by name."""
     reports = [thundering_herd(seed=seed), slow_peer_stall(seed=seed)]
     return {r.name: r for r in reports}

@@ -3,7 +3,7 @@ stall) and their invariant catalogue."""
 
 from __future__ import annotations
 
-from repro.sim import (
+from .runtime_scenarios import (
     ConcurrencyScenarioReport,
     run_runtime_scenarios,
     slow_peer_stall,

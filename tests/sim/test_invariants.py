@@ -261,7 +261,7 @@ class TestResultCacheCoherent:
         protocol = eng.system.protocol
         entry = next(
             entry
-            for cache in protocol._result_caches.values()
+            for __, cache in protocol.result_caches()
             for __, entry in cache.entries()
             if entry.ranked and not entry.failed_terms
         )

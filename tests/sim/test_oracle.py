@@ -1,5 +1,5 @@
-"""The differential oracle: the comparison table row by row, the
-concurrent runtime, and the centralized baseline."""
+"""The differential oracle: the comparison table row by row and the
+centralized baseline."""
 
 from __future__ import annotations
 
@@ -163,16 +163,6 @@ class TestIngestPaths:
         assert len(fingerprint["version_rank"]) == len(fingerprint["slots"])
 
 
-class TestConcurrentRuntime:
-    def test_event_driven_concurrency_one_bit_identical(self, oracle) -> None:
-        """The DESIGN.md §15 runtime at concurrency 1 must leave
-        rankings AND the quiescent write-state fingerprint bit-identical
-        to call-stack execution."""
-        report = oracle.check_concurrent_runtime()
-        assert report.queries_compared > 0
-        assert report.ok, [m.detail for m in report.mismatches]
-
-
 class TestCentralizedBaseline:
     def test_full_index_matches_centralized_tfidf(self, oracle) -> None:
         report = oracle.check_centralized_baseline()
@@ -193,8 +183,5 @@ class TestCentralizedBaseline:
 class TestCheckAll:
     def test_runs_all_oracles(self, oracle) -> None:
         reports = oracle.check_all()
-        assert list(reports) == ROW_IDS + [
-            "concurrent-runtime",
-            "centralized-baseline",
-        ]
+        assert list(reports) == ROW_IDS + ["centralized-baseline"]
         assert all(r.ok for r in reports.values())

@@ -104,10 +104,6 @@ class TestNetworkConfig:
         with pytest.raises(ConfigurationError):
             NetworkConfig(max_retries=-1)
 
-    def test_uniform_bounds_ordered(self) -> None:
-        with pytest.raises(ConfigurationError):
-            NetworkConfig(latency_low_ms=100.0, latency_high_ms=50.0)
-
     def test_lognormal_needs_positive_median(self) -> None:
         with pytest.raises(ConfigurationError):
             NetworkConfig(latency_model="lognormal", latency_ms=0.0)
