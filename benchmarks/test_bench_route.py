@@ -1,11 +1,11 @@
-"""Tracked routing benchmark (DESIGN.md §16).
+"""Tracked routing benchmark (DESIGN.md §8).
 
-Runs the :mod:`repro.perf.route` ring × arity × peers sweep, asserts
+Runs the :mod:`repro.perf.route` arity × peers sweep, asserts
 the cross-ring equivalence oracle (bit-identical ranking checksums per
 peer count — routing changes where messages go, never what is
 returned), and records hop counts, lookup messages, finger-table sizes,
 and stabilize traffic into ``benchmarks/BENCH_ROUTE.json`` so the arity
-tradeoff table in DESIGN.md §16 has a committed source.
+tradeoff numbers in DESIGN.md §8 have a committed source.
 
 Scales (``BENCH_ROUTE_SCALE``):
 
@@ -94,13 +94,13 @@ def test_bench_route_cell(benchmark) -> None:
         peers_grid=(200,), num_queries=200, num_documents=30
     )
     benchmark.pedantic(
-        run_route_cell, args=(cfg, 200, "chord", 2), rounds=1, iterations=1
+        run_route_cell, args=(cfg, 200, 2), rounds=1, iterations=1
     )
 
 
 class TestCrossRingOracle:
     def test_checksums_bit_identical_across_rings(self, measurements) -> None:
-        """The eighth-oracle claim at bench scale: every ring column of a
+        """The ``ring-paths`` oracle claim at bench scale: every ring column of a
         peers group returns byte-for-byte the same rankings."""
         result = measurements["result"]
         assert result.checksums_match

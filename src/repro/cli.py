@@ -33,10 +33,12 @@ route every simulated message through :mod:`repro.net`.  ``check``
 additionally takes the durable-store flags (``--store-backend sqlite
 --store-dir ... --snapshot-dir ... --snapshot-interval N``) selecting
 the :mod:`repro.store` backend.
-``net``, ``perf``, and ``check`` take the overlay-ring flags
-(``--ring record --ring-arity 8``) selecting the recursive ReCord
-routing structure (DESIGN.md §16); ``perf --mode route`` sweeps a whole
-ring × arity × peers grid (``--rings chord,record:8 --peers-grid ...``).
+``net``, ``perf --mode route`` and ``check --random/--scenario`` take
+``--ring-arity B``, the ring's finger arity
+(:class:`~repro.config.ChordConfig` ``finger_arity``: 2, the default, is
+Chord; above it a ReCord-style ring, DESIGN.md §8); ``perf --mode
+route`` sweeps a whole arity × peers grid (``--rings chord,record:8
+--peers-grid ...``).
 Results print as the same tables the benchmark harness records, plus
 ASCII charts of the figure shapes.
 """
@@ -53,7 +55,6 @@ from typing import List, Optional
 from .config import (
     ExperimentConfig,
     LATENCY_MODELS,
-    RING_KINDS,
     STORE_BACKENDS,
     TRANSPORT_KINDS,
     paper_experiment_config,
@@ -101,6 +102,13 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if overrides:
         config = dataclasses.replace(
             config, network=dataclasses.replace(config.network, **overrides)
+        )
+    arity = getattr(args, "finger_arity", None)
+    if arity is not None:
+        if arity < 2:
+            raise ConfigurationError("--ring-arity must be >= 2")
+        config = dataclasses.replace(
+            config, chord=dataclasses.replace(config.chord, finger_arity=arity)
         )
     return config
 
@@ -184,42 +192,15 @@ def _store_args_error(args: argparse.Namespace) -> Optional[str]:
 
 
 def _add_ring(parser: argparse.ArgumentParser) -> None:
-    """Flags selecting the overlay routing structure (DESIGN.md §16)."""
-    ring = parser.add_argument_group("overlay ring (repro.dht)")
-    ring.add_argument(
-        "--ring",
-        choices=RING_KINDS,
-        default="",
-        help="routing structure: chord (binary fingers, default) or "
-        "record (recursive base-b fingers, DESIGN.md §16)",
-    )
-    ring.add_argument(
+    parser.add_argument(
         "--ring-arity",
+        dest="finger_arity",
         type=int,
-        default=0,
-        help="ReCord branching factor b >= 2 (--ring record only; "
-        "default 2, which routes exactly like Chord)",
+        metavar="B",
+        help="finger arity of the overlay ring, >= 2: 2 (the default) is "
+        "Chord's schedule, a larger B a ReCord-style ring with fewer hops "
+        "and more fingers (DESIGN.md §8)",
     )
-
-
-def _ring_args_error(args: argparse.Namespace) -> Optional[str]:
-    """Shared validation for the overlay-ring flags.
-
-    ``net``, ``perf``, and ``check`` take the same ``--ring`` /
-    ``--ring-arity`` flags; they all route through this helper so the
-    messages cannot drift apart.
-    """
-    if args.ring_arity and args.ring_arity < 2:
-        return "error: --ring-arity must be >= 2\n"
-    if args.ring_arity and args.ring != "record":
-        return "error: --ring-arity only applies to --ring record\n"
-    return None
-
-
-def _resolve_ring(args: argparse.Namespace) -> tuple:
-    """The ``(kind, arity)`` the ring flags select (after validation)."""
-    kind = args.ring or "chord"
-    return kind, (args.ring_arity or 2)
 
 
 def _build_env(args: argparse.Namespace, out) -> object:
@@ -311,20 +292,14 @@ def cmd_net(args: argparse.Namespace, out) -> int:
     batch of random lookups through a fresh seeded lossy transport and
     report success counts, hop statistics, retry totals, and latency
     percentiles — the robustness curve of the routing layer itself (no
-    corpus needed).  ``--ring record --ring-arity b`` swaps in the
-    recursive ReCord overlay (DESIGN.md §16)."""
+    corpus needed), on a ring of ``--ring-arity`` (default Chord)."""
     import random as _random
 
-    from .dht import build_ring
+    from .dht import ChordRing, ring_label
     from .exceptions import NodeFailedError
     from .net import build_transport
 
     config = _config_from_args(args)
-    error = _ring_args_error(args)
-    if error:
-        out.write(error)
-        return 2
-    kind, arity = _resolve_ring(args)
     try:
         rates = [float(r) for r in args.sweep.split(",") if r.strip()]
     except ValueError:
@@ -342,10 +317,9 @@ def cmd_net(args: argparse.Namespace, out) -> int:
         for rate in rates
     ]
 
-    from .perf.route import ring_label
-
     out.write(
-        f"{config.chord.num_peers} peers [{ring_label(kind, arity)} ring], "
+        f"{config.chord.num_peers} peers "
+        f"[{ring_label(config.chord.finger_arity)} ring], "
         f"{args.lookups} lookups per rate, "
         f"latency={config.network.latency_model}, "
         f"timeout={config.network.timeout_ms:.0f}ms, "
@@ -357,7 +331,7 @@ def cmd_net(args: argparse.Namespace, out) -> int:
     )
     for network in networks:
         transport = build_transport(network)
-        ring = build_ring(kind, config.chord, arity=arity, transport=transport)
+        ring = ChordRing(config.chord, transport=transport)
         rng = _random.Random(args.seed)
         ok = failed = 0
         for __ in range(args.lookups):
@@ -448,17 +422,10 @@ def cmd_perf(args: argparse.Namespace, out) -> int:
             "the perf workload measures the in-process hot path and only "
             "supports --transport perfect"
         )
-    error = _ring_args_error(args)
-    if error:
-        out.write(error)
-        return 2
-    if args.mode != "route" and args.rings:
-        out.write("error: --rings only applies to --mode route\n")
-        return 2
     if args.mode == "route":
         return _cmd_perf_route(args, out)
-    if args.ring or args.ring_arity:
-        out.write("error: --ring/--ring-arity only apply to --mode route\n")
+    if args.rings or args.finger_arity is not None:
+        out.write("error: --rings/--ring-arity only apply to --mode route\n")
         return 2
     if args.mode == "scale":
         return _cmd_perf_scale(args, out)
@@ -589,19 +556,18 @@ def _cmd_perf_concurrency(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_perf_route(args: argparse.Namespace, out) -> int:
-    """Run the ring × arity × peers routing sweep (DESIGN.md §16)."""
+    """Run the arity × peers routing sweep (DESIGN.md §8)."""
+    from .dht import ring_label
     from .perf.route import (
         parse_ring_specs,
-        ring_label,
         route_paper_config,
         route_smoke_config,
         run_route_workload,
     )
 
-    if args.rings and (args.ring or args.ring_arity):
+    if args.rings and args.finger_arity is not None:
         out.write(
-            "error: pass exactly one ring source: --rings GRID or "
-            "--ring/--ring-arity\n"
+            "error: pass exactly one ring source: --rings GRID or --ring-arity B\n"
         )
         return 2
     cfg = route_smoke_config() if args.small else route_paper_config()
@@ -609,8 +575,8 @@ def _cmd_perf_route(args: argparse.Namespace, out) -> int:
     if args.rings:
         parse_ring_specs(args.rings)  # usage errors surface before the run
         overrides["ring_specs"] = (args.rings,)
-    elif args.ring or args.ring_arity:
-        overrides["ring_specs"] = (ring_label(*_resolve_ring(args)),)
+    elif args.finger_arity is not None:
+        overrides["ring_specs"] = (ring_label(args.finger_arity),)
     if args.peers_grid:
         overrides["peers_grid"] = _parse_grid(args.peers_grid, int, "--peers-grid")
     cfg = cfg.replaced(**overrides)
@@ -708,7 +674,7 @@ def cmd_check(args: argparse.Namespace, out) -> int:
     if args.random and args.events < MIN_RANDOM_EVENTS:
         out.write(f"error: --events must be >= {MIN_RANDOM_EVENTS}\n")
         return 2
-    error = _store_args_error(args) or _ring_args_error(args)
+    error = _store_args_error(args)
     if error:
         out.write(error)
         return 2
@@ -721,14 +687,15 @@ def cmd_check(args: argparse.Namespace, out) -> int:
                 "configuration; drop --store-backend\n"
             )
             return 2
-        if args.ring or args.ring_arity:
+        if args.finger_arity is not None:
             out.write(
                 "error: --catalogue scenarios define their own engine "
-                "configuration; drop --ring\n"
+                "configuration; drop --ring-arity\n"
             )
             return 2
         return _cmd_check_catalogue(args, out)
-    network = _config_from_args(args).network
+    config = _config_from_args(args)
+    network = config.network
     transport = build_transport(network) if network.transport != "perfect" else None
 
     durable = args.store_backend == "sqlite"
@@ -747,17 +714,19 @@ def cmd_check(args: argparse.Namespace, out) -> int:
             f"random scenario: seed={args.seed}, {len(scenario)} events"
             + (" (durable-store events mixed in)\n" if durable else "\n")
         )
-    kind, arity = _resolve_ring(args)
     engine = build_simulation(
         seed=args.seed,
         num_peers=args.peers,
         transport=transport,
-        store_backend=args.store_backend,
-        store_dir=args.store_dir,
-        snapshot_dir=args.snapshot_dir,
         snapshot_interval=args.snapshot_interval,
-        ring=kind,
-        ring_arity=arity,
+        delta={
+            "sprite": {
+                "store_backend": args.store_backend,
+                "store_dir": args.store_dir,
+                "snapshot_dir": args.snapshot_dir,
+            },
+            "chord": {"finger_arity": config.chord.finger_arity},
+        },
     )
     report = engine.run(scenario)
     for line in report.summary_lines():
@@ -864,9 +833,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale: the process-sharded 100k-peer workload (DESIGN.md "
         "§13); concurrency: the event-driven closed/open-loop "
         "tail-latency grid with per-peer service queues and slow-peer "
-        "stragglers (DESIGN.md §15); route: the ring × arity × peers "
-        "hop-count sweep comparing Chord against recursive ReCord "
-        "overlays (DESIGN.md §16)",
+        "stragglers (DESIGN.md §15); route: the arity × peers hop-count "
+        "sweep comparing Chord against ReCord-style finger schedules "
+        "(DESIGN.md §8)",
     )
     p.add_argument("--json", action="store_true", help="print the raw JSON record")
     scale = p.add_argument_group("scale-out engine (DESIGN.md §13)")
@@ -897,13 +866,13 @@ def build_parser() -> argparse.ArgumentParser:
         "concurrency, comma-separated (default: the config grid)",
     )
     _add_ring(p)
-    route = p.add_argument_group("routing sweep (DESIGN.md §16)")
+    route = p.add_argument_group("routing sweep (DESIGN.md §8)")
     route.add_argument(
         "--rings",
         default="",
         help="ring-grid spec for --mode route, comma-separated "
         "(e.g. chord,record:4,record:8; default: the config grid; "
-        "mutually exclusive with --ring/--ring-arity)",
+        "mutually exclusive with --ring-arity)",
     )
     route.add_argument(
         "--peers-grid",

@@ -31,12 +31,6 @@ def _require(condition: bool, message: str) -> None:
 #: Posting-store backends :class:`SpriteConfig` may name.
 STORE_BACKENDS: Tuple[str, ...] = ("memory", "sqlite")
 
-#: Overlay ring kinds :class:`SpriteConfig` may name (DESIGN.md §16):
-#: ``"chord"`` is the paper's Stoica-et-al. ring, ``"record"`` the
-#: ReCord-style recursive ring whose ``ring_arity`` trades finger-table
-#: width for shorter routes.
-RING_KINDS: Tuple[str, ...] = ("chord", "record")
-
 
 @dataclass(frozen=True)
 class SyntheticCorpusConfig:
@@ -150,17 +144,6 @@ class SpriteConfig:
     #: Bloom-filter existence check in front of SQLite point lookups
     #: (reuses :mod:`repro.dht.bloom`); irrelevant to the memory backend.
     store_bloom: bool = True
-    #: Overlay routing structure (DESIGN.md §16): ``"chord"`` keeps the
-    #: paper's ring; ``"record"`` swaps in the ReCord-style recursive
-    #: ring.  Routing changes where lookup messages travel, never what
-    #: queries return — rankings and write-state fingerprints are
-    #: bit-identical across ring kinds (the oracle's ``ring-paths`` row).
-    ring: str = "chord"
-    #: ReCord branching factor ``b``; only meaningful with
-    #: ``ring="record"`` (2 degenerates to Chord's schedule exactly).
-    #: A ``ring="chord"`` config must keep the default 2 — rejecting
-    #: the combination beats silently ignoring the knob.
-    ring_arity: int = 2
 
     def __post_init__(self) -> None:
         _require(self.initial_terms >= 1, "initial_terms must be >= 1")
@@ -177,15 +160,6 @@ class SpriteConfig:
         _require(
             self.store_backend in STORE_BACKENDS,
             f"store_backend must be one of {STORE_BACKENDS}",
-        )
-        _require(
-            self.ring in RING_KINDS,
-            f"ring must be one of {RING_KINDS}",
-        )
-        _require(self.ring_arity >= 2, "ring_arity must be >= 2")
-        _require(
-            self.ring == "record" or self.ring_arity == 2,
-            "ring_arity only applies to ring='record'",
         )
 
     @property
@@ -230,11 +204,15 @@ class ChordConfig:
     MD5 digest truncated to ``id_bits``).  ``successor_list_size``
     controls the §7 replication scheme.
 
-    The performance knob (DESIGN.md §8) changes *speed only*, never
-    results: ``route_cache_size`` bounds each ring's epoch-validated
-    route cache (0 disables caching entirely).  The oracle's
-    ``perf-paths`` row asserts it is observably equivalent to routing
-    every lookup.
+    Two fields change *where lookup messages travel*, never what a
+    lookup or a query returns (DESIGN.md §8), and each owes the
+    differential oracle a row: ``route_cache_size`` bounds each ring's
+    epoch-validated route cache (0 routes every lookup; ``perf-paths``),
+    and ``finger_arity`` is the branching factor *b* of the finger
+    schedule — ``b - 1`` fingers per base-*b* digit of the id space.
+    2 is Chord's ``2^i`` schedule; a larger *b* is a ReCord-style ring
+    (PAPERS.md) that resolves one base-*b* digit per hop, buying
+    ``O(log_b n)`` hops with a wider table (``ring-paths``).
     """
 
     num_peers: int = 64
@@ -242,6 +220,7 @@ class ChordConfig:
     successor_list_size: int = 4
     seed: int = 4111
     route_cache_size: int = 65536
+    finger_arity: int = 2
 
     def __post_init__(self) -> None:
         _require(self.num_peers >= 1, "num_peers must be >= 1")
@@ -252,6 +231,7 @@ class ChordConfig:
             "more peers than ring positions",
         )
         _require(self.route_cache_size >= 0, "route_cache_size must be >= 0")
+        _require(self.finger_arity >= 2, "finger_arity must be >= 2")
 
 
 #: Transports :class:`NetworkConfig` may name.

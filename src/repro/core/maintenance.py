@@ -78,9 +78,8 @@ class MaintenanceDaemon:
     equivalent of every owner running its own timer loop).
     """
 
-    def __init__(self, system: DistributedSystem, reconcile: bool = True) -> None:
+    def __init__(self, system: DistributedSystem) -> None:
         self.system = system
-        self.reconcile = reconcile
 
     def run_round(self) -> MaintenanceReport:
         """Probe every published (document, term) posting once, then
@@ -130,8 +129,7 @@ class MaintenanceDaemon:
                     # took over an empty range).  Republish.
                     owner._publish_terms_force(state, term)
                     report.postings_republished += 1
-        if self.reconcile:
-            self._reconcile_round(report)
+        self._reconcile_round(report)
         return report
 
     def _reconcile_round(self, report: MaintenanceReport) -> None:

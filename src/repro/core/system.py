@@ -15,7 +15,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..config import ChordConfig, SpriteConfig
 from ..corpus.corpus import Corpus
 from ..corpus.relevance import Query
-from ..dht.recursive import build_ring
 from ..dht.ring import ChordRing
 from ..exceptions import LearningError
 from ..ir.ranking import RankedList
@@ -36,7 +35,9 @@ class DistributedSystem:
         System parameters; the base class uses the cache size, assumed
         corpus size, and answer count (term policy is up to subclasses).
     chord_config:
-        Overlay parameters; ignored when an existing *ring* is supplied.
+        Overlay parameters, the finger arity among them; ignored when an
+        existing *ring* is supplied — ``ring.config`` is then the only
+        description of the overlay.
     ring:
         Optionally share a pre-built ring (e.g. for churn experiments
         that prepare the overlay separately).
@@ -60,18 +61,8 @@ class DistributedSystem:
         self.corpus = corpus
         self.config = sprite_config if sprite_config is not None else SpriteConfig()
         self.scorer = scorer if scorer is not None else combined_score
-        # Ring selection (DESIGN.md §16): the config names the routing
-        # structure; a pre-built ring always wins, keeping churn
-        # experiments that prepare the overlay separately unchanged.
         self.ring = (
-            ring
-            if ring is not None
-            else build_ring(
-                self.config.ring,
-                chord_config,
-                arity=self.config.ring_arity,
-                transport=transport,
-            )
+            ring if ring is not None else ChordRing(chord_config, transport=transport)
         )
         # None for the default in-RAM backend; a StoreRuntime when the
         # configuration selects the disk-backed store (DESIGN.md §12).

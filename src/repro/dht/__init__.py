@@ -17,9 +17,8 @@ from .messages import (
     search_message,
 )
 from .node import ChordNode
-from .recursive import RecordRing, build_ring
 from .replication import ReplicationManager
-from .ring import ChordRing, LookupResult
+from .ring import ChordRing, LookupResult, ring_label
 from .route_cache import RouteCache
 from .stats import KindStats, NetworkStats
 
@@ -39,16 +38,15 @@ __all__ = [
     "NetworkStats",
     "POSTING_BYTES",
     "QUERY_HEADER_BYTES",
-    "RecordRing",
     "ReplicationManager",
     "RouteCache",
     "TERM_BYTES",
-    "build_ring",
     "intersection_plan",
     "md5_hash",
-    "recursive_finger_steps",
     "postings_message",
     "publish_message",
     "query_batch_message",
+    "recursive_finger_steps",
+    "ring_label",
     "search_message",
 ]

@@ -47,8 +47,9 @@ def recursive_finger_steps(bits: int, arity: int) -> Tuple[int, ...]:
 
     ``arity=2`` yields exactly Chord's ``2**i`` schedule, so Chord is
     the degenerate low-maintenance point of the family; larger arities
-    widen the table (``(b-1)·log_b 2^bits`` entries) to buy shorter
-    routes.  Steps are returned sorted ascending, all distinct, all
+    widen the table (``(b-1)·log_b 2^bits`` entries, and as many more
+    maintenance writes) to buy shorter routes — the trade ``perf --mode
+    route`` measures.  Steps are returned sorted ascending, all distinct, all
     smaller than ``2**bits`` — the contract the ring's repair arcs and
     :meth:`~repro.dht.node.ChordNode.closest_preceding_finger` rely on:
     the latter bisects this tuple for the clockwise gap to the key, and

@@ -9,7 +9,10 @@ membership change (the effect of Chord's ``stabilize`` +
 ``fix_fingers`` having converged).  Lookups are executed
 *iteratively using only per-node finger tables*, so the hop counts the
 simulator reports are genuine protocol measurements, not ``log N``
-formulas.
+formulas.  ``ChordConfig.finger_arity`` sets the finger schedule: 2 is
+Chord's, a larger branching factor the wider, shorter-routed table of a
+ReCord-style ring (PAPERS.md) — one class, one code path, because only
+:meth:`ChordRing._finger_schedule` knows the spacing.
 
 Membership events supported:
 
@@ -66,7 +69,7 @@ from ..exceptions import (
     NodeNotFoundError,
 )
 from ..net import DeliveryOutcome, PerfectTransport, TraceLog, Transport
-from .hashing import IdSpace, md5_hash
+from .hashing import IdSpace, md5_hash, recursive_finger_steps
 from .messages import ADDRESS_BYTES, Message, MessageKind, QUERY_HEADER_BYTES
 from .node import ChordNode
 from .route_cache import RouteCache
@@ -82,14 +85,20 @@ class LookupResult:
     path: Tuple[int, ...] = field(default=())
 
 
+def ring_label(finger_arity: int) -> str:
+    """What the CLI and the route bench call a ring of this arity:
+    ``chord`` at 2, ``record:b`` above."""
+    return "chord" if finger_arity == 2 else f"record:{finger_arity}"
+
+
 class ChordRing:
     """A complete simulated Chord network.
 
     Parameters
     ----------
     config:
-        Ring parameters (peer count, id bits, successor-list size, plus
-        the performance knob ``route_cache_size``).
+        Ring parameters (peer count, id bits, successor-list size, the
+        finger arity, and the performance knob ``route_cache_size``).
     node_ids:
         Optional explicit node identifiers (for white-box tests);
         normally ids are derived by hashing peer names, as the Chord
@@ -125,9 +134,8 @@ class ChordRing:
         #: Whether every routing table matches the current membership
         #: (False inside the post-crash window of Section 7).
         self._converged = False
-        #: Clockwise finger distances every node's table covers —
-        #: Chord's ``2^i`` schedule here; :class:`RecordRing` overrides
-        #: :meth:`_finger_schedule` with the wider ReCord schedule.
+        #: Clockwise finger distances every node's table covers, one
+        #: tuple shared by all of them.
         self.finger_steps: Tuple[int, ...] = self._finger_schedule()
         #: Total routing-table entry writes (pointers, successor-list
         #: slots, fingers) performed by stabilization and incremental
@@ -152,9 +160,11 @@ class ChordRing:
 
     def _finger_schedule(self) -> Tuple[int, ...]:
         """The clockwise distances each node keeps a finger for, sorted
-        ascending.  Chord's classic ``2^i`` doubling; subclasses widen
-        it (see :class:`~repro.dht.recursive.RecordRing`)."""
-        return tuple(1 << i for i in range(self.space.bits))
+        ascending: ``config.finger_arity - 1`` per base-arity digit of
+        the id space — at arity 2, Chord's ``2^i`` doubling.  Nothing
+        else in the ring depends on the spacing: repair arcs are taken
+        per step, and finger selection bisects this tuple."""
+        return recursive_finger_steps(self.space.bits, self.config.finger_arity)
 
     def _generate_ids(self, count: int) -> List[int]:
         """Hash synthetic peer names onto the ring, skipping collisions."""

@@ -7,8 +7,8 @@
   closed/open-loop tail-latency grid, behind
   ``benchmarks/test_bench_concurrency.py`` and
   ``perf --mode concurrency``;
-* :mod:`repro.perf.route` — the DESIGN.md §16 routing sweep: the
-  ring × arity × peers hop-count grid behind
+* :mod:`repro.perf.route` — the DESIGN.md §8 routing sweep: the
+  finger-arity × peers hop-count grid behind
   ``benchmarks/test_bench_route.py`` and ``perf --mode route``.
 
 Query, ingest, learning, churn and durable-store performance is

@@ -1,9 +1,10 @@
-"""The routing benchmark: ring × arity × peers hop-count sweep.
+"""The routing benchmark: finger-arity × peers hop-count sweep.
 
 ``perf --mode route`` runs one identical publish + Zipf-query + churn
-workload over a grid of overlay configurations — Chord and ReCord rings
-at several branching factors and peer counts — and reports, per cell,
-the routing quantities the arity knob actually trades (DESIGN.md §16):
+workload over a grid of overlay configurations — rings at several
+finger arities (``chord`` is arity 2, ``record:b`` arity *b*) and peer
+counts — and reports, per cell, the routing quantities
+``ChordConfig.finger_arity`` actually trades (DESIGN.md §8):
 
 * **mean / p99 hops** per lookup, the latency proxy routing exists to
   minimize;
@@ -24,7 +25,7 @@ Unlike the sharded scale harness (which splits one logical ring into
 independent sub-rings), parallelism here is per **cell**: each grid
 cell builds its *whole* ring in one process, because splitting a ring
 would shrink it and corrupt the very hop counts being measured.  A cell
-is a pure function of ``(config, peers, ring spec)``, so results are
+is a pure function of ``(config, peers, arity)``, so results are
 identical for any worker count; workers only place cells.  Route caches
 are disabled in every cell — a cache hit short-circuits to one hop, so
 measuring genuine routing requires routing every lookup.
@@ -38,62 +39,53 @@ from hashlib import sha256
 from time import perf_counter
 from typing import Dict, List, Sequence, Tuple
 
-from ..config import RING_KINDS, ChordConfig
+from ..config import ChordConfig
 from ..core.indexer import IndexingProtocol
 from ..core.metadata import PostingEntry
 from ..core.query_processing import QueryProcessor
 from ..corpus.relevance import Query
 from ..corpus.sampling import CategoricalSampler, zipf_weights
 from ..dht.messages import MessageKind
-from ..dht.recursive import build_ring
+from ..dht.ring import ChordRing, ring_label
 from ..exceptions import ConfigurationError
 from ..net.trace import percentile
 
 
-def parse_ring_specs(text: str) -> Tuple[Tuple[str, int], ...]:
+def parse_ring_specs(text: str) -> Tuple[int, ...]:
     """Parse a ring-grid spec like ``"chord,record:4,record:8"`` into
-    ``((kind, arity), ...)`` pairs.
+    finger arities, ``(2, 4, 8)`` — the inverse of
+    :func:`~repro.dht.ring_label`.
 
-    Grammar per comma-separated item: ``chord`` (arity fixed at 2) or
+    Grammar per comma-separated item: ``chord`` (arity 2) or
     ``record[:ARITY]`` (arity defaults to 2).  Raises
-    :class:`~repro.exceptions.ConfigurationError` on unknown kinds,
-    non-integer or < 2 arities, an arity attached to ``chord``, or
-    duplicate cells — the CLI surfaces these as usage errors.
+    :class:`~repro.exceptions.ConfigurationError` on an unknown kind, a
+    non-integer or < 2 arity, an arity attached to ``chord``, or a
+    repeated arity — the CLI surfaces these as usage errors.
     """
-    specs: List[Tuple[str, int]] = []
+    arities: List[int] = []
     for item in text.split(","):
         item = item.strip()
-        if not item:
-            raise ConfigurationError("empty ring spec")
         kind, __, arity_text = item.partition(":")
-        if kind not in RING_KINDS:
+        if kind not in ("chord", "record"):
             raise ConfigurationError(
-                f"unknown ring kind {kind!r}; expected one of {RING_KINDS}"
+                f"unknown ring kind {kind!r}; expected 'chord' or 'record:ARITY'"
             )
-        if arity_text:
-            if kind == "chord":
-                raise ConfigurationError(
-                    "ring arity only applies to 'record' (chord is fixed at 2)"
-                )
-            try:
-                arity = int(arity_text)
-            except ValueError:
-                raise ConfigurationError(
-                    f"ring arity must be an integer, got {arity_text!r}"
-                ) from None
-            if arity < 2:
-                raise ConfigurationError("ring arity must be >= 2")
-        else:
-            arity = 2
-        if (kind, arity) in specs:
+        if kind == "chord" and arity_text:
+            raise ConfigurationError(
+                "ring arity only applies to 'record' (chord is fixed at 2)"
+            )
+        try:
+            arity = int(arity_text or 2)
+        except ValueError:
+            raise ConfigurationError(
+                f"ring arity must be an integer, got {arity_text!r}"
+            ) from None
+        if arity < 2:
+            raise ConfigurationError("ring arity must be >= 2")
+        if arity in arities:
             raise ConfigurationError(f"duplicate ring spec: {item!r}")
-        specs.append((kind, arity))
-    return tuple(specs)
-
-
-def ring_label(kind: str, arity: int) -> str:
-    """Display label for one grid column (``chord`` / ``record:8``)."""
-    return kind if kind == "chord" else f"{kind}:{arity}"
+        arities.append(arity)
+    return tuple(arities)
 
 
 @dataclass(frozen=True)
@@ -152,7 +144,6 @@ class RouteCellResult:
     """One grid cell's measurements (plain fields: crosses processes)."""
 
     ring: str
-    kind: str
     arity: int
     num_peers: int
     build_s: float
@@ -177,12 +168,12 @@ class RouteCellResult:
 
 
 def run_route_cell(
-    cfg: RouteWorkloadConfig, num_peers: int, kind: str, arity: int
+    cfg: RouteWorkloadConfig, num_peers: int, arity: int
 ) -> RouteCellResult:
     """Run one grid cell inline: build the whole ring, publish, run the
     query stream with interleaved churn, and measure routing.
 
-    Deterministic in ``(cfg, num_peers, kind, arity)``; and because the
+    Deterministic in ``(cfg, num_peers, arity)``; and because the
     RNG stream never observes the finger schedule, every cell in a
     same-``num_peers`` group sees the identical membership, documents,
     query stream, and churn schedule — which is what makes the
@@ -191,14 +182,13 @@ def run_route_cell(
     rng = random.Random(cfg.seed * 1_000_003 + num_peers)
 
     t0 = perf_counter()
-    ring = build_ring(
-        kind,
+    ring = ChordRing(
         ChordConfig(
             num_peers=num_peers,
             seed=cfg.seed,
             route_cache_size=0,  # measure genuine routing, not cache hits
-        ),
-        arity=arity,
+            finger_arity=arity,
+        )
     )
     protocol = IndexingProtocol(ring)
     processor = QueryProcessor(protocol, assumed_corpus_size=1_000_000)
@@ -272,8 +262,7 @@ def run_route_cell(
     hop_samples = list((ring.stats.lookup_hop_histogram - hops_before).elements())
     mean_hops = sum(hop_samples) / len(hop_samples) if hop_samples else 0.0
     return RouteCellResult(
-        ring=ring_label(kind, arity),
-        kind=kind,
+        ring=ring_label(arity),
         arity=arity,
         num_peers=num_peers,
         build_s=round(build_s, 4),
@@ -291,11 +280,11 @@ def run_route_cell(
     )
 
 
-def _cell_worker(payload: Tuple[Dict, int, str, int]) -> Dict:
+def _cell_worker(payload: Tuple[Dict, int, int]) -> Dict:
     """Pool entry point (module-level so it pickles under spawn)."""
-    cfg_dict, num_peers, kind, arity = payload
+    cfg_dict, num_peers, arity = payload
     cfg = RouteWorkloadConfig(**cfg_dict).replaced()
-    return asdict(run_route_cell(cfg, num_peers, kind, arity))
+    return asdict(run_route_cell(cfg, num_peers, arity))
 
 
 @dataclass
@@ -359,26 +348,16 @@ def run_route_workload(cfg: RouteWorkloadConfig) -> RouteWorkloadResult:
         raise ConfigurationError("peers_grid must not be empty")
     if cfg.workers < 1:
         raise ConfigurationError("workers must be >= 1")
-    specs: List[Tuple[str, int]] = []
-    for spec_text in cfg.ring_specs:
-        for spec in parse_ring_specs(spec_text):
-            if spec in specs:
-                raise ConfigurationError(
-                    f"duplicate ring spec: {ring_label(*spec)!r}"
-                )
-            specs.append(spec)
-    if not specs:
+    if not cfg.ring_specs:
         raise ConfigurationError("ring_specs must not be empty")
+    arities = parse_ring_specs(",".join(cfg.ring_specs))
 
-    cells_spec = [
-        (peers, kind, arity) for peers in cfg.peers_grid for kind, arity in specs
-    ]
+    cells_spec = [(peers, arity) for peers in cfg.peers_grid for arity in arities]
     t0 = perf_counter()
     workers = min(cfg.workers, len(cells_spec))
     if workers <= 1:
         rows = [
-            asdict(run_route_cell(cfg, peers, kind, arity))
-            for peers, kind, arity in cells_spec
+            asdict(run_route_cell(cfg, peers, arity)) for peers, arity in cells_spec
         ]
     else:
         import multiprocessing
@@ -387,10 +366,7 @@ def run_route_workload(cfg: RouteWorkloadConfig) -> RouteWorkloadResult:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
             context = multiprocessing.get_context("spawn")
-        payloads = [
-            (asdict(cfg), peers, kind, arity)
-            for peers, kind, arity in cells_spec
-        ]
+        payloads = [(asdict(cfg), peers, arity) for peers, arity in cells_spec]
         with context.Pool(processes=workers) as pool:
             rows = pool.map(_cell_worker, payloads)
     wall_s = perf_counter() - t0
@@ -406,7 +382,7 @@ def run_route_workload(cfg: RouteWorkloadConfig) -> RouteWorkloadResult:
             match = False
     return RouteWorkloadResult(
         peers_grid=list(cfg.peers_grid),
-        rings=[ring_label(kind, arity) for kind, arity in specs],
+        rings=[ring_label(arity) for arity in arities],
         num_queries=cfg.num_queries,
         workers=workers,
         wall_s=round(wall_s, 4),

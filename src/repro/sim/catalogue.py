@@ -318,7 +318,7 @@ def build_catalogue_engine(
         seed=seed,
         num_peers=num_peers,
         transport=transport,
-        result_cache_size=entry.result_cache_size,
+        delta={"sprite": {"result_cache_size": entry.result_cache_size}},
     )
 
 

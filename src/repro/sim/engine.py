@@ -18,8 +18,8 @@ hypothesis shrinking both rely on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import ChordConfig, SpriteConfig, SyntheticCorpusConfig
 from ..core.maintenance import MaintenanceDaemon
@@ -552,35 +552,57 @@ class ScenarioEngine:
         return True
 
 
+#: A configuration delta: ``{"sprite" | "chord": {field: value}}`` —
+#: ``SpriteConfig`` fields and ``ChordConfig`` fields.
+Delta = Mapping[str, Mapping[str, object]]
+
+
+def micro_configs(
+    num_peers: int, seed: int, *deltas: Delta
+) -> Tuple[SpriteConfig, ChordConfig]:
+    """The micro deployment every ``repro.sim`` harness runs on — nine
+    index terms in two learning rounds, a *num_peers* ring seeded from
+    *seed* — with *deltas* applied in order."""
+    sprite = SpriteConfig(
+        initial_terms=3,
+        terms_per_iteration=3,
+        learning_iterations=2,
+        max_index_terms=9,
+        query_cache_size=100,
+        assumed_corpus_size=1000,
+        top_k_answers=10,
+    )
+    chord = ChordConfig(
+        num_peers=num_peers, id_bits=32, successor_list_size=4, seed=seed + 7
+    )
+    for delta in deltas:
+        sprite = replace(sprite, **delta.get("sprite", {}))
+        chord = replace(chord, **delta.get("chord", {}))
+    return sprite, chord
+
+
 def build_simulation(
     seed: int = 0,
     num_peers: int = 24,
     transport=None,
     queries: Sequence[Query] | None = None,
     tick_ms: float = 10.0,
-    store_backend: str = "memory",
-    store_dir: str = "",
-    snapshot_dir: str = "",
     snapshot_interval: int = 0,
-    result_cache_size: int = 0,
-    ring: str = "chord",
-    ring_arity: int = 2,
+    delta: Delta | None = None,
 ) -> ScenarioEngine:
     """A ready-to-run micro simulation for the CLI and the fuzzers.
 
-    Builds a small synthetic corpus and query pool, a SPRITE system on a
-    *num_peers* ring (all seeded from *seed*), replication + maintenance
-    managers, and wires them into a :class:`ScenarioEngine`.  Nothing is
-    shared up front — scenarios publish incrementally.  The store
-    parameters thread straight into :class:`~repro.config.SpriteConfig`
-    (``snapshot_interval`` is the engine's own); with the default
-    memory backend the durable-store events
-    (``snapshot``/``crash_disk``/``recover_disk``) are skipped.
-    ``result_cache_size`` switches on the version-invalidated query
-    -result cache the hot-term-storm scenarios hammer (0, the historical
-    default, leaves it off).  ``ring``/``ring_arity`` select the overlay
-    routing structure (DESIGN.md §16); every scenario outcome except
-    hop counts is identical across ring kinds.
+    Builds a small synthetic corpus and query pool, a SPRITE system on
+    :func:`micro_configs` plus *delta* (all seeded from *seed*),
+    replication + maintenance managers, and wires them into a
+    :class:`ScenarioEngine`.  Nothing is shared up front — scenarios
+    publish incrementally.  What a caller varies goes in *delta*: the
+    durable-store events (``snapshot``/``crash_disk``/``recover_disk``)
+    are skipped unless it sets ``store_backend="sqlite"``
+    (``snapshot_interval`` is the engine's own), ``result_cache_size``
+    switches on the version-invalidated query-result cache the
+    hot-term-storm scenarios hammer, and a ``finger_arity`` above 2
+    changes hop counts and no other scenario outcome.
     """
     from ..corpus.synthetic import SyntheticTrecCorpus
 
@@ -596,30 +618,9 @@ def build_simulation(
         seed=seed + 99,
     )
     corpus, originals, __ = SyntheticTrecCorpus(corpus_config).build()
+    sprite, chord = micro_configs(num_peers, seed, delta or {})
     system = SpriteSystem(
-        corpus,
-        sprite_config=SpriteConfig(
-            initial_terms=3,
-            terms_per_iteration=3,
-            learning_iterations=2,
-            max_index_terms=9,
-            query_cache_size=100,
-            assumed_corpus_size=1000,
-            top_k_answers=10,
-            result_cache_size=result_cache_size,
-            store_backend=store_backend,
-            store_dir=store_dir,
-            snapshot_dir=snapshot_dir,
-            ring=ring,
-            ring_arity=ring_arity,
-        ),
-        chord_config=ChordConfig(
-            num_peers=num_peers,
-            id_bits=32,
-            successor_list_size=4,
-            seed=seed + 7,
-        ),
-        transport=transport,
+        corpus, sprite_config=sprite, chord_config=chord, transport=transport
     )
     pool = list(queries) if queries is not None else list(originals)
     return ScenarioEngine(

@@ -320,7 +320,7 @@ class InvariantChecker:
                     f"!= {expected_list}",
                 )
             # The expected finger targets follow the ring's own step
-            # schedule (2^i for Chord, j·b^l for ReCord — DESIGN.md §16).
+            # schedule (2^i at finger arity 2, j·b^l above — DESIGN.md §8).
             for i, finger in enumerate(node.fingers):
                 expected = ring.successor_of(
                     (node_id + ring.finger_steps[i]) % ring.space.size

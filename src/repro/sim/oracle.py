@@ -52,8 +52,8 @@ in different orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..config import ChordConfig, SpriteConfig
 from ..corpus.corpus import Corpus
@@ -62,6 +62,7 @@ from ..core.metadata import TermSlot
 from ..core.system import DistributedSystem, SpriteSystem
 from ..ir.centralized import CentralizedSystem
 from ..ir.ranking import RankedList
+from .engine import Delta, micro_configs
 
 
 def write_state_fingerprint(system: DistributedSystem) -> Dict[str, object]:
@@ -162,11 +163,6 @@ def _pairs(ranked: RankedList) -> List[Tuple[str, float]]:
     return [(entry.doc_id, entry.score) for entry in ranked]
 
 
-#: A configuration delta: ``{"sprite" | "chord": {field: value}}`` —
-#: ``SpriteConfig`` fields and ``ChordConfig`` fields.
-Delta = Mapping[str, Mapping[str, object]]
-
-
 @dataclass(frozen=True)
 class OracleRow:
     """One row of the comparison table (see the module docstring).
@@ -208,7 +204,7 @@ ORACLE_ROWS: Tuple[OracleRow, ...] = (
     # successor relation over the same seeded membership.
     OracleRow(
         "ring-paths",
-        {"sprite": {"ring": "record", "ring_arity": 8}},
+        {"chord": {"finger_arity": 8}},
         equal=frozenset({"rankings", "fingerprint"}),
     ),
 )
@@ -233,43 +229,21 @@ class DifferentialOracle:
         test: Sequence[Query],
         num_peers: int = 24,
         seed: int = 0,
-        top_k: int = 10,
     ) -> None:
         self.corpus = corpus
         self.train = list(train)
         self.test = list(test)
         self.num_peers = num_peers
         self.seed = seed
-        self.top_k = top_k
 
     # -- construction helpers ---------------------------------------------
 
-    def _chord_config(self) -> ChordConfig:
-        return ChordConfig(
-            num_peers=self.num_peers,
-            id_bits=32,
-            successor_list_size=4,
-            seed=self.seed + 7,
-            route_cache_size=65536,
-        )
-
-    def _sprite_config(self) -> SpriteConfig:
-        return SpriteConfig(
-            initial_terms=3,
-            terms_per_iteration=3,
-            learning_iterations=2,
-            max_index_terms=9,
-            query_cache_size=200,
-            assumed_corpus_size=1000,
-            top_k_answers=self.top_k,
-        )
+    def configs(self, *deltas: Delta) -> Tuple[SpriteConfig, ChordConfig]:
+        """The base configuration with *deltas* applied in order."""
+        return micro_configs(self.num_peers, self.seed, *deltas)
 
     def build(self, *deltas: Delta) -> SpriteSystem:
-        """The base system with *deltas* applied in order."""
-        sprite, chord = self._sprite_config(), self._chord_config()
-        for delta in deltas:
-            sprite = replace(sprite, **delta.get("sprite", {}))
-            chord = replace(chord, **delta.get("chord", {}))
+        sprite, chord = self.configs(*deltas)
         return SpriteSystem(self.corpus, sprite_config=sprite, chord_config=chord)
 
     def _replay(self, system: SpriteSystem, flow: str) -> None:
@@ -347,22 +321,20 @@ class DifferentialOracle:
         size, distributed rankings must agree with centralized TF-IDF:
         identical document order, scores equal to float tolerance."""
         report = OracleReport(name="centralized-baseline")
-        full = FullIndexSystem(
-            self.corpus,
-            sprite_config=SpriteConfig(
-                initial_terms=1,  # unused: _first_terms overrides selection
-                max_index_terms=10**6,
-                query_cache_size=200,
-                assumed_corpus_size=len(self.corpus),
-                top_k_answers=self.top_k,
-            ),
-            chord_config=self._chord_config(),
+        sprite, chord = self.configs(
+            {
+                "sprite": {
+                    "max_index_terms": 10**6,
+                    "assumed_corpus_size": len(self.corpus),
+                }
+            }
         )
+        full = FullIndexSystem(self.corpus, sprite_config=sprite, chord_config=chord)
         full.share_corpus()
         centralized = CentralizedSystem(self.corpus, normalization="lee")
         for query in self.test:
             distributed = _pairs(full.search(query, cache=False))
-            reference = _pairs(centralized.search(query, top_k=self.top_k))
+            reference = _pairs(centralized.search(query, top_k=sprite.top_k_answers))
             report.queries_compared += 1
             if [d for d, __ in distributed] != [d for d, __ in reference]:
                 report.mismatches.append(

@@ -15,7 +15,6 @@ transport's RNG stream and every later drop with it.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List
 
 import pytest
@@ -94,11 +93,9 @@ def test_one_exchange_matches_the_inlined_loops(
     )
 
     def build() -> SpriteSystem:
+        sprite, chord = oracle.configs({"sprite": {"result_cache_size": 32}})
         return SpriteSystem(
-            corpus,
-            sprite_config=replace(oracle._sprite_config(), result_cache_size=32),
-            chord_config=oracle._chord_config(),
-            transport=transport(),
+            corpus, sprite_config=sprite, chord_config=chord, transport=transport()
         )
 
     folded, inlined = build(), install_inline_exchanges(build())

@@ -45,8 +45,8 @@ from repro.core.indexer import IndexingProtocol
 from repro.core.metadata import PostingEntry, TermSlot
 from repro.core.query_processing import QueryProcessor
 from repro.corpus.relevance import Query
+from repro.dht import ChordRing
 from repro.dht.messages import MessageKind
-from repro.dht.recursive import build_ring
 from repro.dht.replication import ReplicationManager
 from repro.exceptions import NodeFailedError
 from repro.net.faults import FaultInjector
@@ -69,23 +69,22 @@ GHOSTS = ["ghost-a", "ghost-b", "ghost-c"]
 STACKS = {
     "route-cache": {},
     "no-route-cache": {"route_cache": 0},
-    "record-8": {"kind": "record", "arity": 8},
+    "record-8": {"arity": 8},
     "crashed-peer": {"crash": True},
 }
 
 
 def build_stack(
     route_cache: int = 65536,
-    kind: str = "chord",
     arity: int = 2,
     crash: bool = False,
     transport=None,
     seed: int = 7,
 ):
-    ring = build_ring(
-        kind,
-        ChordConfig(num_peers=64, seed=seed, route_cache_size=route_cache),
-        arity=arity,
+    ring = ChordRing(
+        ChordConfig(
+            num_peers=64, seed=seed, route_cache_size=route_cache, finger_arity=arity
+        ),
         transport=transport,
     )
     protocol = IndexingProtocol(ring)

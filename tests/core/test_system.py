@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.config import ChordConfig, SpriteConfig
-from repro.core import SpriteSystem
+from repro.core import ESearchSystem, SpriteSystem
 from repro.corpus import Corpus, Document, Query
+from repro.dht import ChordRing
 from repro.exceptions import LearningError
+from repro.sim import FullIndexSystem
 
 CHORD = ChordConfig(num_peers=24, id_bits=32, seed=61)
 
@@ -162,3 +166,33 @@ class TestNothingOutlivesASystem:
             assert len(system.search(Query("q", ("chord", "ring")), cache=False)) > 0
             del system
         assert module_level_sizes() == before
+
+
+class TestTheOverlayIsTheRingsOwn:
+    """The finger arity lives on the ring's config and nowhere else, so
+    what a system reports is what it routes on."""
+
+    def test_a_prebuilt_ring_cannot_disagree_with_the_system(
+        self, corpus: Corpus, fast_sprite_config: SpriteConfig
+    ) -> None:
+        ring = ChordRing(replace(CHORD, finger_arity=8))
+        system = SpriteSystem(corpus, sprite_config=fast_sprite_config, ring=ring)
+        assert system.ring.config.finger_arity == 8
+        assert len(system.ring.finger_steps) > 32
+        assert not {"ring", "ring_arity"} & {f.name for f in fields(system.config)}
+
+    @pytest.mark.parametrize("system_class", [ESearchSystem, FullIndexSystem])
+    def test_baselines_rank_alike_on_a_wider_ring(self, corpus: Corpus, system_class) -> None:
+        rankings = []
+        for arity in (2, 8):
+            system = system_class(corpus, chord_config=replace(CHORD, finger_arity=arity))
+            assert len(system.ring.finger_steps) == {2: 32, 8: 73}[arity]
+            system.share_corpus()
+            rankings.append(
+                [
+                    [(e.doc_id, e.score) for e in system.search(Query("q", terms), cache=False)]
+                    for terms in (("chord", "ring"), ("retrieval",), ("churn", "replica"))
+                ]
+            )
+        assert rankings[0] == rankings[1]
+        assert any(rankings[0])

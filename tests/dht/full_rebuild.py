@@ -1,25 +1,19 @@
-"""Test-side full-rebuild reference rings.
+"""Test-side full-rebuild reference ring.
 
-The rings in ``src`` repair a single join or graceful leave
-incrementally whenever their tables were converged.  The classes here
-never do: every membership event falls through to
+The ring in ``src`` repairs a single join or graceful leave
+incrementally whenever its tables were converged.  The class here
+never does, at any finger arity: every membership event falls through to
 :meth:`ChordRing.stabilize`'s full rebuild, the brute-force routing
 state the incremental repair must reproduce entry for entry.
 """
 
 from __future__ import annotations
 
-from repro.dht import ChordRing, RecordRing
+from repro.dht import ChordRing
 
 
-class _FullRebuild:
-    def _can_repair_incrementally(self, was_converged: bool) -> bool:
-        return False
-
-
-class FullRebuildChordRing(_FullRebuild, ChordRing):
+class FullRebuildChordRing(ChordRing):
     """A :class:`ChordRing` that rebuilds every table on every event."""
 
-
-class FullRebuildRecordRing(_FullRebuild, RecordRing):
-    """A :class:`RecordRing` that rebuilds every table on every event."""
+    def _can_repair_incrementally(self, was_converged: bool) -> bool:
+        return False

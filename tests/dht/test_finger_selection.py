@@ -10,7 +10,7 @@ every table the ring writes satisfies
 
 This module pins three things: the selected finger equals the one the
 reference scan of ``tests/dht/linear_finger_scan.py`` selects; the
-invariant holds after every membership event on both ring kinds; and a
+invariant holds after every membership event at every arity; and a
 whole lookup — result, path, exceptions, message accounting, transport
 RNG draws — cannot tell the two scans apart.
 """
@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ChordConfig
-from repro.dht import ChordRing, RecordRing
+from repro.dht import ChordRing
 from repro.dht.hashing import IdSpace, recursive_finger_steps
 from repro.dht.node import ChordNode
 from repro.exceptions import DHTError, NodeFailedError
@@ -45,8 +45,9 @@ def make_ring(ids, arity, bits=BITS, transport=None, route_cache_size=0):
         successor_list_size=3,
         seed=1,
         route_cache_size=route_cache_size,
+        finger_arity=arity,
     )
-    return RecordRing(config, node_ids=list(ids), transport=transport, arity=arity)
+    return ChordRing(config, node_ids=list(ids), transport=transport)
 
 
 def probe_keys(node: ChordNode):
@@ -124,13 +125,7 @@ def test_finger_invariant_holds_after_every_event(data) -> None:
         data.draw(st.sets(st.integers(0, SIZE - 1), min_size=8, max_size=24), label="ids")
     )
     arity = data.draw(st.sampled_from(ARITIES), label="arity")
-    if arity == 2 and data.draw(st.booleans(), label="plain chord"):
-        ring = ChordRing(
-            ChordConfig(num_peers=len(ids), id_bits=BITS, successor_list_size=3, seed=1),
-            node_ids=list(ids),
-        )
-    else:
-        ring = make_ring(ids, arity)
+    ring = make_ring(ids, arity)
     assert_finger_invariant(ring)
     for step in range(data.draw(st.integers(5, 25), label="events")):
         op = data.draw(st.sampled_from(["join", "leave", "fail", "stabilize"]), label=f"op {step}")

@@ -1,7 +1,8 @@
-"""The recursive ReCord ring (DESIGN.md §16): finger schedules, the
-``build_ring`` factory, Chord degeneration at b=2, cross-ring lookup
-agreement (property-based), incremental-repair parity, and the
-consecutive-dead-successor regression shape on the new router."""
+"""The ring at finger arities above 2 (ReCord-style, DESIGN.md §8):
+finger schedules, Chord degeneration at b=2 against the textbook ``2^i``
+schedule, cross-arity lookup agreement (property-based),
+incremental-repair parity, and the consecutive-dead-successor
+regression shape on the wider table."""
 
 from __future__ import annotations
 
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ChordConfig
-from repro.dht import ChordRing, RecordRing, build_ring, recursive_finger_steps
-from repro.exceptions import NodeFailedError
+from repro.dht import ChordRing, recursive_finger_steps
+from repro.exceptions import ConfigurationError, NodeFailedError
 
-from .full_rebuild import FullRebuildRecordRing
+from .full_rebuild import FullRebuildChordRing
 
 BITS = 12
 SIZE = 1 << BITS
@@ -29,6 +30,18 @@ def make_config(ids, **kwargs):
     )
     merged.update(kwargs)
     return ChordConfig(**merged)
+
+
+def make_ring(ids, arity: int = 2, cls=ChordRing) -> ChordRing:
+    return cls(make_config(ids, finger_arity=arity), node_ids=list(ids))
+
+
+class BinaryFingerRing(ChordRing):
+    """The reference for b=2: Chord's schedule written out as ``2^i``,
+    not derived from an arity."""
+
+    def _finger_schedule(self):
+        return tuple(1 << i for i in range(self.space.bits))
 
 
 class TestFingerSchedule:
@@ -56,31 +69,16 @@ class TestFingerSchedule:
     def test_rejects_arity_below_two(self) -> None:
         with pytest.raises(ValueError):
             recursive_finger_steps(BITS, 1)
+        with pytest.raises(ConfigurationError, match="finger_arity"):
+            make_config([10, 500], finger_arity=1)
 
-
-class TestBuildRingFactory:
-    def test_chord_kind_builds_chord_ring(self) -> None:
-        ring = build_ring("chord", make_config([10, 500, 2000]), node_ids=[10, 500, 2000])
-        assert type(ring) is ChordRing
-
-    def test_record_kind_builds_record_ring(self) -> None:
-        ring = build_ring(
-            "record", make_config([10, 500, 2000]), arity=8, node_ids=[10, 500, 2000]
+    def test_ring_takes_its_schedule_from_its_config(self) -> None:
+        assert ChordRing(ChordConfig(finger_arity=2)).finger_steps == tuple(
+            1 << i for i in range(32)
         )
-        assert isinstance(ring, RecordRing)
-        assert ring.arity == 8
-
-    def test_chord_rejects_nontrivial_arity(self) -> None:
-        with pytest.raises(ValueError):
-            build_ring("chord", make_config([10, 500]), arity=8, node_ids=[10, 500])
-
-    def test_unknown_kind_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            build_ring("pastry", make_config([10, 500]), node_ids=[10, 500])
-
-    def test_record_rejects_arity_below_two(self) -> None:
-        with pytest.raises(ValueError):
-            build_ring("record", make_config([10, 500]), arity=1, node_ids=[10, 500])
+        ring = make_ring([10, 500, 2000], arity=8)
+        assert type(ring) is ChordRing
+        assert ring.finger_steps == recursive_finger_steps(BITS, 8)
 
 
 def ring_state(ring: ChordRing):
@@ -92,20 +90,22 @@ def ring_state(ring: ChordRing):
 
 class TestChordDegeneration:
     """At b=2 the recursive schedule *is* the binary schedule, so the
-    whole routing state must be bit-identical to ChordRing's."""
+    whole routing state must be bit-identical to that of a ring on the
+    literal ``2^i`` schedule."""
 
     def test_routing_state_identical_at_arity_two(self) -> None:
         ids = [37 * i + 5 for i in range(30)]
-        chord = ChordRing(make_config(ids), node_ids=list(ids))
-        record = RecordRing(make_config(ids), node_ids=list(ids), arity=2)
+        chord = make_ring(ids, cls=BinaryFingerRing)
+        record = make_ring(ids, arity=2)
+        assert chord.finger_steps == record.finger_steps
         assert ring_state(chord) == ring_state(record)
 
     def test_lookup_paths_identical_at_arity_two(self) -> None:
         import random
 
         ids = [101 * i + 3 for i in range(24)]
-        chord = ChordRing(make_config(ids), node_ids=list(ids))
-        record = RecordRing(make_config(ids), node_ids=list(ids), arity=2)
+        chord = make_ring(ids, cls=BinaryFingerRing)
+        record = make_ring(ids, arity=2)
         rng = random.Random(7)
         for __ in range(100):
             start = rng.choice(ids)
@@ -119,8 +119,9 @@ class TestChordDegeneration:
 @given(data=st.data())
 def test_record_and_chord_lookups_agree_with_oracle(data) -> None:
     """Property (ISSUE 10 satellite): for any membership set and key,
-    RecordRing.lookup and ChordRing.lookup resolve the same owner, and
-    that owner is the sorted-membership oracle successor."""
+    a lookup at any arity and a lookup on Chord's schedule resolve the
+    same owner, and that owner is the sorted-membership oracle
+    successor."""
     ids = sorted(
         data.draw(
             st.sets(st.integers(0, SIZE - 1), min_size=4, max_size=24),
@@ -128,8 +129,8 @@ def test_record_and_chord_lookups_agree_with_oracle(data) -> None:
         )
     )
     arity = data.draw(st.sampled_from([2, 3, 4, 8, 16]), label="arity")
-    chord = ChordRing(make_config(ids), node_ids=list(ids))
-    record = RecordRing(make_config(ids), node_ids=list(ids), arity=arity)
+    chord = make_ring(ids)
+    record = make_ring(ids, arity)
     for __ in range(8):
         key = data.draw(st.integers(0, SIZE - 1), label="key")
         start = data.draw(st.sampled_from(ids), label="start")
@@ -154,8 +155,8 @@ def test_record_incremental_repair_matches_full_rebuild(data) -> None:
         )
     )
     arity = data.draw(st.sampled_from([3, 4, 8]), label="arity")
-    full = FullRebuildRecordRing(make_config(ids), node_ids=list(ids), arity=arity)
-    inc = RecordRing(make_config(ids), node_ids=list(ids), arity=arity)
+    full = make_ring(ids, arity, cls=FullRebuildChordRing)
+    inc = make_ring(ids, arity)
     assert ring_state(full) == ring_state(inc)
 
     for step in range(data.draw(st.integers(5, 20), label="op count")):
@@ -183,7 +184,7 @@ def test_record_incremental_repair_matches_full_rebuild(data) -> None:
 
 class TestRecordRingProperties:
     def test_finger_table_smaller_hop_count_tradeoff(self) -> None:
-        """The §16 tradeoff at ring scale: higher arity buys fewer mean
+        """The arity tradeoff at ring scale: higher arity buys fewer mean
         hops with more fingers per node."""
         import random
 
@@ -199,15 +200,15 @@ class TestRecordRingProperties:
             ]
             return sum(samples) / len(samples)
 
-        chord = ChordRing(make_config(ids), node_ids=list(ids))
-        record = RecordRing(make_config(ids), node_ids=list(ids), arity=8)
+        chord = make_ring(ids)
+        record = make_ring(ids, arity=8)
         assert len(record.finger_steps) > len(chord.finger_steps)
         assert mean_hops(record) < mean_hops(chord)
 
     def test_routing_entry_accounting_increases_with_arity(self) -> None:
         ids = [53 * i + 11 for i in range(40)]
-        chord = ChordRing(make_config(ids), node_ids=list(ids))
-        record = RecordRing(make_config(ids), node_ids=list(ids), arity=16)
+        chord = make_ring(ids)
+        record = make_ring(ids, arity=16)
         assert record.routing_entries_written > chord.routing_entries_written > 0
 
 
@@ -216,13 +217,12 @@ class TestRecordConsecutiveDeadSuccessors:
     router: two consecutive dead successors must neither orbit the ring
     nor silently skip the Section 7 down-peer window."""
 
-    def _ring(self) -> RecordRing:
-        return RecordRing(
+    def _ring(self) -> ChordRing:
+        return ChordRing(
             ChordConfig(
-                num_peers=8, id_bits=32, successor_list_size=4, seed=1
+                num_peers=8, id_bits=32, successor_list_size=4, seed=1, finger_arity=8
             ),
             node_ids=[10, 20, 30, 40, 50, 60, 70, 80],
-            arity=8,
         )
 
     def test_dead_owner_behind_dead_successor_raises(self) -> None:

@@ -1,4 +1,4 @@
-"""The routing benchmark (``perf --mode route``, DESIGN.md §16): spec
+"""The routing benchmark (``perf --mode route``, DESIGN.md §8): spec
 parsing, grid determinism, worker-count invariance, and the cross-ring
 checksum oracle."""
 
@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dht import ring_label
 from repro.exceptions import ConfigurationError
 from repro.perf.route import (
     RouteWorkloadConfig,
     parse_ring_specs,
-    ring_label,
     route_smoke_config,
     run_route_cell,
     run_route_workload,
@@ -33,20 +33,15 @@ def tiny_config(**kwargs) -> RouteWorkloadConfig:
 
 class TestParseRingSpecs:
     def test_parses_grid(self) -> None:
-        assert parse_ring_specs("chord,record:4,record:8") == (
-            ("chord", 2),
-            ("record", 4),
-            ("record", 8),
-        )
+        assert parse_ring_specs("chord,record:4,record:8") == (2, 4, 8)
 
     def test_record_defaults_to_arity_two(self) -> None:
-        assert parse_ring_specs("record") == (("record", 2),)
+        assert parse_ring_specs("record") == (2,)
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            parse_ring_specs("chord,record:2")
 
     def test_whitespace_tolerated(self) -> None:
-        assert parse_ring_specs(" chord , record:8 ") == (
-            ("chord", 2),
-            ("record", 8),
-        )
+        assert parse_ring_specs(" chord , record:8 ") == (2, 8)
 
     @pytest.mark.parametrize(
         "text",
@@ -59,21 +54,21 @@ class TestParseRingSpecs:
 
     def test_ring_label_round_trip(self) -> None:
         for text in ("chord", "record:8"):
-            ((kind, arity),) = parse_ring_specs(text)
-            assert ring_label(kind, arity) == text
-        assert ring_label("record", 2) == "record:2"
+            (arity,) = parse_ring_specs(text)
+            assert ring_label(arity) == text
+        assert ring_label(2) == "chord"
 
 
 class TestRouteCell:
     def test_cell_is_deterministic(self) -> None:
         cfg = tiny_config()
-        a = run_route_cell(cfg, 200, "record", 8)
-        b = run_route_cell(cfg, 200, "record", 8)
+        a = run_route_cell(cfg, 200, 8)
+        b = run_route_cell(cfg, 200, 8)
         a.build_s = b.build_s = a.query_s = b.query_s = 0.0
         assert a == b
 
     def test_cell_measures_routing(self) -> None:
-        cell = run_route_cell(tiny_config(), 200, "chord", 2)
+        cell = run_route_cell(tiny_config(), 200, 2)
         assert cell.lookups > 0
         assert cell.mean_hops > 1.0
         assert cell.p99_hops >= cell.mean_hops

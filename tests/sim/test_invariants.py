@@ -249,7 +249,7 @@ class TestStormObservationInvariants:
 
 class TestResultCacheCoherent:
     def test_detects_poisoned_servable_entry(self) -> None:
-        eng = build_simulation(seed=13, result_cache_size=32)
+        eng = build_simulation(seed=13, delta={"sprite": {"result_cache_size": 32}})
         eng.apply(SimEvent("publish", count=60))
         eng.apply(SimEvent("learn"))
         for kind in ("stabilize", "replicate", "maintain"):

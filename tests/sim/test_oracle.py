@@ -10,6 +10,7 @@ import pytest
 from repro.config import ChordConfig, SpriteConfig
 from repro.core.system import SpriteSystem
 from repro.corpus.synthetic import SyntheticTrecCorpus
+from repro.dht import recursive_finger_steps
 from repro.sim import (
     ORACLE_ROWS,
     DifferentialOracle,
@@ -27,10 +28,8 @@ RESULT_NEUTRAL_SWITCHES = {
         "result_cache_size",
         "store_backend",
         "store_bloom",
-        "ring",
-        "ring_arity",
     },
-    "chord": {"route_cache_size"},
+    "chord": {"route_cache_size", "finger_arity"},
 }
 
 #: Fields that are workload or deployment parameters, not switches:
@@ -91,6 +90,9 @@ class TestRows:
             assert varied.protocol.result_cache_size == varied.config.result_cache_size
             assert (varied.store_runtime is not None) == (
                 varied.config.store_backend == "sqlite"
+            )
+            assert varied.ring.finger_steps == recursive_finger_steps(
+                32, varied.ring.config.finger_arity
             )
             assert base.ring.live_ids == varied.ring.live_ids
         finally:
@@ -174,7 +176,7 @@ class TestCentralizedBaseline:
         doc = next(iter(corpus))
         system = FullIndexSystem(
             corpus,
-            sprite_config=DifferentialOracle(corpus, [], [])._sprite_config(),
+            sprite_config=DifferentialOracle(corpus, [], []).configs()[0],
         )
         terms = system._first_terms(doc.doc_id)
         assert terms == sorted(doc.term_freqs)

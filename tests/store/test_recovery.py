@@ -143,11 +143,12 @@ class TestRecoveryComparison:
         assert full.report["bytes_shipped"] == full.report["full_baseline_bytes"]
 
 
+SQLITE = {"sprite": {"store_backend": "sqlite"}}
+
+
 class TestSimIntegration:
     def test_explicit_crash_disk_scenario_stays_invariant(self) -> None:
-        engine = build_simulation(
-            seed=3, num_peers=16, store_backend="sqlite"
-        )
+        engine = build_simulation(seed=3, num_peers=16, delta=SQLITE)
         scenario = Scenario(
             seed=3,
             events=(
@@ -180,8 +181,7 @@ class TestSimIntegration:
             scenario = random_scenario(seed=seed, num_events=80, with_store=True)
             kinds = scenario.kind_counts()
             engine = build_simulation(
-                seed=seed, num_peers=16, store_backend="sqlite",
-                snapshot_interval=7,
+                seed=seed, num_peers=16, snapshot_interval=7, delta=SQLITE
             )
             report = engine.run(scenario)
             assert report.ok, (seed, [str(v) for v in report.violations])

@@ -283,7 +283,7 @@ class TestPerfRoute:
         assert "fewer mean hops" in output
 
     def test_route_single_ring_via_ring_flags(self) -> None:
-        code, output = run_cli(*self.ROUTE, "--ring", "record", "--ring-arity", "8")
+        code, output = run_cli(*self.ROUTE, "--ring-arity", "8")
         assert code == 0
         assert "record:8" in output
         assert "chord" not in output.splitlines()[0].split("rings ")[1]
@@ -300,7 +300,7 @@ class TestPerfRoute:
 
     def test_route_rejects_two_ring_sources(self) -> None:
         code, output = run_cli(
-            *self.ROUTE, "--rings", "chord", "--ring", "record"
+            *self.ROUTE, "--rings", "chord", "--ring-arity", "8"
         )
         assert code == 2
         assert "exactly one ring source" in output
@@ -312,9 +312,9 @@ class TestPerfRoute:
             (("--rings", "record:x"), "must be an integer"),
             (("--rings", "record:1"), ">= 2"),
             (("--rings", "chord,chord"), "duplicate ring spec"),
-            (("--ring", "chord", "--ring-arity", "8"), "--ring record"),
-            (("--ring-arity", "8"), "--ring record"),
-            (("--ring", "record", "--ring-arity", "1"), ">= 2"),
+            (("--ring-arity", "0"), "--ring-arity must be >= 2"),
+            (("--ring-arity", "-3"), "--ring-arity must be >= 2"),
+            (("--ring-arity", "1"), ">= 2"),
             (("--peers-grid", "0", "--rings", "chord"), "positive"),
         ),
     )
@@ -329,11 +329,11 @@ class TestPerfRoute:
             "perf", "--small", "--mode", "scale", "--rings", "chord"
         )
         assert code == 2
-        assert "--rings only applies to --mode route" in output
+        assert "only apply to --mode route" in output
 
     def test_ring_flags_rejected_on_non_ring_modes(self) -> None:
         code, output = run_cli(
-            "perf", "--small", "--mode", "scale", "--ring", "record"
+            "perf", "--small", "--mode", "scale", "--ring-arity", "8"
         )
         assert code == 2
         assert "only apply to --mode route" in output
@@ -343,7 +343,7 @@ class TestRingFlags:
     def test_net_ring_flags_select_record_ring(self) -> None:
         code, output = run_cli(
             "net", "--small", "--sweep", "0.0", "--lookups", "40",
-            "--ring", "record", "--ring-arity", "8",
+            "--ring-arity", "8",
         )
         assert code == 0
         assert "[record:8 ring]" in output
@@ -352,23 +352,26 @@ class TestRingFlags:
         code, output = run_cli(
             "check", "--random", "--seed", "0", "--events", "12",
             "--peers", "12", "--skip-oracle",
-            "--ring", "record", "--ring-arity", "4",
+            "--ring-arity", "4",
         )
         assert code == 0
         assert "all invariants held" in output
 
     def test_check_and_net_share_ring_validation(self) -> None:
+        """Every value below 2 — 0 included, which a truthiness test
+        once read as "flag absent" — is refused before any output."""
         for command in (("net", "--small"), ("check", "--random")):
-            code, output = run_cli(*command, "--ring-arity", "8")
-            assert code == 2
-            assert output == "error: --ring-arity only applies to --ring record\n"
+            for arity in ("0", "1", "-8"):
+                code, output = run_cli(*command, "--ring-arity", arity)
+                assert code == 2
+                assert output == "error: --ring-arity must be >= 2\n"
 
     def test_catalogue_rejects_ring_flags(self) -> None:
         code, output = run_cli(
-            "check", "--catalogue", "flash_crowd", "--ring", "record"
+            "check", "--catalogue", "flash_crowd", "--ring-arity", "8"
         )
         assert code == 2
-        assert "drop --ring" in output
+        assert "drop --ring-arity" in output
 
 
 class TestGenerate:

@@ -59,6 +59,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ChordConfig(num_peers=10_000, id_bits=8)
 
+    def test_chord_finger_arity_below_two(self) -> None:
+        for arity in (1, 0, -4):
+            with pytest.raises(ConfigurationError, match="finger_arity"):
+                ChordConfig(finger_arity=arity)
+        assert ChordConfig().finger_arity == 2  # Chord's own schedule
+
     def test_querygen_overlap_bounds(self) -> None:
         with pytest.raises(ConfigurationError):
             QueryGenConfig(overlap_ratio=1.5)

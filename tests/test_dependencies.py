@@ -1,12 +1,14 @@
 """Structural guards: the package has no third-party runtime dependency
 (pyproject ``dependencies = []``), optional imports included, every
 name the benchmark's layer budget hooks still exists, no module imports
-across a layer boundary its docstring rules out, and the indexing
-protocol's one exchange stays one."""
+across a layer boundary its docstring rules out, the indexing
+protocol's one exchange stays one, and the overlay's shape stays one
+number on the overlay's config."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -198,3 +200,22 @@ def test_the_indexing_protocol_keeps_one_exchange() -> None:
         lambda node: isinstance(node, ast.Try)
         and any(_calls("send")(inner) for stmt in node.body for inner in ast.walk(stmt)),
     ) == {"_exchange", "_forward_unpublish_to_replicas"}
+
+
+def test_the_overlay_shape_is_one_field_of_one_ring_class() -> None:
+    """A ReCord-style ring is ``ChordConfig.finger_arity`` above 2, not
+    a second ring class behind a second pair of ``SpriteConfig``
+    fields: nothing in ``src`` subclasses ``ChordRing``, and a field
+    added to either config is a deliberate edit of this census."""
+    from repro.config import ChordConfig, SpriteConfig
+
+    subclasses = [
+        f"{path.relative_to(PACKAGE)}:{node.name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).endswith("ChordRing") for base in node.bases)
+    ]
+    assert not subclasses
+    assert len(dataclasses.fields(SpriteConfig)) == 12
+    assert len(dataclasses.fields(ChordConfig)) == 6
