@@ -297,7 +297,7 @@ def cmd_net(args: argparse.Namespace, out) -> int:
 
     from .dht import ChordRing, ring_label
     from .exceptions import NodeFailedError
-    from .net import build_transport
+    from .net import build_transport, percentile
 
     config = _config_from_args(args)
     try:
@@ -338,18 +338,19 @@ def cmd_net(args: argparse.Namespace, out) -> int:
             start = ring.random_live_id(rng)
             key = rng.randrange(ring.space.size)
             try:
-                ring.lookup(start, key, record=False)
+                ring.lookup(start, key)
                 ok += 1
             except NodeFailedError:
                 failed += 1
         s = transport.trace.rollup()
+        hops = list(ring.stats.lookup_hop_histogram.elements())
         categories = " ".join(
             f"{category}={summary.messages}"
             for category, summary in transport.trace.category_rollup().items()
         )
         out.write(
             f"{network.drop_probability:>4.2f}  {ok:>8}  {failed:>8}  {s.retries:>9}"
-            f"  {s.hops_mean:>9.2f}  {s.hops_p99:>8.0f}"
+            f"  {ring.stats.mean_lookup_hops:>9.2f}  {percentile(hops, 99):>8.0f}"
             f"  {s.lookup_messages:>8}"
             f"  {s.latency_p50_ms:>8.1f}  {s.latency_p99_ms:>8.1f}"
             f"  {s.latency_p99_9_ms:>8.1f}"

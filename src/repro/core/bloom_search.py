@@ -24,7 +24,7 @@ from typing import Dict, List, Set, Tuple
 
 from ..corpus.relevance import Query
 from ..dht.bloom import BloomFilter, intersection_plan
-from ..dht.messages import Message, MessageKind, POSTING_BYTES, QUERY_HEADER_BYTES
+from ..dht.messages import MessageKind, message, wire_size
 from ..exceptions import NodeFailedError
 from ..ir.ranking import RankedList
 from ..ir.similarity import lee_similarity
@@ -94,7 +94,7 @@ class BloomQueryProcessor:
         sizes = [len(per_term[t][0]) for t in terms]
         order = [terms[i] for i in intersection_plan(sizes)]
         execution.naive_bytes = sum(
-            QUERY_HEADER_BYTES + len(per_term[t][0]) * POSTING_BYTES for t in terms
+            wire_size(MessageKind.POSTINGS, len(per_term[t][0])) for t in terms
         )
 
         # Chain: candidates start as the rarest list's doc ids; each
@@ -104,17 +104,14 @@ class BloomQueryProcessor:
         true_members = set(candidates)
         for term in order[1:]:
             bloom = BloomFilter.from_keys(sorted(candidates), self.error_rate)
-            execution.bytes_shipped += bloom.size_bytes + QUERY_HEADER_BYTES
-            self.protocol.ring.send(
-                Message(
-                    kind=MessageKind.SEARCH_TERM,
-                    src=issuer_id,
-                    dst=self.protocol.ring.successor_of(
-                        self.protocol.term_hash(term)
-                    ),
-                    size_bytes=bloom.size_bytes + QUERY_HEADER_BYTES,
-                )
+            hop = message(
+                MessageKind.BLOOM_FILTER,
+                issuer_id,
+                self.protocol.ring.successor_of(self.protocol.term_hash(term)),
+                bloom.size_bytes,
             )
+            execution.bytes_shipped += hop.size_bytes
+            self.protocol.ring.send(hop)
             postings, __ = per_term[term]
             surviving_ids = {
                 p.doc_id for p in postings if p.doc_id in bloom
@@ -125,7 +122,9 @@ class BloomQueryProcessor:
         execution.candidates_after_chain = len(candidates)
         execution.false_positives = len(candidates - true_members)
         # Final hop: full postings for survivors only.
-        execution.bytes_shipped += QUERY_HEADER_BYTES + len(candidates) * POSTING_BYTES * len(order)
+        execution.bytes_shipped += wire_size(
+            MessageKind.POSTINGS, len(candidates) * len(order)
+        )
 
         # Rank the *true* conjunctive members (false positives are
         # filtered once full postings arrive — they lack a term).

@@ -51,25 +51,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..dht.messages import (
-    Message,
-    MessageKind,
-    QUERY_HEADER_BYTES,
-    TERM_BYTES,
-    poll_batch_message,
-    postings_message,
-    publish_batch_message,
-    publish_message,
-    query_batch_message,
-    result_probe_message,
-    result_store_message,
-    result_value_message,
-    search_message,
-    unpublish_batch_message,
-    unpublish_message,
-    version_probe_message,
-    version_value_message,
-)
+from ..dht.messages import Message, MessageKind, message
 from ..dht.node import ChordNode
 from ..dht.ring import ChordRing
 from ..exceptions import NodeFailedError
@@ -309,7 +291,9 @@ class IndexingProtocol:
         of the routed publication message.  The posting is indexed once
         that message is delivered, not before."""
         node, hops = self._route(owner_id, self.term_hash(term))
-        self.ring.send(publish_message(owner_id, node.node_id, hops + 1))
+        self.ring.send(
+            message(MessageKind.PUBLISH_TERM, owner_id, node.node_id, hops=hops + 1)
+        )
         self._slot_at(node, term, create=True).add_posting(posting)
         return hops + 1
 
@@ -323,7 +307,9 @@ class IndexingProtocol:
         double-counting race the simulation harness surfaced.
         """
         node, hops = self._route(owner_id, self.term_hash(term))
-        self.ring.send(unpublish_message(owner_id, node.node_id, hops + 1))
+        self.ring.send(
+            message(MessageKind.UNPUBLISH_TERM, owner_id, node.node_id, hops=hops + 1)
+        )
         slot = self._slot_at(node, term, create=False)
         if slot is None:
             return False
@@ -345,7 +331,9 @@ class IndexingProtocol:
             replica = self.ring.node(succ_id).replicas.get(key)
             if isinstance(replica, TermSlot) and replica.has_posting(doc_id):
                 try:
-                    self.ring.send(unpublish_message(node_id, succ_id))
+                    self.ring.send(
+                        message(MessageKind.UNPUBLISH_TERM, node_id, succ_id)
+                    )
                 except NodeFailedError:
                     continue
                 replica.remove_posting(doc_id)
@@ -354,30 +342,30 @@ class IndexingProtocol:
         self,
         owner_id: int,
         terms: List[str],
-        batch_message: Callable[[int, int, int, int], Message],
+        kind: MessageKind,
     ) -> Tuple[Dict[str, ChordNode], Set[str]]:
         """The request-only exchange of :meth:`publish_batch` and
         :meth:`unpublish_batch`: group *terms* (one per item, repeats
-        included) by destination and send each peer one
-        ``batch_message(owner, peer, its item count, hops)``.  Returns
+        included) by destination and send each peer one *kind* message
+        counting its items.  Returns
         ``(term → the peer that took its batch, failed terms)``; a peer
         that cannot be located or reached loses only its own terms.
         """
         taken_at, failed = self._exchange(
             owner_id,
             self._locate(owner_id, terms, absorb=True),
-            (batch_message, Counter(terms)),
+            (kind, Counter(terms)),
             self._write_batch_request,
         )
         return taken_at, set(failed)
 
     @staticmethod
     def _write_batch_request(src, dst, batch, hops, carried) -> Message:
-        batch_message, items_of = carried
+        kind, items_of = carried
         items = 0
         for term in batch:
             items += items_of[term]
-        return batch_message(src, dst, items, hops)
+        return message(kind, src, dst, items, hops=hops)
 
     def publish_batch(
         self, owner_id: int, postings: Sequence[Tuple[str, PostingEntry]]
@@ -395,7 +383,7 @@ class IndexingProtocol:
         failed terms)``.
         """
         taken_at, failed_terms = self._open_write_batches(
-            owner_id, [term for term, __ in postings], publish_batch_message
+            owner_id, [term for term, __ in postings], MessageKind.PUBLISH_BATCH
         )
         published: Set[str] = set()
         for term, run in groupby(postings, key=itemgetter(0)):
@@ -419,7 +407,7 @@ class IndexingProtocol:
         lacks the slot/posting is not a failure.
         """
         taken_at, failed_terms = self._open_write_batches(
-            owner_id, [term for term, __ in removals], unpublish_batch_message
+            owner_id, [term for term, __ in removals], MessageKind.UNPUBLISH_BATCH
         )
         removed: Set[str] = set()
         for term, doc_id in removals:
@@ -492,7 +480,9 @@ class IndexingProtocol:
         from a term no document chose.
         """
         node, hops = self._route(issuer_id, self.term_hash(term))
-        self.ring.send(search_message(issuer_id, node.node_id, hops + 1))
+        self.ring.send(
+            message(MessageKind.SEARCH_TERM, issuer_id, node.node_id, 1, hops=hops + 1)
+        )
         view = self._serve_view(node, term, None)
         self.ring.send(self._postings_reply(node.node_id, issuer_id, [view]))
         return view.postings()
@@ -553,7 +543,7 @@ class IndexingProtocol:
 
     @staticmethod
     def _search_request(src, dst, batch, hops, registration) -> Message:
-        return search_message(src, dst, hops, len(batch))
+        return message(MessageKind.SEARCH_TERM, src, dst, len(batch), hops=hops)
 
     def _serve_view(self, node, term, registration) -> SlotView:
         """Cache the query the request registers, if any; answer."""
@@ -568,7 +558,7 @@ class IndexingProtocol:
         total_postings = 0
         for view in views:
             total_postings += view.indexed_df
-        return postings_message(src, dst, total_postings)
+        return message(MessageKind.POSTINGS, src, dst, total_postings)
 
     # -- slot-version probes (querying peer → indexing peers) -----------------
 
@@ -595,7 +585,7 @@ class IndexingProtocol:
 
     @staticmethod
     def _version_probe(src, dst, batch, hops, carried) -> Message:
-        return version_probe_message(src, dst, len(batch), hops)
+        return message(MessageKind.VERSION_PROBE, src, dst, len(batch), hops=hops)
 
     def _serve_version(self, node, term, carried) -> int:
         slot = self._slot_at(node, term, create=False)
@@ -603,7 +593,7 @@ class IndexingProtocol:
 
     @staticmethod
     def _version_value(src, dst, versions) -> Message:
-        return version_value_message(src, dst, len(versions))
+        return message(MessageKind.VERSION_VALUE, src, dst, len(versions))
 
     # -- query-result cache (querying peer ↔ result-home peer) ----------------
 
@@ -671,7 +661,7 @@ class IndexingProtocol:
 
     @staticmethod
     def _result_probe(src, dst, batch, hops, carried) -> Message:
-        return result_probe_message(src, dst, hops)
+        return message(MessageKind.RESULT_PROBE, src, dst, hops=hops)
 
     def _serve_result(
         self, node, terms, probe
@@ -693,7 +683,9 @@ class IndexingProtocol:
     @staticmethod
     def _result_value(src, dst, answers) -> Message:
         (__, served), = answers
-        return result_value_message(src, dst, len(served) if served is not None else 0)
+        return message(
+            MessageKind.RESULT_VALUE, src, dst, len(served) if served is not None else 0
+        )
 
     def store_result(
         self,
@@ -729,8 +721,13 @@ class IndexingProtocol:
 
     @staticmethod
     def _result_store(src, dst, batch, hops, entry) -> Message:
-        return result_store_message(
-            src, dst, len(entry.ranked), len(entry.slot_versions), hops
+        return message(
+            MessageKind.RESULT_STORE,
+            src,
+            dst,
+            len(entry.ranked),
+            len(entry.slot_versions),
+            hops=hops,
         )
 
     # -- learning poll (owner → indexing peer) ------------------------------------
@@ -755,11 +752,11 @@ class IndexingProtocol:
         """
         node, hops = self._route(owner_id, self.term_hash(term))
         self.ring.send(
-            Message(
-                kind=MessageKind.POLL_QUERIES,
-                src=owner_id,
-                dst=node.node_id,
-                size_bytes=QUERY_HEADER_BYTES + len(index_term_hashes) * TERM_BYTES,
+            message(
+                MessageKind.POLL_QUERIES,
+                owner_id,
+                node.node_id,
+                len(index_term_hashes),
                 hops=hops + 1,
             )
         )
@@ -823,7 +820,9 @@ class IndexingProtocol:
 
     @staticmethod
     def _poll_request(src, dst, batch, hops, polled) -> Message:
-        return poll_batch_message(src, dst, len(batch), len(polled[1]), hops)
+        return message(
+            MessageKind.POLL_BATCH, src, dst, len(batch), len(polled[1]), hops=hops
+        )
 
     def _serve_poll(self, node, term, polled) -> Tuple[List[CachedQuery], int]:
         """*polled*: ``(term → cursor, the owner's index-term hashes)``."""
@@ -843,8 +842,9 @@ class IndexingProtocol:
             for cached in selected:
                 total_selected += 1
                 total_query_terms += len(cached.terms)
-        mean_terms = total_query_terms / total_selected if total_selected else 0.0
-        return query_batch_message(src, dst, total_selected, mean_terms)
+        return message(
+            MessageKind.QUERY_BATCH, src, dst, total_selected, total_query_terms
+        )
 
     # -- maintenance / inspection ------------------------------------------------
 

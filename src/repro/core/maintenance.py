@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..dht.messages import Message, MessageKind, QUERY_HEADER_BYTES, TERM_BYTES
+from ..dht.messages import MessageKind, message
 from ..exceptions import NodeFailedError
 from .metadata import TermSlot
 from .system import DistributedSystem
@@ -105,11 +105,10 @@ class MaintenanceDaemon:
                     report.probes_sent += 1
                     try:
                         ring.send(
-                            Message(
-                                kind=MessageKind.HEARTBEAT,
-                                src=owner.node_id,
-                                dst=result.node_id,
-                                size_bytes=QUERY_HEADER_BYTES,
+                            message(
+                                MessageKind.HEARTBEAT,
+                                owner.node_id,
+                                result.node_id,
                                 hops=result.hops + 1,
                             )
                         )
@@ -163,12 +162,7 @@ class MaintenanceDaemon:
                     if posting.owner_peer not in audited_owners:
                         try:
                             ring.send(
-                                Message(
-                                    kind=MessageKind.RECONCILE,
-                                    src=node_id,
-                                    dst=posting.owner_peer,
-                                    size_bytes=QUERY_HEADER_BYTES + TERM_BYTES,
-                                )
+                                message(MessageKind.RECONCILE, node_id, posting.owner_peer)
                             )
                         except NodeFailedError:
                             continue

@@ -184,9 +184,7 @@ class TermSlot:
     *version* bumped on every publish/unpublish (the query-result
     cache's invalidation signal).
 
-    Mutation must go through :meth:`add_posting`/:meth:`remove_posting`;
-    :attr:`inverted` is a read-only materialized view kept for
-    compatibility with the seed's dict-of-entries layout.
+    Mutation must go through :meth:`add_posting`/:meth:`remove_posting`.
     """
 
     def __init__(
@@ -202,7 +200,6 @@ class TermSlot:
         self._scoring_view: ScoringView = []
         self._entries_version = -1
         self._entries_view: List[PostingEntry] = []
-        self._inverted_view: Dict[str, PostingEntry] = {}
 
     # -- aggregates ---------------------------------------------------------
 
@@ -305,30 +302,14 @@ class TermSlot:
         """All postings in publish order, as a cached materialized list
         of entries (rebuilt only when the slot's version has moved).
         Callers must not mutate the returned list."""
-        self._refresh_entries()
-        return self._entries_view
-
-    @property
-    def inverted(self) -> Dict[str, PostingEntry]:
-        """Compatibility view of the postings as ``doc_id -> entry``.
-
-        Materialized lazily and cached per slot version, so repeated
-        read access stays O(1); treat it as read-only — writes would
-        bypass the aggregate/version maintenance.
-        """
-        self._refresh_entries()
-        return self._inverted_view
-
-    def _refresh_entries(self) -> None:
         version = self._store.version
-        if version == self._entries_version:
-            return
-        self._entries_view = [
-            PostingEntry(doc_id=d, owner_peer=o, raw_tf=t, doc_length=l)
-            for d, o, t, l in self._store.rows()
-        ]
-        self._inverted_view = {e.doc_id: e for e in self._entries_view}
-        self._entries_version = version
+        if version != self._entries_version:
+            self._entries_view = [
+                PostingEntry(doc_id=d, owner_peer=o, raw_tf=t, doc_length=l)
+                for d, o, t, l in self._store.rows()
+            ]
+            self._entries_version = version
+        return self._entries_view
 
     # -- replication support ------------------------------------------------
 
@@ -345,7 +326,6 @@ class TermSlot:
         clone._scoring_view = []
         clone._entries_version = -1
         clone._entries_view = []
-        clone._inverted_view = {}
         return clone
 
 

@@ -11,10 +11,6 @@ from .messages import (
     POSTING_BYTES,
     QUERY_HEADER_BYTES,
     TERM_BYTES,
-    postings_message,
-    publish_message,
-    query_batch_message,
-    search_message,
 )
 from .node import ChordNode
 from .replication import ReplicationManager
@@ -43,10 +39,6 @@ __all__ = [
     "TERM_BYTES",
     "intersection_plan",
     "md5_hash",
-    "postings_message",
-    "publish_message",
-    "query_batch_message",
     "recursive_finger_steps",
     "ring_label",
-    "search_message",
 ]

@@ -1,51 +1,26 @@
-"""Typed inter-peer messages with size accounting.
+"""Typed inter-peer messages and the cost model that prices them.
 
-Every inter-peer interaction in the simulation is expressed as a
-:class:`Message` so the network cost of index construction, maintenance
-polling, and query processing can be *measured* rather than estimated
-(DESIGN.md "simulation honesty" convention).  Sizes are modelled in
-abstract bytes: a term ≈ 8 bytes, a posting entry ≈ 24 bytes (doc id,
-owner address, TF, length), a query ≈ 8 bytes per term — the constants
-are centralized here so cost benches state their units precisely.
+Every inter-peer interaction in the simulation is a :class:`Message`, so
+the network cost of index construction, maintenance polling and query
+processing is *measured* rather than estimated (DESIGN.md "simulation
+honesty" convention).  What a message of a given kind carries, what that
+costs and which traffic category it belongs to is that kind's one row —
+its :class:`MessageKind` definition, the whole cost model (DESIGN.md §7
+prints it; :data:`WIRE` is the same rows as a dict) — and
+:func:`message` is the only place a :class:`Message` is built, its size
+computed by :func:`wire_size` from the counts of what it carries.  Sizes
+are abstract bytes: a term ≈ 8, a posting entry ≈ 24 (doc id, owner
+address, TF, length), a header ≈ 16.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple
+from operator import mul
+from typing import Dict, Tuple
 
-from ..net.trace import category_of_kind
-
-
-class MessageKind(Enum):
-    """Every message type exchanged by peers in the reproduction."""
-
-    LOOKUP = "lookup"                       # Chord routing step
-    PUBLISH_TERM = "publish_term"           # owner → indexing peer: add posting
-    UNPUBLISH_TERM = "unpublish_term"       # owner → indexing peer: remove posting
-    POLL_QUERIES = "poll_queries"           # owner → indexing peer: index update poll
-    QUERY_BATCH = "query_batch"             # indexing peer → owner: cached queries
-    SEARCH_TERM = "search_term"             # querying peer → indexing peer
-    POSTINGS = "postings"                   # indexing peer → querying peer
-    REPLICATE = "replicate"                 # indexing peer → successor(s)
-    HEARTBEAT = "heartbeat"                 # liveness probe
-    RECONCILE = "reconcile"                 # indexing peer ↔ owner: posting audit
-    ADVISE_HOT_TERM = "advise_hot_term"     # §7 load-balance advice
-    RESULT_PROBE = "result_probe"           # querying peer → result home: cached result?
-    RESULT_VALUE = "result_value"           # result home → querying peer: hit/miss reply
-    RESULT_STORE = "result_store"           # querying peer → result home: store result
-    VERSION_PROBE = "version_probe"         # querying peer → indexing peer: slot versions?
-    VERSION_VALUE = "version_value"         # indexing peer → querying peer: version reply
-    PUBLISH_BATCH = "publish_batch"         # owner → indexing peer: add n postings
-    UNPUBLISH_BATCH = "unpublish_batch"     # owner → indexing peer: remove n postings
-    POLL_BATCH = "poll_batch"               # owner → indexing peer: poll n term cursors
-    SYNC_DIGEST = "sync_digest"             # recovering peer ↔ successor: slot checksums
-    SYNC_DELTA = "sync_delta"               # successor → recovering peer: changed postings
-    SYNC_FULL = "sync_full"                 # successor → recovering peer: whole slot
-
-
-#: Abstract size constants (bytes) used by the cost model.
+#: Abstract size constants (bytes) the rows below are written in.
 TERM_BYTES = 8
 POSTING_BYTES = 24
 QUERY_HEADER_BYTES = 16
@@ -53,6 +28,122 @@ ADDRESS_BYTES = 6
 RESULT_ENTRY_BYTES = 16
 VERSION_BYTES = 8
 CHECKSUM_BYTES = 16
+
+
+class MessageKind(Enum):
+    """Every message type exchanged by peers, one row each: ``wire name
+    (the enum's value), traffic category, fixed bytes, bytes per unit of
+    each thing the message counts``.  The comment under a row names its
+    units, in the order :func:`wire_size` takes their counts."""
+
+    category: str
+    fixed_bytes: int
+    unit_bytes: Tuple[int, ...]
+
+    def __new__(
+        cls, value: str, category: str, fixed_bytes: int, unit_bytes: Tuple[int, ...] = ()
+    ) -> "MessageKind":
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.category = category
+        kind.fixed_bytes = fixed_bytes
+        kind.unit_bytes = unit_bytes
+        return kind
+
+    # Chord routing step
+    LOOKUP = "lookup", "routing", ADDRESS_BYTES + QUERY_HEADER_BYTES
+
+    # owner → indexing peer: add / remove one posting
+    PUBLISH_TERM = "publish_term", "write", TERM_BYTES + POSTING_BYTES
+    UNPUBLISH_TERM = "unpublish_term", "write", TERM_BYTES + QUERY_HEADER_BYTES
+    # owner → indexing peer: add n postings
+    PUBLISH_BATCH = "publish_batch", "write", QUERY_HEADER_BYTES, (TERM_BYTES + POSTING_BYTES,)
+    # owner → indexing peer: remove n (term hash, doc id) pairs
+    UNPUBLISH_BATCH = "unpublish_batch", "write", QUERY_HEADER_BYTES, (TERM_BYTES + TERM_BYTES,)
+    # owner → indexing peer, index update poll: the owner's index-term
+    # hashes (the §3 closest-hash dedup needs them)
+    POLL_QUERIES = "poll_queries", "write", QUERY_HEADER_BYTES, (TERM_BYTES,)
+    # owner → indexing peer: (term, cursor) pairs polled; the owner's
+    # index-term hashes
+    POLL_BATCH = (
+        "poll_batch", "write", QUERY_HEADER_BYTES, (TERM_BYTES + VERSION_BYTES, TERM_BYTES)
+    )
+    # indexing peer → owner: cached queries returned; their terms in total
+    QUERY_BATCH = "query_batch", "write", QUERY_HEADER_BYTES, (QUERY_HEADER_BYTES, TERM_BYTES)
+
+    # querying peer → indexing peer: query terms this peer is responsible for
+    SEARCH_TERM = "search_term", "query", QUERY_HEADER_BYTES, (TERM_BYTES,)
+    # indexing peer → querying peer: postings
+    POSTINGS = "postings", "query", QUERY_HEADER_BYTES, (POSTING_BYTES,)
+    # querying peer → indexing peer: bytes of the candidate Bloom filter
+    BLOOM_FILTER = "bloom_filter", "query", QUERY_HEADER_BYTES, (1,)
+    # querying peer → result home: cached result?
+    RESULT_PROBE = "result_probe", "query", QUERY_HEADER_BYTES
+    # result home → querying peer: ranked entries (none on a miss)
+    RESULT_VALUE = "result_value", "query", QUERY_HEADER_BYTES, (RESULT_ENTRY_BYTES,)
+    # querying peer → result home: ranked entries; (term, slot version)
+    # validity pairs
+    RESULT_STORE = (
+        "result_store",
+        "query",
+        QUERY_HEADER_BYTES,
+        (RESULT_ENTRY_BYTES, TERM_BYTES + VERSION_BYTES),
+    )
+    # querying peer → indexing peer: terms whose slot version is asked
+    VERSION_PROBE = "version_probe", "query", QUERY_HEADER_BYTES, (TERM_BYTES,)
+    # indexing peer → querying peer: versions
+    VERSION_VALUE = "version_value", "query", QUERY_HEADER_BYTES, (VERSION_BYTES,)
+
+    # indexing peer → successor: keys offered (a stamp digest each); keys
+    # shipped (priced at one posting each, whatever the slot holds)
+    REPLICATE = (
+        "replicate", "maintenance", 0, (TERM_BYTES + VERSION_BYTES, TERM_BYTES + POSTING_BYTES)
+    )
+    # liveness probe
+    HEARTBEAT = "heartbeat", "maintenance", QUERY_HEADER_BYTES
+    # indexing peer ↔ owner: posting audit
+    RECONCILE = "reconcile", "maintenance", QUERY_HEADER_BYTES + TERM_BYTES
+    # §7 load-balance advice
+    ADVISE_HOT_TERM = "advise_hot_term", "maintenance", TERM_BYTES + TERM_BYTES
+    # hot term's peer → partner peer (§7 LAR-style caching): postings
+    CACHE_HOT_TERM = "cache_hot_term", "maintenance", 0, (POSTING_BYTES,)
+    # recovering peer ↔ successor: slots (a checksum, or a match verdict
+    # on the reply leg, each)
+    SYNC_DIGEST = "sync_digest", "maintenance", QUERY_HEADER_BYTES, (TERM_BYTES + CHECKSUM_BYTES,)
+    # successor → recovering peer: postings that differ from, or were
+    # removed since, the snapshot
+    SYNC_DELTA = "sync_delta", "maintenance", QUERY_HEADER_BYTES, (TERM_BYTES + POSTING_BYTES,)
+    # successor → recovering peer: a whole slot's postings
+    SYNC_FULL = "sync_full", "maintenance", QUERY_HEADER_BYTES, (TERM_BYTES + POSTING_BYTES,)
+
+
+#: The cost model in row form: ``kind → (category, fixed bytes, bytes
+#: per unit)``, for audits and for DESIGN.md's table.
+WIRE: Dict[MessageKind, Tuple[str, int, Tuple[int, ...]]] = {
+    kind: (kind.category, kind.fixed_bytes, kind.unit_bytes) for kind in MessageKind
+}
+
+
+def wire_size(kind: MessageKind, *counts: int) -> int:
+    """Bytes of one *kind* message carrying *counts* units, one count
+    per unit its row prices (integer arithmetic only)."""
+    unit_bytes = kind.unit_bytes
+    if len(counts) != len(unit_bytes):
+        raise _wrong_counts(kind, counts)
+    return kind.fixed_bytes + sum(map(mul, counts, unit_bytes))
+
+
+def _wrong_counts(kind: MessageKind, counts: Tuple[int, ...]) -> TypeError:
+    return TypeError(
+        f"{kind.name} counts {len(kind.unit_bytes)} things, got {len(counts)} counts"
+    )
+
+
+def units_carried(kind: MessageKind, messages: int, total_bytes: int) -> int:
+    """Invert a one-unit row: how many units *messages* messages of
+    *kind* totalling *total_bytes* carried between them."""
+    (unit_bytes,) = kind.unit_bytes
+    return (total_bytes - kind.fixed_bytes * messages) // unit_bytes
 
 
 @dataclass(frozen=True)
@@ -77,206 +168,18 @@ class Message:
             raise ValueError("hops must be >= 0")
 
 
-def publish_message(src: int, dst: int, hops: int) -> Message:
-    """An index-publication message (one term + one posting)."""
+def message(kind: MessageKind, src: int, dst: int, *counts: int, hops: int = 1) -> Message:
+    """The *kind* message from *src* to *dst* carrying *counts* units —
+    the only place a :class:`Message` is built.  The size is
+    :func:`wire_size`'s, written out here because one call fewer per
+    message sent shows on the query path."""
+    unit_bytes = kind.unit_bytes
+    if len(counts) != len(unit_bytes):
+        raise _wrong_counts(kind, counts)
     return Message(
-        kind=MessageKind.PUBLISH_TERM,
-        src=src,
-        dst=dst,
-        size_bytes=TERM_BYTES + POSTING_BYTES,
-        hops=hops,
-    )
-
-
-def unpublish_message(src: int, dst: int, hops: int = 1) -> Message:
-    """One posting's deletion: routed from the owner, or forwarded
-    peer-to-replica over a known address."""
-    return Message(
-        kind=MessageKind.UNPUBLISH_TERM,
-        src=src,
-        dst=dst,
-        size_bytes=TERM_BYTES + QUERY_HEADER_BYTES,
-        hops=hops,
-    )
-
-
-def search_message(src: int, dst: int, hops: int, num_terms: int = 1) -> Message:
-    """A search request for the *num_terms* query terms one indexing
-    peer is responsible for."""
-    return Message(
-        kind=MessageKind.SEARCH_TERM,
-        src=src,
-        dst=dst,
-        size_bytes=QUERY_HEADER_BYTES + num_terms * TERM_BYTES,
-        hops=hops,
-    )
-
-
-def postings_message(src: int, dst: int, num_postings: int) -> Message:
-    """The inverted-list reply for one term."""
-    return Message(
-        kind=MessageKind.POSTINGS,
-        src=src,
-        dst=dst,
-        size_bytes=QUERY_HEADER_BYTES + num_postings * POSTING_BYTES,
-    )
-
-
-def query_batch_message(src: int, dst: int, num_queries: int, terms_per_query: float) -> Message:
-    """A batch of cached queries returned during a learning poll."""
-    return Message(
-        kind=MessageKind.QUERY_BATCH,
-        src=src,
-        dst=dst,
-        size_bytes=QUERY_HEADER_BYTES
-        + int(num_queries * (QUERY_HEADER_BYTES + terms_per_query * TERM_BYTES)),
-    )
-
-
-def result_probe_message(src: int, dst: int, hops: int) -> Message:
-    """A result-cache probe (one canonical query hash)."""
-    return Message(
-        kind=MessageKind.RESULT_PROBE,
-        src=src,
-        dst=dst,
-        size_bytes=QUERY_HEADER_BYTES,
-        hops=hops,
-    )
-
-
-def result_value_message(src: int, dst: int, num_entries: int) -> Message:
-    """The cached-result reply: the ranked entries on a hit, empty on a
-    miss (``num_entries=0``)."""
-    return Message(
-        kind=MessageKind.RESULT_VALUE,
-        src=src,
-        dst=dst,
-        size_bytes=QUERY_HEADER_BYTES + num_entries * RESULT_ENTRY_BYTES,
-    )
-
-
-def result_store_message(
-    src: int, dst: int, num_entries: int, num_versions: int, hops: int
-) -> Message:
-    """Install a scored result (ranked entries + validity metadata)."""
-    return Message(
-        kind=MessageKind.RESULT_STORE,
-        src=src,
-        dst=dst,
-        size_bytes=QUERY_HEADER_BYTES
-        + num_entries * RESULT_ENTRY_BYTES
-        + num_versions * (TERM_BYTES + VERSION_BYTES),
-        hops=hops,
-    )
-
-
-def version_probe_message(src: int, dst: int, num_terms: int, hops: int) -> Message:
-    """Ask an indexing peer for the current versions of its term slots."""
-    return Message(
-        kind=MessageKind.VERSION_PROBE,
-        src=src,
-        dst=dst,
-        size_bytes=QUERY_HEADER_BYTES + num_terms * TERM_BYTES,
-        hops=hops,
-    )
-
-
-def version_value_message(src: int, dst: int, num_terms: int) -> Message:
-    """The version reply for a batch of term slots."""
-    return Message(
-        kind=MessageKind.VERSION_VALUE,
-        src=src,
-        dst=dst,
-        size_bytes=QUERY_HEADER_BYTES + num_terms * VERSION_BYTES,
-    )
-
-
-def publish_batch_message(src: int, dst: int, num_postings: int, hops: int) -> Message:
-    """A destination-grouped publication batch (n terms + n postings).
-
-    Amortizes the per-message header and the routing lookup over every
-    posting bound for one indexing peer (DESIGN.md §11)."""
-    return Message(
-        kind=MessageKind.PUBLISH_BATCH,
-        src=src,
-        dst=dst,
-        size_bytes=QUERY_HEADER_BYTES + num_postings * (TERM_BYTES + POSTING_BYTES),
-        hops=hops,
-    )
-
-
-def unpublish_batch_message(src: int, dst: int, num_terms: int, hops: int) -> Message:
-    """A destination-grouped removal batch: n (term hash, doc id)
-    pairs, 8 abstract bytes each."""
-    return Message(
-        kind=MessageKind.UNPUBLISH_BATCH,
-        src=src,
-        dst=dst,
-        size_bytes=QUERY_HEADER_BYTES + num_terms * (TERM_BYTES + TERM_BYTES),
-        hops=hops,
-    )
-
-
-def poll_batch_message(
-    src: int, dst: int, num_terms: int, num_index_terms: int, hops: int
-) -> Message:
-    """A coalesced learning poll: every (term, cursor) pair an owner has
-    on one indexing peer, plus the owner's full index-term hash list the
-    peer needs for the §3 closest-hash dedup."""
-    return Message(
-        kind=MessageKind.POLL_BATCH,
-        src=src,
-        dst=dst,
-        size_bytes=QUERY_HEADER_BYTES
-        + num_terms * (TERM_BYTES + VERSION_BYTES)
-        + num_index_terms * TERM_BYTES,
-        hops=hops,
-    )
-
-
-def sync_digest_message(src: int, dst: int, num_slots: int) -> Message:
-    """One side of the recovery digest round: per-slot checksums (or the
-    per-slot match verdicts on the reply leg)."""
-    return Message(
-        kind=MessageKind.SYNC_DIGEST,
-        src=src,
-        dst=dst,
-        size_bytes=QUERY_HEADER_BYTES + num_slots * (TERM_BYTES + CHECKSUM_BYTES),
-    )
-
-
-def sync_delta_message(src: int, dst: int, num_postings: int) -> Message:
-    """Incremental catch-up for one changed slot: only the postings that
-    differ from (or were removed since) the recovering peer's snapshot."""
-    return Message(
-        kind=MessageKind.SYNC_DELTA,
-        src=src,
-        dst=dst,
-        size_bytes=QUERY_HEADER_BYTES + num_postings * (TERM_BYTES + POSTING_BYTES),
-    )
-
-
-def sync_full_message(src: int, dst: int, num_postings: int) -> Message:
-    """Full resync of one slot (no usable snapshot of it): every posting
-    travels — the Section 7 baseline the snapshot path avoids."""
-    return Message(
-        kind=MessageKind.SYNC_FULL,
-        src=src,
-        dst=dst,
-        size_bytes=QUERY_HEADER_BYTES + num_postings * (TERM_BYTES + POSTING_BYTES),
+        kind, src, dst, kind.fixed_bytes + sum(map(mul, counts, unit_bytes)), hops
     )
 
 
 #: All kinds, for table-driven tests.
 ALL_KINDS: Tuple[MessageKind, ...] = tuple(MessageKind)
-
-
-def category_of(kind: MessageKind) -> str:
-    """The traffic category of ``kind``: ``"write"``, ``"query"``,
-    ``"routing"``, or ``"maintenance"``.  The kind-name table lives in
-    :mod:`repro.net.trace` (which may not import this package); a kind
-    it does not know is an error here, not ``"other"``."""
-    category = category_of_kind(kind.value)
-    if category == "other":
-        raise ValueError(f"uncategorized message kind: {kind!r}")
-    return category

@@ -28,7 +28,7 @@ import copy
 from typing import Dict
 
 from ..exceptions import NodeFailedError
-from .messages import Message, MessageKind, POSTING_BYTES, TERM_BYTES, VERSION_BYTES
+from .messages import MessageKind, message
 from .ring import ChordRing
 
 
@@ -104,12 +104,12 @@ class ReplicationManager:
                 ]
                 try:
                     self.ring.send(
-                        Message(
-                            kind=MessageKind.REPLICATE,
-                            src=node_id,
-                            dst=target_id,
-                            size_bytes=len(node.store) * (TERM_BYTES + VERSION_BYTES)
-                            + len(changed) * (TERM_BYTES + POSTING_BYTES),
+                        message(
+                            MessageKind.REPLICATE,
+                            node_id,
+                            target_id,
+                            len(node.store),
+                            len(changed),
                         )
                     )
                 except NodeFailedError:

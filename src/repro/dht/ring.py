@@ -68,9 +68,9 @@ from ..exceptions import (
     NodeFailedError,
     NodeNotFoundError,
 )
-from ..net import DeliveryOutcome, PerfectTransport, TraceLog, Transport
+from ..net import DeliveryOutcome, DeliveryReceipt, PerfectTransport, TraceLog, Transport
 from .hashing import IdSpace, md5_hash, recursive_finger_steps
-from .messages import ADDRESS_BYTES, Message, MessageKind, QUERY_HEADER_BYTES
+from .messages import Message, MessageKind, message
 from .node import ChordNode
 from .route_cache import RouteCache
 from .stats import NetworkStats
@@ -89,6 +89,14 @@ def ring_label(finger_arity: int) -> str:
     """What the CLI and the route bench call a ring of this arity:
     ``chord`` at 2, ``record:b`` above."""
     return "chord" if finger_arity == 2 else f"record:{finger_arity}"
+
+
+def _delivery_failure(dst_id: int, receipt: DeliveryReceipt) -> NodeFailedError:
+    """The error an undelivered message's receipt names: the destination
+    crashed, or a lossy transport exhausted its retries."""
+    if receipt.outcome is DeliveryOutcome.DEST_DOWN:
+        return NodeFailedError(dst_id)
+    return MessageDroppedError(dst_id, receipt.attempts)
 
 
 class ChordRing:
@@ -420,18 +428,10 @@ class ChordRing:
         observe the hop, so the hot loop skips the Message construction.
         """
         receipt = self.transport.deliver(
-            Message(
-                kind=MessageKind.LOOKUP,
-                src=src_id,
-                dst=dst_id,
-                size_bytes=ADDRESS_BYTES + QUERY_HEADER_BYTES,
-            ),
-            dst_alive=self.is_live(dst_id),
+            message(MessageKind.LOOKUP, src_id, dst_id), dst_alive=self.is_live(dst_id)
         )
-        if receipt.outcome is DeliveryOutcome.DEST_DOWN:
-            raise NodeFailedError(dst_id)
-        if not receipt.ok:
-            raise MessageDroppedError(dst_id, receipt.attempts)
+        if receipt.outcome is not DeliveryOutcome.DELIVERED:
+            raise _delivery_failure(dst_id, receipt)
 
     def lookup(self, start_id: int, key: int, record: bool = True) -> LookupResult:
         """Iteratively resolve the node responsible for *key*, starting
@@ -475,9 +475,6 @@ class ChordRing:
                     cache.hits += 1
                     if self.transport.active:
                         self._deliver_hop(start_id, target)
-                    trace = self.transport.trace
-                    if trace is not None:
-                        trace.record_hops(1)
                     if record:
                         self.stats.record_lookup(1)
                     return LookupResult(target, 1, (start_id, target))
@@ -555,9 +552,6 @@ class ChordRing:
 
         if cache is not None and result.node_id != start_id:
             cache.store(start_id, key, result.node_id, self.epoch)
-        trace = self.transport.trace
-        if trace is not None:
-            trace.record_hops(result.hops)
         if record:
             self.stats.record_lookup(result.hops)
         return result
@@ -604,10 +598,8 @@ class ChordRing:
         if dst is None:
             raise NodeNotFoundError(message.dst)
         receipt = self.transport.deliver(message, dst_alive=dst.alive)
-        if receipt.outcome is DeliveryOutcome.DEST_DOWN:
-            raise NodeFailedError(message.dst)
-        if not receipt.ok:
-            raise MessageDroppedError(message.dst, receipt.attempts)
+        if receipt.outcome is not DeliveryOutcome.DELIVERED:
+            raise _delivery_failure(message.dst, receipt)
         self.stats.record(message)
 
     # -- membership changes -------------------------------------------------

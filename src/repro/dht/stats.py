@@ -4,7 +4,9 @@
 the simulator delivers, broken down by message kind, so experiments can
 report *measured* message counts, bytes, and hop totals for index
 construction vs. maintenance vs. query processing — the costs the
-paper's introduction argues about.
+paper's introduction argues about.  A message's bytes and traffic
+category come from its kind's row (:class:`~repro.dht.messages.MessageKind`);
+the hops of a completed lookup are counted here and nowhere else.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict
 
-from .messages import Message, MessageKind, category_of
+from .messages import Message, MessageKind
 
 
 @dataclass
@@ -133,15 +135,13 @@ class NetworkStats:
         }
 
     def category_summary(self) -> Dict[str, Dict[str, int]]:
-        """Traffic folded into the four protocol categories — write
-        (publish/unpublish/poll, batched or per-term), query
-        (search/postings/result/version), routing (lookups), and
-        maintenance (replication/heartbeat/reconcile) — so sweeps can
-        report write-path cost beside query traffic without enumerating
-        kinds.  Only categories with traffic appear."""
+        """Traffic folded by :attr:`MessageKind.category` — write,
+        query, routing, maintenance — so sweeps can report write-path
+        cost beside query traffic without enumerating kinds.  Only
+        categories with traffic appear."""
         folded: Dict[str, KindStats] = defaultdict(KindStats)
         for kind, s in self._by_kind.items():
-            folded[category_of(kind)] = folded[category_of(kind)].merged_with(s)
+            folded[kind.category] = folded[kind.category].merged_with(s)
         return {
             category: {
                 "messages": s.messages,

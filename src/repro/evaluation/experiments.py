@@ -23,7 +23,7 @@ from ..config import SpriteConfig
 from ..core.esearch import ESearchSystem
 from ..core.system import DistributedSystem, SpriteSystem
 from ..corpus.relevance import Query
-from ..dht.messages import POSTING_BYTES, QUERY_HEADER_BYTES, TERM_BYTES, MessageKind
+from ..dht.messages import MessageKind, units_carried, wire_size
 from ..net import build_transport
 from ..ir.ranking import RankedList
 from .experiment import Environment
@@ -313,15 +313,15 @@ class CostRow:
 def _cost_row(strategy: str, system: DistributedSystem) -> CostRow:
     """Read a system's publication cost off its ring statistics.  A
     PUBLISH_BATCH is a header plus one (term, posting) record per
-    posting, so the posting count follows from the byte total exactly."""
+    posting, so the posting count follows from the byte total exactly;
+    the Section 1 model ships each as its own PUBLISH_TERM."""
     batch = system.ring.stats.kind(MessageKind.PUBLISH_BATCH)
-    record = TERM_BYTES + POSTING_BYTES
-    postings = (batch.bytes - QUERY_HEADER_BYTES * batch.messages) // record
+    postings = units_carried(MessageKind.PUBLISH_BATCH, batch.messages, batch.bytes)
     return CostRow(
         strategy=strategy,
         published_terms=system.total_published_terms(),
         postings=postings,
-        model_bytes=postings * record,
+        model_bytes=postings * wire_size(MessageKind.PUBLISH_TERM),
         postings_per_document=postings / len(system.corpus),
         batch_messages=batch.messages,
         batch_hops=batch.hops,

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.indexer import IndexingProtocol
 from ..core.system import DistributedSystem
-from ..dht.messages import Message, MessageKind, POSTING_BYTES, TERM_BYTES
+from ..dht.messages import MessageKind, message
 from ..core.metadata import PostingEntry, TermSlot
 
 
@@ -89,13 +89,12 @@ class HotTermAdvisor:
                 if advice.term not in state.index_terms:
                     continue
                 self.system.ring.send(
-                    Message(
-                        kind=MessageKind.ADVISE_HOT_TERM,
-                        src=self.system.ring.successor_of(
+                    message(
+                        MessageKind.ADVISE_HOT_TERM,
+                        self.system.ring.successor_of(
                             self.system.protocol.term_hash(advice.term)
                         ),
-                        dst=owner.node_id,
-                        size_bytes=TERM_BYTES * 2,
+                        owner.node_id,
                     )
                 )
                 replacement = self._replacement_for(state, advice.term)
@@ -184,11 +183,11 @@ class HotTermCache:
             self._caches[term] = (postings, slot.indexed_document_frequency)
             partner = partners.most_common(1)[0][0]
             self.protocol.ring.send(
-                Message(
-                    kind=MessageKind.REPLICATE,
-                    src=self.protocol.ring.successor_of(self.protocol.term_hash(term)),
-                    dst=self.protocol.ring.successor_of(self.protocol.term_hash(partner)),
-                    size_bytes=len(postings) * POSTING_BYTES,
+                message(
+                    MessageKind.CACHE_HOT_TERM,
+                    self.protocol.ring.successor_of(self.protocol.term_hash(term)),
+                    self.protocol.ring.successor_of(self.protocol.term_hash(partner)),
+                    len(postings),
                 )
             )
         return len(self._caches)

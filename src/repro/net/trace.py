@@ -5,7 +5,10 @@ Every delivery the transport performs can be recorded as a
 attempts it took, the simulated time it consumed, and the final outcome.
 :class:`TraceLog` accumulates traces and rolls them up into the
 percentile latency / retry / drop reports the transport benches print
-alongside the byte-level :class:`~repro.dht.stats.NetworkStats`.
+alongside :class:`~repro.dht.stats.NetworkStats`, which owns bytes and
+lookup hops.  A trace carries the traffic category its transport read
+off the message's kind, so the per-category rollup needs no table of
+kind names here and the package never imports ``repro.dht``.
 
 ``summary_table`` is deliberately deterministic: counters are exact,
 floats are printed with fixed precision, and kinds are sorted — two runs
@@ -16,70 +19,14 @@ transport bench asserts as its reproducibility contract.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Final outcome labels (kept as plain strings so traces serialize
 #: trivially and the net package stays import-independent of repro.dht).
 DELIVERED = "delivered"
 DROPPED = "dropped"
 DEST_DOWN = "dest_down"
-
-#: Kind-name → traffic-category mapping: the one place a message kind
-#: is assigned its category (plain strings, same import-independence
-#: rule as the outcome labels; :func:`repro.dht.messages.category_of`
-#: resolves a ``MessageKind`` through it, and a test asserts every kind
-#: has a category).  Unknown kinds — e.g. the synthetic kinds transport
-#: unit tests invent — fall into ``"other"``.
-WRITE_PATH_KIND_NAMES = frozenset(
-    {
-        "publish_term",
-        "unpublish_term",
-        "publish_batch",
-        "unpublish_batch",
-        "poll_queries",
-        "poll_batch",
-        "query_batch",
-    }
-)
-QUERY_PATH_KIND_NAMES = frozenset(
-    {
-        "search_term",
-        "postings",
-        "result_probe",
-        "result_value",
-        "result_store",
-        "version_probe",
-        "version_value",
-    }
-)
-ROUTING_KIND_NAMES = frozenset({"lookup"})
-MAINTENANCE_KIND_NAMES = frozenset(
-    {
-        "replicate",
-        "heartbeat",
-        "reconcile",
-        "advise_hot_term",
-        "sync_digest",
-        "sync_delta",
-        "sync_full",
-    }
-)
-
-
-def category_of_kind(kind_name: str) -> str:
-    """Traffic category of a trace's kind string: ``"write"``,
-    ``"query"``, ``"routing"``, ``"maintenance"``, or ``"other"``."""
-    if kind_name in WRITE_PATH_KIND_NAMES:
-        return "write"
-    if kind_name in QUERY_PATH_KIND_NAMES:
-        return "query"
-    if kind_name in ROUTING_KIND_NAMES:
-        return "routing"
-    if kind_name in MAINTENANCE_KIND_NAMES:
-        return "maintenance"
-    return "other"
 
 
 @dataclass(frozen=True)
@@ -92,6 +39,10 @@ class MessageTrace:
     attempts: int
     latency_ms: float
     outcome: str
+    #: The traffic category the transport read off the message's kind
+    #: (``"write"``, ``"query"``, ``"routing"``, ``"maintenance"``);
+    #: ``"other"`` on a trace built without one.
+    category: str = "other"
 
     @property
     def retries(self) -> int:
@@ -136,13 +87,6 @@ class TraceSummary:
     #: the wire cost of resolving responsible peers, broken out so
     #: sweeps can report routing traffic beside application traffic.
     lookup_messages: int = 0
-    #: Mean / nearest-rank-p99 hop count over the *lookups* completed
-    #: while this log was attached (one sample per lookup, recorded by
-    #: the ring; 0.0 when no lookups ran).  Lookup hops — not latency —
-    #: are the quantity the ReCord arity knob trades maintenance for,
-    #: so every transport sweep prints them.
-    hops_mean: float = 0.0
-    hops_p99: float = 0.0
 
     @property
     def retries(self) -> int:
@@ -160,28 +104,12 @@ class TraceLog:
 
     def __init__(self) -> None:
         self._records: List[MessageTrace] = []
-        #: hops → completed lookups: bounded by the hop limit, where a
-        #: sample per lookup grew for as long as the log was attached.
-        self._hops: Counter = Counter()
 
     def record(self, trace: MessageTrace) -> None:
         self._records.append(trace)
 
-    def record_hops(self, hops: int) -> None:
-        """Record the hop count of one completed lookup.
-
-        Hop samples are per-*lookup* (the ring records one on every
-        resolution, cache hits included), whereas :meth:`record` traces
-        are per-*message* — a single lookup emits several ``lookup``
-        traces, one per hop.  Keeping the two streams separate lets the
-        rollup report both the wire cost (lookup messages) and the
-        routing quality (hops per lookup).
-        """
-        self._hops[hops] += 1
-
     def clear(self) -> None:
         self._records.clear()
-        self._hops.clear()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -190,11 +118,6 @@ class TraceLog:
     def records(self) -> List[MessageTrace]:
         """All traces recorded so far (copy)."""
         return list(self._records)
-
-    @property
-    def hop_histogram(self) -> Counter:
-        """``hops → lookups`` recorded so far (copy)."""
-        return Counter(self._hops)
 
     def filtered(
         self, kind: Optional[str] = None, outcome: Optional[str] = None
@@ -214,33 +137,24 @@ class TraceLog:
 
         Percentiles are computed over *delivered* messages only — a
         dropped message's elapsed time is retry overhead, not a latency
-        sample — while attempt/retry counters cover everything.  Hop
-        statistics (per-lookup samples) are attached to the full rollup
-        and to ``kind="lookup"``, the kind they describe.
+        sample — while attempt/retry counters cover everything.
         """
-        hops = self._hops.elements() if kind in (None, "lookup") else ()
-        return self._rollup_records(self.filtered(kind=kind), hops)
+        return self._rollup_records(self.filtered(kind=kind))
 
     def category_rollup(self) -> Dict[str, TraceSummary]:
         """One :class:`TraceSummary` per traffic category present in
-        the log (see :func:`category_of_kind`), so transport sweeps can
-        report write-path delivery/latency beside query traffic.  Hop
-        statistics ride on the ``"routing"`` category."""
+        the log (:attr:`MessageTrace.category`), so transport sweeps can
+        report write-path delivery/latency beside query traffic."""
         buckets: Dict[str, List[MessageTrace]] = {}
         for t in self._records:
-            buckets.setdefault(category_of_kind(t.kind), []).append(t)
+            buckets.setdefault(t.category, []).append(t)
         return {
-            category: self._rollup_records(
-                records, self._hops.elements() if category == "routing" else ()
-            )
+            category: self._rollup_records(records)
             for category, records in sorted(buckets.items())
         }
 
     @staticmethod
-    def _rollup_records(
-        records: List[MessageTrace], hops: Iterable[int] = ()
-    ) -> TraceSummary:
-        hop_samples = list(hops)  # one per lookup, for this report only
+    def _rollup_records(records: List[MessageTrace]) -> TraceSummary:
         delivered_latencies = [
             t.latency_ms for t in records if t.outcome == DELIVERED
         ]
@@ -265,10 +179,6 @@ class TraceLog:
             latency_mean_ms=mean,
             by_kind=tuple(sorted(kinds.items())),
             lookup_messages=kinds.get("lookup", 0),
-            hops_mean=(
-                sum(hop_samples) / len(hop_samples) if hop_samples else 0.0
-            ),
-            hops_p99=percentile(hop_samples, 99),
         )
 
     def summary_table(self) -> str:

@@ -152,6 +152,7 @@ class PerfectTransport:
                     attempts=1,
                     latency_ms=0.0,
                     outcome=outcome.value,
+                    category=message.kind.category,
                 )
             )
         return DeliveryReceipt(outcome=outcome, attempts=1, latency_ms=0.0)
@@ -245,6 +246,7 @@ class LossyTransport:
                     attempts=attempts,
                     latency_ms=elapsed,
                     outcome=outcome.value,
+                    category=message.kind.category,
                 )
             )
         return DeliveryReceipt(outcome=outcome, attempts=attempts, latency_ms=elapsed)

@@ -358,7 +358,7 @@ class InvariantChecker:
             slot = node.store.get(key)
             if slot is None:
                 slot = node.replicas.get(key)
-            if not (isinstance(slot, TermSlot) and doc_id in slot.inverted):
+            if not (isinstance(slot, TermSlot) and slot.has_posting(doc_id)):
                 self._fail(
                     report,
                     "term_resolvability",
@@ -376,7 +376,8 @@ class InvariantChecker:
             for slot in ring.node(node_id).store.values():
                 if not isinstance(slot, TermSlot):
                     continue
-                for doc_id, posting in slot.inverted.items():
+                for posting in slot.entries():
+                    doc_id = posting.doc_id
                     owner = owners.get(posting.owner_peer)
                     if owner is None or not ring.is_live(posting.owner_peer):
                         continue
@@ -401,8 +402,8 @@ class InvariantChecker:
             for slot in ring.node(node_id).store.values():
                 if not isinstance(slot, TermSlot):
                     continue
-                for doc_id in slot.inverted:
-                    pair = (doc_id, slot.term)
+                for posting in slot.entries():
+                    pair = (posting.doc_id, slot.term)
                     held[pair] = held.get(pair, 0) + 1
         for __, doc_id, term in self._live_owner_terms():
             copies = held.get((doc_id, term), 0)

@@ -37,12 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..dht.messages import (
-    Message,
-    sync_delta_message,
-    sync_digest_message,
-    sync_full_message,
-)
+from ..dht.messages import Message, MessageKind, message, wire_size
 from ..exceptions import NodeFailedError
 from .snapshot import PeerSnapshot, restore_slots, slot_checksum
 
@@ -133,7 +128,7 @@ class RecoveryManager:
         if snapshot is not None:
             snap_slots = {s["term"]: s for s in snapshot.slots}
 
-        deltas: List[Tuple[str, int]] = []  # (kind, postings) to ship
+        deltas: List[Tuple[MessageKind, int]] = []  # (kind, postings) to ship
         for slot in node.store.values():
             if not isinstance(slot, TermSlot):
                 continue
@@ -141,17 +136,16 @@ class RecoveryManager:
             rows = {row[0]: row for row in slot._store.rows()}
             count = len(rows)
             report.postings_authoritative += count
-            baseline = sync_full_message(source, node_id, count)
             report.full_baseline_messages += 1
             report.full_baseline_postings += count
-            report.full_baseline_bytes += baseline.size_bytes
+            report.full_baseline_bytes += wire_size(MessageKind.SYNC_FULL, count)
             if not incremental:
-                deltas.append(("full", count))
+                deltas.append((MessageKind.SYNC_FULL, count))
                 continue
             snap_slot = snap_slots.get(slot.term)
             if snap_slot is None:
                 report.slots_missing += 1
-                deltas.append(("full", count))
+                deltas.append((MessageKind.SYNC_FULL, count))
                 continue
             if snapshot.slot_checksums.get(slot.term) == slot_checksum(
                 rows.values()
@@ -167,23 +161,21 @@ class RecoveryManager:
                 1 for doc, row in rows.items() if snap_rows.get(doc) != row
             )
             removed = sum(1 for doc in snap_rows if doc not in rows)
-            deltas.append(("delta", changed + removed))
+            deltas.append((MessageKind.SYNC_DELTA, changed + removed))
 
         # The digest round only happens in snapshot mode and only when
         # there is something to reconcile.
         if incremental and report.slots_transferred:
-            request = sync_digest_message(
-                node_id, source, len(snapshot.slots) or 1
+            request = message(
+                MessageKind.SYNC_DIGEST, node_id, source, len(snapshot.slots) or 1
             )
-            reply = sync_digest_message(source, node_id, report.slots_transferred)
+            reply = message(
+                MessageKind.SYNC_DIGEST, source, node_id, report.slots_transferred
+            )
             self._send(request, report)
             self._send(reply, report)
         for kind, count in deltas:
-            if kind == "full":
-                message = sync_full_message(source, node_id, count)
-            else:
-                message = sync_delta_message(source, node_id, count)
-            self._send(message, report)
+            self._send(message(kind, source, node_id, count), report)
             report.postings_shipped += count
 
         # Rebuild snapshot-only slots the key transfer did not cover —
@@ -198,10 +190,10 @@ class RecoveryManager:
         self.log.append(report)
         return report
 
-    def _send(self, message: Message, report: RecoveryReport) -> None:
+    def _send(self, msg: Message, report: RecoveryReport) -> None:
         try:
-            self.ring.send(message)
+            self.ring.send(msg)
         except NodeFailedError:  # pragma: no cover - successor died mid-recovery
             return
         report.messages_sent += 1
-        report.bytes_shipped += message.size_bytes
+        report.bytes_shipped += msg.size_bytes

@@ -43,13 +43,8 @@ class StoreRuntime:
         default that keeps tests and ad-hoc runs from littering.
     bloom / bloom_capacity / bloom_error_rate:
         The Bloom front for point lookups (``bloom=False`` disables it).
-    pool_size:
-        Connection lanes in the :class:`ConnectionPool`.
     snapshot_dir:
         Snapshot root; empty means ``<store_dir>/snapshots``.
-    keep_snapshots:
-        Snapshots retained per peer (current + previous manifests always
-        survive pruning — the previous one is the torn-write fallback).
     """
 
     def __init__(
@@ -58,9 +53,7 @@ class StoreRuntime:
         bloom: bool = True,
         bloom_capacity: int = DEFAULT_BLOOM_CAPACITY,
         bloom_error_rate: float = 0.01,
-        pool_size: int = 8,
         snapshot_dir: str = "",
-        keep_snapshots: int = 2,
     ) -> None:
         if store_dir:
             self._tmp = None
@@ -81,13 +74,13 @@ class StoreRuntime:
             self.db_path.with_suffix(".db-journal"),
         ):
             leftover.unlink(missing_ok=True)
-        self.pool = ConnectionPool(self.db_path, size=pool_size)
+        self.pool = ConnectionPool(self.db_path)
         init_schema(self.pool.connection_for(0))
         self.bloom = bloom
         self.bloom_capacity = bloom_capacity
         self.bloom_error_rate = bloom_error_rate
         snapshot_root = Path(snapshot_dir) if snapshot_dir else self.root / "snapshots"
-        self.snapshots = SnapshotManager(snapshot_root, keep=keep_snapshots)
+        self.snapshots = SnapshotManager(snapshot_root)
         self._slot_ids = itertools.count(1)
         self._dead_slots: List[int] = []
         self.slots_created = 0

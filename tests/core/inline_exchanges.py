@@ -5,9 +5,11 @@ Through PR 19 each batched operation wrote its own route-and-group loop
 and its own request → serve → reply loop; ``IndexingProtocol`` now runs
 all of them through one ``_route`` / ``_locate`` / ``_exchange``.  The
 six batched methods below, and the three private helpers they call, are
-that commit's code verbatim (``git show 76ee05e:src/repro/core/indexer.py``),
-so a divergence in results, failed terms, traffic or index state is the
-fold's.  Everything else — the per-term seed methods, slot access, the
+that commit's code (``git show 76ee05e:src/repro/core/indexer.py``) with
+one change: each message is built through ``message()``, the cost table
+both sides share — this reference pins the exchange *order*, not the
+prices (``tests/dht/test_messages.py`` pins those).  So a divergence in
+results, failed terms, traffic or index state is the fold's.  Everything else — the per-term seed methods, slot access, the
 §3 selection rule, the replica deletion-forward with its deliver-first
 fix — is inherited, so both sides of a comparison share it.
 """
@@ -18,24 +20,12 @@ from bisect import bisect_left, insort
 from collections import Counter
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.indexer import IndexingProtocol, SlotView
 from repro.core.metadata import CachedQuery, PostingEntry, TermSlot
 from repro.core.system import DistributedSystem
-from repro.dht.messages import (
-    Message,
-    MessageKind,
-    QUERY_HEADER_BYTES,
-    TERM_BYTES,
-    poll_batch_message,
-    postings_message,
-    publish_batch_message,
-    query_batch_message,
-    unpublish_batch_message,
-    version_probe_message,
-    version_value_message,
-)
+from repro.dht.messages import MessageKind, message
 from repro.exceptions import NodeFailedError
 
 
@@ -98,12 +88,12 @@ class InlineExchanges(IndexingProtocol):
         self,
         owner_id: int,
         terms: List[str],
-        batch_message: Callable[[int, int, int, int], Message],
+        kind: MessageKind,
     ) -> Tuple[Dict[str, int], Set[str]]:
         """Locate → size → send, shared by :meth:`publish_batch` and
         :meth:`unpublish_batch`: destination-group *terms* (one per item
-        of the batch, repeats included) and send each peer one
-        ``batch_message(owner, peer, its item count, hops)``.
+        of the batch, repeats included) and send each peer one *kind*
+        message counting its items.
 
         Returns ``(term → the reachable peer to apply it at, failed
         terms)``; a peer that cannot be located or does not take its
@@ -118,8 +108,12 @@ class InlineExchanges(IndexingProtocol):
         for node_id, batch in peer_terms.items():
             try:
                 self.ring.send(
-                    batch_message(
-                        owner_id, node_id, batch_sizes[node_id], peer_hops[node_id]
+                    message(
+                        kind,
+                        owner_id,
+                        node_id,
+                        batch_sizes[node_id],
+                        hops=peer_hops[node_id],
                     )
                 )
             except NodeFailedError:
@@ -145,7 +139,7 @@ class InlineExchanges(IndexingProtocol):
         Returns ``(published terms, failed terms)``.
         """
         term_peer, failed_terms = self._open_write_batches(
-            owner_id, [term for term, __ in postings], publish_batch_message
+            owner_id, [term for term, __ in postings], MessageKind.PUBLISH_BATCH
         )
         published: Set[str] = set()
         for term, run in groupby(postings, key=itemgetter(0)):
@@ -170,7 +164,7 @@ class InlineExchanges(IndexingProtocol):
         lacks the slot/posting is not a failure.
         """
         term_peer, failed_terms = self._open_write_batches(
-            owner_id, [term for term, __ in removals], unpublish_batch_message
+            owner_id, [term for term, __ in removals], MessageKind.UNPUBLISH_BATCH
         )
         removed: Set[str] = set()
         for term, doc_id in removals:
@@ -279,12 +273,8 @@ class InlineExchanges(IndexingProtocol):
             hops = max(located[t][1] for t in batch) + 1
             try:
                 self.ring.send(
-                    Message(
-                        kind=MessageKind.SEARCH_TERM,
-                        src=issuer_id,
-                        dst=node_id,
-                        size_bytes=QUERY_HEADER_BYTES + len(batch) * TERM_BYTES,
-                        hops=hops,
+                    message(
+                        MessageKind.SEARCH_TERM, issuer_id, node_id, len(batch), hops=hops
                     )
                 )
             except NodeFailedError:
@@ -301,7 +291,9 @@ class InlineExchanges(IndexingProtocol):
                 total_postings += num_postings
                 batch_results[term] = payload
             try:
-                self.ring.send(postings_message(node_id, issuer_id, total_postings))
+                self.ring.send(
+                    message(MessageKind.POSTINGS, node_id, issuer_id, total_postings)
+                )
             except NodeFailedError:
                 failed.extend(batch)
                 continue
@@ -338,7 +330,9 @@ class InlineExchanges(IndexingProtocol):
             hops = max(located[t][1] for t in batch) + 1
             try:
                 self.ring.send(
-                    version_probe_message(issuer_id, node_id, len(batch), hops)
+                    message(
+                        MessageKind.VERSION_PROBE, issuer_id, node_id, len(batch), hops=hops
+                    )
                 )
             except NodeFailedError:
                 failed.update(batch)
@@ -349,7 +343,9 @@ class InlineExchanges(IndexingProtocol):
                 slot = node.adopt(self.term_hash(term))
                 batch_versions[term] = slot.version if slot is not None else 0
             try:
-                self.ring.send(version_value_message(node_id, issuer_id, len(batch)))
+                self.ring.send(
+                    message(MessageKind.VERSION_VALUE, node_id, issuer_id, len(batch))
+                )
             except NodeFailedError:
                 failed.update(batch)
                 continue
@@ -382,12 +378,13 @@ class InlineExchanges(IndexingProtocol):
         for node_id, batch in peer_terms.items():
             try:
                 self.ring.send(
-                    poll_batch_message(
+                    message(
+                        MessageKind.POLL_BATCH,
                         owner_id,
                         node_id,
                         len(batch),
                         len(index_term_hashes),
-                        peer_hops[node_id],
+                        hops=peer_hops[node_id],
                     )
                 )
             except NodeFailedError:
@@ -408,12 +405,15 @@ class InlineExchanges(IndexingProtocol):
                 batch_results[term] = (selected, slot.cache.latest_sequence)
                 total_selected += len(selected)
                 total_query_terms += sum(len(c.terms) for c in selected)
-            mean_terms = (
-                total_query_terms / total_selected if total_selected else 0.0
-            )
             try:
                 self.ring.send(
-                    query_batch_message(node_id, owner_id, total_selected, mean_terms)
+                    message(
+                        MessageKind.QUERY_BATCH,
+                        node_id,
+                        owner_id,
+                        total_selected,
+                        total_query_terms,
+                    )
                 )
             except NodeFailedError:
                 failed_terms.update(batch)

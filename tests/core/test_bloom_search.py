@@ -10,6 +10,7 @@ from repro.core.indexer import IndexingProtocol
 from repro.core.metadata import PostingEntry
 from repro.corpus import Query
 from repro.dht import ChordRing
+from repro.dht.messages import MessageKind, wire_size
 
 
 @pytest.fixture()
@@ -100,6 +101,23 @@ class TestCompression:
         publish(protocol, ring, "n", [f"d{i}" for i in range(90, 200)])
         ranked, execution = loose.execute(ring.live_ids[1], Query("q", ("m", "n")))
         assert set(ranked.ids()) == {f"d{i}" for i in range(90, 100)}
+
+    def test_the_filter_hop_is_its_own_kind_at_one_price(self, processor, protocol, ring) -> None:
+        """The chain's filter hop used to travel as a SEARCH_TERM priced
+        header + filter bytes, so that kind's byte total mixed two
+        formulas.  It is a BLOOM_FILTER now, at the same price, and
+        every SEARCH_TERM left is the one-term fetch request."""
+        publish(protocol, ring, "m", [f"d{i}" for i in range(100)])
+        publish(protocol, ring, "n", [f"d{i}" for i in range(90, 200)])
+        publish(protocol, ring, "o", [f"d{i}" for i in range(95, 300)])
+        before = ring.stats.snapshot()
+        __, execution = processor.execute(ring.live_ids[1], Query("q", ("m", "n", "o")))
+        delta = ring.stats.delta_since(before)
+        search, filters = delta[MessageKind.SEARCH_TERM], delta[MessageKind.BLOOM_FILTER]
+        assert (search.messages, search.bytes) == (3, 3 * wire_size(MessageKind.SEARCH_TERM, 1))
+        assert filters.messages == 2
+        final_hop = wire_size(MessageKind.POSTINGS, 3 * execution.candidates_after_chain)
+        assert execution.bytes_shipped == filters.bytes + final_hop
 
     def test_invalid_error_rate(self, protocol) -> None:
         with pytest.raises(ValueError):

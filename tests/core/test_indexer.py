@@ -45,7 +45,7 @@ class TestPublish:
         protocol.publish(owner, "chord", posting())
         slot = protocol.slot_snapshot("chord")
         assert slot is not None
-        assert slot.inverted["d1"].raw_tf == 3
+        assert slot.get_posting("d1").raw_tf == 3
         holder = ring.successor_of(protocol.term_hash("chord"))
         assert ring.node(holder).get(protocol.term_hash("chord")) is slot
 
@@ -174,3 +174,17 @@ class TestPollDeduplication:
         protocol.poll_term(owner, "solo", self._hashes(protocol, ("solo",)), since=-1)
         assert ring.stats.kind(MessageKind.POLL_QUERIES).messages == 1
         assert ring.stats.kind(MessageKind.QUERY_BATCH).messages == 1
+
+    def test_query_batch_reply_counts_queries_and_their_terms(
+        self, protocol: IndexingProtocol, ring: ChordRing
+    ) -> None:
+        """Three queries of 3 + 3 + 2 terms: 16 + 3·16 + 8·8 = 128.
+        Priced from their mean length (8/3, a float) it read 127."""
+        issuer, owner = ring.live_ids[0], ring.live_ids[1]
+        for query in (("solo", "a", "b"), ("solo", "c", "d"), ("solo", "e")):
+            protocol.register_query(issuer, query)
+        fresh, __ = protocol.poll_term(
+            owner, "solo", self._hashes(protocol, ("solo",)), since=-1
+        )
+        assert len(fresh) == 3
+        assert ring.stats.kind(MessageKind.QUERY_BATCH).bytes == 128

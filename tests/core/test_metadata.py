@@ -96,7 +96,7 @@ class TestTermSlot:
         slot.add_posting(PostingEntry("d1", 1, 1, 10))
         slot.add_posting(PostingEntry("d1", 1, 5, 10))
         assert slot.indexed_document_frequency == 1
-        assert slot.inverted["d1"].raw_tf == 5
+        assert slot.get_posting("d1").raw_tf == 5
 
     def test_remove_posting(self) -> None:
         slot = TermSlot(term="chord")
@@ -136,7 +136,7 @@ class TestTermSlot:
         slot = TermSlot(term="chord")
         slot.add_posting(PostingEntry("d1", 1, 1, 10))
         slot.scoring_view()
-        assert slot._entries_view == [] and slot._inverted_view == {}
+        assert slot._entries_view == []
         assert [e.doc_id for e in slot.entries()] == ["d1"]
 
 

@@ -112,9 +112,9 @@ class TestRebuiltPerVersion:
         assert slot.remove_posting("nope") is None  # removed nothing: no new version
         assert slot.scoring_view() is view
         assert scans[0] == 0
-        # The entry views are built from the rows too — by their own
-        # scan, which leaves the scoring view alone.
-        slot.entries(), slot.inverted
+        # The entry view is built from the rows too — by its own scan,
+        # which leaves the scoring view alone.
+        slot.entries(), slot.entries()
         assert scans[0] == 1
         assert slot.scoring_view() is view
         # A write alone rebuilds nothing; the next read does, once.

@@ -1,4 +1,4 @@
-"""Tests for message types and the size model."""
+"""Tests for message types and the cost model (``WIRE``)."""
 
 from __future__ import annotations
 
@@ -12,11 +12,16 @@ from repro.dht.messages import (
     POSTING_BYTES,
     QUERY_HEADER_BYTES,
     TERM_BYTES,
-    postings_message,
-    publish_message,
-    query_batch_message,
-    search_message,
+    VERSION_BYTES,
+    WIRE,
+    message,
+    units_carried,
+    wire_size,
 )
+from repro.dht.stats import NetworkStats
+from repro.net import PerfectTransport, TraceLog
+
+K = MessageKind
 
 
 class TestMessage:
@@ -37,36 +42,65 @@ class TestMessage:
         assert len(ALL_KINDS) == len(MessageKind)
         assert MessageKind.PUBLISH_TERM in ALL_KINDS
 
+    def test_five_fields_and_the_header_default(self) -> None:
+        """``bench/trace.py`` and every test that builds one directly
+        rely on this shape."""
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(Message)] == [
+            "kind", "src", "dst", "size_bytes", "hops",
+        ]
+        assert Message(K.HEARTBEAT, 1, 2) == Message(K.HEARTBEAT, 1, 2, 16, 1)
+
 
 class TestFactories:
     def test_publish_size(self) -> None:
-        msg = publish_message(1, 2, hops=3)
+        msg = message(K.PUBLISH_TERM, 1, 2, hops=3)
         assert msg.kind is MessageKind.PUBLISH_TERM
+        assert (msg.src, msg.dst) == (1, 2)
         assert msg.size_bytes == TERM_BYTES + POSTING_BYTES
         assert msg.hops == 3
 
     def test_search_size(self) -> None:
-        msg = search_message(1, 2, hops=4)
+        msg = message(K.SEARCH_TERM, 1, 2, 1, hops=4)
         assert msg.kind is MessageKind.SEARCH_TERM
         assert msg.size_bytes == TERM_BYTES + QUERY_HEADER_BYTES
 
     def test_postings_scales_with_entries(self) -> None:
-        small = postings_message(1, 2, num_postings=1)
-        large = postings_message(1, 2, num_postings=100)
+        small = message(K.POSTINGS, 1, 2, 1)
+        large = message(K.POSTINGS, 1, 2, 100)
         assert large.size_bytes - small.size_bytes == 99 * POSTING_BYTES
+        assert small.hops == 1  # a reply over a known address
 
     def test_empty_postings_header_only(self) -> None:
-        assert postings_message(1, 2, 0).size_bytes == QUERY_HEADER_BYTES
+        assert wire_size(K.POSTINGS, 0) == QUERY_HEADER_BYTES
 
     def test_query_batch_scales(self) -> None:
-        none = query_batch_message(1, 2, 0, 0.0)
-        some = query_batch_message(1, 2, 10, 4.0)
-        assert some.size_bytes > none.size_bytes
+        assert wire_size(K.QUERY_BATCH, 10, 40) > wire_size(K.QUERY_BATCH, 0, 0)
 
     def test_query_batch_exact_size(self) -> None:
-        msg = query_batch_message(1, 2, num_queries=3, terms_per_query=2.0)
         expected = QUERY_HEADER_BYTES + 3 * (QUERY_HEADER_BYTES + 2 * TERM_BYTES)
-        assert msg.size_bytes == expected
+        assert wire_size(K.QUERY_BATCH, 3, 6) == expected
+
+    def test_query_batch_is_priced_from_integers(self) -> None:
+        """``16 + 16·queries + 8·Σ|terms|``.  The parent priced it from a
+        float mean, ``16 + int(n · (16 + mean · 8))``, and came out one
+        byte short where ``n · (Σ/n)`` rounds below ``Σ`` — 127 for
+        (3, 8), 215 for (3, 19)."""
+        assert wire_size(K.QUERY_BATCH, 3, 8) == 128
+        assert wire_size(K.QUERY_BATCH, 3, 19) == 216
+        assert wire_size(K.QUERY_BATCH, 3, 11) == 152
+        for queries in range(1, 60):
+            for terms in range(queries, 6 * queries):
+                assert wire_size(K.QUERY_BATCH, queries, terms) == (
+                    16 + 16 * queries + 8 * terms
+                )
+
+    def test_counts_must_match_the_row(self) -> None:
+        with pytest.raises(TypeError):
+            wire_size(K.QUERY_BATCH, 3)
+        with pytest.raises(TypeError):
+            message(K.HEARTBEAT, 1, 2, 5)
 
 
 class TestSizeConstants:
@@ -91,61 +125,73 @@ class TestSizeConstants:
         assert Message(MessageKind.LOOKUP, 1, 2, size_bytes=0).size_bytes == 0
 
     def test_factory_sizes_compose_from_constants(self) -> None:
-        assert publish_message(1, 2, 1).size_bytes == TERM_BYTES + POSTING_BYTES
-        assert search_message(1, 2, 1).size_bytes == TERM_BYTES + QUERY_HEADER_BYTES
-        assert (
-            postings_message(1, 2, 5).size_bytes
-            == QUERY_HEADER_BYTES + 5 * POSTING_BYTES
-        )
+        assert wire_size(K.PUBLISH_TERM) == TERM_BYTES + POSTING_BYTES
+        assert wire_size(K.SEARCH_TERM, 1) == TERM_BYTES + QUERY_HEADER_BYTES
+        assert wire_size(K.POSTINGS, 5) == QUERY_HEADER_BYTES + 5 * POSTING_BYTES
 
 
 class TestCategories:
-    """The four-way traffic partition feeding the per-category rollups
-    (ISSUE 5): every kind categorized, no kind in two buckets."""
+    """The table audit: one ``WIRE`` row per kind, four traffic
+    categories, and the two rollups that fold by category agree."""
+
+    CATEGORIES = {"write", "query", "routing", "maintenance"}
 
     def test_partition_is_total(self) -> None:
-        from repro.dht.messages import category_of
-
-        for kind in ALL_KINDS:
-            assert category_of(kind) in {
-                "write",
-                "query",
-                "routing",
-                "maintenance",
-            }
+        for kind in MessageKind:
+            assert kind.category in self.CATEGORIES
+        assert {kind.category for kind in MessageKind} == self.CATEGORIES
 
     def test_partition_is_disjoint(self) -> None:
-        """The name table behind ``category_of`` lists every kind in
-        exactly one bucket, and no name that is not a kind."""
-        from repro.net import trace
-
-        buckets = (
-            trace.WRITE_PATH_KIND_NAMES,
-            trace.QUERY_PATH_KIND_NAMES,
-            trace.ROUTING_KIND_NAMES,
-            trace.MAINTENANCE_KIND_NAMES,
-        )
-        assert sum(len(b) for b in buckets) == len(ALL_KINDS)
-        assert frozenset().union(*buckets) == {kind.value for kind in ALL_KINDS}
+        """Every kind has exactly one row and no row names a non-kind;
+        a row is ``(category, fixed >= 0, per-unit bytes > 0)``."""
+        assert set(WIRE) == set(MessageKind) and len(WIRE) == len(MessageKind)
+        for category, fixed, per_unit in WIRE.values():
+            assert category in self.CATEGORIES
+            assert isinstance(fixed, int) and fixed >= 0
+            assert all(isinstance(b, int) and b > 0 for b in per_unit)
 
     def test_batch_kinds_are_write_path(self) -> None:
-        from repro.dht.messages import category_of
+        for kind in (K.PUBLISH_BATCH, K.UNPUBLISH_BATCH, K.POLL_BATCH):
+            assert kind.category == "write"
 
-        for kind in (
-            MessageKind.PUBLISH_BATCH,
-            MessageKind.UNPUBLISH_BATCH,
-            MessageKind.POLL_BATCH,
-        ):
-            assert category_of(kind) == "write"
+    def test_stats_and_trace_fold_a_mixed_stream_alike(self) -> None:
+        """``NetworkStats.category_summary`` and
+        ``TraceLog.category_rollup`` read the same row, so a stream with
+        every kind in it folds to the same message count per category."""
+        log = TraceLog()
+        transport = PerfectTransport(trace=log)
+        stats = NetworkStats()
+        for repeat, kind in enumerate(MessageKind, start=1):
+            msg = message(kind, 1, 2, *(3,) * len(WIRE[kind][2]))
+            for __ in range(repeat):
+                transport.deliver(msg)
+                stats.record(msg)
+        by_stats = {c: s["messages"] for c, s in stats.category_summary().items()}
+        by_trace = {c: s.messages for c, s in log.category_rollup().items()}
+        assert by_stats == by_trace
+        assert set(by_trace) == self.CATEGORIES
+
+
+    def test_design_prints_the_table(self) -> None:
+        """DESIGN.md §7 states the cost model once, as a table; it is
+        the ``WIRE`` rows, kind for kind and number for number."""
+        from pathlib import Path
+
+        design = (Path(__file__).resolve().parents[2] / "DESIGN.md").read_text("utf-8")
+        printed = {}
+        for line in design.splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if len(cells) == 5 and cells[0] in MessageKind.__members__:
+                per_unit = () if cells[3] == "—" else tuple(map(int, cells[3].split(",")))
+                printed[MessageKind[cells[0]]] = (cells[1], int(cells[2]), per_unit)
+        assert printed == WIRE
 
 
 class TestBatchFactories:
     """Wire sizes of the destination-grouped write messages."""
 
     def test_publish_batch_scales_with_postings(self) -> None:
-        from repro.dht.messages import publish_batch_message
-
-        msg = publish_batch_message(1, 2, 5, hops=3)
+        msg = message(K.PUBLISH_BATCH, 1, 2, 5, hops=3)
         assert msg.kind is MessageKind.PUBLISH_BATCH
         assert msg.hops == 3
         assert (
@@ -154,16 +200,12 @@ class TestBatchFactories:
         )
 
     def test_unpublish_batch_carries_term_docid_pairs(self) -> None:
-        from repro.dht.messages import unpublish_batch_message
-
-        msg = unpublish_batch_message(1, 2, 4, hops=2)
+        msg = message(K.UNPUBLISH_BATCH, 1, 2, 4, hops=2)
         assert msg.kind is MessageKind.UNPUBLISH_BATCH
         assert msg.size_bytes == QUERY_HEADER_BYTES + 4 * (TERM_BYTES + TERM_BYTES)
 
     def test_poll_batch_carries_cursors_and_index_hashes(self) -> None:
-        from repro.dht.messages import VERSION_BYTES, poll_batch_message
-
-        msg = poll_batch_message(1, 2, num_terms=3, num_index_terms=5, hops=4)
+        msg = message(K.POLL_BATCH, 1, 2, 3, 5, hops=4)
         assert msg.kind is MessageKind.POLL_BATCH
         assert (
             msg.size_bytes
@@ -173,11 +215,104 @@ class TestBatchFactories:
         )
 
     def test_batch_of_n_cheaper_than_n_singles(self) -> None:
-        from repro.dht.messages import publish_batch_message
-
         n = 8
-        batch = publish_batch_message(1, 2, n, hops=1)
-        singles = n * publish_message(1, 2, 1).size_bytes
         # Each single message also pays its own header; the batch pays
         # one header for all n postings.
-        assert batch.size_bytes < singles + n * QUERY_HEADER_BYTES
+        assert wire_size(K.PUBLISH_BATCH, n) < n * (
+            wire_size(K.PUBLISH_TERM) + QUERY_HEADER_BYTES
+        )
+
+    def test_units_carried_inverts_a_one_unit_row(self) -> None:
+        sizes = [wire_size(K.PUBLISH_BATCH, n) for n in (0, 1, 20, 333)]
+        assert units_carried(K.PUBLISH_BATCH, len(sizes), sum(sizes)) == 354
+
+
+#: ``(kind, counts) → bytes`` as the commit before the table priced
+#: them: the sixteen ``*_message`` constructors, then the eight sites
+#: that built a ``Message`` with a size of their own.  QUERY_BATCH rows
+#: are ones the old float formula got exactly; the two re-rowed senders
+#: keep their price under their new kind.
+GOLDEN = [
+    (K.PUBLISH_TERM, (), 32),
+    (K.UNPUBLISH_TERM, (), 24),
+    (K.SEARCH_TERM, (0,), 16),
+    (K.SEARCH_TERM, (1,), 24),
+    (K.SEARCH_TERM, (3,), 40),
+    (K.SEARCH_TERM, (7,), 72),
+    (K.POSTINGS, (0,), 16),
+    (K.POSTINGS, (1,), 40),
+    (K.POSTINGS, (20,), 496),
+    (K.POSTINGS, (1000,), 24016),
+    (K.QUERY_BATCH, (0, 0), 16),
+    (K.QUERY_BATCH, (1, 3), 56),
+    (K.QUERY_BATCH, (2, 6), 96),
+    (K.QUERY_BATCH, (4, 10), 160),
+    (K.QUERY_BATCH, (5, 12), 192),
+    (K.QUERY_BATCH, (10, 35), 456),
+    (K.QUERY_BATCH, (66, 200), 2672),
+    (K.RESULT_PROBE, (), 16),
+    (K.RESULT_VALUE, (0,), 16),
+    (K.RESULT_VALUE, (1,), 32),
+    (K.RESULT_VALUE, (20,), 336),
+    (K.RESULT_STORE, (0, 0), 16),
+    (K.RESULT_STORE, (20, 3), 384),
+    (K.RESULT_STORE, (5, 1), 112),
+    (K.RESULT_STORE, (100, 8), 1744),
+    (K.VERSION_PROBE, (0,), 16),
+    (K.VERSION_PROBE, (1,), 24),
+    (K.VERSION_PROBE, (4,), 48),
+    (K.VERSION_VALUE, (0,), 16),
+    (K.VERSION_VALUE, (1,), 24),
+    (K.VERSION_VALUE, (4,), 48),
+    (K.PUBLISH_BATCH, (0,), 16),
+    (K.PUBLISH_BATCH, (1,), 48),
+    (K.PUBLISH_BATCH, (20,), 656),
+    (K.PUBLISH_BATCH, (333,), 10672),
+    (K.UNPUBLISH_BATCH, (0,), 16),
+    (K.UNPUBLISH_BATCH, (1,), 32),
+    (K.UNPUBLISH_BATCH, (20,), 336),
+    (K.POLL_BATCH, (0, 0), 16),
+    (K.POLL_BATCH, (1, 20), 192),
+    (K.POLL_BATCH, (7, 20), 288),
+    (K.POLL_BATCH, (20, 45), 696),
+    (K.SYNC_DIGEST, (0,), 16),
+    (K.SYNC_DIGEST, (1,), 40),
+    (K.SYNC_DIGEST, (12,), 304),
+    (K.SYNC_DELTA, (0,), 16),
+    (K.SYNC_DELTA, (1,), 48),
+    (K.SYNC_DELTA, (9,), 304),
+    (K.SYNC_FULL, (0,), 16),
+    (K.SYNC_FULL, (1,), 48),
+    (K.SYNC_FULL, (50,), 1616),
+    (K.LOOKUP, (), 22),                 # dht/ring.py
+    (K.REPLICATE, (0, 0), 0),           # dht/replication.py
+    (K.REPLICATE, (1, 1), 48),
+    (K.REPLICATE, (10, 0), 160),
+    (K.REPLICATE, (10, 4), 288),
+    (K.REPLICATE, (250, 250), 12000),
+    (K.HEARTBEAT, (), 16),              # core/maintenance.py
+    (K.RECONCILE, (), 24),              # core/maintenance.py
+    (K.POLL_QUERIES, (0,), 16),         # core/indexer.py
+    (K.POLL_QUERIES, (1,), 24),
+    (K.POLL_QUERIES, (20,), 176),
+    (K.POLL_QUERIES, (45,), 376),
+    (K.ADVISE_HOT_TERM, (), 16),        # extensions/load_balance.py
+    (K.CACHE_HOT_TERM, (1,), 24),       # extensions/load_balance.py, as REPLICATE
+    (K.CACHE_HOT_TERM, (40,), 960),
+    (K.BLOOM_FILTER, (1,), 17),         # core/bloom_search.py, as SEARCH_TERM
+    (K.BLOOM_FILTER, (120,), 136),
+    (K.BLOOM_FILTER, (4096,), 4112),
+]
+
+
+class TestGoldenSizes:
+    def test_every_kind_has_a_golden_row(self) -> None:
+        assert {kind for kind, __, __ in GOLDEN} == set(MessageKind)
+        assert len(GOLDEN) >= 60
+
+    @pytest.mark.parametrize(
+        "kind, counts, size", GOLDEN, ids=lambda v: getattr(v, "name", None)
+    )
+    def test_wire_size_is_the_parents_price(self, kind, counts, size) -> None:
+        assert wire_size(kind, *counts) == size
+        assert message(kind, 1, 2, *counts).size_bytes == size

@@ -230,4 +230,4 @@ class TestCaptureMessages:
             sprite.search(q("chord ring"), cache=False)
         assert len(inner) > 0
         assert sprite.ring.transport.trace is outer
-        assert len(outer) == 0 and not outer.hop_histogram
+        assert len(outer) == 0

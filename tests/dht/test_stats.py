@@ -39,6 +39,8 @@ class TestLookups:
         stats.record_lookup(5)
         assert stats.lookup_hop_histogram == {3: 1, 5: 1}
         assert stats.mean_lookup_hops == 4.0
+        stats.lookup_hop_histogram[99] += 1  # a copy: the caller's to subtract from
+        assert stats.lookup_hop_histogram == {3: 1, 5: 1}
 
     def test_mean_with_no_lookups(self) -> None:
         assert NetworkStats().mean_lookup_hops == 0.0

@@ -100,6 +100,18 @@ class TestHotTermCache:
         # With an explicit budget of one, only the hottest is cached.
         assert cache.refresh(num_hot=1) == 1
 
+    def test_a_refresh_push_is_its_own_kind(self, system: ESearchSystem) -> None:
+        """The push used to travel as a REPLICATE priced postings × 24,
+        beside the replication round's digest-and-entries REPLICATE; it
+        is a CACHE_HOT_TERM now, at the same price."""
+        cache = HotTermCache(system.protocol)
+        for __ in range(5):
+            cache.observe_query(("ubiquit", "special1"))
+        assert cache.refresh(num_hot=1) == 1
+        pushed = system.ring.stats.kind(MessageKind.CACHE_HOT_TERM)
+        assert (pushed.messages, pushed.bytes) == (1, 10 * 24)  # "ubiquit": df 10
+        assert system.ring.stats.kind(MessageKind.REPLICATE).messages == 0
+
     def test_fetch_served_from_cache(self, system: ESearchSystem) -> None:
         cache = HotTermCache(system.protocol)
         for __ in range(5):

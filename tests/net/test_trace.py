@@ -19,9 +19,10 @@ def trace(
     attempts: int = 1,
     latency: float = 50.0,
     outcome: str = DELIVERED,
+    category: str = "other",
 ) -> MessageTrace:
     return MessageTrace(
-        kind=kind, src=1, dst=2, attempts=attempts, latency_ms=latency, outcome=outcome
+        kind, 1, 2, attempts=attempts, latency_ms=latency, outcome=outcome, category=category
     )
 
 
@@ -116,6 +117,8 @@ class TestRollup:
         log.record(trace(kind="lookup"))
         log.record(trace(kind="lookup"))
         assert log.rollup().by_kind == (("lookup", 2), ("search_term", 1))
+        assert log.rollup().lookup_messages == 2
+        assert TraceLog().rollup().lookup_messages == 0
 
     def test_delivery_ratio(self) -> None:
         log = TraceLog()
@@ -132,60 +135,6 @@ class TestRollup:
 
     def test_retries_property_on_trace(self) -> None:
         assert trace(attempts=3).retries == 2
-
-
-class TestHopRollup:
-    """The per-lookup hop columns (ISSUE 10 satellite): hop samples are
-    recorded alongside message records and roll up into the summary's
-    ``hops_mean`` / ``hops_p99`` / ``lookup_messages`` fields."""
-
-    def test_defaults_are_zero_without_samples(self) -> None:
-        summary = TraceLog().rollup()
-        assert summary.hops_mean == 0.0
-        assert summary.hops_p99 == 0.0
-        assert summary.lookup_messages == 0
-
-    def test_hop_samples_roll_up(self) -> None:
-        log = TraceLog()
-        for hops in (2, 4, 6):
-            log.record_hops(hops)
-        for __ in range(12):  # the per-hop wire messages of those lookups
-            log.record(trace(kind="lookup"))
-        summary = log.rollup()
-        assert summary.hops_mean == pytest.approx(4.0)
-        assert summary.hops_p99 == 6.0
-        assert summary.lookup_messages == 12
-
-    def test_hop_fields_attach_to_lookup_kind_rollup_only(self) -> None:
-        log = TraceLog()
-        log.record_hops(3)
-        log.record(trace(kind="lookup"))
-        log.record(trace(kind="search_term"))
-        assert log.rollup(kind="lookup").hops_mean == pytest.approx(3.0)
-        assert log.rollup(kind="search_term").hops_mean == 0.0
-
-    def test_hop_fields_attach_to_routing_category(self) -> None:
-        log = TraceLog()
-        log.record_hops(5)
-        log.record(trace(kind="lookup"))
-        log.record(trace(kind="publish_batch"))
-        rollup = log.category_rollup()
-        assert rollup["routing"].hops_mean == pytest.approx(5.0)
-        assert rollup["write"].hops_mean == 0.0
-
-    def test_hop_samples_property_copies(self) -> None:
-        log = TraceLog()
-        log.record_hops(2)
-        samples = log.hop_histogram
-        samples[99] += 1
-        assert log.hop_histogram == {2: 1}
-
-    def test_clear_drops_hop_samples(self) -> None:
-        log = TraceLog()
-        log.record_hops(4)
-        log.clear()
-        assert log.hop_histogram == {}
-        assert log.rollup().hops_mean == 0.0
 
 
 class TestSummaryTable:
@@ -216,11 +165,11 @@ class TestSummaryTable:
 class TestCategoryRollup:
     def test_buckets_by_traffic_category(self) -> None:
         log = TraceLog()
-        log.record(trace(kind="publish_batch"))
-        log.record(trace(kind="poll_batch"))
-        log.record(trace(kind="search_term"))
-        log.record(trace(kind="lookup"))
-        log.record(trace(kind="made_up_kind"))
+        log.record(trace(kind="publish_batch", category="write"))
+        log.record(trace(kind="poll_batch", category="write"))
+        log.record(trace(kind="search_term", category="query"))
+        log.record(trace(kind="lookup", category="routing"))
+        log.record(trace(kind="made_up_kind"))  # a kind that names no category
         rollup = log.category_rollup()
         assert set(rollup) == {"write", "query", "routing", "other"}
         assert rollup["write"].messages == 2
@@ -229,29 +178,12 @@ class TestCategoryRollup:
 
     def test_category_messages_sum_to_total(self) -> None:
         log = TraceLog()
-        for kind in ("publish_term", "unpublish_batch", "postings", "heartbeat"):
-            log.record(trace(kind=kind))
+        for kind, category in (
+            ("publish_term", "write"),
+            ("unpublish_batch", "write"),
+            ("postings", "query"),
+            ("heartbeat", "maintenance"),
+        ):
+            log.record(trace(kind=kind, category=category))
         rollup = log.category_rollup()
         assert sum(s.messages for s in rollup.values()) == log.rollup().messages
-
-    def test_category_of_kind_spans_all_labels(self) -> None:
-        from repro.net.trace import category_of_kind
-
-        assert category_of_kind("publish_batch") == "write"
-        assert category_of_kind("result_probe") == "query"
-        assert category_of_kind("lookup") == "routing"
-        assert category_of_kind("reconcile") == "maintenance"
-        assert category_of_kind("synthetic") == "other"
-
-
-class TestKindNameSync:
-    """repro.net must stay import-independent of repro.dht, so the
-    kind → category table here is keyed by plain strings;
-    ``repro.dht.messages.category_of`` resolves through it."""
-
-    def test_every_message_kind_categorized_by_name(self) -> None:
-        from repro.dht.messages import ALL_KINDS, category_of
-        from repro.net.trace import category_of_kind
-
-        for kind in ALL_KINDS:
-            assert category_of_kind(kind.value) == category_of(kind)

@@ -148,7 +148,7 @@ class TestPostingConservation:
         # double-count this invariant exists to catch
         other = next(nid for nid in ring.live_ids if nid != primary.node_id)
         clone = TermSlot(term=term, cache=QueryCache(4))
-        clone.add_posting(primary.store[key].inverted[doc_id])
+        clone.add_posting(primary.store[key].get_posting(doc_id))
         ring.node(other).store[key] = clone
         report = engine.checker.check(quiescent=True)
         assert violated(report, "posting_conservation")

@@ -101,7 +101,7 @@ class TestReplicaAdoption:
         joiner = ring.join(node_id=key)
         assert ring.successor_of(key) == joiner
         slot = ring.node(joiner).store.get(key)
-        assert isinstance(slot, TermSlot) and doc_id in slot.inverted
+        assert isinstance(slot, TermSlot) and slot.has_posting(doc_id)
         report = InvariantChecker(system).check(quiescent=True)
         assert not any(
             v.invariant == "term_resolvability" for v in report.violations
@@ -126,7 +126,7 @@ class TestDeletionForwarding:
         holder = ring.node(ring.successor_of(key))
         slot = holder.store.get(key) or holder.replicas.get(key)
         if isinstance(slot, TermSlot):
-            assert doc_id not in slot.inverted, "unpublished posting resurrected"
+            assert not slot.has_posting(doc_id), "unpublished posting resurrected"
 
 
 class TestReconciliation:
@@ -148,13 +148,13 @@ class TestReconciliation:
 
         holder = ring.node(ring.successor_of(key))
         slot = holder.store.get(key)
-        assert isinstance(slot, TermSlot) and doc_id in slot.inverted  # the orphan
+        assert isinstance(slot, TermSlot) and slot.has_posting(doc_id)  # the orphan
 
         daemon = MaintenanceDaemon(system)
         report = daemon.run_round()
         assert report.postings_retired >= 1
         assert report.reconcile_messages >= 1
-        assert doc_id not in holder.store[key].inverted
+        assert not holder.store[key].has_posting(doc_id)
         check = InvariantChecker(system).check(quiescent=True)
         assert not any(
             v.invariant == "owner_agreement" for v in check.violations

@@ -103,6 +103,20 @@ class TestNet:
         assert all(float(r[4]) > 0 for r in rows)
         assert all(int(r[6]) > 0 for r in rows)
 
+    def test_hop_columns_come_from_the_rings_one_histogram(self) -> None:
+        """Mean / p99 hops are read from ``ring.stats``, the one place a
+        completed lookup's hops are counted; the table is byte for byte
+        the one printed before, from a second hop counter on the trace log."""
+        code, output = run_cli("net", "--small", "--seed", "7", "--sweep", "0,0.1,0.3")
+        assert code == 0
+        assert output == (
+            '32 peers [chord ring], 500 lookups per rate, latency=constant, timeout=400ms, retries=3\n'
+            'drop        ok    failed    retries  hops_mean  hops_p99  lkp_msgs    p50_ms    p99_ms  p99.9_ms    by category\n'
+            '0.00       500         0          0       3.17         6      1587      60.0      60.0      60.0    routing=1587\n'
+            '0.10       500         0        156       3.17         6      1587      60.0     579.4    1194.2    routing=1587\n'
+            '0.30       490        10        645       3.16         6      1578      60.0    1991.7    2009.4    routing=1578\n'
+        )
+
     def test_sweep_rows_carry_category_breakdown(self) -> None:
         code, output = run_cli(
             "net", "--small", "--sweep", "0.0", "--lookups", "40",

@@ -2,8 +2,9 @@
 (pyproject ``dependencies = []``), optional imports included, every
 name the benchmark's layer budget hooks still exists, no module imports
 across a layer boundary its docstring rules out, the indexing
-protocol's one exchange stays one, and the overlay's shape stays one
-number on the overlay's config."""
+protocol's one exchange stays one, a message is built and priced in one
+module, and the overlay's shape stays one number on the overlay's
+config."""
 
 from __future__ import annotations
 
@@ -200,6 +201,29 @@ def test_the_indexing_protocol_keeps_one_exchange() -> None:
         lambda node: isinstance(node, ast.Try)
         and any(_calls("send")(inner) for stmt in node.body for inner in ast.walk(stmt)),
     ) == {"_exchange", "_forward_unpublish_to_replicas"}
+
+
+def test_a_message_is_built_and_priced_in_one_module() -> None:
+    """What a message of a kind costs is that kind's row in
+    ``dht/messages.py``: no other module of ``src`` calls ``Message(...)``,
+    passes a ``size_bytes=`` or names a ``*_BYTES`` constant to do the
+    arithmetic itself (``repro.dht`` re-exports four for its users)."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        where = path.relative_to(PACKAGE).as_posix()
+        if where == "dht/messages.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if _calls("Message")(node):
+                found.append(f"{where}: Message(...)")
+            if isinstance(node, ast.keyword) and node.arg == "size_bytes":
+                found.append(f"{where}: size_bytes=")
+            named = getattr(node, "name", None) or getattr(node, "id", None) or getattr(
+                node, "attr", ""
+            )
+            if named.endswith("_BYTES") and where != "dht/__init__.py":
+                found.append(f"{where}: names {named}")
+    assert not found, found
 
 
 def test_the_overlay_shape_is_one_field_of_one_ring_class() -> None:
