@@ -20,7 +20,6 @@ paper-vs-measured record of every figure.
 
 from .config import (
     ChordConfig,
-    ESearchConfig,
     ExperimentConfig,
     NetworkConfig,
     QueryGenConfig,
@@ -31,8 +30,6 @@ from .config import (
     small_experiment_config,
 )
 from .core import (
-    DistributedSystem,
-    ESearchSystem,
     SpriteSystem,
 )
 from .corpus import (
@@ -72,10 +69,7 @@ __all__ = [
     "ChordRing",
     "ChurnModel",
     "Corpus",
-    "DistributedSystem",
     "Document",
-    "ESearchConfig",
-    "ESearchSystem",
     "ExperimentConfig",
     "LossyTransport",
     "NetworkConfig",

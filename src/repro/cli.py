@@ -222,7 +222,6 @@ def cmd_info(args: argparse.Namespace, out) -> int:
         "corpus",
         "querygen",
         "sprite",
-        "esearch",
         "chord",
         "workload",
         "network",

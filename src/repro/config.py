@@ -181,19 +181,22 @@ class SpriteConfig:
             learning_iterations=iterations,
         )
 
-
-@dataclass(frozen=True)
-class ESearchConfig:
-    """Basic-eSearch baseline parameters (static top-k frequent terms)."""
-
-    index_terms: int = 20
-    assumed_corpus_size: int = 1_000_000
-    top_k_answers: int = 20
-
-    def __post_init__(self) -> None:
-        _require(self.index_terms >= 1, "index_terms must be >= 1")
-        _require(self.assumed_corpus_size >= 1, "assumed_corpus_size must be >= 1")
-        _require(self.top_k_answers >= 1, "top_k_answers must be >= 1")
+    def static_baseline(self, index_terms: int | None = None) -> "SpriteConfig":
+        """Basic eSearch (Tang & Dwarkadas, NSDI'04; paper §2, §6) on
+        this deployment: each document publishes its *index_terms* most
+        frequent terms once and never tunes them.  The default budget is
+        what this schedule reaches after learning, since the paper
+        compares the two at equal cost.  (Full eSearch also replicates
+        term lists at indexing peers and expands terms; the paper
+        compares against the basic scheme and calls those orthogonal.)"""
+        k = index_terms if index_terms is not None else self.total_terms_after_learning
+        return replace(
+            self,
+            initial_terms=k,
+            terms_per_iteration=0,
+            learning_iterations=0,
+            max_index_terms=k,
+        )
 
 
 @dataclass(frozen=True)
@@ -310,7 +313,6 @@ class ExperimentConfig:
     corpus: SyntheticCorpusConfig = field(default_factory=SyntheticCorpusConfig)
     querygen: QueryGenConfig = field(default_factory=QueryGenConfig)
     sprite: SpriteConfig = field(default_factory=SpriteConfig)
-    esearch: ESearchConfig = field(default_factory=ESearchConfig)
     chord: ChordConfig = field(default_factory=ChordConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
@@ -345,7 +347,6 @@ def paper_experiment_config(seed: int = 20070415) -> ExperimentConfig:
         corpus=SyntheticCorpusConfig(seed=seed),
         querygen=QueryGenConfig(),
         sprite=SpriteConfig(),
-        esearch=ESearchConfig(),
         chord=ChordConfig(),
     )
 
@@ -355,7 +356,6 @@ ALL_CONFIG_TYPES: Tuple[type, ...] = (
     SyntheticCorpusConfig,
     QueryGenConfig,
     SpriteConfig,
-    ESearchConfig,
     ChordConfig,
     NetworkConfig,
     WorkloadConfig,

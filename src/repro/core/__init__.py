@@ -1,7 +1,6 @@
 """SPRITE core: the paper's primary contribution."""
 
 from .bloom_search import BloomExecution, BloomQueryProcessor
-from .esearch import ESearchSystem
 from .indexer import IndexingProtocol
 from .maintenance import MaintenanceDaemon, MaintenanceReport
 from .learning import (
@@ -21,14 +20,12 @@ from .metadata import (
 from .owner import OwnerPeer, SharedDocument
 from .query_processing import QueryExecution, QueryProcessor
 from .scoring import combined_score, q_score, query_frequencies, query_frequency
-from .system import DistributedSystem, SpriteSystem
+from .system import SpriteSystem
 
 __all__ = [
     "BloomExecution",
     "BloomQueryProcessor",
     "CachedQuery",
-    "DistributedSystem",
-    "ESearchSystem",
     "MaintenanceDaemon",
     "MaintenanceReport",
     "IncrementalLearner",

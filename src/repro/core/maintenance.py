@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from ..dht.messages import MessageKind, message
 from ..exceptions import NodeFailedError
 from .metadata import TermSlot
-from .system import DistributedSystem
+from .system import SpriteSystem
 
 
 @dataclass
@@ -78,7 +78,7 @@ class MaintenanceDaemon:
     equivalent of every owner running its own timer loop).
     """
 
-    def __init__(self, system: DistributedSystem) -> None:
+    def __init__(self, system: SpriteSystem) -> None:
         self.system = system
 
     def run_round(self) -> MaintenanceReport:

@@ -95,13 +95,8 @@ class OwnerPeer:
         self._unpublish([(state, state.index_terms)])
         del self.shared[doc_id]
 
-    def share_bulk(
-        self,
-        documents: Sequence[Document],
-        first_terms_of: Dict[str, Sequence[str] | None] | None = None,
-    ) -> List[SharedDocument]:
-        """Share many documents at once (initial terms per document from
-        *first_terms_of*; a missing or ``None`` entry means top-F).
+    def share_bulk(self, documents: Sequence[Document]) -> List[SharedDocument]:
+        """Share many documents at once, each with its top-F terms.
 
         The initial publications of the whole batch go out as *one*
         :meth:`~repro.core.indexer.IndexingProtocol.publish_batch` call,
@@ -114,8 +109,7 @@ class OwnerPeer:
             if document.doc_id in self.shared or document.doc_id in seen:
                 raise LearningError(f"document already shared: {document.doc_id!r}")
             seen.add(document.doc_id)
-        supplied = first_terms_of or {}
-        plans = [self._admit(doc, supplied.get(doc.doc_id)) for doc in documents]
+        plans = [self._admit(doc) for doc in documents]
         self._publish(plans)
         return [state for state, __ in plans]
 
@@ -136,7 +130,7 @@ class OwnerPeer:
         except KeyError:
             raise LearningError(f"document not shared by this peer: {doc_id!r}") from None
 
-    def _admit(self, document: Document, first_terms: Sequence[str] | None) -> Plan:
+    def _admit(self, document: Document, first_terms: Sequence[str] | None = None) -> Plan:
         """Start owning *document*; returns its state with the terms to
         publish first (the supplied ones, else top-F frequency)."""
         terms = (

@@ -1,11 +1,13 @@
-"""System facades: the distributed base plus SPRITE itself.
+"""The system facade: one retrieval system over the DHT.
 
-:class:`DistributedSystem` wires the substrates together — a Chord ring,
-the indexing protocol, owner peers (one per document-owning node), and
-the distributed query processor.  :class:`SpriteSystem` adds the
-learning loop.  The eSearch baseline (:mod:`repro.core.esearch`)
-inherits the same base so the *only* difference measured by the
-experiments is the term-selection policy, exactly as in the paper.
+:class:`SpriteSystem` wires the substrates together — a Chord ring, the
+indexing protocol, owner peers (one per document-owning node), the
+distributed query processor — and runs the learning loop.  Which terms
+a document publishes first and whether they are ever tuned is its
+:class:`~repro.config.SpriteConfig`: the basic eSearch baseline the
+paper compares against is ``config.static_baseline()`` (top-k frequent
+terms, zero learning iterations), so the *only* difference measured by
+the experiments is that config delta, exactly as in the paper.
 """
 
 from __future__ import annotations
@@ -24,16 +26,24 @@ from .owner import OwnerPeer, SharedDocument
 from .query_processing import QueryExecution, QueryProcessor
 
 
-class DistributedSystem:
-    """Common machinery for DHT-based retrieval systems.
+class SpriteSystem:
+    """SPRITE: selective progressive index tuning by examples.
+
+    Usage mirrors the paper's experimental flow::
+
+        system = SpriteSystem(corpus)
+        system.share_corpus()                    # 5 initial terms/doc
+        system.register_queries(training_set)    # cache training queries
+        system.run_learning(iterations=3)        # grow to 20 terms/doc
+        ranked = system.search(test_query)
 
     Parameters
     ----------
     corpus:
         The shared document collection.
     sprite_config:
-        System parameters; the base class uses the cache size, assumed
-        corpus size, and answer count (term policy is up to subclasses).
+        System parameters, the term-selection policy among them
+        (initial terms, growth schedule, cap).
     chord_config:
         Overlay parameters, the finger arity among them; ignored when an
         existing *ring* is supplied — ``ring.config`` is then the only
@@ -79,7 +89,6 @@ class DistributedSystem:
         )
         self.owners: Dict[int, OwnerPeer] = {}
         self._doc_owner: Dict[str, int] = {}
-        self._shared = False
 
     # -- ownership assignment ------------------------------------------------
 
@@ -108,34 +117,23 @@ class DistributedSystem:
 
     # -- sharing --------------------------------------------------------------
 
-    def _first_terms(self, doc_id: str) -> Optional[List[str]]:
-        """Initial global index terms for a document; ``None`` means
-        "use the owner's default" (top-F frequency).  Subclasses override."""
-        return None
-
-    def share_document(self, doc, first_terms: Optional[List[str]] = None) -> OwnerPeer:
+    def share_document(self, doc) -> OwnerPeer:
         """Share one document from its (deterministically assigned)
         owner peer, publishing its initial global index terms into the
         DHT.  Returns the owner peer.  Used by :meth:`share_corpus` and
         by the scenario engine's incremental ``publish`` events."""
         node_id = self._owner_node_for(doc.doc_id)
         owner = self._owner_at(node_id)
-        if first_terms is None:
-            first_terms = self._first_terms(doc.doc_id)
-        owner.share(doc, first_terms=first_terms)
+        owner.share(doc)
         self._doc_owner[doc.doc_id] = node_id
-        if len(self._doc_owner) >= len(self.corpus):
-            self._shared = True
         return owner
 
     def share_corpus(self) -> None:
-        """Share every corpus document from its owner peer, publishing
-        the initial global index terms into the DHT."""
-        if self._shared:
-            return
+        """Share every corpus document not shared yet from its owner
+        peer, publishing the initial global index terms into the DHT."""
         for doc in self.corpus:
-            self.share_document(doc)
-        self._shared = True
+            if doc.doc_id not in self._doc_owner:
+                self.share_document(doc)
 
     def bulk_share(self, documents: Optional[List] = None) -> int:
         """Share many documents at once (default: every not-yet-shared
@@ -154,14 +152,10 @@ class DistributedSystem:
             by_owner.setdefault(self._owner_node_for(doc.doc_id), []).append(doc)
         total = 0
         for node_id, docs in by_owner.items():
-            self._owner_at(node_id).share_bulk(
-                docs, {doc.doc_id: self._first_terms(doc.doc_id) for doc in docs}
-            )
+            self._owner_at(node_id).share_bulk(docs)
             for doc in docs:
                 self._doc_owner[doc.doc_id] = node_id
             total += len(docs)
-        if len(self._doc_owner) >= len(self.corpus):
-            self._shared = True
         return total
 
     def bulk_unshare(self, doc_ids: Iterable[str]) -> int:
@@ -183,8 +177,6 @@ class DistributedSystem:
             for doc_id in ids:
                 del self._doc_owner[doc_id]
             total += len(ids)
-        if total:
-            self._shared = len(self._doc_owner) >= len(self.corpus)
         return total
 
     # -- querying ---------------------------------------------------------------
@@ -238,22 +230,11 @@ class DistributedSystem:
             for state in owner.shared.values()
         )
 
-
-class SpriteSystem(DistributedSystem):
-    """SPRITE: selective progressive index tuning by examples.
-
-    Usage mirrors the paper's experimental flow::
-
-        system = SpriteSystem(corpus)
-        system.share_corpus()                    # 5 initial terms/doc
-        system.register_queries(training_set)    # cache training queries
-        system.run_learning(iterations=3)        # grow to 20 terms/doc
-        ranked = system.search(test_query)
-    """
+    # -- learning -------------------------------------------------------------------
 
     def run_learning_iteration(self, target_size: int | None = None) -> None:
         """One learning pass over every shared document (Section 5.3)."""
-        if not self._shared:
+        if not self._doc_owner:
             raise LearningError("share_corpus() must run before learning")
         for owner in self.owners.values():
             if not self.ring.is_live(owner.node_id):

@@ -37,8 +37,6 @@ class ChurnModel:
         self.rng = random.Random(seed)
         self.history: List[ChurnEvent] = []
 
-    # -- individual events ---------------------------------------------------
-
     def fail_random(self) -> int:
         """Crash one uniformly random live node; returns its id."""
         victim = self.ring.random_live_id(self.rng)
@@ -60,39 +58,3 @@ class ChurnModel:
         node_id = self.ring.join(name=f"churn-joiner-{self.rng.randint(0, 1 << 30)}")
         self.history.append(ChurnEvent("join", node_id))
         return node_id
-
-    # -- bulk schedules --------------------------------------------------------
-
-    def fail_fraction(self, fraction: float) -> List[int]:
-        """Crash ``fraction`` of the live nodes simultaneously (a
-        correlated-failure burst); returns the victim ids.
-
-        The ring is *not* stabilized afterwards — callers decide whether
-        to measure the pre-repair window or call ``stabilize`` first.
-        """
-        if not 0.0 <= fraction < 1.0:
-            raise ValueError("fraction must be in [0, 1)")
-        count = int(self.ring.num_live * fraction)
-        victims: List[int] = []
-        for __ in range(count):
-            if self.ring.num_live <= 1:
-                break
-            victims.append(self.fail_random())
-        return victims
-
-    def session_churn(self, rounds: int, p_fail: float = 0.5) -> List[ChurnEvent]:
-        """Alternating join/fail churn: each round one node fails (with
-        probability *p_fail*) or one joins, then the ring stabilizes —
-        the steady-state churn regime of a long-lived network."""
-        if rounds < 0:
-            raise ValueError("rounds must be >= 0")
-        events: List[ChurnEvent] = []
-        for __ in range(rounds):
-            if self.ring.num_live > 2 and self.rng.random() < p_fail:
-                victim = self.fail_random()
-                events.append(ChurnEvent("fail", victim))
-            else:
-                joined = self.join_one()
-                events.append(ChurnEvent("join", joined))
-            self.ring.stabilize()
-        return events

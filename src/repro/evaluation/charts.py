@@ -68,26 +68,6 @@ def line_chart(
     return "\n".join(lines)
 
 
-def bar_chart(
-    values: Dict[str, float],
-    width: int = 50,
-    unit: str = "",
-) -> str:
-    """Render labelled horizontal bars, scaled to the maximum value."""
-    if not values:
-        return "(no data)"
-    peak = max(values.values())
-    label_width = max(len(label) for label in values)
-    lines = []
-    for label, value in values.items():
-        filled = _scale(value, 0.0, peak, width) + 1 if peak > 0 else 0
-        lines.append(
-            f"{label:<{label_width}}  "
-            f"{'█' * filled}{' ' * (width - filled)} {value:g}{unit}"
-        )
-    return "\n".join(lines)
-
-
 def ratio_series_from_rows(rows, x_attr: str) -> Dict[str, List[Tuple[float, float]]]:
     """Convert fig4a/fig4c-style row lists into chart series
     (SPRITE vs eSearch precision ratios over *x_attr*)."""

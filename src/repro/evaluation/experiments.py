@@ -16,12 +16,11 @@ print the rows; examples reuse them too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Literal, Optional, Sequence
 
 from ..config import SpriteConfig
-from ..core.esearch import ESearchSystem
-from ..core.system import DistributedSystem, SpriteSystem
+from ..core.system import SpriteSystem
 from ..corpus.relevance import Query
 from ..dht.messages import MessageKind, units_carried, wire_size
 from ..net import build_transport
@@ -64,14 +63,12 @@ def build_trained_sprite(
 
 def build_esearch(
     env: Environment, index_terms: int | None = None
-) -> ESearchSystem:
-    """The static baseline at a given term budget."""
-    cfg = env.config.esearch
-    if index_terms is not None:
-        cfg = replace(cfg, index_terms=index_terms)
-    system = ESearchSystem(
+) -> SpriteSystem:
+    """The static baseline at a given term budget (default: the budget
+    the environment's SPRITE reaches after learning)."""
+    system = SpriteSystem(
         env.corpus,
-        esearch_config=cfg,
+        sprite_config=env.config.sprite.static_baseline(index_terms),
         chord_config=env.config.chord,
         transport=build_transport(env.config.network),
     )
@@ -310,7 +307,7 @@ class CostRow:
     batch_bytes: int
 
 
-def _cost_row(strategy: str, system: DistributedSystem) -> CostRow:
+def _cost_row(strategy: str, system: SpriteSystem) -> CostRow:
     """Read a system's publication cost off its ring statistics.  A
     PUBLISH_BATCH is a header plus one (term, posting) record per
     posting, so the posting count follows from the byte total exactly;
@@ -329,14 +326,6 @@ def _cost_row(strategy: str, system: DistributedSystem) -> CostRow:
     )
 
 
-class _IndexEverything(ESearchSystem):
-    """The strawman: every unique term of every document."""
-
-    def _first_terms(self, doc_id: str):
-        doc = self.corpus.get(doc_id)
-        return doc.top_terms(doc.unique_terms)
-
-
 def run_cost_comparison(env: Environment) -> List[CostRow]:
     """Measure the publication cost of (a) SPRITE's selective index,
     (b) eSearch's static top-20, and (c) indexing *every* unique term —
@@ -348,12 +337,8 @@ def run_cost_comparison(env: Environment) -> List[CostRow]:
     against the per-term reference owner in ``tests/``).  The grouped
     protocol's measured messages, hops and bytes are reported beside it.
     """
-    everything = _IndexEverything(
-        env.corpus, esearch_config=env.config.esearch, chord_config=env.config.chord
-    )
-    everything.share_corpus()
     return [
         _cost_row("sprite", build_trained_sprite(env)),
         _cost_row("esearch", build_esearch(env)),
-        _cost_row("index-everything", everything),
+        _cost_row("index-everything", build_esearch(env, index_terms=10**6)),
     ]

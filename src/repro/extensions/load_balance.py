@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.indexer import IndexingProtocol
-from ..core.system import DistributedSystem
+from ..core.system import SpriteSystem
 from ..dht.messages import MessageKind, message
 from ..core.metadata import PostingEntry, TermSlot
 
@@ -50,7 +50,7 @@ class HotTermAdvisor:
         Indexed document frequency above which a term is advised away.
     """
 
-    def __init__(self, system: DistributedSystem, df_threshold: int) -> None:
+    def __init__(self, system: SpriteSystem, df_threshold: int) -> None:
         if df_threshold < 1:
             raise ValueError("df_threshold must be >= 1")
         self.system = system

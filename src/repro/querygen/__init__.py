@@ -1,9 +1,7 @@
 """Query generation (paper Section 6.1) and workload shaping."""
 
 from .generator import DistributionNeighbors, QueryGenerator
-from .trace import SessionTraceGenerator, TraceConfig
 from .workload import (
-    interleave_training_testing,
     pattern_change_groups,
     random_split,
     without_repeats_stream,
@@ -13,9 +11,6 @@ from .workload import (
 __all__ = [
     "DistributionNeighbors",
     "QueryGenerator",
-    "SessionTraceGenerator",
-    "TraceConfig",
-    "interleave_training_testing",
     "pattern_change_groups",
     "random_split",
     "without_repeats_stream",

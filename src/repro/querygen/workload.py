@@ -94,18 +94,3 @@ def pattern_change_groups(
         QuerySet(group_a, query_set.qrels),
         QuerySet(group_b, query_set.qrels),
     )
-
-
-def interleave_training_testing(
-    queries: List[Query], train_fraction: float = 0.5, seed: int = 99
-) -> Tuple[List[Query], List[Query]]:
-    """Split a *stream* (possibly with repeats) into train/test halves
-    while preserving order within each half."""
-    if not 0.0 < train_fraction < 1.0:
-        raise QueryError("train_fraction must be in (0, 1)")
-    rng = random.Random(seed)
-    train: List[Query] = []
-    test: List[Query] = []
-    for query in queries:
-        (train if rng.random() < train_fraction else test).append(query)
-    return train, test

@@ -50,7 +50,6 @@ from .invariants import (
 from .oracle import (
     ORACLE_ROWS,
     DifferentialOracle,
-    FullIndexSystem,
     OracleReport,
     OracleRow,
     RankingMismatch,
@@ -68,7 +67,6 @@ __all__ = [
     "BehaviorPlan",
     "CatalogueEntry",
     "DifferentialOracle",
-    "FullIndexSystem",
     "InvariantChecker",
     "InvariantReport",
     "InvariantViolation",

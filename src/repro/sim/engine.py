@@ -1,7 +1,7 @@
 """The scenario engine: deterministic execution of event schedules.
 
 :class:`ScenarioEngine` applies :class:`~repro.sim.events.SimEvent`s to
-a live :class:`~repro.core.system.DistributedSystem`, advancing the
+a live :class:`~repro.core.system.SpriteSystem`, advancing the
 network clock one tick per event and tracking *quiescence* — whether the
 system has healed from the damage the schedule inflicted.  Between
 events it runs the :class:`~repro.sim.invariants.InvariantChecker`:
@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import ChordConfig, SpriteConfig, SyntheticCorpusConfig
 from ..core.maintenance import MaintenanceDaemon
-from ..core.system import DistributedSystem, SpriteSystem
+from ..core.system import SpriteSystem
 from ..corpus.relevance import Query
 from ..corpus.stream import revise_document
 from ..dht.replication import ReplicationManager
@@ -126,7 +126,7 @@ class ScenarioEngine:
 
     def __init__(
         self,
-        system: DistributedSystem,
+        system: SpriteSystem,
         queries: Sequence[Query] = (),
         replication: ReplicationManager | None = None,
         maintenance: MaintenanceDaemon | None = None,
@@ -311,8 +311,6 @@ class ScenarioEngine:
         return True
 
     def _apply_learn(self, event: SimEvent) -> bool:
-        if not isinstance(self.system, SpriteSystem):
-            return False
         ring = self.system.ring
         live_owners = [
             o for o in self.system.owners.values() if ring.is_live(o.node_id)

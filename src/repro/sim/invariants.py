@@ -27,7 +27,7 @@ from math import sqrt
 from typing import Dict, List, Tuple
 
 from ..core.metadata import TermSlot
-from ..core.system import DistributedSystem
+from ..core.system import SpriteSystem
 from ..ir.ranking import RankedList
 
 
@@ -82,7 +82,7 @@ class InvariantReport:
 
 
 class InvariantChecker:
-    """Global-state invariant oracle over a :class:`DistributedSystem`."""
+    """Global-state invariant oracle over a :class:`SpriteSystem`."""
 
     #: (name, quiescent-only) — the catalogue, in check order.
     CATALOGUE: Tuple[Tuple[str, bool], ...] = (
@@ -101,7 +101,7 @@ class InvariantChecker:
     )
 
     def __init__(
-        self, system: DistributedSystem, recovery_log=None, stress_log=None
+        self, system: SpriteSystem, recovery_log=None, stress_log=None
     ) -> None:
         self.system = system
         #: Shared list of :class:`~repro.store.recovery.RecoveryReport`s

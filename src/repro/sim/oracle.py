@@ -53,19 +53,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..config import ChordConfig, SpriteConfig
 from ..corpus.corpus import Corpus
 from ..corpus.relevance import Query
 from ..core.metadata import TermSlot
-from ..core.system import DistributedSystem, SpriteSystem
+from ..core.system import SpriteSystem
 from ..ir.centralized import CentralizedSystem
 from ..ir.ranking import RankedList
 from .engine import Delta, micro_configs
 
 
-def write_state_fingerprint(system: DistributedSystem) -> Dict[str, object]:
+def write_state_fingerprint(system: SpriteSystem) -> Dict[str, object]:
     """Everything the write path can influence, as a comparable value.
 
     Three parts:
@@ -144,19 +144,6 @@ class OracleReport:
     def summary(self) -> str:
         verdict = "consistent" if self.ok else f"{len(self.mismatches)} mismatches"
         return f"oracle[{self.name}]: {self.queries_compared} queries, {verdict}"
-
-
-class FullIndexSystem(DistributedSystem):
-    """SPRITE with F = ∞: every document publishes *all* its terms.
-
-    With a full index and the assumed corpus size pinned to the real
-    one, the indexed document frequency n'_k equals the true document
-    frequency n_k, so the distributed ranking must coincide with
-    centralized TF-IDF — the oracle's reference degeneration.
-    """
-
-    def _first_terms(self, doc_id: str) -> Optional[List[str]]:
-        return sorted(self.corpus.get(doc_id).term_freqs)
 
 
 def _pairs(ranked: RankedList) -> List[Tuple[str, float]]:
@@ -317,24 +304,26 @@ class DifferentialOracle:
     # -- full-index SPRITE vs centralized TF-IDF ------------------------------
 
     def check_centralized_baseline(self) -> OracleReport:
-        """At F = ∞ with the assumed corpus size pinned to the true
-        size, distributed rankings must agree with centralized TF-IDF:
-        identical document order, scores equal to float tolerance."""
+        """At F = ∞ every document publishes *all* its terms, and with
+        the assumed corpus size pinned to the true size the indexed
+        document frequency n'_k equals the true n_k, so distributed
+        rankings must agree with centralized TF-IDF: identical document
+        order, scores equal to float tolerance."""
         report = OracleReport(name="centralized-baseline")
-        sprite, chord = self.configs(
+        full = self.build(
             {
                 "sprite": {
+                    "initial_terms": 10**6,
                     "max_index_terms": 10**6,
                     "assumed_corpus_size": len(self.corpus),
                 }
             }
         )
-        full = FullIndexSystem(self.corpus, sprite_config=sprite, chord_config=chord)
         full.share_corpus()
         centralized = CentralizedSystem(self.corpus, normalization="lee")
         for query in self.test:
             distributed = _pairs(full.search(query, cache=False))
-            reference = _pairs(centralized.search(query, top_k=sprite.top_k_answers))
+            reference = _pairs(centralized.search(query, top_k=full.config.top_k_answers))
             report.queries_compared += 1
             if [d for d, __ in distributed] != [d for d, __ in reference]:
                 report.mismatches.append(

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..core.system import DistributedSystem
+from ..core.system import SpriteSystem
 from ..corpus.corpus import Corpus
 from ..corpus.relevance import Query
 from ..evaluation.metrics import ndcg_against_reference
@@ -81,7 +81,7 @@ class QualityProbe:
 
     def __init__(
         self,
-        system: DistributedSystem,
+        system: SpriteSystem,
         queries: Sequence[Query],
         top_k: int | None = None,
     ) -> None:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.indexer import IndexingProtocol, SlotView
 from repro.core.metadata import CachedQuery, PostingEntry, TermSlot
-from repro.core.system import DistributedSystem
+from repro.core.system import SpriteSystem
 from repro.dht.messages import MessageKind, message
 from repro.exceptions import NodeFailedError
 
@@ -422,7 +422,7 @@ class InlineExchanges(IndexingProtocol):
         return results, failed_terms
 
 
-def install_inline_exchanges(system: DistributedSystem) -> DistributedSystem:
+def install_inline_exchanges(system: SpriteSystem) -> SpriteSystem:
     """Make *system* speak through :class:`InlineExchanges`.  Owners and
     the query processor hold the one protocol object, and the subclass
     adds methods only, so re-classing that object switches every

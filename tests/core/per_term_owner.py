@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.core.owner import OwnerPeer, Plan
-from repro.core.system import DistributedSystem
+from repro.core.system import SpriteSystem
 from repro.exceptions import NodeFailedError
 
 
@@ -63,7 +63,7 @@ class PerTermOwner(OwnerPeer):
         return collected
 
 
-def install_per_term_owners(system: DistributedSystem) -> DistributedSystem:
+def install_per_term_owners(system: SpriteSystem) -> SpriteSystem:
     """Make every owner of *system* a :class:`PerTermOwner` by
     pre-filling ``system.owners`` before anything is shared — in corpus
     order, the order sharing would create them in, so learning visits

@@ -33,7 +33,7 @@ VOCAB = [f"kw{i:03d}" for i in range(18)]
 
 class _Stack:
     """A bare ring + protocol + one owner peer, shaped like the
-    ``DistributedSystem`` surface :func:`write_state_fingerprint` reads
+    ``SpriteSystem`` surface :func:`write_state_fingerprint` reads
     (``.ring`` and ``.owners``)."""
 
     def __init__(self, batched: bool, ring_seed: int) -> None:

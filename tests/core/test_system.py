@@ -1,17 +1,19 @@
-"""Tests for the system facades (DistributedSystem / SpriteSystem)."""
+"""Tests for the system facade (SpriteSystem)."""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import fields, replace
 
 import pytest
 
 from repro.config import ChordConfig, SpriteConfig
-from repro.core import ESearchSystem, SpriteSystem
+from repro.core import SpriteSystem
 from repro.corpus import Corpus, Document, Query
+from repro.corpus.synthetic import SyntheticTrecCorpus
 from repro.dht import ChordRing
 from repro.exceptions import LearningError
-from repro.sim import FullIndexSystem
+from repro.sim import DifferentialOracle, write_state_fingerprint
 
 CHORD = ChordConfig(num_peers=24, id_bits=32, seed=61)
 
@@ -40,6 +42,17 @@ class TestSharing:
         sprite.share_corpus()
         sprite.share_corpus()
         assert sprite.total_published_terms() == 12 * 3
+
+    def test_share_corpus_shares_exactly_what_is_missing(self, sprite: SpriteSystem) -> None:
+        """It used to consult a flag that mirrored the owner table, and
+        raised "document already shared" for the first document that
+        was still there."""
+        sprite.share_corpus()
+        sprite.bulk_unshare(["d4"])
+        assert sprite.total_published_terms() == 11 * 3
+        sprite.share_corpus()
+        assert sprite.total_published_terms() == 12 * 3
+        assert sprite.index_terms("d4") == sprite.corpus.get("d4").top_terms(3)
 
     def test_owner_assignment_deterministic(self, sprite: SpriteSystem, corpus: Corpus) -> None:
         sprite.share_corpus()
@@ -81,6 +94,18 @@ class TestLearningLoop:
     def test_learning_requires_share(self, sprite: SpriteSystem) -> None:
         with pytest.raises(LearningError):
             sprite.run_learning_iteration()
+
+    def test_learning_runs_on_whatever_is_shared(self, sprite: SpriteSystem) -> None:
+        """Learning refuses only when nothing is shared; withdrawing one
+        document used to make it demand a share_corpus() that then
+        failed."""
+        sprite.share_corpus()
+        sprite.bulk_unshare(["d4"])
+        sprite.register_queries([Query(f"q{i}", ("chord", "lookup")) for i in range(4)])
+        sprite.run_learning_iteration()
+        sizes = sprite.learning_summary()
+        assert "d4" not in sizes and len(sizes) == 11
+        assert all(size == 5 for size in sizes.values())
 
     def test_learning_grows_index_sizes(self, sprite: SpriteSystem) -> None:
         sprite.share_corpus()
@@ -181,11 +206,20 @@ class TestTheOverlayIsTheRingsOwn:
         assert len(system.ring.finger_steps) > 32
         assert not {"ring", "ring_arity"} & {f.name for f in fields(system.config)}
 
-    @pytest.mark.parametrize("system_class", [ESearchSystem, FullIndexSystem])
-    def test_baselines_rank_alike_on_a_wider_ring(self, corpus: Corpus, system_class) -> None:
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            SpriteConfig().static_baseline(),
+            replace(SpriteConfig(), initial_terms=10**6, max_index_terms=10**6),
+        ],
+        ids=["ESearch-static-baseline", "FullIndex"],
+    )
+    def test_baselines_rank_alike_on_a_wider_ring(self, corpus: Corpus, policy) -> None:
         rankings = []
         for arity in (2, 8):
-            system = system_class(corpus, chord_config=replace(CHORD, finger_arity=arity))
+            system = SpriteSystem(
+                corpus, sprite_config=policy, chord_config=replace(CHORD, finger_arity=arity)
+            )
             assert len(system.ring.finger_steps) == {2: 32, 8: 73}[arity]
             system.share_corpus()
             rankings.append(
@@ -196,3 +230,139 @@ class TestTheOverlayIsTheRingsOwn:
             )
         assert rankings[0] == rankings[1]
         assert any(rankings[0])
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+class TestTermSelectionIsAConfigDelta:
+    """eSearch and the oracle's full-index arm were subclasses
+    (``ESearchSystem``, ``FullIndexSystem``) until PR 24.  The literals
+    below were recorded from those classes at the parent commit, on the
+    oracle's micro deployment; the config deltas that replaced them
+    must reproduce them."""
+
+    STATIC_FINGERPRINT = "87429760fbaba03c"
+    STATIC_RANKINGS = "8b24f75179f82c30"
+    STATIC_TRAFFIC = {
+        "lookup": {"messages": 369, "bytes": 0, "hops": 767},
+        "postings": {"messages": 12, "bytes": 1464, "hops": 12},
+        "publish_batch": {"messages": 355, "bytes": 22960, "hops": 1089},
+        "search_term": {"messages": 12, "bytes": 304, "hops": 42},
+    }
+    #: Slots and owner state with each document's index terms sorted:
+    #: the subclass published ``sorted(terms)``, the config publishes in
+    #: frequency order, so selection order and slot-version rank moved.
+    FULL_FINGERPRINT_UNORDERED = "f54b119b9a17fc36"
+    #: kind → (messages, bytes).  Hops are not pinned: the order in which
+    #: a write batch locates its terms decides which of its lookups the
+    #: route cache answers.
+    FULL_TRAFFIC = {
+        "lookup": (628, 0),
+        "postings": (12, 3624),
+        "publish_batch": (614, 71168),
+        "search_term": (12, 304),
+    }
+    FULL_RANKINGS = [
+        ("q04", [
+            ("d00006", 0.041612479675107054),
+            ("d00059", 0.04093815731409464),
+            ("d00015", 0.02571012334865717),
+            ("d00029", 0.024739692931847947),
+            ("d00047", 0.02120545982824421),
+            ("d00058", 0.02049930317279822),
+            ("d00050", 0.01934893486641197),
+            ("d00019", 0.01814295853384133),
+            ("d00030", 0.017688802659392013),
+            ("d00004", 0.016236560605293472),
+        ]),
+        ("q05", [
+            ("d00048", 0.09026433071996602),
+            ("d00043", 0.0436643937919283),
+            ("d00007", 0.0427618528577489),
+            ("d00040", 0.031128486588129153),
+            ("d00037", 0.03027993699464493),
+            ("d00028", 0.028750183581122107),
+            ("d00026", 0.027098453033829066),
+            ("d00034", 0.026182948436864265),
+            ("d00021", 0.02203086719057077),
+            ("d00019", 0.018054689434060845),
+        ]),
+        ("q06", [
+            ("d00025", 0.04834208745920161),
+            ("d00006", 0.044199973456291335),
+            ("d00008", 0.043773130938004855),
+            ("d00057", 0.04323220538509351),
+            ("d00045", 0.0347215777421954),
+            ("d00035", 0.032091555189954074),
+            ("d00028", 0.028591801318743053),
+            ("d00011", 0.02822976725911945),
+            ("d00044", 0.027248130390152617),
+            ("d00053", 0.024939783260493082),
+        ]),
+        ("q07", [
+            ("d00048", 0.09228495870361896),
+            ("d00017", 0.08122978139158242),
+            ("d00013", 0.04931475444579494),
+            ("d00022", 0.04230676701561416),
+            ("d00047", 0.04184585504997941),
+            ("d00042", 0.0359907097613912),
+            ("d00052", 0.03320778169953209),
+            ("d00004", 0.026125182411570448),
+            ("d00009", 0.021451709769281443),
+            ("d00032", 0.017592506467466375),
+        ]),
+    ]
+
+    @pytest.fixture(scope="class")
+    def oracle(self, micro_corpus_config) -> DifferentialOracle:
+        corpus, originals, __ = SyntheticTrecCorpus(micro_corpus_config).build()
+        queries = list(originals)
+        return DifferentialOracle(corpus, queries[:4], queries[4:], num_peers=16, seed=0)
+
+    def test_static_baseline_reproduces_the_esearch_class(self, oracle) -> None:
+        sprite, chord = oracle.configs()
+        assert sprite.static_baseline().initial_terms == 9
+        system = SpriteSystem(oracle.corpus, sprite.static_baseline(), chord)
+        system.share_corpus()
+        state = write_state_fingerprint(system)
+        assert _digest(
+            (sorted(state["slots"].items()), state["version_rank"], sorted(state["owners"].items()))
+        ) == self.STATIC_FINGERPRINT
+        rankings = [
+            (q.query_id, [(e.doc_id, e.score.hex()) for e in system.search(q, cache=False)])
+            for q in oracle.test
+        ]
+        assert _digest(rankings) == self.STATIC_RANKINGS
+        assert system.ring.stats.summary() == self.STATIC_TRAFFIC
+
+    def test_unbounded_initial_terms_reproduce_the_full_index_class(self, oracle) -> None:
+        system = oracle.build(
+            {
+                "sprite": {
+                    "initial_terms": 10**6,
+                    "max_index_terms": 10**6,
+                    "assumed_corpus_size": len(oracle.corpus),
+                }
+            }
+        )
+        system.share_corpus()
+        assert system.total_published_terms() == 1917
+        state = write_state_fingerprint(system)
+        owners = [
+            (key, (tuple(sorted(value[0])),) + value[1:])
+            for key, value in sorted(state["owners"].items())
+        ]
+        assert _digest((sorted(state["slots"].items()), owners)) == self.FULL_FINGERPRINT_UNORDERED
+        for query, (query_id, expected) in zip(oracle.test, self.FULL_RANKINGS):
+            ranked = system.search(query, cache=False)
+            assert query.query_id == query_id
+            assert ranked.ids() == [doc_id for doc_id, __ in expected]
+            assert [e.score for e in ranked] == pytest.approx(
+                [score for __, score in expected], rel=1e-9, abs=1e-12
+            )
+        assert {
+            kind: (row["messages"], row["bytes"])
+            for kind, row in system.ring.stats.summary().items()
+        } == self.FULL_TRAFFIC

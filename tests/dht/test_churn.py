@@ -48,49 +48,12 @@ class TestSingleEvents:
         with pytest.raises(EmptyRingError):
             ChurnModel(ring).leave_random()
 
-
-class TestBulkSchedules:
-    def test_fail_fraction_counts(self) -> None:
-        ring = make_ring(num_peers=20)
-        victims = ChurnModel(ring, seed=5).fail_fraction(0.25)
-        assert len(victims) == 5
-        assert ring.num_live == 15
-
-    def test_fail_fraction_zero(self) -> None:
-        ring = make_ring()
-        assert ChurnModel(ring).fail_fraction(0.0) == []
-        assert ring.num_live == 20
-
-    def test_fail_fraction_bounds(self) -> None:
-        with pytest.raises(ValueError):
-            ChurnModel(make_ring()).fail_fraction(1.0)
-        with pytest.raises(ValueError):
-            ChurnModel(make_ring()).fail_fraction(-0.1)
-
-    def test_fail_fraction_never_empties_ring(self) -> None:
-        ring = make_ring(num_peers=4)
-        ChurnModel(ring, seed=2).fail_fraction(0.99)
-        assert ring.num_live >= 1
-
-    def test_session_churn_keeps_ring_routable(self) -> None:
-        ring = make_ring(num_peers=16)
-        churn = ChurnModel(ring, seed=8)
-        events = churn.session_churn(rounds=20, p_fail=0.5)
-        assert len(events) == 20
-        # After stabilized churn every lookup must still match the oracle.
-        import random
-        rng = random.Random(4)
-        for __ in range(50):
-            key = rng.randrange(ring.space.size)
-            result = ring.lookup(ring.random_live_id(rng), key, record=False)
-            assert result.node_id == ring.successor_of(key)
-
-    def test_session_churn_negative_rounds(self) -> None:
-        with pytest.raises(ValueError):
-            ChurnModel(make_ring()).session_churn(-1)
-
     def test_deterministic_for_seed(self) -> None:
-        r1, r2 = make_ring(seed=3), make_ring(seed=3)
-        e1 = ChurnModel(r1, seed=77).session_churn(10)
-        e2 = ChurnModel(r2, seed=77).session_churn(10)
-        assert [(e.kind, e.node_id) for e in e1] == [(e.kind, e.node_id) for e in e2]
+        histories = []
+        for __ in range(2):
+            churn = ChurnModel(make_ring(seed=3), seed=77)
+            for step in (churn.fail_random, churn.join_one, churn.leave_random) * 3:
+                step()
+            histories.append([(e.kind, e.node_id) for e in churn.history])
+        assert histories[0] == histories[1]
+        assert len(histories[0]) == 9

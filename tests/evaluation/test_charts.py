@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.evaluation.charts import bar_chart, line_chart, ratio_series_from_rows
+from repro.evaluation.charts import line_chart, ratio_series_from_rows
 
 
 class TestLineChart:
@@ -36,24 +36,6 @@ class TestLineChart:
         lines = chart.splitlines()
         top_row = next(line for line in lines if "┤" in line)
         assert top_row.rstrip().endswith("*")
-
-
-class TestBarChart:
-    def test_proportional_bars(self) -> None:
-        chart = bar_chart({"big": 100.0, "small": 25.0})
-        big_line, small_line = chart.splitlines()
-        assert big_line.count("█") > small_line.count("█") * 2
-
-    def test_values_shown(self) -> None:
-        chart = bar_chart({"x": 42.0}, unit=" msgs")
-        assert "42" in chart and "msgs" in chart
-
-    def test_empty(self) -> None:
-        assert bar_chart({}) == "(no data)"
-
-    def test_zero_values(self) -> None:
-        chart = bar_chart({"a": 0.0, "b": 0.0})
-        assert "a" in chart  # renders without dividing by zero
 
 
 class TestRowConversion:

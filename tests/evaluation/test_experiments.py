@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.esearch import ESearchSystem
 from repro.core.system import SpriteSystem
 from repro.dht.messages import MessageKind
 from repro.evaluation.experiments import (
-    _IndexEverything,
     build_esearch,
     build_trained_sprite,
     run_cost_comparison,
@@ -148,13 +146,16 @@ class TestCostComparison:
         PUBLISH_TERM per (document, term) pair sends exactly as many
         messages (and bytes) as the table says postings."""
         env = small_env
-        static = dict(esearch_config=env.config.esearch, chord_config=env.config.chord)
+        sprite = env.config.sprite
         reference = {
-            "sprite": SpriteSystem(
-                env.corpus, sprite_config=env.config.sprite, chord_config=env.config.chord
-            ),
-            "esearch": ESearchSystem(env.corpus, **static),
-            "index-everything": _IndexEverything(env.corpus, **static),
+            strategy: SpriteSystem(
+                env.corpus, sprite_config=config, chord_config=env.config.chord
+            )
+            for strategy, config in (
+                ("sprite", sprite),
+                ("esearch", sprite.static_baseline()),
+                ("index-everything", sprite.static_baseline(10**6)),
+            )
         }
         for system in reference.values():
             install_per_term_owners(system).share_corpus()

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import ChordConfig, ESearchConfig
-from repro.core import ESearchSystem
+from repro.config import ChordConfig, SpriteConfig
+from repro.core import SpriteSystem
 from repro.corpus import Corpus, Document, Query
 from repro.dht.messages import MessageKind
 from repro.extensions import HotTermAdvisor, HotTermCache
@@ -30,26 +30,26 @@ def corpus() -> Corpus:
 
 
 @pytest.fixture()
-def system(corpus: Corpus) -> ESearchSystem:
-    system = ESearchSystem(
-        corpus, esearch_config=ESearchConfig(index_terms=2), chord_config=CHORD
+def system(corpus: Corpus) -> SpriteSystem:
+    system = SpriteSystem(
+        corpus, sprite_config=SpriteConfig().static_baseline(2), chord_config=CHORD
     )
     system.share_corpus()
     return system
 
 
 class TestHotTermAdvisor:
-    def test_detects_hot_terms(self, system: ESearchSystem) -> None:
+    def test_detects_hot_terms(self, system: SpriteSystem) -> None:
         advisor = HotTermAdvisor(system, df_threshold=5)
         hot = advisor.find_hot_terms()
         assert [a.term for a in hot] == ["ubiquit"]
         assert hot[0].indexed_document_frequency == 10
 
-    def test_no_hot_terms_below_threshold(self, system: ESearchSystem) -> None:
+    def test_no_hot_terms_below_threshold(self, system: SpriteSystem) -> None:
         advisor = HotTermAdvisor(system, df_threshold=50)
         assert advisor.find_hot_terms() == []
 
-    def test_apply_advice_switches_documents(self, system: ESearchSystem) -> None:
+    def test_apply_advice_switches_documents(self, system: SpriteSystem) -> None:
         advisor = HotTermAdvisor(system, df_threshold=5)
         hot = advisor.find_hot_terms()[0]
         switched = advisor.apply_advice(hot)
@@ -61,21 +61,21 @@ class TestHotTermAdvisor:
         for i in range(10):
             assert len(system.index_terms(f"d{i}")) == 2
 
-    def test_advice_messages_counted(self, system: ESearchSystem) -> None:
+    def test_advice_messages_counted(self, system: SpriteSystem) -> None:
         advisor = HotTermAdvisor(system, df_threshold=5)
         advisor.rebalance()
         assert system.ring.stats.kind(MessageKind.ADVISE_HOT_TERM).messages == 10
 
-    def test_rebalance_summary(self, system: ESearchSystem) -> None:
+    def test_rebalance_summary(self, system: SpriteSystem) -> None:
         hot_count, switches = HotTermAdvisor(system, df_threshold=5).rebalance()
         assert hot_count == 1
         assert switches == 10
 
-    def test_invalid_threshold(self, system: ESearchSystem) -> None:
+    def test_invalid_threshold(self, system: SpriteSystem) -> None:
         with pytest.raises(ValueError):
             HotTermAdvisor(system, df_threshold=0)
 
-    def test_replacement_preserves_retrievability(self, system: ESearchSystem) -> None:
+    def test_replacement_preserves_retrievability(self, system: SpriteSystem) -> None:
         """After rebalancing, documents remain findable via their
         replacement terms."""
         HotTermAdvisor(system, df_threshold=5).rebalance()
@@ -84,14 +84,14 @@ class TestHotTermAdvisor:
 
 
 class TestHotTermCache:
-    def test_observation_counts(self, system: ESearchSystem) -> None:
+    def test_observation_counts(self, system: SpriteSystem) -> None:
         cache = HotTermCache(system.protocol)
         cache.observe_query(("alpha", "beta"))
         cache.observe_query(("alpha", "gamma"))
         assert cache.hottest_terms(1) == ["alpha"]
         assert cache.cooccurrence["alpha"]["beta"] == 1
 
-    def test_refresh_caches_hot_postings(self, system: ESearchSystem) -> None:
+    def test_refresh_caches_hot_postings(self, system: SpriteSystem) -> None:
         cache = HotTermCache(system.protocol)
         for __ in range(5):
             cache.observe_query(("ubiquit", "special1"))
@@ -100,7 +100,7 @@ class TestHotTermCache:
         # With an explicit budget of one, only the hottest is cached.
         assert cache.refresh(num_hot=1) == 1
 
-    def test_a_refresh_push_is_its_own_kind(self, system: ESearchSystem) -> None:
+    def test_a_refresh_push_is_its_own_kind(self, system: SpriteSystem) -> None:
         """The push used to travel as a REPLICATE priced postings × 24,
         beside the replication round's digest-and-entries REPLICATE; it
         is a CACHE_HOT_TERM now, at the same price."""
@@ -112,7 +112,7 @@ class TestHotTermCache:
         assert (pushed.messages, pushed.bytes) == (1, 10 * 24)  # "ubiquit": df 10
         assert system.ring.stats.kind(MessageKind.REPLICATE).messages == 0
 
-    def test_fetch_served_from_cache(self, system: ESearchSystem) -> None:
+    def test_fetch_served_from_cache(self, system: SpriteSystem) -> None:
         cache = HotTermCache(system.protocol)
         for __ in range(5):
             cache.observe_query(("ubiquit", "special1"))
@@ -124,13 +124,13 @@ class TestHotTermCache:
         assert cache.hits == 1
         assert df == 10 and len(postings) == 10
 
-    def test_miss_falls_through_to_protocol(self, system: ESearchSystem) -> None:
+    def test_miss_falls_through_to_protocol(self, system: SpriteSystem) -> None:
         cache = HotTermCache(system.protocol)
         postings, df = cache.fetch_postings(system.ring.live_ids[0], "special2")
         assert cache.misses == 1
         assert df == 1
 
-    def test_hit_rate(self, system: ESearchSystem) -> None:
+    def test_hit_rate(self, system: SpriteSystem) -> None:
         cache = HotTermCache(system.protocol)
         for __ in range(3):
             cache.observe_query(("ubiquit", "special1"))
@@ -139,6 +139,6 @@ class TestHotTermCache:
         cache.fetch_postings(system.ring.live_ids[0], "special5")
         assert cache.hit_rate == pytest.approx(0.5)
 
-    def test_invalid_capacity(self, system: ESearchSystem) -> None:
+    def test_invalid_capacity(self, system: SpriteSystem) -> None:
         with pytest.raises(ValueError):
             HotTermCache(system.protocol, cache_capacity=0)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SpriteConfig
-from repro.core import ESearchSystem, SpriteSystem
+from repro.core import SpriteSystem
 from repro.corpus import Query
 from repro.dht import ReplicationManager
 from repro.evaluation import (
@@ -145,7 +145,11 @@ class TestCrossSystemConsistency:
             chord_config=small_env.config.chord,
         )
         sprite.share_corpus()
-        esearch = ESearchSystem(small_env.corpus, chord_config=small_env.config.chord)
+        esearch = SpriteSystem(
+            small_env.corpus,
+            sprite_config=small_env.config.sprite.static_baseline(),
+            chord_config=small_env.config.chord,
+        )
         esearch.share_corpus()
         doc = small_env.corpus.get(small_env.corpus.doc_ids[0])
         term = doc.top_terms(1)[0]

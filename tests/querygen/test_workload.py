@@ -10,7 +10,6 @@ from repro.config import WorkloadConfig
 from repro.corpus import Qrels, Query, QuerySet
 from repro.exceptions import QueryError
 from repro.querygen.workload import (
-    interleave_training_testing,
     pattern_change_groups,
     random_split,
     without_repeats_stream,
@@ -115,14 +114,3 @@ class TestPatternChangeGroups:
         group_a, group_b = pattern_change_groups(query_set, seed=3)
         assert group_a.qrels is query_set.qrels
         assert group_b.qrels is query_set.qrels
-
-
-class TestInterleave:
-    def test_partition(self, query_set) -> None:
-        stream = list(query_set.queries) * 2
-        train, test = interleave_training_testing(stream, 0.5, seed=3)
-        assert len(train) + len(test) == len(stream)
-
-    def test_invalid_fraction(self, query_set) -> None:
-        with pytest.raises(QueryError):
-            interleave_training_testing(list(query_set.queries), 1.5)

@@ -14,7 +14,6 @@ from repro.dht import recursive_finger_steps
 from repro.sim import (
     ORACLE_ROWS,
     DifferentialOracle,
-    FullIndexSystem,
     write_state_fingerprint,
 )
 
@@ -173,13 +172,12 @@ class TestCentralizedBaseline:
 
     def test_full_index_system_publishes_every_term(self, workload) -> None:
         corpus, __, __ = workload
-        doc = next(iter(corpus))
-        system = FullIndexSystem(
-            corpus,
-            sprite_config=DifferentialOracle(corpus, [], []).configs()[0],
+        system = DifferentialOracle(corpus, [], []).build(
+            {"sprite": {"initial_terms": 10**6, "max_index_terms": 10**6}}
         )
-        terms = system._first_terms(doc.doc_id)
-        assert terms == sorted(doc.term_freqs)
+        system.share_corpus()
+        for doc in corpus:
+            assert sorted(system.index_terms(doc.doc_id)) == sorted(doc.term_freqs)
 
 
 class TestCheckAll:

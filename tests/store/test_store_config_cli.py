@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.config import STORE_BACKENDS, ESearchConfig, SpriteConfig
-from repro.core.esearch import ESearchSystem
+from repro.config import STORE_BACKENDS, SpriteConfig
+from repro.evaluation import build_esearch
 from repro.exceptions import ConfigurationError
 from repro.store import StoreRuntime, build_store_runtime
 
@@ -40,10 +41,29 @@ class TestConfig:
         finally:
             runtime.close()
 
-    def test_pre_store_configs_default_to_memory(self, tiny_corpus) -> None:
-        # ESearchConfig predates the store fields: the system hands the
-        # store factory the SpriteConfig it derives, which says memory.
-        assert ESearchSystem(tiny_corpus, ESearchConfig()).store_runtime is None
+    def test_the_static_baseline_inherits_the_deployment(
+        self, small_env, tmp_path
+    ) -> None:
+        """eSearch differs from SPRITE in term selection only, so it
+        inherits the store, both cache sizes and everything else the
+        experiment configured."""
+        sprite = replace(
+            small_env.config.sprite,
+            store_backend="sqlite",
+            store_dir=str(tmp_path / "store"),
+            result_cache_size=64,
+            query_cache_size=123,
+        )
+        env = replace(small_env, config=replace(small_env.config, sprite=sprite))
+        system = build_esearch(env, index_terms=4)
+        try:
+            assert isinstance(system.store_runtime, StoreRuntime)
+            assert system.config == sprite.static_baseline(4)
+            assert system.protocol.query_cache_size == 123
+            assert system.protocol.result_cache_size == 64
+            assert system.store_runtime.stats()["postings"] == system.total_published_terms()
+        finally:
+            system.store_runtime.close()
 
     def test_temp_store_dir_cleans_up_on_close(self) -> None:
         runtime = StoreRuntime()

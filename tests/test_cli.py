@@ -64,6 +64,15 @@ class TestInfo:
         assert "queries_per_original = 9" in output
         assert "overlap_ratio = 0.7" in output
 
+    def test_one_section_per_config_and_none_for_the_baseline(self) -> None:
+        """eSearch is ``SpriteConfig.static_baseline()``: it has no
+        options of its own to print."""
+        __, output = run_cli("info")
+        sections = [line.strip() for line in output.splitlines() if line.startswith("  [")]
+        assert sections == [
+            "[corpus]", "[querygen]", "[sprite]", "[chord]", "[workload]", "[network]",
+        ]
+
     def test_small_flag_changes_scale(self) -> None:
         __, big = run_cli("info")
         __, small = run_cli("info", "--small")

@@ -9,7 +9,6 @@ import pytest
 from repro.config import (
     ALL_CONFIG_TYPES,
     ChordConfig,
-    ESearchConfig,
     ExperimentConfig,
     NetworkConfig,
     QueryGenConfig,
@@ -40,7 +39,7 @@ class TestDefaultsMatchPaper:
         assert cfg.ranked_list_depth == 1000       # E = 1000
 
     def test_esearch_default_budget(self) -> None:
-        assert ESearchConfig().index_terms == 20
+        assert SpriteConfig().static_baseline().initial_terms == 20
 
     def test_zipf_slope(self) -> None:
         assert WorkloadConfig().zipf_slope == 0.5
@@ -133,6 +132,54 @@ class TestDerived:
     def test_with_max_terms_five_means_no_learning(self) -> None:
         derived = SpriteConfig().with_max_terms(5)
         assert derived.learning_iterations == 0
+
+    def test_static_baseline_default_budget_is_the_learned_one(self) -> None:
+        """The paper compares at equal cost: by default the baseline
+        publishes what this schedule reaches after learning."""
+        for base in (
+            SpriteConfig(),
+            SpriteConfig().with_max_terms(30),
+            SpriteConfig(initial_terms=3, terms_per_iteration=3, max_index_terms=7),
+        ):
+            static = base.static_baseline()
+            budget = base.total_terms_after_learning
+            assert (static.initial_terms, static.max_index_terms) == (budget, budget)
+            assert static.total_terms_after_learning == budget
+
+    def test_static_baseline_differs_only_in_term_selection(self) -> None:
+        base = SpriteConfig(
+            query_cache_size=77, result_cache_size=64, top_k_answers=7, store_bloom=False
+        )
+        static = base.static_baseline(12)
+        differing = {
+            f.name
+            for f in dataclasses.fields(SpriteConfig)
+            if getattr(base, f.name) != getattr(static, f.name)
+        }
+        assert differing == {
+            "initial_terms", "terms_per_iteration", "learning_iterations", "max_index_terms",
+        }
+        assert (static.initial_terms, static.terms_per_iteration) == (12, 0)
+        assert (static.learning_iterations, static.max_index_terms) == (0, 12)
+
+    def test_learning_on_a_static_config_is_a_no_op(self, tiny_corpus) -> None:
+        from repro.core import SpriteSystem
+        from repro.corpus import Query
+        from repro.dht.messages import MessageKind
+
+        system = SpriteSystem(
+            tiny_corpus,
+            sprite_config=SpriteConfig().static_baseline(3),
+            chord_config=ChordConfig(num_peers=8, seed=3),
+        )
+        system.share_corpus()
+        system.register_queries([Query("q", ("finger", "table", "lookup"))])
+        terms = {d: system.index_terms(d) for d in tiny_corpus.doc_ids}
+        traffic = system.ring.stats.summary()
+        system.run_learning()
+        assert system.ring.stats.summary() == traffic
+        assert {d: system.index_terms(d) for d in tiny_corpus.doc_ids} == terms
+        assert system.ring.stats.kind(MessageKind.POLL_BATCH).messages == 0
 
 
 class TestFactories:

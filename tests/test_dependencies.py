@@ -3,8 +3,9 @@
 name the benchmark's layer budget hooks still exists, no module imports
 across a layer boundary its docstring rules out, the indexing
 protocol's one exchange stays one, a message is built and priced in one
-module, and the overlay's shape stays one number on the overlay's
-config."""
+module, the overlay's shape stays one number on the overlay's config,
+and a retrieval system stays one class whose term-selection policy is
+its config."""
 
 from __future__ import annotations
 
@@ -243,3 +244,35 @@ def test_the_overlay_shape_is_one_field_of_one_ring_class() -> None:
     assert not subclasses
     assert len(dataclasses.fields(SpriteConfig)) == 12
     assert len(dataclasses.fields(ChordConfig)) == 6
+
+
+def test_a_retrieval_system_is_one_class_and_its_policy_is_its_config() -> None:
+    """eSearch, the oracle's full-index arm and the index-everything
+    strawman are values of ``SpriteConfig`` (``static_baseline``, a
+    large ``initial_terms``), not classes: ``core/system.py`` defines
+    one system, nothing in ``src`` subclasses it or hooks its first
+    terms, and the baseline has no config class of its own."""
+    from repro.config import ALL_CONFIG_TYPES, ExperimentConfig, SpriteConfig
+
+    system = ast.parse((PACKAGE / "core" / "system.py").read_text(encoding="utf-8"))
+    assert [n.name for n in system.body if isinstance(n, ast.ClassDef)] == ["SpriteSystem"]
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        where = path.relative_to(PACKAGE).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(base).endswith("System") for base in node.bases
+            ):
+                found.append(f"{where}: class {node.name}({ast.unparse(node.bases[0])})")
+            named = (
+                getattr(node, "name", None)
+                or getattr(node, "id", None)
+                or getattr(node, "attr", None)
+                or getattr(node, "arg", None)
+            )
+            if named in {"_first_terms", "first_terms_of", "ESearchConfig"}:
+                found.append(f"{where}: names {named}")
+    assert not found, found
+    assert len(ALL_CONFIG_TYPES) == 7
+    assert "esearch" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert len(dataclasses.fields(SpriteConfig)) == 12
