@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dht.messages import MessageKind
+from repro.dht.messages import TERM_BYTES, VERSION_BYTES, MessageKind
 from repro.evaluation import format_cost, run_cost_comparison
 from repro.evaluation.experiments import build_trained_sprite
 
@@ -69,9 +69,13 @@ class TestMaintenanceTraffic:
     ) -> None:
         """One learning iteration's poll traffic: a POLL_BATCH and its
         QUERY_BATCH reply per (document, distinct indexing peer) — at
-        least one pair per document, at most one per index term."""
+        least one pair per document, at most one per index term — and
+        a request that carries its (term, cursor) pairs and nothing
+        else: no field grows with the document's index-term count (the
+        §3 rule runs at the owner)."""
         system = build_trained_sprite(paper_env)
         stats = system.ring.stats
+        pairs = system.total_published_terms()  # each document polls all its terms
         before = stats.snapshot()
         benchmark.pedantic(system.run_learning_iteration, rounds=1, iterations=1)
         delta = stats.delta_since(before)
@@ -80,12 +84,17 @@ class TestMaintenanceTraffic:
         assert polls is not None and batches is not None
         assert MessageKind.POLL_QUERIES not in delta
         assert polls.messages == batches.messages
+        assert polls.bytes == (
+            MessageKind.POLL_BATCH.fixed_bytes * polls.messages
+            + (TERM_BYTES + VERSION_BYTES) * pairs
+        )
         published_terms = system.total_published_terms()
         assert len(paper_env.corpus) <= polls.messages <= published_terms
         lines = [
             "maintenance traffic, one learning iteration:",
             f"  documents:        {len(paper_env.corpus)}",
             f"  published terms:  {published_terms}",
+            f"  pairs polled:     {pairs}",
             f"  poll batches:     {polls.messages}",
             f"  poll bytes:       {polls.bytes}",
             f"  batch replies:    {batches.messages}",

@@ -3,8 +3,9 @@
 :class:`IndexingProtocol` encapsulates every interaction between peers
 and the distributed term index: publishing and unpublishing postings,
 registering issued queries into the per-term caches, fetching inverted
-lists during search, the learning poll with the closest-hash
-deduplication rule of Section 3, and the query-result cache.
+lists during search, the learning poll (whose Section 3 closest-hash
+deduplication the owner applies to the reply), and the query-result
+cache.
 
 Each of them is the same exchange — route to the responsible peer,
 deliver a request, let the peer act, deliver a reply — and each step is
@@ -731,6 +732,11 @@ class IndexingProtocol:
         )
 
     # -- learning poll (owner → indexing peer) ------------------------------------
+    #
+    # A poll carries cursors only.  The indexing peer answers every query
+    # cached since a term's cursor; the owner, which alone holds the
+    # document's index-term hashes, applies the Section 3 closest-hash
+    # rule to what was delivered (:meth:`_keep_closest`).
 
     def poll_term(
         self,
@@ -739,58 +745,24 @@ class IndexingProtocol:
         index_term_hashes: Dict[str, int],
         since: int,
     ) -> Tuple[List[CachedQuery], int]:
-        """One term's share of an index-update poll.
-
-        The poll message carries *all* the document's global index terms
-        (their hashes); the indexing peer of *term* returns only the
-        cached queries newer than *since* for which *term* is the
-        hash-closest index term among those the query actually contains
-        — the Section 3 deduplication that stops a multi-term query from
-        being shipped back once per matching indexing peer.
+        """One term's share of an index-update poll: one POLL_QUERIES
+        request carrying the cursor *since*, one QUERY_BATCH reply
+        carrying the slot's queries cached after it — an empty one for a
+        term without a slot.  Of those, the owner keeps the queries for
+        which *term* is the hash-closest of *index_term_hashes* among the
+        terms the query contains — the Section 3 deduplication that
+        stops a multi-term query from being counted once per matching
+        indexing peer.
 
         Returns (new queries, latest sequence seen at the slot).
         """
         node, hops = self._route(owner_id, self.term_hash(term))
         self.ring.send(
-            message(
-                MessageKind.POLL_QUERIES,
-                owner_id,
-                node.node_id,
-                len(index_term_hashes),
-                hops=hops + 1,
-            )
+            message(MessageKind.POLL_QUERIES, owner_id, node.node_id, hops=hops + 1)
         )
-        slot = self._slot_at(node, term, create=False)
-        if slot is None:
-            return [], since
-        selected = self._select_fresh_queries(slot, term, index_term_hashes, since)
-        answer = (selected, slot.cache.latest_sequence)
+        answer = self._serve_poll(node, term, {term: since})
         self.ring.send(self._query_batch(node.node_id, owner_id, [answer]))
-        return answer
-
-    def _select_fresh_queries(
-        self,
-        slot: TermSlot,
-        term: str,
-        index_term_hashes: Dict[str, int],
-        since: int,
-    ) -> List[CachedQuery]:
-        """The Section 3 selection rule for one slot: cached queries
-        newer than *since* for which *term* is the hash-closest of the
-        owner's index terms present in the query."""
-        selected: List[CachedQuery] = []
-        for cached in slot.cache.since(since):
-            present = {
-                t: index_term_hashes[t]
-                for t in cached.terms
-                if t in index_term_hashes
-            }
-            if not present:
-                continue
-            closest = self.ring.space.closest_term_to_key(cached.query_hash, present)
-            if closest == term:
-                selected.append(cached)
-        return selected
+        return self._keep_closest(term, answer, index_term_hashes)
 
     def poll_batch(
         self,
@@ -800,40 +772,63 @@ class IndexingProtocol:
     ) -> Tuple[Dict[str, Tuple[List[CachedQuery], int]], Set[str]]:
         """Coalesced learning poll: every (term, cursor) pair an owner
         holds, grouped by responsible indexing peer — one POLL_BATCH
-        request and one QUERY_BATCH reply per *peer*, the selection rule
-        and the cursors still per term (:meth:`_select_fresh_queries`).
+        request and one QUERY_BATCH reply per *peer*, the cursors and
+        the owner-side selection rule (:meth:`_keep_closest`) still per
+        term.
 
         Returns ``(term → (new queries, latest sequence seen), failed
         terms)``.  A term resolving to a peer without the slot reports
         ``([], cursor)`` just like :meth:`poll_term`.
         """
         cursor_of = dict(term_cursors)
-        results, failed = self._exchange(
+        delivered, failed = self._exchange(
             owner_id,
             self._locate(owner_id, cursor_of, absorb=True),
-            (cursor_of, index_term_hashes),
+            cursor_of,
             self._poll_request,
             self._serve_poll,
             self._query_batch,
         )
+        results = {
+            term: self._keep_closest(term, answer, index_term_hashes)
+            for term, answer in delivered.items()
+        }
         return results, set(failed)
 
     @staticmethod
-    def _poll_request(src, dst, batch, hops, polled) -> Message:
-        return message(
-            MessageKind.POLL_BATCH, src, dst, len(batch), len(polled[1]), hops=hops
-        )
+    def _poll_request(src, dst, batch, hops, carried) -> Message:
+        return message(MessageKind.POLL_BATCH, src, dst, len(batch), hops=hops)
 
-    def _serve_poll(self, node, term, polled) -> Tuple[List[CachedQuery], int]:
-        """*polled*: ``(term → cursor, the owner's index-term hashes)``."""
-        cursor_of, index_term_hashes = polled
+    def _serve_poll(self, node, term, cursor_of) -> Tuple[List[CachedQuery], int]:
+        """Every query cached at *term*'s slot since its cursor, and the
+        slot's latest sequence; ``([], cursor)`` without a slot."""
         slot = self._slot_at(node, term, create=False)
         if slot is None:
             return [], cursor_of[term]
-        selected = self._select_fresh_queries(
-            slot, term, index_term_hashes, cursor_of[term]
-        )
-        return selected, slot.cache.latest_sequence
+        return slot.cache.since(cursor_of[term]), slot.cache.latest_sequence
+
+    def _keep_closest(
+        self,
+        term: str,
+        answer: Tuple[List[CachedQuery], int],
+        index_term_hashes: Dict[str, int],
+    ) -> Tuple[List[CachedQuery], int]:
+        """The Section 3 selection rule, at the owner, for one term's
+        delivered *answer* ``(candidates, latest sequence)``: keep the
+        candidates for which *term* is the hash-closest of the owner's
+        index terms present in the query."""
+        candidates, latest = answer
+        closest_term_to_key = self.ring.space.closest_term_to_key
+        selected: List[CachedQuery] = []
+        for cached in candidates:
+            present = {
+                t: index_term_hashes[t]
+                for t in cached.terms
+                if t in index_term_hashes
+            }
+            if present and closest_term_to_key(cached.query_hash, present) == term:
+                selected.append(cached)
+        return selected, latest
 
     @staticmethod
     def _query_batch(src, dst, answers) -> Message:

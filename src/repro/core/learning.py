@@ -187,8 +187,8 @@ def select_index_terms(
     if len(chosen) < target_size:
         # Still under budget (very sparse evidence): pad with the
         # document's next most frequent unchosen terms, the same signal
-        # used for initial selection.
-        for term in document.top_terms(len(tf_rank)):
+        # used for initial selection (tf_rank is in that order already).
+        for term in tf_rank:
             if len(chosen) >= target_size:
                 break
             if term not in chosen_set:

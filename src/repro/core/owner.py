@@ -215,9 +215,10 @@ class OwnerPeer:
 
     def poll_queries(self, doc_id: str) -> List[Tuple[str, ...]]:
         """Poll every index term's peer for queries cached since the
-        last poll — one ``poll_batch`` round-trip per distinct peer; the
-        closest-hash rule at the peers guarantees each query comes back
-        at most once per poll."""
+        last poll — one ``poll_batch`` round-trip per distinct peer,
+        carrying only the cursors.  ``poll_batch`` applies the §3
+        closest-hash rule to the replies with this document's index-term
+        hashes, so each query is counted at most once per poll."""
         state = self._state(doc_id)
         hashes = {t: self.protocol.term_hash(t) for t in state.index_terms}
         results, __ = self.protocol.poll_batch(

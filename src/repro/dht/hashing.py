@@ -128,7 +128,7 @@ class IdSpace:
         with deterministic lexicographic tie-break.
 
         This implements the paper's closest-hash query-deduplication
-        rule (Section 3): a cached query is returned only by the
+        rule (Section 3): an owner counts a cached query only from the
         indexing peer of the single global index term closest in hash
         space to the query's own hash.
         """

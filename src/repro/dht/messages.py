@@ -60,15 +60,12 @@ class MessageKind(Enum):
     PUBLISH_BATCH = "publish_batch", "write", QUERY_HEADER_BYTES, (TERM_BYTES + POSTING_BYTES,)
     # owner → indexing peer: remove n (term hash, doc id) pairs
     UNPUBLISH_BATCH = "unpublish_batch", "write", QUERY_HEADER_BYTES, (TERM_BYTES + TERM_BYTES,)
-    # owner → indexing peer, index update poll: the owner's index-term
-    # hashes (the §3 closest-hash dedup needs them)
-    POLL_QUERIES = "poll_queries", "write", QUERY_HEADER_BYTES, (TERM_BYTES,)
-    # owner → indexing peer: (term, cursor) pairs polled; the owner's
-    # index-term hashes
-    POLL_BATCH = (
-        "poll_batch", "write", QUERY_HEADER_BYTES, (TERM_BYTES + VERSION_BYTES, TERM_BYTES)
-    )
-    # indexing peer → owner: cached queries returned; their terms in total
+    # owner → indexing peer, index update poll: one (term, cursor) pair
+    POLL_QUERIES = "poll_queries", "write", QUERY_HEADER_BYTES + TERM_BYTES + VERSION_BYTES
+    # owner → indexing peer: (term, cursor) pairs polled
+    POLL_BATCH = "poll_batch", "write", QUERY_HEADER_BYTES, (TERM_BYTES + VERSION_BYTES,)
+    # indexing peer → owner: cached queries returned (the owner applies
+    # the §3 closest-hash dedup to them); their terms in total
     QUERY_BATCH = "query_batch", "write", QUERY_HEADER_BYTES, (QUERY_HEADER_BYTES, TERM_BYTES)
 
     # querying peer → indexing peer: query terms this peer is responsible for

@@ -6,12 +6,16 @@ and its own request → serve → reply loop; ``IndexingProtocol`` now runs
 all of them through one ``_route`` / ``_locate`` / ``_exchange``.  The
 six batched methods below, and the three private helpers they call, are
 that commit's code (``git show 76ee05e:src/repro/core/indexer.py``) with
-one change: each message is built through ``message()``, the cost table
+two changes: each message is built through ``message()``, the cost table
 both sides share — this reference pins the exchange *order*, not the
-prices (``tests/dht/test_messages.py`` pins those).  So a divergence in
-results, failed terms, traffic or index state is the fold's.  Everything else — the per-term seed methods, slot access, the
-§3 selection rule, the replica deletion-forward with its deliver-first
-fix — is inherited, so both sides of a comparison share it.
+prices (``tests/dht/test_messages.py`` pins those) — and ``poll_batch``
+speaks the current poll wire (cursors out, every cached query since
+them back, the §3 rule applied by the owner; the wire it replaced is
+``tests/core/peer_side_dedup.py``).  So a divergence in results, failed
+terms, traffic or index state is the fold's.  Everything else — the
+per-term seed methods, slot access, the §3 selection rule, the replica
+deletion-forward with its deliver-first fix — is inherited, so both
+sides of a comparison share it.
 """
 
 from __future__ import annotations
@@ -361,9 +365,10 @@ class InlineExchanges(IndexingProtocol):
         """Coalesced learning poll: every (term, cursor) pair an owner
         holds, grouped by responsible indexing peer — one POLL_BATCH
         request and one QUERY_BATCH reply per *peer* instead of a
-        round-trip per term, with the per-term selection rule (and the
-        per-term cursors) preserved exactly via
-        :meth:`_select_fresh_queries`.
+        round-trip per term.  The request carries the cursors, the reply
+        every query cached since each term's cursor, and the owner
+        applies the per-term selection rule to what was delivered
+        (:meth:`_keep_closest`).
 
         Returns ``(term → (new queries, latest sequence seen), failed
         terms)``.  A term resolving to a peer without the slot reports
@@ -383,7 +388,6 @@ class InlineExchanges(IndexingProtocol):
                         owner_id,
                         node_id,
                         len(batch),
-                        len(index_term_hashes),
                         hops=peer_hops[node_id],
                     )
                 )
@@ -392,33 +396,32 @@ class InlineExchanges(IndexingProtocol):
                 continue
             node = self.ring.node(node_id)
             batch_results: Dict[str, Tuple[List[CachedQuery], int]] = {}
-            total_selected = 0
+            total_candidates = 0
             total_query_terms = 0
             for term in batch:
                 slot = self._slot_at(node, term, create=False)
                 if slot is None:
                     batch_results[term] = ([], cursor_of[term])
                     continue
-                selected = self._select_fresh_queries(
-                    slot, term, index_term_hashes, cursor_of[term]
-                )
-                batch_results[term] = (selected, slot.cache.latest_sequence)
-                total_selected += len(selected)
-                total_query_terms += sum(len(c.terms) for c in selected)
+                candidates = slot.cache.since(cursor_of[term])
+                batch_results[term] = (candidates, slot.cache.latest_sequence)
+                total_candidates += len(candidates)
+                total_query_terms += sum(len(c.terms) for c in candidates)
             try:
                 self.ring.send(
                     message(
                         MessageKind.QUERY_BATCH,
                         node_id,
                         owner_id,
-                        total_selected,
+                        total_candidates,
                         total_query_terms,
                     )
                 )
             except NodeFailedError:
                 failed_terms.update(batch)
                 continue
-            results.update(batch_results)
+            for term, answer in batch_results.items():
+                results[term] = self._keep_closest(term, answer, index_term_hashes)
         return results, failed_terms
 
 

@@ -168,6 +168,36 @@ class TestPollDeduplication:
         )
         assert fresh == [] and latest == -1
 
+    def test_poll_of_a_term_without_a_slot_is_answered(
+        self, protocol: IndexingProtocol, ring: ChordRing
+    ) -> None:
+        """A request gets its reply (§11): the peer answers an empty
+        QUERY_BATCH, so under loss this term can fail on the reply leg
+        like any other."""
+        protocol.poll_term(
+            ring.live_ids[0], "ghost", {"ghost": protocol.term_hash("ghost")}, since=-1
+        )
+        assert ring.stats.kind(MessageKind.POLL_QUERIES).messages == 1
+        replies = ring.stats.kind(MessageKind.QUERY_BATCH)
+        assert (replies.messages, replies.bytes) == (1, 16)
+
+    def test_poll_ships_every_candidate_and_the_owner_keeps_the_closest(
+        self, protocol: IndexingProtocol, ring: ChordRing
+    ) -> None:
+        """The peer answers every query cached since the cursor; the §3
+        rule runs on the owner's side of the reply."""
+        issuer, owner = ring.live_ids[0], ring.live_ids[1]
+        protocol.register_query(issuer, ("alpha", "beta"))
+        hashes = self._hashes(protocol, ("alpha", "beta"))
+        closest = ring.space.closest_term_to_key(protocol.query_hash(("alpha", "beta")), hashes)
+        other = "beta" if closest == "alpha" else "alpha"
+        fresh, latest = protocol.poll_term(owner, other, hashes, since=-1)
+        assert fresh == [] and latest == 0
+        # The duplicate was shipped all the same: 16 + 16 + 2·8.
+        assert ring.stats.kind(MessageKind.QUERY_BATCH).bytes == 48
+        fresh, __ = protocol.poll_term(owner, closest, hashes, since=-1)
+        assert [c.terms for c in fresh] == [("alpha", "beta")]
+
     def test_poll_traffic_recorded(self, protocol: IndexingProtocol, ring: ChordRing) -> None:
         issuer, owner = ring.live_ids[0], ring.live_ids[1]
         protocol.register_query(issuer, ("solo",))

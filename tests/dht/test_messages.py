@@ -128,6 +128,7 @@ class TestSizeConstants:
         assert wire_size(K.PUBLISH_TERM) == TERM_BYTES + POSTING_BYTES
         assert wire_size(K.SEARCH_TERM, 1) == TERM_BYTES + QUERY_HEADER_BYTES
         assert wire_size(K.POSTINGS, 5) == QUERY_HEADER_BYTES + 5 * POSTING_BYTES
+        assert wire_size(K.POLL_QUERIES) == QUERY_HEADER_BYTES + TERM_BYTES + VERSION_BYTES
 
 
 class TestCategories:
@@ -204,15 +205,31 @@ class TestBatchFactories:
         assert msg.kind is MessageKind.UNPUBLISH_BATCH
         assert msg.size_bytes == QUERY_HEADER_BYTES + 4 * (TERM_BYTES + TERM_BYTES)
 
-    def test_poll_batch_carries_cursors_and_index_hashes(self) -> None:
-        msg = message(K.POLL_BATCH, 1, 2, 3, 5, hops=4)
+    def test_poll_batch_carries_cursors_only(self) -> None:
+        msg = message(K.POLL_BATCH, 1, 2, 3, hops=4)
         assert msg.kind is MessageKind.POLL_BATCH
-        assert (
-            msg.size_bytes
-            == QUERY_HEADER_BYTES
-            + 3 * (TERM_BYTES + VERSION_BYTES)
-            + 5 * TERM_BYTES
+        assert msg.size_bytes == QUERY_HEADER_BYTES + 3 * (TERM_BYTES + VERSION_BYTES)
+        with pytest.raises(TypeError):
+            message(K.POLL_BATCH, 1, 2, 3, 5)  # no index-term hash count
+
+    def test_a_poll_request_does_not_grow_with_the_index_terms(self) -> None:
+        """A document with 20 index terms polls the peer of one of them:
+        one (term, cursor) pair, 32 bytes.  With the hash list the peer
+        needed for the §3 rule it cost 16 + 16 + 20·8 = 192."""
+        from repro.config import ChordConfig
+        from repro.core.indexer import IndexingProtocol
+        from repro.dht.ring import ChordRing
+
+        ring = ChordRing(ChordConfig(num_peers=16, id_bits=32, seed=3))
+        protocol = IndexingProtocol(ring)
+        index_terms = [f"term{i:02d}" for i in range(20)]
+        hashes = {t: protocol.term_hash(t) for t in index_terms}
+        results, failed = protocol.poll_batch(
+            ring.live_ids[0], [(index_terms[0], -1)], hashes
         )
+        assert results == {index_terms[0]: ([], -1)} and not failed
+        polls = ring.stats.kind(K.POLL_BATCH)
+        assert (polls.messages, polls.bytes) == (1, 32)
 
     def test_batch_of_n_cheaper_than_n_singles(self) -> None:
         n = 8
@@ -231,7 +248,10 @@ class TestBatchFactories:
 #: them: the sixteen ``*_message`` constructors, then the eight sites
 #: that built a ``Message`` with a size of their own.  QUERY_BATCH rows
 #: are ones the old float formula got exactly; the two re-rowed senders
-#: keep their price under their new kind.
+#: keep their price under their new kind.  The two poll requests are
+#: re-priced: since the owner applies the §3 closest-hash rule they
+#: carry (term, cursor) pairs and no index-term hashes, so POLL_BATCH is
+#: ``16 + 16·pairs`` and POLL_QUERIES one pair, 32 bytes.
 GOLDEN = [
     (K.PUBLISH_TERM, (), 32),
     (K.UNPUBLISH_TERM, (), 24),
@@ -271,10 +291,10 @@ GOLDEN = [
     (K.UNPUBLISH_BATCH, (0,), 16),
     (K.UNPUBLISH_BATCH, (1,), 32),
     (K.UNPUBLISH_BATCH, (20,), 336),
-    (K.POLL_BATCH, (0, 0), 16),
-    (K.POLL_BATCH, (1, 20), 192),
-    (K.POLL_BATCH, (7, 20), 288),
-    (K.POLL_BATCH, (20, 45), 696),
+    (K.POLL_BATCH, (0,), 16),
+    (K.POLL_BATCH, (1,), 32),
+    (K.POLL_BATCH, (7,), 128),
+    (K.POLL_BATCH, (20,), 336),
     (K.SYNC_DIGEST, (0,), 16),
     (K.SYNC_DIGEST, (1,), 40),
     (K.SYNC_DIGEST, (12,), 304),
@@ -292,10 +312,10 @@ GOLDEN = [
     (K.REPLICATE, (250, 250), 12000),
     (K.HEARTBEAT, (), 16),              # core/maintenance.py
     (K.RECONCILE, (), 24),              # core/maintenance.py
-    (K.POLL_QUERIES, (0,), 16),         # core/indexer.py
-    (K.POLL_QUERIES, (1,), 24),
-    (K.POLL_QUERIES, (20,), 176),
-    (K.POLL_QUERIES, (45,), 376),
+    (K.POLL_QUERIES, (), 32),           # core/indexer.py
+    (K.POLL_BATCH, (2,), 48),           # core/indexer.py, whatever |index terms|
+    (K.POLL_BATCH, (12,), 208),
+    (K.POLL_BATCH, (45,), 736),
     (K.ADVISE_HOT_TERM, (), 16),        # extensions/load_balance.py
     (K.CACHE_HOT_TERM, (1,), 24),       # extensions/load_balance.py, as REPLICATE
     (K.CACHE_HOT_TERM, (40,), 960),
