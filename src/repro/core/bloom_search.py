@@ -93,8 +93,9 @@ class BloomQueryProcessor:
         terms = list(per_term)
         sizes = [len(per_term[t][0]) for t in terms]
         order = [terms[i] for i in intersection_plan(sizes)]
+        # One reply per list, each answering its one slot.
         execution.naive_bytes = sum(
-            wire_size(MessageKind.POSTINGS, len(per_term[t][0])) for t in terms
+            wire_size(MessageKind.POSTINGS, len(per_term[t][0]), 1) for t in terms
         )
 
         # Chain: candidates start as the rarest list's doc ids; each
@@ -121,9 +122,9 @@ class BloomQueryProcessor:
 
         execution.candidates_after_chain = len(candidates)
         execution.false_positives = len(candidates - true_members)
-        # Final hop: full postings for survivors only.
+        # Final hop: full postings for survivors only, from every slot.
         execution.bytes_shipped += wire_size(
-            MessageKind.POSTINGS, len(candidates) * len(order)
+            MessageKind.POSTINGS, len(candidates) * len(order), len(order)
         )
 
         # Rank the *true* conjunctive members (false positives are

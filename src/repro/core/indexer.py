@@ -31,9 +31,11 @@ A batched operation is a request builder, a per-term serve handler and
 a reply builder handed to ``_exchange`` — methods beside the public one,
 so nothing is allocated per call; the write batches and RESULT_STORE
 are request-only.  The one-term-per-message ``publish`` / ``unpublish``
-/ ``fetch_postings`` / ``poll_term`` are the seed protocol, driven by
+/ ``poll_term`` are the seed protocol, driven by
 ``tests/core/per_term_owner.py`` (``publish`` also by the maintenance
-daemon's republish): route → send → act → send, failures raised.
+daemon's republish): route → send → act → send, failures raised.  Every
+read — ``fetch_postings`` too, a one-term batch that raises — is one
+``_search``.
 
 Lookups and sends go through the ring's :class:`~repro.net.Transport`,
 so its statistics are the true protocol cost and a lossy transport
@@ -71,6 +73,11 @@ from .metadata import (
 #: routed to it, unreachable terms)``: ``_locate`` to ``_exchange``.
 Located = Tuple[Dict[int, list], Dict[int, int], list]
 
+#: How many slot versions a querying peer holds (``ChordNode.
+#: held_versions``).  Past it the version held longest is forgotten, and
+#: that term's next fetch ships its postings again.
+HELD_VERSIONS = 1024
+
 
 class SlotView:
     """Read view of one fetched term slot, as consumed by the query
@@ -83,11 +90,17 @@ class SlotView:
     per query, and no per-posting object is built.  A ``None`` slot
     (unindexed term) yields the same empty shape :meth:`postings`
     reports.
+
+    ``modified`` is false when the querying peer named this very
+    version in its request (*held*); the reply then ships the version
+    alone (see ``IndexingProtocol._search``).
     """
 
-    __slots__ = ("term", "indexed_df", "version", "_slot")
+    __slots__ = ("term", "indexed_df", "version", "modified", "_slot")
 
-    def __init__(self, term: str, slot: Optional[TermSlot]) -> None:
+    def __init__(
+        self, term: str, slot: Optional[TermSlot], held: Optional[int] = None
+    ) -> None:
         self.term = term
         self._slot = slot
         if slot is None:
@@ -96,6 +109,7 @@ class SlotView:
         else:
             self.indexed_df = slot.indexed_document_frequency
             self.version = slot.version
+        self.modified = self.version != held
 
     def scoring_view(self) -> ScoringView:
         return self._slot.scoring_view() if self._slot is not None else [[], [], []]
@@ -476,17 +490,19 @@ class IndexingProtocol:
         one query term.
 
         Raises :class:`NodeFailedError` if the responsible peer is down
-        (the caller drops the term, per Section 7).  Unindexed terms
-        return an empty list — indistinguishable, at the protocol level,
-        from a term no document chose.
+        or a message of the exchange is lost (the caller drops the term,
+        per Section 7).  Unindexed terms return an empty list —
+        indistinguishable, at the protocol level, from a term no
+        document chose.  The one-term case of :meth:`fetch_postings_batch`.
         """
         node, hops = self._route(issuer_id, self.term_hash(term))
-        self.ring.send(
-            message(MessageKind.SEARCH_TERM, issuer_id, node.node_id, 1, hops=hops + 1)
+        node_id = node.node_id
+        views, failed = self._search(
+            issuer_id, ({node_id: [term]}, {node_id: hops + 1}, []), None
         )
-        view = self._serve_view(node, term, None)
-        self.ring.send(self._postings_reply(node.node_id, issuer_id, [view]))
-        return view.postings()
+        if failed:
+            raise NodeFailedError(node_id)
+        return views[term].postings()
 
     def fetch_postings_batch(
         self, issuer_id: int, terms: Sequence[str]
@@ -502,64 +518,99 @@ class IndexingProtocol:
         their peer could not be located or a message of its exchange was
         lost (Section 7 degradation either way).
         """
-        views, failed = self._search(issuer_id, terms, None)
+        views, failed = self._search(
+            issuer_id, self._locate(issuer_id, terms, absorb=False), None
+        )
         return {term: view.postings() for term, view in views.items()}, failed
 
     def fetch_slot_views(
         self, issuer_id: int, terms: Sequence[str], register: bool = False
     ) -> Tuple[Dict[str, SlotView], List[str]]:
-        """Like :meth:`fetch_postings_batch` — the same messages, kinds,
-        sizes and hops — but each reachable term resolves to a
+        """Like :meth:`fetch_postings_batch` — the same messages, kinds
+        and hops — but each reachable term resolves to a
         :class:`SlotView` carrying the slot aggregates (indexed df,
         version) beside the postings: the inputs of the query executor
         and the result cache.
 
         With *register*, the visit is also the query's registration
         (Section 5.1: the search request itself is what leaves the query
-        in the indexing peer's cache): a peer that takes the SEARCH_TERM
-        caches the keyword tuple *terms* in every slot the request
-        addresses, creating the empty slot of a never-indexed keyword
-        exactly as :meth:`register_query` does.  So a term that cannot
-        be located, or whose SEARCH_TERM is lost, is dropped and cached
-        nowhere; one whose POSTINGS reply is lost is dropped but *is*
-        cached — the peer saw the request.
+        in the indexing peer's cache): each SEARCH_TERM also carries the
+        keyword tuple *terms*, which the peer that takes it caches in
+        every slot the request addresses, creating the empty slot of a
+        never-indexed keyword exactly as :meth:`register_query` does.
+        So a term that cannot be located, or whose SEARCH_TERM is lost,
+        is dropped and cached nowhere; one whose POSTINGS reply is lost
+        is dropped but *is* cached — the peer saw the request.
         """
         query = tuple(terms)
         return self._search(
-            issuer_id, terms, (query, self.query_hash(query)) if register else None
-        )
-
-    def _search(self, issuer_id, terms, registration):
-        """One SEARCH_TERM / POSTINGS pair per peer, one lookup per term;
-        *registration* is the ``(keyword tuple, query hash)`` the request
-        leaves in each addressed slot's cache, or ``None``."""
-        return self._exchange(
             issuer_id,
             self._locate(issuer_id, terms, absorb=False),
-            registration,
+            (query, self.query_hash(query)) if register else None,
+        )
+
+    # A fetch is conditional.  The querying peer keeps the version of
+    # every posting list it has been sent (``ChordNode.held_versions``, at
+    # most HELD_VERSIONS terms, first in first out) and names it in its
+    # next request for the term; the indexing peer answers an unchanged
+    # slot with its version alone.  Slot versions come from one
+    # process-global counter, drawn on every mutation and kept by replica
+    # copies, so an equal version is the identical list: what is scored,
+    # registered, sent and routed is what an unconditional fetch does.
+
+    def _search(self, issuer_id, located, registration):
+        """One SEARCH_TERM / POSTINGS pair per located peer; *registration*
+        is the ``(keyword tuple, query hash)`` the request leaves in each
+        addressed slot's cache, or ``None``.  The versions of delivered
+        replies become the issuer's held versions."""
+        issuer = self.ring.nodes[issuer_id]
+        held = issuer.held_versions
+        if held is None:
+            held = issuer.held_versions = {}
+        views, failed = self._exchange(
+            issuer_id,
+            located,
+            (registration, held),
             self._search_request,
             self._serve_view,
             self._postings_reply,
         )
+        for term, view in views.items():
+            if len(held) >= HELD_VERSIONS and term not in held:
+                del held[next(iter(held))]
+            held[term] = view.version
+        return views, failed
 
     @staticmethod
-    def _search_request(src, dst, batch, hops, registration) -> Message:
-        return message(MessageKind.SEARCH_TERM, src, dst, len(batch), hops=hops)
+    def _search_request(src, dst, batch, hops, carried) -> Message:
+        registration, held = carried
+        versions = 0
+        for term in batch:
+            if term in held:
+                versions += 1
+        keywords = len(registration[0]) if registration is not None else 0
+        return message(
+            MessageKind.SEARCH_TERM, src, dst, len(batch), versions, keywords, hops=hops
+        )
 
-    def _serve_view(self, node, term, registration) -> SlotView:
-        """Cache the query the request registers, if any; answer."""
+    def _serve_view(self, node, term, carried) -> SlotView:
+        """Cache the query the request registers, if any; answer, not
+        modified if the request named the slot's version."""
+        registration, held = carried
         if registration is None:
-            return SlotView(term, self._slot_at(node, term, create=False))
-        slot = self._slot_at(node, term, create=True)
-        slot.cache.add(*registration)
-        return SlotView(term, slot)
+            slot = self._slot_at(node, term, create=False)
+        else:
+            slot = self._slot_at(node, term, create=True)
+            slot.cache.add(*registration)
+        return SlotView(term, slot, held.get(term))
 
     @staticmethod
     def _postings_reply(src, dst, views) -> Message:
-        total_postings = 0
+        shipped = 0
         for view in views:
-            total_postings += view.indexed_df
-        return message(MessageKind.POSTINGS, src, dst, total_postings)
+            if view.modified:
+                shipped += view.indexed_df
+        return message(MessageKind.POSTINGS, src, dst, shipped, len(views))
 
     # -- slot-version probes (querying peer → indexing peers) -----------------
 

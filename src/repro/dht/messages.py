@@ -68,10 +68,15 @@ class MessageKind(Enum):
     # the §3 closest-hash dedup to them); their terms in total
     QUERY_BATCH = "query_batch", "write", QUERY_HEADER_BYTES, (QUERY_HEADER_BYTES, TERM_BYTES)
 
-    # querying peer → indexing peer: query terms this peer is responsible for
-    SEARCH_TERM = "search_term", "query", QUERY_HEADER_BYTES, (TERM_BYTES,)
-    # indexing peer → querying peer: postings
-    POSTINGS = "postings", "query", QUERY_HEADER_BYTES, (POSTING_BYTES,)
+    # querying peer → indexing peer: query terms this peer is responsible
+    # for; slot versions the querying peer already holds for them; keywords
+    # of the query the request registers (none when it registers nothing)
+    SEARCH_TERM = (
+        "search_term", "query", QUERY_HEADER_BYTES, (TERM_BYTES, VERSION_BYTES, TERM_BYTES)
+    )
+    # indexing peer → querying peer: postings of the slots whose version
+    # differs from the one the request named; slots answered (a version each)
+    POSTINGS = "postings", "query", QUERY_HEADER_BYTES, (POSTING_BYTES, VERSION_BYTES)
     # querying peer → indexing peer: bytes of the candidate Bloom filter
     BLOOM_FILTER = "bloom_filter", "query", QUERY_HEADER_BYTES, (1,)
     # querying peer → result home: cached result?

@@ -34,6 +34,11 @@ class ChordNode:
     #: on the node, so it is gone when the node is — a crash followed by
     #: a rejoin, or a leave, takes it along.
     result_cache: Optional[object] = None
+    #: The querying side's counterpart, on the same terms: ``term → slot
+    #: version`` of the posting lists this peer has been sent, which its
+    #: next search request names so that an unchanged list is not sent
+    #: again.
+    held_versions: Optional[Dict[str, int]] = None
 
     def __init__(
         self,

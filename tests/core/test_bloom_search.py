@@ -106,7 +106,10 @@ class TestCompression:
         """The chain's filter hop used to travel as a SEARCH_TERM priced
         header + filter bytes, so that kind's byte total mixed two
         formulas.  It is a BLOOM_FILTER now, at the same price, and
-        every SEARCH_TERM left is the one-term fetch request."""
+        every SEARCH_TERM left is the one-term fetch request — one term,
+        no version held yet, nothing registered.  The estimates price a
+        POSTINGS reply as the read path sends one: its postings and one
+        version per slot it answers."""
         publish(protocol, ring, "m", [f"d{i}" for i in range(100)])
         publish(protocol, ring, "n", [f"d{i}" for i in range(90, 200)])
         publish(protocol, ring, "o", [f"d{i}" for i in range(95, 300)])
@@ -114,10 +117,16 @@ class TestCompression:
         __, execution = processor.execute(ring.live_ids[1], Query("q", ("m", "n", "o")))
         delta = ring.stats.delta_since(before)
         search, filters = delta[MessageKind.SEARCH_TERM], delta[MessageKind.BLOOM_FILTER]
-        assert (search.messages, search.bytes) == (3, 3 * wire_size(MessageKind.SEARCH_TERM, 1))
+        assert (search.messages, search.bytes) == (
+            3, 3 * wire_size(MessageKind.SEARCH_TERM, 1, 0, 0)
+        )
         assert filters.messages == 2
-        final_hop = wire_size(MessageKind.POSTINGS, 3 * execution.candidates_after_chain)
+        final_hop = wire_size(MessageKind.POSTINGS, 3 * execution.candidates_after_chain, 3)
         assert execution.bytes_shipped == filters.bytes + final_hop
+        assert execution.naive_bytes == sum(
+            wire_size(MessageKind.POSTINGS, n, 1) for n in (100, 110, 205)
+        )
+        assert execution.naive_bytes == delta[MessageKind.POSTINGS].bytes
 
     def test_invalid_error_rate(self, protocol) -> None:
         with pytest.raises(ValueError):

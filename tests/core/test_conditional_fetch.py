@@ -1,0 +1,418 @@
+"""A posting fetch is conditional, and that moves bytes, nothing else.
+
+A querying peer keeps the slot version of every posting list it has been
+sent (``ChordNode.held_versions``) and names it when it asks for the
+term again; the indexing peer answers an unchanged slot with its version
+alone.  Slot versions come from one process-global counter, drawn on
+every mutation and kept by replica copies, so an equal version is the
+identical list.
+
+The differential runs twin systems: the default one, and one whose
+querying peer forgets what it holds before every search (``always_ship``,
+the unconditional fetch as a substitution).  Both replay the oracle's
+``learn`` and ``bulk-churn`` flows, then query rounds with ``cache=True``
+and ``False`` around a learning iteration that moves slot versions, plus
+the batch and one-term fetches, with and without the result cache, on
+the perfect transport and on a seeded lossy one.  They must agree
+exactly on rankings (score bits), the write-state fingerprint, the
+result-cache tallies, the transport's RNG state and every
+``NetworkStats`` counter but two byte totals, whose deltas are exact:
+SEARCH_TERM is heavier by 8 bytes per version a delivered request
+carried, POSTINGS lighter by 24 per posting a delivered reply withheld.
+On the lossy transport a message more or fewer, or sent in another
+order, would shift every later drop.
+
+Then what a held version means at the edges — a replica promoted after
+a crash is withheld, a slot restored from a SQLite snapshot is re-sent,
+a lost reply moves nothing — and the map's bound and lifetime.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from repro.config import ChordConfig
+from repro.core import indexer
+from repro.core.indexer import HELD_VERSIONS, IndexingProtocol
+from repro.core.metadata import PostingEntry
+from repro.core.query_processing import QueryProcessor
+from repro.core.system import SpriteSystem
+from repro.corpus.relevance import Query
+from repro.corpus.synthetic import SyntheticTrecCorpus
+from repro.dht import ChordRing
+from repro.dht.messages import POSTING_BYTES, VERSION_BYTES, MessageKind, wire_size
+from repro.dht.replication import ReplicationManager
+from repro.exceptions import NodeFailedError
+from repro.net.faults import FaultInjector
+from repro.net.transport import DeliveryPolicy, LossyTransport
+from repro.sim.oracle import DifferentialOracle, write_state_fingerprint
+from repro.store import RecoveryManager
+
+from .test_fused_visit import DropKinds
+
+TRANSPORTS = {
+    "perfect": lambda: None,
+    "lossy": lambda: LossyTransport(
+        faults=FaultInjector(drop_probability=0.2),
+        policy=DeliveryPolicy(max_retries=0),
+        seed=11,
+    ),
+}
+
+
+def always_ship(system: SpriteSystem) -> SpriteSystem:
+    """Make *system* fetch unconditionally: the querying peer's held
+    versions are forgotten before every search it makes."""
+    protocol = system.protocol
+    search = protocol._search
+
+    def unconditional(issuer_id, located, registration):
+        protocol.ring.nodes[issuer_id].held_versions = None
+        return search(issuer_id, located, registration)
+
+    protocol._search = unconditional
+    return system
+
+
+class ReadWire:
+    """Counts, over *delivered* messages only, what the conditional fetch
+    changed on the wire: versions the SEARCH_TERM requests carried,
+    postings the POSTINGS replies withheld, and the terms answered as
+    not modified.  The exchange builds each message and sends it at
+    once, so a send of the message built last settles its counts.
+
+    It also keeps its own copy of every list a reply delivered, per
+    querying peer, and requires a list answered as not modified to be
+    that copy: what was withheld is what the peer already has."""
+
+    def __init__(self, protocol: IndexingProtocol) -> None:
+        self.versions = self.withheld = 0
+        self.not_modified: Counter = Counter()
+        copies = {}
+        ring = protocol.ring
+        request, reply, send = protocol._search_request, protocol._postings_reply, ring.send
+        built = [None, 0, ()]  # the message, versions it carries, views it answers
+
+        def counting_request(src, dst, batch, hops, carried):
+            __, held = carried
+            built[:] = request(src, dst, batch, hops, carried), sum(t in held for t in batch), ()
+            return built[0]
+
+        def counting_reply(src, dst, views):
+            built[:] = reply(src, dst, views), 0, list(views)
+            return built[0]
+
+        def counting_send(message):
+            send(message)
+            if message is not built[0]:
+                return
+            self.versions += built[1]
+            for view in built[2]:
+                content = (view.indexed_df, tuple(map(tuple, view.scoring_view())))
+                if view.modified:
+                    copies[message.dst, view.term] = content
+                    continue
+                assert copies[message.dst, view.term] == content, view.term
+                self.withheld += view.indexed_df
+                self.not_modified[view.term] += 1
+
+        protocol._search_request = counting_request
+        protocol._postings_reply = counting_reply
+        ring.send = counting_send
+
+
+def micro_oracle(micro_corpus_config) -> DifferentialOracle:
+    corpus, originals, __ = SyntheticTrecCorpus(micro_corpus_config).build()
+    queries = list(originals)
+    return DifferentialOracle(corpus, train=queries[:4], test=queries[4:], num_peers=16, seed=0)
+
+
+def pairs(ranked):
+    return [(e.doc_id, e.score) for e in ranked]
+
+
+def remote_indexed_term(system: SpriteSystem, queries):
+    """``(query, issuer, term, indexing peer)`` for the first indexed
+    term of *queries* whose indexing peer is not the issuer of its query."""
+    for query in queries:
+        issuer = system._issuer_for(query)
+        for term in query.terms:
+            peer = system.ring.successor_of(system.protocol.term_hash(term))
+            if peer != issuer and system.protocol.indexed_document_frequency(term) > 0:
+                return query, issuer, term, peer
+    raise AssertionError("no indexed term away from its issuer")
+
+
+def assert_only_read_bytes_moved(
+    default: SpriteSystem, shipped: SpriteSystem, wire: ReadWire
+) -> None:
+    """The differential's verdict on twin systems that ran the same
+    operations: equal in everything but the two read-path byte totals,
+    and those apart by exactly what *wire* counted."""
+    assert write_state_fingerprint(default) == write_state_fingerprint(shipped)
+    assert default.protocol.result_cache_stats() == shipped.protocol.result_cache_stats()
+    ours, theirs = default.ring.stats.summary(), shipped.ring.stats.summary()
+    search, postings = MessageKind.SEARCH_TERM.value, MessageKind.POSTINGS.value
+    assert ours[search]["bytes"] - theirs[search]["bytes"] == VERSION_BYTES * wire.versions
+    assert theirs[postings]["bytes"] - ours[postings]["bytes"] == POSTING_BYTES * wire.withheld
+    for counters in (ours, theirs):
+        del counters[search]["bytes"], counters[postings]["bytes"]
+    assert ours == theirs  # message counts and hops per kind, every other byte
+    transports = default.ring.transport, shipped.ring.transport
+    if isinstance(transports[0], LossyTransport):
+        assert transports[0].rng.getstate() == transports[1].rng.getstate()
+        assert transports[0].trace.summary_table() == transports[1].trace.summary_table()
+
+
+@pytest.mark.parametrize("result_cache", [0, 32], ids=["no-result-cache", "result-cache"])
+@pytest.mark.parametrize("flow", ["learn", "bulk-churn"])
+@pytest.mark.parametrize("transport", TRANSPORTS.values(), ids=TRANSPORTS.keys())
+def test_reads_move_bytes_only(micro_corpus_config, transport, flow, result_cache) -> None:
+    oracle = micro_oracle(micro_corpus_config)
+
+    def build() -> SpriteSystem:
+        sprite, chord = oracle.configs({"sprite": {"result_cache_size": result_cache}})
+        return SpriteSystem(
+            oracle.corpus, sprite_config=sprite, chord_config=chord, transport=transport()
+        )
+
+    default, shipped = build(), always_ship(build())
+    wire = ReadWire(default.protocol)
+    rankings, failures = [], []
+    for system in (default, shipped):
+        oracle._replay(system, flow)
+        ranked, failed = [], []
+        queries = oracle.train + oracle.test
+        for cache in (True, False, True, False):
+            if cache is False:
+                # Moves slot versions between rounds: held lists go stale.
+                system.run_learning_iteration()
+            for query in queries:
+                ranked.append(pairs(system.search(query, cache=cache)))
+        issuer = system.ring.live_ids[0]
+        for query in oracle.test:
+            results, lost = system.protocol.fetch_postings_batch(issuer, query.terms)
+            ranked.append(
+                sorted((t, [p.doc_id for p in ps], df) for t, (ps, df) in results.items())
+            )
+            failed.append(lost)
+            for term in query.terms:
+                try:
+                    ranked.append(system.protocol.fetch_postings(issuer, term))
+                except NodeFailedError:
+                    failed.append(term)
+        rankings.append(ranked)
+        failures.append(failed)
+
+    assert rankings[0] == rankings[1]
+    assert failures[0] == failures[1]
+    assert_only_read_bytes_moved(default, shipped, wire)
+    # Not vacuous: versions were named, postings withheld — and some
+    # were stale, so a named version does not always withhold.
+    assert wire.versions > sum(wire.not_modified.values()) > 0 and wire.withheld > 0
+    if isinstance(default.ring.transport, LossyTransport):
+        assert any(failures[0])  # terms really were lost
+
+
+class TestWhatAHeldVersionMeans:
+    def test_a_promoted_replica_is_withheld_and_ranks_as_for_a_fresh_issuer(
+        self, micro_corpus_config
+    ) -> None:
+        oracle = micro_oracle(micro_corpus_config)
+        default, shipped = oracle.build(), always_ship(oracle.build())
+        wire = ReadWire(default.protocol)
+        rankings = []
+        for system in (default, shipped):
+            system.bulk_share()
+            replication = ReplicationManager(system.ring)
+            replication.replicate_round()
+            first = [pairs(system.search(q, cache=False)) for q in oracle.test]
+            # Crash the indexing peer of a term some other peer asked for.
+            __, issuer, term, victim = remote_indexed_term(system, oracle.test)
+            system.ring.fail(victim)
+            replication.recover_from_failures()
+            key = system.protocol.term_hash(term)
+            promoted = system.ring.responsible_node(key).store[key]
+            if system is default:
+                assert system.ring.nodes[issuer].held_versions[term] == promoted.version
+                wire.not_modified.clear()
+            again = [pairs(system.search(q, cache=False)) for q in oracle.test]
+            assert again == first
+            rankings.append(again)
+        assert wire.not_modified[term] >= 1
+        assert rankings[0] == rankings[1]
+        assert_only_read_bytes_moved(default, shipped, wire)
+
+    def test_a_snapshot_rejoin_reships_the_slots_it_restored(self, micro_corpus_config) -> None:
+        oracle = micro_oracle(micro_corpus_config)
+        system = oracle.build({"sprite": {"store_backend": "sqlite"}})
+        runtime = system.store_runtime
+        try:
+            ring, protocol = system.ring, system.protocol
+            wire = ReadWire(protocol)
+            system.bulk_share()
+            runtime.flush_retired()
+            for node_id in ring.live_ids:
+                runtime.snapshots.save_peer(ring.node(node_id))
+            query, issuer, term, victim = remote_indexed_term(system, oracle.test)
+            first = pairs(system.search(query, cache=False))
+            held = ring.nodes[issuer].held_versions[term]
+            # No replica: the crash takes the slot out of the ring, and
+            # the rejoin rebuilds it from the snapshot under a new version.
+            ring.fail(victim)
+            ring.stabilize()
+            report = RecoveryManager(ring, runtime).recover_peer(victim)
+            assert report.slots_restored > 0
+            restored = protocol.slot_snapshot(term)
+            assert restored.version != held
+            wire.not_modified.clear()
+            withheld = wire.withheld
+            assert pairs(system.search(query, cache=False)) == first
+            assert term not in wire.not_modified
+            assert ring.nodes[issuer].held_versions[term] == restored.version
+            # The query's other terms did not move: withheld, the
+            # restored one re-sent.
+            assert wire.withheld - withheld == sum(
+                protocol.indexed_document_frequency(t)
+                for t in dict.fromkeys(query.terms)
+                if t != term and ring.successor_of(protocol.term_hash(t)) != victim
+            )
+        finally:
+            runtime.close()
+
+    def test_a_query_seen_once_pays_a_version_per_slot_and_a_repeat_only_versions(self) -> None:
+        """The registering fetch ``execute`` sends: the first time, the
+        postings plus one version per slot answered, and the keyword
+        tuple in every request; from the same peer again, one more
+        version per term in the requests and versions alone back."""
+        ring, protocol = small_stack()
+        processor = QueryProcessor(protocol, assumed_corpus_size=1000)
+        query = Query("q", ("kw1", "kw3", "kw5", "ghost"))
+        traffic, rankings = [], []
+        for __ in range(2):
+            before = ring.stats.snapshot()
+            ranked, __ = processor.execute(ring.live_ids[3], query)
+            traffic.append(ring.stats.delta_since(before))
+            rankings.append(pairs(ranked))
+        (first, again), (search, reply) = traffic, (MessageKind.SEARCH_TERM, MessageKind.POSTINGS)
+        n = first[search].messages
+        assert n == first[reply].messages == again[search].messages == again[reply].messages
+        assert first[search].bytes == 16 * n + 8 * 4 + 8 * 4 * n
+        assert first[reply].bytes == 16 * n + 24 * (2 + 4 + 6) + 8 * 4
+        assert again[search].bytes == first[search].bytes + 8 * 4
+        assert again[reply].bytes == 16 * n + 8 * 4
+        assert rankings[0] == rankings[1] and rankings[0]
+
+    def test_a_lost_reply_leaves_the_held_version_where_it_was(self) -> None:
+        transport = DropKinds()
+        ring = ChordRing(ChordConfig(num_peers=16, seed=5), transport=transport)
+        protocol = IndexingProtocol(ring)
+        owner, issuer = ring.live_ids[0], ring.live_ids[1]
+        term = next(
+            f"kw{i}" for i in range(100)
+            if ring.successor_of(protocol.term_hash(f"kw{i}")) != issuer
+        )
+        protocol.publish(owner, term, PostingEntry("d1", owner, 2, 40))
+        protocol.fetch_postings(issuer, term)
+        held = ring.nodes[issuer].held_versions
+        before = held[term]
+        protocol.publish(owner, term, PostingEntry("d2", owner, 3, 50))
+
+        transport.kinds = frozenset({MessageKind.POSTINGS})
+        with pytest.raises(NodeFailedError):
+            protocol.fetch_postings(issuer, term)
+        assert held[term] == before  # the peer answered; the issuer never heard
+        __, failed = protocol.fetch_postings_batch(issuer, ["never-sent"])
+        assert failed == ["never-sent"] and "never-sent" not in held
+
+        transport.kinds = frozenset()
+        replies = ring.stats.kind(MessageKind.POSTINGS).bytes
+        postings, df = protocol.fetch_postings(issuer, term)
+        assert [p.doc_id for p in postings] == ["d1", "d2"] and df == 2
+        assert ring.stats.kind(MessageKind.POSTINGS).bytes - replies == wire_size(
+            MessageKind.POSTINGS, 2, 1
+        )
+        assert held[term] == protocol.slot_snapshot(term).version != before
+
+
+def small_stack(seed: int = 5):
+    ring = ChordRing(ChordConfig(num_peers=16, seed=seed))
+    protocol = IndexingProtocol(ring)
+    owner = ring.live_ids[0]
+    for i in range(6):
+        for d in range(i + 1):
+            protocol.publish(owner, f"kw{i}", PostingEntry(f"d{d}", owner, 2, 30 + d))
+    return ring, protocol
+
+
+def reply_bytes(ring, fetch) -> int:
+    """POSTINGS bytes delivered while *fetch* runs."""
+    before = ring.stats.kind(MessageKind.POSTINGS).bytes
+    fetch()
+    return ring.stats.kind(MessageKind.POSTINGS).bytes - before
+
+
+class TestTheHeldMapIsBoundedAndDiesWithItsPeer:
+    def test_a_stream_of_distinct_terms_never_grows_it_past_the_bound(self) -> None:
+        ring, protocol = small_stack()
+        issuer = ring.live_ids[3]
+        terms = [f"stream{i:05d}" for i in range(HELD_VERSIONS + 200)]
+        for start in range(0, len(terms), 32):
+            protocol.fetch_postings_batch(issuer, terms[start : start + 32])
+            assert len(ring.nodes[issuer].held_versions) <= HELD_VERSIONS
+        # First in, first out, batch by batch (a batch records its terms
+        # in the order its peers answered): the 200 terms recorded first
+        # are the first six batches of 32 and 8 terms of the seventh.
+        held = ring.nodes[issuer].held_versions
+        assert len(held) == HELD_VERSIONS
+        assert not held.keys() & set(terms[: 6 * 32])
+        assert held.keys() >= set(terms[7 * 32 :])
+
+    def test_an_evicted_term_only_costs_a_reship(self, monkeypatch) -> None:
+        monkeypatch.setattr(indexer, "HELD_VERSIONS", 3)
+        ring, protocol = small_stack()
+        issuer = ring.live_ids[3]
+        first = {f"kw{i}": protocol.fetch_postings(issuer, f"kw{i}") for i in range(2, 6)}
+        held = ring.nodes[issuer].held_versions
+        assert list(held) == ["kw3", "kw4", "kw5"]
+        # kw2 (three postings) was evicted: sent again in full, same answer.
+        result = []
+        assert reply_bytes(ring, lambda: result.append(protocol.fetch_postings(issuer, "kw2"))) == (
+            wire_size(MessageKind.POSTINGS, 3, 1)
+        )
+        assert result == [first["kw2"]]
+        # kw5 is still held: its version alone.
+        assert reply_bytes(ring, lambda: result.append(protocol.fetch_postings(issuer, "kw5"))) == (
+            wire_size(MessageKind.POSTINGS, 0, 1)
+        )
+        assert result[1] == first["kw5"]
+        assert len(held) == 3
+
+    def test_an_issuer_that_crashes_and_rejoins_starts_with_an_empty_map(self) -> None:
+        ring, protocol = small_stack()
+        issuer = next(
+            n for n in ring.live_ids
+            if n != ring.live_ids[0]
+            and n != ring.successor_of(protocol.term_hash("kw4"))
+        )
+        protocol.fetch_postings(issuer, "kw4")
+        assert reply_bytes(ring, lambda: protocol.fetch_postings(issuer, "kw4")) == (
+            wire_size(MessageKind.POSTINGS, 0, 1)
+        )
+        ring.fail(issuer)
+        ring.stabilize()
+        ring.join(node_id=issuer)
+        assert ring.nodes[issuer].held_versions is None
+        assert reply_bytes(ring, lambda: protocol.fetch_postings(issuer, "kw4")) == (
+            wire_size(MessageKind.POSTINGS, 5, 1)
+        )
+
+    def test_registering_alone_holds_nothing(self) -> None:
+        """The register-only paths send no message, so they learn no
+        version and allocate no map."""
+        ring, protocol = small_stack()
+        protocol.register_query(ring.live_ids[3], ("kw1", "kw2"))
+        protocol.register_query_observing(ring.live_ids[3], ("kw1", "kw2"))
+        assert all("held_versions" not in vars(node) for node in ring.nodes.values())

@@ -13,8 +13,9 @@ may and may not change:
   slots existing, the empty slots of never-indexed keywords included;
 * **fused vs unfused on the wire** — against ``register_query`` then
   ``fetch_slot_views`` without registration (what ``execute`` sent
-  before): the same SEARCH_TERM / POSTINGS traffic, and exactly one
-  LOOKUP fewer per located term;
+  before): the same SEARCH_TERM / POSTINGS messages and bytes but for
+  the keyword tuple each fused request carries, and exactly one LOOKUP
+  fewer per located term;
 * **the failure contract** on a lossy transport, where the twins' RNG
   streams diverge by construction: a term that was not dropped is cached
   exactly once, an undelivered SEARCH_TERM caches nothing, a lost
@@ -194,17 +195,24 @@ class TestFusedEqualsReference:
         ring_u, proto_unfused, __ = build_stack(**stack)
         before_f, before_u = ring_f.stats.snapshot(), ring_u.stats.snapshot()
         located = count_located(ring_f)
+        # The fused request carries the keyword tuple it registers.
+        __, __, keyword_bytes = MessageKind.SEARCH_TERM.unit_bytes
+        tuple_bytes = 0
         for i, query in enumerate(query_stream()):
             issuer = issuer_of(ring_f, i)
+            requests = ring_f.stats.kind(MessageKind.SEARCH_TERM).messages
             proc_fused.execute(issuer, query, top_k=10)
+            requests = ring_f.stats.kind(MessageKind.SEARCH_TERM).messages - requests
+            tuple_bytes += requests * len(query.terms) * keyword_bytes
             # What execute sent before the visit was fused.
             proto_unfused.register_query(issuer, query.terms)
             proto_unfused.fetch_slot_views(issuer, query.terms)
         fused = ring_f.stats.delta_since(before_f)
         unfused = ring_u.stats.delta_since(before_u)
-        for kind in (MessageKind.SEARCH_TERM, MessageKind.POSTINGS):
+        assert tuple_bytes > 0
+        for kind, extra in ((MessageKind.SEARCH_TERM, tuple_bytes), (MessageKind.POSTINGS, 0)):
             assert fused[kind].messages == unfused[kind].messages > 0
-            assert fused[kind].bytes == unfused[kind].bytes
+            assert fused[kind].bytes == unfused[kind].bytes + extra
             if ring_f.route_cache is None:
                 assert fused[kind].hops == unfused[kind].hops
             else:

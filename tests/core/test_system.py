@@ -241,13 +241,20 @@ class TestTermSelectionIsAConfigDelta:
     (``ESearchSystem``, ``FullIndexSystem``) until PR 24.  The literals
     below were recorded from those classes at the parent commit, on the
     oracle's micro deployment; the config deltas that replaced them
-    must reproduce them."""
+    must reproduce them.
+
+    The four test queries address 14 slots over 12 SEARCH_TERM /
+    POSTINGS pairs, each term once from a peer holding no version of it,
+    and register nothing: SEARCH_TERM is ``12·16 + 14·8 = 304`` as
+    recorded, and POSTINGS, recorded before a reply paid 8 bytes per
+    slot it answers, is the recorded figure ``+ 14·8 = 112``."""
 
     STATIC_FINGERPRINT = "87429760fbaba03c"
     STATIC_RANKINGS = "8b24f75179f82c30"
     STATIC_TRAFFIC = {
         "lookup": {"messages": 369, "bytes": 0, "hops": 767},
-        "postings": {"messages": 12, "bytes": 1464, "hops": 12},
+        # 12·16 + 24·53 postings, as recorded; + 14·8
+        "postings": {"messages": 12, "bytes": 1464 + 112, "hops": 12},
         "publish_batch": {"messages": 355, "bytes": 22960, "hops": 1089},
         "search_term": {"messages": 12, "bytes": 304, "hops": 42},
     }
@@ -260,7 +267,8 @@ class TestTermSelectionIsAConfigDelta:
     #: route cache answers.
     FULL_TRAFFIC = {
         "lookup": (628, 0),
-        "postings": (12, 3624),
+        # 12·16 + 24·143 postings, as recorded; + 14·8
+        "postings": (12, 3624 + 112),
         "publish_batch": (614, 71168),
         "search_term": (12, 304),
     }

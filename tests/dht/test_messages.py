@@ -62,18 +62,24 @@ class TestFactories:
         assert msg.hops == 3
 
     def test_search_size(self) -> None:
-        msg = message(K.SEARCH_TERM, 1, 2, 1, hops=4)
+        msg = message(K.SEARCH_TERM, 1, 2, 1, 0, 0, hops=4)
         assert msg.kind is MessageKind.SEARCH_TERM
         assert msg.size_bytes == TERM_BYTES + QUERY_HEADER_BYTES
+        # A held version and the registered keyword tuple are priced too.
+        assert message(K.SEARCH_TERM, 1, 2, 2, 1, 3).size_bytes == (
+            QUERY_HEADER_BYTES + 2 * TERM_BYTES + VERSION_BYTES + 3 * TERM_BYTES
+        )
 
     def test_postings_scales_with_entries(self) -> None:
-        small = message(K.POSTINGS, 1, 2, 1)
-        large = message(K.POSTINGS, 1, 2, 100)
+        small = message(K.POSTINGS, 1, 2, 1, 1)
+        large = message(K.POSTINGS, 1, 2, 100, 1)
         assert large.size_bytes - small.size_bytes == 99 * POSTING_BYTES
         assert small.hops == 1  # a reply over a known address
+        # A slot answered as not modified costs its version alone.
+        assert wire_size(K.POSTINGS, 1, 2) - wire_size(K.POSTINGS, 1, 1) == VERSION_BYTES
 
     def test_empty_postings_header_only(self) -> None:
-        assert wire_size(K.POSTINGS, 0) == QUERY_HEADER_BYTES
+        assert wire_size(K.POSTINGS, 0, 0) == QUERY_HEADER_BYTES
 
     def test_query_batch_scales(self) -> None:
         assert wire_size(K.QUERY_BATCH, 10, 40) > wire_size(K.QUERY_BATCH, 0, 0)
@@ -126,8 +132,10 @@ class TestSizeConstants:
 
     def test_factory_sizes_compose_from_constants(self) -> None:
         assert wire_size(K.PUBLISH_TERM) == TERM_BYTES + POSTING_BYTES
-        assert wire_size(K.SEARCH_TERM, 1) == TERM_BYTES + QUERY_HEADER_BYTES
-        assert wire_size(K.POSTINGS, 5) == QUERY_HEADER_BYTES + 5 * POSTING_BYTES
+        assert wire_size(K.SEARCH_TERM, 1, 0, 0) == TERM_BYTES + QUERY_HEADER_BYTES
+        assert wire_size(K.POSTINGS, 5, 1) == (
+            QUERY_HEADER_BYTES + 5 * POSTING_BYTES + VERSION_BYTES
+        )
         assert wire_size(K.POLL_QUERIES) == QUERY_HEADER_BYTES + TERM_BYTES + VERSION_BYTES
 
 
@@ -251,18 +259,22 @@ class TestBatchFactories:
 #: keep their price under their new kind.  The two poll requests are
 #: re-priced: since the owner applies the §3 closest-hash rule they
 #: carry (term, cursor) pairs and no index-term hashes, so POLL_BATCH is
-#: ``16 + 16·pairs`` and POLL_QUERIES one pair, 32 bytes.
+#: ``16 + 16·pairs`` and POLL_QUERIES one pair, 32 bytes.  The read pair
+#: is re-stated since a fetch is conditional: SEARCH_TERM counts (terms,
+#: versions held, keywords registered) at 8 bytes each, POSTINGS
+#: (postings shipped, slots answered) at 24 and 8 — each row re-counted
+#: at its old byte total.
 GOLDEN = [
     (K.PUBLISH_TERM, (), 32),
     (K.UNPUBLISH_TERM, (), 24),
-    (K.SEARCH_TERM, (0,), 16),
-    (K.SEARCH_TERM, (1,), 24),
-    (K.SEARCH_TERM, (3,), 40),
-    (K.SEARCH_TERM, (7,), 72),
-    (K.POSTINGS, (0,), 16),
-    (K.POSTINGS, (1,), 40),
-    (K.POSTINGS, (20,), 496),
-    (K.POSTINGS, (1000,), 24016),
+    (K.SEARCH_TERM, (0, 0, 0), 16),
+    (K.SEARCH_TERM, (1, 0, 0), 24),     # one term, nothing held or registered
+    (K.SEARCH_TERM, (1, 1, 1), 40),     # one-keyword query, its version held
+    (K.SEARCH_TERM, (2, 2, 3), 72),
+    (K.POSTINGS, (0, 0), 16),
+    (K.POSTINGS, (0, 3), 40),           # three slots, none modified
+    (K.POSTINGS, (19, 3), 496),
+    (K.POSTINGS, (999, 3), 24016),
     (K.QUERY_BATCH, (0, 0), 16),
     (K.QUERY_BATCH, (1, 3), 56),
     (K.QUERY_BATCH, (2, 6), 96),
@@ -336,3 +348,11 @@ class TestGoldenSizes:
     def test_wire_size_is_the_parents_price(self, kind, counts, size) -> None:
         assert wire_size(kind, *counts) == size
         assert message(kind, 1, 2, *counts).size_bytes == size
+
+    def test_the_read_pair_extends_the_unconditional_price(self) -> None:
+        """A request that holds and registers nothing costs what the
+        unconditional one did; a reply adds one version per slot."""
+        for n in (0, 1, 3, 7, 1000):
+            assert wire_size(K.SEARCH_TERM, n, 0, 0) == 16 + 8 * n
+            assert wire_size(K.POSTINGS, n, 0) == 16 + 24 * n
+            assert wire_size(K.POSTINGS, n, 2) == 16 + 24 * n + 16
