@@ -11,6 +11,10 @@ computes similarities locally:
 * similarity            Lee et al. second method,
   ``sim(Q, D) = Σ w_Q·w_D / sqrt(|D|)``.
 
+The querying peer keeps the last ranking it computed for each bounded
+query and takes it again while every fetched list is at the version it
+was ranked from.
+
 Terms whose indexing peer is down — or whose messages a lossy transport
 fails to deliver after retries — are dropped from the computation
 (Section 7's first failure-handling option).  Every query executed with
@@ -21,12 +25,17 @@ visits — the side channel SPRITE's learning feeds on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..corpus.relevance import Query
 from ..ir.ranking import RankedList
 from ..ir.weighting import TfIdfWeighting
-from .indexer import IndexingProtocol
+from .indexer import IndexingProtocol, SlotView
+
+#: How many rankings a querying peer holds (``ChordNode.held_rankings``).
+#: Past it the ranking held longest is forgotten, and that query's next
+#: execution scores again.
+HELD_RANKINGS = 256
 
 
 @dataclass
@@ -48,6 +57,9 @@ class QueryExecution:
     #: True when the ranked list was served from an indexing peer's
     #: query-result cache (no postings were fetched or scored).
     cache_hit: bool = False
+    #: True when the postings were fetched but the querying peer already
+    #: held the ranking of these very slot versions (nothing was scored).
+    ranking_reused: bool = False
 
 
 class QueryProcessor:
@@ -94,19 +106,20 @@ class QueryProcessor:
         dropped but cached — the peer saw it
         (:meth:`IndexingProtocol.fetch_slot_views`).
 
-        One batched round-trip per indexing peer, then a single
-        accumulation pass over the fetched slots' scoring views, each
-        piece of work done at the rate it changes: IDF once per term,
-        ``t_ik`` and ``sqrt(|D|)`` once per slot version (the view), one
-        multiply-add per posting into a flat dict of running dot
-        products, normalized at the end (Lee et al. second method).
-        Contributions reach a document in query term order, each as
-        ``w_Q × (t_ik × idf)``, and a repeated keyword scores once, so
-        the scores are bit-identical to the seed's per-term, nested-dict
-        executor (kept as the reference in
-        ``tests/core/legacy_executor.py``).  ``candidate_documents`` is
-        the number of distinct documents in the fetched lists — every
-        one of them is scored.
+        One batched round-trip per indexing peer, then the ranking
+        (:meth:`_rank`), each piece of work done at the rate it changes:
+        the ranking itself once per (keyword tuple, ``top_k``, N, slot
+        versions) at this peer — a repeat over unchanged lists takes the
+        one it holds (``ChordNode.held_rankings``, at most HELD_RANKINGS,
+        first in first out; ``ranking_reused``) — and within a ranking
+        IDF once per term, ``t_ik`` and ``sqrt(|D|)`` once per slot
+        version (the view).  Slot versions come from one process-global
+        counter, so equal versions are identical lists and the held
+        ranking is the one scoring would compute.  ``top_k=None`` and a
+        document-frequency override always score.
+        ``candidate_documents`` is the number of distinct documents in
+        the fetched lists, whether scored now or when the held ranking
+        was made.
 
         A bounded ``top_k`` on a result-caching protocol adds the
         probe/store exchange with the query's result-home peer around
@@ -156,46 +169,40 @@ class QueryProcessor:
         )
         failed_set = set(failed)
 
-        # -- score: terms in query order, postings in publish order --------
-        weighting = self.weighting
-        override = self.document_frequency_override
-        dot_products: Dict[str, float] = {}
-        accumulated = dot_products.get
-        norms: Dict[str, float] = {}
-        scored_terms: Set[str] = set()
+        # -- diagnostics, and the slot versions the ranking depends on ------
+        versions: List[Optional[int]] = []
         for term in query.terms:
             if term in failed_set:
                 execution.terms_failed += 1
                 execution.dropped_terms.append(term)
+                versions.append(None)
                 continue
             view = fetched[term]
             execution.terms_visited += 1
-            if view.indexed_df <= 0:
-                continue
             execution.postings_retrieved += view.indexed_df
-            if term in scored_terms:
-                # A repeated keyword scores exactly once.
-                continue
-            scored_terms.add(term)
-            df = view.indexed_df
-            if override is not None:
-                df = max(1, override.get(term, view.indexed_df))
-            qw = weighting.query_weight(df)
-            # document_weight(t_ik, df) is t_ik × idf; taken at t_ik = 1
-            # it is the idf itself, so the posting loop multiplies.
-            idf = weighting.document_weight(1.0, df)
-            doc_ids, ntfs, term_norms = view.scoring_view()
-            for doc_id, ntf in zip(doc_ids, ntfs):
-                dot_products[doc_id] = accumulated(doc_id, 0.0) + qw * (ntf * idf)
-            # A document's norm is the one its last scored term reports.
-            norms.update(zip(doc_ids, term_norms))
+            versions.append(view.version)
 
-        scores = {doc_id: dot / norms[doc_id] for doc_id, dot in dot_products.items()}
-        execution.candidate_documents = len(scores)
+        # -- rank, unless this peer holds the ranking of these versions -----
+        if top_k is None or self.document_frequency_override is not None:
+            ranked, candidates = self._rank(query.terms, fetched, failed_set, top_k)
+        else:
+            issuer = protocol.ring.nodes[issuer_id]
+            held = issuer.held_rankings
+            if held is None:
+                held = issuer.held_rankings = {}
+            key = (tuple(query.terms), top_k, self.weighting.corpus_size)
+            validity = tuple(versions)
+            entry = held.get(key)
+            if entry is not None and entry[0] == validity:
+                __, ranked, candidates = entry
+                execution.ranking_reused = True
+            else:
+                ranked, candidates = self._rank(query.terms, fetched, failed_set, top_k)
+                if len(held) >= HELD_RANKINGS and key not in held:
+                    del held[next(iter(held))]
+                held[key] = (validity, ranked, candidates)
+        execution.candidate_documents = candidates
         execution.latency_ms = clock.now - started_ms
-        ranked = (
-            RankedList.top_k(scores, top_k) if top_k is not None else RankedList(scores)
-        )
 
         if use_rcache and frozenset(execution.dropped_terms) == frozenset(reg_failed):
             protocol.store_result(
@@ -207,6 +214,54 @@ class QueryProcessor:
                 ranked,
             )
         return ranked, execution
+
+    def _rank(
+        self,
+        terms: Sequence[str],
+        fetched: Mapping[str, SlotView],
+        failed: Set[str],
+        top_k: Optional[int],
+    ) -> Tuple[RankedList, int]:
+        """The scoring pass: ``(ranking, candidate documents)``.
+
+        Terms in query order, postings in publish order: one multiply-add
+        per posting into a flat dict of running dot products, normalized
+        at the end (Lee et al. second method).  Contributions reach a
+        document in query term order, each as ``w_Q × (t_ik × idf)``, and
+        a repeated keyword scores once, so the scores are bit-identical
+        to the seed's per-term, nested-dict executor (kept as the
+        reference in ``tests/core/legacy_executor.py``)."""
+        weighting = self.weighting
+        override = self.document_frequency_override
+        dot_products: Dict[str, float] = {}
+        accumulated = dot_products.get
+        norms: Dict[str, float] = {}
+        scored_terms: Set[str] = set()
+        for term in terms:
+            if term in failed or term in scored_terms:
+                continue
+            view = fetched[term]
+            df = view.indexed_df
+            if df <= 0:
+                continue
+            scored_terms.add(term)
+            if override is not None:
+                df = max(1, override.get(term, df))
+            qw = weighting.query_weight(df)
+            # document_weight(t_ik, df) is t_ik × idf; taken at t_ik = 1
+            # it is the idf itself, so the posting loop multiplies.
+            idf = weighting.document_weight(1.0, df)
+            doc_ids, ntfs, term_norms = view.scoring_view()
+            for doc_id, ntf in zip(doc_ids, ntfs):
+                dot_products[doc_id] = accumulated(doc_id, 0.0) + qw * (ntf * idf)
+            # A document's norm is the one its last scored term reports.
+            norms.update(zip(doc_ids, term_norms))
+
+        scores = {doc_id: dot / norms[doc_id] for doc_id, dot in dot_products.items()}
+        ranked = (
+            RankedList.top_k(scores, top_k) if top_k is not None else RankedList(scores)
+        )
+        return ranked, len(scores)
 
     def search(
         self, issuer_id: int, query: Query, top_k: int | None = None, cache: bool = True

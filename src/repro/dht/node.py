@@ -39,6 +39,10 @@ class ChordNode:
     #: next search request names so that an unchanged list is not sent
     #: again.
     held_versions: Optional[Dict[str, int]] = None
+    #: And what this peer last ranked from those lists: ``(keyword tuple,
+    #: top_k, N) → (slot versions, ranking, candidate count)``, so that a
+    #: repeated query over unchanged lists is not scored again.
+    held_rankings: Optional[Dict[Tuple, Tuple]] = None
 
     def __init__(
         self,

@@ -22,19 +22,29 @@ carried, POSTINGS lighter by 24 per posting a delivered reply withheld.
 On the lossy transport a message more or fewer, or sent in another
 order, would shift every later drop.
 
+The same harness runs a second substitution: a querying peer that
+forgets the rankings it holds (``ChordNode.held_rankings``) before every
+execute, so that it scores every query.  A held ranking is reused only
+when the fetch returned every slot at the version it was ranked from,
+so that twin must agree on everything above with no delta at all — and
+on every :class:`QueryExecution` field but ``ranking_reused``.
+
 Then what a held version means at the edges — a replica promoted after
 a crash is withheld, a slot restored from a SQLite snapshot is re-sent,
-a lost reply moves nothing — and the map's bound and lifetime.
+a lost reply moves nothing — what a held ranking is keyed on, and both
+maps' bounds and lifetimes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
+from typing import Dict
 
 import pytest
 
 from repro.config import ChordConfig
-from repro.core import indexer
+from repro.core import indexer, query_processing
 from repro.core.indexer import HELD_VERSIONS, IndexingProtocol
 from repro.core.metadata import PostingEntry
 from repro.core.query_processing import QueryProcessor
@@ -50,7 +60,9 @@ from repro.net.transport import DeliveryPolicy, LossyTransport
 from repro.sim.oracle import DifferentialOracle, write_state_fingerprint
 from repro.store import RecoveryManager
 
+from .legacy_executor import execute_legacy
 from .test_fused_visit import DropKinds
+from .test_topk_equivalence import _RawQuery
 
 TRANSPORTS = {
     "perfect": lambda: None,
@@ -73,6 +85,20 @@ def always_ship(system: SpriteSystem) -> SpriteSystem:
         return search(issuer_id, located, registration)
 
     protocol._search = unconditional
+    return system
+
+
+def forget_rankings(system: SpriteSystem) -> SpriteSystem:
+    """Make *system* score every query: the querying peer's held
+    rankings are forgotten before every execute."""
+    processor = system.processor
+    execute = processor.execute
+
+    def scoring(issuer_id, query, top_k=None, cache=True):
+        system.ring.nodes[issuer_id].held_rankings = None
+        return execute(issuer_id, query, top_k=top_k, cache=cache)
+
+    processor.execute = scoring
     return system
 
 
@@ -145,32 +171,48 @@ def remote_indexed_term(system: SpriteSystem, queries):
     raise AssertionError("no indexed term away from its issuer")
 
 
-def assert_only_read_bytes_moved(
-    default: SpriteSystem, shipped: SpriteSystem, wire: ReadWire
+def read_byte_delta(wire: ReadWire) -> Dict[MessageKind, int]:
+    """What the conditional fetch may move, default minus unconditional
+    twin: SEARCH_TERM bytes up by the versions *wire* saw carried,
+    POSTINGS bytes down by the postings it saw withheld."""
+    return {
+        MessageKind.SEARCH_TERM: VERSION_BYTES * wire.versions,
+        MessageKind.POSTINGS: -POSTING_BYTES * wire.withheld,
+    }
+
+
+def assert_twins_agree(
+    default: SpriteSystem, twin: SpriteSystem, byte_delta: Dict[MessageKind, int]
 ) -> None:
     """The differential's verdict on twin systems that ran the same
-    operations: equal in everything but the two read-path byte totals,
-    and those apart by exactly what *wire* counted."""
-    assert write_state_fingerprint(default) == write_state_fingerprint(shipped)
-    assert default.protocol.result_cache_stats() == shipped.protocol.result_cache_stats()
-    ours, theirs = default.ring.stats.summary(), shipped.ring.stats.summary()
-    search, postings = MessageKind.SEARCH_TERM.value, MessageKind.POSTINGS.value
-    assert ours[search]["bytes"] - theirs[search]["bytes"] == VERSION_BYTES * wire.versions
-    assert theirs[postings]["bytes"] - ours[postings]["bytes"] == POSTING_BYTES * wire.withheld
-    for counters in (ours, theirs):
-        del counters[search]["bytes"], counters[postings]["bytes"]
+    operations: equal in everything but the byte totals of the kinds in
+    *byte_delta*, and those apart (default minus twin) by exactly that."""
+    assert write_state_fingerprint(default) == write_state_fingerprint(twin)
+    assert default.protocol.result_cache_stats() == twin.protocol.result_cache_stats()
+    ours, theirs = default.ring.stats.summary(), twin.ring.stats.summary()
+    for kind, delta in byte_delta.items():
+        assert ours[kind.value]["bytes"] - theirs[kind.value]["bytes"] == delta, kind
+        del ours[kind.value]["bytes"], theirs[kind.value]["bytes"]
     assert ours == theirs  # message counts and hops per kind, every other byte
-    transports = default.ring.transport, shipped.ring.transport
+    transports = default.ring.transport, twin.ring.transport
     if isinstance(transports[0], LossyTransport):
         assert transports[0].rng.getstate() == transports[1].rng.getstate()
         assert transports[0].trace.summary_table() == transports[1].trace.summary_table()
 
 
-@pytest.mark.parametrize("result_cache", [0, 32], ids=["no-result-cache", "result-cache"])
-@pytest.mark.parametrize("flow", ["learn", "bulk-churn"])
-@pytest.mark.parametrize("transport", TRANSPORTS.values(), ids=TRANSPORTS.keys())
-def test_reads_move_bytes_only(micro_corpus_config, transport, flow, result_cache) -> None:
-    oracle = micro_oracle(micro_corpus_config)
+def run_twins(
+    oracle: DifferentialOracle, transport, flow: str, result_cache: int, substitute, byte_delta
+):
+    """One row of the differential: replay *flow* on the default system
+    and on a twin with *substitute* installed, then the same reads on
+    both — query rounds with ``cache=True`` and ``False`` around
+    learning iterations, the batch and the one-term fetch.  Every read
+    must return the same (rankings with score bits, every
+    :class:`QueryExecution` field but ``ranking_reused``, fetched lists,
+    failed terms), and the twins must agree up to ``byte_delta(wire)``
+    (:func:`assert_twins_agree`).  Returns ``(wire, reused)``: what the
+    default system's reads did on the wire, and how many of each
+    system's executes reused a held ranking."""
 
     def build() -> SpriteSystem:
         sprite, chord = oracle.configs({"sprite": {"result_cache_size": result_cache}})
@@ -178,19 +220,22 @@ def test_reads_move_bytes_only(micro_corpus_config, transport, flow, result_cach
             oracle.corpus, sprite_config=sprite, chord_config=chord, transport=transport()
         )
 
-    default, shipped = build(), always_ship(build())
+    default, twin = build(), substitute(build())
     wire = ReadWire(default.protocol)
-    rankings, failures = [], []
-    for system in (default, shipped):
+    reads, reused = [], []
+    for system in (default, twin):
         oracle._replay(system, flow)
         ranked, failed = [], []
+        reuses = 0
         queries = oracle.train + oracle.test
         for cache in (True, False, True, False):
             if cache is False:
                 # Moves slot versions between rounds: held lists go stale.
                 system.run_learning_iteration()
             for query in queries:
-                ranked.append(pairs(system.search(query, cache=cache)))
+                result, execution = system.execute(query, cache=cache)
+                reuses += execution.ranking_reused
+                ranked.append((pairs(result), replace(execution, ranking_reused=False)))
         issuer = system.ring.live_ids[0]
         for query in oracle.test:
             results, lost = system.protocol.fetch_postings_batch(issuer, query.terms)
@@ -203,17 +248,50 @@ def test_reads_move_bytes_only(micro_corpus_config, transport, flow, result_cach
                     ranked.append(system.protocol.fetch_postings(issuer, term))
                 except NodeFailedError:
                     failed.append(term)
-        rankings.append(ranked)
-        failures.append(failed)
+        reads.append((ranked, failed))
+        reused.append(reuses)
 
-    assert rankings[0] == rankings[1]
-    assert failures[0] == failures[1]
-    assert_only_read_bytes_moved(default, shipped, wire)
+    assert reads[0] == reads[1]
+    assert_twins_agree(default, twin, byte_delta(wire))
+    if isinstance(default.ring.transport, LossyTransport):
+        assert any(reads[0][1])  # terms really were lost
+    return wire, reused
+
+
+def twin_flows(test):
+    """Every row runs on both transports, both oracle flows, and with
+    the result cache off and on."""
+    test = pytest.mark.parametrize("transport", TRANSPORTS.values(), ids=TRANSPORTS.keys())(test)
+    test = pytest.mark.parametrize("flow", ["learn", "bulk-churn"])(test)
+    return pytest.mark.parametrize(
+        "result_cache", [0, 32], ids=["no-result-cache", "result-cache"]
+    )(test)
+
+
+@twin_flows
+def test_reads_move_bytes_only(micro_corpus_config, transport, flow, result_cache) -> None:
+    wire, reused = run_twins(
+        micro_oracle(micro_corpus_config), transport, flow, result_cache,
+        always_ship, read_byte_delta,
+    )
     # Not vacuous: versions were named, postings withheld — and some
     # were stale, so a named version does not always withhold.
     assert wire.versions > sum(wire.not_modified.values()) > 0 and wire.withheld > 0
-    if isinstance(default.ring.transport, LossyTransport):
-        assert any(failures[0])  # terms really were lost
+    # Held rankings do not depend on how the lists arrived.
+    assert reused[0] == reused[1]
+
+
+@twin_flows
+def test_reused_rankings_move_nothing(micro_corpus_config, transport, flow, result_cache) -> None:
+    __, reused = run_twins(
+        micro_oracle(micro_corpus_config), transport, flow, result_cache,
+        forget_rankings, lambda wire: {},
+    )
+    assert reused[1] == 0
+    # Not vacuous without a result cache.  With one, a repeat over
+    # unchanged lists is answered by the result cache before anything is
+    # fetched, so these cases check that the two compose.
+    assert reused[0] > 0 or result_cache
 
 
 class TestWhatAHeldVersionMeans:
@@ -243,7 +321,7 @@ class TestWhatAHeldVersionMeans:
             rankings.append(again)
         assert wire.not_modified[term] >= 1
         assert rankings[0] == rankings[1]
-        assert_only_read_bytes_moved(default, shipped, wire)
+        assert_twins_agree(default, shipped, read_byte_delta(wire))
 
     def test_a_snapshot_rejoin_reships_the_slots_it_restored(self, micro_corpus_config) -> None:
         oracle = micro_oracle(micro_corpus_config)
@@ -410,9 +488,121 @@ class TestTheHeldMapIsBoundedAndDiesWithItsPeer:
         )
 
     def test_registering_alone_holds_nothing(self) -> None:
-        """The register-only paths send no message, so they learn no
-        version and allocate no map."""
+        """The register-only paths send no message and rank nothing, so
+        they learn no version, hold no ranking and allocate no map."""
         ring, protocol = small_stack()
         protocol.register_query(ring.live_ids[3], ("kw1", "kw2"))
         protocol.register_query_observing(ring.live_ids[3], ("kw1", "kw2"))
-        assert all("held_versions" not in vars(node) for node in ring.nodes.values())
+        for node in ring.nodes.values():
+            assert "held_versions" not in vars(node) and "held_rankings" not in vars(node)
+
+
+def scored_issuer(ring, protocol, terms) -> int:
+    """A peer that neither published the small stack nor indexes *terms*."""
+    indexing = {ring.successor_of(protocol.term_hash(t)) for t in terms}
+    return next(n for n in ring.live_ids[1:] if n not in indexing)
+
+
+class TestWhatAHeldRankingIsKeyedOn:
+    """A held ranking is reused only for the same keyword tuple, ``top_k``,
+    N and slot versions, a failed term marked failed.  Each case is one a
+    narrower key gets wrong; in each, every answer is the reference
+    executor's, score bits included."""
+
+    @staticmethod
+    def reused(processor, issuer, query, top_k=20) -> bool:
+        ranked, execution = processor.execute(issuer, query, top_k=top_k, cache=False)
+        expected, reference = execute_legacy(processor, issuer, query, top_k=top_k, cache=False)
+        assert pairs(ranked) == pairs(expected)
+        assert execution.dropped_terms == reference.dropped_terms
+        assert execution.candidate_documents == reference.candidate_documents
+        return execution.ranking_reused
+
+    def test_two_processors_with_different_n_on_one_ring(self) -> None:
+        ring, protocol = small_stack()
+        query = Query("q", ("kw2", "kw4"))
+        issuer = scored_issuer(ring, protocol, query.terms)
+        small, large = QueryProcessor(protocol, 1000), QueryProcessor(protocol, 1_000_000)
+        runs = [self.reused(p, issuer, query) for p in (small, large, small, large)]
+        assert runs == [False, False, True, True]
+
+    def test_an_override_or_an_unbounded_top_k_always_scores_and_holds_nothing(self) -> None:
+        ring, protocol = small_stack()
+        query = Query("q", ("kw2", "kw4"))
+        issuer = scored_issuer(ring, protocol, query.terms)
+        plain = QueryProcessor(protocol, 1000)
+        override = QueryProcessor(protocol, 1000, document_frequency_override={"kw2": 40})
+        assert [self.reused(override, issuer, query) for __ in range(2)] == [False, False]
+        assert [self.reused(plain, issuer, query, top_k=None) for __ in range(2)] == [False] * 2
+        assert ring.nodes[issuer].held_rankings is None
+        runs = [self.reused(p, issuer, query) for p in (plain, override, plain)]
+        assert runs == [False, False, True]
+
+    def test_the_same_keywords_in_another_order(self) -> None:
+        ring, protocol = small_stack()
+        processor = QueryProcessor(protocol, 1000)
+        forward = _RawQuery("q", ("kw1", "kw3", "kw5"))
+        backward = _RawQuery("q", ("kw5", "kw3", "kw1"))
+        issuer = scored_issuer(ring, protocol, forward.terms)
+        runs = [self.reused(processor, issuer, q) for q in (forward, backward, forward, backward)]
+        assert runs == [False, False, True, True]
+
+    def test_another_top_k(self) -> None:
+        ring, protocol = small_stack()
+        processor = QueryProcessor(protocol, 1000)
+        query = Query("q", ("kw3", "kw5"))
+        issuer = scored_issuer(ring, protocol, query.terms)
+        runs = [self.reused(processor, issuer, query, top_k=k) for k in (3, 5, 3, 5)]
+        assert runs == [False, False, True, True]
+
+    def test_a_dropped_term_scores_again_and_is_held_as_dropped(self) -> None:
+        """Every list that did arrive is unchanged, so a key on what the
+        fetch did *not* modify would serve the ranking that still had the
+        lost term in it."""
+        ring, protocol = small_stack()
+        processor = QueryProcessor(protocol, 1000)
+        query = Query("q", ("kw2", "kw5"))
+        issuer = scored_issuer(ring, protocol, query.terms)
+        victim = ring.successor_of(protocol.term_hash("kw5"))
+        assert victim != ring.successor_of(protocol.term_hash("kw2"))
+        assert [self.reused(processor, issuer, query) for __ in range(2)] == [False, True]
+        ring.fail(victim)
+        assert [self.reused(processor, issuer, query) for __ in range(2)] == [False, True]
+        __, execution = processor.execute(issuer, query, top_k=20, cache=False)
+        assert execution.dropped_terms == ["kw5"] and execution.ranking_reused
+
+    def test_one_publish_to_one_query_term(self) -> None:
+        ring, protocol = small_stack()
+        processor = QueryProcessor(protocol, 1000)
+        query = Query("q", ("kw1", "kw3", "kw5"))
+        issuer = scored_issuer(ring, protocol, query.terms)
+        assert [self.reused(processor, issuer, query) for __ in range(2)] == [False, True]
+        owner = ring.live_ids[0]
+        protocol.publish(owner, "kw3", PostingEntry("fresh", owner, 9, 10))
+        assert [self.reused(processor, issuer, query) for __ in range(2)] == [False, True]
+        assert processor.search(issuer, query, top_k=20).top_ids(1) == ["fresh"]
+
+    def test_an_issuer_that_crashes_and_rejoins_starts_empty(self) -> None:
+        ring, protocol = small_stack()
+        processor = QueryProcessor(protocol, 1000)
+        query = Query("q", ("kw4",))
+        issuer = scored_issuer(ring, protocol, query.terms)
+        assert [self.reused(processor, issuer, query) for __ in range(2)] == [False, True]
+        ring.fail(issuer)
+        ring.stabilize()
+        ring.join(node_id=issuer)
+        assert ring.nodes[issuer].held_rankings is None
+        assert [self.reused(processor, issuer, query) for __ in range(2)] == [False, True]
+
+    def test_the_map_is_first_in_first_out_at_its_bound(self, monkeypatch) -> None:
+        monkeypatch.setattr(query_processing, "HELD_RANKINGS", 3)
+        ring, protocol = small_stack()
+        processor = QueryProcessor(protocol, 1000)
+        queries = [Query(f"q{i}", (f"kw{i}",)) for i in range(1, 5)]
+        issuer = scored_issuer(ring, protocol, [q.terms[0] for q in queries])
+        assert not any(self.reused(processor, issuer, q) for q in queries)
+        held = ring.nodes[issuer].held_rankings
+        assert [terms for terms, __, __ in held] == [("kw2",), ("kw3",), ("kw4",)]
+        assert not self.reused(processor, issuer, queries[0])  # evicted: scored again
+        assert self.reused(processor, issuer, queries[3])
+        assert len(held) == 3

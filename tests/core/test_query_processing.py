@@ -12,6 +12,7 @@ from repro.core.metadata import PostingEntry, TermSlot
 from repro.core.query_processing import QueryProcessor
 from repro.corpus import Query
 from repro.dht import ChordRing
+from repro.ir.ranking import RankedList
 
 ASSUMED_N = 1_000_000
 
@@ -122,6 +123,38 @@ class TestExecution:
         scored_terms = 2  # "ghost" has no postings and is never weighted
         assert 0 < len(calls) <= 2 * scored_terms
         assert {df for __, df in calls} == {500, 1}
+
+    def test_a_ranking_is_per_slot_version_not_per_query(
+        self, processor, protocol, ring, monkeypatch
+    ) -> None:
+        """Structural guard, one rung up: a repeated query over unchanged
+        slots neither reads a scoring view nor ranks — it takes the
+        ranking the querying peer holds — and one posting published to
+        one of its terms makes the next execution score again."""
+        for i in range(50):
+            publish(protocol, ring, "hot", f"d{i:03d}", tf=1 + i % 7, length=40 + i)
+        publish(protocol, ring, "rare", "d007", tf=2, length=47)
+        query, issuer = Query("q", ("hot", "rare", "ghost")), ring.live_ids[1]
+        first, __ = processor.execute(issuer, query, top_k=20)
+
+        calls = []
+        scoring_view, top_k = TermSlot.scoring_view, RankedList.top_k
+        monkeypatch.setattr(
+            TermSlot, "scoring_view", lambda slot: calls.append("view") or scoring_view(slot)
+        )
+        monkeypatch.setattr(
+            RankedList,
+            "top_k",
+            classmethod(lambda cls, scored, k: calls.append("rank") or top_k(scored, k)),
+        )
+        again, execution = processor.execute(issuer, query, top_k=20)
+        assert calls == [] and execution.ranking_reused
+        assert again is first and execution.candidate_documents == 50
+
+        publish(protocol, ring, "rare", "d999", tf=5, length=10)
+        changed, execution = processor.execute(issuer, query, top_k=20)
+        assert calls.count("view") == 2 and calls.count("rank") == 1
+        assert not execution.ranking_reused and changed.top_ids(1) == ["d999"]
 
 
 class TestQueryCachingSideChannel:
