@@ -24,7 +24,17 @@ import itertools
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from math import inf, sqrt
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from ..ir.postings import RamPostings
 from ..ir.ranking import RankedList
@@ -58,9 +68,9 @@ class PostingEntry:
         return self.raw_tf / self.doc_length
 
 
-@dataclass(frozen=True)
-class CachedQuery:
-    """A query as cached at an indexing peer.
+class CachedQuery(NamedTuple):
+    """A query as cached at an indexing peer (a named tuple: one is
+    built per registered term visit).
 
     ``query_hash`` is precomputed ("every cached query is hashed also,
     which can be precomputed offline"), and ``sequence`` is the slot's
@@ -113,20 +123,14 @@ class QueryCache:
         cache = cls(capacity)
         for terms, query_hash, sequence in entries:
             cache._entries.append(
-                CachedQuery(
-                    terms=tuple(terms),
-                    query_hash=int(query_hash),
-                    sequence=int(sequence),
-                )
+                CachedQuery(tuple(terms), int(query_hash), int(sequence))
             )
         cache._next_sequence = int(next_sequence)
         return cache
 
     def add(self, terms: Tuple[str, ...], query_hash: int) -> CachedQuery:
         """Record one issued query; evicts the oldest beyond capacity."""
-        entry = CachedQuery(
-            terms=terms, query_hash=query_hash, sequence=self._next_sequence
-        )
+        entry = CachedQuery(terms, query_hash, self._next_sequence)
         self._next_sequence += 1
         self._stamp = next(_CACHE_STAMPS)
         self._entries.append(entry)

@@ -11,11 +11,16 @@ prints it; :data:`WIRE` is the same rows as a dict) — and
 computed by :func:`wire_size` from the counts of what it carries.  Sizes
 are abstract bytes: a term ≈ 8, a posting entry ≈ 24 (doc id, owner
 address, TF, length), a header ≈ 16.
+
+A message is built once per send, so its shape is a named tuple, and a
+kind carries its :attr:`~MessageKind.ordinal` so that
+:class:`~repro.dht.stats.NetworkStats` reaches the kind's counters by
+list index instead of hashing the enum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from operator import mul
 from typing import Dict, Tuple
@@ -34,11 +39,13 @@ class MessageKind(Enum):
     """Every message type exchanged by peers, one row each: ``wire name
     (the enum's value), traffic category, fixed bytes, bytes per unit of
     each thing the message counts``.  The comment under a row names its
-    units, in the order :func:`wire_size` takes their counts."""
+    units, in the order :func:`wire_size` takes their counts.  A row's
+    ``ordinal`` is its position in the table, 0 … ``len(MessageKind) - 1``."""
 
     category: str
     fixed_bytes: int
     unit_bytes: Tuple[int, ...]
+    ordinal: int
 
     def __new__(
         cls, value: str, category: str, fixed_bytes: int, unit_bytes: Tuple[int, ...] = ()
@@ -48,6 +55,7 @@ class MessageKind(Enum):
         kind.category = category
         kind.fixed_bytes = fixed_bytes
         kind.unit_bytes = unit_bytes
+        kind.ordinal = len(cls.__members__)
         return kind
 
     # Chord routing step
@@ -148,40 +156,58 @@ def units_carried(kind: MessageKind, messages: int, total_bytes: int) -> int:
     return (total_bytes - kind.fixed_bytes * messages) // unit_bytes
 
 
-@dataclass(frozen=True)
-class Message:
-    """A single simulated network message.
+_new_tuple = tuple.__new__
+
+
+class Message(
+    namedtuple(
+        "Message",
+        ("kind", "src", "dst", "size_bytes", "hops"),
+        defaults=(QUERY_HEADER_BYTES, 1),
+    )
+):
+    """A single simulated network message: ``(kind, src, dst,
+    size_bytes, hops)``, immutable.
 
     ``hops`` is the number of overlay hops the message traversed (1 for
     a direct peer-to-peer send once the address is known, ``1 + lookup
-    hops`` when a DHT lookup was needed first).
+    hops`` when a DHT lookup was needed first).  A negative size or hop
+    count is a ``ValueError``.
     """
 
-    kind: MessageKind
-    src: int
-    dst: int
-    size_bytes: int = QUERY_HEADER_BYTES
-    hops: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
+    def __new__(
+        cls,
+        kind: MessageKind,
+        src: int,
+        dst: int,
+        size_bytes: int = QUERY_HEADER_BYTES,
+        hops: int = 1,
+    ) -> "Message":
+        if size_bytes < 0:
             raise ValueError("size_bytes must be >= 0")
-        if self.hops < 0:
+        if hops < 0:
             raise ValueError("hops must be >= 0")
+        return _new_tuple(cls, (kind, src, dst, size_bytes, hops))
 
 
 def message(kind: MessageKind, src: int, dst: int, *counts: int, hops: int = 1) -> Message:
     """The *kind* message from *src* to *dst* carrying *counts* units —
     the only place a :class:`Message` is built.  The size is
-    :func:`wire_size`'s, written out here because one call fewer per
-    message sent shows on the query path."""
+    :func:`wire_size`'s, written out here, and the tuple is made without
+    :meth:`Message.__new__` once the size and hops are checked: both
+    calls would show on the query path, which sends one per request and
+    one per reply."""
     unit_bytes = kind.unit_bytes
     if len(counts) != len(unit_bytes):
         raise _wrong_counts(kind, counts)
-    return Message(
-        kind, src, dst, kind.fixed_bytes + sum(map(mul, counts, unit_bytes)), hops
-    )
+    size = kind.fixed_bytes + sum(map(mul, counts, unit_bytes))
+    if size < 0 or hops < 0:
+        return Message(kind, src, dst, size, hops)  # raises the ValueError
+    return _new_tuple(Message, (kind, src, dst, size, hops))
 
 
-#: All kinds, for table-driven tests.
+#: All kinds in table order, ``ALL_KINDS[kind.ordinal] is kind``: for
+#: table-driven tests, and for the stats rows indexed by ordinal.
 ALL_KINDS: Tuple[MessageKind, ...] = tuple(MessageKind)

@@ -57,8 +57,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right, insort
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..config import ChordConfig
 from ..exceptions import (
@@ -76,13 +75,13 @@ from .route_cache import RouteCache
 from .stats import NetworkStats
 
 
-@dataclass(frozen=True)
-class LookupResult:
-    """Outcome of one DHT lookup: responsible node, hop count, path."""
+class LookupResult(NamedTuple):
+    """Outcome of one DHT lookup: responsible node, hop count, path (a
+    named tuple: every lookup builds one)."""
 
     node_id: int
     hops: int
-    path: Tuple[int, ...] = field(default=())
+    path: Tuple[int, ...] = ()
 
 
 def ring_label(finger_arity: int) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 #: Final outcome labels (kept as plain strings so traces serialize
 #: trivially and the net package stays import-independent of repro.dht).
@@ -29,9 +29,9 @@ DROPPED = "dropped"
 DEST_DOWN = "dest_down"
 
 
-@dataclass(frozen=True)
-class MessageTrace:
-    """The delivery record of one application or routing message."""
+class MessageTrace(NamedTuple):
+    """The delivery record of one application or routing message (a
+    named tuple: a traced transport writes one per delivery)."""
 
     kind: str
     src: int

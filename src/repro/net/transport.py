@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, NamedTuple, Optional, Protocol, runtime_checkable
 
 from .clock import SimulatedClock
 from .faults import FaultInjector
@@ -50,8 +50,7 @@ class DeliveryOutcome(Enum):
     DEST_DOWN = DEST_DOWN
 
 
-@dataclass(frozen=True)
-class DeliveryReceipt:
+class DeliveryReceipt(NamedTuple):
     """What the transport reports back for one message."""
 
     outcome: DeliveryOutcome
@@ -61,6 +60,12 @@ class DeliveryReceipt:
     @property
     def ok(self) -> bool:
         return self.outcome is DeliveryOutcome.DELIVERED
+
+
+#: The only two receipts a perfect transport can write; it hands out
+#: these objects rather than building one per delivery.
+_DELIVERED_AT_ONCE = DeliveryReceipt(DeliveryOutcome.DELIVERED, 1, 0.0)
+_DEST_DOWN_AT_ONCE = DeliveryReceipt(DeliveryOutcome.DEST_DOWN, 1, 0.0)
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,7 @@ class PerfectTransport:
     Consumes no randomness and advances the clock by zero, so results
     (hop counts, statistics, exceptions) are bit-identical to a ring
     without any transport.  A :class:`TraceLog` may still be attached to
-    observe message flow.
+    observe message flow; without one a delivery allocates nothing.
     """
 
     def __init__(self, trace: Optional[TraceLog] = None) -> None:
@@ -142,7 +147,7 @@ class PerfectTransport:
         return self.trace is not None
 
     def deliver(self, message: "Message", dst_alive: bool = True) -> DeliveryReceipt:
-        outcome = DeliveryOutcome.DELIVERED if dst_alive else DeliveryOutcome.DEST_DOWN
+        receipt = _DELIVERED_AT_ONCE if dst_alive else _DEST_DOWN_AT_ONCE
         if self.trace is not None:
             self.trace.record(
                 MessageTrace(
@@ -151,11 +156,11 @@ class PerfectTransport:
                     dst=message.dst,
                     attempts=1,
                     latency_ms=0.0,
-                    outcome=outcome.value,
+                    outcome=receipt.outcome.value,
                     category=message.kind.category,
                 )
             )
-        return DeliveryReceipt(outcome=outcome, attempts=1, latency_ms=0.0)
+        return receipt
 
 
 class LossyTransport:

@@ -20,7 +20,6 @@ two byte totals that differ must differ by what this class tallies:
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.indexer import IndexingProtocol
@@ -62,9 +61,8 @@ class PeerSideDedup(IndexingProtocol):
     @staticmethod
     def _hash_list_request(src, dst, batch, hops, polled) -> Message:
         cursors_only = message(MessageKind.POLL_BATCH, src, dst, len(batch), hops=hops)
-        return dataclasses.replace(
-            cursors_only,
-            size_bytes=cursors_only.size_bytes + TERM_BYTES * len(polled[1]),
+        return cursors_only._replace(
+            size_bytes=cursors_only.size_bytes + TERM_BYTES * len(polled[1])
         )
 
     def _select_at_peer(self, node, term, polled) -> Tuple[List[CachedQuery], int]:

@@ -45,12 +45,29 @@ class TestMessage:
     def test_five_fields_and_the_header_default(self) -> None:
         """``bench/trace.py`` and every test that builds one directly
         rely on this shape."""
-        import dataclasses
-
-        assert [f.name for f in dataclasses.fields(Message)] == [
-            "kind", "src", "dst", "size_bytes", "hops",
-        ]
+        assert Message._fields == ("kind", "src", "dst", "size_bytes", "hops")
+        assert Message._field_defaults == {"size_bytes": QUERY_HEADER_BYTES, "hops": 1}
         assert Message(K.HEARTBEAT, 1, 2) == Message(K.HEARTBEAT, 1, 2, 16, 1)
+
+    def test_message_builds_the_same_checked_immutable_shape(self) -> None:
+        """``message()`` skips ``Message.__new__`` once it has checked
+        the size and hops itself: what it returns is a ``Message`` equal
+        to the directly built one, just as immutable, and a negative
+        size or hop count is still a ``ValueError``."""
+        built = message(K.POSTINGS, 1, 2, 3, 1, hops=2)
+        assert type(built) is Message
+        assert built == Message(K.POSTINGS, 1, 2, 16 + 3 * 24 + 8, 2)
+        with pytest.raises(AttributeError):
+            built.size_bytes = 0  # type: ignore[misc]
+        with pytest.raises(ValueError):
+            message(K.LOOKUP, 1, 2, hops=-1)
+        with pytest.raises(ValueError):
+            message(K.POSTINGS, 1, 2, -1, 0)  # 16 - 24 bytes
+
+    def test_every_kind_has_a_distinct_ordinal(self) -> None:
+        """``NetworkStats`` indexes its rows by it."""
+        assert sorted(kind.ordinal for kind in MessageKind) == list(range(len(MessageKind)))
+        assert [kind.ordinal for kind in ALL_KINDS] == list(range(len(ALL_KINDS)))
 
 
 class TestFactories:

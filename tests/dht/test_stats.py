@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.dht.messages import Message, MessageKind
 from repro.dht.stats import KindStats, NetworkStats
 
@@ -116,10 +122,14 @@ class TestKindStats:
         assert (a.messages, b.messages) == (1, 1)  # inputs untouched
 
     def test_record_accumulates(self) -> None:
-        stats = KindStats()
+        """A kind's row accumulates in place: ``NetworkStats.record`` is
+        the one writer, ``kind()`` hands out the live row."""
+        stats = NetworkStats()
         stats.record(msg(size=10, hops=2))
+        row = stats.kind(MessageKind.SEARCH_TERM)
         stats.record(msg(size=5, hops=1))
-        assert (stats.messages, stats.bytes, stats.hops) == (2, 15, 3)
+        assert (row.messages, row.bytes, row.hops) == (2, 15, 3)
+        assert row is stats.kind(MessageKind.SEARCH_TERM)
 
 
 class TestPerKindBreakdown:
@@ -203,3 +213,138 @@ class TestCategorySummary:
             sum(entry["bytes"] for entry in by_category.values())
             == stats.total_bytes
         )
+
+
+class TestRowsAreReachedByOrdinal:
+    """Recording runs once per delivered message and once per lookup, so
+    it indexes a list by ``kind.ordinal`` and never hashes the enum."""
+
+    @pytest.mark.parametrize("transport", ["perfect", "lossy"])
+    def test_a_query_records_without_hashing_a_kind(self, monkeypatch, transport) -> None:
+        from repro.config import ChordConfig, SpriteConfig
+        from repro.core import SpriteSystem
+        from repro.corpus import Corpus, Document, Query
+        from repro.net import LossyTransport, PerfectTransport
+
+        corpus = Corpus(
+            Document(f"d{i}", f"chord chord ring ring lookup filler{i} pad{i}")
+            for i in range(8)
+        )
+        sprite = SpriteSystem(
+            corpus,
+            sprite_config=SpriteConfig(initial_terms=3, query_cache_size=16),
+            chord_config=ChordConfig(num_peers=16, id_bits=32, seed=5),
+            transport=PerfectTransport() if transport == "perfect" else LossyTransport(seed=3),
+        )
+        sprite.share_corpus()
+        stats = sprite.ring.stats
+        before = (stats.total_messages, sum(stats.lookup_hop_histogram.values()))
+
+        def refuse(kind):
+            raise AssertionError(f"hashed {kind!r}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MessageKind, "__hash__", refuse)
+            with pytest.raises(AssertionError):
+                hash(MessageKind.SEARCH_TERM)
+            ranked = sprite.search(Query("q", ("chord", "ring", "nothing")), cache=True)
+        after = (stats.total_messages, sum(stats.lookup_hop_histogram.values()))
+        assert len(ranked) > 0
+        assert after[0] > before[0] and after[1] > before[1]
+        assert stats.kind(MessageKind.SEARCH_TERM).messages > 0
+        assert stats.kind(MessageKind.POSTINGS).messages > 0
+
+
+#: One call on a :class:`NetworkStats`: record a message of a kind,
+#: record a lookup, take a snapshot, or reset.
+_CALLS = st.one_of(
+    st.tuples(
+        st.just("record"),
+        st.sampled_from(list(MessageKind)),
+        st.integers(0, 5000),
+        st.integers(0, 40),
+    ),
+    st.tuples(st.just("lookup"), st.integers(0, 40)),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("reset")),
+)
+
+
+def _sums(records, kinds):
+    """``kind → (messages, bytes, hops)`` over *records*, for *kinds*."""
+    return {
+        kind: (
+            sum(1 for k, __, __ in records if k is kind),
+            sum(size for k, size, __ in records if k is kind),
+            sum(hops for k, __, hops in records if k is kind),
+        )
+        for kind in kinds
+    }
+
+
+def _folded(sums, key):
+    out = {}
+    for kind, (messages, nbytes, hops) in sums.items():
+        m, b, h = out.get(key(kind), (0, 0, 0))
+        out[key(kind)] = (m + messages, b + nbytes, h + hops)
+    return {
+        name: {"messages": m, "bytes": b, "hops": h} for name, (m, b, h) in sorted(out.items())
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_CALLS, max_size=60))
+def test_every_view_is_a_sum_over_the_recorded_stream(calls) -> None:
+    """Every readout equals what the calls since the last reset add up
+    to: a lookup is a LOOKUP message of no bytes, kinds appear in the
+    order first recorded, and a snapshot is the readout of its moment,
+    untouched by what comes after."""
+    stats = NetworkStats()
+    records: list = []  # (kind, bytes, hops) since the last reset
+    lookups: list = []  # hops of each lookup since the last reset
+    snapshots: list = []  # (snapshot, sums when it was taken)
+    for call in calls:
+        if call[0] == "record":
+            __, kind, size, hops = call
+            stats.record(Message(kind, 1, 2, size, hops))
+            records.append((kind, size, hops))
+        elif call[0] == "lookup":
+            stats.record_lookup(call[1])
+            records.append((MessageKind.LOOKUP, 0, call[1]))
+            lookups.append(call[1])
+        elif call[0] == "snapshot":
+            seen = list(dict.fromkeys(kind for kind, __, __ in records))
+            snapshots.append((stats.snapshot(), _sums(records, seen)))
+        else:
+            stats.reset()
+            records.clear()
+            lookups.clear()
+
+    seen = list(dict.fromkeys(kind for kind, __, __ in records))
+    sums = _sums(records, seen)
+    for kind in MessageKind:
+        row = stats.kind(kind)
+        assert (row.messages, row.bytes, row.hops) == sums.get(kind, (0, 0, 0))
+    assert stats.total_messages == len(records)
+    assert stats.total_bytes == sum(size for __, size, __ in records)
+    assert stats.total_hops == sum(hops for __, __, hops in records)
+    assert stats.summary() == _folded(sums, lambda kind: kind.value)
+    assert list(stats.summary()) == sorted(kind.value for kind in seen)
+    assert stats.category_summary() == _folded(sums, lambda kind: kind.category)
+    assert stats.lookup_hop_histogram == Counter(lookups)
+    assert stats.mean_lookup_hops == (sum(lookups) / len(lookups) if lookups else 0.0)
+
+    snapshot = stats.snapshot()
+    assert list(snapshot) == seen
+    assert {k: (s.messages, s.bytes, s.hops) for k, s in snapshot.items()} == sums
+    for then, then_sums in snapshots:
+        assert {k: (s.messages, s.bytes, s.hops) for k, s in then.items()} == then_sums
+        delta = stats.delta_since(then)
+        expected = {}
+        for kind in seen:
+            now_row, then_row = sums[kind], then_sums.get(kind, (0, 0, 0))
+            diff = tuple(a - b for a, b in zip(now_row, then_row))
+            if any(diff):
+                expected[kind] = diff
+        assert list(delta) == list(expected)
+        assert {k: (s.messages, s.bytes, s.hops) for k, s in delta.items()} == expected

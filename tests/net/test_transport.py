@@ -52,6 +52,26 @@ class TestPerfectTransport:
     def test_satisfies_protocol(self) -> None:
         assert isinstance(PerfectTransport(), Transport)
 
+    def test_an_untraced_delivery_allocates_no_receipt(self) -> None:
+        """Without a trace the only two receipts a perfect transport can
+        write are handed out as they are, one object each."""
+        transport = PerfectTransport()
+        delivered = transport.deliver(msg())
+        assert transport.deliver(msg(3, 4)) is delivered and delivered.ok
+        down = transport.deliver(msg(), dst_alive=False)
+        assert transport.deliver(msg(5, 6), dst_alive=False) is down and not down.ok
+        # A traced transport returns the same receipts and records each one.
+        log = TraceLog()
+        traced = PerfectTransport(trace=log)
+        assert traced.deliver(msg()) == delivered
+        assert traced.deliver(msg(), dst_alive=False) == down
+        assert [t.outcome for t in log.records] == ["delivered", "dest_down"]
+
+    def test_a_receipt_is_immutable(self) -> None:
+        receipt = LossyTransport(seed=1).deliver(msg())
+        with pytest.raises(AttributeError):
+            receipt.attempts = 9  # type: ignore[misc]
+
 
 class TestLossyDelivery:
     def test_lossless_config_delivers_with_latency(self) -> None:
