@@ -115,8 +115,6 @@ class MessageKind(Enum):
     RECONCILE = "reconcile", "maintenance", QUERY_HEADER_BYTES + TERM_BYTES
     # §7 load-balance advice
     ADVISE_HOT_TERM = "advise_hot_term", "maintenance", TERM_BYTES + TERM_BYTES
-    # hot term's peer → partner peer (§7 LAR-style caching): postings
-    CACHE_HOT_TERM = "cache_hot_term", "maintenance", 0, (POSTING_BYTES,)
     # recovering peer ↔ successor: slots (a checksum, or a match verdict
     # on the reply leg, each)
     SYNC_DIGEST = "sync_digest", "maintenance", QUERY_HEADER_BYTES, (TERM_BYTES + CHECKSUM_BYTES,)

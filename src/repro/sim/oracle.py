@@ -34,9 +34,9 @@ compares either or both of
     poll cursors and learner statistics.
 
 Adding a comparison is one :class:`OracleRow` entry; a tier-1 test
-fails when a result-neutral switch has no row.  (The write protocol is
-not a switch; ``tests/core/test_ingest_equivalence.py`` runs
-``bulk-churn`` against the per-term reference owner.)
+fails when a result-neutral switch has no row.  (A reference
+implementation is not a switch: ``tests/twins.py`` replays both flows
+on twin systems, one of them with the reference installed.)
 
 One comparison has a different shape and keeps its own body, reached
 through the same :meth:`DifferentialOracle.check_all` — the
@@ -233,7 +233,8 @@ class DifferentialOracle:
         sprite, chord = self.configs(*deltas)
         return SpriteSystem(self.corpus, sprite_config=sprite, chord_config=chord)
 
-    def _replay(self, system: SpriteSystem, flow: str) -> None:
+    def replay(self, system: SpriteSystem, flow: str) -> None:
+        """Run the named *flow* on *system* (see the module docstring)."""
         bulk = flow == "bulk-churn"
         if bulk:
             system.bulk_share()
@@ -273,7 +274,7 @@ class DifferentialOracle:
     ) -> None:
         what = _describe(row.delta)
         for system in (base, varied):
-            self._replay(system, row.flow)
+            self.replay(system, row.flow)
         if "fingerprint" in row.equal:
             before = write_state_fingerprint(base)
             after = write_state_fingerprint(varied)

@@ -116,6 +116,18 @@ def micro_corpus_config() -> SyntheticCorpusConfig:
     )
 
 
+@pytest.fixture(scope="session")
+def micro_oracle(micro_corpus_config):
+    """The differential oracle over the micro corpus: four training
+    queries, the rest for testing, a 16-peer ring.  Read-only."""
+    from repro.corpus.synthetic import SyntheticTrecCorpus
+    from repro.sim.oracle import DifferentialOracle
+
+    corpus, originals, __ = SyntheticTrecCorpus(micro_corpus_config).build()
+    queries = list(originals)
+    return DifferentialOracle(corpus, train=queries[:4], test=queries[4:], num_peers=16, seed=0)
+
+
 @pytest.fixture()
 def small_ring() -> ChordRing:
     """A fresh 16-node ring per test (mutation allowed)."""

@@ -11,9 +11,11 @@ public calls, never the result cache.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Tuple
 
 from repro.core.query_processing import QueryExecution, QueryProcessor
+from repro.core.system import SpriteSystem
 from repro.exceptions import NodeFailedError
 from repro.ir.ranking import RankedList
 from repro.ir.similarity import lee_similarity
@@ -69,3 +71,9 @@ def execute_legacy(
         RankedList.top_k(scores, top_k) if top_k is not None else RankedList(scores)
     )
     return ranked, execution
+
+
+def install_legacy_executor(system: SpriteSystem) -> SpriteSystem:
+    """Make *system* execute every query the seed's way."""
+    system.processor.execute = partial(execute_legacy, system.processor)
+    return system

@@ -8,14 +8,9 @@ queries it selected.  :class:`PeerSideDedup` is that placement: the same
 exchange, the request priced with the hash list, the rule — the one
 filter function both sides share, :meth:`_keep_closest` — run at the
 peer before the reply is built.  Only *where* the rule runs differs, so
-results, cursors, state and every other message must coincide, and the
-two byte totals that differ must differ by what this class tallies:
-
-``hash_bytes``
-    The hash-list bytes of the POLL_BATCH requests it delivered.
-``withheld_bytes``
-    What the duplicates it filtered out would have cost in the
-    QUERY_BATCH replies it delivered (16 + 8 per term each).
+results, cursors, state and every other message must coincide; the
+``peer_side_dedup`` row of ``tests/twins.py`` states the two byte totals
+that differ.
 """
 
 from __future__ import annotations
@@ -25,14 +20,11 @@ from typing import Dict, List, Sequence, Set, Tuple
 from repro.core.indexer import IndexingProtocol
 from repro.core.metadata import CachedQuery
 from repro.core.system import SpriteSystem
-from repro.dht.messages import TERM_BYTES, Message, MessageKind, message, wire_size
+from repro.dht.messages import TERM_BYTES, Message, MessageKind, message
 
 
 class PeerSideDedup(IndexingProtocol):
     """An indexing protocol whose peers apply the §3 rule to the poll."""
-
-    hash_bytes = 0
-    withheld_bytes = 0
 
     def poll_batch(
         self,
@@ -41,21 +33,14 @@ class PeerSideDedup(IndexingProtocol):
         index_term_hashes: Dict[str, int],
     ) -> Tuple[Dict[str, Tuple[List[CachedQuery], int]], Set[str]]:
         cursor_of = dict(term_cursors)
-        withheld: Dict[str, int] = {}
-        polls = self.ring.stats.kind(MessageKind.POLL_BATCH).messages
         results, failed = self._exchange(
             owner_id,
             self._locate(owner_id, cursor_of, absorb=True),
-            (cursor_of, index_term_hashes, withheld),
+            (cursor_of, index_term_hashes),
             self._hash_list_request,
             self._select_at_peer,
             self._query_batch,
         )
-        delivered = self.ring.stats.kind(MessageKind.POLL_BATCH).messages - polls
-        self.hash_bytes += delivered * TERM_BYTES * len(index_term_hashes)
-        # A term is answered only once both legs of its peer's exchange
-        # were delivered, so these are the delivered replies' duplicates.
-        self.withheld_bytes += sum(withheld[term] for term in results)
         return results, set(failed)
 
     @staticmethod
@@ -66,18 +51,8 @@ class PeerSideDedup(IndexingProtocol):
         )
 
     def _select_at_peer(self, node, term, polled) -> Tuple[List[CachedQuery], int]:
-        cursor_of, index_term_hashes, withheld = polled
-        answer = self._serve_poll(node, term, cursor_of)
-        selected, latest = self._keep_closest(term, answer, index_term_hashes)
-        withheld[term] = _reply_bytes(answer[0]) - _reply_bytes(selected)
-        return selected, latest
-
-
-def _reply_bytes(queries: List[CachedQuery]) -> int:
-    """A QUERY_BATCH reply carrying *queries*."""
-    return wire_size(
-        MessageKind.QUERY_BATCH, len(queries), sum(len(cached.terms) for cached in queries)
-    )
+        cursor_of, index_term_hashes = polled
+        return self._keep_closest(term, self._serve_poll(node, term, cursor_of), index_term_hashes)
 
 
 def install_peer_side_dedup(system: SpriteSystem) -> SpriteSystem:

@@ -1,45 +1,22 @@
-"""A posting fetch is conditional, and that moves bytes, nothing else.
+"""What a held slot version and a held ranking mean, at the edges.
 
 A querying peer keeps the slot version of every posting list it has been
 sent (``ChordNode.held_versions``) and names it when it asks for the
 term again; the indexing peer answers an unchanged slot with its version
 alone.  Slot versions come from one process-global counter, drawn on
 every mutation and kept by replica copies, so an equal version is the
-identical list.
+identical list.  It also keeps the ranking it last computed per query
+(``ChordNode.held_rankings``) and reuses it while every fetched slot is
+at the version it was ranked from.
 
-The differential runs twin systems: the default one, and one whose
-querying peer forgets what it holds before every search (``always_ship``,
-the unconditional fetch as a substitution).  Both replay the oracle's
-``learn`` and ``bulk-churn`` flows, then query rounds with ``cache=True``
-and ``False`` around a learning iteration that moves slot versions, plus
-the batch and one-term fetches, with and without the result cache, on
-the perfect transport and on a seeded lossy one.  They must agree
-exactly on rankings (score bits), the write-state fingerprint, the
-result-cache tallies, the transport's RNG state and every
-``NetworkStats`` counter but two byte totals, whose deltas are exact:
-SEARCH_TERM is heavier by 8 bytes per version a delivered request
-carried, POSTINGS lighter by 24 per posting a delivered reply withheld.
-On the lossy transport a message more or fewer, or sent in another
-order, would shift every later drop.
-
-The same harness runs a second substitution: a querying peer that
-forgets the rankings it holds (``ChordNode.held_rankings``) before every
-execute, so that it scores every query.  A held ranking is reused only
-when the fetch returned every slot at the version it was ranked from,
-so that twin must agree on everything above with no delta at all — and
-on every :class:`QueryExecution` field but ``ranking_reused``.
-
-Then what a held version means at the edges — a replica promoted after
-a crash is withheld, a slot restored from a SQLite snapshot is re-sent,
-a lost reply moves nothing — what a held ranking is keyed on, and both
-maps' bounds and lifetimes.
+That both move bytes and nothing else is two rows of the twin table
+(``always_ship`` and ``forget_rankings`` in ``tests/twins.py``).  Here:
+a replica promoted after a crash is withheld, a slot restored from a
+SQLite snapshot is re-sent, a lost reply moves nothing; what a held
+ranking is keyed on; and both maps' bounds and lifetimes.
 """
 
 from __future__ import annotations
-
-from collections import Counter
-from dataclasses import replace
-from typing import Dict
 
 import pytest
 
@@ -50,113 +27,16 @@ from repro.core.metadata import PostingEntry
 from repro.core.query_processing import QueryProcessor
 from repro.core.system import SpriteSystem
 from repro.corpus.relevance import Query
-from repro.corpus.synthetic import SyntheticTrecCorpus
 from repro.dht import ChordRing
-from repro.dht.messages import POSTING_BYTES, VERSION_BYTES, MessageKind, wire_size
+from repro.dht.messages import MessageKind, wire_size
 from repro.dht.replication import ReplicationManager
 from repro.exceptions import NodeFailedError
-from repro.net.faults import FaultInjector
-from repro.net.transport import DeliveryPolicy, LossyTransport
-from repro.sim.oracle import DifferentialOracle, write_state_fingerprint
 from repro.store import RecoveryManager
 
+from ..twins import Wire, always_ship, assert_agree, pairs, read_delta
 from .legacy_executor import execute_legacy
 from .test_fused_visit import DropKinds
 from .test_topk_equivalence import _RawQuery
-
-TRANSPORTS = {
-    "perfect": lambda: None,
-    "lossy": lambda: LossyTransport(
-        faults=FaultInjector(drop_probability=0.2),
-        policy=DeliveryPolicy(max_retries=0),
-        seed=11,
-    ),
-}
-
-
-def always_ship(system: SpriteSystem) -> SpriteSystem:
-    """Make *system* fetch unconditionally: the querying peer's held
-    versions are forgotten before every search it makes."""
-    protocol = system.protocol
-    search = protocol._search
-
-    def unconditional(issuer_id, located, registration):
-        protocol.ring.nodes[issuer_id].held_versions = None
-        return search(issuer_id, located, registration)
-
-    protocol._search = unconditional
-    return system
-
-
-def forget_rankings(system: SpriteSystem) -> SpriteSystem:
-    """Make *system* score every query: the querying peer's held
-    rankings are forgotten before every execute."""
-    processor = system.processor
-    execute = processor.execute
-
-    def scoring(issuer_id, query, top_k=None, cache=True):
-        system.ring.nodes[issuer_id].held_rankings = None
-        return execute(issuer_id, query, top_k=top_k, cache=cache)
-
-    processor.execute = scoring
-    return system
-
-
-class ReadWire:
-    """Counts, over *delivered* messages only, what the conditional fetch
-    changed on the wire: versions the SEARCH_TERM requests carried,
-    postings the POSTINGS replies withheld, and the terms answered as
-    not modified.  The exchange builds each message and sends it at
-    once, so a send of the message built last settles its counts.
-
-    It also keeps its own copy of every list a reply delivered, per
-    querying peer, and requires a list answered as not modified to be
-    that copy: what was withheld is what the peer already has."""
-
-    def __init__(self, protocol: IndexingProtocol) -> None:
-        self.versions = self.withheld = 0
-        self.not_modified: Counter = Counter()
-        copies = {}
-        ring = protocol.ring
-        request, reply, send = protocol._search_request, protocol._postings_reply, ring.send
-        built = [None, 0, ()]  # the message, versions it carries, views it answers
-
-        def counting_request(src, dst, batch, hops, carried):
-            __, held = carried
-            built[:] = request(src, dst, batch, hops, carried), sum(t in held for t in batch), ()
-            return built[0]
-
-        def counting_reply(src, dst, views):
-            built[:] = reply(src, dst, views), 0, list(views)
-            return built[0]
-
-        def counting_send(message):
-            send(message)
-            if message is not built[0]:
-                return
-            self.versions += built[1]
-            for view in built[2]:
-                content = (view.indexed_df, tuple(map(tuple, view.scoring_view())))
-                if view.modified:
-                    copies[message.dst, view.term] = content
-                    continue
-                assert copies[message.dst, view.term] == content, view.term
-                self.withheld += view.indexed_df
-                self.not_modified[view.term] += 1
-
-        protocol._search_request = counting_request
-        protocol._postings_reply = counting_reply
-        ring.send = counting_send
-
-
-def micro_oracle(micro_corpus_config) -> DifferentialOracle:
-    corpus, originals, __ = SyntheticTrecCorpus(micro_corpus_config).build()
-    queries = list(originals)
-    return DifferentialOracle(corpus, train=queries[:4], test=queries[4:], num_peers=16, seed=0)
-
-
-def pairs(ranked):
-    return [(e.doc_id, e.score) for e in ranked]
 
 
 def remote_indexed_term(system: SpriteSystem, queries):
@@ -171,144 +51,20 @@ def remote_indexed_term(system: SpriteSystem, queries):
     raise AssertionError("no indexed term away from its issuer")
 
 
-def read_byte_delta(wire: ReadWire) -> Dict[MessageKind, int]:
-    """What the conditional fetch may move, default minus unconditional
-    twin: SEARCH_TERM bytes up by the versions *wire* saw carried,
-    POSTINGS bytes down by the postings it saw withheld."""
-    return {
-        MessageKind.SEARCH_TERM: VERSION_BYTES * wire.versions,
-        MessageKind.POSTINGS: -POSTING_BYTES * wire.withheld,
-    }
-
-
-def assert_twins_agree(
-    default: SpriteSystem, twin: SpriteSystem, byte_delta: Dict[MessageKind, int]
-) -> None:
-    """The differential's verdict on twin systems that ran the same
-    operations: equal in everything but the byte totals of the kinds in
-    *byte_delta*, and those apart (default minus twin) by exactly that."""
-    assert write_state_fingerprint(default) == write_state_fingerprint(twin)
-    assert default.protocol.result_cache_stats() == twin.protocol.result_cache_stats()
-    ours, theirs = default.ring.stats.summary(), twin.ring.stats.summary()
-    for kind, delta in byte_delta.items():
-        assert ours[kind.value]["bytes"] - theirs[kind.value]["bytes"] == delta, kind
-        del ours[kind.value]["bytes"], theirs[kind.value]["bytes"]
-    assert ours == theirs  # message counts and hops per kind, every other byte
-    transports = default.ring.transport, twin.ring.transport
-    if isinstance(transports[0], LossyTransport):
-        assert transports[0].rng.getstate() == transports[1].rng.getstate()
-        assert transports[0].trace.summary_table() == transports[1].trace.summary_table()
-
-
-def run_twins(
-    oracle: DifferentialOracle, transport, flow: str, result_cache: int, substitute, byte_delta
-):
-    """One row of the differential: replay *flow* on the default system
-    and on a twin with *substitute* installed, then the same reads on
-    both — query rounds with ``cache=True`` and ``False`` around
-    learning iterations, the batch and the one-term fetch.  Every read
-    must return the same (rankings with score bits, every
-    :class:`QueryExecution` field but ``ranking_reused``, fetched lists,
-    failed terms), and the twins must agree up to ``byte_delta(wire)``
-    (:func:`assert_twins_agree`).  Returns ``(wire, reused)``: what the
-    default system's reads did on the wire, and how many of each
-    system's executes reused a held ranking."""
-
-    def build() -> SpriteSystem:
-        sprite, chord = oracle.configs({"sprite": {"result_cache_size": result_cache}})
-        return SpriteSystem(
-            oracle.corpus, sprite_config=sprite, chord_config=chord, transport=transport()
-        )
-
-    default, twin = build(), substitute(build())
-    wire = ReadWire(default.protocol)
-    reads, reused = [], []
-    for system in (default, twin):
-        oracle._replay(system, flow)
-        ranked, failed = [], []
-        reuses = 0
-        queries = oracle.train + oracle.test
-        for cache in (True, False, True, False):
-            if cache is False:
-                # Moves slot versions between rounds: held lists go stale.
-                system.run_learning_iteration()
-            for query in queries:
-                result, execution = system.execute(query, cache=cache)
-                reuses += execution.ranking_reused
-                ranked.append((pairs(result), replace(execution, ranking_reused=False)))
-        issuer = system.ring.live_ids[0]
-        for query in oracle.test:
-            results, lost = system.protocol.fetch_postings_batch(issuer, query.terms)
-            ranked.append(
-                sorted((t, [p.doc_id for p in ps], df) for t, (ps, df) in results.items())
-            )
-            failed.append(lost)
-            for term in query.terms:
-                try:
-                    ranked.append(system.protocol.fetch_postings(issuer, term))
-                except NodeFailedError:
-                    failed.append(term)
-        reads.append((ranked, failed))
-        reused.append(reuses)
-
-    assert reads[0] == reads[1]
-    assert_twins_agree(default, twin, byte_delta(wire))
-    if isinstance(default.ring.transport, LossyTransport):
-        assert any(reads[0][1])  # terms really were lost
-    return wire, reused
-
-
-def twin_flows(test):
-    """Every row runs on both transports, both oracle flows, and with
-    the result cache off and on."""
-    test = pytest.mark.parametrize("transport", TRANSPORTS.values(), ids=TRANSPORTS.keys())(test)
-    test = pytest.mark.parametrize("flow", ["learn", "bulk-churn"])(test)
-    return pytest.mark.parametrize(
-        "result_cache", [0, 32], ids=["no-result-cache", "result-cache"]
-    )(test)
-
-
-@twin_flows
-def test_reads_move_bytes_only(micro_corpus_config, transport, flow, result_cache) -> None:
-    wire, reused = run_twins(
-        micro_oracle(micro_corpus_config), transport, flow, result_cache,
-        always_ship, read_byte_delta,
-    )
-    # Not vacuous: versions were named, postings withheld — and some
-    # were stale, so a named version does not always withhold.
-    assert wire.versions > sum(wire.not_modified.values()) > 0 and wire.withheld > 0
-    # Held rankings do not depend on how the lists arrived.
-    assert reused[0] == reused[1]
-
-
-@twin_flows
-def test_reused_rankings_move_nothing(micro_corpus_config, transport, flow, result_cache) -> None:
-    __, reused = run_twins(
-        micro_oracle(micro_corpus_config), transport, flow, result_cache,
-        forget_rankings, lambda wire: {},
-    )
-    assert reused[1] == 0
-    # Not vacuous without a result cache.  With one, a repeat over
-    # unchanged lists is answered by the result cache before anything is
-    # fetched, so these cases check that the two compose.
-    assert reused[0] > 0 or result_cache
-
-
 class TestWhatAHeldVersionMeans:
     def test_a_promoted_replica_is_withheld_and_ranks_as_for_a_fresh_issuer(
-        self, micro_corpus_config
+        self, micro_oracle
     ) -> None:
-        oracle = micro_oracle(micro_corpus_config)
-        default, shipped = oracle.build(), always_ship(oracle.build())
-        wire = ReadWire(default.protocol)
+        default, shipped = micro_oracle.build(), always_ship(micro_oracle.build())
+        wire = Wire(default.protocol)
         rankings = []
         for system in (default, shipped):
             system.bulk_share()
             replication = ReplicationManager(system.ring)
             replication.replicate_round()
-            first = [pairs(system.search(q, cache=False)) for q in oracle.test]
+            first = [pairs(system.search(q, cache=False)) for q in micro_oracle.test]
             # Crash the indexing peer of a term some other peer asked for.
-            __, issuer, term, victim = remote_indexed_term(system, oracle.test)
+            __, issuer, term, victim = remote_indexed_term(system, micro_oracle.test)
             system.ring.fail(victim)
             replication.recover_from_failures()
             key = system.protocol.term_hash(term)
@@ -316,25 +72,24 @@ class TestWhatAHeldVersionMeans:
             if system is default:
                 assert system.ring.nodes[issuer].held_versions[term] == promoted.version
                 wire.not_modified.clear()
-            again = [pairs(system.search(q, cache=False)) for q in oracle.test]
+            again = [pairs(system.search(q, cache=False)) for q in micro_oracle.test]
             assert again == first
             rankings.append(again)
         assert wire.not_modified[term] >= 1
         assert rankings[0] == rankings[1]
-        assert_twins_agree(default, shipped, read_byte_delta(wire))
+        assert_agree(default, shipped, read_delta(wire))
 
-    def test_a_snapshot_rejoin_reships_the_slots_it_restored(self, micro_corpus_config) -> None:
-        oracle = micro_oracle(micro_corpus_config)
-        system = oracle.build({"sprite": {"store_backend": "sqlite"}})
+    def test_a_snapshot_rejoin_reships_the_slots_it_restored(self, micro_oracle) -> None:
+        system = micro_oracle.build({"sprite": {"store_backend": "sqlite"}})
         runtime = system.store_runtime
         try:
             ring, protocol = system.ring, system.protocol
-            wire = ReadWire(protocol)
+            wire = Wire(protocol)
             system.bulk_share()
             runtime.flush_retired()
             for node_id in ring.live_ids:
                 runtime.snapshots.save_peer(ring.node(node_id))
-            query, issuer, term, victim = remote_indexed_term(system, oracle.test)
+            query, issuer, term, victim = remote_indexed_term(system, micro_oracle.test)
             first = pairs(system.search(query, cache=False))
             held = ring.nodes[issuer].held_versions[term]
             # No replica: the crash takes the slot out of the ring, and

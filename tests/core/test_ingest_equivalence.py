@@ -8,6 +8,8 @@ churn, the full write-visible state — slot postings and aggregates, the
 global order in which slot versions were assigned, owner index terms,
 poll cursors, and learner statistics — must be bit-identical to what the
 seed's per-term protocol (``per_term_owner.PerTermOwner``) leaves.
+These are the stack-level properties; on whole systems the reference is
+the ``per_term_owners`` row of the twin table (``tests/twins.py``).
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from repro.config import ChordConfig, SpriteConfig
 from repro.core.indexer import IndexingProtocol
 from repro.core.owner import OwnerPeer
 from repro.corpus import Document
-from repro.corpus.synthetic import SyntheticTrecCorpus
 from repro.dht import ChordRing
-from repro.sim.oracle import DifferentialOracle, write_state_fingerprint
+from repro.sim.oracle import write_state_fingerprint
 
-from .per_term_owner import PerTermOwner, install_per_term_owners
+from .per_term_owner import PerTermOwner
 
 VOCAB = [f"kw{i:03d}" for i in range(18)]
 
@@ -172,28 +173,3 @@ def test_learning_iteration_matches_per_term_polls() -> None:
         stack.owner.learn_all()
         stack.owner.learn_all()  # second pass: cursors must prevent re-counting
     assert write_state_fingerprint(stacks[0]) == write_state_fingerprint(stacks[1])
-
-
-def test_bulk_churn_system_matches_per_term_reference(micro_corpus_config) -> None:
-    """The oracle's write-heavy flow on whole systems — bulk share,
-    training queries, learning, withdraw and re-share a fifth of the
-    corpus — against a system whose owners all speak the per-term
-    protocol: equal fingerprint, equal rankings down to the score bits
-    (the comparison the ``ingest-paths`` oracle row used to run)."""
-    corpus, originals, __ = SyntheticTrecCorpus(micro_corpus_config).build()
-    queries = list(originals)
-    oracle = DifferentialOracle(
-        corpus, train=queries[:4], test=queries[4:], num_peers=16, seed=0
-    )
-    grouped, reference = oracle.build(), install_per_term_owners(oracle.build())
-    for system in (grouped, reference):
-        oracle._replay(system, "bulk-churn")
-    assert all(type(o) is PerTermOwner for o in reference.owners.values())
-    assert write_state_fingerprint(grouped) == write_state_fingerprint(reference)
-    assert oracle.test
-    for query in oracle.test:
-        expected = reference.search(query, cache=False)
-        actual = grouped.search(query, cache=False)
-        assert [(e.doc_id, e.score) for e in actual] == [
-            (e.doc_id, e.score) for e in expected
-        ], query.query_id

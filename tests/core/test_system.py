@@ -10,10 +10,9 @@ import pytest
 from repro.config import ChordConfig, SpriteConfig
 from repro.core import SpriteSystem
 from repro.corpus import Corpus, Document, Query
-from repro.corpus.synthetic import SyntheticTrecCorpus
 from repro.dht import ChordRing
 from repro.exceptions import LearningError
-from repro.sim import DifferentialOracle, write_state_fingerprint
+from repro.sim import write_state_fingerprint
 
 CHORD = ChordConfig(num_peers=24, id_bits=32, seed=61)
 
@@ -323,16 +322,10 @@ class TestTermSelectionIsAConfigDelta:
         ]),
     ]
 
-    @pytest.fixture(scope="class")
-    def oracle(self, micro_corpus_config) -> DifferentialOracle:
-        corpus, originals, __ = SyntheticTrecCorpus(micro_corpus_config).build()
-        queries = list(originals)
-        return DifferentialOracle(corpus, queries[:4], queries[4:], num_peers=16, seed=0)
-
-    def test_static_baseline_reproduces_the_esearch_class(self, oracle) -> None:
-        sprite, chord = oracle.configs()
+    def test_static_baseline_reproduces_the_esearch_class(self, micro_oracle) -> None:
+        sprite, chord = micro_oracle.configs()
         assert sprite.static_baseline().initial_terms == 9
-        system = SpriteSystem(oracle.corpus, sprite.static_baseline(), chord)
+        system = SpriteSystem(micro_oracle.corpus, sprite.static_baseline(), chord)
         system.share_corpus()
         state = write_state_fingerprint(system)
         assert _digest(
@@ -340,18 +333,18 @@ class TestTermSelectionIsAConfigDelta:
         ) == self.STATIC_FINGERPRINT
         rankings = [
             (q.query_id, [(e.doc_id, e.score.hex()) for e in system.search(q, cache=False)])
-            for q in oracle.test
+            for q in micro_oracle.test
         ]
         assert _digest(rankings) == self.STATIC_RANKINGS
         assert system.ring.stats.summary() == self.STATIC_TRAFFIC
 
-    def test_unbounded_initial_terms_reproduce_the_full_index_class(self, oracle) -> None:
-        system = oracle.build(
+    def test_unbounded_initial_terms_reproduce_the_full_index_class(self, micro_oracle) -> None:
+        system = micro_oracle.build(
             {
                 "sprite": {
                     "initial_terms": 10**6,
                     "max_index_terms": 10**6,
-                    "assumed_corpus_size": len(oracle.corpus),
+                    "assumed_corpus_size": len(micro_oracle.corpus),
                 }
             }
         )
@@ -363,7 +356,7 @@ class TestTermSelectionIsAConfigDelta:
             for key, value in sorted(state["owners"].items())
         ]
         assert _digest((sorted(state["slots"].items()), owners)) == self.FULL_FINGERPRINT_UNORDERED
-        for query, (query_id, expected) in zip(oracle.test, self.FULL_RANKINGS):
+        for query, (query_id, expected) in zip(micro_oracle.test, self.FULL_RANKINGS):
             ranked = system.search(query, cache=False)
             assert query.query_id == query_id
             assert ranked.ids() == [doc_id for doc_id, __ in expected]

@@ -346,8 +346,8 @@ GOLDEN = [
     (K.POLL_BATCH, (12,), 208),
     (K.POLL_BATCH, (45,), 736),
     (K.ADVISE_HOT_TERM, (), 16),        # extensions/load_balance.py
-    (K.CACHE_HOT_TERM, (1,), 24),       # extensions/load_balance.py, as REPLICATE
-    (K.CACHE_HOT_TERM, (40,), 960),
+    (K.BLOOM_FILTER, (0,), 16),         # in place of a deleted kind's two rows,
+    (K.BLOOM_FILTER, (8,), 24),         # so that no later row's id shifts
     (K.BLOOM_FILTER, (1,), 17),         # core/bloom_search.py, as SEARCH_TERM
     (K.BLOOM_FILTER, (120,), 136),
     (K.BLOOM_FILTER, (4096,), 4112),

@@ -8,7 +8,9 @@ from repro.config import ChordConfig, SpriteConfig
 from repro.core import SpriteSystem
 from repro.corpus import Corpus, Document, Query
 from repro.dht.messages import MessageKind
-from repro.extensions import HotTermAdvisor, HotTermCache
+from repro.extensions import HotTermAdvisor
+from repro.net.faults import FaultInjector
+from repro.net.transport import DeliveryPolicy, LossyTransport
 
 CHORD = ChordConfig(num_peers=16, id_bits=32, seed=83)
 
@@ -82,63 +84,17 @@ class TestHotTermAdvisor:
         ranked = system.search(Query("q", ("special3",)), cache=False)
         assert "d3" in ranked.ids()
 
-
-class TestHotTermCache:
-    def test_observation_counts(self, system: SpriteSystem) -> None:
-        cache = HotTermCache(system.protocol)
-        cache.observe_query(("alpha", "beta"))
-        cache.observe_query(("alpha", "gamma"))
-        assert cache.hottest_terms(1) == ["alpha"]
-        assert cache.cooccurrence["alpha"]["beta"] == 1
-
-    def test_refresh_caches_hot_postings(self, system: SpriteSystem) -> None:
-        cache = HotTermCache(system.protocol)
-        for __ in range(5):
-            cache.observe_query(("ubiquit", "special1"))
-        # Both observed terms are hot and indexable → both cached.
-        assert cache.refresh() == 2
-        # With an explicit budget of one, only the hottest is cached.
-        assert cache.refresh(num_hot=1) == 1
-
-    def test_a_refresh_push_is_its_own_kind(self, system: SpriteSystem) -> None:
-        """The push used to travel as a REPLICATE priced postings × 24,
-        beside the replication round's digest-and-entries REPLICATE; it
-        is a CACHE_HOT_TERM now, at the same price."""
-        cache = HotTermCache(system.protocol)
-        for __ in range(5):
-            cache.observe_query(("ubiquit", "special1"))
-        assert cache.refresh(num_hot=1) == 1
-        pushed = system.ring.stats.kind(MessageKind.CACHE_HOT_TERM)
-        assert (pushed.messages, pushed.bytes) == (1, 10 * 24)  # "ubiquit": df 10
-        assert system.ring.stats.kind(MessageKind.REPLICATE).messages == 0
-
-    def test_fetch_served_from_cache(self, system: SpriteSystem) -> None:
-        cache = HotTermCache(system.protocol)
-        for __ in range(5):
-            cache.observe_query(("ubiquit", "special1"))
-        cache.refresh()
-        before = system.ring.stats.kind(MessageKind.SEARCH_TERM).messages
-        postings, df = cache.fetch_postings(system.ring.live_ids[0], "ubiquit")
-        after = system.ring.stats.kind(MessageKind.SEARCH_TERM).messages
-        assert after == before          # no routed search message
-        assert cache.hits == 1
-        assert df == 10 and len(postings) == 10
-
-    def test_miss_falls_through_to_protocol(self, system: SpriteSystem) -> None:
-        cache = HotTermCache(system.protocol)
-        postings, df = cache.fetch_postings(system.ring.live_ids[0], "special2")
-        assert cache.misses == 1
-        assert df == 1
-
-    def test_hit_rate(self, system: SpriteSystem) -> None:
-        cache = HotTermCache(system.protocol)
-        for __ in range(3):
-            cache.observe_query(("ubiquit", "special1"))
-        cache.refresh()
-        cache.fetch_postings(system.ring.live_ids[0], "ubiquit")
-        cache.fetch_postings(system.ring.live_ids[0], "special5")
-        assert cache.hit_rate == pytest.approx(0.5)
-
-    def test_invalid_capacity(self, system: SpriteSystem) -> None:
-        with pytest.raises(ValueError):
-            HotTermCache(system.protocol, cache_capacity=0)
+    def test_lost_advice_leaves_the_term_in_place(self, system: SpriteSystem) -> None:
+        """Advice takes effect only once it is delivered: on a network
+        that loses half its messages the pass completes, one switch per
+        advice message delivered, and every other document keeps the term."""
+        system.ring.transport = LossyTransport(
+            faults=FaultInjector(drop_probability=0.5),
+            policy=DeliveryPolicy(max_retries=0),
+            seed=0,
+        )
+        hot_terms, switches = HotTermAdvisor(system, df_threshold=5).rebalance()
+        delivered = system.ring.stats.kind(MessageKind.ADVISE_HOT_TERM).messages
+        assert hot_terms == 1 and 0 < switches == delivered < 10
+        kept = [i for i in range(10) if "ubiquit" in system.index_terms(f"d{i}")]
+        assert len(kept) == 10 - switches

@@ -2,9 +2,9 @@
 
 It honours the posting-store contract of :mod:`repro.ir.postings` with
 the slot aggregates computed on demand, so a test can back a slot with
-it (``TermSlot(store=LegacyPostings())``) or a whole system (a stub
-whose ``new_postings(node_id)`` returns one, passed as
-``store_runtime=``) and require the store under test to agree.
+it (``TermSlot(store=LegacyPostings())``) or a whole system
+(:func:`install_legacy_store`) and require the store under test to
+agree.
 """
 
 from __future__ import annotations
@@ -80,3 +80,10 @@ class LegacyStoreRuntime:
 
     def new_postings(self, node_id: int) -> LegacyPostings:
         return LegacyPostings()
+
+
+def install_legacy_store(system):
+    """Make every slot *system* creates a :class:`LegacyPostings` one:
+    :class:`LegacyStoreRuntime` becomes the protocol's store runtime."""
+    system.protocol.store_runtime = LegacyStoreRuntime()
+    return system

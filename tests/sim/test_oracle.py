@@ -9,7 +9,6 @@ import pytest
 
 from repro.config import ChordConfig, SpriteConfig
 from repro.core.system import SpriteSystem
-from repro.corpus.synthetic import SyntheticTrecCorpus
 from repro.dht import recursive_finger_steps
 from repro.sim import (
     ORACLE_ROWS,
@@ -49,19 +48,6 @@ PARAMETERS = {
 }
 
 
-@pytest.fixture(scope="module")
-def workload(micro_corpus_config):
-    corpus, originals, __ = SyntheticTrecCorpus(micro_corpus_config).build()
-    queries = list(originals)
-    return corpus, queries[:4], queries[4:]
-
-
-@pytest.fixture(scope="module")
-def oracle(workload):
-    corpus, train, test = workload
-    return DifferentialOracle(corpus, train=train, test=test, num_peers=16, seed=0)
-
-
 def _differing(a, b) -> dict:
     left, right = asdict(a), asdict(b)
     return {k: right[k] for k in left if left[k] != right[k]}
@@ -69,15 +55,15 @@ def _differing(a, b) -> dict:
 
 @pytest.mark.parametrize("row", ORACLE_ROWS, ids=ROW_IDS)
 class TestRows:
-    def test_row_is_consistent(self, oracle, row) -> None:
-        report = oracle.check(row)
+    def test_row_is_consistent(self, micro_oracle, row) -> None:
+        report = micro_oracle.check(row)
         assert report.name == row.name
-        assert report.queries_compared == row.rounds * len(oracle.test) > 0
+        assert report.queries_compared == row.rounds * len(micro_oracle.test) > 0
         assert report.ok, [m.detail for m in report.mismatches]
 
-    def test_systems_differ_in_exactly_the_delta(self, oracle, row) -> None:
-        base = oracle.build(row.shared)
-        varied = oracle.build(row.shared, row.delta)
+    def test_systems_differ_in_exactly_the_delta(self, micro_oracle, row) -> None:
+        base = micro_oracle.build(row.shared)
+        varied = micro_oracle.build(row.shared, row.delta)
         try:
             assert _differing(base.config, varied.config) == dict(
                 row.delta.get("sprite", {})
@@ -128,11 +114,11 @@ class TestTable:
 
 class TestRunnerClosesWhatItBuilds:
     def test_durable_runtime_closed_when_a_comparison_raises(
-        self, oracle, monkeypatch
+        self, micro_oracle, monkeypatch
     ) -> None:
         row = next(r for r in ORACLE_ROWS if r.name == "store-paths")
         built = []
-        build = oracle.build
+        build = micro_oracle.build
 
         def recording_build(*deltas):
             built.append(build(*deltas))
@@ -141,10 +127,10 @@ class TestRunnerClosesWhatItBuilds:
         def exploding_search(self, query, **kwargs):
             raise RuntimeError("mid-flow failure")
 
-        monkeypatch.setattr(oracle, "build", recording_build)
+        monkeypatch.setattr(micro_oracle, "build", recording_build)
         monkeypatch.setattr(SpriteSystem, "search", exploding_search)
         with pytest.raises(RuntimeError, match="mid-flow"):
-            oracle.check(row)
+            micro_oracle.check(row)
         runtimes = [s.store_runtime for s in built if s.store_runtime is not None]
         assert len(runtimes) == 1
         assert runtimes[0].pool.open_connections == 0
@@ -154,9 +140,8 @@ class TestRunnerClosesWhatItBuilds:
 class TestIngestPaths:
     """The write-state fingerprint the write-side rows compare."""
 
-    def test_fingerprint_sees_slot_and_owner_state(self, workload) -> None:
-        corpus, __, __ = workload
-        system = DifferentialOracle(corpus, [], [], num_peers=16, seed=0).build()
+    def test_fingerprint_sees_slot_and_owner_state(self, micro_oracle) -> None:
+        system = micro_oracle.build()
         system.bulk_share()
         fingerprint = write_state_fingerprint(system)
         assert fingerprint["slots"], "expected published term slots"
@@ -165,13 +150,13 @@ class TestIngestPaths:
 
 
 class TestCentralizedBaseline:
-    def test_full_index_matches_centralized_tfidf(self, oracle) -> None:
-        report = oracle.check_centralized_baseline()
+    def test_full_index_matches_centralized_tfidf(self, micro_oracle) -> None:
+        report = micro_oracle.check_centralized_baseline()
         assert report.queries_compared > 0
         assert report.ok, [m.detail for m in report.mismatches]
 
-    def test_full_index_system_publishes_every_term(self, workload) -> None:
-        corpus, __, __ = workload
+    def test_full_index_system_publishes_every_term(self, micro_oracle) -> None:
+        corpus = micro_oracle.corpus
         system = DifferentialOracle(corpus, [], []).build(
             {"sprite": {"initial_terms": 10**6, "max_index_terms": 10**6}}
         )
@@ -181,7 +166,7 @@ class TestCentralizedBaseline:
 
 
 class TestCheckAll:
-    def test_runs_all_oracles(self, oracle) -> None:
-        reports = oracle.check_all()
+    def test_runs_all_oracles(self, micro_oracle) -> None:
+        reports = micro_oracle.check_all()
         assert list(reports) == ROW_IDS + ["centralized-baseline"]
         assert all(r.ok for r in reports.values())
