@@ -60,6 +60,7 @@ from ..dht.ring import ChordRing
 from ..exceptions import NodeFailedError
 from ..ir.ranking import RankedList
 from .metadata import (
+    SHIPPED_MUTATIONS,
     CachedQuery,
     CachedResult,
     PostingEntry,
@@ -78,6 +79,11 @@ Located = Tuple[Dict[int, list], Dict[int, int], list]
 #: that term's next fetch ships its postings again.
 HELD_VERSIONS = 1024
 
+# SHIPPED_MUTATIONS (imported above) is its counterpart at the indexing
+# peer: how many mutations old a held version may be and still be
+# answered with a diff rather than the list.  It lives in .metadata,
+# where TermSlot keeps its record to it.
+
 
 class SlotView:
     """Read view of one fetched term slot, as consumed by the query
@@ -93,10 +99,12 @@ class SlotView:
 
     ``modified`` is false when the querying peer named this very
     version in its request (*held*); the reply then ships the version
-    alone (see ``IndexingProtocol._search``).
+    alone (see ``IndexingProtocol._search``).  ``diff`` is what a
+    modified answer ships instead of the list when that is smaller
+    (:meth:`TermSlot.ship`), or ``None``: the whole list.
     """
 
-    __slots__ = ("term", "indexed_df", "version", "modified", "_slot")
+    __slots__ = ("term", "indexed_df", "version", "modified", "diff", "_slot")
 
     def __init__(
         self, term: str, slot: Optional[TermSlot], held: Optional[int] = None
@@ -110,6 +118,7 @@ class SlotView:
             self.indexed_df = slot.indexed_document_frequency
             self.version = slot.version
         self.modified = self.version != held
+        self.diff: Optional[Tuple[List[str], list]] = None
 
     def scoring_view(self) -> ScoringView:
         return self._slot.scoring_view() if self._slot is not None else [[], [], []]
@@ -557,6 +566,14 @@ class IndexingProtocol:
     # process-global counter, drawn on every mutation and kept by replica
     # copies, so an equal version is the identical list: what is scored,
     # registered, sent and routed is what an unconditional fetch does.
+    #
+    # A modified slot ships what changed since the named version when
+    # that is smaller than its list: the withdrawn doc ids and the rows
+    # added or overwritten, each one posting unit on the wire.  A slot
+    # records its last SHIPPED_MUTATIONS mutations from its first ship on
+    # (TermSlot.ship); a first fetch, a held version older than the
+    # record and a promoted replica (a clone, never shipped) get the
+    # whole list.
 
     def _search(self, issuer_id, located, registration):
         """One SEARCH_TERM / POSTINGS pair per located peer; *registration*
@@ -595,21 +612,30 @@ class IndexingProtocol:
 
     def _serve_view(self, node, term, carried) -> SlotView:
         """Cache the query the request registers, if any; answer, not
-        modified if the request named the slot's version."""
+        modified if the request named the slot's version, else with the
+        diff from the named version or the whole list."""
         registration, held = carried
         if registration is None:
             slot = self._slot_at(node, term, create=False)
         else:
             slot = self._slot_at(node, term, create=True)
             slot.cache.add(*registration)
-        return SlotView(term, slot, held.get(term))
+        version = held.get(term)
+        view = SlotView(term, slot, version)
+        if view.modified and slot is not None:
+            view.diff = slot.ship(version)
+        return view
 
     @staticmethod
     def _postings_reply(src, dst, views) -> Message:
         shipped = 0
         for view in views:
             if view.modified:
-                shipped += view.indexed_df
+                diff = view.diff
+                if diff is None:
+                    shipped += view.indexed_df
+                else:
+                    shipped += len(diff[0]) + len(diff[1])
         return message(MessageKind.POSTINGS, src, dst, shipped, len(views))
 
     # -- slot-version probes (querying peer → indexing peers) -----------------

@@ -151,22 +151,23 @@ class MaintenanceDaemon:
             for key, slot in list(node.store.items()):
                 if not isinstance(slot, TermSlot):
                     continue
-                for posting in list(slot.entries()):
-                    doc_id = posting.doc_id
-                    owner = owners.get(posting.owner_peer)
-                    if owner is None or not ring.is_live(posting.owner_peer):
+                # Plain rows, copied because the loop removes some: the
+                # audit builds no entry per posting and leaves none behind.
+                for doc_id, owner_peer, __, __ in list(slot.rows()):
+                    owner = owners.get(owner_peer)
+                    if owner is None or not ring.is_live(owner_peer):
                         continue
                     state = owner.shared.get(doc_id)
                     if state is not None and slot.term in state.index_terms:
                         continue
-                    if posting.owner_peer not in audited_owners:
+                    if owner_peer not in audited_owners:
                         try:
                             ring.send(
-                                message(MessageKind.RECONCILE, node_id, posting.owner_peer)
+                                message(MessageKind.RECONCILE, node_id, owner_peer)
                             )
                         except NodeFailedError:
                             continue
-                        audited_owners.add(posting.owner_peer)
+                        audited_owners.add(owner_peer)
                         report.reconcile_messages += 1
                     slot.remove_posting(doc_id)
                     report.postings_retired += 1

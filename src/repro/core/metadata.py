@@ -33,16 +33,22 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
 )
 
-from ..ir.postings import RamPostings
+from ..ir.postings import PostingRow, RamPostings
 from ..ir.ranking import RankedList
 
 #: A slot's postings as the three parallel columns the query executor
 #: scores from, in publish order: ``[doc ids, normalized term
 #: frequencies, norms]``.  See :meth:`TermSlot.scoring_view`.
 ScoringView = List[list]
+
+#: How many of its latest mutations a shipped slot records, so how many
+#: mutations old a querying peer's held version may be and still be
+#: answered with a diff (:meth:`TermSlot.ship`).
+SHIPPED_MUTATIONS = 8
 
 
 @dataclass(frozen=True)
@@ -189,6 +195,14 @@ class TermSlot:
     cache's invalidation signal).
 
     Mutation must go through :meth:`add_posting`/:meth:`remove_posting`.
+
+    Once one of its versions has been shipped (:meth:`ship`), a slot
+    records its mutations: ``(version before, doc id, present before,
+    present after)``, the last :data:`SHIPPED_MUTATIONS` of them (the
+    version before is ``None`` for a row past the first of a store-level
+    batch: no reader ever saw that state).  A slot never shipped records
+    nothing, and ``()`` marks one shipped and not mutated since, so
+    neither holds a container for it.
     """
 
     def __init__(
@@ -204,6 +218,7 @@ class TermSlot:
         self._scoring_view: ScoringView = []
         self._entries_version = -1
         self._entries_view: List[PostingEntry] = []
+        self._mutations: Optional[Sequence[tuple]] = None
 
     # -- aggregates ---------------------------------------------------------
 
@@ -231,9 +246,13 @@ class TermSlot:
     # -- mutation -----------------------------------------------------------
 
     def add_posting(self, entry: PostingEntry) -> None:
-        self._store.add(
-            entry.doc_id, entry.owner_peer, entry.raw_tf, entry.doc_length
-        )
+        store = self._store
+        if self._mutations is None:
+            store.add(entry.doc_id, entry.owner_peer, entry.raw_tf, entry.doc_length)
+            return
+        before, present = store.version, entry.doc_id in store
+        store.add(entry.doc_id, entry.owner_peer, entry.raw_tf, entry.doc_length)
+        self._record(before, entry.doc_id, present, True)
 
     def add_postings(self, entries: Iterable[PostingEntry]) -> None:
         """Apply one PUBLISH_BATCH run for this slot.  Each entry still
@@ -242,22 +261,101 @@ class TermSlot:
         derived views are rebuilt lazily at most once afterwards.  A
         store with an ``add_many`` (the SQLite backend) gets the whole
         run at once so it can wrap it in a single transaction."""
-        add_many = getattr(self._store, "add_many", None)
-        if add_many is not None:
+        store = self._store
+        add_many = getattr(store, "add_many", None)
+        if add_many is None:
+            for entry in entries:
+                self.add_posting(entry)
+            return
+        if self._mutations is None:
             add_many(
                 (e.doc_id, e.owner_peer, e.raw_tf, e.doc_length) for e in entries
             )
             return
-        for entry in entries:
-            self.add_posting(entry)
+        rows = [(e.doc_id, e.owner_peer, e.raw_tf, e.doc_length) for e in entries]
+        before = store.version
+        present = {row[0] for row in rows if row[0] in store}
+        add_many(rows)
+        for doc_id, __, __, __ in rows:
+            self._record(before, doc_id, doc_id in present, True)
+            present.add(doc_id)
+            before = None
 
     def remove_posting(self, doc_id: str) -> Optional[PostingEntry]:
+        before = self._store.version
         row = self._store.remove(doc_id)
         if row is None:
             return None
+        if self._mutations is not None:
+            self._record(before, doc_id, True, False)
         return PostingEntry(
             doc_id=row[0], owner_peer=row[1], raw_tf=row[2], doc_length=row[3]
         )
+
+    def _record(
+        self, before: Optional[int], doc_id: str, present: bool, now: bool
+    ) -> None:
+        mutations = self._mutations
+        if not mutations:
+            mutations = self._mutations = []
+        mutations.append((before, doc_id, present, now))
+        if len(mutations) > SHIPPED_MUTATIONS:
+            del mutations[0]
+
+    # -- shipping -----------------------------------------------------------
+
+    @property
+    def mutations(self) -> Optional[Sequence[tuple]]:
+        """The mutations recorded since the slot was first shipped, oldest
+        first (at most :data:`SHIPPED_MUTATIONS`); ``None`` if it never
+        was."""
+        return self._mutations
+
+    def ship(
+        self, held: Optional[int]
+    ) -> Optional[Tuple[List[str], List[PostingRow]]]:
+        """What this slot's answer to a querying peer holding version
+        *held* (``None``: none) ships, once the slot has been modified
+        since: the diff from *held* when the record reaches back to it
+        and the diff is smaller than the list, else ``None`` — the whole
+        list.  The first ship starts the record.
+
+        A diff is ``(withdrawn doc ids, rows added or overwritten)``.  A
+        copy of the held list drops the withdrawn ids, then takes the
+        rows in order with dict semantics — an overwrite in place, a new
+        row at the end — and equals :meth:`rows`.  It replays the record
+        since *held*: a document's first recorded mutation says whether
+        the held list had it, and one it had that was removed since is
+        withdrawn, so a re-added document moves to the end, as it did
+        here."""
+        mutations = self._mutations
+        if mutations is None:
+            self._mutations = ()
+            return None
+        if held is None:
+            return None
+        for start, mutation in enumerate(mutations):
+            if mutation[0] == held:
+                break
+        else:
+            return None
+        held_has: Dict[str, bool] = {}
+        withdrawn: List[str] = []
+        changed: Dict[str, None] = {}
+        for __, doc_id, present, now in mutations[start:]:
+            if doc_id not in held_has:
+                held_has[doc_id] = present
+            if now:
+                changed[doc_id] = None
+                continue
+            changed.pop(doc_id, None)
+            if held_has[doc_id]:
+                held_has[doc_id] = False
+                withdrawn.append(doc_id)
+        if len(withdrawn) + len(changed) >= len(self._store):
+            return None
+        lookup = self._store.lookup
+        return withdrawn, [lookup(doc_id) for doc_id in changed]
 
     # -- reads --------------------------------------------------------------
 
@@ -273,6 +371,11 @@ class TermSlot:
         return PostingEntry(
             doc_id=row[0], owner_peer=row[1], raw_tf=row[2], doc_length=row[3]
         )
+
+    def rows(self) -> Iterator[PostingRow]:
+        """All postings in publish order as the store's plain rows
+        ``(doc id, owner, raw tf, length)``; nothing is built or kept."""
+        return self._store.rows()
 
     def scoring_view(self) -> ScoringView:
         """All postings in publish order as three parallel columns —
@@ -321,7 +424,8 @@ class TermSlot:
         """Structural clone for replication: the cache and the posting
         store copy themselves (each backend knows its own layout); the
         derived views are left empty and rebuild lazily on first read,
-        so a replica nobody queries never pays for them."""
+        so a replica nobody queries never pays for them.  The clone has
+        never been shipped, so it records no mutation."""
         clone = object.__new__(type(self))
         clone.term = self.term
         clone.cache = copy.deepcopy(self.cache, memo)
@@ -330,6 +434,7 @@ class TermSlot:
         clone._scoring_view = []
         clone._entries_version = -1
         clone._entries_view = []
+        clone._mutations = None
         return clone
 
 

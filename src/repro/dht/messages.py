@@ -82,8 +82,10 @@ class MessageKind(Enum):
     SEARCH_TERM = (
         "search_term", "query", QUERY_HEADER_BYTES, (TERM_BYTES, VERSION_BYTES, TERM_BYTES)
     )
-    # indexing peer → querying peer: postings of the slots whose version
-    # differs from the one the request named; slots answered (a version each)
+    # indexing peer → querying peer: posting units of the slots whose
+    # version differs from the one the request named (a whole list's
+    # postings, or a diff's withdrawn ids and changed rows); slots answered
+    # (a version each)
     POSTINGS = "postings", "query", QUERY_HEADER_BYTES, (POSTING_BYTES, VERSION_BYTES)
     # querying peer → indexing peer: bytes of the candidate Bloom filter
     BLOOM_FILTER = "bloom_filter", "query", QUERY_HEADER_BYTES, (1,)

@@ -6,7 +6,7 @@ to be inconsistent — that is what Section 7's degraded window means:
 * **Always-tier** invariants hold in every reachable state, damaged or
   not: ring membership bookkeeping is coherent, primary data sits at the
   node the live-membership oracle says is responsible, and per-slot
-  query caches respect their capacity bound.
+  query caches and mutation records respect their bounds.
 * **Quiescent-tier** invariants hold once the system has healed — no
   un-stabilized crash, no active blackout, routing converged, and a
   clean maintenance round behind it.  They are the correctness claims
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from math import sqrt
 from typing import Dict, List, Tuple
 
-from ..core.metadata import TermSlot
+from ..core.metadata import SHIPPED_MUTATIONS, TermSlot
 from ..core.system import SpriteSystem
 from ..ir.ranking import RankedList
 
@@ -174,6 +174,10 @@ class InvariantChecker:
                     )
 
     def _check_query_cache_bounds(self, report: InvariantReport) -> None:
+        """Every slot's query cache within its capacity; its mutation
+        record at most SHIPPED_MUTATIONS entries with rising versions
+        below the slot's own, and absent from every replica (a clone no
+        querying peer has been shipped from)."""
         ring = self.system.ring
         for node_id in ring.live_ids:
             node = ring.node(node_id)
@@ -186,6 +190,26 @@ class InvariantChecker:
                         "query_cache_bounds",
                         f"slot {slot.term!r} at {node_id}: cache "
                         f"{len(slot.cache)} > capacity {slot.cache.capacity}",
+                    )
+                mutations = slot.mutations or ()
+                versions = [m[0] for m in mutations if m[0] is not None]
+                rising = all(
+                    a < b for a, b in zip(versions, versions[1:] + [slot.version])
+                )
+                if len(mutations) > SHIPPED_MUTATIONS or not rising:
+                    self._fail(
+                        report,
+                        "query_cache_bounds",
+                        f"slot {slot.term!r} at {node_id}: mutation record "
+                        f"of {len(mutations)} at versions {versions}, slot at "
+                        f"{slot.version}",
+                    )
+            for key, slot in node.replicas.items():
+                if isinstance(slot, TermSlot) and slot.mutations is not None:
+                    self._fail(
+                        report,
+                        "query_cache_bounds",
+                        f"replica of {slot.term!r} at {node_id} records mutations",
                     )
 
     def _check_resync_traffic_bounded(self, report: InvariantReport) -> None:

@@ -164,8 +164,10 @@ class TestWhatAHeldVersionMeans:
         replies = ring.stats.kind(MessageKind.POSTINGS).bytes
         postings, df = protocol.fetch_postings(issuer, term)
         assert [p.doc_id for p in postings] == ["d1", "d2"] and df == 2
+        # Still named the version before d2, so the answer is the diff
+        # from it: d2 alone.
         assert ring.stats.kind(MessageKind.POSTINGS).bytes - replies == wire_size(
-            MessageKind.POSTINGS, 2, 1
+            MessageKind.POSTINGS, 1, 1
         )
         assert held[term] == protocol.slot_snapshot(term).version != before
 

@@ -50,6 +50,24 @@ class TestHealthyRound:
         second = daemon.run_round()
         assert second.postings_intact == first.postings_intact
 
+    def test_reconciling_reads_rows_and_leaves_no_entry_view(self, system: SpriteSystem) -> None:
+        """The audit walks every slot of every live peer; it retires an
+        orphan, then rounds agree, and no slot is left holding a
+        materialized list of entries."""
+        owner = next(o for o in system.owners.values() if o.shared)
+        doc_id, state = next(iter(owner.shared.items()))
+        state.index_terms.remove(orphaned := state.index_terms[0])
+        daemon = MaintenanceDaemon(system)
+        assert daemon.run_round().postings_retired == 1
+        assert not system.protocol.slot_snapshot(orphaned).has_posting(doc_id)
+        assert daemon.run_round() == daemon.run_round()
+        slots = [
+            slot
+            for node_id in system.ring.live_ids
+            for slot in system.ring.node(node_id).store.values()
+        ]
+        assert slots and all(slot._entries_view == [] for slot in slots)
+
 
 class TestFailureWindow:
     def test_unreachable_peers_reported_before_repair(self, system: SpriteSystem) -> None:

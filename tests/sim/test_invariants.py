@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.metadata import PostingEntry, QueryCache, TermSlot
+from repro.core.metadata import SHIPPED_MUTATIONS, PostingEntry, QueryCache, TermSlot
 from repro.sim import SimEvent, build_simulation, scenario
 
 
@@ -79,6 +79,42 @@ class TestQueryCacheBounds:
         slot.cache.capacity = 1  # model an eviction bug: entries exceed bound
         report = engine.checker.check(quiescent=False)
         assert violated(report, "query_cache_bounds")
+
+    @staticmethod
+    def shipped_and_mutated(engine) -> TermSlot:
+        ring = engine.system.ring
+        node = ring.node(ring.live_ids[0])
+        slot = next(s for s in node.store.values() if isinstance(s, TermSlot))
+        slot.ship(None)
+        for i in range(SHIPPED_MUTATIONS + 3):
+            slot.add_posting(PostingEntry(f"extra{i}", node.node_id, 1, 10))
+        return slot
+
+    def test_a_mutation_record_is_bounded_by_construction(self, engine) -> None:
+        slot = self.shipped_and_mutated(engine)
+        assert len(slot.mutations) == SHIPPED_MUTATIONS
+        assert not violated(engine.checker.check(quiescent=False), "query_cache_bounds")
+
+    def test_detects_an_overlong_mutation_record(self, engine) -> None:
+        slot = self.shipped_and_mutated(engine)
+        slot._mutations.insert(0, (0, "lost", True, False))  # a trim that never ran
+        assert violated(engine.checker.check(quiescent=False), "query_cache_bounds")
+
+    def test_detects_a_record_out_of_step_with_the_slot(self, engine) -> None:
+        slot = self.shipped_and_mutated(engine)
+        slot._mutations[-1] = (slot.version, "late", True, True)
+        assert violated(engine.checker.check(quiescent=False), "query_cache_bounds")
+
+    def test_detects_a_record_on_a_replica(self, engine) -> None:
+        ring = engine.system.ring
+        replica = next(
+            s
+            for nid in ring.live_ids
+            for s in ring.node(nid).replicas.values()
+            if isinstance(s, TermSlot)
+        )
+        replica.ship(None)  # a clone nobody was shipped from now claims it was
+        assert violated(engine.checker.check(quiescent=False), "query_cache_bounds")
 
 
 class TestTopologyMatchesOracle:

@@ -84,6 +84,21 @@ def always_ship(system: SpriteSystem) -> SpriteSystem:
     return system
 
 
+def ship_whole_lists(system: SpriteSystem) -> SpriteSystem:
+    """Make *system* answer a modified slot with its whole list: the diff
+    each answer computes is dropped before the reply is priced."""
+    protocol = system.protocol
+    serve = protocol._serve_view
+
+    def whole(node, term, carried):
+        view = serve(node, term, carried)
+        view.diff = None
+        return view
+
+    protocol._serve_view = whole
+    return system
+
+
 def forget_rankings(system: SpriteSystem) -> SpriteSystem:
     """Make *system* score every query: the querying peer's held
     rankings are forgotten before every execute."""
@@ -104,13 +119,17 @@ class Wire:
     Reads: the versions SEARCH_TERM requests carried, the postings
     POSTINGS replies withheld and the terms answered as not modified —
     each such list must be the copy this wire saw delivered to that
-    peer.  The exchange builds each message and sends it at once, so a
-    send of the message built last settles its counts.  Polls: the hash
-    list a peer-side §3 rule would have added to each POLL_BATCH, and
-    the QUERY_BATCH bytes of the queries the owner's rule discarded."""
+    peer — and the posting units diffs saved, with how many diffs
+    withdrew a document: each diff, applied to that peer's copy, must
+    give the slot's rows.  The exchange builds each message and sends it
+    at once, so a send of the message built last settles its counts.
+    Polls: the hash list a peer-side §3 rule would have added to each
+    POLL_BATCH, and the QUERY_BATCH bytes of the queries the owner's
+    rule discarded."""
 
     def __init__(self, protocol) -> None:
         self.versions = self.withheld = self.hash_bytes = self.duplicate_bytes = 0
+        self.saved = self.withdrawing_diffs = 0
         self.not_modified: Counter = Counter()
         copies = {}
         ring = protocol.ring
@@ -133,13 +152,23 @@ class Wire:
                 return
             self.versions += built[1]
             for view in built[2]:
-                content = (view.indexed_df, tuple(map(tuple, view.scoring_view())))
-                if view.modified:
-                    copies[message.dst, view.term] = content
+                rows = list(view._slot.rows()) if view._slot is not None else []
+                key = message.dst, view.term
+                if not view.modified:
+                    assert copies[key] == rows, view.term
+                    self.withheld += view.indexed_df
+                    self.not_modified[view.term] += 1
                     continue
-                assert copies[message.dst, view.term] == content, view.term
-                self.withheld += view.indexed_df
-                self.not_modified[view.term] += 1
+                if view.diff is not None:
+                    withdrawn, changed = view.diff
+                    copy = {row[0]: row for row in copies[key]}
+                    for doc_id in withdrawn:
+                        del copy[doc_id]
+                    copy.update((row[0], row) for row in changed)
+                    assert list(copy.values()) == rows, view.term
+                    self.saved += view.indexed_df - len(withdrawn) - len(changed)
+                    self.withdrawing_diffs += bool(withdrawn)
+                copies[key] = rows
 
         def counting_poll(owner_id, term_cursors, index_term_hashes):
             polls = ring.stats.kind(K.POLL_BATCH).messages
@@ -164,10 +193,17 @@ def _reply_bytes(queries) -> int:
 
 def read_delta(wire: Wire) -> Dict[MessageKind, int]:
     """A conditional fetch: SEARCH_TERM heavier by a version per version
-    carried, POSTINGS lighter by a posting per posting withheld."""
+    carried, POSTINGS lighter by a posting per posting withheld or saved
+    by a diff."""
     return {
-        K.SEARCH_TERM: VERSION_BYTES * wire.versions, K.POSTINGS: -POSTING_BYTES * wire.withheld
+        K.SEARCH_TERM: VERSION_BYTES * wire.versions,
+        K.POSTINGS: -POSTING_BYTES * (wire.withheld + wire.saved),
     }
+
+
+def diff_delta(wire: Wire) -> Dict[MessageKind, int]:
+    """Diffs: POSTINGS lighter by a posting per unit a diff saved."""
+    return {K.POSTINGS: -POSTING_BYTES * wire.saved}
 
 
 def poll_delta(wire: Wire) -> Dict[MessageKind, int]:
@@ -198,6 +234,12 @@ ROWS = (
     # named version does not always withhold.
     Row("always_ship", always_ship, read_delta,
         check=lambda w, reused, twin: w.versions > sum(w.not_modified.values()) > 0 < w.withheld),
+    # Some answer shipped a diff and, on the perfect transport, some diff
+    # withdrew a document (the lossy cells drop too many withdrawals and
+    # re-fetches to count on one).
+    Row("ship_whole_lists", ship_whole_lists, diff_delta,
+        check=lambda w, reused, twin: w.saved > 0 and (
+            w.withdrawing_diffs > 0 or isinstance(twin.ring.transport, LossyTransport))),
     # With a result cache a repeat over unchanged lists is answered before
     # anything is fetched: those cells check that the two compose.
     Row("forget_rankings", forget_rankings, reuses=False,
