@@ -15,7 +15,7 @@ search      Interactive-ish demo: train SPRITE and run ad-hoc keyword
 generate    Synthesize a corpus + query set and save them to a directory
             (reload with repro.corpus.io.load_collection).
 perf        Run one of the perf harnesses the benchmark does not cover
-            (``--mode scale | concurrency | route``).  The tracked
+            (``--mode scale | route``).  The tracked
             benchmark itself is ``python3 -m bench`` (BENCHMARK.json).
 check       Run the verification harness (repro.sim): execute a scenario
             — from a JSON file, randomly generated from a seed, or a
@@ -427,9 +427,7 @@ def cmd_perf(args: argparse.Namespace, out) -> int:
     if args.rings or args.finger_arity is not None:
         out.write("error: --rings/--ring-arity only apply to --mode route\n")
         return 2
-    if args.mode == "scale":
-        return _cmd_perf_scale(args, out)
-    return _cmd_perf_concurrency(args, out)
+    return _cmd_perf_scale(args, out)
 
 
 def _write_memory_line(out) -> None:
@@ -488,7 +486,7 @@ def _cmd_perf_scale(args: argparse.Namespace, out) -> int:
 
 
 def _parse_grid(raw: str, cast, flag: str):
-    """Parse a comma-separated CLI grid (``--clients 1,16,64``)."""
+    """Parse a comma-separated CLI grid (``--peers-grid 1000,4000``)."""
     try:
         values = tuple(cast(v) for v in raw.split(",") if v.strip())
     except ValueError:
@@ -496,63 +494,6 @@ def _parse_grid(raw: str, cast, flag: str):
     if not values or any(v <= 0 for v in values):
         raise ConfigurationError(f"{flag} needs positive comma-separated values")
     return values
-
-
-def _cmd_perf_concurrency(args: argparse.Namespace, out) -> int:
-    """Run the event-driven concurrency grid (DESIGN.md §15) and print it."""
-    from .perf.concurrency import (
-        ConcurrencyConfig,
-        run_concurrency_grid,
-        smoke_config,
-    )
-
-    cfg = smoke_config() if args.small else ConcurrencyConfig()
-    overrides = {"seed": args.seed}
-    if args.clients:
-        overrides["clients_grid"] = _parse_grid(args.clients, int, "--clients")
-    if args.arrival_rate:
-        overrides["open_loop_rates_per_s"] = _parse_grid(
-            args.arrival_rate, float, "--arrival-rate"
-        )
-    cfg = cfg.replaced(**overrides)
-    out.write(
-        f"concurrency grid: {cfg.num_peers} peers, {cfg.num_ops} ops over "
-        f"{cfg.distinct_queries} distinct queries, "
-        f"clients {','.join(str(c) for c in cfg.clients_grid)}, "
-        f"service {','.join(f'{s:g}ms' for s in cfg.service_times_ms)}, "
-        f"open-loop {','.join(f'{r:g}/s' for r in cfg.open_loop_rates_per_s)}\n"
-    )
-    result = run_concurrency_grid(cfg)
-    if args.json:
-        out.write(json.dumps(result.to_dict(), indent=2) + "\n")
-        return 0 if result.checksums_match else 1
-    out.write(
-        f"  capture {result.capture_s:.2f}s · sync verify {result.sync_s:.2f}s\n"
-    )
-    out.write(
-        "  mode    load        svc_ms  strag      ops/s     p50_ms"
-        "     p99_ms   p99.9_ms  qdepth   util  drops\n"
-    )
-    for cell in result.cells:
-        load = (
-            f"cl={cell.clients}"
-            if cell.mode == "closed"
-            else f"{cell.arrival_rate_per_s:g}/s"
-        )
-        out.write(
-            f"  {cell.mode:<6}  {load:<10}  {cell.service_time_ms:>6.2f}"
-            f"  {'yes' if cell.stragglers else 'no':>5}"
-            f"  {cell.throughput_ops_per_s:>9.0f}  {cell.latency_p50_ms:>9.2f}"
-            f"  {cell.latency_p99_ms:>9.2f}  {cell.latency_p99_9_ms:>9.2f}"
-            f"  {cell.max_queue_depth:>6}  {cell.utilization_mean:>5.2f}"
-            f"  {cell.queue_drops:>5}\n"
-        )
-    out.write(
-        "  ranking checksums (all cells + synchronous re-execution) "
-        + ("MATCH\n" if result.checksums_match else "DIVERGED\n")
-    )
-    _write_memory_line(out)
-    return 0 if result.checksums_match else 1
 
 
 def _cmd_perf_route(args: argparse.Namespace, out) -> int:
@@ -822,20 +763,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "perf",
-        help="run a perf harness: scale, concurrency or route "
+        help="run a perf harness: scale or route "
         "(the tracked benchmark is `python3 -m bench`)",
     )
     _add_common(p)
     p.add_argument(
         "--mode",
-        choices=("scale", "concurrency", "route"),
+        choices=("scale", "route"),
         required=True,
         help="scale: the process-sharded 100k-peer workload (DESIGN.md "
-        "§13); concurrency: the event-driven closed/open-loop "
-        "tail-latency grid with per-peer service queues and slow-peer "
-        "stragglers (DESIGN.md §15); route: the arity × peers hop-count "
-        "sweep comparing Chord against ReCord-style finger schedules "
-        "(DESIGN.md §8)",
+        "§13); route: the arity × peers hop-count sweep comparing Chord "
+        "against ReCord-style finger schedules (DESIGN.md §8)",
     )
     p.add_argument("--json", action="store_true", help="print the raw JSON record")
     scale = p.add_argument_group("scale-out engine (DESIGN.md §13)")
@@ -851,19 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="shard count override for --mode scale (0 = config default)",
-    )
-    concurrency = p.add_argument_group("concurrent runtime (DESIGN.md §15)")
-    concurrency.add_argument(
-        "--clients",
-        default="",
-        help="closed-loop client populations for --mode concurrency, "
-        "comma-separated (default: the config grid, e.g. 1,16,64)",
-    )
-    concurrency.add_argument(
-        "--arrival-rate",
-        default="",
-        help="open-loop Poisson arrival rates (ops/s) for --mode "
-        "concurrency, comma-separated (default: the config grid)",
     )
     _add_ring(p)
     route = p.add_argument_group("routing sweep (DESIGN.md §8)")

@@ -56,8 +56,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right, insort
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..config import ChordConfig
 from ..exceptions import (
@@ -67,7 +66,7 @@ from ..exceptions import (
     NodeFailedError,
     NodeNotFoundError,
 )
-from ..net import DeliveryOutcome, DeliveryReceipt, PerfectTransport, TraceLog, Transport
+from ..net import DeliveryOutcome, DeliveryReceipt, PerfectTransport, Transport
 from .hashing import IdSpace, md5_hash, recursive_finger_steps
 from .messages import Message, MessageKind, message
 from .node import ChordNode
@@ -558,30 +557,6 @@ class ChordRing:
     def lookup_term(self, start_id: int, term: str, record: bool = True) -> LookupResult:
         """Lookup the indexing peer responsible for a term (MD5-hashed)."""
         return self.lookup(start_id, self.space.hash_key(term), record=record)
-
-    @contextmanager
-    def capture_messages(self) -> Iterator[TraceLog]:
-        """Record every message the ring delivers inside the ``with``
-        block into a private :class:`~repro.net.TraceLog`.
-
-        This is the capture half of the event-driven runtime's
-        capture-once / replay-many contract (DESIGN.md §15): one
-        synchronous operation runs under capture, and the recorded
-        ``(kind, dst)`` sequence becomes the timeline the scheduler
-        replays.  Attaching the log makes the transport *active*, so
-        per-hop lookup deliveries are recorded too; with the perfect
-        transport this observes without perturbing — every delivered hop
-        targets a live node, so outcomes, statistics, and rankings are
-        unchanged.  A previously attached trace log is restored on exit;
-        it does not see the captured traffic.
-        """
-        log = TraceLog()
-        prior = self.transport.trace
-        self.transport.trace = log
-        try:
-            yield log
-        finally:
-            self.transport.trace = prior
 
     def send(self, message: Message) -> None:
         """Deliver an application message through the transport and

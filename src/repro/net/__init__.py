@@ -16,20 +16,6 @@ from .latency import (
     LatencyModel,
     LogNormalLatency,
 )
-from .sched import (
-    QUEUE_DROP,
-    SERVED,
-    TIMED_OUT,
-    EventLoop,
-    MessageFuture,
-    OpFuture,
-    PeerServer,
-    Scheduler,
-    SendRequest,
-    ServiceReceipt,
-    Sleep,
-    replay_timeline,
-)
 from .trace import (
     DELIVERED,
     DEST_DOWN,
@@ -54,33 +40,21 @@ __all__ = [
     "DELIVERED",
     "DEST_DOWN",
     "DROPPED",
-    "QUEUE_DROP",
-    "SERVED",
-    "TIMED_OUT",
     "ConstantLatency",
     "DeliveryOutcome",
     "DeliveryPolicy",
     "DeliveryReceipt",
-    "EventLoop",
     "FaultInjector",
     "LatencyModel",
     "LogNormalLatency",
     "LossyTransport",
-    "MessageFuture",
     "MessageTrace",
-    "OpFuture",
-    "PeerServer",
     "PerfectTransport",
-    "Scheduler",
-    "SendRequest",
-    "ServiceReceipt",
     "SimulatedClock",
-    "Sleep",
     "TraceLog",
     "TraceSummary",
     "Transport",
     "build_latency_model",
     "build_transport",
     "percentile",
-    "replay_timeline",
 ]

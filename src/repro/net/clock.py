@@ -32,23 +32,5 @@ class SimulatedClock:
         self._now += delta_ms
         return self._now
 
-    def reset(self, *, force: bool = False) -> None:
-        """Rewind to time zero for a fresh experiment phase.
-
-        Rewinding a clock that has already advanced silently breaks the
-        monotonicity every latency report and trace rollup relies on, so
-        a mid-run reset now requires the explicit ``force=True`` opt-in.
-        Prefer constructing a fresh :class:`SimulatedClock` (and
-        transport) per experiment phase instead.
-        """
-        if self._now != 0.0 and not force:
-            raise ValueError(
-                "refusing to rewind a clock that has advanced "
-                f"(now={self._now:.3f}ms); pass force=True if a fresh "
-                "experiment phase really reuses this clock, or build a "
-                "new SimulatedClock instead"
-            )
-        self._now = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimulatedClock(now={self._now:.3f}ms)"

@@ -9,7 +9,7 @@ does one transmission attempt take?  Two models are provided:
   and shape ``sigma``.  Internet host-pair RTT distributions measured by
   the King dataset (Gummadi et al., IMC'02) are well approximated by a
   log-normal body with a long tail, which is why DHT evaluations
-  traditionally use it; :meth:`LogNormalLatency.king` gives a default
+  traditionally use it; the defaults (60 ms median, sigma 0.55) are a
   fit in that spirit.
 
 Models draw exclusively from the ``random.Random`` instance handed to
@@ -68,9 +68,3 @@ class LogNormalLatency:
 
     def sample(self, rng: random.Random) -> float:
         return self.median_ms * math.exp(self.sigma * rng.gauss(0.0, 1.0))
-
-    @classmethod
-    def king(cls) -> "LogNormalLatency":
-        """A King-style wide-area fit: ~60 ms median with a tail that
-        puts a few percent of attempts past several hundred ms."""
-        return cls(median_ms=60.0, sigma=0.55)

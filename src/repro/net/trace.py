@@ -77,9 +77,9 @@ class TraceSummary:
     latency_p50_ms: float = 0.0
     latency_p90_ms: float = 0.0
     latency_p99_ms: float = 0.0
-    #: Nearest-rank p99.9 — the deep-tail readout concurrency reports
-    #: gate on (meaningful once a rollup covers ≳1000 samples; below
-    #: that the nearest-rank rule makes it the sample maximum).
+    #: Nearest-rank p99.9 — the deep-tail column of the ``net`` sweep's
+    #: table (meaningful once a rollup covers ≳1000 samples; below that
+    #: the nearest-rank rule makes it the sample maximum).
     latency_p99_9_ms: float = 0.0
     latency_mean_ms: float = 0.0
     by_kind: Tuple[Tuple[str, int], ...] = field(default=())
@@ -107,9 +107,6 @@ class TraceLog:
 
     def record(self, trace: MessageTrace) -> None:
         self._records.append(trace)
-
-    def clear(self) -> None:
-        self._records.clear()
 
     def __len__(self) -> int:
         return len(self._records)

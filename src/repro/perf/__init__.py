@@ -1,12 +1,8 @@
-"""repro.perf — the three harnesses the repo's benchmark does not cover.
+"""repro.perf — the two harnesses the repo's benchmark does not cover.
 
 * :mod:`repro.perf.scale` — the DESIGN.md §13 scale-out harness:
   process-sharded build/publish/query phases over a streamed corpus,
   behind ``benchmarks/test_bench_scale.py`` and ``perf --mode scale``;
-* :mod:`repro.perf.concurrency` — the DESIGN.md §15 event-driven
-  closed/open-loop tail-latency grid, behind
-  ``benchmarks/test_bench_concurrency.py`` and
-  ``perf --mode concurrency``;
 * :mod:`repro.perf.route` — the DESIGN.md §8 routing sweep: the
   finger-arity × peers hop-count grid behind
   ``benchmarks/test_bench_route.py`` and ``perf --mode route``.
@@ -14,7 +10,6 @@
 Query, ingest, learning, churn and durable-store performance is
 measured by ``python3 -m bench`` (``bench/``, BENCHMARK.json), not here.
 
-Nothing in the core imports this package: only :mod:`repro.cli`,
-:mod:`repro.sim.oracle` and the ``benchmarks/`` gates do, each naming
-the harness module it needs.
+Nothing in the core imports this package: only :mod:`repro.cli` and
+the ``benchmarks/`` gates do, each naming the harness module it needs.
 """

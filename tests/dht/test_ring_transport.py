@@ -5,8 +5,6 @@ behaves bit-identically to the pre-transport simulator, while a lossy
 transport subjects every send and every lookup hop to latency, loss,
 and retry semantics — surfacing exhausted retries as
 :class:`MessageDroppedError` (a :class:`NodeFailedError` subclass).
-:meth:`ChordRing.capture_messages` observes an operation's ``(kind,
-dst)`` timeline (DESIGN.md §15) without changing what it computes.
 """
 
 from __future__ import annotations
@@ -70,6 +68,26 @@ class TestPerfectDefault:
         assert ring.transport.clock.now == 0.0
 
 
+@pytest.fixture()
+def sprite(fast_sprite_config: SpriteConfig) -> SpriteSystem:
+    topics = ["chord ring lookup", "retrieval ranking index", "churn failure replica"]
+    corpus = Corpus(
+        Document(f"d{i}", f"{topics[i % 3]} {topics[i % 3]} filler{i} pad{i}")
+        for i in range(12)
+    )
+    system = SpriteSystem(
+        corpus,
+        sprite_config=fast_sprite_config,
+        chord_config=ChordConfig(num_peers=24, id_bits=32, seed=61),
+    )
+    system.share_corpus()
+    return system
+
+
+def q(terms: str) -> Query:
+    return Query("q1", tuple(DEFAULT_ANALYZER.analyze_query(terms)))
+
+
 class TestPerfectWithTrace:
     def test_hops_and_sends_are_traced(self) -> None:
         trace = TraceLog()
@@ -89,6 +107,32 @@ class TestPerfectWithTrace:
             a = plain.lookup(plain.live_ids[0], key)
             b = traced.lookup(traced.live_ids[0], key)
             assert (a.node_id, a.hops, a.path) == (b.node_id, b.hops, b.path)
+
+
+class TestCaptureMessages:
+    """A :class:`TraceLog` attached to a system's perfect transport
+    captures a whole search's traffic without changing its ranking."""
+
+    def test_capture_records_message_kinds_and_destinations(self, sprite) -> None:
+        log = TraceLog()
+        sprite.ring.transport.trace = log
+        sprite.search(q("chord ring"), cache=False)
+        assert len(log) > 0
+        assert "search_term" in {trace.kind for trace in log.records}
+        for trace in log.records:
+            assert isinstance(trace.kind, str)
+            assert trace.dst in sprite.ring.nodes
+
+    def test_capture_does_not_change_results(self, sprite) -> None:
+        """Attaching a trace log makes the perfect transport deliver per
+        hop; a system-level search must rank exactly as without it."""
+        baseline = sprite.search(q("retrieval ranking"), cache=False)
+        sprite.ring.transport.trace = TraceLog()
+        assert sprite.ring.transport.active
+        captured = sprite.search(q("retrieval ranking"), cache=False)
+        assert [(a.doc_id, a.score) for a in baseline] == [
+            (a.doc_id, a.score) for a in captured
+        ]
 
 
 class TestLossyIntegration:
@@ -168,66 +212,3 @@ class TestLossyIntegration:
             return ring.transport.trace.summary_table()
 
         assert run() == run()
-
-
-@pytest.fixture()
-def sprite(fast_sprite_config: SpriteConfig) -> SpriteSystem:
-    topics = ["chord ring lookup", "retrieval ranking index", "churn failure replica"]
-    corpus = Corpus(
-        Document(f"d{i}", f"{topics[i % 3]} {topics[i % 3]} filler{i} pad{i}")
-        for i in range(12)
-    )
-    system = SpriteSystem(
-        corpus,
-        sprite_config=fast_sprite_config,
-        chord_config=ChordConfig(num_peers=24, id_bits=32, seed=61),
-    )
-    system.share_corpus()
-    return system
-
-
-def q(terms: str) -> Query:
-    return Query("q1", tuple(DEFAULT_ANALYZER.analyze_query(terms)))
-
-
-class TestCaptureMessages:
-    def test_capture_records_message_kinds_and_destinations(self, sprite) -> None:
-        with sprite.ring.capture_messages() as log:
-            sprite.search(q("chord ring"), cache=False)
-        assert len(log) > 0
-        assert "search_term" in {trace.kind for trace in log.records}
-        for trace in log.records:
-            assert isinstance(trace.kind, str)
-            assert trace.dst in sprite.ring.nodes
-
-    def test_capture_does_not_change_results(self, sprite) -> None:
-        """Attaching the capture log activates per-hop transport
-        delivery; rankings must be unaffected."""
-        baseline = sprite.search(q("retrieval ranking"), cache=False)
-        with sprite.ring.capture_messages():
-            captured = sprite.search(q("retrieval ranking"), cache=False)
-        assert [(a.doc_id, a.score) for a in baseline] == [
-            (a.doc_id, a.score) for a in captured
-        ]
-
-    def test_capture_detaches_on_exit(self, sprite) -> None:
-        assert sprite.ring.transport.trace is None
-        with sprite.ring.capture_messages():
-            assert sprite.ring.transport.active
-        assert sprite.ring.transport.trace is None
-        assert not sprite.ring.transport.active
-
-    def test_capture_detaches_on_error(self, sprite) -> None:
-        with pytest.raises(RuntimeError):
-            with sprite.ring.capture_messages():
-                raise RuntimeError("boom")
-        assert sprite.ring.transport.trace is None
-
-    def test_capture_restores_a_prior_trace_log_untouched(self, sprite) -> None:
-        outer = TraceLog()
-        sprite.ring.transport.trace = outer
-        with sprite.ring.capture_messages() as inner:
-            sprite.search(q("chord ring"), cache=False)
-        assert len(inner) > 0
-        assert sprite.ring.transport.trace is outer
-        assert len(outer) == 0

@@ -32,27 +32,3 @@ class TestClock:
     def test_negative_start_rejected(self) -> None:
         with pytest.raises(ValueError):
             SimulatedClock(start_ms=-1.0)
-
-    def test_reset_of_fresh_clock_is_allowed(self) -> None:
-        clock = SimulatedClock()
-        clock.reset()
-        assert clock.now == 0.0
-
-    def test_mid_run_reset_requires_opt_in(self) -> None:
-        """Regression: a silent mid-run rewind used to break trace
-        monotonicity — it must now be an explicit decision."""
-        clock = SimulatedClock()
-        clock.advance(99.0)
-        with pytest.raises(ValueError, match="rewind"):
-            clock.reset()
-        assert clock.now == 99.0  # the guarded call must not rewind
-
-    def test_forced_reset_rewinds(self) -> None:
-        clock = SimulatedClock()
-        clock.advance(99.0)
-        clock.reset(force=True)
-        assert clock.now == 0.0
-
-    def test_custom_start_counts_as_advanced(self) -> None:
-        with pytest.raises(ValueError, match="rewind"):
-            SimulatedClock(start_ms=5.0).reset()

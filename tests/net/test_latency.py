@@ -45,9 +45,6 @@ class TestLogNormal:
         with pytest.raises(ValueError):
             LogNormalLatency(sigma=-0.1)
 
-    def test_king_default(self) -> None:
-        assert LogNormalLatency.king().median_ms == 60.0
-
 
 class TestProtocol:
     def test_all_models_satisfy_protocol(self) -> None:

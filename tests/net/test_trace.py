@@ -33,7 +33,7 @@ class TestPercentile:
     def test_empty_is_zero_at_every_quantile(self) -> None:
         """The documented 0.0-on-empty behaviour holds across the whole
         q range — including the boundaries and the fractional p99.9 the
-        concurrency reports use — so reports can always print."""
+        ``net`` sweep's table prints — so reports can always print."""
         for q in (0.0, 0.1, 50, 99, 99.9, 100.0):
             assert percentile([], q) == 0.0
 
@@ -153,13 +153,6 @@ class TestSummaryTable:
         assert "retries    1" in table_a
         assert "kind lookup" in table_a
         assert "p99.9=" in table_a
-
-    def test_clear(self) -> None:
-        log = TraceLog()
-        log.record(trace())
-        log.clear()
-        assert len(log) == 0
-        assert log.rollup().messages == 0
 
 
 class TestCategoryRollup:

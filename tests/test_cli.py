@@ -202,8 +202,10 @@ class TestPerf:
         (
             ("--mode", "topk"),
             ("--mode", "scale", "--baseline"),
+            ("--mode", "concurrency"),
+            ("--mode", "scale", "--clients", "8"),
         ),
-        ids=["retired-mode", "baseline"],
+        ids=["retired-mode", "baseline", "concurrency", "clients"],
     )
     def test_perf_rejects_retired_flags(self, flags, capsys) -> None:
         with pytest.raises(SystemExit) as exit_info:
@@ -235,63 +237,6 @@ class TestPerf:
         )
         assert code == 2
         assert "perfect" in output
-
-    def test_perf_concurrency_prints_tail_latency_grid(self) -> None:
-        code, output = run_cli(
-            "perf", "--mode", "concurrency", "--small",
-            "--clients", "1,8", "--arrival-rate", "1500",
-        )
-        assert code == 0
-        header = [l for l in output.splitlines() if "p99.9_ms" in l][0]
-        assert header.split() == [
-            "mode", "load", "svc_ms", "strag", "ops/s", "p50_ms",
-            "p99_ms", "p99.9_ms", "qdepth", "util", "drops",
-        ]
-        assert "closed" in output and "open" in output
-        assert "cl=1" in output and "cl=8" in output and "1500/s" in output
-        assert "MATCH" in output
-
-    def test_perf_concurrency_json_record(self) -> None:
-        import json
-
-        code, output = run_cli(
-            "perf", "--mode", "concurrency", "--small",
-            "--clients", "1,4", "--arrival-rate", "1000", "--json",
-        )
-        assert code == 0
-        payload = json.loads(output[output.index("{"):])
-        assert payload["checksums_match"] is True
-        assert any(c["mode"] == "open" for c in payload["cells"])
-        assert all("latency_p99_9_ms" in c for c in payload["cells"])
-
-    @pytest.mark.parametrize("json_flag", ((), ("--json",)), ids=["table", "json"])
-    def test_perf_concurrency_exit_code_is_the_checksum_verdict(
-        self, monkeypatch, json_flag
-    ) -> None:
-        from repro.perf import concurrency
-
-        def diverged_grid(cfg):
-            return concurrency.ConcurrencyResult(
-                num_peers=cfg.num_peers,
-                num_ops=cfg.num_ops,
-                distinct_queries=cfg.distinct_queries,
-                capture_s=0.0,
-                sync_s=0.0,
-                ranking_checksum="aa",
-                sync_ranking_checksum="bb",
-            )
-
-        monkeypatch.setattr(concurrency, "run_concurrency_grid", diverged_grid)
-        code, __ = run_cli("perf", "--mode", "concurrency", "--small", *json_flag)
-        assert code == 1
-
-    def test_perf_concurrency_validates_grids(self) -> None:
-        for flag, value in (("--clients", "0"), ("--arrival-rate", "nope")):
-            code, output = run_cli(
-                "perf", "--mode", "concurrency", "--small", flag, value
-            )
-            assert code == 2
-            assert output.startswith("error:")
 
 
 class TestPerfRoute:

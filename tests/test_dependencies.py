@@ -25,7 +25,7 @@ PACKAGE = SRC / "repro"
 PROBE = """
 import sys
 import repro, repro.cli, repro.perf, repro.sim
-import repro.perf.scale, repro.perf.concurrency, repro.perf.route
+import repro.perf.scale, repro.perf.route
 print("numpy" in sys.modules)
 """
 
@@ -94,18 +94,14 @@ def _typing_only(tree: ast.AST) -> set:
 
 #: ``(importers, except, must not import, unless under TYPE_CHECKING)``:
 #: importers and exceptions are path prefixes below ``src/repro``.  The
-#: first row keeps ``repro.perf`` harnesses-only.  The second keeps the
-#: timing model out of the system and its checks: ``perf/concurrency.py``
-#: alone puts an operation on ``net/sched.py``, by replaying a captured
-#: timeline.  The rest the source states and nothing else checks: a
-#: posting store is below the slot layer (``ir/postings.py``: "must not
-#: import repro.core"; the SQLite one hands the same plain rows to
-#: ``TermSlot``), and ``repro.net`` "stays import-independent of
-#: repro.dht" (``net/trace.py``), naming ``Message`` and
-#: ``NetworkConfig`` for typing only to avoid a cycle.
+#: first row keeps ``repro.perf`` harnesses-only.  The rest the source
+#: states and nothing else checks: a posting store is below the slot
+#: layer (``ir/postings.py``: "must not import repro.core"; the SQLite
+#: one hands the same plain rows to ``TermSlot``), and ``repro.net``
+#: "stays import-independent of repro.dht" (``net/trace.py``), naming
+#: ``Message`` and ``NetworkConfig`` for typing only to avoid a cycle.
 FORBIDDEN_EDGES = [
     ("", ("perf/", "cli.py"), ("repro.perf",), False),
-    (("core/", "sim/"), (), ("repro.net.sched", "repro.perf"), False),
     ("ir/", (), ("repro.core", "repro.dht", "repro.store", "repro.net"), False),
     ("net/", (), ("repro.dht", "repro.config"), True),
     ("store/sqlite_store.py", (), ("repro.core",), False),

@@ -22,7 +22,7 @@ settings.register_profile("twin-example", phases=[Phase.explicit], deadline=None
 settings.register_profile("twin-programs", max_examples=25, deadline=None, database=None)
 
 #: Modules under ``tests/`` that are neither test files nor references.
-SUPPORT = {"conftest.py", "core/conftest.py", "sim/runtime_scenarios.py", "twins.py"}
+SUPPORT = {"conftest.py", "core/conftest.py", "twins.py"}
 
 CELLS = [
     pytest.param(
