@@ -8,10 +8,7 @@ Walks through the operational features beyond basic retrieval:
    "periodically probe the indexing peers").
 2. **Hot-term advice** — maintenance-hot terms (huge indexed document
    frequency, tiny IDF) are discarded and replaced (Section 7(a)).
-3. **Range sharing** — an underloaded peer splits the heaviest peer's
-   arc (Section 7(b) / Ganesan et al.).
-4. **Virtual nodes** — Chord's structural load balancing, for contrast.
-5. **Bloom-compressed conjunctive search** — the message-size remedy of
+3. **Bloom-compressed conjunctive search** — the message-size remedy of
    the related work (Reynolds & Vahdat).
 """
 
@@ -19,14 +16,9 @@ from __future__ import annotations
 
 from repro import small_experiment_config
 from repro.core import BloomQueryProcessor, MaintenanceDaemon
-from repro.dht.virtual import (
-    build_virtual_topology,
-    load_coefficient_of_variation,
-    recommended_vnodes,
-)
 from repro.evaluation import build_environment
 from repro.evaluation.experiments import build_trained_sprite
-from repro.extensions import HotTermAdvisor, RangeSharingBalancer
+from repro.extensions import HotTermAdvisor
 
 
 def main() -> None:
@@ -52,38 +44,8 @@ def main() -> None:
     hot_terms, switches = advisor.rebalance()
     print(f"   hot terms detected: {hot_terms}; document term switches: {switches}\n")
 
-    # 3. Range sharing.
-    print("3) Range-sharing load balance (Section 7b)")
-    balancer = RangeSharingBalancer(system.ring)
-    before = balancer.snapshot().imbalance
-    moves = balancer.rebalance(max_steps=4, target_imbalance=2.0)
-    after = balancer.snapshot().imbalance
-    print(f"   imbalance (heaviest/mean): {before:.2f} -> {after:.2f} "
-          f"after {len(moves)} sharing moves\n")
-
-    # 4. Virtual nodes.
-    print("4) Virtual nodes (structural balancing, for contrast)")
-    peers = 24
-    flat = build_virtual_topology(peers, 1, seed=11)
-    layered = build_virtual_topology(peers, recommended_vnodes(peers), seed=11)
-    import random
-
-    rng = random.Random(1)
-    for i in range(2000):
-        key = rng.randrange(flat.ring.space.size)
-        flat.ring.place(key, i)
-        layered.ring.place(key, i)
-    print(
-        f"   key-load CV with 1 vnode/peer:  "
-        f"{load_coefficient_of_variation(flat.physical_slot_loads()):.2f}"
-    )
-    print(
-        f"   key-load CV with {recommended_vnodes(peers)} vnodes/peer: "
-        f"{load_coefficient_of_variation(layered.physical_slot_loads()):.2f}\n"
-    )
-
-    # 5. Bloom-compressed conjunctive search.
-    print("5) Bloom-compressed conjunctive search (related work [13])")
+    # 3. Bloom-compressed conjunctive search.
+    print("3) Bloom-compressed conjunctive search (related work [13])")
     processor = BloomQueryProcessor(
         system.protocol, assumed_corpus_size=system.config.assumed_corpus_size
     )

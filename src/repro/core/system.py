@@ -22,7 +22,7 @@ from ..exceptions import LearningError
 from ..ir.ranking import RankedList
 from ..store import build_store_runtime
 from .indexer import IndexingProtocol
-from .owner import OwnerPeer, SharedDocument
+from .owner import OwnerPeer
 from .query_processing import QueryExecution, QueryProcessor
 
 
@@ -216,10 +216,6 @@ class SpriteSystem:
     def index_terms(self, doc_id: str) -> List[str]:
         """Current global index terms of a document."""
         return self.owner_of(doc_id).index_terms(doc_id)
-
-    def shared_state(self, doc_id: str) -> SharedDocument:
-        """Owner-side state of a shared document (tests/benches)."""
-        return self.owner_of(doc_id)._state(doc_id)
 
     def total_published_terms(self) -> int:
         """Total (document, term) pairs currently in the distributed

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 
 @lru_cache(maxsize=1 << 18)
@@ -92,10 +92,6 @@ class IdSpace:
     def hash_key(self, key: str) -> int:
         """Map a string key onto the ring with MD5."""
         return md5_hash(key, self.bits)
-
-    def hash_keys(self, keys: Iterable[str]) -> List[int]:
-        """Hash several keys."""
-        return [self.hash_key(k) for k in keys]
 
     def distance(self, a: int, b: int) -> int:
         """Clockwise distance from *a* to *b* (0 when equal)."""

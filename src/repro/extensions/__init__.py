@@ -1,14 +1,8 @@
-"""Section 7 extensions: load balancing and query expansion."""
+"""Section 7(a) extension: hot-term advice to document owners."""
 
 from .load_balance import HotTermAdvice, HotTermAdvisor
-from .query_expansion import LocalContextAnalyzer, expansion_gain
-from .range_sharing import LoadSnapshot, RangeSharingBalancer
 
 __all__ = [
     "HotTermAdvice",
     "HotTermAdvisor",
-    "LoadSnapshot",
-    "LocalContextAnalyzer",
-    "RangeSharingBalancer",
-    "expansion_gain",
 ]

@@ -373,7 +373,7 @@ class ScenarioEngine:
         if self.recovery is None or not self._disk_crashed:
             return False
         victim = self._disk_crashed.pop(0)
-        self.recovery.recover_peer(victim, use_snapshot=True)
+        self.recovery.recover_peer(victim)
         # Rejoining repairs routing, but postings lost in the outage may
         # still need republication — stay dirty until a clean maintain.
         self._dirty = True

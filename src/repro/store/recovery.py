@@ -8,18 +8,19 @@ traffic is redundant — the peer only needs to learn *what changed* since
 the snapshot.
 
 :class:`RecoveryManager.recover_peer` implements both modes over the
-simulated ring:
+simulated ring; which one runs is decided by what is on disk:
 
 1. load the peer's newest valid snapshot (disk survived, RAM did not);
 2. rejoin the ring (the DHT's key transfer hands back the authoritative
    slots the successor accumulated — promoted replicas and writes that
    landed during the outage);
-3. **snapshot mode** — exchange one ``SYNC_DIGEST`` round with the
-   successor (per-slot checksums of the checkpoint), then ship only a
-   ``SYNC_DELTA`` per changed slot (the differing/removed postings) and
-   a ``SYNC_FULL`` per slot the checkpoint never saw; slots whose
-   checksum matches cost nothing beyond the digest entry;
-4. **full mode** (``use_snapshot=False``, the baseline) — one
+3. **snapshot mode** (a valid checkpoint was found) — exchange one
+   ``SYNC_DIGEST`` round with the successor (per-slot checksums of the
+   checkpoint), then ship only a ``SYNC_DELTA`` per changed slot (the
+   differing/removed postings) and a ``SYNC_FULL`` per slot the
+   checkpoint never saw; slots whose checksum matches cost nothing
+   beyond the digest entry;
+4. **full mode** (no checkpoint on disk, the baseline) — one
    ``SYNC_FULL`` per transferred slot carrying all its postings;
 5. snapshot slots the key-transfer did *not* cover but the oracle still
    places at this peer are rebuilt locally from disk — zero wire cost
@@ -27,9 +28,10 @@ simulated ring:
    unpublished during the outage; restoring an over-approximation is
    safe exactly because reconciliation audits it).
 
-Every run appends a :class:`RecoveryReport` to :attr:`RecoveryManager.log`;
-the simulator's ``resync_traffic_bounded`` invariant audits the log, and
-the perf/benchmark layers compare the two modes head-to-head.
+Every run appends a :class:`RecoveryReport` to :attr:`RecoveryManager.log`,
+and every report carries the full-resync cost of the same state beside
+what was shipped; the simulator's ``resync_traffic_bounded`` invariant
+audits the log against it.
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ class RecoveryReport:
     postings) plus the full-resync baseline for the same state."""
 
     peer: int
-    mode: str  # "snapshot" | "full"
-    snapshot_found: bool
+    mode: str  # "snapshot" (a checkpoint was on disk) | "full"
     slots_transferred: int = 0
     slots_matched: int = 0
     slots_changed: int = 0
@@ -63,19 +64,10 @@ class RecoveryReport:
     full_baseline_bytes: int = 0
     full_baseline_messages: int = 0
 
-    @property
-    def message_savings(self) -> int:
-        return self.full_baseline_messages - self.messages_sent
-
-    @property
-    def posting_savings(self) -> int:
-        return self.full_baseline_postings - self.postings_shipped
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "peer": self.peer,
             "mode": self.mode,
-            "snapshot_found": self.snapshot_found,
             "slots_transferred": self.slots_transferred,
             "slots_matched": self.slots_matched,
             "slots_changed": self.slots_changed,
@@ -99,13 +91,13 @@ class RecoveryManager:
         self.runtime = runtime
         self.log: List[RecoveryReport] = []
 
-    def recover_peer(self, node_id: int, use_snapshot: bool = True) -> RecoveryReport:
+    def recover_peer(self, node_id: int) -> RecoveryReport:
         """Rejoin a crashed peer and reconcile its slot state.
 
-        ``use_snapshot=False`` runs the full-resync baseline (the
-        snapshot, if any, is ignored — every transferred slot ships in
-        full).  Either way the full-resync cost is computed, so one run
-        yields its own baseline comparison.
+        With a checkpoint of the peer on disk the recovery is
+        incremental; without one every transferred slot ships in full.
+        Either way the full-resync cost is computed, so one run yields
+        its own baseline comparison.
         """
         from ..core.metadata import TermSlot
 
@@ -117,15 +109,14 @@ class RecoveryManager:
         node = self.ring.node(node_id)
         source = node.successor
 
-        incremental = use_snapshot and snapshot is not None
+        incremental = snapshot is not None
         report = RecoveryReport(
             peer=node_id,
             mode="snapshot" if incremental else "full",
-            snapshot_found=snapshot is not None,
         )
 
         snap_slots: Dict[str, Dict] = {}
-        if snapshot is not None:
+        if incremental:
             snap_slots = {s["term"]: s for s in snapshot.slots}
 
         deltas: List[Tuple[MessageKind, int]] = []  # (kind, postings) to ship

@@ -66,12 +66,6 @@ class PeerSnapshot:
     def __len__(self) -> int:
         return len(self.slots)
 
-    def slot_for(self, term: str) -> Optional[Dict]:
-        for slot in self.slots:
-            if slot["term"] == term:
-                return slot
-        return None
-
 
 class SnapshotManager:
     """Saves, loads, and prunes per-peer snapshot generations."""

@@ -1,6 +1,6 @@
 """End-to-end integration tests: the full paper pipeline on the small
 environment, plus cross-cutting behaviours (learning beats static,
-churn with replication, expansion over the distributed system)."""
+churn with replication, cross-system consistency)."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.evaluation import (
     build_trained_sprite,
     relative_to_centralized,
 )
-from repro.extensions import LocalContextAnalyzer
 
 
 @pytest.fixture(scope="module")
@@ -118,16 +117,6 @@ class TestChurnResilience:
             if execution.postings_retrieved == 0 or len(ranked) == 0:
                 degraded += 1
         assert degraded > 0
-
-
-class TestExpansionOverDistributedSystem:
-    def test_lca_expansion_works_on_sprite(self, small_env, trained) -> None:
-        analyzer = LocalContextAnalyzer(
-            small_env.corpus, context_size=5, expansion_terms=2
-        )
-        query = small_env.test.queries[0]
-        expanded = analyzer.expand(query, lambda q: trained.search(q, cache=False))
-        assert set(query.terms) <= set(expanded.terms)
 
 
 class TestCrossSystemConsistency:

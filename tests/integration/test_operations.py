@@ -1,5 +1,5 @@
 """Integration tests for the operational machinery working together:
-maintenance healing after churn, load balancing on a live system, and
+maintenance healing after churn, hot-term advice on a live system, and
 Bloom search over the learned distributed index."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ import pytest
 from repro.core import BloomQueryProcessor, MaintenanceDaemon
 from repro.dht import ReplicationManager
 from repro.evaluation.experiments import build_trained_sprite
-from repro.extensions import HotTermAdvisor, RangeSharingBalancer
+from repro.extensions import HotTermAdvisor
 
 
 @pytest.fixture()
@@ -72,12 +72,6 @@ class TestMaintenanceAfterChurn:
 
 
 class TestLoadBalancingOnLiveSystem:
-    def test_range_sharing_preserves_retrieval(self, small_env, trained) -> None:
-        baseline = trained.search(small_env.test.queries[0], cache=False).ids()
-        RangeSharingBalancer(trained.ring).rebalance(max_steps=3)
-        after = trained.search(small_env.test.queries[0], cache=False).ids()
-        assert after == baseline
-
     def test_hot_term_advice_on_trained_system(self, small_env, trained) -> None:
         advisor = HotTermAdvisor(trained, df_threshold=len(small_env.corpus) // 3)
         hot_count, switches = advisor.rebalance()

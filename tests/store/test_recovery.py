@@ -1,7 +1,8 @@
 """Crash recovery: snapshot catch-up vs full resync, and its invariant.
 
-The module fixture provides the controlled head-to-head (same seeded
-system → both modes crash byte-identical state); the sim-layer test
+The module fixture provides the controlled head-to-head (the same
+seeded system with and without a checkpoint → both modes crash
+byte-identical state); the sim-layer test
 exercises the ``crash_disk``/``recover_disk`` events inside a full
 scenario with the two-tier invariant catalogue watching.
 """
@@ -45,16 +46,17 @@ def _richest_non_owner(system) -> tuple:
     return best, best_slots
 
 
-def _crash_and_rejoin(corpus, use_snapshot: bool) -> SimpleNamespace:
+def _crash_and_rejoin(corpus, checkpoint: bool) -> SimpleNamespace:
     """Crash the posting-richest indexing peer of a durable system and
     rejoin it.
 
-    Sequence: share → replicate → checkpoint everyone → post-checkpoint
-    delta (withdraw one slice for good, share a held-back one) →
-    replicate again (so the promoted copies carry the delta while the
-    checkpoint stays stale) → crash → promote → recover.  Deterministic
-    for a given corpus, so the two modes crash byte-identical state and
-    their reports are directly comparable.
+    Sequence: share → replicate → checkpoint everyone (the full-resync
+    arm skips this) → post-checkpoint delta (withdraw one slice for
+    good, share a held-back one) → replicate again (so the promoted
+    copies carry the delta while the checkpoint stays stale) → crash →
+    promote → recover.  Deterministic for a given corpus, and a
+    checkpoint only reads the slots, so both arms crash byte-identical
+    state and their reports are directly comparable.
     """
     system = SpriteSystem(
         corpus,
@@ -71,8 +73,9 @@ def _crash_and_rejoin(corpus, use_snapshot: bool) -> SimpleNamespace:
         replication.replicate_round()
 
         runtime.flush_retired()
-        for node_id in ring.live_ids:
-            runtime.snapshots.save_peer(ring.node(node_id))
+        if checkpoint:
+            for node_id in ring.live_ids:
+                runtime.snapshots.save_peer(ring.node(node_id))
 
         system.bulk_unshare([doc.doc_id for doc in shared[:DELTA]])
         system.bulk_share(held_back)
@@ -82,9 +85,7 @@ def _crash_and_rejoin(corpus, use_snapshot: bool) -> SimpleNamespace:
         ring.fail(victim)
         replication.recover_from_failures()
 
-        report = RecoveryManager(ring, runtime).recover_peer(
-            victim, use_snapshot=use_snapshot
-        )
+        report = RecoveryManager(ring, runtime).recover_peer(victim)
         return SimpleNamespace(
             mode=report.mode,
             victim=victim,
@@ -101,8 +102,8 @@ def recovery_pair(micro_corpus_config):
     config = replace(micro_corpus_config, num_documents=150)
     corpus, __, __ = SyntheticTrecCorpus(config).build()
     return (
-        _crash_and_rejoin(corpus, use_snapshot=True),
-        _crash_and_rejoin(corpus, use_snapshot=False),
+        _crash_and_rejoin(corpus, checkpoint=True),
+        _crash_and_rejoin(corpus, checkpoint=False),
     )
 
 
@@ -204,7 +205,6 @@ class TestResyncInvariant:
         overspent = RecoveryReport(
             peer=1,
             mode="snapshot",
-            snapshot_found=True,
             slots_transferred=3,
             postings_shipped=10,
             full_baseline_postings=5,
