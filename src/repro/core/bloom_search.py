@@ -95,7 +95,7 @@ class BloomQueryProcessor:
         order = [terms[i] for i in intersection_plan(sizes)]
         # One reply per list, each answering its one slot.
         execution.naive_bytes = sum(
-            wire_size(MessageKind.POSTINGS, len(per_term[t][0]), 1) for t in terms
+            wire_size(MessageKind.POSTINGS, len(per_term[t][0]), 1, 0) for t in terms
         )
 
         # Chain: candidates start as the rarest list's doc ids; each
@@ -124,7 +124,7 @@ class BloomQueryProcessor:
         execution.false_positives = len(candidates - true_members)
         # Final hop: full postings for survivors only, from every slot.
         execution.bytes_shipped += wire_size(
-            MessageKind.POSTINGS, len(candidates) * len(order), len(order)
+            MessageKind.POSTINGS, len(candidates) * len(order), len(order), 0
         )
 
         # Rank the *true* conjunctive members (false positives are

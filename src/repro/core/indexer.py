@@ -52,7 +52,17 @@ from bisect import bisect_left, insort
 from collections import Counter
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..dht.messages import Message, MessageKind, message
 from ..dht.node import ChordNode
@@ -68,6 +78,7 @@ from .metadata import (
     QueryResultCache,
     ScoringView,
     TermSlot,
+    query_digest,
 )
 
 #: ``(peer → its terms in first-seen order, peer → hops of the request
@@ -102,12 +113,18 @@ class SlotView:
     alone (see ``IndexingProtocol._search``).  ``diff`` is what a
     modified answer ships instead of the list when that is smaller
     (:meth:`TermSlot.ship`), or ``None``: the whole list.
+    ``unresolved`` is true when the request named its query by a digest
+    this slot's cache could not resolve, so nothing was registered here.
     """
 
-    __slots__ = ("term", "indexed_df", "version", "modified", "diff", "_slot")
+    __slots__ = ("term", "indexed_df", "version", "modified", "diff", "unresolved", "_slot")
 
     def __init__(
-        self, term: str, slot: Optional[TermSlot], held: Optional[int] = None
+        self,
+        term: str,
+        slot: Optional[TermSlot],
+        held: Optional[int] = None,
+        unresolved: bool = False,
     ) -> None:
         self.term = term
         self._slot = slot
@@ -119,6 +136,7 @@ class SlotView:
             self.version = slot.version
         self.modified = self.version != held
         self.diff: Optional[Tuple[List[str], list]] = None
+        self.unresolved = unresolved
 
     def scoring_view(self) -> ScoringView:
         return self._slot.scoring_view() if self._slot is not None else [[], [], []]
@@ -475,6 +493,7 @@ class IndexingProtocol:
         unreachable terms)``.
         """
         qhash = self.query_hash(terms)
+        digest = query_digest(terms)
         cached_at = 0
         versions: Dict[str, int] = {}
         failed: Set[str] = set()
@@ -485,7 +504,7 @@ class IndexingProtocol:
                 failed.add(term)
                 continue
             slot = self._slot_at(node, term, create=True)
-            slot.cache.add(terms, qhash)
+            slot.cache.add(terms, qhash, digest)
             versions[term] = slot.version
             cached_at += 1
         return cached_at, versions, failed
@@ -533,7 +552,11 @@ class IndexingProtocol:
         return {term: view.postings() for term, view in views.items()}, failed
 
     def fetch_slot_views(
-        self, issuer_id: int, terms: Sequence[str], register: bool = False
+        self,
+        issuer_id: int,
+        terms: Sequence[str],
+        register: bool = False,
+        registered: AbstractSet[str] = frozenset(),
     ) -> Tuple[Dict[str, SlotView], List[str]]:
         """Like :meth:`fetch_postings_batch` — the same messages, kinds
         and hops — but each reachable term resolves to a
@@ -550,13 +573,38 @@ class IndexingProtocol:
         So a term that cannot be located, or whose SEARCH_TERM is lost,
         is dropped and cached nowhere; one whose POSTINGS reply is lost
         is dropped but *is* cached — the peer saw the request.
+
+        *registered* are the terms whose peers the querying peer has seen
+        take this very tuple before (a reply to a registering request
+        came back).  A SEARCH_TERM whose terms are all registered names
+        the tuple by its :func:`~repro.core.metadata.query_digest`
+        instead, and the peer registers the tuple its query caches
+        resolve it to.  A slot that cannot resolve it (the arrival was
+        evicted, or the slot came from a replica that never saw it) is
+        flagged in the reply, and the querying peer sends that peer one
+        REGISTER carrying the tuple (:meth:`_register_unresolved`).
         """
+        located = self._locate(issuer_id, terms, absorb=False)
+        if not register:
+            return self._search(issuer_id, located, None)
         query = tuple(terms)
-        return self._search(
-            issuer_id,
-            self._locate(issuer_id, terms, absorb=False),
-            (query, self.query_hash(query)) if register else None,
-        )
+        peer_terms = located[0]
+        flagged: List[str] = []
+        if registered.issuperset(query):
+            # Every request names the query by digest; the query hash is
+            # needed only if one falls back.
+            registration = (query, None, query_digest(query), peer_terms, flagged)
+        else:
+            by_digest = {
+                node_id for node_id, batch in peer_terms.items() if registered.issuperset(batch)
+            }
+            registration = (
+                query, self.query_hash(query), query_digest(query), by_digest, flagged
+            )
+        views, failed = self._search(issuer_id, located, registration)
+        if flagged:
+            self._register_unresolved(issuer_id, peer_terms, views, registration)
+        return views, failed
 
     # A fetch is conditional.  The querying peer keeps the version of
     # every posting list it has been sent (``ChordNode.held_versions``, at
@@ -577,9 +625,11 @@ class IndexingProtocol:
 
     def _search(self, issuer_id, located, registration):
         """One SEARCH_TERM / POSTINGS pair per located peer; *registration*
-        is the ``(keyword tuple, query hash)`` the request leaves in each
-        addressed slot's cache, or ``None``.  The versions of delivered
-        replies become the issuer's held versions."""
+        is what the requests leave in each addressed slot's cache —
+        ``(keyword tuple, query hash, digest, the peers named the digest
+        alone, the terms whose slots could not resolve it)`` — or
+        ``None``.  The versions of delivered replies become the issuer's
+        held versions."""
         issuer = self.ring.nodes[issuer_id]
         held = issuer.held_versions
         if held is None:
@@ -605,30 +655,48 @@ class IndexingProtocol:
         for term in batch:
             if term in held:
                 versions += 1
-        keywords = len(registration[0]) if registration is not None else 0
+        keywords = digests = 0
+        if registration is not None:
+            if dst in registration[3]:
+                digests = 1
+            else:
+                keywords = len(registration[0])
         return message(
-            MessageKind.SEARCH_TERM, src, dst, len(batch), versions, keywords, hops=hops
+            MessageKind.SEARCH_TERM,
+            src,
+            dst,
+            len(batch),
+            versions,
+            keywords,
+            digests,
+            hops=hops,
         )
 
     def _serve_view(self, node, term, carried) -> SlotView:
-        """Cache the query the request registers, if any; answer, not
+        """Cache the query the request registers, if any — by its tuple,
+        or by the cached arrival its digest resolves to; answer, not
         modified if the request named the slot's version, else with the
         diff from the named version or the whole list."""
         registration, held = carried
+        unresolved = False
         if registration is None:
             slot = self._slot_at(node, term, create=False)
         else:
             slot = self._slot_at(node, term, create=True)
-            slot.cache.add(*registration)
+            if node.node_id not in registration[3]:
+                slot.cache.add(registration[0], registration[1], registration[2])
+            elif slot.cache.add_repeat(registration[2]) is None:
+                unresolved = True
+                registration[4].append(term)
         version = held.get(term)
-        view = SlotView(term, slot, version)
+        view = SlotView(term, slot, version, unresolved)
         if view.modified and slot is not None:
             view.diff = slot.ship(version)
         return view
 
     @staticmethod
     def _postings_reply(src, dst, views) -> Message:
-        shipped = 0
+        shipped = unresolved = 0
         for view in views:
             if view.modified:
                 diff = view.diff
@@ -636,7 +704,32 @@ class IndexingProtocol:
                     shipped += view.indexed_df
                 else:
                     shipped += len(diff[0]) + len(diff[1])
-        return message(MessageKind.POSTINGS, src, dst, shipped, len(views))
+            if view.unresolved:
+                unresolved += 1
+        return message(MessageKind.POSTINGS, src, dst, shipped, len(views), unresolved)
+
+    def _register_unresolved(self, issuer_id, peer_terms, views, registration) -> None:
+        """The fallback of a registration by digest: one REGISTER carrying
+        the tuple to each peer whose delivered reply flagged a slot, sent
+        to the address the search reached (no lookup), request-only.  The
+        peer that takes it registers the tuple in the flagged slots; a
+        lost REGISTER leaves those terms answered and cached nowhere."""
+        terms, __, digest, __, flagged = registration
+        peer_of = {term: node_id for node_id, batch in peer_terms.items() for term in batch}
+        missed: Dict[int, List[str]] = {}
+        for term in flagged:
+            if term in views:  # the reply that flagged it was delivered
+                missed.setdefault(peer_of[term], []).append(term)
+        taken_at, __ = self._exchange(
+            issuer_id, (missed, dict.fromkeys(missed, 1), []), terms, self._register_request
+        )
+        qhash = self.query_hash(terms)
+        for term, node in taken_at.items():
+            self._slot_at(node, term, create=True).cache.add(terms, qhash, digest)
+
+    @staticmethod
+    def _register_request(src, dst, batch, hops, terms) -> Message:
+        return message(MessageKind.REGISTER, src, dst, len(terms), hops=hops)
 
     # -- slot-version probes (querying peer → indexing peers) -----------------
 

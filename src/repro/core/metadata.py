@@ -8,7 +8,8 @@ Indexing-peer state, per term (stored as an opaque slot in the DHT):
   :mod:`repro.ir.postings` in RAM, :mod:`repro.store` on disk);
 * a bounded cache of the most recently issued queries mentioning the
   term (the learning fuel), each pre-hashed for the closest-hash
-  deduplication rule of Section 3.
+  deduplication rule of Section 3, and indexed by the digest a repeat
+  query is registered by (:func:`query_digest`).
 
 Owner-peer state, per term of a shared document:
 
@@ -37,6 +38,7 @@ from typing import (
     Tuple,
 )
 
+from ..dht.hashing import md5_hash
 from ..ir.postings import PostingRow, RamPostings
 from ..ir.ranking import RankedList
 
@@ -49,6 +51,19 @@ ScoringView = List[list]
 #: mutations old a querying peer's held version may be and still be
 #: answered with a diff (:meth:`TermSlot.ship`).
 SHIPPED_MUTATIONS = 8
+
+#: Width of the digest a querying peer names a repeat query by
+#: (:func:`query_digest`), in bits: 8 bytes on the wire.
+QUERY_DIGEST_BITS = 64
+
+
+def query_digest(terms: Sequence[str]) -> int:
+    """The digest of an *ordered* keyword tuple: a repeat query's
+    SEARCH_TERM carries it in place of the tuple, and the indexing peer
+    resolves it against its query caches (:meth:`QueryCache.add_repeat`).
+    Unlike the query hash it is not sorted: the cache must register the
+    very tuple the querying peer issued."""
+    return md5_hash("\x1f".join(terms), QUERY_DIGEST_BITS)
 
 
 @dataclass(frozen=True)
@@ -88,6 +103,10 @@ class CachedQuery(NamedTuple):
     sequence: int
 
 
+# One CachedQuery is built per registered term visit: tuple.__new__ skips
+# the named tuple's Python-level constructor.
+_new_tuple = tuple.__new__
+
 # Process-global stamp sequence for query caches, the counterpart of the
 # posting-version sequence in repro.ir.postings: a cache draws a stamp
 # when it is created and on every arrival, so two caches report the same
@@ -105,6 +124,12 @@ class QueryCache:
     — defined over historical queries, repeats included — reflects query
     popularity under skewed streams ("w-zipf").  Capacity bounds the
     number of stored arrivals; the oldest are discarded first.
+
+    Beside the FIFO, an index ``digest → latest arrival`` of every tuple
+    cached (:func:`query_digest`), kept on arrival and on eviction: a
+    digest resolves while an arrival of its tuple is cached, and never
+    while two cached tuples share it.  It holds at most one entry per
+    distinct cached tuple.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -112,6 +137,7 @@ class QueryCache:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._entries: deque = deque()
+        self._index: Dict[int, Optional[CachedQuery]] = {}
         self._next_sequence = 0
         self._stamp = next(_CACHE_STAMPS)
 
@@ -131,18 +157,79 @@ class QueryCache:
             cache._entries.append(
                 CachedQuery(tuple(terms), int(query_hash), int(sequence))
             )
+        cache._reindex()
         cache._next_sequence = int(next_sequence)
         return cache
 
-    def add(self, terms: Tuple[str, ...], query_hash: int) -> CachedQuery:
-        """Record one issued query; evicts the oldest beyond capacity."""
-        entry = CachedQuery(terms, query_hash, self._next_sequence)
+    def add(
+        self, terms: Tuple[str, ...], query_hash: int, digest: Optional[int] = None
+    ) -> CachedQuery:
+        """Record one issued query; evicts the oldest beyond capacity.
+        *digest* is the tuple's :func:`query_digest` when the caller
+        already has it."""
+        if digest is None:
+            digest = query_digest(terms)
+        entry = _new_tuple(CachedQuery, (terms, query_hash, self._next_sequence))
         self._next_sequence += 1
         self._stamp = next(_CACHE_STAMPS)
-        self._entries.append(entry)
-        while len(self._entries) > self.capacity:
-            self._entries.popleft()
+        entries = self._entries
+        entries.append(entry)
+        index = self._index
+        known = index.get(digest, entry)
+        if known is entry or known is not None and known.terms == terms:
+            index[digest] = entry
+        else:
+            index[digest] = None  # two cached tuples share it
+        while len(entries) > self.capacity:
+            self._evicted(entries.popleft())
         return entry
+
+    def add_repeat(self, digest: int) -> Optional[CachedQuery]:
+        """Record one more arrival of the tuple *digest* names — exactly
+        what :meth:`add` of that tuple records — or nothing, returning
+        ``None``, when no cached tuple or more than one has the digest."""
+        index = self._index
+        known = index.get(digest)
+        if known is None:
+            return None
+        entry = _new_tuple(CachedQuery, (known.terms, known.query_hash, self._next_sequence))
+        self._next_sequence += 1
+        self._stamp = next(_CACHE_STAMPS)
+        entries = self._entries
+        entries.append(entry)
+        index[digest] = entry
+        while len(entries) > self.capacity:
+            self._evicted(entries.popleft())
+        return entry
+
+    @property
+    def digests(self) -> Mapping[int, Optional[CachedQuery]]:
+        """The digest index, for audits: each value is the latest cached
+        arrival of the digest's tuple, or ``None`` where two cached
+        tuples share the digest.  Callers must not mutate it."""
+        return self._index
+
+    def _evicted(self, entry: CachedQuery) -> None:
+        """Unindex an evicted arrival if it was its tuple's latest (the
+        FIFO keeps no older one); a shared digest re-reads the index
+        from what is left."""
+        digest = query_digest(entry.terms)
+        known = self._index[digest]
+        if known is entry:
+            del self._index[digest]
+        elif known is None:
+            self._reindex()
+
+    def _reindex(self) -> None:
+        index: Dict[int, Optional[CachedQuery]] = {}
+        for entry in self._entries:
+            digest = query_digest(entry.terms)
+            known = index.get(digest, entry)
+            if known is entry or known is not None and known.terms == entry.terms:
+                index[digest] = entry
+            else:
+                index[digest] = None
+        self._index = index
 
     def since(self, sequence: int) -> List[CachedQuery]:
         """All cached arrivals with sequence strictly greater than
@@ -169,12 +256,13 @@ class QueryCache:
         return iter(self._entries)
 
     def __deepcopy__(self, memo) -> "QueryCache":
-        """Structural clone: the entries are frozen, so a new deque over
-        the same :class:`CachedQuery` objects shares nothing mutable.
-        Keeps the stamp — the content is identical."""
+        """Structural clone: the entries are frozen, so a new deque and a
+        new digest index over the same :class:`CachedQuery` objects share
+        nothing mutable.  Keeps the stamp — the content is identical."""
         clone = object.__new__(type(self))
         clone.capacity = self.capacity
         clone._entries = deque(self._entries)
+        clone._index = dict(self._index)
         clone._next_sequence = self._next_sequence
         clone._stamp = self._stamp
         return clone

@@ -37,6 +37,8 @@ from .indexer import IndexingProtocol, SlotView
 #: execution scores again.
 HELD_RANKINGS = 256
 
+_NOTHING_REGISTERED: frozenset = frozenset()
+
 
 @dataclass
 class QueryExecution:
@@ -115,7 +117,10 @@ class QueryProcessor:
         IDF once per term, ``t_ik`` and ``sqrt(|D|)`` once per slot
         version (the view).  Slot versions come from one process-global
         counter, so equal versions are identical lists and the held
-        ranking is the one scoring would compute.  ``top_k=None`` and a
+        ranking is the one scoring would compute.  The held ranking also
+        keeps the terms whose peers answered a registering execution of
+        the query; a request to such peers alone names the query by
+        digest (:meth:`IndexingProtocol.fetch_slot_views`, *registered*).  ``top_k=None`` and a
         document-frequency override always score.
         ``candidate_documents`` is the number of distinct documents in
         the fetched lists, whether scored now or when the held ranking
@@ -164,8 +169,18 @@ class QueryProcessor:
                 return served, execution
 
         # -- fetch (and register, unless the result-cache round did) --------
+        register = cache and not use_rcache
+        held = key = entry = None
+        if top_k is not None and self.document_frequency_override is None:
+            issuer = protocol.ring.nodes[issuer_id]
+            held = issuer.held_rankings
+            if held is None:
+                held = issuer.held_rankings = {}
+            key = (tuple(query.terms), top_k, self.weighting.corpus_size)
+            entry = held.get(key)
+        registered = entry[3] if entry is not None else _NOTHING_REGISTERED
         fetched, failed = protocol.fetch_slot_views(
-            issuer_id, query.terms, register=cache and not use_rcache
+            issuer_id, query.terms, register=register, registered=registered
         )
         failed_set = set(failed)
 
@@ -183,24 +198,22 @@ class QueryProcessor:
             versions.append(view.version)
 
         # -- rank, unless this peer holds the ranking of these versions -----
-        if top_k is None or self.document_frequency_override is not None:
+        if held is None:
             ranked, candidates = self._rank(query.terms, fetched, failed_set, top_k)
         else:
-            issuer = protocol.ring.nodes[issuer_id]
-            held = issuer.held_rankings
-            if held is None:
-                held = issuer.held_rankings = {}
-            key = (tuple(query.terms), top_k, self.weighting.corpus_size)
             validity = tuple(versions)
-            entry = held.get(key)
+            if register and not registered.issuperset(fetched):
+                registered = registered.union(fetched)
             if entry is not None and entry[0] == validity:
-                __, ranked, candidates = entry
+                __, ranked, candidates, __ = entry
                 execution.ranking_reused = True
+                if registered is not entry[3]:
+                    held[key] = (validity, ranked, candidates, registered)
             else:
                 ranked, candidates = self._rank(query.terms, fetched, failed_set, top_k)
                 if len(held) >= HELD_RANKINGS and key not in held:
                     del held[next(iter(held))]
-                held[key] = (validity, ranked, candidates)
+                held[key] = (validity, ranked, candidates, registered)
         execution.candidate_documents = candidates
         execution.latency_ms = clock.now - started_ms
 

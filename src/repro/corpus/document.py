@@ -8,6 +8,7 @@ ordering used for initial index-term selection (paper Section 5.2).
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
@@ -81,9 +82,10 @@ class Document:
         Ties are broken alphabetically so selection is deterministic —
         important because both SPRITE's initial selection and the whole
         eSearch baseline are defined in terms of "top frequent terms".
+        Only the *k* kept are ordered, not every distinct term.
         """
-        ranked = sorted(self.term_freqs.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [t for t, __ in ranked[:k]]
+        ranked = heapq.nsmallest(k, self.term_freqs.items(), key=lambda kv: (-kv[1], kv[0]))
+        return [t for t, __ in ranked]
 
     def term_rank(self) -> Dict[str, int]:
         """Map each term to its frequency rank (0 = most frequent)."""

@@ -10,7 +10,7 @@ prints it; :data:`WIRE` is the same rows as a dict) — and
 :func:`message` is the only place a :class:`Message` is built, its size
 computed by :func:`wire_size` from the counts of what it carries.  Sizes
 are abstract bytes: a term ≈ 8, a posting entry ≈ 24 (doc id, owner
-address, TF, length), a header ≈ 16.
+address, TF, length), a header ≈ 16, a query digest 8.
 
 A message is built once per send, so its shape is a named tuple, and a
 kind carries its :attr:`~MessageKind.ordinal` so that
@@ -33,6 +33,8 @@ ADDRESS_BYTES = 6
 RESULT_ENTRY_BYTES = 16
 VERSION_BYTES = 8
 CHECKSUM_BYTES = 16
+DIGEST_BYTES = 8
+FLAG_BYTES = 1
 
 
 class MessageKind(Enum):
@@ -78,15 +80,24 @@ class MessageKind(Enum):
 
     # querying peer → indexing peer: query terms this peer is responsible
     # for; slot versions the querying peer already holds for them; keywords
-    # of the query the request registers (none when it registers nothing)
+    # of the query the request registers (none when it registers nothing or
+    # names the query by digest); digests naming the registered query
     SEARCH_TERM = (
-        "search_term", "query", QUERY_HEADER_BYTES, (TERM_BYTES, VERSION_BYTES, TERM_BYTES)
+        "search_term",
+        "query",
+        QUERY_HEADER_BYTES,
+        (TERM_BYTES, VERSION_BYTES, TERM_BYTES, DIGEST_BYTES),
     )
     # indexing peer → querying peer: posting units of the slots whose
     # version differs from the one the request named (a whole list's
     # postings, or a diff's withdrawn ids and changed rows); slots answered
-    # (a version each)
-    POSTINGS = "postings", "query", QUERY_HEADER_BYTES, (POSTING_BYTES, VERSION_BYTES)
+    # (a version each); slots whose registration digest did not resolve
+    POSTINGS = (
+        "postings", "query", QUERY_HEADER_BYTES, (POSTING_BYTES, VERSION_BYTES, FLAG_BYTES)
+    )
+    # querying peer → indexing peer, after an unresolved digest: keywords
+    # of the query, registered in the slots the reply flagged
+    REGISTER = "register", "query", QUERY_HEADER_BYTES, (TERM_BYTES,)
     # querying peer → indexing peer: bytes of the candidate Bloom filter
     BLOOM_FILTER = "bloom_filter", "query", QUERY_HEADER_BYTES, (1,)
     # querying peer → result home: cached result?

@@ -40,8 +40,9 @@ class ChordNode:
     #: again.
     held_versions: Optional[Dict[str, int]] = None
     #: And what this peer last ranked from those lists: ``(keyword tuple,
-    #: top_k, N) → (slot versions, ranking, candidate count)``, so that a
-    #: repeated query over unchanged lists is not scored again.
+    #: top_k, N) → (slot versions, ranking, candidate count, terms
+    #: registered)``, so that a repeated query over unchanged lists is not
+    #: scored again, and is named by digest where it registered before.
     held_rankings: Optional[Dict[Tuple, Tuple]] = None
 
     def __init__(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from math import sqrt
 from typing import Dict, List, Tuple
 
-from ..core.metadata import SHIPPED_MUTATIONS, TermSlot
+from ..core.metadata import SHIPPED_MUTATIONS, QueryCache, TermSlot, query_digest
 from ..core.system import SpriteSystem
 from ..ir.ranking import RankedList
 
@@ -79,6 +79,28 @@ class InvariantReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def _digest_index_fault(cache: QueryCache) -> str:
+    """What is wrong with *cache*'s digest index, or ``""``: it must hold
+    at most one digest per cached arrival, map each digest to the latest
+    cached arrival of the one cached tuple that has it, and mark every
+    digest two cached tuples share."""
+    index = cache.digests
+    if len(index) > len(cache):
+        return f"of {len(index)} digests over {len(cache)} arrivals"
+    latest: Dict[int, Dict[tuple, object]] = {}
+    for entry in cache:
+        latest.setdefault(query_digest(entry.terms), {})[entry.terms] = entry
+    for digest, tuples in latest.items():
+        resolved = index.get(digest)
+        if len(tuples) > 1 and resolved is not None:
+            return f"resolves {digest}, which {len(tuples)} cached tuples share"
+        if len(tuples) == 1 and resolved is not next(iter(tuples.values())):
+            return f"resolves {digest} to {resolved}, not the latest arrival of its tuple"
+    if index.keys() != latest.keys():
+        return f"names {len(index.keys() - latest.keys())} digests no cached tuple has"
+    return ""
 
 
 class InvariantChecker:
@@ -174,10 +196,12 @@ class InvariantChecker:
                     )
 
     def _check_query_cache_bounds(self, report: InvariantReport) -> None:
-        """Every slot's query cache within its capacity; its mutation
-        record at most SHIPPED_MUTATIONS entries with rising versions
-        below the slot's own, and absent from every replica (a clone no
-        querying peer has been shipped from)."""
+        """Every slot's query cache within its capacity, and its digest
+        index no larger than the cache, each digest naming the latest
+        cached arrival of its tuple (or, if two cached tuples share it,
+        nothing); its mutation record at most SHIPPED_MUTATIONS entries
+        with rising versions below the slot's own, and absent from every
+        replica (a clone no querying peer has been shipped from)."""
         ring = self.system.ring
         for node_id in ring.live_ids:
             node = ring.node(node_id)
@@ -190,6 +214,13 @@ class InvariantChecker:
                         "query_cache_bounds",
                         f"slot {slot.term!r} at {node_id}: cache "
                         f"{len(slot.cache)} > capacity {slot.cache.capacity}",
+                    )
+                fault = _digest_index_fault(slot.cache)
+                if fault:
+                    self._fail(
+                        report,
+                        "query_cache_bounds",
+                        f"slot {slot.term!r} at {node_id}: digest index {fault}",
                     )
                 mutations = slot.mutations or ()
                 versions = [m[0] for m in mutations if m[0] is not None]

@@ -29,9 +29,9 @@ compares either or both of
     every test-query ranking, documents and score bits;
 ``fingerprint``
     :func:`write_state_fingerprint` after the flow — every slot's
-    postings, aggregates and query-cache cursor, the global order in
-    which slot versions were assigned, and every owner's index terms,
-    poll cursors and learner statistics.
+    postings, aggregates, query-cache cursor and cached queries, the
+    global order in which slot versions were assigned, and every
+    owner's index terms, poll cursors and learner statistics.
 
 Adding a comparison is one :class:`OracleRow` entry; a tier-1 test
 fails when a result-neutral switch has no row.  (A reference
@@ -68,12 +68,16 @@ from .engine import Delta, micro_configs
 def write_state_fingerprint(system: SpriteSystem) -> Dict[str, object]:
     """Everything the write path can influence, as a comparable value.
 
-    Three parts:
+    Four parts:
 
     ``slots``
         Per (indexing peer, term): the postings in publish order, the
         indexed document frequency, and the query cache's latest
         sequence number.
+    ``caches``
+        Per (indexing peer, term): the query cache's entries ``(keyword
+        tuple, query hash, sequence)``, oldest first — what learning
+        polls, so a query registered under the wrong tuple shows here.
     ``version_rank``
         The slot keys sorted by slot version.  Versions come from one
         process-global counter, so their *absolute* values differ
@@ -86,6 +90,7 @@ def write_state_fingerprint(system: SpriteSystem) -> Dict[str, object]:
         statistics, and its current rank list.
     """
     slots: Dict[Tuple[int, str], object] = {}
+    caches: Dict[Tuple[int, str], tuple] = {}
     versions: List[Tuple[int, Tuple[int, str]]] = []
     for node in system.ring.nodes.values():
         for value in node.store.values():
@@ -97,6 +102,7 @@ def write_state_fingerprint(system: SpriteSystem) -> Dict[str, object]:
                 value.indexed_document_frequency,
                 value.cache.latest_sequence,
             )
+            caches[key] = tuple(value.cache)
             versions.append((value.version, key))
     versions.sort()
     owners: Dict[Tuple[int, str], object] = {}
@@ -116,6 +122,7 @@ def write_state_fingerprint(system: SpriteSystem) -> Dict[str, object]:
             )
     return {
         "slots": slots,
+        "caches": caches,
         "version_rank": tuple(key for __, key in versions),
         "owners": owners,
     }
@@ -278,7 +285,7 @@ class DifferentialOracle:
         if "fingerprint" in row.equal:
             before = write_state_fingerprint(base)
             after = write_state_fingerprint(varied)
-            for part in ("slots", "version_rank", "owners"):
+            for part in ("slots", "caches", "version_rank", "owners"):
                 if before[part] != after[part]:
                     report.mismatches.append(
                         RankingMismatch(

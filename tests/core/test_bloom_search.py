@@ -118,13 +118,13 @@ class TestCompression:
         delta = ring.stats.delta_since(before)
         search, filters = delta[MessageKind.SEARCH_TERM], delta[MessageKind.BLOOM_FILTER]
         assert (search.messages, search.bytes) == (
-            3, 3 * wire_size(MessageKind.SEARCH_TERM, 1, 0, 0)
+            3, 3 * wire_size(MessageKind.SEARCH_TERM, 1, 0, 0, 0)
         )
         assert filters.messages == 2
-        final_hop = wire_size(MessageKind.POSTINGS, 3 * execution.candidates_after_chain, 3)
+        final_hop = wire_size(MessageKind.POSTINGS, 3 * execution.candidates_after_chain, 3, 0)
         assert execution.bytes_shipped == filters.bytes + final_hop
         assert execution.naive_bytes == sum(
-            wire_size(MessageKind.POSTINGS, n, 1) for n in (100, 110, 205)
+            wire_size(MessageKind.POSTINGS, n, 1, 0) for n in (100, 110, 205)
         )
         assert execution.naive_bytes == delta[MessageKind.POSTINGS].bytes
 

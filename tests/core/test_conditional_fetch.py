@@ -167,7 +167,7 @@ class TestWhatAHeldVersionMeans:
         # Still named the version before d2, so the answer is the diff
         # from it: d2 alone.
         assert ring.stats.kind(MessageKind.POSTINGS).bytes - replies == wire_size(
-            MessageKind.POSTINGS, 1, 1
+            MessageKind.POSTINGS, 1, 1, 0
         )
         assert held[term] == protocol.slot_snapshot(term).version != before
 
@@ -215,12 +215,12 @@ class TestTheHeldMapIsBoundedAndDiesWithItsPeer:
         # kw2 (three postings) was evicted: sent again in full, same answer.
         result = []
         assert reply_bytes(ring, lambda: result.append(protocol.fetch_postings(issuer, "kw2"))) == (
-            wire_size(MessageKind.POSTINGS, 3, 1)
+            wire_size(MessageKind.POSTINGS, 3, 1, 0)
         )
         assert result == [first["kw2"]]
         # kw5 is still held: its version alone.
         assert reply_bytes(ring, lambda: result.append(protocol.fetch_postings(issuer, "kw5"))) == (
-            wire_size(MessageKind.POSTINGS, 0, 1)
+            wire_size(MessageKind.POSTINGS, 0, 1, 0)
         )
         assert result[1] == first["kw5"]
         assert len(held) == 3
@@ -234,14 +234,14 @@ class TestTheHeldMapIsBoundedAndDiesWithItsPeer:
         )
         protocol.fetch_postings(issuer, "kw4")
         assert reply_bytes(ring, lambda: protocol.fetch_postings(issuer, "kw4")) == (
-            wire_size(MessageKind.POSTINGS, 0, 1)
+            wire_size(MessageKind.POSTINGS, 0, 1, 0)
         )
         ring.fail(issuer)
         ring.stabilize()
         ring.join(node_id=issuer)
         assert ring.nodes[issuer].held_versions is None
         assert reply_bytes(ring, lambda: protocol.fetch_postings(issuer, "kw4")) == (
-            wire_size(MessageKind.POSTINGS, 5, 1)
+            wire_size(MessageKind.POSTINGS, 5, 1, 0)
         )
 
     def test_registering_alone_holds_nothing(self) -> None:

@@ -196,7 +196,7 @@ class TestFusedEqualsReference:
         before_f, before_u = ring_f.stats.snapshot(), ring_u.stats.snapshot()
         located = count_located(ring_f)
         # The fused request carries the keyword tuple it registers.
-        __, __, keyword_bytes = MessageKind.SEARCH_TERM.unit_bytes
+        __, __, keyword_bytes, __ = MessageKind.SEARCH_TERM.unit_bytes
         tuple_bytes = 0
         for i, query in enumerate(query_stream()):
             issuer = issuer_of(ring_f, i)

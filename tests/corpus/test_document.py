@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpus import Document
 
@@ -57,6 +61,18 @@ class TestTopTerms:
     def test_alphabetical_tie_break(self) -> None:
         d = Document(doc_id="t", text="zebra apple zebra apple")
         assert d.top_terms(2) == ["appl", "zebra"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        freqs=st.dictionaries(
+            st.text("abcde", min_size=1, max_size=3), st.integers(1, 4), max_size=30
+        ),
+        k=st.integers(0, 40),
+    )
+    def test_the_heap_keeps_what_the_full_sort_keeps(self, freqs, k) -> None:
+        d = Document(doc_id="p", text="", _term_freqs=Counter(freqs))
+        ranked = sorted(freqs.items(), key=lambda kv: (-kv[1], kv[0]))
+        assert d.top_terms(k) == [t for t, __ in ranked[:k]]
 
     def test_term_rank(self, doc: Document) -> None:
         ranks = doc.term_rank()

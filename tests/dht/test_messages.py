@@ -54,7 +54,7 @@ class TestMessage:
         the size and hops itself: what it returns is a ``Message`` equal
         to the directly built one, just as immutable, and a negative
         size or hop count is still a ``ValueError``."""
-        built = message(K.POSTINGS, 1, 2, 3, 1, hops=2)
+        built = message(K.POSTINGS, 1, 2, 3, 1, 0, hops=2)
         assert type(built) is Message
         assert built == Message(K.POSTINGS, 1, 2, 16 + 3 * 24 + 8, 2)
         with pytest.raises(AttributeError):
@@ -62,7 +62,7 @@ class TestMessage:
         with pytest.raises(ValueError):
             message(K.LOOKUP, 1, 2, hops=-1)
         with pytest.raises(ValueError):
-            message(K.POSTINGS, 1, 2, -1, 0)  # 16 - 24 bytes
+            message(K.POSTINGS, 1, 2, -1, 0, 0)  # 16 - 24 bytes
 
     def test_every_kind_has_a_distinct_ordinal(self) -> None:
         """``NetworkStats`` indexes its rows by it."""
@@ -79,24 +79,24 @@ class TestFactories:
         assert msg.hops == 3
 
     def test_search_size(self) -> None:
-        msg = message(K.SEARCH_TERM, 1, 2, 1, 0, 0, hops=4)
+        msg = message(K.SEARCH_TERM, 1, 2, 1, 0, 0, 0, hops=4)
         assert msg.kind is MessageKind.SEARCH_TERM
         assert msg.size_bytes == TERM_BYTES + QUERY_HEADER_BYTES
         # A held version and the registered keyword tuple are priced too.
-        assert message(K.SEARCH_TERM, 1, 2, 2, 1, 3).size_bytes == (
+        assert message(K.SEARCH_TERM, 1, 2, 2, 1, 3, 0).size_bytes == (
             QUERY_HEADER_BYTES + 2 * TERM_BYTES + VERSION_BYTES + 3 * TERM_BYTES
         )
 
     def test_postings_scales_with_entries(self) -> None:
-        small = message(K.POSTINGS, 1, 2, 1, 1)
-        large = message(K.POSTINGS, 1, 2, 100, 1)
+        small = message(K.POSTINGS, 1, 2, 1, 1, 0)
+        large = message(K.POSTINGS, 1, 2, 100, 1, 0)
         assert large.size_bytes - small.size_bytes == 99 * POSTING_BYTES
         assert small.hops == 1  # a reply over a known address
         # A slot answered as not modified costs its version alone.
-        assert wire_size(K.POSTINGS, 1, 2) - wire_size(K.POSTINGS, 1, 1) == VERSION_BYTES
+        assert wire_size(K.POSTINGS, 1, 2, 0) - wire_size(K.POSTINGS, 1, 1, 0) == VERSION_BYTES
 
     def test_empty_postings_header_only(self) -> None:
-        assert wire_size(K.POSTINGS, 0, 0) == QUERY_HEADER_BYTES
+        assert wire_size(K.POSTINGS, 0, 0, 0) == QUERY_HEADER_BYTES
 
     def test_query_batch_scales(self) -> None:
         assert wire_size(K.QUERY_BATCH, 10, 40) > wire_size(K.QUERY_BATCH, 0, 0)
@@ -149,8 +149,8 @@ class TestSizeConstants:
 
     def test_factory_sizes_compose_from_constants(self) -> None:
         assert wire_size(K.PUBLISH_TERM) == TERM_BYTES + POSTING_BYTES
-        assert wire_size(K.SEARCH_TERM, 1, 0, 0) == TERM_BYTES + QUERY_HEADER_BYTES
-        assert wire_size(K.POSTINGS, 5, 1) == (
+        assert wire_size(K.SEARCH_TERM, 1, 0, 0, 0) == TERM_BYTES + QUERY_HEADER_BYTES
+        assert wire_size(K.POSTINGS, 5, 1, 0) == (
             QUERY_HEADER_BYTES + 5 * POSTING_BYTES + VERSION_BYTES
         )
         assert wire_size(K.POLL_QUERIES) == QUERY_HEADER_BYTES + TERM_BYTES + VERSION_BYTES
@@ -284,14 +284,14 @@ class TestBatchFactories:
 GOLDEN = [
     (K.PUBLISH_TERM, (), 32),
     (K.UNPUBLISH_TERM, (), 24),
-    (K.SEARCH_TERM, (0, 0, 0), 16),
-    (K.SEARCH_TERM, (1, 0, 0), 24),     # one term, nothing held or registered
-    (K.SEARCH_TERM, (1, 1, 1), 40),     # one-keyword query, its version held
-    (K.SEARCH_TERM, (2, 2, 3), 72),
-    (K.POSTINGS, (0, 0), 16),
-    (K.POSTINGS, (0, 3), 40),           # three slots, none modified
-    (K.POSTINGS, (19, 3), 496),
-    (K.POSTINGS, (999, 3), 24016),
+    (K.SEARCH_TERM, (0, 0, 0, 0), 16),
+    (K.SEARCH_TERM, (1, 0, 0, 0), 24),     # one term, nothing held or registered
+    (K.SEARCH_TERM, (1, 1, 1, 0), 40),     # one-keyword query, its version held
+    (K.SEARCH_TERM, (2, 2, 3, 0), 72),
+    (K.POSTINGS, (0, 0, 0), 16),
+    (K.POSTINGS, (0, 3, 0), 40),           # three slots, none modified
+    (K.POSTINGS, (19, 3, 0), 496),
+    (K.POSTINGS, (999, 3, 0), 24016),
     (K.QUERY_BATCH, (0, 0), 16),
     (K.QUERY_BATCH, (1, 3), 56),
     (K.QUERY_BATCH, (2, 6), 96),
@@ -351,6 +351,15 @@ GOLDEN = [
     (K.BLOOM_FILTER, (1,), 17),         # core/bloom_search.py, as SEARCH_TERM
     (K.BLOOM_FILTER, (120,), 136),
     (K.BLOOM_FILTER, (4096,), 4112),
+    # A repeat query's registration by digest: SEARCH_TERM counts digests
+    # (8 bytes each) after the keywords, POSTINGS the slots that could not
+    # resolve one (a flag byte each), and REGISTER, the fallback, carries
+    # the keywords.
+    (K.SEARCH_TERM, (1, 1, 0, 1), 40),  # one term, its version held, by digest
+    (K.SEARCH_TERM, (2, 2, 0, 1), 56),
+    (K.POSTINGS, (0, 3, 1), 41),
+    (K.REGISTER, (1,), 24),
+    (K.REGISTER, (5,), 56),
 ]
 
 
@@ -366,10 +375,16 @@ class TestGoldenSizes:
         assert wire_size(kind, *counts) == size
         assert message(kind, 1, 2, *counts).size_bytes == size
 
+    def test_a_digest_saves_all_but_one_keyword(self) -> None:
+        for keywords in (1, 2, 5, 12):
+            assert wire_size(K.SEARCH_TERM, 2, 1, keywords, 0) - wire_size(
+                K.SEARCH_TERM, 2, 1, 0, 1
+            ) == 8 * (keywords - 1)
+
     def test_the_read_pair_extends_the_unconditional_price(self) -> None:
         """A request that holds and registers nothing costs what the
         unconditional one did; a reply adds one version per slot."""
         for n in (0, 1, 3, 7, 1000):
-            assert wire_size(K.SEARCH_TERM, n, 0, 0) == 16 + 8 * n
-            assert wire_size(K.POSTINGS, n, 0) == 16 + 24 * n
-            assert wire_size(K.POSTINGS, n, 2) == 16 + 24 * n + 16
+            assert wire_size(K.SEARCH_TERM, n, 0, 0, 0) == 16 + 8 * n
+            assert wire_size(K.POSTINGS, n, 0, 0) == 16 + 24 * n
+            assert wire_size(K.POSTINGS, n, 2, 0) == 16 + 24 * n + 16

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.metadata import SHIPPED_MUTATIONS, PostingEntry, QueryCache, TermSlot
+from repro.core.metadata import (
+    SHIPPED_MUTATIONS,
+    PostingEntry,
+    QueryCache,
+    TermSlot,
+    query_digest,
+)
 from repro.sim import SimEvent, build_simulation, scenario
 
 
@@ -79,6 +85,39 @@ class TestQueryCacheBounds:
         slot.cache.capacity = 1  # model an eviction bug: entries exceed bound
         report = engine.checker.check(quiescent=False)
         assert violated(report, "query_cache_bounds")
+
+    @staticmethod
+    def cached_slot(engine) -> TermSlot:
+        ring = engine.system.ring
+        slot = next(
+            s
+            for nid in ring.live_ids
+            for s in ring.node(nid).store.values()
+            if isinstance(s, TermSlot)
+        )
+        slot.cache = QueryCache(capacity=10)
+        for i in range(3):
+            slot.cache.add((f"t{i}", slot.term), query_hash=i)
+        return slot
+
+    def test_a_maintained_digest_index_passes(self, engine) -> None:
+        self.cached_slot(engine)
+        assert not violated(engine.checker.check(quiescent=False), "query_cache_bounds")
+
+    def test_detects_a_digest_left_behind_by_an_eviction(self, engine) -> None:
+        slot = self.cached_slot(engine)
+        stale = slot.cache.digests.get(query_digest(("t0", slot.term)))
+        slot.cache._entries.popleft()  # an eviction that skipped the index
+        assert slot.cache.digests.get(query_digest(("t0", slot.term))) is stale
+        assert violated(engine.checker.check(quiescent=False), "query_cache_bounds")
+
+    def test_detects_a_digest_resolving_to_an_older_arrival(self, engine) -> None:
+        slot = self.cached_slot(engine)
+        terms = ("t1", slot.term)
+        older = slot.cache.digests.get(query_digest(terms))
+        slot.cache.add(terms, query_hash=1)
+        slot.cache._index[query_digest(terms)] = older
+        assert violated(engine.checker.check(quiescent=False), "query_cache_bounds")
 
     @staticmethod
     def shipped_and_mutated(engine) -> TermSlot:

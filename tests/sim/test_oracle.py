@@ -148,6 +148,23 @@ class TestIngestPaths:
         assert fingerprint["owners"], "expected owner-side shared state"
         assert len(fingerprint["version_rank"]) == len(fingerprint["slots"])
 
+    def test_fingerprint_sees_which_queries_each_cache_holds(self, micro_oracle) -> None:
+        system = micro_oracle.build()
+        system.bulk_share()
+        system.register_queries(micro_oracle.train[:3])
+        fingerprint = write_state_fingerprint(system)
+        cached = {entry.terms for entries in fingerprint["caches"].values() for entry in entries}
+        assert cached == {q.terms for q in micro_oracle.train[:3]}
+        # The same cursors with another tuple behind one of them differ.
+        slot = next(
+            slot for node in system.ring.nodes.values() for slot in node.store.values()
+            if len(slot.cache)
+        )
+        entry = next(iter(slot.cache))
+        slot.cache._entries[0] = entry._replace(terms=entry.terms + ("other",))
+        assert write_state_fingerprint(system)["slots"] == fingerprint["slots"]
+        assert write_state_fingerprint(system) != fingerprint
+
 
 class TestCentralizedBaseline:
     def test_full_index_matches_centralized_tfidf(self, micro_oracle) -> None:

@@ -109,6 +109,7 @@ class TestRoundTripProperty:
                     SimpleNamespace(ring=rebuilt_ring, owners={})
                 )
                 assert restored["slots"] == original["slots"]
+                assert restored["caches"] == original["caches"]
                 assert restored["version_rank"] == original["version_rank"]
             finally:
                 rebuilt_runtime.close()

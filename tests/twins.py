@@ -30,7 +30,15 @@ from dataclasses import replace
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.core.system import SpriteSystem
-from repro.dht.messages import POSTING_BYTES, TERM_BYTES, VERSION_BYTES, MessageKind, wire_size
+from repro.dht.messages import (
+    DIGEST_BYTES,
+    FLAG_BYTES,
+    POSTING_BYTES,
+    TERM_BYTES,
+    VERSION_BYTES,
+    MessageKind,
+    wire_size,
+)
 from repro.exceptions import NodeFailedError
 from repro.net.faults import FaultInjector
 from repro.net.trace import DROPPED
@@ -99,6 +107,24 @@ def ship_whole_lists(system: SpriteSystem) -> SpriteSystem:
     return system
 
 
+def send_tuple(system: SpriteSystem) -> SpriteSystem:
+    """Make *system* register every query by its keyword tuple: no
+    SEARCH_TERM names a query by digest."""
+    by_tuple(system.protocol)
+    return system
+
+
+def by_tuple(protocol):
+    """:func:`send_tuple` on an indexing protocol alone."""
+    fetch = protocol.fetch_slot_views
+
+    def tuple_only(issuer_id, terms, register=False, registered=frozenset()):
+        return fetch(issuer_id, terms, register)
+
+    protocol.fetch_slot_views = tuple_only
+    return protocol
+
+
 def forget_rankings(system: SpriteSystem) -> SpriteSystem:
     """Make *system* score every query: the querying peer's held
     rankings are forgotten before every execute."""
@@ -123,27 +149,32 @@ class Wire:
     withdrew a document: each diff, applied to that peer's copy, must
     give the slot's rows.  The exchange builds each message and sends it
     at once, so a send of the message built last settles its counts.
-    Polls: the hash list a peer-side §3 rule would have added to each
-    POLL_BATCH, and the QUERY_BATCH bytes of the queries the owner's
-    rule discarded."""
+    Registration: the keywords beyond the digest that each SEARCH_TERM
+    naming its query by digest left out, and the slots replies flagged as
+    unresolved.  Polls: the hash list a peer-side §3 rule would have
+    added to each POLL_BATCH, and the QUERY_BATCH bytes of the queries
+    the owner's rule discarded."""
 
     def __init__(self, protocol) -> None:
         self.versions = self.withheld = self.hash_bytes = self.duplicate_bytes = 0
         self.saved = self.withdrawing_diffs = 0
+        self.digests = self.keywords_named = self.flagged = 0
         self.not_modified: Counter = Counter()
         copies = {}
         ring = protocol.ring
         request, reply, send = protocol._search_request, protocol._postings_reply, ring.send
         poll_batch, keep_closest = protocol.poll_batch, protocol._keep_closest
-        built = [None, 0, ()]  # the message, versions it carries, views it answers
+        built = [None, 0, (), 0]  # the message, versions it carries, views it answers, keywords
 
         def counting_request(src, dst, batch, hops, carried):
-            __, held = carried
-            built[:] = request(src, dst, batch, hops, carried), sum(t in held for t in batch), ()
+            registration, held = carried
+            named = len(registration[0]) if registration is not None and dst in registration[3] else 0
+            versions = sum(t in held for t in batch)
+            built[:] = request(src, dst, batch, hops, carried), versions, (), named
             return built[0]
 
         def counting_reply(src, dst, views):
-            built[:] = reply(src, dst, views), 0, list(views)
+            built[:] = reply(src, dst, views), 0, list(views), 0
             return built[0]
 
         def counting_send(message):
@@ -151,7 +182,11 @@ class Wire:
             if message is not built[0]:
                 return
             self.versions += built[1]
+            if built[3]:
+                self.digests += 1
+                self.keywords_named += built[3]
             for view in built[2]:
+                self.flagged += view.unresolved
                 rows = list(view._slot.rows()) if view._slot is not None else []
                 key = message.dst, view.term
                 if not view.modified:
@@ -201,6 +236,19 @@ def read_delta(wire: Wire) -> Dict[MessageKind, int]:
     }
 
 
+def digest_delta(wire: Wire) -> Dict[MessageKind, int]:
+    """Registration by digest: SEARCH_TERM lighter by all but one
+    keyword's 8 bytes per request that named its query by digest,
+    POSTINGS heavier by a flag per slot that could not resolve one.
+    REGISTER may not differ, so no fallback may fire: it is a message the
+    twin does not send, and on the lossy transport it would shift every
+    later drop."""
+    return {
+        K.SEARCH_TERM: DIGEST_BYTES * wire.digests - TERM_BYTES * wire.keywords_named,
+        K.POSTINGS: FLAG_BYTES * wire.flagged,
+    }
+
+
 def diff_delta(wire: Wire) -> Dict[MessageKind, int]:
     """Diffs: POSTINGS lighter by a posting per unit a diff saved."""
     return {K.POSTINGS: -POSTING_BYTES * wire.saved}
@@ -240,9 +288,13 @@ ROWS = (
     Row("ship_whole_lists", ship_whole_lists, diff_delta,
         check=lambda w, reused, twin: w.saved > 0 and (
             w.withdrawing_diffs > 0 or isinstance(twin.ring.transport, LossyTransport))),
+    # Some request named its query by digest.
+    Row("send_tuple", send_tuple, digest_delta,
+        check=lambda w, reused, twin: w.digests > 0 or twin.config.result_cache_size),
     # With a result cache a repeat over unchanged lists is answered before
-    # anything is fetched: those cells check that the two compose.
-    Row("forget_rankings", forget_rankings, reuses=False,
+    # anything is fetched: those cells check that the two compose.  A twin
+    # that holds no ranking never names a query by digest.
+    Row("forget_rankings", forget_rankings, digest_delta, reuses=False,
         check=lambda w, reused, twin: reused > 0 or twin.config.result_cache_size),
     # The saving the placement buys: the hash lists outweigh the duplicates.
     Row("peer_side_dedup", install_peer_side_dedup, poll_delta,
