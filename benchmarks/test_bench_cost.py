@@ -68,14 +68,21 @@ class TestMaintenanceTraffic:
         self, benchmark, paper_env, record_result
     ) -> None:
         """One learning iteration's poll traffic: a POLL_BATCH and its
-        QUERY_BATCH reply per (document, distinct indexing peer) — at
-        least one pair per document, at most one per index term — and
-        a request that carries its (term, cursor) pairs and nothing
-        else: no field grows with the document's index-term count (the
-        §3 rule runs at the owner)."""
+        QUERY_BATCH reply per (owner, distinct indexing peer) — at least
+        one pair per owner, at most one per distinct (owner, term) pair —
+        and a request that carries one (term, cursor) pair per distinct
+        term of the owner and nothing else: a term several of its
+        documents index is polled once, and no field grows with a
+        document's index-term count (the §3 rule runs at the owner)."""
         system = build_trained_sprite(paper_env)
         stats = system.ring.stats
-        pairs = system.total_published_terms()  # each document polls all its terms
+        owners = [o for o in system.owners.values() if system.ring.is_live(o.node_id)]
+        # Each owner polls every distinct term its documents index.
+        pairs = sum(
+            len({t for state in owner.shared.values() for t in state.index_terms})
+            for owner in owners
+        )
+        polled_terms = system.total_published_terms()
         before = stats.snapshot()
         benchmark.pedantic(system.run_learning_iteration, rounds=1, iterations=1)
         delta = stats.delta_since(before)
@@ -88,13 +95,14 @@ class TestMaintenanceTraffic:
             MessageKind.POLL_BATCH.fixed_bytes * polls.messages
             + (TERM_BYTES + VERSION_BYTES) * pairs
         )
-        published_terms = system.total_published_terms()
-        assert len(paper_env.corpus) <= polls.messages <= published_terms
+        assert len(owners) <= polls.messages <= pairs
         lines = [
             "maintenance traffic, one learning iteration:",
             f"  documents:        {len(paper_env.corpus)}",
-            f"  published terms:  {published_terms}",
-            f"  pairs polled:     {pairs}",
+            f"  owners:           {len(owners)}",
+            f"  published terms:  {system.total_published_terms()}",
+            f"  terms polled:     {polled_terms}",
+            f"  (owner, term):    {pairs}",
             f"  poll batches:     {polls.messages}",
             f"  poll bytes:       {polls.bytes}",
             f"  batch replies:    {batches.messages}",

@@ -204,7 +204,12 @@ class IndexingProtocol:
         return node, result.hops
 
     def _locate(
-        self, start_id: int, terms: Sequence, absorb: bool, key_of=None
+        self,
+        start_id: int,
+        terms: Sequence,
+        absorb: bool,
+        key_of=None,
+        near: Sequence[int] = (),
     ) -> Located:
         """Destination-group a batch: resolve each distinct term's
         indexing peer (the peer of ``key_of(term)``, by default of the
@@ -218,12 +223,15 @@ class IndexingProtocol:
         absorption and lookup agree whenever the ring is stabilized.  A
         peer with an unset predecessor is never absorbed into (``owns``
         means "everything" there).  Only the first resolved id at-or-past
-        a key can own it, so the candidate is found by bisection.
+        a key can own it, so the candidate is found by bisection.  *near*
+        are peers the sender resolved earlier (a learning round's poll):
+        absorbing starts from them, and a request to one that no term
+        was looked up for is delivered directly, in one hop.
         """
         peer_terms: Dict[int, List[str]] = {}
         peer_hops: Dict[int, int] = {}
         failed: List[str] = []
-        resolved_sorted: List[int] = []  # stays empty unless absorbing
+        resolved_sorted: List[int] = sorted(near) if absorb else []  # empty unless absorbing
         key_of = key_of or self.term_hash
         for term in dict.fromkeys(terms):
             key = key_of(term)
@@ -245,10 +253,12 @@ class IndexingProtocol:
                     peer_hops[node_id] = hops + 1
             if node_id in peer_terms:
                 peer_terms[node_id].append(term)
-            else:
-                peer_terms[node_id] = [term]
-                if absorb:
-                    insort(resolved_sorted, node_id)
+                continue
+            peer_terms[node_id] = [term]
+            if node_id not in peer_hops:  # absorbed into a peer of *near*
+                peer_hops[node_id] = 1
+            elif absorb:
+                insort(resolved_sorted, node_id)
         return peer_terms, peer_hops, failed
 
     def _exchange(
@@ -385,17 +395,19 @@ class IndexingProtocol:
         owner_id: int,
         terms: List[str],
         kind: MessageKind,
+        near: Sequence[int],
     ) -> Tuple[Dict[str, ChordNode], Set[str]]:
         """The request-only exchange of :meth:`publish_batch` and
         :meth:`unpublish_batch`: group *terms* (one per item, repeats
-        included) by destination and send each peer one *kind* message
-        counting its items.  Returns
-        ``(term → the peer that took its batch, failed terms)``; a peer
-        that cannot be located or reached loses only its own terms.
+        included) by destination, absorbing into the peers *near* first,
+        and send each peer one *kind* message counting its items.
+        Returns ``(term → the peer that took its batch, failed terms)``;
+        a peer that cannot be located or reached loses only its own
+        terms.
         """
         taken_at, failed = self._exchange(
             owner_id,
-            self._locate(owner_id, terms, absorb=True),
+            self._locate(owner_id, terms, absorb=True, near=near),
             (kind, Counter(terms)),
             self._write_batch_request,
         )
@@ -410,11 +422,16 @@ class IndexingProtocol:
         return message(kind, src, dst, items, hops=hops)
 
     def publish_batch(
-        self, owner_id: int, postings: Sequence[Tuple[str, PostingEntry]]
+        self,
+        owner_id: int,
+        postings: Sequence[Tuple[str, PostingEntry]],
+        near: Sequence[int] = (),
     ) -> Tuple[Set[str], Set[str]]:
         """Publish many (term, posting) pairs destination-grouped: one
-        lookup per distinct indexing peer and one PUBLISH_BATCH message
-        carrying that peer's postings (DESIGN.md §11).
+        lookup per distinct indexing peer, none for a peer of *near*
+        (peers the owner resolved earlier in the same learning round),
+        and one PUBLISH_BATCH message carrying that peer's postings
+        (DESIGN.md §11).
 
         Postings are applied in *input order* (consecutive same-term
         runs go through :meth:`TermSlot.add_postings`), so slot versions
@@ -425,7 +442,7 @@ class IndexingProtocol:
         failed terms)``.
         """
         taken_at, failed_terms = self._open_write_batches(
-            owner_id, [term for term, __ in postings], MessageKind.PUBLISH_BATCH
+            owner_id, [term for term, __ in postings], MessageKind.PUBLISH_BATCH, near
         )
         published: Set[str] = set()
         for term, run in groupby(postings, key=itemgetter(0)):
@@ -437,19 +454,23 @@ class IndexingProtocol:
         return published, failed_terms
 
     def unpublish_batch(
-        self, owner_id: int, removals: Sequence[Tuple[str, str]]
+        self,
+        owner_id: int,
+        removals: Sequence[Tuple[str, str]],
+        near: Sequence[int] = (),
     ) -> Tuple[Set[str], Set[str]]:
         """Remove many (term, doc id) postings destination-grouped, the
         counterpart of :meth:`publish_batch`: one lookup per distinct
-        peer, one UNPUBLISH_BATCH message each, applied in input order
-        with the replica deletion-forwarding of :meth:`unpublish`.
+        peer not in *near*, one UNPUBLISH_BATCH message each, applied in
+        input order with the replica deletion-forwarding of
+        :meth:`unpublish`.
 
         Returns ``(terms whose posting existed and was removed, failed
         terms)`` — like :meth:`unpublish`, resolving to a peer that
         lacks the slot/posting is not a failure.
         """
         taken_at, failed_terms = self._open_write_batches(
-            owner_id, [term for term, __ in removals], MessageKind.UNPUBLISH_BATCH
+            owner_id, [term for term, __ in removals], MessageKind.UNPUBLISH_BATCH, near
         )
         removed: Set[str] = set()
         for term, doc_id in removals:
@@ -904,9 +925,9 @@ class IndexingProtocol:
     # -- learning poll (owner → indexing peer) ------------------------------------
     #
     # A poll carries cursors only.  The indexing peer answers every query
-    # cached since a term's cursor; the owner, which alone holds the
-    # document's index-term hashes, applies the Section 3 closest-hash
-    # rule to what was delivered (:meth:`_keep_closest`).
+    # cached since a term's cursor; the owner, which alone holds its
+    # documents' index-term hashes, applies the Section 3 closest-hash
+    # rule to what was delivered (:meth:`_keep_closest`), per document.
 
     def poll_term(
         self,
@@ -924,7 +945,8 @@ class IndexingProtocol:
         stops a multi-term query from being counted once per matching
         indexing peer.
 
-        Returns (new queries, latest sequence seen at the slot).
+        Returns (new queries, latest sequence seen at the slot, or
+        *since* without one).
         """
         node, hops = self._route(owner_id, self.term_hash(term))
         self.ring.send(
@@ -932,49 +954,76 @@ class IndexingProtocol:
         )
         answer = self._serve_poll(node, term, {term: since})
         self.ring.send(self._query_batch(node.node_id, owner_id, [answer]))
+        if answer[1] is None:
+            return [], since
         return self._keep_closest(term, answer, index_term_hashes)
 
     def poll_batch(
         self,
         owner_id: int,
-        term_cursors: Sequence[Tuple[str, int]],
-        index_term_hashes: Dict[str, int],
-    ) -> Tuple[Dict[str, Tuple[List[CachedQuery], int]], Set[str]]:
-        """Coalesced learning poll: every (term, cursor) pair an owner
-        holds, grouped by responsible indexing peer — one POLL_BATCH
-        request and one QUERY_BATCH reply per *peer*, the cursors and
-        the owner-side selection rule (:meth:`_keep_closest`) still per
-        term.
+        documents: Sequence[Dict[str, int]],
+    ) -> Tuple[Dict[Tuple[int, str], Tuple[List[CachedQuery], int]], Set[str], List[int]]:
+        """An owner's learning poll over several documents, each given
+        as its ``index term → cursor`` map: one POLL_BATCH request and
+        one QUERY_BATCH reply per responsible indexing peer.  A term
+        that several documents index is requested once, at the smallest
+        of their cursors, and the queries cached since then ship once;
+        at the owner each document keeps those past its own cursor and
+        applies the §3 rule with its own index-term hashes
+        (:meth:`_keep_closest`).
 
-        Returns ``(term → (new queries, latest sequence seen), failed
-        terms)``.  A term resolving to a peer without the slot reports
-        ``([], cursor)`` just like :meth:`poll_term`.
+        Returns ``((document index, term) → (the queries that document
+        keeps, latest sequence seen), failed terms, the peers located)``.
+        A term resolving to a peer without the slot reports ``([],
+        cursor)`` just like :meth:`poll_term`.
         """
-        cursor_of = dict(term_cursors)
+        cursor_of = self._lowest_cursors(documents)
+        located = self._locate(owner_id, cursor_of, absorb=True)
         delivered, failed = self._exchange(
             owner_id,
-            self._locate(owner_id, cursor_of, absorb=True),
+            located,
             cursor_of,
             self._poll_request,
             self._serve_poll,
             self._query_batch,
         )
-        results = {
-            term: self._keep_closest(term, answer, index_term_hashes)
-            for term, answer in delivered.items()
-        }
-        return results, set(failed)
+        term_hash, keep_closest = self.term_hash, self._keep_closest
+        results: Dict[Tuple[int, str], Tuple[List[CachedQuery], int]] = {}
+        for index, cursors in enumerate(documents):
+            hashes = {term: term_hash(term) for term in cursors}
+            for term, cursor in cursors.items():
+                answer = delivered.get(term)
+                if answer is None:
+                    continue
+                candidates, latest = answer
+                if latest is None:
+                    results[index, term] = [], cursor
+                    continue
+                if cursor != cursor_of[term]:
+                    answer = [c for c in candidates if c.sequence > cursor], latest
+                results[index, term] = keep_closest(term, answer, hashes)
+        return results, set(failed), list(located[0])
+
+    @staticmethod
+    def _lowest_cursors(documents: Sequence[Dict[str, int]]) -> Dict[str, int]:
+        """Each distinct term of *documents*, first-seen order, at the
+        smallest of its cursors: what a round's POLL_BATCH requests."""
+        cursor_of: Dict[str, int] = {}
+        for cursors in documents:
+            for term, cursor in cursors.items():
+                cursor_of[term] = min(cursor, cursor_of.get(term, cursor))
+        return cursor_of
 
     @staticmethod
     def _poll_request(src, dst, batch, hops, carried) -> Message:
         return message(MessageKind.POLL_BATCH, src, dst, len(batch), hops=hops)
 
-    def _serve_poll(self, node, term, cursor_of) -> Tuple[List[CachedQuery], int]:
+    def _serve_poll(self, node, term, cursor_of) -> Tuple[List[CachedQuery], Optional[int]]:
         """Every query cached at *term*'s slot since its cursor, and the
-        slot's latest sequence; ``([], cursor)`` without a slot."""
+        slot's latest sequence; ``([], None)`` without a slot."""
         slot = self._slot_at(node, term, create=False)
         if slot is None:
-            return [], cursor_of[term]
+            return [], None
         return slot.cache.since(cursor_of[term]), slot.cache.latest_sequence
 
     def _keep_closest(

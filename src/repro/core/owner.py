@@ -12,7 +12,11 @@ iteration fetches only the queries cached since the previous iteration.
 An owner speaks one wire protocol (DESIGN.md §11): whatever it
 publishes, withdraws or polls is grouped by responsible indexing peer,
 and each peer gets one lookup and one PUBLISH_BATCH / UNPUBLISH_BATCH /
-POLL_BATCH message.
+POLL_BATCH message.  A learning round covers all of the owner's
+documents at once (:meth:`OwnerPeer.learn_all`): one poll, Algorithm 1
+per document, then one withdrawal and one publication pass that reuse
+the peers the poll located — so a round costs a request per peer, not
+per (document, peer).
 """
 
 from __future__ import annotations
@@ -150,12 +154,12 @@ class OwnerPeer:
             doc_length=document.length,
         )
 
-    def _publish(self, plans: Sequence[Plan]) -> None:
+    def _publish(self, plans: Sequence[Plan], near: Sequence[int] = ()) -> None:
         """Publish each plan's not-yet-indexed terms — every share,
-        bulk share and learning diff ends here.  One destination-grouped
-        ``publish_batch`` carries all the plans; a term counts as
-        indexed (and gets a fresh poll cursor) only if its indexing peer
-        was reachable."""
+        bulk share and learning round ends here.  One destination-grouped
+        ``publish_batch`` carries all the plans, absorbing into the peers
+        *near* first; a term counts as indexed (and gets a fresh poll
+        cursor) only if its indexing peer was reachable."""
         fresh = [
             (state, [t for t in dict.fromkeys(terms) if t not in state.index_terms])
             for state, terms in plans
@@ -165,7 +169,7 @@ class OwnerPeer:
         ]
         if not postings:
             return
-        published, __ = self.protocol.publish_batch(self.node_id, postings)
+        published, __ = self.protocol.publish_batch(self.node_id, postings, near)
         for state, terms in fresh:
             for term in terms:
                 if term in published:
@@ -193,7 +197,7 @@ class OwnerPeer:
             return False
         return True
 
-    def _unpublish(self, plans: Sequence[Plan]) -> None:
+    def _unpublish(self, plans: Sequence[Plan], near: Sequence[int] = ()) -> None:
         """Withdraw each plan's currently indexed terms in one
         destination-grouped ``unpublish_batch`` — the counterpart of
         :meth:`_publish`.  The owner forgets a term whether or not its
@@ -205,7 +209,7 @@ class OwnerPeer:
         removals = [(t, state.document.doc_id) for state, terms in present for t in terms]
         if not removals:
             return
-        self.protocol.unpublish_batch(self.node_id, removals)
+        self.protocol.unpublish_batch(self.node_id, removals, near)
         for state, terms in present:
             for term in terms:
                 state.index_terms.remove(term)
@@ -214,69 +218,88 @@ class OwnerPeer:
     # -- learning ------------------------------------------------------------
 
     def poll_queries(self, doc_id: str) -> List[Tuple[str, ...]]:
-        """Poll every index term's peer for queries cached since the
-        last poll — one ``poll_batch`` round-trip per distinct peer,
-        carrying only the cursors.  ``poll_batch`` applies the §3
-        closest-hash rule to the replies with this document's index-term
-        hashes, so each query is counted at most once per poll."""
-        state = self._state(doc_id)
-        hashes = {t: self.protocol.term_hash(t) for t in state.index_terms}
-        results, __ = self.protocol.poll_batch(
-            self.node_id,
-            [(term, state.poll_cursors.get(term, -1)) for term in state.index_terms],
-            hashes,
-        )
-        # Queries are collected in index-term order, whatever order the
-        # peers answered in.
-        collected: List[Tuple[str, ...]] = []
-        for term in state.index_terms:
-            if term not in results:
-                continue  # unreachable peer: cursor untouched
-            fresh, latest = results[term]
-            state.poll_cursors[term] = latest
-            collected.extend(c.terms for c in fresh)
-        return collected
+        """What one document's learner observes in a learning round over
+        it alone: the queries cached at its index terms' peers since the
+        last poll, collected in index-term order (see :meth:`_poll`)."""
+        observed, __ = self._poll([self._state(doc_id)])
+        return observed[0]
 
-    def learn_document(self, doc_id: str, target_size: int | None = None) -> List[str]:
-        """One learning iteration for one document (Section 5.3).
+    def _poll(
+        self, states: Sequence[SharedDocument]
+    ) -> Tuple[List[List[Tuple[str, ...]]], List[int]]:
+        """A learning round's one poll: a single ``poll_batch`` carrying
+        the cursors of every document in *states* — one round-trip per
+        distinct indexing peer, a term several documents index polled
+        once.  ``poll_batch`` applies the §3 closest-hash rule to the
+        replies with each document's own index-term hashes, so a query
+        is counted at most once per document and poll.
 
-        Polls for the incremental query set, folds it into Algorithm 1's
-        statistics, grows the term budget by ``terms_per_iteration`` (up
-        to the cap — afterwards replacement only), and re-publishes the
-        index diff.  Returns the new index-term list.
+        Returns ``(per document, the queries its learner observes in
+        index-term order; the peers the poll located)``.  An unreachable
+        peer's terms keep their cursors.
         """
-        state = self._state(doc_id)
-        new_queries = self.poll_queries(doc_id)
-        state.learner.observe(new_queries)
-
-        if target_size is None:
-            target_size = min(
-                self.config.max_index_terms,
-                len(state.index_terms) + self.config.terms_per_iteration,
-            )
-        target_size = min(target_size, state.document.unique_terms)
-        target_size = max(target_size, 1)
-
-        new_terms = select_index_terms(
-            state.document,
-            state.index_terms,
-            state.learner.rank_list(),
-            target_size,
+        results, __, peers = self.protocol.poll_batch(
+            self.node_id,
+            [{t: state.poll_cursors.get(t, -1) for t in state.index_terms} for state in states],
         )
-        self._apply_term_set(state, new_terms)
-        state.learning_iterations_run += 1
-        return list(state.index_terms)
+        observed: List[List[Tuple[str, ...]]] = []
+        for index, state in enumerate(states):
+            collected: List[Tuple[str, ...]] = []
+            for term in state.index_terms:
+                answer = results.get((index, term))
+                if answer is None:
+                    continue  # unreachable peer: cursor untouched
+                fresh, latest = answer
+                state.poll_cursors[term] = latest
+                collected.extend(c.terms for c in fresh)
+            observed.append(collected)
+        return observed, peers
+
+    def learn_document(self, *doc_ids: str, target_size: int | None = None) -> List[List[str]]:
+        """One learning round (Section 5.3) over the documents *doc_ids*
+        — :meth:`learn_all` is the round over every shared document.
+
+        One poll for the whole round (:meth:`_poll`); per document,
+        Algorithm 1 folds in the queries it observed, the term budget
+        grows by ``terms_per_iteration`` (up to the cap — afterwards
+        replacement only) and the next term set is selected; then one
+        write pass withdraws the round's replaced terms in one
+        ``unpublish_batch`` and publishes its new ones in one
+        ``publish_batch``, both starting from the peers the poll located.
+        Returns each document's new index-term list, in *doc_ids* order.
+        """
+        if len(set(doc_ids)) != len(doc_ids):
+            raise LearningError("duplicate document id in a learning round")
+        states = [self._state(doc_id) for doc_id in doc_ids]
+        observed, peers = self._poll(states)
+        withdrawn: List[Plan] = []
+        added: List[Plan] = []
+        for state, queries in zip(states, observed):
+            state.learner.observe(queries)
+            size = target_size
+            if size is None:
+                size = min(
+                    self.config.max_index_terms,
+                    len(state.index_terms) + self.config.terms_per_iteration,
+                )
+            size = max(min(size, state.document.unique_terms), 1)
+            new_terms = select_index_terms(
+                state.document,
+                state.index_terms,
+                state.learner.rank_list(),
+                size,
+            )
+            current, desired = set(state.index_terms), set(new_terms)
+            withdrawn.append((state, [t for t in state.index_terms if t not in desired]))
+            added.append((state, [t for t in new_terms if t not in current]))
+            state.learning_iterations_run += 1
+        self._unpublish(withdrawn, peers)
+        self._publish(added, peers)
+        return [list(state.index_terms) for state in states]
 
     def learn_all(self, target_size: int | None = None) -> None:
-        """Run one learning iteration over every shared document."""
-        for doc_id in list(self.shared):
-            self.learn_document(doc_id, target_size)
-
-    def _apply_term_set(self, state: SharedDocument, new_terms: Sequence[str]) -> None:
-        current: Set[str] = set(state.index_terms)
-        desired: Set[str] = set(new_terms)
-        self._unpublish([(state, [t for t in state.index_terms if t not in desired])])
-        self._publish([(state, [t for t in new_terms if t not in current])])
+        """One learning round over every shared document."""
+        self.learn_document(*self.shared, target_size=target_size)
 
     # -- inspection --------------------------------------------------------------
 

@@ -340,6 +340,12 @@ def index_state(ring):
     }
 
 
+def _one_document(polled):
+    """A one-document ``poll_batch`` answer keyed by term alone."""
+    results, failed, __ = polled
+    return {term: answer for (__, term), answer in results.items()}, failed
+
+
 #: The batched exchanges: ``name → (request kind, reply kind or None for
 #: a request-only exchange, call(protocol, src, terms) → (answered,
 #: failed))``.  Every call addresses the same *terms*.
@@ -363,9 +369,7 @@ EXCHANGES = {
     "poll-batch": (
         MessageKind.POLL_BATCH,
         MessageKind.QUERY_BATCH,
-        lambda p, src, terms: p.poll_batch(
-            src, [(t, -1) for t in terms], {t: p.term_hash(t) for t in terms}
-        ),
+        lambda p, src, terms: _one_document(p.poll_batch(src, [dict.fromkeys(terms, -1)])),
     ),
     "publish-batch": (
         MessageKind.PUBLISH_BATCH,

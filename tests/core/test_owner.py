@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Dict, List, Tuple
+
 import pytest
 
 from repro.config import ChordConfig, SpriteConfig
@@ -9,7 +11,10 @@ from repro.core.indexer import IndexingProtocol
 from repro.core.owner import OwnerPeer
 from repro.corpus import Document
 from repro.dht import ChordRing
+from repro.dht.messages import TERM_BYTES, VERSION_BYTES, MessageKind
 from repro.exceptions import LearningError
+from repro.net.trace import DROPPED
+from repro.net.transport import DeliveryOutcome, DeliveryReceipt, LossyTransport, PerfectTransport
 
 
 @pytest.fixture()
@@ -22,16 +27,19 @@ def protocol(ring: ChordRing) -> IndexingProtocol:
     return IndexingProtocol(ring, query_cache_size=32)
 
 
+CONFIG = SpriteConfig(
+    initial_terms=2,
+    terms_per_iteration=2,
+    learning_iterations=2,
+    max_index_terms=4,
+    query_cache_size=32,
+    top_k_answers=5,
+)
+
+
 @pytest.fixture()
 def config() -> SpriteConfig:
-    return SpriteConfig(
-        initial_terms=2,
-        terms_per_iteration=2,
-        learning_iterations=2,
-        max_index_terms=4,
-        query_cache_size=32,
-        top_k_answers=5,
-    )
+    return CONFIG
 
 
 @pytest.fixture()
@@ -80,7 +88,7 @@ class TestLearning:
         # Repeated queries on (beta, gamma): terms in doc, not yet indexed.
         for __ in range(5):
             protocol.register_query(issuer, ("beta", "gamma"))
-        terms = owner.learn_document("d1")
+        [terms] = owner.learn_document("d1")
         assert len(terms) == 4
         assert "beta" in terms and "gamma" in terms
         # The new terms are actually published.
@@ -89,7 +97,7 @@ class TestLearning:
 
     def test_learning_without_queries_pads_by_frequency(self, owner: OwnerPeer) -> None:
         owner.share(DOC)
-        terms = owner.learn_document("d1")
+        [terms] = owner.learn_document("d1")
         # No evidence → padded with next most frequent doc terms.
         assert len(terms) == 4
         assert set(terms) >= {"zeta", "alpha"}
@@ -168,5 +176,188 @@ class TestLearning:
     def test_target_bounded_by_document_vocabulary(self, owner: OwnerPeer) -> None:
         tiny = Document("tiny", "rock sand")   # both stem-stable words
         owner.share(tiny)
-        terms = owner.learn_document("tiny", target_size=50)
+        [terms] = owner.learn_document("tiny", target_size=50)
         assert set(terms) == {"rock", "sand"}
+
+
+#: A second document of the owner: it shares "zeta" with DOC, and its
+#: other terms are its own.
+DOC2 = Document("d2", "zeta zeta zeta rock rock sand")
+
+
+def observing(owner: OwnerPeer) -> Dict[str, List[Tuple[str, ...]]]:
+    """Record what each shared document's learner observes next."""
+    seen: Dict[str, List[Tuple[str, ...]]] = {}
+    for doc_id, state in owner.shared.items():
+
+        def observe(queries, doc_id=doc_id, learner=state.learner):
+            seen[doc_id] = list(queries)
+            type(learner).observe(learner, queries)
+
+        state.learner.observe = observe
+    return seen
+
+
+class LosesReplies(LossyTransport):
+    """A lossy transport that loses nothing but the QUERY_BATCH replies
+    the peer ``victim`` sends."""
+
+    victim = None
+
+    def deliver(self, message, dst_alive: bool = True) -> DeliveryReceipt:
+        lost = message.kind is MessageKind.QUERY_BATCH and message.src == self.victim
+        self.faults.drop_probability = 1.0 if lost else 0.0
+        return super().deliver(message, dst_alive)
+
+
+class Unreachable(PerfectTransport):
+    """A perfect network on which every message to or from the peer
+    ``victim`` is lost (lookups route as before)."""
+
+    victim = None
+
+    def deliver(self, message, dst_alive: bool = True) -> DeliveryReceipt:
+        if self.victim in (message.src, message.dst):
+            return DeliveryReceipt(DeliveryOutcome.DROPPED, attempts=1, latency_ms=0.0)
+        return super().deliver(message, dst_alive)
+
+
+def stack(transport=None) -> Tuple[ChordRing, IndexingProtocol, OwnerPeer]:
+    """The fixtures' ring, protocol and owner, on *transport*."""
+    ring = ChordRing(ChordConfig(num_peers=16, id_bits=32, seed=29), transport=transport)
+    protocol = IndexingProtocol(ring, query_cache_size=32)
+    return ring, protocol, OwnerPeer(ring.live_ids[0], protocol, CONFIG)
+
+
+class TestLearningRound:
+    """One round per owner: one poll for all its documents, Algorithm 1
+    per document, one withdrawal and one publication pass."""
+
+    def test_a_shared_term_is_polled_once_and_each_learner_keeps_its_own_queries(
+        self, owner: OwnerPeer, protocol: IndexingProtocol, ring: ChordRing
+    ) -> None:
+        owner.share(DOC)  # zeta, alpha
+        owner.share(DOC2, first_terms=["zeta"])
+        issuer = ring.live_ids[2]
+        protocol.register_query(issuer, ("zeta", "rock"))
+        owner.poll_queries("d2")  # d2's zeta cursor moves to the latest arrival
+        protocol.register_query(issuer, ("zeta", "sand"))
+        cursors = {doc_id: owner.shared[doc_id].poll_cursors["zeta"] for doc_id in ("d1", "d2")}
+        assert cursors["d1"] == -1 < cursors["d2"]
+
+        seen = observing(owner)
+        before = ring.stats.snapshot()
+        owner.learn_all()
+        polls = ring.stats.delta_since(before)[MessageKind.POLL_BATCH]
+        # zeta and alpha, each requested once.
+        assert polls.bytes == (
+            MessageKind.POLL_BATCH.fixed_bytes * polls.messages + 2 * (TERM_BYTES + VERSION_BYTES)
+        )
+        zeta = protocol.slot_snapshot("zeta").cache
+        assert seen["d1"] == [c.terms for c in zeta.since(cursors["d1"])]
+        assert seen["d2"] == [c.terms for c in zeta.since(cursors["d2"])] == [("zeta", "sand")]
+        for doc_id in ("d1", "d2"):
+            assert owner.shared[doc_id].poll_cursors["zeta"] == zeta.latest_sequence
+
+    def test_a_lost_query_batch_leaves_every_cursor_of_its_peer(self) -> None:
+        transport = LosesReplies()
+        ring, protocol, owner = stack(transport)
+        owner.share(DOC)
+        owner.share(DOC2, first_terms=["zeta", "rock"])
+        for terms in (("zeta", "rock"), ("alpha",), ("rock",)):
+            protocol.register_query(ring.live_ids[2], terms)
+        transport.victim = ring.responsible_node(protocol.term_hash("zeta")).node_id
+        peer_of = {
+            term: ring.responsible_node(protocol.term_hash(term)).node_id
+            for term in ("zeta", "alpha", "rock")
+        }
+        assert len(set(peer_of.values())) > 1
+
+        owner.learn_all()
+        assert transport.trace.filtered(kind=MessageKind.QUERY_BATCH.value, outcome=DROPPED)
+        for state in owner.shared.values():
+            for term, cursor in state.poll_cursors.items():
+                if term not in peer_of:
+                    continue
+                lost = peer_of[term] == transport.victim
+                assert (cursor == -1) == lost, (state.document.doc_id, term)
+
+    def test_an_unreachable_peer_loses_only_its_own_terms(self) -> None:
+        transport = Unreachable()
+        ring, protocol, owner = stack(transport)
+        owner.share(DOC)
+        owner.share(DOC2, first_terms=["zeta", "rock"])
+        for terms in (("zeta", "rock"), ("alpha",), ("rock", "sand")):
+            for __ in range(3):
+                protocol.register_query(ring.live_ids[2], terms)
+        peer_of = lambda term: ring.responsible_node(protocol.term_hash(term)).node_id
+        transport.victim = peer_of("zeta")
+        assert transport.victim not in (owner.node_id, peer_of("alpha"))
+        indexed = {doc_id: list(state.index_terms) for doc_id, state in owner.shared.items()}
+
+        seen = observing(owner)
+        owner.learn_all()
+        assert ("alpha",) in seen["d1"]  # the reachable peers answered
+        for doc_id, state in owner.shared.items():
+            assert state.learning_iterations_run == 1
+            for term in state.index_terms:
+                if term in indexed[doc_id]:  # polled: only the victim's stay put
+                    assert (state.poll_cursors[term] == -1) == (peer_of(term) == transport.victim)
+                else:  # published: only where the peer took it
+                    assert peer_of(term) != transport.victim
+
+    def test_withdrawals_cost_no_lookup_on_a_stable_ring(
+        self, owner: OwnerPeer, protocol: IndexingProtocol, ring: ChordRing
+    ) -> None:
+        owner.share(DOC)  # zeta, alpha
+        owner.share(DOC2, first_terms=["zeta", "rock"])
+        issuer = ring.live_ids[2]
+        for __ in range(6):
+            protocol.register_query(issuer, ("alpha", "beta", "gamma"))
+            protocol.register_query(issuer, ("alpha", "delta", "epsilon"))
+            protocol.register_query(issuer, ("rock", "sand"))
+        unpublish_batch, withdrawals = protocol.unpublish_batch, []
+
+        def counting(owner_id, removals, near=()):
+            before = ring.stats.snapshot()
+            result = unpublish_batch(owner_id, removals, near)
+            withdrawals.append((removals, ring.stats.delta_since(before)))
+            return result
+
+        protocol.unpublish_batch = counting
+        owner.learn_all(target_size=4)
+        [(removals, delta)] = withdrawals
+        assert ("zeta", "d1") in removals  # frequent but never queried
+        assert delta[MessageKind.UNPUBLISH_BATCH].messages >= 1
+        assert MessageKind.LOOKUP not in delta
+
+    def test_learn_document_is_the_round_over_that_document_alone(self) -> None:
+        def run(shared):
+            ring, protocol, owner = stack()
+            for document in shared:
+                owner.share(document)
+            for terms in (("alpha", "beta"), ("zeta", "gamma"), ("rock", "sand")):
+                for __ in range(3):
+                    protocol.register_query(ring.live_ids[2], terms)
+            before = ring.stats.snapshot()
+            [terms] = owner.learn_document("d1")
+            state = owner.shared["d1"]
+            return (
+                terms,
+                dict(state.poll_cursors),
+                state.learning_iterations_run,
+                {t: (s.max_qscore, s.query_frequency) for t, s in state.learner.stats.items()},
+                ring.stats.delta_since(before),
+            ), owner
+
+        alone, __ = run([DOC])
+        beside, owner = run([DOC, Document("d2", "rock rock sand sand one")])
+        assert beside == alone
+        untouched = owner.shared["d2"]
+        assert untouched.learning_iterations_run == 0
+        assert set(untouched.poll_cursors.values()) == {-1}
+
+    def test_a_document_named_twice_is_rejected(self, owner: OwnerPeer) -> None:
+        owner.share(DOC)
+        with pytest.raises(LearningError):
+            owner.learn_document("d1", "d1")

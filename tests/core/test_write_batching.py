@@ -199,15 +199,13 @@ class TestPollBatch:
             protocol.register_query(issuer, terms)
         hashes = {t: protocol.term_hash(t) for t in index_terms}
 
-        batched, failed = protocol.poll_batch(
-            owner_id, [(t, -1) for t in index_terms], hashes
-        )
+        batched, failed, __ = protocol.poll_batch(owner_id, [dict.fromkeys(index_terms, -1)])
         assert failed == set()
-        assert set(batched) == set(index_terms)
+        assert set(batched) == {(0, t) for t in index_terms}
         total = 0
         for term in index_terms:
             singles, latest = protocol.poll_term(owner_id, term, hashes, -1)
-            assert batched[term] == (singles, latest)
+            assert batched[0, term] == (singles, latest)
             total += len(singles)
         # §3 closest-hash dedup: each registered query comes back from
         # exactly one of the index terms it contains.
@@ -217,7 +215,6 @@ class TestPollBatch:
         ring = make_ring()
         protocol = IndexingProtocol(ring, query_cache_size=32)
         owner_id = ring.live_ids[0]
-        hashes = {"ghost": protocol.term_hash("ghost")}
-        results, failed = protocol.poll_batch(owner_id, [("ghost", 7)], hashes)
+        results, failed, __ = protocol.poll_batch(owner_id, [{"ghost": 7}])
         assert failed == set()
-        assert results == {"ghost": ([], 7)}
+        assert results == {(0, "ghost"): ([], 7)}

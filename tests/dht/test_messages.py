@@ -248,11 +248,10 @@ class TestBatchFactories:
         ring = ChordRing(ChordConfig(num_peers=16, id_bits=32, seed=3))
         protocol = IndexingProtocol(ring)
         index_terms = [f"term{i:02d}" for i in range(20)]
-        hashes = {t: protocol.term_hash(t) for t in index_terms}
-        results, failed = protocol.poll_batch(
-            ring.live_ids[0], [(index_terms[0], -1)], hashes
+        results, failed, __ = protocol.poll_batch(
+            ring.live_ids[0], [{index_terms[0]: -1}]
         )
-        assert results == {index_terms[0]: ([], -1)} and not failed
+        assert results == {(0, index_terms[0]): ([], -1)} and not failed
         polls = ring.stats.kind(K.POLL_BATCH)
         assert (polls.messages, polls.bytes) == (1, 32)
 

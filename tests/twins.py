@@ -8,8 +8,10 @@ agree bit for bit on
 
 - every read: rankings with score bits, every :class:`QueryExecution`
   field but ``ranking_reused``, fetched lists, lost terms;
-- every owner poll in call order, the write-state fingerprint and the
-  result-cache tallies;
+- what every document's learner observed, in order, the write-state
+  fingerprint (but for the rank order of slot versions where a row
+  applies the same writes in another order) and the result-cache
+  tallies;
 - how many executes reused a held ranking (none, if the twin never does);
 - every ``NetworkStats`` counter but those of the kinds the row's
   ``delta`` names: an exact byte difference (default minus twin) from
@@ -46,7 +48,8 @@ from repro.net.transport import DeliveryPolicy, LossyTransport
 from repro.sim.oracle import DifferentialOracle, write_state_fingerprint
 
 from .core.legacy_executor import install_legacy_executor
-from .core.peer_side_dedup import install_peer_side_dedup
+from .core.peer_side_dedup import addressed_hashes, install_peer_side_dedup
+from .core.per_document_rounds import install_per_document_rounds
 from .core.per_term_owner import install_per_term_owners
 from .ir.legacy_postings import LegacyPostings, install_legacy_store
 
@@ -151,20 +154,25 @@ class Wire:
     at once, so a send of the message built last settles its counts.
     Registration: the keywords beyond the digest that each SEARCH_TERM
     naming its query by digest left out, and the slots replies flagged as
-    unresolved.  Polls: the hash list a peer-side §3 rule would have
-    added to each POLL_BATCH, and the QUERY_BATCH bytes of the queries
-    the owner's rule discarded."""
+    unresolved.  Polls: the hash lists a peer-side §3 rule would have
+    added to each POLL_BATCH — those of every document the request
+    addresses — and, of what the QUERY_BATCH replies shipped, the bytes
+    of the queries no document kept and of the extra copies a reply per
+    (document, term) would ship of a query several documents keep."""
 
     def __init__(self, protocol) -> None:
         self.versions = self.withheld = self.hash_bytes = self.duplicate_bytes = 0
+        self.overlap_bytes = 0
         self.saved = self.withdrawing_diffs = 0
         self.digests = self.keywords_named = self.flagged = 0
+        self.poll_requests = 0
         self.not_modified: Counter = Counter()
         copies = {}
         ring = protocol.ring
         request, reply, send = protocol._search_request, protocol._postings_reply, ring.send
-        poll_batch, keep_closest = protocol.poll_batch, protocol._keep_closest
+        poll_batch, poll_request = protocol.poll_batch, protocol._poll_request
         built = [None, 0, (), 0]  # the message, versions it carries, views it answers, keywords
+        polled = [(), None, 0]  # the round's documents, the POLL_BATCH built last, its hashes
 
         def counting_request(src, dst, batch, hops, carried):
             registration, held = carried
@@ -179,6 +187,11 @@ class Wire:
 
         def counting_send(message):
             send(message)
+            if message is polled[1]:
+                self.poll_requests += 1
+                self.hash_bytes += TERM_BYTES * polled[2]
+            elif message.kind is K.QUERY_BATCH:
+                self.duplicate_bytes += message.size_bytes - K.QUERY_BATCH.fixed_bytes
             if message is not built[0]:
                 return
             self.versions += built[1]
@@ -205,25 +218,37 @@ class Wire:
                     self.withdrawing_diffs += bool(withdrawn)
                 copies[key] = rows
 
-        def counting_poll(owner_id, term_cursors, index_term_hashes):
-            polls = ring.stats.kind(K.POLL_BATCH).messages
-            result = poll_batch(owner_id, term_cursors, index_term_hashes)
-            delivered = ring.stats.kind(K.POLL_BATCH).messages - polls
-            self.hash_bytes += delivered * TERM_BYTES * len(index_term_hashes)
+        def counting_poll(owner_id, documents):
+            polled[0] = documents
+            result = poll_batch(owner_id, documents)
+            kept = [query for selected, __ in result[0].values() for query in selected]
+            # A term's queries are told apart by their sequence at its slot.
+            once = {
+                (term, query.sequence): query
+                for (__, term), (selected, __) in result[0].items()
+                for query in selected
+            }
+            self.duplicate_bytes -= _units(once.values())
+            self.overlap_bytes += _units(kept) - _units(once.values())
             return result
 
-        def counting_keep(term, answer, index_term_hashes):
-            kept = keep_closest(term, answer, index_term_hashes)
-            self.duplicate_bytes += _reply_bytes(answer[0]) - _reply_bytes(kept[0])
-            return kept
+        def counting_poll_request(src, dst, batch, hops, carried):
+            polled[1:] = poll_request(src, dst, batch, hops, carried), addressed_hashes(
+                polled[0], batch
+            )
+            return polled[1]
 
         protocol._search_request, protocol._postings_reply = counting_request, counting_reply
-        protocol.poll_batch, protocol._keep_closest = counting_poll, counting_keep
+        protocol.poll_batch, protocol._poll_request = counting_poll, counting_poll_request
         ring.send = counting_send
 
 
-def _reply_bytes(queries) -> int:
-    return wire_size(K.QUERY_BATCH, len(queries), sum(len(c.terms) for c in queries))
+def _units(queries) -> int:
+    """What *queries* add to a QUERY_BATCH beyond its header."""
+    queries = list(queries)
+    return wire_size(K.QUERY_BATCH, len(queries), sum(len(c.terms) for c in queries)) - (
+        K.QUERY_BATCH.fixed_bytes
+    )
 
 
 def read_delta(wire: Wire) -> Dict[MessageKind, int]:
@@ -256,8 +281,12 @@ def diff_delta(wire: Wire) -> Dict[MessageKind, int]:
 
 def poll_delta(wire: Wire) -> Dict[MessageKind, int]:
     """The §3 rule at the owner: POLL_BATCH lighter by the hash lists,
-    QUERY_BATCH heavier by the duplicates."""
-    return {K.POLL_BATCH: -wire.hash_bytes, K.QUERY_BATCH: wire.duplicate_bytes}
+    QUERY_BATCH heavier by the queries no document kept and lighter by
+    the copies of a query several documents keep, shipped once."""
+    return {
+        K.POLL_BATCH: -wire.hash_bytes,
+        K.QUERY_BATCH: wire.duplicate_bytes - wire.overlap_bytes,
+    }
 
 
 def free(*kinds: MessageKind) -> Callable[[Wire], Dict[MessageKind, None]]:
@@ -272,6 +301,14 @@ class Row(NamedTuple):
     result_caches: Tuple[int, ...] = (0, 32)
     why: str = ""
     reuses: bool = True
+    #: False where the twin applies the same writes in another order:
+    #: the final state must coincide, the rank order of slot versions not.
+    version_rank: bool = True
+    #: False where the twin looks up other keys than the default: both
+    #: systems then route without a cache, since a cache hit is one hop
+    #: and every later message's hops would depend on which keys each
+    #: side had looked up.
+    route_cache: bool = True
     #: ``check(default's wire, its reused rankings, twin)`` on the explicit program.
     check: Callable[[Wire, int, SpriteSystem], bool] = lambda wire, reused, twin: True
 
@@ -302,8 +339,17 @@ ROWS = (
     Row("per_term_owners", install_per_term_owners,
         free(K.LOOKUP, K.PUBLISH_TERM, K.UNPUBLISH_TERM, K.PUBLISH_BATCH, K.UNPUBLISH_BATCH,
              K.POLL_QUERIES, K.POLL_BATCH, K.QUERY_BATCH),
-        transports=("perfect",), why="one message per (document, term) " + PER_TERM,
+        transports=("perfect",), route_cache=False,
+        why="one message per (document, term) " + PER_TERM,
         check=lambda w, reused, twin: twin.ring.stats.kind(K.PUBLISH_TERM).messages > 0),
+    # Each document polled on its own, and polled more often than the
+    # owner's round does.
+    Row("per_document_rounds", install_per_document_rounds,
+        free(K.LOOKUP, K.POLL_BATCH, K.QUERY_BATCH, K.PUBLISH_BATCH, K.UNPUBLISH_BATCH),
+        transports=("perfect",), version_rank=False, route_cache=False,
+        why="a round per document " + PER_TERM,
+        check=lambda w, reused, twin: twin.ring.stats.kind(K.POLL_BATCH).messages
+        > w.poll_requests),
     Row("legacy_executor", install_legacy_executor, free(K.LOOKUP, K.SEARCH_TERM, K.POSTINGS),
         transports=("perfect",), result_caches=(0,), reuses=False,
         why="one fetch per query term " + PER_TERM + "; it never consults the result cache",
@@ -362,18 +408,21 @@ def run_program(system: SpriteSystem, oracle: DifferentialOracle, program) -> Tu
 
 
 def log_polls(system: SpriteSystem) -> list:
-    """Log ``(owner, document, queries)`` for every poll an owner of
-    *system* makes from here on, owners created later included."""
+    """Log ``(owner, document, queries)`` for what every document's
+    learner observes from here on — whether its owner polled it alone or
+    in a round with others — owners created later included."""
     log, owner_at = [], system._owner_at
 
     def logged(owner):
-        poll = owner.poll_queries
+        poll = owner._poll
 
-        def poll_queries(doc_id):
-            log.append((owner.node_id, doc_id, poll(doc_id)))
-            return log[-1][2]
+        def observing(states):
+            observed, peers = poll(states)
+            for state, queries in zip(states, observed):
+                log.append((owner.node_id, state.document.doc_id, queries))
+            return observed, peers
 
-        owner.poll_queries = poll_queries
+        owner._poll = observing
         return owner
 
     for owner in system.owners.values():
@@ -385,12 +434,19 @@ def log_polls(system: SpriteSystem) -> list:
 
 
 def assert_agree(
-    default: SpriteSystem, twin: SpriteSystem, delta: Dict[MessageKind, Optional[int]]
+    default: SpriteSystem,
+    twin: SpriteSystem,
+    delta: Dict[MessageKind, Optional[int]],
+    version_rank: bool = True,
 ) -> None:
-    """Twin systems that ran the same operations agree on state, the
-    result caches and every message counter but *delta*'s (see the
-    module docstring), and a lossy transport drew the same drops."""
-    assert write_state_fingerprint(default) == write_state_fingerprint(twin)
+    """Twin systems that ran the same operations agree on state (the
+    rank order of slot versions only with *version_rank*), the result
+    caches and every message counter but *delta*'s (see the module
+    docstring), and a lossy transport drew the same drops."""
+    ours, theirs = write_state_fingerprint(default), write_state_fingerprint(twin)
+    if not version_rank:
+        del ours["version_rank"], theirs["version_rank"]
+    assert ours == theirs
     assert default.protocol.result_cache_stats() == twin.protocol.result_cache_stats()
     ours, theirs = default.ring.stats.summary(), twin.ring.stats.summary()
     none = {"messages": 0, "bytes": 0, "hops": 0}
@@ -411,7 +467,10 @@ def run_row(row: Row, oracle: DifferentialOracle, transport: str, flow: str,
     *result_cache*, followed by the read *program*."""
 
     def build() -> SpriteSystem:
-        sprite, chord = oracle.configs({"sprite": {"result_cache_size": result_cache}})
+        sprite, chord = oracle.configs({
+            "sprite": {"result_cache_size": result_cache},
+            "chord": {} if row.route_cache else {"route_cache_size": 0},
+        })
         return SpriteSystem(
             oracle.corpus, sprite_config=sprite, chord_config=chord,
             transport=TRANSPORTS[transport](),
@@ -429,7 +488,7 @@ def run_row(row: Row, oracle: DifferentialOracle, transport: str, flow: str,
     assert reads == twin_reads
     assert twin_reused == (reused if row.reuses else 0)
     delta = row.delta(wire)
-    assert_agree(default, twin, delta)
+    assert_agree(default, twin, delta, row.version_rank)
     if program == PROGRAM:
         assert row.check(wire, reused, twin)
         if transport == "lossy":
