@@ -60,14 +60,8 @@ class IncrementalLearner:
         """*scorer* defaults to the paper's ``qScore·log10 QF``; the
         ablation benches inject qScore-only and QF-only variants."""
         self.document = document
-        self._doc_terms: Set[str] = set(document.term_freqs)
         self.stats: Dict[str, TermStats] = {}
         self.scorer = scorer
-
-    @property
-    def doc_terms(self) -> Set[str]:
-        """The document's full analyzed term set (owner-local)."""
-        return self._doc_terms
 
     def observe(self, new_queries: Sequence[Tuple[str, ...]]) -> None:
         """Fold the incremental query set Q' into the running statistics.
@@ -75,17 +69,23 @@ class IncrementalLearner:
         For each document term t occurring in Q': the largest qScore of
         any query containing t is max-merged, and QF(t, Q') is added to
         the cumulative query frequency (lines 4-11 of Algorithm 1).
+        Membership is tested against the document's own term counts,
+        so the learner holds no copy of its term set.
         """
         if not new_queries:
             return
+        doc_terms = self.document.term_freqs
         best_qscore: Dict[str, float] = {}
         qf_delta: Dict[str, int] = {}
         for query in new_queries:
             terms = set(query)
-            matching = terms & self._doc_terms
+            matching = []
+            for term in terms:
+                if term in doc_terms:
+                    matching.append(term)
             if not matching:
                 continue
-            qs = q_score(terms, self._doc_terms)
+            qs = len(matching) / len(terms)  # qScore(Q, D) = |Q ∩ D| / |Q|
             for term in matching:
                 qf_delta[term] = qf_delta.get(term, 0) + 1
                 if qs > best_qscore.get(term, -1.0):
@@ -122,12 +122,15 @@ def naive_rank_terms(
     Used only as the reference implementation for equivalence tests and
     the speedup bench — real owners run :class:`IncrementalLearner`.
     """
-    doc_terms = set(document.term_freqs)
+    doc_terms = document.term_freqs
     max_qscore: Dict[str, float] = {}
     qf: Dict[str, int] = {}
     for query in all_queries:
         terms = set(query)
-        matching = terms & doc_terms
+        matching = []
+        for term in terms:
+            if term in doc_terms:
+                matching.append(term)
         if not matching:
             continue
         qs = q_score(terms, doc_terms)

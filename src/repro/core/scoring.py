@@ -16,14 +16,16 @@ Three functions define SPRITE's learning signal:
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Dict, Iterable, Sequence, Tuple
+from typing import AbstractSet, Container, Dict, Iterable, Sequence, Tuple
 
 
-def q_score(query_terms: AbstractSet[str] | Sequence[str], doc_terms: AbstractSet[str]) -> float:
+def q_score(query_terms: AbstractSet[str] | Sequence[str], doc_terms: Container[str]) -> float:
     """``qScore(Q, D) = |Q ∩ D| / |Q|``.
 
     *doc_terms* is the full analyzed term set of the document — the
-    owner peer has the document locally, so this needs no network.
+    owner peer has the document locally, so this needs no network.  Any
+    container answers: the intersection is a membership test per query
+    term, so the document's own term-count map serves without a copy.
 
     >>> q_score({"a", "b"}, {"a", "b", "c"})
     1.0
@@ -33,7 +35,11 @@ def q_score(query_terms: AbstractSet[str] | Sequence[str], doc_terms: AbstractSe
     terms = set(query_terms)
     if not terms:
         return 0.0
-    return len(terms & doc_terms) / len(terms)
+    hits = 0
+    for term in terms:
+        if term in doc_terms:
+            hits += 1
+    return hits / len(terms)
 
 
 def query_frequency(term: str, queries: Iterable[Sequence[str]]) -> int:

@@ -82,15 +82,18 @@ class Document:
         Ties are broken alphabetically so selection is deterministic —
         important because both SPRITE's initial selection and the whole
         eSearch baseline are defined in terms of "top frequent terms".
-        Only the *k* kept are ordered, not every distinct term.
+        Only the *k* kept are ordered, not every distinct term; they are
+        compared as ``(-count, term)`` tuples, with no key function.
         """
-        ranked = heapq.nsmallest(k, self.term_freqs.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [t for t, __ in ranked]
+        ranked = heapq.nsmallest(k, [(-count, t) for t, count in self.term_freqs.items()])
+        return [t for __, t in ranked]
 
     def term_rank(self) -> Dict[str, int]:
-        """Map each term to its frequency rank (0 = most frequent)."""
-        ranked = sorted(self.term_freqs.items(), key=lambda kv: (-kv[1], kv[0]))
-        return {t: i for i, (t, __) in enumerate(ranked)}
+        """Map each term to its frequency rank (0 = most frequent), in the
+        :meth:`top_terms` order.  Built per call: a document holds no
+        copy of it."""
+        ranked = sorted([(-count, t) for t, count in self.term_freqs.items()])
+        return {t: i for i, (__, t) in enumerate(ranked)}
 
     def as_weight_pairs(self) -> List[Tuple[str, int]]:
         """(term, raw frequency) pairs sorted by descending frequency."""

@@ -49,16 +49,16 @@ class BM25System:
     def search(self, query: Query, top_k: int | None = None) -> RankedList:
         """Rank all documents matching any query term."""
         scores: Dict[str, float] = {}
+        lengths = self.index.doc_lengths
         for term in query.terms:
             idf = self.idf(term)
             if idf <= 0.0:
                 continue
-            for posting in self.index.postings(term):
-                tf = posting.raw_tf
+            for doc_id, tf in self.index.counts(term).items():
                 denom = tf + self.k1 * (
-                    1.0 - self.b + self.b * posting.doc_length / self._avgdl
+                    1.0 - self.b + self.b * lengths[doc_id] / self._avgdl
                 )
                 gain = idf * tf * (self.k1 + 1.0) / denom
-                scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + gain
+                scores[doc_id] = scores.get(doc_id, 0.0) + gain
         ranked = RankedList(scores)
         return ranked if top_k is None else ranked.truncate(top_k)

@@ -55,12 +55,15 @@ class CentralizedSystem:
         """Full document-vector norms (cosine mode only, built lazily)."""
         if self._doc_norms is None:
             norms: Dict[str, Dict[str, float]] = {}
+            lengths = self.index.doc_lengths
+            weight = self.weighting.document_weight
             for term in self.index.terms():
-                df = self.index.document_frequency(term)
-                for posting in self.index.postings(term):
-                    norms.setdefault(posting.doc_id, {})[term] = (
-                        self.weighting.document_weight(posting.normalized_tf, df)
-                    )
+                counts = self.index.counts(term)
+                df = len(counts)
+                for doc_id, raw in counts.items():
+                    length = lengths[doc_id]
+                    tf = raw / length if length else 0.0
+                    norms.setdefault(doc_id, {})[term] = weight(tf, df)
             self._doc_norms = {d: weight_norm(w) for d, w in norms.items()}
         return self._doc_norms
 
@@ -82,12 +85,15 @@ class CentralizedSystem:
         """
         query_weights = self._query_weights(query.terms)
         doc_weights: Dict[str, Dict[str, float]] = {}
-        for term, qw in query_weights.items():
-            df = self.index.document_frequency(term)
-            for posting in self.index.postings(term):
-                doc_weights.setdefault(posting.doc_id, {})[term] = (
-                    self.weighting.document_weight(posting.normalized_tf, df)
-                )
+        lengths = self.index.doc_lengths
+        weight = self.weighting.document_weight
+        for term in query_weights:
+            counts = self.index.counts(term)
+            df = len(counts)
+            for doc_id, raw in counts.items():
+                length = lengths[doc_id]
+                tf = raw / length if length else 0.0
+                doc_weights.setdefault(doc_id, {})[term] = weight(tf, df)
 
         scores: Dict[str, float] = {}
         if self.normalization == "cosine":
@@ -98,9 +104,7 @@ class CentralizedSystem:
                 )
         else:
             for doc_id, weights in doc_weights.items():
-                scores[doc_id] = lee_similarity(
-                    query_weights, weights, self.index.doc_length(doc_id)
-                )
+                scores[doc_id] = lee_similarity(query_weights, weights, lengths[doc_id])
 
         ranked = RankedList(scores)
         return ranked if top_k is None else ranked.truncate(top_k)

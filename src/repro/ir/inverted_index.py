@@ -6,15 +6,23 @@ document frequencies and the exact corpus size.  The distributed
 systems' indexing peers hold *partial* versions of the same posting
 structure (see :mod:`repro.core.metadata`); this module is the complete
 centralized substrate.
+
+Each posting is stored as its raw term count alone — ``term → {doc id →
+raw tf}`` beside one ``doc id → length`` map — so a posting costs one
+dict entry.  The scorers read the counts directly; :meth:`postings`
+builds :class:`Posting` objects only for callers that ask for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping
 
 from ..corpus.corpus import Corpus
 from ..corpus.document import Document
+
+_NO_COUNTS: Mapping[str, int] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -33,11 +41,10 @@ class Posting:
 
 
 class InvertedIndex:
-    """term → list of :class:`Posting`, plus exact global statistics."""
+    """term → {doc id → raw tf}, plus exact global statistics."""
 
     def __init__(self) -> None:
-        self._postings: Dict[str, Dict[str, Posting]] = {}
-        self._doc_count = 0
+        self._counts: Dict[str, Dict[str, int]] = {}
         self._doc_lengths: Dict[str, int] = {}
 
     @classmethod
@@ -50,55 +57,64 @@ class InvertedIndex:
 
     def add_document(self, doc: Document) -> None:
         """Index all analyzed terms of *doc*."""
-        if doc.doc_id in self._doc_lengths:
+        doc_id = doc.doc_id
+        if doc_id in self._doc_lengths:
             return
-        self._doc_lengths[doc.doc_id] = doc.length
-        self._doc_count += 1
+        self._doc_lengths[doc_id] = doc.length
         for term, raw in doc.term_freqs.items():
-            self._postings.setdefault(term, {})[doc.doc_id] = Posting(
-                doc_id=doc.doc_id,
-                raw_tf=raw,
-                normalized_tf=raw / doc.length if doc.length else 0.0,
-                doc_length=doc.length,
-            )
+            self._counts.setdefault(term, {})[doc_id] = raw
 
     def remove_document(self, doc: Document) -> None:
         """Remove *doc* from every posting list (for churn experiments)."""
         if doc.doc_id not in self._doc_lengths:
             return
         del self._doc_lengths[doc.doc_id]
-        self._doc_count -= 1
-        for term in list(doc.term_freqs):
-            postings = self._postings.get(term)
-            if postings is not None:
-                postings.pop(doc.doc_id, None)
-                if not postings:
-                    del self._postings[term]
+        for term in doc.term_freqs:
+            per_doc = self._counts.get(term)
+            if per_doc is not None:
+                per_doc.pop(doc.doc_id, None)
+                if not per_doc:
+                    del self._counts[term]
 
     # -- statistics ---------------------------------------------------------
 
     @property
     def num_documents(self) -> int:
         """Exact corpus size N."""
-        return self._doc_count
+        return len(self._doc_lengths)
 
     @property
     def num_terms(self) -> int:
         """Number of distinct indexed terms."""
-        return len(self._postings)
+        return len(self._counts)
 
     @property
     def total_postings(self) -> int:
         """Total posting entries across all terms (index size)."""
-        return sum(len(p) for p in self._postings.values())
+        return sum(len(p) for p in self._counts.values())
+
+    @property
+    def doc_lengths(self) -> Mapping[str, int]:
+        """doc id → analyzed length, for every indexed document (read-only)."""
+        return self._doc_lengths
 
     def document_frequency(self, term: str) -> int:
         """Exact n_k — number of documents containing *term*."""
-        return len(self._postings.get(term, ()))
+        return len(self._counts.get(term, ()))
+
+    def counts(self, term: str) -> Mapping[str, int]:
+        """doc id → raw tf for every document containing *term*, in
+        indexing order (empty if unindexed; read-only)."""
+        return self._counts.get(term, _NO_COUNTS)
 
     def postings(self, term: str) -> List[Posting]:
         """The posting list for *term* (empty list if unindexed)."""
-        return list(self._postings.get(term, {}).values())
+        lengths = self._doc_lengths
+        result = []
+        for doc_id, raw in self.counts(term).items():
+            length = lengths[doc_id]
+            result.append(Posting(doc_id, raw, raw / length if length else 0.0, length))
+        return result
 
     def doc_length(self, doc_id: str) -> int:
         """Analyzed length of a document, 0 if unknown."""
@@ -106,7 +122,7 @@ class InvertedIndex:
 
     def terms(self) -> Iterable[str]:
         """All indexed terms."""
-        return self._postings.keys()
+        return self._counts.keys()
 
     def __contains__(self, term: str) -> bool:
-        return term in self._postings
+        return term in self._counts

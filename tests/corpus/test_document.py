@@ -73,6 +73,9 @@ class TestTopTerms:
         d = Document(doc_id="p", text="", _term_freqs=Counter(freqs))
         ranked = sorted(freqs.items(), key=lambda kv: (-kv[1], kv[0]))
         assert d.top_terms(k) == [t for t, __ in ranked[:k]]
+        # term_rank is the same order, for every distinct term.
+        ranks = d.term_rank()
+        assert list(ranks.items()) == [(t, i) for i, (t, __) in enumerate(ranked)]
 
     def test_term_rank(self, doc: Document) -> None:
         ranks = doc.term_rank()

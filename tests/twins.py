@@ -366,6 +366,7 @@ EXEMPT = {
     "core/replication_reference.py": "replication round: test_replication_delta.py",
     "dht/full_rebuild.py": "ring membership repair: test_incremental_stabilize.py",
     "dht/linear_finger_scan.py": "finger selection: test_finger_selection.py",
+    "ir/legacy_inverted_index.py": "centralized reference scoring: test_counts_index.py",
 }
 
 
