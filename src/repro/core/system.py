@@ -89,6 +89,10 @@ class SpriteSystem:
         )
         self.owners: Dict[int, OwnerPeer] = {}
         self._doc_owner: Dict[str, int] = {}
+        #: query id → issuing peer, valid for the membership epoch
+        #: ``_issuers_epoch`` only (every membership change bumps it).
+        self._issuers: Dict[str, int] = {}
+        self._issuers_epoch = -1
 
     # -- ownership assignment ------------------------------------------------
 
@@ -182,10 +186,20 @@ class SpriteSystem:
     # -- querying ---------------------------------------------------------------
 
     def _issuer_for(self, query: Query) -> int:
-        """Deterministically pick the querying peer for a query."""
-        return self.ring.successor_of(
-            self.ring.space.hash_key(f"issuer:{query.query_id}")
-        )
+        """Deterministically pick the querying peer for a query: the
+        live successor of the hashed query id, remembered until the
+        ring's membership epoch moves."""
+        ring = self.ring
+        issuers = self._issuers
+        if self._issuers_epoch != ring.epoch:
+            issuers.clear()
+            self._issuers_epoch = ring.epoch
+        issuer = issuers.get(query.query_id)
+        if issuer is None:
+            issuer = issuers[query.query_id] = ring.successor_of(
+                ring.space.hash_key(f"issuer:{query.query_id}")
+            )
+        return issuer
 
     def register_queries(self, queries: Iterable[Query]) -> int:
         """Insert query keywords into the system without retrieval —

@@ -31,10 +31,12 @@ without changing any observable routing outcome:
   only the routing entries the event actually affects — the neighbours' successor/predecessor pointers,
   the ``O(r)`` successor lists around the membership change, and the
   ``O(log N)`` finger arcs whose targets moved — instead of rebuilding
-  every table.  The full rebuild remains as :meth:`stabilize`'s
-  body — the first build, tiny rings, and the only repair after crash
-  failures (preserving the paper's Section 7 "down peer" window);
-  tests assert the two produce byte-identical routing state.
+  every table.  Crashes are repaired the same way, but only at
+  :meth:`stabilize` (preserving the paper's Section 7 "down peer"
+  window): each recorded crash is repaired as a leave.  The full
+  rebuild remains for the first build, tiny rings, and crashes mixed
+  with joins or leaves; tests assert the two produce byte-identical
+  routing state.
 * **Route caching** (``ChordConfig.route_cache_size``): each node
   remembers ``key → responsible node`` for lookups it resolved.  The
   ring bumps a membership *epoch* on every join/leave/fail/stabilize;
@@ -140,6 +142,10 @@ class ChordRing:
         #: Whether every routing table matches the current membership
         #: (False inside the post-crash window of Section 7).
         self._converged = False
+        #: Crashed ids awaiting repair at :meth:`stabilize`, in crash
+        #: order — kept only while crashes are the sole events pending
+        #: since the tables last converged.
+        self._crashed: List[int] = []
         #: Clockwise finger distances every node's table covers, one
         #: tuple shared by all of them.
         self.finger_steps: Tuple[int, ...] = self._finger_schedule()
@@ -195,6 +201,7 @@ class ChordRing:
         insort(self._live_sorted, node_id)
         self._live_view = None
         self._converged = False
+        self._crashed.clear()
         return node
 
     def _bump_epoch(self) -> None:
@@ -292,9 +299,17 @@ class ChordRing:
         When no membership event is outstanding (the tables already
         converged), this is a no-op — periodic stabilization in a
         quiescent ring costs nothing, which is what makes steady churn
-        schedules cheap.
+        schedules cheap.  When only crashes are outstanding, each is
+        repaired as a graceful leave, in crash order: the crashed
+        peer's arc goes to its live successor, the same fixed point the
+        rebuild below reaches.
         """
         if self._converged or not self._live_sorted:
+            return
+        crashed, self._crashed = self._crashed, []
+        if crashed and self._can_repair_incrementally(True):
+            for node_id in crashed:
+                self._repair_leave(node_id)
             return
         r = self.config.successor_list_size
         n = len(self._live_sorted)
@@ -377,8 +392,9 @@ class ChordRing:
         self._bump_epoch()
 
     def _repair_leave(self, departed: int) -> None:
-        """Incremental routing repair after a single graceful leave
-        (called after *departed* is removed from the membership)."""
+        """Incremental routing repair after a single graceful leave or
+        crash (called after *departed* is removed from the membership;
+        earlier departures it follows must already be removed too)."""
         ids = self._live_sorted
         n = len(ids)
         space = self.space
@@ -407,10 +423,10 @@ class ChordRing:
 
     def _can_repair_incrementally(self, was_converged: bool) -> bool:
         """Whether a membership event may use incremental repair: the
-        previous tables were converged (no crash window outstanding)
-        and the ring is large enough that successor-list lengths are
-        stable (tiny rings full-rebuild — it is both simpler and just
-        as fast there)."""
+        previous tables were converged (at :meth:`stabilize`: only
+        crashes are outstanding) and the ring is large enough that
+        successor-list lengths are stable (tiny rings full-rebuild — it
+        is both simpler and just as fast there)."""
         return (
             was_converged
             and len(self._live_sorted) > self.config.successor_list_size + 2
@@ -633,6 +649,7 @@ class ChordRing:
         self._live_sorted.pop(idx)
         self._live_view = None
         self._converged = False
+        self._crashed.clear()
         del self.nodes[node_id]
         if self._can_repair_incrementally(was_converged):
             self._repair_leave(node_id)
@@ -646,7 +663,9 @@ class ChordRing:
         :meth:`stabilize` runs — lookups during that window may raise
         :class:`NodeFailedError`, modelling the paper's "down" peers.
         The membership epoch still advances immediately, so route caches
-        revalidate (and drop) entries pointing at the crashed peer.
+        revalidate (and drop) entries pointing at the crashed peer.  The
+        crash is recorded for incremental repair when the tables were
+        converged or only crashes are pending.
         """
         node = self.node(node_id)
         if not node.alive:
@@ -656,6 +675,8 @@ class ChordRing:
         if idx < len(self._live_sorted) and self._live_sorted[idx] == node_id:
             self._live_sorted.pop(idx)
         self._live_view = None
+        if self._converged or self._crashed:
+            self._crashed.append(node_id)
         self._converged = False
         self._bump_epoch()
 

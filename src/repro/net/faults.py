@@ -1,7 +1,10 @@
 """Fault injection: message drops, node blackouts, slow nodes.
 
 The injector is consulted by :class:`~repro.net.transport.LossyTransport`
-on every transmission attempt.  Three independent fault classes compose:
+once per delivery for the pair's slow-node factor and whether either
+endpoint has any blackout window, and on every transmission attempt for
+the drop decision and the windows themselves.  The fault classes
+compose:
 
 * **per-message drops** — each attempt is lost with probability
   ``drop_probability`` (the classic packet-loss knob; retries make the
@@ -70,7 +73,13 @@ class FaultInjector:
         """Restore *node_id* to the global loss rate only."""
         self._flaky.pop(node_id, None)
 
-    # -- queries (called per transmission attempt) -------------------------
+    # -- queries (per delivery, then per transmission attempt) -------------
+
+    def has_blackout(self, src: int, dst: int) -> bool:
+        """Whether either endpoint has any blackout window at all — the
+        transport asks once per delivery and skips :meth:`in_blackout`
+        on every attempt when not."""
+        return src in self._blackouts or dst in self._blackouts
 
     def in_blackout(self, node_id: int, now_ms: float) -> bool:
         """Whether *node_id* is blacked out at simulated time *now_ms*."""
@@ -82,13 +91,6 @@ class FaultInjector:
     def latency_factor(self, src: int, dst: int) -> float:
         """Combined slow-node multiplier for one src→dst attempt."""
         return self._slow.get(src, 1.0) * self._slow.get(dst, 1.0)
-
-    def should_drop(self, rng: random.Random) -> bool:
-        """Decide the fate of one transmission attempt (global rate
-        only; the transport calls :meth:`should_drop_for`)."""
-        if self.drop_probability <= 0.0:
-            return False
-        return rng.random() < self.drop_probability
 
     def drop_probability_for(self, src: int, dst: int) -> float:
         """Effective loss rate of one src→dst attempt: the global rate

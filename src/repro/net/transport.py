@@ -62,10 +62,14 @@ class DeliveryReceipt(NamedTuple):
         return self.outcome is DeliveryOutcome.DELIVERED
 
 
+_DELIVERED = DeliveryOutcome.DELIVERED
+_DROPPED = DeliveryOutcome.DROPPED
+_DEST_DOWN = DeliveryOutcome.DEST_DOWN
+
 #: The only two receipts a perfect transport can write; it hands out
 #: these objects rather than building one per delivery.
-_DELIVERED_AT_ONCE = DeliveryReceipt(DeliveryOutcome.DELIVERED, 1, 0.0)
-_DEST_DOWN_AT_ONCE = DeliveryReceipt(DeliveryOutcome.DEST_DOWN, 1, 0.0)
+_DELIVERED_AT_ONCE = DeliveryReceipt(_DELIVERED, 1, 0.0)
+_DEST_DOWN_AT_ONCE = DeliveryReceipt(_DEST_DOWN, 1, 0.0)
 
 
 @dataclass(frozen=True)
@@ -201,60 +205,58 @@ class LossyTransport:
     active = True
 
     def deliver(self, message: "Message", dst_alive: bool = True) -> DeliveryReceipt:
+        """Attempt *message* up to ``policy.max_attempts`` times.
+
+        The pair's slow-node factor, whether either endpoint has any
+        blackout window, and the clock are read once per delivery; the
+        RNG draws per attempt are the back-off jitter (retries only),
+        the drop draw (only when the pair's composed rate is positive)
+        and the latency sample.
+        """
         policy = self.policy
+        timeout = policy.timeout_ms
+        faults = self.faults
+        rng = self.rng
+        src = message.src
+        dst = message.dst
+        blackouts = faults.has_blackout(src, dst)
+        factor = faults.latency_factor(src, dst)
+        start = self.clock.now
         elapsed = 0.0
-        attempts = 0
-        outcome = DeliveryOutcome.DROPPED
+        outcome = _DROPPED if dst_alive else _DEST_DOWN
 
         for attempt in range(policy.max_attempts):
-            attempts += 1
-            elapsed += policy.backoff_before(attempt, self.rng)
-            now = self.clock.now + elapsed
-
-            if not dst_alive:
-                # The sender cannot distinguish a crashed peer from loss:
-                # it burns the timeout on every attempt before giving up.
-                elapsed += policy.timeout_ms
-                outcome = DeliveryOutcome.DEST_DOWN
-                continue
-            if self.faults.in_blackout(message.src, now) or self.faults.in_blackout(
-                message.dst, now
-            ):
-                elapsed += policy.timeout_ms
-                outcome = DeliveryOutcome.DROPPED
-                continue
-            if self.faults.should_drop_for(message.src, message.dst, self.rng):
-                elapsed += policy.timeout_ms
-                outcome = DeliveryOutcome.DROPPED
-                continue
-
-            latency = self.latency.sample(self.rng) * self.faults.latency_factor(
-                message.src, message.dst
+            if attempt:
+                elapsed += policy.backoff_before(attempt, rng)
+            now = start + elapsed
+            blacked_out = blackouts and (
+                faults.in_blackout(src, now) or faults.in_blackout(dst, now)
             )
-            if latency > policy.timeout_ms:
-                # A too-slow attempt is indistinguishable from loss.
-                elapsed += policy.timeout_ms
-                outcome = DeliveryOutcome.DROPPED
-                continue
-
-            elapsed += latency
-            outcome = DeliveryOutcome.DELIVERED
-            break
+            if (
+                dst_alive
+                and not blacked_out
+                and not faults.should_drop_for(src, dst, rng)
+            ):
+                latency = self.latency.sample(rng) * factor
+                if latency <= timeout:
+                    elapsed += latency
+                    outcome = _DELIVERED
+                    break
+            # Lost, blacked out, too slow, or sent to a crashed peer —
+            # which the sender cannot tell from loss: the attempt costs
+            # the full timeout.
+            elapsed += timeout
+        attempts = attempt + 1
 
         self.clock.advance(elapsed)
         if self.trace is not None:
+            kind = message.kind
             self.trace.record(
                 MessageTrace(
-                    kind=message.kind.value,
-                    src=message.src,
-                    dst=message.dst,
-                    attempts=attempts,
-                    latency_ms=elapsed,
-                    outcome=outcome.value,
-                    category=message.kind.category,
+                    kind.value, src, dst, attempts, elapsed, outcome.value, kind.category
                 )
             )
-        return DeliveryReceipt(outcome=outcome, attempts=attempts, latency_ms=elapsed)
+        return DeliveryReceipt(outcome, attempts, elapsed)
 
 
 def build_latency_model(config: "NetworkConfig") -> LatencyModel:

@@ -157,6 +157,38 @@ class TestDiagnostics:
         assert execution.postings_retrieved >= len(ranked.ids())
 
 
+class TestIssuerFollowsMembership:
+    def test_issuer_is_the_live_successor_after_every_event(
+        self, sprite: SpriteSystem
+    ) -> None:
+        """The issuer is remembered per membership epoch; after joins,
+        leaves and crashes (before and after the repair) it must still
+        be the live successor of the hashed query id."""
+        ring = sprite.ring
+        queries = [Query(f"q{i}", ("chord",)) for i in range(40)]
+
+        def assert_issuers() -> None:
+            for query in queries:
+                key = ring.space.hash_key(f"issuer:{query.query_id}")
+                expected = ring.successor_of(key)
+                assert sprite._issuer_for(query) == expected
+                assert ring.is_live(expected)
+
+        assert_issuers()
+        for step in range(6):
+            # The victim issues queries, so a stale map would name a
+            # departed peer.
+            victim = sprite._issuer_for(queries[step])
+            event = ("join", "leave", "fail")[step % 3]
+            if event == "join":
+                ring.join(name=f"issuer-joiner-{step}")
+            else:
+                getattr(ring, event)(victim)
+            assert_issuers()
+            ring.stabilize()
+            assert_issuers()
+
+
 class TestNothingOutlivesASystem:
     def test_the_posting_module_keeps_nothing_of_a_dropped_system(
         self, fast_sprite_config: SpriteConfig

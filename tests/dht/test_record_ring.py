@@ -15,6 +15,12 @@ from repro.dht import ChordRing, recursive_finger_steps
 from repro.exceptions import ConfigurationError, NodeFailedError
 
 from .full_rebuild import FullRebuildChordRing
+from .test_incremental_stabilize import (
+    crash_below_threshold,
+    crash_then_membership,
+    crashes_then_stabilize,
+    one_crash_repairs_incrementally,
+)
 
 BITS = 12
 SIZE = 1 << BITS
@@ -180,6 +186,26 @@ def test_record_incremental_repair_matches_full_rebuild(data) -> None:
             full.stabilize()
             inc.stabilize()
         assert ring_state(full) == ring_state(inc), f"diverged after {op}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_record_crashes_then_stabilize_match_full_rebuild(data) -> None:
+    crashes_then_stabilize(data, arity=8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_record_crash_then_join_or_leave_matches_full_rebuild(data) -> None:
+    crash_then_membership(data, arity=8)
+
+
+def test_record_crash_below_successor_list_threshold_rebuilds() -> None:
+    crash_below_threshold(arity=8)
+
+
+def test_record_single_crash_repairs_incrementally() -> None:
+    one_crash_repairs_incrementally(arity=8)
 
 
 class TestRecordRingProperties:

@@ -9,28 +9,33 @@ import pytest
 from repro.net import FaultInjector
 
 
+#: Two distinct endpoints, neither flaky: should_drop_for then draws
+#: against the global rate alone.
+SRC, DST = 1, 2
+
+
 class TestDrops:
     def test_zero_probability_never_drops(self) -> None:
         injector = FaultInjector(drop_probability=0.0)
         rng = random.Random(0)
-        assert not any(injector.should_drop(rng) for __ in range(100))
+        assert not any(injector.should_drop_for(SRC, DST, rng) for __ in range(100))
 
     def test_probability_one_always_drops(self) -> None:
         injector = FaultInjector(drop_probability=1.0)
         rng = random.Random(0)
-        assert all(injector.should_drop(rng) for __ in range(100))
+        assert all(injector.should_drop_for(SRC, DST, rng) for __ in range(100))
 
     def test_rate_roughly_respected(self) -> None:
         injector = FaultInjector(drop_probability=0.3)
         rng = random.Random(42)
-        drops = sum(injector.should_drop(rng) for __ in range(5000))
+        drops = sum(injector.should_drop_for(SRC, DST, rng) for __ in range(5000))
         assert 0.25 < drops / 5000 < 0.35
 
     def test_zero_probability_consumes_no_randomness(self) -> None:
         injector = FaultInjector(drop_probability=0.0)
         rng = random.Random(5)
         before = rng.getstate()
-        injector.should_drop(rng)
+        injector.should_drop_for(SRC, DST, rng)
         assert rng.getstate() == before
 
     def test_invalid_probability_rejected(self) -> None:
