@@ -179,12 +179,11 @@ class IndexingProtocol:
         self.query_cache_size = query_cache_size
         self.result_cache_size = result_cache_size
         self.store_runtime = store_runtime
+        #: ``term_hash(term)``: a term's ring position (MD5) — the id
+        #: space's memo, so a term hashed before costs one dict probe.
+        self.term_hash: Callable[[str], int] = ring.space.hash_key
 
     # -- hashing ------------------------------------------------------------
-
-    def term_hash(self, term: str) -> int:
-        """Ring position of a term (memoized by the id space's hash)."""
-        return self.ring.space.hash_key(term)
 
     def query_hash(self, terms: Sequence[str]) -> int:
         """Ring position of a whole query (its canonical keyword string);
@@ -233,15 +232,21 @@ class IndexingProtocol:
         failed: List[str] = []
         resolved_sorted: List[int] = sorted(near) if absorb else []  # empty unless absorbing
         key_of = key_of or self.term_hash
+        nodes = self.ring.nodes
+        mask = self.ring.space.mask
         for term in dict.fromkeys(terms):
             key = key_of(term)
             node_id: Optional[int] = None
             if resolved_sorted:
                 idx = bisect_left(resolved_sorted, key)
                 candidate = resolved_sorted[idx % len(resolved_sorted)]
-                node = self.ring.nodes[candidate]
-                if node.alive and node.predecessor is not None and node.owns(key):
-                    node_id = candidate
+                node = nodes[candidate]
+                pred = node.predecessor
+                # ChordNode.owns on the mask: key ∈ (predecessor, node].
+                if node.alive and pred is not None:
+                    span = (candidate - pred) & mask
+                    if not span or 0 < ((key - pred) & mask) <= span:
+                        node_id = candidate
             if node_id is None:
                 try:
                     node, hops = self._route(start_id, key)
@@ -1037,17 +1042,12 @@ class IndexingProtocol:
         candidates for which *term* is the hash-closest of the owner's
         index terms present in the query."""
         candidates, latest = answer
-        closest_term_to_key = self.ring.space.closest_term_to_key
-        selected: List[CachedQuery] = []
-        for cached in candidates:
-            present = {
-                t: index_term_hashes[t]
-                for t in cached.terms
-                if t in index_term_hashes
-            }
-            if present and closest_term_to_key(cached.query_hash, present) == term:
-                selected.append(cached)
-        return selected, latest
+        closest = self.ring.space.closest_term_to_key
+        return [
+            cached
+            for cached in candidates
+            if closest(cached.query_hash, cached.terms, index_term_hashes) == term
+        ], latest
 
     @staticmethod
     def _query_batch(src, dst, answers) -> Message:

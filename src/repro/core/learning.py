@@ -157,12 +157,13 @@ def select_index_terms(
     Candidates are (a) every term in the learner's rank list with a
     positive score and (b) every currently indexed term.  Positive-score
     candidates are taken best-first; remaining budget is filled with
-    current terms (by document term-frequency rank) so the index never
-    shrinks below its earned size merely because evidence is sparse.
+    current terms (in the document's ``top_terms`` order, a term it lacks
+    last) so the index never shrinks below its earned size merely
+    because evidence is sparse.
     """
     if target_size < 1:
         raise ValueError("target_size must be >= 1")
-    tf_rank = document.term_rank()
+    freqs = document.term_freqs
     chosen: List[str] = []
     chosen_set: Set[str] = set()
 
@@ -179,7 +180,7 @@ def select_index_terms(
     if len(chosen) < target_size:
         retained = sorted(
             (t for t in current_terms if t not in chosen_set),
-            key=lambda t: (tf_rank.get(t, len(tf_rank)), t),
+            key=lambda t: (-freqs[t], t),  # a Counter: a term it lacks counts 0
         )
         for term in retained:
             if len(chosen) >= target_size:
@@ -190,8 +191,11 @@ def select_index_terms(
     if len(chosen) < target_size:
         # Still under budget (very sparse evidence): pad with the
         # document's next most frequent unchosen terms, the same signal
-        # used for initial selection (tf_rank is in that order already).
-        for term in tf_rank:
+        # used for initial selection.  Two stable sorts give the
+        # top_terms order: alphabetical, then by count descending.
+        order = sorted(freqs)
+        order.sort(key=freqs.__getitem__, reverse=True)
+        for term in order:
             if len(chosen) >= target_size:
                 break
             if term not in chosen_set:

@@ -38,7 +38,7 @@ from typing import (
     Tuple,
 )
 
-from ..dht.hashing import md5_hash
+from ..dht.hashing import position_memo
 from ..ir.postings import PostingRow, RamPostings
 from ..ir.ranking import RankedList
 
@@ -63,7 +63,7 @@ def query_digest(terms: Sequence[str]) -> int:
     resolves it against its query caches (:meth:`QueryCache.add_repeat`).
     Unlike the query hash it is not sorted: the cache must register the
     very tuple the querying peer issued."""
-    return md5_hash("\x1f".join(terms), QUERY_DIGEST_BITS)
+    return position_memo(QUERY_DIGEST_BITS)["\x1f".join(terms)]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..text.analyzer import Analyzer, DEFAULT_ANALYZER
 
@@ -87,13 +87,6 @@ class Document:
         """
         ranked = heapq.nsmallest(k, [(-count, t) for t, count in self.term_freqs.items()])
         return [t for __, t in ranked]
-
-    def term_rank(self) -> Dict[str, int]:
-        """Map each term to its frequency rank (0 = most frequent), in the
-        :meth:`top_terms` order.  Built per call: a document holds no
-        copy of it."""
-        ranked = sorted([(-count, t) for t, count in self.term_freqs.items()])
-        return {t: i for i, (__, t) in enumerate(ranked)}
 
     def as_weight_pairs(self) -> List[Tuple[str, int]]:
         """(term, raw frequency) pairs sorted by descending frequency."""

@@ -10,25 +10,40 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import List, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+
+from ..memo import BoundedMemo
 
 
-@lru_cache(maxsize=1 << 18)
 def md5_hash(key: str, bits: int) -> int:
     """MD5-hash *key* onto an m-bit identifier ring.
 
     The 128-bit MD5 digest is truncated to the most significant *bits*
-    bits, matching the standard Chord construction.
-
-    Memoized: every publish, poll, and query re-hashes its terms, and
-    the active vocabulary is small relative to the traffic, so the LRU
-    turns the digest into a dict probe on the hot paths.  (MD5 is a pure
-    function of its arguments, so caching cannot change any result.)
+    bits, matching the standard Chord construction.  Not memoized
+    itself: the hot paths hash through :attr:`IdSpace.hash_key`, which
+    remembers each key's position.
     """
     digest = hashlib.md5(key.encode("utf-8")).digest()
     value = int.from_bytes(digest, "big")
     return value >> (128 - bits) if bits < 128 else value
+
+
+#: How many distinct keys each ring width remembers the position of
+#: (:attr:`IdSpace.hash_key`); a memo is cleared when it is full.
+HASH_KEYS = 1 << 18
+
+_POSITIONS: Dict[int, BoundedMemo] = {}
+
+
+def position_memo(bits: int) -> BoundedMemo:
+    """Key → ``md5_hash(key, bits)``, remembered: one memo per ring
+    width, shared by every :class:`IdSpace` of that width, so terms,
+    query strings and peer names hash through one table."""
+    memo = _POSITIONS.get(bits)
+    if memo is None:
+        memo = _POSITIONS[bits] = BoundedMemo(partial(md5_hash, bits=bits), HASH_KEYS)
+    return memo
 
 
 @lru_cache(maxsize=256)
@@ -51,11 +66,11 @@ def recursive_finger_steps(bits: int, arity: int) -> Tuple[int, ...]:
     maintenance writes) to buy shorter routes — the trade ``perf --mode
     route`` measures.  Steps are returned sorted ascending, all distinct, all
     smaller than ``2**bits`` — the contract the ring's repair arcs and
-    :meth:`~repro.dht.node.ChordNode.closest_preceding_finger` rely on:
-    the latter bisects this tuple for the clockwise gap to the key, and
-    together with the ring's table invariant (finger *i* is the node
-    itself or at distance ≥ ``steps[i]``) that is what lets it skip
-    every entry above the gap instead of scanning the table.
+    :meth:`~repro.dht.ring.ChordRing.lookup` rely on: each routed hop
+    bisects this tuple for the clockwise gap to the key, and together
+    with the ring's table invariant (finger *i* is the node itself or at
+    distance ≥ ``steps[i]``) that is what lets it skip every entry above
+    the gap instead of scanning the table.
     """
     if arity < 2:
         raise ValueError("finger arity must be >= 2")
@@ -82,16 +97,17 @@ class IdSpace:
     #: ``size - 1``: ``x & mask`` is ``x % size`` for any Python int, so
     #: the routing hot path does its interval arithmetic inline on it.
     mask: int = field(init=False, repr=False, compare=False)
+    #: ``hash_key(key)``: a string key's ring position (MD5), remembered
+    #: per key (``HASH_KEYS`` of them per ring width), so a key hashed
+    #: before costs one C-level dict probe.
+    hash_key: Callable[[str], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.bits <= 128:
             raise ValueError("bits must be in [1, 128]")
         object.__setattr__(self, "size", 1 << self.bits)
         object.__setattr__(self, "mask", (1 << self.bits) - 1)
-
-    def hash_key(self, key: str) -> int:
-        """Map a string key onto the ring with MD5."""
-        return md5_hash(key, self.bits)
+        object.__setattr__(self, "hash_key", position_memo(self.bits).__getitem__)
 
     def distance(self, a: int, b: int) -> int:
         """Clockwise distance from *a* to *b* (0 when equal)."""
@@ -118,23 +134,30 @@ class IdSpace:
             raise ValueError(f"finger index out of range: {index}")
         return (node_id + (1 << index)) % self.size
 
-    def closest_term_to_key(self, key_hash: int, term_hashes: dict) -> str:
-        """Of several candidate terms, the one whose hash is closest to
-        *key_hash* by absolute ring distance (min of both directions),
-        with deterministic lexicographic tie-break.
+    def closest_term_to_key(
+        self, key_hash: int, terms: Iterable[str], term_hashes: Mapping[str, int]
+    ) -> Optional[str]:
+        """Of the *terms* that have a hash in *term_hashes*, the one whose
+        hash is closest to *key_hash* by absolute ring distance (min of
+        both directions), with deterministic lexicographic tie-break;
+        ``None`` when none of them has one.
 
         This implements the paper's closest-hash query-deduplication
         rule (Section 3): an owner counts a cached query only from the
         indexing peer of the single global index term closest in hash
-        space to the query's own hash.
+        space to the query's own hash — *terms* are the query's, and
+        *term_hashes* the owner's index terms with their hashes.
         """
         if not term_hashes:
             raise ValueError("no candidate terms")
-
-        def ring_gap(term: str) -> tuple:
-            h = term_hashes[term]
-            forward = self.distance(key_hash, h)
-            backward = self.distance(h, key_hash)
-            return (min(forward, backward), term)
-
-        return min(term_hashes, key=ring_gap)
+        mask = self.mask
+        best: Optional[str] = None
+        best_gap = 0
+        for term in terms:
+            h = term_hashes.get(term)
+            if h is None:
+                continue
+            gap = min((h - key_hash) & mask, (key_hash - h) & mask)
+            if best is None or gap < best_gap or (gap == best_gap and term < best):
+                best, best_gap = term, gap
+        return best

@@ -10,10 +10,9 @@ copies pushed by predecessors.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .hashing import IdSpace, recursive_finger_steps
+from .hashing import IdSpace
 
 
 class ChordNode:
@@ -21,11 +20,9 @@ class ChordNode:
 
     The node knows only its own routing tables; all inter-node knowledge
     flows through the ring simulator, which is what makes the measured
-    hop counts meaningful.  Beside the tables it holds a reference to
-    its ring's finger schedule (``finger_steps``, one shared immutable
-    tuple per ring): the distances its fingers were built for are what
-    lets :meth:`closest_preceding_finger` index into the table instead
-    of scanning it.
+    hop counts meaningful.  The distances its fingers were built for
+    are the ring's (``ChordRing.finger_steps``): entry *i* of
+    ``fingers`` answers step *i* of that schedule.
     """
 
     #: The application's RAM-only state at this peer (the indexing
@@ -49,7 +46,7 @@ class ChordNode:
         self,
         node_id: int,
         space: IdSpace,
-        finger_steps: Optional[Tuple[int, ...]] = None,
+        width: Optional[int] = None,
     ) -> None:
         self.node_id = node_id
         self.space = space
@@ -58,16 +55,10 @@ class ChordNode:
         self.successor: int = node_id
         #: Successor list, nearest first (excludes self unless singleton).
         self.successor_list: List[int] = []
-        #: Clockwise distance each finger covers, sorted ascending —
-        #: Chord's m entries at 2^i by default, ReCord's (b-1)·log_b 2^m
-        #: wider schedule when the ring routes with a higher arity.
-        self.finger_steps: Tuple[int, ...] = (
-            finger_steps
-            if finger_steps is not None
-            else recursive_finger_steps(space.bits, 2)
-        )
-        #: finger[i] = first live node ≥ (node_id + finger_steps[i]).
-        self.fingers: List[int] = [node_id] * len(self.finger_steps)
+        #: finger[i] = first live node ≥ (node_id + finger_steps[i]) for
+        #: the ring's schedule: *width* entries, Chord's m by default,
+        #: ReCord's (b-1)·log_b 2^m when the ring routes with arity b.
+        self.fingers: List[int] = [node_id] * (width if width is not None else space.bits)
         #: Application payload: ring position → opaque slot object.
         self.store: Dict[int, object] = {}
         #: Replicated payloads received from predecessors.
@@ -84,39 +75,6 @@ class ChordNode:
         span = (self.node_id - pred) & mask
         # span == 0: the node is its own predecessor and owns the ring.
         return not span or 0 < ((key - pred) & mask) <= span
-
-    def closest_preceding_finger(
-        self, key: int, is_usable: Callable[[int], bool]
-    ) -> int:
-        """The finger-table entry closest to but preceding *key*.
-
-        The farthest finger strictly inside ``(self, key)`` that the
-        caller deems usable (not a failed node); ``self.node_id`` when
-        no finger helps, which terminates the lookup loop at the
-        successor.
-
-        The scan runs far to near but does not start at the far end of
-        the table.  It relies on an invariant every table the ring
-        writes satisfies (full rebuild, incremental join/leave repair,
-        the all-self initial state, and tables left stale by a crash):
-        **finger i is this node itself or sits at clockwise distance
-        ≥ finger_steps[i]**.  With ``gap`` the clockwise distance to
-        *key* (the whole ring when ``key == self``), an entry whose step
-        is ≥ ``gap`` therefore cannot lie in the open interval, so the
-        scan starts just below the first such step — found by bisection
-        on the sorted schedule — and the cost of a hop no longer grows
-        with the table width.
-        """
-        node_id = self.node_id
-        mask = self.space.mask
-        gap = ((key - node_id) & mask) or mask + 1
-        fingers = self.fingers
-        for i in range(bisect_left(self.finger_steps, gap) - 1, -1, -1):
-            finger = fingers[i]
-            # Strictly inside (self, key); a self entry has distance 0.
-            if 0 < ((finger - node_id) & mask) < gap and is_usable(finger):
-                return finger
-        return node_id
 
     def first_live_successor(self, is_usable: Callable[[int], bool]) -> Optional[int]:
         """The nearest usable entry of the successor list (or the plain

@@ -44,14 +44,14 @@ without changing any observable routing outcome:
   and still responsible) before use.  A cache hit still accounts one
   lookup message — the querying peer contacts the indexing peer
   directly — so message counts are identical with caching on or off.
-* **Finger selection by distance**: a routed hop bisects the ring's
-  sorted finger schedule for the clockwise gap to the key and probes
-  the table from there (:meth:`ChordNode.closest_preceding_finger`),
-  and the interval tests of :meth:`ChordRing.lookup` are inline masked
-  arithmetic, so a hop costs the same on Chord's 32-entry table and on
-  ReCord's 189-entry one.  The finger chosen is the one the far-to-near
-  scan over the whole table chooses (``tests/dht/linear_finger_scan.py``
-  is that scan; the tests compare whole lookups against it).
+* **Finger selection by distance**: :meth:`ChordRing.lookup` is one
+  loop over ``nodes`` — interval tests in masked arithmetic, liveness a
+  ``nodes.get`` — and each hop bisects the sorted finger schedule for
+  the clockwise gap to the key and probes the table from there, so a
+  hop costs the same on Chord's 32-entry table and on ReCord's 189-entry
+  one.  Every hop is the one the method-calling loop with a whole-table
+  scan takes (``tests/dht/reference_router.py``; the tests replay churn
+  schedules through both).
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from ..exceptions import (
     NodeNotFoundError,
 )
 from ..net import DeliveryOutcome, DeliveryReceipt, PerfectTransport, Transport
-from .hashing import IdSpace, md5_hash, recursive_finger_steps
+from .hashing import IdSpace, recursive_finger_steps
 from .messages import Message, MessageKind, message
 from .node import ChordNode
 from .route_cache import RouteCache
@@ -78,7 +78,7 @@ from .stats import NetworkStats
 
 class LookupResult(NamedTuple):
     """Outcome of one DHT lookup: responsible node, hop count, path (a
-    named tuple: every lookup builds one)."""
+    named tuple: every lookup builds one, with ``tuple.__new__``)."""
 
     node_id: int
     hops: int
@@ -185,7 +185,7 @@ class ChordRing:
         salt = self._rng.randint(0, 1 << 30)
         i = 0
         while len(ids) < count:
-            node_id = md5_hash(f"peer-{salt}-{i}", self.space.bits)
+            node_id = self.space.hash_key(f"peer-{salt}-{i}")
             i += 1
             if node_id in seen:
                 continue
@@ -196,7 +196,7 @@ class ChordRing:
     def _insert_node(self, node_id: int) -> ChordNode:
         if node_id in self.nodes:
             raise DHTError(f"duplicate node id: {node_id}")
-        node = ChordNode(node_id, self.space, self.finger_steps)
+        node = ChordNode(node_id, self.space, len(self.finger_steps))
         self.nodes[node_id] = node
         insort(self._live_sorted, node_id)
         self._live_view = None
@@ -457,6 +457,12 @@ class ChordRing:
         the requesting peer already knows the responsible peer's
         address.  Cache misses route normally and populate the cache.
 
+        A routed hop is one pass of the loop below.  Its far-to-near
+        finger scan starts just below the first ``finger_steps`` entry
+        ≥ the gap to the key: every table the ring writes keeps finger
+        i at the node itself or at distance ≥ ``finger_steps[i]``, so
+        no entry above can precede the key.
+
         Raises :class:`NodeFailedError` if routing terminates at a node
         that has crashed but whose failure has not yet been repaired by
         :meth:`stabilize` — the window the paper's Section 7 discusses.
@@ -466,9 +472,10 @@ class ChordRing:
         """
         if not self._live_sorted:
             raise EmptyRingError("no live nodes")
-        start = self.node(start_id)
-        if not start.alive:
+        current = self.node(start_id)
+        if not current.alive:
             raise NodeFailedError(start_id)
+        nodes = self.nodes
 
         cache = self.route_cache
         if cache is not None:
@@ -479,7 +486,7 @@ class ChordRing:
                     # Membership changed since this route was resolved:
                     # the cached owner must still be alive and still
                     # responsible, else the entry is stale.
-                    tnode = self.nodes.get(target)
+                    tnode = nodes.get(target)
                     if tnode is not None and tnode.alive and tnode.owns(key):
                         cache.refresh(start_id, key, target, self.epoch)
                     else:
@@ -491,84 +498,82 @@ class ChordRing:
                         self._deliver_hop(start_id, target)
                     if record:
                         self.stats.record_lookup(1)
-                    return LookupResult(target, 1, (start_id, target))
+                    return tuple.__new__(LookupResult, (target, 1, (start_id, target)))
             cache.misses += 1
 
-        current = start
-        hops = 0
-        path = [current.node_id]
+        steps = self.finger_steps
+        # x ∈ (a, b] iff 0 < (x - a) & mask <= (b - a) & mask, with
+        # a == b (span 0) covering the whole ring: IdSpace.in_interval.
+        mask = self.space.mask
         max_steps = 2 * self.space.bits + len(self._live_sorted)
         hop_transport = self.transport.active
-        # Interval tests below are IdSpace.in_interval written out on
-        # the mask: x ∈ (a, b] iff 0 < (x - a) & mask <= (b - a) & mask,
-        # with a == b (span 0) covering the whole ring.
-        mask = self.space.mask
+        node_id = start_id
+        hops = 0
+        path = [node_id]
 
         while True:
-            if current.owns(key):
-                result = LookupResult(current.node_id, hops, tuple(path))
+            pred = current.predecessor
+            if pred is None:
                 break
+            span = (node_id - pred) & mask
+            if not span or 0 < ((key - pred) & mask) <= span:
+                break
+            gap = (key - node_id) & mask  # > 0: a node owns its own id
             # The routing-state successor (may be stale after failures):
             # if it is this key's owner but has crashed and no repair has
             # run yet, the key is unreachable — the paper's "down" peer
             # window (Section 7).  Intermediate routing, by contrast, may
             # freely skip dead fingers via the successor list.
-            raw_successor = current.successor
-            span = (raw_successor - current.node_id) & mask
-            if not span or 0 < ((key - current.node_id) & mask) <= span:
-                if not self.is_live(raw_successor):
-                    raise NodeFailedError(raw_successor)
-                if hop_transport:
-                    self._deliver_hop(current.node_id, raw_successor)
-                hops += 1
-                path.append(raw_successor)
-                result = LookupResult(raw_successor, hops, tuple(path))
-                break
-            nxt = current.closest_preceding_finger(key, self.is_live)
-            if nxt == current.node_id:
-                # The one-deep (current, successor] test above cannot see
-                # past *consecutive* failed successors: when the key's
-                # unrepaired owner is the second (or later) dead entry in
-                # the successor list, routing would orbit the ring
-                # forever.  Walk the raw successor list interval by
-                # interval — the first entry at-or-past the key is the
-                # key's current routing-state owner: dead → the Section 7
-                # down-peer window (NodeFailedError, exactly like the
-                # single-successor case above); live → terminate there.
-                prev = current.node_id
-                owner: Optional[int] = None
-                for succ in current.successor_list:
-                    span = (succ - prev) & mask
-                    if not span or 0 < ((key - prev) & mask) <= span:
-                        owner = succ
-                        break
-                    prev = succ
-                if owner is not None:
-                    if not self.is_live(owner):
-                        raise NodeFailedError(owner)
-                    if hop_transport:
-                        self._deliver_hop(current.node_id, owner)
-                    hops += 1
-                    path.append(owner)
-                    result = LookupResult(owner, hops, tuple(path))
-                    break
-                live_succ = current.first_live_successor(self.is_live)
-                if live_succ is None or live_succ == current.node_id:
-                    raise NodeFailedError(raw_successor)
-                nxt = live_succ
+            nxt = current.successor
+            span = (nxt - node_id) & mask
+            last = not span or gap <= span
+            if not last:
+                # The farthest live finger strictly inside (node, key).
+                fingers = current.fingers
+                for i in range(bisect_left(steps, gap) - 1, -1, -1):
+                    nxt = fingers[i]
+                    if 0 < ((nxt - node_id) & mask) < gap:
+                        hop = nodes.get(nxt)
+                        if hop is not None and hop.alive:
+                            break
+                else:
+                    # No finger helps, and the successor test cannot see
+                    # past *consecutive* failed successors (routing would
+                    # orbit the ring).  The first successor-list entry
+                    # at-or-past the key is its routing-state owner: dead
+                    # → the Section 7 window, live → the lookup ends
+                    # there.  Else route around the dead successor.
+                    prev = node_id
+                    for nxt in current.successor_list:
+                        span = (nxt - prev) & mask
+                        if not span or 0 < ((key - prev) & mask) <= span:
+                            last = True
+                            break
+                        prev = nxt
+                    else:
+                        nxt = current.first_live_successor(self.is_live)
+                        if nxt is None or nxt == node_id:
+                            raise NodeFailedError(current.successor)
+            if last:
+                hop = nodes.get(nxt)
+                if hop is None or not hop.alive:
+                    raise NodeFailedError(nxt)
             if hop_transport:
-                self._deliver_hop(current.node_id, nxt)
+                self._deliver_hop(node_id, nxt)
             hops += 1
+            path.append(nxt)
+            node_id = nxt
+            if last:
+                break
             if hops > max_steps:
                 raise DHTError(f"lookup did not converge for key {key}")
-            path.append(nxt)
-            current = self.node(nxt)
+            current = nodes[nxt]
 
-        if cache is not None and result.node_id != start_id:
-            cache.store(start_id, key, result.node_id, self.epoch)
+        if cache is not None and node_id != start_id:
+            cache.store(start_id, key, node_id, self.epoch)
         if record:
-            self.stats.record_lookup(result.hops)
-        return result
+            self.stats.record_lookup(hops)
+        return tuple.__new__(LookupResult, (node_id, hops, tuple(path)))
 
     def lookup_term(self, start_id: int, term: str, record: bool = True) -> LookupResult:
         """Lookup the indexing peer responsible for a term (MD5-hashed)."""
@@ -606,7 +611,7 @@ class ChordRing:
         """
         if node_id is None:
             base = name if name is not None else f"joiner-{self._rng.randint(0, 1 << 30)}"
-            node_id = md5_hash(base, self.space.bits)
+            node_id = self.space.hash_key(base)
             while node_id in self.nodes:
                 node_id = (node_id + 1) % self.space.size
         if node_id in self.nodes and self.nodes[node_id].alive:

@@ -10,31 +10,12 @@ distributed systems share, so every system sees an identical term space.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, FrozenSet, List, Optional
+from typing import FrozenSet, List, Optional
 
+from ..memo import BoundedMemo
 from .stemmer import PorterStemmer
 from .stopwords import LUCENE_STOP_WORDS
 from .tokenizer import Tokenizer
-
-
-class _VocabularyMemo(dict):
-    """Raw token → final term (``None`` when dropped), filled on miss.
-
-    A ``dict`` subclass so a warm lookup is the C-level subscript and
-    only a word not seen before reaches Python (``__missing__``).
-    Bounded: cleared when it holds *bound* entries.
-    """
-
-    def __init__(self, resolve: Callable[[str], Optional[str]], bound: int) -> None:
-        super().__init__()
-        self._resolve = resolve
-        self._bound = bound
-
-    def __missing__(self, raw: str) -> Optional[str]:
-        if len(self) >= self._bound:
-            self.clear()
-        term = self[raw] = self._resolve(raw)
-        return term
 
 
 class Analyzer:
@@ -68,7 +49,7 @@ class Analyzer:
         self.stop_words = stop_words
         self.stemmer = stemmer if stemmer is not None else PorterStemmer()
         self.enable_stemming = enable_stemming
-        self._memo = _VocabularyMemo(self._final_term, PorterStemmer.CACHE_SIZE)
+        self._memo = BoundedMemo(self._final_term, PorterStemmer.CACHE_SIZE)
 
     def _final_term(self, raw: str) -> Optional[str]:
         """The term one raw token contributes, or ``None``: length and

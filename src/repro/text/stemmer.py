@@ -92,8 +92,8 @@ class PorterStemmer:
     Porter's reference implementation.
 
     The pipeline is pure, so each instance memoizes it with an
-    ``lru_cache`` (the same treatment ``md5_hash`` got in the DHT
-    layer): corpora repeat their vocabulary constantly, and re-running
+    ``lru_cache`` (as the DHT layer memoizes each key's ring position):
+    corpora repeat their vocabulary constantly, and re-running
     all eight suffix steps per token dominated analysis time.
     """
 

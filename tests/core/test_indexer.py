@@ -189,7 +189,9 @@ class TestPollDeduplication:
         issuer, owner = ring.live_ids[0], ring.live_ids[1]
         protocol.register_query(issuer, ("alpha", "beta"))
         hashes = self._hashes(protocol, ("alpha", "beta"))
-        closest = ring.space.closest_term_to_key(protocol.query_hash(("alpha", "beta")), hashes)
+        closest = ring.space.closest_term_to_key(
+            protocol.query_hash(("alpha", "beta")), ("alpha", "beta"), hashes
+        )
         other = "beta" if closest == "alpha" else "alpha"
         fresh, latest = protocol.poll_term(owner, other, hashes, since=-1)
         assert fresh == [] and latest == 0

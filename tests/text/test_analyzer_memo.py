@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.text import Analyzer, PorterStemmer, Tokenizer
-from repro.text.analyzer import _VocabularyMemo
+from repro.memo import BoundedMemo
 
 #: Kelvin sign (lower-cases to ASCII "k"), dotted capital I (lower-cases
 #: to "i" + combining dot), sharp s, and a titlecase digraph.
@@ -125,7 +125,7 @@ def test_memo_is_bounded_by_the_stemmer_cache_size() -> None:
 
 def test_filling_the_memo_past_its_bound_changes_no_output() -> None:
     analyzer = Analyzer()
-    analyzer._memo = _VocabularyMemo(analyzer._final_term, 8)
+    analyzer._memo = BoundedMemo(analyzer._final_term, 8)
     reference = Analyzer()
     text = " ".join(f"word{i} running The word{i % 5}" for i in range(60))
     assert analyzer.analyze(text) == per_occurrence(reference, text)

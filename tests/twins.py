@@ -363,9 +363,11 @@ ROWS = (
 
 #: References whose property runs below the system level, and that level.
 EXEMPT = {
+    "core/reference_selection.py": "index-term selection: test_learning.py",
     "core/replication_reference.py": "replication round: test_replication_delta.py",
     "dht/full_rebuild.py": "ring membership repair: test_incremental_stabilize.py",
-    "dht/linear_finger_scan.py": "finger selection: test_finger_selection.py",
+    "dht/linear_finger_scan.py": "finger selection: test_node.py, reference_router.py",
+    "dht/reference_router.py": "whole lookups: test_finger_selection.py",
     "ir/legacy_inverted_index.py": "centralized reference scoring: test_counts_index.py",
     "net/legacy_lossy.py": "lossy delivery per attempt: test_lossy_reference.py",
 }
