@@ -21,10 +21,7 @@ check       Run the verification harness (repro.sim): execute a scenario
             — from a JSON file, randomly generated from a seed, or a
             named entry of the adversarial workload catalogue
             (``--catalogue flash_crowd``, ``--catalogue all``) —
-            checking the invariant catalogue between events, then run
-            the differential oracle: every row of its comparison table
-            (a result-neutral switch on vs off), then the centralized
-            TF-IDF baseline.
+            checking the invariant catalogue between events.
 
 All commands accept ``--small`` (test-sized corpus, seconds) and
 ``--seed`` (reproducibility), plus the network-model flags
@@ -591,19 +588,10 @@ def cmd_check(args: argparse.Namespace, out) -> int:
     schedule, ``--random`` to generate one from ``--seed``, or
     ``--catalogue NAME|all`` to run the adversarial workload catalogue)
     against a micro SPRITE deployment, checking the two-tier invariant
-    catalogue between events; then runs the differential oracle
-    (optimized vs direct execution paths, full-index SPRITE vs
-    centralized TF-IDF).  Exit code 1 on any invariant violation or
-    oracle mismatch.
+    catalogue between events.  Exit code 1 on any invariant violation.
     """
     from .net import build_transport
-    from .sim import (
-        MIN_RANDOM_EVENTS,
-        DifferentialOracle,
-        Scenario,
-        build_simulation,
-        random_scenario,
-    )
+    from .sim import MIN_RANDOM_EVENTS, Scenario, build_simulation, random_scenario
 
     modes = [bool(args.scenario), bool(args.random), bool(args.catalogue)]
     if sum(modes) != 1:
@@ -620,18 +608,21 @@ def cmd_check(args: argparse.Namespace, out) -> int:
         out.write(error)
         return 2
     if args.catalogue:
-        # Catalogue entries define their own transport and result-cache
+        # Catalogue entries define their own network, ring and store
         # configuration; only --seed/--peers apply.
-        if args.store_backend != "memory":
+        flags = {
+            "--" + attr.replace("_", "-"): getattr(args, attr)
+            for attr in _NETWORK_FLAG_FIELDS
+        }
+        flags["--ring-arity"] = args.finger_arity
+        flags["--store-backend"] = (
+            None if args.store_backend == "memory" else args.store_backend
+        )
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
             out.write(
                 "error: --catalogue scenarios define their own engine "
-                "configuration; drop --store-backend\n"
-            )
-            return 2
-        if args.finger_arity is not None:
-            out.write(
-                "error: --catalogue scenarios define their own engine "
-                "configuration; drop --ring-arity\n"
+                f"configuration; drop {' '.join(given)}\n"
             )
             return 2
         return _cmd_check_catalogue(args, out)
@@ -689,24 +680,7 @@ def cmd_check(args: argparse.Namespace, out) -> int:
                 f"(full baseline {recovery.full_baseline_messages} / "
                 f"{recovery.full_baseline_postings})\n"
             )
-
-    failed = not report.ok
-    if not args.skip_oracle:
-        queries = engine.queries
-        half = max(1, len(queries) // 2)
-        oracle = DifferentialOracle(
-            engine.system.corpus,
-            train=queries[:half],
-            test=queries[half:] or queries[:half],
-            num_peers=args.peers,
-            seed=args.seed,
-        )
-        for oracle_report in oracle.check_all().values():
-            out.write(oracle_report.summary() + "\n")
-            for mismatch in oracle_report.mismatches[:5]:
-                out.write(f"  {mismatch.query_id}: {mismatch.detail}\n")
-            failed = failed or not oracle_report.ok
-    return 1 if failed else 0
+    return 0 if report.ok else 1
 
 
 def cmd_generate(args: argparse.Namespace, out) -> int:
@@ -808,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_perf)
 
     p = sub.add_parser(
-        "check", help="run the repro.sim scenario + invariant + oracle harness"
+        "check", help="run the repro.sim scenario + invariant harness"
     )
     _add_common(p)
     _add_ring(p)
@@ -831,11 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--events", type=int, default=500, help="events in a random scenario"
     )
     p.add_argument("--peers", type=int, default=24, help="ring size for the harness")
-    p.add_argument(
-        "--skip-oracle",
-        action="store_true",
-        help="run only the scenario/invariant phase",
-    )
     p.add_argument(
         "--json",
         action="store_true",

@@ -208,8 +208,8 @@ class ChordConfig:
     controls the §7 replication scheme.
 
     Two fields change *where lookup messages travel*, never what a
-    lookup or a query returns (DESIGN.md §8), and each owes the
-    differential oracle a row: ``route_cache_size`` bounds each ring's
+    lookup or a query returns (DESIGN.md §8), and each is a row of the
+    twin table (``tests/twins.py``): ``route_cache_size`` bounds each ring's
     epoch-validated route cache (0 routes every lookup; ``perf-paths``),
     and ``finger_arity`` is the branching factor *b* of the finger
     schedule — ``b - 1`` fingers per base-*b* digit of the id space.

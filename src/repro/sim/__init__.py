@@ -4,9 +4,7 @@ The testing subsystem: a declarative scenario DSL
 (:mod:`repro.sim.events`), an engine that executes schedules against a
 live system while tracking quiescence (:mod:`repro.sim.engine`), a
 two-tier invariant catalogue checked between events
-(:mod:`repro.sim.invariants`), a differential oracle pinning
-SPRITE's distributed rankings to simpler ground truths
-(:mod:`repro.sim.oracle`), and the adversarial workload catalogue —
+(:mod:`repro.sim.invariants`), and the adversarial workload catalogue —
 flash crowds, hot-term storms, heterogeneous peers, regional failures,
 corpus turnover — with quality-under-stress readouts
 (:mod:`repro.sim.catalogue`, :mod:`repro.sim.behaviors`,
@@ -47,14 +45,6 @@ from .invariants import (
     InvariantViolation,
     StormObservation,
 )
-from .oracle import (
-    ORACLE_ROWS,
-    DifferentialOracle,
-    OracleReport,
-    OracleRow,
-    RankingMismatch,
-    write_state_fingerprint,
-)
 from .quality import QualityProbe, QualityReadout
 
 __all__ = [
@@ -62,20 +52,15 @@ __all__ = [
     "EVENT_KINDS",
     "HEAL_SEQUENCE",
     "MIN_RANDOM_EVENTS",
-    "ORACLE_ROWS",
     "PEER_CLASSES",
     "BehaviorPlan",
     "CatalogueEntry",
-    "DifferentialOracle",
     "InvariantChecker",
     "InvariantReport",
     "InvariantViolation",
-    "OracleReport",
-    "OracleRow",
     "PeerClass",
     "QualityProbe",
     "QualityReadout",
-    "RankingMismatch",
     "Scenario",
     "ScenarioEngine",
     "SimEvent",
@@ -92,5 +77,4 @@ __all__ = [
     "run_catalogue_entry",
     "scenario",
     "scenario_fingerprint",
-    "write_state_fingerprint",
 ]

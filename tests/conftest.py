@@ -117,15 +117,16 @@ def micro_corpus_config() -> SyntheticCorpusConfig:
 
 
 @pytest.fixture(scope="session")
-def micro_oracle(micro_corpus_config):
-    """The differential oracle over the micro corpus: four training
+def micro(micro_corpus_config):
+    """The twin table's deployment over the micro corpus: four training
     queries, the rest for testing, a 16-peer ring.  Read-only."""
     from repro.corpus.synthetic import SyntheticTrecCorpus
-    from repro.sim.oracle import DifferentialOracle
+
+    from .twins import Deployment
 
     corpus, originals, __ = SyntheticTrecCorpus(micro_corpus_config).build()
     queries = list(originals)
-    return DifferentialOracle(corpus, train=queries[:4], test=queries[4:], num_peers=16, seed=0)
+    return Deployment(corpus, queries[:4], queries[4:], num_peers=16, seed=0)
 
 
 @pytest.fixture()

@@ -53,18 +53,18 @@ def remote_indexed_term(system: SpriteSystem, queries):
 
 class TestWhatAHeldVersionMeans:
     def test_a_promoted_replica_is_withheld_and_ranks_as_for_a_fresh_issuer(
-        self, micro_oracle
+        self, micro
     ) -> None:
-        default, shipped = micro_oracle.build(), always_ship(micro_oracle.build())
+        default, shipped = micro.build(), always_ship(micro.build())
         wire = Wire(default.protocol)
         rankings = []
         for system in (default, shipped):
             system.bulk_share()
             replication = ReplicationManager(system.ring)
             replication.replicate_round()
-            first = [pairs(system.search(q, cache=False)) for q in micro_oracle.test]
+            first = [pairs(system.search(q, cache=False)) for q in micro.test]
             # Crash the indexing peer of a term some other peer asked for.
-            __, issuer, term, victim = remote_indexed_term(system, micro_oracle.test)
+            __, issuer, term, victim = remote_indexed_term(system, micro.test)
             system.ring.fail(victim)
             replication.recover_from_failures()
             key = system.protocol.term_hash(term)
@@ -72,15 +72,15 @@ class TestWhatAHeldVersionMeans:
             if system is default:
                 assert system.ring.nodes[issuer].held_versions[term] == promoted.version
                 wire.not_modified.clear()
-            again = [pairs(system.search(q, cache=False)) for q in micro_oracle.test]
+            again = [pairs(system.search(q, cache=False)) for q in micro.test]
             assert again == first
             rankings.append(again)
         assert wire.not_modified[term] >= 1
         assert rankings[0] == rankings[1]
         assert_agree(default, shipped, read_delta(wire))
 
-    def test_a_snapshot_rejoin_reships_the_slots_it_restored(self, micro_oracle) -> None:
-        system = micro_oracle.build({"sprite": {"store_backend": "sqlite"}})
+    def test_a_snapshot_rejoin_reships_the_slots_it_restored(self, micro) -> None:
+        system = micro.build({"sprite": {"store_backend": "sqlite"}})
         runtime = system.store_runtime
         try:
             ring, protocol = system.ring, system.protocol
@@ -89,7 +89,7 @@ class TestWhatAHeldVersionMeans:
             runtime.flush_retired()
             for node_id in ring.live_ids:
                 runtime.snapshots.save_peer(ring.node(node_id))
-            query, issuer, term, victim = remote_indexed_term(system, micro_oracle.test)
+            query, issuer, term, victim = remote_indexed_term(system, micro.test)
             first = pairs(system.search(query, cache=False))
             held = ring.nodes[issuer].held_versions[term]
             # No replica: the crash takes the slot out of the ring, and

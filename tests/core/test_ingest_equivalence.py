@@ -25,8 +25,8 @@ from repro.core.indexer import IndexingProtocol
 from repro.core.owner import OwnerPeer
 from repro.corpus import Document
 from repro.dht import ChordRing
-from repro.sim.oracle import write_state_fingerprint
 
+from ..twins import write_state_fingerprint
 from .per_term_owner import PerTermOwner
 
 VOCAB = [f"kw{i:03d}" for i in range(18)]

@@ -6,13 +6,19 @@ from math import inf, sqrt
 
 import pytest
 
+from repro.core import metadata
 from repro.core.metadata import (
     CachedQuery,
+    CachedResult,
     PostingEntry,
     QueryCache,
+    QueryResultCache,
     TermSlot,
     TermStats,
+    query_digest,
 )
+from repro.ir.ranking import RankedList
+from repro.store import SqlitePostings
 
 
 class TestPostingEntry:
@@ -83,6 +89,33 @@ class TestQueryCache:
         cache.add(("b",), 2)
         assert len(cache) == 2
 
+    def test_a_repeat_evicts_only_past_capacity(self) -> None:
+        cache = QueryCache(capacity=3)
+        for n, terms in enumerate((("a",), ("b",), ("c",))):
+            cache.add(terms, n)
+        repeat = cache.add_repeat(query_digest(("a",)))
+        assert repeat == CachedQuery(("a",), 0, 3)
+        assert list(cache) == [CachedQuery(("b",), 1, 1), CachedQuery(("c",), 2, 2), repeat]
+
+    def test_a_digest_two_cached_tuples_share_resolves_to_neither(self, monkeypatch) -> None:
+        """Restoring reindexes: a digest shared by two tuples is marked
+        unresolvable, one tuple's repeats keep its latest arrival; and
+        evicting one of the two tuples reindexes, so the other resolves."""
+        digest = query_digest
+        shared = (("a",), ("b",))
+        monkeypatch.setattr(
+            metadata, "query_digest", lambda terms: 0 if terms in shared else digest(terms)
+        )
+        cache = QueryCache.from_state(
+            4, [(("a",), 1, 0), (("c",), 3, 1), (("b",), 2, 2), (("c",), 3, 3)], 4
+        )
+        assert cache.digests[0] is None
+        assert cache.digests[digest(("c",))] == CachedQuery(("c",), 3, 3)
+        assert cache.add_repeat(0) is None
+        cache.add(("d",), 4)
+        assert cache.digests[0] == CachedQuery(("b",), 2, 2)
+        assert cache.add_repeat(0) == CachedQuery(("b",), 2, 5)
+
 
 class TestTermSlot:
     def test_indexed_document_frequency(self) -> None:
@@ -106,14 +139,43 @@ class TestTermSlot:
         assert slot.indexed_document_frequency == 0
         assert slot.remove_posting("d1") is None
 
+    def test_get_and_remove_return_every_stored_field(self) -> None:
+        slot = TermSlot(term="chord")
+        slot.add_posting(PostingEntry("d1", owner_peer=7, raw_tf=3, doc_length=40))
+        slot.add_posting(PostingEntry("d2", owner_peer=9, raw_tf=2, doc_length=12))
+        assert slot.get_posting("d1") == PostingEntry("d1", 7, 3, 40)
+        assert slot.remove_posting("d2") == PostingEntry("d2", 9, 2, 12)
+        assert slot.get_posting("d2") is None
+
+    def test_a_shipped_slot_records_a_batch_on_a_store_that_adds_many(self, conn) -> None:
+        """An overwrite, a new document and that document again, in one
+        batch: each row records whether the list had its document just
+        before it, and only the first the version a reader could hold."""
+        slot = TermSlot("chord", store=SqlitePostings(conn, 1))
+        slot.add_posting(PostingEntry("d1", 1, 1, 10))
+        slot.add_posting(PostingEntry("d2", 2, 1, 10))
+        assert slot.ship(None) is None  # the first ship starts the record
+        held = slot.version
+        slot.add_postings([
+            PostingEntry("d1", 1, 4, 10),
+            PostingEntry("d3", 3, 1, 10),
+            PostingEntry("d3", 3, 2, 10),
+        ])
+        assert slot.mutations == [
+            (held, "d1", True, True),
+            (None, "d3", False, True),
+            (None, "d3", True, True),
+        ]
+
     def test_scoring_view_columns_match_the_entries(self) -> None:
         slot = TermSlot(term="chord")
         slot.add_posting(PostingEntry("d2", 7, 3, 12))
         slot.add_posting(PostingEntry("d1", 9, 1, 0))
+        slot.add_posting(PostingEntry("d3", 5, 2, 1))
         doc_ids, ntfs, norms = slot.scoring_view()
-        assert doc_ids == ["d2", "d1"]
-        assert ntfs == [3 / 12, 0.0]
-        assert norms == [sqrt(12), inf]  # a zero-length document: x / inf == 0.0
+        assert doc_ids == ["d2", "d1", "d3"]
+        assert ntfs == [3 / 12, 0.0, 2.0]
+        assert norms == [sqrt(12), inf, 1.0]  # a zero-length document: x / inf == 0.0
         assert doc_ids == [e.doc_id for e in slot.entries()]
         assert ntfs == [e.normalized_tf for e in slot.entries()]
         assert all(type(column) is list for column in slot.scoring_view())
@@ -153,3 +215,16 @@ class TestTermStats:
         stats.absorb(0.5, 3)
         stats.absorb(0.3, 2)
         assert stats.query_frequency == 5
+
+
+class TestQueryResultCache:
+    def test_a_cache_of_one_holds_the_latest_result(self) -> None:
+        cache = QueryResultCache(1)
+        first = CachedResult(("a",), 1, {}, frozenset(), RankedList({}))
+        second = CachedResult(("b",), 1, {}, frozenset(), RankedList({}))
+        cache.put(1, first)
+        assert cache.get(1) is first
+        cache.put(2, second)
+        assert cache.get(1) is None
+        assert cache.get(2) is second
+        assert len(cache) == 1

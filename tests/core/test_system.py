@@ -12,7 +12,8 @@ from repro.core import SpriteSystem
 from repro.corpus import Corpus, Document, Query
 from repro.dht import ChordRing
 from repro.exceptions import LearningError
-from repro.sim import write_state_fingerprint
+
+from ..twins import write_state_fingerprint
 
 CHORD = ChordConfig(num_peers=24, id_bits=32, seed=61)
 
@@ -268,11 +269,10 @@ def _digest(value) -> str:
 
 
 class TestTermSelectionIsAConfigDelta:
-    """eSearch and the oracle's full-index arm were subclasses
-    (``ESearchSystem``, ``FullIndexSystem``) until PR 24.  The literals
-    below were recorded from those classes at the parent commit, on the
-    oracle's micro deployment; the config deltas that replaced them
-    must reproduce them.
+    """eSearch and the full-index system were subclasses
+    (``ESearchSystem``, ``FullIndexSystem``).  The literals below were
+    recorded from those classes on the micro deployment; the config
+    deltas that replaced them must reproduce them.
 
     The four test queries address 14 slots over 12 SEARCH_TERM /
     POSTINGS pairs, each term once from a peer holding no version of it,
@@ -354,10 +354,10 @@ class TestTermSelectionIsAConfigDelta:
         ]),
     ]
 
-    def test_static_baseline_reproduces_the_esearch_class(self, micro_oracle) -> None:
-        sprite, chord = micro_oracle.configs()
+    def test_static_baseline_reproduces_the_esearch_class(self, micro) -> None:
+        sprite, chord = micro.configs()
         assert sprite.static_baseline().initial_terms == 9
-        system = SpriteSystem(micro_oracle.corpus, sprite.static_baseline(), chord)
+        system = SpriteSystem(micro.corpus, sprite.static_baseline(), chord)
         system.share_corpus()
         state = write_state_fingerprint(system)
         assert _digest(
@@ -365,22 +365,13 @@ class TestTermSelectionIsAConfigDelta:
         ) == self.STATIC_FINGERPRINT
         rankings = [
             (q.query_id, [(e.doc_id, e.score.hex()) for e in system.search(q, cache=False)])
-            for q in micro_oracle.test
+            for q in micro.test
         ]
         assert _digest(rankings) == self.STATIC_RANKINGS
         assert system.ring.stats.summary() == self.STATIC_TRAFFIC
 
-    def test_unbounded_initial_terms_reproduce_the_full_index_class(self, micro_oracle) -> None:
-        system = micro_oracle.build(
-            {
-                "sprite": {
-                    "initial_terms": 10**6,
-                    "max_index_terms": 10**6,
-                    "assumed_corpus_size": len(micro_oracle.corpus),
-                }
-            }
-        )
-        system.share_corpus()
+    def test_unbounded_initial_terms_reproduce_the_full_index_class(self, micro) -> None:
+        system = micro.full_index()
         assert system.total_published_terms() == 1917
         state = write_state_fingerprint(system)
         owners = [
@@ -388,7 +379,7 @@ class TestTermSelectionIsAConfigDelta:
             for key, value in sorted(state["owners"].items())
         ]
         assert _digest((sorted(state["slots"].items()), owners)) == self.FULL_FINGERPRINT_UNORDERED
-        for query, (query_id, expected) in zip(micro_oracle.test, self.FULL_RANKINGS):
+        for query, (query_id, expected) in zip(micro.test, self.FULL_RANKINGS):
             ranked = system.search(query, cache=False)
             assert query.query_id == query_id
             assert ranked.ids() == [doc_id for doc_id, __ in expected]

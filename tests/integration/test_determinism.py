@@ -98,7 +98,7 @@ def test_perf_paths_do_not_change_trace_determinism(workload) -> None:
     corpus, queries = workload
     direct = _run(corpus, queries, route_cache=False, churn=False)
     perf = _run(corpus, queries, route_cache=True, churn=False)
-    # same retrieval semantics on a stable ring (the differential
-    # oracle's bit-identity claim, restated at integration level)
+    # same retrieval semantics on a stable ring (the twin table's
+    # perf-paths row, restated at integration level)
     assert direct[0] == perf[0]
     assert perf[1].messages <= direct[1].messages

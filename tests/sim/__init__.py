@@ -1,1 +1,1 @@
-"""Tests for repro.sim — the scenario/invariant/oracle harness."""
+"""Tests for repro.sim — the scenario engine, invariants and catalogue."""

@@ -20,7 +20,6 @@ from repro.config import ChordConfig, SpriteConfig
 from repro.core.system import SpriteSystem
 from repro.corpus import Corpus, Document, Query
 from repro.dht import ChordRing
-from repro.sim.oracle import write_state_fingerprint
 from repro.store import (
     SnapshotManager,
     SqlitePostings,
@@ -30,6 +29,8 @@ from repro.store import (
     restore_slots,
 )
 from repro.store.snapshot import MANIFEST
+
+from ..twins import write_state_fingerprint
 
 _DOC_TEXTS = {
     "doc-a": "chord overlay routing peer network lookup finger table",

@@ -102,7 +102,6 @@ class TestCliFlags:
                 "12",
                 "--peers",
                 "8",
-                "--skip-oracle",
                 "--store-backend",
                 "sqlite",
                 "--store-dir",
@@ -122,7 +121,7 @@ class TestCliFlags:
     def test_check_memory_backend_prints_no_store_stats(self) -> None:
         out = io.StringIO()
         code = main(
-            ["check", "--random", "--events", "10", "--peers", "8", "--skip-oracle"],
+            ["check", "--random", "--events", "10", "--peers", "8"],
             out=out,
         )
         assert code == 0, out.getvalue()

@@ -319,7 +319,7 @@ class TestRingFlags:
     def test_check_record_ring_runs_clean(self) -> None:
         code, output = run_cli(
             "check", "--random", "--seed", "0", "--events", "12",
-            "--peers", "12", "--skip-oracle",
+            "--peers", "12",
             "--ring-arity", "4",
         )
         assert code == 0
@@ -340,6 +340,27 @@ class TestRingFlags:
         )
         assert code == 2
         assert "drop --ring-arity" in output
+
+    def test_catalogue_rejects_every_network_flag(self) -> None:
+        """A catalogue entry brings its own transport: a network flag is
+        refused before any output, not silently ignored."""
+        for flag, value in (
+            ("--transport", "lossy"), ("--drop", "0.9"), ("--latency-model", "lognormal"),
+            ("--latency", "5"), ("--timeout", "250"), ("--retries", "2"), ("--net-seed", "5"),
+        ):
+            code, output = run_cli(
+                "check", "--catalogue", "flash_crowd", "--seed", "0", flag, value
+            )
+            assert code == 2, flag
+            assert output == (
+                "error: --catalogue scenarios define their own engine "
+                f"configuration; drop {flag}\n"
+            )
+        code, output = run_cli(
+            "check", "--catalogue", "flash_crowd", "--transport", "lossy", "--drop", "0.9"
+        )
+        assert code == 2
+        assert output.endswith("drop --transport --drop\n")
 
 
 class TestGenerate:
@@ -405,7 +426,7 @@ class TestCheck:
     def test_random_scenario_runs_clean(self) -> None:
         code, output = run_cli(
             "check", "--random", "--seed", "0", "--events", "12",
-            "--peers", "12", "--skip-oracle",
+            "--peers", "12",
         )
         assert code == 0
         assert "random scenario: seed=0, 12 events" in output
@@ -418,13 +439,16 @@ class TestCheck:
         assert code == 2
         assert output == "error: --events must be >= 5\n"
 
-    def test_oracle_reports_included_by_default(self) -> None:
+    def test_random_check_prints_the_schedule_and_its_invariants_only(self) -> None:
+        """The differential is the twin table (``tests/twins.py``); a
+        check prints its scenario header and the invariant summary."""
         code, output = run_cli(
             "check", "--random", "--seed", "0", "--events", "8", "--peers", "12"
         )
         assert code == 0
-        assert "oracle[perf-paths]" in output
-        assert "oracle[centralized-baseline]" in output
+        assert output.startswith("random scenario: seed=0, 8 events\n")
+        assert "all invariants held" in output
+        assert "oracle" not in output
 
     def test_requires_exactly_one_source(self, tmp_path) -> None:
         code, output = run_cli("check")
@@ -451,7 +475,7 @@ class TestCheck:
         path = tmp_path / "scenario.json"
         random_scenario(seed=4, num_events=10).save(path)
         code, output = run_cli(
-            "check", "--scenario", str(path), "--peers", "12", "--skip-oracle"
+            "check", "--scenario", str(path), "--peers", "12"
         )
         assert code == 0
         assert f"replaying {path}: 10 events" in output
@@ -460,7 +484,7 @@ class TestCheck:
     def test_lossy_transport_flags_apply(self) -> None:
         code, output = run_cli(
             "check", "--random", "--seed", "1", "--events", "12",
-            "--peers", "12", "--skip-oracle",
+            "--peers", "12",
             "--transport", "lossy", "--drop", "0.02",
         )
         assert code == 0

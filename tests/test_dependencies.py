@@ -256,7 +256,7 @@ def test_the_overlay_shape_is_one_field_of_one_ring_class() -> None:
 
 
 def test_a_retrieval_system_is_one_class_and_its_policy_is_its_config() -> None:
-    """eSearch, the oracle's full-index arm and the index-everything
+    """eSearch, the full-index system and the index-everything
     strawman are values of ``SpriteConfig`` (``static_baseline``, a
     large ``initial_terms``), not classes: ``core/system.py`` defines
     one system, nothing in ``src`` subclasses it or hooks its first

@@ -1,21 +1,26 @@
-"""The twin-system differential: every system-level reference is a row.
+"""The twin-system differential: every system-level claim of "this path
+changes no result" is a row.
 
-Two systems are built alike from the oracle's base configuration; the
-*twin* gets a row's substitution — a reference kept under ``tests/``, or
-a switch that makes the system forget what it keeps.  Both replay one of
-the oracle's flows, then the same read program (:data:`STEPS`), and must
-agree bit for bit on
+Two systems are built alike from one :class:`Deployment`; the *twin*
+gets a row's substitution — a reference kept under ``tests/``, a switch
+that makes the system forget what it keeps, or a configuration delta
+(``config``: a result-neutral ``SpriteConfig`` / ``ChordConfig``
+switch).  Both replay one of the flows (:data:`FLOWS`), then the same
+read program (:data:`STEPS`), and must agree bit for bit on
 
-- every read: rankings with score bits, every :class:`QueryExecution`
-  field but ``ranking_reused``, fetched lists, lost terms;
+- every read: rankings with score bits, fetched lists, lost terms;
+- every :class:`QueryExecution` field but ``ranking_reused``, and how
+  many executes reused a held ranking (none, if the twin never does) —
+  where both systems run the same result cache;
 - what every document's learner observed, in order, the write-state
   fingerprint (but for the rank order of slot versions where a row
-  applies the same writes in another order) and the result-cache
-  tallies;
-- how many executes reused a held ranking (none, if the twin never does);
+  applies the same writes in another order) and, where both run the
+  same result cache, its tallies;
 - every ``NetworkStats`` counter but those of the kinds the row's
   ``delta`` names: an exact byte difference (default minus twin) from
-  what the default system's wire saw (:class:`Wire`), or ``None``, free;
+  what the default system's wire saw (:class:`Wire`), or ``None``, free.
+  Hop counts only where both rings are configured alike: another finger
+  arity or route cache takes other paths to the same owners;
 - on the lossy transport, the RNG state and the trace table (a message
   more or fewer, or sent in another order, shifts every later drop).
 
@@ -27,11 +32,17 @@ system level is :data:`EXEMPT`, with that level.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import replace
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.config import ChordConfig, SpriteConfig
+from repro.core.metadata import TermSlot
 from repro.core.system import SpriteSystem
+from repro.corpus.corpus import Corpus
+from repro.corpus.relevance import Query
 from repro.dht.messages import (
     DIGEST_BYTES,
     FLAG_BYTES,
@@ -45,7 +56,8 @@ from repro.exceptions import NodeFailedError
 from repro.net.faults import FaultInjector
 from repro.net.trace import DROPPED
 from repro.net.transport import DeliveryPolicy, LossyTransport
-from repro.sim.oracle import DifferentialOracle, write_state_fingerprint
+from repro.sim.engine import Delta, build_simulation, micro_configs
+from repro.store import SqlitePostings
 
 from .core.legacy_executor import install_legacy_executor
 from .core.peer_side_dedup import addressed_hashes, install_peer_side_dedup
@@ -62,9 +74,12 @@ TRANSPORTS = {
         seed=11,
     ),
 }
+#: ``learn``: share → register the training queries → learn.
+#: ``bulk-churn``: bulk share → register → learn → withdraw and re-share
+#: the first fifth of the corpus (the write-heavy flow).
 FLOWS = ("learn", "bulk-churn")
 
-#: What a read program is made of: a round of every oracle query with
+#: What a read program is made of: a round of every deployment query with
 #: ``cache=True`` / ``False``, a learning iteration (it moves slot
 #: versions, so held lists go stale), withdrawing and re-sharing the last
 #: fifth of the corpus, and fetching every test query's terms as one
@@ -75,6 +90,132 @@ STEPS = ("query", "query-uncached", "learn", "reshare", "batch", "one-term")
 PROGRAM = (
     "query", "learn", "query-uncached", "query", "learn", "query-uncached", "batch", "one-term"
 )
+
+
+class Deployment(NamedTuple):
+    """A corpus, its training and test queries, and the seeded micro
+    ring (:func:`~repro.sim.engine.micro_configs`) both systems of a
+    twin cell are built on."""
+
+    corpus: Corpus
+    train: List[Query]
+    test: List[Query]
+    num_peers: int
+    seed: int
+
+    def configs(self, *deltas: Delta) -> Tuple[SpriteConfig, ChordConfig]:
+        """The micro configuration with *deltas* applied in order."""
+        return micro_configs(self.num_peers, self.seed, *deltas)
+
+    def build(self, *deltas: Delta, transport=None) -> SpriteSystem:
+        sprite, chord = self.configs(*deltas)
+        return SpriteSystem(
+            self.corpus, sprite_config=sprite, chord_config=chord, transport=transport
+        )
+
+    def full_index(self) -> SpriteSystem:
+        """SPRITE without learning, shared: every document publishes every
+        term (F = ∞), weighted against the true corpus size."""
+        system = self.build({"sprite": {
+            "initial_terms": 10**6,
+            "max_index_terms": 10**6,
+            "assumed_corpus_size": len(self.corpus),
+        }})
+        system.share_corpus()
+        return system
+
+    def replay(self, system: SpriteSystem, flow: str) -> None:
+        """Run the named *flow* (:data:`FLOWS`) on *system*."""
+        bulk = flow == "bulk-churn"
+        if bulk:
+            system.bulk_share()
+        else:
+            system.share_corpus()
+        system.register_queries(self.train)
+        system.run_learning()
+        if bulk:
+            docs = list(self.corpus)
+            churn_ids = [d.doc_id for d in docs[: max(1, math.ceil(len(docs) / 5))]]
+            system.bulk_unshare(churn_ids)
+            system.bulk_share([system.corpus.get(doc_id) for doc_id in churn_ids])
+
+
+@lru_cache(maxsize=None)
+def seeded(seed: int) -> Deployment:
+    """The corpus and query pool :func:`~repro.sim.engine.build_simulation`
+    draws for *seed* (the first half trains), on its 24-peer ring."""
+    engine = build_simulation(seed=seed)
+    queries = list(engine.queries)
+    half = len(queries) // 2
+    return Deployment(engine.system.corpus, queries[:half], queries[half:], 24, seed)
+
+
+def write_state_fingerprint(system: SpriteSystem) -> Dict[str, object]:
+    """Everything the write path can influence, as a comparable value.
+
+    Four parts:
+
+    ``slots``
+        Per (indexing peer, term): the postings in publish order, the
+        indexed document frequency, and the query cache's latest
+        sequence number.
+    ``caches``
+        Per (indexing peer, term): the query cache's entries ``(keyword
+        tuple, query hash, sequence)``, oldest first — what learning
+        polls, so a query registered under the wrong tuple shows here.
+    ``version_rank``
+        The slot keys sorted by slot version.  Versions come from one
+        process-global counter, so their *absolute* values differ
+        between two separately built systems — but every write path
+        applies mutations in the same order, so the *rank order* of
+        final slot versions must coincide.
+    ``owners``
+        Per (owner peer, shared document): index terms in selection
+        order, poll cursors, iterations run, the learner's raw
+        statistics, and its current rank list.
+    """
+    slots: Dict[Tuple[int, str], object] = {}
+    caches: Dict[Tuple[int, str], tuple] = {}
+    versions: List[Tuple[int, Tuple[int, str]]] = []
+    for node in system.ring.nodes.values():
+        for value in node.store.values():
+            if not isinstance(value, TermSlot):
+                continue
+            key = (node.node_id, value.term)
+            slots[key] = (
+                tuple(value.entries()),
+                value.indexed_document_frequency,
+                value.cache.latest_sequence,
+            )
+            caches[key] = tuple(value.cache)
+            versions.append((value.version, key))
+    versions.sort()
+    owners: Dict[Tuple[int, str], object] = {}
+    for node_id, owner in system.owners.items():
+        for doc_id, state in owner.shared.items():
+            owners[(node_id, doc_id)] = (
+                tuple(state.index_terms),
+                tuple(sorted(state.poll_cursors.items())),
+                state.learning_iterations_run,
+                tuple(
+                    sorted(
+                        (term, (s.max_qscore, s.query_frequency))
+                        for term, s in state.learner.stats.items()
+                    )
+                ),
+                tuple((rt.term, rt.score) for rt in state.learner.rank_list()),
+            )
+    return {
+        "slots": slots,
+        "caches": caches,
+        "version_rank": tuple(key for __, key in versions),
+        "owners": owners,
+    }
+
+
+def slot_stores(system: SpriteSystem) -> list:
+    """The posting store behind every slot on the ring."""
+    return [slot._store for node in system.ring.nodes.values() for slot in node.store.values()]
 
 
 def pairs(ranked):
@@ -158,9 +299,11 @@ class Wire:
     added to each POLL_BATCH — those of every document the request
     addresses — and, of what the QUERY_BATCH replies shipped, the bytes
     of the queries no document kept and of the extra copies a reply per
-    (document, term) would ship of a query several documents keep."""
+    (document, term) would ship of a query several documents keep.
+    ``stats`` is the default system's own counters."""
 
     def __init__(self, protocol) -> None:
+        self.stats = protocol.ring.stats
         self.versions = self.withheld = self.hash_bytes = self.duplicate_bytes = 0
         self.overlap_bytes = 0
         self.saved = self.withdrawing_diffs = 0
@@ -293,6 +436,11 @@ def free(*kinds: MessageKind) -> Callable[[Wire], Dict[MessageKind, None]]:
     return lambda wire: dict.fromkeys(kinds)
 
 
+def as_built(system: SpriteSystem) -> SpriteSystem:
+    """No substitution: a row's ``config`` is the whole difference."""
+    return system
+
+
 class Row(NamedTuple):
     name: str
     substitute: Callable[[SpriteSystem], SpriteSystem]
@@ -311,9 +459,12 @@ class Row(NamedTuple):
     route_cache: bool = True
     #: ``check(default's wire, its reused rankings, twin)`` on the explicit program.
     check: Callable[[Wire, int, SpriteSystem], bool] = lambda wire, reused, twin: True
+    #: A configuration delta applied to the twin's build only.
+    config: Delta = {}
 
 
 PER_TERM = "sends other messages by design, so only the perfect transport keeps both in step"
+PATHS = "routes other hops, and on the lossy transport every hop is a delivery that draws"
 ROWS = (
     # Versions were named and postings withheld, and some were stale: a
     # named version does not always withhold.
@@ -356,8 +507,37 @@ ROWS = (
         check=lambda w, reused, twin: reused > 0),
     Row("legacy_store", install_legacy_store,
         check=lambda w, reused, twin: any(
-            type(slot._store) is LegacyPostings
-            for node in twin.ring.nodes.values() for slot in node.store.values()
+            type(store) is LegacyPostings for store in slot_stores(twin)
+        )),
+    # Every lookup routes hop by hop, and so takes more hops.
+    Row("perf-paths", as_built, config={"chord": {"route_cache_size": 0}},
+        transports=("perfect",), why="a ring without a route cache " + PATHS,
+        check=lambda w, reused, twin: twin.ring.stats.total_hops > w.stats.total_hops),
+    # A ReCord-style ring: the same owners in fewer hops.
+    Row("ring-paths", as_built, config={"chord": {"finger_arity": 8}},
+        transports=("perfect",), why="a ring of arity 8 " + PATHS,
+        check=lambda w, reused, twin: twin.ring.stats.total_hops < w.stats.total_hops),
+    # A repeat over unchanged lists is answered from the result caches.
+    Row("result-cache", as_built,
+        free(K.LOOKUP, K.SEARCH_TERM, K.POSTINGS, K.VERSION_PROBE, K.VERSION_VALUE,
+             K.RESULT_PROBE, K.RESULT_VALUE, K.RESULT_STORE),
+        config={"sprite": {"result_cache_size": 128}},
+        transports=("perfect",), result_caches=(0,),
+        why="the twin's result cache is the switch, and it answers a repeat with other "
+        "messages, so only the perfect transport keeps both in step",
+        check=lambda w, reused, twin: twin.protocol.result_cache_stats()[1] > 0),
+    # SQLite recomputes every float through the expressions the in-RAM
+    # store uses, so there is no tolerance to hide behind.
+    Row("store-paths", as_built, config={"sprite": {"store_backend": "sqlite"}},
+        check=lambda w, reused, twin: all(
+            type(store) is SqlitePostings and store.bloom is not None
+            for store in slot_stores(twin)
+        )),
+    Row("store-bloom", as_built,
+        config={"sprite": {"store_backend": "sqlite", "store_bloom": False}},
+        check=lambda w, reused, twin: all(
+            type(store) is SqlitePostings and store.bloom is None
+            for store in slot_stores(twin)
         )),
 )
 
@@ -373,12 +553,15 @@ EXEMPT = {
 }
 
 
-def run_program(system: SpriteSystem, oracle: DifferentialOracle, program) -> Tuple[list, int, int]:
+def run_program(
+    system: SpriteSystem, deployment: Deployment, program
+) -> Tuple[list, list, int, int]:
     """Run the read *program* on *system*: ``(what every read returned,
-    executes that reused a held ranking, terms lost)``."""
-    reads, reused, lost = [], 0, 0
+    every execution's diagnostics, executes that reused a held ranking,
+    terms lost)``."""
+    reads, executions, reused, lost = [], [], 0, 0
     issuer = system.ring.live_ids[0]
-    docs = list(oracle.corpus)
+    docs = list(deployment.corpus)
     reshared = docs[-max(1, len(docs) // 5):]
     for step in program:
         if step == "learn":
@@ -387,13 +570,14 @@ def run_program(system: SpriteSystem, oracle: DifferentialOracle, program) -> Tu
             system.bulk_unshare([doc.doc_id for doc in reshared])
             system.bulk_share(reshared)
         elif step.startswith("query"):
-            for query in oracle.train + oracle.test:
+            for query in deployment.train + deployment.test:
                 ranked, execution = system.execute(query, cache=step == "query")
                 reused += execution.ranking_reused
                 lost += execution.terms_failed
-                reads.append((pairs(ranked), replace(execution, ranking_reused=False)))
+                reads.append(pairs(ranked))
+                executions.append(replace(execution, ranking_reused=False))
         elif step == "batch":
-            for query in oracle.test:
+            for query in deployment.test:
                 results, failed = system.protocol.fetch_postings_batch(issuer, query.terms)
                 reads.append(sorted(
                     (term, [p.doc_id for p in postings], df)
@@ -402,13 +586,13 @@ def run_program(system: SpriteSystem, oracle: DifferentialOracle, program) -> Tu
                 reads.append(failed)
                 lost += len(failed)
         else:
-            for term in (term for query in oracle.test for term in query.terms):
+            for term in (term for query in deployment.test for term in query.terms):
                 try:
                     reads.append(system.protocol.fetch_postings(issuer, term))
                 except NodeFailedError:
                     reads.append(term)
                     lost += 1
-    return reads, reused, lost
+    return reads, executions, reused, lost
 
 
 def log_polls(system: SpriteSystem) -> list:
@@ -445,14 +629,20 @@ def assert_agree(
 ) -> None:
     """Twin systems that ran the same operations agree on state (the
     rank order of slot versions only with *version_rank*), the result
-    caches and every message counter but *delta*'s (see the module
-    docstring), and a lossy transport drew the same drops."""
+    caches where both run the same one, every message counter but
+    *delta*'s (hops only where both rings are configured alike; see the
+    module docstring), and a lossy transport drew the same drops."""
     ours, theirs = write_state_fingerprint(default), write_state_fingerprint(twin)
     if not version_rank:
         del ours["version_rank"], theirs["version_rank"]
     assert ours == theirs
-    assert default.protocol.result_cache_stats() == twin.protocol.result_cache_stats()
+    if default.config.result_cache_size == twin.config.result_cache_size:
+        assert default.protocol.result_cache_stats() == twin.protocol.result_cache_stats()
     ours, theirs = default.ring.stats.summary(), twin.ring.stats.summary()
+    if default.ring.config != twin.ring.config:
+        for summary in (ours, theirs):
+            for counters in summary.values():
+                del counters["hops"]
     none = {"messages": 0, "bytes": 0, "hops": 0}
     for kind, allowed in delta.items():
         mine, its = ours.pop(kind.value, none), theirs.pop(kind.value, none)
@@ -465,38 +655,47 @@ def assert_agree(
         assert transports[0].trace.summary_table() == transports[1].trace.summary_table()
 
 
-def run_row(row: Row, oracle: DifferentialOracle, transport: str, flow: str,
+def run_row(row: Row, deployment: Deployment, transport: str, flow: str,
             result_cache: int, program) -> None:
     """One cell of the table: *row* on *transport*, *flow* and
-    *result_cache*, followed by the read *program*."""
-
-    def build() -> SpriteSystem:
-        sprite, chord = oracle.configs({
-            "sprite": {"result_cache_size": result_cache},
-            "chord": {} if row.route_cache else {"route_cache_size": 0},
-        })
-        return SpriteSystem(
-            oracle.corpus, sprite_config=sprite, chord_config=chord,
-            transport=TRANSPORTS[transport](),
-        )
-
-    default, twin = build(), row.substitute(build())
-    wire = Wire(default.protocol)
-    seen = []
-    for system in (default, twin):
-        polls = log_polls(system)
-        oracle.replay(system, flow)
-        seen.append((polls, *run_program(system, oracle, program)))
-    (polls, reads, reused, lost), (twin_polls, twin_reads, twin_reused, __) = seen
-    assert polls == twin_polls
-    assert reads == twin_reads
-    assert twin_reused == (reused if row.reuses else 0)
-    delta = row.delta(wire)
-    assert_agree(default, twin, delta, row.version_rank)
-    if program == PROGRAM:
-        assert row.check(wire, reused, twin)
-        if transport == "lossy":
-            # Terms really were lost, and so were messages of every kind
-            # whose bytes the row moves.
-            trace = default.ring.transport.trace
-            assert lost and all(trace.filtered(kind=k.value, outcome=DROPPED) for k in delta)
+    *result_cache*, followed by the read *program*.  Every system built
+    here is closed on the way out: one on SQLite owns a database and a
+    temp dir."""
+    cell = {
+        "sprite": {"result_cache_size": result_cache},
+        "chord": {} if row.route_cache else {"route_cache_size": 0},
+    }
+    built = []
+    try:
+        for config in ({}, row.config):
+            built.append(deployment.build(cell, config, transport=TRANSPORTS[transport]()))
+        default, twin = built[0], row.substitute(built[1])
+        wire = Wire(default.protocol)
+        seen = []
+        for system in (default, twin):
+            polls = log_polls(system)
+            deployment.replay(system, flow)
+            seen.append((polls, *run_program(system, deployment, program)))
+        (polls, reads, executions, reused, lost), (
+            twin_polls, twin_reads, twin_executions, twin_reused, __
+        ) = seen
+        assert polls == twin_polls
+        assert reads == twin_reads
+        if default.config.result_cache_size == twin.config.result_cache_size:
+            assert executions == twin_executions
+            assert twin_reused == (reused if row.reuses else 0)
+        delta = row.delta(wire)
+        assert_agree(default, twin, delta, row.version_rank)
+        if program == PROGRAM:
+            assert row.check(wire, reused, twin)
+            if transport == "lossy":
+                # Terms really were lost, and so were messages of every kind
+                # whose bytes the row moves.
+                trace = default.ring.transport.trace
+                assert lost and all(
+                    trace.filtered(kind=k.value, outcome=DROPPED) for k in delta
+                )
+    finally:
+        for system in built:
+            if system.store_runtime is not None:
+                system.store_runtime.close()
