@@ -14,8 +14,8 @@ search      Interactive-ish demo: train SPRITE and run ad-hoc keyword
             searches from the command line.
 generate    Synthesize a corpus + query set and save them to a directory
             (reload with repro.corpus.io.load_collection).
-perf        Run one of the perf harnesses the benchmark does not cover
-            (``--mode scale | route``).  The tracked
+perf        Run the routing sweep (finger arity × peers hop counts), the
+            one perf harness the benchmark does not cover.  The tracked
             benchmark itself is ``python3 -m bench`` (BENCHMARK.json).
 check       Run the verification harness (repro.sim): execute a scenario
             — from a JSON file, randomly generated from a seed, or a
@@ -30,12 +30,11 @@ route every simulated message through :mod:`repro.net`.  ``check``
 additionally takes the durable-store flags (``--store-backend sqlite
 --store-dir ... --snapshot-dir ... --snapshot-interval N``) selecting
 the :mod:`repro.store` backend.
-``net``, ``perf --mode route`` and ``check --random/--scenario`` take
+``net``, ``perf`` and ``check --random/--scenario`` take
 ``--ring-arity B``, the ring's finger arity
 (:class:`~repro.config.ChordConfig` ``finger_arity``: 2, the default, is
-Chord; above it a ReCord-style ring, DESIGN.md §8); ``perf --mode
-route`` sweeps a whole arity × peers grid (``--rings chord,record:8
---peers-grid ...``).
+Chord; above it a ReCord-style ring, DESIGN.md §8); ``perf`` sweeps a
+whole arity × peers grid (``--rings chord,record:8 --peers-grid ...``).
 Results print as the same tables the benchmark harness records, plus
 ASCII charts of the figure shapes.
 """
@@ -47,7 +46,7 @@ import dataclasses
 import json
 import sys
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .config import (
     ExperimentConfig,
@@ -409,77 +408,56 @@ def cmd_report(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_perf(args: argparse.Namespace, out) -> int:
-    """Run one of the perf harnesses and print the measurement."""
-    # Validate the shared network flags even though the harnesses run on
-    # the perfect transport (they measure the in-process hot path).
-    network = _config_from_args(args).network
-    if network.transport != "perfect":
-        raise ConfigurationError(
-            "the perf workload measures the in-process hot path and only "
-            "supports --transport perfect"
-        )
-    if args.mode == "route":
-        return _cmd_perf_route(args, out)
-    if args.rings or args.finger_arity is not None:
-        out.write("error: --rings/--ring-arity only apply to --mode route\n")
-        return 2
-    return _cmd_perf_scale(args, out)
+def memory_usage() -> Dict[str, int]:
+    """Process memory snapshot, cheap enough for phase boundaries.
+
+    ``rss_kb``
+        Current resident set size from ``/proc/self/status`` (0 where
+        procfs is unavailable).
+    ``peak_rss_kb``
+        Lifetime peak RSS from ``getrusage`` (kilobytes; macOS reports
+        bytes and is converted).  Monotone per process.
+    ``allocated_blocks``
+        Live CPython allocation count (:func:`sys.getallocatedblocks`)
+        — a deterministic allocation gauge that, unlike RSS, moves even
+        when the allocator never returns pages to the OS.
+    """
+    peak_kb = 0
+    try:
+        import resource
+
+        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        if sys.platform == "darwin":
+            peak_kb //= 1024
+    except (ImportError, OSError):  # pragma: no cover - non-POSIX
+        peak_kb = 0
+    rss_kb = 0
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmRSS:"):
+                    rss_kb = int(line.split()[1])
+                    break
+    except (OSError, ValueError):  # pragma: no cover - no procfs
+        rss_kb = 0
+    # ru_maxrss is sampled by the kernel and can trail VmRSS by a few
+    # pages right after an allocation spike; clamp so "peak" is never
+    # reported below "current".
+    return {
+        "rss_kb": rss_kb,
+        "peak_rss_kb": max(peak_kb, rss_kb),
+        "allocated_blocks": sys.getallocatedblocks(),
+    }
 
 
 def _write_memory_line(out) -> None:
-    """The shared per-mode memory summary (DESIGN.md §13): every bench
-    mode reports memory, not just the scale harness."""
-    from .perf.scale import memory_usage
-
+    """The sweep's closing memory summary."""
     usage = memory_usage()
     out.write(
         f"  memory: peak RSS {usage['peak_rss_kb'] / 1024:.1f} MB · "
         f"current RSS {usage['rss_kb'] / 1024:.1f} MB · "
         f"{usage['allocated_blocks']} live allocations\n"
     )
-
-
-def _cmd_perf_scale(args: argparse.Namespace, out) -> int:
-    """Run the sharded scale workload (DESIGN.md §13) and print it."""
-    from .perf.scale import (
-        ShardedHarness,
-        scale_paper_config,
-        scale_smoke_config,
-    )
-
-    cfg = scale_smoke_config() if args.small else scale_paper_config()
-    cfg = cfg.replaced(seed=args.seed, workers=args.workers)
-    if args.shards:
-        cfg = cfg.replaced(num_shards=args.shards)
-    harness = ShardedHarness(cfg)  # validates --workers / --shards first
-    out.write(
-        f"scale workload: {cfg.num_peers} peers, "
-        f"{cfg.num_documents} docs, {cfg.num_queries} queries over "
-        f"{cfg.num_shards} shards × {cfg.workers} workers\n"
-    )
-    result = harness.run()
-    if args.json:
-        out.write(json.dumps(result.to_dict(), indent=2) + "\n")
-        return 0
-    out.write(
-        f"  build {result.build_s:.2f}s · publish {result.publish_s:.2f}s · "
-        f"queries {result.query_s:.2f}s (shard-seconds) · "
-        f"wall {result.wall_s:.2f}s\n"
-    )
-    out.write(
-        f"  {result.queries_per_s:.0f} queries/s·core · "
-        f"{result.docs_per_s:.0f} docs/s·core · "
-        f"{result.postings_published} postings · "
-        f"{result.wall_queries_per_s:.0f} queries/s end-to-end wall\n"
-    )
-    out.write(
-        f"  shard peak RSS {result.peak_rss_kb / 1024:.1f} MB · "
-        f"{result.allocated_blocks_delta} allocations retained\n"
-    )
-    out.write(f"  merged ranking checksum: {result.ranking_checksum[:16]}…\n")
-    _write_memory_line(out)
-    return 0
 
 
 def _parse_grid(raw: str, cast, flag: str):
@@ -493,16 +471,23 @@ def _parse_grid(raw: str, cast, flag: str):
     return values
 
 
-def _cmd_perf_route(args: argparse.Namespace, out) -> int:
+def cmd_perf(args: argparse.Namespace, out) -> int:
     """Run the arity × peers routing sweep (DESIGN.md §8)."""
     from .dht import ring_label
     from .perf.route import (
-        parse_ring_specs,
         route_paper_config,
         route_smoke_config,
         run_route_workload,
     )
 
+    # Validate the shared network flags even though the sweep runs on
+    # the perfect transport (it measures the in-process routing path).
+    network = _config_from_args(args).network
+    if network.transport != "perfect":
+        raise ConfigurationError(
+            "the perf workload measures the in-process hot path and only "
+            "supports --transport perfect"
+        )
     if args.rings and args.finger_arity is not None:
         out.write(
             "error: pass exactly one ring source: --rings GRID or --ring-arity B\n"
@@ -511,13 +496,12 @@ def _cmd_perf_route(args: argparse.Namespace, out) -> int:
     cfg = route_smoke_config() if args.small else route_paper_config()
     overrides = {"seed": args.seed, "workers": args.workers}
     if args.rings:
-        parse_ring_specs(args.rings)  # usage errors surface before the run
         overrides["ring_specs"] = (args.rings,)
     elif args.finger_arity is not None:
         overrides["ring_specs"] = (ring_label(args.finger_arity),)
     if args.peers_grid:
         overrides["peers_grid"] = _parse_grid(args.peers_grid, int, "--peers-grid")
-    cfg = cfg.replaced(**overrides)
+    cfg = cfg.replaced(**overrides)  # validates: errors precede the header
     out.write(
         f"route sweep: peers {','.join(str(p) for p in cfg.peers_grid)} × "
         f"rings {','.join(cfg.ring_specs)}, {cfg.num_queries} queries/cell, "
@@ -737,47 +721,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "perf",
-        help="run a perf harness: scale or route "
-        "(the tracked benchmark is `python3 -m bench`)",
+        help="run the routing sweep: Chord against ReCord-style finger "
+        "schedules over an arity × peers grid (the tracked benchmark is "
+        "`python3 -m bench`)",
     )
     _add_common(p)
-    p.add_argument(
-        "--mode",
-        choices=("scale", "route"),
-        required=True,
-        help="scale: the process-sharded 100k-peer workload (DESIGN.md "
-        "§13); route: the arity × peers hop-count sweep comparing Chord "
-        "against ReCord-style finger schedules (DESIGN.md §8)",
-    )
     p.add_argument("--json", action="store_true", help="print the raw JSON record")
-    scale = p.add_argument_group("scale-out engine (DESIGN.md §13)")
-    scale.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for --mode scale / --mode route (results "
-        "are identical for any worker count)",
-    )
-    scale.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="shard count override for --mode scale (0 = config default)",
-    )
     _add_ring(p)
     route = p.add_argument_group("routing sweep (DESIGN.md §8)")
     route.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes, one grid cell each (results are identical "
+        "for any worker count)",
+    )
+    route.add_argument(
         "--rings",
         default="",
-        help="ring-grid spec for --mode route, comma-separated "
+        help="ring-grid spec, comma-separated "
         "(e.g. chord,record:4,record:8; default: the config grid; "
         "mutually exclusive with --ring-arity)",
     )
     route.add_argument(
         "--peers-grid",
         default="",
-        help="peer counts for --mode route, comma-separated "
-        "(default: the config grid)",
+        help="peer counts, comma-separated (default: the config grid)",
     )
     p.set_defaults(handler=cmd_perf)
 

@@ -1,6 +1,6 @@
 """The routing benchmark: finger-arity × peers hop-count sweep.
 
-``perf --mode route`` runs one identical publish + Zipf-query + churn
+``repro perf`` runs one identical publish + Zipf-query + churn
 workload over a grid of overlay configurations — rings at several
 finger arities (``chord`` is arity 2, ``record:b`` arity *b*) and peer
 counts — and reports, per cell, the routing quantities
@@ -21,14 +21,13 @@ changes where messages go, never what is returned.  The grid runner
 verifies this cross-ring equivalence on every run, and
 ``benchmarks/test_bench_route.py`` gates on it in CI.
 
-Unlike the sharded scale harness (which splits one logical ring into
-independent sub-rings), parallelism here is per **cell**: each grid
-cell builds its *whole* ring in one process, because splitting a ring
-would shrink it and corrupt the very hop counts being measured.  A cell
-is a pure function of ``(config, peers, arity)``, so results are
-identical for any worker count; workers only place cells.  Route caches
-are disabled in every cell — a cache hit short-circuits to one hop, so
-measuring genuine routing requires routing every lookup.
+Parallelism is per **cell**: each grid cell builds its *whole* ring in
+one process, because splitting a ring would shrink it and corrupt the
+very hop counts being measured.  A cell is a pure function of
+``(config, peers, arity)``, so results are identical for any worker
+count; workers only place cells.  Route caches are disabled in every
+cell — a cache hit short-circuits to one hop, so measuring genuine
+routing requires routing every lookup.
 """
 
 from __future__ import annotations
@@ -95,7 +94,9 @@ class RouteWorkloadConfig:
     ``peers_grid`` × ``ring_specs`` define the cells; the workload knobs
     (documents, queries, churn) are shared by every cell so columns are
     comparable.  ``workers`` is pure execution placement (cells are
-    independent); results are identical for any worker count.
+    independent); results are identical for any worker count.  A config
+    is validated when built, so a bad grid, ring spec or worker count
+    fails before anything runs.
     """
 
     peers_grid: Tuple[int, ...] = (2_000, 10_000)
@@ -112,6 +113,19 @@ class RouteWorkloadConfig:
     zipf_exponent: float = 0.8
     seed: int = 4111
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        if not self.peers_grid:
+            raise ConfigurationError("peers_grid must not be empty")
+        if len(set(self.peers_grid)) != len(self.peers_grid):
+            raise ConfigurationError(
+                f"peers_grid repeats a peer count: {tuple(self.peers_grid)}"
+            )
+        if not self.ring_specs:
+            raise ConfigurationError("ring_specs must not be empty")
+        parse_ring_specs(",".join(self.ring_specs))
+        if self.workers < 1:
+            raise ConfigurationError("workers must be >= 1")
 
     def replaced(self, **kwargs) -> "RouteWorkloadConfig":
         merged = {**asdict(self), **kwargs}
@@ -344,12 +358,6 @@ class RouteWorkloadResult:
 def run_route_workload(cfg: RouteWorkloadConfig) -> RouteWorkloadResult:
     """Run the full grid (optionally on a process pool) and verify the
     cross-ring checksum equivalence per peer count."""
-    if not cfg.peers_grid:
-        raise ConfigurationError("peers_grid must not be empty")
-    if cfg.workers < 1:
-        raise ConfigurationError("workers must be >= 1")
-    if not cfg.ring_specs:
-        raise ConfigurationError("ring_specs must not be empty")
     arities = parse_ring_specs(",".join(cfg.ring_specs))
 
     cells_spec = [(peers, arity) for peers in cfg.peers_grid for arity in arities]

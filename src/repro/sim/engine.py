@@ -24,8 +24,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..config import ChordConfig, SpriteConfig, SyntheticCorpusConfig
 from ..core.maintenance import MaintenanceDaemon
 from ..core.system import SpriteSystem
+from ..corpus.document import Document
 from ..corpus.relevance import Query
-from ..corpus.stream import revise_document
 from ..dht.replication import ReplicationManager
 from ..exceptions import NodeFailedError
 from ..store.recovery import RecoveryManager
@@ -100,6 +100,36 @@ class SimReport:
         else:
             lines.append("all invariants held")
         return lines
+
+
+def revise_document(
+    doc: Document, rng: random.Random, edit_fraction: float = 0.3
+) -> Document:
+    """A deterministic edited revision of *doc* under the same id, for
+    ``turnover`` events.
+
+    Roughly ``edit_fraction`` of the token count is edited: tokens are
+    deleted, duplicated elsewhere, or overwritten by other tokens of the
+    same document, so the revision's term distribution genuinely shifts
+    (different top-F index terms after re-share) while staying inside
+    the document's own vocabulary.
+    """
+    if not 0.0 < edit_fraction <= 1.0:
+        raise ValueError("edit_fraction must be in (0, 1]")
+    tokens = doc.text.split()
+    if not tokens:
+        return Document(doc.doc_id, doc.text, title=doc.title)
+    revised = list(tokens)
+    for __ in range(max(1, int(len(tokens) * edit_fraction))):
+        position = rng.randrange(len(revised))
+        action = rng.random()
+        if action < 0.45 and len(revised) > 1:
+            del revised[position]
+        elif action < 0.90:
+            revised.insert(position, rng.choice(tokens))
+        else:
+            revised[position] = rng.choice(tokens)
+    return Document(doc.doc_id, " ".join(revised), title=doc.title)
 
 
 class ScenarioEngine:

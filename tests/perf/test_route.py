@@ -1,4 +1,4 @@
-"""The routing benchmark (``perf --mode route``, DESIGN.md §8): spec
+"""The routing benchmark (``repro perf``, DESIGN.md §8): spec
 parsing, grid determinism, worker-count invariance, and the cross-ring
 checksum oracle."""
 
@@ -124,6 +124,7 @@ class TestRouteWorkload:
             {"workers": 0},
             {"ring_specs": ("chord", "chord")},
             {"ring_specs": ("chord,record:8", "record:8")},
+            {"peers_grid": (200, 200)},
         ),
     )
     def test_workload_validation(self, kwargs) -> None:

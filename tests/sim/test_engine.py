@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.corpus import Document
 from repro.net import LossyTransport
 from repro.sim import SimEvent, build_simulation, random_scenario, scenario
+from repro.sim.engine import revise_document
 
 
 class TestEventApplication:
@@ -116,3 +120,36 @@ class TestDeterminism:
         assert [(i, e, str(v)) for i, e, v in a.violations] == [
             (i, e, str(v)) for i, e, v in b.violations
         ]
+
+
+class TestReviseDocument:
+    """The edited revision a ``turnover`` event re-shares."""
+
+    def _doc(self) -> Document:
+        return Document("doc", "alpha beta gamma delta " * 10, title="t")
+
+    def test_same_id_new_text(self) -> None:
+        doc = self._doc()
+        revised = revise_document(doc, random.Random(1))
+        assert revised.doc_id == doc.doc_id
+        assert revised.title == doc.title
+        assert revised.text != doc.text
+        # edits stay inside the document's own vocabulary
+        assert set(revised.text.split()) <= set(doc.text.split())
+
+    def test_deterministic_for_a_seed(self) -> None:
+        doc = self._doc()
+        first = revise_document(doc, random.Random(3))
+        second = revise_document(doc, random.Random(3))
+        assert first.text == second.text
+
+    def test_empty_document_passes_through(self) -> None:
+        revised = revise_document(Document("e", ""), random.Random(0))
+        assert revised.doc_id == "e"
+        assert revised.text == ""
+
+    def test_edit_fraction_validated(self) -> None:
+        with pytest.raises(ValueError):
+            revise_document(self._doc(), random.Random(0), edit_fraction=0.0)
+        with pytest.raises(ValueError):
+            revise_document(self._doc(), random.Random(0), edit_fraction=1.5)

@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, memory_usage
 
 
 def run_cli(*argv: str) -> tuple:
@@ -30,7 +30,6 @@ class TestParser:
             required = {
                 "search": ["terms"],
                 "generate": ["out"],
-                "perf": ["--mode", "scale"],
             }
             args = parser.parse_args([command, *required.get(command, [])])
             assert callable(args.handler)
@@ -191,21 +190,17 @@ class TestSearch:
 
 
 class TestPerf:
-    def test_perf_requires_a_mode(self, capsys) -> None:
-        with pytest.raises(SystemExit) as exit_info:
-            run_cli("perf")
-        assert exit_info.value.code == 2
-        assert "usage:" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "flags",
         (
             ("--mode", "topk"),
-            ("--mode", "scale", "--baseline"),
+            ("--baseline",),
             ("--mode", "concurrency"),
-            ("--mode", "scale", "--clients", "8"),
+            ("--clients", "8"),
+            ("--mode", "route"),
+            ("--shards", "4"),
         ),
-        ids=["retired-mode", "baseline", "concurrency", "clients"],
+        ids=["retired-mode", "baseline", "concurrency", "clients", "route-mode", "shards"],
     )
     def test_perf_rejects_retired_flags(self, flags, capsys) -> None:
         with pytest.raises(SystemExit) as exit_info:
@@ -214,33 +209,28 @@ class TestPerf:
         assert "usage:" in capsys.readouterr().err
 
     def test_perf_validates_network_flags(self) -> None:
-        code, output = run_cli("perf", "--mode", "scale", "--small", "--drop", "1.5")
+        code, output = run_cli("perf", "--small", "--drop", "1.5")
         assert code == 2
         assert output.startswith("error:")
 
     @pytest.mark.parametrize(
         "flag,value,error",
-        (
-            ("--workers", "0", "error: workers must be >= 1\n"),
-            ("--shards", "-1", "error: num_shards must be >= 1\n"),
-        ),
-        ids=["workers", "shards"],
+        (("--workers", "0", "error: workers must be >= 1\n"),),
+        ids=["workers"],
     )
-    def test_perf_scale_validates_before_the_header(self, flag, value, error) -> None:
-        code, output = run_cli("perf", "--mode", "scale", "--small", flag, value)
+    def test_perf_validates_before_the_header(self, flag, value, error) -> None:
+        code, output = run_cli("perf", "--small", flag, value)
         assert code == 2
         assert output == error
 
     def test_perf_rejects_lossy_transport(self) -> None:
-        code, output = run_cli(
-            "perf", "--mode", "scale", "--small", "--transport", "lossy"
-        )
+        code, output = run_cli("perf", "--small", "--transport", "lossy")
         assert code == 2
         assert "perfect" in output
 
 
 class TestPerfRoute:
-    ROUTE = ("perf", "--mode", "route", "--small", "--peers-grid", "200")
+    ROUTE = ("perf", "--small", "--peers-grid", "200")
 
     def test_route_sweep_prints_grid_and_reductions(self) -> None:
         code, output = run_cli(*self.ROUTE, "--rings", "chord,record:8")
@@ -284,27 +274,23 @@ class TestPerfRoute:
             (("--ring-arity", "-3"), "--ring-arity must be >= 2"),
             (("--ring-arity", "1"), ">= 2"),
             (("--peers-grid", "0", "--rings", "chord"), "positive"),
+            (("--peers-grid", "40,40"), "repeats a peer count"),
         ),
     )
     def test_route_usage_errors_exit_2(self, flags, needle) -> None:
-        code, output = run_cli("perf", "--mode", "route", "--small", *flags)
+        code, output = run_cli("perf", "--small", *flags)
         assert code == 2
         assert output.startswith("error:")
         assert needle in output
 
-    def test_rings_flag_requires_route_mode(self) -> None:
-        code, output = run_cli(
-            "perf", "--small", "--mode", "scale", "--rings", "chord"
-        )
-        assert code == 2
-        assert "only apply to --mode route" in output
 
-    def test_ring_flags_rejected_on_non_ring_modes(self) -> None:
-        code, output = run_cli(
-            "perf", "--small", "--mode", "scale", "--ring-arity", "8"
-        )
-        assert code == 2
-        assert "only apply to --mode route" in output
+class TestMemoryLine:
+    def test_memory_usage_snapshot_shape(self) -> None:
+        snapshot = memory_usage()
+        assert set(snapshot) == {"rss_kb", "peak_rss_kb", "allocated_blocks"}
+        # Linux/macOS report real numbers; the fallback is all-zero.
+        assert snapshot["peak_rss_kb"] >= snapshot["rss_kb"] >= 0
+        assert snapshot["allocated_blocks"] >= 0
 
 
 class TestRingFlags:
@@ -571,6 +557,6 @@ class TestStoreFlagParity:
         assert check_code == 2
         assert check_output == message
         with pytest.raises(SystemExit) as exit_info:
-            run_cli("perf", "--mode", "scale", "--small", *flags)
+            run_cli("perf", "--small", *flags)
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err

@@ -26,7 +26,7 @@ PACKAGE = SRC / "repro"
 PROBE = """
 import sys
 import repro, repro.cli, repro.perf, repro.sim
-import repro.perf.scale, repro.perf.route
+import repro.perf.route
 print("numpy" in sys.modules)
 """
 
