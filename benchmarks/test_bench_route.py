@@ -14,6 +14,11 @@ Scales (``BENCH_ROUTE_SCALE``):
 * ``paper`` — the tracked grid: 2k and 10k peers × chord / record:4 /
   record:8 / record:32.
 
+Both scales update their own entry of ``BENCH_ROUTE.json``; the table
+``benchmarks/results/route.txt`` is committed at paper scale, so only a
+paper run rewrites it — a smoke run prints its table and leaves the
+committed one alone.
+
 Gates (``BENCH_ROUTE_ENFORCE=1``): the recursive ring must beat Chord
 by at least 20% mean hops at the gate scale (the ReCord claim the PR
 reproduces), and the gate cell's mean hops must not regress more than
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 from typing import Dict
 
@@ -84,7 +90,10 @@ def measurements(record_result):
     RECORD_PATH.write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    record_result("route", _format_table(result))
+    if SCALE == "paper":
+        record_result("route", _format_table(result))
+    else:
+        sys.stderr.write(f"\n=== route ===\n{_format_table(result)}\n")
     return {"result": result, "committed": committed}
 
 

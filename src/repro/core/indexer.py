@@ -49,7 +49,6 @@ so key migration and successor replication move it transparently.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter
 from itertools import groupby
 from operator import itemgetter
 from typing import (
@@ -410,10 +409,13 @@ class IndexingProtocol:
         a peer that cannot be located or reached loses only its own
         terms.
         """
+        items_of: Dict[str, int] = {}
+        for term in terms:
+            items_of[term] = items_of.get(term, 0) + 1
         taken_at, failed = self._exchange(
             owner_id,
-            self._locate(owner_id, terms, absorb=True, near=near),
-            (kind, Counter(terms)),
+            self._locate(owner_id, items_of, absorb=True, near=near),
+            (kind, items_of),
             self._write_batch_request,
         )
         return taken_at, set(failed)

@@ -66,14 +66,16 @@ def query_digest(terms: Sequence[str]) -> int:
     return position_memo(QUERY_DIGEST_BITS)["\x1f".join(terms)]
 
 
-@dataclass(frozen=True)
-class PostingEntry:
-    """One inverted-list entry at an indexing peer.
+class PostingEntry(NamedTuple):
+    """One inverted-list entry at an indexing peer (a named tuple: one
+    is built per posting an owner publishes).
 
     Exactly the fields Section 5.1 lists: "the owner peer's IP address,
     the owner document ID, the term frequency in the document and the
     document length".  ``owner_peer`` is the owner's node id (our
-    simulation's stand-in for an IP address).
+    simulation's stand-in for an IP address).  The fields are a
+    posting store's row (:data:`~repro.ir.postings.PostingRow`), in
+    its order.
     """
 
     doc_id: str
@@ -336,10 +338,10 @@ class TermSlot:
     def add_posting(self, entry: PostingEntry) -> None:
         store = self._store
         if self._mutations is None:
-            store.add(entry.doc_id, entry.owner_peer, entry.raw_tf, entry.doc_length)
+            store.add(*entry)
             return
         before, present = store.version, entry.doc_id in store
-        store.add(entry.doc_id, entry.owner_peer, entry.raw_tf, entry.doc_length)
+        store.add(*entry)
         self._record(before, entry.doc_id, present, True)
 
     def add_postings(self, entries: Iterable[PostingEntry]) -> None:
@@ -348,7 +350,8 @@ class TermSlot:
         cache's invalidation signal and must stay per-mutation), but the
         derived views are rebuilt lazily at most once afterwards.  A
         store with an ``add_many`` (the SQLite backend) gets the whole
-        run at once so it can wrap it in a single transaction."""
+        run at once so it can wrap it in a single transaction: an entry
+        is already the store's row."""
         store = self._store
         add_many = getattr(store, "add_many", None)
         if add_many is None:
@@ -356,11 +359,9 @@ class TermSlot:
                 self.add_posting(entry)
             return
         if self._mutations is None:
-            add_many(
-                (e.doc_id, e.owner_peer, e.raw_tf, e.doc_length) for e in entries
-            )
+            add_many(entries)
             return
-        rows = [(e.doc_id, e.owner_peer, e.raw_tf, e.doc_length) for e in entries]
+        rows = list(entries)
         before = store.version
         present = {row[0] for row in rows if row[0] in store}
         add_many(rows)
@@ -376,9 +377,7 @@ class TermSlot:
             return None
         if self._mutations is not None:
             self._record(before, doc_id, True, False)
-        return PostingEntry(
-            doc_id=row[0], owner_peer=row[1], raw_tf=row[2], doc_length=row[3]
-        )
+        return _new_tuple(PostingEntry, row)
 
     def _record(
         self, before: Optional[int], doc_id: str, present: bool, now: bool
@@ -456,9 +455,7 @@ class TermSlot:
         row = self._store.lookup(doc_id)
         if row is None:
             return None
-        return PostingEntry(
-            doc_id=row[0], owner_peer=row[1], raw_tf=row[2], doc_length=row[3]
-        )
+        return _new_tuple(PostingEntry, row)
 
     def rows(self) -> Iterator[PostingRow]:
         """All postings in publish order as the store's plain rows
@@ -500,8 +497,7 @@ class TermSlot:
         version = self._store.version
         if version != self._entries_version:
             self._entries_view = [
-                PostingEntry(doc_id=d, owner_peer=o, raw_tf=t, doc_length=l)
-                for d, o, t, l in self._store.rows()
+                _new_tuple(PostingEntry, row) for row in self._store.rows()
             ]
             self._entries_version = version
         return self._entries_view

@@ -147,11 +147,10 @@ class OwnerPeer:
         return state, terms
 
     def _posting_for(self, document: Document, term: str) -> PostingEntry:
-        return PostingEntry(
-            doc_id=document.doc_id,
-            owner_peer=self.node_id,
-            raw_tf=document.term_freqs.get(term, 0),
-            doc_length=document.length,
+        # tuple.__new__ skips the named tuple's Python-level constructor.
+        return tuple.__new__(
+            PostingEntry,
+            (document.doc_id, self.node_id, document.term_freqs.get(term, 0), document.length),
         )
 
     def _publish(self, plans: Sequence[Plan], near: Sequence[int] = ()) -> None:

@@ -8,7 +8,6 @@ ordering used for initial index-term selection (paper Section 5.2).
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Tuple
@@ -82,11 +81,22 @@ class Document:
         Ties are broken alphabetically so selection is deterministic —
         important because both SPRITE's initial selection and the whole
         eSearch baseline are defined in terms of "top frequent terms".
-        Only the *k* kept are ordered, not every distinct term; they are
-        compared as ``(-count, term)`` tuples, with no key function.
+        Selected by threshold, as :meth:`RankedList.top_k` does: the
+        k-th largest count comes from a C sort of the bare counts, and
+        only the terms counted at least that *floor* are ordered, as
+        ``(-count, term)`` tuples with no key function, before the cut
+        at *k*.  A term tied with the floor reaches the ordering, so the
+        cut breaks the tie alphabetically.  ``k <= 0`` gives ``[]``.
         """
-        ranked = heapq.nsmallest(k, [(-count, t) for t, count in self.term_freqs.items()])
-        return [t for __, t in ranked]
+        freqs = self.term_freqs
+        if k <= 0:
+            return []
+        if k < len(freqs):
+            floor = sorted(freqs.values(), reverse=True)[k - 1]
+            ranked = sorted([(-count, t) for t, count in freqs.items() if count >= floor])
+        else:
+            ranked = sorted([(-count, t) for t, count in freqs.items()])
+        return [t for __, t in ranked[:k]]
 
     def as_weight_pairs(self) -> List[Tuple[str, int]]:
         """(term, raw frequency) pairs sorted by descending frequency."""

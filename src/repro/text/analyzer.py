@@ -51,11 +51,11 @@ class Analyzer:
         self.enable_stemming = enable_stemming
         self._memo = BoundedMemo(self._final_term, PorterStemmer.CACHE_SIZE)
 
-    def _final_term(self, raw: str) -> Optional[str]:
-        """The term one raw token contributes, or ``None``: length and
-        digit rules, stop-word filter, stem — the whole pipeline for a
-        single occurrence."""
-        token = self.tokenizer.accept(raw)
+    def _final_term(self, run: bytes) -> Optional[str]:
+        """The term one run contributes, or ``None``: length and digit
+        rules, stop-word filter, stem — the whole pipeline for a single
+        occurrence."""
+        token = self.tokenizer.accept(run)
         if token is None or token in self.stop_words:
             return None
         if self.enable_stemming:
@@ -68,20 +68,21 @@ class Analyzer:
         Order and multiplicity are preserved so callers can compute term
         frequencies and positional statistics.
 
-        Each raw token maps to its final term through a vocabulary memo
-        that lives as long as the analyzer (one per instance, bounded by
+        Each run maps to its final term through a vocabulary memo that
+        lives as long as the analyzer (one per instance, bounded by
         ``PorterStemmer.CACHE_SIZE`` entries, cleared when full): a word
         pays the length/digit rules, the stop-word check and the stem
         once per corpus rather than once per document, and a document
-        whose words are all known costs one ``findall`` and one C-level
-        ``map``/``filter``.  The memo keys on the token exactly as the
-        regex matched it, before lower-casing.
+        whose words are all known costs one encode / translate / split
+        (:meth:`Tokenizer.runs`) and one C-level ``map``/``filter``.
+        The memo keys on the run's bytes exactly as they were cut from
+        the text, before decoding and lower-casing.
 
         >>> Analyzer().analyze("The retrieving peers are retrieving")
         ['retriev', 'peer', 'retriev']
         """
         return list(
-            filter(None, map(self._memo.__getitem__, self.tokenizer.raw_tokens(text)))
+            filter(None, map(self._memo.__getitem__, self.tokenizer.runs(text)))
         )
 
     def term_frequencies(self, text: str) -> Counter:

@@ -4,14 +4,25 @@ A deliberately simple, deterministic tokenizer in the spirit of Lucene's
 ``StandardAnalyzer`` as the paper would have used it: split on
 non-alphanumeric characters, lower-case, and drop pure numbers and
 too-short tokens.  All knobs are explicit constructor arguments.
+
+A token is a maximal run of ``[A-Za-z0-9]``, found at the byte level:
+the text is encoded to ASCII with every other code point replaced by
+``?``, one :meth:`bytes.translate` turns every byte outside the class
+into a space, and :meth:`bytes.split` cuts the runs.  The class is
+ASCII-only, so every non-ASCII code point is a separator either way —
+the Kelvin sign, a dotted capital I, a ligature or a lone surrogate
+alike.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterator, List, Optional
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
+_ALNUM = b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+
+#: 256 bytes: each of ``[A-Za-z0-9]`` maps to itself, every other byte
+#: to a space — the one tokenizing rule.
+_RUN_TABLE = bytes(b if b in _ALNUM else 0x20 for b in range(256))
 
 
 class Tokenizer:
@@ -44,20 +55,27 @@ class Tokenizer:
         self.max_length = max_length
         self.keep_numbers = keep_numbers
 
-    def raw_tokens(self, text: str) -> List[str]:
-        """The maximal ``[A-Za-z0-9]+`` runs of *text*, case untouched.
+    @staticmethod
+    def runs(text: str) -> List[bytes]:
+        """The maximal ``[A-Za-z0-9]+`` runs of *text* as ASCII bytes,
+        case untouched.
 
-        First half of tokenization.  The regex sees the text as given:
-        lower-casing first would invent tokens (``"\u212a".lower()`` is
-        ASCII ``k``; ``"\u0130".lower()`` grows a combining mark).
+        First half of tokenization.  The runs are cut from the text as
+        given: lower-casing first would invent tokens (``"\u212a".lower()``
+        is ASCII ``k``; ``"\u0130".lower()`` grows a combining mark).
         """
-        return _TOKEN_RE.findall(text)
+        return text.encode("ascii", "replace").translate(_RUN_TABLE).split()
 
-    def accept(self, raw: str) -> Optional[str]:
-        """The token a raw run stands for — lower-cased — or ``None``
-        when the length bounds or the digit rule drop it.  Second half
-        of tokenization, a pure function of *raw* and the settings."""
-        token = raw.lower()
+    def raw_tokens(self, text: str) -> List[str]:
+        """:meth:`runs` as strings."""
+        return [run.decode("ascii") for run in self.runs(text)]
+
+    def accept(self, run: bytes) -> Optional[str]:
+        """The token a run stands for — decoded and lower-cased — or
+        ``None`` when the length bounds or the digit rule drop it.
+        Second half of tokenization, a pure function of *run* and the
+        settings.  The decode is exact: a run is ASCII."""
+        token = run.decode("ascii").lower()
         if not self.min_length <= len(token) <= self.max_length:
             return None
         if not self.keep_numbers and token.isdigit():
@@ -66,8 +84,8 @@ class Tokenizer:
 
     def iter_tokens(self, text: str) -> Iterator[str]:
         """Yield tokens from *text* one at a time."""
-        for raw in self.raw_tokens(text):
-            token = self.accept(raw)
+        for run in self.runs(text):
+            token = self.accept(run)
             if token is not None:
                 yield token
 

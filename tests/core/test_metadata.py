@@ -35,6 +35,29 @@ class TestPostingEntry:
         with pytest.raises(AttributeError):
             entry.raw_tf = 9  # type: ignore[misc]
 
+    def test_the_four_fields_in_the_store_row_order(self) -> None:
+        """A posting is a named tuple whose fields are a posting store's
+        row, in order: a slot hands an entry to the store as it is."""
+        assert PostingEntry._fields == ("doc_id", "owner_peer", "raw_tf", "doc_length")
+        entry = PostingEntry(doc_id="d1", owner_peer=7, raw_tf=3, doc_length=12)
+        assert tuple(entry) == ("d1", 7, 3, 12)
+        assert (entry.doc_id, entry.owner_peer, entry.raw_tf, entry.doc_length) == tuple(entry)
+
+    def test_equal_postings_are_equal_however_built(self) -> None:
+        """The owner builds postings with ``tuple.__new__``; they are the
+        same value as a keyword-built one — equal, same hash, same type,
+        as immutable, with ``normalized_tf``."""
+        keyword = PostingEntry(doc_id="d1", owner_peer=7, raw_tf=3, doc_length=12)
+        fast = tuple.__new__(PostingEntry, ("d1", 7, 3, 12))
+        assert type(fast) is PostingEntry
+        assert fast == keyword and hash(fast) == hash(keyword)
+        assert fast.normalized_tf == keyword.normalized_tf == pytest.approx(0.25)
+        assert keyword != PostingEntry("d1", 7, 4, 12)
+        with pytest.raises(AttributeError):
+            fast.doc_length = 1  # type: ignore[misc]
+        with pytest.raises(TypeError):
+            fast[0] = "d2"  # type: ignore[index]
+
 
 class TestQueryCache:
     def test_sequences_monotone(self) -> None:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.config import ChordConfig, SpriteConfig
 from repro.core.indexer import IndexingProtocol
+from repro.core.metadata import PostingEntry
 from repro.core.owner import OwnerPeer
 from repro.corpus import Document
 from repro.dht import ChordRing
@@ -69,6 +70,25 @@ class TestShare:
         owner.share(DOC)
         with pytest.raises(LearningError):
             owner.share(DOC)
+
+    def test_the_published_posting_is_the_documents_row(
+        self, owner: OwnerPeer, protocol: IndexingProtocol
+    ) -> None:
+        """A slot receives (doc id, owner, raw tf, length); a supplied
+        first term the document lacks is published with tf 0."""
+        owner.share(Document("d3", DOC.text), first_terms=["zeta", "omega"])
+        assert protocol.slot_snapshot("zeta").get_posting("d3") == (
+            PostingEntry("d3", owner.node_id, 4, 13)
+        )
+        assert protocol.slot_snapshot("omega").get_posting("d3") == (
+            PostingEntry("d3", owner.node_id, 0, 13)
+        )
+
+    def test_a_bulk_share_rejects_a_document_already_shared(self, owner: OwnerPeer) -> None:
+        owner.share(DOC)
+        with pytest.raises(LearningError):
+            owner.share_bulk([Document("d9", DOC.text), DOC])
+        assert owner.num_shared == 1
 
     def test_unshare_removes_postings(self, owner: OwnerPeer, protocol: IndexingProtocol) -> None:
         owner.share(DOC)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 
 import pytest
@@ -76,6 +77,34 @@ class TestTopTerms:
         # Asked for every distinct term, the heap ranks them all.
         assert d.top_terms(len(freqs)) == [t for t, __ in ranked]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        freqs=st.dictionaries(
+            st.text("abcdef", min_size=1, max_size=3), st.integers(1, 3), max_size=40
+        ),
+        k=st.integers(-2, 45),
+    )
+    def test_the_threshold_cut_equals_heapq_nsmallest(self, freqs, k) -> None:
+        """``top_terms`` cuts at the k-th largest count and orders only
+        what reaches it; the reference is the ``heapq.nsmallest`` over
+        ``(-count, term)`` it replaced.  Three distinct counts, so most
+        cuts fall inside a tie; k runs from below 0 to past the
+        vocabulary, and k = 1, 0 and the vocabulary size always run."""
+        d = Document(doc_id="p", text="", _term_freqs=Counter(freqs))
+        pairs = [(-count, t) for t, count in freqs.items()]
+        for cut in (k, 1, 0, len(freqs), len(freqs) + 1):
+            assert d.top_terms(cut) == [t for __, t in heapq.nsmallest(cut, pairs)]
+
+    def test_a_cut_inside_a_tie_breaks_it_alphabetically(self) -> None:
+        d = Document(doc_id="t", text="", _term_freqs=Counter(
+            {"pear": 2, "fig": 5, "apple": 2, "kiwi": 2, "date": 1}
+        ))
+        assert d.top_terms(1) == ["fig"]
+        assert d.top_terms(2) == ["fig", "apple"]
+        assert d.top_terms(3) == ["fig", "apple", "kiwi"]
+        assert d.top_terms(5) == ["fig", "apple", "kiwi", "pear", "date"]
+        assert d.top_terms(0) == [] and d.top_terms(-1) == []
+
     def test_term_rank(self, doc: Document) -> None:
         # A term's frequency rank is its place in the top_terms order.
         ranks = {t: i for i, t in enumerate(doc.top_terms(doc.unique_terms))}
@@ -86,6 +115,10 @@ class TestTopTerms:
     def test_weight_pairs_sorted(self, doc: Document) -> None:
         pairs = doc.as_weight_pairs()
         assert pairs == [("chord", 3), ("ring", 2), ("lookup", 1)]
+
+    def test_weight_pairs_break_ties_alphabetically(self) -> None:
+        d = Document(doc_id="t", text="", _term_freqs=Counter({"pear": 1, "fig": 2, "apple": 1}))
+        assert d.as_weight_pairs() == [("fig", 2), ("apple", 1), ("pear", 1)]
 
 
 class TestContains:

@@ -228,6 +228,30 @@ class TestPerf:
         assert code == 2
         assert "perfect" in output
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        (
+            (("--drop", "0.5", "--latency", "80", "--retries", "3"),
+             "--drop --latency --retries"),
+            (("--latency-model", "lognormal", "--timeout", "250", "--net-seed", "5"),
+             "--latency-model --timeout --net-seed"),
+            (("--transport", "perfect", "--drop", "0.1"), "--drop"),
+            (("--transport", "lossy", "--drop", "0.1"), "--transport --drop"),
+        ),
+        ids=["drop-latency-retries", "model-timeout-seed", "perfect-plus-drop", "lossy"],
+    )
+    def test_perf_refuses_every_network_flag_by_name(self, flags, named) -> None:
+        """The sweep runs on the perfect transport: a lossy-only flag it
+        would ignore is refused by name, exit 2, before the header."""
+        code, output = run_cli("perf", "--small", *flags)
+        assert code == 2
+        assert output == f"error: the perf sweep runs on the perfect transport; drop {named}\n"
+
+    def test_perf_accepts_transport_perfect(self) -> None:
+        code, output = run_cli("perf", "--small", "--peers-grid", "200", "--transport", "perfect")
+        assert code == 0
+        assert output.startswith("route sweep:")
+
 
 class TestPerfRoute:
     ROUTE = ("perf", "--small", "--peers-grid", "200")

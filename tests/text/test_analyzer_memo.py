@@ -87,19 +87,20 @@ def test_term_frequencies_keep_first_occurrence_order(text: str) -> None:
 
 @pytest.mark.parametrize("trap", UNICODE_TRAPS)
 def test_non_ascii_letters_never_become_tokens(trap: str) -> None:
-    # Lower-casing before the regex would turn the Kelvin sign into "k"
-    # and grow "i̇" out of the dotted I; the raw token is matched first.
+    # Lower-casing before cutting the runs would turn the Kelvin sign
+    # into "k" and grow "i̇" out of the dotted I; the run is cut first.
     analyzer = Analyzer(tokenizer=Tokenizer(min_length=1), stop_words=frozenset())
     assert analyzer.analyze(trap) == []
     assert analyzer.analyze(f"ab{trap}cd") == ["ab", "cd"]
-    assert trap not in analyzer._memo
+    # The memo keys on a run's ASCII bytes: no key holds the trap.
+    assert set(analyzer._memo) == {b"ab", b"cd"}
 
 
 def test_case_variants_are_separate_keys_with_one_term() -> None:
     analyzer = Analyzer()
     assert analyzer.analyze("Peers PEERS peers The THE") == ["peer"] * 3
-    assert {"Peers", "PEERS", "peers", "The", "THE"} <= analyzer._memo.keys()
-    assert analyzer._memo["THE"] is None
+    assert {b"Peers", b"PEERS", b"peers", b"The", b"THE"} <= analyzer._memo.keys()
+    assert analyzer._memo[b"THE"] is None
 
 
 def test_analyzers_with_different_settings_share_no_memo_entry() -> None:
@@ -111,9 +112,9 @@ def test_analyzers_with_different_settings_share_no_memo_entry() -> None:
     assert numeric.analyze(text) == ["run", "peer", "2007", "x"]
     memos = [a._memo for a in (stemmed, unstemmed, no_stop, numeric)]
     assert len({id(m) for m in memos}) == 4
-    assert stemmed._memo["running"] == "run" and unstemmed._memo["running"] == "running"
-    assert stemmed._memo["The"] is None and no_stop._memo["The"] == "the"
-    assert stemmed._memo["2007"] is None and numeric._memo["2007"] == "2007"
+    assert stemmed._memo[b"running"] == "run" and unstemmed._memo[b"running"] == "running"
+    assert stemmed._memo[b"The"] is None and no_stop._memo[b"The"] == "the"
+    assert stemmed._memo[b"2007"] is None and numeric._memo[b"2007"] == "2007"
     # A second pass through warm memos still answers per analyzer.
     assert unstemmed.analyze(text) == ["running", "peers"]
     assert numeric.analyze(text) == ["run", "peer", "2007", "x"]

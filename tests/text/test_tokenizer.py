@@ -2,11 +2,64 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.text.tokenizer import DEFAULT_TOKENIZER, Tokenizer, tokenize
+
+#: The tokenizing rule as a regex — the reference the byte-level runs
+#: are held to.  ``src`` has no regex of it.
+REFERENCE_RUNS = re.compile(r"[A-Za-z0-9]+")
+
+#: Kelvin sign (lower-cases to ASCII "k"), dotted capital I (to "i" + a
+#: combining dot), the "fi" ligature (upper-cases to "FI") and lone
+#: surrogates, which no UTF codec accepts.
+NON_ASCII_TRAPS = ["\u212a", "\u0130", "\ufb01", "\ud800", "\udc80"]
+
+
+def reference_tokens(tokenizer: Tokenizer, text: str) -> list:
+    out = []
+    for raw in REFERENCE_RUNS.findall(text):
+        token = raw.lower()
+        if not tokenizer.min_length <= len(token) <= tokenizer.max_length:
+            continue
+        if not tokenizer.keep_numbers and token.isdigit():
+            continue
+        out.append(token)
+    return out
+
+
+@settings(max_examples=500)
+@given(st.text(st.characters(exclude_categories=())))
+def test_runs_equal_the_regex_on_any_text(text: str) -> None:
+    """Any ``str`` — surrogates included — cuts into the regex's runs:
+    as bytes for the analyzer's memo, as strings for ``raw_tokens``."""
+    expected = REFERENCE_RUNS.findall(text)
+    assert Tokenizer.runs(text) == [run.encode("ascii") for run in expected]
+    assert DEFAULT_TOKENIZER.raw_tokens(text) == expected
+    for tokenizer in (DEFAULT_TOKENIZER, Tokenizer(min_length=1, keep_numbers=True)):
+        assert tokenizer.tokenize(text) == reference_tokens(tokenizer, text)
+
+
+@pytest.mark.parametrize(
+    "trap", NON_ASCII_TRAPS, ids=["kelvin", "dotted-I", "fi", "hi-surrogate", "lo-surrogate"]
+)
+def test_a_non_ascii_code_point_is_a_separator(trap: str) -> None:
+    text = f"ab{trap}cd {trap}{trap} Ke{trap}lvin{trap}"
+    assert Tokenizer.runs(text) == [b"ab", b"cd", b"Ke", b"lvin"]
+    assert DEFAULT_TOKENIZER.raw_tokens(text) == REFERENCE_RUNS.findall(text)
+    assert tokenize(text) == ["ab", "cd", "ke", "lvin"]
+    assert Tokenizer(min_length=1).tokenize(trap) == []
+
+
+def test_accept_decodes_a_run() -> None:
+    tokenizer = Tokenizer()
+    assert tokenizer.accept(b"PeErS") == "peers"
+    assert tokenizer.accept(b"x") is None and tokenizer.accept(b"2007") is None
+    assert Tokenizer(keep_numbers=True).accept(b"2007") == "2007"
 
 
 class TestBasicTokenization:
@@ -47,6 +100,14 @@ class TestConfiguration:
         t = Tokenizer(max_length=10)
         blob = "x" * 50
         assert t.tokenize(f"short {blob} words") == ["short", "words"]
+
+    def test_default_length_bounds_are_inclusive(self) -> None:
+        t = Tokenizer()
+        assert (t.min_length, t.max_length) == (2, 40)
+        assert t.tokenize("a ab " + "x" * 40 + " " + "y" * 41) == ["ab", "x" * 40]
+
+    def test_equal_length_bounds_are_allowed(self) -> None:
+        assert Tokenizer(min_length=3, max_length=3).tokenize("ab abc abcd") == ["abc"]
 
     def test_invalid_min_length(self) -> None:
         with pytest.raises(ValueError):
