@@ -5,7 +5,10 @@ the cross-ring equivalence oracle (bit-identical ranking checksums per
 peer count — routing changes where messages go, never what is
 returned), and records hop counts, lookup messages, finger-table sizes,
 and stabilize traffic into ``benchmarks/BENCH_ROUTE.json`` so the arity
-tradeoff numbers in DESIGN.md §8 have a committed source.
+tradeoff numbers in DESIGN.md §8 have a committed source.  The record
+holds only what the seeded sweep determines — counts, checksums and the
+grid — so a rerun on any machine leaves it unchanged; the build, query
+and wall times and the worker count go to the log.
 
 Scales (``BENCH_ROUTE_SCALE``):
 
@@ -62,6 +65,30 @@ def _config():
     return cfg.replaced(workers=WORKERS)
 
 
+def _record(result) -> Dict[str, object]:
+    """The sweep's deterministic fields: no clock, no worker count."""
+    record = result.to_dict()
+    del record["wall_s"], record["workers"]
+    record["cells"] = [
+        {k: v for k, v in cell.items() if k not in ("build_s", "query_s")}
+        for cell in result.cells
+    ]
+    return record
+
+
+def _format_timings(result) -> str:
+    lines = [
+        f"route timings [{SCALE}]: {result.wall_s:.2f} s wall "
+        f"on {result.workers} worker(s)"
+    ]
+    for cell in result.cells:
+        lines.append(
+            f"{cell['num_peers']:>7} {cell['ring']:<10} "
+            f"build {cell['build_s']:.3f} s  queries {cell['query_s']:.3f} s"
+        )
+    return "\n".join(lines)
+
+
 def _format_table(result) -> str:
     reductions = []
     if "chord" in result.rings:
@@ -86,7 +113,7 @@ def measurements(record_result):
     result = run_route_workload(_config())
 
     record = dict(committed)
-    record[SCALE] = result.to_dict()
+    record[SCALE] = _record(result)
     RECORD_PATH.write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -94,6 +121,7 @@ def measurements(record_result):
         record_result("route", _format_table(result))
     else:
         sys.stderr.write(f"\n=== route ===\n{_format_table(result)}\n")
+    sys.stderr.write(f"{_format_timings(result)}\n")
     return {"result": result, "committed": committed}
 
 

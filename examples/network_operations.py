@@ -8,14 +8,12 @@ Walks through the operational features beyond basic retrieval:
    "periodically probe the indexing peers").
 2. **Hot-term advice** — maintenance-hot terms (huge indexed document
    frequency, tiny IDF) are discarded and replaced (Section 7(a)).
-3. **Bloom-compressed conjunctive search** — the message-size remedy of
-   the related work (Reynolds & Vahdat).
 """
 
 from __future__ import annotations
 
 from repro import small_experiment_config
-from repro.core import BloomQueryProcessor, MaintenanceDaemon
+from repro.core import MaintenanceDaemon
 from repro.evaluation import build_environment
 from repro.evaluation.experiments import build_trained_sprite
 from repro.extensions import HotTermAdvisor
@@ -42,21 +40,7 @@ def main() -> None:
     print("2) Hot-term advice (Section 7a)")
     advisor = HotTermAdvisor(system, df_threshold=max(5, len(env.corpus) // 4))
     hot_terms, switches = advisor.rebalance()
-    print(f"   hot terms detected: {hot_terms}; document term switches: {switches}\n")
-
-    # 3. Bloom-compressed conjunctive search.
-    print("3) Bloom-compressed conjunctive search (related work [13])")
-    processor = BloomQueryProcessor(
-        system.protocol, assumed_corpus_size=system.config.assumed_corpus_size
-    )
-    bloom_bytes = naive_bytes = 0
-    for query in [q for q in env.test.queries if len(q.terms) >= 2][:40]:
-        __, execution = processor.execute(system._issuer_for(query), query)
-        bloom_bytes += execution.bytes_shipped
-        naive_bytes += execution.naive_bytes
-    print(f"   naive transfer:  {naive_bytes / 1024:.0f} KiB")
-    print(f"   bloom transfer:  {bloom_bytes / 1024:.0f} KiB "
-          f"({naive_bytes / max(1, bloom_bytes):.1f}x smaller)")
+    print(f"   hot terms detected: {hot_terms}; document term switches: {switches}")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 """SPRITE core: the paper's primary contribution."""
 
-from .bloom_search import BloomExecution, BloomQueryProcessor
 from .indexer import IndexingProtocol
 from .maintenance import MaintenanceDaemon, MaintenanceReport
 from .learning import (
@@ -23,8 +22,6 @@ from .scoring import combined_score, q_score, query_frequencies, query_frequency
 from .system import SpriteSystem
 
 __all__ = [
-    "BloomExecution",
-    "BloomQueryProcessor",
     "CachedQuery",
     "MaintenanceDaemon",
     "MaintenanceReport",

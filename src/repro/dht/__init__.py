@@ -1,6 +1,6 @@
 """Chord DHT substrate: ring, nodes, routing, churn, replication."""
 
-from .bloom import BloomFilter, intersection_plan
+from .bloom import BloomFilter
 from .churn import ChurnEvent, ChurnModel
 from .hashing import IdSpace, md5_hash, recursive_finger_steps
 from .messages import (
@@ -37,7 +37,6 @@ __all__ = [
     "ReplicationManager",
     "RouteCache",
     "TERM_BYTES",
-    "intersection_plan",
     "md5_hash",
     "recursive_finger_steps",
     "ring_label",

@@ -1,23 +1,18 @@
-"""Bloom filters for compressed multi-term query processing.
+"""A Bloom filter over string keys, for the SQLite store's front.
 
-The paper's related work (Section 2) cites Reynolds & Vahdat: "bloom
-filter is employed to compress the message size" during P2P keyword
-search.  For a conjunctive multi-term query, instead of every indexing
-peer shipping its full posting list to the querying peer, the peer with
-the *rarest* term sends a Bloom filter of its document ids to the next
-peer, which intersects and forwards, and only the final (small)
-candidate set travels with full metadata.
-
-This module provides the filter itself plus the intersection protocol
-sizing math; :class:`repro.core.bloom_search.BloomQueryProcessor` wires
-it into the query path.
+:class:`repro.store.sqlite_store.SqlitePostings` keeps one filter
+per term slot over the doc ids it holds: a negative answer proves a
+doc id absent, so a point insert or lookup skips its SQL round trip.
+The filter may say "present" for an absent key (a false positive, at
+most ``error_rate`` at ``capacity`` insertions) but never says "absent"
+for an inserted one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator
 
 
 class BloomFilter:
@@ -79,42 +74,3 @@ class BloomFilter:
     def __len__(self) -> int:
         """Number of insertions performed (not distinct keys)."""
         return self._count
-
-    # -- sizing / transfer --------------------------------------------------------
-
-    @property
-    def size_bytes(self) -> int:
-        """Wire size of the filter (its bit array)."""
-        return len(self._bits)
-
-    @property
-    def expected_false_positive_rate(self) -> float:
-        """FP probability at the current fill level."""
-        if self._count == 0:
-            return 0.0
-        fill = 1.0 - math.exp(-self.num_hashes * self._count / self.num_bits)
-        return fill ** self.num_hashes
-
-    def filter_candidates(self, keys: Sequence[str]) -> List[str]:
-        """Keys of *keys* that may be members (includes false positives,
-        never excludes true members)."""
-        return [key for key in keys if key in self]
-
-    @classmethod
-    def from_keys(
-        cls, keys: Sequence[str], error_rate: float = 0.01
-    ) -> "BloomFilter":
-        """Build a filter sized for exactly these keys."""
-        bloom = cls(capacity=max(1, len(keys)), error_rate=error_rate)
-        bloom.update(keys)
-        return bloom
-
-
-def intersection_plan(list_sizes: Sequence[int]) -> List[int]:
-    """Order posting lists for the Bloom intersection chain.
-
-    Rarest first: starting from the smallest list minimizes both the
-    first filter's size and every intermediate candidate set.  Returns
-    the indices of *list_sizes* in visit order.
-    """
-    return sorted(range(len(list_sizes)), key=lambda i: (list_sizes[i], i))

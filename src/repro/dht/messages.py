@@ -98,8 +98,6 @@ class MessageKind(Enum):
     # querying peer → indexing peer, after an unresolved digest: keywords
     # of the query, registered in the slots the reply flagged
     REGISTER = "register", "query", QUERY_HEADER_BYTES, (TERM_BYTES,)
-    # querying peer → indexing peer: bytes of the candidate Bloom filter
-    BLOOM_FILTER = "bloom_filter", "query", QUERY_HEADER_BYTES, (1,)
     # querying peer → result home: cached result?
     RESULT_PROBE = "result_probe", "query", QUERY_HEADER_BYTES
     # result home → querying peer: ranked entries (none on a miss)

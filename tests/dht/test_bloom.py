@@ -1,4 +1,7 @@
-"""Tests for the Bloom filter substrate."""
+"""Tests for the Bloom filter that fronts the SQLite posting store.
+
+Every filter here is built the way the store builds one: the
+constructor at a capacity, then ``add`` / ``update``."""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dht.bloom import BloomFilter, intersection_plan
+from repro.dht.bloom import BloomFilter
 
 
 class TestBasics:
@@ -22,7 +25,6 @@ class TestBasics:
     def test_empty_filter_rejects_everything(self) -> None:
         bloom = BloomFilter(capacity=10)
         assert "anything" not in bloom
-        assert bloom.expected_false_positive_rate == 0.0
 
     def test_len_counts_insertions(self) -> None:
         bloom = BloomFilter(capacity=10)
@@ -46,60 +48,39 @@ class TestSizing:
         assert tight.num_bits > loose.num_bits
         assert tight.num_hashes >= loose.num_hashes
 
-    def test_size_bytes_matches_bit_array(self) -> None:
-        bloom = BloomFilter(capacity=100, error_rate=0.01)
-        assert bloom.size_bytes == (bloom.num_bits + 7) // 8
-
     def test_filter_much_smaller_than_posting_list(self) -> None:
-        """The compression argument: a 1%-error filter over n keys takes
-        ~1.2 bytes/key vs 24 bytes/posting."""
+        """A 1%-error front over n doc ids takes ~1.2 bytes per id, not
+        the 24 of the posting it guards: ``m = -n·ln(p) / ln(2)²`` bits
+        and ``k = (m/n)·ln(2)`` hashes."""
         n = 5000
-        bloom = BloomFilter.from_keys([f"doc{i}" for i in range(n)], 0.01)
-        assert bloom.size_bytes < n * 24 / 10
+        bloom = BloomFilter(capacity=n, error_rate=0.01)
+        bloom.update(f"doc{i}" for i in range(n))
+        assert bloom.num_bits == 47926
+        assert bloom.num_hashes == 7
+        assert (bloom.num_bits + 7) // 8 < n * 24 / 10
 
 
 class TestFalsePositives:
     def test_empirical_rate_near_target(self) -> None:
         rng = random.Random(7)
         members = [f"m{i}" for i in range(2000)]
-        bloom = BloomFilter.from_keys(members, error_rate=0.02)
+        bloom = BloomFilter(capacity=len(members), error_rate=0.02)
+        bloom.update(members)
         probes = [f"x{rng.random()}" for __ in range(4000)]
         fp = sum(1 for p in probes if p in bloom)
         assert fp / len(probes) < 0.06  # 3x headroom over target
 
-    def test_expected_rate_increases_with_fill(self) -> None:
-        bloom = BloomFilter(capacity=100, error_rate=0.01)
-        rates = []
-        for i in range(100):
-            bloom.add(f"k{i}")
-            rates.append(bloom.expected_false_positive_rate)
-        assert rates[-1] > rates[0]
-        assert rates == sorted(rates)
-
-    def test_filter_candidates_superset_of_members(self) -> None:
-        members = [f"m{i}" for i in range(50)]
-        bloom = BloomFilter.from_keys(members)
-        universe = members + [f"other{i}" for i in range(50)]
-        survivors = set(bloom.filter_candidates(universe))
-        assert set(members) <= survivors
-
-
-class TestIntersectionPlan:
-    def test_rarest_first(self) -> None:
-        assert intersection_plan([500, 3, 70]) == [1, 2, 0]
-
-    def test_stable_on_ties(self) -> None:
-        assert intersection_plan([5, 5, 5]) == [0, 1, 2]
-
-    def test_empty(self) -> None:
-        assert intersection_plan([]) == []
-
 
 @settings(max_examples=40)
-@given(st.sets(st.text(min_size=1, max_size=12), min_size=1, max_size=80))
-def test_no_false_negatives_property(keys: set) -> None:
+@given(
+    st.sets(st.text(min_size=1, max_size=12), min_size=1, max_size=80),
+    st.integers(min_value=1, max_value=80),
+)
+def test_no_false_negatives_property(keys: set, capacity: int) -> None:
     """Bloom filters may lie about membership but never about
-    non-membership of inserted keys."""
-    bloom = BloomFilter.from_keys(sorted(keys), error_rate=0.05)
+    non-membership of inserted keys, at any fill: under capacity or
+    past it."""
+    bloom = BloomFilter(capacity=capacity, error_rate=0.05)
+    bloom.update(sorted(keys))
     for key in keys:
         assert key in bloom

@@ -269,7 +269,7 @@ class TestBatchFactories:
 
 
 #: ``(kind, counts) → bytes`` as the commit before the table priced
-#: them: the sixteen ``*_message`` constructors, then the eight sites
+#: them: the sixteen ``*_message`` constructors, then the seven sites
 #: that built a ``Message`` with a size of their own.  QUERY_BATCH rows
 #: are ones the old float formula got exactly; the two re-rowed senders
 #: keep their price under their new kind.  The two poll requests are
@@ -345,11 +345,6 @@ GOLDEN = [
     (K.POLL_BATCH, (12,), 208),
     (K.POLL_BATCH, (45,), 736),
     (K.ADVISE_HOT_TERM, (), 16),        # extensions/load_balance.py
-    (K.BLOOM_FILTER, (0,), 16),         # in place of a deleted kind's two rows,
-    (K.BLOOM_FILTER, (8,), 24),         # so that no later row's id shifts
-    (K.BLOOM_FILTER, (1,), 17),         # core/bloom_search.py, as SEARCH_TERM
-    (K.BLOOM_FILTER, (120,), 136),
-    (K.BLOOM_FILTER, (4096,), 4112),
     # A repeat query's registration by digest: SEARCH_TERM counts digests
     # (8 bytes each) after the keywords, POSTINGS the slots that could not
     # resolve one (a flag byte each), and REGISTER, the fallback, carries

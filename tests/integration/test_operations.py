@@ -1,12 +1,11 @@
 """Integration tests for the operational machinery working together:
-maintenance healing after churn, hot-term advice on a live system, and
-Bloom search over the learned distributed index."""
+maintenance healing after churn and hot-term advice on a live system."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import BloomQueryProcessor, MaintenanceDaemon
+from repro.core import MaintenanceDaemon
 from repro.dht import ReplicationManager
 from repro.evaluation.experiments import build_trained_sprite
 from repro.extensions import HotTermAdvisor
@@ -81,25 +80,3 @@ class TestLoadBalancingOnLiveSystem:
         ranked = trained.search(small_env.test.queries[1], cache=False)
         assert isinstance(ranked.ids(), list)
 
-
-class TestBloomOverTrainedIndex:
-    def test_bloom_matches_exact_conjunction(self, small_env, trained) -> None:
-        processor = BloomQueryProcessor(
-            trained.protocol,
-            assumed_corpus_size=trained.config.assumed_corpus_size,
-        )
-        multi = [q for q in small_env.test.queries if len(q.terms) >= 2][:10]
-        for query in multi:
-            issuer = trained._issuer_for(query)
-            ranked, execution = processor.execute(issuer, query)
-            exact = None
-            for term in query.terms:
-                postings, df = trained.protocol.fetch_postings(issuer, term)
-                if df == 0:
-                    continue
-                ids = {p.doc_id for p in postings}
-                exact = ids if exact is None else exact & ids
-            assert set(ranked.ids()) == (exact or set())
-            assert execution.naive_bytes >= execution.bytes_shipped or (
-                execution.candidates_after_chain > 0
-            )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -417,6 +418,16 @@ class TestReport:
         empty.mkdir()
         code, __ = run_cli("report", "--results", str(empty))
         assert code == 2
+
+    def test_committed_results_md_is_the_report(self) -> None:
+        """``benchmarks/RESULTS.md`` is this command's output over the
+        committed tables, byte for byte.  Regenerate it after a table
+        changes: ``python -m repro report --results benchmarks/results
+        --output benchmarks/RESULTS.md``."""
+        benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+        code, output = run_cli("report", "--results", str(benchmarks / "results"))
+        assert code == 0
+        assert output == (benchmarks / "RESULTS.md").read_text(encoding="utf-8")
 
 
 class TestFigures:
