@@ -68,6 +68,7 @@ from ..dht.node import ChordNode
 from ..dht.ring import ChordRing
 from ..exceptions import NodeFailedError
 from ..ir.ranking import RankedList
+from ..memo import FifoMap
 from .metadata import (
     SHIPPED_MUTATIONS,
     CachedQuery,
@@ -79,6 +80,25 @@ from .metadata import (
     TermSlot,
     query_digest,
 )
+
+#: The kinds this module sends, bound once: on CPython 3.11 reading an
+#: enum member through its class costs ~150 ns (``EnumType.__getattr__``),
+#: a module global ~15 ns.
+_PUBLISH_TERM = MessageKind.PUBLISH_TERM
+_UNPUBLISH_TERM = MessageKind.UNPUBLISH_TERM
+_PUBLISH_BATCH = MessageKind.PUBLISH_BATCH
+_UNPUBLISH_BATCH = MessageKind.UNPUBLISH_BATCH
+_POLL_QUERIES = MessageKind.POLL_QUERIES
+_POLL_BATCH = MessageKind.POLL_BATCH
+_QUERY_BATCH = MessageKind.QUERY_BATCH
+_SEARCH_TERM = MessageKind.SEARCH_TERM
+_POSTINGS = MessageKind.POSTINGS
+_REGISTER = MessageKind.REGISTER
+_RESULT_PROBE = MessageKind.RESULT_PROBE
+_RESULT_VALUE = MessageKind.RESULT_VALUE
+_RESULT_STORE = MessageKind.RESULT_STORE
+_VERSION_PROBE = MessageKind.VERSION_PROBE
+_VERSION_VALUE = MessageKind.VERSION_VALUE
 
 #: ``(peer → its terms in first-seen order, peer → hops of the request
 #: routed to it, unreachable terms)``: ``_locate`` to ``_exchange``.
@@ -348,7 +368,7 @@ class IndexingProtocol:
         that message is delivered, not before."""
         node, hops = self._route(owner_id, self.term_hash(term))
         self.ring.send(
-            message(MessageKind.PUBLISH_TERM, owner_id, node.node_id, hops=hops + 1)
+            message(_PUBLISH_TERM, owner_id, node.node_id, hops=hops + 1)
         )
         self._slot_at(node, term, create=True).add_posting(posting)
         return hops + 1
@@ -364,7 +384,7 @@ class IndexingProtocol:
         """
         node, hops = self._route(owner_id, self.term_hash(term))
         self.ring.send(
-            message(MessageKind.UNPUBLISH_TERM, owner_id, node.node_id, hops=hops + 1)
+            message(_UNPUBLISH_TERM, owner_id, node.node_id, hops=hops + 1)
         )
         slot = self._slot_at(node, term, create=False)
         if slot is None:
@@ -388,7 +408,7 @@ class IndexingProtocol:
             if isinstance(replica, TermSlot) and replica.has_posting(doc_id):
                 try:
                     self.ring.send(
-                        message(MessageKind.UNPUBLISH_TERM, node_id, succ_id)
+                        message(_UNPUBLISH_TERM, node_id, succ_id)
                     )
                 except NodeFailedError:
                     continue
@@ -449,7 +469,7 @@ class IndexingProtocol:
         failed terms)``.
         """
         taken_at, failed_terms = self._open_write_batches(
-            owner_id, [term for term, __ in postings], MessageKind.PUBLISH_BATCH, near
+            owner_id, [term for term, __ in postings], _PUBLISH_BATCH, near
         )
         published: Set[str] = set()
         for term, run in groupby(postings, key=itemgetter(0)):
@@ -477,7 +497,7 @@ class IndexingProtocol:
         lacks the slot/posting is not a failure.
         """
         taken_at, failed_terms = self._open_write_batches(
-            owner_id, [term for term, __ in removals], MessageKind.UNPUBLISH_BATCH, near
+            owner_id, [term for term, __ in removals], _UNPUBLISH_BATCH, near
         )
         removed: Set[str] = set()
         for term, doc_id in removals:
@@ -661,7 +681,7 @@ class IndexingProtocol:
         issuer = self.ring.nodes[issuer_id]
         held = issuer.held_versions
         if held is None:
-            held = issuer.held_versions = {}
+            held = issuer.held_versions = FifoMap(HELD_VERSIONS)
         views, failed = self._exchange(
             issuer_id,
             located,
@@ -671,9 +691,7 @@ class IndexingProtocol:
             self._postings_reply,
         )
         for term, view in views.items():
-            if len(held) >= HELD_VERSIONS and term not in held:
-                del held[next(iter(held))]
-            held[term] = view.version
+            held.put(term, view.version)
         return views, failed
 
     @staticmethod
@@ -690,7 +708,7 @@ class IndexingProtocol:
             else:
                 keywords = len(registration[0])
         return message(
-            MessageKind.SEARCH_TERM,
+            _SEARCH_TERM,
             src,
             dst,
             len(batch),
@@ -734,7 +752,7 @@ class IndexingProtocol:
                     shipped += len(diff[0]) + len(diff[1])
             if view.unresolved:
                 unresolved += 1
-        return message(MessageKind.POSTINGS, src, dst, shipped, len(views), unresolved)
+        return message(_POSTINGS, src, dst, shipped, len(views), unresolved)
 
     def _register_unresolved(self, issuer_id, peer_terms, views, registration) -> None:
         """The fallback of a registration by digest: one REGISTER carrying
@@ -757,7 +775,7 @@ class IndexingProtocol:
 
     @staticmethod
     def _register_request(src, dst, batch, hops, terms) -> Message:
-        return message(MessageKind.REGISTER, src, dst, len(terms), hops=hops)
+        return message(_REGISTER, src, dst, len(terms), hops=hops)
 
     # -- slot-version probes (querying peer → indexing peers) -----------------
 
@@ -784,7 +802,7 @@ class IndexingProtocol:
 
     @staticmethod
     def _version_probe(src, dst, batch, hops, carried) -> Message:
-        return message(MessageKind.VERSION_PROBE, src, dst, len(batch), hops=hops)
+        return message(_VERSION_PROBE, src, dst, len(batch), hops=hops)
 
     def _serve_version(self, node, term, carried) -> int:
         slot = self._slot_at(node, term, create=False)
@@ -792,7 +810,7 @@ class IndexingProtocol:
 
     @staticmethod
     def _version_value(src, dst, versions) -> Message:
-        return message(MessageKind.VERSION_VALUE, src, dst, len(versions))
+        return message(_VERSION_VALUE, src, dst, len(versions))
 
     # -- query-result cache (querying peer ↔ result-home peer) ----------------
 
@@ -860,7 +878,7 @@ class IndexingProtocol:
 
     @staticmethod
     def _result_probe(src, dst, batch, hops, carried) -> Message:
-        return message(MessageKind.RESULT_PROBE, src, dst, hops=hops)
+        return message(_RESULT_PROBE, src, dst, hops=hops)
 
     def _serve_result(
         self, node, terms, probe
@@ -883,7 +901,7 @@ class IndexingProtocol:
     def _result_value(src, dst, answers) -> Message:
         (__, served), = answers
         return message(
-            MessageKind.RESULT_VALUE, src, dst, len(served) if served is not None else 0
+            _RESULT_VALUE, src, dst, len(served) if served is not None else 0
         )
 
     def store_result(
@@ -921,7 +939,7 @@ class IndexingProtocol:
     @staticmethod
     def _result_store(src, dst, batch, hops, entry) -> Message:
         return message(
-            MessageKind.RESULT_STORE,
+            _RESULT_STORE,
             src,
             dst,
             len(entry.ranked),
@@ -957,7 +975,7 @@ class IndexingProtocol:
         """
         node, hops = self._route(owner_id, self.term_hash(term))
         self.ring.send(
-            message(MessageKind.POLL_QUERIES, owner_id, node.node_id, hops=hops + 1)
+            message(_POLL_QUERIES, owner_id, node.node_id, hops=hops + 1)
         )
         answer = self._serve_poll(node, term, {term: since})
         self.ring.send(self._query_batch(node.node_id, owner_id, [answer]))
@@ -1023,7 +1041,7 @@ class IndexingProtocol:
 
     @staticmethod
     def _poll_request(src, dst, batch, hops, carried) -> Message:
-        return message(MessageKind.POLL_BATCH, src, dst, len(batch), hops=hops)
+        return message(_POLL_BATCH, src, dst, len(batch), hops=hops)
 
     def _serve_poll(self, node, term, cursor_of) -> Tuple[List[CachedQuery], Optional[int]]:
         """Every query cached at *term*'s slot since its cursor, and the
@@ -1059,7 +1077,7 @@ class IndexingProtocol:
                 total_selected += 1
                 total_query_terms += len(cached.terms)
         return message(
-            MessageKind.QUERY_BATCH, src, dst, total_selected, total_query_terms
+            _QUERY_BATCH, src, dst, total_selected, total_query_terms
         )
 
     # -- maintenance / inspection ------------------------------------------------

@@ -30,6 +30,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..corpus.relevance import Query
 from ..ir.ranking import RankedList
 from ..ir.weighting import TfIdfWeighting
+from ..memo import FifoMap
 from .indexer import IndexingProtocol, SlotView
 
 #: How many rankings a querying peer holds (``ChordNode.held_rankings``).
@@ -175,7 +176,7 @@ class QueryProcessor:
             issuer = protocol.ring.nodes[issuer_id]
             held = issuer.held_rankings
             if held is None:
-                held = issuer.held_rankings = {}
+                held = issuer.held_rankings = FifoMap(HELD_RANKINGS)
             key = (tuple(query.terms), top_k, self.weighting.corpus_size)
             entry = held.get(key)
         registered = entry[3] if entry is not None else _NOTHING_REGISTERED
@@ -211,9 +212,7 @@ class QueryProcessor:
                     held[key] = (validity, ranked, candidates, registered)
             else:
                 ranked, candidates = self._rank(query.terms, fetched, failed_set, top_k)
-                if len(held) >= HELD_RANKINGS and key not in held:
-                    del held[next(iter(held))]
-                held[key] = (validity, ranked, candidates, registered)
+                held.put(key, (validity, ranked, candidates, registered))
         execution.candidate_documents = candidates
         execution.latency_ms = clock.now - started_ms
 

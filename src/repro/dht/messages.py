@@ -207,11 +207,15 @@ def message(kind: MessageKind, src: int, dst: int, *counts: int, hops: int = 1) 
     :func:`wire_size`'s, written out here, and the tuple is made without
     :meth:`Message.__new__` once the size and hops are checked: both
     calls would show on the query path, which sends one per request and
-    one per reply."""
+    one per reply.  A row with no units (a routed LOOKUP hop, HEARTBEAT,
+    RESULT_PROBE) is its fixed bytes, read without the unit sum."""
     unit_bytes = kind.unit_bytes
-    if len(counts) != len(unit_bytes):
+    if not unit_bytes and not counts:
+        size = kind.fixed_bytes
+    elif len(counts) != len(unit_bytes):
         raise _wrong_counts(kind, counts)
-    size = kind.fixed_bytes + sum(map(mul, counts, unit_bytes))
+    else:
+        size = kind.fixed_bytes + sum(map(mul, counts, unit_bytes))
     if size < 0 or hops < 0:
         return Message(kind, src, dst, size, hops)  # raises the ValueError
     return _new_tuple(Message, (kind, src, dst, size, hops))

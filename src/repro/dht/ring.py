@@ -75,6 +75,13 @@ from .node import ChordNode
 from .route_cache import RouteCache
 from .stats import NetworkStats
 
+#: The members this module reads per hop and per send, bound once: on
+#: CPython 3.11 reading an enum member through its class costs ~150 ns
+#: (``EnumType.__getattr__``), a module global ~15 ns.
+_LOOKUP = MessageKind.LOOKUP
+_DELIVERED = DeliveryOutcome.DELIVERED
+_DEST_DOWN = DeliveryOutcome.DEST_DOWN
+
 
 class LookupResult(NamedTuple):
     """Outcome of one DHT lookup: responsible node, hop count, path (a
@@ -94,7 +101,7 @@ def ring_label(finger_arity: int) -> str:
 def _delivery_failure(dst_id: int, receipt: DeliveryReceipt) -> NodeFailedError:
     """The error an undelivered message's receipt names: the destination
     crashed, or a lossy transport exhausted its retries."""
-    if receipt.outcome is DeliveryOutcome.DEST_DOWN:
+    if receipt.outcome is _DEST_DOWN:
         return NodeFailedError(dst_id)
     return MessageDroppedError(dst_id, receipt.attempts)
 
@@ -434,17 +441,16 @@ class ChordRing:
 
     # -- lookups (finger-table routing, authentic hop counts) ----------------
 
-    def _deliver_hop(self, src_id: int, dst_id: int) -> None:
-        """Route one lookup hop through the transport.
+    def _deliver_hop(self, src_id: int, dst_id: int, dst_alive: bool) -> None:
+        """Route one lookup hop through the transport; *dst_alive* is
+        whether *dst_id* is up.
 
         Only called when the transport is *active* (lossy, or tracing):
         the default perfect transport could neither delay, drop, nor
         observe the hop, so the hot loop skips the Message construction.
         """
-        receipt = self.transport.deliver(
-            message(MessageKind.LOOKUP, src_id, dst_id), dst_alive=self.is_live(dst_id)
-        )
-        if receipt.outcome is not DeliveryOutcome.DELIVERED:
+        receipt = self.transport.deliver(message(_LOOKUP, src_id, dst_id), dst_alive)
+        if receipt.outcome is not _DELIVERED:
             raise _delivery_failure(dst_id, receipt)
 
     def lookup(self, start_id: int, key: int, record: bool = True) -> LookupResult:
@@ -495,7 +501,7 @@ class ChordRing:
                 if entry is not None:
                     cache.hits += 1
                     if self.transport.active:
-                        self._deliver_hop(start_id, target)
+                        self._deliver_hop(start_id, target, self.is_live(target))
                     if record:
                         self.stats.record_lookup(1)
                     return tuple.__new__(LookupResult, (target, 1, (start_id, target)))
@@ -559,7 +565,10 @@ class ChordRing:
                 if hop is None or not hop.alive:
                     raise NodeFailedError(nxt)
             if hop_transport:
-                self._deliver_hop(node_id, nxt)
+                # Every branch above leaves nxt live: a finger or the
+                # routing-state owner is checked, a successor-list
+                # detour is the first live successor.
+                self._deliver_hop(node_id, nxt, True)
             hops += 1
             path.append(nxt)
             node_id = nxt
@@ -592,8 +601,8 @@ class ChordRing:
         dst = self.nodes.get(message.dst)
         if dst is None:
             raise NodeNotFoundError(message.dst)
-        receipt = self.transport.deliver(message, dst_alive=dst.alive)
-        if receipt.outcome is not DeliveryOutcome.DELIVERED:
+        receipt = self.transport.deliver(message, dst.alive)
+        if receipt.outcome is not _DELIVERED:
             raise _delivery_failure(message.dst, receipt)
         self.stats.record(message)
 

@@ -21,7 +21,9 @@ exactly that for the simulator:
 * capacity is bounded; when full, the oldest entry is evicted (FIFO —
   cheap and good enough for the simulator's access patterns).  "Oldest"
   is by insertion: a refresh or a re-store keeps an entry's place, an
-  invalidated entry stored again goes to the back.
+  invalidated entry stored again goes to the back.  The entries are a
+  :class:`~repro.memo.FifoMap`, so a store into a full cache costs about
+  what one below capacity does.
 
 The cache itself is a dumb bounded map with hit/miss accounting; the
 revalidation *policy* lives in :meth:`repro.dht.ring.ChordRing.lookup`,
@@ -33,6 +35,8 @@ directly), it just skips the multi-hop routing.
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
+
+from ..memo import FifoMap
 
 
 class RouteCache:
@@ -56,7 +60,8 @@ class RouteCache:
         #: Entries successfully revalidated after an epoch change.
         self.revalidations = 0
         self.evictions = 0
-        self._entries: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        #: ``(node, key) → (target, epoch)``.
+        self._entries = FifoMap(capacity)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -71,11 +76,8 @@ class RouteCache:
 
     def store(self, node_id: int, key: int, target: int, epoch: int) -> None:
         """Remember a resolved route at the current epoch."""
-        entries = self._entries
-        if len(entries) >= self.capacity and (node_id, key) not in entries:
-            entries.pop(next(iter(entries)))
+        if self._entries.put((node_id, key), (target, epoch)):
             self.evictions += 1
-        entries[(node_id, key)] = (target, epoch)
 
     def refresh(self, node_id: int, key: int, target: int, epoch: int) -> None:
         """Re-stamp a revalidated entry with the current epoch."""
@@ -84,7 +86,7 @@ class RouteCache:
 
     def invalidate(self, node_id: int, key: int) -> None:
         """Drop one stale entry."""
-        self._entries.pop((node_id, key), None)
+        self._entries.discard((node_id, key))
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""

@@ -1,10 +1,10 @@
 """Fault injection: message drops, node blackouts, slow nodes.
 
-The injector is consulted by :class:`~repro.net.transport.LossyTransport`
-once per delivery for the pair's slow-node factor and whether either
-endpoint has any blackout window, and on every transmission attempt for
-the drop decision and the windows themselves.  The fault classes
-compose:
+The injector is read by :class:`~repro.net.transport.LossyTransport`
+once per delivery: :meth:`FaultInjector.pair_plan` answers the pair's
+drop rate, slow-node factor and whether either endpoint has a blackout
+window.  Only a pair with a window is asked again per transmission
+attempt, for the windows themselves.  The fault classes compose:
 
 * **per-message drops** — each attempt is lost with probability
   ``drop_probability`` (the classic packet-loss knob; retries make the
@@ -23,13 +23,12 @@ compose:
   peers that answer some fraction of requests and silently eat the
   rest.
 
-All randomness comes from the RNG the transport passes in, so a seeded
-run replays identically.
+The injector draws nothing: the transport makes every draw with its own
+seeded RNG, so a seeded run replays identically.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Tuple
 
 
@@ -73,13 +72,36 @@ class FaultInjector:
         """Restore *node_id* to the global loss rate only."""
         self._flaky.pop(node_id, None)
 
-    # -- queries (per delivery, then per transmission attempt) -------------
+    # -- queries (per delivery, then per attempt of a blacked-out pair) ----
 
-    def has_blackout(self, src: int, dst: int) -> bool:
-        """Whether either endpoint has any blackout window at all — the
-        transport asks once per delivery and skips :meth:`in_blackout`
-        on every attempt when not."""
-        return src in self._blackouts or dst in self._blackouts
+    def pair_plan(self, src: int, dst: int) -> Tuple[float, float, bool]:
+        """``(drop rate, latency factor, whether either endpoint has a
+        blackout window)`` of one src→dst delivery: what the transport
+        reads of the plan once per delivery, so an edit made between two
+        deliveries is seen by the second.
+
+        The drop rate is the global rate and each endpoint's flaky rate
+        composed as independent legs (a self-send counts its leg once);
+        a leg with no flaky rate multiplies by exactly 1.0, so skipping
+        it when no peer is flaky changes no bit of the rate its draws
+        compare against.  A zero rate draws nothing, so runs without
+        loss or flaky peers replay byte-identically against the
+        pre-flaky transport.
+        """
+        survive = 1.0 - self.drop_probability
+        flaky = self._flaky
+        if flaky:
+            survive *= 1.0 - flaky.get(src, 0.0)
+            if dst != src:
+                survive *= 1.0 - flaky.get(dst, 0.0)
+        slow = self._slow
+        factor = slow.get(src, 1.0) * slow.get(dst, 1.0) if slow else 1.0
+        blackouts = self._blackouts
+        return (
+            1.0 - survive,
+            factor,
+            bool(blackouts) and (src in blackouts or dst in blackouts),
+        )
 
     def in_blackout(self, node_id: int, now_ms: float) -> bool:
         """Whether *node_id* is blacked out at simulated time *now_ms*."""
@@ -87,31 +109,6 @@ class FaultInjector:
             if start <= now_ms < end:
                 return True
         return False
-
-    def latency_factor(self, src: int, dst: int) -> float:
-        """Combined slow-node multiplier for one src→dst attempt."""
-        return self._slow.get(src, 1.0) * self._slow.get(dst, 1.0)
-
-    def drop_probability_for(self, src: int, dst: int) -> float:
-        """Effective loss rate of one src→dst attempt: the global rate
-        and each endpoint's flaky rate composed as independent legs."""
-        survive = 1.0 - self.drop_probability
-        survive *= 1.0 - self._flaky.get(src, 0.0)
-        if dst != src:
-            survive *= 1.0 - self._flaky.get(dst, 0.0)
-        return 1.0 - survive
-
-    def should_drop_for(self, src: int, dst: int, rng: random.Random) -> bool:
-        """Decide the fate of one src→dst transmission attempt.
-
-        Consumes no randomness when the composed rate is zero, so runs
-        without loss or flaky peers replay byte-identically against the
-        pre-flaky transport.
-        """
-        probability = self.drop_probability_for(src, dst)
-        if probability <= 0.0:
-            return False
-        return rng.random() < probability
 
     @property
     def slow_nodes(self) -> Dict[int, float]:

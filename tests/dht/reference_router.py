@@ -48,7 +48,7 @@ def reference_lookup(
             if entry is not None:
                 cache.hits += 1
                 if ring.transport.active:
-                    ring._deliver_hop(start_id, target)
+                    ring._deliver_hop(start_id, target, ring.is_live(target))
                 if record:
                     ring.stats.record_lookup(1)
                 return LookupResult(target, 1, (start_id, target))
@@ -70,7 +70,7 @@ def reference_lookup(
             if not ring.is_live(raw_successor):
                 raise NodeFailedError(raw_successor)
             if hop_transport:
-                ring._deliver_hop(current.node_id, raw_successor)
+                ring._deliver_hop(current.node_id, raw_successor, ring.is_live(raw_successor))
             hops += 1
             path.append(raw_successor)
             result = LookupResult(raw_successor, hops, tuple(path))
@@ -88,7 +88,7 @@ def reference_lookup(
                 if not ring.is_live(owner):
                     raise NodeFailedError(owner)
                 if hop_transport:
-                    ring._deliver_hop(current.node_id, owner)
+                    ring._deliver_hop(current.node_id, owner, ring.is_live(owner))
                 hops += 1
                 path.append(owner)
                 result = LookupResult(owner, hops, tuple(path))
@@ -98,7 +98,7 @@ def reference_lookup(
                 raise NodeFailedError(raw_successor)
             nxt = live_succ
         if hop_transport:
-            ring._deliver_hop(current.node_id, nxt)
+            ring._deliver_hop(current.node_id, nxt, ring.is_live(nxt))
         hops += 1
         if hops > max_steps:
             raise DHTError(f"lookup did not converge for key {key}")

@@ -143,14 +143,18 @@ class TestDeltaRound:
 
 
 class DropPair(FaultInjector):
-    """Loses every attempt of one src→dst pair and nothing else."""
+    """Loses every attempt of one src→dst pair and nothing else: the
+    pair's plan, which the transport reads once per delivery, drops with
+    rate 1."""
 
     def __init__(self, src: int, dst: int) -> None:
         super().__init__()
         self.pair = (src, dst)
 
-    def should_drop_for(self, src, dst, rng) -> bool:
-        return (src, dst) == self.pair
+    def pair_plan(self, src, dst):
+        if (src, dst) == self.pair:
+            return 1.0, 1.0, False
+        return super().pair_plan(src, dst)
 
 
 class TestUndeliveredPush:

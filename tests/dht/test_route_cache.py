@@ -4,6 +4,7 @@ correctness across joins, leaves, and crashes (ISSUE 2 satellites)."""
 
 from __future__ import annotations
 
+import random
 from typing import List, Tuple
 
 import pytest
@@ -82,7 +83,8 @@ def replay_on_model(capacity: int, ops: List[Tuple[str, int]]) -> RouteCache:
     first-out by insertion, comparing contents, order and the eviction
     count after every op: a store or refresh keeps a present entry's
     place, a new store goes to the back (evicting the front when full),
-    an invalidated entry stored again goes to the back."""
+    an invalidated entry stored again goes to the back, a clear empties
+    both."""
     cache = RouteCache(capacity)
     model: List[list] = []
     evictions = 0
@@ -105,6 +107,9 @@ def replay_on_model(capacity: int, ops: List[Tuple[str, int]]) -> RouteCache:
             cache.invalidate(1, key)
             if present is not None:
                 model.remove(present)
+        elif op == "clear":
+            cache.clear()
+            model.clear()
         assert list(cache._entries.items()) == [tuple(pair) for pair in model]
         assert cache.evictions == evictions
     return cache
@@ -127,6 +132,23 @@ class TestEvictionOrder:
     )
     def test_store_refresh_invalidate_evict_match_the_model(self, ops) -> None:
         replay_on_model(4, ops)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), capacity=st.sampled_from([65, 130]))
+    def test_several_capacities_of_evictions_match_the_model(self, seed, capacity) -> None:
+        """A full cache evicts from a list of its oldest keys read ahead
+        (:class:`~repro.memo.FifoMap`, at least 64 at a time): run long
+        enough to use up several such lists and several capacities'
+        worth of evictions, with invalidations (which drop the list) in
+        between and one clear halfway."""
+        rng = random.Random(seed)
+        ops = [
+            (rng.choices(["store", "refresh", "invalidate"], [8, 1, 1])[0], rng.randrange(3 * capacity))
+            for __ in range(16 * capacity)
+        ]
+        ops[len(ops) // 2] = ("clear", 0)
+        cache = replay_on_model(capacity, ops)
+        assert cache.evictions >= 5 * capacity
 
 
 class TestCachePrivateToItsRing:

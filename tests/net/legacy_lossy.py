@@ -1,18 +1,41 @@
 """Test-side reference for lossy delivery: the per-attempt loop.
 
-:meth:`LossyTransport.deliver` in ``src`` reads the per-pair values of
-its fault plan — the slow-node factor, whether either endpoint has a
-blackout window, the clock — once per delivery.  The function here is
-what it replaced and must keep agreeing with: every attempt asks the
-policy for its back-off, reads the clock, queries both endpoints'
-blackout windows and the pair's latency factor.  Receipts, clock, trace
-records and the RNG's draw sequence must be identical.
+:meth:`LossyTransport.deliver` in ``src`` reads its pair's fault plan —
+drop rate, slow-node factor, whether either endpoint has a blackout
+window — once per delivery (:meth:`FaultInjector.pair_plan`).  The
+function here is what it replaced and must keep agreeing with: every
+attempt asks the policy for its back-off, reads the clock, queries both
+endpoints' blackout windows, and composes the pair's drop rate and
+latency factor from the plan's public per-node tables, in the order
+the injector's rate was first written.  Receipts, clock, trace records
+and the RNG's draw sequence must be identical.
 """
 
 from __future__ import annotations
 
 from repro.net.trace import MessageTrace
 from repro.net.transport import DeliveryOutcome, DeliveryReceipt, LossyTransport
+
+
+def legacy_should_drop(faults, src: int, dst: int, rng) -> bool:
+    """The fate of one src→dst attempt: the global rate and each
+    endpoint's flaky rate composed as independent legs, and no draw when
+    the composed rate is zero."""
+    flaky = faults.flaky_nodes
+    survive = 1.0 - faults.drop_probability
+    survive *= 1.0 - flaky.get(src, 0.0)
+    if dst != src:
+        survive *= 1.0 - flaky.get(dst, 0.0)
+    probability = 1.0 - survive
+    if probability <= 0.0:
+        return False
+    return rng.random() < probability
+
+
+def legacy_latency_factor(faults, src: int, dst: int) -> float:
+    """Combined slow-node multiplier of one src→dst attempt."""
+    slow = faults.slow_nodes
+    return slow.get(src, 1.0) * slow.get(dst, 1.0)
 
 
 def legacy_deliver(
@@ -41,14 +64,14 @@ def legacy_deliver(
             elapsed += policy.timeout_ms
             outcome = DeliveryOutcome.DROPPED
             continue
-        if transport.faults.should_drop_for(message.src, message.dst, transport.rng):
+        if legacy_should_drop(transport.faults, message.src, message.dst, transport.rng):
             elapsed += policy.timeout_ms
             outcome = DeliveryOutcome.DROPPED
             continue
 
-        latency = transport.latency.sample(
-            transport.rng
-        ) * transport.faults.latency_factor(message.src, message.dst)
+        latency = transport.latency.sample(transport.rng) * legacy_latency_factor(
+            transport.faults, message.src, message.dst
+        )
         if latency > policy.timeout_ms:
             elapsed += policy.timeout_ms
             outcome = DeliveryOutcome.DROPPED

@@ -1,41 +1,57 @@
-"""Tests for the fault injector."""
+"""Tests for the fault injector: the plan a delivery reads
+(:meth:`FaultInjector.pair_plan`), and the drops a transport draws
+against it."""
 
 from __future__ import annotations
 
 import random
+from typing import List
 
 import pytest
 
-from repro.net import FaultInjector
+from repro.dht.messages import Message, MessageKind
+from repro.net import ConstantLatency, DeliveryPolicy, FaultInjector, LossyTransport
 
 
-#: Two distinct endpoints, neither flaky: should_drop_for then draws
+#: Two distinct endpoints, neither flaky: a delivery between them draws
 #: against the global rate alone.
 SRC, DST = 1, 2
+
+
+def lost(faults: FaultInjector, src: int, dst: int, rng: random.Random, n: int) -> List[bool]:
+    """Whether each of *n* one-attempt deliveries src→dst was lost.  The
+    latency is constant, so the drop draw is the only draw."""
+    transport = LossyTransport(
+        latency=ConstantLatency(ms=1.0),
+        faults=faults,
+        policy=DeliveryPolicy(max_retries=0),
+        rng=rng,
+    )
+    return [not transport.deliver(Message(MessageKind.LOOKUP, src, dst)).ok for __ in range(n)]
 
 
 class TestDrops:
     def test_zero_probability_never_drops(self) -> None:
         injector = FaultInjector(drop_probability=0.0)
         rng = random.Random(0)
-        assert not any(injector.should_drop_for(SRC, DST, rng) for __ in range(100))
+        assert not any(lost(injector, SRC, DST, rng, 100))
 
     def test_probability_one_always_drops(self) -> None:
         injector = FaultInjector(drop_probability=1.0)
         rng = random.Random(0)
-        assert all(injector.should_drop_for(SRC, DST, rng) for __ in range(100))
+        assert all(lost(injector, SRC, DST, rng, 100))
 
     def test_rate_roughly_respected(self) -> None:
         injector = FaultInjector(drop_probability=0.3)
         rng = random.Random(42)
-        drops = sum(injector.should_drop_for(SRC, DST, rng) for __ in range(5000))
+        drops = sum(lost(injector, SRC, DST, rng, 5000))
         assert 0.25 < drops / 5000 < 0.35
 
     def test_zero_probability_consumes_no_randomness(self) -> None:
         injector = FaultInjector(drop_probability=0.0)
         rng = random.Random(5)
         before = rng.getstate()
-        injector.should_drop_for(SRC, DST, rng)
+        lost(injector, SRC, DST, rng, 1)
         assert rng.getstate() == before
 
     def test_invalid_probability_rejected(self) -> None:
@@ -74,21 +90,21 @@ class TestBlackouts:
 
 class TestSlowNodes:
     def test_default_factor_is_one(self) -> None:
-        assert FaultInjector().latency_factor(1, 2) == 1.0
+        assert FaultInjector().pair_plan(1, 2)[1] == 1.0
 
     def test_src_and_dst_factors_multiply(self) -> None:
         injector = FaultInjector()
         injector.mark_slow(1, 3.0)
         injector.mark_slow(2, 2.0)
-        assert injector.latency_factor(1, 2) == 6.0
-        assert injector.latency_factor(1, 9) == 3.0
-        assert injector.latency_factor(9, 2) == 2.0
+        assert injector.pair_plan(1, 2)[1] == 6.0
+        assert injector.pair_plan(1, 9)[1] == 3.0
+        assert injector.pair_plan(9, 2)[1] == 2.0
 
     def test_clear_slow(self) -> None:
         injector = FaultInjector()
         injector.mark_slow(1, 4.0)
         injector.clear_slow(1)
-        assert injector.latency_factor(1, 2) == 1.0
+        assert injector.pair_plan(1, 2)[1] == 1.0
         assert injector.slow_nodes == {}
 
     def test_speedup_factor_rejected(self) -> None:
@@ -102,16 +118,16 @@ class TestFlakyNodes:
         faults.mark_flaky(1, 0.2)
         faults.mark_flaky(2, 0.5)
         expected = 1.0 - (1.0 - 0.1) * (1.0 - 0.2) * (1.0 - 0.5)
-        assert faults.drop_probability_for(1, 2) == pytest.approx(expected)
+        assert faults.pair_plan(1, 2)[0] == pytest.approx(expected)
         # only the src leg when the dst is clean
-        assert faults.drop_probability_for(1, 3) == pytest.approx(
+        assert faults.pair_plan(1, 3)[0] == pytest.approx(
             1.0 - 0.9 * 0.8
         )
 
     def test_self_send_counts_the_flaky_leg_once(self) -> None:
         faults = FaultInjector()
         faults.mark_flaky(1, 0.25)
-        assert faults.drop_probability_for(1, 1) == pytest.approx(0.25)
+        assert faults.pair_plan(1, 1)[0] == pytest.approx(0.25)
 
     def test_zero_rate_consumes_no_randomness(self) -> None:
         faults = FaultInjector()
@@ -119,17 +135,17 @@ class TestFlakyNodes:
         rng = random.Random(0)
         state = rng.getstate()
         # neither endpoint is flaky and the global rate is zero
-        assert not faults.should_drop_for(1, 2, rng)
+        assert lost(faults, 1, 2, rng, 1) == [False]
         assert rng.getstate() == state
         # a flaky endpoint does consume randomness
-        faults.should_drop_for(1, 9, rng)
+        lost(faults, 1, 9, rng, 1)
         assert rng.getstate() != state
 
     def test_certain_loss_always_drops(self) -> None:
         faults = FaultInjector()
         faults.mark_flaky(5, 1.0)
         rng = random.Random(3)
-        assert all(faults.should_drop_for(5, 6, rng) for __ in range(50))
+        assert all(lost(faults, 5, 6, rng, 50))
 
     def test_clear_flaky_restores_the_global_rate(self) -> None:
         faults = FaultInjector()
@@ -137,7 +153,7 @@ class TestFlakyNodes:
         assert faults.flaky_nodes == {4: 0.3}
         faults.clear_flaky(4)
         assert faults.flaky_nodes == {}
-        assert faults.drop_probability_for(4, 5) == 0.0
+        assert faults.pair_plan(4, 5)[0] == 0.0
         faults.clear_flaky(4)  # idempotent on unknown nodes
 
     def test_probability_validated(self) -> None:

@@ -288,6 +288,6 @@ class TestFlakyIntegration:
             receipts = [transport.deliver(msg(1, 2)) for __ in range(40)]
             return [(r.ok, r.attempts, r.latency_ms) for r in receipts]
 
-        # should_drop_for consumes no randomness on clean src/dst pairs,
+        # A delivery draws no drop on a clean src/dst pair (rate zero),
         # so replays with and without unrelated flaky peers agree.
         assert history(flaky=False) == history(flaky=True)

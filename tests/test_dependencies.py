@@ -236,6 +236,59 @@ def test_a_message_is_built_and_priced_in_one_module() -> None:
     assert not found, found
 
 
+#: The modules every delivery, routed hop and indexing exchange runs
+#: through, and the enums whose members they send and compare.
+HOT_MODULES = ("dht/ring.py", "core/indexer.py", "net/transport.py")
+HOT_ENUMS = ("MessageKind", "DeliveryOutcome")
+
+
+def _enum_reads(source: str) -> list:
+    """``function: Enum.MEMBER`` for every enum member of HOT_ENUMS a
+    function (or lambda) of *source* reads through its class."""
+    return [
+        f"{getattr(function, 'name', 'lambda')}: {node.value.id}.{node.attr}"
+        for function in ast.walk(ast.parse(source))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in HOT_ENUMS
+    ]
+
+
+def test_the_hot_modules_bind_their_enum_members_at_import() -> None:
+    """On CPython 3.11 a read of an enum member through its class
+    (``MessageKind.LOOKUP``, ``DeliveryOutcome.DELIVERED``) goes through
+    ``EnumType.__getattr__`` and costs about 140–180 ns; a module global
+    costs 10–20 ns (3.12 dropped the hook).  A lossy delivery, a routed
+    hop and an indexing exchange each made several such reads, so the
+    three modules they run through bind the members they use once, at
+    import, and no function of theirs reads one through its class."""
+    found = [
+        f"{where} {read}"
+        for where in HOT_MODULES
+        for read in _enum_reads((PACKAGE / where).read_text(encoding="utf-8"))
+    ]
+    assert not found, found
+    # The checker itself sees a read in a method, a nested function and
+    # a lambda, and none at module level.
+    assert sorted(
+        _enum_reads(
+            "_L = MessageKind.LOOKUP\n"
+            "class C:\n"
+            "    def f(self):\n"
+            "        def g():\n"
+            "            return DeliveryOutcome.DROPPED\n"
+            "        return lambda: MessageKind.HEARTBEAT\n"
+        )
+    ) == [
+        "f: DeliveryOutcome.DROPPED",
+        "f: MessageKind.HEARTBEAT",
+        "g: DeliveryOutcome.DROPPED",
+        "lambda: MessageKind.HEARTBEAT",
+    ]
+
+
 def test_the_overlay_shape_is_one_field_of_one_ring_class() -> None:
     """A ReCord-style ring is ``ChordConfig.finger_arity`` above 2, not
     a second ring class behind a second pair of ``SpriteConfig``
