@@ -17,8 +17,9 @@ written once (DESIGN.md §11):
 ``_locate``
     Destination-group a batch: distinct terms → ``peer → terms``,
     ``peer → hops``, unreachable terms.  The owner's write and poll
-    batches absorb a term inside an already-resolved peer's ownership
-    interval without a lookup; the query side's reads pay one per term.
+    batches absorb a term inside the ownership interval of a peer the
+    owner already knows, or of one resolved earlier in the batch,
+    without a lookup; the query side's reads pay one per term.
 ``_exchange``
     Per located peer: deliver the request, ``serve`` each of its terms
     at the peer, deliver the reply.  The only place a failed delivery
@@ -242,9 +243,12 @@ class IndexingProtocol:
         peer with an unset predecessor is never absorbed into (``owns``
         means "everything" there).  Only the first resolved id at-or-past
         a key can own it, so the candidate is found by bisection.  *near*
-        are peers the sender resolved earlier (a learning round's poll):
+        are peers the sender reached before (an owner's known peers):
         absorbing starts from them, and a request to one that no term
-        was looked up for is delivered directly, in one hop.
+        was looked up for is delivered directly, in one hop.  A near
+        peer that left (gone from ``ring.nodes``) or crashed is never
+        absorbed into: its keys are looked up, and a crashed one's fail
+        exactly as any lookup there does until ``stabilize``.
         """
         peer_terms: Dict[int, List[str]] = {}
         peer_hops: Dict[int, int] = {}
@@ -259,10 +263,10 @@ class IndexingProtocol:
             if resolved_sorted:
                 idx = bisect_left(resolved_sorted, key)
                 candidate = resolved_sorted[idx % len(resolved_sorted)]
-                node = nodes[candidate]
-                pred = node.predecessor
+                node = nodes.get(candidate)  # None: a near peer that left
+                pred = node.predecessor if node is not None and node.alive else None
                 # ChordNode.owns on the mask: key ∈ (predecessor, node].
-                if node.alive and pred is not None:
+                if pred is not None:
                     span = (candidate - pred) & mask
                     if not span or 0 < ((key - pred) & mask) <= span:
                         node_id = candidate
@@ -420,25 +424,23 @@ class IndexingProtocol:
         terms: List[str],
         kind: MessageKind,
         near: Sequence[int],
-    ) -> Tuple[Dict[str, ChordNode], Set[str]]:
+    ) -> Tuple[Dict[str, ChordNode], Set[str], List[int]]:
         """The request-only exchange of :meth:`publish_batch` and
         :meth:`unpublish_batch`: group *terms* (one per item, repeats
         included) by destination, absorbing into the peers *near* first,
         and send each peer one *kind* message counting its items.
-        Returns ``(term → the peer that took its batch, failed terms)``;
-        a peer that cannot be located or reached loses only its own
-        terms.
+        Returns ``(term → the peer that took its batch, failed terms,
+        the peers located)``; a peer that cannot be located or reached
+        loses only its own terms.
         """
         items_of: Dict[str, int] = {}
         for term in terms:
             items_of[term] = items_of.get(term, 0) + 1
+        located = self._locate(owner_id, items_of, absorb=True, near=near)
         taken_at, failed = self._exchange(
-            owner_id,
-            self._locate(owner_id, items_of, absorb=True, near=near),
-            (kind, items_of),
-            self._write_batch_request,
+            owner_id, located, (kind, items_of), self._write_batch_request
         )
-        return taken_at, set(failed)
+        return taken_at, set(failed), list(located[0])
 
     @staticmethod
     def _write_batch_request(src, dst, batch, hops, carried) -> Message:
@@ -453,12 +455,11 @@ class IndexingProtocol:
         owner_id: int,
         postings: Sequence[Tuple[str, PostingEntry]],
         near: Sequence[int] = (),
-    ) -> Tuple[Set[str], Set[str]]:
+    ) -> Tuple[Set[str], Set[str], List[int]]:
         """Publish many (term, posting) pairs destination-grouped: one
         lookup per distinct indexing peer, none for a peer of *near*
-        (peers the owner resolved earlier in the same learning round),
-        and one PUBLISH_BATCH message carrying that peer's postings
-        (DESIGN.md §11).
+        (the peers the owner already knows), and one PUBLISH_BATCH
+        message carrying that peer's postings (DESIGN.md §11).
 
         Postings are applied in *input order* (consecutive same-term
         runs go through :meth:`TermSlot.add_postings`), so slot versions
@@ -466,9 +467,9 @@ class IndexingProtocol:
         :meth:`publish` would produce — what the fingerprint comparison
         against ``tests/core/per_term_owner.py`` checks.  A peer that
         fails loses only its own batch.  Returns ``(published terms,
-        failed terms)``.
+        failed terms, the peers located)``.
         """
-        taken_at, failed_terms = self._open_write_batches(
+        taken_at, failed_terms, located = self._open_write_batches(
             owner_id, [term for term, __ in postings], _PUBLISH_BATCH, near
         )
         published: Set[str] = set()
@@ -478,14 +479,14 @@ class IndexingProtocol:
                 slot = self._slot_at(node, term, create=True)
                 slot.add_postings([posting for __, posting in run])
                 published.add(term)
-        return published, failed_terms
+        return published, failed_terms, located
 
     def unpublish_batch(
         self,
         owner_id: int,
         removals: Sequence[Tuple[str, str]],
         near: Sequence[int] = (),
-    ) -> Tuple[Set[str], Set[str]]:
+    ) -> Tuple[Set[str], Set[str], List[int]]:
         """Remove many (term, doc id) postings destination-grouped, the
         counterpart of :meth:`publish_batch`: one lookup per distinct
         peer not in *near*, one UNPUBLISH_BATCH message each, applied in
@@ -493,10 +494,10 @@ class IndexingProtocol:
         :meth:`unpublish`.
 
         Returns ``(terms whose posting existed and was removed, failed
-        terms)`` — like :meth:`unpublish`, resolving to a peer that
-        lacks the slot/posting is not a failure.
+        terms, the peers located)`` — like :meth:`unpublish`, resolving
+        to a peer that lacks the slot/posting is not a failure.
         """
-        taken_at, failed_terms = self._open_write_batches(
+        taken_at, failed_terms, located = self._open_write_batches(
             owner_id, [term for term, __ in removals], _UNPUBLISH_BATCH, near
         )
         removed: Set[str] = set()
@@ -508,7 +509,7 @@ class IndexingProtocol:
             if slot.remove_posting(doc_id) is not None:
                 removed.add(term)
             self._forward_unpublish_to_replicas(node.node_id, term, doc_id)
-        return removed, failed_terms
+        return removed, failed_terms, located
 
     # -- query registration (querying peer → indexing peers) -----------------
 
@@ -987,10 +988,13 @@ class IndexingProtocol:
         self,
         owner_id: int,
         documents: Sequence[Dict[str, int]],
+        near: Sequence[int] = (),
     ) -> Tuple[Dict[Tuple[int, str], Tuple[List[CachedQuery], int]], Set[str], List[int]]:
         """An owner's learning poll over several documents, each given
         as its ``index term → cursor`` map: one POLL_BATCH request and
-        one QUERY_BATCH reply per responsible indexing peer.  A term
+        one QUERY_BATCH reply per responsible indexing peer, none of
+        them looked up for a peer of *near* (the peers the owner already
+        knows) that owns the term.  A term
         that several documents index is requested once, at the smallest
         of their cursors, and the queries cached since then ship once;
         at the owner each document keeps those past its own cursor and
@@ -1003,7 +1007,7 @@ class IndexingProtocol:
         cursor)`` just like :meth:`poll_term`.
         """
         cursor_of = self._lowest_cursors(documents)
-        located = self._locate(owner_id, cursor_of, absorb=True)
+        located = self._locate(owner_id, cursor_of, absorb=True, near=near)
         delivered, failed = self._exchange(
             owner_id,
             located,

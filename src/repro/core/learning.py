@@ -191,11 +191,10 @@ def select_index_terms(
     if len(chosen) < target_size:
         # Still under budget (very sparse evidence): pad with the
         # document's next most frequent unchosen terms, the same signal
-        # used for initial selection.  Two stable sorts give the
-        # top_terms order: alphabetical, then by count descending.
-        order = sorted(freqs)
-        order.sort(key=freqs.__getitem__, reverse=True)
-        for term in order:
+        # used for initial selection.  At most len(chosen) of the top
+        # target_size terms are taken already, so the rest of them hold
+        # all the padding.
+        for term in document.top_terms(target_size):
             if len(chosen) >= target_size:
                 break
             if term not in chosen_set:

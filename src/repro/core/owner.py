@@ -11,12 +11,16 @@ iteration fetches only the queries cached since the previous iteration.
 
 An owner speaks one wire protocol (DESIGN.md §11): whatever it
 publishes, withdraws or polls is grouped by responsible indexing peer,
-and each peer gets one lookup and one PUBLISH_BATCH / UNPUBLISH_BATCH /
-POLL_BATCH message.  A learning round covers all of the owner's
+and each peer gets one PUBLISH_BATCH / UNPUBLISH_BATCH / POLL_BATCH
+message.  The owner keeps the peers that took its requests
+(:attr:`OwnerPeer.peers`: those its last poll located, plus those its
+writes located since), and every batch absorbs into them first — a
+term inside a known live peer's ownership interval costs no lookup, and
+its request goes out in one hop.  A lookup is paid only for a peer the
+owner has not reached.  A learning round covers all of the owner's
 documents at once (:meth:`OwnerPeer.learn_all`): one poll, Algorithm 1
-per document, then one withdrawal and one publication pass that reuse
-the peers the poll located — so a round costs a request per peer, not
-per (document, peer).
+per document, then one withdrawal and one publication pass — so a round
+costs a request per peer, not per (document, peer).
 """
 
 from __future__ import annotations
@@ -80,6 +84,12 @@ class OwnerPeer:
         self.config = config
         self.scorer = scorer
         self.shared: Dict[str, SharedDocument] = {}
+        #: The peers that took this owner's requests: those its last poll
+        #: located, plus those its writes located since.  A poll covers
+        #: every index term it asks about, so it replaces the list, which
+        #: stays about as long as the owner has distinct indexing peers
+        #: (a list: a set of ~40 ids costs several times the bytes).
+        self.peers: List[int] = []
 
     # -- sharing -----------------------------------------------------------
 
@@ -153,12 +163,13 @@ class OwnerPeer:
             (document.doc_id, self.node_id, document.term_freqs.get(term, 0), document.length),
         )
 
-    def _publish(self, plans: Sequence[Plan], near: Sequence[int] = ()) -> None:
+    def _publish(self, plans: Sequence[Plan]) -> None:
         """Publish each plan's not-yet-indexed terms — every share,
         bulk share and learning round ends here.  One destination-grouped
-        ``publish_batch`` carries all the plans, absorbing into the peers
-        *near* first; a term counts as indexed (and gets a fresh poll
-        cursor) only if its indexing peer was reachable."""
+        ``publish_batch`` carries all the plans, absorbing into the
+        owner's known :attr:`peers` first; a term counts as indexed (and
+        gets a fresh poll cursor) only if its indexing peer was
+        reachable."""
         fresh = [
             (state, [t for t in dict.fromkeys(terms) if t not in state.index_terms])
             for state, terms in plans
@@ -168,7 +179,8 @@ class OwnerPeer:
         ]
         if not postings:
             return
-        published, __ = self.protocol.publish_batch(self.node_id, postings, near)
+        published, __, located = self.protocol.publish_batch(self.node_id, postings, self.peers)
+        self._know(located)
         for state, terms in fresh:
             for term in terms:
                 if term in published:
@@ -196,11 +208,12 @@ class OwnerPeer:
             return False
         return True
 
-    def _unpublish(self, plans: Sequence[Plan], near: Sequence[int] = ()) -> None:
+    def _unpublish(self, plans: Sequence[Plan]) -> None:
         """Withdraw each plan's currently indexed terms in one
-        destination-grouped ``unpublish_batch`` — the counterpart of
-        :meth:`_publish`.  The owner forgets a term whether or not its
-        indexing peer was reachable."""
+        destination-grouped ``unpublish_batch``, absorbing into the
+        known :attr:`peers` — the counterpart of :meth:`_publish`.  The
+        owner forgets a term whether or not its indexing peer was
+        reachable."""
         present = [
             (state, [t for t in dict.fromkeys(terms) if t in state.index_terms])
             for state, terms in plans
@@ -208,11 +221,17 @@ class OwnerPeer:
         removals = [(t, state.document.doc_id) for state, terms in present for t in terms]
         if not removals:
             return
-        self.protocol.unpublish_batch(self.node_id, removals, near)
+        __, __, located = self.protocol.unpublish_batch(self.node_id, removals, self.peers)
+        self._know(located)
         for state, terms in present:
             for term in terms:
                 state.index_terms.remove(term)
                 state.poll_cursors.pop(term, None)
+
+    def _know(self, located: List[int]) -> None:
+        """Add the peers a write located to the known :attr:`peers`."""
+        known = set(self.peers)
+        self.peers = self.peers + [peer for peer in located if peer not in known]
 
     # -- learning ------------------------------------------------------------
 
@@ -220,27 +239,28 @@ class OwnerPeer:
         """What one document's learner observes in a learning round over
         it alone: the queries cached at its index terms' peers since the
         last poll, collected in index-term order (see :meth:`_poll`)."""
-        observed, __ = self._poll([self._state(doc_id)])
-        return observed[0]
+        return self._poll([self._state(doc_id)])[0]
 
-    def _poll(
-        self, states: Sequence[SharedDocument]
-    ) -> Tuple[List[List[Tuple[str, ...]]], List[int]]:
+    def _poll(self, states: Sequence[SharedDocument]) -> List[List[Tuple[str, ...]]]:
         """A learning round's one poll: a single ``poll_batch`` carrying
         the cursors of every document in *states* — one round-trip per
         distinct indexing peer, a term several documents index polled
-        once.  ``poll_batch`` applies the §3 closest-hash rule to the
+        once, a term inside a known peer's interval located without a
+        lookup.  ``poll_batch`` applies the §3 closest-hash rule to the
         replies with each document's own index-term hashes, so a query
-        is counted at most once per document and poll.
+        is counted at most once per document and poll.  The peers it
+        located become the owner's known :attr:`peers`.
 
-        Returns ``(per document, the queries its learner observes in
-        index-term order; the peers the poll located)``.  An unreachable
-        peer's terms keep their cursors.
+        Returns, per document, the queries its learner observes in
+        index-term order.  An unreachable peer's terms keep their
+        cursors.
         """
-        results, __, peers = self.protocol.poll_batch(
+        results, __, located = self.protocol.poll_batch(
             self.node_id,
             [{t: state.poll_cursors.get(t, -1) for t in state.index_terms} for state in states],
+            self.peers,
         )
+        self.peers = located
         observed: List[List[Tuple[str, ...]]] = []
         for index, state in enumerate(states):
             collected: List[Tuple[str, ...]] = []
@@ -252,7 +272,7 @@ class OwnerPeer:
                 state.poll_cursors[term] = latest
                 collected.extend(c.terms for c in fresh)
             observed.append(collected)
-        return observed, peers
+        return observed
 
     def learn_document(self, *doc_ids: str, target_size: int | None = None) -> List[List[str]]:
         """One learning round (Section 5.3) over the documents *doc_ids*
@@ -264,13 +284,13 @@ class OwnerPeer:
         replacement only) and the next term set is selected; then one
         write pass withdraws the round's replaced terms in one
         ``unpublish_batch`` and publishes its new ones in one
-        ``publish_batch``, both starting from the peers the poll located.
+        ``publish_batch``, both absorbing into the peers the poll located.
         Returns each document's new index-term list, in *doc_ids* order.
         """
         if len(set(doc_ids)) != len(doc_ids):
             raise LearningError("duplicate document id in a learning round")
         states = [self._state(doc_id) for doc_id in doc_ids]
-        observed, peers = self._poll(states)
+        observed = self._poll(states)
         withdrawn: List[Plan] = []
         added: List[Plan] = []
         for state, queries in zip(states, observed):
@@ -292,8 +312,8 @@ class OwnerPeer:
             withdrawn.append((state, [t for t in state.index_terms if t not in desired]))
             added.append((state, [t for t in new_terms if t not in current]))
             state.learning_iterations_run += 1
-        self._unpublish(withdrawn, peers)
-        self._publish(added, peers)
+        self._unpublish(withdrawn)
+        self._publish(added)
         return [list(state.index_terms) for state in states]
 
     def learn_all(self, target_size: int | None = None) -> None:

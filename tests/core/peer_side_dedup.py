@@ -40,9 +40,10 @@ class PeerSideDedup(IndexingProtocol):
         self,
         owner_id: int,
         documents: Sequence[Dict[str, int]],
+        near: Sequence[int] = (),
     ) -> Tuple[Dict[Tuple[int, str], Tuple[List[CachedQuery], int]], Set[str], List[int]]:
         cursor_of = self._lowest_cursors(documents)
-        located = self._locate(owner_id, cursor_of, absorb=True)
+        located = self._locate(owner_id, cursor_of, absorb=True, near=near)
         hashes = [{t: self.term_hash(t) for t in cursors} for cursors in documents]
         delivered, failed = self._exchange(
             owner_id,

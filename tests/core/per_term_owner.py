@@ -23,7 +23,7 @@ from repro.exceptions import NodeFailedError
 class PerTermOwner(OwnerPeer):
     """An owner that talks to one indexing peer per term, per message."""
 
-    def _publish(self, plans: Sequence[Plan], near: Sequence[int] = ()) -> None:
+    def _publish(self, plans: Sequence[Plan]) -> None:
         for state, terms in plans:
             for term in terms:
                 if term in state.index_terms:
@@ -37,7 +37,7 @@ class PerTermOwner(OwnerPeer):
                 if term not in state.poll_cursors:
                     state.poll_cursors[term] = -1
 
-    def _unpublish(self, plans: Sequence[Plan], near: Sequence[int] = ()) -> None:
+    def _unpublish(self, plans: Sequence[Plan]) -> None:
         for state, terms in plans:
             for term in list(terms):
                 if term not in state.index_terms:
@@ -49,9 +49,7 @@ class PerTermOwner(OwnerPeer):
                 state.index_terms.remove(term)
                 state.poll_cursors.pop(term, None)
 
-    def _poll(
-        self, states: Sequence[SharedDocument]
-    ) -> Tuple[List[List[Tuple[str, ...]]], List[int]]:
+    def _poll(self, states: Sequence[SharedDocument]) -> List[List[Tuple[str, ...]]]:
         observed: List[List[Tuple[str, ...]]] = []
         for state in states:
             hashes = {t: self.protocol.term_hash(t) for t in state.index_terms}
@@ -65,7 +63,7 @@ class PerTermOwner(OwnerPeer):
                 state.poll_cursors[term] = latest
                 collected.extend(c.terms for c in fresh)
             observed.append(collected)
-        return observed, []
+        return observed
 
 
 def install_owners(system: SpriteSystem, owner_class: type) -> SpriteSystem:

@@ -374,12 +374,12 @@ EXCHANGES = {
     "publish-batch": (
         MessageKind.PUBLISH_BATCH,
         None,
-        lambda p, src, terms: p.publish_batch(src, [(t, POSTING) for t in terms]),
+        lambda p, src, terms: p.publish_batch(src, [(t, POSTING) for t in terms])[:2],
     ),
     "unpublish-batch": (
         MessageKind.UNPUBLISH_BATCH,
         None,
-        lambda p, src, terms: p.unpublish_batch(src, [(t, "d000") for t in terms]),
+        lambda p, src, terms: p.unpublish_batch(src, [(t, "d000") for t in terms])[:2],
     ),
 }
 LOST_LEGS = [
@@ -497,7 +497,7 @@ class TestDeliveredBeforeApplied:
 
         assert replica_postings() == len(terms)
         transport.kinds = frozenset({MessageKind.UNPUBLISH_TERM})
-        removed, failed = protocol.unpublish_batch(owner, [(t, "victim") for t in terms])
+        removed, failed, __ = protocol.unpublish_batch(owner, [(t, "victim") for t in terms])
         # The primaries took their batches; every forward was lost, so
         # every replica still has what nobody told it to delete.
         assert (removed, failed) == (set(terms), set())

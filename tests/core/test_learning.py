@@ -228,3 +228,33 @@ class TestSelectionMatchesTheRankMap:
             document, current, ranked, target
         ) == reference_select_index_terms(document, current, ranked, target)
 
+
+
+def two_sort_order(freqs) -> list:
+    """The padding order ``select_index_terms`` used before it asked
+    ``Document.top_terms``: alphabetical, then a stable sort by count
+    descending."""
+    order = sorted(freqs)
+    order.sort(key=freqs.__getitem__, reverse=True)
+    return order
+
+
+class TestPaddingIsTheTopTermsOrder:
+    """The padding takes the first unchosen terms of
+    ``document.top_terms(target)``; the two stable sorts it replaced
+    give the same ``(-count, term)`` order, ties included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        freqs=st.dictionaries(st.sampled_from(DOC_VOCAB), st.integers(1, 3), min_size=1),
+        ranked=st.lists(st.sampled_from(DOC_VOCAB + ABSENT), unique=True, max_size=6),
+        target=st.integers(1, 12),
+    )
+    def test_padding_follows_the_two_sorts(self, freqs, ranked, target) -> None:
+        document = Document("p", "", _term_freqs=Counter(freqs))
+        order = two_sort_order(document.term_freqs)
+        assert document.top_terms(len(order)) == order
+        evidence = [RankedTerm(term, 1.0) for term in ranked]
+        chosen = ranked[:target]
+        padding = [t for t in order if t not in chosen][: target - len(chosen)]
+        assert select_index_terms(document, [], evidence, target) == chosen + padding

@@ -13,7 +13,7 @@ from repro.core.owner import OwnerPeer
 from repro.corpus import Document
 from repro.dht import ChordRing
 from repro.dht.messages import TERM_BYTES, VERSION_BYTES, MessageKind
-from repro.exceptions import LearningError
+from repro.exceptions import LearningError, NodeFailedError
 from repro.net.trace import DROPPED
 from repro.net.transport import DeliveryOutcome, DeliveryReceipt, LossyTransport, PerfectTransport
 
@@ -381,3 +381,111 @@ class TestLearningRound:
         owner.share(DOC)
         with pytest.raises(LearningError):
             owner.learn_document("d1", "d1")
+
+
+def polls(protocol: IndexingProtocol) -> list:
+    """Record ``(poll_batch result, its traffic)`` for every poll."""
+    ring, poll_batch, recorded = protocol.ring, protocol.poll_batch, []
+
+    def recording(owner_id, documents, near=()):
+        before = ring.stats.snapshot()
+        result = poll_batch(owner_id, documents, near)
+        recorded.append((result, ring.stats.delta_since(before)))
+        return result
+
+    protocol.poll_batch = recording
+    return recorded
+
+
+def term_at(ring: ChordRing, protocol: IndexingProtocol, node_id: int) -> str:
+    """A term whose key the live peer *node_id* owns."""
+    return next(
+        term
+        for term in (f"w{i}" for i in range(10_000))
+        if ring.successor_of(protocol.term_hash(term)) == node_id
+    )
+
+
+class TestKnownPeers:
+    """An owner reaches the peers it already knows without a lookup; a
+    membership change between two rounds is met as a lookup meets it."""
+
+    def test_a_round_after_a_bulk_share_polls_without_a_lookup(self, micro) -> None:
+        system = micro.build()
+        system.bulk_share()
+        system.register_queries(micro.train)
+        recorded = polls(system.protocol)
+        system.run_learning_iteration()
+        assert len(recorded) == len(system.owners)
+        for (results, failed, located), traffic in recorded:
+            assert results and not failed and located
+            assert MessageKind.LOOKUP not in traffic
+            assert traffic[MessageKind.POLL_BATCH].hops == traffic[MessageKind.POLL_BATCH].messages
+
+    def test_a_joiner_inside_a_known_peers_interval_takes_its_terms(self) -> None:
+        ring, protocol, owner = stack()
+        owner.share(DOC)  # zeta, alpha
+        key = protocol.term_hash("zeta")
+        known = ring.successor_of(key)
+        assert known in owner.peers
+        joiner = ring.join(node_id=key)  # (predecessor, key] is the joiner's now
+        assert ring.successor_of(key) == joiner != known
+        protocol.register_query(ring.live_ids[2], ("zeta", "beta"))
+        seen, recorded = observing(owner), polls(protocol)
+        owner.learn_all()
+        [((__, failed, located), traffic)] = recorded
+        assert not failed and joiner in located
+        assert traffic[MessageKind.LOOKUP].messages == 1  # zeta's, to the joiner
+        assert ("zeta", "beta") in seen["d1"]
+        for term in owner.index_terms("d1"):
+            node = ring.nodes[ring.successor_of(protocol.term_hash(term))]
+            assert node.store[protocol.term_hash(term)].has_posting("d1"), term
+
+    def test_a_known_peer_that_left_is_routed_around(self) -> None:
+        ring, protocol, owner = stack()
+        owner.share(DOC)
+        key = protocol.term_hash("zeta")
+        departed = ring.successor_of(key)
+        assert departed in owner.peers and departed != owner.node_id
+        ring.leave(departed)
+        assert departed not in ring.nodes
+        protocol.register_query(ring.live_ids[2], ("zeta", "beta"))
+        seen, recorded = observing(owner), polls(protocol)
+        owner.learn_all()  # no KeyError on the departed id
+        [((__, failed, located), traffic)] = recorded
+        assert not failed and ring.successor_of(key) in located
+        assert traffic[MessageKind.LOOKUP].messages >= 1
+        assert ("zeta", "beta") in seen["d1"]
+        assert departed not in owner.peers
+
+    def test_a_known_peer_that_crashed_fails_as_a_lookup_then_hands_over(self) -> None:
+        ring, protocol, owner = stack()
+        owner.share(DOC)
+        key = protocol.term_hash("zeta")
+        crashed = ring.successor_of(key)
+        heir = ring.successor_of((crashed + 1) % ring.space.size)
+        assert owner.node_id not in (crashed, heir)
+        # The owner knows the crashed peer's successor too.
+        owner.share(Document("d3", "rock sand"), first_terms=[term_at(ring, protocol, heir)])
+        assert {crashed, heir} <= set(owner.peers)
+        terms = [t for state in owner.shared.values() for t in state.index_terms]
+
+        def lookup_fails(term: str) -> bool:
+            try:
+                ring.lookup(owner.node_id, protocol.term_hash(term))
+            except NodeFailedError:
+                return True
+            return False
+
+        ring.fail(crashed)
+        recorded = polls(protocol)
+        owner.learn_all(target_size=2)  # d1 keeps zeta and alpha
+        [((__, failed, __), __)] = recorded
+        assert failed == {t for t in terms if lookup_fails(t)} == {"zeta"}
+
+        ring.stabilize()
+        assert heir in owner.peers
+        owner.learn_all(target_size=2)
+        ((__, failed, located), traffic) = recorded[-1]
+        assert not failed and heir in located
+        assert MessageKind.LOOKUP not in traffic  # zeta absorbed into the heir

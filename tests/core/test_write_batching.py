@@ -154,7 +154,7 @@ class TestLocateWriteBatch:
             (t, PostingEntry(doc_id="d", owner_peer=owner_id, raw_tf=1, doc_length=2))
             for t in terms
         ]
-        published, failed = protocol.publish_batch(owner_id, postings)
+        published, failed, __ = protocol.publish_batch(owner_id, postings)
         lookups = ring.stats.kind(MessageKind.LOOKUP).messages - lookups_before
 
         assert failed == set()
@@ -170,7 +170,7 @@ class TestLocateWriteBatch:
         )
         ring.fail(_responsible(ring, protocol, dead_term))
         posting = PostingEntry(doc_id="d", owner_peer=owner_id, raw_tf=1, doc_length=2)
-        published, failed = protocol.publish_batch(
+        published, failed, __ = protocol.publish_batch(
             owner_id, [(live_term, posting), (dead_term, posting)]
         )
         assert live_term in published

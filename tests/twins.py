@@ -18,7 +18,9 @@ read program (:data:`STEPS`), and must agree bit for bit on
   same result cache, its tallies;
 - every ``NetworkStats`` counter but those of the kinds the row's
   ``delta`` names: an exact byte difference (default minus twin) from
-  what the default system's wire saw (:class:`Wire`), or ``None``, free.
+  what the default system's wire saw (:class:`Wire`), or ``None``, free,
+  and the message or hop counts its ``routing`` names, where the twin
+  looks up what the default absorbs.
   Hop counts only where both rings are configured alike: another finger
   arity or route cache takes other paths to the same owners;
 - on the lossy transport, the RNG state and the trace table (a message
@@ -40,6 +42,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.config import ChordConfig, SpriteConfig
 from repro.core.metadata import TermSlot
+from repro.core.owner import OwnerPeer
 from repro.core.system import SpriteSystem
 from repro.corpus.corpus import Corpus
 from repro.corpus.relevance import Query
@@ -62,7 +65,7 @@ from repro.store import SqlitePostings
 from .core.legacy_executor import install_legacy_executor
 from .core.peer_side_dedup import addressed_hashes, install_peer_side_dedup
 from .core.per_document_rounds import install_per_document_rounds
-from .core.per_term_owner import install_per_term_owners
+from .core.per_term_owner import install_owners, install_per_term_owners
 from .ir.legacy_postings import LegacyPostings, install_legacy_store
 
 K = MessageKind
@@ -283,6 +286,20 @@ def forget_rankings(system: SpriteSystem) -> SpriteSystem:
     return system
 
 
+class ForgetfulOwner(OwnerPeer):
+    """An owner that knows no peer: its known peers read empty and
+    forget whatever an exchange located, so each poll and write batch
+    looks up every peer it reaches."""
+
+    peers = property(lambda self: [], lambda self, located: None)
+
+
+def forget_peers(system: SpriteSystem) -> SpriteSystem:
+    """Make every owner of *system* forget its known peers before every
+    exchange."""
+    return install_owners(system, ForgetfulOwner)
+
+
 class Wire:
     """What the default system's wire saw, over delivered messages only.
 
@@ -361,9 +378,9 @@ class Wire:
                     self.withdrawing_diffs += bool(withdrawn)
                 copies[key] = rows
 
-        def counting_poll(owner_id, documents):
+        def counting_poll(owner_id, documents, near=()):
             polled[0] = documents
-            result = poll_batch(owner_id, documents)
+            result = poll_batch(owner_id, documents, near)
             kept = [query for selected, __ in result[0].values() for query in selected]
             # A term's queries are told apart by their sequence at its slot.
             once = {
@@ -457,6 +474,11 @@ class Row(NamedTuple):
     #: and every later message's hops would depend on which keys each
     #: side had looked up.
     route_cache: bool = True
+    #: Kinds whose named counters the twin's routing may move while their
+    #: bytes, and every other kind, stay exact: a twin that looks up what
+    #: the default absorbs sends more LOOKUPs, and its requests travel
+    #: further.
+    routing: Dict[MessageKind, Tuple[str, ...]] = {}
     #: ``check(default's wire, its reused rankings, twin)`` on the explicit program.
     check: Callable[[Wire, int, SpriteSystem], bool] = lambda wire, reused, twin: True
     #: A configuration delta applied to the twin's build only.
@@ -501,6 +523,14 @@ ROWS = (
         why="a round per document " + PER_TERM,
         check=lambda w, reused, twin: twin.ring.stats.kind(K.POLL_BATCH).messages
         > w.poll_requests),
+    # An owner that forgets its peers looks them up again.
+    Row("forget_peers", forget_peers,
+        routing={K.LOOKUP: ("messages", "hops"), K.POLL_BATCH: ("hops",),
+                 K.PUBLISH_BATCH: ("hops",), K.UNPUBLISH_BATCH: ("hops",)},
+        transports=("perfect",), route_cache=False,
+        why="an owner that looks up every peer it reaches " + PATHS,
+        check=lambda w, reused, twin: twin.ring.stats.kind(K.LOOKUP).messages
+        > w.stats.kind(K.LOOKUP).messages),
     Row("legacy_executor", install_legacy_executor, free(K.LOOKUP, K.SEARCH_TERM, K.POSTINGS),
         transports=("perfect",), result_caches=(0,), reuses=False,
         why="one fetch per query term " + PER_TERM + "; it never consults the result cache",
@@ -605,10 +635,10 @@ def log_polls(system: SpriteSystem) -> list:
         poll = owner._poll
 
         def observing(states):
-            observed, peers = poll(states)
+            observed = poll(states)
             for state, queries in zip(states, observed):
                 log.append((owner.node_id, state.document.doc_id, queries))
-            return observed, peers
+            return observed
 
         owner._poll = observing
         return owner
@@ -626,12 +656,14 @@ def assert_agree(
     twin: SpriteSystem,
     delta: Dict[MessageKind, Optional[int]],
     version_rank: bool = True,
+    routing: Dict[MessageKind, Tuple[str, ...]] = {},
 ) -> None:
     """Twin systems that ran the same operations agree on state (the
     rank order of slot versions only with *version_rank*), the result
     caches where both run the same one, every message counter but
-    *delta*'s (hops only where both rings are configured alike; see the
-    module docstring), and a lossy transport drew the same drops."""
+    *delta*'s and the *routing* counters named (hops only where both
+    rings are configured alike; see the module docstring), and a lossy
+    transport drew the same drops."""
     ours, theirs = write_state_fingerprint(default), write_state_fingerprint(twin)
     if not version_rank:
         del ours["version_rank"], theirs["version_rank"]
@@ -644,6 +676,11 @@ def assert_agree(
             for counters in summary.values():
                 del counters["hops"]
     none = {"messages": 0, "bytes": 0, "hops": 0}
+    for kind, names in routing.items():
+        for summary in (ours, theirs):
+            counters = summary.setdefault(kind.value, dict(none))
+            for name in names:
+                counters.pop(name, None)
     for kind, allowed in delta.items():
         mine, its = ours.pop(kind.value, none), theirs.pop(kind.value, none)
         if allowed is not None:
@@ -685,7 +722,7 @@ def run_row(row: Row, deployment: Deployment, transport: str, flow: str,
             assert executions == twin_executions
             assert twin_reused == (reused if row.reuses else 0)
         delta = row.delta(wire)
-        assert_agree(default, twin, delta, row.version_rank)
+        assert_agree(default, twin, delta, row.version_rank, row.routing)
         if program == PROGRAM:
             assert row.check(wire, reused, twin)
             if transport == "lossy":
