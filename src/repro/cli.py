@@ -12,16 +12,14 @@ net         Transport robustness sweep: lookup success, retries, and
             latency percentiles under increasing message-drop rates.
 search      Interactive-ish demo: train SPRITE and run ad-hoc keyword
             searches from the command line.
-generate    Synthesize a corpus + query set and save them to a directory
-            (reload with repro.corpus.io.load_collection).
 perf        Run the routing sweep (finger arity × peers hop counts), the
             one perf harness the benchmark does not cover.  The tracked
             benchmark itself is ``python3 -m bench`` (BENCHMARK.json).
 check       Run the verification harness (repro.sim): execute a scenario
-            — from a JSON file, randomly generated from a seed, or a
-            named entry of the adversarial workload catalogue
-            (``--catalogue flash_crowd``, ``--catalogue all``) —
-            checking the invariant catalogue between events.
+            — randomly generated from a seed, or a named entry of the
+            adversarial workload catalogue (``--catalogue flash_crowd``,
+            ``--catalogue all``) — checking the invariant catalogue
+            between events.
 
 All commands accept ``--small`` (test-sized corpus, seconds) and
 ``--seed`` (reproducibility), plus the network-model flags
@@ -30,7 +28,7 @@ route every simulated message through :mod:`repro.net`.  ``check``
 additionally takes the durable-store flags (``--store-backend sqlite
 --store-dir ... --snapshot-dir ... --snapshot-interval N``) selecting
 the :mod:`repro.store` backend.
-``net``, ``perf`` and ``check --random/--scenario`` take
+``net``, ``perf`` and ``check --random`` take
 ``--ring-arity B``, the ring's finger arity
 (:class:`~repro.config.ChordConfig` ``finger_arity``: 2, the default, is
 Chord; above it a ReCord-style ring, DESIGN.md §8); ``perf`` sweeps a
@@ -585,21 +583,18 @@ def _cmd_check_catalogue(args: argparse.Namespace, out) -> int:
 def cmd_check(args: argparse.Namespace, out) -> int:
     """Run the repro.sim verification harness.
 
-    Executes a scenario (``--scenario file.json`` to replay a saved
-    schedule, ``--random`` to generate one from ``--seed``, or
-    ``--catalogue NAME|all`` to run the adversarial workload catalogue)
-    against a micro SPRITE deployment, checking the two-tier invariant
-    catalogue between events.  Exit code 1 on any invariant violation.
+    Executes a scenario (``--random`` to generate one from ``--seed``,
+    or ``--catalogue NAME|all`` to run the adversarial workload
+    catalogue) against a micro SPRITE deployment, checking the two-tier
+    invariant catalogue between events.  A seed regenerates its schedule
+    bit for bit, so a schedule is named by its flags, never saved.  Exit
+    code 1 on any invariant violation.
     """
     from .net import build_transport
-    from .sim import MIN_RANDOM_EVENTS, Scenario, build_simulation, random_scenario
+    from .sim import MIN_RANDOM_EVENTS, build_simulation, random_scenario
 
-    modes = [bool(args.scenario), bool(args.random), bool(args.catalogue)]
-    if sum(modes) != 1:
-        out.write(
-            "error: pass exactly one of --scenario FILE, --random, "
-            "or --catalogue NAME\n"
-        )
+    if args.random == bool(args.catalogue):
+        out.write("error: pass exactly one of --random or --catalogue NAME\n")
         return 2
     if args.random and args.events < MIN_RANDOM_EVENTS:
         out.write(f"error: --events must be >= {MIN_RANDOM_EVENTS}\n")
@@ -628,21 +623,13 @@ def cmd_check(args: argparse.Namespace, out) -> int:
     transport = build_transport(network) if network.transport != "perfect" else None
 
     durable = args.store_backend == "sqlite"
-    if args.scenario:
-        try:
-            scenario = Scenario.load(args.scenario)
-        except (OSError, ValueError, KeyError) as exc:
-            out.write(f"error: cannot load scenario {args.scenario}: {exc}\n")
-            return 2
-        out.write(f"replaying {args.scenario}: {len(scenario)} events\n")
-    else:
-        scenario = random_scenario(
-            seed=args.seed, num_events=args.events, with_store=durable
-        )
-        out.write(
-            f"random scenario: seed={args.seed}, {len(scenario)} events"
-            + (" (durable-store events mixed in)\n" if durable else "\n")
-        )
+    scenario = random_scenario(
+        seed=args.seed, num_events=args.events, with_store=durable
+    )
+    out.write(
+        f"random scenario: seed={args.seed}, {len(scenario)} events"
+        + (" (durable-store events mixed in)\n" if durable else "\n")
+    )
     engine = build_simulation(
         seed=args.seed,
         num_peers=args.peers,
@@ -678,18 +665,6 @@ def cmd_check(args: argparse.Namespace, out) -> int:
                 f"{recovery.full_baseline_postings})\n"
             )
     return 0 if report.ok else 1
-
-
-def cmd_generate(args: argparse.Namespace, out) -> int:
-    from .corpus.io import save_collection
-    from .corpus.synthetic import SyntheticTrecCorpus
-
-    config = _config_from_args(args)
-    corpus, query_set, __ = SyntheticTrecCorpus(config.corpus).build()
-    corpus_path, queries_path = save_collection(corpus, query_set, args.output)
-    out.write(f"wrote {corpus_path}\n")
-    out.write(f"wrote {queries_path}\n")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -769,9 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_ring(p)
     p.add_argument(
-        "--scenario", default="", help="replay a saved scenario JSON file"
-    )
-    p.add_argument(
         "--random", action="store_true", help="generate a random scenario from --seed"
     )
     p.add_argument(
@@ -794,11 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_store(p)
     p.set_defaults(handler=cmd_check)
-
-    p = sub.add_parser("generate", help="synthesize and save a collection")
-    _add_common(p)
-    p.add_argument("output", help="output directory")
-    p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser(
         "report", help="bundle benchmarks/results/*.txt into a markdown report"

@@ -18,7 +18,7 @@ from .metadata import (
 )
 from .owner import OwnerPeer, SharedDocument
 from .query_processing import QueryExecution, QueryProcessor
-from .scoring import combined_score, q_score, query_frequencies, query_frequency
+from .scoring import combined_score, q_score
 from .system import SpriteSystem
 
 __all__ = [
@@ -41,7 +41,5 @@ __all__ = [
     "initial_terms",
     "naive_rank_terms",
     "q_score",
-    "query_frequencies",
-    "query_frequency",
     "select_index_terms",
 ]

@@ -823,15 +823,6 @@ class IndexingProtocol:
             if (cache := self.ring.nodes[node_id].result_cache) is not None
         ]
 
-    def result_cache_stats(self) -> Tuple[int, int, int]:
-        """(entries, hits, misses) aggregated over the live peers' caches."""
-        caches = [cache for __, cache in self.result_caches()]
-        return (
-            sum(len(c) for c in caches),
-            sum(c.hits for c in caches),
-            sum(c.misses for c in caches),
-        )
-
     def _result_cache_at(self, node: ChordNode) -> QueryResultCache:
         cache = node.result_cache
         if cache is None:
@@ -1092,8 +1083,3 @@ class IndexingProtocol:
         node = self.ring.responsible_node(self.term_hash(term))
         slot = node.get_or_replica(self.term_hash(term))
         return slot  # type: ignore[return-value]
-
-    def indexed_document_frequency(self, term: str) -> int:
-        """Current n'_k of a term (0 when unindexed); non-routed."""
-        slot = self.slot_snapshot(term)
-        return slot.indexed_document_frequency if slot is not None else 0

@@ -105,13 +105,6 @@ class IncrementalLearner:
         ranked.sort(key=lambda rt: (-rt.score, rt.term))
         return ranked
 
-    def score_of(self, term: str) -> float:
-        """Current combined score of one term (0 if unevidenced)."""
-        stats = self.stats.get(term)
-        if stats is None:
-            return 0.0
-        return self.scorer(stats.max_qscore, stats.query_frequency)
-
 
 def naive_rank_terms(
     document: Document, all_queries: Sequence[Tuple[str, ...]]

@@ -450,13 +450,6 @@ class TermSlot:
         """Membership test without materializing the entry view."""
         return doc_id in self._store
 
-    def get_posting(self, doc_id: str) -> Optional[PostingEntry]:
-        """One posting without materializing the entry view."""
-        row = self._store.lookup(doc_id)
-        if row is None:
-            return None
-        return _new_tuple(PostingEntry, row)
-
     def rows(self) -> Iterator[PostingRow]:
         """All postings in publish order as the store's plain rows
         ``(doc id, owner, raw tf, length)``; nothing is built or kept."""

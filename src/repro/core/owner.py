@@ -325,7 +325,3 @@ class OwnerPeer:
     def index_terms(self, doc_id: str) -> List[str]:
         """The document's current global index terms."""
         return list(self._state(doc_id).index_terms)
-
-    @property
-    def num_shared(self) -> int:
-        return len(self.shared)

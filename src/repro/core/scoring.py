@@ -16,7 +16,7 @@ Three functions define SPRITE's learning signal:
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Container, Dict, Iterable, Sequence, Tuple
+from typing import AbstractSet, Container, Sequence
 
 
 def q_score(query_terms: AbstractSet[str] | Sequence[str], doc_terms: Container[str]) -> float:
@@ -40,28 +40,6 @@ def q_score(query_terms: AbstractSet[str] | Sequence[str], doc_terms: Container[
         if term in doc_terms:
             hits += 1
     return hits / len(terms)
-
-
-def query_frequency(term: str, queries: Iterable[Sequence[str]]) -> int:
-    """``QF(t, ϑ)`` — the number of queries in *queries* containing *term*."""
-    return sum(1 for q in queries if term in q)
-
-
-def query_frequencies(
-    queries: Iterable[Tuple[str, ...]], doc_terms: AbstractSet[str]
-) -> Dict[str, int]:
-    """QF for every document term that occurs in the query set.
-
-    Only terms present in the document are candidates ("for each t in
-    the document D_k", Algorithm 1), so the counting is restricted to
-    the intersection for efficiency.
-    """
-    counts: Dict[str, int] = {}
-    for query in queries:
-        for term in set(query):
-            if term in doc_terms:
-                counts[term] = counts.get(term, 0) + 1
-    return counts
 
 
 def combined_score(max_qscore: float, qf: int) -> float:

@@ -2,14 +2,6 @@
 
 from .corpus import Corpus
 from .document import Document
-from .io import (
-    load_collection,
-    load_corpus,
-    load_query_set,
-    save_collection,
-    save_corpus,
-    save_query_set,
-)
 from .relevance import Qrels, Query, QuerySet
 from .sampling import CategoricalSampler, ZipfSampler, zipf_weights
 from .synthetic import (
@@ -41,13 +33,7 @@ __all__ = [
     "generate_vocabulary",
     "iter_ohsumed_documents",
     "iter_trec_documents",
-    "load_collection",
-    "load_corpus",
     "load_qrels",
-    "load_query_set",
-    "save_collection",
-    "save_corpus",
-    "save_query_set",
     "load_trec_collection",
     "load_trec_documents",
     "load_trec_topics",

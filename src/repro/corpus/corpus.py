@@ -124,16 +124,6 @@ class Corpus:
         """All analyzed terms occurring anywhere in the corpus (sorted)."""
         return sorted(self.document_frequency)
 
-    def distribution(self, term: str) -> float:
-        """The paper's term-importance metric ``Distribution(t)``.
-
-        ``Distribution(t) = Freq(t) × Num(t)`` — zero for unseen terms.
-        """
-        return float(
-            self.collection_frequency.get(term, 0)
-            * self.document_frequency.get(term, 0)
-        )
-
     def distribution_table(self) -> Dict[str, float]:
         """``Distribution(t)`` for every vocabulary term, precomputed."""
         self._build_stats()

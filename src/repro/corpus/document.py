@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 from ..text.analyzer import Analyzer, DEFAULT_ANALYZER
 
@@ -63,14 +63,6 @@ class Document:
         """Number of distinct analyzed terms."""
         return len(self.term_freqs)
 
-    def normalized_tf(self, term: str) -> float:
-        """Term frequency normalized by document length (paper Section 4:
-        "t_ik is the frequency of term k in document i normalized by the
-        document length")."""
-        if self.length == 0:
-            return 0.0
-        return self.term_freqs.get(term, 0) / self.length
-
     def contains(self, term: str) -> bool:
         """Whether the analyzed document contains *term*."""
         return term in self.term_freqs
@@ -97,7 +89,3 @@ class Document:
         else:
             ranked = sorted([(-count, t) for t, count in freqs.items()])
         return [t for __, t in ranked[:k]]
-
-    def as_weight_pairs(self) -> List[Tuple[str, int]]:
-        """(term, raw frequency) pairs sorted by descending frequency."""
-        return sorted(self.term_freqs.items(), key=lambda kv: (-kv[1], kv[0]))

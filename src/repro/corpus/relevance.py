@@ -10,7 +10,7 @@ relevant document-id set).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from ..exceptions import CorpusError, QueryError
 
@@ -45,17 +45,8 @@ class Query:
         if not self.origin_id:
             object.__setattr__(self, "origin_id", self.query_id)
 
-    @property
-    def term_set(self) -> FrozenSet[str]:
-        """The terms as a frozen set (for intersection arithmetic)."""
-        return frozenset(self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
-
-    def overlap_with(self, other: "Query") -> int:
-        """Number of shared terms with another query."""
-        return len(self.term_set & other.term_set)
 
 
 class Qrels:
@@ -77,14 +68,6 @@ class Qrels:
     def relevant(self, query_id: str) -> Set[str]:
         """The relevant document-id set for *query_id* (empty if unjudged)."""
         return set(self._judgments.get(query_id, set()))
-
-    def num_relevant(self, query_id: str) -> int:
-        """``R`` in the paper's recall definition."""
-        return len(self._judgments.get(query_id, ()))
-
-    def is_relevant(self, query_id: str, doc_id: str) -> bool:
-        """Whether *doc_id* was judged relevant to *query_id*."""
-        return doc_id in self._judgments.get(query_id, ())
 
     def __contains__(self, query_id: str) -> bool:
         return query_id in self._judgments
@@ -124,13 +107,6 @@ class QuerySet:
 
     def __iter__(self) -> Iterator[Query]:
         return iter(self.queries)
-
-    def by_id(self, query_id: str) -> Query:
-        """Look up a query by id."""
-        for q in self.queries:
-            if q.query_id == query_id:
-                return q
-        raise QueryError(f"unknown query id: {query_id!r}")
 
     def split(self, train_ids: Set[str]) -> Tuple["QuerySet", "QuerySet"]:
         """Split into (train, test) sets by query id; qrels are shared."""

@@ -99,11 +99,6 @@ class TopicModel:
     doc_topics: Dict[str, Dict[int, float]]
     query_topics: Dict[str, int]
 
-    def dominant_topic(self, doc_id: str) -> int:
-        """The highest-weight topic of a document."""
-        weights = self.doc_topics[doc_id]
-        return max(weights, key=lambda t: (weights[t], -t))
-
 
 class SyntheticTrecCorpus:
     """Build a (Corpus, QuerySet, TopicModel) triple from a config.

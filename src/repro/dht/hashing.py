@@ -128,12 +128,6 @@ class IdSpace:
             return 0 < d_ax <= d_ab
         return 0 < d_ax < d_ab
 
-    def finger_start(self, node_id: int, index: int) -> int:
-        """Start of finger *index* (0-based): ``(n + 2^index) mod 2^m``."""
-        if not 0 <= index < self.bits:
-            raise ValueError(f"finger index out of range: {index}")
-        return (node_id + (1 << index)) % self.size
-
     def closest_term_to_key(
         self, key_hash: int, terms: Iterable[str], term_hashes: Mapping[str, int]
     ) -> Optional[str]:

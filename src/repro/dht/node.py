@@ -86,28 +86,11 @@ class ChordNode:
                 return candidate
         return None
 
-    def routing_snapshot(self) -> Tuple:
-        """Immutable copy of the complete routing state — successor,
-        predecessor, successor list, finger table.  The equivalence
-        currency of the incremental-repair tests: two repair strategies
-        are interchangeable iff every node's snapshot matches.
-        """
-        return (
-            self.successor,
-            self.predecessor,
-            tuple(self.successor_list),
-            tuple(self.fingers),
-        )
-
     # -- storage ----------------------------------------------------------
 
     def put(self, key: int, value: object) -> None:
         """Store an application payload at this node."""
         self.store[key] = value
-
-    def get(self, key: int) -> Optional[object]:
-        """Fetch a payload (primary copy only)."""
-        return self.store.get(key)
 
     def get_or_replica(self, key: int) -> Optional[object]:
         """Fetch a payload, falling back to a replica copy."""
@@ -135,10 +118,6 @@ class ChordNode:
         if value is not None and self.owns(key):
             self.store[key] = self.replicas.pop(key)
         return value
-
-    def drop(self, key: int) -> Optional[object]:
-        """Remove and return a payload."""
-        return self.store.pop(key, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "live" if self.alive else "failed"

@@ -25,7 +25,6 @@ looks inside a payload beyond that one attribute.
 from __future__ import annotations
 
 import copy
-from typing import Dict
 
 from ..exceptions import NodeFailedError
 from .messages import MessageKind, message
@@ -175,10 +174,3 @@ class ReplicationManager:
         """Convenience: stabilize the ring, then promote replicas."""
         self.ring.stabilize()
         return self.promote_replicas()
-
-    def replica_counts(self) -> Dict[int, int]:
-        """node id → number of replica entries held (for tests/benches)."""
-        return {
-            node_id: len(self.ring.node(node_id).replicas)
-            for node_id in self.ring.live_ids
-        }

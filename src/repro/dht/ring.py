@@ -700,11 +700,3 @@ class ChordRing:
         """The live node currently responsible for *key* (post-repair
         ground truth; applications use :meth:`lookup` for routed access)."""
         return self.nodes[self.successor_of(key)]
-
-    def place(self, key: int, value: object) -> int:
-        """Directly place a payload at the responsible node (bootstrap
-        helper used when constructing initial state without simulating
-        the insertion traffic).  Returns the holding node's id."""
-        node = self.responsible_node(key)
-        node.put(key, value)
-        return node.node_id

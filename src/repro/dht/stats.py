@@ -16,7 +16,7 @@ never hashes the enum; the dict views are built when read.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -32,13 +32,6 @@ class KindStats:
     messages: int = 0
     bytes: int = 0
     hops: int = 0
-
-    def merged_with(self, other: "KindStats") -> "KindStats":
-        return KindStats(
-            messages=self.messages + other.messages,
-            bytes=self.bytes + other.bytes,
-            hops=self.hops + other.hops,
-        )
 
 
 class NetworkStats:
@@ -99,10 +92,6 @@ class NetworkStats:
         return sum(s.bytes for __, s in self._items())
 
     @property
-    def total_hops(self) -> int:
-        return sum(s.hops for __, s in self._items())
-
-    @property
     def lookup_hop_histogram(self) -> Counter:
         """``hops → lookups`` so far (a copy; subtract an earlier one for
         the hop distribution of a phase)."""
@@ -136,12 +125,6 @@ class NetworkStats:
                 delta[kind] = d
         return delta
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        self._rows = [None] * len(ALL_KINDS)
-        self._seen.clear()
-        self._lookup_hops.clear()
-
     def summary(self) -> Dict[str, Dict[str, int]]:
         """A plain-dict summary for printing/reporting."""
         return {
@@ -151,21 +134,4 @@ class NetworkStats:
                 "hops": s.hops,
             }
             for kind, s in sorted(self._items(), key=lambda kv: kv[0].value)
-        }
-
-    def category_summary(self) -> Dict[str, Dict[str, int]]:
-        """Traffic folded by :attr:`MessageKind.category` — write,
-        query, routing, maintenance — so sweeps can report write-path
-        cost beside query traffic without enumerating kinds.  Only
-        categories with traffic appear."""
-        folded: Dict[str, KindStats] = defaultdict(KindStats)
-        for kind, s in self._items():
-            folded[kind.category] = folded[kind.category].merged_with(s)
-        return {
-            category: {
-                "messages": s.messages,
-                "bytes": s.bytes,
-                "hops": s.hops,
-            }
-            for category, s in sorted(folded.items())
         }

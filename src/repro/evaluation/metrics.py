@@ -102,10 +102,6 @@ class AggregateResult:
     mean_recall: float
     per_query: Dict[str, PrecisionRecall]
 
-    @property
-    def num_queries(self) -> int:
-        return len(self.per_query)
-
 
 def aggregate(
     results: Dict[str, PrecisionRecall],

@@ -12,17 +12,14 @@ query generator's phase 2 (ranked lists RL and RL').
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Literal
+from typing import Dict, Iterable
 
 from ..corpus.corpus import Corpus
 from ..corpus.relevance import Query
-from ..exceptions import QueryError
 from .inverted_index import InvertedIndex
 from .ranking import RankedList
-from .similarity import cosine_similarity, lee_similarity, weight_norm
+from .similarity import lee_similarity
 from .weighting import TfIdfWeighting
-
-Normalization = Literal["lee", "cosine"]
 
 
 class CentralizedSystem:
@@ -32,40 +29,18 @@ class CentralizedSystem:
     ----------
     corpus:
         The document collection; indexed in full at construction.
-    normalization:
-        ``"lee"`` (default) uses the same Lee-et-al. similarity as the
-        distributed systems, which isolates the effect of *partial
-        indexing* (the paper's variable of interest) from the choice of
-        normalization.  ``"cosine"`` gives the textbook cosine variant
-        for ablation.
+
+    Scores use the same Lee-et-al. similarity as the distributed
+    systems, which isolates the effect of *partial indexing* (the
+    paper's variable of interest) from the choice of normalization.
     """
 
-    def __init__(self, corpus: Corpus, normalization: Normalization = "lee") -> None:
+    def __init__(self, corpus: Corpus) -> None:
         self.corpus = corpus
         self.index = InvertedIndex.from_corpus(corpus)
         self.weighting = TfIdfWeighting(corpus_size=self.index.num_documents)
-        if normalization not in ("lee", "cosine"):
-            raise QueryError(f"unknown normalization: {normalization!r}")
-        self.normalization = normalization
-        self._doc_norms: Dict[str, float] | None = None
 
     # -- internals -------------------------------------------------------
-
-    def _build_norms(self) -> Dict[str, float]:
-        """Full document-vector norms (cosine mode only, built lazily)."""
-        if self._doc_norms is None:
-            norms: Dict[str, Dict[str, float]] = {}
-            lengths = self.index.doc_lengths
-            weight = self.weighting.document_weight
-            for term in self.index.terms():
-                counts = self.index.counts(term)
-                df = len(counts)
-                for doc_id, raw in counts.items():
-                    length = lengths[doc_id]
-                    tf = raw / length if length else 0.0
-                    norms.setdefault(doc_id, {})[term] = weight(tf, df)
-            self._doc_norms = {d: weight_norm(w) for d, w in norms.items()}
-        return self._doc_norms
 
     def _query_weights(self, terms: Iterable[str]) -> Dict[str, float]:
         weights = {}
@@ -95,16 +70,10 @@ class CentralizedSystem:
                 tf = raw / length if length else 0.0
                 doc_weights.setdefault(doc_id, {})[term] = weight(tf, df)
 
-        scores: Dict[str, float] = {}
-        if self.normalization == "cosine":
-            norms = self._build_norms()
-            for doc_id, weights in doc_weights.items():
-                scores[doc_id] = cosine_similarity(
-                    query_weights, weights, norms.get(doc_id, 0.0)
-                )
-        else:
-            for doc_id, weights in doc_weights.items():
-                scores[doc_id] = lee_similarity(query_weights, weights, lengths[doc_id])
+        scores = {
+            doc_id: lee_similarity(query_weights, weights, lengths[doc_id])
+            for doc_id, weights in doc_weights.items()
+        }
 
         ranked = RankedList(scores)
         return ranked if top_k is None else ranked.truncate(top_k)

@@ -8,7 +8,7 @@ evaluation metrics all consume it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Set, Tuple
+from typing import Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 
 def _rank_key(kv: Tuple[str, float]) -> Tuple[float, str]:
@@ -36,16 +36,12 @@ class RankedList:
         items = scored.items() if isinstance(scored, Mapping) else scored
         ordered = sorted(items, key=_rank_key)
         self._entries: List[ScoredDoc] = list(map(ScoredDoc._make, ordered))
-        self._rank_of: Dict[str, int] = {
-            e.doc_id: i for i, e in enumerate(self._entries)
-        }
 
     @classmethod
     def _from_ordered(cls, ordered: Sequence[Tuple[str, float]]) -> "RankedList":
         """Construct from pairs already in canonical order (no re-sort)."""
         ranked = cls.__new__(cls)
         ranked._entries = list(map(ScoredDoc._make, ordered))
-        ranked._rank_of = {e.doc_id: i for i, e in enumerate(ranked._entries)}
         return ranked
 
     @classmethod
@@ -101,25 +97,3 @@ class RankedList:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         return RankedList._from_ordered(self._entries[:k])
-
-    def rank_of(self, doc_id: str) -> int:
-        """0-based rank of *doc_id*, or -1 if not ranked."""
-        return self._rank_of.get(doc_id, -1)
-
-    def contains(self, doc_id: str) -> bool:
-        """Whether *doc_id* appears anywhere in the list."""
-        return doc_id in self._rank_of
-
-    def ids(self) -> List[str]:
-        """All document ids in rank order."""
-        return [e.doc_id for e in self._entries]
-
-    def id_set(self, k: int | None = None) -> Set[str]:
-        """The set of the top-*k* (or all) document ids."""
-        if k is None:
-            return set(self._rank_of)
-        return {e.doc_id for e in self._entries[:k]}
-
-    def scores(self) -> Dict[str, float]:
-        """doc id → score mapping."""
-        return {e.doc_id: e.score for e in self._entries}

@@ -8,14 +8,13 @@ The paper adopts the *second method* of Lee, Chuang and Seamons
 i.e. an inner product normalized by the square root of the document's
 term count (a cheap surrogate for full cosine normalization — "This
 formula simplifies the normalization ... its performance is shown to be
-almost the same as the original formula").  Full cosine similarity is
-also provided for the centralized reference and for ablations.
+almost the same as the original formula").
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping
+from typing import Mapping
 
 
 def lee_similarity(
@@ -47,45 +46,3 @@ def lee_similarity(
         if dw is not None:
             dot += qw * dw
     return dot / math.sqrt(doc_term_count)
-
-
-def cosine_similarity(
-    query_weights: Mapping[str, float],
-    doc_weights: Mapping[str, float],
-    doc_norm: float,
-) -> float:
-    """Classic cosine similarity with a precomputed document norm.
-
-    Used by the centralized reference in "full cosine" mode and by the
-    ablation bench comparing the two normalizations.
-    """
-    if doc_norm <= 0.0:
-        return 0.0
-    query_norm = math.sqrt(sum(w * w for w in query_weights.values()))
-    if query_norm <= 0.0:
-        return 0.0
-    dot = 0.0
-    for term, qw in query_weights.items():
-        dw = doc_weights.get(term)
-        if dw is not None:
-            dot += qw * dw
-    return dot / (doc_norm * query_norm)
-
-
-def weight_norm(weights: Mapping[str, float]) -> float:
-    """Euclidean norm of a weight vector."""
-    return math.sqrt(sum(w * w for w in weights.values()))
-
-
-def consolidate(entries: Dict[str, Dict[str, float]]) -> Dict[str, Dict[str, float]]:
-    """Pivot term → (doc → weight) postings into doc → (term → weight).
-
-    This is the querying peer's "index entries for the same document are
-    consolidated" step (paper Section 3) factored out so both the
-    distributed systems and tests share one implementation.
-    """
-    by_doc: Dict[str, Dict[str, float]] = {}
-    for term, postings in entries.items():
-        for doc_id, weight in postings.items():
-            by_doc.setdefault(doc_id, {})[term] = weight
-    return by_doc

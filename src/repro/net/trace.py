@@ -44,11 +44,6 @@ class MessageTrace(NamedTuple):
     #: ``"other"`` on a trace built without one.
     category: str = "other"
 
-    @property
-    def retries(self) -> int:
-        """Retransmissions beyond the first attempt."""
-        return self.attempts - 1
-
 
 def percentile(samples: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (deterministic, no interpolation).
@@ -110,11 +105,6 @@ class TraceLog:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    @property
-    def records(self) -> List[MessageTrace]:
-        """All traces recorded so far (copy)."""
-        return list(self._records)
 
     def filtered(
         self, kind: Optional[str] = None, outcome: Optional[str] = None

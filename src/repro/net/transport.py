@@ -105,10 +105,6 @@ class DeliveryPolicy:
         if self.jitter_ms < 0:
             raise ValueError("jitter_ms must be >= 0")
 
-    @property
-    def max_attempts(self) -> int:
-        return 1 + self.max_retries
-
     def backoff_before(self, attempt: int, rng: random.Random) -> float:
         """Wait before transmission *attempt* (0-based; 0 → no wait)."""
         if attempt <= 0:
@@ -210,7 +206,7 @@ class LossyTransport:
     active = True
 
     def deliver(self, message: "Message", dst_alive: bool = True) -> DeliveryReceipt:
-        """Attempt *message* up to ``policy.max_attempts`` times.
+        """Attempt *message* up to ``1 + policy.max_retries`` times.
 
         One delivery reads its pair's fault plan once
         (:meth:`FaultInjector.pair_plan`: drop rate, slow-node factor,

@@ -27,7 +27,6 @@ from .catalogue import (
     report_record,
     run_catalogue,
     run_catalogue_entry,
-    scenario_fingerprint,
 )
 from .engine import ScenarioEngine, SimReport, build_simulation
 from .events import (
@@ -37,7 +36,6 @@ from .events import (
     Scenario,
     SimEvent,
     random_scenario,
-    scenario,
 )
 from .invariants import (
     InvariantChecker,
@@ -75,6 +73,4 @@ __all__ = [
     "report_record",
     "run_catalogue",
     "run_catalogue_entry",
-    "scenario",
-    "scenario_fingerprint",
 ]

@@ -4,7 +4,7 @@ Named, seeded scenario programs modelling the nasty traffic production
 DHT deployments actually see — flash crowds, hot-term storms, Zipf
 -skewed peer capacity, correlated regional failures, free-riders and
 flaky responders, live corpus turnover.  Each entry is a declarative
-:class:`~repro.sim.events.Scenario` (replayable, JSON-serializable)
+:class:`~repro.sim.events.Scenario` (replayable from its seed)
 plus the engine configuration it stresses (result-cache size, transport
 kind), and each run yields both the invariant verdict *and* quality
 readouts — precision/recall/NDCG vs the centralized oracle — taken
@@ -16,7 +16,6 @@ by ``benchmarks/test_bench_stress.py`` → ``BENCH_STRESS.json``.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -365,12 +364,3 @@ def report_record(report: SimReport) -> Dict[str, object]:
             "cache_misses": sum(o.cache_misses for o in report.storms),
         }
     return record
-
-
-def scenario_fingerprint(scenario: Scenario) -> Tuple:
-    """A hashable identity for determinism assertions: same seed ⇒ same
-    event stream."""
-    return (
-        scenario.seed,
-        tuple(dataclasses.astuple(event) for event in scenario.events),
-    )

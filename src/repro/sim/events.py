@@ -8,9 +8,9 @@ and the adversarial catalogue's stress events (``flash_crowd``,
 ``storm``, ``region_fail``, ``turnover``, ``behave``, ``measure`` —
 DESIGN.md §14).  The :class:`~repro.sim.engine.ScenarioEngine` executes a
 scenario deterministically against a running system, checking invariants
-between events, so a failing schedule is a *reproducible artifact*: it
-can be saved to JSON, attached to a bug report, and replayed as a
-regression test (several live in ``tests/sim/test_regressions.py``).
+between events, so a failing schedule is a *reproducible artifact*: its
+seed and flags regenerate it bit for bit, and it replays as a regression
+test.
 
 :func:`random_scenario` generates seeded schedules for fuzzing: a
 publish burst up front (an empty index exercises nothing), a churn/
@@ -20,11 +20,9 @@ quiescent-tier invariants apply to.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 #: Every event kind a scenario may contain.
 EVENT_KINDS: Tuple[str, ...] = (
@@ -83,25 +81,6 @@ class SimEvent:
         if self.kind == "behave" and not self.name:
             raise ValueError("behave events need a spec in `name`")
 
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"kind": self.kind}
-        if self.name is not None:
-            out["name"] = self.name
-        if self.count != 1:
-            out["count"] = self.count
-        if self.duration_ms:
-            out["duration_ms"] = self.duration_ms
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SimEvent":
-        return cls(
-            kind=str(data["kind"]),
-            name=data.get("name"),  # type: ignore[arg-type]
-            count=int(data.get("count", 1)),  # type: ignore[arg-type]
-            duration_ms=float(data.get("duration_ms", 0.0)),  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -119,48 +98,6 @@ class Scenario:
 
     def __iter__(self):
         return iter(self.events)
-
-    def kind_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
-
-    # -- persistence ------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "description": self.description,
-            "events": [e.to_dict() for e in self.events],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Scenario":
-        return cls(
-            seed=int(data["seed"]),  # type: ignore[arg-type]
-            events=tuple(
-                SimEvent.from_dict(e)  # type: ignore[arg-type]
-                for e in data.get("events", [])
-            ),
-            description=str(data.get("description", "")),
-        )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Scenario":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def scenario(seed: int, kinds: Iterable[str], description: str = "") -> Scenario:
-    """Shorthand: build a scenario from bare event-kind strings."""
-    return Scenario(
-        seed=seed,
-        events=tuple(SimEvent(kind=k) for k in kinds),
-        description=description,
-    )
 
 
 def random_scenario(

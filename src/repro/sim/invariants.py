@@ -76,10 +76,6 @@ class InvariantReport:
     checked: List[str] = field(default_factory=list)
     violations: List[InvariantViolation] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def _digest_index_fault(cache: QueryCache) -> str:
     """What is wrong with *cache*'s digest index, or ``""``: it must hold

@@ -102,7 +102,7 @@ class QualityProbe:
             [corpus.get(doc_id) for doc_id in shared_ids],
             analyzer=corpus.analyzer,
         )
-        return CentralizedSystem(sub_corpus, normalization="lee")
+        return CentralizedSystem(sub_corpus)
 
     def measure(self, label: str) -> QualityReadout:
         """Score every pool query now, tagged with *label* ("during" /

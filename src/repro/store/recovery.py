@@ -36,7 +36,7 @@ audits the log against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..dht.messages import Message, MessageKind, message, wire_size
@@ -63,24 +63,6 @@ class RecoveryReport:
     full_baseline_postings: int = 0
     full_baseline_bytes: int = 0
     full_baseline_messages: int = 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "peer": self.peer,
-            "mode": self.mode,
-            "slots_transferred": self.slots_transferred,
-            "slots_matched": self.slots_matched,
-            "slots_changed": self.slots_changed,
-            "slots_missing": self.slots_missing,
-            "slots_restored": self.slots_restored,
-            "postings_authoritative": self.postings_authoritative,
-            "postings_shipped": self.postings_shipped,
-            "bytes_shipped": self.bytes_shipped,
-            "messages_sent": self.messages_sent,
-            "full_baseline_postings": self.full_baseline_postings,
-            "full_baseline_bytes": self.full_baseline_bytes,
-            "full_baseline_messages": self.full_baseline_messages,
-        }
 
 
 class RecoveryManager:

@@ -301,10 +301,6 @@ class SqlitePostings:
         rebuilt.update(docs)
         self._bloom = rebuilt
 
-    @property
-    def bloom(self) -> Optional[BloomFilter]:
-        return self._bloom
-
     # -- replication support -------------------------------------------------
 
     def __deepcopy__(self, memo) -> "SqlitePostings":

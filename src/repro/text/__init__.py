@@ -6,14 +6,9 @@ identical view of the term space — the paper's "standard" preprocessing
 """
 
 from .analyzer import DEFAULT_ANALYZER, Analyzer
-from .stemmer import PorterStemmer, stem, stem_all
-from .stopwords import (
-    LUCENE_STOP_WORDS,
-    is_stop_word,
-    make_stop_word_set,
-    remove_stop_words,
-)
-from .tokenizer import DEFAULT_TOKENIZER, Tokenizer, tokenize
+from .stemmer import PorterStemmer, stem
+from .stopwords import LUCENE_STOP_WORDS
+from .tokenizer import DEFAULT_TOKENIZER, Tokenizer
 
 __all__ = [
     "Analyzer",
@@ -22,10 +17,5 @@ __all__ = [
     "LUCENE_STOP_WORDS",
     "PorterStemmer",
     "Tokenizer",
-    "is_stop_word",
-    "make_stop_word_set",
-    "remove_stop_words",
     "stem",
-    "stem_all",
-    "tokenize",
 ]

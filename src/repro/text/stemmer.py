@@ -107,10 +107,6 @@ class PorterStemmer:
         """Return the Porter stem of *word* (lower-cased)."""
         return self._cached(word.lower())
 
-    def cache_info(self):
-        """Hit/miss statistics of the memoized pipeline."""
-        return self._cached.cache_info()
-
     def _stem_uncached(self, word: str) -> str:
         if len(word) <= 2:
             return word
@@ -259,8 +255,3 @@ def stem(word: str) -> str:
     'relat'
     """
     return _SHARED.stem(word)
-
-
-def stem_all(words: list[str]) -> list[str]:
-    """Stem every word in a list, preserving order."""
-    return [_SHARED.stem(w) for w in words]

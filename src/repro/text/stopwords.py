@@ -8,7 +8,7 @@ reproduction filters the same tokens the original system did.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable
+from typing import FrozenSet
 
 #: Lucene's default English stop words (StandardAnalyzer), verbatim.
 LUCENE_STOP_WORDS: FrozenSet[str] = frozenset(
@@ -19,29 +19,3 @@ LUCENE_STOP_WORDS: FrozenSet[str] = frozenset(
         "these", "they", "this", "to", "was", "will", "with",
     }
 )
-
-
-def is_stop_word(token: str, stop_words: FrozenSet[str] = LUCENE_STOP_WORDS) -> bool:
-    """Return ``True`` if *token* (case-insensitively) is a stop word."""
-    return token.lower() in stop_words
-
-
-def remove_stop_words(
-    tokens: Iterable[str], stop_words: FrozenSet[str] = LUCENE_STOP_WORDS
-) -> list[str]:
-    """Filter stop words out of a token stream, preserving order.
-
-    >>> remove_stop_words(["the", "quick", "fox"])
-    ['quick', 'fox']
-    """
-    return [t for t in tokens if t.lower() not in stop_words]
-
-
-def make_stop_word_set(words: Iterable[str]) -> FrozenSet[str]:
-    """Build a custom stop-word set (lower-cased, deduplicated).
-
-    Useful when reproducing on corpora in other languages or with a
-    domain-specific list; everything downstream accepts the resulting
-    frozen set wherever ``LUCENE_STOP_WORDS`` is accepted.
-    """
-    return frozenset(w.lower() for w in words)

@@ -16,7 +16,7 @@ alike.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 _ALNUM = b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
@@ -63,18 +63,21 @@ class Tokenizer:
         First half of tokenization.  The runs are cut from the text as
         given: lower-casing first would invent tokens (``"\u212a".lower()``
         is ASCII ``k``; ``"\u0130".lower()`` grows a combining mark).
+
+        >>> Tokenizer.runs("Peer-to-Peer Text Retrieval!")
+        [b'Peer', b'to', b'Peer', b'Text', b'Retrieval']
         """
         return text.encode("ascii", "replace").translate(_RUN_TABLE).split()
-
-    def raw_tokens(self, text: str) -> List[str]:
-        """:meth:`runs` as strings."""
-        return [run.decode("ascii") for run in self.runs(text)]
 
     def accept(self, run: bytes) -> Optional[str]:
         """The token a run stands for — decoded and lower-cased — or
         ``None`` when the length bounds or the digit rule drop it.
         Second half of tokenization, a pure function of *run* and the
-        settings.  The decode is exact: a run is ASCII."""
+        settings.  The decode is exact: a run is ASCII.
+
+        >>> [Tokenizer().accept(run) for run in (b"Peer", b"P", b"2007")]
+        ['peer', None, None]
+        """
         token = run.decode("ascii").lower()
         if not self.min_length <= len(token) <= self.max_length:
             return None
@@ -82,26 +85,6 @@ class Tokenizer:
             return None
         return token
 
-    def iter_tokens(self, text: str) -> Iterator[str]:
-        """Yield tokens from *text* one at a time."""
-        for run in self.runs(text):
-            token = self.accept(run)
-            if token is not None:
-                yield token
-
-    def tokenize(self, text: str) -> List[str]:
-        """Return the full token list for *text*.
-
-        >>> Tokenizer().tokenize("Peer-to-Peer Text Retrieval!")
-        ['peer', 'to', 'peer', 'text', 'retrieval']
-        """
-        return list(self.iter_tokens(text))
-
 
 #: A shared default tokenizer used across the package.
 DEFAULT_TOKENIZER = Tokenizer()
-
-
-def tokenize(text: str) -> List[str]:
-    """Tokenize with the package default settings."""
-    return DEFAULT_TOKENIZER.tokenize(text)

@@ -37,6 +37,7 @@ from ..twins import Wire, always_ship, assert_agree, pairs, read_delta
 from .legacy_executor import execute_legacy
 from .test_fused_visit import DropKinds
 from .test_topk_equivalence import _RawQuery
+from ..probes import indexed_df
 
 
 def remote_indexed_term(system: SpriteSystem, queries):
@@ -46,7 +47,7 @@ def remote_indexed_term(system: SpriteSystem, queries):
         issuer = system._issuer_for(query)
         for term in query.terms:
             peer = system.ring.successor_of(system.protocol.term_hash(term))
-            if peer != issuer and system.protocol.indexed_document_frequency(term) > 0:
+            if peer != issuer and indexed_df(system.protocol, term) > 0:
                 return query, issuer, term, peer
     raise AssertionError("no indexed term away from its issuer")
 
@@ -108,7 +109,7 @@ class TestWhatAHeldVersionMeans:
             # The query's other terms did not move: withheld, the
             # restored one re-sent.
             assert wire.withheld - withheld == sum(
-                protocol.indexed_document_frequency(t)
+                indexed_df(protocol, t)
                 for t in dict.fromkeys(query.terms)
                 if t != term and ring.successor_of(protocol.term_hash(t)) != victim
             )

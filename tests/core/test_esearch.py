@@ -8,6 +8,7 @@ import pytest
 from repro.config import ChordConfig, SpriteConfig
 from repro.core import SpriteSystem
 from repro.corpus import Corpus, Document, Query
+from ..probes import ids
 
 CHORD = ChordConfig(num_peers=16, id_bits=32, seed=71)
 
@@ -71,7 +72,7 @@ class TestRetrievalBehaviour:
         system = esearch(corpus, 2)
         system.share_corpus()
         ranked = system.search(Query("q", ("alpha",)), cache=False)
-        assert ranked.ids() == ["d0"]
+        assert ids(ranked) == ["d0"]
 
     def test_unindexed_document_terms_unfindable(self, corpus: Corpus) -> None:
         """The cost of static selection: low-frequency terms are simply
@@ -99,4 +100,4 @@ class TestRetrievalBehaviour:
         sprite.share_corpus()
         assert static.config == sprite.config
         for q in (Query("qa", ("alpha",)), Query("qb", ("beta", "gamma"))):
-            assert static.search(q, cache=False).ids() == sprite.search(q, cache=False).ids()
+            assert ids(static.search(q, cache=False)) == ids(sprite.search(q, cache=False))

@@ -60,6 +60,7 @@ from repro.net.transport import (
 )
 
 from .legacy_executor import execute_legacy
+from ..probes import result_cache_stats
 
 VOCAB = [f"kw{i:03d}" for i in range(40)]
 #: Keywords no document is indexed under: the first query that names one
@@ -534,13 +535,13 @@ class TestDeliveredBeforeApplied:
             issuer, Query("q", terms), top_k=5, cache=False
         )
         versions, __ = protocol.probe_slot_versions(issuer, terms)
-        assert protocol.result_cache_stats() == (1, 0, 1)  # stored after one miss
+        assert result_cache_stats(protocol) == (1, 0, 1)  # stored after one miss
         transport.kinds = frozenset({MessageKind.RESULT_VALUE})
         assert protocol.probe_result(issuer, terms, 5, versions, frozenset()) is None
         # The home found the entry, the issuer never heard: no query was
         # served from the cache, so no hit.
-        assert protocol.result_cache_stats() == (1, 0, 1)
+        assert result_cache_stats(protocol) == (1, 0, 1)
         transport.kinds = frozenset()
         served = protocol.probe_result(issuer, terms, 5, versions, frozenset())
         assert pairs(served) == pairs(ranked)
-        assert protocol.result_cache_stats() == (1, 1, 1)
+        assert result_cache_stats(protocol) == (1, 1, 1)

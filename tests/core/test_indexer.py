@@ -9,6 +9,7 @@ from repro.core.indexer import IndexingProtocol
 from repro.core.metadata import PostingEntry
 from repro.dht import ChordRing, MessageKind
 from repro.exceptions import NodeFailedError
+from ..probes import indexed_df, posting as slot_posting
 
 
 @pytest.fixture()
@@ -45,9 +46,9 @@ class TestPublish:
         protocol.publish(owner, "chord", posting())
         slot = protocol.slot_snapshot("chord")
         assert slot is not None
-        assert slot.get_posting("d1").raw_tf == 3
+        assert slot_posting(slot, "d1").raw_tf == 3
         holder = ring.successor_of(protocol.term_hash("chord"))
-        assert ring.node(holder).get(protocol.term_hash("chord")) is slot
+        assert ring.node(holder).store.get(protocol.term_hash("chord")) is slot
 
     def test_publish_counts_traffic(self, protocol: IndexingProtocol, ring: ChordRing) -> None:
         protocol.publish(ring.live_ids[0], "chord", posting())
@@ -58,8 +59,8 @@ class TestPublish:
         owner = ring.live_ids[0]
         protocol.publish(owner, "chord", posting("d1"))
         protocol.publish(owner, "chord", posting("d2"))
-        assert protocol.indexed_document_frequency("chord") == 2
-        assert protocol.indexed_document_frequency("never") == 0
+        assert indexed_df(protocol, "chord") == 2
+        assert indexed_df(protocol, "never") == 0
 
 
 class TestUnpublish:
@@ -67,7 +68,7 @@ class TestUnpublish:
         owner = ring.live_ids[0]
         protocol.publish(owner, "chord", posting("d1"))
         assert protocol.unpublish(owner, "chord", "d1") is True
-        assert protocol.indexed_document_frequency("chord") == 0
+        assert indexed_df(protocol, "chord") == 0
 
     def test_unpublish_missing_is_false(self, protocol: IndexingProtocol, ring: ChordRing) -> None:
         assert protocol.unpublish(ring.live_ids[0], "ghost", "d1") is False

@@ -64,13 +64,15 @@ class TestIncrementalLearner:
     def test_single_query_scores_zero_but_tracked(self, doc: Document) -> None:
         learner = IncrementalLearner(doc)
         learner.observe([("alpha", "beta")])
-        assert learner.stats["alpha"].query_frequency == 1
-        assert learner.score_of("alpha") == 0.0  # log10(1) = 0
+        stats = learner.stats["alpha"]
+        assert stats.query_frequency == 1
+        assert learner.scorer(stats.max_qscore, stats.query_frequency) == 0.0  # log10(1) = 0
 
     def test_repeated_queries_build_score(self, doc: Document) -> None:
         learner = IncrementalLearner(doc)
         learner.observe([("alpha", "beta")] * 10)
-        assert learner.score_of("alpha") > 0.0
+        stats = learner.stats["alpha"]
+        assert learner.scorer(stats.max_qscore, stats.query_frequency) > 0.0
 
     def test_max_qscore_kept(self, doc: Document) -> None:
         learner = IncrementalLearner(doc)

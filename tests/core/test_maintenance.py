@@ -8,6 +8,7 @@ from repro.config import ChordConfig, SpriteConfig
 from repro.core import MaintenanceDaemon, SpriteSystem
 from repro.corpus import Corpus, Document, Query
 from repro.dht.messages import MessageKind
+from ..probes import ids
 
 CHORD = ChordConfig(num_peers=24, id_bits=32, seed=131)
 
@@ -110,7 +111,7 @@ class TestFailureWindow:
         doc = system.corpus.get("d0")
         term = doc.top_terms(1)[0]
         ranked = system.search(Query("probe", (term,)), cache=False)
-        assert "d0" in ranked.ids()
+        assert "d0" in ids(ranked)
 
     def test_heal_until_stable_validates_budget(self, system: SpriteSystem) -> None:
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from repro.core.metadata import (
 )
 from repro.ir.ranking import RankedList
 from repro.store import SqlitePostings
+from ..probes import posting
 
 
 class TestPostingEntry:
@@ -152,7 +153,7 @@ class TestTermSlot:
         slot.add_posting(PostingEntry("d1", 1, 1, 10))
         slot.add_posting(PostingEntry("d1", 1, 5, 10))
         assert slot.indexed_document_frequency == 1
-        assert slot.get_posting("d1").raw_tf == 5
+        assert posting(slot, "d1").raw_tf == 5
 
     def test_remove_posting(self) -> None:
         slot = TermSlot(term="chord")
@@ -166,9 +167,9 @@ class TestTermSlot:
         slot = TermSlot(term="chord")
         slot.add_posting(PostingEntry("d1", owner_peer=7, raw_tf=3, doc_length=40))
         slot.add_posting(PostingEntry("d2", owner_peer=9, raw_tf=2, doc_length=12))
-        assert slot.get_posting("d1") == PostingEntry("d1", 7, 3, 40)
+        assert posting(slot, "d1") == PostingEntry("d1", 7, 3, 40)
         assert slot.remove_posting("d2") == PostingEntry("d2", 9, 2, 12)
-        assert slot.get_posting("d2") is None
+        assert posting(slot, "d2") is None
 
     def test_a_shipped_slot_records_a_batch_on_a_store_that_adds_many(self, conn) -> None:
         """An overwrite, a new document and that document again, in one

@@ -16,6 +16,7 @@ from repro.dht.messages import TERM_BYTES, VERSION_BYTES, MessageKind
 from repro.exceptions import LearningError, NodeFailedError
 from repro.net.trace import DROPPED
 from repro.net.transport import DeliveryOutcome, DeliveryReceipt, LossyTransport, PerfectTransport
+from ..probes import indexed_df, posting
 
 
 @pytest.fixture()
@@ -60,7 +61,7 @@ class TestShare:
         # top-2 by frequency: zeta (4), alpha (3).
         assert state.index_terms == ["zeta", "alpha"]
         for term in state.index_terms:
-            assert protocol.indexed_document_frequency(term) == 1
+            assert indexed_df(protocol, term) == 1
 
     def test_user_supplied_terms(self, owner: OwnerPeer) -> None:
         state = owner.share(Document("d2", DOC.text), first_terms=["gamma", "beta"])
@@ -77,10 +78,10 @@ class TestShare:
         """A slot receives (doc id, owner, raw tf, length); a supplied
         first term the document lacks is published with tf 0."""
         owner.share(Document("d3", DOC.text), first_terms=["zeta", "omega"])
-        assert protocol.slot_snapshot("zeta").get_posting("d3") == (
+        assert posting(protocol.slot_snapshot("zeta"), "d3") == (
             PostingEntry("d3", owner.node_id, 4, 13)
         )
-        assert protocol.slot_snapshot("omega").get_posting("d3") == (
+        assert posting(protocol.slot_snapshot("omega"), "d3") == (
             PostingEntry("d3", owner.node_id, 0, 13)
         )
 
@@ -88,13 +89,13 @@ class TestShare:
         owner.share(DOC)
         with pytest.raises(LearningError):
             owner.share_bulk([Document("d9", DOC.text), DOC])
-        assert owner.num_shared == 1
+        assert len(owner.shared) == 1
 
     def test_unshare_removes_postings(self, owner: OwnerPeer, protocol: IndexingProtocol) -> None:
         owner.share(DOC)
         owner.unshare("d1")
-        assert protocol.indexed_document_frequency("zeta") == 0
-        assert owner.num_shared == 0
+        assert indexed_df(protocol, "zeta") == 0
+        assert len(owner.shared) == 0
 
     def test_index_terms_of_unknown_doc(self, owner: OwnerPeer) -> None:
         with pytest.raises(LearningError):
@@ -112,8 +113,8 @@ class TestLearning:
         assert len(terms) == 4
         assert "beta" in terms and "gamma" in terms
         # The new terms are actually published.
-        assert protocol.indexed_document_frequency("beta") == 1
-        assert protocol.indexed_document_frequency("gamma") == 1
+        assert indexed_df(protocol, "beta") == 1
+        assert indexed_df(protocol, "gamma") == 1
 
     def test_learning_without_queries_pads_by_frequency(self, owner: OwnerPeer) -> None:
         owner.share(DOC)
@@ -149,7 +150,7 @@ class TestLearning:
         assert "alpha" in terms            # strongest evidence (QF 12)
         assert "zeta" not in terms         # frequent but never queried
         assert len(terms & {"beta", "gamma", "delta", "epsilon"}) == 3
-        assert protocol.indexed_document_frequency("zeta") == 0
+        assert indexed_df(protocol, "zeta") == 0
 
     def test_incremental_polling_no_double_count(
         self, owner: OwnerPeer, protocol: IndexingProtocol, ring: ChordRing
@@ -189,9 +190,9 @@ class TestLearning:
         term = state.index_terms[0]
         slot = protocol.slot_snapshot(term)
         slot.remove_posting("d1")
-        assert protocol.indexed_document_frequency(term) == 0
+        assert indexed_df(protocol, term) == 0
         assert owner._publish_terms_force(state, term) is True
-        assert protocol.indexed_document_frequency(term) == 1
+        assert indexed_df(protocol, term) == 1
 
     def test_target_bounded_by_document_vocabulary(self, owner: OwnerPeer) -> None:
         tiny = Document("tiny", "rock sand")   # both stem-stable words

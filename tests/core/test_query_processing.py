@@ -13,6 +13,7 @@ from repro.core.query_processing import QueryProcessor
 from repro.corpus import Query
 from repro.dht import ChordRing
 from repro.ir.ranking import RankedList
+from ..probes import ids, scores
 
 ASSUMED_N = 1_000_000
 
@@ -45,7 +46,7 @@ class TestExecution:
         publish(protocol, ring, "chord", "heavy", tf=8, length=16)
         publish(protocol, ring, "chord", "light", tf=1, length=16)
         ranked = processor.search(ring.live_ids[1], Query("q", ("chord",)))
-        assert ranked.ids() == ["heavy", "light"]
+        assert ids(ranked) == ["heavy", "light"]
 
     def test_similarity_matches_paper_formula(self, processor, protocol, ring) -> None:
         """sim = (w_Q · w_D) / sqrt(|D|) with w from the assumed-N IDF
@@ -184,7 +185,7 @@ class TestFailureDegradation:
         )
         assert execution.terms_failed == 1
         assert execution.dropped_terms == ["dead"]
-        assert ranked.ids() == ["d1"]
+        assert ids(ranked) == ["d1"]
 
     def test_all_terms_failed_empty_answer(self, processor, protocol, ring) -> None:
         publish(protocol, ring, "gone", "d1", tf=1, length=5)
@@ -208,8 +209,8 @@ class TestDocumentFrequencyOverride:
             document_frequency_override={"term": 5000},
         )
         q = Query("q", ("term",))
-        score_plain = plain.search(ring.live_ids[1], q, cache=False).scores()["d1"]
-        score_over = overridden.search(ring.live_ids[1], q, cache=False).scores()["d1"]
+        score_plain = scores(plain.search(ring.live_ids[1], q, cache=False))["d1"]
+        score_over = scores(overridden.search(ring.live_ids[1], q, cache=False))["d1"]
         assert score_over < score_plain
 
     def test_override_missing_term_falls_back(self, protocol, ring) -> None:
@@ -220,7 +221,7 @@ class TestDocumentFrequencyOverride:
             document_frequency_override={"unrelated": 7},
         )
         ranked = overridden.search(ring.live_ids[1], Query("q", ("other",)), cache=False)
-        assert ranked.ids() == ["d1"]
+        assert ids(ranked) == ["d1"]
 
 
 class TestIndexedDocumentFrequency:
@@ -233,4 +234,4 @@ class TestIndexedDocumentFrequency:
             publish(protocol, ring, "common", f"filler{i}", tf=1, length=10)
         ranked_rare = processor.search(ring.live_ids[1], Query("q1", ("rare",)), cache=False)
         ranked_common = processor.search(ring.live_ids[1], Query("q2", ("common",)), cache=False)
-        assert ranked_rare.scores()["target"] > ranked_common.scores()["target"]
+        assert scores(ranked_rare)["target"] > scores(ranked_common)["target"]

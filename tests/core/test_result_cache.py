@@ -24,6 +24,7 @@ from repro.corpus.relevance import Query
 from repro.dht.messages import MessageKind
 from repro.dht.ring import ChordRing
 from repro.ir.ranking import RankedList
+from ..probes import ids, result_cache_stats, scores
 
 VOCAB = [f"rc{i:02d}" for i in range(12)]
 
@@ -129,7 +130,7 @@ class TestEndToEnd:
         assert [(e.doc_id, e.score) for e in again] == [
             (e.doc_id, e.score) for e in first
         ]
-        entries, hits, misses = protocol.result_cache_stats()
+        entries, hits, misses = result_cache_stats(protocol)
         assert (entries, hits, misses) == (1, 1, 1)
 
     def test_shallower_repeat_served_truncated(self) -> None:
@@ -160,7 +161,7 @@ class TestEndToEnd:
         )
         fresh, execution = execute(ring, processor, terms)
         assert not execution.cache_hit
-        assert fresh.contains("fresh-doc")
+        assert "fresh-doc" in ids(fresh)
         # The refreshed result is re-cached and hit on the next repeat.
         __, execution = execute(ring, processor, terms)
         assert execution.cache_hit
@@ -174,7 +175,7 @@ class TestEndToEnd:
         after, execution = execute(ring, processor, terms)
         assert not execution.cache_hit
         # A positive contribution was removed: strictly lower score now.
-        assert after.scores().get(victim_doc, 0.0) < first[0].score
+        assert scores(after).get(victim_doc, 0.0) < first[0].score
 
     def test_failure_set_change_invalidates(self) -> None:
         ring, protocol, processor = build_stack()
@@ -220,7 +221,7 @@ class TestEndToEnd:
             MessageKind.VERSION_VALUE,
         ):
             assert ring.stats.kind(kind).messages == 0
-        assert protocol.result_cache_stats() == (0, 0, 0)
+        assert result_cache_stats(protocol) == (0, 0, 0)
 
     def test_unregistered_probe_uses_version_messages(self) -> None:
         """cache=False still validates freshness — via the batched
@@ -241,7 +242,7 @@ class TestEndToEnd:
         execute(ring, processor, (VOCAB[0],))
         __, execution = execute(ring, processor, (VOCAB[0],))
         assert not execution.cache_hit
-        assert protocol.result_cache_stats() == (0, 0, 0)
+        assert result_cache_stats(protocol) == (0, 0, 0)
 
 
 class TestCacheLivesOnItsPeer:
@@ -275,14 +276,14 @@ class TestCacheLivesOnItsPeer:
         ranked, execution = execute(ring, processor, terms)
         assert not execution.cache_hit
         assert [(e.doc_id, e.score) for e in ranked] == first
-        assert protocol.result_cache_stats() == (1, 0, 1)
+        assert result_cache_stats(protocol) == (1, 0, 1)
 
     def test_leave_drops_the_cache(self) -> None:
         ring, protocol, processor = build_stack(result_cache=8)
         terms, home, first = self.cached_query(ring, protocol, processor)
-        assert protocol.result_cache_stats() == (1, 1, 1)
+        assert result_cache_stats(protocol) == (1, 1, 1)
         ring.leave(home)
-        assert protocol.result_cache_stats() == (0, 0, 0)
+        assert result_cache_stats(protocol) == (0, 0, 0)
         ranked, execution = execute(ring, processor, terms)
         assert not execution.cache_hit
         assert [(e.doc_id, e.score) for e in ranked] == first
@@ -300,7 +301,7 @@ class TestCacheLivesOnItsPeer:
             assert [node_id for node_id, __ in protocol.result_caches()] == [joiner]
             ring.leave(joiner)
         assert protocol.result_caches() == []
-        assert protocol.result_cache_stats() == (0, 0, 0)
+        assert result_cache_stats(protocol) == (0, 0, 0)
 
     def test_a_system_without_the_cache_allocates_none(self) -> None:
         ring, protocol, processor = build_stack(result_cache=0)

@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.scoring import (
-    combined_score,
-    q_score,
-    query_frequencies,
-    query_frequency,
-)
+from repro.core.scoring import combined_score, q_score
 
 
 class TestQScore:
@@ -38,22 +33,6 @@ class TestQScore:
         small_doc = {"a"}
         assert q_score({"a"}, small_doc) == 1.0
         assert q_score({"a", "b", "c", "d"}, small_doc) == 0.25
-
-
-class TestQueryFrequency:
-    QUERIES = [("a", "b"), ("a", "c"), ("b", "c"), ("a",)]
-
-    def test_counts(self) -> None:
-        assert query_frequency("a", self.QUERIES) == 3
-        assert query_frequency("b", self.QUERIES) == 2
-        assert query_frequency("z", self.QUERIES) == 0
-
-    def test_batch_restricted_to_doc_terms(self) -> None:
-        qf = query_frequencies(self.QUERIES, doc_terms={"a", "c"})
-        assert qf == {"a": 3, "c": 2}
-
-    def test_batch_empty_queries(self) -> None:
-        assert query_frequencies([], {"a"}) == {}
 
 
 class TestCombinedScore:

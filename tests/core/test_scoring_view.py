@@ -15,6 +15,7 @@ import copy
 from math import inf, sqrt
 
 from repro.core.metadata import PostingEntry, TermSlot
+from ..probes import posting
 
 
 def entry(doc: str, tf: int, length: int = 100) -> PostingEntry:
@@ -106,7 +107,7 @@ class TestRebuiltPerVersion:
         scans = count_row_scans(slot)
         for __ in range(3):
             assert slot.scoring_view() is view
-        slot.has_posting("d1"), slot.get_posting("d1"), slot.get_posting("nope")
+        slot.has_posting("d1"), posting(slot, "d1"), posting(slot, "nope")
         slot.indexed_document_frequency, slot.version, slot.replica_stamp
         slot.cache.add(("term", "other"), query_hash=77)
         assert slot.remove_posting("nope") is None  # removed nothing: no new version

@@ -19,6 +19,7 @@ from repro.core.metadata import PostingEntry, QueryCache, TermSlot
 from repro.ir.postings import RamPostings
 
 from ..ir.legacy_postings import LegacyPostings
+from ..probes import posting
 
 STRUCTURAL = (TermSlot, QueryCache, RamPostings)
 
@@ -69,7 +70,7 @@ def observe(slot: TermSlot) -> dict:
         "capacity": slot.cache.capacity,
         "scoring_view": slot.scoring_view(),
         "entries": slot.entries(),
-        "lookup": slot.get_posting("d3"),
+        "lookup": posting(slot, "d3"),
         "scoring": slot._store.scoring_lookup("d3"),
     }
 

@@ -14,6 +14,7 @@ from repro.dht import ChordRing
 from repro.exceptions import LearningError
 
 from ..twins import write_state_fingerprint
+from ..probes import ids
 
 CHORD = ChordConfig(num_peers=24, id_bits=32, seed=61)
 
@@ -76,7 +77,7 @@ class TestSearchPath:
         sprite.share_corpus()
         ranked = sprite.search(Query("q", ("chord", "ring")), cache=False)
         assert len(ranked) > 0
-        for doc_id in ranked.ids():
+        for doc_id in ids(ranked):
             assert int(doc_id[1:]) % 3 == 0  # only the chord-topic docs
 
     def test_search_respects_config_top_k(self, sprite: SpriteSystem) -> None:
@@ -155,7 +156,7 @@ class TestDiagnostics:
         sprite.share_corpus()
         ranked, execution = sprite.execute(Query("q", ("chord",)), cache=False)
         assert execution.terms_visited == 1
-        assert execution.postings_retrieved >= len(ranked.ids())
+        assert execution.postings_retrieved >= len(ids(ranked))
 
 
 class TestIssuerFollowsMembership:
@@ -387,7 +388,7 @@ class TestTermSelectionIsAConfigDelta:
         for query, (query_id, expected) in zip(micro.test, self.FULL_RANKINGS):
             ranked = system.search(query, cache=False)
             assert query.query_id == query_id
-            assert ranked.ids() == [doc_id for doc_id, __ in expected]
+            assert ids(ranked) == [doc_id for doc_id, __ in expected]
             assert [e.score for e in ranked] == pytest.approx(
                 [score for __, score in expected], rel=1e-9, abs=1e-12
             )

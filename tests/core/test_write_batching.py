@@ -23,6 +23,7 @@ from repro.corpus import Document
 from repro.dht import ChordRing, MessageKind
 
 from .per_term_owner import PerTermOwner
+from ..probes import indexed_df
 
 
 def make_ring(seed: int = 29, route_cache_size: int = 0) -> ChordRing:
@@ -113,7 +114,7 @@ class TestOwnerEdgeCases:
         # The reachable peer's publication lands; the dead peer's term is
         # dropped (not indexed) instead of poisoning the whole batch.
         assert state.index_terms == [live_term]
-        assert owner.protocol.indexed_document_frequency(live_term) == 1
+        assert indexed_df(owner.protocol, live_term) == 1
         assert state.poll_cursors == {live_term: -1}
 
 

@@ -38,20 +38,6 @@ class TestAnalysisCaching:
         assert doc.term_freqs is first
 
 
-class TestNormalizedTf:
-    def test_values(self, doc: Document) -> None:
-        assert doc.normalized_tf("chord") == pytest.approx(3 / 6)
-        assert doc.normalized_tf("lookup") == pytest.approx(1 / 6)
-
-    def test_absent_term(self, doc: Document) -> None:
-        assert doc.normalized_tf("unknown") == 0.0
-
-    def test_empty_document(self) -> None:
-        empty = Document(doc_id="e", text="the and of")
-        assert empty.length == 0
-        assert empty.normalized_tf("the") == 0.0
-
-
 class TestTopTerms:
     def test_ranking_by_frequency(self, doc: Document) -> None:
         assert doc.top_terms(2) == ["chord", "ring"]
@@ -111,14 +97,6 @@ class TestTopTerms:
         assert ranks["chord"] == 0
         assert ranks["ring"] == 1
         assert ranks["lookup"] == 2
-
-    def test_weight_pairs_sorted(self, doc: Document) -> None:
-        pairs = doc.as_weight_pairs()
-        assert pairs == [("chord", 3), ("ring", 2), ("lookup", 1)]
-
-    def test_weight_pairs_break_ties_alphabetically(self) -> None:
-        d = Document(doc_id="t", text="", _term_freqs=Counter({"pear": 1, "fig": 2, "apple": 1}))
-        assert d.as_weight_pairs() == [("fig", 2), ("apple", 1), ("pear", 1)]
 
 
 class TestContains:

@@ -32,14 +32,6 @@ class TestQuery:
     def test_len_counts_unique_terms(self) -> None:
         assert len(Query("q1", ("a", "b", "a"))) == 2
 
-    def test_overlap(self) -> None:
-        a = Query("a", ("x", "y", "z"))
-        b = Query("b", ("y", "z", "w"))
-        assert a.overlap_with(b) == 2
-
-    def test_term_set(self) -> None:
-        assert Query("q", ("b", "a")).term_set == frozenset({"a", "b"})
-
 
 class TestQrels:
     def test_add_and_lookup(self) -> None:
@@ -47,13 +39,10 @@ class TestQrels:
         qrels.add("q1", "d1")
         qrels.add("q1", "d2")
         assert qrels.relevant("q1") == {"d1", "d2"}
-        assert qrels.num_relevant("q1") == 2
 
     def test_unjudged_query(self) -> None:
         qrels = Qrels()
         assert qrels.relevant("nope") == set()
-        assert qrels.num_relevant("nope") == 0
-        assert not qrels.is_relevant("nope", "d1")
 
     def test_set_relevant_replaces(self) -> None:
         qrels = Qrels({"q1": {"d1"}})
@@ -92,13 +81,6 @@ class TestQuerySet:
         qs = self._make()
         assert len(qs) == 3
         assert [q.query_id for q in qs] == ["q1", "q2", "q3"]
-
-    def test_by_id(self) -> None:
-        assert self._make().by_id("q2").terms == ("b",)
-
-    def test_by_id_missing(self) -> None:
-        with pytest.raises(QueryError):
-            self._make().by_id("missing")
 
     def test_duplicate_ids_rejected(self) -> None:
         with pytest.raises(QueryError):

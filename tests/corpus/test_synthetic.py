@@ -81,13 +81,13 @@ class TestGeneratedCorpus:
     def test_every_query_has_relevant_documents(self, collection) -> None:
         __, query_set, __ = collection
         for query in query_set:
-            assert query_set.qrels.num_relevant(query.query_id) > 0
+            assert len(query_set.qrels.relevant(query.query_id)) > 0
 
     def test_relevant_docs_bounded(self, collection, micro_corpus_config) -> None:
         __, query_set, __ = collection
         for query in query_set:
             assert (
-                query_set.qrels.num_relevant(query.query_id)
+                len(query_set.qrels.relevant(query.query_id))
                 <= micro_corpus_config.relevant_per_query
             )
 
@@ -126,7 +126,9 @@ class TestTopicModel:
     def test_dominant_topic_valid(self, collection, micro_corpus_config) -> None:
         corpus, __, model = collection
         for doc_id in corpus.doc_ids:
-            assert 0 <= model.dominant_topic(doc_id) < micro_corpus_config.num_topics
+            weights = model.doc_topics[doc_id]
+            dominant = max(weights, key=lambda t: (weights[t], -t))
+            assert 0 <= dominant < micro_corpus_config.num_topics
 
     def test_topic_cores_disjoint(self, collection) -> None:
         __, __, model = collection

@@ -211,7 +211,7 @@ def drive(arity: int, lossy: bool, route_cache_size: int, seed=None):
         lookups(80)
     net = None
     if lossy:
-        net = (ring.transport.rng.getstate(), len(ring.transport.trace.records))
+        net = (ring.transport.rng.getstate(), len(ring.transport.trace))
     return log, ring.stats.summary(), ring.stats.lookup_hop_histogram, net
 
 

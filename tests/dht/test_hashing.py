@@ -45,16 +45,6 @@ class TestIdSpace:
         assert space.distance(20, 10) == 246   # wraps
         assert space.distance(5, 5) == 0
 
-    def test_finger_start(self) -> None:
-        space = IdSpace(8)
-        assert space.finger_start(0, 0) == 1
-        assert space.finger_start(0, 7) == 128
-        assert space.finger_start(200, 7) == (200 + 128) % 256
-
-    def test_finger_start_out_of_range(self) -> None:
-        with pytest.raises(ValueError):
-            IdSpace(8).finger_start(0, 8)
-
 
 class TestInterval:
     def test_simple_interval(self) -> None:

@@ -24,6 +24,7 @@ from repro.config import ChordConfig
 from repro.dht.ring import ChordRing
 
 from .full_rebuild import FullRebuildChordRing
+from ..probes import place, routing_snapshot
 
 BITS = 12
 SIZE = 1 << BITS
@@ -45,7 +46,7 @@ def build_pair(ids, arity: int = 2):
 
 def ring_state(ring: ChordRing):
     return {
-        node_id: (node.alive, node.routing_snapshot(), tuple(sorted(node.store)))
+        node_id: (node.alive, routing_snapshot(node), tuple(sorted(node.store)))
         for node_id, node in sorted(ring.nodes.items())
     }
 
@@ -88,8 +89,8 @@ def test_incremental_repair_matches_full_rebuild(data) -> None:
             inc.fail(victim)
         elif op == "place":
             key = data.draw(st.integers(0, SIZE - 1), label="placed key")
-            full.place(key, "payload")
-            inc.place(key, "payload")
+            place(full, key, "payload")
+            place(inc, key, "payload")
         else:
             full.stabilize()
             inc.stabilize()

@@ -181,9 +181,9 @@ class TestCategories:
             assert kind.category == "write"
 
     def test_stats_and_trace_fold_a_mixed_stream_alike(self) -> None:
-        """``NetworkStats.category_summary`` and
-        ``TraceLog.category_rollup`` read the same row, so a stream with
-        every kind in it folds to the same message count per category."""
+        """``TraceLog.category_rollup`` reads each kind's row, so a
+        stream with every kind in it folds to the message counts
+        ``NetworkStats`` holds per kind, summed by category."""
         log = TraceLog()
         transport = PerfectTransport(trace=log)
         stats = NetworkStats()
@@ -192,7 +192,9 @@ class TestCategories:
             for __ in range(repeat):
                 transport.deliver(msg)
                 stats.record(msg)
-        by_stats = {c: s["messages"] for c, s in stats.category_summary().items()}
+        by_stats: dict = {}
+        for kind, row in stats.snapshot().items():
+            by_stats[kind.category] = by_stats.get(kind.category, 0) + row.messages
         by_trace = {c: s.messages for c, s in log.category_rollup().items()}
         assert by_stats == by_trace
         assert set(by_trace) == self.CATEGORIES

@@ -97,16 +97,6 @@ class TestFirstLiveSuccessor:
 
 
 class TestStorage:
-    def test_put_get_drop(self) -> None:
-        node = make_node()
-        node.put(42, "value")
-        assert node.get(42) == "value"
-        assert node.drop(42) == "value"
-        assert node.get(42) is None
-
-    def test_drop_missing_returns_none(self) -> None:
-        assert make_node().drop(1) is None
-
     def test_get_or_replica_prefers_primary(self) -> None:
         node = make_node()
         node.put(1, "primary")
@@ -117,4 +107,4 @@ class TestStorage:
         node = make_node()
         node.replicas[1] = "replica"
         assert node.get_or_replica(1) == "replica"
-        assert node.get(1) is None
+        assert node.store.get(1) is None

@@ -21,6 +21,7 @@ from .test_incremental_stabilize import (
     crashes_then_stabilize,
     one_crash_repairs_incrementally,
 )
+from ..probes import routing_snapshot
 
 BITS = 12
 SIZE = 1 << BITS
@@ -89,7 +90,7 @@ class TestFingerSchedule:
 
 def ring_state(ring: ChordRing):
     return {
-        node_id: (node.alive, node.routing_snapshot(), tuple(sorted(node.store)))
+        node_id: (node.alive, routing_snapshot(node), tuple(sorted(node.store)))
         for node_id, node in sorted(ring.nodes.items())
     }
 

@@ -16,6 +16,7 @@ from repro.exceptions import (
     NodeFailedError,
     NodeNotFoundError,
 )
+from ..probes import place
 
 
 def make_ring(num_peers: int = 16, seed: int = 7, bits: int = 16) -> ChordRing:
@@ -74,7 +75,7 @@ class TestRoutingState:
         for node_id in ring.live_ids:
             node = ring.node(node_id)
             for i, finger in enumerate(node.fingers):
-                start = ring.space.finger_start(node_id, i)
+                start = (node_id + (1 << i)) % ring.space.size
                 assert finger == ring.successor_of(start)
 
     def test_successor_list_lengths(self) -> None:
@@ -163,12 +164,12 @@ class TestJoin:
     def test_join_migrates_keys(self) -> None:
         ring = ChordRing(ChordConfig(num_peers=2, id_bits=8), node_ids=[100, 200])
         # Key 150 belongs to node 200.
-        ring.place(150, "payload")
-        assert ring.node(200).get(150) == "payload"
+        place(ring, 150, "payload")
+        assert ring.node(200).store.get(150) == "payload"
         # A node at 160 takes over (100, 160]; key 150 must migrate.
         ring.join(node_id=160)
-        assert ring.node(160).get(150) == "payload"
-        assert ring.node(200).get(150) is None
+        assert ring.node(160).store.get(150) == "payload"
+        assert ring.node(200).store.get(150) is None
 
     def test_join_existing_live_id_rejected(self) -> None:
         ring = make_ring(4)
@@ -187,9 +188,9 @@ class TestJoin:
 class TestLeave:
     def test_leave_hands_over_keys(self) -> None:
         ring = ChordRing(ChordConfig(num_peers=3, id_bits=8), node_ids=[10, 100, 200])
-        ring.place(50, "fifty")          # owned by node 100
+        place(ring, 50, "fifty")          # owned by node 100
         ring.leave(100)
-        assert ring.node(200).get(50) == "fifty"
+        assert ring.node(200).store.get(50) == "fifty"
         assert ring.num_live == 2
 
     def test_leave_removes_node(self) -> None:
@@ -209,11 +210,11 @@ class TestLeave:
 class TestFail:
     def test_fail_keeps_data_in_place(self) -> None:
         ring = ChordRing(ChordConfig(num_peers=3, id_bits=8), node_ids=[10, 100, 200])
-        ring.place(50, "fifty")
+        place(ring, 50, "fifty")
         ring.fail(100)
         # Data is NOT handed over — crash-stop.
-        assert ring.node(100).get(50) == "fifty"
-        assert ring.node(200).get(50) is None
+        assert ring.node(100).store.get(50) == "fifty"
+        assert ring.node(200).store.get(50) is None
 
     def test_fail_is_idempotent(self) -> None:
         ring = make_ring(8)
@@ -247,9 +248,9 @@ class TestPlace:
     def test_place_at_responsible_node(self) -> None:
         ring = make_ring(16)
         key = 31337 % ring.space.size
-        holder = ring.place(key, {"v": 1})
+        holder = place(ring, key, {"v": 1})
         assert holder == ring.successor_of(key)
-        assert ring.node(holder).get(key) == {"v": 1}
+        assert ring.node(holder).store.get(key) == {"v": 1}
 
 
 @settings(max_examples=30, deadline=None)

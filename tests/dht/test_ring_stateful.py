@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.config import ChordConfig
 from repro.dht import ChordRing
+from ..probes import place
 
 
 class ChordMachine(RuleBasedStateMachine):
@@ -64,7 +65,7 @@ class ChordMachine(RuleBasedStateMachine):
     @rule(key=st.integers(min_value=0, max_value=2**16 - 1))
     def place_key(self, key: int) -> None:
         value = f"v{key}"
-        self.ring.place(key, value)
+        place(self.ring, key, value)
         self.placed[key] = value
 
     @rule()
@@ -101,7 +102,7 @@ class ChordMachine(RuleBasedStateMachine):
             return
         for key, value in self.placed.items():
             holder = self.ring.responsible_node(key)
-            assert holder.get(key) == value, f"key {key} lost"
+            assert holder.store.get(key) == value, f"key {key} lost"
 
 
 ChordMachine.TestCase.settings = settings(

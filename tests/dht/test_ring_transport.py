@@ -118,8 +118,8 @@ class TestCaptureMessages:
         sprite.ring.transport.trace = log
         sprite.search(q("chord ring"), cache=False)
         assert len(log) > 0
-        assert "search_term" in {trace.kind for trace in log.records}
-        for trace in log.records:
+        assert "search_term" in {trace.kind for trace in log.filtered()}
+        for trace in log.filtered():
             assert isinstance(trace.kind, str)
             assert trace.dst in sprite.ring.nodes
 

@@ -16,6 +16,10 @@ def msg(kind: MessageKind = MessageKind.SEARCH_TERM, size: int = 10, hops: int =
     return Message(kind, src=1, dst=2, size_bytes=size, hops=hops)
 
 
+def total_hops(stats: NetworkStats) -> int:
+    return sum(row.hops for row in stats.snapshot().values())
+
+
 class TestRecording:
     def test_totals(self) -> None:
         stats = NetworkStats()
@@ -23,7 +27,7 @@ class TestRecording:
         stats.record(msg(size=5, hops=1))
         assert stats.total_messages == 2
         assert stats.total_bytes == 15
-        assert stats.total_hops == 3
+        assert total_hops(stats) == 3
 
     def test_per_kind_isolation(self) -> None:
         stats = NetworkStats()
@@ -83,16 +87,6 @@ class TestSnapshots:
         assert snap[MessageKind.SEARCH_TERM].messages == 1
 
 
-class TestReset:
-    def test_reset_clears_everything(self) -> None:
-        stats = NetworkStats()
-        stats.record(msg())
-        stats.record_lookup(2)
-        stats.reset()
-        assert stats.total_messages == 0
-        assert stats.lookup_hop_histogram == {}
-
-
 class TestSummary:
     def test_summary_structure(self) -> None:
         stats = NetworkStats()
@@ -102,25 +96,6 @@ class TestSummary:
 
 
 class TestKindStats:
-    def test_merge(self) -> None:
-        merged = KindStats(1, 10, 2).merged_with(KindStats(2, 20, 3))
-        assert (merged.messages, merged.bytes, merged.hops) == (3, 30, 5)
-
-    def test_merge_with_zero_is_identity(self) -> None:
-        base = KindStats(4, 40, 8)
-        merged = base.merged_with(KindStats())
-        assert merged == base
-
-    def test_merge_is_commutative(self) -> None:
-        a, b = KindStats(1, 2, 3), KindStats(10, 20, 30)
-        assert a.merged_with(b) == b.merged_with(a)
-
-    def test_merge_returns_new_object(self) -> None:
-        a, b = KindStats(1, 2, 3), KindStats(1, 1, 1)
-        merged = a.merged_with(b)
-        assert merged is not a and merged is not b
-        assert (a.messages, b.messages) == (1, 1)  # inputs untouched
-
     def test_record_accumulates(self) -> None:
         """A kind's row accumulates in place: ``NetworkStats.record`` is
         the one writer, ``kind()`` hands out the live row."""
@@ -144,14 +119,14 @@ class TestPerKindBreakdown:
         summary = stats.summary()
         assert stats.total_messages == sum(s["messages"] for s in summary.values())
         assert stats.total_bytes == sum(s["bytes"] for s in summary.values())
-        assert stats.total_hops == sum(s["hops"] for s in summary.values())
+        assert total_hops(stats) == sum(s["hops"] for s in summary.values())
 
     def test_breakdown_reconciles_after_lookups_too(self) -> None:
         stats = NetworkStats()
         stats.record(msg(MessageKind.POLL_QUERIES, size=8, hops=2))
         stats.record_lookup(5)
         assert stats.total_messages == 2
-        assert stats.total_hops == 7
+        assert total_hops(stats) == 7
         assert stats.kind(MessageKind.LOOKUP).bytes == 0
 
     def test_summary_sorted_by_kind_value(self) -> None:
@@ -167,52 +142,11 @@ class TestPerKindBreakdown:
         snap = stats.snapshot()
         stats.record(msg(MessageKind.SEARCH_TERM, size=7, hops=2))
         delta = stats.delta_since(snap)
-        merged = snap[MessageKind.SEARCH_TERM].merged_with(
-            delta[MessageKind.SEARCH_TERM]
+        then, since = snap[MessageKind.SEARCH_TERM], delta[MessageKind.SEARCH_TERM]
+        merged = KindStats(
+            then.messages + since.messages, then.bytes + since.bytes, then.hops + since.hops
         )
         assert merged == stats.kind(MessageKind.SEARCH_TERM)
-
-
-class TestCategorySummary:
-    def test_folds_kinds_into_categories(self) -> None:
-        stats = NetworkStats()
-        stats.record(msg(MessageKind.PUBLISH_TERM, size=10, hops=1))
-        stats.record(msg(MessageKind.PUBLISH_BATCH, size=40, hops=2))
-        stats.record(msg(MessageKind.POLL_BATCH, size=30, hops=1))
-        stats.record(msg(MessageKind.SEARCH_TERM, size=20, hops=3))
-        stats.record(msg(MessageKind.HEARTBEAT, size=5, hops=0))
-        summary = stats.category_summary()
-        assert set(summary) == {"write", "query", "maintenance"}
-        assert summary["write"]["messages"] == 3
-        assert summary["write"]["bytes"] == 80
-        assert summary["query"]["messages"] == 1
-        assert summary["maintenance"]["messages"] == 1
-
-    def test_only_categories_with_traffic_appear(self) -> None:
-        stats = NetworkStats()
-        assert stats.category_summary() == {}
-        stats.record(msg(MessageKind.LOOKUP, size=1, hops=1))
-        assert list(stats.category_summary()) == ["routing"]
-
-    def test_category_totals_reconcile_with_kind_totals(self) -> None:
-        stats = NetworkStats()
-        for kind in (
-            MessageKind.PUBLISH_BATCH,
-            MessageKind.UNPUBLISH_BATCH,
-            MessageKind.POSTINGS,
-            MessageKind.REPLICATE,
-            MessageKind.LOOKUP,
-        ):
-            stats.record(msg(kind, size=10, hops=2))
-        by_category = stats.category_summary()
-        assert (
-            sum(entry["messages"] for entry in by_category.values())
-            == stats.total_messages
-        )
-        assert (
-            sum(entry["bytes"] for entry in by_category.values())
-            == stats.total_bytes
-        )
 
 
 class TestRowsAreReachedByOrdinal:
@@ -256,7 +190,7 @@ class TestRowsAreReachedByOrdinal:
 
 
 #: One call on a :class:`NetworkStats`: record a message of a kind,
-#: record a lookup, take a snapshot, or reset.
+#: record a lookup, or take a snapshot.
 _CALLS = st.one_of(
     st.tuples(
         st.just("record"),
@@ -266,7 +200,6 @@ _CALLS = st.one_of(
     ),
     st.tuples(st.just("lookup"), st.integers(0, 40)),
     st.tuples(st.just("snapshot")),
-    st.tuples(st.just("reset")),
 )
 
 
@@ -295,13 +228,12 @@ def _folded(sums, key):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_CALLS, max_size=60))
 def test_every_view_is_a_sum_over_the_recorded_stream(calls) -> None:
-    """Every readout equals what the calls since the last reset add up
-    to: a lookup is a LOOKUP message of no bytes, kinds appear in the
+    """Every readout equals what the calls add up to: a lookup is a LOOKUP message of no bytes, kinds appear in the
     order first recorded, and a snapshot is the readout of its moment,
     untouched by what comes after."""
     stats = NetworkStats()
-    records: list = []  # (kind, bytes, hops) since the last reset
-    lookups: list = []  # hops of each lookup since the last reset
+    records: list = []  # (kind, bytes, hops)
+    lookups: list = []  # hops of each lookup
     snapshots: list = []  # (snapshot, sums when it was taken)
     for call in calls:
         if call[0] == "record":
@@ -312,13 +244,9 @@ def test_every_view_is_a_sum_over_the_recorded_stream(calls) -> None:
             stats.record_lookup(call[1])
             records.append((MessageKind.LOOKUP, 0, call[1]))
             lookups.append(call[1])
-        elif call[0] == "snapshot":
+        else:
             seen = list(dict.fromkeys(kind for kind, __, __ in records))
             snapshots.append((stats.snapshot(), _sums(records, seen)))
-        else:
-            stats.reset()
-            records.clear()
-            lookups.clear()
 
     seen = list(dict.fromkeys(kind for kind, __, __ in records))
     sums = _sums(records, seen)
@@ -327,10 +255,9 @@ def test_every_view_is_a_sum_over_the_recorded_stream(calls) -> None:
         assert (row.messages, row.bytes, row.hops) == sums.get(kind, (0, 0, 0))
     assert stats.total_messages == len(records)
     assert stats.total_bytes == sum(size for __, size, __ in records)
-    assert stats.total_hops == sum(hops for __, __, hops in records)
+    assert total_hops(stats) == sum(hops for __, __, hops in records)
     assert stats.summary() == _folded(sums, lambda kind: kind.value)
     assert list(stats.summary()) == sorted(kind.value for kind in seen)
-    assert stats.category_summary() == _folded(sums, lambda kind: kind.category)
     assert stats.lookup_hop_histogram == Counter(lookups)
     assert stats.mean_lookup_hops == (sum(lookups) / len(lookups) if lookups else 0.0)
 

@@ -62,7 +62,7 @@ class TestAggregation:
         }
         agg = aggregate(results)
         assert agg.mean_precision == pytest.approx((0.5 + 1.0) / 2)
-        assert agg.num_queries == 2
+        assert len(agg.per_query) == 2
 
     def test_unjudged_queries_skipped(self) -> None:
         results = {
@@ -70,12 +70,12 @@ class TestAggregation:
             "unjudged": precision_recall_at(ranked("b"), set(), k=1),
         }
         agg = aggregate(results)
-        assert agg.num_queries == 1
+        assert len(agg.per_query) == 1
         assert agg.mean_precision == 1.0
 
     def test_all_unjudged(self) -> None:
         agg = aggregate({"q": precision_recall_at(ranked("a"), set(), k=1)})
-        assert agg.mean_precision == 0.0 and agg.num_queries == 0
+        assert agg.mean_precision == 0.0 and len(agg.per_query) == 0
 
     def test_evaluate_rankings(self) -> None:
         qrels = Qrels({"q1": {"a"}, "q2": {"z"}})
@@ -114,8 +114,8 @@ class TestRelativeResult:
             qrels,
             k=1,
         )
-        assert rel.system.num_queries == 1
-        assert rel.reference.num_queries == 1
+        assert len(rel.system.per_query) == 1
+        assert len(rel.reference.per_query) == 1
 
 
 @given(

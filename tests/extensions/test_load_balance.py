@@ -11,6 +11,7 @@ from repro.dht.messages import MessageKind
 from repro.extensions import HotTermAdvisor
 from repro.net.faults import FaultInjector
 from repro.net.transport import DeliveryPolicy, LossyTransport
+from ..probes import ids
 
 CHORD = ChordConfig(num_peers=16, id_bits=32, seed=83)
 
@@ -82,7 +83,7 @@ class TestHotTermAdvisor:
         replacement terms."""
         HotTermAdvisor(system, df_threshold=5).rebalance()
         ranked = system.search(Query("q", ("special3",)), cache=False)
-        assert "d3" in ranked.ids()
+        assert "d3" in ids(ranked)
 
     def test_lost_advice_leaves_the_term_in_place(self, system: SpriteSystem) -> None:
         """Advice takes effect only once it is delivered: on a network

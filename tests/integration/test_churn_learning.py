@@ -121,4 +121,4 @@ def test_index_stays_consistent_after_churned_training(micro_env) -> None:
         maintenance.heal_until_stable()
         system.run_learning_iteration()
     report = InvariantChecker(system).check(quiescent=True)
-    assert report.ok, [str(v) for v in report.violations]
+    assert not report.violations, [str(v) for v in report.violations]

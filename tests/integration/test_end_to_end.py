@@ -15,6 +15,7 @@ from repro.evaluation import (
     build_trained_sprite,
     relative_to_centralized,
 )
+from ..probes import ids
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ class TestChurnResilience:
         distributed index keeps answering queries."""
         system = build_trained_sprite(small_env)
         query = small_env.test.queries[0]
-        before = system.search(query, cache=False).ids()
+        before = ids(system.search(query, cache=False))
 
         manager = ReplicationManager(system.ring, replication_factor=3)
         manager.replicate_round()
@@ -101,7 +102,7 @@ class TestChurnResilience:
             system.ring.fail(victim)
         manager.recover_from_failures()
 
-        after = system.search(query, cache=False).ids()
+        after = ids(system.search(query, cache=False))
         assert after == before
 
     def test_failures_without_replication_lose_terms(self, small_env) -> None:
@@ -143,8 +144,8 @@ class TestCrossSystemConsistency:
         doc = small_env.corpus.get(small_env.corpus.doc_ids[0])
         term = doc.top_terms(1)[0]
         q = Query("probe", (term,))
-        sprite_ids = set(sprite.search(q, top_k=100, cache=False).ids())
-        esearch_ids = set(esearch.search(q, top_k=100, cache=False).ids())
+        sprite_ids = set(ids(sprite.search(q, top_k=100, cache=False)))
+        esearch_ids = set(ids(esearch.search(q, top_k=100, cache=False)))
         # eSearch indexes 20 terms ⊇ SPRITE's 5 → its posting list for a
         # top-frequency term is a superset.
         assert sprite_ids <= esearch_ids

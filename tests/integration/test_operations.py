@@ -9,6 +9,7 @@ from repro.core import MaintenanceDaemon
 from repro.dht import ReplicationManager
 from repro.evaluation.experiments import build_trained_sprite
 from repro.extensions import HotTermAdvisor
+from ..probes import ids
 
 
 @pytest.fixture()
@@ -25,7 +26,7 @@ class TestMaintenanceAfterChurn:
         itself — is gone, so unfindability is correct, not a bug)."""
         queries = small_env.test.queries[:15]
         baseline = {
-            q.query_id: trained.search(q, top_k=500, cache=False).id_set()
+            q.query_id: set(ids(trained.search(q, top_k=500, cache=False)))
             for q in queries
         }
         victims = [
@@ -44,7 +45,7 @@ class TestMaintenanceAfterChurn:
         MaintenanceDaemon(trained).heal_until_stable(max_rounds=4)
 
         for query in queries:
-            after = trained.search(query, top_k=500, cache=False).id_set()
+            after = set(ids(trained.search(query, top_k=500, cache=False)))
             missing = baseline[query.query_id] - after
             assert missing <= dead_owner_docs, (
                 f"{query.query_id}: lost live-owner documents {missing - dead_owner_docs}"
@@ -78,5 +79,5 @@ class TestLoadBalancingOnLiveSystem:
             assert switches > 0
         # System still answers after any rebalancing.
         ranked = trained.search(small_env.test.queries[1], cache=False)
-        assert isinstance(ranked.ids(), list)
+        assert isinstance(ids(ranked), list)
 

@@ -1,23 +1,38 @@
 """The per-``Posting`` centralized index, kept as a reference model.
 
 Before the index stored raw counts, every posting was a frozen
-:class:`~repro.ir.inverted_index.Posting` object and the three
-centralized scorers read its fields.  This module keeps that index and
-those scorers unchanged, so a test can require the counts-backed
-:class:`~repro.ir.inverted_index.InvertedIndex`, ``CentralizedSystem``
-(both normalizations) and ``BM25System`` to agree with it bit for bit.
+:class:`Posting` object and the centralized scorers read its fields.
+This module keeps that index and those scorers unchanged, so a test can
+require the counts-backed :class:`~repro.ir.inverted_index.InvertedIndex`
+under ``CentralizedSystem`` and ``BM25System`` to agree with it bit for
+bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.corpus import Corpus, Document, Query
 from repro.ir.bm25 import BM25System
 from repro.ir.centralized import CentralizedSystem
-from repro.ir.inverted_index import Posting
 from repro.ir.ranking import RankedList
-from repro.ir.similarity import cosine_similarity, lee_similarity, weight_norm
+from repro.ir.similarity import lee_similarity
+
+
+@dataclass(frozen=True)
+class Posting:
+    """One inverted-list entry.
+
+    ``normalized_tf`` is the paper's t_ik (raw frequency over document
+    length); ``doc_length`` the analyzed term-occurrence count of the
+    document (used by Lee-style normalization as "number of terms").
+    """
+
+    doc_id: str
+    raw_tf: int
+    normalized_tf: float
+    doc_length: int
 
 
 class LegacyInvertedIndex:
@@ -48,18 +63,6 @@ class LegacyInvertedIndex:
                 doc_length=doc.length,
             )
 
-    def remove_document(self, doc: Document) -> None:
-        if doc.doc_id not in self._doc_lengths:
-            return
-        del self._doc_lengths[doc.doc_id]
-        self._doc_count -= 1
-        for term in list(doc.term_freqs):
-            postings = self._postings.get(term)
-            if postings is not None:
-                postings.pop(doc.doc_id, None)
-                if not postings:
-                    del self._postings[term]
-
     @property
     def num_documents(self) -> int:
         return self._doc_count
@@ -73,28 +76,13 @@ class LegacyInvertedIndex:
     def doc_length(self, doc_id: str) -> int:
         return self._doc_lengths.get(doc_id, 0)
 
-    def terms(self):
-        return self._postings.keys()
-
 
 class LegacyCentralizedSystem(CentralizedSystem):
     """``CentralizedSystem`` scoring through :class:`Posting` fields."""
 
-    def __init__(self, corpus: Corpus, normalization: str = "lee") -> None:
-        super().__init__(corpus, normalization)
+    def __init__(self, corpus: Corpus) -> None:
+        super().__init__(corpus)
         self.index = LegacyInvertedIndex.from_corpus(corpus)
-
-    def _build_norms(self) -> Dict[str, float]:
-        if self._doc_norms is None:
-            norms: Dict[str, Dict[str, float]] = {}
-            for term in self.index.terms():
-                df = self.index.document_frequency(term)
-                for posting in self.index.postings(term):
-                    norms.setdefault(posting.doc_id, {})[term] = (
-                        self.weighting.document_weight(posting.normalized_tf, df)
-                    )
-            self._doc_norms = {d: weight_norm(w) for d, w in norms.items()}
-        return self._doc_norms
 
     def search(self, query: Query, top_k: int | None = None) -> RankedList:
         query_weights = self._query_weights(query.terms)
@@ -106,17 +94,10 @@ class LegacyCentralizedSystem(CentralizedSystem):
                     self.weighting.document_weight(posting.normalized_tf, df)
                 )
         scores: Dict[str, float] = {}
-        if self.normalization == "cosine":
-            norms = self._build_norms()
-            for doc_id, weights in doc_weights.items():
-                scores[doc_id] = cosine_similarity(
-                    query_weights, weights, norms.get(doc_id, 0.0)
-                )
-        else:
-            for doc_id, weights in doc_weights.items():
-                scores[doc_id] = lee_similarity(
-                    query_weights, weights, self.index.doc_length(doc_id)
-                )
+        for doc_id, weights in doc_weights.items():
+            scores[doc_id] = lee_similarity(
+                query_weights, weights, self.index.doc_length(doc_id)
+            )
         ranked = RankedList(scores)
         return ranked if top_k is None else ranked.truncate(top_k)
 

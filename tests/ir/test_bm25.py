@@ -8,6 +8,7 @@ import pytest
 
 from repro.corpus import Corpus, Document, Query
 from repro.ir import BM25System
+from ..probes import ids, scores as score_map
 
 
 @pytest.fixture(scope="module")
@@ -43,20 +44,20 @@ class TestIdf:
 class TestSearch:
     def test_matching_documents_only(self, system: BM25System) -> None:
         ranked = system.search(Query("q", ("chord",)))
-        assert set(ranked.ids()) == {"heavy", "light", "long"}
+        assert set(ids(ranked)) == {"heavy", "light", "long"}
 
     def test_tf_saturation(self, corpus: Corpus) -> None:
         """BM25's hallmark: term frequency saturates — 4 occurrences
         score less than 4× one occurrence."""
         system = BM25System(corpus)
         ranked = system.search(Query("q", ("chord",)))
-        scores = ranked.scores()
+        scores = score_map(ranked)
         assert scores["heavy"] < 4 * scores["light"]
 
     def test_length_normalization(self, system: BM25System) -> None:
         """Same tf, much longer document → lower score."""
         ranked = system.search(Query("q", ("chord",)))
-        scores = ranked.scores()
+        scores = score_map(ranked)
         assert scores["light"] > scores["long"]
 
     def test_top_k(self, system: BM25System) -> None:
@@ -64,7 +65,7 @@ class TestSearch:
 
     def test_b_zero_disables_length_normalization(self, corpus: Corpus) -> None:
         flat = BM25System(corpus, b=0.0)
-        scores = flat.search(Query("q", ("chord",))).scores()
+        scores = score_map(flat.search(Query("q", ("chord",))))
         # With b=0, 'long' (tf=1) ties 'light' (tf=1) exactly.
         assert scores["long"] == pytest.approx(scores["light"])
 
@@ -83,4 +84,4 @@ class TestAgainstClassicTfIdf:
         bm25 = BM25System(corpus)
         for terms in (("chord",), ("ring", "lookup"), ("gossip",)):
             q = Query("q", terms)
-            assert set(classic.search(q).ids()) == set(bm25.search(q).ids())
+            assert set(ids(classic.search(q))) == set(ids(bm25.search(q)))

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.ir.ranking import RankedList, ScoredDoc
+from ..probes import ids
 
 
 @pytest.fixture()
@@ -29,7 +30,7 @@ class TestOrdering:
 
     def test_deterministic(self, ranked: RankedList) -> None:
         again = RankedList({"d4": 0.9, "d3": 0.1, "d2": 0.9, "d1": 0.5})
-        assert ranked.ids() == again.ids()
+        assert ids(ranked) == ids(again)
 
 
 class TestAccess:
@@ -45,28 +46,12 @@ class TestAccess:
     def test_top_k_longer_than_list(self, ranked: RankedList) -> None:
         assert len(ranked.top(99)) == 4
 
-    def test_rank_of(self, ranked: RankedList) -> None:
-        assert ranked.rank_of("d2") == 0
-        assert ranked.rank_of("d3") == 3
-        assert ranked.rank_of("ghost") == -1
-
-    def test_contains(self, ranked: RankedList) -> None:
-        assert ranked.contains("d1")
-        assert not ranked.contains("ghost")
-
-    def test_scores_mapping(self, ranked: RankedList) -> None:
-        assert ranked.scores()["d1"] == 0.5
-
-    def test_id_set(self, ranked: RankedList) -> None:
-        assert ranked.id_set(2) == {"d2", "d4"}
-        assert ranked.id_set() == {"d1", "d2", "d3", "d4"}
-
 
 class TestTruncate:
     def test_truncate_produces_new_list(self, ranked: RankedList) -> None:
         top2 = ranked.truncate(2)
         assert len(top2) == 2
-        assert top2.ids() == ["d2", "d4"]
+        assert ids(top2) == ["d2", "d4"]
         assert len(ranked) == 4  # original untouched
 
     def test_truncate_beyond_length(self, ranked: RankedList) -> None:
@@ -85,18 +70,18 @@ class TestTopK:
 
     def test_top_k_equals_sort_and_slice(self) -> None:
         scores = {"a": 1.0, "b": 3.0, "c": 2.0, "d": 3.0, "e": 0.5}
-        assert RankedList.top_k(scores, 3).ids() == RankedList(scores).ids()[:3]
+        assert ids(RankedList.top_k(scores, 3)) == ids(RankedList(scores))[:3]
 
     def test_tie_ordering_pinned(self) -> None:
         # Four-way tie: selection must keep ascending doc-id order and
         # cut deterministically at k.
         scores = {"d": 1.0, "b": 1.0, "c": 1.0, "a": 1.0, "z": 2.0}
-        assert RankedList.top_k(scores, 3).ids() == ["z", "a", "b"]
+        assert ids(RankedList.top_k(scores, 3)) == ["z", "a", "b"]
 
     def test_top_k_zero_and_beyond_length(self) -> None:
         scores = {"a": 1.0, "b": 2.0}
-        assert RankedList.top_k(scores, 0).ids() == []
-        assert RankedList.top_k(scores, 99).ids() == ["b", "a"]
+        assert ids(RankedList.top_k(scores, 0)) == []
+        assert ids(RankedList.top_k(scores, 99)) == ["b", "a"]
 
     @given(
         st.dictionaries(
@@ -109,8 +94,8 @@ class TestTopK:
     def test_top_k_matches_truncate_and_sort(self, scores: dict, k: int) -> None:
         full = RankedList(scores)
         selected = RankedList.top_k(scores, k)
-        assert selected.ids() == full.ids()[:k]
-        assert selected.ids() == full.truncate(k).ids()
+        assert ids(selected) == ids(full)[:k]
+        assert ids(selected) == ids(full.truncate(k))
         assert [e.score for e in selected] == [e.score for e in full][:k]
 
 
@@ -160,7 +145,7 @@ class TestDegenerateK:
     def test_zero_k_is_the_empty_list(self) -> None:
         assert list(RankedList.top_k(self.SCORES, 0)) == []
         assert list(RankedList(self.SCORES).truncate(0)) == []
-        assert RankedList.top_k({}, 0).ids() == RankedList.top_k({}, 5).ids() == []
+        assert ids(RankedList.top_k({}, 0)) == ids(RankedList.top_k({}, 5)) == []
 
 
 class TestScoredDoc:
@@ -175,17 +160,3 @@ class TestScoredDoc:
         assert (doc_id, score) == ("d1", 0.25)
         with pytest.raises(AttributeError):
             entry.score = 1.0  # type: ignore[misc]
-
-
-@given(
-    st.dictionaries(
-        st.text(alphabet="abcdxyz", min_size=1, max_size=4),
-        st.floats(min_value=-100, max_value=100, allow_nan=False),
-        max_size=30,
-    )
-)
-def test_rank_of_consistent_with_iteration(scores: dict) -> None:
-    rl = RankedList(scores)
-    for rank, entry in enumerate(rl):
-        assert rl.rank_of(entry.doc_id) == rank
-    assert len(rl) == len(scores)

@@ -2,18 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ir.similarity import (
-    consolidate,
-    cosine_similarity,
-    lee_similarity,
-    weight_norm,
-)
+from repro.ir.similarity import lee_similarity
 
 
 class TestLeeSimilarity:
@@ -43,48 +36,6 @@ class TestLeeSimilarity:
         q = {"a": 1.0}
         d = {"a": 1.0}
         assert lee_similarity(q, d, 4) > lee_similarity(q, d, 16)
-
-
-class TestCosineSimilarity:
-    def test_identical_vectors(self) -> None:
-        v = {"a": 3.0, "b": 4.0}
-        assert cosine_similarity(v, v, weight_norm(v)) == pytest.approx(1.0)
-
-    def test_orthogonal_vectors(self) -> None:
-        assert cosine_similarity({"a": 1.0}, {"b": 1.0}, 1.0) == 0.0
-
-    def test_zero_norm_document(self) -> None:
-        assert cosine_similarity({"a": 1.0}, {}, 0.0) == 0.0
-
-    def test_zero_query(self) -> None:
-        assert cosine_similarity({}, {"a": 1.0}, 1.0) == 0.0
-
-    def test_bounded_by_one(self) -> None:
-        q = {"a": 1.0, "b": 2.0}
-        d = {"a": 5.0, "b": 0.5, "c": 9.0}
-        sim = cosine_similarity(q, d, weight_norm(d))
-        assert 0.0 <= sim <= 1.0 + 1e-9
-
-
-class TestWeightNorm:
-    def test_pythagoras(self) -> None:
-        assert weight_norm({"a": 3.0, "b": 4.0}) == pytest.approx(5.0)
-
-    def test_empty(self) -> None:
-        assert weight_norm({}) == 0.0
-
-
-class TestConsolidate:
-    def test_pivot(self) -> None:
-        by_term = {
-            "a": {"d1": 1.0, "d2": 2.0},
-            "b": {"d1": 3.0},
-        }
-        by_doc = consolidate(by_term)
-        assert by_doc == {"d1": {"a": 1.0, "b": 3.0}, "d2": {"a": 2.0}}
-
-    def test_empty(self) -> None:
-        assert consolidate({}) == {}
 
 
 @given(

@@ -49,7 +49,7 @@ def legacy_deliver(
     attempts = 0
     outcome = DeliveryOutcome.DROPPED
 
-    for attempt in range(policy.max_attempts):
+    for attempt in range(1 + policy.max_retries):
         attempts += 1
         elapsed += policy.backoff_before(attempt, transport.rng)
         now = transport.clock.now + elapsed

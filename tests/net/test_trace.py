@@ -133,9 +133,6 @@ class TestRollup:
         log.record(trace(outcome=DROPPED))
         assert len(log.filtered(outcome=DROPPED)) == 1
 
-    def test_retries_property_on_trace(self) -> None:
-        assert trace(attempts=3).retries == 2
-
 
 class TestSummaryTable:
     def test_deterministic_and_complete(self) -> None:

@@ -38,15 +38,16 @@ class TestDistributionNeighbors:
         """Brute-force check: returned candidates minimize
         |Distribution(anchor) − Distribution(candidate)|."""
         corpus = small_env.corpus
+        table = corpus.distribution_table()
         anchor = corpus.vocabulary[5]
-        anchor_value = corpus.distribution(anchor)
+        anchor_value = table[anchor]
         got = neighbors.closest(anchor, 5, exclude=set())
-        got_worst = max(abs(corpus.distribution(t) - anchor_value) for t in got)
+        got_worst = max(abs(table[t] - anchor_value) for t in got)
         better_count = sum(
             1
             for t in corpus.vocabulary
             if t != anchor
-            and abs(corpus.distribution(t) - anchor_value) < got_worst
+            and abs(table[t] - anchor_value) < got_worst
         )
         # At most 5 terms can be strictly closer than our worst pick
         # (ties make this an inequality, not equality).
@@ -54,7 +55,7 @@ class TestDistributionNeighbors:
 
     def test_distribution_passthrough(self, neighbors, small_env) -> None:
         term = small_env.corpus.vocabulary[3]
-        assert neighbors.distribution(term) == small_env.corpus.distribution(term)
+        assert neighbors.distribution(term) == small_env.corpus.distribution_table()[term]
         assert neighbors.distribution("zzz-unknown") == 0.0
 
 
@@ -64,7 +65,7 @@ class TestPhase1:
         generator = QueryGenerator(env.corpus, env.centralized, cfg)
         generated = generator.generate(env.originals)
         for new_query in generated:
-            original = env.originals.by_id(new_query.origin_id)
+            original = next(q for q in env.originals if q.query_id == new_query.origin_id)
             keep = max(1, round(0.7 * len(original.terms)))
             shared = len(set(new_query.terms) & set(original.terms))
             assert shared >= min(keep, len(original.terms)) - 1
@@ -73,7 +74,7 @@ class TestPhase1:
         cfg = QueryGenConfig(queries_per_original=2, overlap_ratio=1.0, seed=5)
         generated = QueryGenerator(env.corpus, env.centralized, cfg).generate(env.originals)
         for new_query in generated:
-            original = env.originals.by_id(new_query.origin_id)
+            original = next(q for q in env.originals if q.query_id == new_query.origin_id)
             assert set(original.terms) <= set(new_query.terms)
 
     def test_count_per_original(self, env) -> None:
@@ -104,14 +105,14 @@ class TestPhase2:
 
     def test_every_generated_query_judged(self, generated) -> None:
         for query in generated:
-            assert generated.qrels.num_relevant(query.query_id) > 0
+            assert len(generated.qrels.relevant(query.query_id)) > 0
 
     def test_relevant_count_bounded_by_original(self, generated, small_env) -> None:
         """Phase 2 marks at most one new document per original relevant
         document (shared answers consume marks)."""
         for query in generated:
-            original_count = small_env.originals.qrels.num_relevant(query.origin_id)
-            assert generated.qrels.num_relevant(query.query_id) <= original_count
+            original_count = len(small_env.originals.qrels.relevant(query.origin_id))
+            assert len(generated.qrels.relevant(query.query_id)) <= original_count
 
     def test_shared_relevant_documents_exist(self, generated, small_env) -> None:
         """With 70% term overlap, at least some generated queries must

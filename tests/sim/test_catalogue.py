@@ -11,7 +11,6 @@ from repro.sim import (
     report_record,
     run_catalogue,
     run_catalogue_entry,
-    scenario_fingerprint,
 )
 
 REQUIRED = {
@@ -70,9 +69,7 @@ class TestCatalogueStructure:
 class TestDeterminism:
     def test_same_seed_same_event_stream(self) -> None:
         for entry in CATALOGUE.values():
-            assert scenario_fingerprint(entry.build(9)) == scenario_fingerprint(
-                entry.build(9)
-            )
+            assert entry.build(9) == entry.build(9)
 
     def test_same_seed_same_report(self) -> None:
         first = report_record(

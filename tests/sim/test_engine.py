@@ -8,7 +8,7 @@ import pytest
 
 from repro.corpus import Document
 from repro.net import LossyTransport
-from repro.sim import SimEvent, build_simulation, random_scenario, scenario
+from repro.sim import Scenario, SimEvent, build_simulation, random_scenario
 from repro.sim.engine import revise_document
 
 
@@ -84,9 +84,8 @@ class TestEventApplication:
 class TestRun:
     def test_report_counts_and_ok(self) -> None:
         engine = build_simulation(seed=7)
-        s = scenario(
-            7, ["publish", "replicate", "crash", "stabilize", "recover", "maintain"]
-        )
+        kinds = ("publish", "replicate", "crash", "stabilize", "recover", "maintain")
+        s = Scenario(7, tuple(SimEvent(kind) for kind in kinds))
         report = engine.run(s)
         assert report.ok, [str(v) for __, __, v in report.violations]
         assert report.events_applied == 6
@@ -103,7 +102,7 @@ class TestRun:
 
     def test_summary_lines_mention_violations(self) -> None:
         engine = build_simulation(seed=8)
-        report = engine.run(scenario(8, ["publish", "maintain"]))
+        report = engine.run(Scenario(8, (SimEvent("publish"), SimEvent("maintain"))))
         assert any("all invariants held" in line for line in report.summary_lines())
 
 

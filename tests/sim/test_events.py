@@ -1,13 +1,10 @@
-"""The scenario DSL: validation, serialization, generation."""
+"""The scenario DSL: validation, generation."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.sim import EVENT_KINDS, HEAL_SEQUENCE, Scenario, SimEvent, random_scenario
-from repro.sim import scenario as make_scenario
+from repro.sim import EVENT_KINDS, HEAL_SEQUENCE, SimEvent, random_scenario
 
 
 class TestSimEvent:
@@ -22,42 +19,6 @@ class TestSimEvent:
     def test_rejects_negative_duration(self) -> None:
         with pytest.raises(ValueError):
             SimEvent(kind="blackout", duration_ms=-1.0)
-
-    def test_dict_round_trip_preserves_fields(self) -> None:
-        event = SimEvent(kind="blackout", duration_ms=250.0, count=2, name="n1")
-        assert SimEvent.from_dict(event.to_dict()) == event
-
-    def test_defaults_omitted_from_dict(self) -> None:
-        assert SimEvent(kind="maintain").to_dict() == {"kind": "maintain"}
-
-
-class TestScenario:
-    def test_shorthand_builder(self) -> None:
-        s = make_scenario(7, ["publish", "crash", "maintain"])
-        assert [e.kind for e in s] == ["publish", "crash", "maintain"]
-        assert s.seed == 7
-
-    def test_kind_counts(self) -> None:
-        s = make_scenario(0, ["query", "query", "crash"])
-        assert s.kind_counts() == {"query": 2, "crash": 1}
-
-    def test_json_round_trip(self, tmp_path) -> None:
-        original = Scenario(
-            seed=11,
-            events=(
-                SimEvent("publish", count=3),
-                SimEvent("join", name="n-1"),
-                SimEvent("blackout", duration_ms=100.0),
-            ),
-            description="round trip",
-        )
-        path = tmp_path / "scenario.json"
-        original.save(path)
-        assert Scenario.load(path) == original
-        # the file is plain JSON a human can edit
-        data = json.loads(path.read_text())
-        assert data["seed"] == 11
-        assert len(data["events"]) == 3
 
 
 class TestRandomScenario:

@@ -17,7 +17,8 @@ from repro.core.metadata import (
     TermSlot,
     query_digest,
 )
-from repro.sim import SimEvent, build_simulation, scenario
+from repro.sim import SimEvent, build_simulation
+from ..probes import posting
 
 
 @pytest.fixture()
@@ -38,14 +39,14 @@ def violated(report, invariant: str) -> bool:
 class TestHealthyState:
     def test_all_invariants_hold(self, engine) -> None:
         report = engine.check_now()
-        assert report.ok, [str(v) for v in report.violations]
+        assert not report.violations, [str(v) for v in report.violations]
         assert set(report.checked) == {
             name for name, __ in engine.checker.CATALOGUE
         }
 
     def test_non_quiescent_check_skips_quiescent_tier(self, engine) -> None:
         report = engine.checker.check(quiescent=False)
-        assert report.ok
+        assert not report.violations
         assert set(report.checked) == {
             name for name, q_only in engine.checker.CATALOGUE if not q_only
         }
@@ -223,7 +224,7 @@ class TestPostingConservation:
         # double-count this invariant exists to catch
         other = next(nid for nid in ring.live_ids if nid != primary.node_id)
         clone = TermSlot(term=term, cache=QueryCache(4))
-        clone.add_posting(primary.store[key].get_posting(doc_id))
+        clone.add_posting(posting(primary.store[key], doc_id))
         ring.node(other).store[key] = clone
         report = engine.checker.check(quiescent=True)
         assert violated(report, "posting_conservation")
@@ -232,7 +233,7 @@ class TestPostingConservation:
 class TestSlotVersionMonotone:
     def test_detects_version_regression(self, engine) -> None:
         # First check records the watermarks...
-        assert engine.check_now().ok
+        assert not engine.check_now().violations
         ring = engine.system.ring
         slot = next(
             s
@@ -247,7 +248,7 @@ class TestSlotVersionMonotone:
         assert violated(report, "slot_version_monotone")
 
     def test_slot_rehoming_resets_the_watermark(self, engine) -> None:
-        assert engine.check_now().ok
+        assert not engine.check_now().violations
         ring = engine.system.ring
         node_id = next(
             nid
@@ -264,7 +265,7 @@ class TestSlotVersionMonotone:
         # The slot leaves its home and returns with a *lower* version —
         # legal: migration restarts history at the (node, key) pair.
         del node.store[key]
-        assert engine.checker.check(quiescent=False).ok
+        assert not engine.checker.check(quiescent=False).violations
         slot._store._version = 1
         node.store[key] = slot
         report = engine.checker.check(quiescent=False)
@@ -310,7 +311,7 @@ class TestStormObservationInvariants:
             )
         )
         report = engine.checker.check(quiescent=False)
-        assert report.ok
+        assert not report.violations
 
     def test_cache_off_observations_are_exempt(self, engine) -> None:
         engine.stress_log.append(
@@ -319,7 +320,7 @@ class TestStormObservationInvariants:
             )
         )
         report = engine.checker.check(quiescent=False)
-        assert report.ok
+        assert not report.violations
 
 
 class TestResultCacheCoherent:
@@ -332,7 +333,7 @@ class TestResultCacheCoherent:
         assert eng.quiescent
         for query in eng.queries[:4]:
             eng.system.search(query, cache=True)
-        assert eng.check_now().ok
+        assert not eng.check_now().violations
         protocol = eng.system.protocol
         entry = next(
             entry

@@ -34,6 +34,7 @@ from repro.dht.replication import ReplicationManager
 from repro.sim import InvariantChecker
 
 from ..conftest import TINY_DOCS
+from ..probes import indexed_df
 
 
 @pytest.fixture()
@@ -166,10 +167,10 @@ class TestReconciliation:
         ReplicationManager(ring).replicate_round()
         ring.fail(owner.node_id)
         ring.stabilize()
-        before = system.protocol.indexed_document_frequency(term)
+        before = indexed_df(system.protocol, term)
         report = MaintenanceDaemon(system).run_round()
         # the dead owner's postings are orphans-by-death, not deletions
-        assert system.protocol.indexed_document_frequency(term) == before
+        assert indexed_df(system.protocol, term) == before
 
 
 class TestStaleReplicaPruning:

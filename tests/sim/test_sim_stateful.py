@@ -122,7 +122,7 @@ class SpriteMachine(RuleBasedStateMachine):
         if self.engine is None:
             return
         report = self.engine.check_now()
-        assert report.ok, "; ".join(str(v) for v in report.violations)
+        assert not report.violations, "; ".join(str(v) for v in report.violations)
 
 
 SpriteMachine.TestCase.settings = settings(

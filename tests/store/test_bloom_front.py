@@ -75,7 +75,7 @@ class TestBloomFront:
         for i in range(100):
             store.add(f"doc-{i}", 1, 2, 10)
         # Capacity only changes in a rebuild, and each one doubles it.
-        assert store.bloom is not None and store.bloom.capacity >= 64
+        assert store._bloom is not None and store._bloom.capacity >= 64
         for i in range(100):
             assert f"doc-{i}" in store
 
@@ -90,7 +90,7 @@ class TestBloomFront:
 
     def test_disabled_bloom_means_plain_sql(self, conn, selects) -> None:
         store = SqlitePostings(conn, slot_id=6, bloom_capacity=0)
-        assert store.bloom is None
+        assert store._bloom is None
         store.add("d", 1, 2, 10)
         assert "nope" not in store
         # The insert's existence probe and the absent probe both hit SQL.

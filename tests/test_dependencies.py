@@ -5,8 +5,9 @@ across a layer boundary its docstring rules out, the indexing
 protocol's one exchange stays one, a message is built and priced in one
 module, the overlay's shape stays one number on the overlay's config,
 a retrieval system stays one class whose term-selection policy is its
-config, and every module is reached from an entry point or the
-benchmark."""
+config, every module is reached from an entry point or the benchmark,
+and every function the reachability census excuses still exists for
+a reason of an allowed kind."""
 
 from __future__ import annotations
 
@@ -375,3 +376,68 @@ def test_every_module_is_reached_from_an_entry_point_or_the_benchmark() -> None:
     excused = {path for path in unreached if path.startswith(tuple(UNREACHED))}
     assert unreached == excused, sorted(unreached - excused)
     assert all(any(path.startswith(prefix) for path in excused) for prefix in UNREACHED)
+
+
+def _resolve(name: str):
+    """The object ``module:qualified.name`` names, or ``None``; a nested
+    function (``outer.<locals>.inner``) resolves to its code object."""
+    module, __, qualname = name.partition(":")
+    target = importlib.import_module(module)
+    parts = iter(qualname.split("."))
+    for part in parts:
+        if part == "<locals>":
+            inner = next(parts)
+            code = getattr(target, "__code__", target)
+            target = next(
+                (c for c in code.co_consts if getattr(c, "co_name", None) == inner), None
+            )
+        elif isinstance(target, type):
+            target = vars(target).get(part)
+        else:
+            target = getattr(target, part, None)
+        if target is None:
+            return None
+    return target
+
+
+def _layer_table_targets(monkeypatch) -> list:
+    monkeypatch.syspath_prepend(str(SRC.parent))
+    from bench.trace import LAYER_TABLE
+
+    return [_resolve(f"{module}:{attribute}") for module, attribute, *__ in LAYER_TABLE]
+
+
+def _global_names(code) -> set:
+    """The global names *code* reads, comprehensions included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _global_names(const)
+    return names
+
+
+def test_every_census_allowlist_entry_resolves_for_an_allowed_reason(monkeypatch) -> None:
+    """``tests/census.py`` runs only in its own CI job; this keeps its
+    allowlist honest in tier-1.  Every entry names a function that still
+    exists (a rename or a deletion must edit the list), every reason is
+    of one of the five kinds, and a ``layer-table`` entry is a target of
+    ``bench.trace.LAYER_TABLE`` or a function such a target calls (the
+    census itself fails the entry once anything else enters it): those
+    go with their rows, in a benchmark change."""
+    from tests.census import ALLOWLIST, KINDS
+
+    assert not [name for name in ALLOWLIST if _resolve(name) is None]
+    assert not [
+        name for name, reason in ALLOWLIST.items() if not reason.startswith(KINDS)
+    ]
+    targets = _layer_table_targets(monkeypatch)
+    called = {
+        name
+        for target in targets
+        if hasattr(target, "__code__")
+        for name in _global_names(target.__code__)
+    }
+    for name, reason in ALLOWLIST.items():
+        if reason.startswith("layer-table:"):
+            function = _resolve(name)
+            assert function in targets or function.__name__ in called, name

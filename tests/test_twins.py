@@ -43,7 +43,17 @@ settings.register_profile("twin-example", phases=[Phase.explicit], deadline=None
 settings.register_profile("twin-programs", max_examples=25, deadline=None, database=None)
 
 #: Modules under ``tests/`` that are neither test files nor references.
-SUPPORT = {"conftest.py", "core/conftest.py", "twins.py"}
+SUPPORT = {
+    "conftest.py",
+    "core/conftest.py",
+    "twins.py",
+    "probes.py",
+    # The reachability census (tests/census.py), its profile hook and
+    # the sample module its own test folds.
+    "census.py",
+    "census_site/sitecustomize.py",
+    "census_sample.py",
+}
 
 #: Every ``SpriteConfig`` / ``ChordConfig`` field documented to change
 #: speed, storage or routing but never results.  A new such switch
@@ -227,7 +237,7 @@ def test_full_index_sprite_is_centralized_tfidf(micro, seed) -> None:
     two sum their partial products in different orders."""
     deployment = micro if seed is None else seeded(seed)
     full = deployment.full_index()
-    centralized = CentralizedSystem(deployment.corpus, normalization="lee")
+    centralized = CentralizedSystem(deployment.corpus)
     for query in deployment.test:
         distributed = pairs(full.search(query, cache=False))
         reference = pairs(centralized.search(query, top_k=full.config.top_k_answers))

@@ -74,7 +74,6 @@ def test_analyze_equals_per_occurrence_pipeline(text: str) -> None:
         expected = per_occurrence(analyzer, text)
         assert analyzer.analyze(text) == expected  # cold memo
         assert analyzer.analyze(text) == expected  # warm memo
-        assert list(analyzer.tokenizer.iter_tokens(text)) == analyzer.tokenizer.tokenize(text)
 
 
 @settings(max_examples=100, deadline=None)

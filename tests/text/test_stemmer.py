@@ -14,7 +14,6 @@ from repro.text.stemmer import (
     _is_consonant,
     _measure,
     stem,
-    stem_all,
 )
 
 # Reference pairs from Porter's 1980 paper and the canonical test
@@ -113,10 +112,6 @@ def test_stemming_lowercases() -> None:
     assert stem("CARESSES") == "caress"
 
 
-def test_stem_all_preserves_order() -> None:
-    assert stem_all(["running", "jumps", "easily"]) == ["run", "jump", "easili"]
-
-
 def test_stemmer_object_matches_function() -> None:
     stemmer = PorterStemmer()
     for word, expected in KNOWN_STEMS[:10]:
@@ -210,15 +205,15 @@ def test_plural_s_stripped(word: str) -> None:
 class TestMemoization:
     """The ingest-time fast path (ISSUE 5): the pure pipeline is
     lru_cache-memoized per stemmer instance, with hit/miss counters
-    read from ``cache_info()``."""
+    read from that cache's ``cache_info()``."""
 
     def test_repeat_words_hit_the_cache(self) -> None:
         stemmer = PorterStemmer()
         assert stemmer.stem("running") == "run"
-        info = stemmer.cache_info()
+        info = stemmer._cached.cache_info()
         assert (info.hits, info.misses) == (0, 1)
         assert stemmer.stem("running") == "run"
-        info = stemmer.cache_info()
+        info = stemmer._cached.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
     def test_case_variants_share_one_entry(self) -> None:
@@ -226,7 +221,7 @@ class TestMemoization:
         stemmer.stem("Jumping")
         stemmer.stem("JUMPING")
         stemmer.stem("jumping")
-        info = stemmer.cache_info()
+        info = stemmer._cached.cache_info()
         assert info.misses == 1
         assert info.hits == 2
 
@@ -239,5 +234,5 @@ class TestMemoization:
     def test_instances_have_independent_caches(self) -> None:
         a, b = PorterStemmer(), PorterStemmer()
         a.stem("walking")
-        assert a.cache_info().currsize == 1
-        assert b.cache_info().currsize == 0
+        assert a._cached.cache_info().currsize == 1
+        assert b._cached.cache_info().currsize == 0

@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from repro.text.stopwords import (
-    LUCENE_STOP_WORDS,
-    is_stop_word,
-    make_stop_word_set,
-    remove_stop_words,
-)
+from repro.text.stopwords import LUCENE_STOP_WORDS
 
 
 def test_lucene_list_has_33_words() -> None:
@@ -25,32 +20,6 @@ def test_non_members() -> None:
     # Common English words NOT in Lucene's (deliberately small) list.
     for word in ("have", "from", "he", "she", "we", "you", "do"):
         assert word not in LUCENE_STOP_WORDS
-
-
-def test_is_stop_word_case_insensitive() -> None:
-    assert is_stop_word("THE")
-    assert is_stop_word("The")
-    assert not is_stop_word("chord")
-
-
-def test_remove_stop_words_preserves_order() -> None:
-    tokens = ["the", "quick", "fox", "and", "the", "hound"]
-    assert remove_stop_words(tokens) == ["quick", "fox", "hound"]
-
-
-def test_remove_stop_words_empty() -> None:
-    assert remove_stop_words([]) == []
-
-
-def test_remove_all_stop_words() -> None:
-    assert remove_stop_words(["the", "and", "of"]) == []
-
-
-def test_custom_stop_word_set() -> None:
-    custom = make_stop_word_set(["Foo", "BAR", "foo"])
-    assert custom == frozenset({"foo", "bar"})
-    assert is_stop_word("FOO", custom)
-    assert not is_stop_word("the", custom)
 
 
 def test_list_is_frozen() -> None:

@@ -67,6 +67,7 @@ from .core.peer_side_dedup import addressed_hashes, install_peer_side_dedup
 from .core.per_document_rounds import install_per_document_rounds
 from .core.per_term_owner import install_owners, install_per_term_owners
 from .ir.legacy_postings import LegacyPostings, install_legacy_store
+from .probes import result_cache_stats
 
 K = MessageKind
 TRANSPORTS = {
@@ -453,6 +454,11 @@ def free(*kinds: MessageKind) -> Callable[[Wire], Dict[MessageKind, None]]:
     return lambda wire: dict.fromkeys(kinds)
 
 
+def total_hops(stats) -> int:
+    """Hops over every kind a ring's ``NetworkStats`` recorded."""
+    return sum(row.hops for row in stats.snapshot().values())
+
+
 def as_built(system: SpriteSystem) -> SpriteSystem:
     """No substitution: a row's ``config`` is the whole difference."""
     return system
@@ -542,11 +548,11 @@ ROWS = (
     # Every lookup routes hop by hop, and so takes more hops.
     Row("perf-paths", as_built, config={"chord": {"route_cache_size": 0}},
         transports=("perfect",), why="a ring without a route cache " + PATHS,
-        check=lambda w, reused, twin: twin.ring.stats.total_hops > w.stats.total_hops),
+        check=lambda w, reused, twin: total_hops(twin.ring.stats) > total_hops(w.stats)),
     # A ReCord-style ring: the same owners in fewer hops.
     Row("ring-paths", as_built, config={"chord": {"finger_arity": 8}},
         transports=("perfect",), why="a ring of arity 8 " + PATHS,
-        check=lambda w, reused, twin: twin.ring.stats.total_hops < w.stats.total_hops),
+        check=lambda w, reused, twin: total_hops(twin.ring.stats) < total_hops(w.stats)),
     # A repeat over unchanged lists is answered from the result caches.
     Row("result-cache", as_built,
         free(K.LOOKUP, K.SEARCH_TERM, K.POSTINGS, K.VERSION_PROBE, K.VERSION_VALUE,
@@ -555,18 +561,18 @@ ROWS = (
         transports=("perfect",), result_caches=(0,),
         why="the twin's result cache is the switch, and it answers a repeat with other "
         "messages, so only the perfect transport keeps both in step",
-        check=lambda w, reused, twin: twin.protocol.result_cache_stats()[1] > 0),
+        check=lambda w, reused, twin: result_cache_stats(twin.protocol)[1] > 0),
     # SQLite recomputes every float through the expressions the in-RAM
     # store uses, so there is no tolerance to hide behind.
     Row("store-paths", as_built, config={"sprite": {"store_backend": "sqlite"}},
         check=lambda w, reused, twin: all(
-            type(store) is SqlitePostings and store.bloom is not None
+            type(store) is SqlitePostings and store._bloom is not None
             for store in slot_stores(twin)
         )),
     Row("store-bloom", as_built,
         config={"sprite": {"store_backend": "sqlite", "store_bloom": False}},
         check=lambda w, reused, twin: all(
-            type(store) is SqlitePostings and store.bloom is None
+            type(store) is SqlitePostings and store._bloom is None
             for store in slot_stores(twin)
         )),
 )
@@ -669,7 +675,7 @@ def assert_agree(
         del ours["version_rank"], theirs["version_rank"]
     assert ours == theirs
     if default.config.result_cache_size == twin.config.result_cache_size:
-        assert default.protocol.result_cache_stats() == twin.protocol.result_cache_stats()
+        assert result_cache_stats(default.protocol) == result_cache_stats(twin.protocol)
     ours, theirs = default.ring.stats.summary(), twin.ring.stats.summary()
     if default.ring.config != twin.ring.config:
         for summary in (ours, theirs):
