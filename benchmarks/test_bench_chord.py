@@ -11,28 +11,17 @@ import pytest
 
 from repro.config import ChordConfig
 from repro.dht import ChordRing
+from repro.evaluation import format_hops, run_hop_scaling
 
 RING_SIZES = (16, 32, 64, 128, 256, 512)
 LOOKUPS_PER_RING = 400
-
-
-def measure_hops(num_peers: int, seed: int = 5) -> float:
-    ring = ChordRing(ChordConfig(num_peers=num_peers, id_bits=32, seed=seed))
-    rng = random.Random(seed)
-    total = 0
-    for __ in range(LOOKUPS_PER_RING):
-        key = rng.randrange(ring.space.size)
-        total += ring.lookup(ring.random_live_id(rng), key, record=False).hops
-    return total / LOOKUPS_PER_RING
+SEED = 5
 
 
 @pytest.fixture(scope="module")
 def hop_table(record_result):
-    rows = [(n, measure_hops(n)) for n in RING_SIZES]
-    lines = ["  N    mean hops    log2(N)"]
-    for n, hops in rows:
-        lines.append(f"{n:>4}    {hops:>8.2f}    {math.log2(n):>6.2f}")
-    record_result("chord_hops", "\n".join(lines))
+    rows = run_hop_scaling(RING_SIZES, LOOKUPS_PER_RING, SEED)
+    record_result("chord_hops", format_hops(rows))
     return dict(rows)
 
 
@@ -40,11 +29,11 @@ def test_bench_hop_sweep(benchmark, hop_table) -> None:
     """Generate the hop table (via the fixture) and time one ring's
     sweep; asserts the logarithmic shape inline so it also holds under
     --benchmark-only runs."""
-    import math as _math
-
-    benchmark.pedantic(measure_hops, args=(64,), rounds=1, iterations=1)
+    benchmark.pedantic(
+        run_hop_scaling, args=((64,), LOOKUPS_PER_RING, SEED), rounds=1, iterations=1
+    )
     for n, hops in hop_table.items():
-        assert hops <= 1.5 * _math.log2(n)
+        assert hops <= 1.5 * math.log2(n)
 
 
 def test_bench_chord_lookup(benchmark) -> None:

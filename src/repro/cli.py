@@ -12,9 +12,6 @@ net         Transport robustness sweep: lookup success, retries, and
             latency percentiles under increasing message-drop rates.
 search      Interactive-ish demo: train SPRITE and run ad-hoc keyword
             searches from the command line.
-perf        Run the routing sweep (finger arity × peers hop counts), the
-            one perf harness the benchmark does not cover.  The tracked
-            benchmark itself is ``python3 -m bench`` (BENCHMARK.json).
 check       Run the verification harness (repro.sim): execute a scenario
             — randomly generated from a seed, or a named entry of the
             adversarial workload catalogue (``--catalogue flash_crowd``,
@@ -28,11 +25,11 @@ route every simulated message through :mod:`repro.net`.  ``check``
 additionally takes the durable-store flags (``--store-backend sqlite
 --store-dir ... --snapshot-dir ... --snapshot-interval N``) selecting
 the :mod:`repro.store` backend.
-``net``, ``perf`` and ``check --random`` take
+``net`` and ``check --random`` take
 ``--ring-arity B``, the ring's finger arity
 (:class:`~repro.config.ChordConfig` ``finger_arity``: 2, the default, is
-Chord; above it a ReCord-style ring, DESIGN.md §8); ``perf`` sweeps a
-whole arity × peers grid (``--rings chord,record:8 --peers-grid ...``).
+Chord; above it a ReCord-style ring, DESIGN.md §8).  The arity × peers
+route sweep is a paper bench, ``benchmarks/test_bench_route.py``.
 Results print as the same tables the benchmark harness records, plus
 ASCII charts of the figure shapes.
 """
@@ -44,7 +41,7 @@ import dataclasses
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .config import (
     ExperimentConfig,
@@ -63,10 +60,12 @@ from .evaluation import (
     format_fig4a,
     format_fig4b,
     format_fig4c,
+    format_hops,
     run_cost_comparison,
     run_fig4a,
     run_fig4b,
     run_fig4c,
+    run_hop_scaling,
 )
 from .evaluation.charts import line_chart, ratio_series_from_rows
 
@@ -81,20 +80,6 @@ _NETWORK_FLAG_FIELDS = {
     "retries": "max_retries",
     "net_seed": "seed",
 }
-
-
-def _given_network_flags(
-    args: argparse.Namespace, allow_perfect: bool = False
-) -> List[str]:
-    """The network flags given on the command line, by name, for a
-    command that runs its own network and refuses them; with
-    *allow_perfect*, ``--transport perfect`` is not counted."""
-    return [
-        "--" + attr.replace("_", "-")
-        for attr in _NETWORK_FLAG_FIELDS
-        if getattr(args, attr) is not None
-        and not (allow_perfect and attr == "transport" and args.transport == "perfect")
-    ]
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -272,25 +257,8 @@ def cmd_cost(args: argparse.Namespace, out) -> int:
 
 
 def cmd_hops(args: argparse.Namespace, out) -> int:
-    import math
-    import random
-
-    from .config import ChordConfig
-    from .dht import ChordRing
-
-    out.write("  N    mean hops    log2(N)\n")
-    for n in (16, 32, 64, 128, 256):
-        ring = ChordRing(ChordConfig(num_peers=n, id_bits=32, seed=args.seed))
-        rng = random.Random(args.seed)
-        hops = [
-            ring.lookup(
-                ring.random_live_id(rng), rng.randrange(ring.space.size), record=False
-            ).hops
-            for __ in range(300)
-        ]
-        out.write(
-            f"{n:>4}    {sum(hops) / len(hops):>8.2f}    {math.log2(n):>6.2f}\n"
-        )
+    rows = run_hop_scaling((16, 32, 64, 128, 256), 300, args.seed)
+    out.write(format_hops(rows) + "\n")
     return 0
 
 
@@ -420,127 +388,6 @@ def cmd_report(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def memory_usage() -> Dict[str, int]:
-    """Process memory snapshot, cheap enough for phase boundaries.
-
-    ``rss_kb``
-        Current resident set size from ``/proc/self/status`` (0 where
-        procfs is unavailable).
-    ``peak_rss_kb``
-        Lifetime peak RSS from ``getrusage`` (kilobytes; macOS reports
-        bytes and is converted).  Monotone per process.
-    ``allocated_blocks``
-        Live CPython allocation count (:func:`sys.getallocatedblocks`)
-        — a deterministic allocation gauge that, unlike RSS, moves even
-        when the allocator never returns pages to the OS.
-    """
-    peak_kb = 0
-    try:
-        import resource
-
-        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        if sys.platform == "darwin":
-            peak_kb //= 1024
-    except (ImportError, OSError):  # pragma: no cover - non-POSIX
-        peak_kb = 0
-    rss_kb = 0
-    try:
-        with open("/proc/self/status", encoding="ascii") as status:
-            for line in status:
-                if line.startswith("VmRSS:"):
-                    rss_kb = int(line.split()[1])
-                    break
-    except (OSError, ValueError):  # pragma: no cover - no procfs
-        rss_kb = 0
-    # ru_maxrss is sampled by the kernel and can trail VmRSS by a few
-    # pages right after an allocation spike; clamp so "peak" is never
-    # reported below "current".
-    return {
-        "rss_kb": rss_kb,
-        "peak_rss_kb": max(peak_kb, rss_kb),
-        "allocated_blocks": sys.getallocatedblocks(),
-    }
-
-
-def _write_memory_line(out) -> None:
-    """The sweep's closing memory summary."""
-    usage = memory_usage()
-    out.write(
-        f"  memory: peak RSS {usage['peak_rss_kb'] / 1024:.1f} MB · "
-        f"current RSS {usage['rss_kb'] / 1024:.1f} MB · "
-        f"{usage['allocated_blocks']} live allocations\n"
-    )
-
-
-def _parse_grid(raw: str, cast, flag: str):
-    """Parse a comma-separated CLI grid (``--peers-grid 1000,4000``)."""
-    try:
-        values = tuple(cast(v) for v in raw.split(",") if v.strip())
-    except ValueError:
-        raise ConfigurationError(f"bad {flag} value {raw!r}")
-    if not values or any(v <= 0 for v in values):
-        raise ConfigurationError(f"{flag} needs positive comma-separated values")
-    return values
-
-
-def cmd_perf(args: argparse.Namespace, out) -> int:
-    """Run the arity × peers routing sweep (DESIGN.md §8)."""
-    from .dht import ring_label
-    from .perf.route import (
-        route_paper_config,
-        route_smoke_config,
-        run_route_workload,
-    )
-
-    # The sweep measures the in-process routing path on the perfect
-    # transport: every network flag but --transport perfect would be
-    # ignored, so each one given is refused by name.
-    given = _given_network_flags(args, allow_perfect=True)
-    if given:
-        out.write(
-            "error: the perf sweep runs on the perfect transport; "
-            f"drop {' '.join(given)}\n"
-        )
-        return 2
-    _config_from_args(args)  # validates --ring-arity
-    if args.rings and args.finger_arity is not None:
-        out.write(
-            "error: pass exactly one ring source: --rings GRID or --ring-arity B\n"
-        )
-        return 2
-    cfg = route_smoke_config() if args.small else route_paper_config()
-    overrides = {"seed": args.seed, "workers": args.workers}
-    if args.rings:
-        overrides["ring_specs"] = (args.rings,)
-    elif args.finger_arity is not None:
-        overrides["ring_specs"] = (ring_label(args.finger_arity),)
-    if args.peers_grid:
-        overrides["peers_grid"] = _parse_grid(args.peers_grid, int, "--peers-grid")
-    cfg = cfg.replaced(**overrides)  # validates: errors precede the header
-    out.write(
-        f"route sweep: peers {','.join(str(p) for p in cfg.peers_grid)} × "
-        f"rings {','.join(cfg.ring_specs)}, {cfg.num_queries} queries/cell, "
-        f"churn every {cfg.churn_every}, {cfg.workers} workers\n"
-    )
-    result = run_route_workload(cfg)
-    if args.json:
-        out.write(json.dumps(result.to_dict(), indent=2) + "\n")
-        return 0 if result.checksums_match else 1
-    out.write(result.summary_table() + "\n")
-    if "chord" in result.rings:
-        for peers in result.peers_grid:
-            for ring in result.rings:
-                if ring == "chord":
-                    continue
-                out.write(
-                    f"  {ring} vs chord @ {peers} peers: "
-                    f"{result.hop_reduction(peers, ring):.1%} fewer mean hops\n"
-                )
-    out.write(f"  wall {result.wall_s:.2f}s\n")
-    _write_memory_line(out)
-    return 0 if result.checksums_match else 1
-
-
 def _cmd_check_catalogue(args: argparse.Namespace, out) -> int:
     """Run named adversarial-catalogue scenarios (DESIGN.md §14) and
     print each run's invariant verdict plus its quality-under-stress
@@ -606,7 +453,11 @@ def cmd_check(args: argparse.Namespace, out) -> int:
     if args.catalogue:
         # Catalogue entries define their own network, ring and store
         # configuration; only --seed/--peers apply.
-        given = _given_network_flags(args)
+        given = [
+            "--" + attr.replace("_", "-")
+            for attr in _NETWORK_FLAG_FIELDS
+            if getattr(args, attr) is not None
+        ]
         if args.finger_arity is not None:
             given.append("--ring-arity")
         if args.store_backend != "memory":
@@ -706,37 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("terms", nargs="+", help="query keywords")
     p.add_argument("--top", type=int, default=10, help="answers to return")
     p.set_defaults(handler=cmd_search)
-
-    p = sub.add_parser(
-        "perf",
-        help="run the routing sweep: Chord against ReCord-style finger "
-        "schedules over an arity × peers grid (the tracked benchmark is "
-        "`python3 -m bench`)",
-    )
-    _add_common(p)
-    p.add_argument("--json", action="store_true", help="print the raw JSON record")
-    _add_ring(p)
-    route = p.add_argument_group("routing sweep (DESIGN.md §8)")
-    route.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes, one grid cell each (results are identical "
-        "for any worker count)",
-    )
-    route.add_argument(
-        "--rings",
-        default="",
-        help="ring-grid spec, comma-separated "
-        "(e.g. chord,record:4,record:8; default: the config grid; "
-        "mutually exclusive with --ring-arity)",
-    )
-    route.add_argument(
-        "--peers-grid",
-        default="",
-        help="peer counts, comma-separated (default: the config grid)",
-    )
-    p.set_defaults(handler=cmd_perf)
 
     p = sub.add_parser(
         "check", help="run the repro.sim scenario + invariant harness"

@@ -256,7 +256,8 @@ class NetworkConfig:
 
     ``latency_ms`` is the constant model's value and the log-normal
     model's *median*.  The ``seed`` drives the transport's private RNG,
-    so a fault-injection run replays byte-identically.
+    so a fault-injection run replays byte-identically.  Retries back off
+    by :class:`~repro.net.transport.DeliveryPolicy`'s defaults.
     """
 
     transport: str = "perfect"
@@ -266,8 +267,6 @@ class NetworkConfig:
     drop_probability: float = 0.0
     timeout_ms: float = 400.0
     max_retries: int = 3
-    backoff_base_ms: float = 100.0
-    backoff_factor: float = 2.0
     jitter_ms: float = 20.0
     keep_trace: bool = True
     seed: int = 93187
@@ -288,8 +287,6 @@ class NetworkConfig:
         )
         _require(self.timeout_ms > 0, "timeout_ms must be > 0")
         _require(self.max_retries >= 0, "max_retries must be >= 0")
-        _require(self.backoff_base_ms >= 0, "backoff_base_ms must be >= 0")
-        _require(self.backoff_factor >= 1.0, "backoff_factor must be >= 1")
         _require(self.jitter_ms >= 0, "jitter_ms must be >= 0")
 
 

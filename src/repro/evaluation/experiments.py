@@ -8,7 +8,11 @@ One function per paper artifact (see DESIGN.md's experiment index):
 * :func:`run_fig4c` — ratio over learning iterations with a query-
   pattern change at iteration 6;
 * :func:`run_cost_comparison` — index construction/maintenance traffic,
-  SPRITE vs eSearch vs index-everything (the Section 1 motivation).
+  SPRITE vs eSearch vs index-everything (the Section 1 motivation);
+* :func:`run_hop_scaling` — Chord's mean lookup hops against ring size
+  (the Section 2 ``log N`` claim);
+* :func:`run_route_sweep` — finger arity against hops, fingers and
+  repair writes (DESIGN.md §8, ReCord's trade).
 
 The benches in ``benchmarks/`` are thin wrappers that time these and
 print the rows; examples reuse them too.
@@ -16,14 +20,22 @@ print the rows; examples reuse them too.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Optional, Sequence
+from hashlib import sha256
+from typing import Dict, List, Literal, Optional, Sequence, Tuple
 
-from ..config import SpriteConfig
+from ..config import ChordConfig, SpriteConfig
+from ..core.indexer import IndexingProtocol
+from ..core.metadata import PostingEntry
+from ..core.query_processing import QueryProcessor
 from ..core.system import SpriteSystem
 from ..corpus.relevance import Query
+from ..corpus.sampling import CategoricalSampler, zipf_weights
 from ..dht.messages import MessageKind, units_carried, wire_size
+from ..dht.ring import ChordRing
 from ..net import build_transport
+from ..net.trace import percentile
 from ..ir.ranking import RankedList
 from .experiment import Environment
 from .metrics import RelativeResult, relative_to_centralized
@@ -342,3 +354,145 @@ def run_cost_comparison(env: Environment) -> List[CostRow]:
         _cost_row("esearch", build_esearch(env)),
         _cost_row("index-everything", build_esearch(env, index_terms=10**6)),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Routing: hops against ring size, and against finger arity (DESIGN.md §8)
+# ---------------------------------------------------------------------------
+
+def run_hop_scaling(
+    ring_sizes: Sequence[int], lookups: int, seed: int
+) -> List[Tuple[int, float]]:
+    """Mean hops of *lookups* random lookups on a Chord ring of each
+    size: ``(N, mean hops)`` rows.  Each lookup draws its key, then its
+    start peer, from one RNG seeded like the ring."""
+    rows = []
+    for n in ring_sizes:
+        ring = ChordRing(ChordConfig(num_peers=n, id_bits=32, seed=seed))
+        rng = random.Random(seed)
+        total = 0
+        for __ in range(lookups):
+            key = rng.randrange(ring.space.size)
+            total += ring.lookup(ring.random_live_id(rng), key, record=False).hops
+        rows.append((n, total / lookups))
+    return rows
+
+
+#: The route sweep's grid: peer counts × finger arities (2 is Chord).
+ROUTE_PEERS: Tuple[int, ...] = (2_000, 10_000)
+ROUTE_ARITIES: Tuple[int, ...] = (2, 4, 8, 32)
+#: The workload every cell runs, so the columns of a peer count compare.
+ROUTE_SEED = 4111
+ROUTE_DOCUMENTS = 120
+ROUTE_VOCABULARY = 600
+ROUTE_TERMS_PER_DOCUMENT = 12
+ROUTE_QUERIES = 2_000
+ROUTE_DISTINCT_QUERIES = 300
+ROUTE_MAX_QUERY_TERMS = 3
+ROUTE_QUERY_PEERS = 48
+ROUTE_CHURN_EVERY = 250
+ROUTE_TOP_K = 20
+ROUTE_ZIPF_EXPONENT = 0.8
+
+
+@dataclass(frozen=True)
+class RouteRow:
+    """One (peer count, finger arity) cell of the route sweep."""
+
+    num_peers: int
+    arity: int
+    #: Lookups of the query stream (publish-phase lookups excluded).
+    lookups: int
+    #: LOOKUP hop-messages over the whole cell: one per routing hop.
+    lookup_messages: int
+    #: Rounded to four places before the table prints three and derives
+    #: each reduction from it: ``route.txt`` is committed that way.
+    mean_hops: float
+    p99_hops: float
+    #: Fingers per node: the state bought to shorten routes.
+    fingers: int
+    #: Routing-table entry writes by the first build and by churn repair.
+    build_entries: int
+    churn_entries: int
+    #: SHA-256 over every query's ranking: equal across arities.
+    ranking_checksum: str
+
+
+def run_route_cell(num_peers: int, arity: int) -> RouteRow:
+    """Build the whole ring with the route cache off (a cache hit is
+    one hop), publish a Zipf term index, then run the query stream with
+    a join, a leave and a stabilize every :data:`ROUTE_CHURN_EVERY`
+    queries.  The RNG never sees the finger schedule, so every arity of
+    one peer count sees the same membership, documents, queries and
+    churn: routing moves messages, never rankings."""
+    rng = random.Random(ROUTE_SEED * 1_000_003 + num_peers)
+    ring = ChordRing(
+        ChordConfig(
+            num_peers=num_peers, seed=ROUTE_SEED, route_cache_size=0, finger_arity=arity
+        )
+    )
+    protocol = IndexingProtocol(ring)
+    processor = QueryProcessor(protocol, assumed_corpus_size=1_000_000)
+    build_entries = ring.routing_entries_written
+
+    vocabulary = [f"term{i:04d}" for i in range(ROUTE_VOCABULARY)]
+    term_sampler = CategoricalSampler(
+        vocabulary, zipf_weights(ROUTE_VOCABULARY, ROUTE_ZIPF_EXPONENT)
+    )
+    for d in range(ROUTE_DOCUMENTS):
+        owner_id = ring.random_live_id(rng)
+        doc_length = rng.randint(80, 240)
+        terms = dict.fromkeys(term_sampler.sample_many(rng, ROUTE_TERMS_PER_DOCUMENT))
+        doc_id = f"doc{d:05d}"
+        batch = [
+            (term, PostingEntry(doc_id, owner_id, rng.randint(1, 12), doc_length))
+            for term in terms
+        ]
+        protocol.publish_batch(owner_id, batch)
+
+    pool = []
+    for q in range(ROUTE_DISTINCT_QUERIES):
+        terms = term_sampler.sample_many(rng, rng.randint(1, ROUTE_MAX_QUERY_TERMS))
+        pool.append(Query(f"routeq{q:04d}", tuple(dict.fromkeys(terms))))
+    issuers = rng.sample(ring.live_ids, min(ROUTE_QUERY_PEERS, num_peers))
+    picks = CategoricalSampler(
+        range(ROUTE_DISTINCT_QUERIES),
+        zipf_weights(ROUTE_DISTINCT_QUERIES, ROUTE_ZIPF_EXPONENT),
+    ).sample_many(rng, ROUTE_QUERIES)
+
+    checksum = sha256()
+    protected = set(issuers)
+    hops_before = ring.stats.lookup_hop_histogram
+    messages_before = ring.stats.kind(MessageKind.LOOKUP).hops
+    entries_before_churn = ring.routing_entries_written
+    for i, pick in enumerate(picks):
+        if i and i % ROUTE_CHURN_EVERY == 0:
+            ring.join(name=f"churner-{i}")
+            ring.leave(rng.choice([n for n in ring.live_ids if n not in protected]))
+            ring.stabilize()
+        query = pool[pick]
+        ranked, __ = processor.execute(
+            issuers[i % len(issuers)], query, top_k=ROUTE_TOP_K
+        )
+        checksum.update(query.query_id.encode())
+        for entry in ranked:
+            checksum.update(f"{entry.doc_id}:{entry.score!r}".encode())
+
+    hops = list((ring.stats.lookup_hop_histogram - hops_before).elements())
+    return RouteRow(
+        num_peers=num_peers,
+        arity=arity,
+        lookups=len(hops),
+        lookup_messages=ring.stats.kind(MessageKind.LOOKUP).hops - messages_before,
+        mean_hops=round(sum(hops) / len(hops), 4) if hops else 0.0,
+        p99_hops=percentile(hops, 99),
+        fingers=len(ring.finger_steps),
+        build_entries=build_entries,
+        churn_entries=ring.routing_entries_written - entries_before_churn,
+        ranking_checksum=checksum.hexdigest(),
+    )
+
+
+def run_route_sweep() -> List[RouteRow]:
+    """Every cell of the grid, serially, peer count major."""
+    return [run_route_cell(n, arity) for n in ROUTE_PEERS for arity in ROUTE_ARITIES]

@@ -8,9 +8,11 @@ system.  The benches print these tables so ``pytest benchmarks/
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+import math
+from typing import Iterable, List, Sequence, Tuple
 
-from .experiments import CostRow, Fig4aRow, Fig4bRow, Fig4cRow
+from ..dht.ring import ring_label
+from .experiments import CostRow, Fig4aRow, Fig4bRow, Fig4cRow, RouteRow
 
 
 def _table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -108,3 +110,54 @@ def format_cost(rows: Sequence[CostRow]) -> str:
             for r in rows
         ),
     )
+
+
+def format_hops(rows: Sequence[Tuple[int, float]]) -> str:
+    """Chord's mean lookup hops per ring size beside ``log2(N)``."""
+    lines = ["  N    mean hops    log2(N)"]
+    for n, hops in rows:
+        lines.append(f"{n:>4}    {hops:>8.2f}    {math.log2(n):>6.2f}")
+    return "\n".join(lines)
+
+
+def route_checksums_match(rows: Sequence[RouteRow]) -> bool:
+    """Whether every arity of each peer count returned one ranking
+    checksum: routing changes where messages go, never what is found."""
+    return all(
+        len({r.ranking_checksum for r in rows if r.num_peers == n}) == 1
+        for n in {r.num_peers for r in rows}
+    )
+
+
+def hop_reduction(rows: Sequence[RouteRow], num_peers: int, arity: int) -> float:
+    """Fractional mean-hop reduction of *arity* against Chord (arity 2)
+    at one peer count: 0.25 is 25 % fewer hops."""
+    cells = {(r.num_peers, r.arity): r for r in rows}
+    return 1.0 - cells[num_peers, arity].mean_hops / cells[num_peers, 2].mean_hops
+
+
+def format_route(rows: Sequence[RouteRow]) -> str:
+    """The route sweep: one line per cell, the cross-arity checksum
+    verdict, then each arity's mean-hop reduction against Chord."""
+    lines = [
+        f"{'peers':>7} {'ring':<10} {'hops_mean':>9} {'hops_p99':>8} "
+        f"{'lookup_msgs':>11} {'fingers':>7} {'build_entries':>13} "
+        f"{'churn_entries':>13} {'checksum':>10}"
+    ]
+    for r in rows:
+        lines.append(
+            f"{r.num_peers:>7} {ring_label(r.arity):<10} "
+            f"{r.mean_hops:>9.3f} {r.p99_hops:>8.0f} "
+            f"{r.lookup_messages:>11} {r.fingers:>7} "
+            f"{r.build_entries:>13} {r.churn_entries:>13} "
+            f"{r.ranking_checksum[:10]:>10}"
+        )
+    verdict = "MATCH" if route_checksums_match(rows) else "MISMATCH"
+    lines.append(f"cross-ring ranking checksums: {verdict}")
+    for r in rows:
+        if r.arity != 2:
+            lines.append(
+                f"{ring_label(r.arity)} vs chord @ {r.num_peers}: "
+                f"{hop_reduction(rows, r.num_peers, r.arity):.1%} fewer mean hops"
+            )
+    return "\n".join(lines)

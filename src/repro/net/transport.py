@@ -289,8 +289,6 @@ def build_transport(config: Optional["NetworkConfig"] = None) -> Transport:
         policy=DeliveryPolicy(
             timeout_ms=config.timeout_ms,
             max_retries=config.max_retries,
-            backoff_base_ms=config.backoff_base_ms,
-            backoff_factor=config.backoff_factor,
             jitter_ms=config.jitter_ms,
         ),
         rng=random.Random(config.seed),

@@ -22,7 +22,7 @@ ones.  This module models that population as a :class:`BehaviorPlan`:
 
 Plans are applied by the engine's ``behave`` event from a compact spec
 string (``classes:EXP`` / ``freeride:FRACTION`` / ``flaky:FRACTION:P``),
-so a scenario JSON replays the exact same population for a seed.
+so a scenario's seed and spec replay the exact same population.
 """
 
 from __future__ import annotations

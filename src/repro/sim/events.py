@@ -120,7 +120,9 @@ def random_scenario(
     ``with_store=True`` additionally mixes the durable-store events —
     ``snapshot``, ``crash_disk``, ``recover_disk`` — into the pools (a
     ``crash_disk`` is always followed by a ``recover_disk`` before the
-    heal steps, so the schedule exercises the snapshot reload path).
+    heal steps, half the time with a ``recover`` between them, so the
+    schedule exercises the snapshot reload path on both sides of
+    replica promotion).
     The default keeps the historical event stream byte-identical for a
     given seed.
     """
@@ -167,10 +169,15 @@ def random_scenario(
         else:
             events.append(SimEvent(kind))
 
-        if kind == "crash_disk" and len(events) < body_budget:
+        if kind == "crash_disk":
             # The disk survives; bring the peer back through the
-            # snapshot path before routing repair runs.
-            events.append(SimEvent("recover_disk"))
+            # snapshot path, half the time after the successor promoted
+            # its replicas (the rejoin's key transfer then carries the
+            # range) and otherwise before (the rejoin takes them over).
+            if rng.random() < 0.5 and len(events) < body_budget - 1:
+                events.append(SimEvent("recover"))
+            if len(events) < body_budget:
+                events.append(SimEvent("recover_disk"))
         if kind in destructive and rng.random() < 0.6:
             for heal in HEAL_SEQUENCE:
                 if len(events) >= body_budget:

@@ -13,7 +13,10 @@ simulated ring; which one runs is decided by what is on disk:
 1. load the peer's newest valid snapshot (disk survived, RAM did not);
 2. rejoin the ring (the DHT's key transfer hands back the authoritative
    slots the successor accumulated — promoted replicas and writes that
-   landed during the outage);
+   landed during the outage), and take over the successor's replicas of
+   the rejoining range it has not promoted yet (a rejoin before the
+   ``recover`` round that promotes them would otherwise find the range
+   only in ``replicas`` and strand every slot the checkpoint lacks);
 3. **snapshot mode** (a valid checkpoint was found) — exchange one
    ``SYNC_DIGEST`` round with the successor (per-slot checksums of the
    checkpoint), then ship only a ``SYNC_DELTA`` per changed slot (the
@@ -90,6 +93,9 @@ class RecoveryManager:
         self.ring.join(node_id=node_id)
         node = self.ring.node(node_id)
         source = node.successor
+        replicas = self.ring.node(source).replicas
+        for key in [key for key in replicas if node.owns(key)]:
+            node.store.setdefault(key, replicas.pop(key))
 
         incremental = snapshot is not None
         report = RecoveryReport(

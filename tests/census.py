@@ -15,7 +15,7 @@ Run it from anywhere, with no arguments::
 
 It needs Python 3.11 (it keys on ``co_qualname``) and takes about
 6–8 minutes on two cores.  The copy keeps the worktree's result tables
-(``benchmarks/results/*.txt``, the ``BENCH_*.json`` records) as they
+(``benchmarks/results/*.txt``, ``benchmarks/BENCH_STRESS.json``) as they
 are.  Comprehensions, lambdas and ``__repr__`` are left out of the fold.
 """
 
@@ -44,8 +44,6 @@ COMMANDS: List[Tuple[Dict[str, str], Tuple[str, ...]]] = [
     *(({}, _REPRO + (name, "--small")) for name in ("info", "fig4a", "fig4b", "fig4c", "cost", "hops")),
     ({}, _REPRO + ("net", "--small", "--sweep", "0.0,0.1", "--lookups", "200")),
     ({}, _REPRO + ("search", "--small", "information", "retrieval")),
-    ({}, _REPRO + ("perf", "--small")),
-    ({}, _REPRO + ("perf", "--small", "--rings", "chord", "--peers-grid", "64")),
     ({}, _REPRO + ("report", "--output", "report.md")),
     *(({}, _REPRO + ("check", "--random", "--seed", seed, "--events", "500")) for seed in "012"),
     ({}, _REPRO + ("check", "--random", "--seed", "3", "--events", "300",
@@ -58,11 +56,9 @@ COMMANDS: List[Tuple[Dict[str, str], Tuple[str, ...]]] = [
     ({}, (_PY, "examples/reproduce_paper.py", "--small")),
     ({"BENCH_STRESS_SCALE": "smoke", "BENCH_STRESS_ENFORCE": "1"},
      _BENCHES + ("benchmarks/test_bench_stress.py",)),
-    ({"BENCH_ROUTE_SCALE": "smoke", "BENCH_ROUTE_ENFORCE": "1"},
-     _BENCHES + ("benchmarks/test_bench_route.py",)),
     *(({}, _BENCHES + (f"benchmarks/test_bench_{name}.py",)) for name in (
         "fig4a", "fig4b", "fig4c", "cost", "chord", "churn", "ablation", "learning",
-        "transport")),
+        "transport", "route")),
 ]
 
 #: A command still running after this long fails the census.
@@ -73,7 +69,6 @@ COMMAND_TIMEOUT_S = 1800
 KINDS = (
     "layer-table:",  # a bench/trace.py LAYER_TABLE target (ROADMAP items 1b, 2)
     "protocol-base:",  # an overridden base, a bypassed constructor, a container dunder
-    "pool-worker:",  # runs in a forked worker, which exits without atexit
     "untaken-branch:",  # live code calls it on a branch the runs never take
     "open-item:",  # an open ROADMAP item decides it
 )
@@ -99,8 +94,6 @@ ALLOWLIST: Dict[str, str] = {
     "every latency model overrides it",
     "repro.dht.messages:Message.__new__": "protocol-base: the hot paths build "
     "messages with tuple.__new__",
-    "repro.perf.route:_cell_worker": "pool-worker: runs in the route sweep's "
-    "forked workers, which leave through os._exit",
     # Container dunders: deleting one changes truthiness, ``in`` or indexing.
     **dict.fromkeys(
         (
@@ -130,10 +123,6 @@ ALLOWLIST: Dict[str, str] = {
     "violation, which no run has",
     "repro.sim.invariants:InvariantViolation.__str__": "untaken-branch: prints a "
     "violation, which no run has",
-    "repro.store.recovery:RecoveryManager._send": "untaken-branch: sends a "
-    "recovery's sync messages; no rejoin the runs make has a slot to transfer",
-    "repro.perf.route:route_paper_config": "untaken-branch: the sweep's paper "
-    "scale, taken by perf without --small and by BENCH_ROUTE_SCALE=paper",
     # The TREC loader: the only path to the paper's own corpus.
     **dict.fromkeys(
         (

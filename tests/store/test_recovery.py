@@ -199,6 +199,69 @@ class TestSimIntegration:
         )
 
 
+def _rejoin(promote_first: bool):
+    """Checkpoint, write past it, crash a peer with its disk, then rejoin
+    it before or after the ``recover`` round that promotes its
+    successor's replicas.  At seed 10 the crashed peer holds two slots,
+    one created after the checkpoint."""
+    engine = build_simulation(seed=10, num_peers=16, delta=SQLITE)
+    events = (
+        [SimEvent("publish", count=5)] * 4
+        + [SimEvent("replicate"), SimEvent("snapshot")]
+        + [SimEvent("publish", count=3)] * 2
+        + [SimEvent("replicate"), SimEvent("crash_disk")]
+        + [SimEvent("recover")] * promote_first
+        + [SimEvent("recover_disk")]
+    )
+    report = engine.run(Scenario(seed=10, events=tuple(events)))
+    assert report.ok, [str(v) for v in report.violations]
+    (recovery,) = engine.recovery.log
+    ring = engine.system.ring
+    node = ring.node(recovery.peer)
+    successor = ring.node(node.successor)
+    return SimpleNamespace(
+        report=dataclasses.asdict(recovery),
+        slots=sorted(node.store),
+        left_behind=[
+            k for k in [*successor.store, *successor.replicas] if node.owns(k)
+        ],
+    )
+
+
+class TestRejoinOrdering:
+    """A rejoin before promotion finds its range only in the successor's
+    replicas; it takes them over, so both orderings get every slot back
+    through the same transfer and the same SYNC messages."""
+
+    @pytest.fixture(scope="class")
+    def both(self):
+        return _rejoin(promote_first=False), _rejoin(promote_first=True)
+
+    def test_both_orderings_transfer_and_sync_every_slot(self, both) -> None:
+        for rejoin in both:
+            report = rejoin.report
+            assert report["mode"] == "snapshot"
+            assert report["slots_transferred"] == len(rejoin.slots) == 2
+            assert report["slots_missing"] == 1  # written after the checkpoint
+            assert report["slots_restored"] == 0
+            assert report["messages_sent"] > 0
+            assert not rejoin.left_behind
+
+    def test_the_orderings_agree(self, both) -> None:
+        before, after = both
+        assert before.report == after.report
+        assert before.slots == after.slots
+
+    def test_random_store_schedules_rejoin_on_both_sides_of_promotion(self) -> None:
+        scenario = random_scenario(seed=3, num_events=300, with_store=True)
+        kinds = [event.kind for event in scenario]
+        follow = [
+            tuple(kinds[i + 1 : i + 3]) for i, k in enumerate(kinds) if k == "crash_disk"
+        ]
+        assert ("recover", "recover_disk") in follow
+        assert any(f[0] == "recover_disk" for f in follow)
+
+
 class TestResyncInvariant:
     def test_flags_snapshot_recovery_that_overspends(self) -> None:
         engine = build_simulation(seed=5, num_peers=8)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main, memory_usage
+from repro.cli import build_parser, main
 
 
 def run_cli(*argv: str) -> tuple:
@@ -27,7 +27,7 @@ class TestParser:
 
     def test_all_commands_registered(self) -> None:
         parser = build_parser()
-        for command in ("info", "fig4a", "fig4b", "fig4c", "cost", "hops", "search", "net", "perf", "check"):
+        for command in ("info", "fig4a", "fig4b", "fig4c", "cost", "hops", "search", "net", "check"):
             required = {"search": ["terms"]}
             args = parser.parse_args([command, *required.get(command, [])])
             assert callable(args.handler)
@@ -45,6 +45,14 @@ class TestParser:
     def test_bad_transport_rejected_by_parser(self) -> None:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["info", "--transport", "telepathy"])
+
+    def test_the_retired_perf_command_is_a_usage_error(self, capsys) -> None:
+        """The route sweep is a paper bench now
+        (``benchmarks/test_bench_route.py``), not a subcommand."""
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("perf", "--small")
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
 
     def test_out_of_range_drop_is_clean_error(self) -> None:
         code, output = run_cli("info", "--drop", "1.5")
@@ -185,134 +193,6 @@ class TestSearch:
         code, output = run_cli("search", "--small", "--top", top, "bagok")
         assert code == 2
         assert output == "error: --top must be >= 1\n"
-
-
-class TestPerf:
-    @pytest.mark.parametrize(
-        "flags",
-        (
-            ("--mode", "topk"),
-            ("--baseline",),
-            ("--mode", "concurrency"),
-            ("--clients", "8"),
-            ("--mode", "route"),
-            ("--shards", "4"),
-        ),
-        ids=["retired-mode", "baseline", "concurrency", "clients", "route-mode", "shards"],
-    )
-    def test_perf_rejects_retired_flags(self, flags, capsys) -> None:
-        with pytest.raises(SystemExit) as exit_info:
-            run_cli("perf", "--small", *flags)
-        assert exit_info.value.code == 2
-        assert "usage:" in capsys.readouterr().err
-
-    def test_perf_validates_network_flags(self) -> None:
-        code, output = run_cli("perf", "--small", "--drop", "1.5")
-        assert code == 2
-        assert output.startswith("error:")
-
-    @pytest.mark.parametrize(
-        "flag,value,error",
-        (("--workers", "0", "error: workers must be >= 1\n"),),
-        ids=["workers"],
-    )
-    def test_perf_validates_before_the_header(self, flag, value, error) -> None:
-        code, output = run_cli("perf", "--small", flag, value)
-        assert code == 2
-        assert output == error
-
-    def test_perf_rejects_lossy_transport(self) -> None:
-        code, output = run_cli("perf", "--small", "--transport", "lossy")
-        assert code == 2
-        assert "perfect" in output
-
-    @pytest.mark.parametrize(
-        "flags,named",
-        (
-            (("--drop", "0.5", "--latency", "80", "--retries", "3"),
-             "--drop --latency --retries"),
-            (("--latency-model", "lognormal", "--timeout", "250", "--net-seed", "5"),
-             "--latency-model --timeout --net-seed"),
-            (("--transport", "perfect", "--drop", "0.1"), "--drop"),
-            (("--transport", "lossy", "--drop", "0.1"), "--transport --drop"),
-        ),
-        ids=["drop-latency-retries", "model-timeout-seed", "perfect-plus-drop", "lossy"],
-    )
-    def test_perf_refuses_every_network_flag_by_name(self, flags, named) -> None:
-        """The sweep runs on the perfect transport: a lossy-only flag it
-        would ignore is refused by name, exit 2, before the header."""
-        code, output = run_cli("perf", "--small", *flags)
-        assert code == 2
-        assert output == f"error: the perf sweep runs on the perfect transport; drop {named}\n"
-
-    def test_perf_accepts_transport_perfect(self) -> None:
-        code, output = run_cli("perf", "--small", "--peers-grid", "200", "--transport", "perfect")
-        assert code == 0
-        assert output.startswith("route sweep:")
-
-
-class TestPerfRoute:
-    ROUTE = ("perf", "--small", "--peers-grid", "200")
-
-    def test_route_sweep_prints_grid_and_reductions(self) -> None:
-        code, output = run_cli(*self.ROUTE, "--rings", "chord,record:8")
-        assert code == 0
-        assert "hops_mean" in output and "churn_entries" in output
-        assert "cross-ring ranking checksums: MATCH" in output
-        assert "record:8 vs chord @ 200 peers:" in output
-        assert "fewer mean hops" in output
-
-    def test_route_single_ring_via_ring_flags(self) -> None:
-        code, output = run_cli(*self.ROUTE, "--ring-arity", "8")
-        assert code == 0
-        assert "record:8" in output
-        assert "chord" not in output.splitlines()[0].split("rings ")[1]
-
-    def test_route_json_record(self) -> None:
-        import json
-
-        code, output = run_cli(*self.ROUTE, "--rings", "chord,record:8", "--json")
-        assert code == 0
-        payload = json.loads(output[output.index("{"):])
-        assert payload["checksums_match"] is True
-        assert payload["rings"] == ["chord", "record:8"]
-        assert len(payload["cells"]) == 2
-
-    def test_route_rejects_two_ring_sources(self) -> None:
-        code, output = run_cli(
-            *self.ROUTE, "--rings", "chord", "--ring-arity", "8"
-        )
-        assert code == 2
-        assert "exactly one ring source" in output
-
-    @pytest.mark.parametrize(
-        "flags,needle",
-        (
-            (("--rings", "chord:4"), "arity only applies"),
-            (("--rings", "record:x"), "must be an integer"),
-            (("--rings", "record:1"), ">= 2"),
-            (("--rings", "chord,chord"), "duplicate ring spec"),
-            (("--ring-arity", "0"), "--ring-arity must be >= 2"),
-            (("--ring-arity", "-3"), "--ring-arity must be >= 2"),
-            (("--ring-arity", "1"), ">= 2"),
-            (("--peers-grid", "0", "--rings", "chord"), "positive"),
-            (("--peers-grid", "40,40"), "repeats a peer count"),
-        ),
-    )
-    def test_route_usage_errors_exit_2(self, flags, needle) -> None:
-        code, output = run_cli("perf", "--small", *flags)
-        assert code == 2
-        assert output.startswith("error:")
-        assert needle in output
-
-
-class TestMemoryLine:
-    def test_memory_usage_snapshot_shape(self) -> None:
-        snapshot = memory_usage()
-        assert set(snapshot) == {"rss_kb", "peak_rss_kb", "allocated_blocks"}
-        # Linux/macOS report real numbers; the fallback is all-zero.
-        assert snapshot["peak_rss_kb"] >= snapshot["rss_kb"] >= 0
-        assert snapshot["allocated_blocks"] >= 0
 
 
 class TestRingFlags:
@@ -524,11 +404,11 @@ class TestCheckCatalogue:
         assert "drop --store-backend" in output
 
 
-class TestStoreFlagParity:
-    """Malformed durable-store flags are a usage error (exit 2) on both
-    commands: ``check`` — the one command that still takes them — names
-    the offending flag with these exact messages, and ``perf``, which
-    lost the flags with its store mode, refuses them in argparse."""
+class TestStoreFlagErrors:
+    """Malformed durable-store flags are a usage error (exit 2):
+    ``check``, the one command that takes them, names the offending
+    flag with these exact messages, and any other command refuses them
+    in argparse."""
 
     CASES = [
         (("--store-dir", "x"),
@@ -542,11 +422,13 @@ class TestStoreFlagParity:
     ]
 
     @pytest.mark.parametrize("flags,message", CASES)
-    def test_check_and_perf_agree(self, flags, message, capsys) -> None:
+    def test_check_names_the_flag_and_net_refuses_it(
+        self, flags, message, capsys
+    ) -> None:
         check_code, check_output = run_cli("check", "--random", *flags)
         assert check_code == 2
         assert check_output == message
         with pytest.raises(SystemExit) as exit_info:
-            run_cli("perf", "--small", *flags)
+            run_cli("net", "--small", *flags)
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err

@@ -26,8 +26,7 @@ PACKAGE = SRC / "repro"
 
 PROBE = """
 import sys
-import repro, repro.cli, repro.perf, repro.sim
-import repro.perf.route
+import repro, repro.cli, repro.sim
 print("numpy" in sys.modules)
 """
 
@@ -78,7 +77,7 @@ def _imported_names(module: Path, node: ast.AST) -> list:
         package = ("repro",) + module.parent.parts
         anchor = package[: len(package) - (node.level - 1)]
         base = ".".join(anchor + ((base,) if base else ()))
-    # ``from repro import perf`` / ``from . import perf`` name the
+    # ``from repro import sim`` / ``from . import sim`` name the
     # package in the alias list, not in the module path.
     return [base] + [f"{base}.{alias.name}" for alias in node.names]
 
@@ -107,15 +106,14 @@ def _typing_only(tree: ast.AST) -> set:
 
 
 #: ``(importers, except, must not import, unless under TYPE_CHECKING)``:
-#: importers and exceptions are path prefixes below ``src/repro``.  The
-#: first row keeps ``repro.perf`` harnesses-only.  The rest the source
-#: states and nothing else checks: a posting store is below the slot
-#: layer (``ir/postings.py``: "must not import repro.core"; the SQLite
-#: one hands the same plain rows to ``TermSlot``), and ``repro.net``
+#: importers and exceptions are path prefixes below ``src/repro``.  Each
+#: row is a rule the source states and nothing else checks: a posting
+#: store is below the slot layer (``ir/postings.py``: "must not import
+#: repro.core"; the SQLite one hands the same plain rows to
+#: ``TermSlot``), and ``repro.net``
 #: "stays import-independent of repro.dht" (``net/trace.py``), naming
 #: ``Message`` and ``NetworkConfig`` for typing only to avoid a cycle.
 FORBIDDEN_EDGES = [
-    ("", ("perf/", "cli.py"), ("repro.perf",), False),
     ("ir/", (), ("repro.core", "repro.dht", "repro.store", "repro.net"), False),
     ("net/", (), ("repro.dht", "repro.config"), True),
     ("store/sqlite_store.py", (), ("repro.core",), False),
@@ -140,11 +138,9 @@ def _violations(importers, exempt, forbidden, typing_allowed) -> list:
     return found
 
 
-def test_core_never_imports_perf_or_a_global_profile() -> None:
-    """``repro.perf`` is harnesses only: counts live on the object that
-    owns them and time in the benchmark's tracer, so no core module may
-    import the package, and no process-global ``PROFILE`` may return."""
-    assert not _violations(*FORBIDDEN_EDGES[0])
+def test_no_module_keeps_a_global_profile() -> None:
+    """Counts live on the object that owns them and time in the
+    benchmark's tracer, so no process-global ``PROFILE`` may return."""
     assert not [
         str(path.relative_to(PACKAGE))
         for path in sorted(PACKAGE.rglob("*.py"))
@@ -152,7 +148,7 @@ def test_core_never_imports_perf_or_a_global_profile() -> None:
     ]
 
 
-@pytest.mark.parametrize("edge", FORBIDDEN_EDGES[1:], ids=lambda edge: str(edge[0]))
+@pytest.mark.parametrize("edge", FORBIDDEN_EDGES, ids=lambda edge: str(edge[0]))
 def test_layers_import_only_what_their_docstrings_allow(edge) -> None:
     assert not _violations(*edge)
 
@@ -420,7 +416,7 @@ def test_every_census_allowlist_entry_resolves_for_an_allowed_reason(monkeypatch
     """``tests/census.py`` runs only in its own CI job; this keeps its
     allowlist honest in tier-1.  Every entry names a function that still
     exists (a rename or a deletion must edit the list), every reason is
-    of one of the five kinds, and a ``layer-table`` entry is a target of
+    of one of the four kinds, and a ``layer-table`` entry is a target of
     ``bench.trace.LAYER_TABLE`` or a function such a target calls (the
     census itself fails the entry once anything else enters it): those
     go with their rows, in a benchmark change."""
