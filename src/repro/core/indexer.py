@@ -30,13 +30,16 @@ written once (DESIGN.md §11):
 
 A batched operation is a request builder, a per-term serve handler and
 a reply builder handed to ``_exchange`` — methods beside the public one,
-so nothing is allocated per call; the write batches and RESULT_STORE
-are request-only.  The one-term-per-message ``publish`` / ``unpublish``
-/ ``poll_term`` are the seed protocol, driven by
-``tests/core/per_term_owner.py`` (``publish`` also by the maintenance
-daemon's republish): route → send → act → send, failures raised.  Every
-read — ``fetch_postings`` too, a one-term batch that raises — is one
-``_search``.
+so nothing is allocated per call; the write batches, the owner's
+HEARTBEAT probe and RESULT_STORE are request-only.  The
+one-term-per-message ``publish`` / ``unpublish`` / ``poll_term`` are the
+seed protocol, driven by ``tests/core/per_term_owner.py`` (``publish``
+also by the maintenance daemon's republish): route → send → act → send,
+failures raised.  Every read — ``fetch_postings`` too, a one-term batch
+that raises — is one ``_search``.  Only reads keep their routes in the
+ring's route cache: an owner's lookups (every absorbing batch and the
+seed protocol) pass ``cached=False``, since the owner keeps the peers
+it reaches itself.
 
 Lookups and sends go through the ring's :class:`~repro.net.Transport`,
 so its statistics are the true protocol cost and a lossy transport
@@ -100,6 +103,7 @@ _RESULT_VALUE = MessageKind.RESULT_VALUE
 _RESULT_STORE = MessageKind.RESULT_STORE
 _VERSION_PROBE = MessageKind.VERSION_PROBE
 _VERSION_VALUE = MessageKind.VERSION_VALUE
+_HEARTBEAT = MessageKind.HEARTBEAT
 
 #: ``(peer → its terms in first-seen order, peer → hops of the request
 #: routed to it, unreachable terms)``: ``_locate`` to ``_exchange``.
@@ -212,11 +216,13 @@ class IndexingProtocol:
 
     # -- the exchange: route, locate, exchange ---------------------------------
 
-    def _route(self, start_id: int, key: int) -> Tuple[ChordNode, int]:
+    def _route(self, start_id: int, key: int, cached: bool = True) -> Tuple[ChordNode, int]:
         """Route from *start_id* to the peer responsible for *key*:
         ``(node, lookup hops)``, or :class:`NodeFailedError` when routing
-        fails or ends at a peer that is down (the Section 7 window)."""
-        result = self.ring.lookup(start_id, key)
+        fails or ends at a peer that is down (the Section 7 window).
+        An owner's lookups pass *cached* false: only reads keep their
+        routes in the ring's route cache."""
+        result = self.ring.lookup(start_id, key, cached=cached)
         node = self.ring.nodes[result.node_id]
         if not node.alive:
             raise NodeFailedError(result.node_id)
@@ -248,7 +254,9 @@ class IndexingProtocol:
         was looked up for is delivered directly, in one hop.  A near
         peer that left (gone from ``ring.nodes``) or crashed is never
         absorbed into: its keys are looked up, and a crashed one's fail
-        exactly as any lookup there does until ``stabilize``.
+        exactly as any lookup there does until ``stabilize``.  An
+        absorbing batch is an owner's: its lookups leave the route cache
+        alone, since the owner keeps the peers they reach as *near*.
         """
         peer_terms: Dict[int, List[str]] = {}
         peer_hops: Dict[int, int] = {}
@@ -272,7 +280,7 @@ class IndexingProtocol:
                         node_id = candidate
             if node_id is None:
                 try:
-                    node, hops = self._route(start_id, key)
+                    node, hops = self._route(start_id, key, cached=not absorb)
                 except NodeFailedError:
                     failed.append(term)
                     continue
@@ -370,7 +378,7 @@ class IndexingProtocol:
         """Publish one (term, document) posting; returns the hop count
         of the routed publication message.  The posting is indexed once
         that message is delivered, not before."""
-        node, hops = self._route(owner_id, self.term_hash(term))
+        node, hops = self._route(owner_id, self.term_hash(term), cached=False)
         self.ring.send(
             message(_PUBLISH_TERM, owner_id, node.node_id, hops=hops + 1)
         )
@@ -386,7 +394,7 @@ class IndexingProtocol:
         posting when it is later promoted after a failure — the
         double-counting race the simulation harness surfaced.
         """
-        node, hops = self._route(owner_id, self.term_hash(term))
+        node, hops = self._route(owner_id, self.term_hash(term), cached=False)
         self.ring.send(
             message(_UNPUBLISH_TERM, owner_id, node.node_id, hops=hops + 1)
         )
@@ -424,13 +432,14 @@ class IndexingProtocol:
         terms: List[str],
         kind: MessageKind,
         near: Sequence[int],
-    ) -> Tuple[Dict[str, ChordNode], Set[str], List[int]]:
-        """The request-only exchange of :meth:`publish_batch` and
-        :meth:`unpublish_batch`: group *terms* (one per item, repeats
-        included) by destination, absorbing into the peers *near* first,
-        and send each peer one *kind* message counting its items.
-        Returns ``(term → the peer that took its batch, failed terms,
-        the peers located)``; a peer that cannot be located or reached
+    ) -> Tuple[Dict[str, ChordNode], Set[str], Dict[int, list]]:
+        """The request-only exchange of :meth:`publish_batch`,
+        :meth:`unpublish_batch` and :meth:`heartbeat_batch`: group
+        *terms* (one per item, repeats included) by destination,
+        absorbing into the peers *near* first, and send each peer one
+        *kind* message counting its items.  Returns ``(term → the peer
+        that took its batch, failed terms, each peer located → the terms
+        its message carried)``; a peer that cannot be located or reached
         loses only its own terms.
         """
         items_of: Dict[str, int] = {}
@@ -440,7 +449,7 @@ class IndexingProtocol:
         taken_at, failed = self._exchange(
             owner_id, located, (kind, items_of), self._write_batch_request
         )
-        return taken_at, set(failed), list(located[0])
+        return taken_at, set(failed), located[0]
 
     @staticmethod
     def _write_batch_request(src, dst, batch, hops, carried) -> Message:
@@ -479,7 +488,7 @@ class IndexingProtocol:
                 slot = self._slot_at(node, term, create=True)
                 slot.add_postings([posting for __, posting in run])
                 published.add(term)
-        return published, failed_terms, located
+        return published, failed_terms, list(located)
 
     def unpublish_batch(
         self,
@@ -509,7 +518,25 @@ class IndexingProtocol:
             if slot.remove_posting(doc_id) is not None:
                 removed.add(term)
             self._forward_unpublish_to_replicas(node.node_id, term, doc_id)
-        return removed, failed_terms, located
+        return removed, failed_terms, list(located)
+
+    def heartbeat_batch(
+        self,
+        owner_id: int,
+        terms: List[str],
+        near: Sequence[int] = (),
+    ) -> Tuple[Dict[str, ChordNode], Set[str], Dict[int, list]]:
+        """An owner's liveness probe, destination-grouped like its
+        writes: *terms* holds one term per published (document, term)
+        posting, and each responsible peer gets one HEARTBEAT counting
+        the postings it should hold — a lookup only for a peer not in
+        *near*.  The probe changes nothing at the peer; the caller reads
+        the slots of the peer that took each term's heartbeat.
+
+        Returns ``(term → the peer that took its heartbeat, failed
+        terms, each peer located → the terms its heartbeat carried)``.
+        """
+        return self._open_write_batches(owner_id, terms, _HEARTBEAT, near)
 
     # -- query registration (querying peer → indexing peers) -----------------
 
@@ -965,7 +992,7 @@ class IndexingProtocol:
         Returns (new queries, latest sequence seen at the slot, or
         *since* without one).
         """
-        node, hops = self._route(owner_id, self.term_hash(term))
+        node, hops = self._route(owner_id, self.term_hash(term), cached=False)
         self.ring.send(
             message(_POLL_QUERIES, owner_id, node.node_id, hops=hops + 1)
         )

@@ -7,8 +7,10 @@ probe the indexing peers to ensure that they are still 'alive'" — and
 notes SPRITE makes it affordable by keeping the number of indexed terms
 small.  This module implements the probe loop:
 
-* each maintenance round, every owner sends a heartbeat to the indexing
-  peer of each of its published terms;
+* each maintenance round, every owner sends one heartbeat to each
+  indexing peer of its published terms, naming the (term, document)
+  postings that peer should hold — grouped and located like the owner's
+  writes, so a peer it already knows costs no lookup;
 * if the peer is unreachable (crashed before repair) the owner waits —
   the §7 degraded window;
 * if routing has been repaired and the term now resolves to a *new*
@@ -83,7 +85,13 @@ class MaintenanceDaemon:
 
     def run_round(self) -> MaintenanceReport:
         """Probe every published (document, term) posting once, then
-        reconcile indexing-peer state against owner state."""
+        reconcile indexing-peer state against owner state.
+
+        Each live owner probes as it writes: one :meth:`~repro.core.
+        indexer.IndexingProtocol.heartbeat_batch` over all its postings,
+        absorbing into the peers it knows (:attr:`OwnerPeer.peers`) and
+        adding those it had to look up.  The report still counts
+        postings, not messages."""
         report = MaintenanceReport()
         protocol = self.system.protocol
         ring = self.system.ring
@@ -91,43 +99,33 @@ class MaintenanceDaemon:
         for owner in self.system.owners.values():
             if not ring.is_live(owner.node_id):
                 continue  # a crashed owner probes nothing
-            for doc_id, state in owner.shared.items():
-                for term in list(state.index_terms):
-                    key = protocol.term_hash(term)
-                    try:
-                        result = ring.lookup(owner.node_id, key)
-                    except NodeFailedError:
-                        # Pre-repair window: the responsible peer is down
-                        # and routing still points at it.  Nothing to do
-                        # until stabilization (paper §7, option 1).
-                        report.peers_unreachable += 1
-                        continue
+            probed = [
+                (state, term) for state in owner.shared.values() for term in state.index_terms
+            ]
+            taken_at, __, located = protocol.heartbeat_batch(
+                owner.node_id, [term for __, term in probed], owner.peers
+            )
+            owner._know(located)
+            sent = {term for batch in located.values() for term in batch}
+            for state, term in probed:
+                if term in sent:
                     report.probes_sent += 1
-                    try:
-                        ring.send(
-                            message(
-                                MessageKind.HEARTBEAT,
-                                owner.node_id,
-                                result.node_id,
-                                hops=result.hops + 1,
-                            )
-                        )
-                    except NodeFailedError:
-                        report.peers_unreachable += 1
-                        continue
-                    node = ring.node(result.node_id)
-                    slot = node.adopt(key)
-                    if (
-                        isinstance(slot, TermSlot)
-                        and slot.has_posting(doc_id)
-                    ):
-                        report.postings_intact += 1
-                        continue
-                    # The responsible peer has no posting for us: the
-                    # slot died with a failed peer (or a fresh joiner
-                    # took over an empty range).  Republish.
-                    owner._publish_terms_force(state, term)
-                    report.postings_republished += 1
+                node = taken_at.get(term)
+                if node is None:
+                    # The peer could not be located — down before repair,
+                    # nothing to do until stabilization (paper §7, option
+                    # 1) — or its heartbeat was lost.
+                    report.peers_unreachable += 1
+                    continue
+                slot = node.adopt(protocol.term_hash(term))
+                if isinstance(slot, TermSlot) and slot.has_posting(state.document.doc_id):
+                    report.postings_intact += 1
+                    continue
+                # The responsible peer has no posting for us: the slot
+                # died with a failed peer (or a fresh joiner took over an
+                # empty range).  Republish.
+                owner._publish_terms_force(state, term)
+                report.postings_republished += 1
         self._reconcile_round(report)
         return report
 

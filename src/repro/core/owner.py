@@ -10,23 +10,24 @@ statistics), and one poll cursor per index term so each learning
 iteration fetches only the queries cached since the previous iteration.
 
 An owner speaks one wire protocol (DESIGN.md §11): whatever it
-publishes, withdraws or polls is grouped by responsible indexing peer,
-and each peer gets one PUBLISH_BATCH / UNPUBLISH_BATCH / POLL_BATCH
-message.  The owner keeps the peers that took its requests
-(:attr:`OwnerPeer.peers`: those its last poll located, plus those its
-writes located since), and every batch absorbs into them first — a
-term inside a known live peer's ownership interval costs no lookup, and
-its request goes out in one hop.  A lookup is paid only for a peer the
-owner has not reached.  A learning round covers all of the owner's
-documents at once (:meth:`OwnerPeer.learn_all`): one poll, Algorithm 1
-per document, then one withdrawal and one publication pass — so a round
-costs a request per peer, not per (document, peer).
+publishes, withdraws, polls or probes is grouped by responsible indexing
+peer, and each peer gets one PUBLISH_BATCH / UNPUBLISH_BATCH /
+POLL_BATCH / HEARTBEAT message.  The owner keeps the peers that took its
+requests (:attr:`OwnerPeer.peers`: those its last poll located, plus
+those its writes and maintenance probes located since), and every batch
+absorbs into them first — a term inside a known live peer's ownership
+interval costs no lookup, and its request goes out in one hop.  A lookup
+is paid only for a peer the owner has not reached, and it leaves no
+route in the ring's route cache.  A learning round covers all of the
+owner's documents at once (:meth:`OwnerPeer.learn_all`): one poll,
+Algorithm 1 per document, then one withdrawal and one publication pass —
+so a round costs a request per peer, not per (document, peer).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..config import SpriteConfig
 from ..corpus.document import Document
@@ -85,10 +86,11 @@ class OwnerPeer:
         self.scorer = scorer
         self.shared: Dict[str, SharedDocument] = {}
         #: The peers that took this owner's requests: those its last poll
-        #: located, plus those its writes located since.  A poll covers
-        #: every index term it asks about, so it replaces the list, which
-        #: stays about as long as the owner has distinct indexing peers
-        #: (a list: a set of ~40 ids costs several times the bytes).
+        #: located, plus those its writes and maintenance probes located
+        #: since.  A poll covers every index term it asks about, so it
+        #: replaces the list, which stays about as long as the owner has
+        #: distinct indexing peers (a list: a set of ~40 ids costs several
+        #: times the bytes).
         self.peers: List[int] = []
 
     # -- sharing -----------------------------------------------------------
@@ -228,8 +230,9 @@ class OwnerPeer:
                 state.index_terms.remove(term)
                 state.poll_cursors.pop(term, None)
 
-    def _know(self, located: List[int]) -> None:
-        """Add the peers a write located to the known :attr:`peers`."""
+    def _know(self, located: Iterable[int]) -> None:
+        """Add the peers a write or a maintenance probe located to the
+        known :attr:`peers`."""
         known = set(self.peers)
         self.peers = self.peers + [peer for peer in located if peer not in known]
 

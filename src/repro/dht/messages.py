@@ -120,8 +120,9 @@ class MessageKind(Enum):
     REPLICATE = (
         "replicate", "maintenance", 0, (TERM_BYTES + VERSION_BYTES, TERM_BYTES + POSTING_BYTES)
     )
-    # liveness probe
-    HEARTBEAT = "heartbeat", "maintenance", QUERY_HEADER_BYTES
+    # owner → indexing peer, liveness probe: (term hash, doc id) pairs
+    # the peer should hold
+    HEARTBEAT = "heartbeat", "maintenance", QUERY_HEADER_BYTES, (TERM_BYTES + TERM_BYTES,)
     # indexing peer ↔ owner: posting audit
     RECONCILE = "reconcile", "maintenance", QUERY_HEADER_BYTES + TERM_BYTES
     # §7 load-balance advice
@@ -207,7 +208,7 @@ def message(kind: MessageKind, src: int, dst: int, *counts: int, hops: int = 1) 
     :func:`wire_size`'s, written out here, and the tuple is made without
     :meth:`Message.__new__` once the size and hops are checked: both
     calls would show on the query path, which sends one per request and
-    one per reply.  A row with no units (a routed LOOKUP hop, HEARTBEAT,
+    one per reply.  A row with no units (a routed LOOKUP hop,
     RESULT_PROBE) is its fixed bytes, read without the unit sum."""
     unit_bytes = kind.unit_bytes
     if not unit_bytes and not counts:

@@ -38,7 +38,8 @@ without changing any observable routing outcome:
   with joins or leaves; tests assert the two produce byte-identical
   routing state.
 * **Route caching** (``ChordConfig.route_cache_size``): each node
-  remembers ``key → responsible node`` for lookups it resolved.  The
+  remembers ``key → responsible node`` for the read lookups it
+  resolved (an owner's lookups pass ``cached=False``).  The
   ring bumps a membership *epoch* on every join/leave/fail/stabilize;
   a cached route from an older epoch is revalidated (owner still alive
   and still responsible) before use.  A cache hit still accounts one
@@ -453,7 +454,9 @@ class ChordRing:
         if receipt.outcome is not _DELIVERED:
             raise _delivery_failure(dst_id, receipt)
 
-    def lookup(self, start_id: int, key: int, record: bool = True) -> LookupResult:
+    def lookup(
+        self, start_id: int, key: int, record: bool = True, cached: bool = True
+    ) -> LookupResult:
         """Iteratively resolve the node responsible for *key*, starting
         from *start_id*, using only finger tables and successor lists.
 
@@ -462,6 +465,11 @@ class ChordRing:
         the hit is accounted as one direct message (hop count 1), since
         the requesting peer already knows the responsible peer's
         address.  Cache misses route normally and populate the cache.
+        With *cached* false the cache is neither read nor written: an
+        owner's lookups route this way, because the owner keeps the
+        peers it reaches itself (``OwnerPeer.peers``) and would never
+        read such a route again.  Either way the lookup counts one
+        LOOKUP message.
 
         A routed hop is one pass of the loop below.  Its far-to-near
         finger scan starts just below the first ``finger_steps`` entry
@@ -483,7 +491,7 @@ class ChordRing:
             raise NodeFailedError(start_id)
         nodes = self.nodes
 
-        cache = self.route_cache
+        cache = self.route_cache if cached else None
         if cache is not None:
             entry = cache.get(start_id, key)
             if entry is not None:

@@ -6,6 +6,14 @@ a key and contacts it directly next time (cf. the route caches in
 production Kademlia/Chord implementations).  :class:`RouteCache` models
 exactly that for the simulator:
 
+* only reads write it: a querying peer's lookups (registration, term
+  fetches, result-cache probes) store their routes.  An owner's lookups
+  — its write, poll and maintenance batches and the one-posting seed
+  methods — pass ``cached=False`` to
+  :meth:`~repro.dht.ring.ChordRing.lookup` and neither read nor write
+  it: the owner keeps the peers it reaches (``OwnerPeer.peers``) and
+  would not read those routes again;
+
 * entries are keyed by ``(requesting node, ring key)`` — each peer
   only benefits from routes *it* resolved, matching a real deployment
   where caches are private per node.  A cache belongs to exactly one
@@ -29,7 +37,10 @@ The cache itself is a dumb bounded map with hit/miss accounting; the
 revalidation *policy* lives in :meth:`repro.dht.ring.ChordRing.lookup`,
 which also preserves the paper's cost model: a cache hit still accounts
 one lookup message (the querying peer contacts the indexing peer
-directly), it just skips the multi-hop routing.
+directly), it just skips the multi-hop routing.  Pricing a hit at zero
+would make a run's message count depend on what earlier runs left in
+the cache: repetitions that share one trained system (the benchmark's
+``query_steady``) would then disagree on their ``msgs``.
 """
 
 from __future__ import annotations

@@ -405,8 +405,8 @@ class RouteRow:
     lookups: int
     #: LOOKUP hop-messages over the whole cell: one per routing hop.
     lookup_messages: int
-    #: Rounded to four places before the table prints three and derives
-    #: each reduction from it: ``route.txt`` is committed that way.
+    #: Exact (``lookup_messages / lookups``); the table rounds it, and
+    #: each reduction, only when it prints them.
     mean_hops: float
     p99_hops: float
     #: Fingers per node: the state bought to shorten routes.
@@ -484,7 +484,7 @@ def run_route_cell(num_peers: int, arity: int) -> RouteRow:
         arity=arity,
         lookups=len(hops),
         lookup_messages=ring.stats.kind(MessageKind.LOOKUP).hops - messages_before,
-        mean_hops=round(sum(hops) / len(hops), 4) if hops else 0.0,
+        mean_hops=sum(hops) / len(hops) if hops else 0.0,
         p99_hops=percentile(hops, 99),
         fingers=len(ring.finger_steps),
         build_entries=build_entries,

@@ -7,7 +7,7 @@ import pytest
 from repro.config import ChordConfig, SpriteConfig
 from repro.core import MaintenanceDaemon, SpriteSystem
 from repro.corpus import Corpus, Document, Query
-from repro.dht.messages import MessageKind
+from repro.dht.messages import MessageKind, units_carried
 from ..probes import ids
 
 CHORD = ChordConfig(num_peers=24, id_bits=32, seed=131)
@@ -33,6 +33,29 @@ def system() -> SpriteSystem:
     return system
 
 
+def peers_of(system: SpriteSystem, owner) -> set:
+    """The live peers responsible for *owner*'s published terms."""
+    term_hash = system.protocol.term_hash
+    return {
+        system.ring.successor_of(term_hash(term))
+        for state in owner.shared.values()
+        for term in state.index_terms
+    }
+
+
+def postings_at(system: SpriteSystem, peer: int) -> int:
+    """How many published (document, term) postings *peer* is
+    responsible for (by the ring's ownership before any repair)."""
+    node = system.ring.nodes[peer]
+    term_hash = system.protocol.term_hash
+    return sum(
+        node.owns(term_hash(term))
+        for owner in system.owners.values()
+        for state in owner.shared.values()
+        for term in state.index_terms
+    )
+
+
 class TestHealthyRound:
     def test_all_postings_intact(self, system: SpriteSystem) -> None:
         report = MaintenanceDaemon(system).run_round()
@@ -41,9 +64,32 @@ class TestHealthyRound:
         assert report.postings_intact == system.total_published_terms()
 
     def test_heartbeats_counted(self, system: SpriteSystem) -> None:
+        """An owner probes the peers its writes located: no lookup, one
+        HEARTBEAT per (owner, peer), one unit per posting."""
+        stats = system.ring.stats
+        lookups = stats.kind(MessageKind.LOOKUP).messages
         MaintenanceDaemon(system).run_round()
-        heartbeats = system.ring.stats.kind(MessageKind.HEARTBEAT)
-        assert heartbeats.messages == system.total_published_terms()
+        assert stats.kind(MessageKind.LOOKUP).messages == lookups
+        heartbeats = stats.kind(MessageKind.HEARTBEAT)
+        assert heartbeats.messages == sum(
+            len(peers_of(system, owner)) for owner in system.owners.values()
+        )
+        assert units_carried(
+            MessageKind.HEARTBEAT, heartbeats.messages, heartbeats.bytes
+        ) == system.total_published_terms()
+
+    def test_two_clean_rounds_report_and_send_alike(self, system: SpriteSystem) -> None:
+        daemon = MaintenanceDaemon(system)
+        stats = system.ring.stats
+        traffic = []
+        reports = []
+        for __ in range(2):
+            before = stats.total_messages, stats.total_bytes
+            reports.append(daemon.run_round())
+            traffic.append((stats.total_messages - before[0], stats.total_bytes - before[1]))
+        assert reports[0] == reports[1] and reports[0].clean
+        assert reports[0].probes_sent == system.total_published_terms()
+        assert traffic[0] == traffic[1]
 
     def test_rounds_are_idempotent(self, system: SpriteSystem) -> None:
         daemon = MaintenanceDaemon(system)
@@ -124,4 +170,68 @@ class TestInteractionWithJoin:
         posting goes missing and no republication should happen."""
         system.ring.join(name="fresh-peer")
         report = MaintenanceDaemon(system).run_round()
+        assert report.postings_republished == 0
+
+
+class TestTheProbeReachesKnownPeers:
+    """The probe absorbs into the peers an owner knows and looks up only
+    keys outside their intervals; what it locates, the owner then knows."""
+
+    @staticmethod
+    def _lookups(system: SpriteSystem) -> int:
+        return system.ring.stats.kind(MessageKind.LOOKUP).messages
+
+    def test_a_joiner_inside_a_known_peer_is_looked_up_and_healed(
+        self, system: SpriteSystem
+    ) -> None:
+        ring = system.ring
+        owner = next(o for o in system.owners.values() if o.shared)
+        term = next(iter(owner.shared.values())).index_terms[0]
+        key = system.protocol.term_hash(term)
+        known = ring.successor_of(key)
+        assert known in owner.peers and key != known
+        joiner = ring.join(node_id=key)  # takes (predecessor, key] from known
+        missing = postings_at(system, joiner)
+        assert missing > 0
+        ring.node(joiner).store.clear()  # the key transfer lost its slots
+        routes = dict(ring.route_cache._entries)
+        lookups = self._lookups(system)
+
+        daemon = MaintenanceDaemon(system)
+        report = daemon.run_round()
+        assert report.postings_republished == missing
+        assert report.postings_intact == system.total_published_terms() - missing
+        assert report.peers_unreachable == 0
+        assert self._lookups(system) > lookups
+        assert joiner in owner.peers
+        assert ring.route_cache._entries == routes  # an owner stores no route
+
+        lookups = self._lookups(system)
+        again = daemon.run_round()
+        assert again.clean and again.postings_intact == system.total_published_terms()
+        assert self._lookups(system) == lookups  # the joiner is known now
+
+    def test_a_known_peer_that_left_is_routed_around(self, system: SpriteSystem) -> None:
+        ring = system.ring
+        owner = next(o for o in system.owners.values() if o.shared)
+        gone = next(peer for peer in owner.peers if postings_at(system, peer))
+        ring.leave(gone)
+        report = MaintenanceDaemon(system).run_round()
+        assert report.clean
+        assert report.probes_sent == report.postings_intact == system.total_published_terms()
+
+    def test_a_crashed_peer_is_unreachable_until_repair(self, system: SpriteSystem) -> None:
+        ring = system.ring
+        owner = next(o for o in system.owners.values() if o.shared)
+        victim = next(
+            peer for peer in owner.peers if peer not in system.owners and postings_at(system, peer)
+        )
+        lost = postings_at(system, victim)
+        ring.fail(victim)
+        report = MaintenanceDaemon(system).run_round()
+        assert not report.clean
+        assert report.peers_unreachable == lost
+        assert report.probes_sent == report.postings_intact == (
+            system.total_published_terms() - lost
+        )
         assert report.postings_republished == 0

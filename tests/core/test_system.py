@@ -283,24 +283,26 @@ class TestTermSelectionIsAConfigDelta:
 
     STATIC_FINGERPRINT = "87429760fbaba03c"
     STATIC_RANKINGS = "8b24f75179f82c30"
-    #: Recorded, but for LOOKUP and PUBLISH_BATCH hops: an owner reaches
-    #: a peer it published to before without a lookup, in one hop (369
-    #: lookups and 1,089 publish hops while every share looked its peers
-    #: up afresh).
+    #: Recorded, but for LOOKUP, PUBLISH_BATCH and SEARCH_TERM hops: an
+    #: owner reaches a peer it published to before without a lookup, in
+    #: one hop (369 lookups and 1,089 publish hops while every share
+    #: looked its peers up afresh), and its lookups store no route, so a
+    #: querying peer that is also an owner routes its terms (352 lookup
+    #: and 42 search hops while it reused its owner's routes).
     STATIC_TRAFFIC = {
-        "lookup": {"messages": 136, "bytes": 0, "hops": 352},
+        "lookup": {"messages": 136, "bytes": 0, "hops": 356},
         # 12·16 + 24·53 postings, as recorded; + 14·8
         "postings": {"messages": 12, "bytes": 1464 + 112, "hops": 12},
         "publish_batch": {"messages": 355, "bytes": 22960, "hops": 672},
-        "search_term": {"messages": 12, "bytes": 304, "hops": 42},
+        "search_term": {"messages": 12, "bytes": 304, "hops": 46},
     }
     #: Slots and owner state with each document's index terms sorted:
     #: the subclass published ``sorted(terms)``, the config publishes in
     #: frequency order, so selection order and slot-version rank moved.
     FULL_FINGERPRINT_UNORDERED = "f54b119b9a17fc36"
     #: kind → (messages, bytes).  Hops are not pinned: the order in which
-    #: a write batch locates its terms decides which of its lookups the
-    #: route cache answers.  Lookups are paid only for peers the owner
+    #: a write batch locates its terms decides which of them it absorbs
+    #: into a peer resolved earlier in the batch.  Lookups are paid only for peers the owner
     #: had not reached before (628 while every share looked its peers up).
     FULL_TRAFFIC = {
         "lookup": (185, 0),

@@ -22,18 +22,19 @@ from .linear_finger_scan import linear_closest_preceding_finger
 
 
 def reference_lookup(
-    ring: ChordRing, start_id: int, key: int, record: bool = True
+    ring: ChordRing, start_id: int, key: int, record: bool = True, cached: bool = True
 ) -> LookupResult:
     """Resolve *key* from *start_id* exactly as the shipped lookup must:
     same result, hops, path, exceptions, route-cache traffic, transport
-    deliveries and statistics."""
+    deliveries and statistics.  With *cached* false (an owner's lookup)
+    the route cache is neither read nor written."""
     if not ring._live_sorted:
         raise EmptyRingError("no live nodes")
     start = ring.node(start_id)
     if not start.alive:
         raise NodeFailedError(start_id)
 
-    cache = ring.route_cache
+    cache = ring.route_cache if cached else None
     if cache is not None:
         entry = cache.get(start_id, key)
         if entry is not None:

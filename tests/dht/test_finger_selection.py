@@ -15,7 +15,9 @@ keys — the positions where an off-by-one in the start index would show
 ``linear_finger_scan.py``) resolves it; the invariant holds after every
 membership event at every arity; and whole churn schedules — results,
 paths, exceptions, message accounting, transport RNG draws — cannot
-tell the two routers apart.  ``ROUTER_DIFF_PROFILE=router-diff-drawn``
+tell the two routers apart, with the route cache off, filled by every
+lookup, or — the owner cell — with half the lookups an owner's, which
+neither read nor write it.  ``ROUTER_DIFF_PROFILE=router-diff-drawn``
 replays 50 seeded schedules per cell where tier-1 runs the fixed one.
 """
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import os
 import random
+from functools import partial
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -173,10 +176,12 @@ def test_finger_invariant_holds_after_every_event(data) -> None:
 # -- whole lookups cannot tell the routers apart ------------------------------------
 
 
-def drive(arity: int, lossy: bool, route_cache_size: int, seed=None):
+def drive(arity: int, lossy: bool, route_cache_size: int, seed=None, owner: bool = False):
     """A churn schedule with lookups between — and inside — the §7 crash
     windows; returns everything an observer of the ring can see.  *seed*
-    draws the schedule (``None``: the fixed one, per arity)."""
+    draws the schedule (``None``: the fixed one, per arity).  With
+    *owner*, each lookup is an owner's (``cached=False``) or a read by a
+    coin flip."""
     rng = random.Random(1234 + arity if seed is None else seed)
     bits = 16
     size = 1 << bits
@@ -195,7 +200,8 @@ def drive(arity: int, lossy: bool, route_cache_size: int, seed=None):
         for _ in range(count):
             start = rng.choice(ring.live_ids)
             key = rng.choice([rng.randrange(size), start, rng.choice(ids), (start - 1) % size])
-            log.append(lookup_outcome(ChordRing.lookup, ring, start, key))
+            cached = not owner or rng.random() < 0.5
+            log.append(lookup_outcome(partial(ChordRing.lookup, cached=cached), ring, start, key))
 
     lookups(150)
     for _ in range(6):
@@ -212,24 +218,28 @@ def drive(arity: int, lossy: bool, route_cache_size: int, seed=None):
     net = None
     if lossy:
         net = (ring.transport.rng.getstate(), len(ring.transport.trace))
-    return log, ring.stats.summary(), ring.stats.lookup_hop_histogram, net
+    cache = ring.route_cache
+    routes = None if cache is None else (cache.stats(), dict(cache._entries))
+    return log, ring.stats.summary(), ring.stats.lookup_hop_histogram, net, routes
 
 
-@pytest.mark.parametrize("route_cache_size", [0, 64])
+@pytest.mark.parametrize(
+    "route_cache_size, owner", [(0, False), (64, False), (64, True)], ids=["0", "64", "64-owner"]
+)
 @pytest.mark.parametrize("lossy", [False, True], ids=["perfect", "lossy"])
 @pytest.mark.parametrize("arity", ARITIES)
 @settings(settings.get_profile(os.environ.get("ROUTER_DIFF_PROFILE", "router-diff-fixed")))
 @given(seed=st.integers(0, 2**32 - 1))
 @example(seed=None)
 def test_whole_lookups_equal_under_reference_scan(
-    arity: int, lossy: bool, route_cache_size: int, seed
+    arity: int, lossy: bool, route_cache_size: int, owner: bool, seed
 ) -> None:
-    shipped = drive(arity, lossy, route_cache_size, seed)
+    shipped = drive(arity, lossy, route_cache_size, seed, owner)
     with pytest.MonkeyPatch.context() as patch:
         # The one lookup everything routes through, replaced by the
         # reference router: every hop below comes from the linear scan.
         patch.setattr(ChordRing, "lookup", reference_lookup)
-        reference = drive(arity, lossy, route_cache_size, seed)
+        reference = drive(arity, lossy, route_cache_size, seed, owner)
     assert shipped == reference
     if seed is not None:
         return
@@ -240,6 +250,10 @@ def test_whole_lookups_equal_under_reference_scan(
     if lossy:
         assert any(name == "MessageDroppedError" for name, *_ in failures)
     assert sum(1 for entry in log if not isinstance(entry[0], str)) > len(log) // 2
+    if owner:
+        # Both kinds ran: reads filled the cache, owner lookups passed it by.
+        stats, __ = shipped[4]
+        assert stats["entries"] > 0 and stats["hits"] + stats["misses"] < len(log)
 
 
 # -- the interval tests written out inside ChordRing.lookup --------------------------

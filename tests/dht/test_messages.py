@@ -123,7 +123,7 @@ class TestFactories:
         with pytest.raises(TypeError):
             wire_size(K.QUERY_BATCH, 3)
         with pytest.raises(TypeError):
-            message(K.HEARTBEAT, 1, 2, 5)
+            message(K.RESULT_PROBE, 1, 2, 5)
 
 
 class TestSizeConstants:
@@ -281,7 +281,10 @@ class TestBatchFactories:
 #: is re-stated since a fetch is conditional: SEARCH_TERM counts (terms,
 #: versions held, keywords registered) at 8 bytes each, POSTINGS
 #: (postings shipped, slots answered) at 24 and 8 — each row re-counted
-#: at its old byte total.
+#: at its old byte total.  HEARTBEAT is re-priced: one probes all the
+#: postings an owner has at a peer, so it carries (term hash, doc id)
+#: pairs like UNPUBLISH_BATCH, ``16 + 16·postings``; its old row is the
+#: empty probe and the rows with postings come last, so no row id moves.
 GOLDEN = [
     (K.PUBLISH_TERM, (), 32),
     (K.UNPUBLISH_TERM, (), 24),
@@ -340,7 +343,7 @@ GOLDEN = [
     (K.REPLICATE, (10, 0), 160),
     (K.REPLICATE, (10, 4), 288),
     (K.REPLICATE, (250, 250), 12000),
-    (K.HEARTBEAT, (), 16),              # core/maintenance.py
+    (K.HEARTBEAT, (0,), 16),            # core/maintenance.py
     (K.RECONCILE, (), 24),              # core/maintenance.py
     (K.POLL_QUERIES, (), 32),           # core/indexer.py
     (K.POLL_BATCH, (2,), 48),           # core/indexer.py, whatever |index terms|
@@ -356,6 +359,8 @@ GOLDEN = [
     (K.POSTINGS, (0, 3, 1), 41),
     (K.REGISTER, (1,), 24),
     (K.REGISTER, (5,), 56),
+    (K.HEARTBEAT, (1,), 32),
+    (K.HEARTBEAT, (40,), 656),
 ]
 
 

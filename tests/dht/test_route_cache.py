@@ -298,3 +298,46 @@ class TestRingIntegration:
             for start, key in zip(starts, keys):
                 if ring.is_live(start):
                     assert ring.lookup(start, key).node_id == ring.successor_of(key)
+
+
+class TestOnlyReadsFillTheCache:
+    """An owner keeps the peers it reaches itself (``OwnerPeer.peers``),
+    so its lookups — writes, polls, maintenance — pass ``cached=False``
+    and only a querying peer's lookups store routes.  Every lookup still
+    counts one LOOKUP message."""
+
+    def test_an_uncached_lookup_neither_reads_nor_writes(self) -> None:
+        ring = make_ring()
+        start = ring.live_ids[0]
+        key = (ring.live_ids[40] + 1) % ring.space.size
+        routed = ring.lookup(start, key, cached=False)
+        assert len(ring.route_cache) == 0
+        assert (ring.route_cache.hits, ring.route_cache.misses) == (0, 0)
+        ring.lookup(start, key)  # a read stores the route ...
+        again = ring.lookup(start, key, cached=False)  # ... an owner's lookup routes
+        assert again == routed and again.hops > 1
+        assert len(ring.route_cache) == 1
+        assert (ring.route_cache.hits, ring.route_cache.misses) == (0, 1)
+        assert ring.stats.kind(MessageKind.LOOKUP).messages == 3
+
+    def test_an_owner_only_build_stores_no_route(self, micro) -> None:
+        system = micro.build()
+        system.bulk_share()
+        system.run_learning()
+        # 122 LOOKUPs, as many as while every owner lookup stored its route.
+        assert system.ring.stats.kind(MessageKind.LOOKUP).messages == 122
+        assert len(system.ring.route_cache) == 0
+
+    def test_a_query_stores_exactly_its_routes(self, micro) -> None:
+        system = micro.build()
+        system.bulk_share()
+        system.run_learning()
+        query = micro.test[0]
+        issuer = system._issuer_for(query)
+        system.search(query, cache=False)
+        term_hash = system.protocol.term_hash
+        assert set(system.ring.route_cache._entries) == {
+            (issuer, term_hash(term))
+            for term in query.terms
+            if system.ring.successor_of(term_hash(term)) != issuer
+        }

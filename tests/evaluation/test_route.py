@@ -36,6 +36,8 @@ class TestRouteCell:
         assert cell.mean_hops > 1.0
         assert cell.p99_hops >= cell.mean_hops
         assert cell.lookup_messages > cell.lookups  # multi-hop lookups
+        # The row keeps the exact mean; only the table rounds it.
+        assert cell.mean_hops == cell.lookup_messages / cell.lookups
         assert cell.build_entries > 0
         assert cell.churn_entries > 0
 

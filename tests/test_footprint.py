@@ -10,7 +10,9 @@ corpus).  Sizes come from ``tracemalloc``: bytes still allocated after
 the build, with the documents analyzed beforehand.  The position memo
 behind ``IdSpace.hash_key`` (one per ring width, shared by every ring of
 that width) lives as long as the process; its bound, and the bytes a
-full memo holds, are pinned here.
+full memo holds, are pinned here.  So is what the ring's route cache
+keeps: a route per (querying peer, query term) resolved, none for an
+owner, which reaches its indexing peers through the peers it knows.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from functools import partial
 
 import pytest
 
+from repro.core import SpriteSystem
 from repro.core.learning import IncrementalLearner
 from repro.dht.hashing import HASH_KEYS, IdSpace, md5_hash
 from repro.ir import InvertedIndex
@@ -37,6 +40,9 @@ LEARNER_BYTES_PER_DOCUMENT = 512
 #: 31 B at 32 bits).  The key strings belong to the memo's callers.
 HASH_KEY_BOUND = 1 << 18
 HASH_KEY_BYTES_PER_ENTRY = 96
+#: Route-cache entries an owner-only build (share, then learn) may leave
+#: (518 on the small corpus while every owner lookup stored its route).
+ROUTES_AFTER_OWNER_BUILD = 0
 
 
 def retained_bytes(build):
@@ -90,3 +96,21 @@ def test_the_position_memo_is_bounded() -> None:
     assert full[keys[-1]] == md5_hash(keys[-1], 32)
     assert len(full) == 1
     assert full[keys[0]] == md5_hash(keys[0], 32)
+
+
+def test_only_reads_keep_routes(small_env) -> None:
+    config = small_env.config
+    system = SpriteSystem(
+        small_env.corpus, sprite_config=config.sprite, chord_config=config.chord
+    )
+    system.bulk_share()
+    system.run_learning()
+    cache = system.ring.route_cache
+    assert len(cache) <= ROUTES_AFTER_OWNER_BUILD, len(cache)
+    system.register_queries(small_env.train)
+    read_routes = {
+        (system._issuer_for(query), system.protocol.term_hash(term))
+        for query in small_env.train
+        for term in query.terms
+    }
+    assert 0 < len(cache) <= len(read_routes)
