@@ -33,10 +33,9 @@ a reply builder handed to ``_exchange`` — methods beside the public one,
 so nothing is allocated per call; the write batches, the owner's
 HEARTBEAT probe and RESULT_STORE are request-only.  The
 one-term-per-message ``publish`` / ``unpublish`` / ``poll_term`` are the
-seed protocol, driven by ``tests/core/per_term_owner.py`` (``publish``
-also by the maintenance daemon's republish): route → send → act → send,
-failures raised.  Every read — ``fetch_postings`` too, a one-term batch
-that raises — is one ``_search``.  Only reads keep their routes in the
+seed protocol, driven by ``tests/core/per_term_owner.py``: route → send
+→ act → send, failures raised.  Every read — ``fetch_postings`` too, a
+one-term batch that raises — is one ``_search``.  Only reads keep their routes in the
 ring's route cache: an owner's lookups (every absorbing batch and the
 seed protocol) pass ``cached=False``, since the owner keeps the peers
 it reaches itself.
@@ -388,11 +387,11 @@ class IndexingProtocol:
     def unpublish(self, owner_id: int, term: str, doc_id: str) -> bool:
         """Remove a posting during term replacement; True if it existed.
 
-        The deletion is also forwarded to the indexing peer's replica
-        holders (its live successors that carry a copy of the slot), so
-        a replica shipped *before* the unpublish cannot resurrect the
-        posting when it is later promoted after a failure — the
-        double-counting race the simulation harness surfaced.
+        The removal takes effect at the indexing peer only.  It changes
+        the slot's ``replica_stamp``, so the next replication round
+        reships the slot to its replica holders; a replica promoted
+        before that round still holds the posting, and the next
+        maintenance round's reconcile retires it (DESIGN.md §7).
         """
         node, hops = self._route(owner_id, self.term_hash(term), cached=False)
         self.ring.send(
@@ -401,30 +400,7 @@ class IndexingProtocol:
         slot = self._slot_at(node, term, create=False)
         if slot is None:
             return False
-        removed = slot.remove_posting(doc_id) is not None
-        self._forward_unpublish_to_replicas(node.node_id, term, doc_id)
-        return removed
-
-    def _forward_unpublish_to_replicas(
-        self, node_id: int, term: str, doc_id: str
-    ) -> None:
-        """Propagate a deletion to the live successor replicas of the
-        term's slot (the double-counting guard of :meth:`unpublish`).
-        A replica deletes when the forward reaches it; one whose forward
-        was lost is stale until the maintenance reconcile round."""
-        key = self.term_hash(term)
-        for succ_id in self.ring.node(node_id).successor_list:
-            if succ_id == node_id or not self.ring.is_live(succ_id):
-                continue
-            replica = self.ring.node(succ_id).replicas.get(key)
-            if isinstance(replica, TermSlot) and replica.has_posting(doc_id):
-                try:
-                    self.ring.send(
-                        message(_UNPUBLISH_TERM, node_id, succ_id)
-                    )
-                except NodeFailedError:
-                    continue
-                replica.remove_posting(doc_id)
+        return slot.remove_posting(doc_id) is not None
 
     def _open_write_batches(
         self,
@@ -499,8 +475,8 @@ class IndexingProtocol:
         """Remove many (term, doc id) postings destination-grouped, the
         counterpart of :meth:`publish_batch`: one lookup per distinct
         peer not in *near*, one UNPUBLISH_BATCH message each, applied in
-        input order with the replica deletion-forwarding of
-        :meth:`unpublish`.
+        input order at the indexing peers only: replicas catch up as
+        after :meth:`unpublish`.
 
         Returns ``(terms whose posting existed and was removed, failed
         terms, the peers located)`` — like :meth:`unpublish`, resolving
@@ -513,11 +489,8 @@ class IndexingProtocol:
         for term, doc_id in removals:
             node = taken_at.get(term)
             slot = self._slot_at(node, term, create=False) if node is not None else None
-            if slot is None:
-                continue
-            if slot.remove_posting(doc_id) is not None:
+            if slot is not None and slot.remove_posting(doc_id) is not None:
                 removed.add(term)
-            self._forward_unpublish_to_replicas(node.node_id, term, doc_id)
         return removed, failed_terms, list(located)
 
     def heartbeat_batch(

@@ -16,7 +16,9 @@ small.  This module implements the probe loop:
 * if routing has been repaired and the term now resolves to a *new*
   responsible peer that lacks the posting (the data died with the old
   peer and no replica was promoted), the owner **republishes** it — the
-  self-healing path that complements successor replication.
+  self-healing path that complements successor replication.  An owner's
+  missing postings go out as one write batch: one PUBLISH_BATCH per
+  peer, not a lookup and a message per posting.
 
 A second, indexing-peer-driven pass — **reconciliation** — audits the
 reverse direction: every indexing peer validates each posting it holds
@@ -27,7 +29,11 @@ harness (:mod:`repro.sim`) surfaced leave permanent orphans:
 * an unpublish that raced a crash (the owner dropped the term locally
   but the deletion never reached a peer that was down at the time);
 * a stale replica promoted after a failure, resurrecting postings that
-  were unpublished after the replica was shipped.
+  were unpublished after the replica was shipped.  A deletion takes
+  effect at the indexing peer only and reaches its replica holders with
+  the next replication round (the slot's ``replica_stamp`` changed), so
+  the indexing peer's crash between an unpublish and that round leaves
+  one.
 
 Orphaned postings inflate the indexed document frequency n'_k — the
 paper's ranking surrogate — so reconciliation is a correctness matter,
@@ -37,10 +43,11 @@ not mere tidiness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Tuple
 
 from ..dht.messages import MessageKind, message
 from ..exceptions import NodeFailedError
-from .metadata import TermSlot
+from .metadata import PostingEntry, TermSlot
 from .system import SpriteSystem
 
 
@@ -90,8 +97,13 @@ class MaintenanceDaemon:
         Each live owner probes as it writes: one :meth:`~repro.core.
         indexer.IndexingProtocol.heartbeat_batch` over all its postings,
         absorbing into the peers it knows (:attr:`OwnerPeer.peers`) and
-        adding those it had to look up.  The report still counts
-        postings, not messages."""
+        adding those it had to look up.  The postings whose peer took
+        the heartbeat but lacks them go back out as one
+        :meth:`~repro.core.indexer.IndexingProtocol.publish_batch` per
+        owner, absorbing into the same known peers: a posting counts as
+        republished only once its batch was delivered, and as
+        unreachable otherwise.  The report counts postings, not
+        messages."""
         report = MaintenanceReport()
         protocol = self.system.protocol
         ring = self.system.ring
@@ -107,6 +119,7 @@ class MaintenanceDaemon:
             )
             owner._know(located)
             sent = {term for batch in located.values() for term in batch}
+            missing: List[Tuple[str, PostingEntry]] = []
             for state, term in probed:
                 if term in sent:
                     report.probes_sent += 1
@@ -124,8 +137,18 @@ class MaintenanceDaemon:
                 # The responsible peer has no posting for us: the slot
                 # died with a failed peer (or a fresh joiner took over an
                 # empty range).  Republish.
-                owner._publish_terms_force(state, term)
-                report.postings_republished += 1
+                missing.append((term, owner._posting_for(state.document, term)))
+            if not missing:
+                continue
+            published, __, located = protocol.publish_batch(
+                owner.node_id, missing, owner.peers
+            )
+            owner._know(located)
+            for term, __ in missing:
+                if term in published:
+                    report.postings_republished += 1
+                else:
+                    report.peers_unreachable += 1
         self._reconcile_round(report)
         return report
 

@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..config import SpriteConfig
 from ..corpus.document import Document
-from ..exceptions import LearningError, NodeFailedError
+from ..exceptions import LearningError
 from .indexer import IndexingProtocol
 from .learning import (
     IncrementalLearner,
@@ -188,27 +188,6 @@ class OwnerPeer:
                 if term in published:
                     state.index_terms.append(term)
                     state.poll_cursors.setdefault(term, -1)
-
-    def _publish_terms_force(self, state: SharedDocument, term: str) -> bool:
-        """Re-publish the posting for an *already indexed* term.
-
-        Used by the maintenance daemon when a heartbeat finds that the
-        term's current responsible peer lacks our posting (the slot died
-        with a crashed peer and no replica was promoted).  Returns True
-        when the publication succeeded.
-        """
-        if term not in state.index_terms:
-            raise LearningError(
-                f"cannot force-publish unindexed term {term!r} for "
-                f"{state.document.doc_id!r}"
-            )
-        try:
-            self.protocol.publish(
-                self.node_id, term, self._posting_for(state.document, term)
-            )
-        except NodeFailedError:
-            return False
-        return True
 
     def _unpublish(self, plans: Sequence[Plan]) -> None:
         """Withdraw each plan's currently indexed terms in one

@@ -77,6 +77,7 @@ _TRACE = "layer-table: a bench/trace.py LAYER_TABLE target, deleted with its row
 
 #: ``module:qualified name`` -> why it may stay unreached.
 ALLOWLIST: Dict[str, str] = {
+    "repro.core.indexer:IndexingProtocol.publish": _TRACE,
     "repro.core.indexer:IndexingProtocol.unpublish": _TRACE,
     "repro.core.indexer:IndexingProtocol.fetch_postings_batch": _TRACE,
     "repro.core.indexer:IndexingProtocol.poll_term": _TRACE,

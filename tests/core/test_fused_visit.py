@@ -31,7 +31,9 @@ The failure contract is the search instance of a rule every batched
 exchange of the protocol obeys — what a message carries takes effect
 only once it is delivered — so ``TestLostLeg`` states it as one table
 over *exchange × lost leg*, and ``TestDeliveredBeforeApplied`` pins the
-three sites that used to act before they sent.
+two sites that used to act before they sent.  A deletion tells the
+indexing peers only; their replicas catch up at the next replication
+round (``TestADeletionRidesTheReplicationRound``).
 """
 
 from __future__ import annotations
@@ -455,10 +457,9 @@ class TestLostLeg:
 
         # What the peers kept.  A lost request leaves the victim's slots
         # as they were — nothing cached, no posting moved, no slot
-        # created — and their replicas too: a deletion that never
-        # arrived is never forwarded.  Everything else, the victim's
-        # side of an exchange whose reply was lost included, is what the
-        # twin's peers hold.
+        # created — and their replicas too: no exchange writes to a
+        # replica.  Everything else, the victim's side of an exchange
+        # whose reply was lost included, is what the twin's peers hold.
         after, twin = index_state(ring), index_state(ring_twin)
         for where in after.keys() | twin.keys() | before.keys():
             peer, held, term = where
@@ -476,40 +477,57 @@ class TestLostLeg:
                 assert cached[-1].terms == terms
 
 
-class TestDeliveredBeforeApplied:
-    """Three sites that used to act first and send afterwards."""
+class Keeps(PerfectTransport):
+    """A perfect network that keeps every message it delivers."""
 
-    def test_a_lost_deletion_forward_leaves_the_replica_its_posting(self) -> None:
-        transport = DropKinds()
+    def __init__(self) -> None:
+        super().__init__()
+        self.sent: List = []
+
+    def deliver(self, message, dst_alive: bool = True) -> DeliveryReceipt:
+        self.sent.append(message)
+        return super().deliver(message, dst_alive)
+
+
+class TestADeletionRidesTheReplicationRound:
+    def test_an_unpublish_batch_tells_each_located_peer_once_and_no_replica(self) -> None:
+        transport = Keeps()
         ring, protocol, __ = build_stack(transport=transport)
         owner = ring.live_ids[0]
         terms = VOCAB[:20]
         protocol.publish_batch(
             owner, [(t, PostingEntry("victim", owner, 2, 90)) for t in terms]
         )
-        ReplicationManager(ring, replication_factor=1).replicate_round()
+        replication = ReplicationManager(ring, replication_factor=1)
+        replication.replicate_round()
 
-        def replica_postings() -> int:
-            return sum(
-                slot.has_posting("victim")
+        def holders() -> set:
+            return {
+                node.node_id
                 for node in ring.nodes.values()
                 for slot in node.replicas.values()
-            )
+                if slot.has_posting("victim")
+            }
 
-        assert replica_postings() == len(terms)
-        transport.kinds = frozenset({MessageKind.UNPUBLISH_TERM})
-        removed, failed, __ = protocol.unpublish_batch(owner, [(t, "victim") for t in terms])
-        # The primaries took their batches; every forward was lost, so
-        # every replica still has what nobody told it to delete.
-        assert (removed, failed) == (set(terms), set())
-        assert transport.dropped == len(terms)
-        assert replica_postings() == len(terms)
-        transport.kinds = frozenset()
-        protocol.publish_batch(
-            owner, [(t, PostingEntry("victim", owner, 2, 90)) for t in terms]
+        held = holders()
+        sent = len(transport.sent)
+        removed, failed, located = protocol.unpublish_batch(
+            owner, [(t, "victim") for t in terms]
         )
-        protocol.unpublish_batch(owner, [(t, "victim") for t in terms])
-        assert replica_postings() == 0
+        assert (removed, failed) == (set(terms), set())
+        writes = [m for m in transport.sent[sent:] if m.kind is not MessageKind.LOOKUP]
+        assert [m.kind for m in writes] == [MessageKind.UNPUBLISH_BATCH] * len(located)
+        assert sorted(m.dst for m in writes) == sorted(located)
+        assert held - set(located)  # holders no message went to
+        # The replicas keep the posting until the next round reships
+        # the slots the removal changed.
+        assert holders() == held
+        replication.replicate_round()
+        assert holders() == set()
+
+
+class TestDeliveredBeforeApplied:
+    """Two sites that used to act first and send afterwards."""
 
     def test_a_posting_is_indexed_once_its_publish_term_is_delivered(self) -> None:
         transport = DropKinds()

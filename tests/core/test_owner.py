@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
 import pytest
 
 from repro.config import ChordConfig, SpriteConfig
 from repro.core.indexer import IndexingProtocol
+from repro.core.maintenance import MaintenanceDaemon
 from repro.core.metadata import PostingEntry
 from repro.core.owner import OwnerPeer
 from repro.corpus import Document
@@ -176,24 +178,6 @@ class TestLearning:
         assert owner.shared["d1"].learning_iterations_run == 1
         assert owner.shared["d2"].learning_iterations_run == 1
 
-    def test_force_publish_requires_indexed_term(self, owner: OwnerPeer) -> None:
-        owner.share(DOC)
-        state = owner.shared["d1"]
-        with pytest.raises(LearningError):
-            owner._publish_terms_force(state, "epsilon")  # not indexed
-
-    def test_force_publish_restores_lost_posting(
-        self, owner: OwnerPeer, protocol: IndexingProtocol
-    ) -> None:
-        owner.share(DOC)
-        state = owner.shared["d1"]
-        term = state.index_terms[0]
-        slot = protocol.slot_snapshot(term)
-        slot.remove_posting("d1")
-        assert indexed_df(protocol, term) == 0
-        assert owner._publish_terms_force(state, term) is True
-        assert indexed_df(protocol, term) == 1
-
     def test_target_bounded_by_document_vocabulary(self, owner: OwnerPeer) -> None:
         tiny = Document("tiny", "rock sand")   # both stem-stable words
         owner.share(tiny)
@@ -248,6 +232,77 @@ def stack(transport=None) -> Tuple[ChordRing, IndexingProtocol, OwnerPeer]:
     ring = ChordRing(ChordConfig(num_peers=16, id_bits=32, seed=29), transport=transport)
     protocol = IndexingProtocol(ring, query_cache_size=32)
     return ring, protocol, OwnerPeer(ring.live_ids[0], protocol, CONFIG)
+
+
+class LosesKinds(PerfectTransport):
+    """A perfect network that loses every message of the kinds in
+    ``kinds`` (empty until a test sets it)."""
+
+    kinds: frozenset = frozenset()
+
+    def deliver(self, message, dst_alive: bool = True) -> DeliveryReceipt:
+        if message.kind in self.kinds:
+            return DeliveryReceipt(DeliveryOutcome.DROPPED, attempts=1, latency_ms=0.0)
+        return super().deliver(message, dst_alive)
+
+
+def daemon_of(owner: OwnerPeer) -> MaintenanceDaemon:
+    """The maintenance daemon of a system whose only owner is *owner*."""
+    protocol = owner.protocol
+    system = SimpleNamespace(protocol=protocol, ring=protocol.ring, owners={owner.node_id: owner})
+    return MaintenanceDaemon(system)
+
+
+class TestMaintenanceRepublish:
+    """A posting the maintenance heartbeat finds missing goes back out
+    through the owner's write batch, into the peers the heartbeat just
+    reached."""
+
+    def test_only_indexed_terms_are_probed_and_republished(
+        self, owner: OwnerPeer, protocol: IndexingProtocol
+    ) -> None:
+        owner.share(DOC)
+        state = owner.shared["d1"]
+        assert "epsilon" not in state.index_terms
+        for term in state.index_terms:
+            protocol.slot_snapshot(term).remove_posting("d1")
+        report = daemon_of(owner).run_round()
+        assert report.probes_sent == report.postings_republished == len(state.index_terms)
+        assert all(indexed_df(protocol, term) == 1 for term in state.index_terms)
+        assert indexed_df(protocol, "epsilon") == 0  # not indexed
+
+    def test_a_lost_posting_is_restored_by_one_publish_batch(
+        self, owner: OwnerPeer, protocol: IndexingProtocol, ring: ChordRing
+    ) -> None:
+        owner.share(DOC)
+        state = owner.shared["d1"]
+        term = state.index_terms[0]
+        protocol.slot_snapshot(term).remove_posting("d1")
+        assert indexed_df(protocol, term) == 0
+        before = ring.stats.snapshot()
+        report = daemon_of(owner).run_round()
+        sent = ring.stats.delta_since(before)
+        assert report.postings_republished == 1
+        assert report.postings_intact == len(state.index_terms) - 1
+        assert indexed_df(protocol, term) == 1
+        # The owner knows its peers: no lookup, one batch, no one-term write.
+        assert set(sent) == {MessageKind.HEARTBEAT, MessageKind.PUBLISH_BATCH}
+        assert sent[MessageKind.PUBLISH_BATCH].messages == 1
+
+    def test_a_republish_that_is_lost_counts_as_unreachable(self) -> None:
+        transport = LosesKinds()
+        ring, protocol, owner = stack(transport)
+        owner.share(DOC)
+        term = owner.shared["d1"].index_terms[0]
+        protocol.slot_snapshot(term).remove_posting("d1")
+        transport.kinds = frozenset({MessageKind.PUBLISH_BATCH})
+        lost = daemon_of(owner).run_round()
+        assert (lost.postings_republished, lost.peers_unreachable) == (0, 1)
+        assert not lost.clean and indexed_df(protocol, term) == 0
+        transport.kinds = frozenset()
+        healed = daemon_of(owner).run_round()
+        assert (healed.postings_republished, healed.peers_unreachable) == (1, 0)
+        assert indexed_df(protocol, term) == 1
 
 
 class TestLearningRound:

@@ -247,7 +247,7 @@ def test_quiet_rounds_ship_nothing_and_churned_slots_ship_alone() -> None:
         doc_id = DOCS[0].doc_id
         touched = len(system.index_terms(doc_id))
         system.bulk_unshare([doc_id])
-        # Deletions are forwarded to the replica holders, each of which
-        # draws its own version: every copy of a touched slot re-ships.
+        # A deletion changes the primary's stamp and no replica's:
+        # every copy of a touched slot re-ships.
         assert manager.replicate_round() == touched * manager.replication_factor
         assert manager.replicate_round() == 0

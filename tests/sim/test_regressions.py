@@ -7,10 +7,11 @@ corresponding fix landed, as a targeted regression:
   a replica-resident slot must promote it to a primary copy, otherwise
   a later join's key transfer (which moves only ``store``) strands the
   slot and the term becomes unresolvable.
-* **deletion forwarding** (``IndexingProtocol.unpublish``): an unpublish
-  must also reach live replica holders, otherwise a replica shipped
-  before the deletion resurrects the posting when promoted after a
-  crash.
+* **deletion by replication** (``OwnerPeer._unpublish``): a deletion
+  reaches the replica holders with the next replication round, which
+  reships the slot it changed; a replica promoted by a crash before
+  that round still holds the posting, and the next maintenance round
+  retires it.
 * **reconciliation** (``MaintenanceDaemon._reconcile_round``): an
   unpublish that raced the indexing peer's crash leaves a permanent
   orphan in the promoted replica; the indexing-peer-driven audit retires
@@ -109,25 +110,65 @@ class TestReplicaAdoption:
         ), [str(v) for v in report.violations]
 
 
-class TestDeletionForwarding:
-    def test_promoted_replica_does_not_resurrect_unpublished_posting(
-        self, system
-    ) -> None:
-        # shrunk schedule: publish → replicate → unpublish → crash
-        # primary → stabilize + promote → the posting must stay gone
+class TestDeletionRidesReplication:
+    """A deletion takes effect at the indexing peer only; its replica
+    holders learn of it from the next replication round, and a replica
+    promoted before that round is retired by the next maintenance
+    round's reconcile."""
+
+    @staticmethod
+    def _withdraw(system: SpriteSystem):
+        """Publish → replicate → the owner withdraws one posting.
+        Returns (doc_id, key, primary, replication)."""
         ring = system.ring
         owner, doc_id, term, key, primary = _some_posting(system)
         replication = ReplicationManager(ring)
         replication.replicate_round()
+        assert any(
+            isinstance(slot, TermSlot) and slot.has_posting(doc_id)
+            for slot in (ring.node(n).replicas.get(key) for n in ring.live_ids)
+        )
+        state = owner.shared[doc_id]
+        owner._unpublish([(state, [term])])
+        assert term not in state.index_terms
+        assert not ring.node(primary).store[key].has_posting(doc_id)
+        return doc_id, key, primary, replication
 
-        assert system.protocol.unpublish(owner.node_id, term, doc_id)
+    def test_a_replication_round_before_the_crash_leaves_the_posting_gone(
+        self, system
+    ) -> None:
+        # shrunk schedule: unpublish → replicate → crash primary →
+        # stabilize + promote → the posting must stay gone
+        ring = system.ring
+        doc_id, key, primary, replication = self._withdraw(system)
+        replication.replicate_round()
         ring.fail(primary)
         replication.recover_from_failures()
 
         holder = ring.node(ring.successor_of(key))
         slot = holder.store.get(key) or holder.replicas.get(key)
-        if isinstance(slot, TermSlot):
-            assert not slot.has_posting(doc_id), "unpublished posting resurrected"
+        assert isinstance(slot, TermSlot) and not slot.has_posting(doc_id)
+
+    def test_a_crash_before_the_round_promotes_a_posting_maintenance_retires(
+        self, system
+    ) -> None:
+        # shrunk schedule: unpublish → crash primary → stabilize +
+        # promote (the stale replica, posting included) → maintain must
+        # retire it and leave owner and index in agreement
+        ring = system.ring
+        doc_id, key, primary, replication = self._withdraw(system)
+        ring.fail(primary)
+        replication.recover_from_failures()
+
+        holder = ring.node(ring.successor_of(key))
+        assert holder.store[key].has_posting(doc_id)  # the stale promotion
+        report = MaintenanceDaemon(system).run_round()
+        assert report.postings_retired >= 1
+        assert not holder.store[key].has_posting(doc_id)
+        check = InvariantChecker(system).check(quiescent=True)
+        assert not any(
+            v.invariant == "owner_agreement" for v in check.violations
+        ), [str(v) for v in check.violations]
 
 
 class TestReconciliation:

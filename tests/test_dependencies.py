@@ -194,9 +194,9 @@ def test_the_indexing_protocol_keeps_one_exchange() -> None:
     """``core/indexer.py`` routes, groups and exchanges in one place
     each (its module docstring): one function looks up, the liveness
     check that follows a lookup sits in that function, and a delivery
-    failure is caught only where it becomes failed terms (the exchange)
-    or is tolerated (the replica deletion-forward).  A second copy of
-    any of them is how the delivery-order bugs of PR 20 got in."""
+    failure is caught only where it becomes failed terms (the exchange).
+    A second copy of any of them is how the delivery-order bugs got
+    in."""
     tree = ast.parse((PACKAGE / "core" / "indexer.py").read_text(encoding="utf-8"))
     assert _functions_where(tree, _calls("lookup", "lookup_term")) == {"_route"}
     # _locate reads it of an absorption candidate, before any lookup.
@@ -207,7 +207,7 @@ def test_the_indexing_protocol_keeps_one_exchange() -> None:
         tree,
         lambda node: isinstance(node, ast.Try)
         and any(_calls("send")(inner) for stmt in node.body for inner in ast.walk(stmt)),
-    ) == {"_exchange", "_forward_unpublish_to_replicas"}
+    ) == {"_exchange"}
 
 
 def test_a_message_is_built_and_priced_in_one_module() -> None:
