@@ -252,8 +252,11 @@ class IndexingProtocol:
         absorbing starts from them, and a request to one that no term
         was looked up for is delivered directly, in one hop.  A near
         peer that left (gone from ``ring.nodes``) or crashed is never
-        absorbed into: its keys are looked up, and a crashed one's fail
-        exactly as any lookup there does until ``stabilize``.  An
+        absorbed into: the candidate is the next live one clockwise,
+        under the same ownership test, and a key it does not own is
+        looked up — so a crashed peer's keys fail exactly as any lookup
+        there does until ``stabilize``, and after it are absorbed by its
+        successor when the owner knows that peer too.  An
         absorbing batch is an owner's: its lookups leave the route cache
         alone, since the owner keeps the peers they reach as *near*.
         """
@@ -269,8 +272,14 @@ class IndexingProtocol:
             node_id: Optional[int] = None
             if resolved_sorted:
                 idx = bisect_left(resolved_sorted, key)
-                candidate = resolved_sorted[idx % len(resolved_sorted)]
+                known = len(resolved_sorted)
+                candidate = resolved_sorted[idx % known]
                 node = nodes.get(candidate)  # None: a near peer that left
+                step = 1
+                while (node is None or not node.alive) and step < known:
+                    candidate = resolved_sorted[(idx + step) % known]  # next clockwise
+                    node = nodes.get(candidate)
+                    step += 1
                 pred = node.predecessor if node is not None and node.alive else None
                 # ChordNode.owns on the mask: key ∈ (predecessor, node].
                 if pred is not None:

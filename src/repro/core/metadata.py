@@ -92,8 +92,9 @@ class PostingEntry(NamedTuple):
 
 
 class CachedQuery(NamedTuple):
-    """A query as cached at an indexing peer (a named tuple: one is
-    built per registered term visit).
+    """One arrival in an indexing peer's query cache, as the cache is
+    read: a view built on read (by a poll, an iteration, the digest
+    index, or as what an arrival returns), never kept by the cache.
 
     ``query_hash`` is precomputed ("every cached query is hashed also,
     which can be precomputed offline"), and ``sequence`` is the slot's
@@ -105,8 +106,8 @@ class CachedQuery(NamedTuple):
     sequence: int
 
 
-# One CachedQuery is built per registered term visit: tuple.__new__ skips
-# the named tuple's Python-level constructor.
+# A view is built per arrival read: tuple.__new__ skips the named tuple's
+# Python-level constructor.
 _new_tuple = tuple.__new__
 
 # Process-global stamp sequence for query caches, the counterpart of the
@@ -115,6 +116,9 @@ _new_tuple = tuple.__new__
 # stamp only if one is an unmodified copy of the other.
 _CACHE_STAMPS = itertools.count(1)
 
+# What the digest index answers for a digest no cached tuple has.
+_UNINDEXED = object()
+
 
 class QueryCache:
     """Bounded most-recent-queries cache (Section 3: "to reduce the
@@ -122,24 +126,31 @@ class QueryCache:
     queries").
 
     The cache is a FIFO of query *arrivals*: re-issuing an identical
-    keyword set appends a fresh entry with a new sequence number, so QF
-    — defined over historical queries, repeats included — reflects query
-    popularity under skewed streams ("w-zipf").  Capacity bounds the
-    number of stored arrivals; the oldest are discarded first.
+    keyword set appends one more arrival with a new sequence number, so
+    QF — defined over historical queries, repeats included — reflects
+    query popularity under skewed streams ("w-zipf").  Capacity bounds
+    the number of stored arrivals; the oldest are discarded first.
 
-    Beside the FIFO, an index ``digest → latest arrival`` of every tuple
-    cached (:func:`query_digest`), kept on arrival and on eviction: a
-    digest resolves while an arrival of its tuple is cached, and never
-    while two cached tuples share it.  It holds at most one entry per
-    distinct cached tuple.
+    An arrival is one FIFO reference to a ``(terms, query hash)`` record
+    that the arrivals of its tuple share, and its sequence is its
+    position: arrivals only append and eviction only pops the oldest, so
+    the cached sequences are contiguous and end at
+    :attr:`latest_sequence`.  A cache that never took an arrival holds
+    no FIFO.  Reads build :class:`CachedQuery` views.
+
+    Beside the FIFO, an index ``digest → (record, latest sequence)`` of
+    every tuple cached (:func:`query_digest`), kept on arrival and on
+    eviction: a digest resolves while an arrival of its tuple is cached,
+    and never (``None``) while two cached tuples share it.  It holds at
+    most one entry per distinct cached tuple.
     """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._entries: deque = deque()
-        self._index: Dict[int, Optional[CachedQuery]] = {}
+        self._entries: Optional[deque] = None  # the FIFO, from the first arrival
+        self._index: Dict[int, Optional[Tuple[tuple, int]]] = {}
         self._next_sequence = 0
         self._stamp = next(_CACHE_STAMPS)
 
@@ -153,14 +164,28 @@ class QueryCache:
         """Rebuild a cache from checkpointed state (``repro.store``
         snapshots): the exact entries *and* the next sequence number, so
         ``latest_sequence`` — which owner poll cursors and the write-state
-        fingerprint both observe — survives a save/load round trip."""
+        fingerprint both observe — survives a save/load round trip.
+        Raises :class:`ValueError` unless the entries' sequences are
+        contiguous and end just before *next_sequence*."""
         cache = cls(capacity)
-        for terms, query_hash, sequence in entries:
-            cache._entries.append(
-                CachedQuery(tuple(terms), int(query_hash), int(sequence))
-            )
+        entries = list(entries)
+        next_sequence = int(next_sequence)
+        records: Dict[tuple, tuple] = {}
+        fifo = []
+        for position, (terms, query_hash, sequence) in enumerate(
+            entries, next_sequence - len(entries)
+        ):
+            if int(sequence) != position:
+                raise ValueError(
+                    f"cached sequence {sequence} where {position} is due: cached "
+                    "sequences are contiguous and end before the next sequence"
+                )
+            record = (tuple(terms), int(query_hash))
+            fifo.append(records.setdefault(record, record))
+        if fifo:
+            cache._entries = deque(fifo)
+        cache._next_sequence = next_sequence
         cache._reindex()
-        cache._next_sequence = int(next_sequence)
         return cache
 
     def add(
@@ -171,20 +196,28 @@ class QueryCache:
         already has it."""
         if digest is None:
             digest = query_digest(terms)
-        entry = _new_tuple(CachedQuery, (terms, query_hash, self._next_sequence))
-        self._next_sequence += 1
+        sequence = self._next_sequence
+        self._next_sequence = sequence + 1
         self._stamp = next(_CACHE_STAMPS)
-        entries = self._entries
-        entries.append(entry)
         index = self._index
-        known = index.get(digest, entry)
-        if known is entry or known is not None and known.terms == terms:
-            index[digest] = entry
+        known = index.get(digest, _UNINDEXED)
+        if known is None:  # two cached tuples share the digest
+            record = (terms, query_hash)
+        elif known is not _UNINDEXED and known[0][0] == terms:
+            record = known[0]
+            if record[1] != query_hash:
+                record = (terms, query_hash)
+            index[digest] = (record, sequence)
         else:
-            index[digest] = None  # two cached tuples share it
+            record = (terms, query_hash)
+            index[digest] = (record, sequence) if known is _UNINDEXED else None
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = deque()
+        entries.append(record)
         while len(entries) > self.capacity:
-            self._evicted(entries.popleft())
-        return entry
+            self._evicted(entries.popleft(), sequence - len(entries))  # the popped one's
+        return _new_tuple(CachedQuery, (terms, query_hash, sequence))
 
     def add_repeat(self, digest: int) -> Optional[CachedQuery]:
         """Record one more arrival of the tuple *digest* names — exactly
@@ -194,49 +227,70 @@ class QueryCache:
         known = index.get(digest)
         if known is None:
             return None
-        entry = _new_tuple(CachedQuery, (known.terms, known.query_hash, self._next_sequence))
-        self._next_sequence += 1
+        record = known[0]
+        sequence = self._next_sequence
+        self._next_sequence = sequence + 1
         self._stamp = next(_CACHE_STAMPS)
+        index[digest] = (record, sequence)
         entries = self._entries
-        entries.append(entry)
-        index[digest] = entry
+        entries.append(record)
         while len(entries) > self.capacity:
-            self._evicted(entries.popleft())
-        return entry
+            self._evicted(entries.popleft(), sequence - len(entries))  # the popped one's
+        return _new_tuple(CachedQuery, (record[0], record[1], sequence))
 
     @property
-    def digests(self) -> Mapping[int, Optional[CachedQuery]]:
-        """The digest index, for audits: each value is the latest cached
-        arrival of the digest's tuple, or ``None`` where two cached
-        tuples share the digest.  Callers must not mutate it."""
-        return self._index
+    def digests(self) -> Dict[int, Optional[CachedQuery]]:
+        """The digest index, for audits, as a new dict: each value is a
+        view of the latest cached arrival of the digest's tuple, or
+        ``None`` where two cached tuples share the digest."""
+        return {
+            digest: None if known is None else _new_tuple(CachedQuery, (*known[0], known[1]))
+            for digest, known in self._index.items()
+        }
 
-    def _evicted(self, entry: CachedQuery) -> None:
-        """Unindex an evicted arrival if it was its tuple's latest (the
-        FIFO keeps no older one); a shared digest re-reads the index
-        from what is left."""
-        digest = query_digest(entry.terms)
+    def _evicted(self, record: tuple, sequence: int) -> None:
+        """Unindex the evicted arrival *sequence* of *record* if it was
+        its tuple's latest (the FIFO keeps no older one); a shared
+        digest re-reads the index from what is left."""
+        digest = query_digest(record[0])
         known = self._index[digest]
-        if known is entry:
-            del self._index[digest]
-        elif known is None:
+        if known is None:
             self._reindex()
+        elif known[1] == sequence:
+            del self._index[digest]
 
     def _reindex(self) -> None:
-        index: Dict[int, Optional[CachedQuery]] = {}
-        for entry in self._entries:
-            digest = query_digest(entry.terms)
-            known = index.get(digest, entry)
-            if known is entry or known is not None and known.terms == entry.terms:
-                index[digest] = entry
+        index: Dict[int, Optional[Tuple[tuple, int]]] = {}
+        entries = self._entries or ()
+        for sequence, record in enumerate(entries, self._next_sequence - len(entries)):
+            digest = query_digest(record[0])
+            known = index.get(digest, _UNINDEXED)
+            if known is _UNINDEXED or known is not None and known[0][0] == record[0]:
+                index[digest] = (record, sequence)
             else:
                 index[digest] = None
         self._index = index
 
     def since(self, sequence: int) -> List[CachedQuery]:
         """All cached arrivals with sequence strictly greater than
-        *sequence*, oldest first — the incremental set Q' a poll fetches."""
-        return [e for e in self._entries if e.sequence > sequence]
+        *sequence*, oldest first — the incremental set Q' a poll fetches.
+        Sequences are positions, so only those arrivals are read."""
+        return self._latest(self._next_sequence - 1 - sequence)
+
+    def _latest(self, count: int) -> List[CachedQuery]:
+        """Views of the last *count* arrivals (all, past the length)."""
+        entries = self._entries
+        if entries is None or count <= 0:
+            return []
+        if count < len(entries):
+            records = list(itertools.islice(reversed(entries), count))
+            records.reverse()
+        else:
+            records, count = entries, len(entries)
+        return [
+            _new_tuple(CachedQuery, (terms, query_hash, position))
+            for position, (terms, query_hash) in enumerate(records, self._next_sequence - count)
+        ]
 
     @property
     def latest_sequence(self) -> int:
@@ -252,18 +306,19 @@ class QueryCache:
         return self._stamp
 
     def __len__(self) -> int:
-        return len(self._entries)
+        entries = self._entries
+        return 0 if entries is None else len(entries)
 
     def __iter__(self) -> Iterator[CachedQuery]:
-        return iter(self._entries)
+        return iter(self._latest(len(self)))
 
     def __deepcopy__(self, memo) -> "QueryCache":
-        """Structural clone: the entries are frozen, so a new deque and a
-        new digest index over the same :class:`CachedQuery` objects share
+        """Structural clone: the records and index entries are frozen,
+        so a new FIFO and a new digest index over the same tuples share
         nothing mutable.  Keeps the stamp — the content is identical."""
         clone = object.__new__(type(self))
         clone.capacity = self.capacity
-        clone._entries = deque(self._entries)
+        clone._entries = None if self._entries is None else deque(self._entries)
         clone._index = dict(self._index)
         clone._next_sequence = self._next_sequence
         clone._stamp = self._stamp

@@ -81,7 +81,8 @@ def _digest_index_fault(cache: QueryCache) -> str:
     """What is wrong with *cache*'s digest index, or ``""``: it must hold
     at most one digest per cached arrival, map each digest to the latest
     cached arrival of the one cached tuple that has it, and mark every
-    digest two cached tuples share."""
+    digest two cached tuples share.  Arrivals are views built on read,
+    so they compare by value: terms, query hash and sequence."""
     index = cache.digests
     if len(index) > len(cache):
         return f"of {len(index)} digests over {len(cache)} arrivals"
@@ -92,7 +93,7 @@ def _digest_index_fault(cache: QueryCache) -> str:
         resolved = index.get(digest)
         if len(tuples) > 1 and resolved is not None:
             return f"resolves {digest}, which {len(tuples)} cached tuples share"
-        if len(tuples) == 1 and resolved is not next(iter(tuples.values())):
+        if len(tuples) == 1 and resolved != next(iter(tuples.values())):
             return f"resolves {digest} to {resolved}, not the latest arrival of its tuple"
     if index.keys() != latest.keys():
         return f"names {len(index.keys() - latest.keys())} digests no cached tuple has"

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import pytest
 
 from repro.config import ChordConfig, SpriteConfig
 from repro.core import MaintenanceDaemon, SpriteSystem
 from repro.corpus import Corpus, Document, Query
 from repro.dht.messages import MessageKind, units_carried
+from repro.evaluation.experiments import build_trained_sprite
 from ..probes import ids
 
 CHORD = ChordConfig(num_peers=24, id_bits=32, seed=131)
@@ -235,3 +238,60 @@ class TestTheProbeReachesKnownPeers:
             system.total_published_terms() - lost
         )
         assert report.postings_republished == 0
+
+
+class TestKnownPeersSkipTheDeparted:
+    """A crashed peer stays among an owner's known peers until its next
+    poll; once the ring is repaired, the probe and the republish absorb
+    its keys into the next live known peer clockwise instead of looking
+    them up (paper §7: repair, then republish)."""
+
+    def test_no_lookup_resolves_to_a_known_peer_after_repair(
+        self, small_env, monkeypatch
+    ) -> None:
+        system = build_trained_sprite(small_env)
+        ring, protocol = system.ring, system.protocol
+        victim = next(peer for peer in ring.live_ids if ring.node(peer).store)
+        held, term_hash = ring.node(victim), protocol.term_hash
+        lost = sum(  # the victim's own documents are lost with it
+            held.owns(term_hash(term))
+            for owner in system.owners.values()
+            if owner.node_id != victim
+            for state in owner.shared.values()
+            for term in state.index_terms
+        )
+        assert lost > 0
+        ring.fail(victim)
+        ring.stabilize()
+
+        to_known: List[int] = []
+        route = protocol._route
+
+        def recording(start_id, key, cached=True):
+            node, hops = route(start_id, key, cached)
+            owner = system.owners.get(start_id)
+            if owner is not None and node.node_id in owner.peers:
+                to_known.append(key)
+            return node, hops
+
+        republished: List[Tuple[str, str]] = []
+        publish_batch = protocol.publish_batch
+
+        def recording_batch(owner_id, postings, near=()):
+            republished.extend((term, posting.doc_id) for term, posting in postings)
+            return publish_batch(owner_id, postings, near)
+
+        monkeypatch.setattr(protocol, "_route", recording)
+        monkeypatch.setattr(protocol, "publish_batch", recording_batch)
+        daemon = MaintenanceDaemon(system)
+        first = daemon.run_round()
+        assert first.postings_republished == len(republished) == lost
+        assert first.peers_unreachable == 0
+        for term, doc_id in republished:  # each at the peer its key routes to
+            key = term_hash(term)
+            assert ring.node(ring.successor_of(key)).store[key].has_posting(doc_id)
+        lookups = ring.stats.kind(MessageKind.LOOKUP).messages
+        again = daemon.run_round()
+        assert again.clean and again.postings_republished == 0
+        assert ring.stats.kind(MessageKind.LOOKUP).messages == lookups
+        assert to_known == []

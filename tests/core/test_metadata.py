@@ -140,6 +140,29 @@ class TestQueryCache:
         assert cache.digests[0] == CachedQuery(("b",), 2, 2)
         assert cache.add_repeat(0) == CachedQuery(("b",), 2, 5)
 
+    @pytest.mark.parametrize(
+        "entries, next_sequence",
+        [
+            ([(("a",), 1, 0), (("b",), 2, 2)], 3),  # a gap
+            ([(("a",), 1, 1), (("b",), 2, 0)], 2),  # out of order
+            ([(("a",), 1, 0), (("b",), 2, 1)], 5),  # not ending at next - 1
+        ],
+        ids=["gap", "order", "end"],
+    )
+    def test_restoring_refuses_sequences_that_are_not_positions(
+        self, entries, next_sequence
+    ) -> None:
+        with pytest.raises(ValueError):
+            QueryCache.from_state(4, entries, next_sequence)
+
+    def test_a_restored_cache_shares_one_record_per_tuple(self) -> None:
+        cache = QueryCache.from_state(4, [(("a",), 1, 5), (("b",), 2, 6), (["a"], 1, 7)], 8)
+        assert list(cache) == [
+            CachedQuery(("a",), 1, 5), CachedQuery(("b",), 2, 6), CachedQuery(("a",), 1, 7)
+        ]
+        assert cache.since(6) == [CachedQuery(("a",), 1, 7)]
+        assert cache._entries[0] is cache._entries[2]
+
 
 class TestTermSlot:
     def test_indexed_document_frequency(self) -> None:

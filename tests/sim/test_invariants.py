@@ -107,17 +107,20 @@ class TestQueryCacheBounds:
 
     def test_detects_a_digest_left_behind_by_an_eviction(self, engine) -> None:
         slot = self.cached_slot(engine)
-        stale = slot.cache.digests.get(query_digest(("t0", slot.term)))
+        digest = query_digest(("t0", slot.term))
+        stale = slot.cache._index[digest]
         slot.cache._entries.popleft()  # an eviction that skipped the index
-        assert slot.cache.digests.get(query_digest(("t0", slot.term))) is stale
+        assert slot.cache._index[digest] is stale
         assert violated(engine.checker.check(quiescent=False), "query_cache_bounds")
 
     def test_detects_a_digest_resolving_to_an_older_arrival(self, engine) -> None:
         slot = self.cached_slot(engine)
         terms = ("t1", slot.term)
-        older = slot.cache.digests.get(query_digest(terms))
+        digest = query_digest(terms)
+        older = slot.cache._index[digest]  # (its record, sequence 1)
         slot.cache.add(terms, query_hash=1)
-        slot.cache._index[query_digest(terms)] = older
+        slot.cache._index[digest] = older
+        assert slot.cache.digests[digest] == (terms, 1, 1)
         assert violated(engine.checker.check(quiescent=False), "query_cache_bounds")
 
     @staticmethod

@@ -13,6 +13,9 @@ that width) lives as long as the process; its bound, and the bytes a
 full memo holds, are pinned here.  So is what the ring's route cache
 keeps: a route per (querying peer, query term) resolved, none for an
 owner, which reaches its indexing peers through the peers it knows.
+And so is what a query cache keeps: an arrival is a reference to a
+record its tuple's arrivals share, not a tuple of its own, and a cache
+that never took one holds no FIFO.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import pytest
 
 from repro.core import SpriteSystem
 from repro.core.learning import IncrementalLearner
+from repro.core.metadata import QueryCache, query_digest
 from repro.dht.hashing import HASH_KEYS, IdSpace, md5_hash
 from repro.ir import InvertedIndex
 from repro.memo import BoundedMemo
@@ -40,6 +44,21 @@ LEARNER_BYTES_PER_DOCUMENT = 512
 #: 31 B at 32 bits).  The key strings belong to the memo's callers.
 HASH_KEY_BOUND = 1 << 18
 HASH_KEY_BYTES_PER_ENTRY = 96
+#: Bytes a repeat arrival may add to a query cache: one FIFO reference,
+#: 8 B in a deque block of 64 (about 108 B while each arrival was a named
+#: tuple and its sequence).
+CACHE_BYTES_PER_REPEAT = 16
+#: Bytes a query cache that never took an arrival may hold (about 210 B
+#: on Python 3.11): less than one empty deque (624 B), since the FIFO
+#: comes with the first arrival.
+EMPTY_CACHE_BYTES = 400
+#: Bytes a cache filled to the default capacity of 2,000 arrivals may
+#: hold, of one tuple repeated (about 18 KB; 218 KB while each arrival
+#: was a named tuple) and of 2,000 distinct tuples (about 371 KB: a
+#: record, an index entry and a sequence per tuple; 291 KB while the
+#: index pointed at the arrival itself).
+FULL_CACHE_BYTES_REPEATED = 24_000
+FULL_CACHE_BYTES_DISTINCT = 400_000
 #: Route-cache entries an owner-only build (share, then learn) may leave
 #: (518 on the small corpus while every owner lookup stored its route).
 ROUTES_AFTER_OWNER_BUILD = 0
@@ -114,3 +133,47 @@ def test_only_reads_keep_routes(small_env) -> None:
         for term in query.terms
     }
     assert 0 < len(cache) <= len(read_routes)
+
+
+def test_a_repeat_arrival_costs_one_reference() -> None:
+    terms = ("alpha", "beta")
+    digest = query_digest(terms)
+    cache = QueryCache(capacity=100_000)
+    cache.add(terms, 1 << 40, digest)
+
+    def repeats() -> None:
+        for __ in range(10_000):
+            cache.add_repeat(digest)
+
+    __, used = retained_bytes(repeats)
+    assert len(cache) == 10_001
+    assert used / 10_000 <= CACHE_BYTES_PER_REPEAT, used / 10_000
+
+
+def test_a_cache_that_never_took_an_arrival_holds_no_fifo() -> None:
+    caches, used = retained_bytes(lambda: [QueryCache(capacity=2000) for __ in range(1000)])
+    assert used / len(caches) <= EMPTY_CACHE_BYTES, used / len(caches)
+
+
+def test_a_full_cache_is_pinned() -> None:
+    tuples = [(f"term{i}", "shared") for i in range(2000)]
+    hashes = [(1 << 40) + i for i in range(len(tuples))]
+    digests = [query_digest(terms) for terms in tuples]
+
+    def repeated() -> QueryCache:
+        cache = QueryCache(capacity=2000)
+        cache.add(tuples[0], hashes[0], digests[0])
+        for __ in range(len(tuples) - 1):
+            cache.add_repeat(digests[0])
+        return cache
+
+    def distinct() -> QueryCache:
+        cache = QueryCache(capacity=2000)
+        for terms, query_hash, digest in zip(tuples, hashes, digests):
+            cache.add(terms, query_hash, digest)
+        return cache
+
+    for build, bound in ((repeated, FULL_CACHE_BYTES_REPEATED), (distinct, FULL_CACHE_BYTES_DISTINCT)):
+        cache, used = retained_bytes(build)
+        assert len(cache) == cache.capacity
+        assert used <= bound, (build.__name__, used)

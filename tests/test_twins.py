@@ -216,7 +216,7 @@ def test_fingerprint_sees_which_queries_each_cache_holds(micro) -> None:
         if len(slot.cache)
     )
     entry = next(iter(slot.cache))
-    slot.cache._entries[0] = entry._replace(terms=entry.terms + ("other",))
+    slot.cache._entries[0] = (entry.terms + ("other",), entry.query_hash)  # its record
     assert write_state_fingerprint(system)["slots"] == fingerprint["slots"]
     assert write_state_fingerprint(system) != fingerprint
 
