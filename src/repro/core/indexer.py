@@ -1028,8 +1028,8 @@ class IndexingProtocol:
                 if latest is None:
                     results[index, term] = [], cursor
                     continue
-                if cursor != cursor_of[term]:
-                    answer = [c for c in candidates if c.sequence > cursor], latest
+                if cursor != cursor_of[term]:  # the arrivals past this document's own
+                    answer = candidates[max(0, len(candidates) - (latest - cursor)):], latest
                 results[index, term] = keep_closest(term, answer, hashes)
         return results, set(failed), list(located[0])
 
@@ -1047,39 +1047,44 @@ class IndexingProtocol:
     def _poll_request(src, dst, batch, hops, carried) -> Message:
         return message(_POLL_BATCH, src, dst, len(batch), hops=hops)
 
-    def _serve_poll(self, node, term, cursor_of) -> Tuple[List[CachedQuery], Optional[int]]:
-        """Every query cached at *term*'s slot since its cursor, and the
-        slot's latest sequence; ``([], None)`` without a slot."""
+    def _serve_poll(self, node, term, cursor_of) -> Tuple[List[tuple], Optional[int]]:
+        """Every query cached at *term*'s slot since its cursor, as the
+        cache's ``(terms, query hash)`` records (the last one's sequence
+        is the latest), and the slot's latest sequence; ``([], None)``
+        without a slot."""
         slot = self._slot_at(node, term, create=False)
         if slot is None:
             return [], None
-        return slot.cache.since(cursor_of[term]), slot.cache.latest_sequence
+        return slot.cache.records_since(cursor_of[term]), slot.cache.latest_sequence
 
     def _keep_closest(
         self,
         term: str,
-        answer: Tuple[List[CachedQuery], int],
+        answer: Tuple[List[tuple], int],
         index_term_hashes: Dict[str, int],
     ) -> Tuple[List[CachedQuery], int]:
         """The Section 3 selection rule, at the owner, for one term's
-        delivered *answer* ``(candidates, latest sequence)``: keep the
-        candidates for which *term* is the hash-closest of the owner's
-        index terms present in the query."""
-        candidates, latest = answer
+        delivered *answer* ``(records, latest sequence)``: keep the
+        queries for which *term* is the hash-closest of the owner's
+        index terms present in the query, each as a :class:`CachedQuery`
+        with its sequence — the only views a poll builds."""
+        records, latest = answer
         closest = self.ring.space.closest_term_to_key
         return [
-            cached
-            for cached in candidates
-            if closest(cached.query_hash, cached.terms, index_term_hashes) == term
+            CachedQuery(terms, query_hash, sequence)
+            for sequence, (terms, query_hash) in enumerate(records, latest + 1 - len(records))
+            if closest(query_hash, terms, index_term_hashes) == term
         ], latest
 
     @staticmethod
     def _query_batch(src, dst, answers) -> Message:
+        """The reply priced per shipped query and its terms, which come
+        first in a cache record and in a :class:`CachedQuery` alike."""
         total_selected = total_query_terms = 0
-        for selected, __ in answers:
-            for cached in selected:
-                total_selected += 1
-                total_query_terms += len(cached.terms)
+        for queries, __ in answers:
+            total_selected += len(queries)
+            for query in queries:
+                total_query_terms += len(query[0])
         return message(
             _QUERY_BATCH, src, dst, total_selected, total_query_terms
         )

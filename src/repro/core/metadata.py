@@ -275,22 +275,28 @@ class QueryCache:
         """All cached arrivals with sequence strictly greater than
         *sequence*, oldest first — the incremental set Q' a poll fetches.
         Sequences are positions, so only those arrivals are read."""
-        return self._latest(self._next_sequence - 1 - sequence)
-
-    def _latest(self, count: int) -> List[CachedQuery]:
-        """Views of the last *count* arrivals (all, past the length)."""
-        entries = self._entries
-        if entries is None or count <= 0:
-            return []
-        if count < len(entries):
-            records = list(itertools.islice(reversed(entries), count))
-            records.reverse()
-        else:
-            records, count = entries, len(entries)
+        records = self.records_since(sequence)
         return [
             _new_tuple(CachedQuery, (terms, query_hash, position))
-            for position, (terms, query_hash) in enumerate(records, self._next_sequence - count)
+            for position, (terms, query_hash) in enumerate(
+                records, self._next_sequence - len(records)
+            )
         ]
+
+    def records_since(self, sequence: int) -> List[Tuple[Tuple[str, ...], int]]:
+        """The shared ``(terms, query hash)`` records of the arrivals
+        :meth:`since` returns, oldest first, as a new list and without a
+        view each: the last is the arrival :attr:`latest_sequence`, and
+        each one before it is one sequence earlier."""
+        entries = self._entries
+        count = self._next_sequence - 1 - sequence
+        if entries is None or count <= 0:
+            return []
+        if count >= len(entries):
+            return list(entries)
+        records = list(itertools.islice(reversed(entries), count))
+        records.reverse()
+        return records
 
     @property
     def latest_sequence(self) -> int:
@@ -310,7 +316,7 @@ class QueryCache:
         return 0 if entries is None else len(entries)
 
     def __iter__(self) -> Iterator[CachedQuery]:
-        return iter(self._latest(len(self)))
+        return iter(self.since(-1))
 
     def __deepcopy__(self, memo) -> "QueryCache":
         """Structural clone: the records and index entries are frozen,

@@ -114,14 +114,14 @@ def run_fig4a(
     answer_counts: Sequence[int] = (5, 10, 15, 20, 25, 30),
 ) -> List[Fig4aRow]:
     """Reproduce Figure 4(a): both systems trained at the default 20-term
-    budget, evaluated at varying answer-list sizes K."""
-    sprite = build_trained_sprite(env)
-    esearch = build_esearch(env)
+    budget, evaluated at varying answer-list sizes K.  Each system is
+    built, ranks the test queries and is dropped before the next one is
+    built, so only one is held at a time."""
     deepest = max(answer_counts)
     test_queries = list(env.test.queries)
 
-    sprite_rankings = _rank_all(sprite, test_queries, deepest)
-    esearch_rankings = _rank_all(esearch, test_queries, deepest)
+    sprite_rankings = _rank_all(build_trained_sprite(env), test_queries, deepest)
+    esearch_rankings = _rank_all(build_esearch(env), test_queries, deepest)
     central_rankings = env.centralized_rankings(test_queries)
 
     rows: List[Fig4aRow] = []
@@ -171,35 +171,26 @@ def run_fig4b(
 ) -> List[Fig4bRow]:
     """Reproduce Figure 4(b): vary the indexed-term budget T under the
     no-repeats and Zipf query streams.  At T = 5 no learning happens and
-    the two systems coincide by construction."""
+    the two systems coincide by construction.  As in :func:`run_fig4a`,
+    each system is dropped once it has ranked the test queries."""
     k = env.config.sprite.top_k_answers
     test_queries = list(env.test.queries)
     central_rankings = env.centralized_rankings(test_queries)
+
+    def relative(system) -> RelativeResult:
+        return relative_to_centralized(
+            _rank_all(system, test_queries, k), central_rankings, env.test.qrels, k
+        )
 
     rows: List[Fig4bRow] = []
     for stream in streams:
         training = _training_stream(env, stream)
         for terms in term_counts:
             sprite_cfg = env.config.sprite.with_max_terms(terms)
-            sprite = build_trained_sprite(env, sprite_cfg, training)
-            esearch = build_esearch(env, index_terms=terms)
+            sprite = relative(build_trained_sprite(env, sprite_cfg, training))
+            esearch = relative(build_esearch(env, index_terms=terms))
             rows.append(
-                Fig4bRow(
-                    stream=stream,
-                    index_terms=terms,
-                    sprite=relative_to_centralized(
-                        _rank_all(sprite, test_queries, k),
-                        central_rankings,
-                        env.test.qrels,
-                        k,
-                    ),
-                    esearch=relative_to_centralized(
-                        _rank_all(esearch, test_queries, k),
-                        central_rankings,
-                        env.test.qrels,
-                        k,
-                    ),
-                )
+                Fig4bRow(stream=stream, index_terms=terms, sprite=sprite, esearch=esearch)
             )
     return rows
 

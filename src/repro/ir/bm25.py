@@ -54,7 +54,7 @@ class BM25System:
             idf = self.idf(term)
             if idf <= 0.0:
                 continue
-            for doc_id, tf in self.index.counts(term).items():
+            for doc_id, tf in zip(*self.index.postings(term)):
                 denom = tf + self.k1 * (
                     1.0 - self.b + self.b * lengths[doc_id] / self._avgdl
                 )

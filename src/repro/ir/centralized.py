@@ -63,9 +63,9 @@ class CentralizedSystem:
         lengths = self.index.doc_lengths
         weight = self.weighting.document_weight
         for term in query_weights:
-            counts = self.index.counts(term)
-            df = len(counts)
-            for doc_id, raw in counts.items():
+            doc_ids, raws = self.index.postings(term)
+            df = len(doc_ids)
+            for doc_id, raw in zip(doc_ids, raws):
                 length = lengths[doc_id]
                 tf = raw / length if length else 0.0
                 doc_weights.setdefault(doc_id, {})[term] = weight(tf, df)

@@ -8,6 +8,7 @@ evaluation metrics all consume it.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 
@@ -24,24 +25,38 @@ class ScoredDoc(NamedTuple):
     score: float
 
 
+_scored_doc = ScoredDoc._make
+
+
 class RankedList:
     """An immutable, deterministic ranked list of documents.
 
     Sorting is by descending score with ascending doc-id tie-break, so
     two systems computing identical scores always produce identical
     orderings — essential for reproducible experiments.
+
+    The list is two flat columns in rank order: the doc ids in a list
+    and the scores in an ``array('d')``, 16 B an entry.  A
+    :class:`ScoredDoc` is built only when an entry is read (iteration,
+    indexing, :meth:`top`); a score round-trips a C double exactly, so
+    what is read back is the float that was ranked.
     """
+
+    __slots__ = ("_ids", "_scores")
 
     def __init__(self, scored: Mapping[str, float] | Sequence[Tuple[str, float]]) -> None:
         items = scored.items() if isinstance(scored, Mapping) else scored
-        ordered = sorted(items, key=_rank_key)
-        self._entries: List[ScoredDoc] = list(map(ScoredDoc._make, ordered))
+        self._fill(sorted(items, key=_rank_key))
+
+    def _fill(self, ordered: Sequence[Tuple[str, float]]) -> None:
+        self._ids: List[str] = [doc_id for doc_id, __ in ordered]
+        self._scores = array("d", [score for __, score in ordered])
 
     @classmethod
     def _from_ordered(cls, ordered: Sequence[Tuple[str, float]]) -> "RankedList":
         """Construct from pairs already in canonical order (no re-sort)."""
         ranked = cls.__new__(cls)
-        ranked._entries = list(map(ScoredDoc._make, ordered))
+        ranked._fill(ordered)
         return ranked
 
     @classmethod
@@ -75,25 +90,31 @@ class RankedList:
         return cls._from_ordered(sorted(items, key=_rank_key)[:k])
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[ScoredDoc]:
-        return iter(self._entries)
+        return map(_scored_doc, zip(self._ids, self._scores))
 
-    def __getitem__(self, rank: int) -> ScoredDoc:
-        return self._entries[rank]
+    def __getitem__(self, rank: int | slice) -> ScoredDoc | List[ScoredDoc]:
+        """The entry at *rank*, or a list of the entries a slice selects."""
+        if isinstance(rank, slice):
+            return list(map(_scored_doc, zip(self._ids[rank], self._scores[rank])))
+        return _scored_doc((self._ids[rank], self._scores[rank]))
 
     def top(self, k: int) -> List[ScoredDoc]:
         """The best *k* entries (fewer if the list is shorter)."""
-        return self._entries[:k]
+        return list(map(_scored_doc, zip(self._ids[:k], self._scores[:k])))
 
     def top_ids(self, k: int) -> List[str]:
         """Document ids of the best *k* entries."""
-        return [e.doc_id for e in self._entries[:k]]
+        return self._ids[:k]
 
     def truncate(self, k: int) -> "RankedList":
         """A new ranked list containing only the best *k* entries
         (:class:`ValueError` for a negative *k*)."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        return RankedList._from_ordered(self._entries[:k])
+        ranked = RankedList.__new__(RankedList)
+        ranked._ids = self._ids[:k]
+        ranked._scores = self._scores[:k]
+        return ranked

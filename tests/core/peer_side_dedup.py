@@ -78,7 +78,7 @@ class PeerSideDedup(IndexingProtocol):
             if latest is None:
                 answers[index, term] = [], cursor
                 continue
-            since = [c for c in candidates if c.sequence > cursor]
+            since = candidates[max(0, len(candidates) - (latest - cursor)):]
             answers[index, term] = self._keep_closest(term, (since, latest), hashes[index])
         return answers
 

@@ -73,11 +73,18 @@ def test_a_poll_past_an_eviction_returns_the_surviving_suffix(
 
     def recording_poll(self, node, term, cursor_of):
         answer = serve_poll(self, node, term, cursor_of)
+        records, latest = answer
         slot = node.store.get(self.term_hash(term))
-        if answer[1] is not None and len(slot.cache):
+        if latest is not None and len(slot.cache):
             cursor, survivors = cursor_of[term], arrivals[id(slot.cache)][-CAPACITY:]
             expected = [a for a in survivors if a.sequence > cursor]
-            polls.append((cursor, survivors[0].sequence, answer[0], expected))
+            # A poll ships records, the newest one the arrival at `latest`.
+            assert latest == survivors[-1].sequence
+            shipped = [
+                CachedQuery(*record, sequence)
+                for sequence, record in enumerate(records, latest + 1 - len(records))
+            ]
+            polls.append((cursor, survivors[0].sequence, shipped, expected))
         return answer
 
     monkeypatch.setattr(IndexingProtocol, "_serve_poll", recording_poll)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -160,3 +162,78 @@ class TestScoredDoc:
         assert (doc_id, score) == ("d1", 0.25)
         with pytest.raises(AttributeError):
             entry.score = 1.0  # type: ignore[misc]
+
+
+class TestColumnsAgainstEntries:
+    """The column-backed list against a plain list of :class:`ScoredDoc`
+    in canonical order, read every way a caller can read it.  Scores are
+    compared by ``repr`` too, so a ``-0.0`` or an int read back as
+    something else fails."""
+
+    #: Few distinct values: most maps tie several documents, ``0.0``
+    #: with ``-0.0`` included.
+    POOL = (0.0, -0.0, 0.1, 1 / 3, 2.5, 2.5e-300, 1e300, -4.75)
+
+    @staticmethod
+    def scores(seed: int) -> dict:
+        rng = random.Random(seed)
+        pool = TestColumnsAgainstEntries.POOL
+        return {
+            f"d{rng.randrange(1000):03d}": (
+                rng.choice(pool) if rng.random() < 0.7 else rng.random()
+            )
+            for __ in range(rng.randrange(1, 40))
+        }
+
+    @staticmethod
+    def reference(scores: dict) -> list:
+        return [ScoredDoc(*kv) for kv in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+    @staticmethod
+    def same(got, want) -> None:
+        assert all(type(entry) is ScoredDoc for entry in got)
+        assert got == want
+        assert [repr(entry.score) for entry in got] == [repr(entry.score) for entry in want]
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_every_read_equals_the_entries(self, seed: int) -> None:
+        scores = self.scores(seed)
+        want = self.reference(scores)
+        n = len(want)
+        ranked = RankedList(scores)
+        assert len(ranked) == n
+        self.same(list(ranked), want)
+        self.same(list(RankedList(list(scores.items()))), want)
+        for rank in range(-n, n):
+            self.same([ranked[rank]], [want[rank]])
+        for rank in (n, -n - 1):
+            with pytest.raises(IndexError):
+                ranked[rank]
+        rng = random.Random(seed)
+        for __ in range(20):
+            start, stop = rng.randint(-n - 2, n + 2), rng.randint(-n - 2, n + 2)
+            cut = slice(start, stop, rng.choice((None, 1, 2, -1, -3)))
+            self.same(ranked[cut], want[cut])
+        for k in {0, 1, n - 1, n, n + 1, n + 7, rng.randrange(n + 1)}:
+            self.same(list(RankedList.top_k(scores, k)), want[:k])
+            self.same(list(RankedList.top_k(list(scores.items()), k)), want[:k])
+            self.same(list(ranked.truncate(k)), want[:k])
+            self.same(ranked.top(k), want[:k])
+            assert ranked.top_ids(k) == [entry.doc_id for entry in want[:k]]
+            truncated = ranked.truncate(k)
+            assert len(truncated) == len(want[:k])
+            self.same(list(truncated.truncate(max(0, k - 1))), want[: max(0, k - 1)])
+        self.same(ranked.top(-2), want[:-2])  # a slice, as on a list
+        for k in (-1, -n - 3):
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                RankedList.top_k(scores, k)
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                ranked.truncate(k)
+        self.same(list(ranked), want)  # reading changed nothing
+
+    def test_empty(self) -> None:
+        ranked = RankedList({})
+        assert list(ranked) == ranked[:] == ranked.top(3) == ranked.top_ids(3) == []
+        assert len(ranked.truncate(0)) == len(RankedList.top_k({}, 4)) == 0
+        with pytest.raises(IndexError):
+            ranked[0]

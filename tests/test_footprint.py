@@ -2,8 +2,12 @@
 indexing protocol's term-key memo.
 
 Each document's term counts exist once, in ``Document.term_freqs``.
-The centralized index keeps one raw count per posting (a dict entry,
-about 30–40 B), not a ``Posting`` object (about 160 B); a learner tests
+The centralized index keeps a term's postings as two flat columns, its
+doc ids in a list and their raw counts in an array (about 12 B a
+posting; a dict entry per posting cost about 30–50 B and a ``Posting``
+object about 160 B), and a ranked list keeps its entries the same way,
+a doc id and a C double (16 B an entry; about 96 B while each entry was
+a ``ScoredDoc`` holding a boxed float).  A learner tests
 membership against the document's own map and holds no copy of its
 term set (such a copy costs about 2.5 KB per document of the small
 corpus).  Sizes come from ``tracemalloc``: bytes still allocated after
@@ -31,11 +35,19 @@ from repro.core import SpriteSystem
 from repro.core.learning import IncrementalLearner
 from repro.core.metadata import QueryCache, query_digest
 from repro.dht.hashing import HASH_KEYS, IdSpace, md5_hash
-from repro.ir import InvertedIndex
+from repro.corpus import Document
+from repro.ir import InvertedIndex, RankedList
 from repro.memo import BoundedMemo
 
 #: Bytes per posting the counts-backed index may hold.
 INDEX_BYTES_PER_POSTING = 64
+#: Bytes a posting may add to a term that already has postings: a list
+#: slot and a 4-byte count, with the columns' over-allocation (about
+#: 13 B; 30–50 B while each posting was a dict entry).
+INDEX_BYTES_PER_ADDED_POSTING = 16
+#: Bytes per entry a deep ranked list may hold, its scores included
+#: (about 16 B; about 96 B while each entry was a named tuple).
+RANKED_BYTES_PER_ENTRY = 24
 #: Bytes per document a learner may hold before it has seen a query.
 LEARNER_BYTES_PER_DOCUMENT = 512
 #: Keys a position memo may remember before it is cleared, and the bytes
@@ -92,6 +104,35 @@ def test_the_index_keeps_a_count_per_posting(small_env, documents) -> None:
     __, used = retained_bytes(lambda: InvertedIndex.from_corpus(small_env.corpus))
     per_posting = used / sum(len(doc.term_freqs) for doc in documents)
     assert per_posting <= INDEX_BYTES_PER_POSTING, per_posting
+
+
+def test_a_posting_costs_a_doc_id_slot_and_a_count(small_env, documents) -> None:
+    """The marginal cost: the corpus indexed again under fresh doc ids,
+    so every posting lands in a term that already has its columns."""
+    again = [
+        Document(f"{doc.doc_id}'", "", _term_freqs=doc.term_freqs, _length=doc.length)
+        for doc in documents
+    ]
+    tracemalloc.start()  # before the first pass, so its columns are traced
+    try:
+        index = InvertedIndex.from_corpus(small_env.corpus)
+        __, used = retained_bytes(lambda: [index.add_document(doc) for doc in again])
+    finally:
+        tracemalloc.stop()
+    per_posting = used / sum(len(doc.term_freqs) for doc in again)
+    assert index.num_documents == 2 * len(documents)
+    assert per_posting <= INDEX_BYTES_PER_ADDED_POSTING, per_posting
+
+
+def test_a_deep_ranking_costs_a_doc_id_slot_and_a_double() -> None:
+    """Deep enough that what the sort's pairs leave on CPython's tuple
+    free list (about 112 KB) stays a small share of the measure."""
+    doc_ids = [f"d{i:06d}" for i in range(50_000)]
+    ranked, used = retained_bytes(
+        lambda: RankedList({doc_id: i / 7 for i, doc_id in enumerate(doc_ids)})
+    )
+    assert len(ranked) == len(doc_ids)
+    assert used / len(ranked) <= RANKED_BYTES_PER_ENTRY, used / len(ranked)
 
 
 def test_a_learner_copies_no_term_set(documents) -> None:

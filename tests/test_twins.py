@@ -53,6 +53,8 @@ SUPPORT = {
     "census.py",
     "census_site/sitecustomize.py",
     "census_sample.py",
+    # The by-stage memory probe of a benchmark workload (prints only).
+    "footprint_stages.py",
 }
 
 #: Every ``SpriteConfig`` / ``ChordConfig`` field documented to change
