@@ -15,8 +15,7 @@ import random
 
 from repro import ChordConfig, Query, ReplicationManager, SpriteConfig, SpriteSystem
 from repro.config import SyntheticCorpusConfig
-from repro.corpus import build_synthetic_collection
-from repro.dht import ChurnModel
+from repro.corpus import SyntheticTrecCorpus
 
 
 def show(label: str, system: SpriteSystem, query: Query) -> None:
@@ -30,7 +29,7 @@ def show(label: str, system: SpriteSystem, query: Query) -> None:
 def main() -> None:
     rng = random.Random(42)
     print("Synthesizing a shared-document collection...")
-    corpus, query_set, __ = build_synthetic_collection(
+    corpus, query_set, __ = SyntheticTrecCorpus(
         SyntheticCorpusConfig(
             num_documents=150,
             num_topics=8,
@@ -41,7 +40,7 @@ def main() -> None:
             relevant_per_query=10,
             seed=42,
         )
-    )
+    ).build()
 
     print("Bootstrapping a 48-peer Chord network and sharing documents...")
     system = SpriteSystem(
@@ -69,13 +68,14 @@ def main() -> None:
     print(f"  {shipped} replica entries shipped")
 
     print("\nMembership churn: 5 joins, 3 graceful leaves, 4 crashes...")
-    churn = ChurnModel(system.ring, seed=7)
+    ring = system.ring
+    churn = random.Random(7)
     for __ in range(5):
-        churn.join_one()
+        ring.join(name=f"churn-joiner-{churn.randint(0, 1 << 30)}")
     for __ in range(3):
-        churn.leave_random()
+        ring.leave(ring.random_live_id(churn))
     for __ in range(4):
-        churn.fail_random()
+        ring.fail(ring.random_live_id(churn))
     print(f"  live peers: {system.ring.num_live}")
 
     print("Repairing routing state and promoting replicas...")

@@ -47,7 +47,7 @@ def main() -> None:
     print(f"\nSearching for: {' '.join(query.terms)}")
     ranked = sprite.search(query, cache=False)
     relevant = env.test.qrels.relevant(query.query_id)
-    for entry in ranked.top(10):
+    for entry in ranked[:10]:
         marker = "*" if entry.doc_id in relevant else " "
         print(f"  {marker} {entry.doc_id}  score={entry.score:.3f}")
     print("  (* = expert-judged relevant)")

@@ -38,9 +38,8 @@ from .corpus import (
     Qrels,
     Query,
     QuerySet,
-    build_synthetic_collection,
 )
-from .dht import ChordRing, ChurnModel, ReplicationManager
+from .dht import ChordRing, ReplicationManager
 from .net import (
     LossyTransport,
     PerfectTransport,
@@ -67,7 +66,6 @@ __all__ = [
     "CentralizedSystem",
     "ChordConfig",
     "ChordRing",
-    "ChurnModel",
     "Corpus",
     "Document",
     "ExperimentConfig",
@@ -88,7 +86,6 @@ __all__ = [
     "WorkloadConfig",
     "build_environment",
     "build_esearch",
-    "build_synthetic_collection",
     "build_trained_sprite",
     "build_transport",
     "paper_experiment_config",

@@ -25,14 +25,10 @@ class Document:
         Corpus-unique identifier (string, e.g. ``"d000417"``).
     text:
         Raw text; analysis is performed lazily once and cached.
-    title:
-        Optional human-readable title (not analyzed by default —
-        the paper indexes document content).
     """
 
     doc_id: str
     text: str
-    title: str = ""
     _term_freqs: Counter = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
     _length: int = field(default=0, repr=False, compare=False)
 

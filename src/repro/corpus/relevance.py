@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
-from ..exceptions import CorpusError, QueryError
+from ..exceptions import QueryError
 
 
 @dataclass(frozen=True)
@@ -77,17 +77,6 @@ class Qrels:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._judgments)
-
-    def validate_against(self, doc_ids: Iterable[str]) -> None:
-        """Raise :class:`CorpusError` if any judged document is unknown."""
-        known = set(doc_ids)
-        for qid, docs in self._judgments.items():
-            missing = docs - known
-            if missing:
-                raise CorpusError(
-                    f"qrels for {qid!r} reference unknown documents: "
-                    f"{sorted(missing)[:5]}..."
-                )
 
 
 @dataclass

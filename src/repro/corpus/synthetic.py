@@ -256,9 +256,3 @@ class SyntheticTrecCorpus:
                 qrels.add(query.query_id, doc_id)
         return qrels
 
-
-def build_synthetic_collection(
-    config: SyntheticCorpusConfig | None = None,
-) -> Tuple[Corpus, QuerySet, TopicModel]:
-    """Convenience one-call builder used throughout tests and benches."""
-    return SyntheticTrecCorpus(config).build()

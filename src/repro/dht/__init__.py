@@ -1,7 +1,6 @@
-"""Chord DHT substrate: ring, nodes, routing, churn, replication."""
+"""Chord DHT substrate: ring, nodes, routing, replication."""
 
 from .bloom import BloomFilter
-from .churn import ChurnEvent, ChurnModel
 from .hashing import IdSpace, md5_hash, recursive_finger_steps
 from .messages import (
     ADDRESS_BYTES,
@@ -24,8 +23,6 @@ __all__ = [
     "BloomFilter",
     "ChordNode",
     "ChordRing",
-    "ChurnEvent",
-    "ChurnModel",
     "IdSpace",
     "KindStats",
     "LookupResult",

@@ -63,14 +63,15 @@ def recursive_finger_steps(bits: int, arity: int) -> Tuple[int, ...]:
     ``arity=2`` yields exactly Chord's ``2**i`` schedule, so Chord is
     the degenerate low-maintenance point of the family; larger arities
     widen the table (``(b-1)·log_b 2^bits`` entries, and as many more
-    maintenance writes) to buy shorter routes — the trade ``perf --mode
-    route`` measures.  Steps are returned sorted ascending, all distinct, all
-    smaller than ``2**bits`` — the contract the ring's repair arcs and
-    :meth:`~repro.dht.ring.ChordRing.lookup` rely on: each routed hop
-    bisects this tuple for the clockwise gap to the key, and together
-    with the ring's table invariant (finger *i* is the node itself or at
-    distance ≥ ``steps[i]``) that is what lets it skip every entry above
-    the gap instead of scanning the table.
+    maintenance writes) to buy shorter routes — the trade
+    :func:`~repro.evaluation.run_route_sweep` measures
+    (``benchmarks/test_bench_route.py``).  Steps are returned sorted
+    ascending, all distinct, all smaller than ``2**bits`` — the contract
+    the ring's repair arcs and :meth:`~repro.dht.ring.ChordRing.lookup`
+    rely on: each routed hop bisects this tuple for the clockwise gap to
+    the key, and together with the ring's table invariant (finger *i* is
+    the node itself or at distance ≥ ``steps[i]``) that is what lets it
+    skip every entry above the gap instead of scanning the table.
     """
     if arity < 2:
         raise ValueError("finger arity must be >= 2")

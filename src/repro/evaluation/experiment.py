@@ -5,8 +5,7 @@ measurement — corpus synthesis, full centralized indexing, deep ranked
 lists for the query generator — so :class:`Environment` constructs it
 once and every experiment reuses it:
 
-1. synthesize the corpus and its 63 original queries with expert qrels
-   (or load real TREC data via :mod:`repro.corpus.trec`);
+1. synthesize the corpus and its 63 original queries with expert qrels;
 2. build the centralized reference system;
 3. run the Section 6.1 query generator (k = 9, O = 0.7) to obtain the
    full 630-query evaluation set;
@@ -16,12 +15,12 @@ once and every experiment reuses it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from ..config import ExperimentConfig, paper_experiment_config
 from ..corpus.corpus import Corpus
 from ..corpus.relevance import Query, QuerySet
-from ..corpus.synthetic import SyntheticTrecCorpus, TopicModel
+from ..corpus.synthetic import SyntheticTrecCorpus
 from ..ir.centralized import CentralizedSystem
 from ..ir.ranking import RankedList
 from ..querygen.generator import QueryGenerator
@@ -34,7 +33,6 @@ class Environment:
 
     config: ExperimentConfig
     corpus: Corpus
-    model: Optional[TopicModel]
     originals: QuerySet
     full_set: QuerySet
     train: QuerySet
@@ -62,7 +60,7 @@ class Environment:
 def build_environment(config: ExperimentConfig | None = None) -> Environment:
     """Construct the full experimental environment from a config."""
     cfg = config if config is not None else paper_experiment_config()
-    corpus, originals, model = SyntheticTrecCorpus(cfg.corpus).build()
+    corpus, originals, __ = SyntheticTrecCorpus(cfg.corpus).build()
     centralized = CentralizedSystem(corpus)
     generator = QueryGenerator(corpus, centralized, cfg.querygen)
     full_set = generator.generate_with_originals(originals)
@@ -70,32 +68,6 @@ def build_environment(config: ExperimentConfig | None = None) -> Environment:
     return Environment(
         config=cfg,
         corpus=corpus,
-        model=model,
-        originals=originals,
-        full_set=full_set,
-        train=train,
-        test=test,
-        centralized=centralized,
-    )
-
-
-def build_environment_from_collection(
-    corpus: Corpus,
-    originals: QuerySet,
-    config: ExperimentConfig | None = None,
-) -> Environment:
-    """Build an environment on a *user-supplied* collection (e.g. real
-    TREC data loaded with :func:`repro.corpus.trec.load_trec_collection`)
-    instead of the synthetic generator."""
-    cfg = config if config is not None else paper_experiment_config()
-    centralized = CentralizedSystem(corpus)
-    generator = QueryGenerator(corpus, centralized, cfg.querygen)
-    full_set = generator.generate_with_originals(originals)
-    train, test = random_split(full_set, cfg.train_fraction, cfg.split_seed)
-    return Environment(
-        config=cfg,
-        corpus=corpus,
-        model=None,
         originals=originals,
         full_set=full_set,
         train=train,

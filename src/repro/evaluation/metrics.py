@@ -14,6 +14,7 @@ itself scores zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Set
 
@@ -107,14 +108,16 @@ def aggregate(
     results: Dict[str, PrecisionRecall],
 ) -> AggregateResult:
     """Average per-query metrics (queries with no judged relevant
-    documents are skipped — they cannot distinguish systems)."""
+    documents are skipped — they cannot distinguish systems).  The sums
+    are correctly rounded, so the means do not depend on the order of
+    *results*."""
     usable = {qid: pr for qid, pr in results.items() if pr.num_relevant > 0}
     if not usable:
         return AggregateResult(0.0, 0.0, {})
     n = len(usable)
     return AggregateResult(
-        mean_precision=sum(pr.precision for pr in usable.values()) / n,
-        mean_recall=sum(pr.recall for pr in usable.values()) / n,
+        mean_precision=math.fsum(pr.precision for pr in usable.values()) / n,
+        mean_recall=math.fsum(pr.recall for pr in usable.values()) / n,
         per_query=usable,
     )
 

@@ -21,8 +21,8 @@ class ConfigurationError(ReproError):
 
 
 class CorpusError(ReproError):
-    """A problem with corpus data: unknown document ids, empty corpora,
-    malformed TREC files, or inconsistent relevance judgments."""
+    """A problem with corpus data: unknown or duplicate document ids,
+    empty corpora, or a vocabulary the generator cannot draw from."""
 
 
 class DocumentNotFoundError(CorpusError):

@@ -126,5 +126,5 @@ class RamPostings:
         return clone
 
 
-#: The name ``bench/trace.py``'s ``LAYER_TABLE`` resolves (ROADMAP 4b).
+#: The name ``bench/trace.py``'s ``LAYER_TABLE`` resolves (ROADMAP 1b).
 ColumnarPostings = RamPostings

@@ -101,10 +101,6 @@ class RankedList:
             return list(map(_scored_doc, zip(self._ids[rank], self._scores[rank])))
         return _scored_doc((self._ids[rank], self._scores[rank]))
 
-    def top(self, k: int) -> List[ScoredDoc]:
-        """The best *k* entries (fewer if the list is shorter)."""
-        return list(map(_scored_doc, zip(self._ids[:k], self._scores[:k])))
-
     def top_ids(self, k: int) -> List[str]:
         """Document ids of the best *k* entries."""
         return self._ids[:k]

@@ -118,7 +118,7 @@ def revise_document(
         raise ValueError("edit_fraction must be in (0, 1]")
     tokens = doc.text.split()
     if not tokens:
-        return Document(doc.doc_id, doc.text, title=doc.title)
+        return Document(doc.doc_id, doc.text)
     revised = list(tokens)
     for __ in range(max(1, int(len(tokens) * edit_fraction))):
         position = rng.randrange(len(revised))
@@ -129,7 +129,7 @@ def revise_document(
             revised.insert(position, rng.choice(tokens))
         else:
             revised[position] = rng.choice(tokens)
-    return Document(doc.doc_id, " ".join(revised), title=doc.title)
+    return Document(doc.doc_id, " ".join(revised))
 
 
 class ScenarioEngine:

@@ -105,7 +105,6 @@ ALLOWLIST: Dict[str, str] = {
             "repro.corpus.relevance:Query.__len__",
             "repro.dht.route_cache:RouteCache.__len__",
             "repro.ir.inverted_index:InvertedIndex.__contains__",
-            "repro.ir.ranking:RankedList.__getitem__",
             "repro.net.trace:TraceLog.__len__",
             "repro.store.snapshot:PeerSnapshot.__len__",
         ),
@@ -124,22 +123,6 @@ ALLOWLIST: Dict[str, str] = {
     "violation, which no run has",
     "repro.sim.invariants:InvariantViolation.__str__": "untaken-branch: prints a "
     "violation, which no run has",
-    # The TREC loader: the only path to the paper's own corpus.
-    **dict.fromkeys(
-        (
-            "repro.corpus.trec:iter_ohsumed_documents",
-            "repro.corpus.trec:iter_ohsumed_documents.<locals>.flush",
-            "repro.corpus.trec:iter_trec_documents",
-            "repro.corpus.trec:load_qrels",
-            "repro.corpus.trec:load_trec_collection",
-            "repro.corpus.trec:load_trec_documents",
-            "repro.corpus.trec:load_trec_topics",
-            "repro.evaluation.experiment:build_environment_from_collection",
-            "repro.corpus.relevance:Qrels.validate_against",
-        ),
-        "open-item: the TREC loader; ROADMAP 17 decides whether the figures "
-        "get a --collection flag or the loader goes",
-    ),
     **dict.fromkeys(
         (
             "repro.net.faults:FaultInjector.clear_flaky",

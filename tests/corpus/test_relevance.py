@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.corpus import Qrels, Query, QuerySet
-from repro.exceptions import CorpusError, QueryError
+from repro.exceptions import QueryError
 
 
 class TestQuery:
@@ -59,15 +59,6 @@ class TestQrels:
         assert "q1" in qrels
         assert len(qrels) == 2
         assert sorted(qrels) == ["q1", "q2"]
-
-    def test_validate_against_known_docs(self) -> None:
-        qrels = Qrels({"q1": {"d1"}})
-        qrels.validate_against(["d1", "d2"])  # no raise
-
-    def test_validate_against_unknown_docs(self) -> None:
-        qrels = Qrels({"q1": {"ghost"}})
-        with pytest.raises(CorpusError):
-            qrels.validate_against(["d1"])
 
 
 class TestQuerySet:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SyntheticCorpusConfig
-from repro.corpus import build_synthetic_collection, generate_vocabulary
+from repro.corpus import SyntheticTrecCorpus, generate_vocabulary
 from repro.exceptions import ConfigurationError
 from repro.text.stemmer import stem
 from repro.text.stopwords import LUCENE_STOP_WORDS
@@ -15,7 +15,7 @@ import random
 
 @pytest.fixture(scope="module")
 def collection(micro_corpus_config):
-    return build_synthetic_collection(micro_corpus_config)
+    return SyntheticTrecCorpus(micro_corpus_config).build()
 
 
 class TestVocabularyGeneration:
@@ -76,7 +76,9 @@ class TestGeneratedCorpus:
 
     def test_qrels_reference_real_documents(self, collection) -> None:
         corpus, query_set, __ = collection
-        query_set.qrels.validate_against(corpus.doc_ids)
+        known = set(corpus.doc_ids)
+        for query_id in query_set.qrels:
+            assert query_set.qrels.relevant(query_id) <= known
 
     def test_every_query_has_relevant_documents(self, collection) -> None:
         __, query_set, __ = collection
@@ -101,8 +103,8 @@ class TestGeneratedCorpus:
                 assert any(doc.contains(t) for t in query.terms)
 
     def test_deterministic_for_seed(self, micro_corpus_config) -> None:
-        c1, q1, __ = build_synthetic_collection(micro_corpus_config)
-        c2, q2, __ = build_synthetic_collection(micro_corpus_config)
+        c1, q1, __ = SyntheticTrecCorpus(micro_corpus_config).build()
+        c2, q2, __ = SyntheticTrecCorpus(micro_corpus_config).build()
         assert c1.doc_ids == c2.doc_ids
         assert [q.terms for q in q1] == [q.terms for q in q2]
         first_doc = c1.doc_ids[0]
@@ -112,8 +114,8 @@ class TestGeneratedCorpus:
         import dataclasses
 
         other = dataclasses.replace(micro_corpus_config, seed=12345)
-        c1, __, __ = build_synthetic_collection(micro_corpus_config)
-        c2, __, __ = build_synthetic_collection(other)
+        c1, __, __ = SyntheticTrecCorpus(micro_corpus_config).build()
+        c2, __, __ = SyntheticTrecCorpus(other).build()
         assert c1.get(c1.doc_ids[0]).text != c2.get(c2.doc_ids[0]).text
 
 

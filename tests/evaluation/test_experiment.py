@@ -2,14 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.config import small_experiment_config
-from repro.corpus import Corpus, Document, Qrels, Query, QuerySet
-from repro.evaluation.experiment import (
-    build_environment,
-    build_environment_from_collection,
-)
+from repro.evaluation.experiment import build_environment
 
 
 class TestBuildEnvironment:
@@ -49,22 +42,3 @@ class TestBuildEnvironment:
         assert [q.terms for q in env1.full_set] == [q.terms for q in env2.full_set]
         assert [q.query_id for q in env1.train] == [q.query_id for q in env2.train]
 
-
-class TestUserSuppliedCollection:
-    def test_from_collection(self) -> None:
-        corpus = Corpus(
-            [
-                Document(f"d{i}", f"alpha{i % 3} beta{i % 5} gamma delta " * 4)
-                for i in range(20)
-            ]
-        )
-        originals = QuerySet(
-            [Query("q1", ("gamma", "alpha0")), Query("q2", ("delta", "beta1"))],
-            Qrels({"q1": {"d0", "d3"}, "q2": {"d1", "d6"}}),
-        )
-        env = build_environment_from_collection(
-            corpus, originals, small_experiment_config()
-        )
-        assert env.model is None
-        assert len(env.full_set) > len(originals)
-        env.full_set.qrels.validate_against(corpus.doc_ids)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.corpus import Qrels
 from repro.evaluation.metrics import (
     AggregateResult,
+    PrecisionRecall,
     aggregate,
     dcg,
     evaluate_rankings,
@@ -76,6 +77,21 @@ class TestAggregation:
     def test_all_unjudged(self) -> None:
         agg = aggregate({"q": precision_recall_at(ranked("a"), set(), k=1)})
         assert agg.mean_precision == 0.0 and len(agg.per_query) == 0
+
+    def test_means_do_not_depend_on_query_order(self) -> None:
+        """``relative_to_centralized`` passes its queries in set order,
+        which follows the hash seed: the paper's headline ratio must
+        not.  Summed left to right, 0.1 + 0.2 + 0.3 is
+        0.6000000000000001 and 0.3 + 0.2 + 0.1 is 0.6."""
+        scores = {"q1": 0.1, "q2": 0.2, "q3": 0.3}
+        results = {
+            qid: PrecisionRecall(score, score, hits=1, cutoff=10, num_relevant=1)
+            for qid, score in scores.items()
+        }
+        forward = aggregate(results)
+        backward = aggregate(dict(reversed(results.items())))
+        assert repr(forward.mean_precision) == repr(backward.mean_precision)
+        assert repr(forward.mean_recall) == repr(backward.mean_recall)
 
     def test_evaluate_rankings(self) -> None:
         qrels = Qrels({"q1": {"a"}, "q2": {"z"}})

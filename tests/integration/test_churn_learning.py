@@ -9,6 +9,8 @@ churn-free ring.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.config import (
@@ -19,7 +21,6 @@ from repro.config import (
 )
 from repro.core.maintenance import MaintenanceDaemon
 from repro.core.system import SpriteSystem
-from repro.dht.churn import ChurnModel
 from repro.dht.replication import ReplicationManager
 from repro.evaluation import build_environment
 from repro.evaluation.metrics import relative_to_centralized
@@ -56,15 +57,15 @@ def _trained_precision(env, churn: bool) -> float:
     system.register_queries(env.train)
     replication = ReplicationManager(system.ring)
     maintenance = MaintenanceDaemon(system)
-    churn_model = ChurnModel(system.ring, seed=8422)
+    churn_rng = random.Random(8422)
     replication.replicate_round()
 
     for __ in range(SPRITE_CONFIG.learning_iterations):
         if churn:
             # one crash + one join between learning iterations, then the
             # full repair pipeline: stabilize+promote, re-replicate, heal
-            churn_model.fail_random()
-            churn_model.join_one()
+            system.ring.fail(system.ring.random_live_id(churn_rng))
+            system.ring.join(name=f"churn-joiner-{churn_rng.randint(0, 1 << 30)}")
             replication.recover_from_failures()
             replication.replicate_round()
             maintenance.heal_until_stable()
@@ -112,10 +113,10 @@ def test_index_stays_consistent_after_churned_training(micro_env) -> None:
     system.register_queries(env.train)
     replication = ReplicationManager(system.ring)
     maintenance = MaintenanceDaemon(system)
-    churn_model = ChurnModel(system.ring, seed=5151)
+    churn_rng = random.Random(5151)
     replication.replicate_round()
     for __ in range(2):
-        churn_model.fail_random()
+        system.ring.fail(system.ring.random_live_id(churn_rng))
         replication.recover_from_failures()
         replication.replicate_round()
         maintenance.heal_until_stable()

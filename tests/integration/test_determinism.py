@@ -9,12 +9,13 @@ hidden source of nondeterminism (dict order, unseeded RNG, wall-clock).
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.config import ChordConfig, NetworkConfig, SpriteConfig
 from repro.core.system import SpriteSystem
 from repro.corpus.synthetic import SyntheticTrecCorpus
-from repro.dht.churn import ChurnModel
 from repro.dht.replication import ReplicationManager
 from repro.net import build_transport
 
@@ -63,10 +64,10 @@ def _run(corpus, queries, route_cache: bool, churn: bool):
     system.register_queries(queries[:half])
     replication = ReplicationManager(system.ring)
     replication.replicate_round()
-    churn_model = ChurnModel(system.ring, seed=3)
+    churn_rng = random.Random(3)
     for __ in range(SPRITE_CONFIG.learning_iterations):
         if churn:
-            churn_model.fail_random()
+            system.ring.fail(system.ring.random_live_id(churn_rng))
             replication.recover_from_failures()
             replication.replicate_round()
         system.run_learning_iteration()

@@ -43,10 +43,10 @@ class TestAccess:
         assert ranked[0] == ScoredDoc("d2", 0.9)
 
     def test_top_k_shorter_than_list(self, ranked: RankedList) -> None:
-        assert len(ranked.top(2)) == 2
+        assert len(ranked[:2]) == 2
 
     def test_top_k_longer_than_list(self, ranked: RankedList) -> None:
-        assert len(ranked.top(99)) == 4
+        assert len(ranked[:99]) == 4
 
 
 class TestTruncate:
@@ -218,12 +218,10 @@ class TestColumnsAgainstEntries:
             self.same(list(RankedList.top_k(scores, k)), want[:k])
             self.same(list(RankedList.top_k(list(scores.items()), k)), want[:k])
             self.same(list(ranked.truncate(k)), want[:k])
-            self.same(ranked.top(k), want[:k])
             assert ranked.top_ids(k) == [entry.doc_id for entry in want[:k]]
             truncated = ranked.truncate(k)
             assert len(truncated) == len(want[:k])
             self.same(list(truncated.truncate(max(0, k - 1))), want[: max(0, k - 1)])
-        self.same(ranked.top(-2), want[:-2])  # a slice, as on a list
         for k in (-1, -n - 3):
             with pytest.raises(ValueError, match="k must be >= 0"):
                 RankedList.top_k(scores, k)
@@ -233,7 +231,7 @@ class TestColumnsAgainstEntries:
 
     def test_empty(self) -> None:
         ranked = RankedList({})
-        assert list(ranked) == ranked[:] == ranked.top(3) == ranked.top_ids(3) == []
+        assert list(ranked) == ranked[:] == ranked[:3] == ranked.top_ids(3) == []
         assert len(ranked.truncate(0)) == len(RankedList.top_k({}, 4)) == 0
         with pytest.raises(IndexError):
             ranked[0]
