@@ -141,9 +141,6 @@ class SpriteConfig:
     store_dir: str = ""
     #: Snapshot root override; empty string means ``<store_dir>/snapshots``.
     snapshot_dir: str = ""
-    #: Bloom-filter existence check in front of SQLite point lookups
-    #: (reuses :mod:`repro.dht.bloom`); irrelevant to the memory backend.
-    store_bloom: bool = True
 
     def __post_init__(self) -> None:
         _require(self.initial_terms >= 1, "initial_terms must be >= 1")

@@ -1,6 +1,5 @@
 """Chord DHT substrate: ring, nodes, routing, replication."""
 
-from .bloom import BloomFilter
 from .hashing import IdSpace, md5_hash, recursive_finger_steps
 from .messages import (
     ADDRESS_BYTES,
@@ -20,7 +19,6 @@ from .stats import KindStats, NetworkStats
 __all__ = [
     "ADDRESS_BYTES",
     "ALL_KINDS",
-    "BloomFilter",
     "ChordNode",
     "ChordRing",
     "IdSpace",

@@ -56,7 +56,9 @@ def percentile(samples: Sequence[float], q: float) -> float:
     if not samples:
         return 0.0
     ordered = sorted(samples)
-    rank = min(len(ordered), max(1, math.ceil(q / 100.0 * len(ordered))))
+    # Multiply before dividing: ``99.9 * 1000 / 100`` is exactly 999.0,
+    # where ``99.9 / 100 * 1000`` is 999.0000000000001 and ceils to 1000.
+    rank = min(len(ordered), max(1, math.ceil(q * len(ordered) / 100)))
     return ordered[rank - 1]
 
 

@@ -2,10 +2,10 @@
 
 A :class:`StoreRuntime` owns everything the SQLite backend shares across
 term slots — the database file (in a managed temporary directory unless
-the configuration pins one), the per-peer :class:`ConnectionPool`, the
-slot-id sequence partitioning the shared ``postings`` table, garbage-row
-reclamation for slots the simulation dropped, and the
-:class:`~repro.store.snapshot.SnapshotManager` rooted next to the
+the configuration pins one), the one connection every slot's rows go
+through, the slot-id sequence partitioning the shared ``postings``
+table, garbage-row reclamation for slots the simulation dropped, and
+the :class:`~repro.store.snapshot.SnapshotManager` rooted next to the
 database.
 
 :func:`build_store_runtime` is the configuration-driven factory the
@@ -17,19 +17,15 @@ unless explicitly switched on.
 from __future__ import annotations
 
 import itertools
+import sqlite3
 import tempfile
 import weakref
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..config import SpriteConfig
-from .pool import ConnectionPool
 from .snapshot import SnapshotManager
 from .sqlite_store import SqlitePostings, init_schema
-
-#: Default expected docs per slot for the fronting Bloom filter; slots
-#: that outgrow it rebuild at double capacity.
-DEFAULT_BLOOM_CAPACITY = 64
 
 
 class StoreRuntime:
@@ -41,20 +37,11 @@ class StoreRuntime:
         Directory for the database (and, by default, snapshots).  Empty
         string means a self-cleaning temporary directory — the safe
         default that keeps tests and ad-hoc runs from littering.
-    bloom / bloom_capacity / bloom_error_rate:
-        The Bloom front for point lookups (``bloom=False`` disables it).
     snapshot_dir:
         Snapshot root; empty means ``<store_dir>/snapshots``.
     """
 
-    def __init__(
-        self,
-        store_dir: str = "",
-        bloom: bool = True,
-        bloom_capacity: int = DEFAULT_BLOOM_CAPACITY,
-        bloom_error_rate: float = 0.01,
-        snapshot_dir: str = "",
-    ) -> None:
+    def __init__(self, store_dir: str = "", snapshot_dir: str = "") -> None:
         if store_dir:
             self._tmp = None
             self.root = Path(store_dir)
@@ -74,11 +61,15 @@ class StoreRuntime:
             self.db_path.with_suffix(".db-journal"),
         ):
             leftover.unlink(missing_ok=True)
-        self.pool = ConnectionPool(self.db_path)
-        init_schema(self.pool.connection_for(0))
-        self.bloom = bloom
-        self.bloom_capacity = bloom_capacity
-        self.bloom_error_rate = bloom_error_rate
+        # Autocommit: ``add_many`` opens its own transaction.  Durability
+        # pragmas are relaxed (``synchronous=OFF``) because a crashed
+        # peer is modelled by the snapshot layer, not the SQLite journal.
+        self.conn = sqlite3.connect(
+            str(self.db_path), isolation_level=None, cached_statements=512
+        )
+        self.conn.execute("PRAGMA journal_mode=WAL")
+        self.conn.execute("PRAGMA synchronous=OFF")
+        init_schema(self.conn)
         snapshot_root = Path(snapshot_dir) if snapshot_dir else self.root / "snapshots"
         self.snapshots = SnapshotManager(snapshot_root)
         self._slot_ids = itertools.count(1)
@@ -92,15 +83,9 @@ class StoreRuntime:
         return next(self._slot_ids)
 
     def new_postings(self, peer_id: int) -> SqlitePostings:
-        """A fresh posting store for a term slot hosted at *peer_id*,
-        on that peer's connection lane."""
-        store = SqlitePostings(
-            self.pool.connection_for(peer_id),
-            self.allocate_slot_id(),
-            runtime=self,
-            bloom_capacity=self.bloom_capacity if self.bloom else 0,
-            bloom_error_rate=self.bloom_error_rate,
-        )
+        """A fresh posting store for a term slot hosted at *peer_id*
+        (every peer's stores share the runtime's one connection)."""
+        store = SqlitePostings(self.conn, self.allocate_slot_id(), runtime=self)
         self.slots_created += 1
         return store
 
@@ -113,10 +98,9 @@ class StoreRuntime:
     def flush_retired(self) -> int:
         """Delete rows of collected stores; returns slots reclaimed."""
         flushed = 0
-        conn = self.pool.connection_for(0)
         while self._dead_slots:
             slot_id = self._dead_slots.pop()
-            conn.execute("DELETE FROM postings WHERE slot = ?", (slot_id,))
+            self.conn.execute("DELETE FROM postings WHERE slot = ?", (slot_id,))
             self.slots_retired += 1
             flushed += 1
         return flushed
@@ -126,12 +110,11 @@ class StoreRuntime:
     def stats(self) -> Dict[str, object]:
         """Rollup for the CLI and the benchmarks."""
         self.flush_retired()
-        conn = self.pool.connection_for(0)
-        postings, live_slots = conn.execute(
+        postings, live_slots = self.conn.execute(
             "SELECT COUNT(*), COUNT(DISTINCT slot) FROM postings"
         ).fetchone()
-        page_count = conn.execute("PRAGMA page_count").fetchone()[0]
-        page_size = conn.execute("PRAGMA page_size").fetchone()[0]
+        page_count = self.conn.execute("PRAGMA page_count").fetchone()[0]
+        page_size = self.conn.execute("PRAGMA page_size").fetchone()[0]
         return {
             "backend": "sqlite",
             "db_path": str(self.db_path),
@@ -140,15 +123,13 @@ class StoreRuntime:
             "live_slots": live_slots,
             "slots_created": self.slots_created,
             "slots_retired": self.slots_retired,
-            "bloom": self.bloom,
             "snapshots_saved": self.snapshots.saves,
             "snapshots_loaded": self.snapshots.loads,
-            **self.pool.stats(),
         }
 
     def close(self) -> None:
-        """Close connections and clean the managed temp dir (if any)."""
-        self.pool.close_all()
+        """Close the connection and clean the managed temp dir (if any)."""
+        self.conn.close()
         if self._tmp is not None:
             self._tmp.cleanup()
             self._tmp = None
@@ -158,8 +139,4 @@ def build_store_runtime(config: SpriteConfig) -> Optional[StoreRuntime]:
     """Build the runtime a configuration asks for (``None`` = in-RAM)."""
     if config.store_backend == "memory":
         return None
-    return StoreRuntime(
-        store_dir=config.store_dir,
-        bloom=config.store_bloom,
-        snapshot_dir=config.snapshot_dir,
-    )
+    return StoreRuntime(store_dir=config.store_dir, snapshot_dir=config.snapshot_dir)

@@ -3,9 +3,10 @@
 :class:`SqlitePostings` is the disk backend behind the
 :class:`~repro.core.metadata.TermSlot` posting-store interface
 (:class:`~repro.ir.postings.RamPostings` is the in-RAM one).  Rows
-live in one shared ``postings`` table keyed by a per-store *slot id*;
-the store object keeps only small Python-side mirrors (posting count,
-next insertion sequence, the content version).
+live in one shared ``postings`` table keyed by a per-store *slot id*,
+reached through the runtime's one connection; every point operation
+is a primary-key probe.  The store object keeps only small Python-side
+mirrors (posting count, next insertion sequence, the content version).
 
 The contract it must honour to stay bit-identical to the in-RAM path:
 
@@ -27,9 +28,6 @@ Extras the RAM backends do not have:
 * ``add_many`` wraps a PUBLISH_BATCH run in one SQLite transaction and
   rolls back (restoring the Python mirrors) if any row fails — the
   crash-mid-batch consistency guarantee.
-* An optional Bloom filter (reusing :mod:`repro.dht.bloom`) fronts
-  point lookups: a negative means *definitely absent*, skipping the SQL
-  round trip for first-time inserts and missing-doc probes.
 * ``__deepcopy__`` clones the rows under a fresh slot id on the same
   connection — replication deep-copies the slots it ships, and a SQLite
   connection itself cannot be deep-copied.
@@ -37,12 +35,10 @@ Extras the RAM backends do not have:
 
 from __future__ import annotations
 
-import copy
 import itertools
 import sqlite3
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from ..dht.bloom import BloomFilter
 from ..ir.postings import ImpactRow, PostingRow, next_version, posting_impact
 
 _SCHEMA = (
@@ -77,7 +73,8 @@ class SqlitePostings:
     Parameters
     ----------
     conn:
-        The (pooled) connection rows go through.
+        The connection rows go through (a runtime's one connection,
+        shared by every store it builds).
     slot_id:
         This store's partition key in the shared table; must be unique
         per database file (use :meth:`StoreRuntime.new_postings`).
@@ -85,27 +82,12 @@ class SqlitePostings:
         Owning :class:`~repro.store.runtime.StoreRuntime`, used for slot
         id allocation on deepcopy and garbage-row reclamation; optional
         for standalone use.
-    bloom_capacity:
-        Expected doc count for the fronting Bloom filter; 0 disables it.
     """
 
-    def __init__(
-        self,
-        conn: sqlite3.Connection,
-        slot_id: int,
-        runtime=None,
-        bloom_capacity: int = 0,
-        bloom_error_rate: float = 0.01,
-    ) -> None:
+    def __init__(self, conn: sqlite3.Connection, slot_id: int, runtime=None) -> None:
         self._conn = conn
         self._slot = slot_id
         self._runtime = runtime
-        self._bloom_error_rate = bloom_error_rate
-        self._bloom: Optional[BloomFilter] = (
-            BloomFilter(bloom_capacity, bloom_error_rate)
-            if bloom_capacity > 0
-            else None
-        )
         self._count = 0
         self._next_seq = 0
         self._version = next_version()
@@ -127,8 +109,6 @@ class SqlitePostings:
         return self._count
 
     def __contains__(self, doc_id: str) -> bool:
-        if self._bloom is not None and doc_id not in self._bloom:
-            return False
         return (
             self._conn.execute(
                 "SELECT 1 FROM postings WHERE slot = ? AND doc = ?",
@@ -143,14 +123,10 @@ class SqlitePostings:
         """Insert or overwrite the posting for *doc_id* (dict semantics:
         an overwrite keeps the posting's enumeration position)."""
         length = doc_length if doc_length > 0 else 0
-        existing = None
-        # A Bloom negative means definitely absent: skip the existence
-        # probe entirely.
-        if self._bloom is None or doc_id in self._bloom:
-            existing = self._conn.execute(
-                "SELECT 1 FROM postings WHERE slot = ? AND doc = ?",
-                (self._slot, doc_id),
-            ).fetchone()
+        existing = self._conn.execute(
+            "SELECT 1 FROM postings WHERE slot = ? AND doc = ?",
+            (self._slot, doc_id),
+        ).fetchone()
         if existing is None:
             self._conn.execute(
                 "INSERT INTO postings (slot, doc, seq, owner, tf, len) "
@@ -161,8 +137,6 @@ class SqlitePostings:
             )
             self._next_seq += 1
             self._count += 1
-            if self._bloom is not None:
-                self._bloom_add(doc_id)
         else:
             self._conn.execute(
                 "UPDATE postings SET owner = ?, tf = ?, len = ? "
@@ -176,10 +150,10 @@ class SqlitePostings:
 
         On any failure the transaction rolls back and the Python-side
         mirrors are restored, so a crash mid-batch leaves the store in
-        its exact pre-batch state (the Bloom filter may retain the
-        aborted keys — an over-approximation, which is always safe).
-        Each row still draws its own global version tick, exactly like
-        the loop the RAM backends run.
+        its exact pre-batch state.  The connection is shared, but only
+        this batch writes between its ``BEGIN`` and ``ROLLBACK``, so no
+        other store's rows are touched.  Each row still draws its own
+        global version tick, exactly like the loop the RAM backends run.
         """
         rows = list(rows)
         if not rows:
@@ -201,13 +175,7 @@ class SqlitePostings:
         return len(rows)
 
     def remove(self, doc_id: str) -> Optional[PostingRow]:
-        """Delete and return the posting for *doc_id* (``None`` if absent).
-
-        The Bloom filter has no deletions, so a removed doc stays in the
-        filter — a future probe pays one extra point read, never a wrong
-        answer."""
-        if self._bloom is not None and doc_id not in self._bloom:
-            return None
+        """Delete and return the posting for *doc_id* (``None`` if absent)."""
         row = self._conn.execute(
             "SELECT owner, tf, len FROM postings WHERE slot = ? AND doc = ?",
             (self._slot, doc_id),
@@ -227,8 +195,6 @@ class SqlitePostings:
 
     def lookup(self, doc_id: str) -> Optional[PostingRow]:
         """The posting row for *doc_id*, or ``None``."""
-        if self._bloom is not None and doc_id not in self._bloom:
-            return None
         row = self._conn.execute(
             "SELECT owner, tf, len FROM postings WHERE slot = ? AND doc = ?",
             (self._slot, doc_id),
@@ -241,8 +207,6 @@ class SqlitePostings:
         """``(normalized_tf, doc_length)`` for *doc_id*, or ``None``.
         Recomputed from the stored integers with the same expression the
         in-RAM store uses, so the float is bit-identical."""
-        if self._bloom is not None and doc_id not in self._bloom:
-            return None
         row = self._conn.execute(
             "SELECT tf, len FROM postings WHERE slot = ? AND doc = ?",
             (self._slot, doc_id),
@@ -277,30 +241,6 @@ class SqlitePostings:
         rows.sort(key=lambda r: (-r[3], r[0]))
         return rows
 
-    # -- bloom maintenance ---------------------------------------------------
-
-    def _bloom_add(self, doc_id: str) -> None:
-        bloom = self._bloom
-        assert bloom is not None
-        if len(bloom) >= bloom.capacity:
-            self._rebuild_bloom()
-            bloom = self._bloom
-        bloom.add(doc_id)
-
-    def _rebuild_bloom(self) -> None:
-        """Regrow the filter from the live doc set at double capacity
-        (removals stay in a Bloom filter, so rebuilds also shed them)."""
-        docs = [
-            r[0]
-            for r in self._conn.execute(
-                "SELECT doc FROM postings WHERE slot = ?", (self._slot,)
-            )
-        ]
-        capacity = max(2 * self._bloom.capacity, len(docs) + 1)
-        rebuilt = BloomFilter(capacity, self._bloom_error_rate)
-        rebuilt.update(docs)
-        self._bloom = rebuilt
-
     # -- replication support -------------------------------------------------
 
     def __deepcopy__(self, memo) -> "SqlitePostings":
@@ -315,7 +255,6 @@ class SqlitePostings:
         clone = object.__new__(type(self))
         clone._conn = self._conn
         clone._runtime = self._runtime
-        clone._bloom_error_rate = self._bloom_error_rate
         if self._runtime is not None:
             clone._slot = self._runtime.allocate_slot_id()
         else:
@@ -325,7 +264,6 @@ class SqlitePostings:
             "SELECT ?, doc, seq, owner, tf, len FROM postings WHERE slot = ?",
             (clone._slot, self._slot),
         )
-        clone._bloom = copy.deepcopy(self._bloom, memo)
         clone._count = self._count
         clone._next_seq = self._next_seq
         clone._version = self._version

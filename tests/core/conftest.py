@@ -30,9 +30,7 @@ def make_slot(request, conn):
     def make() -> TermSlot:
         cache = QueryCache(capacity=3)
         if request.param == "sqlite":
-            return TermSlot(
-                "term", cache, store=SqlitePostings(conn, next(slot_ids), bloom_capacity=4)
-            )
+            return TermSlot("term", cache, store=SqlitePostings(conn, next(slot_ids)))
         if request.param == "legacy":
             return TermSlot("term", cache, store=LegacyPostings())
         return TermSlot("term", cache)

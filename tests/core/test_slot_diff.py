@@ -127,7 +127,7 @@ def store(request):
         conn = sqlite3.connect(":memory:", isolation_level=None)
         init_schema(conn)
         ids = iter(range(1, 1 << 20))
-        yield lambda: SqlitePostings(conn, next(ids), bloom_capacity=4)
+        yield lambda: SqlitePostings(conn, next(ids))
         conn.close()
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from repro.net import (
@@ -47,8 +50,18 @@ class TestPercentile:
 
     def test_fractional_quantile_nearest_rank(self) -> None:
         samples = [float(v) for v in range(1, 2001)]  # 1..2000
-        assert percentile(samples, 99.9) == 1999.0
+        assert percentile(samples, 99.9) == 1998.0
         assert percentile([5.0, 6.0], 99.9) == 6.0
+
+    def test_rank_is_the_exact_nearest_rank(self) -> None:
+        """The rank is ``ceil(q·n / 100)`` in exact arithmetic: at
+        ``q = 99.9`` and ``n = 1000`` it is 999, not 1000."""
+        values = [float(v) for v in range(1, 5001)]
+        for q in (50, 90, 99, 99.9):
+            exact = Fraction(str(q))
+            for n in range(1, 5001):
+                rank = max(1, math.ceil(exact * n / 100))
+                assert percentile(values[:n], q) == float(rank), (q, n)
 
     def test_single_sample(self) -> None:
         assert percentile([7.0], 50) == 7.0
@@ -102,7 +115,7 @@ class TestRollup:
             log.record(trace(latency=float(latency)))
         summary = log.rollup()
         assert summary.latency_p99_ms == 1980.0
-        assert summary.latency_p99_9_ms == 1999.0
+        assert summary.latency_p99_9_ms == 1998.0
 
     def test_kind_filter(self) -> None:
         log = TraceLog()

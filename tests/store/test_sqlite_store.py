@@ -15,7 +15,7 @@ import sqlite3
 import pytest
 
 from repro.ir.postings import RamPostings
-from repro.store import SqlitePostings, init_schema
+from repro.store import SqlitePostings, StoreRuntime, init_schema
 
 
 @pytest.fixture()
@@ -114,6 +114,27 @@ class TestAddMany:
         # The store stays usable: the next batch lands normally.
         store.add_many([("new-a", 1, 2, 10)])
         assert [row[0] for row in store.rows()] == ["keep", "new-a"]
+
+    def test_failed_batch_spares_a_store_on_the_same_connection(self) -> None:
+        """Every store of a runtime shares its one connection, so one
+        transaction scope: a rollback in one slot must not reach
+        another slot's rows."""
+        runtime = StoreRuntime()
+        try:
+            poisoned_store = runtime.new_postings(1)
+            bystander = runtime.new_postings(2)
+            assert poisoned_store._conn is bystander._conn is runtime.conn
+            bystander.add_many([(f"b{i}", 2, i + 1, 20) for i in range(5)])
+            bystander.add("b0", 3, 9, 25)
+            poisoned_store.add("keep", 1, 3, 12)
+            before = (len(bystander), bystander.version, list(bystander.rows()))
+            with pytest.raises(TypeError):
+                poisoned_store.add_many([("b1", 1, 2, 10), ("new", 1, 2, 10), object()])
+            assert (len(bystander), bystander.version, list(bystander.rows())) == before
+            assert [row[0] for row in poisoned_store.rows()] == ["keep"]
+            assert not runtime.conn.in_transaction
+        finally:
+            runtime.close()
 
 
 class TestDeepcopy:

@@ -148,7 +148,7 @@ class TestDerived:
 
     def test_static_baseline_differs_only_in_term_selection(self) -> None:
         base = SpriteConfig(
-            query_cache_size=77, result_cache_size=64, top_k_answers=7, store_bloom=False
+            query_cache_size=77, result_cache_size=64, top_k_answers=7, store_backend="sqlite"
         )
         static = base.static_baseline(12)
         differing = {

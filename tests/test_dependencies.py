@@ -301,7 +301,7 @@ def test_the_overlay_shape_is_one_field_of_one_ring_class() -> None:
         and any(ast.unparse(base).endswith("ChordRing") for base in node.bases)
     ]
     assert not subclasses
-    assert len(dataclasses.fields(SpriteConfig)) == 12
+    assert len(dataclasses.fields(SpriteConfig)) == 11
     assert len(dataclasses.fields(ChordConfig)) == 6
 
 
@@ -334,7 +334,7 @@ def test_a_retrieval_system_is_one_class_and_its_policy_is_its_config() -> None:
     assert not found, found
     assert len(ALL_CONFIG_TYPES) == 7
     assert "esearch" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert len(dataclasses.fields(SpriteConfig)) == 12
+    assert len(dataclasses.fields(SpriteConfig)) == 11
 
 
 #: Modules under ``src/repro`` (path prefixes) that no entry point or

@@ -14,6 +14,7 @@ over the corpus of seed 0, 1 or 2:
 from __future__ import annotations
 
 import os
+import sqlite3
 from dataclasses import asdict
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from .twins import (
     pairs,
     run_row,
     seeded,
+    slot_stores,
     write_state_fingerprint,
 )
 
@@ -61,7 +63,7 @@ SUPPORT = {
 #: speed, storage or routing but never results.  A new such switch
 #: belongs here *and* in a row's ``config``.
 RESULT_NEUTRAL_SWITCHES = {
-    "sprite": {"result_cache_size", "store_backend", "store_bloom"},
+    "sprite": {"result_cache_size", "store_backend"},
     "chord": {"route_cache_size", "finger_arity"},
 }
 #: Fields that are workload or deployment parameters, not switches:
@@ -192,8 +194,37 @@ def test_a_cell_that_raises_closes_its_sqlite_runtime(micro, monkeypatch) -> Non
         run_row(row, micro, "perfect", "learn", 0, PROGRAM)
     runtimes = [s.store_runtime for s in built if s.store_runtime is not None]
     assert len(runtimes) == 1
-    assert runtimes[0].pool.open_connections == 0
+    with pytest.raises(sqlite3.ProgrammingError):
+        runtimes[0].conn.execute("SELECT 1")
     assert not runtimes[0].root.exists()
+
+
+def test_a_runtime_serving_many_peers_opens_one_connection(micro, monkeypatch) -> None:
+    """Every slot of every peer writes and reads through the runtime's
+    one SQLite connection: building, sharing, learning and querying
+    open no other."""
+    opened = []
+    connect = sqlite3.connect
+
+    def counting_connect(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", counting_connect)
+    system = micro.build({"sprite": {"store_backend": "sqlite"}})
+    try:
+        system.bulk_share()
+        system.register_queries(micro.train)
+        system.run_learning()
+        for query in micro.test:
+            system.search(query)
+        hosts = {node.node_id for node in system.ring.nodes.values() if node.store}
+        assert len(hosts) >= 8
+        assert len(opened) == 1
+        assert opened[0] is system.store_runtime.conn
+        assert all(store._conn is opened[0] for store in slot_stores(system))
+    finally:
+        system.store_runtime.close()
 
 
 def test_fingerprint_sees_slot_and_owner_state(micro) -> None:

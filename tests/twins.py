@@ -566,13 +566,7 @@ ROWS = (
     # store uses, so there is no tolerance to hide behind.
     Row("store-paths", as_built, config={"sprite": {"store_backend": "sqlite"}},
         check=lambda w, reused, twin: all(
-            type(store) is SqlitePostings and store._bloom is not None
-            for store in slot_stores(twin)
-        )),
-    Row("store-bloom", as_built,
-        config={"sprite": {"store_backend": "sqlite", "store_bloom": False}},
-        check=lambda w, reused, twin: all(
-            type(store) is SqlitePostings and store._bloom is None
+            type(store) is SqlitePostings and store._conn is twin.store_runtime.conn
             for store in slot_stores(twin)
         )),
 )
