@@ -69,12 +69,13 @@ class IncrementalLearner:
         For each document term t occurring in Q': the largest qScore of
         any query containing t is max-merged, and QF(t, Q') is added to
         the cumulative query frequency (lines 4-11 of Algorithm 1).
-        Membership is tested against the document's own term counts,
-        so the learner holds no copy of its term set.
+        Membership is tested against a set of the document's terms
+        built for this call, so the learner holds no copy of its term
+        set between calls.
         """
         if not new_queries:
             return
-        doc_terms = self.document.term_freqs
+        doc_terms = self.document.term_set()
         best_qscore: Dict[str, float] = {}
         qf_delta: Dict[str, int] = {}
         for query in new_queries:
@@ -115,7 +116,7 @@ def naive_rank_terms(
     Used only as the reference implementation for equivalence tests and
     the speedup bench — real owners run :class:`IncrementalLearner`.
     """
-    doc_terms = document.term_freqs
+    doc_terms = document.term_set()
     max_qscore: Dict[str, float] = {}
     qf: Dict[str, int] = {}
     for query in all_queries:
@@ -156,7 +157,7 @@ def select_index_terms(
     """
     if target_size < 1:
         raise ValueError("target_size must be >= 1")
-    freqs = document.term_freqs
+    count = document.count
     chosen: List[str] = []
     chosen_set: Set[str] = set()
 
@@ -173,7 +174,7 @@ def select_index_terms(
     if len(chosen) < target_size:
         retained = sorted(
             (t for t in current_terms if t not in chosen_set),
-            key=lambda t: (-freqs[t], t),  # a Counter: a term it lacks counts 0
+            key=lambda t: (-count(t), t),  # a term it lacks counts 0
         )
         for term in retained:
             if len(chosen) >= target_size:

@@ -162,7 +162,7 @@ class OwnerPeer:
         # tuple.__new__ skips the named tuple's Python-level constructor.
         return tuple.__new__(
             PostingEntry,
-            (document.doc_id, self.node_id, document.term_freqs.get(term, 0), document.length),
+            (document.doc_id, self.node_id, document.count(term), document.length),
         )
 
     def _publish(self, plans: Sequence[Plan]) -> None:

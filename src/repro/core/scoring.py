@@ -25,7 +25,8 @@ def q_score(query_terms: AbstractSet[str] | Sequence[str], doc_terms: Container[
     *doc_terms* is the full analyzed term set of the document — the
     owner peer has the document locally, so this needs no network.  Any
     container answers: the intersection is a membership test per query
-    term, so the document's own term-count map serves without a copy.
+    term, so a learner passes the set of the document's terms it built
+    for the call.
 
     >>> q_score({"a", "b"}, {"a", "b", "c"})
     1.0

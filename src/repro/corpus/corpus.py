@@ -99,7 +99,7 @@ class Corpus:
         coll_freq: Counter = Counter()
         for doc in self._docs.values():
             doc.analyze(self.analyzer)
-            for term, freq in doc.term_freqs.items():
+            for term, freq in doc.term_counts():
                 doc_freq[term] += 1
                 coll_freq[term] += freq
         self._doc_freq = doc_freq

@@ -46,7 +46,7 @@ class InvertedIndex:
             return
         self._doc_lengths[doc_id] = doc.length
         postings = self._postings
-        for term, raw in doc.term_freqs.items():
+        for term, raw in doc.term_counts():
             columns = postings.get(term)
             if columns is None:
                 postings[term] = ([doc_id], array("I", (raw,)))

@@ -21,7 +21,7 @@ from repro.corpus import Document
 def term_rank(document: Document) -> Dict[str, int]:
     """Each term's frequency rank (0 = most frequent), in the
     :meth:`Document.top_terms` order."""
-    ranked = sorted([(-count, t) for t, count in document.term_freqs.items()])
+    ranked = sorted([(-count, t) for t, count in document.term_counts()])
     return {t: i for i, (__, t) in enumerate(ranked)}
 
 

@@ -9,8 +9,6 @@ arbitrary batch splits.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +22,7 @@ from repro.core.learning import (
 )
 from repro.corpus import Document
 
+from ..probes import counted
 from .reference_selection import reference_select_index_terms
 
 DOC_TEXT = (
@@ -225,7 +224,7 @@ class TestSelectionMatchesTheRankMap:
     def test_identical_lists(self, freqs, current, ranked, sort_ranked, target) -> None:
         if sort_ranked:
             ranked = sorted(ranked, key=lambda rt: (-rt.score, rt.term))
-        document = Document("p", "", _term_freqs=Counter(freqs))
+        document = counted("p", freqs)
         assert select_index_terms(
             document, current, ranked, target
         ) == reference_select_index_terms(document, current, ranked, target)
@@ -253,8 +252,8 @@ class TestPaddingIsTheTopTermsOrder:
         target=st.integers(1, 12),
     )
     def test_padding_follows_the_two_sorts(self, freqs, ranked, target) -> None:
-        document = Document("p", "", _term_freqs=Counter(freqs))
-        order = two_sort_order(document.term_freqs)
+        document = counted("p", freqs)
+        order = two_sort_order(freqs)
         assert document.top_terms(len(order)) == order
         evidence = [RankedTerm(term, 1.0) for term in ranked]
         chosen = ranked[:target]

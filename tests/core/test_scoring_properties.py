@@ -159,7 +159,7 @@ class TestSelectionDeterminism:
         first = select_index_terms(document, current, learner.rank_list(), target)
         second = select_index_terms(document, current, learner.rank_list(), target)
         assert first == second
-        assert len(first) == min(target, len(set(document.term_freqs)))
+        assert len(first) == min(target, document.unique_terms)
         assert len(set(first)) == len(first)
 
     def test_equal_scores_break_ties_alphabetically(self) -> None:

@@ -130,7 +130,7 @@ class TestLearningLoop:
         sprite.share_corpus()
         target = "d0"
         initial = set(sprite.index_terms(target))
-        assert "lookup" in sprite.corpus.get(target).term_freqs
+        assert sprite.corpus.get(target).contains("lookup")
         queried = ("chord", "lookup")
         sprite.register_queries([Query(f"q{i}", queried) for i in range(5)])
         sprite.run_learning(iterations=1)

@@ -6,10 +6,13 @@ import heapq
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.corpus import Document
+from repro.text.analyzer import DEFAULT_ANALYZER
+
+from ..probes import counted
 
 
 @pytest.fixture()
@@ -22,7 +25,8 @@ def doc() -> Document:
 
 class TestAnalysisCaching:
     def test_term_freqs(self, doc: Document) -> None:
-        assert doc.term_freqs == {"chord": 3, "ring": 2, "lookup": 1}
+        assert list(doc.term_counts()) == [("chord", 3), ("ring", 2), ("lookup", 1)]
+        assert doc.count("ring") == 2 and doc.count("the") == 0
 
     def test_stop_words_excluded_from_length(self, doc: Document) -> None:
         # "the" ×3 removed → 6 analyzed occurrences.
@@ -33,9 +37,9 @@ class TestAnalysisCaching:
 
     def test_analyze_idempotent(self, doc: Document) -> None:
         doc.analyze()
-        first = doc.term_freqs
+        first = doc._terms, doc._counts
         doc.analyze()
-        assert doc.term_freqs is first
+        assert doc._terms is first[0] and doc._counts is first[1]
 
 
 class TestTopTerms:
@@ -57,7 +61,7 @@ class TestTopTerms:
         k=st.integers(0, 40),
     )
     def test_the_heap_keeps_what_the_full_sort_keeps(self, freqs, k) -> None:
-        d = Document(doc_id="p", text="", _term_freqs=Counter(freqs))
+        d = counted("p", freqs)
         ranked = sorted(freqs.items(), key=lambda kv: (-kv[1], kv[0]))
         assert d.top_terms(k) == [t for t, __ in ranked[:k]]
         # Asked for every distinct term, the heap ranks them all.
@@ -76,15 +80,13 @@ class TestTopTerms:
         ``(-count, term)`` it replaced.  Three distinct counts, so most
         cuts fall inside a tie; k runs from below 0 to past the
         vocabulary, and k = 1, 0 and the vocabulary size always run."""
-        d = Document(doc_id="p", text="", _term_freqs=Counter(freqs))
+        d = counted("p", freqs)
         pairs = [(-count, t) for t, count in freqs.items()]
         for cut in (k, 1, 0, len(freqs), len(freqs) + 1):
             assert d.top_terms(cut) == [t for __, t in heapq.nsmallest(cut, pairs)]
 
     def test_a_cut_inside_a_tie_breaks_it_alphabetically(self) -> None:
-        d = Document(doc_id="t", text="", _term_freqs=Counter(
-            {"pear": 2, "fig": 5, "apple": 2, "kiwi": 2, "date": 1}
-        ))
+        d = counted("t", {"pear": 2, "fig": 5, "apple": 2, "kiwi": 2, "date": 1})
         assert d.top_terms(1) == ["fig"]
         assert d.top_terms(2) == ["fig", "apple"]
         assert d.top_terms(3) == ["fig", "apple", "kiwi"]
@@ -109,3 +111,36 @@ class TestContains:
         d = Document(doc_id="s", text="running quickly")
         assert d.contains("run")
         assert not d.contains("running")
+
+
+#: Text for the differential test: stop words, stem variants, and short
+#: strings with no ``z``, so the probe ``zzzz`` is always absent.
+WORDS = ["the", "and", "chord", "chords", "ring", "rings", "running", "run", "lookup"]
+TEXTS = st.lists(
+    st.one_of(st.sampled_from(WORDS), st.text("abcxy", min_size=1, max_size=4)),
+    max_size=60,
+).map(" ".join)
+
+
+class TestColumnsMatchACounter:
+    """The two columns against a ``Counter`` of the same analyzed
+    tokens: counts, order, sizes and the top-k cut."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=TEXTS)
+    @example(text="")
+    @example(text="chord ring lookup chord ring lookup axe")  # a three-way tie at k = 1, 2
+    def test_the_columns_answer_as_the_counter(self, text: str) -> None:
+        reference = Counter(DEFAULT_ANALYZER.analyze(text))
+        doc = Document("h", text)
+        for term in list(reference) + ["zzzz"]:
+            assert doc.count(term) == reference[term]
+            assert doc.contains(term) == (term in reference)
+        assert list(doc.term_counts()) == list(reference.items())
+        assert doc.term_set() == set(reference)
+        assert doc.unique_terms == len(reference)
+        assert doc.length == sum(reference.values())
+        ranked = [t for t, __ in sorted(reference.items(), key=lambda kv: (-kv[1], kv[0]))]
+        n = len(reference)
+        for k in (0, 1, n - 1, n, n + 5):
+            assert doc.top_terms(k) == ranked[: max(k, 0)], k

@@ -55,7 +55,7 @@ class LegacyInvertedIndex:
             return
         self._doc_lengths[doc.doc_id] = doc.length
         self._doc_count += 1
-        for term, raw in doc.term_freqs.items():
+        for term, raw in doc.term_counts():
             self._postings.setdefault(term, {})[doc.doc_id] = Posting(
                 doc_id=doc.doc_id,
                 raw_tf=raw,

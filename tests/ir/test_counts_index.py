@@ -11,15 +11,15 @@ corpus and on drawn corpora.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import List
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.corpus import Corpus, Document, Query
+from repro.corpus import Corpus, Query
 from repro.ir import BM25System, CentralizedSystem
 
+from ..probes import counted
 from .legacy_inverted_index import LegacyBM25System, LegacyCentralizedSystem
 
 VOCAB = ("chord", "ring", "finger", "lookup", "peer", "query", "index", "cache")
@@ -39,10 +39,7 @@ QUERIES = st.lists(
 
 
 def make_corpus(counts: List[dict]) -> Corpus:
-    return Corpus(
-        Document(f"d{i:02d}", "", _term_freqs=Counter(c), _length=sum(c.values()))
-        for i, c in enumerate(counts)
-    )
+    return Corpus(counted(f"d{i:02d}", c) for i, c in enumerate(counts))
 
 
 def systems(corpus: Corpus):

@@ -2,14 +2,29 @@
 
 Nothing the system runs calls these, so they live beside the tests
 rather than in ``src``: each reads the state the way the removed
-accessor of the same name did.
+accessor of the same name did.  :func:`counted` builds a document from
+its term counts, with no text to analyze.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from array import array
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.metadata import PostingEntry
+from repro.corpus import Document
+
+
+def counted(doc_id: str, freqs: Mapping[str, int]) -> Document:
+    """A document analyzed to exactly *freqs*, its terms in the
+    mapping's order."""
+    return Document(
+        doc_id,
+        "",
+        _terms=tuple(freqs),
+        _counts=array("I", list(freqs.values())),
+        _length=sum(freqs.values()),
+    )
 
 
 def ids(ranked) -> List[str]:

@@ -1,16 +1,18 @@
-"""Memory footprint of the reference index, the learners and the
-indexing protocol's term-key memo.
+"""Memory footprint of the documents, the reference index, the learners
+and the indexing protocol's term-key memo.
 
-Each document's term counts exist once, in ``Document.term_freqs``.
-The centralized index keeps a term's postings as two flat columns, its
+Each document's term counts exist once, in two flat columns of the
+``Document``: its distinct terms in a tuple and their counts in an
+array (about 15 B per distinct term of the small corpus; about 29 B
+while they were a ``Counter``).  The centralized index keeps a term's postings as two flat columns, its
 doc ids in a list and their raw counts in an array (about 12 B a
 posting; a dict entry per posting cost about 30–50 B and a ``Posting``
 object about 160 B), and a ranked list keeps its entries the same way,
 a doc id and a C double (16 B an entry; about 96 B while each entry was
 a ``ScoredDoc`` holding a boxed float).  A learner tests
-membership against the document's own map and holds no copy of its
-term set (such a copy costs about 2.5 KB per document of the small
-corpus).  Sizes come from ``tracemalloc``: bytes still allocated after
+membership against a set of the document's terms built for that call
+and holds no copy of its term set (such a copy costs about 2.5 KB per
+document of the small corpus).  Sizes come from ``tracemalloc``: bytes still allocated after
 the build, with the documents analyzed beforehand.  The position memo
 behind ``IdSpace.hash_key`` (one per ring width, shared by every ring of
 that width) lives as long as the process; its bound, and the bytes a
@@ -43,6 +45,11 @@ from repro.corpus import Document, TopicModel
 from repro.ir import InvertedIndex, RankedList
 from repro.memo import BoundedMemo
 
+#: Bytes per distinct (document, term) a document's analysis may leave:
+#: a tuple slot and a 4-byte count, with the two columns' headers (about
+#: 15 B on the small corpus, about 44 terms a document; about 29 B while
+#: the counts were a ``Counter``).
+DOCUMENT_BYTES_PER_TERM = 18
 #: Bytes per posting the counts-backed index may hold.
 INDEX_BYTES_PER_POSTING = 64
 #: Bytes a posting may add to a term that already has postings: a list
@@ -100,13 +107,28 @@ def retained_bytes(build):
 def documents(small_env):
     docs = list(small_env.corpus)
     for doc in docs:
-        doc.term_freqs  # analyze outside the measured region
+        doc.analyze()  # outside the measured region
     return docs
+
+
+def test_a_document_keeps_its_counts_in_two_columns(documents) -> None:
+    """Fresh copies of the analyzed documents, analyzed in the measured
+    region: the analyzer's vocabulary memo is warm, so what stays is
+    the copies' columns."""
+    copies = [Document(doc.doc_id, doc.text) for doc in documents]
+
+    def analyze() -> None:
+        for copy in copies:
+            copy.analyze()
+
+    __, used = retained_bytes(analyze)
+    per_term = used / sum(copy.unique_terms for copy in copies)
+    assert per_term <= DOCUMENT_BYTES_PER_TERM, per_term
 
 
 def test_the_index_keeps_a_count_per_posting(small_env, documents) -> None:
     __, used = retained_bytes(lambda: InvertedIndex.from_corpus(small_env.corpus))
-    per_posting = used / sum(len(doc.term_freqs) for doc in documents)
+    per_posting = used / sum(doc.unique_terms for doc in documents)
     assert per_posting <= INDEX_BYTES_PER_POSTING, per_posting
 
 
@@ -114,7 +136,7 @@ def test_a_posting_costs_a_doc_id_slot_and_a_count(small_env, documents) -> None
     """The marginal cost: the corpus indexed again under fresh doc ids,
     so every posting lands in a term that already has its columns."""
     again = [
-        Document(f"{doc.doc_id}'", "", _term_freqs=doc.term_freqs, _length=doc.length)
+        Document(f"{doc.doc_id}'", "", _terms=doc._terms, _counts=doc._counts, _length=doc.length)
         for doc in documents
     ]
     tracemalloc.start()  # before the first pass, so its columns are traced
@@ -123,7 +145,7 @@ def test_a_posting_costs_a_doc_id_slot_and_a_count(small_env, documents) -> None
         __, used = retained_bytes(lambda: [index.add_document(doc) for doc in again])
     finally:
         tracemalloc.stop()
-    per_posting = used / sum(len(doc.term_freqs) for doc in again)
+    per_posting = used / sum(doc.unique_terms for doc in again)
     assert index.num_documents == 2 * len(documents)
     assert per_posting <= INDEX_BYTES_PER_ADDED_POSTING, per_posting
 

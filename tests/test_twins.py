@@ -257,7 +257,7 @@ def test_fingerprint_sees_which_queries_each_cache_holds(micro) -> None:
 def test_a_full_index_system_publishes_every_term(micro) -> None:
     system = micro.full_index()
     for doc in micro.corpus:
-        assert sorted(system.index_terms(doc.doc_id)) == sorted(doc.term_freqs)
+        assert sorted(system.index_terms(doc.doc_id)) == sorted(doc.term_set())
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2], ids=["micro", "seed0", "seed1", "seed2"])
